@@ -8,6 +8,13 @@
 //! reveal (a new event, a reordered exchange, an extra equality bit) fails loudly in
 //! review instead of slipping in silently.
 //!
+//! Each scenario has a second, **order-insensitive** snapshot (`*.digest.json`): event
+//! counts per (kind, context, depth), equality bits split by value, comparison events
+//! counted without their bit, and the scalar disclosures verbatim.  S1's random
+//! permutations and the interleaving of its RNG draws cannot move it, so a change that
+//! only reschedules S1's requests re-blesses the ordered snapshot and must leave the
+//! digest byte-identical; a digest diff means *what* is revealed changed.
+//!
 //! To re-bless after an *intentional* leakage-profile change:
 //!
 //! ```text
@@ -18,6 +25,8 @@
 //! The snapshots are transport-invariant (asserted by `transport_equivalence`), so the
 //! same goldens hold on the in-process, channel and multiplex paths.
 
+use std::collections::BTreeMap;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -26,7 +35,7 @@ use sectopk_core::{
     encrypt_for_join, join_token, sec_query, top_k_join, DataOwner, JoinQuery, QueryConfig,
 };
 use sectopk_datasets::fig3_relation;
-use sectopk_protocols::{LeakageLedger, TransportKind, TwoClouds};
+use sectopk_protocols::{LeakageEvent, LeakageLedger, TransportKind, TwoClouds};
 use sectopk_storage::{ObjectId, Relation, Row, TopKQuery};
 use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
@@ -37,13 +46,64 @@ struct GoldenLedgers {
     s2: LeakageLedger,
 }
 
+/// What one party's ledger reveals once the order S1's permutations induce is factored
+/// out.
+#[derive(Serialize)]
+struct LedgerDigest {
+    /// Events per `kind/context/depth` (plus `/equal` or `/distinct` for equality bits).
+    counts: BTreeMap<String, usize>,
+    /// The scalar disclosures, verbatim and in order.
+    disclosures: Vec<LeakageEvent>,
+}
+
+#[derive(Serialize)]
+struct GoldenDigests {
+    s1: LedgerDigest,
+    s2: LedgerDigest,
+}
+
+fn digest(ledger: &LeakageLedger) -> LedgerDigest {
+    let mut counts = BTreeMap::new();
+    let mut disclosures = Vec::new();
+    for event in ledger.events() {
+        let key = match event {
+            LeakageEvent::EqualityBit { context, depth, equal } => {
+                let depth = depth.map_or("-".to_string(), |d| d.to_string());
+                let value = if *equal { "equal" } else { "distinct" };
+                format!("{}/{context}/{depth}/{value}", event.kind())
+            }
+            LeakageEvent::ComparisonBit { context, .. } | LeakageEvent::BlindedSign { context } => {
+                format!("{}/{context}", event.kind())
+            }
+            LeakageEvent::UniqueCount { .. }
+            | LeakageEvent::HaltingDepth(_)
+            | LeakageEvent::QueryIssued { .. }
+            | LeakageEvent::JoinMatchCount(_) => {
+                disclosures.push(event.clone());
+                continue;
+            }
+        };
+        *counts.entry(key).or_insert(0) += 1;
+    }
+    LedgerDigest { counts, disclosures }
+}
+
 fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
 }
 
+/// Check both snapshots of one scenario: the ordered event streams (`{name}.json`) and
+/// their order-insensitive digest (`{name}.digest.json`).
+fn check_scenario(name: &str, clouds: &TwoClouds) {
+    let ledgers = GoldenLedgers { s1: clouds.s1_ledger().clone(), s2: clouds.s2_ledger() };
+    let digests = GoldenDigests { s1: digest(&ledgers.s1), s2: digest(&ledgers.s2) };
+    check_golden(&format!("{name}.json"), &ledgers);
+    check_golden(&format!("{name}.digest.json"), &digests);
+}
+
 /// Compare the serialized ledgers against the committed snapshot, or rewrite it when
 /// `SECTOPK_BLESS` is set.
-fn check_golden(name: &str, ledgers: &GoldenLedgers) {
+fn check_golden(name: &str, ledgers: &impl Serialize) {
     let rendered = serde_json::to_string_pretty(ledgers).expect("serialize ledgers") + "\n";
     let path = golden_path(name);
     if std::env::var("SECTOPK_BLESS").is_ok() {
@@ -77,10 +137,7 @@ fn full_query_ledgers_match_golden_snapshot() {
         TwoClouds::with_transport(owner.keys(), 0x601D_BEEF, TransportKind::InProcess, true)
             .expect("cloud setup");
     sec_query(&mut clouds, &er, &token, &QueryConfig::full()).expect("query");
-    check_golden(
-        "ledger_full_query.json",
-        &GoldenLedgers { s1: clouds.s1_ledger().clone(), s2: clouds.s2_ledger() },
-    );
+    check_scenario("ledger_full_query", &clouds);
 }
 
 #[test]
@@ -109,8 +166,5 @@ fn join_ledgers_match_golden_snapshot() {
     let mut clouds =
         TwoClouds::with_transport(keys, 0x601E_CAFE, TransportKind::InProcess, true).unwrap();
     top_k_join(&mut clouds, &enc_left, &enc_right, &token).unwrap();
-    check_golden(
-        "ledger_join.json",
-        &GoldenLedgers { s1: clouds.s1_ledger().clone(), s2: clouds.s2_ledger() },
-    );
+    check_scenario("ledger_join", &clouds);
 }
