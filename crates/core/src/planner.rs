@@ -15,7 +15,10 @@
 //!    walking the per-depth recurrence of Algorithm 3: SecWorst/SecBest (`m²`-ish per
 //!    depth plus the seen-list sweep), SecUpdate against the tracked list, `EncSort` as
 //!    a Batcher network (`t·log²t` gates) and the halting comparison, plus a per-round
-//!    latency term when the inter-cloud link has a nonzero RTT (§11.2.5).
+//!    latency term when the inter-cloud link has a nonzero RTT (§11.2.5).  The round
+//!    count is the protocols' actual per-depth budget — bounds 2 + dedup 1 + update 2 +
+//!    one `Compare` per Batcher stage + halting 1 — recorded as
+//!    [`PlanDecision::estimated_rounds`].
 //! 3. **Prefer privacy subject to a budget**: `Qry_F` whenever its estimated cost fits
 //!    [`FULL_PRIVACY_BUDGET`], `Qry_E` while it fits [`DUP_ELIM_BUDGET`], and otherwise
 //!    `Qry_Ba` with the cost-minimising `p` from a geometric candidate sweep (the paper
@@ -25,6 +28,8 @@
 //! `ServeReport` is self-describing about what the planner did.
 
 use serde::{Deserialize, Serialize};
+
+use sectopk_protocols::sort::enc_sort_rounds;
 
 use crate::query::QueryVariant;
 
@@ -95,6 +100,9 @@ pub struct PlanDecision {
     pub estimated_depths: usize,
     /// The per-variant cost estimates behind the decision.
     pub costs: VariantCosts,
+    /// S1↔S2 round trips the chosen variant is expected to take over
+    /// `estimated_depths` (compare with `ChannelMetrics::rounds` after the run).
+    pub estimated_rounds: f64,
 }
 
 impl PlanDecision {
@@ -139,80 +147,82 @@ fn halt_cost(t: f64) -> f64 {
     t + 1.0
 }
 
-/// Rounds one depth costs on the wire with batching enabled (sorted access is local;
-/// SecWorst+SecBest, dedup, update, and — on check depths — sort plus halting check).
-fn rounds_per_depth(batching: bool, m: f64) -> f64 {
-    if batching {
-        4.0
+/// Rounds one SecUpdate into a list of `len` items costs: an equality round and a
+/// `RecoverEnc` round, unless there is nothing to merge into yet.
+fn update_rounds(len: f64) -> f64 {
+    if len > 0.0 {
+        2.0
     } else {
-        // Unbatched, every pairwise exchange is its own round trip.
-        4.0 * m * m
+        0.0
     }
 }
 
-fn latency_units(rounds: f64, rtt_ms: f64) -> f64 {
-    rounds * rtt_ms * RTT_UNITS_PER_MS
+/// One variant's estimate over a scan: ciphertext-operation units and wire round trips.
+#[derive(Default)]
+struct Estimate {
+    ops: f64,
+    rounds: f64,
 }
 
-/// Cost of `Qry_F` over `depths` scanned depths: the tracked list `T` grows by `m`
-/// every depth (duplicates are neutralised in place, never removed), and every depth
-/// pays a full sort and halting check over it.
-fn cost_full(inputs: &PlannerInputs, depths: usize) -> f64 {
-    let m = inputs.m as f64;
-    let mut cost = 0.0;
-    let mut rounds = 0.0;
-    for d in 1..=depths {
-        let df = d as f64;
-        let tracked = m * df;
-        // SecWorst (m² eq tests) + SecBest (per list, the seen prefix sweep).
-        cost += m * m + m * m * df.min(inputs.n as f64);
-        // SecDedup over the per-depth items + SecUpdate against T + sort + halt.
-        cost += m * m + m * tracked + sort_cost(tracked) + halt_cost(tracked);
-        rounds += rounds_per_depth(inputs.batching, m) + 2.0;
+impl Estimate {
+    fn cost(&self, inputs: &PlannerInputs) -> f64 {
+        self.ops + self.rounds * inputs.rtt_ms * RTT_UNITS_PER_MS
     }
-    cost + latency_units(rounds, inputs.rtt_ms)
 }
 
-/// Cost of `Qry_E`: like `Qry_F`, but the tracked list holds only distinct objects
-/// (`≈ DISTINCT_FRACTION · m · d`, capped at `n`).
-fn cost_dup_elim(inputs: &PlannerInputs, depths: usize) -> f64 {
-    let m = inputs.m as f64;
-    let n = inputs.n as f64;
-    let mut cost = 0.0;
-    let mut rounds = 0.0;
-    for d in 1..=depths {
-        let df = d as f64;
-        let tracked = (DISTINCT_FRACTION * m * df).min(n);
-        cost += m * m + m * m * df.min(n);
-        cost += m * m + m * tracked + sort_cost(tracked) + halt_cost(tracked);
-        rounds += rounds_per_depth(inputs.batching, m) + 2.0;
-    }
-    cost + latency_units(rounds, inputs.rtt_ms)
-}
+/// Walk the per-depth recurrence of Algorithm 3 for `variant` over `depths` depths.
+///
+/// * `Qry_F`: the tracked list `T` grows by `m` every depth (duplicates are neutralised
+///   in place, never removed), and every depth pays a full sort and halting check.
+/// * `Qry_E`: the same, but `T` holds only distinct objects (`≈ DISTINCT_FRACTION·m·d`,
+///   capped at `n`).
+/// * `Qry_Ba`: between checks only the cheap within-batch accumulator is maintained;
+///   every `p`-th depth pays the batch merge, the sort and the halting check.
+fn estimate(inputs: &PlannerInputs, variant: QueryVariant, depths: usize) -> Estimate {
+    let (m, n, k) = (inputs.m as f64, inputs.n as f64, inputs.k as f64);
+    let (p, batched) = match variant {
+        QueryVariant::Batched { p } => (p.max(1), true),
+        _ => (1, false),
+    };
+    let tracked_at = |d: usize| match variant {
+        QueryVariant::Full => m * d as f64,
+        _ => (DISTINCT_FRACTION * m * d as f64).min(n),
+    };
 
-/// Cost of `Qry_Ba` with parameter `p`: between checks only the cheap within-batch
-/// accumulator is maintained; every `p`-th depth pays the batch merge, the sort and the
-/// halting check over the distinct tracked list.
-fn cost_batched(inputs: &PlannerInputs, depths: usize, p: usize) -> f64 {
-    let m = inputs.m as f64;
-    let n = inputs.n as f64;
-    let p = p.max(1);
-    let mut cost = 0.0;
-    let mut rounds = 0.0;
+    let mut e = Estimate::default();
+    let mut checked = 0; // the depth of the last check: T covers depths 1..=checked
     for d in 1..=depths {
-        let df = d as f64;
-        let in_batch = (((d - 1) % p) + 1) as f64;
-        cost += m * m + m * m * df.min(n); // SecWorst + SecBest
-        cost += m * m + m * (m * in_batch); // per-depth dedup + batch update
-        rounds += rounds_per_depth(inputs.batching, m);
+        // SecWorst (m² eq tests) + SecBest (per list, the seen prefix sweep) share two
+        // rounds; the per-depth SecDedup is a third.  A single list needs neither.
+        e.ops += m * m + m * m * (d as f64).min(n) + m * m;
+        e.rounds += if inputs.m > 1 { 3.0 } else { 0.0 };
+        if batched {
+            let in_batch = (d - checked) as f64;
+            e.ops += m * (m * in_batch);
+            e.rounds += update_rounds(in_batch - 1.0);
+        }
         if d % p == 0 || d == depths {
-            let tracked = (DISTINCT_FRACTION * m * df).min(n);
-            cost += m * (p as f64) + m * tracked; // merge the batch into T
-            cost += sort_cost(tracked) + halt_cost(tracked);
-            rounds += 3.0;
+            // SecUpdate (the batch merge, for Qry_Ba) into T, then sort + halting check.
+            let tracked = tracked_at(d);
+            e.ops += m * tracked + if batched { m * p as f64 } else { 0.0 };
+            e.ops += sort_cost(tracked) + halt_cost(tracked);
+            e.rounds += update_rounds(tracked_at(checked))
+                + enc_sort_rounds(tracked.ceil() as usize) as f64
+                + if tracked >= k { 1.0 } else { 0.0 };
+            checked = d;
         }
     }
-    cost + latency_units(rounds, inputs.rtt_ms)
+    if !inputs.batching {
+        // Unbatched, every pairwise exchange is its own round trip.
+        e.rounds *= m * m;
+    }
+    e
+}
+
+/// S1↔S2 round trips `variant` takes over `depths` scanned depths on this query shape —
+/// the round term of the cost model, exposed so a run can be checked against it.
+pub fn estimated_rounds(inputs: &PlannerInputs, variant: QueryVariant, depths: usize) -> f64 {
+    estimate(inputs, variant, depths).rounds
 }
 
 /// The geometric `p` candidates the planner sweeps: `max(2, k) · 2^i`, capped at the
@@ -235,11 +245,12 @@ fn p_candidates(k: usize, depths: usize) -> Vec<usize> {
 /// cost fits its budget, falling back to `Qry_Ba` at the cost-minimising `p`.
 pub fn plan(inputs: &PlannerInputs) -> PlanDecision {
     let depths = estimated_depths(inputs.n, inputs.k);
-    let full = cost_full(inputs, depths);
-    let dup_elim = cost_dup_elim(inputs, depths);
+    let cost = |variant| estimate(inputs, variant, depths).cost(inputs);
+    let full = cost(QueryVariant::Full);
+    let dup_elim = cost(QueryVariant::DupElim);
     let (batched_p, batched) = p_candidates(inputs.k, depths)
         .into_iter()
-        .map(|p| (p, cost_batched(inputs, depths, p)))
+        .map(|p| (p, cost(QueryVariant::Batched { p })))
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .expect("at least one p candidate");
 
@@ -256,6 +267,7 @@ pub fn plan(inputs: &PlannerInputs) -> PlanDecision {
         inputs: *inputs,
         estimated_depths: depths,
         costs: VariantCosts { full, dup_elim, batched, batched_p },
+        estimated_rounds: estimated_rounds(inputs, variant, depths),
     }
 }
 
@@ -265,6 +277,7 @@ pub fn record_fixed(inputs: &PlannerInputs, variant: QueryVariant) -> PlanDecisi
     let mut decision = plan(inputs);
     decision.variant = variant;
     decision.auto = false;
+    decision.estimated_rounds = estimated_rounds(inputs, variant, decision.estimated_depths);
     decision
 }
 
@@ -330,6 +343,23 @@ mod tests {
         assert!(wan_plan.costs.dup_elim > ideal_plan.costs.dup_elim);
         assert!(wan_plan.costs.batched > ideal_plan.costs.batched);
         assert!(wan_plan.costs.batched_p >= ideal_plan.costs.batched_p);
+    }
+
+    #[test]
+    fn test_scale_decisions_are_pinned() {
+        // What `Auto` executes on the relations the suites and the benchmark's mixed
+        // query list use; a flip here changes what those runs measure.
+        for (n, m, k) in [64usize, 128]
+            .into_iter()
+            .flat_map(|n| (2..=4usize).flat_map(move |m| (2..=5usize).map(move |k| (n, m, k))))
+        {
+            let lan = plan(&PlannerInputs::new(n, m, k, 0.0, true)).variant;
+            let wan = plan(&PlannerInputs::new(n, m, k, 20.0, true)).variant;
+            let lan_expected =
+                if (n, m, k) == (128, 4, 5) { QueryVariant::DupElim } else { QueryVariant::Full };
+            assert_eq!(lan, lan_expected, "n = {n}, m = {m}, k = {k}, ideal link");
+            assert_eq!(wan, QueryVariant::DupElim, "n = {n}, m = {m}, k = {k}, 20 ms");
+        }
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!
 //! The loop follows the paper: sorted access to the `m` token lists depth by depth,
 //! `SecWorst` / `SecBest` for the per-depth bounds, `SecDedup`/`SecDupElim`, `SecUpdate`
-//! into the global list, `EncSort` by worst score and an encrypted halting check.  The
+//! into the global list, `EncSort` by worst score and an encrypted halting check.  Every
+//! step costs one equality round and one `RecoverEnc` round, so a depth's wire pattern
+//! is bounds 2 + dedup 1 + update 2 + one `Compare` per Batcher stage + halting 1 (the
+//! budget `tests/round_budget.rs` pins and the planner's RTT term models).  The
 //! halting check follows Algorithm 1's semantics (every object outside the current top-k
 //! — seen or unseen — must be dominated), which is slightly stronger than the
 //! `W_k ≥ B_{k+1}` shortcut written in Algorithm 3; see DESIGN.md.
@@ -156,7 +159,6 @@ pub fn sec_query(
     config: &QueryConfig,
 ) -> Result<QueryOutcome> {
     let started = Instant::now();
-    let pk = clouds.pk().clone();
     let m = token.num_attributes();
     let k = token.k.max(1);
     let n = er.num_objects();
@@ -219,9 +221,10 @@ pub fn sec_query(
             depth_items.push(item);
         }
 
-        // ---- SecWorst / SecBest for the current depth (Algorithm 3 lines 5-6). ----------
-        let worsts = clouds.sec_worst_depth(&depth_items, depth)?;
-        let bests = clouds.sec_best_depth(&depth_items, &seen, depth)?;
+        // ---- SecWorst / SecBest for the current depth (Algorithm 3 lines 5-6): neither
+        //      needs the other's output, so they share one equality round and one
+        //      RecoverEnc round. ----------------------------------------------------------
+        let (worsts, bests) = clouds.sec_bounds_depth(&depth_items, &seen, depth)?;
         let gamma: Vec<ScoredItem> = depth_items
             .iter()
             .zip(worsts.into_iter().zip(bests))
@@ -314,7 +317,6 @@ pub fn sec_query(
     stats.final_tracked_len = tracked.len();
     stats.total_seconds = started.elapsed().as_secs_f64();
     stats.channel = clouds.channel();
-    let _ = pk;
 
     Ok(QueryOutcome { top_k, stats })
 }

@@ -14,18 +14,16 @@
 //! `row_unmatched` aggregate of the same equality exchange: S2 derives `E2(¬∨_l t_l)`
 //! from the bits it already decrypted, so the whole per-list decision costs no extra
 //! round.  With batching, all lists and all items of one depth share one equality round
-//! and one `RecoverEnc` round.
+//! and one `RecoverEnc` round — the shared per-step budget — and inside a query those
+//! are the *same* two rounds SecWorst uses: [`TwoClouds::sec_bounds_depth`] runs both
+//! plans together (see [`crate::bounds`]).
 
 use crate::error::Result;
-use sectopk_crypto::damgard_jurik::LayeredCiphertext;
 use sectopk_crypto::paillier::Ciphertext;
-use sectopk_crypto::prp::RandomPermutation;
-use sectopk_ehl::EhlPlus;
 use sectopk_storage::EncryptedItem;
 
+use crate::bounds::BoundPlan;
 use crate::context::TwoClouds;
-use crate::primitives::EqPlan;
-use crate::transport::EqWants;
 
 impl TwoClouds {
     /// Compute the encrypted best (upper-bound) score of `item`, which appears in the
@@ -38,8 +36,10 @@ impl TwoClouds {
         seen: &[Vec<EncryptedItem>],
         depth: usize,
     ) -> Result<Ciphertext> {
-        let jobs = vec![(item, own_list)];
-        Ok(self.best_many(&jobs, seen, depth)?.pop().expect("one job in, one score out"))
+        let mut plan = BoundPlan::new("sec_best", depth, vec![item.score.clone()]);
+        self.plan_best_scans(&mut plan, 0, item, own_list, seen);
+        let [mut bests] = self.run_bound_plans([plan])?;
+        Ok(bests.pop().expect("one job in, one score out"))
     }
 
     /// Compute the best scores of all `m` items at depth `d` (Algorithm 3 line 6).
@@ -51,85 +51,42 @@ impl TwoClouds {
         seen: &[Vec<EncryptedItem>],
         depth: usize,
     ) -> Result<Vec<Ciphertext>> {
-        assert_eq!(depth_items.len(), seen.len(), "one seen-prefix per queried list");
-        let jobs: Vec<(&EncryptedItem, usize)> =
-            depth_items.iter().enumerate().map(|(i, item)| (item, i)).collect();
-        self.best_many(&jobs, seen, depth)
+        let plan = self.plan_best_depth(depth_items, seen, depth);
+        let [bests] = self.run_bound_plans([plan])?;
+        Ok(bests)
     }
 
-    /// Shared driver: one equality plan per (item, other-list) pair — all shipped in one
-    /// batched round — then one combined selection/recovery round.
-    fn best_many(
+    /// The plan half of [`Self::sec_best_depth`]: item `i` belongs to list `i`.
+    pub(crate) fn plan_best_depth(
         &mut self,
-        jobs: &[(&EncryptedItem, usize)],
+        depth_items: &[EncryptedItem],
         seen: &[Vec<EncryptedItem>],
         depth: usize,
-    ) -> Result<Vec<Ciphertext>> {
-        let pk = self.s1.keys.paillier_public.clone();
-
-        // One entry per scanned (job, list): the permuted prefix scores and the bottom.
-        struct Scan {
-            job: usize,
-            scores: Vec<Ciphertext>,
-            bottom: Ciphertext,
+    ) -> BoundPlan {
+        assert_eq!(depth_items.len(), seen.len(), "one seen-prefix per queried list");
+        let own_scores = depth_items.iter().map(|it| it.score.clone()).collect();
+        let mut plan = BoundPlan::new("sec_best", depth, own_scores);
+        for (i, item) in depth_items.iter().enumerate() {
+            self.plan_best_scans(&mut plan, i, item, i, seen);
         }
+        plan
+    }
 
-        let mut plans = Vec::new();
-        let mut scans: Vec<Scan> = Vec::new();
-        for (job_idx, (item, own_list)) in jobs.iter().enumerate() {
-            for (j, list_prefix) in seen.iter().enumerate() {
-                if j == *own_list || list_prefix.is_empty() {
-                    continue;
-                }
-                // ---- S1: permute the scanned prefix and plan its equality row. --------
-                let perm = RandomPermutation::sample(list_prefix.len(), &mut self.s1.rng);
-                let refs: Vec<&EncryptedItem> = list_prefix.iter().collect();
-                let permuted: Vec<&EncryptedItem> = perm.permute(&refs);
-                let pairs: Vec<(&EhlPlus, &EhlPlus)> =
-                    permuted.iter().map(|other| (&item.ehl, &other.ehl)).collect();
-                let diffs = self.eq_diffs(&pairs);
-                plans.push(EqPlan {
-                    cols: diffs.len(),
-                    diffs,
-                    context: "sec_best",
-                    depth: Some(depth),
-                    want: EqWants { row_unmatched: true, ..EqWants::none() },
-                });
-                scans.push(Scan {
-                    job: job_idx,
-                    scores: permuted.iter().map(|o| o.score.clone()).collect(),
-                    bottom: list_prefix.last().expect("non-empty prefix").score.clone(),
-                });
-            }
+    /// One equality row per other list: `item` against that list's seen prefix, with the
+    /// list's bottom score as the "never seen there" fallback.
+    fn plan_best_scans(
+        &mut self,
+        plan: &mut BoundPlan,
+        job: usize,
+        item: &EncryptedItem,
+        own_list: usize,
+        seen: &[Vec<EncryptedItem>],
+    ) {
+        for (j, prefix) in seen.iter().enumerate() {
+            let Some(bottom) = prefix.last().filter(|_| j != own_list) else { continue };
+            let targets: Vec<&EncryptedItem> = prefix.iter().collect();
+            plan.scan(self, job, item, &targets, Some(bottom.score.clone()));
         }
-        let outcomes = self.run_eq_plans(plans)?;
-
-        // ---- S1: combined selection — per scan: the matching scores, gated by the
-        //      equality bits, plus the bottom score gated by the "unseen" aggregate. ----
-        let mut all_bits: Vec<LayeredCiphertext> = Vec::new();
-        let mut all_values: Vec<Ciphertext> = Vec::new();
-        for (scan, outcome) in scans.iter().zip(outcomes.iter()) {
-            all_bits.extend(outcome.bits.iter().cloned());
-            all_values.extend(scan.scores.iter().cloned());
-            // The single matrix row yields one `E2(¬∨ t)` bit (Algorithm 6 line 10).
-            let unseen =
-                outcome.aggregates.row_unmatched.first().expect("row_unmatched was requested");
-            all_bits.push(unseen.clone());
-            all_values.push(scan.bottom.clone());
-        }
-        let selected = self.select_scores(&all_bits, &all_values)?;
-
-        // ---- S1: sum the slices back into per-job best scores. -------------------------
-        let mut bests: Vec<Ciphertext> = jobs.iter().map(|(item, _)| item.score.clone()).collect();
-        let mut offset = 0usize;
-        for scan in &scans {
-            let span = scan.scores.len() + 1;
-            for s in &selected[offset..offset + span] {
-                bests[scan.job] = pk.add(&bests[scan.job], s);
-            }
-            offset += span;
-        }
-        Ok(bests.into_iter().map(|b| self.s1.pool.rerandomize(&b)).collect())
     }
 }
 
@@ -243,6 +200,28 @@ mod tests {
         let _ = clouds.sec_best_depth(&depth_items, &seen, 2).unwrap();
         // One batched equality round + one combined RecoverEnc round for the whole depth.
         assert_eq!(clouds.channel().rounds, 2);
+    }
+
+    #[test]
+    fn bounds_depth_matches_fig3_in_two_rounds() {
+        // The expectations of `fig3_depth{1,2}_best_scores` and of SecWorst (no repeat at
+        // depth 1; X3 in R2 and R3 at depth 2), from one call costing the shared budget.
+        let expected: [(Vec<u64>, Vec<u64>); 2] =
+            [(vec![10, 8, 8], vec![26, 26, 26]), (vec![8, 13, 13], vec![22, 21, 21])];
+        for (depth, (worst, best)) in (1..).zip(expected) {
+            let (master, mut clouds, encoder, mut rng) = setup();
+            let pk = &master.paillier_public;
+            let seen = fig3_prefixes(depth, &encoder, pk, &mut rng);
+            let depth_items: Vec<EncryptedItem> =
+                seen.iter().map(|l| l[depth - 1].clone()).collect();
+            let (worsts, bests) = clouds.sec_bounds_depth(&depth_items, &seen, depth).unwrap();
+            let decrypt = |cs: &[Ciphertext]| -> Vec<u64> {
+                cs.iter().map(|c| master.paillier_secret.decrypt_u64(c).unwrap()).collect()
+            };
+            assert_eq!((decrypt(&worsts), decrypt(&bests)), (worst, best), "depth {depth}");
+            assert_eq!(clouds.channel().rounds, 2, "one equality + one RecoverEnc round");
+            assert!(clouds.s2_ledger().only_contains(&["equality_bit"]));
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! * [`primitives`] — batched EHL equality tests, `RecoverEnc` (Algorithm 5), encrypted
 //!   selection, and the `EncCompare` realisation.
 //! * [`sort`] — `EncSort` as a Batcher network of encrypted compare-exchange gates.
-//! * [`worst`] / [`best`] — `SecWorst` (Algorithm 4) and `SecBest` (Algorithm 6).
+//! * [`worst`] / [`best`] — `SecWorst` (Algorithm 4) and `SecBest` (Algorithm 6), and
+//!   [`bounds`] — the plan / finish halves both share, so a depth pays for them once.
 //! * [`dedup`] — `SecDedup` (Algorithm 7) and the optimized `SecDupElim` (§10.1).
 //! * [`update`] — `SecUpdate` (Algorithm 9) in keep-length (`Qry_F`) and eliminate
 //!   (`Qry_E`) variants.
@@ -53,6 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod best;
+pub mod bounds;
 pub mod channel;
 pub mod context;
 pub mod dedup;

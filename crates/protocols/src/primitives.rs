@@ -78,6 +78,10 @@ pub(crate) struct EqOutcome {
     pub aggregates: EqAggregates,
 }
 
+/// One encrypted selection `(E2(t), Enc(x), Enc(y))` ↦ `Enc(t·x + (1−t)·y)`; a missing
+/// false branch stands for `y = 0`.
+pub(crate) type SelectJob<'a> = (&'a LayeredCiphertext, &'a Ciphertext, Option<&'a Ciphertext>);
+
 /// The error raised when S2 answers with the wrong response kind (shared by every
 /// request site in the crate).
 pub(crate) fn unexpected(response: &S2Response, expected: &str) -> ProtocolError {
@@ -85,10 +89,12 @@ pub(crate) fn unexpected(response: &S2Response, expected: &str) -> ProtocolError
 }
 
 impl TwoClouds {
-    /// Run any number of independent equality-matrix exchanges.  With batching enabled
-    /// they all travel in a single round trip ([`S1Request::Batch`]); without it, every
-    /// matrix entry becomes its own [`S1Request::EqTest`] round followed by one
-    /// aggregate round — the pre-batching wire pattern.
+    /// Run any number of independent equality-matrix exchanges — of one sub-protocol or
+    /// of several (SecWorst and SecBest share a depth's exchange) — in plan order.  With
+    /// batching enabled they all travel in a single round trip ([`S1Request::Batch`]):
+    /// the one equality round of a step's budget.  Without it, every matrix entry
+    /// becomes its own [`S1Request::EqTest`] round followed by one aggregate round — the
+    /// pre-batching wire pattern.
     pub(crate) fn run_eq_plans(&mut self, plans: Vec<EqPlan>) -> Result<Vec<EqOutcome>> {
         let plans: Vec<EqPlan> = plans.into_iter().filter(|p| !p.diffs.is_empty()).collect();
         if plans.is_empty() {
@@ -283,38 +289,43 @@ impl TwoClouds {
         Ok(recovered)
     }
 
+    /// Encrypted selection, any number of jobs in **one** `RecoverEnc` round: every job
+    /// evaluates `E2(t)^{Enc(x)} · (E2(1) · E2(t)^{-1})^{Enc(y)}` (line 6 of Algorithm 4)
+    /// to `Enc(t·x + (1−t)·y)`.  Jobs of different sub-protocol steps may share the
+    /// call; every job gets its own fresh `E2(1)`, `Enc(0)` and blinding.
+    pub(crate) fn select_many(&mut self, jobs: &[SelectJob<'_>]) -> Result<Vec<Ciphertext>> {
+        let dj_pk = self.s1.keys.dj_public.clone();
+
+        // Pool draws first (serial, position-deterministic), then the two-base
+        // exponentiations run data-parallel as one fused Strauss–Shamir
+        // double-exponentiation each.
+        let mut drawn = Vec::with_capacity(jobs.len());
+        for &(bit, if_true, if_false) in jobs {
+            let e2_one = self.s1.pool.encrypt_dj_u64(1)?;
+            let y = if_false.cloned().map_or_else(|| self.s1.pool.encrypt_u64(0), Ok)?;
+            drawn.push((bit, if_true, e2_one, y));
+        }
+        let layered = par_map(self.s1.intra_workers, &drawn, |(bit, x, e2_one, y)| {
+            let one_minus_t = dj_pk.sub(e2_one, bit);
+            dj_pk.mul_add_ciphertexts(bit, x, &one_minus_t, y)
+        });
+        self.recover_enc_batch(&layered)
+    }
+
     /// Encrypted selection: from `E2(t_i)` (bit known to S2, encrypted towards S1) and
-    /// `Enc(x_i)`, produce `Enc(t_i · x_i)` — the operation on line 6 of Algorithm 4:
-    /// `E2(t)^{Enc(x)} · (E2(1) · E2(t)^{-1})^{Enc(0)}` followed by `RecoverEnc`.
+    /// `Enc(x_i)`, produce `Enc(t_i · x_i)`.
     pub fn select_scores(
         &mut self,
         e2_bits: &[LayeredCiphertext],
         scores: &[Ciphertext],
     ) -> Result<Vec<Ciphertext>> {
         assert_eq!(e2_bits.len(), scores.len(), "one bit per score required");
-        if e2_bits.is_empty() {
-            return Ok(Vec::new());
-        }
-        let dj_pk = self.s1.keys.dj_public.clone();
-
-        // Pool draws first (serial, position-deterministic), then the two-base
-        // exponentiations `E2(t)^{Enc(x)} · E2(1−t)^{Enc(0)}` run data-parallel as one
-        // fused Strauss–Shamir double-exponentiation each.
-        let mut jobs = Vec::with_capacity(scores.len());
-        for (bit, score) in e2_bits.iter().zip(scores.iter()) {
-            let e2_one = self.s1.pool.encrypt_dj_u64(1)?;
-            let enc_zero = self.s1.pool.encrypt_u64(0)?;
-            jobs.push((bit, score, e2_one, enc_zero));
-        }
-        let layered = par_map(self.s1.intra_workers, &jobs, |(bit, score, e2_one, enc_zero)| {
-            let one_minus_t = dj_pk.sub(e2_one, bit);
-            dj_pk.mul_add_ciphertexts(bit, score, &one_minus_t, enc_zero)
-        });
-        self.recover_enc_batch(&layered)
+        let jobs: Vec<SelectJob<'_>> =
+            e2_bits.iter().zip(scores).map(|(t, x)| (t, x, None)).collect();
+        self.select_many(&jobs)
     }
 
-    /// Two-branch encrypted selection `Enc(t · x + (1 − t) · y)` (used by SecUpdate to
-    /// overwrite a tracked item's best score only when the fresh item matches it).
+    /// Two-branch encrypted selection `Enc(t · x + (1 − t) · y)`.
     pub fn select_between(
         &mut self,
         e2_bits: &[LayeredCiphertext],
@@ -323,20 +334,9 @@ impl TwoClouds {
     ) -> Result<Vec<Ciphertext>> {
         assert_eq!(e2_bits.len(), if_true.len());
         assert_eq!(e2_bits.len(), if_false.len());
-        if e2_bits.is_empty() {
-            return Ok(Vec::new());
-        }
-        let dj_pk = self.s1.keys.dj_public.clone();
-        let mut jobs = Vec::with_capacity(e2_bits.len());
-        for ((bit, x), y) in e2_bits.iter().zip(if_true.iter()).zip(if_false.iter()) {
-            let e2_one = self.s1.pool.encrypt_dj_u64(1)?;
-            jobs.push((bit, x, y, e2_one));
-        }
-        let layered = par_map(self.s1.intra_workers, &jobs, |(bit, x, y, e2_one)| {
-            let one_minus_t = dj_pk.sub(e2_one, bit);
-            dj_pk.mul_add_ciphertexts(bit, x, &one_minus_t, y)
-        });
-        self.recover_enc_batch(&layered)
+        let jobs: Vec<SelectJob<'_>> =
+            e2_bits.iter().zip(if_true).zip(if_false).map(|((t, x), y)| (t, x, Some(y))).collect();
+        self.select_many(&jobs)
     }
 
     /// `EncCompare(Enc(a), Enc(b))`: S1 learns the bit `f := (a ≤ b)` in the symmetric
@@ -553,6 +553,38 @@ mod tests {
         let chosen = clouds.select_between(&batch.e2_bits, &if_true, &if_false).unwrap();
         assert_eq!(master.paillier_secret.decrypt_u64(&chosen[0]).unwrap(), 10);
         assert_eq!(master.paillier_secret.decrypt_u64(&chosen[1]).unwrap(), 77);
+    }
+
+    #[test]
+    fn select_many_mixes_both_job_kinds_in_one_round() {
+        let (master, mut clouds, encoder, mut rng) = setup();
+        let pk = &master.paillier_public;
+        let a = encoder.encode(b"p", pk, &mut rng).unwrap();
+        let a2 = encoder.encode(b"p", pk, &mut rng).unwrap();
+        let b = encoder.encode(b"q", pk, &mut rng).unwrap();
+        let bits = clouds.eq_batch(&[(&a, &a2), (&a, &b)], "test", None).unwrap().e2_bits;
+        let x = vec![pk.encrypt_u64(10, &mut rng).unwrap(), pk.encrypt_u64(20, &mut rng).unwrap()];
+        let y = vec![pk.encrypt_u64(77, &mut rng).unwrap(), pk.encrypt_u64(88, &mut rng).unwrap()];
+        let decrypt = |cs: &[Ciphertext]| -> Vec<u64> {
+            cs.iter().map(|c| master.paillier_secret.decrypt_u64(c).unwrap()).collect()
+        };
+
+        let before = clouds.channel().rounds;
+        let jobs: Vec<SelectJob<'_>> = vec![
+            (&bits[0], &x[0], None),
+            (&bits[1], &x[1], Some(&y[1])),
+            (&bits[1], &x[1], None),
+            (&bits[0], &x[0], Some(&y[0])),
+        ];
+        let mixed = decrypt(&clouds.select_many(&jobs).unwrap());
+        assert_eq!(clouds.channel().rounds, before + 1, "one RecoverEnc round for all jobs");
+
+        let zeroing = decrypt(&clouds.select_scores(&bits, &x).unwrap());
+        let two_branch = decrypt(&clouds.select_between(&bits, &x, &y).unwrap());
+        assert_eq!(zeroing, vec![10, 0]);
+        assert_eq!(two_branch, vec![10, 88]);
+        assert_eq!(mixed, vec![zeroing[0], two_branch[1], zeroing[1], two_branch[0]]);
+        assert!(clouds.select_many(&[]).unwrap().is_empty());
     }
 
     #[test]

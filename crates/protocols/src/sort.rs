@@ -51,6 +51,16 @@ fn batcher_stages(n: usize) -> Vec<Vec<(usize, usize)>> {
     stages
 }
 
+/// Round trips one batched [`TwoClouds::enc_sort_by_worst_desc`] over `len` items costs:
+/// the stage count of the network over `len` padded to `2^x` wires, `x·(x+1)/2`.
+pub fn enc_sort_rounds(len: usize) -> usize {
+    if len <= 1 {
+        return 0;
+    }
+    let x = len.next_power_of_two().trailing_zeros() as usize;
+    x * (x + 1) / 2
+}
+
 impl TwoClouds {
     /// Sort `items` in **descending** order of their worst score (the order SecQuery
     /// needs to pick the current top-k, Algorithm 3 line 9).  Returns the sorted list;
@@ -128,6 +138,14 @@ mod tests {
             }
         }
         v
+    }
+
+    #[test]
+    fn enc_sort_rounds_is_the_network_stage_count() {
+        assert_eq!((enc_sort_rounds(0), enc_sort_rounds(1)), (0, 0));
+        for len in 2..=70usize {
+            assert_eq!(enc_sort_rounds(len), batcher_stages(len.next_power_of_two()).len());
+        }
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //! equality-pattern leakage); all of S1's updates are homomorphic selections driven by
 //! the `E2(t)` bits S2 returns.  The per-row / per-column "matched" selectors Algorithm 9
 //! needs are requested as aggregates of the same
-//! [`crate::transport::S1Request::EqMatrix`] exchange, so the whole fresh × tracked
-//! matrix costs a single round trip.
+//! [`crate::transport::S1Request::EqMatrix`] exchange, and every selection of the update
+//! — matched worst and best scores, the kept old bests and, in keep-length mode, the
+//! appended items' scores and EHL noise — consumes only that one reply, so they share a
+//! single `RecoverEnc` round: an update costs the per-step budget of one equality round
+//! and one `RecoverEnc` round in both modes.
 //!
 //! Two variants mirror the paper's query modes:
 //! * **keep-length** (`Qry_F`): every fresh item is appended; duplicates are appended as
@@ -25,16 +28,15 @@
 
 use num_bigint::BigUint;
 
-use crate::error::Result;
+use crate::error::{ProtocolError, Result};
 use sectopk_crypto::bigint::random_below;
-use sectopk_crypto::damgard_jurik::LayeredCiphertext;
 use sectopk_crypto::paillier::Ciphertext;
 use sectopk_ehl::EhlPlus;
 
 use crate::context::TwoClouds;
 use crate::items::ScoredItem;
 use crate::ledger::LeakageEvent;
-use crate::primitives::EqPlan;
+use crate::primitives::{EqPlan, SelectJob};
 use crate::transport::EqWants;
 
 /// Which update variant to run (mirrors `SecDedup` vs `SecDupElim`).
@@ -101,33 +103,54 @@ impl TwoClouds {
             }])?
             .pop()
             .expect("one plan in, one outcome out");
-        let bit_at = |i: usize, j: usize| -> &LayeredCiphertext { &outcome.bits[i * t_len + j] };
-
-        // ---- S1: add the matched fresh worst score into each tracked entry. -------------
-        // For tracked entry j: worst_j += Σ_i t_ij · fresh_i.worst.
-        let mut select_bits = Vec::with_capacity(t_len * f_len);
-        let mut select_scores = Vec::with_capacity(t_len * f_len);
-        for (i, fresh_item) in fresh.iter().enumerate() {
-            for j in 0..t_len {
-                select_bits.push(bit_at(i, j).clone());
-                select_scores.push(fresh_item.worst.clone());
+        let aggregates = &outcome.aggregates;
+        let row_lens = match mode {
+            UpdateMode::KeepLength => {
+                [aggregates.row_matched.len(), aggregates.row_unmatched.len()]
             }
+            UpdateMode::Eliminate => [aggregates.row_matched_plain.len(); 2],
+        };
+        if (row_lens, outcome.bits.len(), aggregates.col_unmatched.len())
+            != ([f_len; 2], t_len * f_len, t_len)
+        {
+            return Err(ProtocolError::transport("SecUpdate equality reply arity mismatch"));
         }
-        let selected_worst = self.select_scores(&select_bits, &select_scores)?;
 
-        // For the best score: best_j := (Σ_i t_ij · fresh_i.best) + (1 − matched_j) · best_j,
+        // ---- S1: every selection of the update as one job list, recovered once. --------
+        // For tracked entry j:  worst_j += Σ_i t_ij · fresh_i.worst
+        //                       best_j  := Σ_i t_ij · fresh_i.best + (1 − matched_j) · best_j
         // where `1 − matched_j` is the column-unmatched aggregate S2 derived.
-        let mut select_best_scores = Vec::with_capacity(t_len * f_len);
-        for fresh_item in fresh {
-            for _j in 0..t_len {
-                select_best_scores.push(fresh_item.best.clone());
-            }
-        }
-        let selected_best = self.select_scores(&select_bits, &select_best_scores)?;
+        let cells = || fresh.iter().flat_map(|f| std::iter::repeat_n(f, t_len));
+        let mut jobs: Vec<SelectJob<'_>> = Vec::with_capacity(2 * t_len * f_len + t_len);
+        jobs.extend(outcome.bits.iter().zip(cells()).map(|(t, f)| (t, &f.worst, None)));
+        jobs.extend(outcome.bits.iter().zip(cells()).map(|(t, f)| (t, &f.best, None)));
+        jobs.extend(aggregates.col_unmatched.iter().zip(&tracked).map(|(u, t)| (u, &t.best, None)));
 
-        let e2_tracked_unmatched = &outcome.aggregates.col_unmatched;
-        let old_best: Vec<Ciphertext> = tracked.iter().map(|t| t.best.clone()).collect();
-        let kept_old_best = self.select_scores(e2_tracked_unmatched, &old_best)?;
+        // Keep-length appends every fresh item, but duplicates are neutralised obliviously:
+        //   worst/best := not_matched ? value : Z  (= −1)
+        //   EHL block  += matched · ρ              (random ρ ⇒ garbage id)
+        let ehl_blocks = fresh[0].ehl.len();
+        let sentinel = match mode {
+            UpdateMode::KeepLength => Some(self.s1.pool.encrypt(&pk.sentinel_z())?),
+            UpdateMode::Eliminate => None,
+        };
+        let mut noise_values = Vec::new();
+        if let Some(sentinel) = &sentinel {
+            for _ in 0..f_len * ehl_blocks {
+                let rho = random_below(&mut self.s1.rng, pk.n());
+                noise_values.push(self.s1.pool.encrypt(&rho)?);
+            }
+            let unmatched = || aggregates.row_unmatched.iter().zip(fresh);
+            jobs.extend(unmatched().map(|(u, f)| (u, &f.worst, Some(sentinel))));
+            jobs.extend(unmatched().map(|(u, f)| (u, &f.best, Some(sentinel))));
+            let matched =
+                aggregates.row_matched.iter().flat_map(|m| std::iter::repeat_n(m, ehl_blocks));
+            jobs.extend(matched.zip(&noise_values).map(|(m, rho)| (m, rho, None)));
+        }
+        let selected = self.select_many(&jobs)?;
+        let (selected_worst, rest) = selected.split_at(t_len * f_len);
+        let (selected_best, rest) = rest.split_at(t_len * f_len);
+        let (kept_old_best, appended) = rest.split_at(t_len);
 
         let mut new_tracked = Vec::with_capacity(t_len + f_len);
         for (j, tracked_item) in tracked.iter().enumerate() {
@@ -149,44 +172,16 @@ impl TwoClouds {
             UpdateMode::Eliminate => {
                 // S2 disclosed which (already permuted within the depth, re-randomized)
                 // fresh items duplicate a tracked entry — the `UP^d` leakage of §10.1.
-                let fresh_matched = &outcome.aggregates.row_matched_plain;
+                let fresh_matched = &aggregates.row_matched_plain;
                 let new_count = fresh_matched.iter().filter(|&&m| !m).count();
                 self.s1.ledger.record(LeakageEvent::UniqueCount { depth, count: new_count });
-                for (i, fresh_item) in fresh.iter().enumerate() {
-                    if !fresh_matched[i] {
-                        new_tracked.push(fresh_item.clone());
-                    }
+                for (fresh_item, _) in fresh.iter().zip(fresh_matched).filter(|(_, &m)| !m) {
+                    new_tracked.push(fresh_item.clone());
                 }
             }
             UpdateMode::KeepLength => {
-                // Append every fresh item, but duplicates are neutralised obliviously:
-                //   worst/best := not_matched ? value : Z  (= −1)
-                //   EHL block  += matched · ρ              (random ρ ⇒ garbage id)
-                let e2_unmatched = &outcome.aggregates.row_unmatched;
-                let e2_matched = &outcome.aggregates.row_matched;
-
-                let sentinel = self.s1.pool.encrypt(&pk.sentinel_z())?;
-                let worst_if_new: Vec<Ciphertext> = fresh.iter().map(|f| f.worst.clone()).collect();
-                let best_if_new: Vec<Ciphertext> = fresh.iter().map(|f| f.best.clone()).collect();
-                let sentinels: Vec<Ciphertext> = (0..f_len).map(|_| sentinel.clone()).collect();
-
-                let appended_worst =
-                    self.select_between(e2_unmatched, &worst_if_new, &sentinels)?;
-                let appended_best = self.select_between(e2_unmatched, &best_if_new, &sentinels)?;
-
-                // Garbage-ify the EHL of matched items: every block gets + (matched · ρ).
-                let ehl_blocks = fresh[0].ehl.len();
-                let mut noise_bits = Vec::with_capacity(f_len * ehl_blocks);
-                let mut noise_values = Vec::with_capacity(f_len * ehl_blocks);
-                for e2_m in e2_matched {
-                    for _ in 0..ehl_blocks {
-                        noise_bits.push(e2_m.clone());
-                        let rho = random_below(&mut self.s1.rng, pk.n());
-                        noise_values.push(self.s1.pool.encrypt(&rho)?);
-                    }
-                }
-                let noise = self.select_scores(&noise_bits, &noise_values)?;
-
+                let (appended_worst, rest) = appended.split_at(f_len);
+                let (appended_best, noise) = rest.split_at(f_len);
                 for (i, fresh_item) in fresh.iter().enumerate() {
                     let blocks: Vec<Ciphertext> = fresh_item
                         .ehl
@@ -324,6 +319,30 @@ mod tests {
         assert!(snap.contains_key("A:7:18"), "snapshot: {snap:?}");
         assert!(snap.contains_key("B:7:19"), "snapshot: {snap:?}");
         assert_eq!(clouds.s1_ledger().count_kind("unique_count"), 1);
+    }
+
+    #[test]
+    fn an_update_costs_two_rounds_in_both_modes() {
+        for mode in [UpdateMode::KeepLength, UpdateMode::Eliminate] {
+            let (master, mut clouds, encoder, mut rng) = setup();
+            let pk = &master.paillier_public;
+            let tracked = vec![
+                item("A", 10, 26, &encoder, pk, &mut rng),
+                item("C", 8, 26, &encoder, pk, &mut rng),
+            ];
+            let fresh = vec![
+                item("A", 3, 23, &encoder, pk, &mut rng),
+                item("B", 7, 19, &encoder, pk, &mut rng),
+            ];
+            let out = clouds.sec_update(tracked, &fresh, 2, mode).unwrap();
+            // One equality matrix + one RecoverEnc round for every selection.
+            assert_eq!(clouds.channel().rounds, 2, "{mode:?}");
+            let snap = snapshot(&out, &["A", "B", "C"], &master, &encoder, &mut rng);
+            for key in ["A:13:23", "B:7:19", "C:8:26"] {
+                assert!(snap.contains_key(key), "{mode:?}: {snap:?}");
+            }
+            assert_eq!(out.len(), if mode == UpdateMode::KeepLength { 4 } else { 3 });
+        }
     }
 
     #[test]

@@ -15,17 +15,17 @@
 //!
 //! With batching enabled, the equality matrices of **all** `m` per-depth items travel in
 //! one [`crate::transport::S1Request::Batch`] and all selections are recovered in a
-//! single `RecoverEnc` round: two round trips per depth instead of `2m`.
+//! single `RecoverEnc` round.  That is the shared per-step budget — one equality round
+//! and one `RecoverEnc` round — and inside a query SecWorst does not even pay it alone:
+//! [`TwoClouds::sec_bounds_depth`] sends this module's plan and SecBest's through the
+//! same two rounds (see [`crate::bounds`]).
 
 use crate::error::Result;
 use sectopk_crypto::paillier::Ciphertext;
-use sectopk_crypto::prp::RandomPermutation;
-use sectopk_ehl::EhlPlus;
 use sectopk_storage::EncryptedItem;
 
+use crate::bounds::BoundPlan;
 use crate::context::TwoClouds;
-use crate::primitives::EqPlan;
-use crate::transport::EqWants;
 
 impl TwoClouds {
     /// Compute the encrypted *local* worst score of one item against the other items `h`
@@ -36,8 +36,10 @@ impl TwoClouds {
         others: &[&EncryptedItem],
         depth: usize,
     ) -> Result<Ciphertext> {
-        let jobs = vec![(item, others.to_vec())];
-        Ok(self.worst_many(&jobs, depth)?.pop().expect("one job in, one score out"))
+        let mut plan = BoundPlan::new("sec_worst", depth, vec![item.score.clone()]);
+        plan.scan(self, 0, item, others, None);
+        let [mut worsts] = self.run_bound_plans([plan])?;
+        Ok(worsts.pop().expect("one job in, one score out"))
     }
 
     /// Compute the local worst scores of **all** `m` items appearing at depth `d`
@@ -47,84 +49,26 @@ impl TwoClouds {
         depth_items: &[EncryptedItem],
         depth: usize,
     ) -> Result<Vec<Ciphertext>> {
-        let jobs: Vec<(&EncryptedItem, Vec<&EncryptedItem>)> = depth_items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let others: Vec<&EncryptedItem> = depth_items
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, it)| it)
-                    .collect();
-                (item, others)
-            })
-            .collect();
-        self.worst_many(&jobs, depth)
+        let plan = self.plan_worst_depth(depth_items, depth);
+        let [worsts] = self.run_bound_plans([plan])?;
+        Ok(worsts)
     }
 
-    /// Shared driver: one equality plan per item (all shipped in one batched round),
-    /// then one combined selection/recovery round for every matched score.
-    fn worst_many(
+    /// The plan half of [`Self::sec_worst_depth`]: one equality row per item, against
+    /// the other `m − 1` items of the depth.
+    pub(crate) fn plan_worst_depth(
         &mut self,
-        jobs: &[(&EncryptedItem, Vec<&EncryptedItem>)],
+        depth_items: &[EncryptedItem],
         depth: usize,
-    ) -> Result<Vec<Ciphertext>> {
-        let pk = self.s1.keys.paillier_public.clone();
-
-        // ---- S1: permute the comparison targets so S2 cannot attribute equality bits to
-        //      particular lists (Algorithm 4, line 2), then build one plan per item. -----
-        let mut plans = Vec::new();
-        let mut job_scores: Vec<Vec<Ciphertext>> = Vec::with_capacity(jobs.len());
-        for (item, others) in jobs {
-            if others.is_empty() {
-                job_scores.push(Vec::new());
-                continue;
-            }
-            let perm = RandomPermutation::sample(others.len(), &mut self.s1.rng);
-            let permuted: Vec<&EncryptedItem> = perm.permute(others);
-            let pairs: Vec<(&EhlPlus, &EhlPlus)> =
-                permuted.iter().map(|other| (&item.ehl, &other.ehl)).collect();
-            let diffs = self.eq_diffs(&pairs);
-            plans.push(EqPlan {
-                cols: diffs.len(),
-                diffs,
-                context: "sec_worst",
-                depth: Some(depth),
-                want: EqWants::none(),
-            });
-            job_scores.push(permuted.iter().map(|o| o.score.clone()).collect());
+    ) -> BoundPlan {
+        let own_scores = depth_items.iter().map(|it| it.score.clone()).collect();
+        let mut plan = BoundPlan::new("sec_worst", depth, own_scores);
+        for (i, item) in depth_items.iter().enumerate() {
+            let others: Vec<&EncryptedItem> =
+                depth_items.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, it)| it).collect();
+            plan.scan(self, i, item, &others, None);
         }
-        let outcomes = self.run_eq_plans(plans)?;
-
-        // ---- S1: one combined selection across all items, then slice per item. ---------
-        let mut all_bits = Vec::new();
-        let mut all_scores = Vec::new();
-        let mut outcome_iter = outcomes.into_iter();
-        let mut spans: Vec<usize> = Vec::with_capacity(jobs.len());
-        for scores in &job_scores {
-            if scores.is_empty() {
-                spans.push(0);
-                continue;
-            }
-            let outcome = outcome_iter.next().expect("one outcome per non-empty job");
-            spans.push(scores.len());
-            all_bits.extend(outcome.bits);
-            all_scores.extend(scores.iter().cloned());
-        }
-        let selected = self.select_scores(&all_bits, &all_scores)?;
-
-        let mut worsts = Vec::with_capacity(jobs.len());
-        let mut offset = 0usize;
-        for ((item, _), span) in jobs.iter().zip(spans) {
-            let mut worst = item.score.clone();
-            for s in &selected[offset..offset + span] {
-                worst = pk.add(&worst, s);
-            }
-            offset += span;
-            worsts.push(self.s1.pool.rerandomize(&worst));
-        }
-        Ok(worsts)
+        plan
     }
 }
 
