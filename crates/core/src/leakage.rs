@@ -93,7 +93,7 @@ pub fn check_ledgers(
     variant: QueryVariant,
 ) -> Result<(), LeakageViolation> {
     let profile = profile_for(variant);
-    for event in s1.events() {
+    for event in s1.iter() {
         if !profile.s1_allowed.contains(&event.kind()) {
             return Err(LeakageViolation {
                 party: "S1",
@@ -103,7 +103,7 @@ pub fn check_ledgers(
             });
         }
     }
-    for event in s2.events() {
+    for event in s2.iter() {
         if !profile.s2_allowed.contains(&event.kind()) {
             return Err(LeakageViolation {
                 party: "S2",
@@ -123,7 +123,6 @@ pub fn s2_equality_pattern_summary(clouds: &TwoClouds) -> (usize, usize) {
     let ledger = clouds.s2_ledger();
     let total = ledger.count_kind("equality_bit");
     let equal = ledger
-        .events()
         .iter()
         .filter(|e| matches!(e, sectopk_protocols::LeakageEvent::EqualityBit { equal: true, .. }))
         .count();

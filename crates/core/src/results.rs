@@ -2,14 +2,23 @@
 //!
 //! SecQuery returns encrypted items `(EHL(o), Enc(W), Enc(B))`.  The clouds never learn
 //! which objects these are; the party holding the secret keys (the data owner, or a
-//! client that the owner authorised for decryption) identifies them by re-encoding
-//! candidate object ids under the EHL keys and testing equality, and decrypts the bound
-//! ciphertexts directly.  This mirrors the paper's deployment, where the client takes the
-//! encrypted answers back to the key holder (or fetches the matching records via ORAM,
-//! §4).
+//! client that the owner authorised for decryption) identifies them and decrypts the
+//! bound ciphertexts directly.  This mirrors the paper's deployment, where the client
+//! takes the encrypted answers back to the key holder (or fetches the matching records
+//! via ORAM, §4).
+//!
+//! Identification is **decrypt-and-lookup**: an `EHL+(o)` is `s` encryptions of the PRF
+//! images `HMAC(κ_i, o) mod N`, and the key holder owns both the decryption key and the
+//! PRF keys.  So it decrypts an answer's `s` blocks and looks the image vector up in a
+//! map from every candidate id's images ([`EhlEncoder::plaintext_images`], `n·s` HMACs)
+//! to the id — `k·s` decryptions per query, where re-encrypting every candidate and
+//! running `⊖` against each (what the clouds, who hold neither key, must do) would cost
+//! `n·s` encryptions plus up to `n` `⊖`s per item.  Both decide "all `s` images equal";
+//! `⊖` only errs, with probability `≈ 1/N`, towards a false match.
 
-use num_bigint::BigInt;
+use num_bigint::{BigInt, BigUint};
 use rand::{CryptoRng, RngCore};
+use std::collections::HashMap;
 
 use sectopk_crypto::keys::MasterKeys;
 use sectopk_ehl::EhlEncoder;
@@ -34,33 +43,35 @@ pub struct ResolvedResult {
 /// Identify and decrypt every item of a query result using the data owner's keys.
 ///
 /// `candidates` is the universe of object ids the owner knows about (all row ids of the
-/// outsourced relation).  Identification costs one EHL encoding and one equality test per
-/// candidate per result item — an owner-side, non-interactive computation.
+/// outsourced relation); an id listed twice resolves like one listed once.  An item whose
+/// images match no candidate — a neutralised placeholder — resolves to `None`.  The
+/// computation is owner-side, non-interactive and deterministic: `rng` is unused and
+/// kept for the callers' sake.
 pub fn resolve_results<R: RngCore + CryptoRng>(
     items: &[ScoredItem],
     candidates: &[ObjectId],
     keys: &MasterKeys,
     rng: &mut R,
 ) -> Result<Vec<ResolvedResult>> {
+    let _ = rng;
     let encoder = EhlEncoder::new(&keys.ehl_keys);
-    let pk = &keys.paillier_public;
+    let n = keys.paillier_public.n();
     let sk = &keys.paillier_secret;
 
-    // Pre-encode every candidate once (k result items all compare against the same set).
-    let encoded: Vec<(ObjectId, sectopk_ehl::EhlPlus)> = candidates
-        .iter()
-        .map(|&id| Ok((id, encoder.encode(&id.to_bytes(), pk, rng)?)))
-        .collect::<sectopk_crypto::Result<Vec<_>>>()?;
+    let mut by_images: HashMap<Vec<BigUint>, ObjectId> = HashMap::with_capacity(candidates.len());
+    for &id in candidates {
+        by_images.entry(encoder.plaintext_images(&id.to_bytes(), n)).or_insert(id);
+    }
 
     let mut out = Vec::with_capacity(items.len());
     for item in items {
-        let mut object = None;
-        for (id, cand) in &encoded {
-            if sk.is_zero(&item.ehl.eq_test(cand, pk, rng))? {
-                object = Some(*id);
-                break;
-            }
-        }
+        let images = item
+            .ehl
+            .blocks()
+            .iter()
+            .map(|block| sk.decrypt(block))
+            .collect::<sectopk_crypto::Result<Vec<_>>>()?;
+        let object = by_images.get(&images).copied();
         let worst = signed_to_i64(&sk.decrypt_signed(&item.worst)?);
         let best = signed_to_i64(&sk.decrypt_signed(&item.best)?);
         out.push(ResolvedResult { object, worst, best });
@@ -84,6 +95,33 @@ mod tests {
     use rand::SeedableRng;
     use sectopk_crypto::paillier::MIN_MODULUS_BITS;
 
+    /// The resolver this module replaces, as the clouds would have to do it: encode
+    /// every candidate, `⊖` each answer against each encoding, first match wins.
+    fn resolve_by_encode_and_eq_test(
+        items: &[ScoredItem],
+        candidates: &[ObjectId],
+        keys: &MasterKeys,
+        rng: &mut StdRng,
+    ) -> Vec<ResolvedResult> {
+        let encoder = EhlEncoder::new(&keys.ehl_keys);
+        let (pk, sk) = (&keys.paillier_public, &keys.paillier_secret);
+        let encoded: Vec<(ObjectId, sectopk_ehl::EhlPlus)> = candidates
+            .iter()
+            .map(|&id| (id, encoder.encode(&id.to_bytes(), pk, rng).unwrap()))
+            .collect();
+        items
+            .iter()
+            .map(|item| ResolvedResult {
+                object: encoded
+                    .iter()
+                    .find(|(_, cand)| sk.is_zero(&item.ehl.eq_test(cand, pk, rng)).unwrap())
+                    .map(|(id, _)| *id),
+                worst: signed_to_i64(&sk.decrypt_signed(&item.worst).unwrap()),
+                best: signed_to_i64(&sk.decrypt_signed(&item.best).unwrap()),
+            })
+            .collect()
+    }
+
     #[test]
     fn resolves_known_objects_and_flags_placeholders() {
         let mut rng = StdRng::seed_from_u64(2);
@@ -91,24 +129,39 @@ mod tests {
         let encoder = EhlEncoder::new(&keys.ehl_keys);
         let pk = &keys.paillier_public;
 
-        let real = ScoredItem {
-            ehl: encoder.encode(&ObjectId(7).to_bytes(), pk, &mut rng).unwrap(),
-            worst: pk.encrypt_u64(18, &mut rng).unwrap(),
-            best: pk.encrypt_u64(18, &mut rng).unwrap(),
+        let mut real = |id: u64, score: u64| ScoredItem {
+            ehl: encoder.encode(&ObjectId(id).to_bytes(), pk, &mut rng).unwrap(),
+            worst: pk.encrypt_u64(score, &mut rng).unwrap(),
+            best: pk.encrypt_u64(score + 1, &mut rng).unwrap(),
         };
-        let placeholder = ScoredItem {
+        let mut items = vec![real(7, 18), real(0, 5), real(7, 3)];
+        // A neutralised placeholder as SecDedup leaves it: garbage id, sentinel scores.
+        items.push(ScoredItem {
             ehl: encoder.encode(b"garbage-not-an-id", pk, &mut rng).unwrap(),
             worst: pk.encrypt(&pk.sentinel_z(), &mut rng).unwrap(),
             best: pk.encrypt(&pk.sentinel_z(), &mut rng).unwrap(),
-        };
+        });
+        // An item that went through the clouds: re-randomized, blinded and unblinded.
+        let alphas: Vec<BigUint> =
+            (0..3).map(|_| sectopk_crypto::bigint::random_below(&mut rng, pk.n())).collect();
+        let travelled = items[1].ehl.rerandomize(pk, &mut rng).blind(&alphas, pk);
+        items[1].ehl = travelled.unblind(&alphas, pk);
 
-        let candidates: Vec<ObjectId> = (0..10).map(ObjectId).collect();
-        let resolved = resolve_results(&[real, placeholder], &candidates, &keys, &mut rng).unwrap();
-        assert_eq!(resolved[0].object, Some(ObjectId(7)));
-        assert_eq!(resolved[0].worst, 18);
-        assert_eq!(resolved[1].object, None);
-        assert_eq!(resolved[1].worst, -1);
-        assert_eq!(resolved_object_ids(&resolved), vec![ObjectId(7)]);
+        // Id 7 is listed twice among the candidates.
+        let candidates: Vec<ObjectId> = (0..10).chain([7]).map(ObjectId).collect();
+        let resolved = resolve_results(&items, &candidates, &keys, &mut rng).unwrap();
+        assert_eq!(resolved[0], ResolvedResult { object: Some(ObjectId(7)), worst: 18, best: 19 });
+        assert_eq!(resolved[1].object, Some(ObjectId(0)));
+        assert_eq!(resolved[2].object, Some(ObjectId(7)));
+        assert_eq!(resolved[3], ResolvedResult { object: None, worst: -1, best: -1 });
+        assert_eq!(resolved_object_ids(&resolved), vec![ObjectId(7), ObjectId(0), ObjectId(7)]);
+        assert_eq!(resolved, resolve_by_encode_and_eq_test(&items, &candidates, &keys, &mut rng));
+
+        // An id outside the candidate universe is not identified by either resolver.
+        let few = [ObjectId(1), ObjectId(2)];
+        let unresolved = resolve_results(&items[..1], &few, &keys, &mut rng).unwrap();
+        assert_eq!(unresolved[0].object, None);
+        assert_eq!(unresolved, resolve_by_encode_and_eq_test(&items[..1], &few, &keys, &mut rng));
     }
 
     #[test]

@@ -32,6 +32,35 @@ pub fn mod_inverse(a: &BigUint, m: &BigUint) -> Result<BigUint> {
     Ok(x.to_biguint().expect("normalised to non-negative"))
 }
 
+/// The inverses of all `values` modulo `m` for the price of **one** [`mod_inverse`]
+/// (Montgomery's trick): invert the running product once, then peel the factors off
+/// again — three modular multiplications per element instead of an extended Euclid.
+/// Each inverse equals the one `mod_inverse` returns; if any element is not invertible
+/// the whole batch fails with [`CryptoError::NotInvertible`].
+pub fn batch_mod_inverse(values: &[&BigUint], m: &BigUint) -> Result<Vec<BigUint>> {
+    if m.is_zero() {
+        return Err(CryptoError::NotInvertible);
+    }
+    // prefix[i] = values[0] · … · values[i] mod m
+    let mut prefix: Vec<BigUint> = Vec::with_capacity(values.len());
+    for &v in values {
+        prefix.push(match prefix.last() {
+            Some(p) => (p * v) % m,
+            None => v % m,
+        });
+    }
+    let Some(product) = prefix.last() else { return Ok(Vec::new()) };
+    // Invariant at step i (from the back): `suffix_inv` = (values[0] · … · values[i])⁻¹.
+    let mut suffix_inv = mod_inverse(product, m)?;
+    let mut inverses = vec![BigUint::zero(); values.len()];
+    for i in (1..values.len()).rev() {
+        inverses[i] = (&suffix_inv * &prefix[i - 1]) % m;
+        suffix_inv = (suffix_inv * values[i]) % m;
+    }
+    inverses[0] = suffix_inv;
+    Ok(inverses)
+}
+
 /// Sample a uniformly random element of `Z_m` (i.e. `[0, m)`).
 pub fn random_below<R: RngCore + CryptoRng>(rng: &mut R, m: &BigUint) -> BigUint {
     assert!(!m.is_zero(), "modulus must be positive");
@@ -145,6 +174,36 @@ mod tests {
             mod_inverse(&BigUint::from(3u32), &BigUint::zero()),
             Err(CryptoError::NotInvertible)
         );
+    }
+
+    #[test]
+    fn batch_mod_inverse_matches_per_element_inverse() {
+        let mut r = rng();
+        let m = BigUint::from(1_000_003u64) * BigUint::from(998_244_353u64);
+        for len in [0usize, 1, 2, 7] {
+            let mut values: Vec<BigUint> =
+                (0..len).map(|_| random_invertible(&mut r, &m)).collect();
+            // A repeated and an unreduced element take the same path as any other.
+            if len == 7 {
+                values[3] = values[0].clone();
+                values[5] = &values[5] + &m;
+            }
+            let refs: Vec<&BigUint> = values.iter().collect();
+            let expected: Vec<BigUint> =
+                values.iter().map(|v| mod_inverse(v, &m).unwrap()).collect();
+            assert_eq!(batch_mod_inverse(&refs, &m).unwrap(), expected, "len = {len}");
+        }
+    }
+
+    #[test]
+    fn batch_mod_inverse_fails_like_mod_inverse_on_a_non_invertible_element() {
+        let m = BigUint::from(12u32);
+        let (five, seven, four, zero) =
+            (BigUint::from(5u32), BigUint::from(7u32), BigUint::from(4u32), BigUint::zero());
+        assert_eq!(batch_mod_inverse(&[&five, &four, &seven], &m), Err(CryptoError::NotInvertible));
+        assert_eq!(batch_mod_inverse(&[&zero], &m), Err(CryptoError::NotInvertible));
+        assert_eq!(batch_mod_inverse(&[&five], &BigUint::zero()), Err(CryptoError::NotInvertible));
+        assert!(batch_mod_inverse(&[&five, &seven], &m).is_ok());
     }
 
     #[test]

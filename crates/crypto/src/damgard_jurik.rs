@@ -268,8 +268,7 @@ impl DjPublicKey {
     /// Fused double scalar multiplication `a^{k_a} · b^{k_b} mod N³` by Strauss–Shamir
     /// joint exponentiation ([`num_bigint::MontgomeryContext::multi_modpow`]): one
     /// shared squaring chain instead of two, ~2× over
-    /// `add(mul_by_ciphertext(a, k_a), mul_by_ciphertext(b, k_b))` — the exact shape of
-    /// the oblivious-select steps (`E2(x)^{E(t)} · E2(y)^{E(1−t)}`).  Bit-for-bit equal
+    /// `add(mul_by_ciphertext(a, k_a), mul_by_ciphertext(b, k_b))`.  Bit-for-bit equal
     /// to the unfused path, which stays as the differential reference.
     pub fn mul_add_ciphertexts(
         &self,
@@ -286,6 +285,35 @@ impl DjPublicKey {
         ))
     }
 
+    /// Oblivious selection with the `RecoverEnc` blinding folded in: from `E2(t)`,
+    /// a fresh `E2(1)` and the inner ciphertexts `X`, `Y`, `R = Enc(r)`, compute
+    ///
+    /// ```text
+    /// E2(t)^{(X−Y)·R mod N²} · E2(1)^{Y·R mod N²}  =  E2( (t·X + (1−t)·Y) · R mod N² )
+    /// ```
+    ///
+    /// — `E2(X·R) = E2(Enc(x + r))` when `t = 1` and `E2(Y·R) = E2(Enc(y + r))` when
+    /// `t = 0`.  That is exactly the outer plaintext of the paper's two-step sequence
+    /// `(E2(t)^X · (E2(1)·E2(t)⁻¹)^Y)^R` (Algorithm 4 line 6, then Algorithm 5), because
+    /// exponents of the outer layer live in `Z_{N²}` where `t·(X−Y) + Y = t·X + (1−t)·Y`;
+    /// but it needs no inversion modulo `N³` and one Strauss–Shamir double
+    /// exponentiation instead of a double plus a single one.  The outer nonce is
+    /// `ρ_t^{(X−Y)·R} · ρ_1^{Y·R}`: masked by the fresh `ρ_1` of `E2(1)` as before.
+    pub fn select_blinded(
+        &self,
+        e2_t: &LayeredCiphertext,
+        if_true: &Ciphertext,
+        e2_one: &LayeredCiphertext,
+        if_false: &Ciphertext,
+        enc_r: &Ciphertext,
+    ) -> LayeredCiphertext {
+        let n2 = self.n_s();
+        let xr = (if_true.as_biguint() * enc_r.as_biguint()) % n2;
+        let yr = (if_false.as_biguint() * enc_r.as_biguint()) % n2;
+        let diff_r = ((xr + n2) - &yr) % n2;
+        LayeredCiphertext(self.inner.ctx_n3.multi_modpow(&e2_t.0, &diff_r, &e2_one.0, &yr))
+    }
+
     /// Homomorphic negation in the outer layer.
     pub fn negate(&self, a: &LayeredCiphertext) -> LayeredCiphertext {
         let inv = mod_inverse(&a.0, self.n_s_plus_1())
@@ -293,7 +321,9 @@ impl DjPublicKey {
         LayeredCiphertext(inv)
     }
 
-    /// Subtraction in the outer layer: `E2(a) / E2(b) = E2(a − b mod N²)`.
+    /// Subtraction in the outer layer: `E2(a) / E2(b) = E2(a − b mod N²)`.  The slow
+    /// reference: one extended-Euclid inversion modulo `N³` per call, as expensive as
+    /// the double exponentiation next to it — [`Self::select_blinded`] avoids it.
     pub fn sub(&self, a: &LayeredCiphertext, b: &LayeredCiphertext) -> LayeredCiphertext {
         self.add(a, &self.negate(b))
     }
@@ -747,6 +777,32 @@ mod tests {
             );
             let fused = dj_pk.mul_add_ciphertexts(&e2_t, &enc_x, &one_minus_t, &enc_y);
             assert_eq!(fused, unfused, "t = {t}");
+        }
+    }
+
+    #[test]
+    fn select_blinded_has_the_outer_plaintext_of_select_then_blind() {
+        // Reference: the paper's sequence — invert, double exponentiation, then the
+        // RecoverEnc blinding as a second exponentiation of the result.
+        let (dj_pk, dj_sk, pk, sk, mut rng) = setup();
+        let enc_x = pk.encrypt_u64(555, &mut rng).unwrap();
+        let enc_r = pk.encrypt_u64(1_000, &mut rng).unwrap();
+        // Both job kinds: a real false branch, and the fresh Enc(0) of a zeroing job.
+        for y in [77u64, 0] {
+            let enc_y = pk.encrypt_u64(y, &mut rng).unwrap();
+            for t in [0u64, 1] {
+                let e2_t = dj_pk.encrypt_u64(t, &mut rng).unwrap();
+                let e2_one = dj_pk.encrypt_u64(1, &mut rng).unwrap();
+                let selected =
+                    dj_pk.mul_add_ciphertexts(&e2_t, &enc_x, &dj_pk.sub(&e2_one, &e2_t), &enc_y);
+                let reference = dj_pk.mul_by_ciphertext(&selected, &enc_r);
+                let fused = dj_pk.select_blinded(&e2_t, &enc_x, &e2_one, &enc_y, &enc_r);
+                // Same inner ciphertext, byte for byte — S2's view of the round.
+                let inner = dj_sk.decrypt_to_ciphertext(&fused).unwrap();
+                assert_eq!(inner, dj_sk.decrypt_to_ciphertext(&reference).unwrap(), "t = {t}");
+                let expected = if t == 1 { 555 } else { y } + 1_000;
+                assert_eq!(sk.decrypt_u64(&inner).unwrap(), expected, "t = {t}, y = {y}");
+            }
         }
     }
 

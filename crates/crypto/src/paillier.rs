@@ -18,7 +18,7 @@ use rand::{CryptoRng, RngCore};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::bigint::{l_function, mod_inverse, random_invertible, to_signed};
+use crate::bigint::{batch_mod_inverse, l_function, mod_inverse, random_invertible, to_signed};
 use crate::error::{CryptoError, Result};
 use crate::prime::generate_safe_factor_pair;
 
@@ -372,6 +372,10 @@ impl PaillierPublicKey {
     }
 
     /// Homomorphic subtraction: `Enc(a) ⊟ Enc(b) = Enc(a − b)`.
+    ///
+    /// The slow reference: every call pays one extended-Euclid inversion modulo `N²`,
+    /// which costs more than the scalar multiplication that usually follows it.  Loops
+    /// over many differences use [`Self::negate_many`] and [`Self::add`] instead.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
         let b_inv = self.negate(b);
         self.add(a, &b_inv)
@@ -382,6 +386,26 @@ impl PaillierPublicKey {
         let inv = mod_inverse(&a.0, self.n_squared())
             .expect("ciphertext is invertible modulo N² for honestly generated keys");
         Ciphertext(inv)
+    }
+
+    /// [`Self::negate`] of every ciphertext for **one** modular inversion in total
+    /// ([`batch_mod_inverse`]); each output is the group element `negate` returns.
+    pub fn negate_many(&self, cs: &[&Ciphertext]) -> Vec<Ciphertext> {
+        let raw: Vec<&BigUint> = cs.iter().map(|c| &c.0).collect();
+        batch_mod_inverse(&raw, self.n_squared())
+            .expect("ciphertexts are invertible modulo N² for honestly generated keys")
+            .into_iter()
+            .map(Ciphertext)
+            .collect()
+    }
+
+    /// Linear combination `Enc(Σ kᵢ · aᵢ) = Π aᵢ^{kᵢ}` as one Straus
+    /// multi-exponentiation ([`MontgomeryContext::multi_exp`]): one squaring chain for
+    /// all terms.  The group element equals the [`Self::add`]-fold of the separate
+    /// [`Self::mul_plain`]s.
+    pub fn weighted_sum(&self, terms: &[(&Ciphertext, &BigUint)]) -> Ciphertext {
+        let raw: Vec<(&BigUint, &BigUint)> = terms.iter().map(|&(a, k)| (&a.0, k)).collect();
+        Ciphertext(self.inner.ctx_n2.multi_exp(&raw))
     }
 
     /// Scalar multiplication: `Enc(a)^k = Enc(k · a)` (windowed Montgomery
@@ -597,6 +621,30 @@ mod tests {
         assert_eq!(sk.decrypt_signed(&diff).unwrap(), BigInt::from(-30));
         let neg = pk.negate(&a);
         assert_eq!(sk.decrypt_signed(&neg).unwrap(), BigInt::from(-50));
+    }
+
+    #[test]
+    fn negate_many_and_weighted_sum_match_the_one_at_a_time_operations() {
+        let (pk, sk, mut rng) = setup();
+        let cs: Vec<Ciphertext> =
+            [3u64, 50, 0, 50].iter().map(|&v| pk.encrypt_u64(v, &mut rng).unwrap()).collect();
+        let refs: Vec<&Ciphertext> = cs.iter().collect();
+        let expected: Vec<Ciphertext> = cs.iter().map(|c| pk.negate(c)).collect();
+        assert_eq!(pk.negate_many(&refs), expected);
+        assert!(pk.negate_many(&[]).is_empty());
+
+        let ks: Vec<BigUint> = (0..cs.len())
+            .map(|i| if i == 2 { BigUint::zero() } else { random_invertible(&mut rng, pk.n()) })
+            .collect();
+        let terms: Vec<(&Ciphertext, &BigUint)> = cs.iter().zip(&ks).collect();
+        let folded =
+            terms.iter().fold(pk.one_ciphertext(), |acc, (c, k)| pk.add(&acc, &pk.mul_plain(c, k)));
+        assert_eq!(pk.weighted_sum(&terms), folded);
+        assert_eq!(pk.weighted_sum(&[]), pk.one_ciphertext());
+        assert_eq!(
+            sk.decrypt_u64(&pk.weighted_sum(&[(&cs[0], &BigUint::from(7u32))])).unwrap(),
+            21
+        );
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //!
 //! * Montgomery fixed-window `modpow` (odd moduli) and the even-modulus fallback vs.
 //!   the bit-at-a-time [`BigUint::modpow_naive`],
+//! * the Straus multi-exponentiation vs. the product of the separate `modpow`s, and the
+//!   batch inversion vs. one `mod_inverse` per element,
 //! * Karatsuba multiplication (above the limb threshold) vs. [`BigUint::mul_schoolbook`],
 //! * CRT Paillier / Damgård–Jurik decryption vs. the textbook `λ` paths,
 //! * the limb-direct `from_bytes_be` vs. an explicit shift-and-add fold.
@@ -222,6 +224,63 @@ proptest! {
                 ctx.multi_modpow(&b1, e1, &b2, e2),
                 reference,
                 "b1={b1} e1={e1} b2={b2} e2={e2} mod={modulus}"
+            );
+        }
+    }
+
+    #[test]
+    fn multi_exp_matches_product_of_modpows(seed in 0u64..300, mod_bits in 2u64..330, count in 1usize..9) {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(41).wrapping_add(5));
+        let mut modulus = random_biguint(&mut rng, mod_bits);
+        modulus.set_bit(0, true);
+        if modulus.is_one() {
+            modulus = BigUint::from(3u32);
+        }
+        let ctx = MontgomeryContext::new(&modulus).expect("odd modulus > 1");
+        // Bases below, at and above the modulus; exponents that are zero, a single bit
+        // (one nonzero window, at either end of the chain) and of unequal lengths.
+        let bases: Vec<BigUint> = (0..count)
+            .map(|i| match i % 4 {
+                0 => random_biguint(&mut rng, mod_bits),
+                1 => &modulus + random_biguint(&mut rng, mod_bits + 7),
+                2 => modulus.clone(),
+                _ => &modulus - BigUint::one(),
+            })
+            .collect();
+        let exponents: Vec<BigUint> = (0..count)
+            .map(|i| match (i + seed as usize) % 5 {
+                0 => BigUint::zero(),
+                1 => BigUint::one() << (seed % 131),
+                2 => BigUint::one(),
+                3 => random_biguint(&mut rng, 1 + seed % 40),
+                _ => random_biguint(&mut rng, 300),
+            })
+            .collect();
+        let terms: Vec<(&BigUint, &BigUint)> = bases.iter().zip(&exponents).collect();
+        let product = terms
+            .iter()
+            .fold(BigUint::one() % &modulus, |acc, (b, e)| (acc * ctx.modpow(b, e)) % &modulus);
+        assert_eq!(ctx.multi_exp(&terms), product, "bases={bases:?} exps={exponents:?} mod={modulus}");
+        assert_eq!(ctx.multi_exp(&[]), BigUint::one() % &modulus);
+    }
+
+    #[test]
+    fn batch_inverse_matches_per_element_inverse(seed in 0u64..60, count in 0usize..12) {
+        use sectopk_crypto::bigint::{batch_mod_inverse, mod_inverse, random_invertible};
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(19).wrapping_add(23));
+        let (pk, _sk) = generate_keypair(MIN_MODULUS_BITS, &mut rng).unwrap();
+        let n2 = pk.n_squared();
+        let mut values: Vec<BigUint> = (0..count).map(|_| random_invertible(&mut rng, n2)).collect();
+        let refs: Vec<&BigUint> = values.iter().collect();
+        let expected: Vec<BigUint> = values.iter().map(|v| mod_inverse(v, n2).unwrap()).collect();
+        assert_eq!(batch_mod_inverse(&refs, n2).unwrap(), expected);
+        // One multiple of N anywhere fails the batch — the error `mod_inverse` gives.
+        if count > 0 {
+            values[seed as usize % count] = pk.n() * BigUint::from(seed + 2);
+            let refs: Vec<&BigUint> = values.iter().collect();
+            assert_eq!(
+                batch_mod_inverse(&refs, n2),
+                mod_inverse(&values[seed as usize % count], n2).map(|v| vec![v])
             );
         }
     }

@@ -6,6 +6,18 @@
 //! the objects are equal and of a value uniformly distributed in `Z_N` (w.h.p.) when they
 //! are not (Lemma 5.2).  The false positive rate is at most `n²/Nˢ`, negligible for the
 //! key sizes the paper considers.
+//!
+//! # The cost of `⊖`
+//!
+//! `Π_i (a_i · b_i⁻¹)^{r_i}` is `s` exponentiations and `s` inversions modulo `N²` as
+//! written, and at the paper's key sizes an extended-Euclid inversion costs more than the
+//! exponentiation next to it.  Here it is evaluated as **one** Straus multi-exponentiation
+//! (one squaring chain shared by the `s` bases,
+//! [`PaillierPublicKey::weighted_sum`]) over differences whose right-hand sides were all
+//! negated by **one** inversion ([`EhlPlus::negate_many`] — per `⊖` for a lone
+//! [`EhlPlus::eq_test`], per batch for S1's equality matrices).  The ciphertext is the
+//! same group element the blockwise `sub` / `mul_plain` / `add` loop produces for the
+//! same `r_i`; that loop survives as the differential reference in this module's tests.
 
 use num_bigint::BigUint;
 use rand::{CryptoRng, RngCore};
@@ -82,19 +94,35 @@ impl EhlPlus {
         pk: &PaillierPublicKey,
         rs: &[BigUint],
     ) -> Ciphertext {
+        self.eq_test_negated(&EhlPlus::negate_many(&[other], pk)[0], pk, rs)
+    }
+
+    /// `Enc(−image)` blocks of every structure in `ehls` — the right-hand sides of a
+    /// batch of `⊖`s — for one modular inversion in total.
+    pub fn negate_many(ehls: &[&EhlPlus], pk: &PaillierPublicKey) -> Vec<EhlPlus> {
+        let blocks: Vec<&Ciphertext> = ehls.iter().flat_map(|e| &e.blocks).collect();
+        let mut negated = pk.negate_many(&blocks).into_iter();
+        ehls.iter().map(|e| EhlPlus { blocks: negated.by_ref().take(e.len()).collect() }).collect()
+    }
+
+    /// [`Self::eq_test_with_randomness`] against a right-hand side already negated by
+    /// [`Self::negate_many`]: `Π_i (EHL(x)[i] · negated[i])^{r_i}`, one
+    /// multi-exponentiation and no inversion.
+    pub fn eq_test_negated(
+        &self,
+        negated_other: &EhlPlus,
+        pk: &PaillierPublicKey,
+        rs: &[BigUint],
+    ) -> Ciphertext {
         assert_eq!(
             self.len(),
-            other.len(),
+            negated_other.len(),
             "EHL+ structures under comparison must use the same number of PRF keys"
         );
         assert_eq!(rs.len(), self.len(), "one masking scalar per block required");
-        let mut acc = pk.one_ciphertext();
-        for ((a, b), r) in self.blocks.iter().zip(other.blocks.iter()).zip(rs.iter()) {
-            let diff = pk.sub(a, b);
-            let masked = pk.mul_plain(&diff, r);
-            acc = pk.add(&acc, &masked);
-        }
-        acc
+        let diffs: Vec<Ciphertext> =
+            self.blocks.iter().zip(&negated_other.blocks).map(|(a, nb)| pk.add(a, nb)).collect();
+        pk.weighted_sum(&diffs.iter().zip(rs).collect::<Vec<_>>())
     }
 
     /// The blockwise operation `⊙`: homomorphically add the blinding vector `α ∈ Z_Nˢ`
@@ -186,6 +214,41 @@ mod tests {
             let b = encoder.encode(other.as_bytes(), &pk, &mut rng).unwrap();
             let result = a.eq_test(&b, &pk, &mut rng);
             assert!(!sk.is_zero(&result).unwrap(), "{other} must not collide");
+        }
+    }
+
+    /// The `⊖` this module used to compute: a `sub` (one inversion), a `mul_plain` and
+    /// an `add` per block.
+    fn eq_test_blockwise(
+        a: &EhlPlus,
+        b: &EhlPlus,
+        pk: &PaillierPublicKey,
+        rs: &[BigUint],
+    ) -> Ciphertext {
+        let mut acc = pk.one_ciphertext();
+        for ((a, b), r) in a.blocks.iter().zip(&b.blocks).zip(rs) {
+            acc = pk.add(&acc, &pk.mul_plain(&pk.sub(a, b), r));
+        }
+        acc
+    }
+
+    #[test]
+    fn eq_test_is_byte_identical_to_the_blockwise_reference() {
+        let (pk, _sk, encoder, mut rng) = setup();
+        let a = encoder.encode(b"object-17", &pk, &mut rng).unwrap();
+        let same = encoder.encode(b"object-17", &pk, &mut rng).unwrap();
+        let other = encoder.encode(b"object-18", &pk, &mut rng).unwrap();
+        for b in [&same, &other, &a] {
+            let rs: Vec<BigUint> =
+                (0..a.len()).map(|_| random_invertible(&mut rng, pk.n())).collect();
+            assert_eq!(a.eq_test_with_randomness(b, &pk, &rs), eq_test_blockwise(&a, b, &pk, &rs));
+        }
+        // The batch negation hands every structure its own blocks back, in order.
+        let negated = EhlPlus::negate_many(&[&same, &other, &same], &pk);
+        assert_eq!(negated[0], negated[2]);
+        for (n, b) in negated.iter().zip([&same, &other]) {
+            let expected: Vec<Ciphertext> = b.blocks.iter().map(|c| pk.negate(c)).collect();
+            assert_eq!(n.blocks, expected);
         }
     }
 

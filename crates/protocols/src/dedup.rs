@@ -33,6 +33,7 @@ use sectopk_crypto::paillier::Ciphertext;
 #[cfg(test)]
 use sectopk_crypto::paillier::PaillierPublicKey;
 use sectopk_crypto::prp::RandomPermutation;
+use sectopk_ehl::EhlPlus;
 
 use crate::context::TwoClouds;
 use crate::items::{rand_blind, ItemBlinding, ScoredItem};
@@ -100,14 +101,13 @@ impl TwoClouds {
         let own_sk = self.s1.own_secret.clone();
 
         // ================= S1: matrix, blinding, permutation =========================
-        // Pairwise equality ciphertexts for the upper triangle (i < j).
-        let mut matrix_entries: Vec<((usize, usize), Ciphertext)> = Vec::new();
-        for i in 0..l {
-            for j in (i + 1)..l {
-                let c = items[i].ehl.eq_test(&items[j].ehl, &pk, &mut self.s1.rng);
-                matrix_entries.push(((i, j), c));
-            }
-        }
+        // Pairwise equality ciphertexts for the upper triangle (i < j), row-major — the
+        // order `eq_diffs` draws its masking scalars in.
+        let positions: Vec<(usize, usize)> =
+            (0..l).flat_map(|i| ((i + 1)..l).map(move |j| (i, j))).collect();
+        let pairs: Vec<(&EhlPlus, &EhlPlus)> =
+            positions.iter().map(|&(i, j)| (&items[i].ehl, &items[j].ehl)).collect();
+        let matrix = self.eq_diffs(&pairs);
 
         // Blind every item and encrypt the blinding under S1's own key.
         let mut blinded_items = Vec::with_capacity(l);
@@ -122,13 +122,13 @@ impl TwoClouds {
         let pi = RandomPermutation::sample(l, &mut self.s1.rng);
         let permuted_items = pi.permute(&blinded_items);
         let permuted_blindings = pi.permute(&encrypted_blindings);
-        let (pair_indices, matrix): (Vec<(usize, usize)>, Vec<Ciphertext>) = matrix_entries
+        let pair_indices: Vec<(usize, usize)> = positions
             .into_iter()
-            .map(|((i, j), c)| {
+            .map(|(i, j)| {
                 let (a, b) = (pi.apply(i), pi.apply(j));
-                (if a < b { (a, b) } else { (b, a) }, c)
+                (a.min(b), a.max(b))
             })
-            .unzip();
+            .collect();
 
         // ================= transport: one message, or one round per pair ===============
         let request = if self.batching() {

@@ -79,10 +79,53 @@ impl LeakageEvent {
     }
 }
 
+/// One recorded event in at most 16 bytes and no heap allocation: a context name is an
+/// index into the owning ledger's table of distinct names, depths and counts are `u32`.
+/// An event that does not fit — a depth or count above `u32::MAX`, a 65 537th distinct
+/// context — is kept whole in the ledger's `wide` list instead.
+#[derive(Clone, Copy)]
+enum Packed {
+    EqualityBit {
+        context: u16,
+        depth: Option<u32>,
+        equal: bool,
+    },
+    ComparisonBit {
+        context: u16,
+        less_or_equal: bool,
+    },
+    BlindedSign {
+        context: u16,
+    },
+    UniqueCount {
+        depth: u32,
+        count: u32,
+    },
+    HaltingDepth(usize),
+    QueryIssued {
+        token_fingerprint: u64,
+    },
+    JoinMatchCount(usize),
+    /// Index into `LeakageLedger::wide`.
+    Wide(usize),
+}
+
+// A ledger lives as long as its session and S2 records one event per decrypted bit, so
+// the per-event footprint is what a long session's memory grows by.
+const _: () = assert!(std::mem::size_of::<Packed>() <= 16);
+
 /// The record of everything one party observed beyond its own inputs.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// Events are stored packed (16 bytes each, see DESIGN.md §10) and decoded on demand:
+/// [`Self::iter`] and [`Self::events`] yield exactly the [`LeakageEvent`]s that were
+/// recorded, in order, and the serialized form is the plain event list.
+#[derive(Clone, Default)]
 pub struct LeakageLedger {
-    events: Vec<LeakageEvent>,
+    events: Vec<Packed>,
+    /// Distinct context names, in order of first appearance.
+    contexts: Vec<String>,
+    /// The events [`Packed::Wide`] points at.
+    wide: Vec<LeakageEvent>,
 }
 
 impl LeakageLedger {
@@ -93,12 +136,104 @@ impl LeakageLedger {
 
     /// Record an observation.
     pub fn record(&mut self, event: LeakageEvent) {
-        self.events.push(event);
+        let packed = self.pack(&event).unwrap_or_else(|| {
+            self.wide.push(event);
+            Packed::Wide(self.wide.len() - 1)
+        });
+        self.events.push(packed);
+    }
+
+    /// The packed form of `event`, or `None` if it needs the `wide` list.
+    fn pack(&mut self, event: &LeakageEvent) -> Option<Packed> {
+        Some(match event {
+            LeakageEvent::EqualityBit { context, depth, equal } => Packed::EqualityBit {
+                depth: depth.map(u32::try_from).transpose().ok()?,
+                context: self.intern(context)?,
+                equal: *equal,
+            },
+            LeakageEvent::ComparisonBit { context, less_or_equal } => Packed::ComparisonBit {
+                context: self.intern(context)?,
+                less_or_equal: *less_or_equal,
+            },
+            LeakageEvent::BlindedSign { context } => {
+                Packed::BlindedSign { context: self.intern(context)? }
+            }
+            LeakageEvent::UniqueCount { depth, count } => Packed::UniqueCount {
+                depth: u32::try_from(*depth).ok()?,
+                count: u32::try_from(*count).ok()?,
+            },
+            LeakageEvent::HaltingDepth(depth) => Packed::HaltingDepth(*depth),
+            LeakageEvent::QueryIssued { token_fingerprint } => {
+                Packed::QueryIssued { token_fingerprint: *token_fingerprint }
+            }
+            LeakageEvent::JoinMatchCount(count) => Packed::JoinMatchCount(*count),
+        })
+    }
+
+    /// The table index of `context`, added on first sight (a protocol run names a
+    /// handful of contexts, so the scan is short); `None` once the table is full.
+    fn intern(&mut self, context: &str) -> Option<u16> {
+        let index = match self.contexts.iter().position(|c| c == context) {
+            Some(index) => index,
+            None if self.contexts.len() <= usize::from(u16::MAX) => {
+                self.contexts.push(context.to_string());
+                self.contexts.len() - 1
+            }
+            None => return None,
+        };
+        u16::try_from(index).ok()
+    }
+
+    fn unpack(&self, packed: &Packed) -> LeakageEvent {
+        let context = |index: &u16| self.contexts[usize::from(*index)].clone();
+        match packed {
+            Packed::EqualityBit { context: c, depth, equal } => LeakageEvent::EqualityBit {
+                context: context(c),
+                depth: depth.map(|d| d as usize),
+                equal: *equal,
+            },
+            Packed::ComparisonBit { context: c, less_or_equal } => {
+                LeakageEvent::ComparisonBit { context: context(c), less_or_equal: *less_or_equal }
+            }
+            Packed::BlindedSign { context: c } => LeakageEvent::BlindedSign { context: context(c) },
+            Packed::UniqueCount { depth, count } => {
+                LeakageEvent::UniqueCount { depth: *depth as usize, count: *count as usize }
+            }
+            Packed::HaltingDepth(depth) => LeakageEvent::HaltingDepth(*depth),
+            Packed::QueryIssued { token_fingerprint } => {
+                LeakageEvent::QueryIssued { token_fingerprint: *token_fingerprint }
+            }
+            Packed::JoinMatchCount(count) => LeakageEvent::JoinMatchCount(*count),
+            Packed::Wide(index) => self.wide[*index].clone(),
+        }
+    }
+
+    /// [`LeakageEvent::kind`] of a packed event, without decoding it.
+    fn kind_of(&self, packed: &Packed) -> &'static str {
+        match packed {
+            Packed::EqualityBit { .. } => "equality_bit",
+            Packed::ComparisonBit { .. } => "comparison_bit",
+            Packed::BlindedSign { .. } => "blinded_sign",
+            Packed::UniqueCount { .. } => "unique_count",
+            Packed::HaltingDepth(_) => "halting_depth",
+            Packed::QueryIssued { .. } => "query_issued",
+            Packed::JoinMatchCount(_) => "join_match_count",
+            Packed::Wide(index) => self.wide[*index].kind(),
+        }
+    }
+
+    fn kinds(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.events.iter().map(|p| self.kind_of(p))
+    }
+
+    /// The recorded events, in order, decoded one at a time.
+    pub fn iter(&self) -> impl Iterator<Item = LeakageEvent> + '_ {
+        self.events.iter().map(|p| self.unpack(p))
     }
 
     /// All recorded events, in order.
-    pub fn events(&self) -> &[LeakageEvent] {
-        &self.events
+    pub fn events(&self) -> Vec<LeakageEvent> {
+        self.iter().collect()
     }
 
     /// Number of recorded events.
@@ -114,8 +249,8 @@ impl LeakageLedger {
     /// Histogram of event kinds (used by the leakage-profile tests).
     pub fn kind_histogram(&self) -> BTreeMap<&'static str, usize> {
         let mut hist = BTreeMap::new();
-        for e in &self.events {
-            *hist.entry(e.kind()).or_insert(0) += 1;
+        for kind in self.kinds() {
+            *hist.entry(kind).or_insert(0) += 1;
         }
         hist
     }
@@ -123,17 +258,43 @@ impl LeakageLedger {
     /// True when every recorded event kind is in `allowed` — the executable form of
     /// "the party's view is simulatable from the leakage profile".
     pub fn only_contains(&self, allowed: &[&str]) -> bool {
-        self.events.iter().all(|e| allowed.contains(&e.kind()))
+        self.kinds().all(|kind| allowed.contains(&kind))
     }
 
     /// Count the events of one kind.
     pub fn count_kind(&self, kind: &str) -> usize {
-        self.events.iter().filter(|e| e.kind() == kind).count()
+        self.kinds().filter(|k| *k == kind).count()
     }
 
     /// Clear the ledger (e.g. between queries).
     pub fn clear(&mut self) {
-        self.events.clear();
+        *self = Self::default();
+    }
+}
+
+impl std::fmt::Debug for LeakageLedger {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LeakageLedger").field("events", &self.events()).finish()
+    }
+}
+
+// The wire and golden form is the event list itself, as the derive wrote it when the
+// ledger was a `Vec<LeakageEvent>`; packing is a memory layout, not a format.
+impl Serialize for LeakageLedger {
+    fn to_value(&self) -> serde::Value {
+        let events = self.iter().map(|e| e.to_value()).collect();
+        serde::Value::Map(vec![("events".to_string(), serde::Value::Seq(events))])
+    }
+}
+
+impl Deserialize for LeakageLedger {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let events = v.get("events").ok_or_else(|| serde::Error::missing_field("events"))?;
+        let mut ledger = LeakageLedger::new();
+        for event in Vec::<LeakageEvent>::from_value(events)? {
+            ledger.record(event);
+        }
+        Ok(ledger)
     }
 }
 
@@ -159,6 +320,74 @@ mod tests {
         assert_eq!(ledger.len(), 3);
         assert_eq!(ledger.count_kind("equality_bit"), 2);
         assert_eq!(ledger.kind_histogram()["halting_depth"], 1);
+    }
+
+    #[test]
+    fn ten_thousand_events_round_trip_through_the_packed_form() {
+        let too_deep = u32::MAX as usize + 1;
+        let recorded: Vec<LeakageEvent> = (0..10_000usize)
+            .map(|i| match i % 9 {
+                0 => LeakageEvent::EqualityBit {
+                    context: format!("ctx-{}", i % 7),
+                    depth: Some(i),
+                    equal: i % 2 == 0,
+                },
+                1 => LeakageEvent::EqualityBit {
+                    context: "sec_join".into(),
+                    depth: None,
+                    equal: i % 3 == 0,
+                },
+                2 => LeakageEvent::ComparisonBit {
+                    context: "enc_sort".into(),
+                    less_or_equal: i % 4 < 2,
+                },
+                3 => LeakageEvent::BlindedSign { context: format!("ctx-{}", i % 5) },
+                4 => LeakageEvent::UniqueCount { depth: i, count: i / 2 },
+                5 => LeakageEvent::HaltingDepth(usize::MAX - i),
+                6 => LeakageEvent::QueryIssued { token_fingerprint: u64::MAX - i as u64 },
+                7 => LeakageEvent::JoinMatchCount(i),
+                // Too wide for the packed fields: kept whole.
+                _ if i % 2 == 0 => LeakageEvent::UniqueCount { depth: 3, count: too_deep + i },
+                _ => LeakageEvent::EqualityBit {
+                    context: "sec_worst".into(),
+                    depth: Some(too_deep),
+                    equal: true,
+                },
+            })
+            .collect();
+        let mut ledger = LeakageLedger::new();
+        for event in &recorded {
+            ledger.record(event.clone());
+        }
+        assert_eq!(ledger.len(), recorded.len());
+        assert_eq!(ledger.events(), recorded);
+        assert!(ledger.iter().eq(recorded.iter().cloned()));
+        // One context entry per distinct name among the packed events, however many
+        // carry it ("sec_worst" only occurs in events kept whole).
+        assert_eq!(ledger.contexts.len(), 7 + 2);
+        assert_eq!(ledger.wide.len(), recorded.len().div_ceil(9) - 1);
+
+        // Kinds are read off the packed form and agree with the events' own labels.
+        let mut expected = BTreeMap::new();
+        for event in &recorded {
+            *expected.entry(event.kind()).or_insert(0) += 1;
+        }
+        assert_eq!(ledger.kind_histogram(), expected);
+        assert_eq!(ledger.count_kind("unique_count"), expected["unique_count"]);
+
+        // The wire form is the plain event list, and reads back to the same ledger.
+        #[derive(Serialize)]
+        struct Plain {
+            events: Vec<LeakageEvent>,
+        }
+        let bytes = crate::wire::to_bytes(&ledger);
+        assert_eq!(bytes, crate::wire::to_bytes(&Plain { events: recorded.clone() }));
+        let back: LeakageLedger = crate::wire::from_bytes(&bytes).unwrap();
+        assert_eq!(back.events(), recorded);
+        assert_eq!(format!("{ledger:?}"), format!("LeakageLedger {{ events: {recorded:?} }}"));
+
+        ledger.clear();
+        assert!(ledger.is_empty() && ledger.contexts.is_empty() && ledger.wide.is_empty());
     }
 
     #[test]

@@ -13,6 +13,17 @@
 //! * a batched comparison against a common threshold (used by the halting check),
 //! * the blinded-product exchange the SkNN baseline builds its SM protocol from.
 //!
+//! # Arithmetic budget of the S1 loops
+//!
+//! A query is compute-bound on a LAN, and at the paper's key sizes an extended-Euclid
+//! inversion costs more than an exponentiation of a short scalar.  So no loop here
+//! inverts per element or exponentiates the same ciphertext twice (DESIGN.md §10):
+//! [`TwoClouds::eq_diffs`] and [`TwoClouds::compare_many`] negate all their right-hand
+//! sides with one batch inversion per call, every `⊖` is one multi-exponentiation, and
+//! [`TwoClouds::select_many`] evaluates selection and `RecoverEnc` blinding as one
+//! inversion-free double exponentiation per job.  What S2 decrypts is unchanged by any
+//! of it.
+//!
 //! # SECURITY note on the comparison realisation
 //!
 //! The paper treats EncCompare as a black box from Bost et al. \[11\].  Our realisation has
@@ -28,6 +39,7 @@
 use num_bigint::BigUint;
 use num_traits::Zero;
 use rand::Rng;
+use std::collections::BTreeMap;
 
 use crate::error::{ProtocolError, Result};
 use sectopk_crypto::damgard_jurik::LayeredCiphertext;
@@ -200,9 +212,12 @@ impl TwoClouds {
     /// Compute the randomized `⊖` differences of `pairs` with S1's randomness.
     ///
     /// The masking scalars are drawn serially in pair-major, block-minor order (exactly
-    /// the order the one-pair-at-a-time path consumes S1's RNG in), then the pure `⊖`
-    /// arithmetic runs data-parallel over [`TwoClouds::intra_workers`] threads — the
-    /// ciphertexts are byte-identical for every worker count.
+    /// the order the one-pair-at-a-time path consumes S1's RNG in).  The distinct
+    /// right-hand operands of the call are then negated together — one modular
+    /// inversion per call, however many pairs — and the pure `⊖` arithmetic, one
+    /// multi-exponentiation per pair, runs data-parallel over
+    /// [`TwoClouds::intra_workers`] threads.  The ciphertexts are byte-identical to
+    /// [`EhlPlus::eq_test_with_randomness`] per pair, for every worker count.
     pub(crate) fn eq_diffs(&mut self, pairs: &[(&EhlPlus, &EhlPlus)]) -> Vec<Ciphertext> {
         let pk = self.s1.keys.paillier_public.clone();
         let randomness: Vec<Vec<BigUint>> = pairs
@@ -213,9 +228,28 @@ impl TwoClouds {
                     .collect()
             })
             .collect();
-        let jobs: Vec<((&EhlPlus, &EhlPlus), Vec<BigUint>)> =
-            pairs.iter().copied().zip(randomness).collect();
-        par_map(self.s1.intra_workers, &jobs, |((a, b), rs)| a.eq_test_with_randomness(b, &pk, rs))
+
+        // An equality matrix names each right-hand operand once per row.
+        let mut distinct: Vec<&EhlPlus> = Vec::new();
+        let mut slot_of: BTreeMap<*const EhlPlus, usize> = BTreeMap::new();
+        let slots: Vec<usize> = pairs
+            .iter()
+            .map(|&(_, b)| {
+                *slot_of.entry(b).or_insert_with(|| {
+                    distinct.push(b);
+                    distinct.len() - 1
+                })
+            })
+            .collect();
+        let negated = EhlPlus::negate_many(&distinct, &pk);
+
+        let jobs: Vec<(&EhlPlus, &EhlPlus, Vec<BigUint>)> = pairs
+            .iter()
+            .zip(slots)
+            .zip(randomness)
+            .map(|((&(a, _), slot), rs)| (a, &negated[slot], rs))
+            .collect();
+        par_map(self.s1.intra_workers, &jobs, |(a, neg_b, rs)| a.eq_test_negated(neg_b, &pk, rs))
     }
 
     /// Batched EHL equality test: for every pair `(a_i, b_i)` S1 computes the randomized
@@ -243,34 +277,28 @@ impl TwoClouds {
         Ok(EqBatch { e2_bits: outcome.bits })
     }
 
-    /// `RecoverEnc` (Algorithm 5), batched: strip the outer Damgård–Jurik layer from each
-    /// `E2(Enc(c_i))`, returning the inner Paillier ciphertexts to S1 while hiding the
-    /// inner plaintexts from S2 behind additive blinding.
-    pub fn recover_enc_batch(&mut self, layered: &[LayeredCiphertext]) -> Result<Vec<Ciphertext>> {
-        if layered.is_empty() {
-            return Ok(Vec::new());
-        }
+    /// Draw `count` `RecoverEnc` blindings `(r, Enc(r))`: `r` from S1's RNG, the
+    /// encryption nonce from S1's pool, serially and in item order.
+    fn draw_masks(&mut self, count: usize) -> Result<(Vec<BigUint>, Vec<Ciphertext>)> {
         let pk = self.s1.keys.paillier_public.clone();
-        let dj_pk = self.s1.keys.dj_public.clone();
-
-        // ---- S1: blind each inner plaintext with a fresh random r. --------------------
-        // Draws (S1's RNG, then the nonce pool) happen serially up front; the big
-        // `E2(·)^{Enc(r)}` exponentiations then run data-parallel.  Both RNG streams are
-        // consumed in the same per-purpose order as the one-item-at-a-time loop, so the
-        // wire bytes do not depend on the worker count.
-        let mut masks = Vec::with_capacity(layered.len());
-        let mut enc_masks = Vec::with_capacity(layered.len());
-        for _ in layered {
+        let mut masks = Vec::with_capacity(count);
+        let mut enc_masks = Vec::with_capacity(count);
+        for _ in 0..count {
             let r = sectopk_crypto::bigint::random_below(&mut self.s1.rng, pk.n());
             enc_masks.push(self.s1.pool.encrypt(&r)?);
             masks.push(r);
         }
-        let jobs: Vec<(&LayeredCiphertext, Ciphertext)> = layered.iter().zip(enc_masks).collect();
-        // E2(Enc(c))^{Enc(r)} = E2(Enc(c) · Enc(r)) = E2(Enc(c + r))
-        let blinded: Vec<LayeredCiphertext> =
-            par_map(self.s1.intra_workers, &jobs, |(l, enc_r)| dj_pk.mul_by_ciphertext(l, enc_r));
+        Ok((masks, enc_masks))
+    }
 
-        // ---- transport: S2 strips the outer layer from the (blinded) ciphertexts. ----
+    /// The round and the unblinding of `RecoverEnc`: S2 strips the outer layer from
+    /// each `E2(Enc(c_i + r_i))`, S1 subtracts `r_i = masks[i]` again.
+    fn recover_blinded(
+        &mut self,
+        blinded: Vec<LayeredCiphertext>,
+        masks: Vec<BigUint>,
+    ) -> Result<Vec<Ciphertext>> {
+        let pk = self.s1.keys.paillier_public.clone();
         let inner: Vec<Ciphertext> = self.round_elementwise(
             blinded,
             |blinded| S1Request::Recover { blinded },
@@ -279,37 +307,59 @@ impl TwoClouds {
                 other => Err(unexpected(&other, "Recovered")),
             },
         )?;
-
-        // ---- S1: remove the blinding homomorphically (pure, data-parallel). -----------
         let jobs: Vec<(Ciphertext, BigUint)> = inner.into_iter().zip(masks).collect();
-        let recovered = par_map(self.s1.intra_workers, &jobs, |(c, r)| {
+        Ok(par_map(self.s1.intra_workers, &jobs, |(c, r)| {
             let neg_r = (pk.n() - (r % pk.n())) % pk.n();
             pk.add_plain(c, &neg_r)
-        });
-        Ok(recovered)
+        }))
+    }
+
+    /// `RecoverEnc` (Algorithm 5), batched: strip the outer Damgård–Jurik layer from each
+    /// `E2(Enc(c_i))`, returning the inner Paillier ciphertexts to S1 while hiding the
+    /// inner plaintexts from S2 behind additive blinding
+    /// (`E2(Enc(c))^{Enc(r)} = E2(Enc(c + r))`, one exponentiation per item).
+    ///
+    /// The protocols never call it on a selection's output:
+    /// [`Self::select_many`] folds this blinding into the selection's own exponents.
+    pub fn recover_enc_batch(&mut self, layered: &[LayeredCiphertext]) -> Result<Vec<Ciphertext>> {
+        if layered.is_empty() {
+            return Ok(Vec::new());
+        }
+        let dj_pk = self.s1.keys.dj_public.clone();
+        // Draws happen serially up front, the exponentiations run data-parallel: the
+        // wire bytes do not depend on the worker count.
+        let (masks, enc_masks) = self.draw_masks(layered.len())?;
+        let jobs: Vec<(&LayeredCiphertext, Ciphertext)> = layered.iter().zip(enc_masks).collect();
+        let blinded: Vec<LayeredCiphertext> =
+            par_map(self.s1.intra_workers, &jobs, |(l, enc_r)| dj_pk.mul_by_ciphertext(l, enc_r));
+        self.recover_blinded(blinded, masks)
     }
 
     /// Encrypted selection, any number of jobs in **one** `RecoverEnc` round: every job
-    /// evaluates `E2(t)^{Enc(x)} · (E2(1) · E2(t)^{-1})^{Enc(y)}` (line 6 of Algorithm 4)
+    /// evaluates line 6 of Algorithm 4, `E2(t)^{Enc(x)} · (E2(1) · E2(t)^{-1})^{Enc(y)}`,
     /// to `Enc(t·x + (1−t)·y)`.  Jobs of different sub-protocol steps may share the
     /// call; every job gets its own fresh `E2(1)`, `Enc(0)` and blinding.
+    ///
+    /// Selection and `RecoverEnc` blinding are one double exponentiation per job
+    /// ([`DjPublicKey::select_blinded`](sectopk_crypto::damgard_jurik::DjPublicKey::select_blinded)):
+    /// no inversion, no second exponentiation of the selected ciphertext.  S1's RNG and
+    /// pool are consumed in the order of the two-step sequence — every job's `E2(1)` /
+    /// `Enc(0)`, then every job's `r` / `Enc(r)` — and S2 decrypts the very inner
+    /// ciphertexts that sequence would have sent it.
     pub(crate) fn select_many(&mut self, jobs: &[SelectJob<'_>]) -> Result<Vec<Ciphertext>> {
         let dj_pk = self.s1.keys.dj_public.clone();
-
-        // Pool draws first (serial, position-deterministic), then the two-base
-        // exponentiations run data-parallel as one fused Strauss–Shamir
-        // double-exponentiation each.
         let mut drawn = Vec::with_capacity(jobs.len());
         for &(bit, if_true, if_false) in jobs {
             let e2_one = self.s1.pool.encrypt_dj_u64(1)?;
             let y = if_false.cloned().map_or_else(|| self.s1.pool.encrypt_u64(0), Ok)?;
             drawn.push((bit, if_true, e2_one, y));
         }
-        let layered = par_map(self.s1.intra_workers, &drawn, |(bit, x, e2_one, y)| {
-            let one_minus_t = dj_pk.sub(e2_one, bit);
-            dj_pk.mul_add_ciphertexts(bit, x, &one_minus_t, y)
+        let (masks, enc_masks) = self.draw_masks(jobs.len())?;
+        let drawn: Vec<_> = drawn.into_iter().zip(enc_masks).collect();
+        let blinded = par_map(self.s1.intra_workers, &drawn, |((bit, x, e2_one, y), enc_r)| {
+            dj_pk.select_blinded(bit, x, e2_one, y, enc_r)
         });
-        self.recover_enc_batch(&layered)
+        self.recover_blinded(blinded, masks)
     }
 
     /// Encrypted selection: from `E2(t_i)` (bit known to S2, encrypted towards S1) and
@@ -347,7 +397,8 @@ impl TwoClouds {
     }
 
     /// Batched comparison `f_i := (a_i ≤ b_i)` in one round trip (one round trip *per
-    /// pair* when batching is disabled).
+    /// pair* when batching is disabled).  One modular inversion per call, whatever the
+    /// number of pairs.
     pub fn compare_many(
         &mut self,
         pairs: &[(Ciphertext, Ciphertext)],
@@ -359,23 +410,25 @@ impl TwoClouds {
         let pk = self.s1.keys.paillier_public.clone();
 
         // ---- S1: blind each difference with a random flip and scale. ------------------
-        // Flips and scales are drawn serially (same RNG order as the per-pair loop);
-        // the `Enc(±α·(a−b))` arithmetic runs data-parallel.
+        // Flips and scales are drawn serially (same RNG order as the per-pair loop); all
+        // subtrahends are negated by one batch inversion, and the `Enc(±α·(a−b))`
+        // arithmetic runs data-parallel.
         let mut flips = Vec::with_capacity(pairs.len());
         let mut alphas = Vec::with_capacity(pairs.len());
         for _ in pairs {
             flips.push(self.s1.rng.gen::<bool>());
             alphas.push(BigUint::from(self.s1.rng.gen_range(1..COMPARE_SCALE_BOUND)));
         }
-        let jobs: Vec<(&(Ciphertext, Ciphertext), bool, &BigUint)> = pairs
+        let (minuends, subtrahends): (Vec<&Ciphertext>, Vec<&Ciphertext>) = pairs
             .iter()
-            .zip(flips.iter())
-            .zip(alphas.iter())
-            .map(|((pair, &flip), alpha)| (pair, flip, alpha))
-            .collect();
-        let blinded = par_map(self.s1.intra_workers, &jobs, |((a, b), flip, alpha)| {
-            let diff = if *flip { pk.sub(b, a) } else { pk.sub(a, b) };
-            pk.mul_plain(&diff, alpha)
+            .zip(&flips)
+            .map(|((a, b), &flip)| if flip { (b, a) } else { (a, b) })
+            .unzip();
+        let negated = pk.negate_many(&subtrahends);
+        let jobs: Vec<((&Ciphertext, &Ciphertext), &BigUint)> =
+            minuends.into_iter().zip(&negated).zip(&alphas).collect();
+        let blinded = par_map(self.s1.intra_workers, &jobs, |((minuend, neg), alpha)| {
+            pk.mul_plain(&pk.add(minuend, neg), alpha)
         });
 
         // ---- transport: S2 decrypts each blinded difference and returns its sign. -----
@@ -585,6 +638,92 @@ mod tests {
         assert_eq!(two_branch, vec![10, 88]);
         assert_eq!(mixed, vec![zeroing[0], two_branch[1], zeroing[1], two_branch[0]]);
         assert!(clouds.select_many(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn eq_diffs_is_byte_identical_to_per_pair_eq_tests() {
+        // A 3 × 4 matrix: every right-hand operand recurs in each row (and one of them
+        // twice per row), so the batch negation serves each from its slot.
+        let (master, mut clouds, encoder, mut rng) = setup();
+        let pk = &master.paillier_public;
+        let encode = |id: &str, rng: &mut StdRng| encoder.encode(id.as_bytes(), pk, rng).unwrap();
+        let rows: Vec<EhlPlus> = ["a", "b", "c"].iter().map(|id| encode(id, &mut rng)).collect();
+        let cols: Vec<EhlPlus> = ["b", "x", "a"].iter().map(|id| encode(id, &mut rng)).collect();
+        let pairs: Vec<(&EhlPlus, &EhlPlus)> = rows
+            .iter()
+            .flat_map(|r| [&cols[0], &cols[1], &cols[2], &cols[0]].map(|c| (r, c)))
+            .collect();
+
+        // A second S1 with the same seed replays the RNG stream one pair at a time.
+        let mut reference = TwoClouds::new(&master, 99).unwrap();
+        let expected: Vec<Ciphertext> = pairs
+            .iter()
+            .map(|(a, b)| {
+                let rs: Vec<BigUint> = (0..a.len())
+                    .map(|_| {
+                        sectopk_crypto::bigint::random_invertible(&mut reference.s1.rng, pk.n())
+                    })
+                    .collect();
+                a.eq_test_with_randomness(b, pk, &rs)
+            })
+            .collect();
+        let diffs = clouds.eq_diffs(&pairs);
+        assert_eq!(diffs, expected);
+        let zero: Vec<bool> =
+            diffs.iter().map(|d| master.paillier_secret.is_zero(d).unwrap()).collect();
+        let t = true;
+        assert_eq!(zero, [false, false, t, false, t, false, false, t, false, false, false, false]);
+        assert!(clouds.eq_diffs(&[]).is_empty());
+    }
+
+    /// The selection this module used to run: invert `E2(t)`, double exponentiation,
+    /// then `RecoverEnc` with its own exponentiation of the selected ciphertext.
+    fn select_many_two_step(
+        clouds: &mut TwoClouds,
+        jobs: &[SelectJob<'_>],
+    ) -> Result<Vec<Ciphertext>> {
+        let dj_pk = clouds.dj_pk().clone();
+        let mut layered = Vec::with_capacity(jobs.len());
+        for &(bit, if_true, if_false) in jobs {
+            let e2_one = clouds.s1.pool.encrypt_dj_u64(1)?;
+            let y = if_false.cloned().map_or_else(|| clouds.s1.pool.encrypt_u64(0), Ok)?;
+            layered.push(dj_pk.mul_add_ciphertexts(bit, if_true, &dj_pk.sub(&e2_one, bit), &y));
+        }
+        clouds.recover_enc_batch(&layered)
+    }
+
+    #[test]
+    fn fused_selection_recovers_the_ciphertexts_of_the_two_step_sequence() {
+        let (master, mut clouds, encoder, mut rng) = setup();
+        let pk = &master.paillier_public;
+        let a = encoder.encode(b"p", pk, &mut rng).unwrap();
+        let a2 = encoder.encode(b"p", pk, &mut rng).unwrap();
+        let b = encoder.encode(b"q", pk, &mut rng).unwrap();
+        // bits[0] = E2(1), bits[1] = E2(0).
+        let bits = clouds.eq_batch(&[(&a, &a2), (&a, &b)], "test", None).unwrap().e2_bits;
+        let x = pk.encrypt_u64(10, &mut rng).unwrap();
+        let y = pk.encrypt_u64(77, &mut rng).unwrap();
+        let sentinel = pk.encrypt(&pk.sentinel_z(), &mut rng).unwrap();
+        let jobs: Vec<SelectJob<'_>> = vec![
+            (&bits[0], &x, None),
+            (&bits[1], &x, None),
+            (&bits[0], &x, Some(&y)),
+            (&bits[1], &x, Some(&y)),
+            (&bits[1], &y, Some(&sentinel)),
+        ];
+
+        // Same seeds, same draws in the same order: S2 decrypts the same inner
+        // ciphertexts, so the two S1s end up holding identical ones.
+        let mut reference = TwoClouds::new(&master, 99).unwrap();
+        let _ = reference.eq_batch(&[(&a, &a2), (&a, &b)], "test", None).unwrap();
+        let fused = clouds.select_many(&jobs).unwrap();
+        assert_eq!(fused, select_many_two_step(&mut reference, &jobs).unwrap());
+        let plain: Vec<BigUint> =
+            fused.iter().map(|c| master.paillier_secret.decrypt(c).unwrap()).collect();
+        let expected: Vec<BigUint> =
+            [10u64, 0, 10, 77].iter().map(|&v| BigUint::from(v)).chain([pk.sentinel_z()]).collect();
+        assert_eq!(plain, expected);
+        assert_eq!(clouds.channel().rounds, reference.channel().rounds);
     }
 
     #[test]

@@ -65,7 +65,7 @@ struct GoldenDigests {
 fn digest(ledger: &LeakageLedger) -> LedgerDigest {
     let mut counts = BTreeMap::new();
     let mut disclosures = Vec::new();
-    for event in ledger.events() {
+    for event in &ledger.events() {
         let key = match event {
             LeakageEvent::EqualityBit { context, depth, equal } => {
                 let depth = depth.map_or("-".to_string(), |d| d.to_string());
