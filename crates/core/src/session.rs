@@ -309,7 +309,7 @@ impl DataOwner {
     /// Open a dedicated two-cloud session on `outsourced` with the transport selected
     /// by the `SECTOPK_TRANSPORT` environment variable and batching enabled.
     pub fn connect(&self, outsourced: &Outsourced, seed: u64) -> Result<DirectSession> {
-        self.connect_with(outsourced, seed, TransportKind::from_env(), true)
+        self.connect_with(outsourced, seed, TransportKind::from_env()?, true)
     }
 
     /// Open a dedicated two-cloud session with an explicit transport and batching

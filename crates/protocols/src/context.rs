@@ -9,11 +9,12 @@
 //! serializable [`S1Request`] / [`S2Response`] round trip,
 //! metered in the transport's [`ChannelMetrics`] and reflected in the per-party
 //! [`LeakageLedger`]s.  The transport is selected by [`TransportKind`] (or the
-//! `SECTOPK_TRANSPORT` environment variable): in-process for speed, or a real
-//! thread-backed message channel.
+//! `SECTOPK_TRANSPORT` environment variable): the in-process direct call, or
+//! serialized envelopes to an S2 worker pool — over its in-memory conduit or over a
+//! real loopback socket.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,11 +29,32 @@ use sectopk_crypto::pool::RandomnessPool;
 use crate::channel::ChannelMetrics;
 use crate::engine::EngineProvision;
 use crate::ledger::LeakageLedger;
-use crate::multiplex::{LinkProfile, MultiplexServer, MultiplexTransport, SessionId};
-use crate::tcp::{TcpOptions, TcpTransport};
-use crate::transport::{
-    ChannelTransport, InProcessTransport, S1Request, S2Response, Transport, TransportKind,
-};
+use crate::multiplex::{LinkProfile, MultiplexServer, SessionId};
+use crate::tcp::{TcpCloudServer, TcpOptions, TcpServerConfig};
+use crate::transport::{InProcessTransport, S1Request, S2Response, Transport, TransportKind};
+
+/// The process-wide S2 pool behind [`TransportKind::Multiplex`] and
+/// [`TransportKind::Tcp`] sessions that name no server of their own: one worker per
+/// core, sessions with server-assigned ids.  Sessions share nothing but the workers.
+fn loopback_pool() -> &'static Arc<MultiplexServer> {
+    static POOL: OnceLock<Arc<MultiplexServer>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let workers = std::thread::available_parallelism().map_or(1, usize::from);
+        Arc::new(MultiplexServer::new(workers))
+    })
+}
+
+/// The process-wide loopback listener (ephemeral port) in front of [`loopback_pool`].
+fn loopback_listener() -> Result<&'static TcpCloudServer> {
+    static LISTENER: OnceLock<std::io::Result<TcpCloudServer>> = OnceLock::new();
+    LISTENER
+        .get_or_init(|| {
+            let pool = Arc::clone(loopback_pool());
+            TcpCloudServer::serve_pool("127.0.0.1:0", pool, TcpServerConfig::default())
+        })
+        .as_ref()
+        .map_err(|e| crate::ProtocolError::transport(format!("binding loopback S2: {e}")))
+}
 
 /// State held by the primary cloud S1 during protocol execution.
 #[derive(Debug)]
@@ -96,14 +118,15 @@ impl TwoClouds {
     /// Set up the two clouds from the data owner's key bundle with the transport chosen
     /// by the `SECTOPK_TRANSPORT` environment variable (in-process by default) and
     /// batching enabled.  `seed` makes every random choice of both parties reproducible.
+    /// A `SECTOPK_TRANSPORT` value that names no transport is an error.
     pub fn new(master: &MasterKeys, seed: u64) -> Result<Self> {
-        Self::with_transport(master, seed, TransportKind::from_env(), true)
+        Self::with_transport(master, seed, TransportKind::from_env()?, true)
     }
 
     /// Set up the two clouds with an explicit transport and batching policy.
-    /// [`TransportKind::Multiplex`] gives the session a private single-worker
-    /// [`MultiplexServer`]; to share one server across sessions use
-    /// [`TwoClouds::connect`].
+    /// [`TransportKind::Multiplex`] and [`TransportKind::Tcp`] join the process-wide
+    /// loopback pool / listener; to serve sessions from a server of your own use
+    /// [`TwoClouds::connect`] / [`TwoClouds::connect_tcp`].
     pub fn with_transport(
         master: &MasterKeys,
         seed: u64,
@@ -113,13 +136,16 @@ impl TwoClouds {
         Self::build(master, seed, batching, |provision| {
             Ok(match kind {
                 TransportKind::InProcess => Box::new(InProcessTransport::new(provision.build())),
-                TransportKind::Channel => Box::new(ChannelTransport::new(provision.build())),
-                TransportKind::Multiplex => {
-                    Box::new(MultiplexTransport::private(provision.build(), LinkProfile::ideal())?)
-                }
-                TransportKind::Tcp => {
-                    Box::new(TcpTransport::private(provision, TcpOptions::default())?)
-                }
+                TransportKind::Multiplex => Box::new(loopback_pool().connect(
+                    SessionId(0),
+                    provision.build(),
+                    LinkProfile::ideal(),
+                )?),
+                TransportKind::Tcp => Box::new(crate::tcp::connect(
+                    loopback_listener()?.local_addr(),
+                    provision,
+                    TcpOptions::default(),
+                )?),
             })
         })
     }
@@ -143,7 +169,7 @@ impl TwoClouds {
             options.jitter_seed = sectopk_crypto::pool::shard_seed(seed, 0x6A17_7E12);
         }
         Self::build(master, seed, batching, |provision| {
-            Ok(Box::new(TcpTransport::connect(addr, provision, options)?))
+            Ok(Box::new(crate::tcp::connect(addr, provision, options)?))
         })
     }
 
@@ -151,7 +177,7 @@ impl TwoClouds {
     ///
     /// The S1-side state and the session's S2 engine are derived from `seed` exactly as
     /// in [`TwoClouds::with_transport`], so a session connected with seed *s* is
-    /// byte-identical to a dedicated-transport run with seed *s* — the serving layer
+    /// byte-identical to an in-process run with seed *s* — the serving layer
     /// picks per-session seeds (e.g. [`sectopk_crypto::pool::shard_seed`]) to keep
     /// concurrent sessions deterministic and decorrelated.
     pub fn connect(
@@ -195,7 +221,7 @@ impl TwoClouds {
         Ok(clouds)
     }
 
-    /// The shared S1-side setup: every transport and the multiplexed sessions derive
+    /// The shared S1-side setup: every transport, over either pipe, derives
     /// S1's keys, RNG and nonce pools from `seed` through this one path, which is what
     /// makes protocol output byte-identical across transports for a fixed seed.
     fn build(
@@ -215,8 +241,8 @@ impl TwoClouds {
 
         // S2 receives the owner's secret-key view and S1's published own public key; it
         // lives behind the transport from here on.  The provision is the serializable
-        // form of that hand-over — local transports build the engine in place, the TCP
-        // transport ships it over the connection handshake.
+        // form of that hand-over — local transports build the engine in place, the
+        // socket pipe ships it over the connection handshake.
         let provision = EngineProvision::new(
             master.s2_view(),
             own_public.clone(),
@@ -329,9 +355,9 @@ impl TwoClouds {
         self.batching
     }
 
-    /// The simulated inter-cloud link the transport runs over (ideal for dedicated
-    /// transports; the connected RTT for multiplexed sessions).  Feeds the adaptive
-    /// query planner's §11 cost model.
+    /// The simulated inter-cloud link the transport runs over (ideal unless the
+    /// session was connected to a pool with an RTT).  Feeds the adaptive query
+    /// planner's §11 cost model.
     pub fn link_profile(&self) -> LinkProfile {
         self.transport.link()
     }
@@ -438,8 +464,18 @@ mod tests {
         let master = MasterKeys::generate(MIN_MODULUS_BITS, 2, &mut rng).unwrap();
         let a = TwoClouds::with_transport(&master, 1, TransportKind::InProcess, true).unwrap();
         assert_eq!(a.transport_kind(), TransportKind::InProcess);
-        let b = TwoClouds::with_transport(&master, 1, TransportKind::Channel, false).unwrap();
-        assert_eq!(b.transport_kind(), TransportKind::Channel);
+        let b = TwoClouds::with_transport(&master, 1, TransportKind::Multiplex, false).unwrap();
+        assert_eq!(b.transport_kind(), TransportKind::Multiplex);
         assert!(!b.batching());
+        // Multiplex and Tcp sessions are self-contained: they join the process-wide
+        // loopback pool / listener, and each session's S2 state is its own.
+        let mut c = TwoClouds::with_transport(&master, 1, TransportKind::Tcp, true).unwrap();
+        assert_eq!(c.transport_kind(), TransportKind::Tcp);
+        let x = c.pk().clone().encrypt_u64(1, &mut c.s1.rng).unwrap();
+        let y = c.pk().clone().encrypt_u64(2, &mut c.s1.rng).unwrap();
+        c.enc_compare(&x, &y, "test").unwrap();
+        assert_eq!(c.channel().rounds, 1);
+        assert!(!c.s2_ledger().is_empty());
+        assert!(b.s2_ledger().is_empty(), "a neighbour on the same pool saw nothing");
     }
 }

@@ -10,17 +10,17 @@
 //!   the S2 engine, with the [`channel::ChannelMetrics`] accounting and the per-party
 //!   [`ledger::LeakageLedger`].
 //! * [`transport`] — the typed [`transport::S1Request`] / [`transport::S2Response`]
-//!   message layer, round-trip batching, and the in-process / threaded channel
-//!   implementations.
+//!   message layer, round-trip batching, and the two [`transport::Transport`]
+//!   implementations: the in-process direct call and the envelope client.
 //! * [`multiplex`] — session-multiplexed serving: one S2 worker pool answering many
 //!   concurrent S1 sessions over session-tagged envelopes, with per-session ledgers,
-//!   metrics and deterministic nonce-pool shards.
+//!   metrics and deterministic nonce-pool shards, and the one session table.
 //! * [`tcp`] — the real-socket deployment: the same envelopes length-prefix-framed over
 //!   TCP, with a connection handshake that provisions the session's engine, and the
 //!   listener ([`tcp::TcpCloudServer`]) feeding connections into the multiplex pool.
 //! * [`engine`] — the crypto cloud S2 as a request-processing engine (all S2-side
 //!   protocol logic, keys and randomness).
-//! * [`wire`] — the binary codec every message is measured (and, on the threaded
+//! * [`wire`] — the binary codec every message is measured (and, on the envelope
 //!   transport, actually shipped) in.
 //! * [`primitives`] — batched EHL equality tests, `RecoverEnc` (Algorithm 5), encrypted
 //!   selection, and the `EncCompare` realisation.
@@ -84,16 +84,14 @@ pub use items::{
 };
 pub use join::{EncryptedTuple, JoinSpec, JoinedTuple};
 pub use ledger::{LeakageEvent, LeakageLedger};
-pub use multiplex::{
-    Envelope, LinkProfile, MultiplexServer, MultiplexTransport, PoolLimits, SessionId,
-};
+pub use multiplex::{Envelope, LinkProfile, MultiplexServer, PoolLimits, SessionId};
 pub use primitives::EqBatch;
 pub use tcp::{
-    FaultPlan, RetryPolicy, TcpCloudServer, TcpOptions, TcpServerConfig, TcpTransport,
-    MAX_FRAME_LEN, TCP_PROTOCOL_VERSION,
+    FaultPlan, RetryPolicy, TcpCloudServer, TcpOptions, TcpServerConfig, MAX_FRAME_LEN,
+    TCP_PROTOCOL_VERSION,
 };
 pub use transport::{
-    ChannelTransport, InProcessTransport, S1Request, S2Response, Transport, TransportKind,
+    EnvelopeTransport, InProcessTransport, S1Request, S2Response, Transport, TransportKind,
     TRANSPORT_ENV,
 };
 pub use update::UpdateMode;

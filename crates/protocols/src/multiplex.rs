@@ -1,20 +1,20 @@
 //! Session-multiplexed serving: one crypto-cloud S2 worker pool answering many
-//! concurrent S1 sessions over a single byte channel.
+//! concurrent S1 sessions, and the one table that holds their lifecycle.
 //!
 //! # Why sessions
 //!
 //! The paper's deployment (§3.2) is a *service*: the primary cloud S1 answers top-k
 //! queries for many independent clients, using the crypto cloud S2 as a co-processor.
-//! [`crate::transport::ChannelTransport`] models one S1 talking to one dedicated S2
-//! thread; this module generalises it to the served workload — a [`MultiplexServer`]
-//! owns a pool of S2 worker threads and a registry of per-session state, and every
-//! connected [`MultiplexTransport`] is one S1 session:
+//! A [`MultiplexServer`] owns a pool of S2 worker threads and a table of per-session
+//! state; every connected [`EnvelopeTransport`] is one S1 session, whether its
+//! envelopes arrive over the in-memory conduit or through a TCP bridge thread
+//! ([`crate::tcp`]):
 //!
 //! ```text
 //!   session 1  S1 ──┐                               ┌── worker 1 ──┐
-//!   session 2  S1 ──┤   Envelope{session, seq,      ├── worker 2 ──┤   per-session
-//!   session 3  S1 ──┼──  frame bytes}  ───────────▶ ├── …          ├─▶ S2Engine
-//!      …            │   shared mpsc byte channel    └── worker W ──┘   (keys shared
+//!   session 2  S1 ──┤   (slot, seq, frame)          ├── worker 2 ──┤   per-session
+//!   session 3  S1 ──┼──────────────────────────────▶├── …          ├─▶ S2Engine
+//!      …            │   one shared typed inbox      └── worker W ──┘   (keys shared
 //!   session N  S1 ──┘                                                   behind Arc)
 //!        ▲                                                 │
 //!        └──────────── per-session reply channel ◀─────────┘
@@ -36,45 +36,47 @@
 //! The engines share the key material (`S2Keys` is `Arc`-backed, so worker threads
 //! share one copy of the moduli and Montgomery contexts), but no mutable state.
 //!
-//! Because a session's client blocks on [`Transport::round_trip`], at most one request
-//! per session is in flight: workers never contend on a session's engine, only on the
-//! shared inbox.
+//! Because a session's client blocks on [`Transport::round_trip`](crate::Transport),
+//! at most one request per session is in flight: workers never contend on a session's
+//! engine, only on the shared inbox.
 //!
 //! # Wire envelope
 //!
-//! Every message on the multiplexed channel is an [`Envelope`]: a fixed 16-byte header
-//! (session id and sequence number, both little-endian `u64`) followed by the same
-//! tag-plus-payload frame [`crate::transport::ChannelTransport`] ships.  The server
-//! echoes the header on the reply, and the transport verifies the echo, so a response
-//! can never be attributed to the wrong session or request.  Metering counts the
-//! payload only (headers and tags are local framing, exactly as on the other
-//! transports), which keeps [`crate::channel::ChannelMetrics`] byte-identical across
-//! all three transport implementations.
+//! On a link, every message is an [`Envelope`]: a fixed 16-byte header (session id and
+//! sequence number, both little-endian `u64`) followed by a tag-plus-payload frame.
+//! The server echoes the header on the reply and the client verifies the echo, so a
+//! response can never be attributed to the wrong session or request.  Inside the
+//! process nothing is encoded: the inbox carries `(slot, seq, frame)` — the slot the
+//! envelope was *submitted through*, not an id to look up — so an envelope that
+//! outlives its session (a duplicate still queued when the session is reaped) runs
+//! against the orphaned slot and can never reach a new session that re-attached under
+//! the same id.
 //!
 //! # Simulated link
 //!
 //! A [`LinkProfile`] optionally adds a per-round-trip RTT on the client side, modelling
 //! the inter-cloud WAN of §11.2.5 (the paper assumes a 50 Mbps link between S1 and S2).
 //! Under a latency-bound link, session multiplexing is what buys aggregate throughput:
-//! while one session waits out its RTT, the worker pool serves the others.  The
-//! `throughput` bench sweeps exactly this.
+//! while one session waits out its RTT, the worker pool serves the others.
 //!
-//! # Fault tolerance: the session slot lifecycle
+//! # The session table
 //!
-//! A session's engine state (ledger, nonce shards, pending equality bits) must survive
-//! the *connection* that carries its envelopes — the TCP listener parks a dropped
-//! connection's slot and a resuming client reattaches to it:
+//! Everything about a session's lifecycle lives in one table under one lock: whether
+//! it is connected or parked (and until when), the resume token a reconnecting client
+//! must present, the slot holding its engine and replay cache, and the admission cap.
+//! A session's engine state must survive the *connection* that carries its envelopes —
+//! the TCP listener parks a dropped connection's session and a resuming client takes
+//! it over:
 //!
 //! ```text
-//!              attach()                    connection drops
+//!              attach()                   conduit.park(deadline)
 //!   (free) ──────────────▶ ACTIVE ─────────────────────────────▶ PARKED
-//!                            ▲                                   │    │
-//!                            │            reattach()             │    │ TTL expires /
-//!                            └───────────────────────────────────┘    │ drain
-//!                                    (RESUMED: same slot,             ▼
-//!                                     fresh reply channel)         EXPIRED
-//!                                                              (DISCONNECT reaps
-//!                                                               the slot; id free)
+//!      ▲                    │  ▲                                 │    │
+//!      │    conduit.close() │  │    resume(token): same slot,    │    │ deadline
+//!      └────────────────────┘  │    fresh reply channel,         │    │ passes /
+//!      ▲                       └─────────────────────────────────┘    │ drain
+//!      │                            token rotated                     ▼
+//!      └──────────────────────── reap_parked() ◀──────────────────  EXPIRED
 //! ```
 //!
 //! Exactly-once across the drop is guaranteed by a per-slot **last-reply cache**: every
@@ -86,37 +88,37 @@
 //!
 //! # Admission control
 //!
-//! [`PoolLimits`] bounds the pool: `max_sessions` caps the registry, and
+//! [`PoolLimits`] bounds the pool: `max_sessions` caps the table (connected and parked
+//! sessions alike, checked under the lock that seats the newcomer), and
 //! `session_queue_depth` bounds each session's share of the shared inbox.  Work beyond
 //! either bound is *shed* — rejected with a typed
 //! [`WireErrorCode::Overloaded`](crate::wire::WireErrorCode) frame before touching any
 //! engine state — so overload degrades into clean, retryable refusals instead of
 //! unbounded queueing.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap, OccupiedEntry};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sectopk_metrics::{Counter, Histogram, Registry as MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
-use crate::channel::{ChannelMetrics, Direction};
 use crate::engine::S2Engine;
 use crate::error::{ProtocolError, Result};
-use crate::ledger::LeakageLedger;
 use crate::plock::PoisonFree;
 use crate::transport::{
-    frame, framed, response_or_error, S1Request, S2Response, Transport, TransportKind,
+    frame, framed, EnvelopeTransport, Pipe, S1Request, S2Response, TransportKind,
 };
 use crate::wire;
 use crate::wire::WireError;
 
-/// Identifier of one S1 session on a multiplexed channel.  Chosen by the serving layer
-/// (e.g. densely numbered client connections); must be unique per [`MultiplexServer`].
+/// Identifier of one S1 session of a [`MultiplexServer`].  Chosen by the serving layer
+/// (e.g. densely numbered client connections) and unique per server; `SessionId(0)` is
+/// reserved for "let the server assign one".
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SessionId(pub u64);
 
@@ -126,11 +128,15 @@ impl fmt::Display for SessionId {
     }
 }
 
+/// Session ids the server assigns start above here, far beyond anything clients
+/// propose densely, so assigned and proposed ids never collide by accident.
+pub(crate) const ASSIGNED_SESSION_BASE: u64 = 1 << 32;
+
 /// Bytes of the fixed envelope header: session id + sequence number, both `u64` LE.
 pub const ENVELOPE_HEADER_LEN: usize = 16;
 
-/// One message on the multiplexed byte channel: the session id, the sender's sequence
-/// number (echoed verbatim on replies), and the tag-plus-payload frame.
+/// One message of a session: the session id, the sender's sequence number (echoed
+/// verbatim on replies), and the tag-plus-payload frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Envelope {
     /// Which session this frame belongs to.
@@ -142,7 +148,7 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Encode header + frame into channel bytes.
+    /// Encode header + frame into link bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(ENVELOPE_HEADER_LEN + self.frame.len());
         out.extend_from_slice(&self.session.0.to_le_bytes());
@@ -151,8 +157,8 @@ impl Envelope {
         out
     }
 
-    /// Decode channel bytes back into an envelope.  The frame may be empty only for
-    /// control messages that carry no tag; protocol traffic always has at least a tag.
+    /// Decode link bytes back into an envelope.  An empty frame decodes; the pool
+    /// answers it with a typed error like any other frame it cannot dispatch.
     pub fn decode(bytes: &[u8]) -> Result<Envelope> {
         let Some((session, rest)) = bytes.split_first_chunk::<8>() else {
             return Err(ProtocolError::transport("truncated multiplex envelope"));
@@ -204,8 +210,8 @@ const DEFAULT_SESSION_QUEUE_DEPTH: usize = 4;
 /// Admission-control bounds of a [`MultiplexServer`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolLimits {
-    /// Maximum number of simultaneously registered sessions (attachment beyond this is
-    /// shed with a typed overload rejection).
+    /// Maximum number of sessions the table holds, connected and parked alike
+    /// (attachment beyond this is shed with a typed overload rejection).
     pub max_sessions: usize,
     /// Maximum envelopes one session may have waiting in the shared
     /// inbox; submissions beyond it are shed with a
@@ -228,9 +234,8 @@ struct PoolStats {
     replayed: AtomicU64,
     /// Submissions shed because a session exceeded its inbox bound.
     shed: AtomicU64,
-    /// Envelopes submitted to the shared inbox and not yet picked up by a worker.
-    /// Approximate under teardown (shutdown frames are uncounted, decrements
-    /// saturate); used only to sample inbox depth into the metrics histogram.
+    /// Envelopes submitted to the shared inbox and not yet picked up by a worker;
+    /// used only to sample inbox depth into the metrics histogram.
     pending: AtomicUsize,
 }
 
@@ -244,12 +249,12 @@ struct PoolMetrics {
     shed: Counter,
     /// Mirrors [`PoolStats::replayed`] (`pool.replayed`).
     replayed: Counter,
-    /// Sessions registered through [`MultiplexServer::attach`] (`pool.attached`).
+    /// Sessions seated through [`MultiplexServer::attach`] (`pool.attached`).
     attached: Counter,
-    /// Parked sessions taken over through [`MultiplexServer::reattach`]
+    /// Parked sessions taken over through [`MultiplexServer::resume`]
     /// (`pool.reattached`).
     reattached: Counter,
-    /// Sessions reaped through [`MultiplexServer::evict`] (`pool.evicted`).
+    /// Sessions removed on behalf of a dead or expired client (`pool.evicted`).
     evicted: Counter,
     /// Inbox depth sampled at each submission (`pool.inbox_depth`).
     inbox_depth: Histogram,
@@ -268,38 +273,56 @@ impl PoolMetrics {
     }
 }
 
-/// Per-session server-side state: the session's own engine (ledger, RNG, pool shards,
-/// accumulated equality bits), the bounded channel its replies travel back on, the
-/// count of submitted-but-not-yet-picked-up envelopes, and the last-reply cache that
-/// makes
-/// retried sequence numbers idempotent.
+/// Per-session server-side state that outlives any one connection: the session's own
+/// engine (ledger, RNG, pool shards, accumulated equality bits), the bounded channel its
+/// replies travel back on, the count of submitted-but-not-yet-picked-up envelopes, and
+/// the last-reply cache that makes retried sequence numbers idempotent.
 struct SessionSlot {
-    /// Unique per *attachment* (not per session id): every inbox message is tagged
-    /// with the epoch of the slot it was submitted through, and a worker drops
-    /// messages whose epoch disagrees with the registered slot's.  Without this, a
-    /// duplicate envelope lingering in the shared inbox past a session's teardown —
-    /// e.g. a resumed client's re-send whose original was still queued — could be
-    /// routed to a *new* session that re-attached under the same id, executing on the
-    /// wrong engine and corrupting its inflight accounting.
-    epoch: u64,
+    session: SessionId,
     engine: Mutex<S2Engine>,
-    /// Swapped by [`MultiplexServer::reattach`] when a resumed connection takes over
-    /// the session — the engine and cache survive, only the reply path changes.
-    replies: Mutex<mpsc::SyncSender<Vec<u8>>>,
-    /// Envelopes submitted through [`SessionConduit::submit`] and not yet answered.
+    /// Swapped by [`MultiplexServer::resume`] when a resumed connection takes over the
+    /// session — the engine and cache survive, only the reply path changes.
+    replies: Mutex<mpsc::SyncSender<Envelope>>,
+    /// Envelopes submitted through [`SessionConduit::submit`] and not yet picked up.
     inflight: AtomicUsize,
-    /// `(seq, encoded reply envelope)` of the most recent request reply.  A re-sent
-    /// `seq` is answered from here without touching the engine (exactly-once effects).
+    /// `(seq, reply frame)` of the most recent request reply.  A re-sent `seq` is
+    /// answered from here without touching the engine (exactly-once effects).
     last_reply: Mutex<Option<(u64, Vec<u8>)>>,
 }
 
-impl SessionSlot {
-    /// Send `bytes` down the session's *current* reply channel (best effort: a send
-    /// failure means the session's client hung up and the reply is dropped).
-    fn send_reply(&self, bytes: Vec<u8>) {
-        let replies = self.replies.plock().clone();
-        let _ = replies.send(bytes);
-    }
+/// One unit of work on the shared inbox.
+enum Job {
+    /// A session's frame, carrying the slot it was submitted through.
+    Frame { slot: Arc<SessionSlot>, seq: u64, frame: Vec<u8> },
+    /// Terminate one worker.
+    Shutdown,
+}
+
+/// One row of the session table.
+struct Seat {
+    slot: Arc<SessionSlot>,
+    /// What a resuming connection must present; rotated on every resume.  0 marks a
+    /// session that cannot be resumed (it never crossed a connection that can drop).
+    token: u64,
+    /// `Some(deadline)` while the session's connection is gone and it awaits a resume.
+    parked_until: Option<Instant>,
+}
+
+/// The one place session lifecycle lives; always accessed under [`Pool::table`]'s lock.
+struct SessionTable {
+    seats: HashMap<SessionId, Seat>,
+    /// Last server-assigned session id.
+    last_assigned: u64,
+}
+
+/// Everything the server handle, the workers and the conduits share.
+struct Pool {
+    inbox: mpsc::Sender<Job>,
+    table: Mutex<SessionTable>,
+    limits: PoolLimits,
+    stats: PoolStats,
+    metrics: PoolMetrics,
+    metrics_registry: MetricsRegistry,
 }
 
 /// Why a submission was refused by [`SessionConduit::submit`].
@@ -311,74 +334,127 @@ pub(crate) enum SubmitError {
     ServerGone,
 }
 
-/// Raw channel endpoints of one registered session: the shared server inbox plus the
-/// session's private reply queue.  Gateway bridges (the TCP listener's per-connection
-/// threads) forward envelope bytes through these; local in-process clients use the
-/// [`MultiplexTransport`] built on the same endpoints by [`MultiplexServer::connect`].
+/// The S2-side endpoints of one seated session: the shared inbox plus the session's
+/// private reply queue.  Gateway bridges (the TCP listener's per-connection threads)
+/// move frames through these directly; local clients use the [`EnvelopeTransport`]
+/// that [`MultiplexServer::connect`] builds on the same endpoints.
 pub(crate) struct SessionConduit {
-    pub(crate) to_server: mpsc::Sender<Vec<u8>>,
-    pub(crate) from_server: mpsc::Receiver<Vec<u8>>,
+    pool: Arc<Pool>,
     slot: Arc<SessionSlot>,
-    queue_depth: usize,
-    stats: Arc<PoolStats>,
-    metrics: PoolMetrics,
+    replies: mpsc::Receiver<Envelope>,
 }
 
 impl SessionConduit {
-    /// Submit one encoded envelope, enforcing the session's inbox bound.  DISCONNECT
-    /// frames must go through [`SessionConduit::disconnect`] instead — teardown is
-    /// never shed.
-    pub(crate) fn submit(&self, bytes: Vec<u8>) -> std::result::Result<(), SubmitError> {
+    /// The (possibly server-assigned) id this conduit's session is seated under.
+    pub(crate) fn session(&self) -> SessionId {
+        self.slot.session
+    }
+
+    /// Submit one frame under `seq`, enforcing the session's inbox bound.
+    pub(crate) fn submit(&self, seq: u64, frame: Vec<u8>) -> std::result::Result<(), SubmitError> {
+        let pool = &*self.pool;
         let previous = self.slot.inflight.fetch_add(1, Ordering::SeqCst);
-        if previous >= self.queue_depth {
+        if previous >= pool.limits.session_queue_depth {
             self.slot.inflight.fetch_sub(1, Ordering::SeqCst);
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            self.metrics.shed.incr();
+            pool.stats.shed.fetch_add(1, Ordering::Relaxed);
+            pool.metrics.shed.incr();
             return Err(SubmitError::QueueFull);
         }
-        self.to_server.send(tag_epoch(self.slot.epoch, &bytes)).map_err(|_| {
+        // Counted before the send, so the worker's decrement can never run first.
+        let depth = pool.stats.pending.fetch_add(1, Ordering::Relaxed) + 1;
+        pool.metrics.inbox_depth.observe(depth as u64);
+        pool.inbox.send(Job::Frame { slot: Arc::clone(&self.slot), seq, frame }).map_err(|_| {
             self.slot.inflight.fetch_sub(1, Ordering::SeqCst);
+            pool.stats.pending.fetch_sub(1, Ordering::Relaxed);
             SubmitError::ServerGone
+        })
+    }
+
+    /// Block for the session's next reply; `None` once the server is gone.
+    pub(crate) fn recv(&self) -> Option<Envelope> {
+        self.replies.recv().ok()
+    }
+
+    /// Run `update` on this session's seat — unless the seat is gone or belongs to a
+    /// later session that re-attached under the same id.
+    fn with_seat<T>(
+        &self,
+        update: impl FnOnce(OccupiedEntry<'_, SessionId, Seat>) -> T,
+    ) -> Option<T> {
+        match self.pool.table.plock().seats.entry(self.slot.session) {
+            Entry::Occupied(seat) if Arc::ptr_eq(&seat.get().slot, &self.slot) => {
+                Some(update(seat))
+            }
+            _ => None,
+        }
+    }
+
+    /// Unseat the session, freeing its id and dropping its engine.  `clean` tells a
+    /// client's own DISCONNECT from a removal on behalf of a client that died.  A
+    /// worker mid-request on the slot finishes against its own `Arc` and the reply
+    /// goes nowhere.
+    pub(crate) fn close(&self, clean: bool) {
+        if self.with_seat(|seat| seat.remove()).is_some() && !clean {
+            self.pool.metrics.evicted.incr();
+        }
+    }
+
+    /// Park the session until `deadline`: its connection is gone, its engine, ledger,
+    /// replay cache and resume token stay.  `false` if the session is no longer seated.
+    pub(crate) fn park(&self, deadline: Instant) -> bool {
+        self.with_seat(|mut seat| seat.get_mut().parked_until = Some(deadline)).is_some()
+    }
+}
+
+/// The in-memory [`Pipe`]: frames go straight onto the pool's inbox.
+struct ConduitPipe {
+    conduit: SessionConduit,
+    link: LinkProfile,
+}
+
+impl Pipe for ConduitPipe {
+    fn kind(&self) -> TransportKind {
+        TransportKind::Multiplex
+    }
+
+    fn link(&self) -> LinkProfile {
+        self.link
+    }
+
+    fn send(&mut self, envelope: &Envelope, _first_attempt: bool) -> Result<()> {
+        self.conduit.submit(envelope.seq, envelope.frame.clone()).map_err(|e| match e {
+            // A compliant client holds one request in flight, so its own submissions
+            // are only ever shed under a pathological queue-depth configuration; the
+            // typed overload error keeps even that case retryable.
+            SubmitError::QueueFull => ProtocolError::Remote(WireError::overloaded(format!(
+                "{} inbox full, request shed",
+                envelope.session
+            ))),
+            SubmitError::ServerGone => ProtocolError::transport_io("multiplex server is gone"),
         })?;
-        let depth = self.stats.pending.fetch_add(1, Ordering::Relaxed) + 1;
-        self.metrics.inbox_depth.observe(depth as u64);
+        // The simulated RTT runs *between* the send and the receive, so it overlaps
+        // with S2's compute exactly as propagation overlaps with remote work on a real
+        // link.  Control traffic (sequence number 0) skips the link.
+        if envelope.seq != 0 && !self.link.rtt.is_zero() {
+            std::thread::sleep(self.link.rtt);
+        }
         Ok(())
     }
 
-    /// Submit a teardown envelope, bypassing the inbox bound (reaping a session frees
-    /// capacity and must never be refused for lack of it).
-    pub(crate) fn disconnect(&self, bytes: Vec<u8>) -> std::result::Result<(), SubmitError> {
-        self.to_server
-            .send(tag_epoch(self.slot.epoch, &bytes))
-            .map_err(|_| SubmitError::ServerGone)?;
-        self.stats.pending.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+    fn recv(&mut self) -> Result<Envelope> {
+        self.conduit.recv().ok_or_else(|| ProtocolError::transport_io("multiplex server hung up"))
+    }
+
+    fn disconnect(&mut self, _envelope: &Envelope) {
+        self.conduit.close(true);
     }
 }
-
-/// Prefix an encoded envelope with the epoch of the slot it is being submitted
-/// through; [`worker_loop`] strips and checks it (see [`SessionSlot::epoch`]).
-fn tag_epoch(epoch: u64, bytes: &[u8]) -> Vec<u8> {
-    let mut tagged = Vec::with_capacity(8 + bytes.len());
-    tagged.extend_from_slice(&epoch.to_le_bytes());
-    tagged.extend_from_slice(bytes);
-    tagged
-}
-
-type Registry = Arc<Mutex<HashMap<SessionId, Arc<SessionSlot>>>>;
 
 /// The crypto cloud S2 as a multi-session service: a worker-thread pool draining one
-/// shared byte channel, routing each [`Envelope`] to its session's engine.
+/// shared inbox, each job carrying the session slot it runs against.
 pub struct MultiplexServer {
-    inbox: mpsc::Sender<Vec<u8>>,
-    registry: Registry,
+    pool: Arc<Pool>,
     workers: Vec<JoinHandle<()>>,
-    limits: PoolLimits,
-    stats: Arc<PoolStats>,
-    metrics: PoolMetrics,
-    metrics_registry: MetricsRegistry,
-    /// Source of [`SessionSlot::epoch`] values; each attachment gets a fresh one.
-    epochs: AtomicU64,
 }
 
 impl fmt::Debug for MultiplexServer {
@@ -390,21 +466,25 @@ impl fmt::Debug for MultiplexServer {
     }
 }
 
-/// Why [`MultiplexServer::attach`] refused a session (the engine is handed back so the
-/// caller can retry without rebuilding it).
-#[derive(Debug)]
-pub(crate) struct AttachError {
-    pub(crate) engine: S2Engine,
-    pub(crate) reason: AttachReason,
-}
-
-/// Refusal class of an [`AttachError`].
+/// Why [`MultiplexServer::attach`] refused a session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum AttachReason {
-    /// The session id is already registered.
+pub(crate) enum AttachError {
+    /// The proposed session id is already seated.
     InUse,
     /// The session table is at [`PoolLimits::max_sessions`] — a transient overload.
     Full,
+}
+
+/// Why [`MultiplexServer::resume`] refused a claim.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ResumeError {
+    /// No such session: never seated, disconnected, or parked past its deadline.
+    Unknown,
+    /// The presented token is not the session's current one.
+    BadToken,
+    /// The session is seated but not parked — its previous connection has not been
+    /// seen to die (yet).
+    StillConnected,
 }
 
 impl MultiplexServer {
@@ -426,45 +506,40 @@ impl MultiplexServer {
     /// (`pool.inbox_depth`), per-worker busy-time histograms
     /// (`pool.worker.{i}.busy_nanos`), and every attached session engine's request
     /// counters.  A disabled registry makes every instrument a no-op; either way the
-    /// protocol bytes, ledgers and [`ChannelMetrics`] are unaffected.
+    /// protocol bytes, ledgers and [`crate::ChannelMetrics`] are unaffected.
     pub fn with_limits_and_metrics(
         workers: usize,
         limits: PoolLimits,
         metrics_registry: MetricsRegistry,
     ) -> Self {
-        let workers = workers.max(1);
-        let limits = PoolLimits {
-            max_sessions: limits.max_sessions.max(1),
-            session_queue_depth: limits.session_queue_depth.max(1),
-        };
-        let (inbox, rx) = mpsc::channel::<Vec<u8>>();
+        let (inbox, rx) = mpsc::channel::<Job>();
         let shared_rx = Arc::new(Mutex::new(rx));
-        let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
-        let stats = Arc::new(PoolStats::default());
-        let metrics = PoolMetrics::from_registry(&metrics_registry);
-        let handles = (0..workers)
+        let pool = Arc::new(Pool {
+            inbox,
+            table: Mutex::new(SessionTable {
+                seats: HashMap::new(),
+                last_assigned: ASSIGNED_SESSION_BASE,
+            }),
+            limits: PoolLimits {
+                max_sessions: limits.max_sessions.max(1),
+                session_queue_depth: limits.session_queue_depth.max(1),
+            },
+            stats: PoolStats::default(),
+            metrics: PoolMetrics::from_registry(&metrics_registry),
+            metrics_registry,
+        });
+        let workers = (0..workers.max(1))
             .map(|i| {
                 let rx = Arc::clone(&shared_rx);
-                let registry = Arc::clone(&registry);
-                let stats = Arc::clone(&stats);
-                let pool_metrics = metrics.clone();
-                let busy = metrics_registry.histogram(&format!("pool.worker.{i}.busy_nanos"));
+                let pool = Arc::clone(&pool);
+                let busy = pool.metrics_registry.histogram(&format!("pool.worker.{i}.busy_nanos"));
                 std::thread::Builder::new()
                     .name(format!("sectopk-s2-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &registry, &stats, &pool_metrics, &busy))
+                    .spawn(move || worker_loop(&rx, &pool, &busy))
                     .expect("spawn S2 worker thread")
             })
             .collect();
-        MultiplexServer {
-            inbox,
-            registry,
-            workers: handles,
-            limits,
-            stats,
-            metrics,
-            metrics_registry,
-            epochs: AtomicU64::new(0),
-        }
+        MultiplexServer { pool, workers }
     }
 
     /// Number of worker threads in the pool.
@@ -472,238 +547,188 @@ impl MultiplexServer {
         self.workers.len()
     }
 
-    /// Number of currently connected sessions.
+    /// Number of sessions the table currently holds, connected and parked alike.
     pub fn active_sessions(&self) -> usize {
-        self.registry.plock().len()
+        self.pool.table.plock().seats.len()
+    }
+
+    /// Number of sessions parked after their connection died, awaiting a resume.
+    pub(crate) fn parked_sessions(&self) -> usize {
+        self.pool.table.plock().seats.values().filter(|s| s.parked_until.is_some()).count()
     }
 
     /// The admission-control bounds this pool runs under.
     pub fn limits(&self) -> PoolLimits {
-        self.limits
+        self.pool.limits
     }
 
     /// Replies served from a session's last-reply cache instead of re-executing the
     /// request — each one is a retry made idempotent.
     pub fn replayed_replies(&self) -> u64 {
-        self.stats.replayed.load(Ordering::Relaxed)
+        self.pool.stats.replayed.load(Ordering::Relaxed)
     }
 
     /// Submissions shed because a session exceeded its inbox bound.
     pub fn shed_requests(&self) -> u64 {
-        self.stats.shed.load(Ordering::Relaxed)
+        self.pool.stats.shed.load(Ordering::Relaxed)
     }
 
     /// The metrics registry this pool reports into.  Disabled (all instruments no-ops)
     /// unless the server was built with [`MultiplexServer::with_limits_and_metrics`];
     /// snapshot it at any time with [`sectopk_metrics::Registry::snapshot`].
     pub fn metrics_registry(&self) -> &MetricsRegistry {
-        &self.metrics_registry
+        &self.pool.metrics_registry
     }
 
-    /// Register `session` backed by `engine` and hand back the S1-side transport for
-    /// it.  The engine carries the session's seed (and thereby its deterministic pool
-    /// shards); build it with [`sectopk_crypto::pool::shard_seed`]-derived seeds when
-    /// serving many sessions from one base seed.  Fails if the id is already connected
-    /// or the session table is full.
+    /// Seat `session` backed by `engine` and hand back the S1-side transport for it
+    /// (`SessionId(0)` lets the server assign the id).  The engine carries the
+    /// session's seed (and thereby its deterministic pool shards); build it with
+    /// [`sectopk_crypto::pool::shard_seed`]-derived seeds when serving many sessions
+    /// from one base seed.  Fails if the id is already seated or the table is full.
     pub fn connect(
         &self,
         session: SessionId,
         engine: S2Engine,
         link: LinkProfile,
-    ) -> Result<MultiplexTransport> {
-        let conduit = self.attach(session, engine).map_err(|e| match e.reason {
-            AttachReason::InUse => {
+    ) -> Result<EnvelopeTransport> {
+        let conduit = self.attach(session, engine, 0).map_err(|e| match e {
+            AttachError::InUse => {
                 ProtocolError::transport_rejected(format!("{session} is already connected"))
             }
-            AttachReason::Full => ProtocolError::transport_overloaded(format!(
+            AttachError::Full => ProtocolError::transport_overloaded(format!(
                 "session table full ({} sessions)",
-                self.limits.max_sessions
+                self.pool.limits.max_sessions
             )),
         })?;
-        Ok(MultiplexTransport {
-            session,
-            seq: 0,
-            conduit,
-            link,
-            metrics: ChannelMetrics::new(),
-            private_server: None,
-        })
+        Ok(EnvelopeTransport::new(conduit.session(), Box::new(ConduitPipe { conduit, link })))
     }
 
-    /// Drop `session`'s slot from the registry immediately — the TCP listener's
-    /// reaping path for dead or expired connections.  Safe to call only while no new
-    /// attachment of the same id can exist (which holds for every listener call site:
-    /// a fresh hello cannot claim an id while it is still registered).  A worker
-    /// mid-request on the slot finishes against its own `Arc` and drops the reply.
-    pub(crate) fn evict(&self, session: SessionId) {
-        if self.registry.plock().remove(&session).is_some() {
-            self.metrics.evicted.incr();
-        }
+    fn conduit(&self, slot: Arc<SessionSlot>, replies: mpsc::Receiver<Envelope>) -> SessionConduit {
+        SessionConduit { pool: Arc::clone(&self.pool), slot, replies }
     }
 
-    /// Whether `session` is currently registered (active or parked — the pool does not
-    /// distinguish; parking is the TCP listener's bookkeeping).
-    pub(crate) fn has_session(&self, session: SessionId) -> bool {
-        self.registry.plock().contains_key(&session)
-    }
-
-    /// Register `session` backed by `engine` and hand back the raw channel endpoints.
-    /// On refusal the engine is handed back so the caller can retry under a different
-    /// id (the TCP listener's session negotiation does exactly that).
-    // The large Err *is* the point: the caller gets its engine back by value instead
-    // of rebuilding it, and this is a cold, crate-internal path.
-    #[allow(clippy::result_large_err)]
+    /// Seat a new session backed by `engine` under the `proposed` id (0: assign one),
+    /// resumable with `token` (0: never).  The id check, the admission cap and the
+    /// insertion happen under one lock, so concurrent attachments cannot over-admit.
     pub(crate) fn attach(
         &self,
-        session: SessionId,
+        proposed: SessionId,
         mut engine: S2Engine,
+        token: u64,
     ) -> std::result::Result<SessionConduit, AttachError> {
-        let (reply_tx, reply_rx) = mpsc::sync_channel::<Vec<u8>>(REPLY_QUEUE_DEPTH);
-        let mut registry = self.registry.plock();
-        if registry.contains_key(&session) {
-            return Err(AttachError { engine, reason: AttachReason::InUse });
+        let (reply_tx, reply_rx) = mpsc::sync_channel(REPLY_QUEUE_DEPTH);
+        let mut table = self.pool.table.plock();
+        if table.seats.contains_key(&proposed) {
+            return Err(AttachError::InUse);
         }
-        if registry.len() >= self.limits.max_sessions {
-            return Err(AttachError { engine, reason: AttachReason::Full });
+        if table.seats.len() >= self.pool.limits.max_sessions {
+            return Err(AttachError::Full);
+        }
+        let mut session = proposed;
+        while session.0 == 0 || table.seats.contains_key(&session) {
+            table.last_assigned += 1;
+            session = SessionId(table.last_assigned);
         }
         // Every engine served by this pool reports into the pool's registry (request
         // counters, compute-time histograms); a disabled registry makes that a no-op.
-        engine.set_metrics_registry(&self.metrics_registry);
-        self.metrics.attached.incr();
+        engine.set_metrics_registry(&self.pool.metrics_registry);
+        self.pool.metrics.attached.incr();
         let slot = Arc::new(SessionSlot {
-            epoch: 1 + self.epochs.fetch_add(1, Ordering::Relaxed),
+            session,
             engine: Mutex::new(engine),
             replies: Mutex::new(reply_tx),
             inflight: AtomicUsize::new(0),
             last_reply: Mutex::new(None),
         });
-        registry.insert(session, Arc::clone(&slot));
-        Ok(SessionConduit {
-            to_server: self.inbox.clone(),
-            from_server: reply_rx,
-            slot,
-            queue_depth: self.limits.session_queue_depth,
-            stats: Arc::clone(&self.stats),
-            metrics: self.metrics.clone(),
-        })
+        table.seats.insert(session, Seat { slot: Arc::clone(&slot), token, parked_until: None });
+        Ok(self.conduit(slot, reply_rx))
     }
 
-    /// Take over an existing (parked) session: swap in a fresh reply channel and hand
-    /// back conduit endpoints for the *same* slot — engine, ledger, nonce shards and
-    /// last-reply cache all survive.  Returns `None` when the session is not
-    /// registered (it was reaped, e.g. after its park TTL expired).
-    pub(crate) fn reattach(&self, session: SessionId) -> Option<SessionConduit> {
-        let registry = self.registry.plock();
-        let slot = Arc::clone(registry.get(&session)?);
-        let (reply_tx, reply_rx) = mpsc::sync_channel::<Vec<u8>>(REPLY_QUEUE_DEPTH);
-        *slot.replies.plock() = reply_tx;
-        self.metrics.reattached.incr();
-        Some(SessionConduit {
-            to_server: self.inbox.clone(),
-            from_server: reply_rx,
-            slot,
-            queue_depth: self.limits.session_queue_depth,
-            stats: Arc::clone(&self.stats),
-            metrics: self.metrics.clone(),
-        })
-    }
-
-    /// Drop `session`'s cached last reply if the client has already acknowledged it
-    /// (`seq <= acked`): a resumed client that saw the reply will never re-send that
-    /// sequence number, so the cache can be freed early.
-    pub(crate) fn prune_replay(&self, session: SessionId, acked: u64) {
+    /// Take over the parked `session`: check `presented` against its token, rotate the
+    /// token to `rotated`, un-park it and hand back a conduit with a fresh reply
+    /// channel for the *same* slot — engine, ledger, nonce shards and last-reply cache
+    /// all survive.  The cached reply is dropped if the client already saw it
+    /// (`seq <= acked`): it will never re-send that sequence number.
+    pub(crate) fn resume(
+        &self,
+        session: SessionId,
+        presented: u64,
+        rotated: u64,
+        acked: u64,
+        now: Instant,
+    ) -> std::result::Result<SessionConduit, ResumeError> {
+        let (reply_tx, reply_rx) = mpsc::sync_channel(REPLY_QUEUE_DEPTH);
         let slot = {
-            let registry = self.registry.plock();
-            match registry.get(&session) {
-                Some(slot) => Arc::clone(slot),
-                None => return,
+            let mut table = self.pool.table.plock();
+            let Some(seat) = table.seats.get_mut(&session) else {
+                return Err(ResumeError::Unknown);
+            };
+            if seat.token == 0 || seat.token != presented {
+                return Err(ResumeError::BadToken);
             }
+            match seat.parked_until {
+                None => return Err(ResumeError::StillConnected),
+                Some(deadline) if deadline <= now => {
+                    table.seats.remove(&session);
+                    self.pool.metrics.evicted.incr();
+                    return Err(ResumeError::Unknown);
+                }
+                Some(_) => {}
+            }
+            seat.parked_until = None;
+            seat.token = rotated;
+            *seat.slot.replies.plock() = reply_tx;
+            Arc::clone(&seat.slot)
         };
+        // Outside the table lock: a worker may hold the cache for a whole request.
         let mut cached = slot.last_reply.plock();
-        if let Some((seq, _)) = cached.as_ref() {
-            if *seq <= acked {
-                *cached = None;
-            }
+        if cached.as_ref().is_some_and(|(seq, _)| *seq <= acked) {
+            *cached = None;
         }
+        drop(cached);
+        self.pool.metrics.reattached.incr();
+        Ok(self.conduit(slot, reply_rx))
+    }
+
+    /// Unseat every parked session whose deadline is at or before `expired_by` (`None`:
+    /// every parked session, whatever its deadline — the drain path).  Returns how many
+    /// were reaped.
+    pub(crate) fn reap_parked(&self, expired_by: Option<Instant>) -> usize {
+        let mut table = self.pool.table.plock();
+        let before = table.seats.len();
+        // Keep the connected, and the parked whose deadline is still ahead.
+        table.seats.retain(|_, seat| {
+            seat.parked_until.is_none_or(|deadline| expired_by.is_some_and(|now| deadline > now))
+        });
+        let reaped = before - table.seats.len();
+        self.pool.metrics.evicted.add(reaped as u64);
+        reaped
     }
 }
 
 impl Drop for MultiplexServer {
     fn drop(&mut self) {
-        // One shutdown envelope per worker; each worker exits on the first it sees.
         for _ in 0..self.workers.len() {
-            let shutdown = Envelope { session: SessionId(0), seq: 0, frame: vec![frame::SHUTDOWN] };
-            let _ = self.inbox.send(tag_epoch(0, &shutdown.encode()));
+            let _ = self.pool.inbox.send(Job::Shutdown);
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // Dropping the slots closes every session's reply channel, so a client still
-        // blocked on a response sees a clean "server is gone" error instead of a hang.
-        self.registry.plock().clear();
+        // With the workers (and so the inbox's receiver) gone, a later submission fails
+        // cleanly; dropping the seats releases every engine.
+        self.pool.table.plock().seats.clear();
     }
 }
 
-/// One S2 worker: drain the shared inbox, route each envelope to its session.
-fn worker_loop(
-    rx: &Mutex<mpsc::Receiver<Vec<u8>>>,
-    registry: &Registry,
-    stats: &PoolStats,
-    metrics: &PoolMetrics,
-    busy: &Histogram,
-) {
+/// One S2 worker: drain the shared inbox, run each frame against the slot it carries.
+fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>, pool: &Pool, busy: &Histogram) {
     loop {
         // Hold the inbox lock only for the dequeue, not while processing.
-        let incoming = match rx.plock().recv() {
-            Ok(bytes) => bytes,
-            Err(_) => return, // every transport and the server handle are gone
+        let Ok(Job::Frame { slot, seq, frame }) = rx.plock().recv() else {
+            return; // shutdown, or every sender is gone
         };
-        // Saturating: shutdown frames bypass the conduits and are never counted in.
-        let _ = stats
-            .pending
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)));
-        // Every inbox message is `[8-byte LE slot epoch][encoded envelope]` (see
-        // `tag_epoch`); a message whose epoch disagrees with the registered slot is a
-        // leftover from a previous life of the session id and must be dropped, not
-        // routed — its inflight accounting belongs to the dead slot.
-        let Some((epoch_bytes, envelope_bytes)) = incoming.split_first_chunk::<8>() else {
-            continue;
-        };
-        let epoch = u64::from_le_bytes(*epoch_bytes);
-        let Ok(envelope) = Envelope::decode(envelope_bytes) else {
-            continue; // undecodable channel noise: nothing to route a reply to
-        };
-        let Some((&tag, payload)) = envelope.frame.split_first() else {
-            continue;
-        };
-        if tag == frame::SHUTDOWN {
-            return;
-        }
-        let slot = {
-            let mut registry = registry.plock();
-            if tag == frame::DISCONNECT {
-                if registry.get(&envelope.session).is_some_and(|slot| slot.epoch == epoch) {
-                    if let Some(slot) = registry.remove(&envelope.session) {
-                        // Acknowledge so the departing client can block until its id is
-                        // actually free for reuse.
-                        let ack = Envelope {
-                            session: envelope.session,
-                            seq: envelope.seq,
-                            frame: vec![frame::DISCONNECT_DONE],
-                        };
-                        slot.send_reply(ack.encode());
-                    }
-                }
-                continue;
-            }
-            match registry.get(&envelope.session) {
-                Some(slot) if slot.epoch == epoch => Arc::clone(slot),
-                // Unknown session or a stale epoch (raced with a disconnect, or a
-                // duplicate outliving its session's life): nothing to execute.
-                _ => continue,
-            }
-        };
-        // Release the inbox slot at pickup, not after the reply: `inflight` counts the
+        pool.stats.pending.fetch_sub(1, Ordering::Relaxed);
+        // Release the inbox share at pickup, not after the reply: `inflight` counts the
         // session's share of the *queue*.  Releasing after reply delivery would let a
         // compliant one-in-flight client be spuriously shed whenever worker decrements
         // lag behind reply sends; releasing here keeps the shed bound precise — a
@@ -712,227 +737,53 @@ fn worker_loop(
         slot.inflight.fetch_sub(1, Ordering::SeqCst);
         let timer = busy.start();
         let mut engine = slot.engine.plock();
-        let reply_bytes: Vec<u8> = match tag {
-            frame::REQUEST => {
+        let reply = match frame.split_first() {
+            Some((&frame::REQUEST, payload)) => {
                 // Replay check, under the engine lock so the cache and the execution
                 // serialize: a re-delivered sequence number (a resumed client
                 // re-sending the envelope it never saw answered, or a duplicate still
                 // in the inbox) is answered from the cache without touching the
                 // engine — ledger and nonce streams advance exactly once.
                 let mut cached = slot.last_reply.plock();
-                if let Some((_, bytes)) =
-                    cached.as_ref().filter(|(seq, _)| envelope.seq != 0 && *seq == envelope.seq)
-                {
-                    let bytes = bytes.clone();
-                    stats.replayed.fetch_add(1, Ordering::Relaxed);
-                    metrics.replayed.incr();
-                    bytes
-                } else {
-                    let response = match wire::from_bytes::<S1Request>(payload) {
-                        Ok(request) => engine.handle(&request).unwrap_or_else(S2Response::Error),
-                        Err(e) => {
-                            S2Response::Error(WireError::codec(format!("undecodable request: {e}")))
+                match cached.as_ref().filter(|(cached_seq, _)| seq != 0 && *cached_seq == seq) {
+                    Some((_, reply)) => {
+                        pool.stats.replayed.fetch_add(1, Ordering::Relaxed);
+                        pool.metrics.replayed.incr();
+                        reply.clone()
+                    }
+                    None => {
+                        let response = match wire::from_bytes::<S1Request>(payload) {
+                            Ok(request) => {
+                                engine.handle(&request).unwrap_or_else(S2Response::Error)
+                            }
+                            Err(e) => S2Response::Error(WireError::codec(format!(
+                                "undecodable request: {e}"
+                            ))),
+                        };
+                        let reply = framed(frame::RESPONSE, &response);
+                        if seq != 0 {
+                            *cached = Some((seq, reply.clone()));
                         }
-                    };
-                    let reply = Envelope {
-                        session: envelope.session,
-                        seq: envelope.seq,
-                        frame: framed(frame::RESPONSE, &response),
+                        reply
                     }
-                    .encode();
-                    if envelope.seq != 0 {
-                        *cached = Some((envelope.seq, reply.clone()));
-                    }
-                    reply
                 }
             }
-            frame::FETCH_LEDGER => Envelope {
-                session: envelope.session,
-                seq: envelope.seq,
-                frame: framed(frame::LEDGER, engine.ledger()),
-            }
-            .encode(),
-            frame::RESET => {
+            Some((&frame::FETCH_LEDGER, _)) => framed(frame::LEDGER, engine.ledger()),
+            Some((&frame::RESET, _)) => {
                 engine.reset();
-                Envelope {
-                    session: envelope.session,
-                    seq: envelope.seq,
-                    frame: vec![frame::RESET_DONE],
-                }
-                .encode()
+                vec![frame::RESET_DONE]
             }
-            _ => Envelope {
-                session: envelope.session,
-                seq: envelope.seq,
-                frame: framed(frame::RESPONSE, &S2Response::Error(WireError::unknown_frame(tag))),
+            Some((&tag, _)) => {
+                framed(frame::RESPONSE, &S2Response::Error(WireError::unknown_frame(tag)))
             }
-            .encode(),
+            None => framed(frame::RESPONSE, &S2Response::Error(WireError::codec("empty frame"))),
         };
         drop(engine);
         busy.stop(timer);
-        // A send failure means the session's client hung up; drop the reply.
-        slot.send_reply(reply_bytes);
-    }
-}
-
-/// The S1 side of one multiplexed session: a [`Transport`] whose frames travel inside
-/// session-tagged envelopes to a shared [`MultiplexServer`].
-pub struct MultiplexTransport {
-    session: SessionId,
-    seq: u64,
-    conduit: SessionConduit,
-    link: LinkProfile,
-    metrics: ChannelMetrics,
-    /// When the transport was created through [`TransportKind::Multiplex`] rather than
-    /// by connecting to an explicit server, it owns a private single-worker server that
-    /// must live (and shut down) with it.
-    private_server: Option<Box<MultiplexServer>>,
-}
-
-impl fmt::Debug for MultiplexTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MultiplexTransport")
-            .field("session", &self.session)
-            .field("metrics", &self.metrics)
-            .finish()
-    }
-}
-
-impl MultiplexTransport {
-    /// A self-contained multiplexed transport: spins up a private single-worker
-    /// [`MultiplexServer`] serving only this session.  This is what
-    /// `SECTOPK_TRANSPORT=multiplex` uses, so the whole test suite can exercise the
-    /// envelope path without managing a server.
-    pub fn private(engine: S2Engine, link: LinkProfile) -> Result<Self> {
-        let server = MultiplexServer::new(1);
-        let mut transport = server.connect(SessionId(1), engine, link)?;
-        transport.private_server = Some(Box::new(server));
-        Ok(transport)
-    }
-
-    /// The session this transport speaks for.
-    pub fn session(&self) -> SessionId {
-        self.session
-    }
-
-    /// Ship one frame under sequence number `seq` and wait for the server's reply,
-    /// verifying the envelope echo.  Protocol traffic uses the transport's incrementing
-    /// counter; control traffic uses the reserved `seq` 0.  Either way the client holds
-    /// at most one request in flight, so the blocking receive always pairs correctly.
-    ///
-    /// `delay` is the simulated link RTT: it runs *between* the send and the receive,
-    /// so it overlaps with S2's compute exactly as propagation overlaps with remote
-    /// work on a real link.
-    fn exchange_with_seq(
-        &self,
-        seq: u64,
-        frame_bytes: Vec<u8>,
-        delay: Duration,
-    ) -> Result<Envelope> {
-        let envelope = Envelope { session: self.session, seq, frame: frame_bytes };
-        self.conduit.submit(envelope.encode()).map_err(|e| match e {
-            // A compliant client holds one request in flight, so its own submissions
-            // are only ever shed under a pathological queue-depth configuration; the
-            // typed overload error keeps even that case retryable.
-            SubmitError::QueueFull => ProtocolError::Remote(WireError::overloaded(format!(
-                "{} inbox full, request shed",
-                self.session
-            ))),
-            SubmitError::ServerGone => ProtocolError::transport_io("multiplex server is gone"),
-        })?;
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-        let incoming = self
-            .conduit
-            .from_server
-            .recv()
-            .map_err(|_| ProtocolError::transport_io("multiplex server hung up"))?;
-        let reply = Envelope::decode(&incoming)?;
-        if reply.session != self.session || reply.seq != seq {
-            return Err(ProtocolError::transport(format!(
-                "envelope echo mismatch: sent {}#{seq}, got {}#{}",
-                self.session, reply.session, reply.seq
-            )));
-        }
-        Ok(reply)
-    }
-
-    /// Ship one protocol frame under the next sequence number, over the simulated link.
-    fn exchange(&mut self, frame_bytes: Vec<u8>) -> Result<Envelope> {
-        self.seq += 1;
-        self.exchange_with_seq(self.seq, frame_bytes, self.link.rtt)
-    }
-
-    /// One unmetered control-plane exchange (ledger fetch / reset), expecting a reply
-    /// frame starting with `expected_reply`.  Control traffic skips the simulated link.
-    fn control(&self, tag: u8, expected_reply: u8) -> Result<Vec<u8>> {
-        let reply = self.exchange_with_seq(0, vec![tag], Duration::ZERO)?;
-        match reply.frame.split_first() {
-            Some((&t, payload)) if t == expected_reply => Ok(payload.to_vec()),
-            _ => Err(ProtocolError::transport("unexpected control reply from S2")),
-        }
-    }
-}
-
-impl Transport for MultiplexTransport {
-    fn round_trip(&mut self, request: S1Request) -> Result<S2Response> {
-        let out_frame = framed(frame::REQUEST, &request);
-        // Metered size = wire payload only; the tag byte and the 16-byte envelope
-        // header are local framing, keeping metrics identical across transports.
-        self.metrics.record(Direction::S1ToS2, out_frame.len() - 1, request.ciphertext_count());
-        let reply = self.exchange(out_frame)?;
-        let payload = match reply.frame.split_first() {
-            Some((&frame::RESPONSE, payload)) => payload,
-            _ => return Err(ProtocolError::transport("unexpected reply frame from S2")),
-        };
-        let response: S2Response = wire::from_bytes(payload)
-            .map_err(|e| ProtocolError::transport(format!("undecodable response: {e}")))?;
-        self.metrics.record(Direction::S2ToS1, payload.len(), response.ciphertext_count());
-        response_or_error(response)
-    }
-
-    fn metrics(&self) -> ChannelMetrics {
-        self.metrics
-    }
-
-    fn reset_metrics(&mut self) {
-        self.metrics = ChannelMetrics::new();
-    }
-
-    fn s2_ledger(&self) -> LeakageLedger {
-        // Control traffic is unmetered and skips the simulated link; like the threaded
-        // transport, a dead server must fail loudly rather than return an empty ledger.
-        let payload = self
-            .control(frame::FETCH_LEDGER, frame::LEDGER)
-            .expect("multiplex server unavailable while fetching the session ledger");
-        wire::from_bytes(&payload).expect("undecodable S2 ledger snapshot")
-    }
-
-    fn reset_s2(&mut self) {
-        self.control(frame::RESET, frame::RESET_DONE)
-            .expect("multiplex server unavailable while resetting the session");
-    }
-
-    fn kind(&self) -> TransportKind {
-        TransportKind::Multiplex
-    }
-
-    fn link(&self) -> LinkProfile {
-        self.link
-    }
-}
-
-impl Drop for MultiplexTransport {
-    fn drop(&mut self) {
-        let disconnect =
-            Envelope { session: self.session, seq: self.seq + 1, frame: vec![frame::DISCONNECT] };
-        if self.conduit.disconnect(disconnect.encode()).is_ok() {
-            // Wait for the ack (or the channel closing) so the session id is free for
-            // reuse the moment this drop returns; best effort if the server is gone.
-            let _ = self.conduit.from_server.recv();
-        }
-        // A private server (if any) drops afterwards, joining its worker.
+        // Best effort: a send failure means the session's client hung up.  The sender
+        // is cloned out so a slow client never blocks a concurrent resume's swap.
+        let replies = slot.replies.plock().clone();
+        let _ = replies.send(Envelope { session: slot.session, seq, frame: reply });
     }
 }
 
@@ -945,7 +796,8 @@ mod tests {
     use sectopk_crypto::paillier::{generate_keypair, MIN_MODULUS_BITS};
     use sectopk_crypto::pool::shard_seed;
 
-    use crate::transport::ChannelTransport;
+    use crate::ledger::LeakageLedger;
+    use crate::transport::{InProcessTransport, Transport};
 
     fn master(seed: u64) -> MasterKeys {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -973,26 +825,29 @@ mod tests {
         assert_eq!(bytes.len(), ENVELOPE_HEADER_LEN + 4);
         assert_eq!(Envelope::decode(&bytes).unwrap(), envelope);
         assert!(Envelope::decode(&bytes[..ENVELOPE_HEADER_LEN - 1]).is_err());
-        // An empty frame decodes (control noise); the worker just skips it.
+        // An empty frame decodes; the worker answers it with a typed error.
         let empty = Envelope { session: SessionId(1), seq: 0, frame: vec![] };
         assert_eq!(Envelope::decode(&empty.encode()).unwrap(), empty);
     }
 
     #[test]
     fn multiplexed_session_matches_dedicated_channel_transport() {
+        // The oracle is the in-process direct call: same answer, same metering, same
+        // ledger, and the control plane (ledger fetch) is unmetered on both.
         let master = master(21);
         let server = MultiplexServer::new(2);
         let mut mux =
             server.connect(SessionId(5), engine_for(&master, 99), LinkProfile::ideal()).unwrap();
-        let mut channel = ChannelTransport::new(engine_for(&master, 99));
+        let mut oracle = InProcessTransport::new(engine_for(&master, 99));
 
         let mut rng_a = StdRng::seed_from_u64(3);
         let mut rng_b = StdRng::seed_from_u64(3);
         let a = mux.round_trip(compare_request(&master, -4, &mut rng_a)).unwrap();
-        let b = channel.round_trip(compare_request(&master, -4, &mut rng_b)).unwrap();
+        let b = oracle.round_trip(compare_request(&master, -4, &mut rng_b)).unwrap();
         assert_eq!(a, b, "same engine seed must answer identically");
-        assert_eq!(mux.metrics(), channel.metrics(), "metering must be transport-invariant");
-        assert_eq!(mux.s2_ledger().events(), channel.s2_ledger().events());
+        assert_eq!(mux.s2_ledger().events(), oracle.s2_ledger().events());
+        assert_eq!(mux.metrics(), oracle.metrics(), "metering must be transport-invariant");
+        assert_eq!(mux.metrics().rounds, 1, "the ledger fetch must not count as traffic");
         assert_eq!(mux.kind(), TransportKind::Multiplex);
     }
 
@@ -1068,79 +923,98 @@ mod tests {
     }
 
     #[test]
-    fn private_server_backs_a_self_contained_transport() {
-        let master = master(26);
-        let mut t =
-            MultiplexTransport::private(engine_for(&master, 31), LinkProfile::ideal()).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        let response = t.round_trip(compare_request(&master, -2, &mut rng)).unwrap();
-        assert_eq!(response, S2Response::Signs(vec![-1]));
-        assert_eq!(t.metrics().rounds, 1);
-        assert!(!t.s2_ledger().is_empty());
-    }
-
-    #[test]
     fn engine_errors_surface_without_killing_the_worker() {
         let master = master(27);
         let server = MultiplexServer::new(1);
         let mut t =
             server.connect(SessionId(3), engine_for(&master, 2), LinkProfile::ideal()).unwrap();
         use crate::transport::EqWants;
+        use crate::wire::WireErrorCode;
+        // An EqAggregate with no accumulated bits is a sequencing violation.
         let err = t
             .round_trip(S1Request::EqAggregate { rows: 2, cols: 2, want: EqWants::none() })
             .unwrap_err();
-        assert!(matches!(err, ProtocolError::Remote(_)));
-        // The single worker survived and still serves requests.
+        assert!(
+            matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::BadSequence),
+            "unexpected error {err:?}"
+        );
+        // A zero-column matrix is structurally malformed (would divide by zero in the
+        // aggregate derivation).
+        let err = t
+            .round_trip(S1Request::EqAggregate { rows: 0, cols: 0, want: EqWants::none() })
+            .unwrap_err();
+        assert!(
+            matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::MalformedRequest),
+            "unexpected error {err:?}"
+        );
+        // Neither rejection touched the ledger, and the single worker survived both:
+        // it still serves requests.
+        assert!(t.s2_ledger().is_empty());
         let mut rng = StdRng::seed_from_u64(5);
         t.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
+    }
+
+    fn compare_frame(master: &MasterKeys, value: i64, rng: &mut StdRng) -> Vec<u8> {
+        framed(frame::REQUEST, &compare_request(master, value, rng))
+    }
+
+    /// An equality test whose `E2(t)` reply consumes the engine's nonce stream.
+    fn eq_test(master: &MasterKeys, rng: &mut StdRng) -> S1Request {
+        S1Request::EqTest {
+            diff: master.paillier_public.encrypt_u64(0, rng).unwrap(),
+            context: "test".into(),
+            depth: None,
+            accumulate: false,
+            reply_bit: true,
+        }
+    }
+
+    /// Fetch the session's ledger through the raw conduit.
+    fn ledger_of(conduit: &SessionConduit) -> LeakageLedger {
+        conduit.submit(0, vec![frame::FETCH_LEDGER]).unwrap();
+        let reply = conduit.recv().unwrap();
+        let (tag, payload) = reply.frame.split_first().unwrap();
+        assert_eq!(*tag, frame::LEDGER);
+        wire::from_bytes(payload).unwrap()
     }
 
     #[test]
     fn retried_sequence_is_replayed_from_cache_not_reexecuted() {
         let master = master(31);
         let server = MultiplexServer::new(1);
-        let conduit = server.attach(SessionId(6), engine_for(&master, 44)).unwrap();
+        let conduit = server.attach(SessionId(6), engine_for(&master, 44), 0).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
-        let request = compare_request(&master, 5, &mut rng);
-        let env =
-            Envelope { session: SessionId(6), seq: 1, frame: framed(frame::REQUEST, &request) };
-        conduit.submit(env.encode()).unwrap();
-        let first = conduit.from_server.recv().unwrap();
-        // Deliver the exact same envelope again, as a resumed client's retry would.
-        conduit.submit(env.encode()).unwrap();
-        let second = conduit.from_server.recv().unwrap();
+        let frame = compare_frame(&master, 5, &mut rng);
+        conduit.submit(1, frame.clone()).unwrap();
+        let first = conduit.recv().unwrap();
+        assert_eq!((first.session, first.seq), (SessionId(6), 1), "replies echo the header");
+        // Deliver the exact same frame again, as a resumed client's retry would.
+        conduit.submit(1, frame).unwrap();
+        let second = conduit.recv().unwrap();
         assert_eq!(first, second, "replayed reply must be byte-identical");
         assert_eq!(server.replayed_replies(), 1);
         // The engine executed once: the session ledger holds exactly one sign event.
-        let ledger_env =
-            Envelope { session: SessionId(6), seq: 0, frame: vec![frame::FETCH_LEDGER] };
-        conduit.submit(ledger_env.encode()).unwrap();
-        let reply = Envelope::decode(&conduit.from_server.recv().unwrap()).unwrap();
-        let (tag, payload) = reply.frame.split_first().unwrap();
-        assert_eq!(*tag, frame::LEDGER);
-        let ledger: LeakageLedger = wire::from_bytes(payload).unwrap();
-        assert_eq!(ledger.len(), 1, "the compare must have executed exactly once");
+        assert_eq!(ledger_of(&conduit).len(), 1, "the compare must have executed exactly once");
     }
 
     #[test]
     fn pruned_replay_cache_reexecutes_a_resent_sequence() {
-        // prune_replay models the client having ACKed the reply: the cache entry is
-        // freed and a (protocol-violating) re-send executes afresh.
+        // A resume that acknowledges the reply frees the cache entry, and a
+        // (protocol-violating) re-send executes afresh.
         let master = master(33);
         let server = MultiplexServer::new(1);
-        let conduit = server.attach(SessionId(2), engine_for(&master, 11)).unwrap();
+        let conduit = server.attach(SessionId(2), engine_for(&master, 11), 77).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let request = compare_request(&master, -7, &mut rng);
-        let env =
-            Envelope { session: SessionId(2), seq: 1, frame: framed(frame::REQUEST, &request) };
-        conduit.submit(env.encode()).unwrap();
-        conduit.from_server.recv().unwrap();
-        server.prune_replay(SessionId(2), 1);
-        conduit.submit(env.encode()).unwrap();
-        conduit.from_server.recv().unwrap();
+        let frame = compare_frame(&master, -7, &mut rng);
+        conduit.submit(1, frame.clone()).unwrap();
+        conduit.recv().unwrap();
+        let now = Instant::now();
+        assert!(conduit.park(now + Duration::from_secs(60)));
+        let resumed = server.resume(SessionId(2), 77, 78, 1, now).unwrap();
+        resumed.submit(1, frame).unwrap();
+        resumed.recv().unwrap();
         assert_eq!(server.replayed_replies(), 0, "pruned entry cannot replay");
-        // Pruning an unknown session is a no-op.
-        server.prune_replay(SessionId(99), 5);
+        assert_eq!(ledger_of(&resumed).len(), 2);
     }
 
     #[test]
@@ -1149,17 +1023,14 @@ mod tests {
         let server =
             MultiplexServer::with_limits(1, PoolLimits { max_sessions: 8, session_queue_depth: 1 });
         assert_eq!(server.limits().session_queue_depth, 1);
-        let conduit = server.attach(SessionId(1), engine_for(&master, 7)).unwrap();
+        let conduit = server.attach(SessionId(1), engine_for(&master, 7), 0).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         // Submit without ever reading replies: once the bounded reply queue fills, the
         // worker blocks mid-reply, the inbox stops draining, and the session's
         // inflight count pins above the bound, so a later submission must be shed.
         let mut shed = false;
         for seq in 1..=10u64 {
-            let request = compare_request(&master, seq as i64, &mut rng);
-            let env =
-                Envelope { session: SessionId(1), seq, frame: framed(frame::REQUEST, &request) };
-            match conduit.submit(env.encode()) {
+            match conduit.submit(seq, compare_frame(&master, seq as i64, &mut rng)) {
                 Ok(()) => {}
                 Err(SubmitError::QueueFull) => {
                     shed = true;
@@ -1197,31 +1068,118 @@ mod tests {
     fn reattach_preserves_engine_state_and_swaps_the_reply_channel() {
         let master = master(35);
         let server = MultiplexServer::new(1);
-        let conduit = server.attach(SessionId(9), engine_for(&master, 21)).unwrap();
+        let conduit = server.attach(SessionId(9), engine_for(&master, 21), 5).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let first = compare_request(&master, 2, &mut rng);
-        let env = Envelope { session: SessionId(9), seq: 1, frame: framed(frame::REQUEST, &first) };
-        conduit.submit(env.encode()).unwrap();
-        conduit.from_server.recv().unwrap();
+        conduit.submit(1, compare_frame(&master, 2, &mut rng)).unwrap();
+        conduit.recv().unwrap();
 
-        // The connection "drops" (conduit kept alive to model a dying bridge); a new
-        // conduit takes over the same slot.
-        let resumed = server.reattach(SessionId(9)).expect("session is registered");
-        let second = compare_request(&master, -3, &mut rng);
-        let env =
-            Envelope { session: SessionId(9), seq: 2, frame: framed(frame::REQUEST, &second) };
-        resumed.submit(env.encode()).unwrap();
-        resumed.from_server.recv().unwrap();
-
+        // While the session is connected, even the right token cannot claim it.
+        let now = Instant::now();
+        assert_eq!(
+            server.resume(SessionId(9), 5, 6, 1, now).err(),
+            Some(ResumeError::StillConnected)
+        );
+        // The connection "drops" (conduit kept alive to model a dying bridge) and the
+        // session is parked; only the current token takes it over, exactly once.
+        assert!(conduit.park(now + Duration::from_secs(60)));
+        assert_eq!(server.parked_sessions(), 1);
+        assert_eq!(server.resume(SessionId(9), 4, 6, 1, now).err(), Some(ResumeError::BadToken));
+        let resumed = server.resume(SessionId(9), 5, 6, 1, now).expect("session is parked");
+        assert_eq!(server.parked_sessions(), 0);
+        assert_eq!(
+            server.resume(SessionId(9), 5, 7, 1, now).err(),
+            Some(ResumeError::BadToken),
+            "the token rotated with the resume"
+        );
+        resumed.submit(2, compare_frame(&master, -3, &mut rng)).unwrap();
+        resumed.recv().unwrap();
         // Both requests landed in the same engine: the ledger saw both signs.
-        let ledger_env =
-            Envelope { session: SessionId(9), seq: 0, frame: vec![frame::FETCH_LEDGER] };
-        resumed.submit(ledger_env.encode()).unwrap();
-        let reply = Envelope::decode(&resumed.from_server.recv().unwrap()).unwrap();
-        let ledger: LeakageLedger = wire::from_bytes(&reply.frame[1..]).unwrap();
-        assert_eq!(ledger.len(), 2, "the resumed slot kept its ledger");
+        assert_eq!(ledger_of(&resumed).len(), 2, "the resumed slot kept its ledger");
 
-        assert!(server.reattach(SessionId(99)).is_none(), "unknown sessions cannot reattach");
+        assert_eq!(server.resume(SessionId(99), 5, 6, 0, now).err(), Some(ResumeError::Unknown));
+        // In-process sessions (token 0) are never resumable, not even with token 0.
+        let local = server.attach(SessionId(3), engine_for(&master, 22), 0).unwrap();
+        assert!(local.park(now + Duration::from_secs(60)));
+        assert_eq!(server.resume(SessionId(3), 0, 1, 0, now).err(), Some(ResumeError::BadToken));
+    }
+
+    #[test]
+    fn parked_sessions_expire_at_their_deadline() {
+        let master = master(36);
+        let server = MultiplexServer::new(1);
+        let now = Instant::now();
+        let soon = server.attach(SessionId(1), engine_for(&master, 1), 11).unwrap();
+        let later = server.attach(SessionId(2), engine_for(&master, 2), 12).unwrap();
+        let _live = server.attach(SessionId(3), engine_for(&master, 3), 13).unwrap();
+        assert!(soon.park(now + Duration::from_secs(1)));
+        assert!(later.park(now + Duration::from_secs(60)));
+
+        // Past its deadline a parked session is gone for a resume even before the sweep.
+        let after = now + Duration::from_secs(2);
+        assert_eq!(server.resume(SessionId(1), 11, 99, 0, after).err(), Some(ResumeError::Unknown));
+        assert_eq!(server.active_sessions(), 2);
+        assert!(!soon.park(after), "an unseated session cannot be parked again");
+        // The sweep reaps by deadline; the drain reaps every parked session; connected
+        // sessions are never touched.
+        assert_eq!(server.reap_parked(Some(after)), 0);
+        assert_eq!(server.reap_parked(None), 1);
+        assert_eq!(server.active_sessions(), 1);
+        // A freed id seats a new session, which a stale conduit cannot unseat.
+        let _reused = server.attach(SessionId(2), engine_for(&master, 4), 14).unwrap();
+        later.close(false);
+        assert_eq!(server.active_sessions(), 2);
+    }
+
+    #[test]
+    fn server_assigned_ids_skip_seated_ones() {
+        let master = master(37);
+        let server = MultiplexServer::new(1);
+        let first_assigned = SessionId(ASSIGNED_SESSION_BASE + 1);
+        let _squatter = server.attach(first_assigned, engine_for(&master, 1), 0).unwrap();
+        let assigned = server.attach(SessionId(0), engine_for(&master, 2), 0).unwrap();
+        assert_eq!(assigned.session(), SessionId(ASSIGNED_SESSION_BASE + 2));
+    }
+
+    #[test]
+    fn an_envelope_outliving_its_session_never_reaches_a_reattached_id() {
+        // The stale-envelope race, forced: the single worker is held on a blocker
+        // session's full reply queue while an envelope for session 9 waits in the inbox;
+        // session 9 is reaped and its id re-attached with a new engine; then the worker
+        // is released.  The queued envelope carries the *old* slot, so the new session's
+        // ledger and nonce stream must be untouched.
+        let master = master(38);
+        let server = MultiplexServer::new(1);
+        let mut rng = StdRng::seed_from_u64(6);
+
+        let blocker = server.attach(SessionId(1), engine_for(&master, 1), 0).unwrap();
+        let held = REPLY_QUEUE_DEPTH as u64 + 1;
+        for seq in 1..=held {
+            // Unread replies fill the bounded reply queue; the last one blocks the worker.
+            blocker.submit(seq, compare_frame(&master, 1, &mut rng)).unwrap();
+        }
+        let victim = server.attach(SessionId(9), engine_for(&master, 50), 0).unwrap();
+        victim.submit(1, framed(frame::REQUEST, &eq_test(&master, &mut rng))).unwrap();
+
+        victim.close(false);
+        let mut fresh =
+            server.connect(SessionId(9), engine_for(&master, 60), LinkProfile::ideal()).unwrap();
+        for _ in 1..=held {
+            blocker.recv().unwrap(); // release the worker
+        }
+
+        // The orphaned envelope did run — against the slot it was submitted through.
+        assert_eq!(victim.recv().unwrap().seq, 1);
+        // The new session 9 never saw it: empty ledger, and its first nonce-consuming
+        // answer equals that of an untouched engine with the same seed.
+        assert!(fresh.s2_ledger().is_empty(), "the stale envelope leaked into the new session");
+        let mut oracle = InProcessTransport::new(engine_for(&master, 60));
+        let mut rng_a = StdRng::seed_from_u64(7);
+        let mut rng_b = StdRng::seed_from_u64(7);
+        assert_eq!(
+            fresh.round_trip(eq_test(&master, &mut rng_a)).unwrap(),
+            oracle.round_trip(eq_test(&master, &mut rng_b)).unwrap(),
+            "the new session's nonce stream was advanced by the stale envelope"
+        );
     }
 
     #[test]

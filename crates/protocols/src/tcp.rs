@@ -1,18 +1,17 @@
-//! Real-socket transport: the crypto cloud S2 as a networked process.
+//! Real-socket deployment: the crypto cloud S2 as a networked process.
 //!
-//! The other three transports keep both clouds in one process; this module makes the
-//! §3.2 deployment literal.  A [`TcpCloudServer`] (the `sectopk-s2d` binary) listens on
-//! a socket and feeds accepted connections into a [`crate::multiplex::MultiplexServer`]
-//! worker pool; a [`TcpTransport`] is the S1 side of one connection, speaking the *same*
-//! session-tagged [`Envelope`]s as the multiplexed transport, length-prefix-framed onto
-//! the stream:
+//! This module makes the §3.2 deployment literal.  A [`TcpCloudServer`] (the
+//! `sectopk-s2d` binary) listens on a socket and bridges accepted connections into a
+//! [`crate::multiplex::MultiplexServer`] worker pool; [`connect`] dials it and hands
+//! back the same [`EnvelopeTransport`] an in-memory session uses, over a socket pipe
+//! that ships each [`Envelope`] length-prefix-framed onto the stream:
 //!
 //! ```text
 //!    S1 process                                        S2 process (sectopk-s2d)
 //!   ┌──────────────┐   frame = u32 LE length ‖ bytes  ┌────────────────────────────┐
-//!   │ TcpTransport │ ───────────────────────────────▶ │ accept loop ─ bridge thread │
-//!   │  (one conn = │   bytes = Envelope{session,seq,  │      │ per connection       │
-//!   │  one session)│            tag ‖ wire payload}   │      ▼                      │
+//!   │ Envelope-    │ ───────────────────────────────▶ │ accept loop ─ bridge thread │
+//!   │ Transport    │   bytes = Envelope{session,seq,  │      │ per connection       │
+//!   │ (socket pipe)│            tag ‖ wire payload}   │      ▼                      │
 //!   │              │ ◀─────────────────────────────── │ MultiplexServer worker pool │
 //!   └──────────────┘                                  └────────────────────────────┘
 //! ```
@@ -26,33 +25,24 @@
 //!    assigns, plus the [`EngineProvision`] that boots its S2 engine) or a *resume* of a
 //!    parked one (session id, last acknowledged sequence number, resume token).  The
 //!    server answers accept (negotiated id + a fresh resume token) or a typed reject.
-//! 3. **Serve**: strict request/reply — the bridge thread forwards each envelope to the
+//! 3. **Serve**: strict request/reply — the bridge thread submits each frame to the
 //!    worker pool and ships the session's reply back.  At most one frame per connection
 //!    is in flight, and the pool's bounded per-session reply queues give
 //!    per-connection backpressure.  A session over its inbox bound is answered with a
 //!    typed `overloaded` error frame instead of queueing without bound.
-//! 4. **Teardown**: the client's `Drop` ships a `DISCONNECT` frame and blocks for the
-//!    ack, exactly like the multiplexed transport.
+//! 4. **Teardown**: dropping the transport ships a `DISCONNECT` frame and blocks for
+//!    the ack, so the session id is free the moment the drop returns.
 //!
-//! # Fault tolerance: the session lifecycle on the server
+//! # Fault tolerance
 //!
 //! A connection that dies *without* the DISCONNECT handshake (socket error, EOF,
 //! cross-session injection) does not destroy its session.  When
-//! [`TcpServerConfig::park_ttl`] is non-zero the bridge *parks* it — engine, leakage
-//! ledger, nonce streams and last-reply cache stay registered in the pool — and a
-//! reconnecting client presents its resume token to take the session over exactly where
-//! it left off:
-//!
-//! ```text
-//!              handshake Fresh                dirty socket exit
-//!    (free) ──────────────────▶ ACTIVE ─────────────────────────▶ PARKED
-//!               ▲                 │  ▲                              │ │
-//!               │      DISCONNECT │  │ handshake Resume             │ │ park TTL
-//!               │                 ▼  │ (token checked,              │ │ expires /
-//!               │              (free)└──────────────────────────────┘ │ drain
-//!               │                      replay cache pruned            ▼
-//!               └─────────────────────────────────────────────────ᴿᴱᴬᴾᴱᴰ──▶ (free)
-//! ```
+//! [`TcpServerConfig::park_ttl`] is non-zero the bridge *parks* it in the pool's session
+//! table — the one place session lifecycle, resume tokens and the admission cap live
+//! (see the diagram in [`crate::multiplex`]) — and a reconnecting client presents its
+//! resume token to take the session over exactly where it left off.  This module keeps
+//! only what is the socket's: which stream carries which session, so the server can
+//! sever one.
 //!
 //! Exactly-once effects across a resume come from the pool's per-session last-reply
 //! cache: the client re-sends the one envelope it never saw answered, and if the
@@ -70,17 +60,14 @@
 //! # Metering
 //!
 //! Byte accounting excludes all framing — the 4-byte length prefix, the 16-byte
-//! envelope header and the tag byte — so [`ChannelMetrics`] stays byte-identical with
-//! the other three transports (asserted by `tests/transport_equivalence.rs`).  A
-//! re-sent envelope is a physical retransmit of the same logical exchange and is *not*
-//! re-metered.  Errors of the socket itself (timeout, reset, EOF) surface as
-//! [`ProtocolError::Transport`] with a typed [`crate::TransportErrorKind`]; a
-//! provisioning payload this size is key material, so production deployments would
-//! wrap the socket in TLS — the handshake (and its resume token, which is an
-//! anti-footgun, not a security boundary) is factored so that swap stays local to
-//! this module.
+//! envelope header and the tag byte — so [`crate::ChannelMetrics`] stays byte-identical
+//! with the in-process oracle (asserted by `tests/transport_equivalence.rs`).  Errors
+//! of the socket itself (timeout, reset, EOF) surface as [`ProtocolError::Transport`]
+//! with a typed [`crate::TransportErrorKind`]; a provisioning payload this size is key
+//! material, so production deployments would wrap the socket in TLS — the handshake
+//! (and its resume token, which is an anti-footgun, not a security boundary) is
+//! factored so that swap stays local to this module.
 
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{Read, Write};
@@ -94,16 +81,13 @@ use sectopk_crypto::pool::shard_seed;
 use sectopk_metrics::{Counter, Histogram as MetricsHistogram, Registry as MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
-use crate::channel::{ChannelMetrics, Direction};
 use crate::engine::EngineProvision;
 use crate::error::{ProtocolError, Result};
-use crate::ledger::LeakageLedger;
 use crate::multiplex::{
-    AttachReason, Envelope, MultiplexServer, SessionConduit, SessionId, SubmitError,
+    AttachError, Envelope, MultiplexServer, ResumeError, SessionConduit, SessionId, SubmitError,
 };
 use crate::plock::PoisonFree;
-use crate::transport::TransportKind;
-use crate::transport::{frame, framed, response_or_error, S1Request, S2Response, Transport};
+use crate::transport::{frame, framed, EnvelopeTransport, Pipe, S2Response, TransportKind};
 use crate::wire::{self, WireError};
 
 /// Version of the TCP handshake and framing.  Bumped on any incompatible change; the
@@ -119,10 +103,6 @@ const TCP_MAGIC: &str = "sectopk";
 /// batched exchanges while turning a corrupted length prefix into a clean transport
 /// error instead of an attempted multi-gigabyte allocation.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
-
-/// Session ids the server assigns start here, far above anything clients propose
-/// densely, so negotiated and proposed ids never collide by accident.
-const ASSIGNED_SESSION_BASE: u64 = 1 << 32;
 
 /// How long a resume handshake waits for the dropped connection's bridge to park the
 /// session before concluding someone else holds it.  The old bridge parks as soon as
@@ -267,8 +247,8 @@ fn rejection_error(peer: SocketAddr, code: RejectCode, reason: &str) -> Protocol
 // Client policy: retry, backoff, fault injection
 // ====================================================================================
 
-/// Transparent-retry budget of a [`TcpTransport`]: how hard the client works to
-/// reconnect, resume its session and re-send the unacknowledged envelope before a
+/// Transparent-retry budget of a socket session ([`connect`]): how hard the client works
+/// to reconnect, resume its session and re-send the unacknowledged envelope before a
 /// retryable failure is surfaced to the caller.
 ///
 /// The default is [`RetryPolicy::none`] — fail fast, exactly the pre-resumption
@@ -419,9 +399,9 @@ fn duration_from_nanos_saturating(nanos: u128) -> Duration {
 // Client options
 // ====================================================================================
 
-/// Connection policy of a [`TcpTransport`]: bounded connect retry with capped,
-/// jittered exponential backoff, socket timeouts, an optional explicit session id,
-/// the transparent [`RetryPolicy`], and the chaos harness's [`FaultPlan`].
+/// Connection policy of a socket session ([`connect`]): bounded connect retry with
+/// capped, jittered exponential backoff, socket timeouts, an optional explicit session
+/// id, the transparent [`RetryPolicy`], and the chaos harness's [`FaultPlan`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TcpOptions {
     /// Connection attempts before giving up (at least 1).
@@ -513,13 +493,13 @@ fn configure_stream(stream: &TcpStream, options: &TcpOptions) -> Result<()> {
 }
 
 // ====================================================================================
-// Client transport
+// Client: the socket pipe
 // ====================================================================================
 
 /// Cached client-side metric handles (`tcp.client.*`).  All no-ops until
-/// [`TcpTransport::set_metrics_registry`] installs an enabled registry; the
-/// deterministic fault accounting ([`TcpTransport::faults_absorbed`]) is counted
-/// separately and is always on.
+/// [`Pipe::set_metrics_registry`] installs an enabled registry; the deterministic fault
+/// accounting ([`crate::Transport::faults_absorbed`]) is counted separately and is
+/// always on.
 #[derive(Clone, Debug, Default)]
 struct TcpClientMetrics {
     /// Dial attempts made while recovering a dropped connection
@@ -548,360 +528,76 @@ impl TcpClientMetrics {
     }
 }
 
-/// Clamp a [`Duration`] to whole nanoseconds for counter accounting.
-fn nanos_u64(duration: Duration) -> u64 {
-    u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// The S1 side of one TCP connection to a [`TcpCloudServer`]: a [`Transport`] whose
-/// envelopes travel length-prefix-framed over a real socket, with opt-in transparent
-/// reconnect-resume-resend recovery (see the module docs).
-pub struct TcpTransport {
-    /// The live socket.  `RefCell` because recovery swaps it mid-exchange from the
-    /// `&self` control plane (`s2_ledger` runs through the same retry path).
-    stream: RefCell<TcpStream>,
-    /// Resolved server addresses, kept for reconnects.
-    addrs: Vec<SocketAddr>,
-    peer: SocketAddr,
-    session: SessionId,
+/// Connect to a [`TcpCloudServer`] at `addr`, retrying with capped jittered exponential
+/// backoff, run the handshake that provisions this session's S2 engine, and hand back
+/// the session's transport: envelopes travel length-prefix-framed over the socket, with
+/// opt-in transparent reconnect-resume-resend recovery (see the module docs).
+pub fn connect(
+    addr: impl ToSocketAddrs,
+    provision: EngineProvision,
     options: TcpOptions,
-    /// Resolved jitter seed ([`TcpOptions::jitter_seed`], or derived from the session
-    /// id when left 0).
-    jitter_seed: u64,
-    /// Token to present when resuming; rotated by the server on every accept.
-    resume_token: Cell<u64>,
-    seq: u64,
-    /// Highest protocol sequence number whose reply we have seen (sent with every
-    /// resume so the server can prune its replay cache).
-    acked: Cell<u64>,
-    /// Logical protocol frames sent, driving the [`FaultPlan`] schedule.
-    frames: Cell<u64>,
-    /// Successful reconnect-resume recoveries performed so far.
-    reconnects: Cell<u64>,
-    /// Transport faults absorbed without surfacing to the caller: reconnect-resume
-    /// recoveries plus shed requests retried to success.  Always counted (independent
-    /// of any metrics registry), so serving reports can split query failures from
-    /// faults the retry machinery hid.
-    faults_absorbed: Cell<u64>,
-    /// Cached `tcp.client.*` metric handles (no-ops until a registry is installed).
-    client_metrics: TcpClientMetrics,
-    metrics: ChannelMetrics,
-    /// Set once teardown (or an unrecoverable socket error) happened, so `Drop` does
-    /// not try to disconnect twice or over a dead socket.
-    disconnected: Cell<bool>,
-    /// When the transport was created through [`TransportKind::Tcp`] rather than by
-    /// connecting to an explicit listener, it owns a private loopback server that must
-    /// live (and shut down) with it.
-    private_server: Option<Box<TcpCloudServer>>,
+) -> Result<EnvelopeTransport> {
+    let addrs: Vec<SocketAddr> = addr
+        .to_socket_addrs()
+        .map_err(|e| ProtocolError::transport(format!("resolving S2 address: {e}")))?
+        .collect();
+    if addrs.is_empty() {
+        return Err(ProtocolError::transport("S2 address resolved to nothing"));
+    }
+    let stream = connect_with_retry(&addrs, &options)?;
+    let peer = stream.peer_addr().map_err(|e| ProtocolError::from_io("reading peer address", e))?;
+    configure_stream(&stream, &options)?;
+
+    let kind = HelloKind::Fresh { session: options.session.map_or(0, |s| s.0), provision };
+    let (session, resume_token) = client_handshake(&stream, peer, kind)?;
+    let jitter_seed =
+        if options.jitter_seed != 0 { options.jitter_seed } else { shard_seed(session, 0xBAC0FF) };
+    let pipe = SocketPipe {
+        stream,
+        addrs,
+        peer,
+        session,
+        options,
+        jitter_seed,
+        resume_token,
+        frames: 0,
+        recoveries: 0,
+        started: Instant::now(),
+        dead: false,
+        client_metrics: TcpClientMetrics::default(),
+    };
+    Ok(EnvelopeTransport::new(SessionId(session), Box::new(pipe)))
 }
 
-impl fmt::Debug for TcpTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TcpTransport")
-            .field("peer", &self.peer)
-            .field("session", &self.session)
-            .field("reconnects", &self.reconnects.get())
-            .field("metrics", &self.metrics)
-            .finish()
-    }
-}
-
-impl TcpTransport {
-    /// Connect to a [`TcpCloudServer`] at `addr`, retrying with capped jittered
-    /// exponential backoff, and run the handshake that provisions this session's S2
-    /// engine.
-    pub fn connect(
-        addr: impl ToSocketAddrs,
-        provision: EngineProvision,
-        options: TcpOptions,
-    ) -> Result<Self> {
-        let addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| ProtocolError::transport(format!("resolving S2 address: {e}")))?
-            .collect();
-        if addrs.is_empty() {
-            return Err(ProtocolError::transport("S2 address resolved to nothing"));
-        }
-        let stream = Self::connect_with_retry(&addrs, &options)?;
-        let peer =
-            stream.peer_addr().map_err(|e| ProtocolError::from_io("reading peer address", e))?;
-        configure_stream(&stream, &options)?;
-
-        let hello = ClientHello {
-            magic: TCP_MAGIC.into(),
-            version: TCP_PROTOCOL_VERSION,
-            kind: HelloKind::Fresh { session: options.session.map_or(0, |s| s.0), provision },
-        };
-        let (session, resume_token) = client_handshake(&stream, peer, &hello)?;
-        let jitter_seed = if options.jitter_seed != 0 {
-            options.jitter_seed
-        } else {
-            shard_seed(session, 0xBAC0FF)
-        };
-        Ok(TcpTransport {
-            stream: RefCell::new(stream),
-            addrs,
-            peer,
-            session: SessionId(session),
-            options,
-            jitter_seed,
-            resume_token: Cell::new(resume_token),
-            seq: 0,
-            acked: Cell::new(0),
-            frames: Cell::new(0),
-            reconnects: Cell::new(0),
-            faults_absorbed: Cell::new(0),
-            client_metrics: TcpClientMetrics::default(),
-            metrics: ChannelMetrics::new(),
-            disconnected: Cell::new(false),
-            private_server: None,
-        })
-    }
-
-    /// A self-contained TCP transport: spins up a private single-worker loopback
-    /// [`TcpCloudServer`] on an ephemeral port serving only this session.  This is what
-    /// `SECTOPK_TRANSPORT=tcp` uses, so the whole test suite can exercise the real
-    /// socket path without managing a server process.
-    pub fn private(provision: EngineProvision, options: TcpOptions) -> Result<Self> {
-        let server = TcpCloudServer::bind("127.0.0.1:0", 1)
-            .map_err(|e| ProtocolError::transport(format!("binding loopback S2: {e}")))?;
-        let mut transport = Self::connect(server.local_addr(), provision, options)?;
-        transport.private_server = Some(Box::new(server));
-        Ok(transport)
-    }
-
-    fn connect_with_retry(addrs: &[SocketAddr], options: &TcpOptions) -> Result<TcpStream> {
-        let attempts = options.connect_attempts.max(1);
-        let mut last_error = String::new();
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(backoff_delay(
-                    options.connect_backoff,
-                    options.connect_backoff_cap,
-                    attempt - 1,
-                    options.jitter_seed,
-                ));
-            }
-            for addr in addrs {
-                match TcpStream::connect(addr) {
-                    Ok(stream) => return Ok(stream),
-                    Err(e) => last_error = format!("{addr}: {e}"),
-                }
-            }
-        }
-        Err(ProtocolError::transport_io(format!(
-            "connecting to S2 failed after {attempts} attempts: {last_error}"
-        )))
-    }
-
-    /// One reconnect attempt (no inner retry — the caller's [`RetryPolicy`] is the
-    /// budget): dial, resume-handshake the session, and on accept swap the live
-    /// stream.
-    fn resume_once(&self) -> Result<()> {
-        let mut last_error = String::new();
-        let stream = 'dial: {
-            for addr in &self.addrs {
-                self.client_metrics.connect_attempts.incr();
-                match TcpStream::connect(addr) {
-                    Ok(stream) => break 'dial stream,
-                    Err(e) => last_error = format!("{addr}: {e}"),
-                }
-            }
-            return Err(ProtocolError::transport_io(format!("reconnecting to S2: {last_error}")));
-        };
-        configure_stream(&stream, &self.options)?;
-        let hello = ClientHello {
-            magic: TCP_MAGIC.into(),
-            version: TCP_PROTOCOL_VERSION,
-            kind: HelloKind::Resume(ResumeHello {
-                session: self.session.0,
-                last_acked_seq: self.acked.get(),
-                resume_token: self.resume_token.get(),
-            }),
-        };
-        let (session, resume_token) = client_handshake(&stream, self.peer, &hello)?;
-        if session != self.session.0 {
-            return Err(ProtocolError::transport(format!(
-                "resume handshake returned {session}, expected {}",
-                self.session.0
-            )));
-        }
-        self.resume_token.set(resume_token);
-        *self.stream.borrow_mut() = stream;
-        Ok(())
-    }
-
-    /// Burn through the retry budget until one reconnect-resume succeeds.  `attempt`
-    /// is shared across the whole logical exchange, so repeated failures of the same
-    /// envelope cannot retry forever.
-    fn reconnect_and_resume(
-        &self,
-        attempt: &mut u32,
-        started: Instant,
-        trigger: ProtocolError,
-    ) -> Result<()> {
-        let policy = self.options.retry;
-        let mut last = trigger;
-        while *attempt < policy.attempts {
-            if !policy.deadline.is_zero() && started.elapsed() >= policy.deadline {
-                return Err(ProtocolError::transport_exhausted(format!(
-                    "retry deadline of {:?} exceeded after {} reconnect attempts; last error: {last}",
-                    policy.deadline, *attempt
-                )));
-            }
-            let delay =
-                backoff_delay(policy.backoff, policy.backoff_cap, *attempt, self.jitter_seed);
-            self.client_metrics.backoff_nanos.add(nanos_u64(delay));
-            std::thread::sleep(delay);
-            *attempt += 1;
-            match self.resume_once() {
-                Ok(()) => {
-                    self.reconnects.set(self.reconnects.get() + 1);
-                    self.faults_absorbed.set(self.faults_absorbed.get() + 1);
-                    self.client_metrics.reconnects.incr();
-                    return Ok(());
-                }
-                Err(e) if e.is_retryable() => last = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(ProtocolError::transport_exhausted(format!(
-            "gave up after {} reconnect attempts; last error: {last}",
-            policy.attempts
-        )))
-    }
-
-    /// The session id negotiated at connect time.
-    pub fn session(&self) -> SessionId {
-        self.session
-    }
-
-    /// The server address this transport is connected to.
-    pub fn peer(&self) -> SocketAddr {
-        self.peer
-    }
-
-    /// Successful transparent reconnect-resume recoveries performed so far.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects.get()
-    }
-
-    /// Install `tcp.client.*` metric handles from `registry` (see
-    /// [`sectopk_metrics::Registry`]).  A disabled registry leaves every instrument a
-    /// no-op; either way the protocol bytes and [`ChannelMetrics`] are unaffected.
-    pub fn set_metrics_registry(&mut self, registry: &MetricsRegistry) {
-        self.client_metrics = TcpClientMetrics::from_registry(registry);
-    }
-
-    /// Sever our own socket (fault injection).
-    fn sever(&self) {
-        let _ = self.stream.borrow().shutdown(Shutdown::Both);
-    }
-
-    /// One attempt at shipping `encoded` and reading its reply, injecting scheduled
-    /// faults when this is the first attempt of a logical protocol frame.
-    fn try_exchange(&self, seq: u64, encoded: &[u8], first_attempt: bool) -> Result<Envelope> {
-        let faults = self.options.faults;
-        let inject = first_attempt && seq != 0 && faults.is_active();
-        let nth = if inject {
-            self.frames.set(self.frames.get() + 1);
-            self.frames.get()
-        } else if first_attempt && seq != 0 {
-            self.frames.set(self.frames.get() + 1);
-            0
-        } else {
-            0
-        };
-        if inject && faults.drop_before_send_every > 0 && nth % faults.drop_before_send_every == 0 {
-            self.sever();
-            return Err(ProtocolError::transport_io(
-                "fault injection: connection severed before send",
+fn connect_with_retry(addrs: &[SocketAddr], options: &TcpOptions) -> Result<TcpStream> {
+    let attempts = options.connect_attempts.max(1);
+    let mut last_error = String::new();
+    for attempt in 0..attempts {
+        if attempt > 0 {
+            std::thread::sleep(backoff_delay(
+                options.connect_backoff,
+                options.connect_backoff_cap,
+                attempt - 1,
+                options.jitter_seed,
             ));
         }
-        let stream = self.stream.borrow();
-        write_frame(&*stream, encoded)?;
-        if inject && faults.drop_after_send_every > 0 && nth % faults.drop_after_send_every == 0 {
-            // The request left, the reply is lost: sever and fail without reading (on
-            // loopback the kernel may otherwise hand us the reply out of the severed
-            // socket's buffer, absorbing the fault).
-            let _ = stream.shutdown(Shutdown::Both);
-            return Err(ProtocolError::transport_io(
-                "fault injection: connection severed after send",
-            ));
-        }
-        if inject && faults.delay_every > 0 && nth % faults.delay_every == 0 {
-            std::thread::sleep(faults.delay);
-        }
-        loop {
-            let incoming = read_frame(&*stream)?;
-            let reply = Envelope::decode(&incoming)?;
-            if reply.session == self.session && reply.seq < seq {
-                // A stale replay of an exchange we already acknowledged (possible in
-                // the reply queue right after a resume): discard, keep reading.
-                continue;
-            }
-            if reply.session != self.session || reply.seq != seq {
-                return Err(ProtocolError::transport(format!(
-                    "envelope echo mismatch: sent {}#{seq}, got {}#{}",
-                    self.session, reply.session, reply.seq
-                )));
-            }
-            return Ok(reply);
-        }
-    }
-
-    /// Ship one frame under sequence number `seq` and block for the reply, recovering
-    /// from retryable transport failures under the configured [`RetryPolicy`]
-    /// (reconnect → resume handshake → re-send this same envelope).
-    fn exchange_with_seq(&self, seq: u64, frame_bytes: Vec<u8>) -> Result<Envelope> {
-        let envelope = Envelope { session: self.session, seq, frame: frame_bytes };
-        let encoded = envelope.encode();
-        self.client_metrics.frame_bytes.observe(encoded.len() as u64);
-        let started = Instant::now();
-        let mut attempt: u32 = 0;
-        let mut first_attempt = true;
-        loop {
-            match self.try_exchange(seq, &encoded, first_attempt) {
-                Ok(reply) => {
-                    if seq != 0 {
-                        self.acked.set(seq);
-                    }
-                    return Ok(reply);
-                }
-                Err(e) => {
-                    first_attempt = false;
-                    if !(e.is_retryable() && self.options.retry.is_enabled()) {
-                        self.disconnected.set(true);
-                        return Err(e);
-                    }
-                    if let Err(gave_up) = self.reconnect_and_resume(&mut attempt, started, e) {
-                        self.disconnected.set(true);
-                        return Err(gave_up);
-                    }
-                }
+        for addr in addrs {
+            match TcpStream::connect(addr) {
+                Ok(stream) => return Ok(stream),
+                Err(e) => last_error = format!("{addr}: {e}"),
             }
         }
     }
-
-    /// One unmetered control-plane exchange (ledger fetch / reset) under the reserved
-    /// sequence number 0.
-    fn control(&self, tag: u8, expected_reply: u8) -> Result<Vec<u8>> {
-        let reply = self.exchange_with_seq(0, vec![tag])?;
-        match reply.frame.split_first() {
-            Some((&t, payload)) if t == expected_reply => Ok(payload.to_vec()),
-            _ => Err(ProtocolError::transport("unexpected control reply from S2")),
-        }
-    }
+    Err(ProtocolError::transport_io(format!(
+        "connecting to S2 failed after {attempts} attempts: {last_error}"
+    )))
 }
 
 /// Run one client-side handshake over `stream`; returns the negotiated
 /// `(session, resume_token)` on accept.
-fn client_handshake(
-    stream: &TcpStream,
-    peer: SocketAddr,
-    hello: &ClientHello,
-) -> Result<(u64, u64)> {
-    write_frame(stream, &wire::to_bytes(hello))?;
+fn client_handshake(stream: &TcpStream, peer: SocketAddr, kind: HelloKind) -> Result<(u64, u64)> {
+    let hello = ClientHello { magic: TCP_MAGIC.into(), version: TCP_PROTOCOL_VERSION, kind };
+    write_frame(stream, &wire::to_bytes(&hello))?;
     let reply = read_frame(stream)?;
     let reply: ServerHello = wire::from_bytes(&reply)
         .map_err(|e| ProtocolError::transport(format!("undecodable server hello: {e}")))?;
@@ -918,103 +614,176 @@ fn client_handshake(
     }
 }
 
-impl Transport for TcpTransport {
-    fn round_trip(&mut self, request: S1Request) -> Result<S2Response> {
-        let out_frame = framed(frame::REQUEST, &request);
-        // Metered size = wire payload only; the tag byte, the 16-byte envelope header
-        // and the 4-byte length prefix are framing, keeping metrics identical across
-        // all four transports.  Metered exactly once per *logical* exchange: a
-        // recovery re-send is a physical retransmit, not new protocol traffic.
-        self.metrics.record(Direction::S1ToS2, out_frame.len() - 1, request.ciphertext_count());
-        self.seq += 1;
-        let seq = self.seq;
-        let mut shed_attempt: u32 = 0;
-        loop {
-            let reply = self.exchange_with_seq(seq, out_frame.clone())?;
-            let payload = match reply.frame.split_first() {
-                Some((&frame::RESPONSE, payload)) => payload,
-                _ => {
-                    self.disconnected.set(true);
-                    return Err(ProtocolError::transport("unexpected reply frame from S2"));
-                }
-            };
-            let response: S2Response = wire::from_bytes(payload)
-                .map_err(|e| ProtocolError::transport(format!("undecodable response: {e}")))?;
-            if let S2Response::Error(e) = &response {
-                // A shed request (typed overload) was never executed; re-submitting
-                // the same sequence number after a backoff is safe and invisible to
-                // the caller, up to the retry budget.
-                if e.is_retryable() && shed_attempt < self.options.retry.attempts {
-                    let delay = backoff_delay(
-                        self.options.retry.backoff,
-                        self.options.retry.backoff_cap,
-                        shed_attempt,
-                        self.jitter_seed,
-                    );
-                    self.client_metrics.backoff_nanos.add(nanos_u64(delay));
-                    std::thread::sleep(delay);
-                    shed_attempt += 1;
-                    self.faults_absorbed.set(self.faults_absorbed.get() + 1);
-                    self.client_metrics.shed_retries.incr();
-                    continue;
+/// The socket [`Pipe`]: one TCP connection to a [`TcpCloudServer`], re-established by
+/// resuming the session when it drops.
+struct SocketPipe {
+    stream: TcpStream,
+    /// Resolved server addresses, kept for reconnects.
+    addrs: Vec<SocketAddr>,
+    peer: SocketAddr,
+    /// The session id negotiated at connect time.
+    session: u64,
+    options: TcpOptions,
+    /// Resolved jitter seed ([`TcpOptions::jitter_seed`], or derived from the session
+    /// id when left 0).
+    jitter_seed: u64,
+    /// Token to present when resuming; rotated by the server on every accept.
+    resume_token: u64,
+    /// Logical protocol frames sent, driving the [`FaultPlan`] schedule.
+    frames: u64,
+    /// Reconnect attempts spent on, and start of, the current logical exchange: the
+    /// [`RetryPolicy`] budget is per exchange, so repeated failures of one envelope
+    /// cannot retry forever.
+    recoveries: u32,
+    started: Instant,
+    /// The socket is known dead (an I/O error, or we severed it), so teardown must not
+    /// wait on it.
+    dead: bool,
+    client_metrics: TcpClientMetrics,
+}
+
+impl SocketPipe {
+    /// Sever our own socket (fault injection).
+    fn sever(&mut self, when: &str) -> ProtocolError {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.dead = true;
+        ProtocolError::transport_io(format!("fault injection: connection severed {when}"))
+    }
+
+    /// One reconnect attempt (no inner retry — the [`RetryPolicy`] is the budget): dial,
+    /// resume-handshake the session, and on accept swap the live stream.
+    fn resume_once(&mut self, acked: u64) -> Result<()> {
+        let mut last_error = String::new();
+        let stream = 'dial: {
+            for addr in &self.addrs {
+                self.client_metrics.connect_attempts.incr();
+                match TcpStream::connect(addr) {
+                    Ok(stream) => break 'dial stream,
+                    Err(e) => last_error = format!("{addr}: {e}"),
                 }
             }
-            self.metrics.record(Direction::S2ToS1, payload.len(), response.ciphertext_count());
-            return response_or_error(response);
+            return Err(ProtocolError::transport_io(format!("reconnecting to S2: {last_error}")));
+        };
+        configure_stream(&stream, &self.options)?;
+        let kind = HelloKind::Resume(ResumeHello {
+            session: self.session,
+            last_acked_seq: acked,
+            resume_token: self.resume_token,
+        });
+        let (session, resume_token) = client_handshake(&stream, self.peer, kind)?;
+        if session != self.session {
+            return Err(ProtocolError::transport(format!(
+                "resume handshake returned {session}, expected {}",
+                self.session
+            )));
         }
+        self.resume_token = resume_token;
+        self.stream = stream;
+        self.dead = false;
+        Ok(())
     }
 
-    fn metrics(&self) -> ChannelMetrics {
-        self.metrics
+    /// Sleep out the `attempt`-th backoff of the retry policy.
+    fn back_off(&self, attempt: u32) {
+        let retry = self.options.retry;
+        let delay = backoff_delay(retry.backoff, retry.backoff_cap, attempt, self.jitter_seed);
+        let nanos = u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX);
+        self.client_metrics.backoff_nanos.add(nanos);
+        std::thread::sleep(delay);
     }
+}
 
-    fn reset_metrics(&mut self) {
-        self.metrics = ChannelMetrics::new();
-    }
-
-    fn s2_ledger(&self) -> LeakageLedger {
-        let payload = self
-            .control(frame::FETCH_LEDGER, frame::LEDGER)
-            .expect("S2 server unavailable while fetching the session ledger");
-        wire::from_bytes(&payload).expect("undecodable S2 ledger snapshot")
-    }
-
-    fn reset_s2(&mut self) {
-        self.control(frame::RESET, frame::RESET_DONE)
-            .expect("S2 server unavailable while resetting the session");
-    }
-
+impl Pipe for SocketPipe {
     fn kind(&self) -> TransportKind {
         TransportKind::Tcp
     }
 
-    fn faults_absorbed(&self) -> u64 {
-        self.faults_absorbed.get()
+    fn send(&mut self, envelope: &Envelope, first_attempt: bool) -> Result<()> {
+        let encoded = envelope.encode();
+        // Faults fire on a fixed schedule of *logical* protocol frames: control
+        // exchanges and retransmits are not counted, and a re-send is never re-faulted.
+        let mut nth = 0;
+        if first_attempt {
+            self.recoveries = 0;
+            self.started = Instant::now();
+            self.client_metrics.frame_bytes.observe(encoded.len() as u64);
+            if envelope.seq != 0 {
+                self.frames += 1;
+                nth = self.frames;
+            }
+        }
+        let faults = self.options.faults;
+        let due = |every: u64| nth != 0 && every > 0 && nth % every == 0;
+        if due(faults.drop_before_send_every) {
+            return Err(self.sever("before send"));
+        }
+        write_frame(&self.stream, &encoded).inspect_err(|_| self.dead = true)?;
+        if due(faults.drop_after_send_every) {
+            // The request left, the reply is lost: sever and fail without reading (on
+            // loopback the kernel may otherwise hand us the reply out of the severed
+            // socket's buffer, absorbing the fault).
+            return Err(self.sever("after send"));
+        }
+        if due(faults.delay_every) {
+            std::thread::sleep(faults.delay);
+        }
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<Envelope> {
+        let incoming = read_frame(&self.stream).inspect_err(|_| self.dead = true)?;
+        Envelope::decode(&incoming)
+    }
+
+    /// Burn through the retry budget until one reconnect-resume succeeds.
+    fn recover(&mut self, acked: u64, trigger: ProtocolError) -> Result<()> {
+        let policy = self.options.retry;
+        if !policy.is_enabled() {
+            return Err(trigger);
+        }
+        let mut last = trigger;
+        while self.recoveries < policy.attempts {
+            if !policy.deadline.is_zero() && self.started.elapsed() >= policy.deadline {
+                return Err(ProtocolError::transport_exhausted(format!(
+                    "retry deadline of {:?} exceeded after {} reconnect attempts; last error: {last}",
+                    policy.deadline, self.recoveries
+                )));
+            }
+            self.back_off(self.recoveries);
+            self.recoveries += 1;
+            match self.resume_once(acked) {
+                Ok(()) => {
+                    self.client_metrics.reconnects.incr();
+                    return Ok(());
+                }
+                Err(e) if e.is_retryable() => last = e,
+                Err(e) => return Err(e),
+            }
+        }
+        Err(ProtocolError::transport_exhausted(format!(
+            "gave up after {} reconnect attempts; last error: {last}",
+            policy.attempts
+        )))
+    }
+
+    fn retry_shed(&mut self, attempt: u32) -> bool {
+        if attempt >= self.options.retry.attempts {
+            return false;
+        }
+        self.back_off(attempt);
+        self.client_metrics.shed_retries.incr();
+        true
+    }
+
+    fn disconnect(&mut self, envelope: &Envelope) {
+        if !self.dead && write_frame(&self.stream, &envelope.encode()).is_ok() {
+            let _ = read_frame(&self.stream);
+        }
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 
     fn set_metrics_registry(&mut self, registry: &MetricsRegistry) {
-        TcpTransport::set_metrics_registry(self, registry);
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        if !self.disconnected.get() {
-            // Graceful teardown: ship DISCONNECT and block for the ack so the session
-            // id is free for reuse the moment this drop returns; best effort if the
-            // server is already gone.
-            let disconnect = Envelope {
-                session: self.session,
-                seq: self.seq + 1,
-                frame: vec![frame::DISCONNECT],
-            };
-            let stream = self.stream.borrow();
-            if write_frame(&*stream, &disconnect.encode()).is_ok() {
-                let _ = read_frame(&*stream);
-            }
-        }
-        let _ = self.stream.borrow().shutdown(Shutdown::Both);
-        // A private server (if any) drops afterwards, joining its threads.
+        self.client_metrics = TcpClientMetrics::from_registry(registry);
     }
 }
 
@@ -1022,12 +791,11 @@ impl Drop for TcpTransport {
 // Server
 // ====================================================================================
 
-/// Admission and fault-tolerance policy of a [`TcpCloudServer`].
+/// Fault-tolerance policy of a [`TcpCloudServer`].  (Admission — how many sessions may
+/// be held, connected or parked — is the worker pool's
+/// [`PoolLimits::max_sessions`](crate::multiplex::PoolLimits).)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TcpServerConfig {
-    /// Maximum concurrently held sessions (active + parked); further fresh hellos are
-    /// rejected with a typed `Full`.
-    pub max_sessions: usize,
     /// How long a session whose connection died dirty stays parked (engine, ledger
     /// and replay cache intact) awaiting a resume before it is reaped.
     /// `Duration::ZERO` disables parking entirely: a dirty exit reaps immediately,
@@ -1037,7 +805,7 @@ pub struct TcpServerConfig {
 
 impl Default for TcpServerConfig {
     fn default() -> Self {
-        TcpServerConfig { max_sessions: 1024, park_ttl: Duration::from_secs(30) }
+        TcpServerConfig { park_ttl: Duration::from_secs(30) }
     }
 }
 
@@ -1047,24 +815,17 @@ impl TcpServerConfig {
         self.park_ttl = ttl;
         self
     }
-
-    /// Set the session capacity.
-    pub fn with_max_sessions(mut self, max: usize) -> Self {
-        self.max_sessions = max.max(1);
-        self
-    }
 }
 
 /// Mint a resume token.  `RandomState` is randomly seeded per process, so tokens are
 /// unguessable enough to stop accidental cross-client resumes — the real security
 /// boundary is the transport (TLS in production), not this token.
-fn mint_token(session: u64, nonce: u64) -> u64 {
+fn mint_token(nonce: u64) -> u64 {
     use std::collections::hash_map::RandomState;
     use std::hash::{BuildHasher, Hasher};
     let mut hasher = RandomState::new().build_hasher();
-    hasher.write_u64(session);
     hasher.write_u64(nonce);
-    hasher.finish() | 1 // never 0, so "no token" is unambiguous
+    hasher.finish() | 1 // never 0, which the session table reads as "not resumable"
 }
 
 /// Cached server-side metric handles (`tcp.server.*`), resolved from the worker
@@ -1120,26 +881,20 @@ impl TcpServerMetrics {
     }
 }
 
-/// Everything the accept loop, bridges and sweeper share.
+/// Everything the accept loop, bridges and sweeper share.  Session lifecycle is *not*
+/// here: it lives in the pool's session table.
 struct Shared {
     pool: Arc<MultiplexServer>,
     config: TcpServerConfig,
-    /// Session id → the live connection's stream (a `try_clone`), so the server can
-    /// sever one session ([`TcpCloudServer::drop_session`]) or all of them on
-    /// shutdown.
-    streams: Mutex<HashMap<u64, TcpStream>>,
-    /// Sessions whose connection died dirty, awaiting resume until the deadline.
-    parked: Mutex<HashMap<u64, Instant>>,
-    /// Current resume token of every held session (active or parked).
-    tokens: Mutex<HashMap<u64, u64>>,
+    /// Session → the live connection's stream (a `try_clone`), so the server can sever
+    /// one session ([`TcpCloudServer::drop_session`]) or all of them on shutdown.
+    streams: Mutex<HashMap<SessionId, TcpStream>>,
     /// Draining: reject every hello, finish in-flight work, park nothing.
     draining: AtomicBool,
     /// Hard shutdown (server drop): stops the accept loop and the sweeper.
     shutdown: AtomicBool,
     /// Sessions successfully taken over by a resume handshake.
     resumed: AtomicU64,
-    /// Next server-assigned session id.
-    next_session: AtomicU64,
     /// Nonce feed for token minting.
     token_nonce: AtomicU64,
     /// Cached `tcp.server.*` metric handles (no-ops when the pool has no registry).
@@ -1147,10 +902,22 @@ struct Shared {
 }
 
 impl Shared {
-    fn reap(&self, session: SessionId) {
-        self.tokens.plock().remove(&session.0);
-        reap_session(&self.pool, session);
+    /// Unseat a session on behalf of a client that is gone.
+    fn reap(&self, conduit: &SessionConduit) {
+        conduit.close(false);
         self.metrics.reaped.incr();
+    }
+
+    /// Reap parked sessions: those expired by `expired_by`, or all of them (`None`).
+    fn reap_parked(&self, expired_by: Option<Instant>) {
+        let reaped = self.pool.reap_parked(expired_by);
+        self.metrics.reaped.add(reaped as u64);
+    }
+
+    fn sever_all(&self) {
+        for stream in self.streams.plock().values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -1179,8 +946,8 @@ impl fmt::Debug for TcpCloudServer {
 
 impl TcpCloudServer {
     /// Bind a listener at `addr` with its own `workers`-thread S2 pool and default
-    /// admission policy.  `"127.0.0.1:0"` binds an ephemeral loopback port (read it
-    /// back with [`Self::local_addr`]).
+    /// policy.  `"127.0.0.1:0"` binds an ephemeral loopback port (read it back with
+    /// [`Self::local_addr`]).
     pub fn bind(addr: impl ToSocketAddrs, workers: usize) -> std::io::Result<Self> {
         Self::serve_pool(addr, Arc::new(MultiplexServer::new(workers)), TcpServerConfig::default())
     }
@@ -1203,12 +970,9 @@ impl TcpCloudServer {
             pool,
             config,
             streams: Mutex::new(HashMap::new()),
-            parked: Mutex::new(HashMap::new()),
-            tokens: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             resumed: AtomicU64::new(0),
-            next_session: AtomicU64::new(ASSIGNED_SESSION_BASE),
             token_nonce: AtomicU64::new(1),
             metrics,
         });
@@ -1252,7 +1016,7 @@ impl TcpCloudServer {
         &self.shared.pool
     }
 
-    /// The admission policy this listener runs under.
+    /// The policy this listener runs under.
     pub fn config(&self) -> TcpServerConfig {
         self.shared.config
     }
@@ -1264,7 +1028,7 @@ impl TcpCloudServer {
 
     /// Number of sessions parked after a dirty disconnect, awaiting resume.
     pub fn parked_sessions(&self) -> usize {
-        self.shared.parked.plock().len()
+        self.shared.pool.parked_sessions()
     }
 
     /// Number of sessions successfully taken over by a resume handshake so far.
@@ -1282,8 +1046,7 @@ impl TcpCloudServer {
     /// parks (or, with a zero [`TcpServerConfig::park_ttl`], reaps) the session;
     /// clean neighbours are unaffected.  Returns whether the session was connected.
     pub fn drop_session(&self, session: SessionId) -> bool {
-        let streams = self.shared.streams.plock();
-        match streams.get(&session.0) {
+        match self.shared.streams.plock().get(&session) {
             Some(stream) => {
                 let _ = stream.shutdown(Shutdown::Both);
                 true
@@ -1298,13 +1061,7 @@ impl TcpCloudServer {
     /// object stays alive (its `Drop` completes shutdown); this just quiesces it.
     pub fn drain(&self, grace: Duration) {
         self.shared.draining.store(true, Ordering::SeqCst);
-        let parked: Vec<u64> = {
-            let mut parked = self.shared.parked.plock();
-            parked.drain().map(|(session, _)| session).collect()
-        };
-        for session in parked {
-            self.shared.reap(SessionId(session));
-        }
+        self.shared.reap_parked(None);
         let started = Instant::now();
         while started.elapsed() < grace {
             if self.shared.streams.plock().is_empty() {
@@ -1312,9 +1069,7 @@ impl TcpCloudServer {
             }
             std::thread::sleep(POLL_TICK);
         }
-        for stream in self.shared.streams.plock().values() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        self.shared.sever_all();
     }
 }
 
@@ -1322,19 +1077,11 @@ impl Drop for TcpCloudServer {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.draining.store(true, Ordering::SeqCst);
-        // Reap every parked session so the pool releases their engines.
-        let parked: Vec<u64> = {
-            let mut parked = self.shared.parked.plock();
-            parked.drain().map(|(session, _)| session).collect()
-        };
-        for session in parked {
-            self.shared.reap(SessionId(session));
-        }
-        // Sever every live connection; bridges observe the dead sockets and reap
-        // (draining is set, so nothing re-parks).
-        for stream in self.shared.streams.plock().values() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        // Reap every parked session so the pool releases their engines, and sever
+        // every live connection; bridges observe the dead sockets and reap (draining
+        // is set, so nothing re-parks).
+        self.shared.reap_parked(None);
+        self.shared.sever_all();
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(handle) = self.accept_thread.take() {
@@ -1386,19 +1133,7 @@ fn accept_loop(
 fn sweeper_loop(shared: &Arc<Shared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(SWEEP_TICK);
-        let now = Instant::now();
-        let expired: Vec<u64> = shared
-            .parked
-            .plock()
-            .iter()
-            .filter(|(_, deadline)| **deadline <= now)
-            .map(|(session, _)| *session)
-            .collect();
-        for session in expired {
-            if shared.parked.plock().remove(&session).is_some() {
-                shared.reap(SessionId(session));
-            }
-        }
+        shared.reap_parked(Some(Instant::now()));
     }
 }
 
@@ -1438,162 +1173,91 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         return;
     }
 
-    let (session, conduit) = match hello.kind {
+    // Every accept hands out a fresh resume token; the session table stores it in the
+    // same critical section that seats (or un-parks) the session.
+    let token = mint_token(shared.token_nonce.fetch_add(1, Ordering::Relaxed));
+    let conduit = match hello.kind {
+        // The engine's intra-query worker count comes from SECTOPK_INTRA_PARALLEL in
+        // the *server* process's environment (the provision wire format carries no
+        // worker knob: worker count is a local resource decision, never protocol
+        // state).
         HelloKind::Fresh { session, provision } => {
-            match admit_fresh(shared, session, provision, &reject) {
-                Some(admitted) => admitted,
-                None => return,
+            match shared.pool.attach(SessionId(session), provision.build(), token) {
+                Ok(conduit) => conduit,
+                Err(AttachError::InUse) => {
+                    let reason = format!("session id {session} is already connected");
+                    return reject(RejectCode::SessionInUse, &reason);
+                }
+                Err(AttachError::Full) => return reject(RejectCode::Full, "server full"),
             }
         }
-        HelloKind::Resume(resume) => match admit_resume(shared, resume, &reject) {
-            Some(admitted) => admitted,
-            None => return,
+        HelloKind::Resume(resume) => match admit_resume(shared, resume, token) {
+            Ok(conduit) => conduit,
+            Err((code, reason)) => return reject(code, reason),
         },
     };
+    let session = conduit.session();
 
-    // Mint (or rotate) this session's resume token and register the live stream
-    // before accepting, so drop_session / shutdown can always reach it.
-    let token = mint_token(session.0, shared.token_nonce.fetch_add(1, Ordering::Relaxed));
-    shared.tokens.plock().insert(session.0, token);
-    {
-        let mut streams = shared.streams.plock();
-        match stream.try_clone() {
-            Ok(clone) => {
-                streams.insert(session.0, clone);
-            }
-            Err(_) => {
-                drop(streams);
-                shared.reap(session);
-                return;
-            }
-        }
-    }
+    // Register the live stream before accepting, so drop_session / shutdown can
+    // always reach it.
+    let Ok(clone) = stream.try_clone() else { return shared.reap(&conduit) };
+    shared.streams.plock().insert(session, clone);
     let accept = ServerHello::Accept {
         version: TCP_PROTOCOL_VERSION,
         session: session.0,
         resume_token: token,
     };
     if write_frame(&stream, &wire::to_bytes(&accept)).is_err() {
-        shared.streams.plock().remove(&session.0);
-        shared.reap(session);
-        return;
+        shared.streams.plock().remove(&session);
+        return shared.reap(&conduit);
     }
     shared.metrics.accepts.incr();
 
-    bridge_loop(&stream, shared, session, &conduit);
+    bridge_loop(&stream, shared, &conduit);
 }
 
-/// Admit a fresh hello: capacity check, engine build, pool attach (with server-side id
-/// assignment when the client proposed none).
-fn admit_fresh(
-    shared: &Shared,
-    proposed: u64,
-    provision: EngineProvision,
-    reject: &dyn Fn(RejectCode, &str),
-) -> Option<(SessionId, SessionConduit)> {
-    let held = shared.streams.plock().len() + shared.parked.plock().len();
-    if held >= shared.config.max_sessions {
-        reject(RejectCode::Full, "server full");
-        return None;
-    }
-    // The engine's intra-query worker count comes from SECTOPK_INTRA_PARALLEL in the
-    // *server* process's environment (the provision wire format carries no worker
-    // knob: worker count is a local resource decision, never protocol state).
-    let mut engine = provision.build();
-    if proposed != 0 {
-        match shared.pool.attach(SessionId(proposed), engine) {
-            Ok(conduit) => Some((SessionId(proposed), conduit)),
-            Err(e) => {
-                match e.reason {
-                    AttachReason::InUse => reject(
-                        RejectCode::SessionInUse,
-                        &format!("session id {proposed} is already connected"),
-                    ),
-                    AttachReason::Full => reject(RejectCode::Full, "server full"),
-                }
-                None
-            }
-        }
-    } else {
-        loop {
-            let candidate = SessionId(shared.next_session.fetch_add(1, Ordering::SeqCst));
-            match shared.pool.attach(candidate, engine) {
-                Ok(conduit) => return Some((candidate, conduit)),
-                Err(e) if e.reason == AttachReason::InUse => engine = e.engine,
-                Err(_) => {
-                    reject(RejectCode::Full, "server full");
-                    return None;
-                }
-            }
-        }
-    }
-}
-
-/// Admit a resume hello: verify the token, wait (briefly) for the dropped
-/// connection's bridge to park the session, claim it, reattach to the pool and prune
-/// the replay cache up to the client's acknowledged sequence number.
+/// Admit a resume hello: the session table checks the token and claims the parked
+/// session in one step; all that is left here is to wait (briefly) for the dropped
+/// connection's bridge to park it.
 fn admit_resume(
     shared: &Shared,
     resume: ResumeHello,
-    reject: &dyn Fn(RejectCode, &str),
-) -> Option<(SessionId, SessionConduit)> {
-    let session = SessionId(resume.session);
+    token: u64,
+) -> std::result::Result<SessionConduit, (RejectCode, &'static str)> {
     let started = Instant::now();
-    let claimed = loop {
-        match shared.tokens.plock().get(&resume.session) {
-            None => {
-                reject(RejectCode::ResumeDenied, "unknown or expired session");
-                return None;
-            }
-            Some(token) if *token != resume.resume_token => {
-                reject(RejectCode::ResumeDenied, "resume token mismatch");
-                return None;
-            }
-            Some(_) => {}
-        }
-        if shared.parked.plock().remove(&resume.session).is_some() {
-            break true;
-        }
-        if !shared.streams.plock().contains_key(&resume.session)
-            && !shared.pool.has_session(session)
-        {
-            // Not live, not parked, not in the pool: it was reaped between our token
-            // check and now.
-            reject(RejectCode::ResumeDenied, "session was reaped");
-            return None;
-        }
-        if started.elapsed() >= RESUME_GRACE {
-            break false;
+    let claim = loop {
+        let claim = shared.pool.resume(
+            SessionId(resume.session),
+            resume.resume_token,
+            token,
+            resume.last_acked_seq,
+            Instant::now(),
+        );
+        let connected = matches!(claim, Err(ResumeError::StillConnected));
+        if !connected || started.elapsed() >= RESUME_GRACE {
+            break claim;
         }
         // The old bridge is still on its way out (or genuinely alive): give it a tick.
         std::thread::sleep(POLL_TICK);
     };
-    if !claimed {
-        if shared.streams.plock().contains_key(&resume.session) {
-            reject(RejectCode::SessionInUse, "session is still connected");
-        } else {
-            reject(RejectCode::ResumeDenied, "session was not parked");
+    match claim {
+        Ok(conduit) => {
+            shared.resumed.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.resumed.incr();
+            Ok(conduit)
         }
-        return None;
+        Err(ResumeError::Unknown) => Err((RejectCode::ResumeDenied, "unknown or expired session")),
+        Err(ResumeError::BadToken) => Err((RejectCode::ResumeDenied, "resume token mismatch")),
+        Err(ResumeError::StillConnected) => {
+            Err((RejectCode::SessionInUse, "session is still connected"))
+        }
     }
-    let Some(conduit) = shared.pool.reattach(session) else {
-        reject(RejectCode::ResumeDenied, "session engine is gone");
-        return None;
-    };
-    shared.pool.prune_replay(session, resume.last_acked_seq);
-    shared.resumed.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.resumed.incr();
-    Some((session, conduit))
 }
 
 /// Bridge envelopes between one accepted socket and the worker pool until the
 /// connection ends, then park or reap the session.
-fn bridge_loop(
-    stream: &TcpStream,
-    shared: &Arc<Shared>,
-    session: SessionId,
-    conduit: &SessionConduit,
-) {
+fn bridge_loop(stream: &TcpStream, shared: &Arc<Shared>, conduit: &SessionConduit) {
+    let session = conduit.session();
     // Strict request/reply: at most one envelope of this connection is in the pool at
     // any time, so the session's bounded reply queue never fills and a stalled socket
     // back-pressures right here instead of buffering.
@@ -1607,32 +1271,23 @@ fn bridge_loop(
         }
         let seq = envelope.seq;
         if envelope.frame.first() == Some(&frame::DISCONNECT) {
-            if conduit.disconnect(incoming).is_err() {
-                break;
-            }
-            if let Ok(reply) = conduit.from_server.recv() {
-                let _ = write_frame(stream, &reply);
-            }
-            clean_exit = true; // the pool removed the session either way
+            // Nothing of this session is in flight, so unseating it here is ordered
+            // after all its work; the ack tells the client its id is free again.
+            conduit.close(true);
+            let ack = Envelope { session, seq, frame: vec![frame::DISCONNECT_DONE] };
+            let _ = write_frame(stream, &ack.encode());
+            clean_exit = true;
             break;
         }
-        match conduit.submit(incoming) {
+        match conduit.submit(seq, envelope.frame) {
             Ok(()) => {}
             Err(SubmitError::QueueFull) => {
                 // Load shedding: answer with a typed overload error without touching
                 // the engine — the client may safely re-send this sequence number.
-                let shed = Envelope {
-                    session,
-                    seq,
-                    frame: framed(
-                        frame::RESPONSE,
-                        &S2Response::Error(WireError::overloaded(format!(
-                            "{session} inbox full, request shed"
-                        ))),
-                    ),
-                };
+                let error = WireError::overloaded(format!("{session} inbox full, request shed"));
+                let frame = framed(frame::RESPONSE, &S2Response::Error(error));
                 shared.metrics.sheds.incr();
-                if write_frame(stream, &shed.encode()).is_err() {
+                if write_frame(stream, &Envelope { session, seq, frame }.encode()).is_err() {
                     break;
                 }
                 continue;
@@ -1641,65 +1296,48 @@ fn bridge_loop(
         }
         // Ship the reply for *this* sequence number; discard stale replays that a
         // resumed session's previous life may have left in flight (a worker that
-        // finished after the reattach delivers into our queue).
+        // finished after the resume delivers into our queue).
         loop {
-            let Ok(reply_bytes) = conduit.from_server.recv() else { break 'serve };
-            let stale = match Envelope::decode(&reply_bytes) {
-                Ok(reply) => reply.seq != seq,
-                Err(_) => true,
-            };
-            if stale {
+            let Some(reply) = conduit.recv() else { break 'serve };
+            if reply.seq != seq {
                 continue;
             }
-            if write_frame(stream, &reply_bytes).is_err() {
+            if write_frame(stream, &reply.encode()).is_err() {
                 break 'serve;
             }
             break;
         }
     }
 
-    shared.streams.plock().remove(&session.0);
-    if clean_exit {
-        shared.tokens.plock().remove(&session.0);
-    } else if !shared.config.park_ttl.is_zero()
-        && !shared.draining.load(Ordering::SeqCst)
-        && shared.pool.has_session(session)
-    {
-        // Dirty exit with parking enabled: keep the session (engine, ledger, replay
-        // cache, resume token) registered until a resume claims it or the TTL
-        // expires.
-        let deadline = Instant::now()
-            .checked_add(shared.config.park_ttl)
-            .unwrap_or_else(|| Instant::now() + Duration::from_secs(365 * 24 * 3600));
-        shared.parked.plock().insert(session.0, deadline);
-        shared.metrics.parked.incr();
-    } else {
-        // The client vanished without a DISCONNECT and parking is off (or we are
-        // draining): reap its session so the id frees up and the pool drops the
-        // engine (ledger, pending state) with it.
-        shared.reap(session);
+    shared.streams.plock().remove(&session);
+    if !clean_exit {
+        // Dirty exit.  With parking enabled (and no drain under way) the session stays
+        // seated — engine, ledger, replay cache, resume token — until a resume claims
+        // it or the TTL expires; otherwise it is reaped so the id frees up and the pool
+        // drops the engine with it.
+        let ttl = shared.config.park_ttl;
+        let park = !ttl.is_zero() && !shared.draining.load(Ordering::SeqCst);
+        let now = Instant::now();
+        if park && conduit.park(now.checked_add(ttl).unwrap_or(now + Duration::from_secs(1 << 30)))
+        {
+            shared.metrics.parked.incr();
+        } else {
+            shared.reap(conduit);
+        }
     }
     let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Disconnect `session` from the pool on behalf of a dead client.  Eviction is
-/// immediate (not queued through the inbox): every caller holds the invariant that no
-/// new attachment of the id can exist yet, so the registered slot is the one to reap.
-fn reap_session(pool: &MultiplexServer, session: SessionId) {
-    pool.evict(session);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::TransportErrorKind;
-    use crate::multiplex::LinkProfile;
+    use crate::multiplex::{LinkProfile, PoolLimits, ASSIGNED_SESSION_BASE};
+    use crate::transport::{InProcessTransport, S1Request, Transport};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sectopk_crypto::keys::MasterKeys;
     use sectopk_crypto::paillier::{generate_keypair, MIN_MODULUS_BITS};
-
-    use crate::transport::ChannelTransport;
 
     fn master(seed: u64) -> MasterKeys {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1719,6 +1357,13 @@ mod tests {
         }
     }
 
+    /// A listener whose pool holds at most `max_sessions` sessions.
+    fn capped_server(max_sessions: usize, config: TcpServerConfig) -> TcpCloudServer {
+        let limits = PoolLimits { max_sessions, ..PoolLimits::default() };
+        let pool = Arc::new(MultiplexServer::with_limits(2, limits));
+        TcpCloudServer::serve_pool("127.0.0.1:0", pool, config).unwrap()
+    }
+
     /// A config whose dirty exits reap immediately (the pre-resumption behaviour).
     fn no_parking() -> TcpServerConfig {
         TcpServerConfig::default().with_park_ttl(Duration::ZERO)
@@ -1734,23 +1379,29 @@ mod tests {
         }
     }
 
-    /// Raw fresh handshake, bypassing `TcpTransport` (so tests can die dirty or
-    /// hand-craft resume claims).  Returns the stream, negotiated id and token.
+    /// Raw handshake over a connected `stream`, bypassing the transport (so tests can
+    /// die dirty, race hellos or hand-craft resume claims).  Returns the stream and the
+    /// server's answer.
+    fn raw_hello(stream: TcpStream, kind: HelloKind) -> (TcpStream, ServerHello) {
+        let hello = ClientHello { magic: TCP_MAGIC.into(), version: TCP_PROTOCOL_VERSION, kind };
+        write_frame(&stream, &wire::to_bytes(&hello)).unwrap();
+        let answer = wire::from_bytes::<ServerHello>(&read_frame(&stream).unwrap()).unwrap();
+        (stream, answer)
+    }
+
+    /// Raw fresh handshake that must be accepted; returns the stream, negotiated id
+    /// and token.
     fn raw_fresh(
         addr: SocketAddr,
         session: u64,
         provision: EngineProvision,
     ) -> (TcpStream, u64, u64) {
-        let stream = TcpStream::connect(addr).unwrap();
-        let hello = ClientHello {
-            magic: TCP_MAGIC.into(),
-            version: TCP_PROTOCOL_VERSION,
-            kind: HelloKind::Fresh { session, provision },
-        };
-        write_frame(&stream, &wire::to_bytes(&hello)).unwrap();
-        match wire::from_bytes::<ServerHello>(&read_frame(&stream).unwrap()).unwrap() {
-            ServerHello::Accept { session, resume_token, .. } => (stream, session, resume_token),
-            ServerHello::Reject { reason, .. } => panic!("fresh hello rejected: {reason}"),
+        match raw_hello(TcpStream::connect(addr).unwrap(), HelloKind::Fresh { session, provision })
+        {
+            (stream, ServerHello::Accept { session, resume_token, .. }) => {
+                (stream, session, resume_token)
+            }
+            (_, ServerHello::Reject { reason, .. }) => panic!("fresh hello rejected: {reason}"),
         }
     }
 
@@ -1762,14 +1413,7 @@ mod tests {
         resume_token: u64,
     ) -> (TcpStream, ServerHello) {
         let stream = TcpStream::connect(addr).unwrap();
-        let hello = ClientHello {
-            magic: TCP_MAGIC.into(),
-            version: TCP_PROTOCOL_VERSION,
-            kind: HelloKind::Resume(ResumeHello { session, last_acked_seq, resume_token }),
-        };
-        write_frame(&stream, &wire::to_bytes(&hello)).unwrap();
-        let answer = wire::from_bytes::<ServerHello>(&read_frame(&stream).unwrap()).unwrap();
-        (stream, answer)
+        raw_hello(stream, HelloKind::Resume(ResumeHello { session, last_acked_seq, resume_token }))
     }
 
     fn wait_for(mut condition: impl FnMut() -> bool) {
@@ -1784,23 +1428,21 @@ mod tests {
 
     #[test]
     fn loopback_session_matches_dedicated_channel_transport() {
+        // The oracle is the in-process direct call.
         let master = master(41);
         let server = TcpCloudServer::bind("127.0.0.1:0", 2).unwrap();
-        let mut tcp = TcpTransport::connect(
-            server.local_addr(),
-            provision_for(&master, 99),
-            TcpOptions::default(),
-        )
-        .unwrap();
-        let mut channel = ChannelTransport::new(provision_for(&master, 99).build());
+        let mut tcp =
+            connect(server.local_addr(), provision_for(&master, 99), TcpOptions::default())
+                .unwrap();
+        let mut oracle = InProcessTransport::new(provision_for(&master, 99).build());
 
         let mut rng_a = StdRng::seed_from_u64(3);
         let mut rng_b = StdRng::seed_from_u64(3);
         let a = tcp.round_trip(compare_request(&master, -4, &mut rng_a)).unwrap();
-        let b = channel.round_trip(compare_request(&master, -4, &mut rng_b)).unwrap();
+        let b = oracle.round_trip(compare_request(&master, -4, &mut rng_b)).unwrap();
         assert_eq!(a, b, "same engine seed must answer identically over TCP");
-        assert_eq!(tcp.metrics(), channel.metrics(), "metering must be transport-invariant");
-        assert_eq!(tcp.s2_ledger().events(), channel.s2_ledger().events());
+        assert_eq!(tcp.metrics(), oracle.metrics(), "metering must be transport-invariant");
+        assert_eq!(tcp.s2_ledger().events(), oracle.s2_ledger().events());
         assert_eq!(tcp.kind(), TransportKind::Tcp);
         assert_eq!(tcp.link(), LinkProfile::ideal());
     }
@@ -1809,15 +1451,11 @@ mod tests {
     fn server_assigns_session_ids_and_honours_proposals() {
         let master = master(42);
         let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
-        let assigned = TcpTransport::connect(
-            server.local_addr(),
-            provision_for(&master, 1),
-            TcpOptions::default(),
-        )
-        .unwrap();
+        let assigned =
+            connect(server.local_addr(), provision_for(&master, 1), TcpOptions::default()).unwrap();
         assert!(assigned.session().0 >= ASSIGNED_SESSION_BASE);
 
-        let proposed = TcpTransport::connect(
+        let proposed = connect(
             server.local_addr(),
             provision_for(&master, 2),
             TcpOptions::default().with_session(SessionId(7)),
@@ -1827,7 +1465,7 @@ mod tests {
         assert_eq!(server.active_sessions(), 2);
 
         // A second client proposing the same id is refused, permanently.
-        let err = TcpTransport::connect(
+        let err = connect(
             server.local_addr(),
             provision_for(&master, 3),
             TcpOptions::default().with_session(SessionId(7)),
@@ -1847,7 +1485,7 @@ mod tests {
         let master = master(43);
         let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
         {
-            let mut t = TcpTransport::connect(
+            let mut t = connect(
                 server.local_addr(),
                 provision_for(&master, 5),
                 TcpOptions::default().with_session(SessionId(4)),
@@ -1863,7 +1501,7 @@ mod tests {
         // parks, even with parking enabled.
         wait_for(|| server.active_sessions() == 0 && server.pool().active_sessions() == 0);
         assert_eq!(server.parked_sessions(), 0);
-        let _t = TcpTransport::connect(
+        let _t = connect(
             server.local_addr(),
             provision_for(&master, 6),
             TcpOptions::default().with_session(SessionId(4)),
@@ -1904,24 +1542,11 @@ mod tests {
     #[test]
     fn admission_control_rejects_when_full_with_a_retryable_overload() {
         let master = master(45);
-        let server = TcpCloudServer::serve_pool(
-            "127.0.0.1:0",
-            Arc::new(MultiplexServer::new(1)),
-            TcpServerConfig::default().with_max_sessions(1),
-        )
-        .unwrap();
-        let _first = TcpTransport::connect(
-            server.local_addr(),
-            provision_for(&master, 1),
-            TcpOptions::default(),
-        )
-        .unwrap();
-        let err = TcpTransport::connect(
-            server.local_addr(),
-            provision_for(&master, 2),
-            TcpOptions::default(),
-        )
-        .unwrap_err();
+        let server = capped_server(1, TcpServerConfig::default());
+        let _first =
+            connect(server.local_addr(), provision_for(&master, 1), TcpOptions::default()).unwrap();
+        let err = connect(server.local_addr(), provision_for(&master, 2), TcpOptions::default())
+            .unwrap_err();
         match &err {
             ProtocolError::Transport(e) => {
                 assert_eq!(e.kind, TransportErrorKind::Overloaded);
@@ -1929,6 +1554,52 @@ mod tests {
                 assert!(err.is_retryable(), "a full server is a transient condition");
             }
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn concurrent_fresh_hellos_never_over_admit() {
+        // Regression: the cap used to be read from two maps and the newcomer inserted
+        // into one of them only after the engine was attached and its token minted, so
+        // hellos racing against `max_sessions = 1` could both be admitted.  The window
+        // was microseconds wide (a few percent of rounds hit it), hence the rounds.
+        const RACERS: usize = 8;
+        const ROUNDS: usize = 150;
+        let master = master(57);
+        let server = capped_server(1, no_parking());
+        let addr = server.local_addr();
+        for round in 0..ROUNDS {
+            // Every racer connects first and sends its hello only once all are lined
+            // up, so the server's handshake threads wake together.
+            let start = Arc::new(std::sync::Barrier::new(RACERS));
+            let racers: Vec<_> = (0..RACERS as u64)
+                .map(|i| {
+                    let provision = provision_for(&master, i);
+                    let start = Arc::clone(&start);
+                    std::thread::spawn(move || {
+                        let stream = TcpStream::connect(addr).unwrap();
+                        start.wait();
+                        raw_hello(stream, HelloKind::Fresh { session: 0, provision })
+                    })
+                })
+                .collect();
+            // Every racer keeps its connection open until all have been answered, so
+            // an admitted session cannot leave and make room for a second one.
+            let answers: Vec<(TcpStream, ServerHello)> =
+                racers.into_iter().map(|h| h.join().unwrap()).collect();
+            let mut accepts = 0;
+            for (_, answer) in &answers {
+                match answer {
+                    ServerHello::Accept { .. } => accepts += 1,
+                    ServerHello::Reject { code, reason } => {
+                        assert_eq!(*code, RejectCode::Full, "unexpected refusal: {reason}");
+                        assert!(rejection_error(addr, *code, reason).is_retryable());
+                    }
+                }
+            }
+            assert_eq!(accepts, 1, "round {round}: cap 1 admits exactly one racing hello");
+            drop(answers);
+            wait_for(|| server.pool().active_sessions() == 0);
         }
     }
 
@@ -1945,7 +1616,7 @@ mod tests {
             connect_backoff: Duration::from_millis(1),
             ..TcpOptions::default()
         };
-        let err = TcpTransport::connect(dead, provision_for(&master, 1), options).unwrap_err();
+        let err = connect(dead, provision_for(&master, 1), options).unwrap_err();
         match &err {
             ProtocolError::Transport(e) => {
                 assert_eq!(e.kind, TransportErrorKind::Io);
@@ -1964,7 +1635,7 @@ mod tests {
             no_parking(),
         )
         .unwrap();
-        let mut t = TcpTransport::connect(
+        let mut t = connect(
             server.local_addr(),
             provision_for(&master, 9),
             TcpOptions::default().with_session(SessionId(9)),
@@ -1981,18 +1652,6 @@ mod tests {
         wait_for(|| server.pool().active_sessions() == 0);
         assert_eq!(server.parked_sessions(), 0);
         assert!(!server.drop_session(SessionId(9)), "already severed");
-    }
-
-    #[test]
-    fn private_loopback_server_backs_a_self_contained_transport() {
-        let master = master(48);
-        let mut t =
-            TcpTransport::private(provision_for(&master, 31), TcpOptions::default()).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        let response = t.round_trip(compare_request(&master, -2, &mut rng)).unwrap();
-        assert_eq!(response, S2Response::Signs(vec![-1]));
-        assert_eq!(t.metrics().rounds, 1);
-        assert!(!t.s2_ledger().is_empty());
     }
 
     #[test]
@@ -2051,36 +1710,32 @@ mod tests {
     fn transparent_resume_recovers_a_mid_flight_drop_byte_identically() {
         let master = master(49);
         let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
-        let mut tcp = TcpTransport::connect(
+        let mut tcp = connect(
             server.local_addr(),
             provision_for(&master, 77),
             TcpOptions::default().with_retry(test_retry()),
         )
         .unwrap();
-        let mut channel = ChannelTransport::new(provision_for(&master, 77).build());
+        let mut oracle = InProcessTransport::new(provision_for(&master, 77).build());
 
         let mut rng_a = StdRng::seed_from_u64(11);
         let mut rng_b = StdRng::seed_from_u64(11);
         let a1 = tcp.round_trip(compare_request(&master, 5, &mut rng_a)).unwrap();
-        let b1 = channel.round_trip(compare_request(&master, 5, &mut rng_b)).unwrap();
+        let b1 = oracle.round_trip(compare_request(&master, 5, &mut rng_b)).unwrap();
         assert_eq!(a1, b1);
 
         // Sever the connection server-side, mid-session.  The next exchange hits a
         // dead socket, reconnects, resumes and re-sends — invisibly to the caller.
         assert!(server.drop_session(tcp.session()));
         let a2 = tcp.round_trip(compare_request(&master, -6, &mut rng_a)).unwrap();
-        let b2 = channel.round_trip(compare_request(&master, -6, &mut rng_b)).unwrap();
+        let b2 = oracle.round_trip(compare_request(&master, -6, &mut rng_b)).unwrap();
         assert_eq!(a2, b2, "the resumed exchange must answer byte-identically");
-        assert_eq!(tcp.reconnects(), 1);
+        assert_eq!(tcp.faults_absorbed(), 1);
         assert_eq!(server.resumed_sessions(), 1);
-        assert_eq!(
-            tcp.metrics(),
-            channel.metrics(),
-            "a recovery retransmit must not be re-metered"
-        );
+        assert_eq!(tcp.metrics(), oracle.metrics(), "a recovery retransmit must not be re-metered");
         assert_eq!(
             tcp.s2_ledger().events(),
-            channel.s2_ledger().events(),
+            oracle.s2_ledger().events(),
             "the resumed session's ledger must match an uninterrupted run"
         );
     }
@@ -2092,29 +1747,29 @@ mod tests {
         // Frame 2 is written, then the connection is severed before its reply: the
         // server executes it exactly once and the resend replays the cached reply.
         let faults = FaultPlan::none().with_drop_after_send_every(2);
-        let mut tcp = TcpTransport::connect(
+        let mut tcp = connect(
             server.local_addr(),
             provision_for(&master, 88),
             TcpOptions::default().with_retry(test_retry()).with_faults(faults),
         )
         .unwrap();
-        let mut channel = ChannelTransport::new(provision_for(&master, 88).build());
+        let mut oracle = InProcessTransport::new(provision_for(&master, 88).build());
 
         let mut rng_a = StdRng::seed_from_u64(21);
         let mut rng_b = StdRng::seed_from_u64(21);
         for value in [3, -9] {
             let a = tcp.round_trip(compare_request(&master, value, &mut rng_a)).unwrap();
-            let b = channel.round_trip(compare_request(&master, value, &mut rng_b)).unwrap();
+            let b = oracle.round_trip(compare_request(&master, value, &mut rng_b)).unwrap();
             assert_eq!(a, b);
         }
-        assert_eq!(tcp.reconnects(), 1);
+        assert_eq!(tcp.faults_absorbed(), 1);
         assert_eq!(
             server.pool().replayed_replies(),
             1,
             "the faulted frame must be served from the cache, not re-executed"
         );
-        assert_eq!(tcp.s2_ledger().events(), channel.s2_ledger().events());
-        assert_eq!(tcp.metrics(), channel.metrics());
+        assert_eq!(tcp.s2_ledger().events(), oracle.s2_ledger().events());
+        assert_eq!(tcp.metrics(), oracle.metrics());
     }
 
     #[test]
@@ -2122,29 +1777,29 @@ mod tests {
         let master = master(51);
         let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
         let faults = FaultPlan::none().with_drop_before_send_every(2);
-        let mut tcp = TcpTransport::connect(
+        let mut tcp = connect(
             server.local_addr(),
             provision_for(&master, 89),
             TcpOptions::default().with_retry(test_retry()).with_faults(faults),
         )
         .unwrap();
-        let mut channel = ChannelTransport::new(provision_for(&master, 89).build());
+        let mut oracle = InProcessTransport::new(provision_for(&master, 89).build());
 
         let mut rng_a = StdRng::seed_from_u64(22);
         let mut rng_b = StdRng::seed_from_u64(22);
         for value in [1, 2, 3, 4] {
             let a = tcp.round_trip(compare_request(&master, value, &mut rng_a)).unwrap();
-            let b = channel.round_trip(compare_request(&master, value, &mut rng_b)).unwrap();
+            let b = oracle.round_trip(compare_request(&master, value, &mut rng_b)).unwrap();
             assert_eq!(a, b);
         }
-        assert_eq!(tcp.reconnects(), 2, "frames 2 and 4 are dropped before send");
+        assert_eq!(tcp.faults_absorbed(), 2, "frames 2 and 4 are dropped before send");
         assert_eq!(
             server.pool().replayed_replies(),
             0,
             "a never-delivered request has nothing cached to replay"
         );
-        assert_eq!(tcp.s2_ledger().events(), channel.s2_ledger().events());
-        assert_eq!(tcp.metrics(), channel.metrics());
+        assert_eq!(tcp.s2_ledger().events(), oracle.s2_ledger().events());
+        assert_eq!(tcp.metrics(), oracle.metrics());
     }
 
     #[test]
@@ -2222,12 +1877,8 @@ mod tests {
         let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
         server.drain(Duration::ZERO);
         assert!(server.is_draining());
-        let err = TcpTransport::connect(
-            server.local_addr(),
-            provision_for(&master, 1),
-            TcpOptions::default(),
-        )
-        .unwrap_err();
+        let err = connect(server.local_addr(), provision_for(&master, 1), TcpOptions::default())
+            .unwrap_err();
         match &err {
             ProtocolError::Transport(e) => {
                 assert_eq!(e.kind, TransportErrorKind::Overloaded);

@@ -26,21 +26,22 @@
 //!          1 round per request/response pair (Batch counts as one)
 //! ```
 //!
-//! Four implementations:
+//! Two implementations:
 //!
-//! * [`InProcessTransport`] — the fast path: the request value is handed to the engine
-//!   without copying the payload; messages are still *metered* at their exact wire size
-//!   via [`crate::wire::encoded_len`].
-//! * [`ChannelTransport`] — S2 runs on its own thread; every message is actually
-//!   serialized with [`crate::wire`], shipped over an `mpsc` byte channel, and
-//!   deserialized on the far side.  Nothing but bytes crosses the boundary.
-//! * [`crate::multiplex::MultiplexTransport`] — S2 as a session-multiplexing worker
-//!   pool; frames travel inside session-tagged envelopes.
-//! * [`crate::tcp::TcpTransport`] — S2 as a real networked process: the same envelopes,
-//!   length-prefix-framed over a TCP socket to a [`crate::tcp::TcpCloudServer`].
+//! * [`InProcessTransport`] — the direct call and the byte-metering oracle: the request
+//!   value is handed to the engine without copying the payload; messages are still
+//!   *metered* at their exact wire size via [`crate::wire::encoded_len`].
+//! * [`EnvelopeTransport`] — every message is actually serialized with [`crate::wire`]
+//!   and travels as a session-tagged [`Envelope`] to a
+//!   [`crate::multiplex::MultiplexServer`] worker pool.  The client owns everything the
+//!   link's two ends agree on — sequence numbers, metering, echo verification, the
+//!   unmetered control plane, shed-retry and teardown — exactly once; what carries the
+//!   envelopes is a `Pipe`, of which there are two: the pool's own conduit (an `mpsc`
+//!   pair plus a simulated-RTT sleep, [`TransportKind::Multiplex`]) and a socket (a
+//!   `TcpStream` with reconnect-and-resume, [`TransportKind::Tcp`], see [`crate::tcp`]).
 //!
-//! All four produce byte-identical protocol outputs, identical leakage ledgers and
-//! identical [`ChannelMetrics`] for the same seed (asserted by
+//! Both produce byte-identical protocol outputs, identical leakage ledgers and
+//! identical [`ChannelMetrics`] for the same seed, over either pipe (asserted by
 //! `tests/transport_equivalence.rs`).
 //!
 //! Intra-query parallelism never leaks into this layer: S2 executes a request as
@@ -76,10 +77,10 @@
 //! while handling requests, so the "S2 sees nothing but EP^d" tests check exactly what
 //! crossed the wire.
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::mpsc;
-use std::thread::JoinHandle;
 
+use sectopk_metrics::Registry as MetricsRegistry;
 use serde::{Deserialize, Serialize};
 
 use sectopk_crypto::damgard_jurik::LayeredCiphertext;
@@ -91,7 +92,7 @@ use crate::engine::S2Engine;
 use crate::error::{ProtocolError, Result};
 use crate::items::ScoredItem;
 use crate::ledger::LeakageLedger;
-use crate::multiplex::LinkProfile;
+use crate::multiplex::{Envelope, LinkProfile, SessionId};
 use crate::wire;
 use crate::wire::WireError;
 
@@ -383,51 +384,43 @@ impl EqAggregates {
 pub enum TransportKind {
     /// S2 runs in-process behind a direct call (fast path, metered wire sizes).
     InProcess,
-    /// S2 runs on its own thread; messages are serialized over an `mpsc` byte channel.
-    Channel,
     /// S2 is a session-multiplexing worker pool ([`crate::multiplex::MultiplexServer`]);
-    /// messages travel in [`crate::multiplex::Envelope`]-framed bytes tagged with a
-    /// session id.  When selected here (rather than by connecting to an explicit
-    /// server), each `TwoClouds` spins up a private single-worker server, so the whole
-    /// test suite can run over the multiplexed path via `SECTOPK_TRANSPORT=multiplex`.
+    /// messages travel as [`Envelope`]s over the pool's in-memory conduit.  When
+    /// selected here (rather than by connecting to an explicit server), the session
+    /// joins the process-wide loopback pool, so the whole test suite can run over the
+    /// envelope path via `SECTOPK_TRANSPORT=multiplex`.
     Multiplex,
-    /// S2 is a real networked process: envelopes travel length-prefix-framed over a TCP
-    /// socket to a [`crate::tcp::TcpCloudServer`] listener (the `sectopk-s2d` binary).
-    /// When selected here, each `TwoClouds` spins up a private loopback listener on an
-    /// ephemeral port, so the whole test suite can run over real sockets via
+    /// S2 is a real networked process: the same envelopes travel length-prefix-framed
+    /// over a TCP socket to a [`crate::tcp::TcpCloudServer`] listener (the
+    /// `sectopk-s2d` binary).  When selected here, the session dials the process-wide
+    /// loopback listener, so the whole test suite can run over real sockets via
     /// `SECTOPK_TRANSPORT=tcp`.
     Tcp,
 }
 
-/// Environment variable selecting the default transport (`"channel"`/`"thread"`,
-/// `"multiplex"`/`"mux"`, `"tcp"`/`"socket"`, or anything else — including unset — for
-/// in-process).
+/// Environment variable selecting the default transport: unset or `inprocess`,
+/// `multiplex`, or `tcp` (ASCII case-insensitive).  Anything else is an error, so a
+/// mistyped CI leg fails instead of silently testing the in-process path.
 pub const TRANSPORT_ENV: &str = "SECTOPK_TRANSPORT";
 
 impl TransportKind {
-    /// The transport selected by the `SECTOPK_TRANSPORT` environment variable
-    /// (`"channel"` / `"thread"` ⇒ [`TransportKind::Channel`], `"multiplex"` / `"mux"`
-    /// ⇒ [`TransportKind::Multiplex`]; anything else, including unset, ⇒
-    /// [`TransportKind::InProcess`]).  Lets the CI matrix run the whole test suite over
-    /// the threaded and multiplexed paths without code changes.
-    pub fn from_env() -> Self {
+    /// The transport selected by the `SECTOPK_TRANSPORT` environment variable (see
+    /// [`TRANSPORT_ENV`]).  Lets the CI matrix run the whole test suite over each
+    /// transport without code changes.
+    pub fn from_env() -> Result<Self> {
         Self::parse(std::env::var(TRANSPORT_ENV).ok().as_deref())
     }
 
     /// The selection rule behind [`Self::from_env`], split out so tests can exercise it
     /// without mutating the process environment (which every `TwoClouds::new` reads).
-    pub fn parse(value: Option<&str>) -> Self {
-        match value {
-            Some(v) if v.eq_ignore_ascii_case("channel") || v.eq_ignore_ascii_case("thread") => {
-                TransportKind::Channel
-            }
-            Some(v) if v.eq_ignore_ascii_case("multiplex") || v.eq_ignore_ascii_case("mux") => {
-                TransportKind::Multiplex
-            }
-            Some(v) if v.eq_ignore_ascii_case("tcp") || v.eq_ignore_ascii_case("socket") => {
-                TransportKind::Tcp
-            }
-            _ => TransportKind::InProcess,
+    pub fn parse(value: Option<&str>) -> Result<Self> {
+        match value.map(str::to_ascii_lowercase).as_deref() {
+            None | Some("inprocess") => Ok(TransportKind::InProcess),
+            Some("multiplex") => Ok(TransportKind::Multiplex),
+            Some("tcp") => Ok(TransportKind::Tcp),
+            Some(other) => Err(ProtocolError::transport_rejected(format!(
+                "unknown {TRANSPORT_ENV} value {other:?}: expected inprocess, multiplex or tcp"
+            ))),
         }
     }
 }
@@ -457,33 +450,32 @@ pub trait Transport: fmt::Debug + Send {
     /// Which implementation this is.
     fn kind(&self) -> TransportKind;
 
-    /// The simulated link profile the transport runs over.  Dedicated transports run on
-    /// an ideal link; the multiplexed transport reports the RTT it was connected with,
-    /// which is what the adaptive query planner feeds into the §11 cost model.
+    /// The simulated link profile the transport runs over: ideal unless a pool session
+    /// was connected with an RTT, which is what the adaptive query planner feeds into
+    /// the §11 cost model.
     fn link(&self) -> LinkProfile {
         LinkProfile::ideal()
     }
 
     /// Transport-level faults this connection absorbed without surfacing an error to
     /// the caller: reconnect-and-resume cycles after a dropped connection and shed
-    /// requests retried to success.  Zero for transports that cannot fault (the
-    /// in-process, threaded and multiplexed paths); the TCP transport counts every
-    /// absorbed fault so serving reports can separate "queries that failed" from
-    /// "faults that were retried away".
+    /// requests retried to success.  Zero on the in-process path, which cannot fault;
+    /// the envelope transport counts every absorbed fault so serving reports can
+    /// separate "queries that failed" from "faults that were retried away".
     fn faults_absorbed(&self) -> u64 {
         0
     }
 
     /// Install client-side metric handles from `registry` (see
-    /// [`sectopk_metrics::Registry`]).  Default: no instrumentation — only the TCP
-    /// transport currently reports client-side metrics (`tcp.client.*`).  Never
-    /// affects protocol bytes, ledgers or [`ChannelMetrics`].
-    fn set_metrics_registry(&mut self, _registry: &sectopk_metrics::Registry) {}
+    /// [`sectopk_metrics::Registry`]).  Default: no instrumentation — only the socket
+    /// pipe currently reports client-side metrics (`tcp.client.*`).  Never affects
+    /// protocol bytes, ledgers or [`ChannelMetrics`].
+    fn set_metrics_registry(&mut self, _registry: &MetricsRegistry) {}
 }
 
-/// Surface an `S2Response::Error` frame as the [`ProtocolError::Remote`] every
-/// transport implementation maps it to.
-pub(crate) fn response_or_error(response: S2Response) -> Result<S2Response> {
+/// Surface an `S2Response::Error` frame as the [`ProtocolError::Remote`] both
+/// transport implementations map it to.
+fn response_or_error(response: S2Response) -> Result<S2Response> {
     match response {
         S2Response::Error(e) => Err(ProtocolError::Remote(e)),
         other => Ok(other),
@@ -497,7 +489,7 @@ pub(crate) fn response_or_error(response: S2Response) -> Result<S2Response> {
 /// The fast path: the request value is handed to S2's engine directly — nothing is
 /// serialized for transfer or deserialized on arrival.  Messages are still metered at
 /// their exact wire-encoded size via [`wire::encoded_len`] so the bandwidth figures
-/// match the threaded transport byte for byte; that metering does lower each message
+/// match the envelope transport byte for byte; that metering does lower each message
 /// into a transient value tree, a cost that is negligible next to the Paillier /
 /// Damgård–Jurik arithmetic dominating every exchange.
 pub struct InProcessTransport {
@@ -526,7 +518,7 @@ impl Transport for InProcessTransport {
             request.ciphertext_count(),
         );
         // Engine failures become an `S2Response::Error` frame exactly as on the
-        // threaded transport, so the reply is metered identically on both
+        // envelope transport, so the reply is metered identically on both
         // implementations and the caller sees the same `ProtocolError::Remote` either
         // way.
         let response = self.engine.handle(&request).unwrap_or_else(S2Response::Error);
@@ -560,12 +552,11 @@ impl Transport for InProcessTransport {
 }
 
 // ====================================================================================
-// Threaded channel transport
+// Envelope transport
 // ====================================================================================
 
-/// Frame tags of the byte channel (one leading tag byte, then the wire-encoded payload).
-/// Shared with the session-multiplexing transport (`crate::multiplex`), whose envelopes
-/// carry exactly these frames prefixed by a session id.
+/// Frame tags of an [`Envelope`]'s frame (one leading tag byte, then the wire-encoded
+/// payload).
 pub(crate) mod frame {
     /// S1 → S2: a protocol request (payload: [`super::S1Request`]).
     pub const REQUEST: u8 = 0;
@@ -573,9 +564,7 @@ pub(crate) mod frame {
     pub const FETCH_LEDGER: u8 = 1;
     /// S1 → S2: clear S2's ledger and session state (control plane, unmetered).
     pub const RESET: u8 = 2;
-    /// S1 → S2: terminate the S2 thread (multiplex: one worker of the pool).
-    pub const SHUTDOWN: u8 = 3;
-    /// S1 → S2 (multiplex only): close one session, dropping its server-side state.
+    /// S1 → S2: close the session, dropping its server-side state.
     pub const DISCONNECT: u8 = 4;
     /// S2 → S1: a protocol response (payload: [`super::S2Response`]).
     pub const RESPONSE: u8 = 16;
@@ -583,73 +572,12 @@ pub(crate) mod frame {
     pub const LEDGER: u8 = 17;
     /// S2 → S1: acknowledgement of a reset.
     pub const RESET_DONE: u8 = 18;
-    /// S2 → S1 (multiplex only): acknowledgement of a session disconnect.  Makes
-    /// teardown synchronous, so a session id can be reused the moment its previous
-    /// owner is dropped.
+    /// S2 → S1: acknowledgement of a session disconnect.  Makes teardown synchronous,
+    /// so a session id can be reused the moment its previous owner is dropped.
     pub const DISCONNECT_DONE: u8 = 19;
 }
 
-/// The threaded transport: S2's engine runs on a dedicated thread with no shared state;
-/// every protocol message is serialized to bytes, shipped over an `mpsc` pair, and
-/// deserialized on the far side.
-pub struct ChannelTransport {
-    to_s2: mpsc::Sender<Vec<u8>>,
-    from_s2: mpsc::Receiver<Vec<u8>>,
-    worker: Option<JoinHandle<()>>,
-    metrics: ChannelMetrics,
-}
-
-impl ChannelTransport {
-    /// Spawn the S2 thread around `engine`.
-    pub fn new(mut engine: S2Engine) -> Self {
-        let (to_s2, s2_inbox) = mpsc::channel::<Vec<u8>>();
-        let (s2_outbox, from_s2) = mpsc::channel::<Vec<u8>>();
-        let worker = std::thread::spawn(move || {
-            while let Ok(incoming) = s2_inbox.recv() {
-                let Some((&tag, payload)) = incoming.split_first() else {
-                    continue;
-                };
-                let reply: Vec<u8> = match tag {
-                    frame::REQUEST => {
-                        let response = match wire::from_bytes::<S1Request>(payload) {
-                            Ok(request) => {
-                                engine.handle(&request).unwrap_or_else(S2Response::Error)
-                            }
-                            Err(e) => S2Response::Error(WireError::codec(format!(
-                                "undecodable request: {e}"
-                            ))),
-                        };
-                        framed(frame::RESPONSE, &response)
-                    }
-                    frame::FETCH_LEDGER => framed(frame::LEDGER, engine.ledger()),
-                    frame::RESET => {
-                        engine.reset();
-                        vec![frame::RESET_DONE]
-                    }
-                    frame::SHUTDOWN => break,
-                    _ => framed(frame::RESPONSE, &S2Response::Error(WireError::unknown_frame(tag))),
-                };
-                if s2_outbox.send(reply).is_err() {
-                    break; // S1 hung up.
-                }
-            }
-        });
-        ChannelTransport { to_s2, from_s2, worker: Some(worker), metrics: ChannelMetrics::new() }
-    }
-
-    fn control(&self, tag: u8, expected_reply: u8) -> Result<Vec<u8>> {
-        self.to_s2.send(vec![tag]).map_err(|_| ProtocolError::transport("S2 thread is gone"))?;
-        let reply =
-            self.from_s2.recv().map_err(|_| ProtocolError::transport("S2 thread hung up"))?;
-        match reply.split_first() {
-            Some((&t, payload)) if t == expected_reply => Ok(payload.to_vec()),
-            _ => Err(ProtocolError::transport("unexpected control reply from S2")),
-        }
-    }
-}
-
-/// Prefix the wire encoding of `payload` with a frame tag byte (shared with the
-/// multiplexed transport, whose envelopes carry exactly these frames).
+/// Prefix the wire encoding of `payload` with a frame tag byte.
 pub(crate) fn framed<T: Serialize>(tag: u8, payload: &T) -> Vec<u8> {
     let body = wire::to_bytes(payload);
     let mut out = Vec::with_capacity(1 + body.len());
@@ -658,28 +586,189 @@ pub(crate) fn framed<T: Serialize>(tag: u8, payload: &T) -> Vec<u8> {
     out
 }
 
-impl fmt::Debug for ChannelTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ChannelTransport").field("metrics", &self.metrics).finish()
+/// The payload of `frame` if it opens with `tag`.
+fn payload_of(frame: &[u8], tag: u8) -> Result<&[u8]> {
+    match frame.split_first() {
+        Some((&t, payload)) if t == tag => Ok(payload),
+        _ => Err(ProtocolError::transport("unexpected reply frame from S2")),
     }
 }
 
-impl Transport for ChannelTransport {
+/// What carries an [`EnvelopeTransport`]'s envelopes to the S2 pool and back.  The
+/// client decides *what* crosses the link and checks what comes back; a pipe only
+/// moves envelopes, and knows how (and whether) its own medium can be re-established.
+pub(crate) trait Pipe: Send {
+    /// Which deployment this pipe realises.
+    fn kind(&self) -> TransportKind;
+
+    /// The simulated link this pipe runs over.
+    fn link(&self) -> LinkProfile {
+        LinkProfile::ideal()
+    }
+
+    /// Ship one envelope.  `first_attempt` is `false` when the client re-sends the
+    /// envelope of an exchange that already failed once.
+    fn send(&mut self, envelope: &Envelope, first_attempt: bool) -> Result<()>;
+
+    /// Block for the next reply envelope.
+    fn recv(&mut self) -> Result<Envelope>;
+
+    /// After `send`/`recv` failed with the retryable `error`: re-establish the medium so
+    /// the client can re-send the same envelope, or hand back the error to surface.
+    /// `acked` is the highest sequence number whose reply the client has seen.
+    fn recover(&mut self, _acked: u64, error: ProtocolError) -> Result<()> {
+        Err(error)
+    }
+
+    /// Whether a shed request may be submitted again, for the `attempt`-th time
+    /// (0-based); a pipe that says yes has already waited out its backoff.
+    fn retry_shed(&mut self, _attempt: u32) -> bool {
+        false
+    }
+
+    /// Orderly teardown: deliver the DISCONNECT `envelope` and wait until the session
+    /// id is free for reuse.  Best effort — the far side may already be gone.
+    fn disconnect(&mut self, envelope: &Envelope);
+
+    /// See [`Transport::set_metrics_registry`].
+    fn set_metrics_registry(&mut self, _registry: &MetricsRegistry) {}
+}
+
+/// The S1 side of one session of a [`crate::multiplex::MultiplexServer`]: a
+/// [`Transport`] whose messages are serialized, framed into session-tagged
+/// [`Envelope`]s and moved by a `Pipe`.  Obtain one from
+/// [`crate::multiplex::MultiplexServer::connect`] (in-memory conduit) or
+/// [`crate::tcp::connect`] (socket).
+pub struct EnvelopeTransport {
+    session: SessionId,
+    /// Sequence number of the last protocol request (control traffic uses 0).
+    seq: u64,
+    /// `RefCell` because the control plane runs from `&self` ([`Transport::s2_ledger`])
+    /// through the same exchange path as requests, and recovery mutates the pipe.
+    pipe: RefCell<Box<dyn Pipe>>,
+    /// Highest protocol sequence number whose reply has been seen.
+    acked: Cell<u64>,
+    /// See [`Transport::faults_absorbed`].
+    faults_absorbed: Cell<u64>,
+    metrics: ChannelMetrics,
+}
+
+impl fmt::Debug for EnvelopeTransport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EnvelopeTransport")
+            .field("kind", &self.kind())
+            .field("session", &self.session)
+            .field("faults_absorbed", &self.faults_absorbed.get())
+            .field("metrics", &self.metrics)
+            .finish()
+    }
+}
+
+impl EnvelopeTransport {
+    /// Speak for `session` over `pipe`.
+    pub(crate) fn new(session: SessionId, pipe: Box<dyn Pipe>) -> Self {
+        EnvelopeTransport {
+            session,
+            seq: 0,
+            pipe: RefCell::new(pipe),
+            acked: Cell::new(0),
+            faults_absorbed: Cell::new(0),
+            metrics: ChannelMetrics::new(),
+        }
+    }
+
+    /// The session this transport speaks for.
+    pub fn session(&self) -> SessionId {
+        self.session
+    }
+
+    fn absorbed_fault(&self) {
+        self.faults_absorbed.set(self.faults_absorbed.get() + 1);
+    }
+
+    /// Ship `envelope` and block for its reply.  The client holds at most one envelope
+    /// in flight, so the next reply echoing its header is the answer; a retryable pipe
+    /// failure is handed to [`Pipe::recover`], after which the *same* envelope is sent
+    /// again (the server's replay cache makes the re-send idempotent).
+    fn exchange(&self, envelope: &Envelope) -> Result<Envelope> {
+        let mut pipe = self.pipe.borrow_mut();
+        let mut first_attempt = true;
+        loop {
+            let attempt = pipe
+                .send(envelope, first_attempt)
+                .and_then(|()| self.await_reply(pipe.as_mut(), envelope.seq));
+            match attempt {
+                Ok(reply) => {
+                    if envelope.seq != 0 {
+                        self.acked.set(envelope.seq);
+                    }
+                    return Ok(reply);
+                }
+                Err(e) if e.is_retryable() => {
+                    pipe.recover(self.acked.get(), e)?;
+                    self.absorbed_fault();
+                    first_attempt = false;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Read until the reply to `seq` arrives, verifying the envelope echo so a response
+    /// can never be attributed to the wrong session or request.
+    fn await_reply(&self, pipe: &mut dyn Pipe, seq: u64) -> Result<Envelope> {
+        loop {
+            let reply = pipe.recv()?;
+            if reply.session == self.session && reply.seq < seq {
+                // A duplicate of an exchange already acknowledged (a recovered pipe may
+                // deliver the reply to the original send *and* to the re-send).
+                continue;
+            }
+            if reply.session != self.session || reply.seq != seq {
+                return Err(ProtocolError::transport(format!(
+                    "envelope echo mismatch: sent {}#{seq}, got {}#{}",
+                    self.session, reply.session, reply.seq
+                )));
+            }
+            return Ok(reply);
+        }
+    }
+
+    /// One unmetered control-plane exchange (ledger fetch / reset) under the reserved
+    /// sequence number 0.
+    fn control(&self, tag: u8, expected_reply: u8) -> Result<Vec<u8>> {
+        let reply = self.exchange(&Envelope { session: self.session, seq: 0, frame: vec![tag] })?;
+        payload_of(&reply.frame, expected_reply).map(<[u8]>::to_vec)
+    }
+}
+
+impl Transport for EnvelopeTransport {
     fn round_trip(&mut self, request: S1Request) -> Result<S2Response> {
-        let outgoing = framed(frame::REQUEST, &request);
-        // Metered size = payload only (the tag byte is local framing, not the message).
-        self.metrics.record(Direction::S1ToS2, outgoing.len() - 1, request.ciphertext_count());
-        self.to_s2.send(outgoing).map_err(|_| ProtocolError::transport("S2 thread is gone"))?;
-        let incoming =
-            self.from_s2.recv().map_err(|_| ProtocolError::transport("S2 thread hung up"))?;
-        let payload = match incoming.split_first() {
-            Some((&frame::RESPONSE, payload)) => payload,
-            _ => return Err(ProtocolError::transport("unexpected reply frame from S2")),
-        };
-        let response: S2Response = wire::from_bytes(payload)
-            .map_err(|e| ProtocolError::transport(format!("undecodable response: {e}")))?;
-        self.metrics.record(Direction::S2ToS1, payload.len(), response.ciphertext_count());
-        response_or_error(response)
+        let frame = framed(frame::REQUEST, &request);
+        // Metered size = wire payload only; the tag byte, the envelope header and any
+        // framing the pipe adds are not the message, which keeps metrics identical to
+        // the in-process oracle.  Metered once per *logical* exchange: a re-send after
+        // a recovered fault or a shed is a retransmit, not new protocol traffic.
+        self.metrics.record(Direction::S1ToS2, frame.len() - 1, request.ciphertext_count());
+        self.seq += 1;
+        let envelope = Envelope { session: self.session, seq: self.seq, frame };
+        let mut sheds: u32 = 0;
+        loop {
+            let reply = self.exchange(&envelope)?;
+            let payload = payload_of(&reply.frame, frame::RESPONSE)?;
+            let response: S2Response = wire::from_bytes(payload)
+                .map_err(|e| ProtocolError::transport(format!("undecodable response: {e}")))?;
+            // A shed request (typed overload) was never executed, so submitting the
+            // same sequence number again is safe and invisible to the caller.
+            let shed = matches!(&response, S2Response::Error(e) if e.is_retryable());
+            if shed && self.pipe.get_mut().retry_shed(sheds) {
+                sheds += 1;
+                self.absorbed_fault();
+                continue;
+            }
+            self.metrics.record(Direction::S2ToS1, payload.len(), response.ciphertext_count());
+            return response_or_error(response);
+        }
     }
 
     fn metrics(&self) -> ChannelMetrics {
@@ -691,30 +780,41 @@ impl Transport for ChannelTransport {
     }
 
     fn s2_ledger(&self) -> LeakageLedger {
-        // A dead S2 thread must surface loudly: returning an empty ledger here would
-        // let "S2 saw nothing but X" assertions pass vacuously.
+        // A dead S2 must surface loudly: returning an empty ledger here would let
+        // "S2 saw nothing but X" assertions pass vacuously.
         let payload = self
             .control(frame::FETCH_LEDGER, frame::LEDGER)
-            .expect("S2 thread unavailable while fetching its ledger");
+            .expect("S2 unavailable while fetching the session ledger");
         wire::from_bytes(&payload).expect("undecodable S2 ledger snapshot")
     }
 
     fn reset_s2(&mut self) {
         self.control(frame::RESET, frame::RESET_DONE)
-            .expect("S2 thread unavailable while resetting its state");
+            .expect("S2 unavailable while resetting the session");
     }
 
     fn kind(&self) -> TransportKind {
-        TransportKind::Channel
+        self.pipe.borrow().kind()
+    }
+
+    fn link(&self) -> LinkProfile {
+        self.pipe.borrow().link()
+    }
+
+    fn faults_absorbed(&self) -> u64 {
+        self.faults_absorbed.get()
+    }
+
+    fn set_metrics_registry(&mut self, registry: &MetricsRegistry) {
+        self.pipe.get_mut().set_metrics_registry(registry);
     }
 }
 
-impl Drop for ChannelTransport {
+impl Drop for EnvelopeTransport {
     fn drop(&mut self) {
-        let _ = self.to_s2.send(vec![frame::SHUTDOWN]);
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
+        let bye =
+            Envelope { session: self.session, seq: self.seq + 1, frame: vec![frame::DISCONNECT] };
+        self.pipe.get_mut().disconnect(&bye);
     }
 }
 
@@ -725,6 +825,8 @@ mod tests {
     use rand::SeedableRng;
     use sectopk_crypto::keys::MasterKeys;
     use sectopk_crypto::paillier::{generate_keypair, MIN_MODULUS_BITS};
+    use std::collections::VecDeque;
+    use std::sync::{Arc, Mutex};
 
     fn engine(seed: u64) -> (MasterKeys, S2Engine) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -743,29 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn both_transports_answer_identically_and_meter_identically() {
-        let (master, eng_a) = engine(9);
-        let (_, eng_b) = engine(9);
-        let mut in_process = InProcessTransport::new(eng_a);
-        let mut channel = ChannelTransport::new(eng_b);
-
-        let mut rng = StdRng::seed_from_u64(1);
-        let req = compare_request(&master, -5, &mut rng);
-        let a = in_process.round_trip(req.clone()).unwrap();
-        let b = channel.round_trip(req).unwrap();
-        match (&a, &b) {
-            (S2Response::Signs(sa), S2Response::Signs(sb)) => {
-                assert_eq!(sa, sb);
-                assert_eq!(sa, &vec![-1i8]);
-            }
-            other => panic!("unexpected responses {other:?}"),
-        }
-        assert_eq!(in_process.metrics(), channel.metrics());
-        assert_eq!(in_process.metrics().rounds, 1);
-        assert_eq!(in_process.s2_ledger().events(), channel.s2_ledger().events());
-    }
-
-    #[test]
     fn batch_is_one_round() {
         let (master, eng) = engine(10);
         let mut transport = InProcessTransport::new(eng);
@@ -781,53 +860,236 @@ mod tests {
     }
 
     #[test]
-    fn control_plane_is_unmetered_and_reset_clears_the_ledger() {
-        let (master, eng) = engine(11);
-        let mut transport = ChannelTransport::new(eng);
-        let mut rng = StdRng::seed_from_u64(3);
-        transport.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
-        let metered = transport.metrics();
-        assert!(!transport.s2_ledger().is_empty());
-        assert_eq!(transport.metrics(), metered, "ledger fetch must not count as traffic");
-        transport.reset_s2();
-        assert!(transport.s2_ledger().is_empty());
-    }
-
-    #[test]
-    fn engine_errors_surface_as_protocol_errors() {
-        let (_master, eng) = engine(12);
-        let mut transport = ChannelTransport::new(eng);
-        use crate::wire::WireErrorCode;
-        // An EqAggregate with no accumulated bits is a sequencing violation.
-        let err = transport
-            .round_trip(S1Request::EqAggregate { rows: 2, cols: 2, want: EqWants::none() })
-            .unwrap_err();
-        assert!(
-            matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::BadSequence),
-            "unexpected error {err:?}"
-        );
-        // A zero-column matrix is structurally malformed (would divide by zero in the
-        // aggregate derivation).
-        let err = transport
-            .round_trip(S1Request::EqAggregate { rows: 0, cols: 0, want: EqWants::none() })
-            .unwrap_err();
-        assert!(
-            matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::MalformedRequest),
-            "unexpected error {err:?}"
-        );
-        // The engine survives both rejections: the thread is still serving requests.
-        assert!(transport.s2_ledger().is_empty());
-    }
-
-    #[test]
     fn transport_kind_env_parsing() {
-        assert_eq!(TransportKind::parse(Some("channel")), TransportKind::Channel);
-        assert_eq!(TransportKind::parse(Some("CHANNEL")), TransportKind::Channel);
-        assert_eq!(TransportKind::parse(Some("thread")), TransportKind::Channel);
-        assert_eq!(TransportKind::parse(Some("multiplex")), TransportKind::Multiplex);
-        assert_eq!(TransportKind::parse(Some("MUX")), TransportKind::Multiplex);
-        assert_eq!(TransportKind::parse(Some("inprocess")), TransportKind::InProcess);
-        assert_eq!(TransportKind::parse(Some("garbage")), TransportKind::InProcess);
-        assert_eq!(TransportKind::parse(None), TransportKind::InProcess);
+        assert_eq!(TransportKind::parse(None).unwrap(), TransportKind::InProcess);
+        assert_eq!(TransportKind::parse(Some("inprocess")).unwrap(), TransportKind::InProcess);
+        assert_eq!(TransportKind::parse(Some("multiplex")).unwrap(), TransportKind::Multiplex);
+        assert_eq!(TransportKind::parse(Some("TCP")).unwrap(), TransportKind::Tcp);
+        // Anything else is an error, not a silent fall-back to the in-process path:
+        // typos, retired spellings, the retired transport, the empty string.
+        for bad in ["garbage", "tcpp", "mux", "socket", "thread", "channel", ""] {
+            let err = TransportKind::parse(Some(bad)).unwrap_err();
+            assert!(
+                matches!(&err, ProtocolError::Transport(e) if e.message.contains(TRANSPORT_ENV)),
+                "{bad:?} must be rejected with a typed error, got {err:?}"
+            );
+            assert!(!err.is_retryable());
+        }
+    }
+
+    // --- The envelope client against a scripted in-memory pipe ------------------------
+
+    const SESSION: SessionId = SessionId(7);
+
+    /// What the fake pipe will do and what it saw.
+    #[derive(Default)]
+    struct Script {
+        /// What `recv` yields next: a reply envelope, or a failure of the link.
+        replies: VecDeque<Result<Envelope>>,
+        /// Every envelope the client sent, with its `first_attempt` flag.
+        sent: Vec<(Envelope, bool)>,
+        /// Whether `recover` re-establishes the link, and how often it was asked to.
+        recoverable: bool,
+        recoveries: u32,
+        /// How many times a shed request may be submitted again.
+        shed_budget: u32,
+        /// The teardown envelope, once the client is dropped.
+        bye: Option<Envelope>,
+    }
+
+    /// A pipe with no S2 behind it: replies, losses, duplicates and late deliveries are
+    /// whatever the test scripted — no sockets, no threads, no sleeps.
+    struct FakePipe(Arc<Mutex<Script>>);
+
+    impl Pipe for FakePipe {
+        fn kind(&self) -> TransportKind {
+            TransportKind::Multiplex
+        }
+        fn send(&mut self, envelope: &Envelope, first_attempt: bool) -> Result<()> {
+            self.0.lock().unwrap().sent.push((envelope.clone(), first_attempt));
+            Ok(())
+        }
+        fn recv(&mut self) -> Result<Envelope> {
+            let next = self.0.lock().unwrap().replies.pop_front();
+            next.unwrap_or_else(|| Err(ProtocolError::transport("script exhausted")))
+        }
+        fn recover(&mut self, _acked: u64, error: ProtocolError) -> Result<()> {
+            let mut script = self.0.lock().unwrap();
+            script.recoveries += 1;
+            if script.recoverable {
+                Ok(())
+            } else {
+                Err(error)
+            }
+        }
+        fn retry_shed(&mut self, attempt: u32) -> bool {
+            attempt < self.0.lock().unwrap().shed_budget
+        }
+        fn disconnect(&mut self, envelope: &Envelope) {
+            self.0.lock().unwrap().bye = Some(envelope.clone());
+        }
+    }
+
+    fn scripted(script: Script) -> (EnvelopeTransport, Arc<Mutex<Script>>) {
+        let script = Arc::new(Mutex::new(script));
+        (EnvelopeTransport::new(SESSION, Box::new(FakePipe(Arc::clone(&script)))), script)
+    }
+
+    fn reply_from(session: SessionId, seq: u64, response: &S2Response) -> Result<Envelope> {
+        Ok(Envelope { session, seq, frame: framed(frame::RESPONSE, response) })
+    }
+
+    fn reply(seq: u64, response: &S2Response) -> Result<Envelope> {
+        reply_from(SESSION, seq, response)
+    }
+
+    fn shed(seq: u64) -> Result<Envelope> {
+        reply(seq, &S2Response::Error(WireError::overloaded("inbox full")))
+    }
+
+    fn request() -> S1Request {
+        S1Request::EqAggregate { rows: 1, cols: 1, want: EqWants::none() }
+    }
+
+    /// What one undisturbed `request()` / `Ack` exchange meters.
+    fn one_clean_round() -> ChannelMetrics {
+        let (mut clean, _) =
+            scripted(Script { replies: [reply(1, &S2Response::Ack)].into(), ..Default::default() });
+        clean.round_trip(request()).unwrap();
+        clean.metrics()
+    }
+
+    #[test]
+    fn replies_must_echo_the_session_and_sequence_number() {
+        // A reply for another session, and a reply from the future, are both
+        // permanent errors — never attributed to the request in flight.
+        for wrong in [reply_from(SessionId(8), 1, &S2Response::Ack), reply(2, &S2Response::Ack)] {
+            let (mut transport, _) = scripted(Script {
+                replies: [wrong].into(),
+                recoverable: true,
+                ..Default::default()
+            });
+            let err = transport.round_trip(request()).unwrap_err();
+            assert!(
+                matches!(&err, ProtocolError::Transport(e) if e.message.contains("echo mismatch")),
+                "unexpected error {err:?}"
+            );
+            assert!(!err.is_retryable());
+        }
+        // A reply that is not a response frame is refused as well.
+        let stray = Ok(Envelope { session: SESSION, seq: 1, frame: vec![frame::RESET_DONE] });
+        let (mut transport, _) = scripted(Script { replies: [stray].into(), ..Default::default() });
+        assert!(transport.round_trip(request()).is_err());
+    }
+
+    #[test]
+    fn duplicate_and_late_replies_of_acknowledged_exchanges_are_discarded() {
+        let (mut transport, script) = scripted(Script {
+            replies: [
+                reply(1, &S2Response::Ack),
+                // Exchange 2 first sees exchange 1's reply again (a duplicate, or the
+                // original arriving late behind a replay), then its own.
+                reply(1, &S2Response::Ack),
+                reply(1, &S2Response::Ack),
+                reply(2, &S2Response::Signs(vec![1])),
+            ]
+            .into(),
+            ..Default::default()
+        });
+        assert_eq!(transport.round_trip(request()).unwrap(), S2Response::Ack);
+        assert_eq!(transport.round_trip(request()).unwrap(), S2Response::Signs(vec![1]));
+        assert_eq!(transport.metrics().rounds, 2, "discarded duplicates are not traffic");
+        let seqs: Vec<u64> = script.lock().unwrap().sent.iter().map(|(e, _)| e.seq).collect();
+        assert_eq!(seqs, [1, 2]);
+    }
+
+    #[test]
+    fn a_lost_reply_is_recovered_by_resending_the_same_envelope_unmetered() {
+        let (mut transport, script) = scripted(Script {
+            replies: [
+                Err(ProtocolError::transport_io("connection reset")),
+                reply(1, &S2Response::Ack),
+            ]
+            .into(),
+            recoverable: true,
+            ..Default::default()
+        });
+        assert_eq!(transport.round_trip(request()).unwrap(), S2Response::Ack);
+        assert_eq!(transport.faults_absorbed(), 1);
+        assert_eq!(transport.metrics(), one_clean_round(), "a re-send must not be re-metered");
+        {
+            let script = script.lock().unwrap();
+            assert_eq!(script.recoveries, 1);
+            let [(first, true), (again, false)] = &script.sent[..] else {
+                panic!("expected one send and one re-send, got {:?}", script.sent);
+            };
+            assert_eq!(first, again, "the re-send is the very same envelope");
+        }
+
+        // A pipe that cannot be re-established surfaces the failure, still retryable.
+        let (mut transport, script) = scripted(Script {
+            replies: [Err(ProtocolError::transport_io("connection reset"))].into(),
+            ..Default::default()
+        });
+        let err = transport.round_trip(request()).unwrap_err();
+        assert!(err.is_retryable(), "unexpected error {err:?}");
+        assert_eq!(script.lock().unwrap().recoveries, 1);
+        assert_eq!(transport.faults_absorbed(), 0);
+    }
+
+    #[test]
+    fn shed_requests_are_resubmitted_within_the_pipes_budget() {
+        // Two sheds against a budget of two: absorbed, invisible, metered once.
+        let (mut transport, script) = scripted(Script {
+            replies: [shed(1), shed(1), reply(1, &S2Response::Ack)].into(),
+            shed_budget: 2,
+            ..Default::default()
+        });
+        assert_eq!(transport.round_trip(request()).unwrap(), S2Response::Ack);
+        assert_eq!(transport.faults_absorbed(), 2);
+        assert_eq!(transport.metrics(), one_clean_round(), "shed replies are not metered");
+        let sent = &script.lock().unwrap().sent;
+        assert_eq!(sent.len(), 3);
+        assert!(sent.iter().all(|(e, _)| e.seq == 1), "a shed request keeps its sequence number");
+
+        // A third shed exhausts the budget and surfaces as the typed overload.
+        let (mut transport, _) = scripted(Script {
+            replies: [shed(1), shed(1), shed(1)].into(),
+            shed_budget: 2,
+            ..Default::default()
+        });
+        let err = transport.round_trip(request()).unwrap_err();
+        assert!(
+            matches!(&err, ProtocolError::Remote(e) if e.is_retryable()),
+            "unexpected error {err:?}"
+        );
+        assert_eq!(transport.metrics().rounds, 1);
+    }
+
+    #[test]
+    fn control_plane_is_unmetered_and_teardown_follows_the_last_request() {
+        let ledger = Envelope {
+            session: SESSION,
+            seq: 0,
+            frame: framed(frame::LEDGER, &LeakageLedger::new()),
+        };
+        let (mut transport, script) = scripted(Script {
+            replies: [reply(1, &S2Response::Ack), Ok(ledger)].into(),
+            ..Default::default()
+        });
+        transport.round_trip(request()).unwrap();
+        let metered = transport.metrics();
+        assert!(transport.s2_ledger().is_empty());
+        assert_eq!(transport.metrics(), metered, "ledger fetch must not count as traffic");
+        drop(transport);
+        let script = script.lock().unwrap();
+        assert_eq!(
+            script.sent[1].0,
+            Envelope { session: SESSION, seq: 0, frame: vec![frame::FETCH_LEDGER] }
+        );
+        assert_eq!(
+            script.bye,
+            Some(Envelope { session: SESSION, seq: 2, frame: vec![frame::DISCONNECT] })
+        );
     }
 }

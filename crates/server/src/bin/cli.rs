@@ -26,7 +26,7 @@ use rand::SeedableRng;
 
 use sectopk_core::{DataOwner, Query, QueryVariant, Session, VariantChoice};
 use sectopk_datasets::{generate, DatasetKind, DatasetSpec};
-use sectopk_protocols::{MultiplexServer, TcpCloudServer, TcpServerConfig};
+use sectopk_protocols::{MultiplexServer, PoolLimits, TcpCloudServer, TcpServerConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -302,12 +302,9 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             _ => return usage(),
         }
     }
-    let pool = Arc::new(MultiplexServer::new(workers));
-    let server = match TcpCloudServer::serve_pool(
-        &listen,
-        pool,
-        TcpServerConfig::default().with_max_sessions(max_sessions),
-    ) {
+    let limits = PoolLimits { max_sessions, ..PoolLimits::default() };
+    let pool = Arc::new(MultiplexServer::with_limits(workers, limits));
+    let server = match TcpCloudServer::serve_pool(&listen, pool, TcpServerConfig::default()) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("sectopk-cli serve: binding {listen}: {e}");

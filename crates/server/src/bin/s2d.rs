@@ -94,13 +94,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let config = TcpServerConfig::default()
-        .with_max_sessions(max_sessions)
-        .with_park_ttl(Duration::from_secs(park_ttl));
+    let config = TcpServerConfig::default().with_park_ttl(Duration::from_secs(park_ttl));
     let registry = if metrics_period > 0 { Registry::enabled() } else { Registry::disabled() };
     let pool = Arc::new(MultiplexServer::with_limits_and_metrics(
         workers,
-        PoolLimits::default(),
+        PoolLimits { max_sessions, ..PoolLimits::default() },
         registry.clone(),
     ));
     if metrics_period > 0 {

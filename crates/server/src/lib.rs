@@ -41,7 +41,7 @@
 //! `batching` (round-trip batching policy), `link` (simulated inter-cloud RTT — the
 //! §11.2.5 WAN), and `variant` — [`VariantChoice::Auto`] lets the planner pick
 //! `Qry_F`/`Qry_E`/`Qry_Ba` per query; the decision lands in each outcome's
-//! [`QueryStats::plan`](sectopk_core::QueryStats) so `BENCH_throughput.json` runs are
+//! [`QueryStats::plan`](sectopk_core::QueryStats) so serving reports are
 //! self-describing.  The S2 pool width is set at [`QueryServer::new`].
 
 #![forbid(unsafe_code)]
@@ -679,7 +679,7 @@ impl QueryServer {
     /// The serial reference execution: the same sessions, seeds and query streams as
     /// [`QueryServer::serve`], but run one session after another.  Produces
     /// byte-identical per-session reports — the determinism oracle for the concurrency
-    /// tests, and the 1-way baseline for the throughput bench.
+    /// tests.
     pub fn serve_serial(
         &self,
         workload: &QueryWorkload,

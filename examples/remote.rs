@@ -69,8 +69,7 @@ fn main() {
 
     // --- Byte-identity against the in-process reference ---------------------------------
     // Same seeds, no socket anywhere: the wire is unobservable in results, metrics, and
-    // leakage ledgers (the transport_equivalence suite pins this for all four
-    // transports).
+    // leakage ledgers (the transport_equivalence suite pins this for every transport).
     let mut reference = owner
         .connect_with(&outsourced, 0xBEEF, TransportKind::InProcess, true)
         .expect("in-process reference");

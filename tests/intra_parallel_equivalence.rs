@@ -20,12 +20,8 @@ use sectopk_server::{ServeConfig, ServeExt};
 use sectopk_storage::{ObjectId, Relation, Row, TopKQuery};
 use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
-const ALL_TRANSPORTS: [TransportKind; 4] = [
-    TransportKind::InProcess,
-    TransportKind::Channel,
-    TransportKind::Multiplex,
-    TransportKind::Tcp,
-];
+const ALL_TRANSPORTS: [TransportKind; 3] =
+    [TransportKind::InProcess, TransportKind::Multiplex, TransportKind::Tcp];
 
 fn relation_with_duplicates() -> Relation {
     // Duplicate score rows so the dup-elim variant exercises SecDedup's replace/keep

@@ -1,15 +1,15 @@
 //! The transport implementations must be observationally identical: for a fixed seed,
-//! running the same workload over `InProcessTransport`, `ChannelTransport` (S2 on its
-//! own thread, every message serialized through the binary wire codec),
-//! `MultiplexTransport` (S2 as a session-multiplexing worker pool, messages in
-//! session-tagged envelopes) and `TcpTransport` (S2 behind a real loopback socket on
-//! an ephemeral port, envelopes length-prefix-framed) must produce **byte-identical**
-//! query results, identical leakage ledgers on both sides, and identical channel
+//! running the same workload over `InProcessTransport` (the direct call) and over
+//! `EnvelopeTransport` — every message serialized through the binary wire codec into
+//! session-tagged envelopes for an S2 worker pool — on both of its pipes, the pool's
+//! in-memory conduit (`Multiplex`) and a real loopback socket on an ephemeral port with
+//! the envelopes length-prefix-framed (`Tcp`), must produce **byte-identical** query
+//! results, identical leakage ledgers on both sides, and identical channel
 //! metrics.  Any divergence means the wire format is lossy, S2 state leaked around the
 //! message boundary, or the framing perturbed the protocol.
 //!
 //! Beyond the fixed worked examples, a property-test conformance harness drives random
-//! relations and random `TopKQuery`s through all four transports.
+//! relations and random `TopKQuery`s through every transport.
 
 use proptest::proptest;
 use rand::rngs::StdRng;
@@ -23,12 +23,8 @@ use sectopk_storage::{ObjectId, Relation, Row, TopKQuery};
 use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
 /// Every transport implementation under test.
-const ALL_TRANSPORTS: [TransportKind; 4] = [
-    TransportKind::InProcess,
-    TransportKind::Channel,
-    TransportKind::Multiplex,
-    TransportKind::Tcp,
-];
+const ALL_TRANSPORTS: [TransportKind; 3] =
+    [TransportKind::InProcess, TransportKind::Multiplex, TransportKind::Tcp];
 
 fn fixed_relation() -> Relation {
     Relation::new(
@@ -107,7 +103,7 @@ fn assert_observations_equal(reference: &Observation, other: &Observation, kind:
 fn assert_equivalent(config: &QueryConfig) {
     let (session_ip, outcome_ip) = run_on(TransportKind::InProcess, config);
     let reference = observe(&session_ip, &outcome_ip);
-    for kind in [TransportKind::Channel, TransportKind::Multiplex, TransportKind::Tcp] {
+    for kind in [TransportKind::Multiplex, TransportKind::Tcp] {
         let (session, outcome) = run_on(kind, config);
         assert_observations_equal(&reference, &observe(&session, &outcome), kind);
     }
@@ -124,26 +120,13 @@ fn dup_elim_query_is_transport_invariant() {
 }
 
 #[test]
-fn channel_transport_traffic_is_nonzero_and_round_counted() {
-    let (session, outcome) = run_on(TransportKind::Channel, &QueryConfig::full());
-    assert_eq!(session.clouds().transport_kind(), TransportKind::Channel);
-    let metrics = session.metrics();
-    assert!(metrics.bytes > 0);
-    assert!(metrics.rounds > 0);
-    // Strict request/response framing: every S1 message is answered exactly once.
-    assert_eq!(metrics.messages_s1_to_s2, metrics.messages_s2_to_s1);
-    assert_eq!(metrics.rounds, metrics.messages_s1_to_s2);
-    assert_eq!(metrics.outstanding_requests, 0);
-    assert!(outcome.stats.depths_scanned > 0);
-}
-
-#[test]
 fn multiplex_transport_traffic_is_nonzero_and_round_counted() {
     let (session, outcome) = run_on(TransportKind::Multiplex, &QueryConfig::full());
     assert_eq!(session.clouds().transport_kind(), TransportKind::Multiplex);
     let metrics = session.metrics();
     assert!(metrics.bytes > 0);
     assert!(metrics.rounds > 0);
+    // Strict request/response framing: every S1 message is answered exactly once.
     assert_eq!(metrics.messages_s1_to_s2, metrics.messages_s2_to_s1);
     assert_eq!(metrics.rounds, metrics.messages_s1_to_s2);
     assert_eq!(metrics.outstanding_requests, 0);
@@ -195,7 +178,7 @@ fn join_pipeline_is_transport_invariant() {
     };
 
     let (metrics_ip, ledger_ip, outcome_ip) = run(TransportKind::InProcess);
-    for kind in [TransportKind::Channel, TransportKind::Multiplex, TransportKind::Tcp] {
+    for kind in [TransportKind::Multiplex, TransportKind::Tcp] {
         let (metrics, ledger, outcome) = run(kind);
         assert_eq!(metrics_ip, metrics, "{kind:?}: join metrics diverge");
         assert_eq!(ledger_ip.events(), ledger.events(), "{kind:?}: join ledgers diverge");
