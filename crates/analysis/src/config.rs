@@ -74,12 +74,6 @@ pub struct SecretRule {
 /// Configuration for the wire-exhaustiveness rule.
 #[derive(Clone, Debug, Default)]
 pub struct WireRule {
-    /// File defining the request enum.
-    pub request_enum_file: String,
-    /// Name of the request enum (e.g. `S1Request`).
-    pub request_enum: String,
-    /// File containing the engine handler that must reference every variant.
-    pub handler_file: String,
     /// File defining the wire error-code enum.
     pub error_enum_file: String,
     /// Name of the error-code enum (e.g. `WireErrorCode`).
@@ -137,9 +131,6 @@ impl Config {
         };
         if let Some(w) = tables.get("wire_exhaustiveness") {
             cfg.wire = Some(WireRule {
-                request_enum_file: get_str(w, "request_enum_file")?,
-                request_enum: get_str(w, "request_enum")?,
-                handler_file: get_str(w, "handler_file")?,
                 error_enum_file: get_str(w, "error_enum_file")?,
                 error_enum: get_str(w, "error_enum")?,
                 all_const: get_str(w, "all_const")?,

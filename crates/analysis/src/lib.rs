@@ -17,8 +17,9 @@
 //!    `wire.rs`, `transport.rs`, `crates/server`).
 //! 4. **Secret hygiene** — no `Debug`/`Display` derives or format-string captures of
 //!    secret-key types outside an audited allowlist.
-//! 5. **Wire exhaustiveness** — every `S1Request` variant has a handler arm in the S2
-//!    engine, and `WireError` codes are unique.
+//! 5. **Wire exhaustiveness** — `WireError` codes are unique and exhaustively
+//!    enumerable (that the S2 engine answers every `S1Request` variant is a compile
+//!    error, not a lint: its matches over the request enum have no wildcard arm).
 //!
 //! Configuration and the per-site allowlist live in `lints.toml` at the workspace
 //! root; every allowlist entry carries a mandatory justification, and entries that no

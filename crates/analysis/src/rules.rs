@@ -1,7 +1,7 @@
 //! The five invariant rules.
 //!
-//! Each rule walks the test-stripped token stream of one (or, for wire
-//! exhaustiveness, several) source files and emits [`Finding`]s.  Rules are purely
+//! Each rule walks the test-stripped token stream of one source file and emits
+//! [`Finding`]s.  Rules are purely
 //! lexical — see the module docs on [`crate::lexer`] for why — and every finding
 //! carries the rule id, file, line, source snippet and a human-readable message, so
 //! the allowlist can pin exemptions to specific sites.
@@ -423,29 +423,11 @@ fn secret_in_format_macros(f: &SourceFile, cfg: &Config, out: &mut Vec<Finding>)
     }
 }
 
-/// Rule 5 — wire exhaustiveness: every request variant has a handler arm, the
-/// error-code `ALL` const covers each code exactly once, and code names are unique.
+/// Rule 5 — wire exhaustiveness: the error-code `ALL` const covers each code exactly
+/// once, and code names are unique.  (That the engine answers every request variant is
+/// the compiler's job: its two matches over the request enum have no wildcard arm.)
 pub fn wire_exhaustiveness(files: &[SourceFile], cfg: &Config, out: &mut Vec<Finding>) {
     let Some(wire) = &cfg.wire else { return };
-    let req_file = files.iter().find(|f| f.rel == wire.request_enum_file);
-    let handler_file = files.iter().find(|f| f.rel == wire.handler_file);
-    if let (Some(req), Some(handler)) = (req_file, handler_file) {
-        let variants = enum_variants(req, &wire.request_enum);
-        let refs: BTreeSet<String> = path_refs(handler, &wire.request_enum);
-        for (variant, line) in &variants {
-            if !refs.contains(variant) {
-                out.push(req.finding(
-                    "wire-exhaustiveness",
-                    *line,
-                    format!(
-                        "`{}::{variant}` has no handler arm in {} — the engine must \
-                         answer every request shape",
-                        wire.request_enum, wire.handler_file
-                    ),
-                ));
-            }
-        }
-    }
     let Some(err) = files.iter().find(|f| f.rel == wire.error_enum_file) else { return };
     let variants = enum_variants(err, &wire.error_enum);
     let all = const_array_refs(err, &wire.all_const, &wire.error_enum);
@@ -539,22 +521,6 @@ fn enum_variants(f: &SourceFile, name: &str) -> Vec<(String, u32)> {
         k += 1;
     }
     variants
-}
-
-/// Collect the set of `X` in `prefix::X` path references in `f`.
-fn path_refs(f: &SourceFile, prefix: &str) -> BTreeSet<String> {
-    let mut refs = BTreeSet::new();
-    for i in 0..f.toks.len() {
-        if f.toks[i].is_ident(prefix)
-            && f.toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && f.toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        {
-            if let Some(v) = f.toks.get(i + 3).filter(|t| t.kind == TokKind::Ident) {
-                refs.insert(v.text.clone());
-            }
-        }
-    }
-    refs
 }
 
 /// Parse `const NAME: .. = [ Enum::A, Enum::B, .. ]`, returning the const's line and

@@ -33,9 +33,6 @@ idents = ["test_secret"]
 fmt_macros = ["println"]
 
 [wire_exhaustiveness]
-request_enum_file = "crates/app/src/wire_defs.rs"
-request_enum = "Req"
-handler_file = "crates/app/src/handler.rs"
 error_enum_file = "crates/app/src/wire_defs.rs"
 error_enum = "Code"
 all_const = "ALL"
@@ -62,10 +59,10 @@ fn every_seeded_violation_is_found() {
     assert!(has(f, "determinism", "crates/app/src/clock.rs", 5), "{f:?}");
     assert!(has(f, "panic-freedom", "crates/app/src/serve.rs", 5), "{f:?}");
     assert!(has(f, "secret-hygiene", "crates/app/src/secrets.rs", 4), "{f:?}");
-    assert!(has(f, "wire-exhaustiveness", "crates/app/src/wire_defs.rs", 7), "{f:?}");
+    assert!(has(f, "wire-exhaustiveness", "crates/app/src/wire_defs.rs", 12), "{f:?}");
     assert_eq!(f.len(), 6, "exactly the seeded violations: {f:?}");
     // The paired engine reveal, the `#[cfg(test)]` decrypt, the non-secret Debug
-    // derive and the handled `Req::Ping` variant are all clean by construction.
+    // derive and the listed `Code::Alpha` / `Code::Beta` are all clean by construction.
     assert!(report.allowed.is_empty());
     assert!(report.unused_allow_entries.is_empty());
 }

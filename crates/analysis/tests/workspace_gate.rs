@@ -56,15 +56,13 @@ fn removing_any_allow_entry_fails_the_run() {
     }
 }
 
-/// The wire section of `lints.toml` points at the real protocol surface: the request
-/// enum, handler and error enum named there must exist, or the exhaustiveness rule
-/// would silently check nothing.
+/// The wire section of `lints.toml` points at the real protocol surface: the file
+/// holding the error enum named there must exist, or the exhaustiveness rule would
+/// silently check nothing.
 #[test]
 fn wire_rule_is_wired_to_real_files() {
     let cfg = real_config();
     let wire = cfg.wire.as_ref().expect("wire rule configured");
-    let root = workspace_root();
-    for file in [&wire.request_enum_file, &wire.handler_file, &wire.error_enum_file] {
-        assert!(root.join(file).is_file(), "lints.toml names a missing file: {file}");
-    }
+    let file = &wire.error_enum_file;
+    assert!(workspace_root().join(file).is_file(), "lints.toml names a missing file: {file}");
 }

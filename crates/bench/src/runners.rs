@@ -2,8 +2,7 @@
 //!
 //! Each `figN_*` function reproduces one experiment of §11 / §12.4.1 and returns a
 //! [`Table`] whose rows/series match what the paper plots; the `figures` binary prints
-//! them, EXPERIMENTS.md records them, and the Criterion benches reuse the underlying
-//! helpers at a smaller operating point.
+//! them and EXPERIMENTS.md records them.
 
 use std::time::Instant;
 

@@ -2,7 +2,7 @@
 //!
 //! The paper's testbed is a 24-core Xeon with 128 GB of RAM running million-record
 //! datasets under 128-bit-security Paillier keys; this reproduction has to run on
-//! whatever machine executes `cargo bench`.  The *shape* of every figure (who wins, how
+//! whatever machine executes the `figures` binary.  The *shape* of every figure (who wins, how
 //! quantities scale in k, m, p, n) is preserved at much smaller operating points; the
 //! [`BenchScale`] struct collects those operating points so every runner and the
 //! `figures` binary agree on them, and `--paper-scale` restores the paper's numbers for
@@ -50,7 +50,7 @@ impl BenchScale {
         }
     }
 
-    /// A minimal scale used by the Criterion micro-benchmarks and smoke tests.
+    /// A minimal scale used by `figures --smoke` and the smoke tests.
     pub fn smoke() -> Self {
         BenchScale {
             modulus_bits: 128,

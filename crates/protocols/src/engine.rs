@@ -7,29 +7,31 @@
 //! everything S2 observes is an explicit message — the executable counterpart of the
 //! paper's non-collusion assumption (§3.2).
 //!
-//! # Parallel compute, serial commit
+//! # Plan, compute, commit
 //!
-//! Every request is processed in three phases so a single (possibly batched) request
-//! can use multiple cores without changing a single observable byte:
+//! Every request is a batch of n ≥ 1 items and goes through three phases; what phase 1
+//! produces is what phases 2 and 3 consume, so each request kind is described once:
 //!
-//! 1. **Validate** — structural checks for *every* item of the request (batches
-//!    included, simulating the pending-equality-bit bookkeeping) run before anything
-//!    executes, so a malformed item mid-batch can no longer leave earlier items'
-//!    ledger entries committed: batches are all-or-nothing.
-//! 2. **Compute** — the expensive, *pure* work (every decryption the request needs) is
-//!    collected into an ordered op list and executed data-parallel over the shared
-//!    `Arc`-backed keys ([`sectopk_crypto::par::par_map`]); results come back in op
-//!    order, and the first failed op in that order wins, exactly as in a serial sweep.
-//! 3. **Commit** — all effects (leakage-ledger records, pending-eq state, RNG draws,
-//!    nonce-pool consumption, response assembly) run serially in original item order.
+//! 1. **Plan** — `plan` validates one item and states, in the same `match` arm, the one
+//!    secret-key operation it needs and over which ciphertexts (a `Need`), its nonce
+//!    demand and its request counter.  Every item is planned (the pending-equality-bit
+//!    bookkeeping simulated across them) before anything executes, so batches are
+//!    all-or-nothing: a bad item anywhere costs no ledger entry, RNG draw or pool draw.
+//! 2. **Compute** — the expensive, *pure* work: all planned ciphertexts of all items run
+//!    as one data-parallel sweep over the shared `Arc`-backed keys
+//!    ([`sectopk_crypto::par::par_map`]); the first failed operation in request order
+//!    wins, as in a serial sweep.  Each item gets one typed result back (a `Done`).
+//! 3. **Commit** — `commit`, the only place with effects (ledger records, pending-eq
+//!    state, RNG draws, nonce-pool consumption, response assembly), runs serially in
+//!    item order over `(request, Done)` pairs.
 //!
-//! Because phase 2 is pure and phase 3 is byte-identical to the old serial handler,
-//! ledgers, metrics and ciphertext streams do not depend on the worker count — the
-//! `SECTOPK_INTRA_PARALLEL` suite run asserts exactly that.  The worker count comes
-//! from [`S2Engine::set_intra_workers`] (default: the `SECTOPK_INTRA_PARALLEL`
-//! environment variable, else 1).
+//! Phase 2 is pure and phase 3 serial, so ledgers, metrics and ciphertext streams do not
+//! depend on the worker count ([`S2Engine::set_intra_workers`]; default: the
+//! `SECTOPK_INTRA_PARALLEL` environment variable, else 1).  `plan` and `commit` are the
+//! only matches over the [`S1Request`] variants, both without a wildcard: a new request
+//! kind does not compile until both describe it (DESIGN.md §12).
 
-use num_bigint::BigUint;
+use num_bigint::{BigUint, Sign};
 
 use sectopk_crypto::bigint::{mod_inverse, random_below, random_invertible};
 use sectopk_crypto::damgard_jurik::LayeredCiphertext;
@@ -98,24 +100,27 @@ pub fn intra_workers_from_env() -> usize {
         .unwrap_or(1)
 }
 
-/// One pure decryption the compute phase must perform, in request order.
-enum DecOp<'a> {
+/// The one secret-key operation a request kind needs, over its ciphertexts in order.
+enum Need<'a> {
+    /// No decryption (EqAggregate).
+    Nothing,
     /// Paillier `is_zero` (equality bits of EqTest / EqMatrix / Dedup / Filter).
-    IsZero(&'a Ciphertext),
-    /// Paillier signed decryption (Compare).
-    Signed(&'a Ciphertext),
+    IsZero(Vec<&'a Ciphertext>),
+    /// Paillier signed decryption, reduced to its sign (Compare).
+    Sign(Vec<&'a Ciphertext>),
     /// Paillier plain decryption (MulBlinded operands).
-    Plain(&'a Ciphertext),
+    Plain(Vec<&'a Ciphertext>),
     /// Damgård–Jurik outer-layer decryption back to an inner ciphertext (Recover).
-    DjInner(&'a LayeredCiphertext),
+    Inner(Vec<&'a LayeredCiphertext>),
 }
 
-/// The result of one [`DecOp`], same order as the op list.
-enum DecOut {
-    Bit(bool),
-    Sign(i8),
-    Plain(BigUint),
-    Inner(Ciphertext),
+/// What the compute phase hands `commit` for one request: its [`Need`]'s results.
+enum Done {
+    Nothing,
+    Bits(Vec<bool>),
+    Signs(Vec<i8>),
+    Plains(Vec<BigUint>),
+    Inners(Vec<Ciphertext>),
 }
 
 /// Precomputable nonce consumption of one request: (shared Paillier, shared DJ,
@@ -129,6 +134,14 @@ struct NonceDemand {
     own: usize,
 }
 
+/// What `plan` states about one valid non-batch request.
+struct Step<'a> {
+    need: Need<'a>,
+    nonces: NonceDemand,
+    /// Its `engine.requests.<kind>` counter.
+    count: fn(&EngineMetrics) -> &Counter,
+}
+
 /// Cached metric handles of one engine — resolved once in
 /// [`S2Engine::set_metrics_registry`], recorded lock-free in the handler.  All
 /// defaults are no-ops, so an un-instrumented engine records nothing and never reads
@@ -136,7 +149,7 @@ struct NonceDemand {
 ///
 /// What lands where:
 /// * `engine.requests.<kind>` counters — one per [`S1Request`] variant, deterministic
-///   (a batch counts its wrapper *and* each inner request).
+///   (a batch counts its wrapper *and* each inner request; a rejected one, nothing).
 /// * `engine.batch_size` — histogram of inner-request counts per [`S1Request::Batch`].
 /// * `engine.compute_ops` — histogram of decryption ops per request: the occupancy
 ///   the parallel compute phase fans out over the intra-query workers.
@@ -156,45 +169,6 @@ struct EngineMetrics {
     batch_size: Histogram,
     compute_ops: Histogram,
     handle_nanos: Histogram,
-}
-
-impl EngineMetrics {
-    fn from_registry(registry: &Registry) -> Self {
-        EngineMetrics {
-            eq_test: registry.counter("engine.requests.eq_test"),
-            eq_matrix: registry.counter("engine.requests.eq_matrix"),
-            eq_aggregate: registry.counter("engine.requests.eq_aggregate"),
-            compare: registry.counter("engine.requests.compare"),
-            recover: registry.counter("engine.requests.recover"),
-            dedup: registry.counter("engine.requests.dedup"),
-            filter: registry.counter("engine.requests.filter"),
-            mul_blinded: registry.counter("engine.requests.mul_blinded"),
-            batch: registry.counter("engine.requests.batch"),
-            batch_size: registry.histogram("engine.batch_size"),
-            compute_ops: registry.histogram("engine.compute_ops"),
-            handle_nanos: registry.histogram("engine.handle_nanos"),
-        }
-    }
-
-    fn count_request(&self, request: &S1Request) {
-        match request {
-            S1Request::EqTest { .. } => self.eq_test.incr(),
-            S1Request::EqMatrix { .. } => self.eq_matrix.incr(),
-            S1Request::EqAggregate { .. } => self.eq_aggregate.incr(),
-            S1Request::Compare { .. } => self.compare.incr(),
-            S1Request::Recover { .. } => self.recover.incr(),
-            S1Request::Dedup(_) => self.dedup.incr(),
-            S1Request::Filter { .. } => self.filter.incr(),
-            S1Request::MulBlinded { .. } => self.mul_blinded.incr(),
-            S1Request::Batch(requests) => {
-                self.batch.incr();
-                self.batch_size.observe(requests.len() as u64);
-                for req in requests {
-                    self.count_request(req);
-                }
-            }
-        }
-    }
 }
 
 /// The crypto cloud S2: keys, randomness, nonce pools, ledger, and the request handler.
@@ -250,7 +224,20 @@ impl S2Engine {
     /// responses, ledgers and nonce streams are byte-identical with or without them
     /// (pinned by `tests/metrics_invariance.rs`).
     pub fn set_metrics_registry(&mut self, registry: &Registry) {
-        self.metrics = EngineMetrics::from_registry(registry);
+        self.metrics = EngineMetrics {
+            eq_test: registry.counter("engine.requests.eq_test"),
+            eq_matrix: registry.counter("engine.requests.eq_matrix"),
+            eq_aggregate: registry.counter("engine.requests.eq_aggregate"),
+            compare: registry.counter("engine.requests.compare"),
+            recover: registry.counter("engine.requests.recover"),
+            dedup: registry.counter("engine.requests.dedup"),
+            filter: registry.counter("engine.requests.filter"),
+            mul_blinded: registry.counter("engine.requests.mul_blinded"),
+            batch: registry.counter("engine.requests.batch"),
+            batch_size: registry.histogram("engine.batch_size"),
+            compute_ops: registry.histogram("engine.compute_ops"),
+            handle_nanos: registry.histogram("engine.handle_nanos"),
+        };
     }
 
     /// Number of worker threads the compute phase may use for one request.
@@ -280,203 +267,203 @@ impl S2Engine {
     ///
     /// Failures are typed [`WireError`]s: the transport encodes them as
     /// `S2Response::Error` frames, so a malformed or mis-sequenced request is answered,
-    /// not panicked on, and the engine keeps serving subsequent requests.
-    ///
-    /// Runs the three-phase pipeline of the module doc: validate everything first
-    /// (batches are all-or-nothing — no item executes, and no ledger entry commits,
-    /// unless the whole request is well-formed), compute all decryptions data-parallel
-    /// over [`Self::intra_workers`] threads, then commit every effect serially in
-    /// original item order.  Byte-identical to serial execution for any worker count.
+    /// not panicked on, and the engine keeps serving subsequent requests.  Runs the
+    /// plan → compute → commit pipeline of the module doc; byte-identical to serial
+    /// execution for any worker count.
     pub fn handle(&mut self, request: &S1Request) -> EngineResult<S2Response> {
-        // Observability wrapper: count the request (deterministic) and time the
-        // handler (only when a registry is installed — `start` returns `None`, and
-        // reads no clock, otherwise).  Nothing below reads a metric back, so the
-        // instrumented handler is byte-identical to the bare one.
+        // Timed only when a registry is installed (`start` reads no clock otherwise);
+        // nothing below reads a metric back, so instrumentation changes no byte.
         let timer = self.metrics.handle_nanos.start();
-        self.metrics.count_request(request);
-        let result = self.handle_inner(request);
+        // The one place `Batch` is unwrapped: every request is a batch of n ≥ 1 items.
+        let result = match request {
+            S1Request::Batch(items) => self.prepare(items).and_then(|dones| {
+                self.metrics.batch.incr();
+                self.metrics.batch_size.observe(items.len() as u64);
+                let responses = items.iter().zip(dones).map(|(item, done)| self.commit(item, done));
+                responses.collect::<EngineResult<_>>().map(S2Response::Batch)
+            }),
+            single => self
+                .prepare(std::slice::from_ref(single))
+                .and_then(|mut dones| self.commit(single, dones.pop().unwrap_or(Done::Nothing))),
+        };
         self.metrics.handle_nanos.stop(timer);
         result
     }
 
-    fn handle_inner(&mut self, request: &S1Request) -> EngineResult<S2Response> {
-        self.validate(request)?;
-        let mut ops = Vec::new();
-        Self::collect_ops(request, &mut ops);
-        self.metrics.compute_ops.observe(ops.len() as u64);
-        let outs = self.run_ops(&ops)?;
-        self.prefill_pools(request);
-        let mut outs = outs.into_iter();
-        match request {
-            S1Request::Batch(requests) => {
-                let mut responses = Vec::with_capacity(requests.len());
-                for req in requests {
-                    responses.push(self.commit(req, &mut outs)?);
-                }
-                Ok(S2Response::Batch(responses))
-            }
-            single => self.commit(single, &mut outs),
-        }
-    }
-
-    /// Phase 1: structural validation of the whole request before anything executes.
-    /// `pending` simulates the pending-equality-bit count across batch items so a
-    /// mis-sequenced aggregate anywhere in a batch is caught up front.
-    fn validate(&self, request: &S1Request) -> EngineResult<()> {
+    /// Phases 1 and 2 for the items of one request: plan every item (`pending` carries
+    /// the simulated pending-equality-bit count from one to the next), count them, run
+    /// their decryptions and top the nonce pools up.  Returns one [`Done`] per item.
+    fn prepare(&mut self, items: &[S1Request]) -> EngineResult<Vec<Done>> {
         let mut pending = self.pending_eq.len();
-        match request {
-            S1Request::Batch(requests) => {
-                for req in requests {
-                    if matches!(req, S1Request::Batch(_)) {
-                        // One level of batching is all the protocols need; rejecting
-                        // nesting keeps the handler's recursion bounded.
-                        return Err(WireError::malformed("nested Batch requests"));
-                    }
-                    Self::validate_one(req, &mut pending)?;
-                }
-                Ok(())
-            }
-            single => Self::validate_one(single, &mut pending),
+        let steps = items
+            .iter()
+            .map(|item| Self::plan(item, &mut pending))
+            .collect::<EngineResult<Vec<_>>>()?;
+        for step in &steps {
+            (step.count)(&self.metrics).incr();
         }
+        let dones = self.compute(&steps)?;
+        self.prefill_pools(&steps);
+        Ok(dones)
     }
 
-    /// Validate one non-batch request, updating the simulated pending-eq count.
-    fn validate_one(request: &S1Request, pending: &mut usize) -> EngineResult<()> {
-        match request {
-            S1Request::EqTest { accumulate, .. } => {
-                if *accumulate {
-                    *pending += 1;
-                }
-                Ok(())
+    /// Phase 1: validate one non-batch request and describe it.  The nonce demand is
+    /// exact for the encrypt-reply shapes and an upper bound for Dedup/Filter, whose
+    /// consumption depends on decrypted bits.
+    fn plan<'a>(request: &'a S1Request, pending: &mut usize) -> EngineResult<Step<'a>> {
+        let mut nonces = NonceDemand::default();
+        let (need, count): (Need<'a>, fn(&EngineMetrics) -> &Counter) = match request {
+            S1Request::EqTest { diff, accumulate, reply_bit, .. } => {
+                *pending += usize::from(*accumulate);
+                nonces.dj = usize::from(*reply_bit);
+                (Need::IsZero(vec![diff]), |m| &m.eq_test)
             }
-            S1Request::EqMatrix { diffs, cols, .. } => {
-                if *cols == 0 || diffs.len() % cols != 0 {
-                    return Err(WireError::malformed(format!(
-                        "equality matrix of {} entries is not a multiple of {cols} columns",
-                        diffs.len()
-                    )));
+            S1Request::EqMatrix { diffs, cols, want, .. } => {
+                let rows = diffs.len().checked_div(*cols).unwrap_or(0);
+                if matrix_bits(rows, *cols)? != diffs.len() {
+                    return Err(WireError::malformed("equality matrix with a partial last row"));
                 }
-                Ok(())
+                nonces.dj = diffs.len() + aggregate_nonces(want, rows, *cols);
+                (Need::IsZero(diffs.iter().collect()), |m| &m.eq_matrix)
             }
-            S1Request::EqAggregate { rows, cols, .. } => {
-                if *cols == 0 {
-                    return Err(WireError::malformed("EqAggregate over a zero-column matrix"));
-                }
-                let count = rows * cols;
+            S1Request::EqAggregate { rows, cols, want } => {
+                let count = matrix_bits(*rows, *cols)?;
                 if *pending != count {
                     return Err(WireError::bad_sequence(format!(
                         "EqAggregate over {count} bits but {pending} were streamed"
                     )));
                 }
                 *pending = 0;
-                Ok(())
+                nonces.dj = aggregate_nonces(want, *rows, *cols);
+                (Need::Nothing, |m| &m.eq_aggregate)
             }
-            S1Request::Compare { .. }
-            | S1Request::Recover { .. }
-            | S1Request::MulBlinded { .. } => Ok(()),
+            S1Request::Compare { blinded, .. } => {
+                (Need::Sign(blinded.iter().collect()), |m| &m.compare)
+            }
+            S1Request::Recover { blinded } => {
+                (Need::Inner(blinded.iter().collect()), |m| &m.recover)
+            }
             S1Request::Dedup(dedup) => {
                 let l = dedup.items.len();
                 if dedup.blindings.len() != l {
                     return Err(WireError::malformed("one blinding per dedup item required"));
                 }
+                let pairs = dedup.pair_indices.len();
                 match &dedup.matrix {
-                    Some(matrix) => {
-                        if matrix.len() != dedup.pair_indices.len() {
-                            return Err(WireError::malformed("dedup matrix arity mismatch"));
-                        }
+                    Some(matrix) if matrix.len() != pairs => {
+                        return Err(WireError::malformed("dedup matrix arity mismatch"));
                     }
-                    None => {
-                        if *pending != dedup.pair_indices.len() {
-                            return Err(WireError::bad_sequence(format!(
-                                "dedup expects {} streamed equality bits, found {pending}",
-                                dedup.pair_indices.len()
-                            )));
-                        }
-                        *pending = 0;
+                    None if *pending != pairs => {
+                        return Err(WireError::bad_sequence(format!(
+                            "dedup expects {pairs} streamed equality bits, found {pending}"
+                        )));
                     }
+                    Some(_) => {}
+                    None => *pending = 0,
                 }
                 if dedup.pair_indices.iter().any(|&(a, b)| a >= l || b >= l) {
                     return Err(WireError::malformed("dedup pair index out of range"));
                 }
-                Ok(())
-            }
-            S1Request::Filter { .. } => Ok(()),
-            S1Request::Batch(_) => Err(WireError::malformed("nested Batch requests")),
-        }
-    }
-
-    /// Collect the ordered decryption op list of a (validated) request.
-    fn collect_ops<'a>(request: &'a S1Request, ops: &mut Vec<DecOp<'a>>) {
-        match request {
-            S1Request::EqTest { diff, .. } => ops.push(DecOp::IsZero(diff)),
-            S1Request::EqMatrix { diffs, .. } => {
-                ops.extend(diffs.iter().map(DecOp::IsZero));
-            }
-            S1Request::EqAggregate { .. } => {}
-            S1Request::Compare { blinded, .. } => {
-                ops.extend(blinded.iter().map(DecOp::Signed));
-            }
-            S1Request::Recover { blinded } => {
-                ops.extend(blinded.iter().map(DecOp::DjInner));
-            }
-            S1Request::Dedup(dedup) => {
-                if let Some(matrix) = &dedup.matrix {
-                    ops.extend(matrix.iter().map(DecOp::IsZero));
+                for (item, blinding) in dedup.items.iter().zip(dedup.blindings.iter()) {
+                    nonces.paillier += item.ehl.len() + 2;
+                    nonces.own += item.ehl.len().max(blinding.alphas.len()) + 2;
                 }
+                (Need::IsZero(dedup.matrix.iter().flatten().collect()), |m| &m.dedup)
             }
             S1Request::Filter { tuples } => {
-                ops.extend(tuples.iter().map(|t| DecOp::IsZero(&t.score)));
+                for t in tuples {
+                    nonces.paillier += t.attributes.len();
+                    nonces.own += t.attributes.len() + 1;
+                }
+                (Need::IsZero(tuples.iter().map(|t| &t.score).collect()), |m| &m.filter)
             }
             S1Request::MulBlinded { pairs } => {
-                for (a, b) in pairs {
-                    ops.push(DecOp::Plain(a));
-                    ops.push(DecOp::Plain(b));
-                }
+                nonces.paillier = pairs.len();
+                (Need::Plain(pairs.iter().flat_map(|(a, b)| [a, b]).collect()), |m| &m.mul_blinded)
             }
-            S1Request::Batch(requests) => {
-                for req in requests {
-                    Self::collect_ops(req, ops);
-                }
+            // One level of batching is all the protocols need.
+            S1Request::Batch(_) => return Err(WireError::malformed("nested Batch requests")),
+        };
+        Ok(Step { need, nonces, count })
+    }
+
+    /// Phase 2: run every planned decryption as one flat sweep over up to
+    /// [`Self::intra_workers`] threads and regroup the results per step.  The operations
+    /// are pure, so results do not depend on scheduling, and the first failed one *in
+    /// request order* wins, as a serial sweep would have returned.
+    fn compute(&self, steps: &[Step<'_>]) -> EngineResult<Vec<Done>> {
+        enum Op<'a> {
+            IsZero(&'a Ciphertext),
+            Sign(&'a Ciphertext),
+            Plain(&'a Ciphertext),
+            Inner(&'a LayeredCiphertext),
+        }
+        enum Out {
+            Bit(bool),
+            Sign(i8),
+            Plain(BigUint),
+            Inner(Ciphertext),
+        }
+
+        let mut ops = Vec::new();
+        for step in steps {
+            match &step.need {
+                Need::Nothing => {}
+                Need::IsZero(cts) => ops.extend(cts.iter().copied().map(Op::IsZero)),
+                Need::Sign(cts) => ops.extend(cts.iter().copied().map(Op::Sign)),
+                Need::Plain(cts) => ops.extend(cts.iter().copied().map(Op::Plain)),
+                Need::Inner(cts) => ops.extend(cts.iter().copied().map(Op::Inner)),
             }
         }
-    }
+        self.metrics.compute_ops.observe(ops.len() as u64);
 
-    /// Phase 2: run every decryption op, data-parallel when [`Self::intra_workers`]
-    /// allows.  Ops are pure (shared `Arc`-backed keys, no mutable engine state), so
-    /// results are independent of scheduling; the first failed op *in op order* wins,
-    /// matching what a serial sweep would have returned.
-    fn run_ops(&self, ops: &[DecOp<'_>]) -> EngineResult<Vec<DecOut>> {
-        let keys = &self.keys;
-        let results: Vec<Result<DecOut>> = par_map(self.intra_workers, ops, |op| match op {
-            DecOp::IsZero(c) => keys.paillier_secret.is_zero(c).map(DecOut::Bit),
-            DecOp::Signed(c) => keys.paillier_secret.decrypt_signed(c).map(|v| {
-                DecOut::Sign(match v.sign() {
-                    num_bigint::Sign::Minus => -1i8,
-                    num_bigint::Sign::NoSign => 0,
-                    num_bigint::Sign::Plus => 1,
-                })
+        let (sk, dj) = (&self.keys.paillier_secret, &self.keys.dj_secret);
+        let outs = par_map(self.intra_workers, &ops, |op| match *op {
+            Op::IsZero(c) => sk.is_zero(c).map(Out::Bit),
+            Op::Sign(c) => sk.decrypt_signed(c).map(|v| match v.sign() {
+                Sign::Minus => Out::Sign(-1),
+                Sign::NoSign => Out::Sign(0),
+                Sign::Plus => Out::Sign(1),
             }),
-            DecOp::Plain(c) => keys.paillier_secret.decrypt(c).map(DecOut::Plain),
-            DecOp::DjInner(b) => keys.dj_secret.decrypt_to_ciphertext(b).map(DecOut::Inner),
+            Op::Plain(c) => sk.decrypt(c).map(Out::Plain),
+            Op::Inner(c) => dj.decrypt_to_ciphertext(c).map(Out::Inner),
         });
-        results.into_iter().collect::<Result<Vec<_>>>().map_err(WireError::from)
+
+        // Sort the flat results by type, then deal each step as many as it asked for.
+        let (mut bits, mut signs, mut plains, mut inners) = (vec![], vec![], vec![], vec![]);
+        for out in outs {
+            match out? {
+                Out::Bit(b) => bits.push(b),
+                Out::Sign(s) => signs.push(s),
+                Out::Plain(p) => plains.push(p),
+                Out::Inner(c) => inners.push(c),
+            }
+        }
+        let (mut bits, mut signs) = (bits.into_iter(), signs.into_iter());
+        let (mut plains, mut inners) = (plains.into_iter(), inners.into_iter());
+        let deal = steps.iter().map(|step| match &step.need {
+            Need::Nothing => Done::Nothing,
+            Need::IsZero(cts) => Done::Bits(bits.by_ref().take(cts.len()).collect()),
+            Need::Sign(cts) => Done::Signs(signs.by_ref().take(cts.len()).collect()),
+            Need::Plain(cts) => Done::Plains(plains.by_ref().take(cts.len()).collect()),
+            Need::Inner(cts) => Done::Inners(inners.by_ref().take(cts.len()).collect()),
+        });
+        Ok(deal.collect())
     }
 
-    /// Top the nonce pools up to the request's precomputable demand, generating the
-    /// missing nonces data-parallel.  Only runs with more than one worker: the serial
-    /// path keeps the classic lazy batch refills.  Either way the consumed nonce
-    /// stream is identical (see [`RandomnessPool::prefill_parallel`]).
-    fn prefill_pools(&mut self, request: &S1Request) {
+    /// Top the nonce pools up to the planned demand, data-parallel.  Only runs with more
+    /// than one worker (the serial path keeps the lazy batch refills); either way the
+    /// consumed nonce stream is identical (see [`RandomnessPool::prefill_parallel`]).
+    fn prefill_pools(&mut self, steps: &[Step<'_>]) {
         if self.intra_workers <= 1 {
             return;
         }
-        let mut demand = NonceDemand::default();
-        Self::nonce_demand(request, &mut demand);
+        let sum = |f: fn(&NonceDemand) -> usize| steps.iter().map(|s| f(&s.nonces)).sum::<usize>();
         let (ready_p, ready_dj) = self.pool.ready();
         let (ready_own, _) = self.own_pool.ready();
-        let need_p = demand.paillier.saturating_sub(ready_p);
-        let need_dj = demand.dj.saturating_sub(ready_dj);
-        let need_own = demand.own.saturating_sub(ready_own);
+        let need_p = sum(|n| n.paillier).saturating_sub(ready_p);
+        let need_dj = sum(|n| n.dj).saturating_sub(ready_dj);
+        let need_own = sum(|n| n.own).saturating_sub(ready_own);
         if need_p + need_dj > 0 {
             self.pool.prefill_parallel(need_p, need_dj, self.intra_workers);
         }
@@ -485,150 +472,88 @@ impl S2Engine {
         }
     }
 
-    /// Accumulate the nonce demand of a request (exact for the encrypt-reply shapes,
-    /// an upper bound for Dedup/Filter whose consumption depends on decrypted bits).
-    fn nonce_demand(request: &S1Request, demand: &mut NonceDemand) {
-        let wants_dj = |want: &EqWants, rows: usize, cols: usize| {
-            let mut dj = 0;
-            if want.row_matched {
-                dj += rows;
-            }
-            if want.row_unmatched {
-                dj += rows;
-            }
-            if want.col_unmatched {
-                dj += cols;
-            }
-            dj
-        };
-        match request {
-            S1Request::EqTest { reply_bit, .. } => {
-                if *reply_bit {
-                    demand.dj += 1;
+    /// Phase 3: commit one planned request with its compute results.  Every observable
+    /// effect happens here — ledger records, pending-eq pushes/takes, RNG draws, pool
+    /// consumption — serially, in item order.
+    fn commit(&mut self, request: &S1Request, done: Done) -> EngineResult<S2Response> {
+        match (request, done) {
+            (S1Request::EqTest { context, depth, accumulate, reply_bit, .. }, Done::Bits(bits)) => {
+                let mut reply = S2Response::Ack;
+                // `plan` asked for exactly one bit.
+                for bit in bits {
+                    self.record_eq_bit(bit, context, *depth);
+                    if *accumulate {
+                        self.pending_eq.push(bit);
+                    }
+                    if *reply_bit {
+                        reply = S2Response::EqBit(self.pool.encrypt_dj_u64(u64::from(bit))?);
+                    }
                 }
+                Ok(reply)
             }
-            S1Request::EqMatrix { diffs, cols, want, .. } => {
-                demand.dj += diffs.len() + wants_dj(want, diffs.len() / cols, *cols);
-            }
-            S1Request::EqAggregate { rows, cols, want } => {
-                demand.dj += wants_dj(want, *rows, *cols);
-            }
-            S1Request::Compare { .. } | S1Request::Recover { .. } => {}
-            S1Request::Dedup(dedup) => {
-                for (item, blinding) in dedup.items.iter().zip(dedup.blindings.iter()) {
-                    demand.paillier += item.ehl.len() + 2;
-                    demand.own += item.ehl.len().max(blinding.alphas.len()) + 2;
-                }
-            }
-            S1Request::Filter { tuples } => {
-                for t in tuples {
-                    demand.paillier += t.attributes.len();
-                    demand.own += t.attributes.len() + 1;
-                }
-            }
-            S1Request::MulBlinded { pairs } => demand.paillier += pairs.len(),
-            S1Request::Batch(requests) => {
-                for req in requests {
-                    Self::nonce_demand(req, demand);
-                }
-            }
-        }
-    }
-
-    /// Phase 3: commit one (validated) non-batch request serially, consuming its
-    /// decryption results from `outs` in op order.  This is where every observable
-    /// effect happens — ledger records, pending-eq pushes/takes, RNG draws, pool
-    /// consumption — in exactly the order the serial handler produced them.
-    fn commit(
-        &mut self,
-        request: &S1Request,
-        outs: &mut std::vec::IntoIter<DecOut>,
-    ) -> EngineResult<S2Response> {
-        match request {
-            S1Request::EqTest { context, depth, accumulate, reply_bit, .. } => {
-                let bit = self.record_eq_bit(next_bit(outs)?, context, *depth);
-                if *accumulate {
-                    self.pending_eq.push(bit);
-                }
-                if *reply_bit {
-                    let e2 = self.pool.encrypt_dj_u64(u64::from(bit))?;
-                    Ok(S2Response::EqBit(e2))
-                } else {
-                    Ok(S2Response::Ack)
-                }
-            }
-            S1Request::EqMatrix { diffs, cols, context, depth, want } => {
-                let mut bits = Vec::with_capacity(diffs.len());
-                for _ in 0..diffs.len() {
-                    bits.push(self.record_eq_bit(next_bit(outs)?, context, *depth));
-                }
+            (S1Request::EqMatrix { cols, context, depth, want, .. }, Done::Bits(bits)) => {
                 let mut e2_bits = Vec::with_capacity(bits.len());
                 for &bit in &bits {
+                    self.record_eq_bit(bit, context, *depth);
                     e2_bits.push(self.pool.encrypt_dj_u64(u64::from(bit))?);
                 }
-                let aggregates = self.derive_aggregates(&bits, *cols, *want)?;
+                let aggregates = self.aggregate(&bits, *cols, *want)?;
                 Ok(S2Response::EqBits { bits: e2_bits, aggregates })
             }
-            S1Request::EqAggregate { cols, want, .. } => {
+            (S1Request::EqAggregate { cols, want, .. }, Done::Nothing) => {
                 let bits = std::mem::take(&mut self.pending_eq);
-                let aggregates = self.derive_aggregates(&bits, *cols, *want)?;
+                let aggregates = self.aggregate(&bits, *cols, *want)?;
                 Ok(S2Response::EqAggregates(aggregates))
             }
-            S1Request::Compare { blinded, context } => {
-                let mut signs = Vec::with_capacity(blinded.len());
-                for _ in 0..blinded.len() {
-                    let sign = next_sign(outs)?;
+            (S1Request::Compare { context, .. }, Done::Signs(signs)) => {
+                for _ in &signs {
                     self.ledger.record(LeakageEvent::BlindedSign { context: context.clone() });
-                    signs.push(sign);
                 }
                 Ok(S2Response::Signs(signs))
             }
-            S1Request::Recover { blinded } => {
-                let inner =
-                    (0..blinded.len()).map(|_| next_inner(outs)).collect::<EngineResult<_>>()?;
-                Ok(S2Response::Recovered(inner))
-            }
-            S1Request::Dedup(dedup) => self.commit_dedup(dedup, outs),
-            S1Request::Filter { tuples } => self.commit_filter(tuples, outs),
-            S1Request::MulBlinded { pairs } => {
+            (S1Request::Recover { .. }, Done::Inners(inner)) => Ok(S2Response::Recovered(inner)),
+            (S1Request::Dedup(dedup), Done::Bits(bits)) => self.commit_dedup(dedup, bits),
+            (S1Request::Filter { tuples }, Done::Bits(zero)) => self.commit_filter(tuples, zero),
+            (S1Request::MulBlinded { .. }, Done::Plains(plains)) => {
                 let pk = self.keys.paillier_public.clone();
-                let mut products = Vec::with_capacity(pairs.len());
-                for _ in 0..pairs.len() {
-                    let x = next_plain(outs)?;
-                    let y = next_plain(outs)?;
+                let mut products = Vec::with_capacity(plains.len() / 2);
+                let mut plains = plains.iter();
+                while let (Some(x), Some(y)) = (plains.next(), plains.next()) {
                     products.push(self.pool.encrypt(&((x * y) % pk.n()))?);
                 }
                 Ok(S2Response::Products(products))
             }
-            S1Request::Batch(_) => Err(WireError::malformed("nested Batch requests")),
+            // No pair lands here unless an edit makes `plan` and `commit` disagree (a
+            // `Batch` item never passes `plan`); the session survives that too.
+            (
+                S1Request::EqTest { .. }
+                | S1Request::EqMatrix { .. }
+                | S1Request::EqAggregate { .. }
+                | S1Request::Compare { .. }
+                | S1Request::Recover { .. }
+                | S1Request::Dedup(_)
+                | S1Request::Filter { .. }
+                | S1Request::MulBlinded { .. }
+                | S1Request::Batch(_),
+                _,
+            ) => Err(WireError::internal("plan and commit disagree about this request kind")),
         }
     }
 
     /// Record one already-decrypted `⊖` equality bit (the equality pattern `EP^d` is
-    /// S2's designed leakage) and hand it back.
-    fn record_eq_bit(&mut self, equal: bool, context: &str, depth: Option<usize>) -> bool {
+    /// S2's designed leakage).
+    fn record_eq_bit(&mut self, equal: bool, context: &str, depth: Option<usize>) {
         self.ledger.record(LeakageEvent::EqualityBit {
             context: context.to_string(),
             depth,
             equal,
         });
-        equal
     }
 
     /// Derive the requested row/column aggregates of a row-major bit matrix.
-    fn derive_aggregates(
-        &mut self,
-        bits: &[bool],
-        cols: usize,
-        want: EqWants,
-    ) -> Result<EqAggregates> {
+    fn aggregate(&mut self, bits: &[bool], cols: usize, want: EqWants) -> Result<EqAggregates> {
         let mut aggregates = EqAggregates::default();
-        if want.is_empty() {
-            return Ok(aggregates);
-        }
-        let rows = bits.len() / cols;
-        let row_any: Vec<bool> =
-            (0..rows).map(|i| bits[i * cols..(i + 1) * cols].iter().any(|&b| b)).collect();
+        let row_any: Vec<bool> = bits.chunks(cols).map(|row| row.contains(&true)).collect();
         if want.row_matched {
             for &m in &row_any {
                 aggregates.row_matched.push(self.pool.encrypt_dj_u64(u64::from(m))?);
@@ -641,7 +566,7 @@ impl S2Engine {
         }
         if want.col_unmatched {
             for j in 0..cols {
-                let any = (0..rows).any(|i| bits[i * cols + j]);
+                let any = bits.iter().skip(j).step_by(cols).any(|&b| b);
                 aggregates.col_unmatched.push(self.pool.encrypt_dj_u64(u64::from(!any))?);
             }
         }
@@ -654,39 +579,29 @@ impl S2Engine {
     /// The S2 phase of `SecDedup` / `SecDupElim` (Algorithm 7 / §10.1): observe the
     /// (pre-decrypted) permuted equality matrix, neutralise (or drop) duplicates, layer
     /// fresh blinding and a second permutation on the survivors.
-    fn commit_dedup(
-        &mut self,
-        request: &DedupRequest,
-        outs: &mut std::vec::IntoIter<DecOut>,
-    ) -> EngineResult<S2Response> {
-        let l = request.items.len();
+    fn commit_dedup(&mut self, dedup: &DedupRequest, bits: Vec<bool>) -> EngineResult<S2Response> {
+        let l = dedup.items.len();
 
-        // Obtain the equality bits: inline matrix (batched, decrypted in the compute
-        // phase) or the bits streamed ahead through per-pair EqTest rounds (unbatched).
-        let bits: Vec<bool> = match &request.matrix {
-            Some(matrix) => (0..matrix.len())
-                .map(|_| Ok(self.record_eq_bit(next_bit(outs)?, "sec_dedup", Some(request.depth))))
-                .collect::<EngineResult<_>>()?,
+        // The equality bits: the inline matrix (batched, decrypted in the compute phase)
+        // or the bits streamed ahead through per-pair EqTest rounds (unbatched).
+        for &bit in &bits {
+            self.record_eq_bit(bit, "sec_dedup", Some(dedup.depth));
+        }
+        let bits = match dedup.matrix {
+            Some(_) => bits,
             None => std::mem::take(&mut self.pending_eq),
         };
 
         let mut equal = vec![vec![false; l]; l];
-        for (&(a, b), &is_eq) in request.pair_indices.iter().zip(bits.iter()) {
+        for (&(a, b), &is_eq) in dedup.pair_indices.iter().zip(bits.iter()) {
             equal[a][b] = is_eq;
             equal[b][a] = is_eq;
         }
 
         // The first (lowest permuted index) member of every duplicate group survives.
         let mut is_duplicate = vec![false; l];
-        for a in 0..l {
-            if is_duplicate[a] {
-                continue;
-            }
-            for b in (a + 1)..l {
-                if equal[a][b] {
-                    is_duplicate[b] = true;
-                }
-            }
+        for b in 0..l {
+            is_duplicate[b] = (0..b).any(|a| !is_duplicate[a] && equal[a][b]);
         }
 
         let pk = self.keys.paillier_public.clone();
@@ -694,10 +609,10 @@ impl S2Engine {
         let z = pk.sentinel_z();
         let mut processed: Vec<(ScoredItem, EncryptedBlinding)> = Vec::with_capacity(l);
         for ((received_item, received_blinding), &duplicate) in
-            request.items.iter().zip(request.blindings.iter()).zip(is_duplicate.iter())
+            dedup.items.iter().zip(dedup.blindings.iter()).zip(is_duplicate.iter())
         {
             if duplicate {
-                if request.eliminate {
+                if dedup.eliminate {
                     continue;
                 }
                 // Replace: fresh garbage id, scores that will unblind to Z = −1.
@@ -761,14 +676,14 @@ impl S2Engine {
     fn commit_filter(
         &mut self,
         tuples: &[FilterTuple],
-        outs: &mut std::vec::IntoIter<DecOut>,
+        score_is_zero: Vec<bool>,
     ) -> EngineResult<S2Response> {
         let pk = self.keys.paillier_public.clone();
         let own_pk = self.s1_own_public.clone();
 
         let mut survivors: Vec<FilterTuple> = Vec::new();
-        for t in tuples {
-            if next_bit(outs)? {
+        for (t, zero) in tuples.iter().zip(score_is_zero) {
+            if zero {
                 continue; // blinded score was zero: did not satisfy the join condition
             }
             // Multiplicative re-blinding of the score with γ; additive re-blinding of the
@@ -798,37 +713,18 @@ impl S2Engine {
     }
 }
 
-// Commit-phase extractors: `collect_ops` and `commit` walk the same request in the same
-// order, so the next result always has the expected variant — a mismatch is an engine
-// bug, not a wire condition.  It still must not kill the session: the serving path is
-// panic-free, so the mismatch becomes a typed `Internal` error frame for this request.
-
-fn next_bit(outs: &mut std::vec::IntoIter<DecOut>) -> EngineResult<bool> {
-    match outs.next() {
-        Some(DecOut::Bit(b)) => Ok(b),
-        _ => Err(WireError::internal("compute/commit op order mismatch: expected equality bit")),
+/// The dimension rule: an equality matrix has at least one row and one column, and
+/// `rows × cols` (returned, for the caller to compare with the bits actually covered)
+/// does not overflow — S2 never sizes a loop or a reply by a number a request only claims.
+fn matrix_bits(rows: usize, cols: usize) -> EngineResult<usize> {
+    match rows.checked_mul(cols) {
+        Some(bits) if bits >= 1 => Ok(bits),
+        _ => Err(WireError::malformed(format!("degenerate {rows} × {cols} equality matrix"))),
     }
 }
 
-fn next_sign(outs: &mut std::vec::IntoIter<DecOut>) -> EngineResult<i8> {
-    match outs.next() {
-        Some(DecOut::Sign(s)) => Ok(s),
-        _ => Err(WireError::internal("compute/commit op order mismatch: expected sign")),
-    }
-}
-
-fn next_plain(outs: &mut std::vec::IntoIter<DecOut>) -> EngineResult<BigUint> {
-    match outs.next() {
-        Some(DecOut::Plain(v)) => Ok(v),
-        _ => Err(WireError::internal("compute/commit op order mismatch: expected plaintext")),
-    }
-}
-
-fn next_inner(outs: &mut std::vec::IntoIter<DecOut>) -> EngineResult<Ciphertext> {
-    match outs.next() {
-        Some(DecOut::Inner(c)) => Ok(c),
-        _ => {
-            Err(WireError::internal("compute/commit op order mismatch: expected inner ciphertext"))
-        }
-    }
+/// `E2` ciphertexts (DJ nonces) the requested aggregates of a `rows × cols` matrix cost.
+fn aggregate_nonces(want: &EqWants, rows: usize, cols: usize) -> usize {
+    rows * (usize::from(want.row_matched) + usize::from(want.row_unmatched))
+        + cols * usize::from(want.col_unmatched)
 }

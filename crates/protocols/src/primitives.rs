@@ -18,9 +18,9 @@
 //! A query is compute-bound on a LAN, and at the paper's key sizes an extended-Euclid
 //! inversion costs more than an exponentiation of a short scalar.  So no loop here
 //! inverts per element or exponentiates the same ciphertext twice (DESIGN.md §10):
-//! [`TwoClouds::eq_diffs`] and [`TwoClouds::compare_many`] negate all their right-hand
+//! `TwoClouds::eq_diffs` and [`TwoClouds::compare_many`] negate all their right-hand
 //! sides with one batch inversion per call, every `⊖` is one multi-exponentiation, and
-//! [`TwoClouds::select_many`] evaluates selection and `RecoverEnc` blinding as one
+//! `TwoClouds::select_many` evaluates selection and `RecoverEnc` blinding as one
 //! inversion-free double exponentiation per job.  What S2 decrypts is unchanged by any
 //! of it.
 //!
@@ -320,7 +320,7 @@ impl TwoClouds {
     /// (`E2(Enc(c))^{Enc(r)} = E2(Enc(c + r))`, one exponentiation per item).
     ///
     /// The protocols never call it on a selection's output:
-    /// [`Self::select_many`] folds this blinding into the selection's own exponents.
+    /// `Self::select_many` folds this blinding into the selection's own exponents.
     pub fn recover_enc_batch(&mut self, layered: &[LayeredCiphertext]) -> Result<Vec<Ciphertext>> {
         if layered.is_empty() {
             return Ok(Vec::new());

@@ -53,8 +53,8 @@ pub enum WireErrorCode {
     /// *transient*: the request was never executed and may safely be retried.
     Overloaded,
     /// The engine detected an internal inconsistency while processing the request
-    /// (e.g. the parallel compute phase produced outputs whose order disagrees with
-    /// the serial commit phase).  The session survives, but the request failed for a
+    /// (the plan phase described a request kind one way and the commit phase expects
+    /// another).  The session survives, but the request failed for a
     /// reason that is S2's fault rather than the caller's; not retryable, because the
     /// inconsistency is deterministic for the request that exposed it.
     Internal,

@@ -1,0 +1,440 @@
+//! The S2 engine driven directly, one request at a time: every request kind's typed
+//! rejections, batch atomicity (a rejected batch costs no ledger entry, RNG draw or pool
+//! draw), the pending-equality-bit simulation across batch items, worker-count
+//! invariance of a mixed batch, and which failing operation a batch reports.
+
+use std::sync::OnceLock;
+
+use num_bigint::BigUint;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sectopk_crypto::damgard_jurik::LayeredCiphertext;
+use sectopk_crypto::keys::MasterKeys;
+use sectopk_crypto::paillier::{generate_keypair, Ciphertext, PaillierPublicKey, MIN_MODULUS_BITS};
+use sectopk_crypto::CryptoError;
+use sectopk_ehl::EhlPlus;
+use sectopk_protocols::transport::{DedupRequest, EqWants, FilterTuple};
+use sectopk_protocols::{
+    EncryptedBlinding, LeakageEvent, S1Request, S2Engine, S2Response, ScoredItem, WireError,
+    WireErrorCode,
+};
+
+const ENGINE_SEED: u64 = 0x5EED;
+
+/// The shared keys: the owner's master keys and S1's own public key `pk'`.
+fn keys() -> &'static (MasterKeys, PaillierPublicKey) {
+    static KEYS: OnceLock<(MasterKeys, PaillierPublicKey)> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(0xE261);
+        let master = MasterKeys::generate(MIN_MODULUS_BITS, 2, &mut rng).expect("keygen");
+        let (own_pk, _) = generate_keypair(MIN_MODULUS_BITS, &mut rng).expect("own keygen");
+        (master, own_pk)
+    })
+}
+
+/// A fresh engine; two of them answer identically.
+fn engine() -> S2Engine {
+    let (master, own_pk) = keys();
+    let mut engine = S2Engine::new(master.s2_view(), own_pk.clone(), ENGINE_SEED);
+    engine.set_intra_workers(1);
+    engine
+}
+
+fn rng() -> StdRng {
+    StdRng::seed_from_u64(0xC0FFEE)
+}
+
+fn enc(value: i64, rng: &mut StdRng) -> Ciphertext {
+    keys().0.paillier_public.encrypt_i64(value, rng).expect("encrypt")
+}
+
+fn own_enc(value: u64, rng: &mut StdRng) -> Ciphertext {
+    keys().1.encrypt_u64(value, rng).expect("encrypt under pk'")
+}
+
+/// `E2(Enc(value))`, what `Recover` strips back to `Enc(value)`.
+fn layered(value: i64, rng: &mut StdRng) -> LayeredCiphertext {
+    let dj = keys().0.s2_view().dj_public;
+    dj.encrypt_ciphertext(&enc(value, rng), rng).expect("outer layer")
+}
+
+/// Not a group element: every decryption of it fails with `CiphertextOutOfRange`.
+fn corrupt() -> Ciphertext {
+    Ciphertext::from_biguint(BigUint::from(0u32))
+}
+
+/// `E2(0)`: decrypts fine, but 0 is not a Paillier ciphertext, so `Recover` fails on it
+/// with `DecryptionFailed` — a different error than [`corrupt`]'s.
+fn hollow(rng: &mut StdRng) -> LayeredCiphertext {
+    keys().0.s2_view().dj_public.encrypt_u64(0, rng).expect("outer layer")
+}
+
+fn eq_test(value: i64, accumulate: bool, reply_bit: bool, rng: &mut StdRng) -> S1Request {
+    S1Request::EqTest {
+        diff: enc(value, rng),
+        context: "test".into(),
+        depth: Some(1),
+        accumulate,
+        reply_bit,
+    }
+}
+
+fn all_wants() -> EqWants {
+    EqWants { row_matched: true, row_unmatched: true, col_unmatched: true, row_matched_plain: true }
+}
+
+fn eq_matrix(values: &[i64], cols: usize, want: EqWants, rng: &mut StdRng) -> S1Request {
+    S1Request::EqMatrix {
+        diffs: values.iter().map(|&v| enc(v, rng)).collect(),
+        cols,
+        context: "test".into(),
+        depth: Some(2),
+        want,
+    }
+}
+
+fn compare(values: &[i64], rng: &mut StdRng) -> S1Request {
+    S1Request::Compare {
+        blinded: values.iter().map(|&v| enc(v, rng)).collect(),
+        context: "test".into(),
+    }
+}
+
+fn recover(values: &[i64], rng: &mut StdRng) -> S1Request {
+    S1Request::Recover { blinded: values.iter().map(|&v| layered(v, rng)).collect() }
+}
+
+/// A three-item dedup whose items 0 and 2 are duplicates; `inline` ships the equality
+/// matrix in the request, otherwise the engine must have three streamed bits pending.
+fn dedup(inline: bool, rng: &mut StdRng) -> DedupRequest {
+    let item = |rng: &mut StdRng| ScoredItem {
+        ehl: EhlPlus::from_blocks(vec![enc(11, rng), enc(12, rng)]),
+        worst: enc(3, rng),
+        best: enc(9, rng),
+    };
+    let blinding = |rng: &mut StdRng| EncryptedBlinding {
+        alphas: vec![own_enc(1, rng), own_enc(2, rng)],
+        beta: own_enc(3, rng),
+        gamma: own_enc(4, rng),
+    };
+    DedupRequest {
+        items: (0..3).map(|_| item(rng)).collect(),
+        blindings: (0..3).map(|_| blinding(rng)).collect(),
+        pair_indices: vec![(0, 1), (0, 2), (1, 2)],
+        matrix: inline.then(|| vec![enc(5, rng), enc(0, rng), enc(7, rng)]),
+        eliminate: false,
+        depth: 3,
+    }
+}
+
+fn filter(scores: &[i64], rng: &mut StdRng) -> S1Request {
+    let tuples = scores.iter().map(|&score| FilterTuple {
+        score: enc(score, rng),
+        attributes: vec![enc(21, rng)],
+        score_unblinder: own_enc(1, rng),
+        attribute_masks: vec![own_enc(2, rng)],
+    });
+    S1Request::Filter { tuples: tuples.collect() }
+}
+
+fn mul_blinded(pairs: &[(i64, i64)], rng: &mut StdRng) -> S1Request {
+    S1Request::MulBlinded {
+        pairs: pairs.iter().map(|&(a, b)| (enc(a, rng), enc(b, rng))).collect(),
+    }
+}
+
+/// One valid request of every kind in one batch (the streamed `EqTest` bits feed the
+/// `EqAggregate` and then the matrix-less `Dedup` that follow them).
+fn mixed_batch(rng: &mut StdRng) -> S1Request {
+    S1Request::Batch(vec![
+        eq_matrix(&[0, 4, 0, 0, 6, 0], 3, all_wants(), rng),
+        compare(&[-5, 0, 8], rng),
+        eq_test(0, true, true, rng),
+        eq_test(3, true, true, rng),
+        S1Request::EqAggregate { rows: 1, cols: 2, want: all_wants() },
+        recover(&[13, 14], rng),
+        S1Request::Dedup(dedup(true, rng)),
+        eq_test(1, true, false, rng),
+        eq_test(0, true, false, rng),
+        eq_test(2, true, false, rng),
+        S1Request::Dedup(dedup(false, rng)),
+        filter(&[0, 17, 0, 19], rng),
+        mul_blinded(&[(2, 3), (4, 5)], rng),
+    ])
+}
+
+/// The probe that follows every rejection: its replies draw from the engine's RNG and
+/// both nonce pools, so they are byte-identical to a fresh engine's only if the rejected
+/// request spent nothing.
+fn probe(rng: &mut StdRng) -> S1Request {
+    S1Request::Batch(vec![
+        eq_matrix(&[0, 1], 2, all_wants(), rng),
+        S1Request::Dedup(dedup(true, rng)),
+        filter(&[5], rng),
+    ])
+}
+
+/// `request` is rejected with `code`, leaves no trace, and the engine then answers the
+/// probe exactly as an engine that never saw `request`.
+fn assert_rejected_without_trace(what: &str, request: S1Request, code: WireErrorCode) {
+    let mut engine = engine();
+    let error = engine.handle(&request).expect_err(what);
+    assert_eq!(error.code, code, "{what}: {error}");
+    assert!(engine.ledger().is_empty(), "{what}: a rejected request reached the ledger");
+    let probe = probe(&mut rng());
+    let after = engine.handle(&probe).expect("the engine still serves");
+    let mut fresh = self::engine();
+    assert_eq!(
+        after,
+        fresh.handle(&probe).expect("fresh"),
+        "{what}: an RNG or pool draw was spent"
+    );
+    assert_eq!(engine.ledger().events(), fresh.ledger().events(), "{what}: ledgers diverged");
+}
+
+#[test]
+fn a_malformed_instance_of_each_kind_is_a_typed_error() {
+    use WireErrorCode::{BadSequence, Crypto, MalformedRequest};
+    let rng = &mut rng();
+    let corrupt_eq_test = S1Request::EqTest {
+        diff: corrupt(),
+        context: "test".into(),
+        depth: None,
+        accumulate: true,
+        reply_bit: true,
+    };
+    let corrupt_matrix = S1Request::EqMatrix {
+        diffs: vec![enc(0, rng), corrupt()],
+        cols: 2,
+        context: "test".into(),
+        depth: None,
+        want: all_wants(),
+    };
+    let mut corrupt_filter = filter(&[1, 2], rng);
+    if let S1Request::Filter { tuples } = &mut corrupt_filter {
+        tuples[1].score = corrupt();
+    }
+    let with_dedup = |edit: fn(&mut DedupRequest), rng: &mut StdRng| {
+        let mut request = dedup(true, rng);
+        edit(&mut request);
+        S1Request::Dedup(request)
+    };
+    let table: Vec<(&str, S1Request, WireErrorCode)> = vec![
+        ("EqTest over a corrupted ciphertext", corrupt_eq_test, Crypto),
+        (
+            "EqMatrix with a partial last row",
+            eq_matrix(&[0, 1, 2], 2, all_wants(), rng),
+            MalformedRequest,
+        ),
+        ("EqMatrix with zero columns", eq_matrix(&[0, 1], 0, all_wants(), rng), MalformedRequest),
+        ("EqMatrix over a corrupted ciphertext", corrupt_matrix, Crypto),
+        (
+            "EqAggregate with zero columns",
+            S1Request::EqAggregate { rows: 0, cols: 0, want: all_wants() },
+            MalformedRequest,
+        ),
+        (
+            "EqAggregate over bits never streamed",
+            S1Request::EqAggregate { rows: 2, cols: 2, want: all_wants() },
+            BadSequence,
+        ),
+        (
+            "Compare over a corrupted ciphertext",
+            S1Request::Compare { blinded: vec![enc(1, rng), corrupt()], context: "test".into() },
+            Crypto,
+        ),
+        (
+            "Recover of a hollow layered ciphertext",
+            S1Request::Recover { blinded: vec![layered(1, rng), hollow(rng)] },
+            Crypto,
+        ),
+        (
+            "Dedup with a missing blinding",
+            with_dedup(|d| drop(d.blindings.pop()), rng),
+            MalformedRequest,
+        ),
+        (
+            "Dedup whose matrix is shorter than its pair list",
+            with_dedup(|d| drop(d.matrix.as_mut().and_then(Vec::pop)), rng),
+            MalformedRequest,
+        ),
+        (
+            "Dedup with a pair index out of range",
+            with_dedup(|d| d.pair_indices[2] = (1, 3), rng),
+            MalformedRequest,
+        ),
+        ("Dedup expecting bits never streamed", S1Request::Dedup(dedup(false, rng)), BadSequence),
+        (
+            "Dedup over a corrupted matrix entry",
+            with_dedup(|d| d.matrix = Some(vec![corrupt(); 3]), rng),
+            Crypto,
+        ),
+        ("Filter over a corrupted score", corrupt_filter, Crypto),
+        (
+            "MulBlinded over a corrupted operand",
+            S1Request::MulBlinded { pairs: vec![(enc(2, rng), corrupt())] },
+            Crypto,
+        ),
+        (
+            "a nested Batch",
+            S1Request::Batch(vec![S1Request::Batch(vec![compare(&[1], rng)])]),
+            MalformedRequest,
+        ),
+    ];
+    for (what, request, code) in table {
+        assert_rejected_without_trace(what, request, code);
+    }
+}
+
+/// The three degenerate-dimension requests: a few dozen bytes each, none may be
+/// answered with (or loop over) `cols` ciphertexts, and the third must not overflow.
+#[test]
+fn aggregate_dimensions_are_bounded_by_the_bits_they_cover() {
+    let col_unmatched = EqWants { col_unmatched: true, ..EqWants::none() };
+    let table = [
+        (
+            "an empty EqMatrix claiming 16 384 columns",
+            S1Request::EqMatrix {
+                diffs: Vec::new(),
+                cols: 16_384,
+                context: "test".into(),
+                depth: None,
+                want: col_unmatched,
+            },
+        ),
+        (
+            "a zero-row EqAggregate claiming 2^40 columns",
+            S1Request::EqAggregate { rows: 0, cols: 1 << 40, want: col_unmatched },
+        ),
+        (
+            "an EqAggregate whose rows × cols overflows",
+            S1Request::EqAggregate { rows: 1 << 32, cols: 1 << 32, want: all_wants() },
+        ),
+    ];
+    for (what, request) in table {
+        assert_rejected_without_trace(what, request, WireErrorCode::MalformedRequest);
+    }
+}
+
+#[test]
+fn a_batch_with_one_bad_item_commits_nothing() {
+    let rng = &mut rng();
+    let valid_matrix = |rng: &mut StdRng| eq_matrix(&[0, 1, 0, 0], 2, all_wants(), rng);
+    let mut bad_dedup = dedup(true, rng);
+    bad_dedup.blindings.pop();
+    assert_rejected_without_trace(
+        "Batch[valid EqMatrix, malformed Dedup]",
+        S1Request::Batch(vec![valid_matrix(rng), S1Request::Dedup(bad_dedup)]),
+        WireErrorCode::MalformedRequest,
+    );
+    assert_rejected_without_trace(
+        "Batch[valid EqMatrix, Batch[..]]",
+        S1Request::Batch(vec![valid_matrix(rng), S1Request::Batch(vec![valid_matrix(rng)])]),
+        WireErrorCode::MalformedRequest,
+    );
+}
+
+#[test]
+fn a_missequenced_aggregate_late_in_a_batch_is_caught_before_the_first_item_commits() {
+    let rng = &mut rng();
+    let streamed = |cols: usize, rng: &mut StdRng| {
+        S1Request::Batch(vec![
+            eq_test(0, true, true, rng),
+            eq_test(5, true, true, rng),
+            S1Request::EqAggregate { rows: 1, cols, want: all_wants() },
+        ])
+    };
+    // Two bits will have been streamed by the time the aggregate runs, not three: the
+    // plan phase knows without running the two EqTests.
+    assert_rejected_without_trace(
+        "aggregate over 3 of 2 bits",
+        streamed(3, rng),
+        WireErrorCode::BadSequence,
+    );
+
+    // The well-sequenced batch passes, and consumes the bits it streamed: the same
+    // aggregate on its own is then mis-sequenced again.
+    let mut engine = engine();
+    match engine.handle(&streamed(2, rng)).expect("well-sequenced batch") {
+        S2Response::Batch(replies) => match &replies[2] {
+            S2Response::EqAggregates(aggregates) => {
+                assert_eq!(aggregates.row_matched_plain, vec![true]);
+                assert_eq!(aggregates.col_unmatched.len(), 2);
+            }
+            other => panic!("expected EqAggregates, got {other:?}"),
+        },
+        other => panic!("expected a Batch reply, got {other:?}"),
+    }
+    let again = S1Request::EqAggregate { rows: 1, cols: 2, want: all_wants() };
+    assert_eq!(
+        engine.handle(&again).expect_err("bits were consumed").code,
+        WireErrorCode::BadSequence
+    );
+}
+
+#[test]
+fn a_mixed_batch_is_byte_identical_for_one_and_four_workers() {
+    let batch = mixed_batch(&mut rng());
+    let run = |workers: usize| {
+        let mut engine = engine();
+        engine.set_intra_workers(workers);
+        let response = engine.handle(&batch).expect("mixed batch");
+        // A follow-up proves the RNG and pool positions agree too, not only the replies.
+        let follow_up = engine.handle(&probe(&mut rng())).expect("follow-up");
+        (response, follow_up, engine.ledger().events())
+    };
+    let (serial, parallel) = (run(1), run(4));
+    assert_eq!(serial, parallel);
+
+    // The replies line up with the request kinds, and the ledger saw each reveal.
+    let (S2Response::Batch(replies), _, ledger) = serial else { panic!("expected a Batch reply") };
+    assert_eq!(replies.len(), 13);
+    assert_eq!(replies[1], S2Response::Signs(vec![-1, 0, 1]));
+    assert!(matches!(&replies[5], S2Response::Recovered(inner) if inner.len() == 2));
+    assert!(matches!(&replies[6], S2Response::Dedup { items, .. } if items.len() == 3));
+    assert_eq!(replies[7], S2Response::Ack);
+    assert!(matches!(&replies[11], S2Response::Filter { survivors } if survivors.len() == 2));
+    assert!(matches!(&replies[12], S2Response::Products(products) if products.len() == 2));
+    // (The ledger was read after the follow-up probe: 2 + 3 of the equality bits and
+    // the one-survivor join count are the probe's.)
+    let count = |kind: fn(&LeakageEvent) -> bool| ledger.iter().filter(|e| kind(e)).count();
+    assert_eq!(count(|e| matches!(e, LeakageEvent::EqualityBit { .. })), 6 + 2 + 3 + 3 + 2 + 3);
+    assert_eq!(count(|e| matches!(e, LeakageEvent::BlindedSign { .. })), 3);
+    assert_eq!(count(|e| matches!(e, LeakageEvent::JoinMatchCount(2))), 1);
+    assert_eq!(count(|e| matches!(e, LeakageEvent::JoinMatchCount(1))), 1);
+}
+
+#[test]
+fn a_batch_reports_its_first_failing_operation_in_request_order() {
+    let rng = &mut rng();
+    let bad_recover = S1Request::Recover { blinded: vec![layered(1, rng), hollow(rng)] };
+    let bad_matrix = S1Request::EqMatrix {
+        diffs: vec![enc(0, rng), corrupt(), enc(2, rng)],
+        cols: 3,
+        context: "test".into(),
+        depth: None,
+        want: EqWants::none(),
+    };
+    let batch = |second: &S1Request, fourth: &S1Request, rng: &mut StdRng| {
+        S1Request::Batch(vec![
+            compare(&[1, 2, 3], rng),
+            second.clone(),
+            compare(&[4, 5], rng),
+            fourth.clone(),
+            compare(&[6], rng),
+        ])
+    };
+    let cases = [
+        (batch(&bad_recover, &bad_matrix, rng), WireError::from(CryptoError::DecryptionFailed)),
+        (batch(&bad_matrix, &bad_recover, rng), WireError::from(CryptoError::CiphertextOutOfRange)),
+    ];
+    for (request, expected) in &cases {
+        for workers in [1, 4] {
+            let mut engine = engine();
+            engine.set_intra_workers(workers);
+            let error = engine.handle(request).expect_err("two corrupted ciphertexts");
+            assert_eq!(&error, expected, "{workers} worker(s)");
+            assert!(engine.ledger().is_empty(), "nothing committed");
+        }
+    }
+}
