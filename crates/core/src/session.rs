@@ -1,6 +1,6 @@
-//! The `Session` abstraction: one front door for executing top-k queries, whether the
-//! caller talks to a dedicated two-cloud deployment ([`DirectSession`]) or to a shared
-//! multi-session query server (`sectopk-server::QueryClient`).
+//! The `Session` abstraction: one front door for executing top-k queries, and the one
+//! struct behind it ([`DirectSession`]) — whether S2 is a direct call, a seat in a
+//! worker pool or a remote `sectopk-s2d` process.
 //!
 //! ```text
 //!   Query::top_k(k).attributes(…)           DataOwner::outsource(R)
@@ -12,9 +12,9 @@
 //!      ResolvedTopK  ◀── resolve_results ◀── encrypted top-k + QueryStats (incl. plan)
 //! ```
 //!
-//! Every implementation executes through the same [`execute_with_clouds`] engine, so
-//! tests, benches and examples observe identical behaviour regardless of which session
-//! type they run against.
+//! Every door executes through the same [`execute_with_clouds`] engine, so tests,
+//! benches and examples observe identical behaviour regardless of how their session
+//! was opened.
 
 use std::sync::Arc;
 
@@ -23,7 +23,7 @@ use rand::{CryptoRng, RngCore, SeedableRng};
 
 use sectopk_crypto::keys::MasterKeys;
 use sectopk_protocols::{
-    ChannelMetrics, LeakageLedger, LinkProfile, RetryPolicy, TcpOptions, TransportKind, TwoClouds,
+    ChannelMetrics, LeakageLedger, LinkProfile, TcpOptions, TransportKind, TwoClouds,
 };
 use sectopk_storage::{encrypt_relation, EncryptedRelation, EncryptionStats, ObjectId, Relation};
 
@@ -112,38 +112,65 @@ impl ResolvedTopK {
 /// One query-execution session against an outsourced relation — the `SecQuery` side of
 /// the scheme behind a uniform, hard-to-misuse surface.
 ///
-/// Implemented by [`DirectSession`] (a dedicated two-cloud deployment) and by
-/// `sectopk-server::QueryClient` (one session of a shared multi-session server), so
-/// every test, bench and example runs against the same abstraction.
+/// An implementation says only what differs: where its [`TwoClouds`] and [`Outsourced`]
+/// live and how a query executes.  Everything readable off those two — shape, link,
+/// traffic, ledgers, the plan — is provided here once, so it cannot drift between
+/// [`DirectSession`] and `sectopk-server::QueryClient` (which wraps one).
 pub trait Session {
-    /// Number of objects `n` of the outsourced relation.
-    fn num_objects(&self) -> usize;
+    /// The underlying two-cloud context — the protocol-level escape hatch for tests and
+    /// tools that drive individual sub-protocols (`sec_worst_depth`, `sec_dedup`, …).
+    fn clouds(&self) -> &TwoClouds;
 
-    /// Number of attributes `M` of the outsourced relation.
-    fn num_attributes(&self) -> usize;
+    /// Mutable access to the underlying two-cloud context.
+    fn clouds_mut(&mut self) -> &mut TwoClouds;
 
-    /// The inter-cloud link this session runs over (feeds the planner's cost model).
-    fn link(&self) -> LinkProfile;
-
-    /// Whether round-trip batching is enabled on the transport.
-    fn batching(&self) -> bool;
+    /// The outsourced relation this session queries.
+    fn outsourced(&self) -> &Outsourced;
 
     /// Execute one query end to end: validate, mint the token, plan the variant (when
     /// the query says [`VariantChoice::Auto`]), run `SecQuery`, and resolve the
     /// encrypted answer with the key holder's material.
     fn execute(&mut self, query: &Query) -> Result<ResolvedTopK>;
 
+    /// Number of objects `n` of the outsourced relation.
+    fn num_objects(&self) -> usize {
+        self.outsourced().num_objects()
+    }
+
+    /// Number of attributes `M` of the outsourced relation.
+    fn num_attributes(&self) -> usize {
+        self.outsourced().num_attributes()
+    }
+
+    /// The inter-cloud link this session runs over (feeds the planner's cost model).
+    fn link(&self) -> LinkProfile {
+        self.clouds().link_profile()
+    }
+
+    /// Whether round-trip batching is enabled on the transport.
+    fn batching(&self) -> bool {
+        self.clouds().batching()
+    }
+
     /// Cumulative channel traffic of this session.
-    fn metrics(&self) -> ChannelMetrics;
+    fn metrics(&self) -> ChannelMetrics {
+        self.clouds().channel()
+    }
 
     /// Snapshot of everything this session's S1 observed.
-    fn s1_ledger(&self) -> LeakageLedger;
+    fn s1_ledger(&self) -> LeakageLedger {
+        self.clouds().s1_ledger().clone()
+    }
 
     /// Snapshot of everything this session's S2 engine observed.
-    fn s2_ledger(&self) -> LeakageLedger;
+    fn s2_ledger(&self) -> LeakageLedger {
+        self.clouds().s2_ledger()
+    }
 
     /// Reset the channel metrics and both ledgers (e.g. between queries).
-    fn reset_accounting(&mut self);
+    fn reset_accounting(&mut self) {
+        self.clouds_mut().reset_accounting();
+    }
 
     /// The plan the session would run `query` under, without executing it.
     fn plan(&self, query: &Query) -> PlanDecision {
@@ -167,9 +194,9 @@ pub fn plan_for(query: &Query, n: usize, link: LinkProfile, batching: bool) -> P
     }
 }
 
-/// The shared execution engine behind every [`Session`] implementation: token, plan,
-/// `SecQuery`, resolution.  `keys` is the key holder's material (token generation and
-/// result resolution both need it) and `rng` its local randomness.
+/// The execution engine behind [`Session::execute`]: token, plan, `SecQuery`,
+/// resolution.  `keys` is the key holder's material (token generation and result
+/// resolution both need it) and `rng` its local randomness.
 pub fn execute_with_clouds<R: RngCore + CryptoRng>(
     clouds: &mut TwoClouds,
     er: &EncryptedRelation,
@@ -188,8 +215,21 @@ pub fn execute_with_clouds<R: RngCore + CryptoRng>(
     Ok(ResolvedTopK { results, outcome })
 }
 
-/// A dedicated two-cloud session: the data owner's keys, the outsourced relation, and a
-/// private [`TwoClouds`] deployment.  Create one with [`DataOwner::connect`].
+/// The key holder's result-resolution RNG for a session with the given seed: a session
+/// replayed with the same seed resolves identically whichever door opened it.  It is
+/// independent of the clouds' protocol randomness.
+pub fn resolution_rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ 0x7E50_15E5)
+}
+
+/// *The* session: the key holder's material, the outsourced relation, the resolution
+/// randomness and a [`TwoClouds`] context — whatever that context's transport is.  S2
+/// may be a direct call, a seat in a worker pool or a `sectopk-s2d` process behind a
+/// socket; what differs is only what moves the bytes (DESIGN.md §11, §13), so every
+/// door — [`DataOwner::connect`], [`DataOwner::connect_with`],
+/// [`DataOwner::connect_remote`], `sectopk-server::QueryServer::open_session` — ends in
+/// this one struct, and a fixed seed gives byte-identical results, ledgers and metrics
+/// through all of them.
 #[derive(Debug)]
 pub struct DirectSession {
     clouds: TwoClouds,
@@ -198,86 +238,40 @@ pub struct DirectSession {
     rng: StdRng,
 }
 
-/// The key holder's result-resolution RNG for a session with the given seed.
-///
-/// Every [`Session`] implementation — [`DirectSession`] here and the query server's
-/// `QueryClient` — derives its resolution randomness through this one function, so a
-/// session replayed with the same seed resolves identically regardless of which
-/// deployment shape it runs in.  It is independent of the clouds' protocol randomness.
-pub fn resolution_rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed ^ 0x7E50_15E5)
-}
+/// A session whose S2 is a remote `sectopk-s2d` process ([`DataOwner::connect_remote`]).
+/// Only the transport inside its [`TwoClouds`] differs, so it is the same type.
+pub type RemoteSession = DirectSession;
 
 impl DirectSession {
-    pub(crate) fn new(
-        clouds: TwoClouds,
-        outsourced: Outsourced,
-        keys: MasterKeys,
-        seed: u64,
-    ) -> Self {
+    /// A session over an already-connected `clouds` context; `seed` (the one the
+    /// context was built from) derives the resolution randomness.
+    pub fn new(clouds: TwoClouds, outsourced: Outsourced, keys: MasterKeys, seed: u64) -> Self {
         DirectSession { clouds, outsourced, keys, rng: resolution_rng(seed) }
-    }
-
-    /// The underlying two-cloud context — the protocol-level escape hatch for tests and
-    /// tools that drive individual sub-protocols (`sec_worst_depth`, `sec_dedup`, …).
-    pub fn clouds(&self) -> &TwoClouds {
-        &self.clouds
-    }
-
-    /// Mutable access to the underlying two-cloud context.
-    pub fn clouds_mut(&mut self) -> &mut TwoClouds {
-        &mut self.clouds
-    }
-
-    /// The outsourced relation this session queries.
-    pub fn outsourced(&self) -> &Outsourced {
-        &self.outsourced
     }
 }
 
 impl Session for DirectSession {
-    fn num_objects(&self) -> usize {
-        self.outsourced.num_objects()
+    fn clouds(&self) -> &TwoClouds {
+        &self.clouds
     }
 
-    fn num_attributes(&self) -> usize {
-        self.outsourced.num_attributes()
+    fn clouds_mut(&mut self) -> &mut TwoClouds {
+        &mut self.clouds
     }
 
-    fn link(&self) -> LinkProfile {
-        self.clouds.link_profile()
-    }
-
-    fn batching(&self) -> bool {
-        self.clouds.batching()
+    fn outsourced(&self) -> &Outsourced {
+        &self.outsourced
     }
 
     fn execute(&mut self, query: &Query) -> Result<ResolvedTopK> {
-        let outsourced = self.outsourced.clone();
         execute_with_clouds(
             &mut self.clouds,
-            outsourced.er(),
-            outsourced.object_ids(),
+            self.outsourced.er(),
+            self.outsourced.object_ids(),
             &self.keys,
             &mut self.rng,
             query,
         )
-    }
-
-    fn metrics(&self) -> ChannelMetrics {
-        self.clouds.channel()
-    }
-
-    fn s1_ledger(&self) -> LeakageLedger {
-        self.clouds.s1_ledger().clone()
-    }
-
-    fn s2_ledger(&self) -> LeakageLedger {
-        self.clouds.s2_ledger()
-    }
-
-    fn reset_accounting(&mut self) {
-        self.clouds.reset_accounting();
     }
 }
 
@@ -306,14 +300,14 @@ impl DataOwner {
         Ok((Outsourced::from_parts(er, object_ids), stats))
     }
 
-    /// Open a dedicated two-cloud session on `outsourced` with the transport selected
-    /// by the `SECTOPK_TRANSPORT` environment variable and batching enabled.
+    /// Open a session on `outsourced` with the transport selected by the
+    /// `SECTOPK_TRANSPORT` environment variable and batching enabled.
     pub fn connect(&self, outsourced: &Outsourced, seed: u64) -> Result<DirectSession> {
         self.connect_with(outsourced, seed, TransportKind::from_env()?, true)
     }
 
-    /// Open a dedicated two-cloud session with an explicit transport and batching
-    /// policy (what the transport-equivalence suite sweeps).
+    /// Open a session with an explicit transport and batching policy (what the
+    /// transport-equivalence suite sweeps).
     pub fn connect_with(
         &self,
         outsourced: &Outsourced,
@@ -324,99 +318,13 @@ impl DataOwner {
         let clouds = TwoClouds::with_transport(self.keys(), seed, kind, batching)?;
         Ok(DirectSession::new(clouds, outsourced.clone(), self.keys().clone(), seed))
     }
-}
 
-/// A networked two-cloud session: S1 runs locally, the crypto cloud S2 is a remote
-/// `sectopk-s2d` process reached over a real TCP socket.  Create one with
-/// [`DataOwner::connect_remote`]; it mirrors [`DataOwner::connect`], so callers switch
-/// from in-process to networked execution by changing one constructor — everything
-/// downstream is the same [`Session`] front door.
-///
-/// Determinism carries over the wire: a remote session with seed *s* produces results,
-/// ledgers and metrics byte-identical to a [`DirectSession`] with seed *s* (the
-/// connection handshake provisions the remote S2 engine from the same seed derivation).
-#[derive(Debug)]
-pub struct RemoteSession {
-    inner: DirectSession,
-    addr: String,
-    retry: RetryPolicy,
-}
-
-impl RemoteSession {
-    /// The `host:port` address of the S2 process this session is connected to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// The transparent-retry budget this session's transport runs under: how it
-    /// reconnects, resumes its server-side session and re-sends the unacknowledged
-    /// exchange after a transient failure.  [`RetryPolicy::none`] (the default) fails
-    /// fast; failures that outlive the budget surface as transient
-    /// [`SecTopKError`](crate::SecTopKError)s — see
-    /// [`SecTopKError::is_transient`](crate::SecTopKError::is_transient).
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// The underlying two-cloud context — the protocol-level escape hatch the
-    /// failure-injection suite uses to drive raw round trips over the socket.
-    pub fn clouds(&self) -> &TwoClouds {
-        self.inner.clouds()
-    }
-
-    /// Mutable access to the underlying two-cloud context.
-    pub fn clouds_mut(&mut self) -> &mut TwoClouds {
-        self.inner.clouds_mut()
-    }
-
-    /// The outsourced relation this session queries.
-    pub fn outsourced(&self) -> &Outsourced {
-        self.inner.outsourced()
-    }
-}
-
-impl Session for RemoteSession {
-    fn num_objects(&self) -> usize {
-        self.inner.num_objects()
-    }
-
-    fn num_attributes(&self) -> usize {
-        self.inner.num_attributes()
-    }
-
-    fn link(&self) -> LinkProfile {
-        self.inner.link()
-    }
-
-    fn batching(&self) -> bool {
-        self.inner.batching()
-    }
-
-    fn execute(&mut self, query: &Query) -> Result<ResolvedTopK> {
-        self.inner.execute(query)
-    }
-
-    fn metrics(&self) -> ChannelMetrics {
-        self.inner.metrics()
-    }
-
-    fn s1_ledger(&self) -> LeakageLedger {
-        self.inner.s1_ledger()
-    }
-
-    fn s2_ledger(&self) -> LeakageLedger {
-        self.inner.s2_ledger()
-    }
-
-    fn reset_accounting(&mut self) {
-        self.inner.reset_accounting();
-    }
-}
-
-impl DataOwner {
-    /// Open a networked two-cloud session on `outsourced` against the `sectopk-s2d`
-    /// process listening at `addr` (`"host:port"`), with batching enabled and default
-    /// connection policy.  Mirrors [`DataOwner::connect`].
+    /// Open a session on `outsourced` whose crypto cloud S2 is the `sectopk-s2d`
+    /// process listening at `addr` (`"host:port"`), with batching enabled and the
+    /// default connection policy.  Mirrors [`DataOwner::connect`]: callers switch from
+    /// in-process to networked execution by changing one constructor, and the
+    /// connection handshake provisions the remote S2 engine from the same seed
+    /// derivation, so determinism carries over the wire.
     pub fn connect_remote(
         &self,
         outsourced: &Outsourced,
@@ -427,7 +335,9 @@ impl DataOwner {
     }
 
     /// [`DataOwner::connect_remote`] with an explicit batching policy and connection
-    /// options (retry budget, timeouts, proposed session id).
+    /// options (retry budget, timeouts, proposed session id).  Failures that outlive
+    /// the retry budget surface as transient errors — see
+    /// [`SecTopKError::is_transient`](crate::SecTopKError::is_transient).
     pub fn connect_remote_with(
         &self,
         outsourced: &Outsourced,
@@ -436,15 +346,13 @@ impl DataOwner {
         batching: bool,
         options: TcpOptions,
     ) -> Result<RemoteSession> {
-        let retry = options.retry;
         let clouds = TwoClouds::connect_tcp(self.keys(), seed, batching, addr, options)?;
-        let inner = DirectSession::new(clouds, outsourced.clone(), self.keys().clone(), seed);
-        Ok(RemoteSession { inner, addr: addr.to_string(), retry })
+        Ok(DirectSession::new(clouds, outsourced.clone(), self.keys().clone(), seed))
     }
 }
 
-/// The builder surface must stay object-safe enough for generic serving code; this
-/// compile-time assertion pins `Session` as usable behind a `&mut dyn` reference.
+/// Generic serving code holds sessions as `Box<dyn Session + Send>`; this compile-time
+/// assertion pins `Session` as usable behind a `&mut dyn` reference.
 const _: fn(&mut dyn Session) = |_| {};
 
 #[cfg(test)]

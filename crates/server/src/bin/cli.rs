@@ -1,4 +1,5 @@
-//! `sectopk-cli` — the S1 / data-owner side of the two-binary deployment.
+//! `sectopk-cli` — the S1 / data-owner side of the two-binary deployment (the S2 side
+//! is `sectopk-s2d`, the only S2 listener).
 //!
 //! Subcommands:
 //!
@@ -6,11 +7,9 @@
 //!   seed and encrypt it, reporting the `Enc(λ, R)` setup cost.  Pure local work; the
 //!   crypto cloud never sees plaintext data.
 //! * `query` — run a top-k query end to end against a remote `sectopk-s2d` process:
-//!   re-derive keys and relation from the seed, outsource, open a
-//!   [`sectopk_core::RemoteSession`] over TCP, execute, and print the resolved
-//!   results plus channel metrics.
-//! * `serve` — stand up the S2 listener in-process (same engine as `sectopk-s2d`),
-//!   for single-binary deployments.
+//!   re-derive keys and relation from the seed, outsource, open a session over TCP
+//!   (`DataOwner::connect_remote`), execute, and print the resolved results plus
+//!   channel metrics.
 //!
 //! ```text
 //! sectopk-s2d --listen 127.0.0.1:7171 &
@@ -19,110 +18,88 @@
 
 use std::io::Write;
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::str::FromStr;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sectopk_core::{DataOwner, Query, QueryVariant, Session, VariantChoice};
 use sectopk_datasets::{generate, DatasetKind, DatasetSpec};
-use sectopk_protocols::{MultiplexServer, PoolLimits, TcpCloudServer, TcpServerConfig};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: sectopk-cli <outsource|query|serve> [options]\n\
-         \n\
-         outsource  --seed N [--rows N] [--attributes N] [--modulus-bits N] [--ehl-keys N]\n\
-         query      --server HOST:PORT --seed N [--rows N] [--attributes N] [--k N]\n\
-         \x20          [--query-attrs i,j,…] [--variant full|dupelim|auto]\n\
-         \x20          [--modulus-bits N] [--ehl-keys N]\n\
-         serve      [--listen ADDR] [--workers N] [--max-sessions N]\n\
-         \n\
-         Keys and data re-derive deterministically from --seed, so a query run is\n\
-         reproducible and the S2 daemon needs no out-of-band key distribution."
-    );
-    ExitCode::FAILURE
-}
+const USAGE: &str = "usage: sectopk-cli <outsource|query> [options]\n\
+    \n\
+    outsource  --seed N [--rows N] [--attributes N] [--modulus-bits N] [--ehl-keys N]\n\
+    query      --server HOST:PORT --seed N [--rows N] [--attributes N] [--k N]\n\
+    \x20          [--query-attrs i,j,…] [--variant full|dupelim|auto]\n\
+    \x20          [--modulus-bits N] [--ehl-keys N]\n\
+    \n\
+    Keys and data re-derive deterministically from --seed, so a query run is\n\
+    reproducible and the S2 daemon needs no out-of-band key distribution.";
 
-/// Everything the `outsource` and `query` subcommands share: the deterministic
-/// owner-side world derived from one seed.
-struct OwnerArgs {
+/// What the flags say.  The first five are the owner flags — the deterministic
+/// owner-side world derived from one seed — which `outsource` and `query` share; the
+/// rest belong to `query` alone.
+#[derive(Debug, PartialEq)]
+struct Flags {
     seed: u64,
     rows: usize,
     attributes: usize,
     modulus_bits: usize,
     ehl_keys: usize,
+    server: String,
+    k: usize,
+    query_attrs: Option<Vec<usize>>,
+    variant: VariantChoice,
 }
 
-impl OwnerArgs {
-    fn defaults() -> Self {
-        OwnerArgs { seed: 7, rows: 8, attributes: 3, modulus_bits: 128, ehl_keys: 3 }
-    }
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag}: cannot read {value:?}"))
 }
 
-fn parse_u64(args: &[String], i: usize) -> Option<u64> {
-    args.get(i).and_then(|v| v.parse().ok())
-}
-
-fn parse_usize(args: &[String], i: usize) -> Option<usize> {
-    args.get(i).and_then(|v| v.parse().ok())
-}
-
-fn cmd_outsource(args: &[String]) -> ExitCode {
-    let mut owner_args = OwnerArgs::defaults();
-    let mut i = 0;
-    while let Some(arg) = args.get(i) {
-        match arg.as_str() {
-            "--seed" => match parse_u64(args, i + 1) {
-                Some(v) => {
-                    owner_args.seed = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--rows" => match parse_usize(args, i + 1) {
-                Some(v) => {
-                    owner_args.rows = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--attributes" => match parse_usize(args, i + 1) {
-                Some(v) => {
-                    owner_args.attributes = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--modulus-bits" => match parse_usize(args, i + 1) {
-                Some(v) => {
-                    owner_args.modulus_bits = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--ehl-keys" => match parse_usize(args, i + 1) {
-                Some(v) => {
-                    owner_args.ehl_keys = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let (_, _, stats) = match build_world(&owner_args) {
-        Ok(world) => world,
-        Err(e) => {
-            eprintln!("sectopk-cli outsource: {e}");
-            return ExitCode::FAILURE;
-        }
+/// The one flag parser: every flag takes one value; `command` decides whether the
+/// query-only flags are known.
+fn parse_flags(command: &str, args: &[String]) -> Result<Flags, String> {
+    let mut flags = Flags {
+        seed: 7,
+        rows: 8,
+        attributes: 3,
+        modulus_bits: 128,
+        ehl_keys: 3,
+        server: String::new(),
+        k: 2,
+        query_attrs: None,
+        variant: VariantChoice::Fixed(QueryVariant::Full),
     };
-    println!(
-        "outsourced: objects={} attributes={} paillier_encryptions={} encrypted_bytes={}",
-        stats.num_objects, stats.num_attributes, stats.paillier_encryptions, stats.encrypted_bytes
-    );
-    ExitCode::SUCCESS
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match (flag.as_str(), command) {
+            ("--seed", _) => flags.seed = number(flag, value()?)?,
+            ("--rows", _) => flags.rows = number(flag, value()?)?,
+            ("--attributes", _) => flags.attributes = number(flag, value()?)?,
+            ("--modulus-bits", _) => flags.modulus_bits = number(flag, value()?)?,
+            ("--ehl-keys", _) => flags.ehl_keys = number(flag, value()?)?,
+            ("--server", "query") => flags.server = value()?.clone(),
+            ("--k", "query") => flags.k = number(flag, value()?)?,
+            ("--query-attrs", "query") => {
+                let attrs = value()?.split(',').map(|v| number(flag, v.trim()));
+                flags.query_attrs = Some(attrs.collect::<Result<_, _>>()?);
+            }
+            ("--variant", "query") => {
+                flags.variant = match value()?.as_str() {
+                    "full" => VariantChoice::Fixed(QueryVariant::Full),
+                    "dupelim" => VariantChoice::Fixed(QueryVariant::DupElim),
+                    "auto" => VariantChoice::Auto,
+                    other => return Err(format!("--variant: unknown variant {other:?}")),
+                }
+            }
+            _ => return Err(format!("{command}: unknown flag {flag}")),
+        }
+    }
+    if command == "query" && flags.server.is_empty() {
+        return Err("query: --server HOST:PORT is required".into());
+    }
+    Ok(flags)
 }
 
 type World = (DataOwner, sectopk_core::Outsourced, sectopk_storage::EncryptionStats);
@@ -130,205 +107,148 @@ type World = (DataOwner, sectopk_core::Outsourced, sectopk_storage::EncryptionSt
 /// Derive owner keys, generate the synthetic relation, and outsource it — all
 /// deterministic in the seed, so the `query` subcommand can re-create the exact
 /// world the `outsource` subcommand described.
-fn build_world(args: &OwnerArgs) -> sectopk_core::Result<World> {
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let owner = DataOwner::new(args.modulus_bits, args.ehl_keys, &mut rng)?;
-    let spec =
-        DatasetSpec { kind: DatasetKind::Synthetic, rows: args.rows, attributes: args.attributes };
-    let relation = generate(&spec, args.seed);
+fn build_world(flags: &Flags) -> sectopk_core::Result<World> {
+    let mut rng = StdRng::seed_from_u64(flags.seed);
+    let owner = DataOwner::new(flags.modulus_bits, flags.ehl_keys, &mut rng)?;
+    let spec = DatasetSpec {
+        kind: DatasetKind::Synthetic,
+        rows: flags.rows,
+        attributes: flags.attributes,
+    };
+    let relation = generate(&spec, flags.seed);
     let (outsourced, stats) = owner.outsource(&relation, &mut rng)?;
     Ok((owner, outsourced, stats))
 }
 
-#[allow(clippy::too_many_lines)]
-fn cmd_query(args: &[String]) -> ExitCode {
-    let mut owner_args = OwnerArgs::defaults();
-    let mut server = String::new();
-    let mut k = 2usize;
-    let mut query_attrs: Option<Vec<usize>> = None;
-    let mut variant = VariantChoice::Fixed(QueryVariant::Full);
-    let mut i = 0;
-    while let Some(arg) = args.get(i) {
-        match arg.as_str() {
-            "--server" => match args.get(i + 1) {
-                Some(v) => {
-                    server = v.clone();
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--seed" => match parse_u64(args, i + 1) {
-                Some(v) => {
-                    owner_args.seed = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--rows" => match parse_usize(args, i + 1) {
-                Some(v) => {
-                    owner_args.rows = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--attributes" => match parse_usize(args, i + 1) {
-                Some(v) => {
-                    owner_args.attributes = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--modulus-bits" => match parse_usize(args, i + 1) {
-                Some(v) => {
-                    owner_args.modulus_bits = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--ehl-keys" => match parse_usize(args, i + 1) {
-                Some(v) => {
-                    owner_args.ehl_keys = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--k" => match parse_usize(args, i + 1) {
-                Some(v) => {
-                    k = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--query-attrs" => match args.get(i + 1) {
-                Some(list) => {
-                    let parsed: Option<Vec<usize>> =
-                        list.split(',').map(|v| v.trim().parse().ok()).collect();
-                    let Some(parsed) = parsed else { return usage() };
-                    query_attrs = Some(parsed);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--variant" => match args.get(i + 1).map(String::as_str) {
-                Some("full") => {
-                    variant = VariantChoice::Fixed(QueryVariant::Full);
-                    i += 2;
-                }
-                Some("dupelim") => {
-                    variant = VariantChoice::Fixed(QueryVariant::DupElim);
-                    i += 2;
-                }
-                Some("auto") => {
-                    variant = VariantChoice::Auto;
-                    i += 2;
-                }
-                _ => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    if server.is_empty() {
-        eprintln!("sectopk-cli query: --server HOST:PORT is required");
-        return usage();
-    }
+fn cmd_outsource(flags: &Flags) -> sectopk_core::Result<()> {
+    let (_, _, stats) = build_world(flags)?;
+    println!(
+        "outsourced: objects={} attributes={} paillier_encryptions={} encrypted_bytes={}",
+        stats.num_objects, stats.num_attributes, stats.paillier_encryptions, stats.encrypted_bytes
+    );
+    Ok(())
+}
 
-    let run = || -> sectopk_core::Result<()> {
-        let (owner, outsourced, _) = build_world(&owner_args)?;
-        eprintln!("connecting to S2 at {server} …");
-        let mut session = owner.connect_remote(&outsourced, &server, owner_args.seed)?;
-        let attrs =
-            query_attrs.unwrap_or_else(|| (0..outsourced.num_attributes().min(3)).collect());
-        let query = Query::top_k(k).attribute_indices(attrs.clone()).variant(variant).build()?;
-        let plan = session.plan(&query);
-        eprintln!("executing top-{k} over attributes {attrs:?} as {} …", plan.variant_name());
-        let resolved = session.execute(&query)?;
-        for (rank, result) in resolved.results.iter().enumerate() {
-            match result.object {
-                Some(id) => println!(
+fn cmd_query(flags: &Flags) -> sectopk_core::Result<()> {
+    let (owner, outsourced, _) = build_world(flags)?;
+    eprintln!("connecting to S2 at {} …", flags.server);
+    let mut session = owner.connect_remote(&outsourced, &flags.server, flags.seed)?;
+    let attrs = flags
+        .query_attrs
+        .clone()
+        .unwrap_or_else(|| (0..outsourced.num_attributes().min(3)).collect());
+    let k = flags.k;
+    let query = Query::top_k(k).attribute_indices(attrs.clone()).variant(flags.variant).build()?;
+    let plan = session.plan(&query);
+    eprintln!("executing top-{k} over attributes {attrs:?} as {} …", plan.variant_name());
+    let resolved = session.execute(&query)?;
+    for (rank, result) in resolved.results.iter().enumerate() {
+        match result.object {
+            Some(id) => {
+                println!(
                     "#{rank}: object {} (score bounds [{}, {}])",
                     id.0, result.worst, result.best
-                ),
-                None => println!("#{rank}: neutralised placeholder"),
+                )
             }
+            None => println!("#{rank}: neutralised placeholder"),
         }
-        let metrics = session.metrics();
-        println!(
-            "plan={} rounds={} bytes={} s2_ledger_events={}",
-            resolved.plan().map_or("?", |p| p.variant_name()),
-            metrics.rounds,
-            metrics.bytes,
-            session.s2_ledger().len()
-        );
-        let _ = std::io::stdout().flush();
-        Ok(())
+    }
+    let metrics = session.metrics();
+    println!(
+        "plan={} rounds={} bytes={} s2_ledger_events={}",
+        resolved.plan().map_or("?", |p| p.variant_name()),
+        metrics.rounds,
+        metrics.bytes,
+        session.s2_ledger().len()
+    );
+    let _ = std::io::stdout().flush();
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((command, rest)) = args.split_first() else {
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
     };
-    match run() {
+    let run: fn(&Flags) -> sectopk_core::Result<()> = match command.as_str() {
+        "outsource" => cmd_outsource,
+        "query" => cmd_query,
+        "--help" | "-h" => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        _ => {
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let flags = match parse_flags(command, rest) {
+        Ok(flags) => flags,
+        Err(why) => {
+            eprintln!("sectopk-cli {why}\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match run(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("sectopk-cli query: {e}");
+            eprintln!("sectopk-cli {command}: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut listen = String::from("127.0.0.1:7171");
-    let mut workers = 4usize;
-    let mut max_sessions = 1024usize;
-    let mut i = 0;
-    while let Some(arg) = args.get(i) {
-        match arg.as_str() {
-            "--listen" => match args.get(i + 1) {
-                Some(v) => {
-                    listen = v.clone();
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--workers" => match parse_usize(args, i + 1) {
-                Some(v) => {
-                    workers = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--max-sessions" => match parse_usize(args, i + 1) {
-                Some(v) => {
-                    max_sessions = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let limits = PoolLimits { max_sessions, ..PoolLimits::default() };
-    let pool = Arc::new(MultiplexServer::with_limits(workers, limits));
-    let server = match TcpCloudServer::serve_pool(&listen, pool, TcpServerConfig::default()) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("sectopk-cli serve: binding {listen}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("sectopk-cli serving S2 on {}", server.local_addr());
-    let _ = std::io::stdout().flush();
-    loop {
-        std::thread::park();
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, rest)) = args.split_first() else { return usage() };
-    match command.as_str() {
-        "outsource" => cmd_outsource(rest),
-        "query" => cmd_query(rest),
-        "serve" => cmd_serve(rest),
-        "--help" | "-h" => {
-            usage();
-            ExitCode::SUCCESS
+    fn parse(command: &str, line: &str) -> Result<Flags, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_flags(command, &args)
+    }
+
+    #[test]
+    fn outsource_and_query_read_the_same_owner_flags() {
+        let owner = "--seed 11 --rows 20 --attributes 4 --modulus-bits 256 --ehl-keys 5";
+        let outsource = parse("outsource", owner).unwrap();
+        let query = parse("query", &format!("{owner} --server 127.0.0.1:1")).unwrap();
+        assert_eq!(
+            (outsource.seed, outsource.rows, outsource.attributes),
+            (11, 20, 4),
+            "the flags were read, not defaulted"
+        );
+        assert_eq!((outsource.modulus_bits, outsource.ehl_keys), (256, 5));
+        // Same world on both sides: the two differ in nothing but the server address.
+        assert_eq!(Flags { server: String::new(), ..query }, outsource);
+    }
+
+    #[test]
+    fn query_flags_are_parsed_and_belong_to_query_alone() {
+        let line = "--server h:1 --k 3 --query-attrs 0,2 --variant auto";
+        let flags = parse("query", line).unwrap();
+        assert_eq!((flags.server.as_str(), flags.k), ("h:1", 3));
+        assert_eq!(flags.query_attrs, Some(vec![0, 2]));
+        assert_eq!(flags.variant, VariantChoice::Auto);
+        for flag in ["--server h:1", "--k 3", "--query-attrs 0", "--variant auto"] {
+            let err = parse("outsource", flag).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
         }
-        _ => usage(),
+    }
+
+    #[test]
+    fn bad_command_lines_are_refused_with_the_reason() {
+        let err = parse("outsource", "--frobnicate 1").unwrap_err();
+        assert!(err.contains("unknown flag --frobnicate"), "{err}");
+        // Listener flags are `sectopk-s2d`'s, not this binary's.
+        assert!(parse("query", "--server h:1 --listen 0.0.0.0:1").is_err());
+        let err = parse("outsource", "--seed").unwrap_err();
+        assert!(err.contains("--seed needs a value"), "{err}");
+        let err = parse("query", "--server h:1 --rows many").unwrap_err();
+        assert!(err.contains("--rows: cannot read"), "{err}");
+        assert!(parse("query", "--server h:1 --query-attrs 0,x").is_err());
+        assert!(parse("query", "--server h:1 --variant fastest").is_err());
+        let err = parse("query", "--seed 3").unwrap_err();
+        assert!(err.contains("--server HOST:PORT is required"), "{err}");
     }
 }

@@ -5,11 +5,12 @@
 //!
 //! A [`QueryServer`] owns the outsourced encrypted relation and a shared
 //! [`MultiplexServer`] — the crypto cloud S2 as a worker-thread pool.  Every client
-//! session is one [`QueryClient`]: an S1-side execution context connected to the shared
-//! S2 over the session-tagged envelope channel.  `QueryClient` implements the
-//! [`Session`] trait from `sectopk-core`, so the serving path and the direct two-cloud
-//! path expose the same `execute(Query) → ResolvedTopK` front door, including the
-//! adaptive variant planner.
+//! session is one [`QueryClient`]: the one session type of `sectopk-core`
+//! ([`DirectSession`]) seated in the shared S2 pool, plus the serving bookkeeping a
+//! [`SessionReport`] needs (session id, seed, failure list, serving metrics).  It
+//! implements [`Session`] by handing out the wrapped session's clouds, so the serving
+//! path and the direct two-cloud path are the same `execute(Query) → ResolvedTopK`
+//! front door, including the adaptive variant planner.
 //!
 //! ```text
 //!   client 1 ── Query stream ──▶ QueryClient 1 (S1 state, session 1) ──┐
@@ -22,11 +23,13 @@
 //!
 //! Session *i* derives every random choice (S1 RNG, nonce-pool shards, the session's
 //! S2 engine, the resolution RNG) from `shard_seed(base_seed, i)`, and all server-side
-//! mutable state is per-session.  Consequently [`QueryServer::serve`] (all sessions
-//! concurrently, S2 worker pool) and [`QueryServer::serve_serial`] (same sessions one
-//! after another) produce **byte-identical** per-session results, metrics and ledgers —
-//! scheduling and interleaving are unobservable.  `tests/concurrent_sessions.rs`
-//! asserts this for 16 concurrent sessions.
+//! mutable state is per-session.  [`QueryServer::serve`] (all sessions concurrently),
+//! [`QueryServer::serve_serial`] (same sessions one after another) and
+//! [`QueryServer::serve_tcp`] (concurrently, over real sockets) are three calls of one
+//! serving loop that differ only in how a session is opened and whether sessions
+//! overlap, so they produce **byte-identical** per-session results, metrics and
+//! ledgers — scheduling, interleaving and the pipe are unobservable.
+//! `tests/concurrent_sessions.rs` asserts this for 16 concurrent sessions.
 //!
 //! # Failure isolation
 //!
@@ -37,12 +40,15 @@
 //!
 //! # Knobs
 //!
-//! [`ServeConfig`] controls the serving shape: `sessions` (concurrent S1 clients),
-//! `batching` (round-trip batching policy), `link` (simulated inter-cloud RTT — the
-//! §11.2.5 WAN), and `variant` — [`VariantChoice::Auto`] lets the planner pick
-//! `Qry_F`/`Qry_E`/`Qry_Ba` per query; the decision lands in each outcome's
+//! [`ServeConfig`] has six: `sessions` (concurrent S1 clients), `base_seed`,
+//! `variant` — [`VariantChoice::Auto`] lets the planner pick `Qry_F`/`Qry_E`/`Qry_Ba`
+//! per query; the decision lands in each outcome's
 //! [`QueryStats::plan`](sectopk_core::QueryStats) so serving reports are
-//! self-describing.  The S2 pool width is set at [`QueryServer::new`].
+//! self-describing — `intra_workers`, and `retry` / `faults` for the socket run.  A
+//! serving run always batches round trips, scans to the halting condition and runs
+//! over an ideal link; a session over a simulated WAN (§11.2.5) or with batching off
+//! is opened by hand with [`QueryServer::open_session`].  The S2 pool width is set at
+//! [`QueryServer::new`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,11 +56,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-
 use sectopk_core::{
-    execute_with_clouds, AuthorizedClient, Outsourced, PlanDecision, Query, QueryOutcome,
-    ResolvedTopK, Result, SecTopKError, Session, VariantChoice,
+    AuthorizedClient, DirectSession, Outsourced, PlanDecision, Query, QueryOutcome, ResolvedTopK,
+    Result, SecTopKError, Session, VariantChoice,
 };
 use sectopk_crypto::keys::MasterKeys;
 use sectopk_crypto::pool::shard_seed;
@@ -81,16 +85,10 @@ const IDLE_REFILL_OWN_NONCES: usize = 8;
 pub struct ServeConfig {
     /// Number of concurrent S1 sessions (client connections).
     pub sessions: usize,
-    /// Round-trip batching policy for every session (see `TwoClouds::batching`).
-    pub batching: bool,
     /// How the processing variant is chosen for every query of the run.
     pub variant: VariantChoice,
-    /// Optional cap on scanned depths per query.
-    pub max_depth: Option<usize>,
     /// Base seed; session `i` runs under `shard_seed(base_seed, i)`.
     pub base_seed: u64,
-    /// Simulated inter-cloud link (ideal by default; a nonzero RTT models the WAN).
-    pub link: LinkProfile,
     /// Intra-query worker threads for each session's S1 loops *and* its S2 engine
     /// (default: the `SECTOPK_INTRA_PARALLEL` environment variable, else 1).  Worker
     /// count only changes wall-clock: results, ledgers and metrics are byte-identical.
@@ -105,16 +103,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A serving configuration with `sessions` concurrent sessions, batching on, the
-    /// full-privacy query variant, and an ideal link.
+    /// A serving configuration with `sessions` concurrent sessions and the
+    /// full-privacy query variant.
     pub fn new(sessions: usize, base_seed: u64) -> Self {
         ServeConfig {
             sessions,
-            batching: true,
             variant: VariantChoice::Fixed(sectopk_core::QueryVariant::Full),
-            max_depth: None,
             base_seed,
-            link: LinkProfile::ideal(),
             intra_workers: sectopk_protocols::intra_workers_from_env(),
             retry: RetryPolicy::none(),
             faults: FaultPlan::none(),
@@ -134,12 +129,6 @@ impl ServeConfig {
         self
     }
 
-    /// Replace the simulated link profile.
-    pub fn with_link(mut self, link: LinkProfile) -> Self {
-        self.link = link;
-        self
-    }
-
     /// Replace the intra-query worker count (minimum 1; 1 = fully serial).
     pub fn with_intra_workers(mut self, workers: usize) -> Self {
         self.intra_workers = workers.max(1);
@@ -151,15 +140,6 @@ impl ServeConfig {
     pub fn with_variant(mut self, variant: VariantChoice) -> Self {
         self.variant = variant;
         self
-    }
-
-    /// The per-query [`Query`] policy this configuration applies to a workload spec.
-    fn query_for(&self, spec: &TopKQuery) -> Query {
-        let mut query = Query::from_spec(spec.clone()).with_variant(self.variant);
-        if let Some(depths) = self.max_depth {
-            query = query.with_max_depth(depths);
-        }
-        query
     }
 }
 
@@ -229,17 +209,10 @@ impl ServeReport {
         }
     }
 
-    /// Total number of failed *queries* across all sessions.  Transport faults that
-    /// were absorbed by retry are deliberately excluded — a recovered run reports zero
-    /// here; see [`ServeReport::transport_failures`] for the absorbed-fault count.
-    pub fn error_count(&self) -> usize {
-        self.query_failures()
-    }
-
-    /// Total number of failed queries across all sessions ([`QueryFailure`] entries).
-    /// The explicit name of what [`ServeReport::error_count`] has always counted,
-    /// paired with [`ServeReport::transport_failures`] so the two failure classes can
-    /// no longer be conflated.
+    /// Total number of failed *queries* across all sessions ([`QueryFailure`]
+    /// entries).  Transport faults that were absorbed by retry are deliberately
+    /// excluded — a recovered run reports zero here; see
+    /// [`ServeReport::transport_failures`] for the absorbed-fault count.
     pub fn query_failures(&self) -> usize {
         self.sessions.iter().map(|s| s.failures.len()).sum()
     }
@@ -268,48 +241,21 @@ impl ServeReport {
     }
 }
 
-/// The serving-layer metric handles one [`QueryClient`] reports into: planner-variant
-/// counters are resolved lazily by name (the variant set is open-ended), idle-refill
-/// counts and timings through pre-resolved handles.  All no-ops when the server's
-/// registry is disabled.
-#[derive(Clone, Debug)]
-struct ClientMetrics {
+/// One S1 serving session: the session type every door opens ([`DirectSession`]),
+/// seated in the server's S2 pool, plus what a [`SessionReport`] needs beyond it — the
+/// session's id and seed, its failure list, and the serving-layer metric handles (all
+/// no-ops when the server's registry is disabled).  State per executed query is O(1):
+/// answers are handed to the caller, not kept.
+#[derive(Debug)]
+pub struct QueryClient {
+    inner: DirectSession,
+    session: SessionId,
+    seed: u64,
+    failures: Vec<QueryFailure>,
+    submitted: usize,
     registry: Registry,
     idle_refills: Counter,
     idle_refill_nanos: Histogram,
-}
-
-impl ClientMetrics {
-    fn from_registry(registry: &Registry) -> Self {
-        ClientMetrics {
-            registry: registry.clone(),
-            idle_refills: registry.counter("serve.idle_refills"),
-            idle_refill_nanos: registry.histogram("serve.idle_refill_nanos"),
-        }
-    }
-
-    fn count_plan(&self, plan: &PlanDecision) {
-        if self.registry.is_enabled() {
-            self.registry.counter(&format!("serve.planner.{}", plan.variant_name())).incr();
-        }
-    }
-}
-
-/// One S1 serving session: a [`TwoClouds`] context connected to the shared S2 pool,
-/// executing queries through the [`Session`] front door and accumulating its own
-/// metrics, ledgers and failures.
-#[derive(Debug)]
-pub struct QueryClient {
-    session: SessionId,
-    seed: u64,
-    clouds: TwoClouds,
-    outsourced: Outsourced,
-    keys: MasterKeys,
-    rng: StdRng,
-    outcomes: Vec<QueryOutcome>,
-    failures: Vec<QueryFailure>,
-    submitted: usize,
-    client_metrics: ClientMetrics,
 }
 
 impl QueryClient {
@@ -318,109 +264,77 @@ impl QueryClient {
         self.session
     }
 
-    /// Ship one raw protocol request through this session's transport — the hook the
-    /// failure-isolation suite uses to prove that a malformed or mis-sequenced request
-    /// comes back as a typed error frame without killing the shared S2 worker pool.
-    pub fn send_raw_request(
-        &mut self,
-        request: sectopk_protocols::S1Request,
-    ) -> sectopk_protocols::Result<sectopk_protocols::S2Response> {
-        self.clouds.raw_round_trip(request)
-    }
-
     /// Top this session's S1 nonce pools back up while no query is in flight.  Called
     /// by the serving loop between queries; harmless to call at any time (pool streams
     /// are position-deterministic, so eager refilling never changes protocol bytes).
     pub fn idle_refill(&mut self) {
-        let timer = self.client_metrics.idle_refill_nanos.start();
-        self.clouds.idle_refill(
+        let timer = self.idle_refill_nanos.start();
+        self.inner.clouds_mut().idle_refill(
             IDLE_REFILL_PAILLIER_NONCES,
             IDLE_REFILL_DJ_NONCES,
             IDLE_REFILL_OWN_NONCES,
         );
-        self.client_metrics.idle_refill_nanos.stop(timer);
-        self.client_metrics.idle_refills.incr();
+        self.idle_refill_nanos.stop(timer);
+        self.idle_refills.incr();
     }
 
-    /// Close the session and collect its report (metrics, both ledgers, all outcomes
-    /// and failures).
-    pub fn finish(self) -> SessionReport {
-        let metrics = self.clouds.channel();
-        let s1_ledger = self.clouds.s1_ledger().clone();
-        let s2_ledger = self.clouds.s2_ledger();
-        let transport_failures = self.clouds.faults_absorbed();
+    /// Close the session and build its report: metrics, both ledgers and the failure
+    /// list from the session itself, `outcomes` from whoever ran it — the answers
+    /// [`Session::execute`] returned, in submission order (the serving loop collects
+    /// them; a hand-driven session that does not want a full report passes none).
+    pub fn finish(self, outcomes: Vec<QueryOutcome>) -> SessionReport {
         SessionReport {
             session: self.session,
             seed: self.seed,
-            outcomes: self.outcomes,
+            outcomes,
             failures: self.failures,
-            metrics,
-            s1_ledger,
-            s2_ledger,
-            transport_failures,
+            metrics: self.inner.metrics(),
+            s1_ledger: self.inner.s1_ledger(),
+            s2_ledger: self.inner.s2_ledger(),
+            transport_failures: self.inner.clouds().faults_absorbed(),
         }
     }
 }
 
 impl Session for QueryClient {
-    fn num_objects(&self) -> usize {
-        self.outsourced.num_objects()
+    fn clouds(&self) -> &TwoClouds {
+        self.inner.clouds()
     }
 
-    fn num_attributes(&self) -> usize {
-        self.outsourced.num_attributes()
+    fn clouds_mut(&mut self) -> &mut TwoClouds {
+        self.inner.clouds_mut()
     }
 
-    fn link(&self) -> LinkProfile {
-        self.clouds.link_profile()
+    fn outsourced(&self) -> &Outsourced {
+        self.inner.outsourced()
     }
 
-    fn batching(&self) -> bool {
-        self.clouds.batching()
-    }
-
+    /// [`DirectSession`]'s `execute`, with the serving bookkeeping around it: the
+    /// planner's choice is counted (`serve.planner.<variant>`), a failure is recorded
+    /// under the query's index in the session's stream.
     fn execute(&mut self, query: &Query) -> Result<ResolvedTopK> {
         let index = self.submitted;
         self.submitted += 1;
-        let outsourced = self.outsourced.clone();
-        let resolved = execute_with_clouds(
-            &mut self.clouds,
-            outsourced.er(),
-            outsourced.object_ids(),
-            &self.keys,
-            &mut self.rng,
-            query,
-        );
-        match resolved {
-            Ok(resolved) => {
-                if let Some(plan) = resolved.outcome.stats.plan.as_ref() {
-                    self.client_metrics.count_plan(plan);
+        let resolved = self.inner.execute(query);
+        match &resolved {
+            Ok(answer) => {
+                if let (Some(plan), true) = (answer.plan(), self.registry.is_enabled()) {
+                    self.registry.counter(&format!("serve.planner.{}", plan.variant_name())).incr();
                 }
-                self.outcomes.push(resolved.outcome.clone());
-                Ok(resolved)
             }
-            Err(error) => {
-                self.failures.push(QueryFailure { index, error: error.clone() });
-                Err(error)
-            }
+            Err(error) => self.failures.push(QueryFailure { index, error: error.clone() }),
         }
+        resolved
     }
+}
 
-    fn metrics(&self) -> ChannelMetrics {
-        self.clouds.channel()
-    }
-
-    fn s1_ledger(&self) -> LeakageLedger {
-        self.clouds.s1_ledger().clone()
-    }
-
-    fn s2_ledger(&self) -> LeakageLedger {
-        self.clouds.s2_ledger()
-    }
-
-    fn reset_accounting(&mut self) {
-        self.clouds.reset_accounting();
-    }
+/// How a serving session's S1 reaches the server's S2 pool — the only thing that
+/// differs between the doors of a [`QueryServer`].
+enum Door<'a> {
+    /// The pool's in-memory conduit, over a simulated link.
+    Conduit(LinkProfile),
+    /// A real socket to a [`TcpCloudServer`] in front of the pool.
+    Socket(&'a str, TcpOptions),
 }
 
 /// The serving front door: the outsourced relation plus the shared S2 worker pool, from
@@ -480,10 +394,9 @@ impl QueryServer {
 
     /// Expose this server's S2 worker pool on a TCP listener at `addr` (e.g.
     /// `"127.0.0.1:0"` for an ephemeral port) — the `sectopk-s2d` serving shape.
-    /// Networked sessions ([`sectopk_core::RemoteSession`] /
-    /// `DataOwner::connect_remote`) and in-process sessions ([`Self::open_session`])
-    /// are served by the *same* worker pool, so mixing them is safe and their ledgers
-    /// stay per session.
+    /// Networked sessions (`DataOwner::connect_remote`) and in-process sessions
+    /// ([`Self::open_session`]) are served by the *same* worker pool, so mixing them
+    /// is safe and their ledgers stay per session.
     pub fn listen(&self, addr: &str) -> Result<TcpCloudServer> {
         TcpCloudServer::serve_pool(addr, Arc::clone(&self.s2), TcpServerConfig::default()).map_err(
             |e| ProtocolError::transport(format!("binding S2 listener at {addr}: {e}")).into(),
@@ -511,8 +424,11 @@ impl QueryServer {
         AuthorizedClient::from_keys(self.master.clone())
     }
 
-    /// Open session `session` with an explicit seed (used by the determinism tests to
-    /// replay one session in isolation).
+    /// Open session `session` with an explicit seed, batching policy and simulated
+    /// link (used by the determinism tests to replay one session in isolation, and for
+    /// sessions over a WAN).  The id keys the session's report and its
+    /// `session.{id}.*` metrics, so it must be the caller's: `SessionId(0)` ("assign
+    /// one" on the wire) is rejected here, as is an id that is already seated.
     pub fn open_session(
         &self,
         session: SessionId,
@@ -520,160 +436,136 @@ impl QueryServer {
         batching: bool,
         link: LinkProfile,
     ) -> Result<QueryClient> {
-        self.open_session_with_workers(
-            session,
-            seed,
-            batching,
-            link,
-            sectopk_protocols::intra_workers_from_env(),
-        )
+        let workers = sectopk_protocols::intra_workers_from_env();
+        self.seat(session, seed, batching, workers, Door::Conduit(link))
     }
 
-    /// [`Self::open_session`] with an explicit intra-query worker count applied to both
-    /// the session's S1 loops and its S2 engine.
-    pub fn open_session_with_workers(
+    /// Open session `i` of a serving run configured by `config` (seed =
+    /// `shard_seed(base_seed, i)`, batching on, ideal link).
+    pub fn open_configured(&self, i: u64, config: &ServeConfig) -> Result<QueryClient> {
+        self.open_for_run(i, config, Door::Conduit(LinkProfile::ideal()))
+    }
+
+    /// Session `i` of a serving run, through `door`: the id, seed, batching (always on)
+    /// and worker count are the run's, whatever moves the bytes.
+    fn open_for_run(&self, i: u64, config: &ServeConfig, door: Door<'_>) -> Result<QueryClient> {
+        self.seat(SessionId(i), shard_seed(config.base_seed, i), true, config.intra_workers, door)
+    }
+
+    /// The one place a serving session is built: connect a [`TwoClouds`] through
+    /// `door` (with `intra_workers` on S1's loops and, over the conduit, on the
+    /// session's S2 engine), label its round metrics, and wrap the session around it.
+    fn seat(
         &self,
         session: SessionId,
         seed: u64,
         batching: bool,
-        link: LinkProfile,
         intra_workers: usize,
+        door: Door<'_>,
     ) -> Result<QueryClient> {
-        let mut clouds = TwoClouds::connect_with_workers(
-            &self.master,
-            seed,
-            batching,
-            &self.s2,
-            session,
-            link,
-            intra_workers,
-        )?;
+        if session == SessionId(0) {
+            let why = "a serving session needs an id of its own; SessionId(0) names none";
+            return Err(ProtocolError::transport_rejected(why).into());
+        }
+        let master = &self.master;
+        let mut clouds = match door {
+            Door::Conduit(link) => TwoClouds::connect_with_workers(
+                master,
+                seed,
+                batching,
+                &self.s2,
+                session,
+                link,
+                intra_workers,
+            )?,
+            Door::Socket(addr, options) => {
+                let options = options.with_session(session);
+                TwoClouds::connect_tcp(master, seed, batching, addr, options)?
+            }
+        };
+        clouds.set_intra_workers(intra_workers);
         clouds.set_metrics(&self.metrics, &session.0.to_string());
         Ok(QueryClient {
+            inner: DirectSession::new(clouds, self.outsourced.clone(), master.clone(), seed),
             session,
             seed,
-            clouds,
-            outsourced: self.outsourced.clone(),
-            keys: self.master.clone(),
-            rng: sectopk_core::resolution_rng(seed),
-            outcomes: Vec::new(),
             failures: Vec::new(),
             submitted: 0,
-            client_metrics: ClientMetrics::from_registry(&self.metrics),
+            registry: self.metrics.clone(),
+            idle_refills: self.metrics.counter("serve.idle_refills"),
+            idle_refill_nanos: self.metrics.histogram("serve.idle_refill_nanos"),
         })
     }
 
-    /// Open session `i` of a serving run configured by `config` (seed =
-    /// `shard_seed(base_seed, i)`).
-    pub fn open_configured(&self, i: u64, config: &ServeConfig) -> Result<QueryClient> {
-        self.open_session_with_workers(
-            SessionId(i),
-            shard_seed(config.base_seed, i),
-            config.batching,
-            config.link,
-            config.intra_workers,
-        )
-    }
-
-    /// Open session `i` of a serving run over a real TCP connection to a
-    /// [`TcpCloudServer`] at `addr`, with the same session id, seed and intra-query
-    /// worker count [`Self::open_configured`] would use — and with `config`'s
-    /// [`RetryPolicy`] and [`FaultPlan`] applied to the connection.  The TCP transport
-    /// runs over an ideal link, so with `config.link` left ideal the session's reports
-    /// are byte-identical to the in-process session of the same index.
-    pub fn open_remote_session(
+    /// The serving loop, written once.  Queries are dealt round-robin
+    /// ([`QueryWorkload::partition`]); session `i` is opened over the pool's conduit —
+    /// or, given a `listener` in front of the pool, over a real socket to it under
+    /// `config`'s [`RetryPolicy`] and [`FaultPlan`] — and runs its stream: a failed
+    /// query is recorded in the client's failure list and the session keeps going;
+    /// between queries the idle gap tops up S1's nonce pools, which never changes
+    /// protocol bytes.  `concurrent` puts every session on its own thread against the
+    /// shared S2 pool; otherwise they run one after another.  Reports come back in
+    /// session order either way, which is what makes each public serving shape a
+    /// faithful determinism oracle for the others.
+    fn run(
         &self,
-        addr: &str,
-        i: u64,
+        workload: &QueryWorkload,
         config: &ServeConfig,
-    ) -> Result<QueryClient> {
-        let seed = shard_seed(config.base_seed, i);
-        let options = TcpOptions::default()
-            .with_session(SessionId(i))
-            .with_retry(config.retry)
-            .with_faults(config.faults);
-        let mut clouds =
-            TwoClouds::connect_tcp(&self.master, seed, config.batching, addr, options)?;
-        clouds.set_intra_workers(config.intra_workers);
-        clouds.set_metrics(&self.metrics, &i.to_string());
-        Ok(QueryClient {
-            session: SessionId(i),
-            seed,
-            clouds,
-            outsourced: self.outsourced.clone(),
-            keys: self.master.clone(),
-            rng: sectopk_core::resolution_rng(seed),
-            outcomes: Vec::new(),
-            failures: Vec::new(),
-            submitted: 0,
-            client_metrics: ClientMetrics::from_registry(&self.metrics),
-        })
-    }
-
-    /// The whole lifetime of one serving session: run its query stream (failures are
-    /// recorded, not fatal) and report.  Every serving shape — [`QueryServer::serve`],
-    /// [`QueryServer::serve_serial`] and [`QueryServer::serve_tcp`] — executes exactly
-    /// this loop, which is what makes each of them a faithful determinism oracle for
-    /// the others.
-    fn run_client(
-        mut client: QueryClient,
-        queries: &[TopKQuery],
-        config: &ServeConfig,
-    ) -> SessionReport {
-        let mut queries = queries.iter().peekable();
-        while let Some(spec) = queries.next() {
-            // A failed query is recorded in the client's failure list; the session (and
-            // the rest of the serving run) keeps going.
-            let _ = client.execute(&config.query_for(spec));
-            if queries.peek().is_some() {
-                // The session is idle between queries: use the gap to top up S1's nonce
-                // pools, so the next query's encryptions pop precomputed nonces instead
-                // of paying the exponentiations inline.  Pool streams are
-                // position-deterministic, so this never changes protocol bytes.
-                client.idle_refill();
-            }
-        }
-        client.finish()
-    }
-
-    fn run_session(
-        &self,
-        i: usize,
-        queries: &[TopKQuery],
-        config: &ServeConfig,
-    ) -> Result<SessionReport> {
-        let client = self.open_configured(i as u64 + 1, config)?;
-        Ok(Self::run_client(client, queries, config))
-    }
-
-    /// Serve `workload` with `config.sessions` concurrent sessions: queries are dealt
-    /// round-robin ([`QueryWorkload::partition`]), each session runs its stream on its
-    /// own thread against the shared S2 pool, and the per-session reports come back in
-    /// session order.
-    pub fn serve(&self, workload: &QueryWorkload, config: &ServeConfig) -> Result<ServeReport> {
+        concurrent: bool,
+        listener: Option<TcpCloudServer>,
+    ) -> Result<ServeReport> {
+        let addr = listener.as_ref().map(|l| l.local_addr().to_string());
+        let options = TcpOptions::default().with_retry(config.retry).with_faults(config.faults);
         let partitions = workload.partition(config.sessions.max(1));
         let start = Instant::now();
-        let mut reports: Vec<SessionReport> = Vec::with_capacity(partitions.len());
-        std::thread::scope(|scope| -> Result<()> {
-            let handles: Vec<_> = partitions
-                .iter()
-                .enumerate()
-                .map(|(i, queries)| scope.spawn(move || self.run_session(i, queries, config)))
-                .collect();
-            for handle in handles {
-                let report = handle
-                    .join()
-                    .map_err(|_| ProtocolError::transport("session thread panicked"))?;
-                reports.push(report?);
+        let run_session = |(i, queries): (usize, &Vec<TopKQuery>)| -> Result<SessionReport> {
+            let door = match &addr {
+                Some(addr) => Door::Socket(addr, options.clone()),
+                None => Door::Conduit(LinkProfile::ideal()),
+            };
+            let mut client = self.open_for_run(i as u64 + 1, config, door)?;
+            let mut outcomes = Vec::with_capacity(queries.len());
+            for (position, spec) in queries.iter().enumerate() {
+                if position > 0 {
+                    client.idle_refill();
+                }
+                let query = Query::from_spec(spec.clone()).with_variant(config.variant);
+                if let Ok(answer) = client.execute(&query) {
+                    outcomes.push(answer.outcome);
+                }
             }
-            Ok(())
-        })?;
+            Ok(client.finish(outcomes))
+        };
+        let jobs = partitions.iter().enumerate();
+        let sessions = if concurrent {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> =
+                    jobs.map(|job| scope.spawn(move || run_session(job))).collect();
+                let joined = handles.into_iter().map(|handle| {
+                    handle
+                        .join()
+                        .map_err(|_| ProtocolError::transport("session thread panicked"))?
+                });
+                joined.collect::<Result<Vec<_>>>()
+            })?
+        } else {
+            jobs.map(run_session).collect::<Result<Vec<_>>>()?
+        };
+        // Joins the listener's connection threads, so the snapshot below is quiescent.
+        drop(listener);
         Ok(ServeReport {
-            sessions: reports,
+            sessions,
             queries: workload.queries.len(),
             wall_seconds: start.elapsed().as_secs_f64(),
             metrics: self.metrics.snapshot(),
         })
+    }
+
+    /// Serve `workload` with `config.sessions` concurrent sessions: each session runs
+    /// its stream on its own thread against the shared S2 pool, and the per-session
+    /// reports come back in session order.
+    pub fn serve(&self, workload: &QueryWorkload, config: &ServeConfig) -> Result<ServeReport> {
+        self.run(workload, config, true, None)
     }
 
     /// The serial reference execution: the same sessions, seeds and query streams as
@@ -685,75 +577,17 @@ impl QueryServer {
         workload: &QueryWorkload,
         config: &ServeConfig,
     ) -> Result<ServeReport> {
-        let partitions = workload.partition(config.sessions.max(1));
-        let start = Instant::now();
-        let reports = partitions
-            .iter()
-            .enumerate()
-            .map(|(i, queries)| self.run_session(i, queries, config))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ServeReport {
-            sessions: reports,
-            queries: workload.queries.len(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            metrics: self.metrics.snapshot(),
-        })
+        self.run(workload, config, false, None)
     }
 
     /// [`QueryServer::serve`], but with every session crossing a real TCP socket: the
-    /// server's S2 pool is exposed on an ephemeral loopback listener, each session runs
-    /// as a [`Self::open_remote_session`] client, and `config`'s [`RetryPolicy`] and
-    /// [`FaultPlan`] govern the connections.  With `config.link` left ideal the
+    /// server's S2 pool is exposed on an ephemeral loopback listener, each session
+    /// connects to it under the id and seed [`Self::open_configured`] would use, and
+    /// `config`'s [`RetryPolicy`] and [`FaultPlan`] govern the connections.  The
     /// per-session reports are byte-identical to [`QueryServer::serve`] — and, with
     /// faults injected but retry enabled, byte-identical to the fault-free run (the
     /// chaos-soak invariant).
     pub fn serve_tcp(&self, workload: &QueryWorkload, config: &ServeConfig) -> Result<ServeReport> {
-        let listener = self.listen("127.0.0.1:0")?;
-        let addr = listener.local_addr().to_string();
-        let partitions = workload.partition(config.sessions.max(1));
-        let start = Instant::now();
-        let mut reports: Vec<SessionReport> = Vec::with_capacity(partitions.len());
-        std::thread::scope(|scope| -> Result<()> {
-            let handles: Vec<_> = partitions
-                .iter()
-                .enumerate()
-                .map(|(i, queries)| {
-                    let addr = addr.as_str();
-                    scope.spawn(move || {
-                        let client = self.open_remote_session(addr, i as u64 + 1, config)?;
-                        Ok(Self::run_client(client, queries, config))
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let report: Result<SessionReport> = handle
-                    .join()
-                    .map_err(|_| ProtocolError::transport("session thread panicked"))?;
-                reports.push(report?);
-            }
-            Ok(())
-        })?;
-        drop(listener);
-        Ok(ServeReport {
-            sessions: reports,
-            queries: workload.queries.len(),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            metrics: self.metrics.snapshot(),
-        })
-    }
-}
-
-/// Extension trait putting the serving constructor on [`sectopk_core::DataOwner`]
-/// itself, so the quickstart reads `owner.outsource(…)` → `owner.serve_relation(…)` →
-/// `server.open_session(…)`.
-pub trait ServeExt {
-    /// Stand up a [`QueryServer`] around an outsourced relation with `s2_workers` S2
-    /// worker threads.
-    fn serve_relation(&self, outsourced: &Outsourced, s2_workers: usize) -> QueryServer;
-}
-
-impl ServeExt for sectopk_core::DataOwner {
-    fn serve_relation(&self, outsourced: &Outsourced, s2_workers: usize) -> QueryServer {
-        QueryServer::new(self.keys(), outsourced.clone(), s2_workers)
+        self.run(workload, config, true, Some(self.listen("127.0.0.1:0")?))
     }
 }

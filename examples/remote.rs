@@ -1,6 +1,7 @@
 //! Remote: the two-binary deployment in one process — an S2 listener on a real
-//! loopback TCP socket, a [`RemoteSession`] connected to it through
-//! [`DataOwner::connect_remote`], and a full `Qry_F` query over the wire.
+//! loopback TCP socket, a session opened on it with [`DataOwner::connect_remote`] —
+//! the same session type `connect` opens, only its transport differs — and a full
+//! `Qry_F` query over the wire.
 //!
 //! ```text
 //! cargo run --release -p sectopk-examples --example remote

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use sectopk_core::{DataOwner, VariantChoice};
 use sectopk_datasets::{QueryWorkload, WorkloadSpec};
-use sectopk_server::{ServeConfig, ServeExt};
+use sectopk_server::{QueryServer, ServeConfig};
 use sectopk_storage::{ObjectId, Relation, Row};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
 
     // --- Serve it: 4 concurrent sessions sharing one 4-worker S2 pool, planner on -------
     let sessions = 4;
-    let server = owner.serve_relation(&outsourced, sessions);
+    let server = QueryServer::new(owner.keys(), outsourced.clone(), sessions);
     let config = ServeConfig::new(sessions, 0xACE).with_variant(VariantChoice::Auto);
     println!("[server]  serving with {sessions} sessions over {sessions} S2 workers…");
     let report = server.serve(&workload, &config).expect("serve");
@@ -50,7 +50,7 @@ fn main() {
         report.queries,
         report.wall_seconds,
         report.throughput_qps(),
-        report.error_count(),
+        report.query_failures(),
     );
     println!("session | queries | rounds | bytes    | S2 ledger events");
     println!("--------+---------+--------+----------+-----------------");

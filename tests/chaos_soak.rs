@@ -82,9 +82,9 @@ fn soak(faults: FaultPlan, seed: u64) {
             .serve_tcp(&workload, &config.with_retry(soak_retry()).with_faults(faults))
             .expect("faulted TCP serve");
 
-        assert_eq!(baseline.error_count(), 0, "{name}: fault-free run must be clean");
+        assert_eq!(baseline.query_failures(), 0, "{name}: fault-free run must be clean");
         assert_eq!(
-            faulted.error_count(),
+            faulted.query_failures(),
             0,
             "{name}: every injected fault must be recovered transparently"
         );

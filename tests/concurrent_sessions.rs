@@ -19,6 +19,7 @@ use sectopk_core::{
     DataOwner, Outsourced, Query, QueryVariant, SecTopKError, Session, VariantChoice,
 };
 use sectopk_datasets::{fig3_relation, QueryWorkload, WorkloadSpec};
+use sectopk_protocols::{LinkProfile, SessionId};
 use sectopk_server::{QueryServer, ServeConfig, ServeReport, SessionReport};
 use sectopk_tests::TEST_MODULUS_BITS;
 
@@ -72,7 +73,7 @@ fn sixteen_concurrent_sessions_match_serial_execution() {
 
     assert_eq!(parallel.queries, 16);
     assert_eq!(parallel.sessions.len(), 16);
-    assert_eq!(parallel.error_count(), 0);
+    assert_eq!(parallel.query_failures(), 0);
     assert_reports_identical(&parallel, &serial);
 
     // The sessions really did distinct work (distinct queries ⇒ distinct S2 views for
@@ -119,14 +120,18 @@ fn session_views_match_isolated_replay_so_ledgers_cannot_bleed() {
     let partitions = workload.partition(4);
     for (session, queries) in report.sessions.iter().zip(partitions.iter()) {
         let lone_server = QueryServer::new(owner.keys(), outsourced.clone(), 1);
+        // A serving run batches round trips over an ideal link; the replay says so itself.
         let mut client = lone_server
-            .open_session(session.session, session.seed, config.batching, config.link)
+            .open_session(session.session, session.seed, true, LinkProfile::ideal())
             .expect("isolated session");
+        // The client keeps no answers (that is the serving loop's job), so the replay
+        // collects what `execute` hands back, as the loop does.
+        let mut outcomes = Vec::new();
         for query in queries {
             let built = Query::from_spec(query.clone()).with_variant(config.variant);
-            client.execute(&built).expect("isolated query");
+            outcomes.push(client.execute(&built).expect("isolated query").outcome);
         }
-        let lone = client.finish();
+        let lone = client.finish(outcomes);
         assert_sessions_identical(session, &lone, &format!("isolated {}", session.session));
     }
 
@@ -159,6 +164,7 @@ fn a_failing_session_does_not_disturb_its_neighbours() {
         let mut bad = server.open_configured(1, &config).expect("open session 1");
         let mut good = server.open_configured(2, &config).expect("open session 2");
 
+        let (mut bad_outcomes, mut good_outcomes) = (Vec::new(), Vec::new());
         if with_bad_session {
             // An invalid query: attribute index out of range for the 3-column relation.
             let invalid = Query::top_k(1).attribute_indices([9]).build().expect("builds");
@@ -169,7 +175,8 @@ fn a_failing_session_does_not_disturb_its_neighbours() {
             // instead of panicking its worker.
             use sectopk_protocols::{ProtocolError, S1Request, WireErrorCode};
             let err = bad
-                .send_raw_request(S1Request::EqAggregate {
+                .clouds_mut()
+                .raw_round_trip(S1Request::EqAggregate {
                     rows: 2,
                     cols: 2,
                     want: Default::default(),
@@ -182,14 +189,15 @@ fn a_failing_session_does_not_disturb_its_neighbours() {
 
             // The session itself is still usable after both failures.
             let valid = Query::from_spec(queries[0][0].clone()).with_variant(config.variant);
-            bad.execute(&valid).expect("session survives its own failures");
+            let answer = bad.execute(&valid).expect("session survives its own failures");
+            bad_outcomes.push(answer.outcome);
         }
 
         for query in &queries[1] {
             let built = Query::from_spec(query.clone()).with_variant(config.variant);
-            good.execute(&built).expect("clean session query");
+            good_outcomes.push(good.execute(&built).expect("clean session query").outcome);
         }
-        (bad.finish(), good.finish())
+        (bad.finish(bad_outcomes), good.finish(good_outcomes))
     };
 
     let (bad_report, good_with_noise) = run_clean_neighbour(true);
@@ -201,4 +209,42 @@ fn a_failing_session_does_not_disturb_its_neighbours() {
     assert_eq!(bad_report.outcomes.len(), 1, "the recovery query succeeded");
 
     assert_sessions_identical(&good_with_noise, &good_alone, "clean neighbour");
+}
+
+#[test]
+fn a_session_is_reported_and_metered_under_the_id_it_is_seated_under() {
+    // `SessionId(0)` means "assign one" to the pool, which then seats the session under
+    // another id.  A `QueryClient` that called itself 0 would be reported, and metered as
+    // `session.0.rounds` / `session.0.round_nanos`, under an id it does not hold — and
+    // two of them would merge there.  So this door refuses the non-id with a typed,
+    // permanent error: whatever a `QueryClient` says its id is, is the id it is seated,
+    // reported and metered under.
+    let (owner, outsourced, workload) = fixture(0xA1A1);
+    let server = QueryServer::new(owner.keys(), outsourced, 2);
+    let open =
+        |id: u64, seed: u64| server.open_session(SessionId(id), seed, true, LinkProfile::ideal());
+    for seed in [1, 2] {
+        let err = open(0, seed).expect_err("SessionId(0) names no session");
+        assert!(matches!(err, SecTopKError::Protocol(_)), "typed error, got {err:?}");
+        assert!(!err.is_transient(), "retrying the same non-id cannot succeed: {err:?}");
+    }
+    let counters = server.metrics_snapshot().counters;
+    assert!(!counters.keys().any(|name| name.starts_with("session.0.")), "{counters:?}");
+
+    // Two sessions with ids of their own stay apart in the report and in the registry.
+    let query = Query::from_spec(workload.queries[0].clone())
+        .with_variant(VariantChoice::Fixed(QueryVariant::Full));
+    let (mut first, mut second) = (open(1, 1).expect("session 1"), open(2, 2).expect("session 2"));
+    first.execute(&query).expect("session 1 query");
+    second.execute(&query).expect("session 2 query");
+    second.execute(&query).expect("session 2 again");
+    let err = open(2, 3).expect_err("id 2 is seated");
+    assert!(matches!(err, SecTopKError::Protocol(_)), "typed error, got {err:?}");
+
+    let counters = server.metrics_snapshot().counters;
+    let (first, second) = (first.finish(Vec::new()), second.finish(Vec::new()));
+    assert_eq!((first.session, second.session), (SessionId(1), SessionId(2)));
+    assert_eq!(counters.get("session.1.rounds").copied(), Some(first.metrics.rounds));
+    assert_eq!(counters.get("session.2.rounds").copied(), Some(second.metrics.rounds));
+    assert!(second.metrics.rounds > first.metrics.rounds);
 }

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use sectopk_core::{DataOwner, Query, QueryConfig, Session, VariantChoice};
 use sectopk_datasets::QueryWorkload;
 use sectopk_protocols::{ChannelMetrics, LeakageLedger, ScoredItem, TransportKind};
-use sectopk_server::{ServeConfig, ServeExt};
+use sectopk_server::{QueryServer, ServeConfig};
 use sectopk_storage::{ObjectId, Relation, Row, TopKQuery};
 use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
@@ -108,7 +108,7 @@ fn serving_with_intra_workers_matches_serial_reports() {
     let owner = DataOwner::new(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).expect("keygen");
     let relation = relation_with_duplicates();
     let (outsourced, _) = owner.outsource(&relation, &mut rng).expect("encryption");
-    let server = owner.serve_relation(&outsourced, 2);
+    let server = QueryServer::new(owner.keys(), outsourced, 2);
     let workload = QueryWorkload {
         queries: vec![
             TopKQuery::sum(vec![0, 1, 2], 2),

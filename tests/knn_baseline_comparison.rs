@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sectopk_core::QueryConfig;
+use sectopk_core::{QueryConfig, Session};
 use sectopk_knn::{encrypt_for_knn, sknn_query};
 use sectopk_storage::{ObjectId, Relation, Row, TopKQuery};
 use sectopk_tests::{assert_valid_top_k, harness, run_query};

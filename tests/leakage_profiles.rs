@@ -3,7 +3,7 @@
 //! optimisations' extra leakage (uniqueness pattern) appears exactly where §10 says it
 //! does.
 
-use sectopk_core::{check_leakage, profile_for, QueryConfig, QueryVariant};
+use sectopk_core::{check_leakage, profile_for, QueryConfig, QueryVariant, Session};
 use sectopk_datasets::fig3_relation;
 use sectopk_storage::TopKQuery;
 use sectopk_tests::{harness, run_query};

@@ -8,6 +8,11 @@
 //! metrics.  Any divergence means the wire format is lossy, S2 state leaked around the
 //! message boundary, or the framing perturbed the protocol.
 //!
+//! The same holds one level up, for every *door* a session can be opened through
+//! (`connect_with` on each transport, `connect_remote` to a listener,
+//! `QueryServer::open_session`): one table-driven case reads each of them through the
+//! provided `Session` methods and requires the same bytes.
+//!
 //! Beyond the fixed worked examples, a property-test conformance harness drives random
 //! relations and random `TopKQuery`s through every transport.
 
@@ -16,9 +21,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sectopk_core::{
-    DataOwner, DirectSession, Query, QueryConfig, QueryOutcome, Session, VariantChoice,
+    DataOwner, DirectSession, PlanDecision, Query, QueryConfig, QueryOutcome, Session,
+    VariantChoice,
 };
-use sectopk_protocols::{ChannelMetrics, LeakageLedger, ScoredItem, TransportKind, TwoClouds};
+use sectopk_protocols::{
+    ChannelMetrics, LeakageLedger, LinkProfile, ScoredItem, SessionId, TransportKind, TwoClouds,
+};
+use sectopk_server::QueryServer;
 use sectopk_storage::{ObjectId, Relation, Row, TopKQuery};
 use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
@@ -53,7 +62,7 @@ fn run_on(kind: TransportKind, config: &QueryConfig) -> (DirectSession, QueryOut
     (session, outcome)
 }
 
-fn assert_items_byte_identical(a: &[ScoredItem], b: &[ScoredItem], kind: TransportKind) {
+fn assert_items_byte_identical(a: &[ScoredItem], b: &[ScoredItem], kind: impl std::fmt::Debug) {
     assert_eq!(a.len(), b.len(), "{kind:?}: result lengths differ");
     for (x, y) in a.iter().zip(b.iter()) {
         // ScoredItem equality is group-element equality: byte-identical ciphertexts.
@@ -69,9 +78,15 @@ struct Observation {
     metrics: ChannelMetrics,
     depths_scanned: usize,
     halted: bool,
+    /// `(n, M, link, batching)` as the session reports them.
+    shape: (usize, usize, LinkProfile, bool),
+    plan: Option<PlanDecision>,
 }
 
-fn observe(session: &DirectSession, outcome: &QueryOutcome) -> Observation {
+/// Reads the session through the *provided* `Session` methods only, and generically: a
+/// session type that overrode one of the defaults would be observed through its
+/// override here, and diverge.
+fn observe<S: Session>(session: &S, outcome: &QueryOutcome) -> Observation {
     Observation {
         top_k: outcome.top_k.clone(),
         s1_ledger: session.s1_ledger(),
@@ -79,11 +94,24 @@ fn observe(session: &DirectSession, outcome: &QueryOutcome) -> Observation {
         metrics: session.metrics(),
         depths_scanned: outcome.stats.depths_scanned,
         halted: outcome.stats.halted,
+        shape: (
+            session.num_objects(),
+            session.num_attributes(),
+            session.link(),
+            session.batching(),
+        ),
+        plan: outcome.stats.plan.clone(),
     }
 }
 
-fn assert_observations_equal(reference: &Observation, other: &Observation, kind: TransportKind) {
+fn assert_observations_equal(
+    reference: &Observation,
+    other: &Observation,
+    kind: impl std::fmt::Debug + Copy,
+) {
     assert_items_byte_identical(&reference.top_k, &other.top_k, kind);
+    assert_eq!(reference.shape, other.shape, "{kind:?}: session shapes diverge");
+    assert_eq!(reference.plan, other.plan, "{kind:?}: planner decisions diverge");
     assert_eq!(
         reference.s1_ledger.events(),
         other.s1_ledger.events(),
@@ -117,6 +145,52 @@ fn full_privacy_query_is_transport_invariant() {
 #[test]
 fn dup_elim_query_is_transport_invariant() {
     assert_equivalent(&QueryConfig::dup_elim());
+}
+
+/// One door's row of the table: plan, execute and observe through the front door, then
+/// check that `reset_accounting` really empties what was observed.
+fn through<'d, S: Session>(
+    door: &'d str,
+    session: sectopk_core::Result<S>,
+    query: &Query,
+) -> (&'d str, Observation) {
+    let mut session = session.unwrap_or_else(|e| panic!("{door}: cannot open a session: {e}"));
+    let planned = session.plan(query);
+    let outcome = session.execute(query).unwrap_or_else(|e| panic!("{door}: {e}")).outcome;
+    assert_eq!(outcome.stats.plan.as_ref(), Some(&planned), "{door}: plan() ≠ the plan run");
+    let observed = observe(&session, &outcome);
+    assert!(observed.metrics.rounds > 0 && !observed.s2_ledger.is_empty(), "{door}: idle");
+    session.reset_accounting();
+    assert_eq!(session.metrics(), ChannelMetrics::default(), "{door}: metrics survive a reset");
+    assert!(session.s1_ledger().is_empty(), "{door}: S1 ledger survives a reset");
+    assert!(session.s2_ledger().is_empty(), "{door}: S2 ledger survives a reset");
+    (door, observed)
+}
+
+#[test]
+fn every_door_opens_onto_the_same_bytes() {
+    let mut rng = StdRng::seed_from_u64(0xD0_0E);
+    let owner = DataOwner::new(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).expect("keygen");
+    let (outsourced, _) = owner.outsource(&fixed_relation(), &mut rng).expect("encryption");
+    let server = QueryServer::new(owner.keys(), outsourced.clone(), 2);
+    let listener = server.listen("127.0.0.1:0").expect("listener");
+    let addr = listener.local_addr().to_string();
+    let query = Query::from_spec(TopKQuery::sum(vec![0, 2], 2)).with_variant(VariantChoice::Auto);
+
+    let seed = 0x5EED;
+    let dedicated = |kind| owner.connect_with(&outsourced, seed, kind, true);
+    let pooled = server.open_session(SessionId(7), seed, true, LinkProfile::ideal());
+    let table = [
+        through("connect_with(InProcess)", dedicated(TransportKind::InProcess), &query),
+        through("connect_with(Multiplex)", dedicated(TransportKind::Multiplex), &query),
+        through("connect_with(Tcp)", dedicated(TransportKind::Tcp), &query),
+        through("connect_remote", owner.connect_remote(&outsourced, &addr, seed), &query),
+        through("QueryServer::open_session", pooled, &query),
+    ];
+    let (_, reference) = &table[0];
+    for (door, observed) in &table[1..] {
+        assert_observations_equal(reference, observed, door);
+    }
 }
 
 #[test]
