@@ -1,6 +1,6 @@
 //! The `Session` abstraction: one front door for executing top-k queries, and the one
 //! struct behind it ([`DirectSession`]) — whether S2 is a direct call, a seat in a
-//! worker pool or a remote `sectopk-s2d` process.
+//! shared pool or a remote `sectopk-s2d` process.
 //!
 //! ```text
 //!   Query::top_k(k).attributes(…)           DataOwner::outsource(R)
@@ -224,7 +224,7 @@ pub fn resolution_rng(seed: u64) -> StdRng {
 
 /// *The* session: the key holder's material, the outsourced relation, the resolution
 /// randomness and a [`TwoClouds`] context — whatever that context's transport is.  S2
-/// may be a direct call, a seat in a worker pool or a `sectopk-s2d` process behind a
+/// may be a direct call, a seat in a shared pool or a `sectopk-s2d` process behind a
 /// socket; what differs is only what moves the bytes (DESIGN.md §11, §13), so every
 /// door — [`DataOwner::connect`], [`DataOwner::connect_with`],
 /// [`DataOwner::connect_remote`], `sectopk-server::QueryServer::open_session` — ends in

@@ -20,7 +20,7 @@
 //!   decision, so enabling them cannot perturb protocol bytes.  The invariance suite
 //!   (`tests/metrics_invariance.rs`) pins this: enabled-vs-disabled runs are
 //!   byte-identical in results, ledgers and `ChannelMetrics`.
-//! * Deterministic events (requests by kind, sheds, replay hits) land in counters
+//! * Deterministic events (requests by kind, rejects, replay hits) land in counters
 //!   whose values are exactly reproducible; wall-clock durations land only in
 //!   histograms, which tests assert **structurally** (bucket monotonicity, count =
 //!   observations), never on timing values.
@@ -526,14 +526,14 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_serde_and_renders() {
         let registry = Registry::enabled();
-        registry.counter("pool.shed").add(4);
+        registry.counter("pool.replayed").add(4);
         registry.histogram("round_nanos").observe(1500);
         let snapshot = registry.snapshot();
         let json = serde_json::to_string(&snapshot).expect("serialize");
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, snapshot);
         let rendered = snapshot.render();
-        assert!(rendered.contains("pool.shed 4"), "render missing counter: {rendered}");
+        assert!(rendered.contains("pool.replayed 4"), "render missing counter: {rendered}");
         assert!(rendered.contains("round_nanos count=1"), "render missing histogram: {rendered}");
     }
 

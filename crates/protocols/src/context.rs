@@ -10,7 +10,7 @@
 //! metered in the transport's [`ChannelMetrics`] and reflected in the per-party
 //! [`LeakageLedger`]s.  The transport is selected by [`TransportKind`] (or the
 //! `SECTOPK_TRANSPORT` environment variable): the in-process direct call, or
-//! serialized envelopes to an S2 worker pool — over its in-memory conduit or over a
+//! serialized envelopes to an S2 session pool — over its in-memory conduit or over a
 //! real loopback socket.
 
 use std::fmt;
@@ -34,8 +34,8 @@ use crate::tcp::{TcpCloudServer, TcpOptions, TcpServerConfig};
 use crate::transport::{InProcessTransport, S1Request, S2Response, Transport, TransportKind};
 
 /// The process-wide S2 pool behind [`TransportKind::Multiplex`] and
-/// [`TransportKind::Tcp`] sessions that name no server of their own: one worker per
-/// core, sessions with server-assigned ids.  Sessions share nothing but the workers.
+/// [`TransportKind::Tcp`] sessions that name no server of their own: one compute permit
+/// per core, sessions with server-assigned ids.  Sessions share nothing but the permits.
 fn loopback_pool() -> &'static Arc<MultiplexServer> {
     static POOL: OnceLock<Arc<MultiplexServer>> = OnceLock::new();
     POOL.get_or_init(|| {
@@ -297,8 +297,8 @@ impl TwoClouds {
         self.trace = Some(hook);
     }
 
-    /// Transport faults absorbed without surfacing an error (reconnect-resume cycles,
-    /// shed requests retried to success); see [`Transport::faults_absorbed`].
+    /// Transport faults absorbed without surfacing an error (reconnect-resume cycles);
+    /// see [`Transport::faults_absorbed`].
     pub fn faults_absorbed(&self) -> u64 {
         self.transport.faults_absorbed()
     }

@@ -8,12 +8,12 @@
 //! * [`ProtocolError::Remote`] — S2 answered with a typed
 //!   [`WireError`] frame instead of a response.  The frame
 //!   crosses the transport as a first-class message, so a malformed or mis-sequenced
-//!   request never kills the S2 worker — the engine keeps serving and the caller gets a
+//!   request never kills the session — the engine keeps serving and the caller gets a
 //!   structured failure.
 //! * [`ProtocolError::Transport`] — the channel itself broke down (thread gone, frame
 //!   undecodable, envelope echo mismatch) or was misused (duplicate session id).  The
 //!   payload is a structured [`TransportError`] whose [`TransportErrorKind`] separates
-//!   *transient* breakdowns (a dead socket, a timeout, a shed request — retry) from
+//!   *transient* breakdowns (a dead socket, a timeout, a full server — retry) from
 //!   *permanent* ones (a protocol violation, a handshake rejection — fix the caller),
 //!   so retry policies never have to match on message strings.
 //!
@@ -36,8 +36,8 @@ pub enum TransportErrorKind {
     Io,
     /// A read or write hit its configured timeout.  Transient.
     Timeout,
-    /// The serving side shed the request or connection under load (session table
-    /// full, inbox full, draining).  Transient: back off and retry.
+    /// The serving side refused the connection under load (session table full,
+    /// draining).  Transient: back off and retry.
     Overloaded,
     /// The peer rejected the session outright (handshake refused, duplicate session
     /// id, version mismatch, resume token denied).  Permanent: retrying the same
@@ -131,7 +131,7 @@ impl ProtocolError {
         ProtocolError::Transport(TransportError::new(TransportErrorKind::Timeout, what))
     }
 
-    /// The serving side shed the request or connection under load
+    /// The serving side refused the connection under load
     /// ([`TransportErrorKind::Overloaded`]).
     pub fn transport_overloaded(what: impl Into<String>) -> Self {
         ProtocolError::Transport(TransportError::new(TransportErrorKind::Overloaded, what))

@@ -12,12 +12,13 @@
 //! * [`transport`] — the typed [`transport::S1Request`] / [`transport::S2Response`]
 //!   message layer, round-trip batching, and the two [`transport::Transport`]
 //!   implementations: the in-process direct call and the envelope client.
-//! * [`multiplex`] — session-multiplexed serving: one S2 worker pool answering many
-//!   concurrent S1 sessions over session-tagged envelopes, with per-session ledgers,
-//!   metrics and deterministic nonce-pool shards, and the one session table.
+//! * [`multiplex`] — session-multiplexed serving: one S2 session table and compute
+//!   budget answering many concurrent S1 sessions over session-tagged envelopes — each
+//!   request on the thread that brought it — with per-session ledgers, metrics and
+//!   deterministic nonce-pool shards.
 //! * [`tcp`] — the real-socket deployment: the same envelopes length-prefix-framed over
 //!   TCP, with a connection handshake that provisions the session's engine, and the
-//!   listener ([`tcp::TcpCloudServer`]) feeding connections into the multiplex pool.
+//!   listener ([`tcp::TcpCloudServer`]) seating connections in the multiplex pool.
 //! * [`engine`] — the crypto cloud S2 as a request-processing engine (all S2-side
 //!   protocol logic, keys and randomness).
 //! * [`wire`] — the binary codec every message is measured (and, on the envelope
@@ -38,9 +39,9 @@
 //!
 //! The serving path reports into a [`sectopk_metrics::Registry`] when one is
 //! installed: the engine counts requests by kind and times its compute
-//! (`engine.*`), the multiplex pool counts sheds/replays/attachments and samples
-//! inbox depth and per-worker busy time (`pool.*`), the TCP client and listener
-//! count reconnects, rejects, resumes, parks and sheds (`tcp.client.*` /
+//! (`engine.*`), the multiplex pool counts replays/attachments and times how long
+//! each compute permit is held (`pool.*`), the TCP client and listener count
+//! reconnects, rejects, resumes, parks and reaps (`tcp.client.*` /
 //! `tcp.server.*`), and [`context::TwoClouds::set_metrics`] adds per-session
 //! round-latency histograms (`session.*`).  Instrumentation is strictly
 //! observational: a disabled registry makes every handle a no-op, and enabled or

@@ -1,30 +1,31 @@
-//! Session-multiplexed serving: one crypto-cloud S2 worker pool answering many
+//! Session-multiplexed serving: one crypto-cloud S2 compute budget answering many
 //! concurrent S1 sessions, and the one table that holds their lifecycle.
 //!
 //! # Why sessions
 //!
 //! The paper's deployment (§3.2) is a *service*: the primary cloud S1 answers top-k
 //! queries for many independent clients, using the crypto cloud S2 as a co-processor.
-//! A [`MultiplexServer`] owns a pool of S2 worker threads and a table of per-session
-//! state; every connected [`EnvelopeTransport`] is one S1 session, whether its
-//! envelopes arrive over the in-memory conduit or through a TCP bridge thread
-//! ([`crate::tcp`]):
+//! A [`MultiplexServer`] owns a table of per-session state and a budget of `workers`
+//! compute permits; every connected [`EnvelopeTransport`] is one S1 session, whether
+//! its envelopes arrive over the in-memory conduit or over a TCP connection
+//! ([`crate::tcp`]).  Every sub-protocol of the paper is one blocking exchange — S1
+//! sends, S2 decrypts, S1 waits for the reply — so S2 runs a request on the thread that
+//! brought it (the S1 thread in memory, the connection's thread behind a socket) and
+//! hands the reply straight back; the permits bound how many requests compute at once:
 //!
 //! ```text
-//!   session 1  S1 ──┐                               ┌── worker 1 ──┐
-//!   session 2  S1 ──┤   (slot, seq, frame)          ├── worker 2 ──┤   per-session
-//!   session 3  S1 ──┼──────────────────────────────▶├── …          ├─▶ S2Engine
-//!      …            │   one shared typed inbox      └── worker W ──┘   (keys shared
-//!   session N  S1 ──┘                                                   behind Arc)
-//!        ▲                                                 │
-//!        └──────────── per-session reply channel ◀─────────┘
+//!   session 1  S1 ──┐  call(seq, frame)    ┌─ session lock ─▶ permit (≤ W held) ─┐
+//!   session 2  S1 ──┤  on its own thread   │  replay check → decode →            │   per-session
+//!   session 3  S1 ──┼─────────────────────▶│  engine.handle → cache the reply    ├─▶ S2Engine
+//!      …            │                      │  (control frames: ledger, reset)    │   (keys shared
+//!   session N  S1 ──┘◀────── reply ────────└─────────────────────────────────────┘    behind Arc)
 //! ```
 //!
 //! # Isolation and determinism
 //!
-//! Each session owns an [`S2Engine`] of its own (behind a `Mutex`, because any worker
-//! may pick up its next request): its leakage ledger, accumulated equality bits, RNG
-//! and nonce-pool shards are **per session**, so
+//! Each session owns an [`S2Engine`] of its own (behind the session's lock, next to its
+//! replay cache): its leakage ledger, accumulated equality bits, RNG and nonce-pool
+//! shards are **per session**, so
 //!
 //! * ledgers never bleed between sessions — "what did S2 observe while serving client
 //!   *i*" stays a well-defined question under concurrency, and
@@ -33,12 +34,22 @@
 //!   sessions served concurrently byte-identical to the same *N* sessions served one
 //!   after another (asserted by `tests/concurrent_sessions.rs`).
 //!
-//! The engines share the key material (`S2Keys` is `Arc`-backed, so worker threads
-//! share one copy of the moduli and Montgomery contexts), but no mutable state.
+//! The engines share the key material (`S2Keys` is `Arc`-backed, so every thread that
+//! runs a request shares one copy of the moduli and Montgomery contexts), but no
+//! mutable state.  What a session's bytes and ledger are is decided by its engine, its
+//! seed and its operation sequence — never by which thread ran a request.
 //!
-//! Because a session's client blocks on [`Transport::round_trip`](crate::Transport),
-//! at most one request per session is in flight: workers never contend on a session's
-//! engine, only on the shared inbox.
+//! # The compute budget
+//!
+//! A request takes its session's lock first and a permit second, and gives both back
+//! when its reply is built.  The session lock serializes a session with itself (a
+//! resumed connection that races its previous life's still-running request waits here
+//! and is then answered from the replay cache) and is held *without* a permit while
+//! waiting, so a session that waits — or a client that is connected but silent — never
+//! takes compute away from its neighbours.  A permit is the busy-time histogram of the
+//! worker index it stands for: the time it is held lands in
+//! `pool.worker.{i}.busy_nanos`, and because it is returned by a guard, a request that
+//! unwinds cannot leak it.
 //!
 //! # Wire envelope
 //!
@@ -46,18 +57,19 @@
 //! sequence number, both little-endian `u64`) followed by a tag-plus-payload frame.
 //! The server echoes the header on the reply and the client verifies the echo, so a
 //! response can never be attributed to the wrong session or request.  Inside the
-//! process nothing is encoded: the inbox carries `(slot, seq, frame)` — the slot the
-//! envelope was *submitted through*, not an id to look up — so an envelope that
-//! outlives its session (a duplicate still queued when the session is reaped) runs
-//! against the orphaned slot and can never reach a new session that re-attached under
-//! the same id.
+//! process nothing is encoded: a call runs against the slot its conduit *holds*, not
+//! an id to look up, so an envelope that outlives its session (a duplicate delivered
+//! after the session was reaped) runs against the orphaned slot and can never reach a
+//! new session that re-attached under the same id.
 //!
 //! # Simulated link
 //!
 //! A [`LinkProfile`] optionally adds a per-round-trip RTT on the client side, modelling
 //! the inter-cloud WAN of §11.2.5 (the paper assumes a 50 Mbps link between S1 and S2).
-//! Under a latency-bound link, session multiplexing is what buys aggregate throughput:
-//! while one session waits out its RTT, the worker pool serves the others.
+//! The RTT elapses *beside* the call, not after it — a round costs
+//! `max(RTT, S2 compute)`, exactly as propagation overlaps with remote work on a real
+//! link.  Under a latency-bound link, session multiplexing is what buys aggregate
+//! throughput: while one session waits out its RTT, the permits serve the others.
 //!
 //! # The session table
 //!
@@ -73,9 +85,9 @@
 //!   (free) ──────────────▶ ACTIVE ─────────────────────────────▶ PARKED
 //!      ▲                    │  ▲                                 │    │
 //!      │    conduit.close() │  │    resume(token): same slot,    │    │ deadline
-//!      └────────────────────┘  │    fresh reply channel,         │    │ passes /
+//!      └────────────────────┘  │    a conduit for the new        │    │ passes /
 //!      ▲                       └─────────────────────────────────┘    │ drain
-//!      │                            token rotated                     ▼
+//!      │                            caller, token rotated             ▼
 //!      └──────────────────────── reap_parked() ◀──────────────────  EXPIRED
 //! ```
 //!
@@ -88,20 +100,17 @@
 //!
 //! # Admission control
 //!
-//! [`PoolLimits`] bounds the pool: `max_sessions` caps the table (connected and parked
-//! sessions alike, checked under the lock that seats the newcomer), and
-//! `session_queue_depth` bounds each session's share of the shared inbox.  Work beyond
-//! either bound is *shed* — rejected with a typed
-//! [`WireErrorCode::Overloaded`](crate::wire::WireErrorCode) frame before touching any
-//! engine state — so overload degrades into clean, retryable refusals instead of
-//! unbounded queueing.
+//! [`PoolLimits::max_sessions`] caps the table (connected and parked sessions alike,
+//! checked under the lock that seats the newcomer); a session beyond it is refused with
+//! a typed, retryable overload rejection before any engine state exists.  Admission is
+//! per *connection*, not per request: a seated session has at most one request
+//! outstanding, and it waits for a permit on its own thread, so there is no queue that
+//! could grow and nothing for request-level shedding to protect.
 
 use std::collections::hash_map::{Entry, HashMap, OccupiedEntry};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use sectopk_metrics::{Counter, Histogram, Registry as MetricsRegistry};
@@ -196,58 +205,26 @@ impl LinkProfile {
     }
 }
 
-/// Depth of each session's bounded reply queue.  The protocol is strictly
-/// request/reply (a client or gateway bridge holds at most one envelope in flight per
-/// session), so the queue never fills in correct operation; the bound is backpressure —
-/// a worker facing a stalled session blocks instead of buffering replies without limit.
-const REPLY_QUEUE_DEPTH: usize = 2;
-
-/// Default per-session inbox bound (see [`PoolLimits::session_queue_depth`]): one
-/// in-flight request, one duplicate from a resumed client's retry, plus slack for
-/// control traffic.
-const DEFAULT_SESSION_QUEUE_DEPTH: usize = 4;
-
-/// Admission-control bounds of a [`MultiplexServer`].
+/// Admission-control bound of a [`MultiplexServer`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolLimits {
     /// Maximum number of sessions the table holds, connected and parked alike
-    /// (attachment beyond this is shed with a typed overload rejection).
+    /// (attachment beyond this is refused with a typed overload rejection).
     pub max_sessions: usize,
-    /// Maximum envelopes one session may have waiting in the shared
-    /// inbox; submissions beyond it are shed with a
-    /// [`WireErrorCode::Overloaded`](crate::wire::WireErrorCode) error frame instead of
-    /// queueing without bound.
-    pub session_queue_depth: usize,
 }
 
 impl Default for PoolLimits {
     fn default() -> Self {
-        PoolLimits { max_sessions: usize::MAX, session_queue_depth: DEFAULT_SESSION_QUEUE_DEPTH }
+        PoolLimits { max_sessions: usize::MAX }
     }
-}
-
-/// Pool-wide fault-tolerance counters (monotonic, observability only — never part of
-/// the protocol state).
-#[derive(Debug, Default)]
-struct PoolStats {
-    /// Replies served from a session's last-reply cache instead of re-execution.
-    replayed: AtomicU64,
-    /// Submissions shed because a session exceeded its inbox bound.
-    shed: AtomicU64,
-    /// Envelopes submitted to the shared inbox and not yet picked up by a worker;
-    /// used only to sample inbox depth into the metrics histogram.
-    pending: AtomicUsize,
 }
 
 /// Cached metric handles for the pool-level counters (see [`sectopk_metrics`]).  All
 /// handles are no-ops when the server was built without a registry, so the hot path
-/// pays one branch per event and the deterministic [`PoolStats`] stay the source of
-/// truth either way.
+/// pays one branch per event.
 #[derive(Clone, Debug, Default)]
 struct PoolMetrics {
-    /// Mirrors [`PoolStats::shed`] (`pool.shed`).
-    shed: Counter,
-    /// Mirrors [`PoolStats::replayed`] (`pool.replayed`).
+    /// Mirrors [`Pool::replayed`] (`pool.replayed`).
     replayed: Counter,
     /// Sessions seated through [`MultiplexServer::attach`] (`pool.attached`).
     attached: Counter,
@@ -256,46 +233,32 @@ struct PoolMetrics {
     reattached: Counter,
     /// Sessions removed on behalf of a dead or expired client (`pool.evicted`).
     evicted: Counter,
-    /// Inbox depth sampled at each submission (`pool.inbox_depth`).
-    inbox_depth: Histogram,
 }
 
 impl PoolMetrics {
     fn from_registry(registry: &MetricsRegistry) -> Self {
         PoolMetrics {
-            shed: registry.counter("pool.shed"),
             replayed: registry.counter("pool.replayed"),
             attached: registry.counter("pool.attached"),
             reattached: registry.counter("pool.reattached"),
             evicted: registry.counter("pool.evicted"),
-            inbox_depth: registry.histogram("pool.inbox_depth"),
         }
     }
 }
 
-/// Per-session server-side state that outlives any one connection: the session's own
-/// engine (ledger, RNG, pool shards, accumulated equality bits), the bounded channel its
-/// replies travel back on, the count of submitted-but-not-yet-picked-up envelopes, and
-/// the last-reply cache that makes retried sequence numbers idempotent.
-struct SessionSlot {
-    session: SessionId,
-    engine: Mutex<S2Engine>,
-    /// Swapped by [`MultiplexServer::resume`] when a resumed connection takes over the
-    /// session — the engine and cache survive, only the reply path changes.
-    replies: Mutex<mpsc::SyncSender<Envelope>>,
-    /// Envelopes submitted through [`SessionConduit::submit`] and not yet picked up.
-    inflight: AtomicUsize,
+/// What a request of a session runs against, under the session's one lock.
+struct SessionState {
+    /// The session's own engine: ledger, RNG, pool shards, accumulated equality bits.
+    engine: S2Engine,
     /// `(seq, reply frame)` of the most recent request reply.  A re-sent `seq` is
     /// answered from here without touching the engine (exactly-once effects).
-    last_reply: Mutex<Option<(u64, Vec<u8>)>>,
+    last_reply: Option<(u64, Vec<u8>)>,
 }
 
-/// One unit of work on the shared inbox.
-enum Job {
-    /// A session's frame, carrying the slot it was submitted through.
-    Frame { slot: Arc<SessionSlot>, seq: u64, frame: Vec<u8> },
-    /// Terminate one worker.
-    Shutdown,
+/// Per-session server-side state that outlives any one connection.
+struct SessionSlot {
+    session: SessionId,
+    state: Mutex<SessionState>,
 }
 
 /// One row of the session table.
@@ -315,33 +278,62 @@ struct SessionTable {
     last_assigned: u64,
 }
 
-/// Everything the server handle, the workers and the conduits share.
+/// Everything the server handle and the conduits share.
 struct Pool {
-    inbox: mpsc::Sender<Job>,
     table: Mutex<SessionTable>,
     limits: PoolLimits,
-    stats: PoolStats,
+    /// How many requests may execute at once.
+    workers: usize,
+    /// The free compute permits: one per worker index `i`, each being that worker's
+    /// `pool.worker.{i}.busy_nanos` histogram.
+    idle: Mutex<Vec<Histogram>>,
+    /// Signalled whenever a permit returns to `idle`.
+    freed: Condvar,
+    /// Set when the [`MultiplexServer`] is dropped: later calls fail instead of running.
+    gone: AtomicBool,
+    /// Replies served from a session's last-reply cache instead of re-execution
+    /// (monotonic, observability only — never part of the protocol state).
+    replayed: AtomicU64,
     metrics: PoolMetrics,
     metrics_registry: MetricsRegistry,
 }
 
-/// Why a submission was refused by [`SessionConduit::submit`].
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum SubmitError {
-    /// The session already has `session_queue_depth` envelopes waiting in the inbox.
-    QueueFull,
-    /// The server (and its inbox) is gone.
-    ServerGone,
+impl Pool {
+    /// Block until one of the `workers` permits is free, and take it.
+    fn permit(&self) -> Permit<'_> {
+        let mut idle = self.idle.plock();
+        loop {
+            if let Some(busy) = idle.pop() {
+                return Permit { pool: self, since: busy.start(), busy };
+            }
+            idle = self.freed.wait(idle).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
-/// The S2-side endpoints of one seated session: the shared inbox plus the session's
-/// private reply queue.  Gateway bridges (the TCP listener's per-connection threads)
-/// move frames through these directly; local clients use the [`EnvelopeTransport`]
-/// that [`MultiplexServer::connect`] builds on the same endpoints.
+/// One of the pool's `workers` compute permits, held while a request executes.
+/// Dropping it records how long it was held and frees it for the next request — also
+/// when the request unwinds, so a failure inside one can never shrink the budget.
+struct Permit<'a> {
+    pool: &'a Pool,
+    busy: Histogram,
+    since: Option<Instant>,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.busy.stop(self.since);
+        self.pool.idle.plock().push(std::mem::take(&mut self.busy));
+        self.pool.freed.notify_one();
+    }
+}
+
+/// The S2-side endpoint of one seated session: the slot its requests run against.
+/// The TCP listener's per-connection threads call it directly; local clients use the
+/// [`EnvelopeTransport`] that [`MultiplexServer::connect`] builds on the same endpoint.
 pub(crate) struct SessionConduit {
     pool: Arc<Pool>,
     slot: Arc<SessionSlot>,
-    replies: mpsc::Receiver<Envelope>,
 }
 
 impl SessionConduit {
@@ -350,29 +342,59 @@ impl SessionConduit {
         self.slot.session
     }
 
-    /// Submit one frame under `seq`, enforcing the session's inbox bound.
-    pub(crate) fn submit(&self, seq: u64, frame: Vec<u8>) -> std::result::Result<(), SubmitError> {
+    /// Run one frame of this session under `seq` on the calling thread and hand back
+    /// S2's reply.  Fails only once the server is gone.
+    pub(crate) fn call(&self, seq: u64, frame: &[u8]) -> Result<Envelope> {
         let pool = &*self.pool;
-        let previous = self.slot.inflight.fetch_add(1, Ordering::SeqCst);
-        if previous >= pool.limits.session_queue_depth {
-            self.slot.inflight.fetch_sub(1, Ordering::SeqCst);
-            pool.stats.shed.fetch_add(1, Ordering::Relaxed);
-            pool.metrics.shed.incr();
-            return Err(SubmitError::QueueFull);
+        // Lock order: session, then permit.  Whoever waits for this session's previous
+        // request waits here, holding no permit; the permit is held only to compute.
+        let mut state = self.slot.state.plock();
+        if pool.gone.load(Ordering::SeqCst) {
+            return Err(ProtocolError::transport_io("multiplex server is gone"));
         }
-        // Counted before the send, so the worker's decrement can never run first.
-        let depth = pool.stats.pending.fetch_add(1, Ordering::Relaxed) + 1;
-        pool.metrics.inbox_depth.observe(depth as u64);
-        pool.inbox.send(Job::Frame { slot: Arc::clone(&self.slot), seq, frame }).map_err(|_| {
-            self.slot.inflight.fetch_sub(1, Ordering::SeqCst);
-            pool.stats.pending.fetch_sub(1, Ordering::Relaxed);
-            SubmitError::ServerGone
-        })
-    }
-
-    /// Block for the session's next reply; `None` once the server is gone.
-    pub(crate) fn recv(&self) -> Option<Envelope> {
-        self.replies.recv().ok()
+        let _permit = pool.permit();
+        let SessionState { engine, last_reply } = &mut *state;
+        let reply = match frame.split_first() {
+            Some((&frame::REQUEST, payload)) => {
+                // Replay check, under the session lock so the cache and the execution
+                // serialize: a re-delivered sequence number (a resumed client
+                // re-sending the envelope it never saw answered) is answered from the
+                // cache without touching the engine — ledger and nonce streams advance
+                // exactly once.
+                match last_reply.as_ref().filter(|(cached_seq, _)| seq != 0 && *cached_seq == seq) {
+                    Some((_, reply)) => {
+                        pool.replayed.fetch_add(1, Ordering::Relaxed);
+                        pool.metrics.replayed.incr();
+                        reply.clone()
+                    }
+                    None => {
+                        let response = match wire::from_bytes::<S1Request>(payload) {
+                            Ok(request) => {
+                                engine.handle(&request).unwrap_or_else(S2Response::Error)
+                            }
+                            Err(e) => S2Response::Error(WireError::codec(format!(
+                                "undecodable request: {e}"
+                            ))),
+                        };
+                        let reply = framed(frame::RESPONSE, &response);
+                        if seq != 0 {
+                            *last_reply = Some((seq, reply.clone()));
+                        }
+                        reply
+                    }
+                }
+            }
+            Some((&frame::FETCH_LEDGER, _)) => framed(frame::LEDGER, engine.ledger()),
+            Some((&frame::RESET, _)) => {
+                engine.reset();
+                vec![frame::RESET_DONE]
+            }
+            Some((&tag, _)) => {
+                framed(frame::RESPONSE, &S2Response::Error(WireError::unknown_frame(tag)))
+            }
+            None => framed(frame::RESPONSE, &S2Response::Error(WireError::codec("empty frame"))),
+        };
+        Ok(Envelope { session: self.slot.session, seq, frame: reply })
     }
 
     /// Run `update` on this session's seat — unless the seat is gone or belongs to a
@@ -391,8 +413,7 @@ impl SessionConduit {
 
     /// Unseat the session, freeing its id and dropping its engine.  `clean` tells a
     /// client's own DISCONNECT from a removal on behalf of a client that died.  A
-    /// worker mid-request on the slot finishes against its own `Arc` and the reply
-    /// goes nowhere.
+    /// request still running on the slot finishes against its caller's own `Arc`.
     pub(crate) fn close(&self, clean: bool) {
         if self.with_seat(|seat| seat.remove()).is_some() && !clean {
             self.pool.metrics.evicted.incr();
@@ -406,7 +427,7 @@ impl SessionConduit {
     }
 }
 
-/// The in-memory [`Pipe`]: frames go straight onto the pool's inbox.
+/// The in-memory [`Pipe`]: an exchange is a call into the pool on the S1 thread.
 struct ConduitPipe {
     conduit: SessionConduit,
     link: LinkProfile,
@@ -421,28 +442,19 @@ impl Pipe for ConduitPipe {
         self.link
     }
 
-    fn send(&mut self, envelope: &Envelope, _first_attempt: bool) -> Result<()> {
-        self.conduit.submit(envelope.seq, envelope.frame.clone()).map_err(|e| match e {
-            // A compliant client holds one request in flight, so its own submissions
-            // are only ever shed under a pathological queue-depth configuration; the
-            // typed overload error keeps even that case retryable.
-            SubmitError::QueueFull => ProtocolError::Remote(WireError::overloaded(format!(
-                "{} inbox full, request shed",
-                envelope.session
-            ))),
-            SubmitError::ServerGone => ProtocolError::transport_io("multiplex server is gone"),
-        })?;
-        // The simulated RTT runs *between* the send and the receive, so it overlaps
-        // with S2's compute exactly as propagation overlaps with remote work on a real
-        // link.  Control traffic (sequence number 0) skips the link.
-        if envelope.seq != 0 && !self.link.rtt.is_zero() {
-            std::thread::sleep(self.link.rtt);
+    fn exchange(&mut self, envelope: &Envelope, _first_attempt: bool) -> Result<Envelope> {
+        let rtt = self.link.rtt;
+        // Control traffic (sequence number 0) skips the link.
+        if envelope.seq == 0 || rtt.is_zero() {
+            return self.conduit.call(envelope.seq, &envelope.frame);
         }
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Envelope> {
-        self.conduit.recv().ok_or_else(|| ProtocolError::transport_io("multiplex server hung up"))
+        // The simulated RTT elapses on a sleeper *beside* the call, so it overlaps with
+        // S2's compute exactly as propagation overlaps with remote work on a real link:
+        // the round costs the longer of the two, not their sum.
+        std::thread::scope(|link| {
+            link.spawn(|| std::thread::sleep(rtt));
+            self.conduit.call(envelope.seq, &envelope.frame)
+        })
     }
 
     fn disconnect(&mut self, _envelope: &Envelope) {
@@ -450,17 +462,17 @@ impl Pipe for ConduitPipe {
     }
 }
 
-/// The crypto cloud S2 as a multi-session service: a worker-thread pool draining one
-/// shared inbox, each job carrying the session slot it runs against.
+/// The crypto cloud S2 as a multi-session service: a session table and a budget of
+/// compute permits.  It owns no thread — every request runs on the thread that brought
+/// it, under one permit.
 pub struct MultiplexServer {
     pool: Arc<Pool>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl fmt::Debug for MultiplexServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MultiplexServer")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.workers())
             .field("active_sessions", &self.active_sessions())
             .finish()
     }
@@ -488,22 +500,21 @@ pub(crate) enum ResumeError {
 }
 
 impl MultiplexServer {
-    /// Spawn a server with `workers` S2 worker threads (at least one) and no admission
-    /// bounds beyond the [`PoolLimits`] defaults.
+    /// A server on which `workers` S2 requests (at least one) may execute at once, with
+    /// no admission bound beyond the [`PoolLimits`] default.
     pub fn new(workers: usize) -> Self {
         Self::with_limits(workers, PoolLimits::default())
     }
 
-    /// Spawn a server with `workers` S2 worker threads (at least one) and explicit
-    /// admission-control bounds.
+    /// A server on which `workers` S2 requests (at least one) may execute at once, with
+    /// an explicit admission-control bound.
     pub fn with_limits(workers: usize, limits: PoolLimits) -> Self {
         Self::with_limits_and_metrics(workers, limits, MetricsRegistry::disabled())
     }
 
-    /// Spawn a server that additionally reports into `metrics_registry` (see
-    /// [`sectopk_metrics::Registry`]): pool counters (`pool.shed`, `pool.replayed`,
-    /// `pool.attached`, `pool.reattached`, `pool.evicted`), an inbox-depth histogram
-    /// (`pool.inbox_depth`), per-worker busy-time histograms
+    /// A server that additionally reports into `metrics_registry` (see
+    /// [`sectopk_metrics::Registry`]): pool counters (`pool.replayed`, `pool.attached`,
+    /// `pool.reattached`, `pool.evicted`), per-permit busy-time histograms
     /// (`pool.worker.{i}.busy_nanos`), and every attached session engine's request
     /// counters.  A disabled registry makes every instrument a no-op; either way the
     /// protocol bytes, ledgers and [`crate::ChannelMetrics`] are unaffected.
@@ -512,39 +523,31 @@ impl MultiplexServer {
         limits: PoolLimits,
         metrics_registry: MetricsRegistry,
     ) -> Self {
-        let (inbox, rx) = mpsc::channel::<Job>();
-        let shared_rx = Arc::new(Mutex::new(rx));
-        let pool = Arc::new(Pool {
-            inbox,
-            table: Mutex::new(SessionTable {
-                seats: HashMap::new(),
-                last_assigned: ASSIGNED_SESSION_BASE,
-            }),
-            limits: PoolLimits {
-                max_sessions: limits.max_sessions.max(1),
-                session_queue_depth: limits.session_queue_depth.max(1),
-            },
-            stats: PoolStats::default(),
-            metrics: PoolMetrics::from_registry(&metrics_registry),
-            metrics_registry,
-        });
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&shared_rx);
-                let pool = Arc::clone(&pool);
-                let busy = pool.metrics_registry.histogram(&format!("pool.worker.{i}.busy_nanos"));
-                std::thread::Builder::new()
-                    .name(format!("sectopk-s2-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &pool, &busy))
-                    .expect("spawn S2 worker thread")
-            })
+        let workers = workers.max(1);
+        let idle = (0..workers)
+            .map(|i| metrics_registry.histogram(&format!("pool.worker.{i}.busy_nanos")))
             .collect();
-        MultiplexServer { pool, workers }
+        MultiplexServer {
+            pool: Arc::new(Pool {
+                table: Mutex::new(SessionTable {
+                    seats: HashMap::new(),
+                    last_assigned: ASSIGNED_SESSION_BASE,
+                }),
+                limits: PoolLimits { max_sessions: limits.max_sessions.max(1) },
+                workers,
+                idle: Mutex::new(idle),
+                freed: Condvar::new(),
+                gone: AtomicBool::new(false),
+                replayed: AtomicU64::new(0),
+                metrics: PoolMetrics::from_registry(&metrics_registry),
+                metrics_registry,
+            }),
+        }
     }
 
-    /// Number of worker threads in the pool.
+    /// Number of S2 requests that may execute at once.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.pool.workers
     }
 
     /// Number of sessions the table currently holds, connected and parked alike.
@@ -557,7 +560,7 @@ impl MultiplexServer {
         self.pool.table.plock().seats.values().filter(|s| s.parked_until.is_some()).count()
     }
 
-    /// The admission-control bounds this pool runs under.
+    /// The admission-control bound this pool runs under.
     pub fn limits(&self) -> PoolLimits {
         self.pool.limits
     }
@@ -565,12 +568,7 @@ impl MultiplexServer {
     /// Replies served from a session's last-reply cache instead of re-executing the
     /// request — each one is a retry made idempotent.
     pub fn replayed_replies(&self) -> u64 {
-        self.pool.stats.replayed.load(Ordering::Relaxed)
-    }
-
-    /// Submissions shed because a session exceeded its inbox bound.
-    pub fn shed_requests(&self) -> u64 {
-        self.pool.stats.shed.load(Ordering::Relaxed)
+        self.pool.replayed.load(Ordering::Relaxed)
     }
 
     /// The metrics registry this pool reports into.  Disabled (all instruments no-ops)
@@ -603,10 +601,6 @@ impl MultiplexServer {
         Ok(EnvelopeTransport::new(conduit.session(), Box::new(ConduitPipe { conduit, link })))
     }
 
-    fn conduit(&self, slot: Arc<SessionSlot>, replies: mpsc::Receiver<Envelope>) -> SessionConduit {
-        SessionConduit { pool: Arc::clone(&self.pool), slot, replies }
-    }
-
     /// Seat a new session backed by `engine` under the `proposed` id (0: assign one),
     /// resumable with `token` (0: never).  The id check, the admission cap and the
     /// insertion happen under one lock, so concurrent attachments cannot over-admit.
@@ -616,7 +610,6 @@ impl MultiplexServer {
         mut engine: S2Engine,
         token: u64,
     ) -> std::result::Result<SessionConduit, AttachError> {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(REPLY_QUEUE_DEPTH);
         let mut table = self.pool.table.plock();
         if table.seats.contains_key(&proposed) {
             return Err(AttachError::InUse);
@@ -633,22 +626,17 @@ impl MultiplexServer {
         // counters, compute-time histograms); a disabled registry makes that a no-op.
         engine.set_metrics_registry(&self.pool.metrics_registry);
         self.pool.metrics.attached.incr();
-        let slot = Arc::new(SessionSlot {
-            session,
-            engine: Mutex::new(engine),
-            replies: Mutex::new(reply_tx),
-            inflight: AtomicUsize::new(0),
-            last_reply: Mutex::new(None),
-        });
+        let state = Mutex::new(SessionState { engine, last_reply: None });
+        let slot = Arc::new(SessionSlot { session, state });
         table.seats.insert(session, Seat { slot: Arc::clone(&slot), token, parked_until: None });
-        Ok(self.conduit(slot, reply_rx))
+        Ok(SessionConduit { pool: Arc::clone(&self.pool), slot })
     }
 
     /// Take over the parked `session`: check `presented` against its token, rotate the
-    /// token to `rotated`, un-park it and hand back a conduit with a fresh reply
-    /// channel for the *same* slot — engine, ledger, nonce shards and last-reply cache
-    /// all survive.  The cached reply is dropped if the client already saw it
-    /// (`seq <= acked`): it will never re-send that sequence number.
+    /// token to `rotated`, un-park it and hand back a conduit for the *same* slot —
+    /// engine, ledger, nonce shards and last-reply cache all survive.  The cached reply
+    /// is dropped if the client already saw it (`seq <= acked`): it will never re-send
+    /// that sequence number.
     pub(crate) fn resume(
         &self,
         session: SessionId,
@@ -657,7 +645,6 @@ impl MultiplexServer {
         acked: u64,
         now: Instant,
     ) -> std::result::Result<SessionConduit, ResumeError> {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(REPLY_QUEUE_DEPTH);
         let slot = {
             let mut table = self.pool.table.plock();
             let Some(seat) = table.seats.get_mut(&session) else {
@@ -677,17 +664,13 @@ impl MultiplexServer {
             }
             seat.parked_until = None;
             seat.token = rotated;
-            *seat.slot.replies.plock() = reply_tx;
             Arc::clone(&seat.slot)
         };
-        // Outside the table lock: a worker may hold the cache for a whole request.
-        let mut cached = slot.last_reply.plock();
-        if cached.as_ref().is_some_and(|(seq, _)| *seq <= acked) {
-            *cached = None;
-        }
-        drop(cached);
+        // Outside the table lock: the session's previous life may hold its lock for a
+        // whole request.
+        slot.state.plock().last_reply.take_if(|(seq, _)| *seq <= acked);
         self.pool.metrics.reattached.incr();
-        Ok(self.conduit(slot, reply_rx))
+        Ok(SessionConduit { pool: Arc::clone(&self.pool), slot })
     }
 
     /// Unseat every parked session whose deadline is at or before `expired_by` (`None`:
@@ -708,82 +691,10 @@ impl MultiplexServer {
 
 impl Drop for MultiplexServer {
     fn drop(&mut self) {
-        for _ in 0..self.workers.len() {
-            let _ = self.pool.inbox.send(Job::Shutdown);
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // With the workers (and so the inbox's receiver) gone, a later submission fails
-        // cleanly; dropping the seats releases every engine.
+        // A request already running finishes on its caller's thread; every later call
+        // fails cleanly, and dropping the seats releases every engine no conduit holds.
+        self.pool.gone.store(true, Ordering::SeqCst);
         self.pool.table.plock().seats.clear();
-    }
-}
-
-/// One S2 worker: drain the shared inbox, run each frame against the slot it carries.
-fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>, pool: &Pool, busy: &Histogram) {
-    loop {
-        // Hold the inbox lock only for the dequeue, not while processing.
-        let Ok(Job::Frame { slot, seq, frame }) = rx.plock().recv() else {
-            return; // shutdown, or every sender is gone
-        };
-        pool.stats.pending.fetch_sub(1, Ordering::Relaxed);
-        // Release the inbox share at pickup, not after the reply: `inflight` counts the
-        // session's share of the *queue*.  Releasing after reply delivery would let a
-        // compliant one-in-flight client be spuriously shed whenever worker decrements
-        // lag behind reply sends; releasing here keeps the shed bound precise — a
-        // session only hits it when its submissions genuinely outpace the pool (e.g.
-        // its replies back up and block the workers).
-        slot.inflight.fetch_sub(1, Ordering::SeqCst);
-        let timer = busy.start();
-        let mut engine = slot.engine.plock();
-        let reply = match frame.split_first() {
-            Some((&frame::REQUEST, payload)) => {
-                // Replay check, under the engine lock so the cache and the execution
-                // serialize: a re-delivered sequence number (a resumed client
-                // re-sending the envelope it never saw answered, or a duplicate still
-                // in the inbox) is answered from the cache without touching the
-                // engine — ledger and nonce streams advance exactly once.
-                let mut cached = slot.last_reply.plock();
-                match cached.as_ref().filter(|(cached_seq, _)| seq != 0 && *cached_seq == seq) {
-                    Some((_, reply)) => {
-                        pool.stats.replayed.fetch_add(1, Ordering::Relaxed);
-                        pool.metrics.replayed.incr();
-                        reply.clone()
-                    }
-                    None => {
-                        let response = match wire::from_bytes::<S1Request>(payload) {
-                            Ok(request) => {
-                                engine.handle(&request).unwrap_or_else(S2Response::Error)
-                            }
-                            Err(e) => S2Response::Error(WireError::codec(format!(
-                                "undecodable request: {e}"
-                            ))),
-                        };
-                        let reply = framed(frame::RESPONSE, &response);
-                        if seq != 0 {
-                            *cached = Some((seq, reply.clone()));
-                        }
-                        reply
-                    }
-                }
-            }
-            Some((&frame::FETCH_LEDGER, _)) => framed(frame::LEDGER, engine.ledger()),
-            Some((&frame::RESET, _)) => {
-                engine.reset();
-                vec![frame::RESET_DONE]
-            }
-            Some((&tag, _)) => {
-                framed(frame::RESPONSE, &S2Response::Error(WireError::unknown_frame(tag)))
-            }
-            None => framed(frame::RESPONSE, &S2Response::Error(WireError::codec("empty frame"))),
-        };
-        drop(engine);
-        busy.stop(timer);
-        // Best effort: a send failure means the session's client hung up.  The sender
-        // is cloned out so a slow client never blocks a concurrent resume's swap.
-        let replies = slot.replies.plock().clone();
-        let _ = replies.send(Envelope { session: slot.session, seq, frame: reply });
     }
 }
 
@@ -825,7 +736,7 @@ mod tests {
         assert_eq!(bytes.len(), ENVELOPE_HEADER_LEN + 4);
         assert_eq!(Envelope::decode(&bytes).unwrap(), envelope);
         assert!(Envelope::decode(&bytes[..ENVELOPE_HEADER_LEN - 1]).is_err());
-        // An empty frame decodes; the worker answers it with a typed error.
+        // An empty frame decodes; the pool answers it with a typed error.
         let empty = Envelope { session: SessionId(1), seq: 0, frame: vec![] };
         assert_eq!(Envelope::decode(&empty.encode()).unwrap(), empty);
     }
@@ -947,8 +858,8 @@ mod tests {
             matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::MalformedRequest),
             "unexpected error {err:?}"
         );
-        // Neither rejection touched the ledger, and the single worker survived both:
-        // it still serves requests.
+        // Neither rejection touched the ledger, and the single permit survived both:
+        // the pool still serves requests.
         assert!(t.s2_ledger().is_empty());
         let mut rng = StdRng::seed_from_u64(5);
         t.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
@@ -971,8 +882,7 @@ mod tests {
 
     /// Fetch the session's ledger through the raw conduit.
     fn ledger_of(conduit: &SessionConduit) -> LeakageLedger {
-        conduit.submit(0, vec![frame::FETCH_LEDGER]).unwrap();
-        let reply = conduit.recv().unwrap();
+        let reply = conduit.call(0, &[frame::FETCH_LEDGER]).unwrap();
         let (tag, payload) = reply.frame.split_first().unwrap();
         assert_eq!(*tag, frame::LEDGER);
         wire::from_bytes(payload).unwrap()
@@ -985,12 +895,10 @@ mod tests {
         let conduit = server.attach(SessionId(6), engine_for(&master, 44), 0).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         let frame = compare_frame(&master, 5, &mut rng);
-        conduit.submit(1, frame.clone()).unwrap();
-        let first = conduit.recv().unwrap();
+        let first = conduit.call(1, &frame).unwrap();
         assert_eq!((first.session, first.seq), (SessionId(6), 1), "replies echo the header");
         // Deliver the exact same frame again, as a resumed client's retry would.
-        conduit.submit(1, frame).unwrap();
-        let second = conduit.recv().unwrap();
+        let second = conduit.call(1, &frame).unwrap();
         assert_eq!(first, second, "replayed reply must be byte-identical");
         assert_eq!(server.replayed_replies(), 1);
         // The engine executed once: the session ledger holds exactly one sign event.
@@ -1006,49 +914,20 @@ mod tests {
         let conduit = server.attach(SessionId(2), engine_for(&master, 11), 77).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let frame = compare_frame(&master, -7, &mut rng);
-        conduit.submit(1, frame.clone()).unwrap();
-        conduit.recv().unwrap();
+        conduit.call(1, &frame).unwrap();
         let now = Instant::now();
         assert!(conduit.park(now + Duration::from_secs(60)));
         let resumed = server.resume(SessionId(2), 77, 78, 1, now).unwrap();
-        resumed.submit(1, frame).unwrap();
-        resumed.recv().unwrap();
+        resumed.call(1, &frame).unwrap();
         assert_eq!(server.replayed_replies(), 0, "pruned entry cannot replay");
         assert_eq!(ledger_of(&resumed).len(), 2);
-    }
-
-    #[test]
-    fn submissions_beyond_the_inbox_bound_are_shed() {
-        let master = master(32);
-        let server =
-            MultiplexServer::with_limits(1, PoolLimits { max_sessions: 8, session_queue_depth: 1 });
-        assert_eq!(server.limits().session_queue_depth, 1);
-        let conduit = server.attach(SessionId(1), engine_for(&master, 7), 0).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        // Submit without ever reading replies: once the bounded reply queue fills, the
-        // worker blocks mid-reply, the inbox stops draining, and the session's
-        // inflight count pins above the bound, so a later submission must be shed.
-        let mut shed = false;
-        for seq in 1..=10u64 {
-            match conduit.submit(seq, compare_frame(&master, seq as i64, &mut rng)) {
-                Ok(()) => {}
-                Err(SubmitError::QueueFull) => {
-                    shed = true;
-                    break;
-                }
-                Err(SubmitError::ServerGone) => panic!("server vanished"),
-            }
-        }
-        assert!(shed, "the inbox bound must shed before 10 unanswered submissions");
-        assert!(server.shed_requests() >= 1);
     }
 
     #[test]
     fn session_table_full_is_a_typed_retryable_overload() {
         use crate::error::TransportErrorKind;
         let master = master(34);
-        let server =
-            MultiplexServer::with_limits(1, PoolLimits { max_sessions: 1, ..Default::default() });
+        let server = MultiplexServer::with_limits(1, PoolLimits { max_sessions: 1 });
         let _a =
             server.connect(SessionId(1), engine_for(&master, 1), LinkProfile::ideal()).unwrap();
         let err =
@@ -1070,8 +949,7 @@ mod tests {
         let server = MultiplexServer::new(1);
         let conduit = server.attach(SessionId(9), engine_for(&master, 21), 5).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        conduit.submit(1, compare_frame(&master, 2, &mut rng)).unwrap();
-        conduit.recv().unwrap();
+        conduit.call(1, &compare_frame(&master, 2, &mut rng)).unwrap();
 
         // While the session is connected, even the right token cannot claim it.
         let now = Instant::now();
@@ -1079,8 +957,8 @@ mod tests {
             server.resume(SessionId(9), 5, 6, 1, now).err(),
             Some(ResumeError::StillConnected)
         );
-        // The connection "drops" (conduit kept alive to model a dying bridge) and the
-        // session is parked; only the current token takes it over, exactly once.
+        // The connection "drops" (conduit kept alive to model a dying connection thread)
+        // and the session is parked; only the current token takes it over, exactly once.
         assert!(conduit.park(now + Duration::from_secs(60)));
         assert_eq!(server.parked_sessions(), 1);
         assert_eq!(server.resume(SessionId(9), 4, 6, 1, now).err(), Some(ResumeError::BadToken));
@@ -1091,8 +969,9 @@ mod tests {
             Some(ResumeError::BadToken),
             "the token rotated with the resume"
         );
-        resumed.submit(2, compare_frame(&master, -3, &mut rng)).unwrap();
-        resumed.recv().unwrap();
+        // The reply path is whoever calls: the resumed conduit's caller gets the answer.
+        let reply = resumed.call(2, &compare_frame(&master, -3, &mut rng)).unwrap();
+        assert_eq!((reply.session, reply.seq), (SessionId(9), 2));
         // Both requests landed in the same engine: the ledger saw both signs.
         assert_eq!(ledger_of(&resumed).len(), 2, "the resumed slot kept its ledger");
 
@@ -1142,33 +1021,30 @@ mod tests {
 
     #[test]
     fn an_envelope_outliving_its_session_never_reaches_a_reattached_id() {
-        // The stale-envelope race, forced: the single worker is held on a blocker
-        // session's full reply queue while an envelope for session 9 waits in the inbox;
-        // session 9 is reaped and its id re-attached with a new engine; then the worker
-        // is released.  The queued envelope carries the *old* slot, so the new session's
-        // ledger and nonce stream must be untouched.
+        // The stale-envelope race, forced: the pool's single permit is held while a
+        // call for session 9 waits for it; session 9 is reaped and its id re-attached
+        // with a new engine; then the permit is released.  The waiting call runs
+        // against the *old* slot its conduit holds, so the new session's ledger and
+        // nonce stream must be untouched.
         let master = master(38);
         let server = MultiplexServer::new(1);
         let mut rng = StdRng::seed_from_u64(6);
 
-        let blocker = server.attach(SessionId(1), engine_for(&master, 1), 0).unwrap();
-        let held = REPLY_QUEUE_DEPTH as u64 + 1;
-        for seq in 1..=held {
-            // Unread replies fill the bounded reply queue; the last one blocks the worker.
-            blocker.submit(seq, compare_frame(&master, 1, &mut rng)).unwrap();
-        }
         let victim = server.attach(SessionId(9), engine_for(&master, 50), 0).unwrap();
-        victim.submit(1, framed(frame::REQUEST, &eq_test(&master, &mut rng))).unwrap();
-
-        victim.close(false);
-        let mut fresh =
-            server.connect(SessionId(9), engine_for(&master, 60), LinkProfile::ideal()).unwrap();
-        for _ in 1..=held {
-            blocker.recv().unwrap(); // release the worker
-        }
+        let stale = framed(frame::REQUEST, &eq_test(&master, &mut rng));
+        let (orphan, mut fresh) = std::thread::scope(|scope| {
+            let held = server.pool.permit();
+            let orphan = scope.spawn(|| victim.call(1, &stale));
+            victim.close(false);
+            let fresh = server
+                .connect(SessionId(9), engine_for(&master, 60), LinkProfile::ideal())
+                .unwrap();
+            drop(held); // release the pool
+            (orphan.join().unwrap(), fresh)
+        });
 
         // The orphaned envelope did run — against the slot it was submitted through.
-        assert_eq!(victim.recv().unwrap().seq, 1);
+        assert_eq!(orphan.unwrap().seq, 1);
         // The new session 9 never saw it: empty ledger, and its first nonce-consuming
         // answer equals that of an untouched engine with the same seed.
         assert!(fresh.s2_ledger().is_empty(), "the stale envelope leaked into the new session");
@@ -1180,6 +1056,60 @@ mod tests {
             oracle.round_trip(eq_test(&master, &mut rng_b)).unwrap(),
             "the new session's nonce stream was advanced by the stale envelope"
         );
+    }
+
+    #[test]
+    fn one_permit_serves_four_hammering_sessions_and_accounts_every_request_to_worker_0() {
+        const ROUNDS: usize = 6;
+        let master = master(39);
+        let registry = MetricsRegistry::enabled();
+        let server =
+            MultiplexServer::with_limits_and_metrics(1, PoolLimits::default(), registry.clone());
+        let hammer = |s: u64| {
+            let engine = engine_for(&master, shard_seed(7, s));
+            let mut t = server.connect(SessionId(s), engine, LinkProfile::ideal()).unwrap();
+            let master = &master;
+            move || {
+                let mut rng = StdRng::seed_from_u64(s);
+                let replies: Vec<S2Response> =
+                    (0..ROUNDS).map(|_| t.round_trip(eq_test(master, &mut rng)).unwrap()).collect();
+                (replies, t.s2_ledger())
+            }
+        };
+        let served: Vec<(Vec<S2Response>, LeakageLedger)> = std::thread::scope(|scope| {
+            let sessions: Vec<_> = (1..=4).map(|s| scope.spawn(hammer(s))).collect();
+            sessions.into_iter().map(|session| session.join().unwrap()).collect()
+        });
+
+        // Each session's replies and ledger equal its isolated replay.
+        for (s, (replies, ledger)) in (1..=4).zip(&served) {
+            let mut oracle = InProcessTransport::new(engine_for(&master, shard_seed(7, s)));
+            let mut rng = StdRng::seed_from_u64(s);
+            for reply in replies {
+                assert_eq!(*reply, oracle.round_trip(eq_test(&master, &mut rng)).unwrap());
+            }
+            assert_eq!(ledger.events(), oracle.s2_ledger().events(), "session {s}");
+        }
+        // Every call — ROUNDS requests and one ledger fetch per session — held the one
+        // permit there is, and no second worker index was ever minted.
+        let snapshot = registry.snapshot();
+        let busy = snapshot.histogram("pool.worker.0.busy_nanos").expect("worker 0 is metered");
+        assert_eq!(busy.count, 4 * (ROUNDS as u64 + 1));
+        assert!(snapshot.histograms.keys().all(|name| !name.starts_with("pool.worker.1")));
+    }
+
+    #[test]
+    fn a_connected_but_silent_session_holds_no_permit() {
+        // On a one-permit pool a neighbour finishes while a seated session says nothing.
+        let master = master(40);
+        let server = MultiplexServer::new(1);
+        let _silent =
+            server.connect(SessionId(1), engine_for(&master, 1), LinkProfile::ideal()).unwrap();
+        let mut neighbour =
+            server.connect(SessionId(2), engine_for(&master, 2), LinkProfile::ideal()).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        neighbour.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
+        assert_eq!(server.pool.idle.plock().len(), 1, "the permit is free between requests");
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! Real-socket deployment: the crypto cloud S2 as a networked process.
 //!
 //! This module makes the §3.2 deployment literal.  A [`TcpCloudServer`] (the
-//! `sectopk-s2d` binary) listens on a socket and bridges accepted connections into a
-//! [`crate::multiplex::MultiplexServer`] worker pool; [`connect`] dials it and hands
-//! back the same [`EnvelopeTransport`] an in-memory session uses, over a socket pipe
-//! that ships each [`Envelope`] length-prefix-framed onto the stream:
+//! `sectopk-s2d` binary) listens on a socket and seats each accepted connection in a
+//! [`crate::multiplex::MultiplexServer`]; [`connect`] dials it and hands back the same
+//! [`EnvelopeTransport`] an in-memory session uses, over a socket pipe that ships each
+//! [`Envelope`] length-prefix-framed onto the stream:
 //!
 //! ```text
 //!    S1 process                                        S2 process (sectopk-s2d)
-//!   ┌──────────────┐   frame = u32 LE length ‖ bytes  ┌────────────────────────────┐
-//!   │ Envelope-    │ ───────────────────────────────▶ │ accept loop ─ bridge thread │
-//!   │ Transport    │   bytes = Envelope{session,seq,  │      │ per connection       │
-//!   │ (socket pipe)│            tag ‖ wire payload}   │      ▼                      │
-//!   │              │ ◀─────────────────────────────── │ MultiplexServer worker pool │
-//!   └──────────────┘                                  └────────────────────────────┘
+//!   ┌──────────────┐   frame = u32 LE length ‖ bytes  ┌─────────────────────────────┐
+//!   │ Envelope-    │ ───────────────────────────────▶ │ accept loop ─ one thread per │
+//!   │ Transport    │   bytes = Envelope{session,seq,  │ connection: read → call →    │
+//!   │ (socket pipe)│            tag ‖ wire payload}   │ write, the call running in   │
+//!   │              │ ◀─────────────────────────────── │ the MultiplexServer's budget │
+//!   └──────────────┘                                  └─────────────────────────────┘
 //! ```
 //!
 //! # Connection lifecycle
@@ -25,11 +25,12 @@
 //!    assigns, plus the [`EngineProvision`] that boots its S2 engine) or a *resume* of a
 //!    parked one (session id, last acknowledged sequence number, resume token).  The
 //!    server answers accept (negotiated id + a fresh resume token) or a typed reject.
-//! 3. **Serve**: strict request/reply — the bridge thread submits each frame to the
-//!    worker pool and ships the session's reply back.  At most one frame per connection
-//!    is in flight, and the pool's bounded per-session reply queues give
-//!    per-connection backpressure.  A session over its inbox bound is answered with a
-//!    typed `overloaded` error frame instead of queueing without bound.
+//!    A connection that stays silent for 5 s (`HELLO_TIMEOUT`) before it is seated is
+//!    closed: until then it has earned neither a thread nor memory of S2's.
+//! 3. **Serve**: strict request/reply — the connection's own thread reads a frame, runs
+//!    it in the pool (under the session's lock and one compute permit, see
+//!    [`crate::multiplex`]) and writes the reply back.  At most one frame per
+//!    connection is in flight, and a stalled socket back-pressures its own thread only.
 //! 4. **Teardown**: dropping the transport ships a `DISCONNECT` frame and blocks for
 //!    the ack, so the session id is free the moment the drop returns.
 //!
@@ -37,7 +38,7 @@
 //!
 //! A connection that dies *without* the DISCONNECT handshake (socket error, EOF,
 //! cross-session injection) does not destroy its session.  When
-//! [`TcpServerConfig::park_ttl`] is non-zero the bridge *parks* it in the pool's session
+//! [`TcpServerConfig::park_ttl`] is non-zero its thread *parks* it in the pool's session
 //! table — the one place session lifecycle, resume tokens and the admission cap live
 //! (see the diagram in [`crate::multiplex`]) — and a reconnecting client presents its
 //! resume token to take the session over exactly where it left off.  This module keeps
@@ -70,7 +71,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -84,11 +85,11 @@ use serde::{Deserialize, Serialize};
 use crate::engine::EngineProvision;
 use crate::error::{ProtocolError, Result};
 use crate::multiplex::{
-    AttachError, Envelope, MultiplexServer, ResumeError, SessionConduit, SessionId, SubmitError,
+    AttachError, Envelope, MultiplexServer, ResumeError, SessionConduit, SessionId,
 };
 use crate::plock::PoisonFree;
-use crate::transport::{frame, framed, EnvelopeTransport, Pipe, S2Response, TransportKind};
-use crate::wire::{self, WireError};
+use crate::transport::{frame, EnvelopeTransport, Pipe, TransportKind};
+use crate::wire;
 
 /// Version of the TCP handshake and framing.  Bumped on any incompatible change; the
 /// server rejects hellos carrying a different version.  v2 added session resumption
@@ -104,8 +105,17 @@ const TCP_MAGIC: &str = "sectopk";
 /// error instead of an attempted multi-gigabyte allocation.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
-/// How long a resume handshake waits for the dropped connection's bridge to park the
-/// session before concluding someone else holds it.  The old bridge parks as soon as
+/// How long a connection that has not been seated yet may stay silent before the
+/// server closes it.  Cleared once the session is seated: a seated session
+/// legitimately idles between queries.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// What a frame's buffer may hold before any of its bytes has arrived; beyond this it
+/// grows with the bytes actually received, never with the length a peer merely claims.
+const FRAME_PREALLOC: usize = 64 * 1024;
+
+/// How long a resume handshake waits for the dropped connection's thread to park the
+/// session before concluding someone else holds it.  The old thread parks as soon as
 /// it observes the dead socket, so this is a race-absorbing grace, not a timeout the
 /// happy path ever sleeps through.
 const RESUME_GRACE: Duration = Duration::from_secs(5);
@@ -141,8 +151,13 @@ fn read_frame(mut r: impl Read) -> Result<Vec<u8>> {
             "oversized frame: {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
         )));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf).map_err(|e| ProtocolError::from_io("reading frame body", e))?;
+    let mut buf = Vec::with_capacity(len.min(FRAME_PREALLOC));
+    r.take(len as u64)
+        .read_to_end(&mut buf)
+        .map_err(|e| ProtocolError::from_io("reading frame body", e))?;
+    if buf.len() < len {
+        return Err(ProtocolError::from_io("reading frame body", ErrorKind::UnexpectedEof.into()));
+    }
     Ok(buf)
 }
 
@@ -274,17 +289,6 @@ impl RetryPolicy {
             backoff: Duration::ZERO,
             backoff_cap: Duration::ZERO,
             deadline: Duration::ZERO,
-        }
-    }
-
-    /// A sensible serving-fleet default: 6 attempts, 10ms → 500ms capped backoff,
-    /// 30s overall deadline.
-    pub fn standard() -> Self {
-        RetryPolicy {
-            attempts: 6,
-            backoff: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(500),
-            deadline: Duration::from_secs(30),
         }
     }
 
@@ -450,19 +454,6 @@ impl TcpOptions {
         self
     }
 
-    /// Set the connect retry budget.
-    pub fn with_connect_attempts(mut self, attempts: u32) -> Self {
-        self.connect_attempts = attempts.max(1);
-        self
-    }
-
-    /// Set both socket timeouts.
-    pub fn with_timeouts(mut self, read: Duration, write: Duration) -> Self {
-        self.read_timeout = read;
-        self.write_timeout = write;
-        self
-    }
-
     /// Enable transparent retry under `policy`.
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
@@ -472,12 +463,6 @@ impl TcpOptions {
     /// Inject faults on `plan`'s schedule.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Seed the deterministic backoff jitter explicitly.
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
         self
     }
 }
@@ -507,9 +492,6 @@ struct TcpClientMetrics {
     connect_attempts: Counter,
     /// Successful reconnect-resume recoveries (`tcp.client.reconnects`).
     reconnects: Counter,
-    /// Shed (typed-overload) replies absorbed by re-submission
-    /// (`tcp.client.shed_retries`).
-    shed_retries: Counter,
     /// Total nanoseconds slept in recovery backoff (`tcp.client.backoff_nanos`).
     backoff_nanos: Counter,
     /// Encoded envelope bytes per logical exchange (`tcp.client.frame_bytes`).
@@ -521,7 +503,6 @@ impl TcpClientMetrics {
         TcpClientMetrics {
             connect_attempts: registry.counter("tcp.client.connect_attempts"),
             reconnects: registry.counter("tcp.client.reconnects"),
-            shed_retries: registry.counter("tcp.client.shed_retries"),
             backoff_nanos: registry.counter("tcp.client.backoff_nanos"),
             frame_bytes: registry.histogram("tcp.client.frame_bytes"),
         }
@@ -698,7 +679,7 @@ impl Pipe for SocketPipe {
         TransportKind::Tcp
     }
 
-    fn send(&mut self, envelope: &Envelope, first_attempt: bool) -> Result<()> {
+    fn exchange(&mut self, envelope: &Envelope, first_attempt: bool) -> Result<Envelope> {
         let encoded = envelope.encode();
         // Faults fire on a fixed schedule of *logical* protocol frames: control
         // exchanges and retransmits are not counted, and a re-send is never re-faulted.
@@ -727,12 +708,15 @@ impl Pipe for SocketPipe {
         if due(faults.delay_every) {
             std::thread::sleep(faults.delay);
         }
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Envelope> {
-        let incoming = read_frame(&self.stream).inspect_err(|_| self.dead = true)?;
-        Envelope::decode(&incoming)
+        loop {
+            let incoming = read_frame(&self.stream).inspect_err(|_| self.dead = true)?;
+            let reply = Envelope::decode(&incoming)?;
+            // A stream can still hold the late reply to an exchange the caller gave up
+            // on (a read that timed out): skip it, ours is behind it.
+            if reply.session.0 != self.session || reply.seq >= envelope.seq {
+                return Ok(reply);
+            }
+        }
     }
 
     /// Burn through the retry budget until one reconnect-resume succeeds.
@@ -766,15 +750,6 @@ impl Pipe for SocketPipe {
         )))
     }
 
-    fn retry_shed(&mut self, attempt: u32) -> bool {
-        if attempt >= self.options.retry.attempts {
-            return false;
-        }
-        self.back_off(attempt);
-        self.client_metrics.shed_retries.incr();
-        true
-    }
-
     fn disconnect(&mut self, envelope: &Envelope) {
         if !self.dead && write_frame(&self.stream, &envelope.encode()).is_ok() {
             let _ = read_frame(&self.stream);
@@ -792,7 +767,7 @@ impl Pipe for SocketPipe {
 // ====================================================================================
 
 /// Fault-tolerance policy of a [`TcpCloudServer`].  (Admission — how many sessions may
-/// be held, connected or parked — is the worker pool's
+/// be held, connected or parked — is the pool's
 /// [`PoolLimits::max_sessions`](crate::multiplex::PoolLimits).)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TcpServerConfig {
@@ -828,7 +803,7 @@ fn mint_token(nonce: u64) -> u64 {
     hasher.finish() | 1 // never 0, which the session table reads as "not resumable"
 }
 
-/// Cached server-side metric handles (`tcp.server.*`), resolved from the worker
+/// Cached server-side metric handles (`tcp.server.*`), resolved from the
 /// pool's registry — see [`MultiplexServer::metrics_registry`].  All no-ops when the
 /// pool was built without one.
 #[derive(Clone, Debug, Default)]
@@ -841,8 +816,6 @@ struct TcpServerMetrics {
     parked: Counter,
     /// Sessions reaped (TTL expiry, drain, dead socket) — `tcp.server.reaped`.
     reaped: Counter,
-    /// Requests answered with a typed overload error — `tcp.server.sheds`.
-    sheds: Counter,
     /// Rejected hellos by [`RejectCode`] — `tcp.server.rejects.{code}`.
     reject_full: Counter,
     reject_draining: Counter,
@@ -859,7 +832,6 @@ impl TcpServerMetrics {
             resumed: registry.counter("tcp.server.resumed"),
             parked: registry.counter("tcp.server.parked"),
             reaped: registry.counter("tcp.server.reaped"),
-            sheds: registry.counter("tcp.server.sheds"),
             reject_full: registry.counter("tcp.server.rejects.full"),
             reject_draining: registry.counter("tcp.server.rejects.draining"),
             reject_malformed: registry.counter("tcp.server.rejects.malformed"),
@@ -881,8 +853,8 @@ impl TcpServerMetrics {
     }
 }
 
-/// Everything the accept loop, bridges and sweeper share.  Session lifecycle is *not*
-/// here: it lives in the pool's session table.
+/// Everything the accept loop, connection threads and sweeper share.  Session lifecycle
+/// is *not* here: it lives in the pool's session table.
 struct Shared {
     pool: Arc<MultiplexServer>,
     config: TcpServerConfig,
@@ -921,16 +893,17 @@ impl Shared {
     }
 }
 
-/// The crypto cloud S2 as a network listener: an accept loop feeding per-connection
-/// bridge threads into a shared [`MultiplexServer`] worker pool, plus a background
-/// sweeper reaping parked sessions past their TTL.  This is the engine of the
-/// `sectopk-s2d` binary; tests bind it on a loopback ephemeral port.
+/// The crypto cloud S2 as a network listener: an accept loop spawning one thread per
+/// connection, each running its session's requests in a shared [`MultiplexServer`],
+/// plus a background sweeper reaping parked sessions past their TTL.  This is the
+/// engine of the `sectopk-s2d` binary; tests bind it on a loopback ephemeral port.
 pub struct TcpCloudServer {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
     sweeper_thread: Option<JoinHandle<()>>,
-    bridge_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// The threads of connections not yet seen to have finished.
+    connection_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl fmt::Debug for TcpCloudServer {
@@ -945,16 +918,16 @@ impl fmt::Debug for TcpCloudServer {
 }
 
 impl TcpCloudServer {
-    /// Bind a listener at `addr` with its own `workers`-thread S2 pool and default
-    /// policy.  `"127.0.0.1:0"` binds an ephemeral loopback port (read it back with
-    /// [`Self::local_addr`]).
+    /// Bind a listener at `addr` with its own S2 pool of `workers` compute permits and
+    /// default policy.  `"127.0.0.1:0"` binds an ephemeral loopback port (read it back
+    /// with [`Self::local_addr`]).
     pub fn bind(addr: impl ToSocketAddrs, workers: usize) -> std::io::Result<Self> {
         Self::serve_pool(addr, Arc::new(MultiplexServer::new(workers)), TcpServerConfig::default())
     }
 
-    /// Bind a listener at `addr` feeding an existing (possibly shared) worker pool —
-    /// the path `QueryServer::listen` uses so networked and in-process sessions are
-    /// served by the same S2 workers.
+    /// Bind a listener at `addr` in front of an existing (possibly shared) pool — the
+    /// path `QueryServer::listen` uses so networked and in-process sessions are served
+    /// from the same S2 compute budget.
     pub fn serve_pool(
         addr: impl ToSocketAddrs,
         pool: Arc<MultiplexServer>,
@@ -962,8 +935,8 @@ impl TcpCloudServer {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // The listener reports into the same registry as the worker pool it feeds, so
-        // one snapshot covers the whole serving stack; a pool built without a registry
+        // The listener reports into the same registry as the pool it fronts, so one
+        // snapshot covers the whole serving stack; a pool built without a registry
         // makes every handle a no-op.
         let metrics = TcpServerMetrics::from_registry(pool.metrics_registry());
         let shared = Arc::new(Shared {
@@ -976,14 +949,14 @@ impl TcpCloudServer {
             token_nonce: AtomicU64::new(1),
             metrics,
         });
-        let bridge_threads = Arc::new(Mutex::new(Vec::new()));
+        let connection_threads = Arc::new(Mutex::new(Vec::new()));
 
         let accept_thread = {
             let shared = Arc::clone(&shared);
-            let bridge_threads = Arc::clone(&bridge_threads);
+            let connection_threads = Arc::clone(&connection_threads);
             std::thread::Builder::new()
                 .name("sectopk-s2d-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &bridge_threads))
+                .spawn(move || accept_loop(&listener, &shared, &connection_threads))
                 .expect("spawn accept thread")
         };
         let sweeper_thread = if config.park_ttl.is_zero() {
@@ -1002,7 +975,7 @@ impl TcpCloudServer {
             shared,
             accept_thread: Some(accept_thread),
             sweeper_thread,
-            bridge_threads,
+            connection_threads,
         })
     }
 
@@ -1011,7 +984,7 @@ impl TcpCloudServer {
         self.local_addr
     }
 
-    /// The worker pool serving this listener's sessions.
+    /// The pool serving this listener's sessions.
     pub fn pool(&self) -> &Arc<MultiplexServer> {
         &self.shared.pool
     }
@@ -1042,7 +1015,7 @@ impl TcpCloudServer {
     }
 
     /// Failure injection: sever the socket of `session` mid-flight, as a crashed
-    /// client or cut link would.  The bridge thread observes the dead socket and
+    /// client or cut link would.  The connection's thread observes the dead socket and
     /// parks (or, with a zero [`TcpServerConfig::park_ttl`], reaps) the session;
     /// clean neighbours are unaffected.  Returns whether the session was connected.
     pub fn drop_session(&self, session: SessionId) -> bool {
@@ -1078,8 +1051,8 @@ impl Drop for TcpCloudServer {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.draining.store(true, Ordering::SeqCst);
         // Reap every parked session so the pool releases their engines, and sever
-        // every live connection; bridges observe the dead sockets and reap (draining
-        // is set, so nothing re-parks).
+        // every live connection; their threads observe the dead sockets and reap
+        // (draining is set, so nothing re-parks).
         self.shared.reap_parked(None);
         self.shared.sever_all();
         // Wake the blocking accept with a throwaway connection.
@@ -1090,18 +1063,17 @@ impl Drop for TcpCloudServer {
         if let Some(handle) = self.sweeper_thread.take() {
             let _ = handle.join();
         }
-        let bridges: Vec<JoinHandle<()>> = std::mem::take(&mut *self.bridge_threads.plock());
-        for handle in bridges {
+        let connections = std::mem::take(&mut *self.connection_threads.plock());
+        for handle in connections {
             let _ = handle.join();
         }
-        // The pool itself (if privately owned) drops afterwards, joining its workers.
     }
 }
 
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
-    bridge_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    connection_threads: &Mutex<Vec<JoinHandle<()>>>,
 ) {
     loop {
         let (stream, _) = match listener.accept() {
@@ -1120,11 +1092,14 @@ fn accept_loop(
         let spawned = std::thread::Builder::new()
             .name("sectopk-s2d-conn".into())
             .spawn(move || serve_connection(stream, &shared));
-        match spawned {
-            Ok(handle) => bridge_threads.plock().push(handle),
-            // Thread exhaustion: dropping the stream resets the connection, and a
-            // well-behaved client retries under its policy.  The listener survives.
-            Err(_) => continue,
+        // Forget the connections that have ended since, so a long-lived listener tracks
+        // its live connections and not every connection it ever served.
+        let mut tracked = connection_threads.plock();
+        tracked.retain(|handle| !handle.is_finished());
+        // Thread exhaustion: dropping the stream resets the connection, and a
+        // well-behaved client retries under its policy.  The listener survives.
+        if let Ok(handle) = spawned {
+            tracked.push(handle);
         }
     }
 }
@@ -1137,9 +1112,11 @@ fn sweeper_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Run the handshake, then bridge envelopes between one socket and the worker pool.
+/// Run the handshake, then serve the seated session's requests until the connection
+/// ends.
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    if stream.set_nodelay(true).is_err() {
+    // Until it is seated, a connection may not keep this thread waiting on silence.
+    if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(HELLO_TIMEOUT)).is_err() {
         return;
     }
     let reject = |code: RejectCode, reason: &str| {
@@ -1207,18 +1184,22 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         session: session.0,
         resume_token: token,
     };
-    if write_frame(&stream, &wire::to_bytes(&accept)).is_err() {
+    // Seated: from here on the connection may idle between queries for as long as it
+    // likes.
+    if stream.set_read_timeout(None).is_err()
+        || write_frame(&stream, &wire::to_bytes(&accept)).is_err()
+    {
         shared.streams.plock().remove(&session);
         return shared.reap(&conduit);
     }
     shared.metrics.accepts.incr();
 
-    bridge_loop(&stream, shared, &conduit);
+    serve_session(Seated { stream: &stream, shared, conduit, clean_exit: false });
 }
 
 /// Admit a resume hello: the session table checks the token and claims the parked
 /// session in one step; all that is left here is to wait (briefly) for the dropped
-/// connection's bridge to park it.
+/// connection's thread to park it.
 fn admit_resume(
     shared: &Shared,
     resume: ResumeHello,
@@ -1237,7 +1218,8 @@ fn admit_resume(
         if !connected || started.elapsed() >= RESUME_GRACE {
             break claim;
         }
-        // The old bridge is still on its way out (or genuinely alive): give it a tick.
+        // The old connection's thread is still on its way out (or genuinely alive):
+        // give it a tick.
         std::thread::sleep(POLL_TICK);
     };
     match claim {
@@ -1254,78 +1236,66 @@ fn admit_resume(
     }
 }
 
-/// Bridge envelopes between one accepted socket and the worker pool until the
-/// connection ends, then park or reap the session.
-fn bridge_loop(stream: &TcpStream, shared: &Arc<Shared>, conduit: &SessionConduit) {
-    let session = conduit.session();
-    // Strict request/reply: at most one envelope of this connection is in the pool at
-    // any time, so the session's bounded reply queue never fills and a stalled socket
-    // back-pressures right here instead of buffering.
-    let mut clean_exit = false;
-    'serve: while let Ok(incoming) = read_frame(stream) {
+/// Serve one seated session on its connection's own thread: read a frame, run it in
+/// the pool, write the reply — strict request/reply, so a stalled socket back-pressures
+/// right here instead of buffering.
+fn serve_session(mut seated: Seated<'_>) {
+    let session = seated.conduit.session();
+    while let Ok(incoming) = read_frame(seated.stream) {
         let Ok(envelope) = Envelope::decode(&incoming) else { break };
         if envelope.session != session {
             // Cross-session injection: a connection may only speak for the session it
-            // negotiated.  Kill the connection rather than forward.
+            // negotiated.  Kill the connection rather than run the frame.
             break;
         }
-        let seq = envelope.seq;
         if envelope.frame.first() == Some(&frame::DISCONNECT) {
-            // Nothing of this session is in flight, so unseating it here is ordered
+            // Nothing of this session is running, so unseating it here is ordered
             // after all its work; the ack tells the client its id is free again.
-            conduit.close(true);
-            let ack = Envelope { session, seq, frame: vec![frame::DISCONNECT_DONE] };
-            let _ = write_frame(stream, &ack.encode());
-            clean_exit = true;
+            seated.conduit.close(true);
+            seated.clean_exit = true;
+            let ack = Envelope { session, seq: envelope.seq, frame: vec![frame::DISCONNECT_DONE] };
+            let _ = write_frame(seated.stream, &ack.encode());
             break;
         }
-        match conduit.submit(seq, envelope.frame) {
-            Ok(()) => {}
-            Err(SubmitError::QueueFull) => {
-                // Load shedding: answer with a typed overload error without touching
-                // the engine — the client may safely re-send this sequence number.
-                let error = WireError::overloaded(format!("{session} inbox full, request shed"));
-                let frame = framed(frame::RESPONSE, &S2Response::Error(error));
-                shared.metrics.sheds.incr();
-                if write_frame(stream, &Envelope { session, seq, frame }.encode()).is_err() {
-                    break;
-                }
-                continue;
-            }
-            Err(SubmitError::ServerGone) => break,
-        }
-        // Ship the reply for *this* sequence number; discard stale replays that a
-        // resumed session's previous life may have left in flight (a worker that
-        // finished after the resume delivers into our queue).
-        loop {
-            let Some(reply) = conduit.recv() else { break 'serve };
-            if reply.seq != seq {
-                continue;
-            }
-            if write_frame(stream, &reply.encode()).is_err() {
-                break 'serve;
-            }
+        let Ok(reply) = seated.conduit.call(envelope.seq, &envelope.frame) else { break };
+        if write_frame(seated.stream, &reply.encode()).is_err() {
             break;
         }
     }
+}
 
-    shared.streams.plock().remove(&session);
-    if !clean_exit {
-        // Dirty exit.  With parking enabled (and no drain under way) the session stays
-        // seated — engine, ledger, replay cache, resume token — until a resume claims
-        // it or the TTL expires; otherwise it is reaped so the id frees up and the pool
-        // drops the engine with it.
-        let ttl = shared.config.park_ttl;
-        let park = !ttl.is_zero() && !shared.draining.load(Ordering::SeqCst);
-        let now = Instant::now();
-        if park && conduit.park(now.checked_add(ttl).unwrap_or(now + Duration::from_secs(1 << 30)))
-        {
-            shared.metrics.parked.incr();
-        } else {
-            shared.reap(conduit);
+/// What the end of a seated connection owes the server.  A guard, so the debt is paid
+/// even when a request unwinds the connection's thread: the socket closes (the client
+/// sees it and resumes) instead of staying open behind its registered clone.
+struct Seated<'a> {
+    stream: &'a TcpStream,
+    shared: &'a Shared,
+    conduit: SessionConduit,
+    /// The client said DISCONNECT and the session is already unseated.
+    clean_exit: bool,
+}
+
+impl Drop for Seated<'_> {
+    fn drop(&mut self) {
+        let Seated { stream, shared, conduit, clean_exit } = self;
+        shared.streams.plock().remove(&conduit.session());
+        if !*clean_exit {
+            // Dirty exit.  With parking enabled (and no drain under way) the session
+            // stays seated — engine, ledger, replay cache, resume token — until a
+            // resume claims it or the TTL expires; otherwise it is reaped so the id
+            // frees up and the pool drops the engine with it.
+            let ttl = shared.config.park_ttl;
+            let park = !ttl.is_zero() && !shared.draining.load(Ordering::SeqCst);
+            let now = Instant::now();
+            let deadline = now.checked_add(ttl).unwrap_or(now + Duration::from_secs(1 << 30));
+            if park && conduit.park(deadline) {
+                shared.metrics.parked.incr();
+            } else {
+                shared.reap(conduit);
+            }
         }
+        let _ = stream.shutdown(Shutdown::Both);
     }
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]
@@ -1333,11 +1303,12 @@ mod tests {
     use super::*;
     use crate::error::TransportErrorKind;
     use crate::multiplex::{LinkProfile, PoolLimits, ASSIGNED_SESSION_BASE};
-    use crate::transport::{InProcessTransport, S1Request, Transport};
+    use crate::transport::{framed, InProcessTransport, S1Request, S2Response, Transport};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sectopk_crypto::keys::MasterKeys;
     use sectopk_crypto::paillier::{generate_keypair, MIN_MODULUS_BITS};
+    use sectopk_metrics::Registry as MetricsRegistry;
 
     fn master(seed: u64) -> MasterKeys {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1359,8 +1330,7 @@ mod tests {
 
     /// A listener whose pool holds at most `max_sessions` sessions.
     fn capped_server(max_sessions: usize, config: TcpServerConfig) -> TcpCloudServer {
-        let limits = PoolLimits { max_sessions, ..PoolLimits::default() };
-        let pool = Arc::new(MultiplexServer::with_limits(2, limits));
+        let pool = Arc::new(MultiplexServer::with_limits(2, PoolLimits { max_sessions }));
         TcpCloudServer::serve_pool("127.0.0.1:0", pool, config).unwrap()
     }
 
@@ -1496,8 +1466,8 @@ mod tests {
             assert_eq!(server.active_sessions(), 1);
         }
         // Teardown is synchronous on the client side (drop waits for the ack), so the
-        // bridge has already removed the id by the time the drop returns — poll only
-        // for the bridge thread's own registry cleanup.  A *clean* disconnect never
+        // server has already removed the id by the time the drop returns — poll only
+        // for the connection thread's own registry cleanup.  A *clean* disconnect never
         // parks, even with parking enabled.
         wait_for(|| server.active_sessions() == 0 && server.pool().active_sessions() == 0);
         assert_eq!(server.parked_sessions(), 0);
@@ -1647,8 +1617,8 @@ mod tests {
         assert!(server.drop_session(SessionId(9)));
         let err = t.round_trip(compare_request(&master, 1, &mut rng)).unwrap_err();
         assert!(err.is_retryable(), "a severed socket is transient: {err:?}");
-        // Parking is off, so the bridge reaps the pool session; the id becomes
-        // reusable.
+        // Parking is off, so the connection's thread reaps the pool session; the id
+        // becomes reusable.
         wait_for(|| server.pool().active_sessions() == 0);
         assert_eq!(server.parked_sessions(), 0);
         assert!(!server.drop_session(SessionId(9)), "already severed");
@@ -1661,6 +1631,120 @@ mod tests {
         let err = read_frame(&encoded[..]).unwrap_err();
         assert!(matches!(&err, ProtocolError::Transport(e) if e.message.contains("oversized")));
         assert!(!err.is_retryable(), "a corrupt frame is not transient");
+    }
+
+    #[test]
+    fn a_frame_that_claims_more_than_it_sends_is_a_typed_short_read() {
+        // The buffer grows with what arrives, so the claim costs the reader nothing.
+        let mut encoded = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
+        encoded.extend_from_slice(b"sectopk");
+        let err = read_frame(&encoded[..]).unwrap_err();
+        assert!(
+            matches!(&err, ProtocolError::Transport(e) if e.kind == TransportErrorKind::Io),
+            "unexpected error {err:?}"
+        );
+        assert!(err.is_retryable(), "a connection that ends mid-frame is transient");
+    }
+
+    #[test]
+    fn connections_that_never_earn_a_session_are_closed_unseated() {
+        let master = master(58);
+        let registry = MetricsRegistry::enabled();
+        let pool = MultiplexServer::with_limits_and_metrics(1, PoolLimits::default(), registry);
+        let server =
+            TcpCloudServer::serve_pool("127.0.0.1:0", Arc::new(pool), TcpServerConfig::default())
+                .unwrap();
+        // One connection says nothing at all; one claims the largest frame there is and
+        // stalls a few bytes into it.
+        let silent = TcpStream::connect(server.local_addr()).unwrap();
+        let mut staller = TcpStream::connect(server.local_addr()).unwrap();
+        staller.write_all(&(MAX_FRAME_LEN as u32).to_le_bytes()).unwrap();
+        staller.write_all(b"sectopk").unwrap();
+
+        // Meanwhile a real session on the same listener is served byte-identically.
+        let mut tcp =
+            connect(server.local_addr(), provision_for(&master, 99), TcpOptions::default())
+                .unwrap();
+        let mut oracle = InProcessTransport::new(provision_for(&master, 99).build());
+        let mut rng_a = StdRng::seed_from_u64(3);
+        let mut rng_b = StdRng::seed_from_u64(3);
+        let a = tcp.round_trip(compare_request(&master, -4, &mut rng_a)).unwrap();
+        let b = oracle.round_trip(compare_request(&master, -4, &mut rng_b)).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(tcp.s2_ledger().events(), oracle.s2_ledger().events());
+
+        // The server hangs up on both (end of stream, not a reject frame) ...
+        for mut stream in [silent, staller] {
+            stream.set_read_timeout(Some(HELLO_TIMEOUT * 4)).unwrap();
+            assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0, "the server must hang up");
+        }
+        // ... and only the real session was ever seated.
+        let snapshot = server.pool().metrics_registry().snapshot();
+        assert_eq!(snapshot.counter("pool.attached"), 1);
+        assert_eq!(snapshot.counter("tcp.server.accepts"), 1);
+        assert_eq!(server.active_sessions(), 1);
+    }
+
+    #[test]
+    fn finished_connection_threads_are_forgotten_at_the_next_accept() {
+        // Regression: the listener kept one JoinHandle per connection it had ever
+        // served until it was dropped.
+        const CYCLES: u64 = 300;
+        let master = master(59);
+        let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        for cycle in 0..CYCLES {
+            let mut t =
+                connect(server.local_addr(), provision_for(&master, cycle), TcpOptions::default())
+                    .unwrap();
+            t.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
+        }
+        // Sequential sessions: all but the last few threads have long finished, and
+        // each accept forgot the finished ones.
+        let tracked = server.connection_threads.plock().len();
+        assert!(tracked <= 8, "{tracked} handles tracked after {CYCLES} sequential sessions");
+    }
+
+    #[test]
+    fn duplicate_and_late_replies_of_acknowledged_exchanges_are_discarded() {
+        // A scripted S2 behind a real socket: it accepts the hello, answers exchange 1,
+        // and ahead of exchange 2's own reply delivers exchange 1's twice more — what a
+        // stream holds when the reply to an exchange the caller gave up on arrives late.
+        const SESSION: SessionId = SessionId(7);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let s2 = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            read_frame(&stream).unwrap();
+            let accept = ServerHello::Accept {
+                version: TCP_PROTOCOL_VERSION,
+                session: SESSION.0,
+                resume_token: 1,
+            };
+            write_frame(&stream, &wire::to_bytes(&accept)).unwrap();
+            let read_seq = || Envelope::decode(&read_frame(&stream).unwrap()).unwrap().seq;
+            let reply = |seq: u64, response: &S2Response| {
+                let frame = framed(frame::RESPONSE, response);
+                write_frame(&stream, &Envelope { session: SESSION, seq, frame }.encode()).unwrap();
+            };
+            let mut seqs = vec![read_seq()];
+            reply(1, &S2Response::Ack);
+            seqs.push(read_seq());
+            reply(1, &S2Response::Ack);
+            reply(1, &S2Response::Ack);
+            reply(2, &S2Response::Signs(vec![1]));
+            seqs
+        });
+        let master = master(60);
+        let mut transport =
+            connect(addr, provision_for(&master, 1), TcpOptions::default()).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let first = transport.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
+        assert_eq!(first, S2Response::Ack);
+        let second = transport.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
+        assert_eq!(second, S2Response::Signs(vec![1]));
+        assert_eq!(transport.metrics().rounds, 2, "discarded duplicates are not traffic");
+        assert_eq!(s2.join().unwrap(), [1, 2]);
     }
 
     #[test]

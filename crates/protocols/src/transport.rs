@@ -33,12 +33,13 @@
 //!   *metered* at their exact wire size via [`crate::wire::encoded_len`].
 //! * [`EnvelopeTransport`] — every message is actually serialized with [`crate::wire`]
 //!   and travels as a session-tagged [`Envelope`] to a
-//!   [`crate::multiplex::MultiplexServer`] worker pool.  The client owns everything the
-//!   link's two ends agree on — sequence numbers, metering, echo verification, the
-//!   unmetered control plane, shed-retry and teardown — exactly once; what carries the
-//!   envelopes is a `Pipe`, of which there are two: the pool's own conduit (an `mpsc`
-//!   pair plus a simulated-RTT sleep, [`TransportKind::Multiplex`]) and a socket (a
-//!   `TcpStream` with reconnect-and-resume, [`TransportKind::Tcp`], see [`crate::tcp`]).
+//!   [`crate::multiplex::MultiplexServer`].  The client owns everything the link's two
+//!   ends agree on — sequence numbers, metering, echo verification, the unmetered
+//!   control plane and teardown — exactly once; what carries an envelope there and its
+//!   reply back is a `Pipe`, of which there are two: the pool's own conduit (a call on
+//!   the S1 thread beside a simulated-RTT sleeper, [`TransportKind::Multiplex`]) and a
+//!   socket (a `TcpStream` with reconnect-and-resume, [`TransportKind::Tcp`], see
+//!   [`crate::tcp`]).
 //!
 //! Both produce byte-identical protocol outputs, identical leakage ledgers and
 //! identical [`ChannelMetrics`] for the same seed, over either pipe (asserted by
@@ -341,7 +342,7 @@ pub enum S2Response {
     /// Replies to a [`S1Request::Batch`], in request order.
     Batch(Vec<S2Response>),
     /// S2 failed to process the request: a typed [`WireError`] frame.  The transport
-    /// surfaces it as [`ProtocolError::Remote`]; the S2 worker keeps serving.
+    /// surfaces it as [`ProtocolError::Remote`]; the session keeps being served.
     Error(WireError),
 }
 
@@ -384,7 +385,7 @@ impl EqAggregates {
 pub enum TransportKind {
     /// S2 runs in-process behind a direct call (fast path, metered wire sizes).
     InProcess,
-    /// S2 is a session-multiplexing worker pool ([`crate::multiplex::MultiplexServer`]);
+    /// S2 is a session-multiplexing pool ([`crate::multiplex::MultiplexServer`]);
     /// messages travel as [`Envelope`]s over the pool's in-memory conduit.  When
     /// selected here (rather than by connecting to an explicit server), the session
     /// joins the process-wide loopback pool, so the whole test suite can run over the
@@ -458,10 +459,10 @@ pub trait Transport: fmt::Debug + Send {
     }
 
     /// Transport-level faults this connection absorbed without surfacing an error to
-    /// the caller: reconnect-and-resume cycles after a dropped connection and shed
-    /// requests retried to success.  Zero on the in-process path, which cannot fault;
-    /// the envelope transport counts every absorbed fault so serving reports can
-    /// separate "queries that failed" from "faults that were retried away".
+    /// the caller: reconnect-and-resume cycles after a dropped connection.  Zero on the
+    /// in-process path, which cannot fault; the envelope transport counts every
+    /// absorbed fault so serving reports can separate "queries that failed" from
+    /// "faults that were retried away".
     fn faults_absorbed(&self) -> u64 {
         0
     }
@@ -606,24 +607,15 @@ pub(crate) trait Pipe: Send {
         LinkProfile::ideal()
     }
 
-    /// Ship one envelope.  `first_attempt` is `false` when the client re-sends the
-    /// envelope of an exchange that already failed once.
-    fn send(&mut self, envelope: &Envelope, first_attempt: bool) -> Result<()>;
+    /// Ship one envelope and block for its reply.  `first_attempt` is `false` when the
+    /// client re-sends the envelope of an exchange that already failed once.
+    fn exchange(&mut self, envelope: &Envelope, first_attempt: bool) -> Result<Envelope>;
 
-    /// Block for the next reply envelope.
-    fn recv(&mut self) -> Result<Envelope>;
-
-    /// After `send`/`recv` failed with the retryable `error`: re-establish the medium so
+    /// After `exchange` failed with the retryable `error`: re-establish the medium so
     /// the client can re-send the same envelope, or hand back the error to surface.
     /// `acked` is the highest sequence number whose reply the client has seen.
     fn recover(&mut self, _acked: u64, error: ProtocolError) -> Result<()> {
         Err(error)
-    }
-
-    /// Whether a shed request may be submitted again, for the `attempt`-th time
-    /// (0-based); a pipe that says yes has already waited out its backoff.
-    fn retry_shed(&mut self, _attempt: u32) -> bool {
-        false
     }
 
     /// Orderly teardown: deliver the DISCONNECT `envelope` and wait until the session
@@ -682,55 +674,34 @@ impl EnvelopeTransport {
         self.session
     }
 
-    fn absorbed_fault(&self) {
-        self.faults_absorbed.set(self.faults_absorbed.get() + 1);
-    }
-
-    /// Ship `envelope` and block for its reply.  The client holds at most one envelope
-    /// in flight, so the next reply echoing its header is the answer; a retryable pipe
-    /// failure is handed to [`Pipe::recover`], after which the *same* envelope is sent
-    /// again (the server's replay cache makes the re-send idempotent).
+    /// Ship `envelope` and block for its reply, verifying the envelope echo so a
+    /// response can never be attributed to the wrong session or request.  A retryable
+    /// pipe failure is handed to [`Pipe::recover`], after which the *same* envelope is
+    /// sent again (the server's replay cache makes the re-send idempotent).
     fn exchange(&self, envelope: &Envelope) -> Result<Envelope> {
         let mut pipe = self.pipe.borrow_mut();
         let mut first_attempt = true;
         loop {
-            let attempt = pipe
-                .send(envelope, first_attempt)
-                .and_then(|()| self.await_reply(pipe.as_mut(), envelope.seq));
-            match attempt {
-                Ok(reply) => {
+            match pipe.exchange(envelope, first_attempt) {
+                Ok(reply) if reply.session == self.session && reply.seq == envelope.seq => {
                     if envelope.seq != 0 {
                         self.acked.set(envelope.seq);
                     }
                     return Ok(reply);
                 }
+                Ok(reply) => {
+                    return Err(ProtocolError::transport(format!(
+                        "envelope echo mismatch: sent {}#{}, got {}#{}",
+                        self.session, envelope.seq, reply.session, reply.seq
+                    )));
+                }
                 Err(e) if e.is_retryable() => {
                     pipe.recover(self.acked.get(), e)?;
-                    self.absorbed_fault();
+                    self.faults_absorbed.set(self.faults_absorbed.get() + 1);
                     first_attempt = false;
                 }
                 Err(e) => return Err(e),
             }
-        }
-    }
-
-    /// Read until the reply to `seq` arrives, verifying the envelope echo so a response
-    /// can never be attributed to the wrong session or request.
-    fn await_reply(&self, pipe: &mut dyn Pipe, seq: u64) -> Result<Envelope> {
-        loop {
-            let reply = pipe.recv()?;
-            if reply.session == self.session && reply.seq < seq {
-                // A duplicate of an exchange already acknowledged (a recovered pipe may
-                // deliver the reply to the original send *and* to the re-send).
-                continue;
-            }
-            if reply.session != self.session || reply.seq != seq {
-                return Err(ProtocolError::transport(format!(
-                    "envelope echo mismatch: sent {}#{seq}, got {}#{}",
-                    self.session, reply.session, reply.seq
-                )));
-            }
-            return Ok(reply);
         }
     }
 
@@ -748,27 +719,15 @@ impl Transport for EnvelopeTransport {
         // Metered size = wire payload only; the tag byte, the envelope header and any
         // framing the pipe adds are not the message, which keeps metrics identical to
         // the in-process oracle.  Metered once per *logical* exchange: a re-send after
-        // a recovered fault or a shed is a retransmit, not new protocol traffic.
+        // a recovered fault is a retransmit, not new protocol traffic.
         self.metrics.record(Direction::S1ToS2, frame.len() - 1, request.ciphertext_count());
         self.seq += 1;
-        let envelope = Envelope { session: self.session, seq: self.seq, frame };
-        let mut sheds: u32 = 0;
-        loop {
-            let reply = self.exchange(&envelope)?;
-            let payload = payload_of(&reply.frame, frame::RESPONSE)?;
-            let response: S2Response = wire::from_bytes(payload)
-                .map_err(|e| ProtocolError::transport(format!("undecodable response: {e}")))?;
-            // A shed request (typed overload) was never executed, so submitting the
-            // same sequence number again is safe and invisible to the caller.
-            let shed = matches!(&response, S2Response::Error(e) if e.is_retryable());
-            if shed && self.pipe.get_mut().retry_shed(sheds) {
-                sheds += 1;
-                self.absorbed_fault();
-                continue;
-            }
-            self.metrics.record(Direction::S2ToS1, payload.len(), response.ciphertext_count());
-            return response_or_error(response);
-        }
+        let reply = self.exchange(&Envelope { session: self.session, seq: self.seq, frame })?;
+        let payload = payload_of(&reply.frame, frame::RESPONSE)?;
+        let response: S2Response = wire::from_bytes(payload)
+            .map_err(|e| ProtocolError::transport(format!("undecodable response: {e}")))?;
+        self.metrics.record(Direction::S2ToS1, payload.len(), response.ciphertext_count());
+        response_or_error(response)
     }
 
     fn metrics(&self) -> ChannelMetrics {
@@ -884,33 +843,29 @@ mod tests {
     /// What the fake pipe will do and what it saw.
     #[derive(Default)]
     struct Script {
-        /// What `recv` yields next: a reply envelope, or a failure of the link.
+        /// What the next `exchange` yields: a reply envelope, or a failure of the link.
         replies: VecDeque<Result<Envelope>>,
         /// Every envelope the client sent, with its `first_attempt` flag.
         sent: Vec<(Envelope, bool)>,
         /// Whether `recover` re-establishes the link, and how often it was asked to.
         recoverable: bool,
         recoveries: u32,
-        /// How many times a shed request may be submitted again.
-        shed_budget: u32,
         /// The teardown envelope, once the client is dropped.
         bye: Option<Envelope>,
     }
 
-    /// A pipe with no S2 behind it: replies, losses, duplicates and late deliveries are
-    /// whatever the test scripted — no sockets, no threads, no sleeps.
+    /// A pipe with no S2 behind it: replies, losses and misdeliveries are whatever the
+    /// test scripted — no sockets, no threads, no sleeps.
     struct FakePipe(Arc<Mutex<Script>>);
 
     impl Pipe for FakePipe {
         fn kind(&self) -> TransportKind {
             TransportKind::Multiplex
         }
-        fn send(&mut self, envelope: &Envelope, first_attempt: bool) -> Result<()> {
-            self.0.lock().unwrap().sent.push((envelope.clone(), first_attempt));
-            Ok(())
-        }
-        fn recv(&mut self) -> Result<Envelope> {
-            let next = self.0.lock().unwrap().replies.pop_front();
+        fn exchange(&mut self, envelope: &Envelope, first_attempt: bool) -> Result<Envelope> {
+            let mut script = self.0.lock().unwrap();
+            script.sent.push((envelope.clone(), first_attempt));
+            let next = script.replies.pop_front();
             next.unwrap_or_else(|| Err(ProtocolError::transport("script exhausted")))
         }
         fn recover(&mut self, _acked: u64, error: ProtocolError) -> Result<()> {
@@ -921,9 +876,6 @@ mod tests {
             } else {
                 Err(error)
             }
-        }
-        fn retry_shed(&mut self, attempt: u32) -> bool {
-            attempt < self.0.lock().unwrap().shed_budget
         }
         fn disconnect(&mut self, envelope: &Envelope) {
             self.0.lock().unwrap().bye = Some(envelope.clone());
@@ -941,10 +893,6 @@ mod tests {
 
     fn reply(seq: u64, response: &S2Response) -> Result<Envelope> {
         reply_from(SESSION, seq, response)
-    }
-
-    fn shed(seq: u64) -> Result<Envelope> {
-        reply(seq, &S2Response::Error(WireError::overloaded("inbox full")))
     }
 
     fn request() -> S1Request {
@@ -983,27 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_and_late_replies_of_acknowledged_exchanges_are_discarded() {
-        let (mut transport, script) = scripted(Script {
-            replies: [
-                reply(1, &S2Response::Ack),
-                // Exchange 2 first sees exchange 1's reply again (a duplicate, or the
-                // original arriving late behind a replay), then its own.
-                reply(1, &S2Response::Ack),
-                reply(1, &S2Response::Ack),
-                reply(2, &S2Response::Signs(vec![1])),
-            ]
-            .into(),
-            ..Default::default()
-        });
-        assert_eq!(transport.round_trip(request()).unwrap(), S2Response::Ack);
-        assert_eq!(transport.round_trip(request()).unwrap(), S2Response::Signs(vec![1]));
-        assert_eq!(transport.metrics().rounds, 2, "discarded duplicates are not traffic");
-        let seqs: Vec<u64> = script.lock().unwrap().sent.iter().map(|(e, _)| e.seq).collect();
-        assert_eq!(seqs, [1, 2]);
-    }
-
-    #[test]
     fn a_lost_reply_is_recovered_by_resending_the_same_envelope_unmetered() {
         let (mut transport, script) = scripted(Script {
             replies: [
@@ -1035,35 +962,6 @@ mod tests {
         assert!(err.is_retryable(), "unexpected error {err:?}");
         assert_eq!(script.lock().unwrap().recoveries, 1);
         assert_eq!(transport.faults_absorbed(), 0);
-    }
-
-    #[test]
-    fn shed_requests_are_resubmitted_within_the_pipes_budget() {
-        // Two sheds against a budget of two: absorbed, invisible, metered once.
-        let (mut transport, script) = scripted(Script {
-            replies: [shed(1), shed(1), reply(1, &S2Response::Ack)].into(),
-            shed_budget: 2,
-            ..Default::default()
-        });
-        assert_eq!(transport.round_trip(request()).unwrap(), S2Response::Ack);
-        assert_eq!(transport.faults_absorbed(), 2);
-        assert_eq!(transport.metrics(), one_clean_round(), "shed replies are not metered");
-        let sent = &script.lock().unwrap().sent;
-        assert_eq!(sent.len(), 3);
-        assert!(sent.iter().all(|(e, _)| e.seq == 1), "a shed request keeps its sequence number");
-
-        // A third shed exhausts the budget and surfaces as the typed overload.
-        let (mut transport, _) = scripted(Script {
-            replies: [shed(1), shed(1), shed(1)].into(),
-            shed_budget: 2,
-            ..Default::default()
-        });
-        let err = transport.round_trip(request()).unwrap_err();
-        assert!(
-            matches!(&err, ProtocolError::Remote(e) if e.is_retryable()),
-            "unexpected error {err:?}"
-        );
-        assert_eq!(transport.metrics().rounds, 1);
     }
 
     #[test]

@@ -48,9 +48,11 @@ pub enum WireErrorCode {
     /// A cryptographic operation failed while processing the request (corrupted
     /// ciphertext, wrong key, value out of range).
     Crypto,
-    /// The serving side shed the request under load (session inbox full, session
-    /// table full, or the server is draining).  Unlike every other code this one is
-    /// *transient*: the request was never executed and may safely be retried.
+    /// The serving side shed the request under load.  Unlike every other code this one
+    /// is *transient*: the request was never executed and may safely be retried.  This
+    /// S2 never sends it — a seated session's request waits for a compute permit on its
+    /// own thread, and overload is refused per connection at the handshake — but it is
+    /// part of the wire contract, so a peer that does shed is understood.
     Overloaded,
     /// The engine detected an internal inconsistency while processing the request
     /// (the plan phase described a request kind one way and the commit phase expects

@@ -3,7 +3,8 @@
 //! Holds **no keys and no data** at startup: every accepted connection provisions its
 //! own session engine over the handshake (the S2 key view travels from the client, as
 //! the owner's setup hands S2 its decryption keys in Figure 1 of the paper), and all
-//! sessions share one `MultiplexServer` worker pool.
+//! sessions share one `MultiplexServer`: its session table and its `--workers` compute
+//! permits.  A request runs on its connection's own thread, under one permit.
 //!
 //! ```text
 //! sectopk-s2d --listen 127.0.0.1:7171 --workers 4
@@ -20,9 +21,9 @@
 //! graceful rollouts.
 //!
 //! With `--metrics-period SECS`, the daemon enables the `sectopk-metrics` registry on
-//! its worker pool and dumps a human-readable rendering of every counter and histogram
-//! to stderr each period — request mix, pool sheds/replays, accepts/rejects/resumes,
-//! worker busy time.  Metrics are off (zero-cost no-op handles) without the flag.
+//! its pool and dumps a human-readable rendering of every counter and histogram to
+//! stderr each period — request mix, replays, accepts/rejects/resumes, how long each
+//! compute permit was held.  Metrics are off (zero-cost no-op handles) without the flag.
 
 use std::io::{Read, Write};
 use std::process::ExitCode;
@@ -39,7 +40,7 @@ fn usage() -> ExitCode {
          \x20                  [--metrics-period SECS]\n\
          \n\
          --listen ADDR        address to bind (default 127.0.0.1:7171; port 0 = ephemeral)\n\
-         --workers N          S2 worker threads in the pool (default 4)\n\
+         --workers N          S2 requests that may execute at once (default 4)\n\
          --max-sessions N     admission cap on concurrent sessions, active + parked (default 1024)\n\
          --park-ttl SECS      how long a dropped session stays resumable (default 30; 0 = reap immediately)\n\
          --drain-on-stdin     stop accepting, finish in-flight sessions and exit when stdin hits EOF\n\
@@ -98,7 +99,7 @@ fn main() -> ExitCode {
     let registry = if metrics_period > 0 { Registry::enabled() } else { Registry::disabled() };
     let pool = Arc::new(MultiplexServer::with_limits_and_metrics(
         workers,
-        PoolLimits { max_sessions, ..PoolLimits::default() },
+        PoolLimits { max_sessions },
         registry.clone(),
     ));
     if metrics_period > 0 {
@@ -139,7 +140,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // Serve until killed; all work happens on the accept and bridge threads.
+    // Serve until killed; all work happens on the accept and connection threads.
     loop {
         std::thread::park();
     }

@@ -4,7 +4,8 @@
 //! *service* instead of a single-shot protocol.
 //!
 //! A [`QueryServer`] owns the outsourced encrypted relation and a shared
-//! [`MultiplexServer`] — the crypto cloud S2 as a worker-thread pool.  Every client
+//! [`MultiplexServer`] — the crypto cloud S2 as a session table plus a budget of compute
+//! permits: a request runs on the thread of the session that sent it.  Every client
 //! session is one [`QueryClient`]: the one session type of `sectopk-core`
 //! ([`DirectSession`]) seated in the shared S2 pool, plus the serving bookkeeping a
 //! [`SessionReport`] needs (session id, seed, failure list, serving metrics).  It
@@ -16,7 +17,7 @@
 //!   client 1 ── Query stream ──▶ QueryClient 1 (S1 state, session 1) ──┐
 //!   client 2 ── Query stream ──▶ QueryClient 2 (S1 state, session 2) ──┤ envelopes
 //!      …                               …                               ├──────────▶ S2
-//!   client N ── Query stream ──▶ QueryClient N (S1 state, session N) ──┘ worker pool
+//!   client N ── Query stream ──▶ QueryClient N (S1 state, session N) ──┘ (W permits)
 //! ```
 //!
 //! # Determinism guarantees
@@ -35,8 +36,8 @@
 //!
 //! A query that fails — an invalid attribute set, a malformed request answered by S2
 //! with a typed error frame — is recorded in the session's [`SessionReport::failures`]
-//! and serving continues; one misbehaving session can never take down the worker pool
-//! or its neighbours (`tests/concurrent_sessions.rs` has the regression test).
+//! and serving continues; one misbehaving session can never take down the pool or its
+//! neighbours (`tests/concurrent_sessions.rs` has the regression test).
 //!
 //! # Knobs
 //!
@@ -79,7 +80,7 @@ const IDLE_REFILL_DJ_NONCES: usize = 8;
 const IDLE_REFILL_OWN_NONCES: usize = 8;
 
 /// Shape of one serving run: how many concurrent sessions and how each query executes.
-/// (The S2 worker-pool width is a property of the [`QueryServer`] itself, set at
+/// (The S2 compute budget is a property of the [`QueryServer`] itself, set at
 /// construction.)
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -170,8 +171,8 @@ pub struct SessionReport {
     /// Everything this session's S2 engine observed (isolated per session).
     pub s2_ledger: LeakageLedger,
     /// Transport-level faults this session's connection absorbed without surfacing an
-    /// error (reconnect-resume recoveries, shed requests retried to success).  Always
-    /// zero for in-process sessions; deterministic under an injected [`FaultPlan`].
+    /// error (reconnect-resume recoveries).  Always zero for in-process sessions;
+    /// deterministic under an injected [`FaultPlan`].
     /// Distinct from [`SessionReport::failures`], which are *query* failures.
     pub transport_failures: u64,
 }
@@ -218,7 +219,7 @@ impl ServeReport {
     }
 
     /// Total transport-level faults absorbed invisibly by retry across all sessions
-    /// (reconnect-resume recoveries, shed requests retried to success).
+    /// (reconnect-resume recoveries).
     pub fn transport_failures(&self) -> u64 {
         self.sessions.iter().map(|s| s.transport_failures).sum()
     }
@@ -337,7 +338,7 @@ enum Door<'a> {
     Socket(&'a str, TcpOptions),
 }
 
-/// The serving front door: the outsourced relation plus the shared S2 worker pool, from
+/// The serving front door: the outsourced relation plus the shared S2 pool, from
 /// which any number of client sessions can be opened.
 #[derive(Debug)]
 pub struct QueryServer {
@@ -348,17 +349,17 @@ pub struct QueryServer {
 }
 
 impl QueryServer {
-    /// Stand up a server around an outsourced relation with `s2_workers` S2 worker
-    /// threads.  The master keys play both owner roles: S1 views are handed to each
-    /// session, S2 views to each session's engine (Figure 1 of the paper).  Serving
-    /// metrics are on by default; use [`Self::with_metrics`] with a disabled
-    /// [`Registry`] to strip all instrumentation.
+    /// Stand up a server around an outsourced relation on whose S2 pool `s2_workers`
+    /// requests may execute at once.  The master keys play both owner roles: S1 views
+    /// are handed to each session, S2 views to each session's engine (Figure 1 of the
+    /// paper).  Serving metrics are on by default; use [`Self::with_metrics`] with a
+    /// disabled [`Registry`] to strip all instrumentation.
     pub fn new(master: &MasterKeys, outsourced: Outsourced, s2_workers: usize) -> Self {
         Self::with_metrics(master, outsourced, s2_workers, Registry::enabled())
     }
 
     /// [`Self::new`] with an explicit metrics [`Registry`].  The registry is shared by
-    /// the S2 worker pool, every session's transport and the serving loop itself, so a
+    /// the S2 pool, every session's transport and the serving loop itself, so a
     /// single [`Self::metrics_snapshot`] covers the whole stack.  Instrumentation is
     /// strictly observational: enabled or not, protocol bytes, ledgers and
     /// [`ChannelMetrics`] are byte-identical (see `tests/metrics_invariance.rs`).
@@ -392,10 +393,10 @@ impl QueryServer {
         self.metrics.snapshot()
     }
 
-    /// Expose this server's S2 worker pool on a TCP listener at `addr` (e.g.
+    /// Expose this server's S2 pool on a TCP listener at `addr` (e.g.
     /// `"127.0.0.1:0"` for an ephemeral port) — the `sectopk-s2d` serving shape.
     /// Networked sessions (`DataOwner::connect_remote`) and in-process sessions
-    /// ([`Self::open_session`]) are served by the *same* worker pool, so mixing them
+    /// ([`Self::open_session`]) are served by the *same* pool, so mixing them
     /// is safe and their ledgers stay per session.
     pub fn listen(&self, addr: &str) -> Result<TcpCloudServer> {
         TcpCloudServer::serve_pool(addr, Arc::clone(&self.s2), TcpServerConfig::default()).map_err(
@@ -413,7 +414,7 @@ impl QueryServer {
         &self.outsourced
     }
 
-    /// Number of S2 worker threads.
+    /// Number of S2 requests that may execute at once.
     pub fn s2_workers(&self) -> usize {
         self.s2.workers()
     }

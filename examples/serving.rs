@@ -1,4 +1,4 @@
-//! Serving: one shared S2 worker pool answering a workload of top-k queries for many
+//! Serving: one shared S2 pool answering a workload of top-k queries for many
 //! concurrent client sessions, with per-session metrics, leakage ledgers, and the
 //! adaptive planner choosing the processing variant per query.
 //!
@@ -42,7 +42,7 @@ fn main() {
     let sessions = 4;
     let server = QueryServer::new(owner.keys(), outsourced.clone(), sessions);
     let config = ServeConfig::new(sessions, 0xACE).with_variant(VariantChoice::Auto);
-    println!("[server]  serving with {sessions} sessions over {sessions} S2 workers…");
+    println!("[server]  serving with {sessions} sessions over {sessions} S2 compute permits…");
     let report = server.serve(&workload, &config).expect("serve");
 
     println!(

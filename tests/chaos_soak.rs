@@ -21,8 +21,8 @@ use rand::SeedableRng;
 
 use sectopk_core::{DataOwner, FaultPlan, Outsourced, QueryVariant, RetryPolicy, VariantChoice};
 use sectopk_datasets::{fig3_relation, QueryWorkload, WorkloadSpec};
-use sectopk_server::{QueryServer, ServeConfig, SessionReport};
-use sectopk_tests::TEST_MODULUS_BITS;
+use sectopk_server::{QueryServer, ServeConfig};
+use sectopk_tests::{assert_sessions_identical, TEST_MODULUS_BITS};
 
 fn soak_queries() -> usize {
     std::env::var("SECTOPK_SOAK_QUERIES").ok().and_then(|v| v.parse().ok()).unwrap_or(24)
@@ -45,24 +45,6 @@ fn soak_retry() -> RetryPolicy {
         backoff_cap: Duration::from_millis(20),
         deadline: Duration::from_secs(120),
     }
-}
-
-fn assert_sessions_identical(a: &SessionReport, b: &SessionReport, context: &str) {
-    assert_eq!(a.session, b.session, "{context}: session ids diverge");
-    assert_eq!(a.seed, b.seed, "{context}: session seeds diverge");
-    assert_eq!(a.failures, b.failures, "{context}: failure lists diverge");
-    assert_eq!(a.outcomes.len(), b.outcomes.len(), "{context}: query counts diverge");
-    for (i, (x, y)) in a.outcomes.iter().zip(b.outcomes.iter()).enumerate() {
-        assert_eq!(x.top_k, y.top_k, "{context}: query {i} ciphertexts diverge");
-        assert_eq!(
-            x.stats.depths_scanned, y.stats.depths_scanned,
-            "{context}: query {i} scan depths diverge"
-        );
-        assert_eq!(x.stats.plan, y.stats.plan, "{context}: query {i} planner decisions diverge");
-    }
-    assert_eq!(a.metrics, b.metrics, "{context}: channel metrics diverge");
-    assert_eq!(a.s1_ledger.events(), b.s1_ledger.events(), "{context}: S1 ledgers diverge");
-    assert_eq!(a.s2_ledger.events(), b.s2_ledger.events(), "{context}: S2 ledgers diverge");
 }
 
 /// The soak proper: for each variant shape, serve the workload fault-free in-process,
@@ -138,10 +120,7 @@ fn overload_burst_sheds_sessions_with_typed_transient_errors() {
     let (owner, outsourced, _) = fixture(0x50AC_0004, 1);
     let listener = TcpCloudServer::serve_pool(
         "127.0.0.1:0",
-        std::sync::Arc::new(MultiplexServer::with_limits(
-            2,
-            PoolLimits { max_sessions: 2, ..PoolLimits::default() },
-        )),
+        std::sync::Arc::new(MultiplexServer::with_limits(2, PoolLimits { max_sessions: 2 })),
         TcpServerConfig::default(),
     )
     .expect("capped listener binds");

@@ -1,5 +1,5 @@
 //! Concurrency stress suite for the multi-session query server: N sessions served
-//! *concurrently* against one shared S2 worker pool must be observationally identical —
+//! *concurrently* against one shared S2 pool must be observationally identical —
 //! byte-identical encrypted results, identical per-session metrics and leakage ledgers —
 //! to the same N sessions served one after another, and nothing recorded for one
 //! session may bleed into another's view.
@@ -10,7 +10,7 @@
 //!
 //! The suite also covers failure isolation: one session submitting garbage (an invalid
 //! query, or a raw mis-sequenced protocol request answered by S2's typed error frame)
-//! must not take down the worker pool or perturb its neighbours.
+//! must not take down the pool or perturb its neighbours.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,8 +20,8 @@ use sectopk_core::{
 };
 use sectopk_datasets::{fig3_relation, QueryWorkload, WorkloadSpec};
 use sectopk_protocols::{LinkProfile, SessionId};
-use sectopk_server::{QueryServer, ServeConfig, ServeReport, SessionReport};
-use sectopk_tests::TEST_MODULUS_BITS;
+use sectopk_server::{QueryServer, ServeConfig, ServeReport};
+use sectopk_tests::{assert_sessions_identical, TEST_MODULUS_BITS};
 
 fn fixture(seed: u64) -> (DataOwner, Outsourced, QueryWorkload) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -31,27 +31,6 @@ fn fixture(seed: u64) -> (DataOwner, Outsourced, QueryWorkload) {
     let spec = WorkloadSpec { queries: 16, m_range: (1, 3), k_range: (1, 3) };
     let workload = QueryWorkload::generate(&spec, 3, seed ^ 0x77);
     (owner, outsourced, workload)
-}
-
-/// Compare two per-session reports on everything deterministic (wall-clock excluded).
-fn assert_sessions_identical(a: &SessionReport, b: &SessionReport, context: &str) {
-    assert_eq!(a.session, b.session, "{context}: session ids diverge");
-    assert_eq!(a.seed, b.seed, "{context}: session seeds diverge");
-    assert_eq!(a.outcomes.len(), b.outcomes.len(), "{context}: query counts diverge");
-    assert_eq!(a.failures, b.failures, "{context}: failure lists diverge");
-    for (i, (x, y)) in a.outcomes.iter().zip(b.outcomes.iter()).enumerate() {
-        // ScoredItem equality is group-element equality: byte-identical ciphertexts.
-        assert_eq!(x.top_k, y.top_k, "{context}: query {i} ciphertexts diverge");
-        assert_eq!(
-            x.stats.depths_scanned, y.stats.depths_scanned,
-            "{context}: query {i} scan depths diverge"
-        );
-        assert_eq!(x.stats.halted, y.stats.halted, "{context}: query {i} halting diverges");
-        assert_eq!(x.stats.plan, y.stats.plan, "{context}: query {i} planner decisions diverge");
-    }
-    assert_eq!(a.metrics, b.metrics, "{context}: channel metrics diverge");
-    assert_eq!(a.s1_ledger.events(), b.s1_ledger.events(), "{context}: S1 ledgers diverge");
-    assert_eq!(a.s2_ledger.events(), b.s2_ledger.events(), "{context}: S2 ledgers diverge");
 }
 
 fn assert_reports_identical(parallel: &ServeReport, serial: &ServeReport) {

@@ -12,6 +12,7 @@ use rand::SeedableRng;
 use sectopk_core::{
     DataOwner, DirectSession, Outsourced, Query, QueryConfig, QueryOutcome, Session, VariantChoice,
 };
+use sectopk_server::SessionReport;
 use sectopk_storage::{ObjectId, Relation, Score, TopKQuery};
 
 /// Paillier modulus size used by the integration tests (small = fast; the protocols are
@@ -109,4 +110,28 @@ pub fn assert_valid_top_k(
         returned_scores, expected_scores,
         "{context}: returned objects {returned:?} do not form a valid top-{k} set"
     );
+}
+
+/// The one definition of "byte-identical" for two per-session serving reports:
+/// everything deterministic must agree (wall-clock is excluded, and so is the
+/// absorbed-fault count, which legitimately differs between a faulted run and its
+/// fault-free baseline).
+pub fn assert_sessions_identical(a: &SessionReport, b: &SessionReport, context: &str) {
+    assert_eq!(a.session, b.session, "{context}: session ids diverge");
+    assert_eq!(a.seed, b.seed, "{context}: session seeds diverge");
+    assert_eq!(a.failures, b.failures, "{context}: failure lists diverge");
+    assert_eq!(a.outcomes.len(), b.outcomes.len(), "{context}: query counts diverge");
+    for (i, (x, y)) in a.outcomes.iter().zip(b.outcomes.iter()).enumerate() {
+        // ScoredItem equality is group-element equality: byte-identical ciphertexts.
+        assert_eq!(x.top_k, y.top_k, "{context}: query {i} ciphertexts diverge");
+        assert_eq!(
+            x.stats.depths_scanned, y.stats.depths_scanned,
+            "{context}: query {i} scan depths diverge"
+        );
+        assert_eq!(x.stats.halted, y.stats.halted, "{context}: query {i} halting diverges");
+        assert_eq!(x.stats.plan, y.stats.plan, "{context}: query {i} planner decisions diverge");
+    }
+    assert_eq!(a.metrics, b.metrics, "{context}: channel metrics diverge");
+    assert_eq!(a.s1_ledger.events(), b.s1_ledger.events(), "{context}: S1 ledgers diverge");
+    assert_eq!(a.s2_ledger.events(), b.s2_ledger.events(), "{context}: S2 ledgers diverge");
 }
