@@ -295,19 +295,10 @@ pub fn sec_query(
         }
     }
 
-    // If we stopped because of the cap (or scanned everything) the list may not be sorted
-    // or may still hold an unmerged batch; finish the bookkeeping so the result is the
-    // best current estimate.
+    // The last depth of the loop is always a check depth (`depth + 1 == max_depth` is
+    // one), so a scan that stopped at the cap or ran out of rows has already merged its
+    // batch and sorted `tracked`: the current estimate is the answer, at no further round.
     if !halted {
-        if !batch_tracked.is_empty() {
-            tracked = clouds.sec_update(
-                tracked,
-                &batch_tracked,
-                stats.depths_scanned.saturating_sub(1),
-                UpdateMode::Eliminate,
-            )?;
-        }
-        tracked = clouds.enc_sort_by_worst_desc(tracked)?;
         clouds.s1.ledger.record(LeakageEvent::HaltingDepth(stats.depths_scanned));
     }
 

@@ -67,6 +67,72 @@ pub fn random_below<R: RngCore + CryptoRng>(rng: &mut R, m: &BigUint) -> BigUint
     rng.gen_biguint_below(m)
 }
 
+/// Whether `gcd(a, m) = 1`.
+///
+/// Every masking scalar of a `⊖` and every directly drawn encryption nonce passes
+/// through this check ([`random_invertible`]), against the odd `N`, so an odd modulus
+/// is decided by a binary GCD on two limb arrays — subtract and shift in place, no
+/// division and no allocation per step.  An even modulus takes [`Integer::gcd`]'s
+/// Euclid loop, which also is the reference this function is differentially tested
+/// against.
+pub fn is_coprime(a: &BigUint, m: &BigUint) -> bool {
+    if m.is_even() {
+        return a.gcd(m).is_one();
+    }
+    let (mut a, mut b) = (a.to_u64_digits(), m.to_u64_digits());
+    if a.is_empty() {
+        return b == [1]; // gcd(0, m) = m
+    }
+    // `b` is odd, so factors of two in `a` are not common factors.  From here on both
+    // are odd, and subtracting the smaller from the larger leaves an even number.
+    shift_to_odd(&mut a);
+    loop {
+        match cmp_limbs(&a, &b) {
+            std::cmp::Ordering::Equal => return a == [1],
+            std::cmp::Ordering::Less => std::mem::swap(&mut a, &mut b),
+            std::cmp::Ordering::Greater => {}
+        }
+        sub_limbs(&mut a, &b);
+        shift_to_odd(&mut a);
+    }
+}
+
+/// Order of two normalized little-endian limb arrays.
+fn cmp_limbs(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.iter().rev().cmp(b.iter().rev()))
+}
+
+/// `a -= b` for normalized `a > b`, leaving `a` normalized.
+fn sub_limbs(a: &mut Vec<u64>, b: &[u64]) {
+    let mut borrow = false;
+    for (i, limb) in a.iter_mut().enumerate() {
+        let (diff, b1) = limb.overflowing_sub(b.get(i).copied().unwrap_or(0));
+        let (diff, b2) = diff.overflowing_sub(u64::from(borrow));
+        *limb = diff;
+        borrow = b1 || b2;
+    }
+    debug_assert!(!borrow, "sub_limbs needs a > b");
+    while a.last() == Some(&0) {
+        a.pop();
+    }
+}
+
+/// Divide the nonzero, normalized `a` by its largest power of two.
+fn shift_to_odd(a: &mut Vec<u64>) {
+    let zero_limbs = a.iter().take_while(|&&limb| limb == 0).count();
+    a.drain(..zero_limbs);
+    let shift = a[0].trailing_zeros();
+    if shift > 0 {
+        for i in 0..a.len() {
+            let above = a.get(i + 1).copied().unwrap_or(0);
+            a[i] = (a[i] >> shift) | (above << (64 - shift));
+        }
+        if a.last() == Some(&0) {
+            a.pop();
+        }
+    }
+}
+
 /// Sample a uniformly random element of `Z_m^*` (invertible residues).
 ///
 /// For an RSA-style modulus the failure probability per draw is negligible, but the loop
@@ -75,10 +141,7 @@ pub fn random_invertible<R: RngCore + CryptoRng>(rng: &mut R, m: &BigUint) -> Bi
     assert!(m > &BigUint::one(), "modulus must exceed 1");
     loop {
         let candidate = rng.gen_biguint_below(m);
-        if candidate.is_zero() {
-            continue;
-        }
-        if candidate.gcd(m).is_one() {
+        if !candidate.is_zero() && is_coprime(&candidate, m) {
             return candidate;
         }
     }

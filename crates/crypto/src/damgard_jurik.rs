@@ -11,6 +11,13 @@
 //!
 //! is exercised directly by the sub-protocols SecWorst / SecBest / SecUpdate (Algorithms
 //! 4, 6 and 9) and verified by the unit tests below.
+//!
+//! Those sub-protocols use it to *select*: `E2(t)^X · E2(1−t)^Y = E2(t·X + (1−t)·Y)`
+//! is `E2(X)` or `E2(Y)` for a bit `t` only S2 knows (Algorithm 4 line 6).
+//! [`DjPublicKey::select_blinded`] is that identity for any number of candidates of
+//! which at most one is chosen, `E2(Σ t_i·X_i + (1 − Σ t_i)·Y)`, with the `RecoverEnc`
+//! blinding (Algorithm 5) folded into the exponents — one multi-exponentiation per
+//! decision, whatever the number of candidates.
 
 use num_bigint::{BigUint, MontgomeryContext};
 use num_traits::{One, Zero};
@@ -285,33 +292,44 @@ impl DjPublicKey {
         ))
     }
 
-    /// Oblivious selection with the `RecoverEnc` blinding folded in: from `E2(t)`,
-    /// a fresh `E2(1)` and the inner ciphertexts `X`, `Y`, `R = Enc(r)`, compute
+    /// Oblivious one-of-many selection with the `RecoverEnc` blinding folded in: from
+    /// `terms = [(E2(t_i), X_i)]`, a fresh `E2(1)` and the inner ciphertexts
+    /// `Y = otherwise`, `R = Enc(r)`, compute
     ///
     /// ```text
-    /// E2(t)^{(X−Y)·R mod N²} · E2(1)^{Y·R mod N²}  =  E2( (t·X + (1−t)·Y) · R mod N² )
+    /// Π_i E2(t_i)^{(X_i−Y)·R mod N²} · E2(1)^{Y·R mod N²}
+    ///     =  E2( (Σ t_i·X_i + (1 − Σ t_i)·Y) · R mod N² )
     /// ```
     ///
-    /// — `E2(X·R) = E2(Enc(x + r))` when `t = 1` and `E2(Y·R) = E2(Enc(y + r))` when
-    /// `t = 0`.  That is exactly the outer plaintext of the paper's two-step sequence
-    /// `(E2(t)^X · (E2(1)·E2(t)⁻¹)^Y)^R` (Algorithm 4 line 6, then Algorithm 5), because
-    /// exponents of the outer layer live in `Z_{N²}` where `t·(X−Y) + Y = t·X + (1−t)·Y`;
-    /// but it needs no inversion modulo `N³` and one Strauss–Shamir double
-    /// exponentiation instead of a double plus a single one.  The outer nonce is
-    /// `ρ_t^{(X−Y)·R} · ρ_1^{Y·R}`: masked by the fresh `ρ_1` of `E2(1)` as before.
+    /// — one Straus multi-exponentiation over `n + 1` bases.  **At most one `t_i` may
+    /// be 1**: then the outer plaintext is `X_i·R = Enc(x_i + r)` for the hot term and
+    /// `Y·R = Enc(y + r)` when there is none.  With two hot terms it is
+    /// `(X_a + X_b − Y)·R`, a sum of ciphertexts in `Z_{N²}` that encrypts nothing
+    /// meaningful — the caller owns the invariant, nothing here can check it.
+    ///
+    /// With one term this is Algorithm 4 line 6 followed by Algorithm 5, the paper's
+    /// `(E2(t)^X · (E2(1)·E2(t)⁻¹)^Y)^R`: exponents of the outer layer live in `Z_{N²}`
+    /// where `t·(X−Y) + Y = t·X + (1−t)·Y`, but it needs no inversion modulo `N³` and
+    /// one shared squaring chain instead of a double plus a single exponentiation.  The
+    /// outer nonce is `Π ρ_{t_i}^{(X_i−Y)·R} · ρ_1^{Y·R}`: masked by the fresh `ρ_1` of
+    /// `E2(1)` whatever the number of terms.
     pub fn select_blinded(
         &self,
-        e2_t: &LayeredCiphertext,
-        if_true: &Ciphertext,
+        terms: &[(&LayeredCiphertext, &Ciphertext)],
         e2_one: &LayeredCiphertext,
-        if_false: &Ciphertext,
+        otherwise: &Ciphertext,
         enc_r: &Ciphertext,
     ) -> LayeredCiphertext {
         let n2 = self.n_s();
-        let xr = (if_true.as_biguint() * enc_r.as_biguint()) % n2;
-        let yr = (if_false.as_biguint() * enc_r.as_biguint()) % n2;
-        let diff_r = ((xr + n2) - &yr) % n2;
-        LayeredCiphertext(self.inner.ctx_n3.multi_modpow(&e2_t.0, &diff_r, &e2_one.0, &yr))
+        let yr = (otherwise.as_biguint() * enc_r.as_biguint()) % n2;
+        let diffs_r: Vec<BigUint> = terms
+            .iter()
+            .map(|(_, x)| (((x.as_biguint() * enc_r.as_biguint()) % n2 + n2) - &yr) % n2)
+            .collect();
+        let mut product: Vec<(&BigUint, &BigUint)> =
+            terms.iter().zip(&diffs_r).map(|((e2_t, _), diff_r)| (&e2_t.0, diff_r)).collect();
+        product.push((&e2_one.0, &yr));
+        LayeredCiphertext(self.inner.ctx_n3.multi_exp(&product))
     }
 
     /// Homomorphic negation in the outer layer.
@@ -796,13 +814,82 @@ mod tests {
                 let selected =
                     dj_pk.mul_add_ciphertexts(&e2_t, &enc_x, &dj_pk.sub(&e2_one, &e2_t), &enc_y);
                 let reference = dj_pk.mul_by_ciphertext(&selected, &enc_r);
-                let fused = dj_pk.select_blinded(&e2_t, &enc_x, &e2_one, &enc_y, &enc_r);
+                let fused = dj_pk.select_blinded(&[(&e2_t, &enc_x)], &e2_one, &enc_y, &enc_r);
                 // Same inner ciphertext, byte for byte — S2's view of the round.
                 let inner = dj_sk.decrypt_to_ciphertext(&fused).unwrap();
                 assert_eq!(inner, dj_sk.decrypt_to_ciphertext(&reference).unwrap(), "t = {t}");
                 let expected = if t == 1 { 555 } else { y } + 1_000;
                 assert_eq!(sk.decrypt_u64(&inner).unwrap(), expected, "t = {t}, y = {y}");
             }
+        }
+    }
+
+    #[test]
+    fn one_of_many_selection_agrees_with_the_sum_of_single_selections() {
+        let (dj_pk, dj_sk, pk, sk, mut rng) = setup();
+        let r = 1_000u64;
+        let enc_r = pk.encrypt_u64(r, &mut rng).unwrap();
+        let e2_one = dj_pk.encrypt_u64(1, &mut rng).unwrap();
+        // A real `otherwise`, and the fresh Enc(0) a job without one is given.
+        for y in [77u64, 0] {
+            let enc_y = pk.encrypt_u64(y, &mut rng).unwrap();
+            for n in [1usize, 2, 5, 14] {
+                let xs: Vec<u64> = (0..n as u64).map(|i| 100 + 3 * i).collect();
+                let enc_xs: Vec<Ciphertext> =
+                    xs.iter().map(|&x| pk.encrypt_u64(x, &mut rng).unwrap()).collect();
+                // Every hot position, and none.
+                for hot in (0..n).map(Some).chain([None]) {
+                    let bits: Vec<LayeredCiphertext> = (0..n)
+                        .map(|i| dj_pk.encrypt_u64(u64::from(Some(i) == hot), &mut rng).unwrap())
+                        .collect();
+                    let terms: Vec<_> = bits.iter().zip(&enc_xs).collect();
+                    let fused = dj_pk.select_blinded(&terms, &e2_one, &enc_y, &enc_r);
+
+                    // S2's view: exactly the hot ciphertext (or `otherwise`) times Enc(r).
+                    let chosen = hot.map_or(&enc_y, |i| &enc_xs[i]);
+                    assert_eq!(
+                        dj_sk.decrypt_to_ciphertext(&fused).unwrap(),
+                        pk.add(chosen, &enc_r)
+                    );
+
+                    // n single selections, each decrypted and unblinded, summed in the
+                    // clear; an unset row adds `otherwise` once.
+                    let singles: u64 = terms
+                        .iter()
+                        .map(|&term| {
+                            let zero = pk.encrypt_u64(0, &mut rng).unwrap();
+                            let single = dj_pk.select_blinded(&[term], &e2_one, &zero, &enc_r);
+                            let inner = dj_sk.decrypt_to_ciphertext(&single).unwrap();
+                            sk.decrypt_u64(&inner).unwrap() - r
+                        })
+                        .sum();
+                    let expected = singles + if hot.is_none() { y } else { 0 };
+                    let plain = dj_sk.decrypt_both_layers(&fused).unwrap();
+                    assert_eq!(plain, BigUint::from(expected + r), "n = {n}, hot = {hot:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_term_selection_is_the_double_exponentiation_byte_for_byte() {
+        // The two-base body `select_blinded` had before it took a term list.
+        let (dj_pk, _dj_sk, pk, _sk, mut rng) = setup();
+        let n2 = dj_pk.n_s();
+        let [x, y, enc_r] = [555u64, 77, 1_000].map(|v| pk.encrypt_u64(v, &mut rng).unwrap());
+        for t in [0u64, 1] {
+            let e2_t = dj_pk.encrypt_u64(t, &mut rng).unwrap();
+            let e2_one = dj_pk.encrypt_u64(1, &mut rng).unwrap();
+            let xr = (x.as_biguint() * enc_r.as_biguint()) % n2;
+            let yr = (y.as_biguint() * enc_r.as_biguint()) % n2;
+            let diff_r = ((xr + n2) - &yr) % n2;
+            let two_base = dj_pk.mul_add_ciphertexts(
+                &e2_t,
+                &Ciphertext::from_biguint(diff_r),
+                &e2_one,
+                &Ciphertext::from_biguint(yr),
+            );
+            assert_eq!(dj_pk.select_blinded(&[(&e2_t, &x)], &e2_one, &y, &enc_r), two_base);
         }
     }
 

@@ -3,8 +3,9 @@
 //!
 //! * Montgomery fixed-window `modpow` (odd moduli) and the even-modulus fallback vs.
 //!   the bit-at-a-time [`BigUint::modpow_naive`],
-//! * the Straus multi-exponentiation vs. the product of the separate `modpow`s, and the
-//!   batch inversion vs. one `mod_inverse` per element,
+//! * the Straus multi-exponentiation vs. the product of the separate `modpow`s, the
+//!   batch inversion vs. one `mod_inverse` per element, and the binary-GCD coprimality
+//!   check vs. Euclid's `gcd`,
 //! * Karatsuba multiplication (above the limb threshold) vs. [`BigUint::mul_schoolbook`],
 //! * CRT Paillier / Damgård–Jurik decryption vs. the textbook `λ` paths,
 //! * the limb-direct `from_bytes_be` vs. an explicit shift-and-add fold.
@@ -283,6 +284,50 @@ proptest! {
                 mod_inverse(&values[seed as usize % count], n2).map(|v| vec![v])
             );
         }
+    }
+
+    #[test]
+    fn coprimality_by_binary_gcd_matches_euclid(seed in 0u64..400, mod_bits in 2u64..330, a_bits in 1u64..400, force_even in 0u8..2) {
+        use num_integer::Integer;
+        use sectopk_crypto::bigint::{is_coprime, random_invertible};
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(41).wrapping_add(5));
+        let mut modulus = random_biguint(&mut rng, mod_bits);
+        modulus.set_bit(0, force_even == 0);
+        if modulus.is_zero() || modulus.is_one() {
+            modulus = BigUint::from(if force_even == 0 { 3u32 } else { 2 });
+        }
+        // Random operands are mostly coprime; multiples of one of the modulus's own
+        // factors, limb-aligned powers of two and the edges make the other verdict.
+        let a = random_biguint(&mut rng, a_bits);
+        let shared = modulus.gcd(&BigUint::from(3u32 * 5 * 7 * 11 * 13)) * &a;
+        let candidates = [
+            BigUint::zero(),
+            BigUint::one(),
+            modulus.clone(),
+            &modulus - BigUint::one(),
+            &modulus * BigUint::from(seed + 2),
+            &a << 128u32,
+            shared,
+            a,
+        ];
+        for candidate in &candidates {
+            assert_eq!(
+                is_coprime(candidate, &modulus),
+                candidate.gcd(&modulus).is_one(),
+                "a={candidate} mod={modulus}"
+            );
+        }
+        // Same verdicts, so the same draws: the sampler consumes the RNG as the Euclid
+        // loop it replaced did.
+        let mut reference_rng = rng.clone();
+        let reference = loop {
+            let candidate = reference_rng.gen_biguint_below(&modulus);
+            if !candidate.is_zero() && candidate.gcd(&modulus).is_one() {
+                break candidate;
+            }
+        };
+        assert_eq!(random_invertible(&mut rng, &modulus), reference);
+        assert_eq!(rng.gen_biguint(64), reference_rng.gen_biguint(64));
     }
 
     #[test]

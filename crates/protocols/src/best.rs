@@ -9,14 +9,16 @@
 //! ```
 //!
 //! S1 scans the prefix of every other list seen so far and asks S2 for the equality bits
-//! (the designed equality-pattern leakage).  The "no depth matched" selector that gates
-//! the bottom-score fallback (Algorithm 6 lines 8-12) is requested as the
-//! `row_unmatched` aggregate of the same equality exchange: S2 derives `E2(¬∨_l t_l)`
-//! from the bits it already decrypted, so the whole per-list decision costs no extra
-//! round.  With batching, all lists and all items of one depth share one equality round
-//! and one `RecoverEnc` round — the shared per-step budget — and inside a query those
-//! are the *same* two rounds SecWorst uses: [`TwoClouds::sec_bounds_depth`] runs both
-//! plans together (see [`crate::bounds`]).
+//! (the designed equality-pattern leakage).  An object occurs once per list, so of the
+//! `d + 1` bits of one item-vs-prefix row **at most one** is set, and Algorithm 6's
+//! per-list decision (lines 8-12: the matching score, or the bottom score when no depth
+//! matched) is a single one-of-many selection — terms `(E2(t_l), Enc(x_j^l))`,
+//! `otherwise` the bottom score — evaluated by one multi-exponentiation and recovered as
+//! one `RecoverEnc` item per row: `m(m−1)` per depth instead of `m(m−1)(d+2)`, with no
+//! "no depth matched" selector to ask S2 for.  With batching, all lists and all items
+//! of one depth share one equality round and one `RecoverEnc` round — the shared
+//! per-step budget — and inside a query those are the *same* two rounds SecWorst uses:
+//! [`TwoClouds::sec_bounds_depth`] runs both plans together (see [`crate::bounds`]).
 
 use crate::error::Result;
 use sectopk_crypto::paillier::Ciphertext;
@@ -72,8 +74,10 @@ impl TwoClouds {
         plan
     }
 
-    /// One equality row per other list: `item` against that list's seen prefix, with the
-    /// list's bottom score as the "never seen there" fallback.
+    /// One equality row per other list: `item` against that list's seen prefix — where
+    /// it can occur at most once, which is what passing a bottom score to
+    /// [`BoundPlan::scan`] asserts — with the list's bottom score as the "never seen
+    /// there" fallback.
     fn plan_best_scans(
         &mut self,
         plan: &mut BoundPlan,
@@ -121,6 +125,19 @@ mod tests {
         (master, clouds, encoder, rng)
     }
 
+    /// Encrypt sorted-list prefixes given as `(object, score)` pairs.
+    fn encrypt_lists(
+        lists: &[&[(u64, u64)]],
+        encoder: &EhlEncoder,
+        pk: &sectopk_crypto::PaillierPublicKey,
+        rng: &mut StdRng,
+    ) -> Vec<Vec<EncryptedItem>> {
+        lists
+            .iter()
+            .map(|l| l.iter().map(|&(o, x)| make_item(ObjectId(o), x, encoder, pk, rng)).collect())
+            .collect()
+    }
+
     /// Build the Fig. 3 sorted lists (R1, R2, R3) down to `depth` (1-based).
     fn fig3_prefixes(
         depth: usize,
@@ -131,15 +148,7 @@ mod tests {
         let r1 = [(1u64, 10u64), (2, 8), (3, 5), (4, 3), (5, 1)];
         let r2 = [(2u64, 8u64), (3, 7), (1, 3), (4, 2), (5, 1)];
         let r3 = [(4u64, 8u64), (3, 6), (1, 2), (5, 1), (2, 0)];
-        [r1, r2, r3]
-            .iter()
-            .map(|list| {
-                list[..depth]
-                    .iter()
-                    .map(|&(o, x)| make_item(ObjectId(o), x, encoder, pk, rng))
-                    .collect()
-            })
-            .collect()
+        encrypt_lists(&[&r1[..depth], &r2[..depth], &r3[..depth]], encoder, pk, rng)
     }
 
     #[test]
@@ -222,6 +231,53 @@ mod tests {
             assert_eq!(clouds.channel().rounds, 2, "one equality + one RecoverEnc round");
             assert!(clouds.s2_ledger().only_contains(&["equality_bit"]));
         }
+    }
+
+    fn decrypt_all(master: &MasterKeys, cs: &[Ciphertext]) -> Vec<u64> {
+        cs.iter().map(|c| master.paillier_secret.decrypt_u64(c).unwrap()).collect()
+    }
+
+    #[test]
+    fn one_object_at_the_same_depth_of_every_list_sums_in_worst_and_matches_once_in_best() {
+        // Depth 1 shows object 7 in all three lists: every SecWorst row has *two* set
+        // bits (so SecWorst must keep selecting per cell), every SecBest row — the item
+        // against one other list's prefix — exactly one.
+        let (master, mut clouds, encoder, mut rng) = setup();
+        let pk = &master.paillier_public;
+        let lists: [&[(u64, u64)]; 3] = [&[(1, 9), (7, 4)], &[(2, 9), (7, 3)], &[(3, 8), (7, 2)]];
+        let seen = encrypt_lists(&lists, &encoder, pk, &mut rng);
+        let depth_items: Vec<EncryptedItem> = seen.iter().map(|l| l[1].clone()).collect();
+        let (worsts, bests) = clouds.sec_bounds_depth(&depth_items, &seen, 1).unwrap();
+        // Fully seen: W = B = 4 + 3 + 2 for each of the three copies.
+        assert_eq!(decrypt_all(&master, &worsts), vec![9, 9, 9]);
+        assert_eq!(decrypt_all(&master, &bests), vec![9, 9, 9]);
+        for row in clouds.s2_ledger().equality_bits("sec_worst").chunks(2) {
+            assert_eq!(row, [true, true], "SecWorst rows are multi-match");
+        }
+        let best_rows = clouds.s2_ledger().equality_bits("sec_best");
+        assert_eq!(best_rows.len(), 3 * 2 * 2);
+        for row in best_rows.chunks(2) {
+            assert_eq!(row.iter().filter(|&&t| t).count(), 1, "one match per fused row");
+        }
+    }
+
+    #[test]
+    fn a_match_at_depth_0_is_found_from_the_last_depth_and_ties_do_not_confuse_it() {
+        // List 0 opens with object 5; list 1 reaches it only at its last depth, with a
+        // score tied with list 0's bottom and with its own predecessor.
+        let (master, mut clouds, encoder, mut rng) = setup();
+        let pk = &master.paillier_public;
+        let lists: [&[(u64, u64)]; 2] =
+            [&[(5, 9), (6, 9), (8, 2), (9, 2)], &[(1, 7), (2, 7), (3, 2), (5, 2)]];
+        let seen = encrypt_lists(&lists, &encoder, pk, &mut rng);
+        let depth_items: Vec<EncryptedItem> = seen.iter().map(|l| l[3].clone()).collect();
+        let bests = clouds.sec_best_depth(&depth_items, &seen, 3).unwrap();
+        // Object 9 never shows in list 1: 2 + bottom 2.  Object 5: 2 + its 9 at depth 0.
+        assert_eq!(decrypt_all(&master, &bests), vec![4, 11]);
+        let rows = clouds.s2_ledger().equality_bits("sec_best");
+        let matches: Vec<usize> =
+            rows.chunks(4).map(|row| row.iter().filter(|&&t| t).count()).collect();
+        assert_eq!(matches, [0, 1]);
     }
 
     #[test]

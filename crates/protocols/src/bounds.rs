@@ -1,13 +1,21 @@
 //! The per-depth bound computation shared by `SecWorst` and `SecBest`.
 //!
 //! Both protocols have the same shape: compare one item against a randomly permuted row
-//! of other items (one equality matrix per row), then sum the scores the returned
+//! of other items (one equality matrix per row), then add up the scores the returned
 //! `E2(t)` bits select.  A `BoundPlan` is the local *plan* half of that — the
 //! permuted `⊖` rows plus the bookkeeping to slice the selections back per item — and
 //! `TwoClouds::run_bound_plans` drives any number of plans through **one** equality
 //! round and **one** `RecoverEnc` round.  [`TwoClouds::sec_bounds_depth`] hands it the
 //! SecWorst and the SecBest plan of a depth together: neither depends on the other's
 //! output, so a depth's bounds cost two round trips, not four.
+//!
+//! What differs is how many of a row's bits can be set.  A SecBest row holds the seen
+//! prefix of *one* list, where an object occurs once, so the row is a single
+//! one-of-many selection whose "no bit set" value is the list's bottom score: one
+//! multi-exponentiation and one `RecoverEnc` item per row.  A SecWorst row holds the
+//! other items of the depth, which may all be the same object, so each of its cells is
+//! selected on its own.  Per depth S2 strips `m(m−1)` ciphertexts for either bound,
+//! whatever the depth.
 
 use crate::error::{ProtocolError, Result};
 use sectopk_crypto::paillier::Ciphertext;
@@ -20,7 +28,7 @@ use crate::primitives::{EqPlan, SelectJob};
 use crate::transport::EqWants;
 
 /// One planned equality row: the (permuted) scores its bits gate and, for SecBest, the
-/// bottom score gated by the row's `row_unmatched` aggregate.
+/// bottom score the row contributes when none of them is set.
 struct Scan {
     job: usize,
     scores: Vec<Ciphertext>,
@@ -45,8 +53,15 @@ impl BoundPlan {
 
     /// Plan the equality row of `item` (job `job`) against `targets`, permuted so S2
     /// cannot attribute equality bits to particular lists or depths (Algorithm 4,
-    /// line 2).  A `bottom` score is added to the bound when no target matches
-    /// (Algorithm 6, lines 8-12).
+    /// line 2).
+    ///
+    /// Passing a `bottom` score (Algorithm 6, lines 8-12: the score added when no
+    /// target matches) asserts that **at most one target can match**: the row is then
+    /// recovered as one [`SelectJob`] over all its cells.  SecBest may say so because
+    /// its targets are the prefix of a single list and an object occurs once per list
+    /// (`Relation::new` rejects duplicate ids, token generation duplicate attributes).
+    /// Without a `bottom`, any number of targets may match and the bound is the sum of
+    /// per-cell selections.
     pub(crate) fn scan(
         &mut self,
         clouds: &mut TwoClouds,
@@ -68,7 +83,7 @@ impl BoundPlan {
             diffs,
             context: self.context,
             depth: Some(self.depth),
-            want: EqWants { row_unmatched: bottom.is_some(), ..EqWants::none() },
+            want: EqWants::none(),
         });
         self.scans.push(Scan {
             job,
@@ -87,8 +102,9 @@ impl BoundPlan {
         let pk = clouds.s1.keys.paillier_public.clone();
         let mut bounds = self.base;
         for scan in &self.scans {
-            let span = scan.scores.len() + usize::from(scan.bottom.is_some());
-            for s in selected.by_ref().take(span) {
+            // One selection for a fused row, else one per cell.
+            let selections = if scan.bottom.is_some() { 1 } else { scan.scores.len() };
+            for s in selected.by_ref().take(selections) {
                 bounds[scan.job] = pk.add(&bounds[scan.job], s);
             }
         }
@@ -106,8 +122,8 @@ impl TwoClouds {
         let eq_plans = plans.iter_mut().flat_map(|p| std::mem::take(&mut p.plans)).collect();
         let outcomes = self.run_eq_plans(eq_plans)?;
 
-        // Per row: the matching scores gated by the equality bits, then the bottom
-        // score gated by the single row's `E2(¬∨ t)` bit (Algorithm 6 line 10).
+        // Per row: one selection over all its cells if it asserted at most one match
+        // (`otherwise` = its bottom score, Algorithm 6 line 10), else one per cell.
         let scans: Vec<&Scan> = plans.iter().flat_map(|p| &p.scans).collect();
         if outcomes.len() != scans.len() {
             return Err(ProtocolError::transport("equality reply arity mismatch"));
@@ -117,13 +133,12 @@ impl TwoClouds {
             if outcome.bits.len() != scan.scores.len() {
                 return Err(ProtocolError::transport("equality row arity mismatch"));
             }
-            jobs.extend(outcome.bits.iter().zip(&scan.scores).map(|(t, x)| (t, x, None)));
-            if let Some(bottom) = &scan.bottom {
-                let unseen =
-                    outcome.aggregates.row_unmatched.first().ok_or_else(|| {
-                        ProtocolError::transport("row_unmatched aggregate missing")
-                    })?;
-                jobs.push((unseen, bottom, None));
+            let cells = outcome.bits.iter().zip(&scan.scores);
+            match &scan.bottom {
+                Some(bottom) => {
+                    jobs.push(SelectJob { terms: cells.collect(), otherwise: Some(bottom) })
+                }
+                None => jobs.extend(cells.map(|(t, x)| SelectJob::gate(t, x, None))),
             }
         }
         let selected = self.select_many(&jobs)?;

@@ -270,6 +270,18 @@ impl LeakageLedger {
     pub fn clear(&mut self) {
         *self = Self::default();
     }
+
+    /// The equality bits recorded under `context`, in order — what the sub-protocol
+    /// tests slice into the rows and columns of the matrices S2 decrypted.
+    #[cfg(test)]
+    pub(crate) fn equality_bits(&self, context: &str) -> Vec<bool> {
+        self.iter()
+            .filter_map(|event| match event {
+                LeakageEvent::EqualityBit { context: c, equal, .. } if c == context => Some(equal),
+                _ => None,
+            })
+            .collect()
+    }
 }
 
 impl std::fmt::Debug for LeakageLedger {

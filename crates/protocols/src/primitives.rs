@@ -7,7 +7,8 @@
 //!   aggregates derived by S2 from the bits it legitimately decrypted,
 //! * `RecoverEnc` (Algorithm 5) — stripping the outer Damgård–Jurik layer without letting
 //!   S2 see the inner plaintext,
-//! * encrypted selection `Enc(t·x)` from `E2(t)` and `Enc(x)`,
+//! * encrypted one-of-many selection `Enc(Σ t_i·x_i + (1 − Σ t_i)·y)` from `E2(t_i)`,
+//!   `Enc(x_i)` and `Enc(y)` (`SelectJob`; `Enc(t·x)` is its one-term case),
 //! * `EncCompare` — the encrypted comparison of \[11\], realised here as a
 //!   blind-flip-and-scale protocol (see the SECURITY note below),
 //! * a batched comparison against a common threshold (used by the halting check),
@@ -21,8 +22,13 @@
 //! `TwoClouds::eq_diffs` and [`TwoClouds::compare_many`] negate all their right-hand
 //! sides with one batch inversion per call, every `⊖` is one multi-exponentiation, and
 //! `TwoClouds::select_many` evaluates selection and `RecoverEnc` blinding as one
-//! inversion-free double exponentiation per job.  What S2 decrypts is unchanged by any
-//! of it.
+//! inversion-free multi-exponentiation per job.  A job is one *decision*, not one
+//! equality bit: where at most one bit of a row or column can be set (a SecBest row, a
+//! SecUpdate column) all its cells are terms of a single job, so S1 pays one squaring
+//! chain and S2 one outer-layer decryption per row instead of per cell — `m(m−1)`
+//! instead of `m(m−1)(d+2)` per depth in SecBest, `2·|T|` instead of `(2f+1)·|T|` per
+//! merge in SecUpdate.  A single-term job sends S2 exactly what the paper's two-step
+//! sequence would.
 //!
 //! # SECURITY note on the comparison realisation
 //!
@@ -90,9 +96,33 @@ pub(crate) struct EqOutcome {
     pub aggregates: EqAggregates,
 }
 
-/// One encrypted selection `(E2(t), Enc(x), Enc(y))` ↦ `Enc(t·x + (1−t)·y)`; a missing
-/// false branch stands for `y = 0`.
-pub(crate) type SelectJob<'a> = (&'a LayeredCiphertext, &'a Ciphertext, Option<&'a Ciphertext>);
+/// One encrypted one-of-many selection `([(E2(t_i), Enc(x_i))], Enc(y))` ↦
+/// `Enc(Σ t_i·x_i + (1 − Σ t_i)·y)`: the `x_i` whose bit is set, `y` when none is.
+///
+/// **At most one `t_i` may be 1.**  S1 cannot see the bits, so the job's author must
+/// know it from how the bits were produced — one equality row or column in which an
+/// object can occur only once (DESIGN.md §10 says where that holds).  Bits without that
+/// guarantee get one single-term job each and are summed afterwards, as SecWorst does;
+/// a fused job with two set bits recovers a sum of ciphertexts, which decrypts to
+/// garbage, not to an error.
+#[derive(Debug)]
+pub(crate) struct SelectJob<'a> {
+    /// The candidates `(E2(t_i), Enc(x_i))`.
+    pub terms: Vec<(&'a LayeredCiphertext, &'a Ciphertext)>,
+    /// `Enc(y)`, the value when no bit is set; `None` stands for a fresh `Enc(0)`.
+    pub otherwise: Option<&'a Ciphertext>,
+}
+
+impl<'a> SelectJob<'a> {
+    /// The single-term job of Algorithm 4 line 6: `Enc(t·x + (1−t)·y)`.
+    pub(crate) fn gate(
+        bit: &'a LayeredCiphertext,
+        if_true: &'a Ciphertext,
+        otherwise: Option<&'a Ciphertext>,
+    ) -> Self {
+        SelectJob { terms: vec![(bit, if_true)], otherwise }
+    }
+}
 
 /// The error raised when S2 answers with the wrong response kind (shared by every
 /// request site in the crate).
@@ -336,28 +366,30 @@ impl TwoClouds {
     }
 
     /// Encrypted selection, any number of jobs in **one** `RecoverEnc` round: every job
-    /// evaluates line 6 of Algorithm 4, `E2(t)^{Enc(x)} · (E2(1) · E2(t)^{-1})^{Enc(y)}`,
-    /// to `Enc(t·x + (1−t)·y)`.  Jobs of different sub-protocol steps may share the
-    /// call; every job gets its own fresh `E2(1)`, `Enc(0)` and blinding.
+    /// evaluates the one-of-many form of Algorithm 4 line 6 to
+    /// `Enc(Σ t_i·x_i + (1 − Σ t_i)·y)` (see [`SelectJob`] for the at-most-one-bit
+    /// condition).  Jobs of different sub-protocol steps may share the call; every job
+    /// gets its own fresh `E2(1)`, `Enc(0)` and blinding, however many terms it has.
     ///
-    /// Selection and `RecoverEnc` blinding are one double exponentiation per job
+    /// Selection and `RecoverEnc` blinding are one multi-exponentiation per job
     /// ([`DjPublicKey::select_blinded`](sectopk_crypto::damgard_jurik::DjPublicKey::select_blinded)):
-    /// no inversion, no second exponentiation of the selected ciphertext.  S1's RNG and
-    /// pool are consumed in the order of the two-step sequence — every job's `E2(1)` /
-    /// `Enc(0)`, then every job's `r` / `Enc(r)` — and S2 decrypts the very inner
-    /// ciphertexts that sequence would have sent it.
+    /// no inversion, no second exponentiation of the selected ciphertext, and S2 strips
+    /// one ciphertext per job, not per term.  S1's RNG and pool are consumed in the
+    /// order of the two-step sequence — every job's `E2(1)` / `Enc(0)`, then every
+    /// job's `r` / `Enc(r)` — and for a single-term job S2 decrypts the very inner
+    /// ciphertext that sequence would have sent it.
     pub(crate) fn select_many(&mut self, jobs: &[SelectJob<'_>]) -> Result<Vec<Ciphertext>> {
         let dj_pk = self.s1.keys.dj_public.clone();
         let mut drawn = Vec::with_capacity(jobs.len());
-        for &(bit, if_true, if_false) in jobs {
+        for job in jobs {
             let e2_one = self.s1.pool.encrypt_dj_u64(1)?;
-            let y = if_false.cloned().map_or_else(|| self.s1.pool.encrypt_u64(0), Ok)?;
-            drawn.push((bit, if_true, e2_one, y));
+            let y = job.otherwise.cloned().map_or_else(|| self.s1.pool.encrypt_u64(0), Ok)?;
+            drawn.push((job, e2_one, y));
         }
         let (masks, enc_masks) = self.draw_masks(jobs.len())?;
         let drawn: Vec<_> = drawn.into_iter().zip(enc_masks).collect();
-        let blinded = par_map(self.s1.intra_workers, &drawn, |((bit, x, e2_one, y), enc_r)| {
-            dj_pk.select_blinded(bit, x, e2_one, y, enc_r)
+        let blinded = par_map(self.s1.intra_workers, &drawn, |((job, e2_one, y), enc_r)| {
+            dj_pk.select_blinded(&job.terms, e2_one, y, enc_r)
         });
         self.recover_blinded(blinded, masks)
     }
@@ -371,7 +403,7 @@ impl TwoClouds {
     ) -> Result<Vec<Ciphertext>> {
         assert_eq!(e2_bits.len(), scores.len(), "one bit per score required");
         let jobs: Vec<SelectJob<'_>> =
-            e2_bits.iter().zip(scores).map(|(t, x)| (t, x, None)).collect();
+            e2_bits.iter().zip(scores).map(|(t, x)| SelectJob::gate(t, x, None)).collect();
         self.select_many(&jobs)
     }
 
@@ -384,8 +416,12 @@ impl TwoClouds {
     ) -> Result<Vec<Ciphertext>> {
         assert_eq!(e2_bits.len(), if_true.len());
         assert_eq!(e2_bits.len(), if_false.len());
-        let jobs: Vec<SelectJob<'_>> =
-            e2_bits.iter().zip(if_true).zip(if_false).map(|((t, x), y)| (t, x, Some(y))).collect();
+        let jobs: Vec<SelectJob<'_>> = e2_bits
+            .iter()
+            .zip(if_true)
+            .zip(if_false)
+            .map(|((t, x), y)| SelectJob::gate(t, x, Some(y)))
+            .collect();
         self.select_many(&jobs)
     }
 
@@ -623,11 +659,11 @@ mod tests {
         };
 
         let before = clouds.channel().rounds;
-        let jobs: Vec<SelectJob<'_>> = vec![
-            (&bits[0], &x[0], None),
-            (&bits[1], &x[1], Some(&y[1])),
-            (&bits[1], &x[1], None),
-            (&bits[0], &x[0], Some(&y[0])),
+        let jobs = vec![
+            SelectJob::gate(&bits[0], &x[0], None),
+            SelectJob::gate(&bits[1], &x[1], Some(&y[1])),
+            SelectJob::gate(&bits[1], &x[1], None),
+            SelectJob::gate(&bits[0], &x[0], Some(&y[0])),
         ];
         let mixed = decrypt(&clouds.select_many(&jobs).unwrap());
         assert_eq!(clouds.channel().rounds, before + 1, "one RecoverEnc round for all jobs");
@@ -684,9 +720,10 @@ mod tests {
     ) -> Result<Vec<Ciphertext>> {
         let dj_pk = clouds.dj_pk().clone();
         let mut layered = Vec::with_capacity(jobs.len());
-        for &(bit, if_true, if_false) in jobs {
+        for job in jobs {
+            let [(bit, if_true)] = job.terms[..] else { panic!("the two-step form has one term") };
             let e2_one = clouds.s1.pool.encrypt_dj_u64(1)?;
-            let y = if_false.cloned().map_or_else(|| clouds.s1.pool.encrypt_u64(0), Ok)?;
+            let y = job.otherwise.cloned().map_or_else(|| clouds.s1.pool.encrypt_u64(0), Ok)?;
             layered.push(dj_pk.mul_add_ciphertexts(bit, if_true, &dj_pk.sub(&e2_one, bit), &y));
         }
         clouds.recover_enc_batch(&layered)
@@ -704,12 +741,12 @@ mod tests {
         let x = pk.encrypt_u64(10, &mut rng).unwrap();
         let y = pk.encrypt_u64(77, &mut rng).unwrap();
         let sentinel = pk.encrypt(&pk.sentinel_z(), &mut rng).unwrap();
-        let jobs: Vec<SelectJob<'_>> = vec![
-            (&bits[0], &x, None),
-            (&bits[1], &x, None),
-            (&bits[0], &x, Some(&y)),
-            (&bits[1], &x, Some(&y)),
-            (&bits[1], &y, Some(&sentinel)),
+        let jobs = vec![
+            SelectJob::gate(&bits[0], &x, None),
+            SelectJob::gate(&bits[1], &x, None),
+            SelectJob::gate(&bits[0], &x, Some(&y)),
+            SelectJob::gate(&bits[1], &x, Some(&y)),
+            SelectJob::gate(&bits[1], &y, Some(&sentinel)),
         ];
 
         // Same seeds, same draws in the same order: S2 decrypts the same inner

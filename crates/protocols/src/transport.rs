@@ -110,7 +110,9 @@ pub struct EqWants {
     pub row_matched: bool,
     /// Per row `i`: `E2(¬∨_j t_ij)` — "did row *i* match no column?".
     pub row_unmatched: bool,
-    /// Per column `j`: `E2(¬∨_i t_ij)` — "did no row match column *j*?".
+    /// Per column `j`: `E2(¬∨_i t_ij)` — "did no row match column *j*?".  Part of the
+    /// wire format; no sub-protocol requests it (SecUpdate selects one-of-many per
+    /// column instead).
     pub col_unmatched: bool,
     /// Per row `i`: the *plaintext* bit `∨_j t_ij`.  This is a deliberate disclosure to
     /// S1 used only by the `Qry_E` / `SecDupElim` optimisations, whose profile grants S1

@@ -10,13 +10,23 @@
 //!
 //! Only S2 can tell which case applies (it decrypts the `⊖` equality tests — the designed
 //! equality-pattern leakage); all of S1's updates are homomorphic selections driven by
-//! the `E2(t)` bits S2 returns.  The per-row / per-column "matched" selectors Algorithm 9
-//! needs are requested as aggregates of the same
-//! [`crate::transport::S1Request::EqMatrix`] exchange, and every selection of the update
-//! — matched worst and best scores, the kept old bests and, in keep-length mode, the
-//! appended items' scores and EHL noise — consumes only that one reply, so they share a
-//! single `RecoverEnc` round: an update costs the per-step budget of one equality round
-//! and one `RecoverEnc` round in both modes.
+//! the `E2(t)` bits S2 returns.  `Γ^d` is de-duplicated (or its duplicates neutralised)
+//! within the depth and `T` holds an object at most once by induction, so of the bits
+//! `t_1j … t_fj` that compare one tracked entry with the fresh items **at most one** is
+//! set, and each new bound of the entry is a single one-of-many selection:
+//!
+//! ```text
+//! worst_j := select( (t_ij, worst_j + fresh_i.worst)_i , otherwise worst_j )
+//! best_j  := select( (t_ij, fresh_i.best)_i           , otherwise best_j  )
+//! ```
+//!
+//! — two multi-exponentiations and two `RecoverEnc` items per tracked entry
+//! (`2·|T|` per merge instead of `(2f+1)·|T|`), whose recovered ciphertexts *are* the
+//! new bounds.  Keep-length mode adds the per-fresh-item gates that neutralise an
+//! appended duplicate (`2f + f·s` single-term selections on the row aggregates of the
+//! same [`crate::transport::S1Request::EqMatrix`] exchange).  Every selection consumes
+//! only that one reply, so they share a single `RecoverEnc` round: an update costs the
+//! per-step budget of one equality round and one `RecoverEnc` round in both modes.
 //!
 //! Two variants mirror the paper's query modes:
 //! * **keep-length** (`Qry_F`): every fresh item is appended; duplicates are appended as
@@ -79,19 +89,13 @@ impl TwoClouds {
             }
         }
         let diffs = self.eq_diffs(&pairs);
+        // Keep-length gates the appended items on S2's encrypted row aggregates;
+        // eliminate is told in the clear which fresh items to drop.
         let want = match mode {
-            UpdateMode::KeepLength => EqWants {
-                row_matched: true,
-                row_unmatched: true,
-                col_unmatched: true,
-                row_matched_plain: false,
-            },
-            UpdateMode::Eliminate => EqWants {
-                row_matched: false,
-                row_unmatched: false,
-                col_unmatched: true,
-                row_matched_plain: true,
-            },
+            UpdateMode::KeepLength => {
+                EqWants { row_matched: true, row_unmatched: true, ..EqWants::none() }
+            }
+            UpdateMode::Eliminate => EqWants { row_matched_plain: true, ..EqWants::none() },
         };
         let outcome = self
             .run_eq_plans(vec![EqPlan {
@@ -110,21 +114,29 @@ impl TwoClouds {
             }
             UpdateMode::Eliminate => [aggregates.row_matched_plain.len(); 2],
         };
-        if (row_lens, outcome.bits.len(), aggregates.col_unmatched.len())
-            != ([f_len; 2], t_len * f_len, t_len)
-        {
+        if (row_lens, outcome.bits.len()) != ([f_len; 2], t_len * f_len) {
             return Err(ProtocolError::transport("SecUpdate equality reply arity mismatch"));
         }
 
         // ---- S1: every selection of the update as one job list, recovered once. --------
-        // For tracked entry j:  worst_j += Σ_i t_ij · fresh_i.worst
-        //                       best_j  := Σ_i t_ij · fresh_i.best + (1 − matched_j) · best_j
-        // where `1 − matched_j` is the column-unmatched aggregate S2 derived.
-        let cells = || fresh.iter().flat_map(|f| std::iter::repeat_n(f, t_len));
-        let mut jobs: Vec<SelectJob<'_>> = Vec::with_capacity(2 * t_len * f_len + t_len);
-        jobs.extend(outcome.bits.iter().zip(cells()).map(|(t, f)| (t, &f.worst, None)));
-        jobs.extend(outcome.bits.iter().zip(cells()).map(|(t, f)| (t, &f.best, None)));
-        jobs.extend(aggregates.col_unmatched.iter().zip(&tracked).map(|(u, t)| (u, &t.best, None)));
+        // Column j of the matrix compares tracked entry j with every fresh item.  The
+        // fresh items are distinct objects (SecDedup / SecDupElim ran on them, and a
+        // Qry_Ba batch is itself a tracked list), so at most one `t_ij` of the column is
+        // set and each new bound is one one-of-many selection:
+        //   worst_j := worst_j + fresh_i.worst  if t_ij, else worst_j
+        //   best_j  := fresh_i.best             if t_ij, else best_j
+        let grown_worsts: Vec<Ciphertext> =
+            tracked.iter().flat_map(|t| fresh.iter().map(|f| pk.add(&t.worst, &f.worst))).collect();
+        let column = |j: usize| outcome.bits.iter().skip(j).step_by(t_len);
+        let mut jobs: Vec<SelectJob<'_>> = Vec::with_capacity(2 * t_len);
+        jobs.extend(tracked.iter().enumerate().map(|(j, t)| SelectJob {
+            terms: column(j).zip(&grown_worsts[j * f_len..][..f_len]).collect(),
+            otherwise: Some(&t.worst),
+        }));
+        jobs.extend(tracked.iter().enumerate().map(|(j, t)| SelectJob {
+            terms: column(j).zip(fresh.iter().map(|f| &f.best)).collect(),
+            otherwise: Some(&t.best),
+        }));
 
         // Keep-length appends every fresh item, but duplicates are neutralised obliviously:
         //   worst/best := not_matched ? value : Z  (= −1)
@@ -141,29 +153,22 @@ impl TwoClouds {
                 noise_values.push(self.s1.pool.encrypt(&rho)?);
             }
             let unmatched = || aggregates.row_unmatched.iter().zip(fresh);
-            jobs.extend(unmatched().map(|(u, f)| (u, &f.worst, Some(sentinel))));
-            jobs.extend(unmatched().map(|(u, f)| (u, &f.best, Some(sentinel))));
+            jobs.extend(unmatched().map(|(u, f)| SelectJob::gate(u, &f.worst, Some(sentinel))));
+            jobs.extend(unmatched().map(|(u, f)| SelectJob::gate(u, &f.best, Some(sentinel))));
             let matched =
                 aggregates.row_matched.iter().flat_map(|m| std::iter::repeat_n(m, ehl_blocks));
-            jobs.extend(matched.zip(&noise_values).map(|(m, rho)| (m, rho, None)));
+            jobs.extend(matched.zip(&noise_values).map(|(m, rho)| SelectJob::gate(m, rho, None)));
         }
         let selected = self.select_many(&jobs)?;
-        let (selected_worst, rest) = selected.split_at(t_len * f_len);
-        let (selected_best, rest) = rest.split_at(t_len * f_len);
-        let (kept_old_best, appended) = rest.split_at(t_len);
+        let (new_worsts, rest) = selected.split_at(t_len);
+        let (new_bests, appended) = rest.split_at(t_len);
 
         let mut new_tracked = Vec::with_capacity(t_len + f_len);
-        for (j, tracked_item) in tracked.iter().enumerate() {
-            let mut worst = tracked_item.worst.clone();
-            let mut best = kept_old_best[j].clone();
-            for i in 0..f_len {
-                worst = pk.add(&worst, &selected_worst[i * t_len + j]);
-                best = pk.add(&best, &selected_best[i * t_len + j]);
-            }
+        for ((tracked_item, worst), best) in tracked.iter().zip(new_worsts).zip(new_bests) {
             new_tracked.push(ScoredItem {
                 ehl: tracked_item.ehl.rerandomize_pooled(&mut self.s1.pool),
-                worst: self.s1.pool.rerandomize(&worst),
-                best: self.s1.pool.rerandomize(&best),
+                worst: self.s1.pool.rerandomize(worst),
+                best: self.s1.pool.rerandomize(best),
             });
         }
 
@@ -343,6 +348,102 @@ mod tests {
             }
             assert_eq!(out.len(), if mode == UpdateMode::KeepLength { 4 } else { 3 });
         }
+    }
+
+    /// How many of S2's `sec_update` equality bits are set in each column of the
+    /// `fresh × tracked` matrices it decrypted, one matrix per `(f, t)` shape in order.
+    fn matches_per_column(clouds: &TwoClouds, shapes: &[(usize, usize)]) -> Vec<usize> {
+        let mut bits = clouds.s2_ledger().equality_bits("sec_update").into_iter();
+        let mut columns = Vec::new();
+        for &(f_len, t_len) in shapes {
+            let matrix: Vec<bool> = bits.by_ref().take(f_len * t_len).collect();
+            assert_eq!(matrix.len(), f_len * t_len, "S2 saw the whole {f_len} × {t_len} matrix");
+            columns.extend(
+                (0..t_len).map(|j| matrix.iter().skip(j).step_by(t_len).filter(|&&t| t).count()),
+            );
+        }
+        assert_eq!(bits.count(), 0, "no equality bit beyond the stated matrices");
+        columns
+    }
+
+    #[test]
+    fn a_multi_item_batch_merges_like_the_plaintext_bookkeeping() {
+        // The Qry_Ba merge: `fresh` is itself a tracked list of several distinct
+        // objects.  Two of them hit, in different columns, with tied scores around.
+        let (master, mut clouds, encoder, mut rng) = setup();
+        let pk = &master.paillier_public;
+        let names = ["A", "B", "C", "D"];
+        let tracked: Vec<ScoredItem> =
+            names.iter().map(|n| item(n, 5, 20, &encoder, pk, &mut rng)).collect();
+        let batch = vec![
+            item("D", 5, 11, &encoder, pk, &mut rng),
+            item("E", 5, 20, &encoder, pk, &mut rng),
+            item("B", 3, 20, &encoder, pk, &mut rng),
+            item("F", 1, 9, &encoder, pk, &mut rng),
+        ];
+        let before = clouds.channel();
+        let out = clouds.sec_update(tracked, &batch, 5, UpdateMode::Eliminate).unwrap();
+        let channel = clouds.channel().since(&before);
+        assert_eq!(out.len(), 6);
+        let snap = snapshot(&out, &["A", "B", "C", "D", "E", "F"], &master, &encoder, &mut rng);
+        for key in ["A:5:20", "B:8:20", "C:5:20", "D:10:11", "E:5:20", "F:1:9"] {
+            assert!(snap.contains_key(key), "{snap:?}");
+        }
+        assert_eq!(matches_per_column(&clouds, &[(4, 4)]), [0, 1, 0, 1]);
+        // 16 ⊖ out and 16 E2(t) back, then 2·|T| = 8 selections out and back.
+        assert_eq!((channel.rounds, channel.ciphertexts), (2, 2 * 16 + 2 * 8));
+    }
+
+    #[test]
+    fn keep_length_updates_over_a_list_that_already_holds_neutralised_duplicates() {
+        let (master, mut clouds, encoder, mut rng) = setup();
+        let pk = &master.paillier_public;
+        let all = ["A", "B", "C", "E"];
+        let tracked = vec![
+            item("A", 10, 26, &encoder, pk, &mut rng),
+            item("C", 8, 26, &encoder, pk, &mut rng),
+        ];
+        // Depth 1: A again (tied with C afterwards) and a new B.
+        let fresh = vec![
+            item("A", 3, 23, &encoder, pk, &mut rng),
+            item("B", 8, 22, &encoder, pk, &mut rng),
+        ];
+        let tracked = clouds.sec_update(tracked, &fresh, 1, UpdateMode::KeepLength).unwrap();
+        let snap = snapshot(&tracked, &all, &master, &encoder, &mut rng);
+        assert_eq!(tracked.len(), 4);
+        for key in ["A:13:23", "C:8:26", "B:8:22", "?:-1:-1"] {
+            assert!(snap.contains_key(key), "depth 1: {snap:?}");
+        }
+
+        // Depth 2: T now carries a neutralised copy, which must match nothing and stay
+        // as it is, while B and C are hit and E is new.
+        let fresh = vec![
+            item("B", 5, 13, &encoder, pk, &mut rng),
+            item("C", 5, 13, &encoder, pk, &mut rng),
+            item("E", 1, 12, &encoder, pk, &mut rng),
+        ];
+        let before = clouds.channel();
+        let tracked = clouds.sec_update(tracked, &fresh, 2, UpdateMode::KeepLength).unwrap();
+        let channel = clouds.channel().since(&before);
+        assert_eq!(tracked.len(), 7);
+        let neutralised = tracked
+            .iter()
+            .filter(|it| master.paillier_secret.decrypt(&it.worst).unwrap() == pk.sentinel_z())
+            .count();
+        assert_eq!(neutralised, 3, "the old one and the copies of B and C");
+        let snap = snapshot(&tracked, &all, &master, &encoder, &mut rng);
+        for key in ["A:13:23", "B:13:13", "C:13:13", "E:1:12", "?:-1:-1"] {
+            assert!(snap.contains_key(key), "depth 2: {snap:?}");
+        }
+        assert_eq!(matches_per_column(&clouds, &[(2, 2), (3, 4)]), [1, 0, 0, 1, 0, 1]);
+        // 12 ⊖ out, 12 E2(t) and 2·f row aggregates back; then 2·|T| fused selections
+        // plus the 2·f + f·s keep-length gates, out and back.
+        let (f_len, t_len, s) = (3, 4, fresh[0].ehl.len());
+        assert_eq!(channel.rounds, 2);
+        assert_eq!(
+            channel.ciphertexts as usize,
+            2 * f_len * t_len + 2 * f_len + 2 * (2 * t_len + 2 * f_len + f_len * s)
+        );
     }
 
     #[test]

@@ -15,9 +15,12 @@
 //! only reschedules S1's requests re-blesses the ordered snapshot and must leave the
 //! digest byte-identical; a digest diff means *what* is revealed changed.
 //!
-//! To re-bless after an *intentional* leakage-profile change:
+//! The digest is compared first and a failing run reports on both snapshots, so the
+//! un-blessed tree already says which kind of change it is.  To re-bless after an
+//! *intentional* change:
 //!
 //! ```text
+//! cargo test --release --test leakage_golden              # digest identical?  then:
 //! SECTOPK_BLESS=1 cargo test --release --test leakage_golden
 //! ```
 //!
@@ -92,24 +95,38 @@ fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
 }
 
-/// Check both snapshots of one scenario: the ordered event streams (`{name}.json`) and
-/// their order-insensitive digest (`{name}.digest.json`).
+/// Check both snapshots of one scenario — the order-insensitive digest
+/// (`{name}.digest.json`) first, then the ordered event streams (`{name}.json`) — and
+/// report on both before failing, so one un-blessed run tells a change that merely
+/// reorders S1's draws (digest identical: re-bless the ordered snapshot) from one that
+/// changes what is revealed (digest diverged: stop).
 fn check_scenario(name: &str, clouds: &TwoClouds) {
     let ledgers = GoldenLedgers { s1: clouds.s1_ledger().clone(), s2: clouds.s2_ledger() };
     let digests = GoldenDigests { s1: digest(&ledgers.s1), s2: digest(&ledgers.s2) };
-    check_golden(&format!("{name}.json"), &ledgers);
-    check_golden(&format!("{name}.digest.json"), &digests);
+    let digest_verdict = check_golden(&format!("{name}.digest.json"), &digests);
+    let ordered_verdict = check_golden(&format!("{name}.json"), &ledgers);
+    assert!(
+        digest_verdict.is_ok() && ordered_verdict.is_ok(),
+        "leakage ledger for {name} diverged from the committed snapshots:\n  \
+         digest  (what is revealed):   {}\n  \
+         ordered (in which sequence):  {}\n\
+         An identical digest under a diverged ordered stream is a rescheduling of S1's \
+         draws: re-bless with SECTOPK_BLESS=1 and audit the diff.  A diverged digest \
+         is a change of the leakage profile.",
+        digest_verdict.err().unwrap_or_else(|| "identical".into()),
+        ordered_verdict.err().unwrap_or_else(|| "identical".into()),
+    );
 }
 
 /// Compare the serialized ledgers against the committed snapshot, or rewrite it when
-/// `SECTOPK_BLESS` is set.
-fn check_golden(name: &str, ledgers: &impl Serialize) {
+/// `SECTOPK_BLESS` is set.  `Err` says how the two differ.
+fn check_golden(name: &str, ledgers: &impl Serialize) -> Result<(), String> {
     let rendered = serde_json::to_string_pretty(ledgers).expect("serialize ledgers") + "\n";
     let path = golden_path(name);
     if std::env::var("SECTOPK_BLESS").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).expect("create golden dir");
         std::fs::write(&path, &rendered).expect("write golden snapshot");
-        return;
+        return Ok(());
     }
     let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -117,11 +134,12 @@ fn check_golden(name: &str, ledgers: &impl Serialize) {
             path.display()
         )
     });
-    assert_eq!(
-        committed, rendered,
-        "leakage ledger for {name} diverged from the committed snapshot — if this \
-         change is intentional, re-bless with SECTOPK_BLESS=1 and audit the diff"
-    );
+    if committed == rendered {
+        return Ok(());
+    }
+    let (was, now) = (committed.lines().count(), rendered.lines().count());
+    let changed = committed.lines().zip(rendered.lines()).filter(|(a, b)| a != b).count();
+    Err(format!("DIVERGED — {was} → {now} lines, {changed} of the common lines differ"))
 }
 
 #[test]

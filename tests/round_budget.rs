@@ -14,18 +14,33 @@
 //! On a real link a query is round-bound, so an extra round is a latency regression
 //! even when no timing test can see it; these tests make it fail here instead.  The
 //! second half checks that the planner's RTT term predicts the same numbers.
+//!
+//! Beside it, the **selection budget**: how many ciphertexts S2 strips in a step's
+//! `RecoverEnc` round.  SecBest rows and SecUpdate columns hold at most one match, so
+//! each is one fused selection whatever its length —
+//!
+//! ```text
+//! bounds  m(m−1) SecWorst cells + m(m−1) SecBest rows
+//! update  2·|T|                            (+ 2f + f·s keep-length gates)
+//! ```
+//!
+//! — and a step that falls back to one selection per cell costs compute, not rounds:
+//! it fails here, not in a timing run.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sectopk_core::planner::estimated_rounds;
-use sectopk_core::{PlannerInputs, QueryConfig, QueryVariant};
+use sectopk_core::{DataOwner, PlannerInputs, Query, QueryConfig, QueryVariant, VariantChoice};
 use sectopk_datasets::fig3_relation;
 use sectopk_protocols::sort::enc_sort_rounds;
-use sectopk_storage::{ObjectId, Relation, Row, TopKQuery};
-use sectopk_tests::{assert_valid_top_k, harness, run_query};
+use sectopk_protocols::{ScoredItem, TwoClouds, UpdateMode};
+use sectopk_storage::{EncryptedItem, ObjectId, Relation, Row, TopKQuery};
+use sectopk_tests::{
+    assert_valid_top_k, harness, run_built_query, run_query, TEST_EHL_KEYS, TEST_MODULUS_BITS,
+};
 
 /// Distinct objects the sorted lists `attrs` of `relation` show at depths `from..to`.
 fn distinct(relation: &Relation, attrs: &[usize], from: usize, to: usize) -> usize {
@@ -107,6 +122,109 @@ fn relation_32() -> Relation {
         })
         .collect();
     Relation::new((0..3).map(|a| format!("a{a}")).collect(), rows)
+}
+
+#[test]
+fn a_capped_scan_spends_no_round_after_its_last_depth() {
+    // The cap makes depth 3 a check depth: the batch is merged and T sorted inside it,
+    // so nothing is left to do — or to pay a Batcher network for — once the loop ends.
+    let relation = relation_32();
+    let (attrs, k, cap) = (vec![0, 1, 2], 3, 3);
+    // The plaintext bookkeeping after `cap` depths: W(o) = the scores of o seen so far.
+    let sorted = relation.sorted_lists();
+    let mut worst: BTreeMap<ObjectId, u64> = BTreeMap::new();
+    for &a in &attrs {
+        for item in &sorted.list(a)[..cap] {
+            *worst.entry(item.object).or_default() += item.score;
+        }
+    }
+    let mut expected: Vec<u64> = worst.values().copied().collect();
+    expected.sort_unstable_by(|a, b| b.cmp(a));
+    expected.truncate(k);
+
+    let mut h = harness(relation.clone(), 0xB0DA);
+    for variant in [QueryVariant::Full, QueryVariant::DupElim, QueryVariant::Batched { p: 2 }] {
+        let name = variant.name();
+        let query = Query::from_spec(TopKQuery::sum(attrs.clone(), k))
+            .with_variant(VariantChoice::Fixed(variant))
+            .with_max_depth(cap);
+        let resolved = run_built_query(&mut h, &query);
+        let stats = resolved.stats();
+        assert!(!stats.halted && stats.depths_scanned == cap, "{name}: {stats:?}");
+        let total: u64 = stats.per_depth_channel.iter().map(|c| c.rounds).sum();
+        assert_eq!(stats.channel.rounds, total, "{name}: rounds outside any depth");
+
+        // The answer is the current estimate: the k largest worst scores, best first.
+        let returned: Vec<u64> = resolved.results.iter().map(|r| r.worst as u64).collect();
+        assert_eq!(returned, expected, "{name}");
+        for result in &resolved.results {
+            let object = result.object.expect("the top of T holds real objects");
+            assert_eq!(worst[&object], result.worst as u64, "{name}: {object}");
+        }
+    }
+}
+
+#[test]
+fn every_step_strips_one_ciphertext_per_fused_row_not_per_cell() {
+    // The steps of `sec_query`'s depth loop, driven by hand so each one's traffic can be
+    // read off the channel: a RecoverEnc item is one ciphertext out and one back, an
+    // equality cell one `⊖` out and one `E2(t)` back.
+    let relation = fig3_relation();
+    let (m, s) = (relation.num_attributes(), TEST_EHL_KEYS);
+    let mut rng = StdRng::seed_from_u64(0xB0DB);
+    let owner = DataOwner::new(TEST_MODULUS_BITS, s, &mut rng).expect("keygen");
+    let (er, _) = owner.encrypt(&relation, &mut rng).expect("encryption");
+    for mode in [UpdateMode::KeepLength, UpdateMode::Eliminate] {
+        let keep = usize::from(mode == UpdateMode::KeepLength);
+        let mut clouds = TwoClouds::new(owner.keys(), 0xB0DC).expect("cloud setup");
+        let mut seen: Vec<Vec<EncryptedItem>> = vec![Vec::new(); m];
+        let mut tracked: Vec<ScoredItem> = Vec::new();
+        for d in 0..relation.len() {
+            let depth_items: Vec<EncryptedItem> =
+                (0..m).map(|l| er.list(l).item(d).expect("n items per list").clone()).collect();
+            for (prefix, item) in seen.iter_mut().zip(&depth_items) {
+                prefix.push(item.clone());
+            }
+
+            let before = clouds.channel();
+            let (worsts, bests) = clouds.sec_bounds_depth(&depth_items, &seen, d).expect("bounds");
+            let step = clouds.channel().since(&before);
+            let cells = m * (m - 1) + m * (m - 1) * (d + 1);
+            let selections = m * (m - 1) + m * (m - 1);
+            assert_eq!(step.rounds, 2, "{mode:?}, depth {d}");
+            assert_eq!(
+                step.ciphertexts as usize,
+                2 * cells + 2 * selections,
+                "{mode:?}, depth {d}"
+            );
+
+            let gamma: Vec<ScoredItem> = depth_items
+                .iter()
+                .zip(worsts.into_iter().zip(bests))
+                .map(|(item, (worst, best))| ScoredItem { ehl: item.ehl.clone(), worst, best })
+                .collect();
+            let gamma = match mode {
+                UpdateMode::KeepLength => clouds.sec_dedup(gamma, d),
+                UpdateMode::Eliminate => clouds.sec_dup_elim(gamma, d),
+            }
+            .expect("dedup");
+
+            let (f, t) = (gamma.len(), tracked.len());
+            let before = clouds.channel();
+            tracked = clouds.sec_update(tracked, &gamma, d, mode).expect("update");
+            let step = clouds.channel().since(&before);
+            if t > 0 {
+                // Keep-length also gets two encrypted aggregates per fresh item back.
+                let selections = 2 * t + keep * (2 * f + f * s);
+                assert_eq!(step.rounds, 2, "{mode:?}, depth {d}");
+                assert_eq!(
+                    step.ciphertexts as usize,
+                    2 * f * t + keep * 2 * f + 2 * selections,
+                    "{mode:?}, depth {d}: |T| = {t}, f = {f}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
