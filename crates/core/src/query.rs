@@ -151,7 +151,12 @@ pub struct QueryOutcome {
 ///
 /// The call drives both clouds of `clouds`; the communication and leakage they accrue is
 /// recorded in `clouds.channel` and the per-party ledgers (the caller may want to
-/// [`TwoClouds::reset_accounting`] first).
+/// [`TwoClouds::reset_accounting`] first; [`QueryStats::channel`] is this query's either way).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "QueryStats wall-time diagnostics only: elapsed seconds are reported to the caller \
+              and excluded from the byte-identity and ledger-golden comparisons"
+)]
 pub fn sec_query(
     clouds: &mut TwoClouds,
     er: &EncryptedRelation,
@@ -159,6 +164,7 @@ pub fn sec_query(
     config: &QueryConfig,
 ) -> Result<QueryOutcome> {
     let started = Instant::now();
+    let channel_at_start = clouds.channel();
     let m = token.num_attributes();
     let k = token.k.max(1);
     let n = er.num_objects();
@@ -307,7 +313,7 @@ pub fn sec_query(
     stats.halted = halted;
     stats.final_tracked_len = tracked.len();
     stats.total_seconds = started.elapsed().as_secs_f64();
-    stats.channel = clouds.channel();
+    stats.channel = clouds.channel().since(&channel_at_start);
 
     Ok(QueryOutcome { top_k, stats })
 }

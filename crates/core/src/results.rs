@@ -47,6 +47,13 @@ pub struct ResolvedResult {
 /// images match no candidate — a neutralised placeholder — resolves to `None`.  The
 /// computation is owner-side, non-interactive and deterministic: `rng` is unused and
 /// kept for the callers' sake.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "owner-side final-result decryption: the key holder opens the bounds of its own top-k \
+              answer and decrypts the EHL+ blocks of those items to look the PRF images up among \
+              its own object ids, outside the two-cloud boundary the rule protects; S1 and S2 \
+              never run this code"
+)]
 pub fn resolve_results<R: RngCore + CryptoRng>(
     items: &[ScoredItem],
     candidates: &[ObjectId],

@@ -406,6 +406,23 @@ mod tests {
     }
 
     #[test]
+    fn a_querys_channel_is_its_own_traffic_on_a_session_nobody_resets() {
+        let (owner, relation, outsourced) = fixture();
+        let mut session = owner.connect(&outsourced, 42).unwrap();
+        let query = Query::top_k(1).attributes(["a", "b"]).resolve(&relation).unwrap();
+        // Two queries back to back, as the serving loop runs them.
+        let first = session.execute(&query).unwrap();
+        let second = session.execute(&query).unwrap();
+        for answer in [&first, &second] {
+            let mut by_depth = ChannelMetrics::new();
+            answer.stats().per_depth_channel.iter().for_each(|depth| by_depth.merge(depth));
+            assert_eq!(answer.stats().channel, by_depth);
+        }
+        assert_eq!(second.stats().channel.rounds, first.stats().channel.rounds);
+        assert_eq!(session.metrics().rounds, 2 * first.stats().channel.rounds);
+    }
+
+    #[test]
     fn out_of_range_queries_fail_before_touching_the_clouds() {
         let (owner, _relation, outsourced) = fixture();
         let mut session = owner.connect(&outsourced, 7).unwrap();

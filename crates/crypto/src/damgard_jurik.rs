@@ -448,6 +448,11 @@ impl Deserialize for DjSecretKey {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the audited home of decryption: the layered reveals are defined here on top of \
+              `decrypt` and the wrapped Paillier key; every call outside this block is checked"
+)]
 impl DjSecretKey {
     /// Derive the outer-layer secret key from the Paillier secret key.
     pub fn from_paillier(sk: &PaillierSecretKey) -> Self {

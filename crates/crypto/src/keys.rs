@@ -127,6 +127,7 @@ pub struct ClientKeys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::hex_encode;
     use crate::paillier::MIN_MODULUS_BITS;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -169,6 +170,40 @@ mod tests {
             }
         }
         assert_ne!(keys.prp_key.as_bytes(), keys.ehl_keys[0].as_bytes());
+    }
+
+    /// Secret hygiene (DESIGN.md §15): no `Debug` rendering of a key bundle or of a leaf
+    /// secret type shows the factors, λ, μ or PRF key bytes, in decimal or in hex.
+    #[test]
+    fn debug_formatting_never_shows_secret_material() {
+        let mut rng = StdRng::seed_from_u64(99);
+        let keys = MasterKeys::generate(MIN_MODULUS_BITS, 3, &mut rng).unwrap();
+        let s2 = keys.s2_view();
+
+        // The secrets, read back from the one place they may leave the key: its serialized form.
+        let list = |bytes: &[u8]| bytes.iter().map(u8::to_string).collect::<Vec<_>>().join(",");
+        let serialized = keys.paillier_secret.to_value();
+        let mut secrets = Vec::new();
+        for name in ["p", "q", "lambda", "mu"] {
+            let Some(serde::Value::Str(decimal)) = serialized.get(name) else {
+                panic!("the serialized secret key has no `{name}`");
+            };
+            let value: num_bigint::BigUint = decimal.parse().unwrap();
+            secrets.extend([(name, decimal.clone()), (name, hex_encode(&value.to_bytes_be()))]);
+        }
+        for key in keys.ehl_keys.iter().chain([&keys.prp_key]).map(PrfKey::as_bytes) {
+            secrets.extend([("a PRF key", hex_encode(key)), ("a PRF key", list(key))]);
+        }
+
+        let (sk, dj, prf) = (&keys.paillier_secret, &s2.dj_secret, &keys.prp_key);
+        let rendered = format!(
+            "{keys:?} {keys:#?} {s2:?} {s2:#?} {sk:?} {sk:#?} {dj:?} {dj:#?} {prf:?} {prf:#?}"
+        );
+        // `{:#?}` breaks lists over lines; compare with all whitespace removed.
+        let compact = rendered.split_whitespace().collect::<String>().to_lowercase();
+        for (name, form) in secrets {
+            assert!(!compact.contains(&form), "{name} shows in a Debug rendering");
+        }
     }
 
     #[test]

@@ -438,6 +438,11 @@ impl PaillierPublicKey {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the audited home of decryption: the derived reveals (signed, u64, is_zero) are \
+              defined here on top of `decrypt`; every call outside this block is checked"
+)]
 impl PaillierSecretKey {
     /// The matching public key.
     pub fn public_key(&self) -> &PaillierPublicKey {

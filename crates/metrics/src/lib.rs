@@ -1,7 +1,7 @@
 //! # sectopk-metrics
 //!
-//! Lock-cheap observability for the serving stack: monotonic [`Counter`]s, [`Gauge`]s
-//! and fixed-bucket log-scale [`Histogram`]s behind one [`Registry`], plus the
+//! Lock-cheap observability for the serving stack: monotonic [`Counter`]s and
+//! fixed-bucket log-scale [`Histogram`]s behind one [`Registry`], plus the
 //! [`TraceHook`] trait a future tracing backend plugs into.
 //!
 //! # Design: never on the determinism path
@@ -27,7 +27,7 @@
 //!
 //! # Concurrency
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap clones of an
+//! Handles ([`Counter`], [`Histogram`]) are cheap clones of an
 //! `Arc<AtomicU64>` (or a fixed atomic bucket array) and record with relaxed atomic
 //! adds — no locks on the hot path.  The registry's name→handle maps take a mutex
 //! only at handle **creation** and at [`Registry::snapshot`] time, so instrumented
@@ -94,7 +94,6 @@ impl HistogramCells {
 #[derive(Debug, Default)]
 struct Inner {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramCells>>>,
 }
 
@@ -137,20 +136,6 @@ impl Registry {
         }))
     }
 
-    /// The gauge named `name` (created on first use).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(self.inner.as_ref().map(|inner| {
-            Arc::clone(
-                inner
-                    .gauges
-                    .lock()
-                    .expect("metrics registry poisoned")
-                    .entry(name.to_string())
-                    .or_default(),
-            )
-        }))
-    }
-
     /// The log-scale histogram named `name` (created on first use).
     pub fn histogram(&self, name: &str) -> Histogram {
         Histogram(self.inner.as_ref().map(|inner| {
@@ -171,13 +156,6 @@ impl Registry {
         let Some(inner) = self.inner.as_ref() else { return MetricsSnapshot::default() };
         let counters = inner
             .counters
-            .lock()
-            .expect("metrics registry poisoned")
-            .iter()
-            .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
-            .collect();
-        let gauges = inner
-            .gauges
             .lock()
             .expect("metrics registry poisoned")
             .iter()
@@ -208,7 +186,7 @@ impl Registry {
                 )
             })
             .collect();
-        MetricsSnapshot { counters, gauges, histograms }
+        MetricsSnapshot { counters, histograms }
     }
 
     /// A human-readable dump of [`Registry::snapshot`] — what
@@ -237,30 +215,6 @@ impl Counter {
     pub fn add(&self, n: u64) {
         if let Some(cell) = &self.0 {
             cell.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0 when disabled).
-    pub fn value(&self) -> u64 {
-        self.0.as_ref().map_or(0, |cell| cell.load(Ordering::Relaxed))
-    }
-}
-
-/// A gauge handle: a value that can go up and down (queue depths, pool occupancy).
-/// No-op when cloned from a disabled registry.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Option<Arc<AtomicU64>>);
-
-impl Gauge {
-    /// A detached no-op gauge.
-    pub fn noop() -> Self {
-        Gauge(None)
-    }
-
-    /// Set the gauge to `value`.
-    pub fn set(&self, value: u64) {
-        if let Some(cell) = &self.0 {
-            cell.store(value, Ordering::Relaxed);
         }
     }
 
@@ -369,8 +323,6 @@ impl HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// Monotonic counters by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauges by name.
-    pub gauges: BTreeMap<String, u64>,
     /// Histograms by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
@@ -393,12 +345,6 @@ impl MetricsSnapshot {
         if !self.counters.is_empty() {
             out.push_str("counters:\n");
             for (name, value) in &self.counters {
-                let _ = writeln!(out, "  {name} {value}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, value) in &self.gauges {
                 let _ = writeln!(out, "  {name} {value}");
             }
         }
@@ -455,9 +401,6 @@ mod tests {
         counter.incr();
         counter.add(10);
         assert_eq!(counter.value(), 0);
-        let gauge = registry.gauge("g");
-        gauge.set(7);
-        assert_eq!(gauge.value(), 0);
         let histogram = registry.histogram("h");
         assert!(histogram.start().is_none(), "disabled histograms must not read the clock");
         histogram.observe(123);
@@ -466,17 +409,15 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_record_and_share_by_name() {
+    fn counters_record_and_share_by_name() {
         let registry = Registry::enabled();
         let a = registry.counter("requests");
         let b = registry.counter("requests");
         a.incr();
         b.add(2);
         assert_eq!(a.value(), 3, "same-name handles share one cell");
-        registry.gauge("depth").set(5);
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("requests"), 3);
-        assert_eq!(snapshot.gauges.get("depth"), Some(&5));
     }
 
     #[test]

@@ -160,14 +160,8 @@ impl TwoClouds {
         seed: u64,
         batching: bool,
         addr: &str,
-        mut options: TcpOptions,
+        options: TcpOptions,
     ) -> Result<Self> {
-        // Derive the reconnect-backoff jitter from the session seed when the caller
-        // left it unset: retries stay deterministic per session, and a fleet of
-        // sessions fanned out from one base seed decorrelates automatically.
-        if options.jitter_seed == 0 {
-            options.jitter_seed = sectopk_crypto::pool::shard_seed(seed, 0x6A17_7E12);
-        }
         Self::build(master, seed, batching, |provision| {
             Ok(Box::new(crate::tcp::connect(addr, provision, options)?))
         })

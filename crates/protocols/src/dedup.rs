@@ -87,6 +87,11 @@ impl TwoClouds {
         self.dedup_inner(items, depth, true)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "S1 decrypting under its *own* key sk' (Algorithm 11, step 3): the plaintexts are \
+                  S1's own blinding material (alpha/beta/gamma), never S2-protected tuple data"
+    )]
     fn dedup_inner(
         &mut self,
         items: Vec<ScoredItem>,

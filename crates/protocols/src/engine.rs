@@ -31,6 +31,11 @@
 //! only matches over the [`S1Request`] variants, both without a wildcard: a new request
 //! kind does not compile until both describe it (DESIGN.md §12).
 
+// Workspace invariant 3 (DESIGN.md §15): the request/reply path returns typed errors, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use num_bigint::{BigUint, Sign};
 
 use sectopk_crypto::bigint::{mod_inverse, random_below, random_invertible};
@@ -391,6 +396,13 @@ impl S2Engine {
     /// [`Self::intra_workers`] threads and regroup the results per step.  The operations
     /// are pure, so results do not depend on scheduling, and the first failed one *in
     /// request order* wins, as a serial sweep would have returned.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pure parallel phase and the engine's single decrypt site: it decrypts into \
+                  typed per-request results but observes nothing; every result is consumed by \
+                  commit(), which records each reveal in the LeakageLedger before acting on it \
+                  (asserted by the ledger golden suites)"
+    )]
     fn compute(&self, steps: &[Step<'_>]) -> EngineResult<Vec<Done>> {
         enum Op<'a> {
             IsZero(&'a Ciphertext),
@@ -579,6 +591,12 @@ impl S2Engine {
     /// The S2 phase of `SecDedup` / `SecDupElim` (Algorithm 7 / §10.1): observe the
     /// (pre-decrypted) permuted equality matrix, neutralise (or drop) duplicates, layer
     /// fresh blinding and a second permutation on the survivors.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "l-by-l matrix indexed by pair_indices that plan() bounds-checked against the \
+                  item count before the commit phase runs, and the length-l duplicate flags \
+                  indexed by loop counters bounded by l"
+    )]
     fn commit_dedup(&mut self, dedup: &DedupRequest, bits: Vec<bool>) -> EngineResult<S2Response> {
         let l = dedup.items.len();
 

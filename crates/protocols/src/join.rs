@@ -168,6 +168,11 @@ impl TwoClouds {
     /// `SecFilter` (Algorithm 12): discard the all-zero tuples produced by `SecJoin`
     /// without revealing to S1 which pairs matched.  Both parties learn only the number
     /// of surviving tuples.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "S1 decrypting under its *own* key sk' (Algorithm 12): the plaintexts are S1's \
+                  own score/attribute unblinders, never S2-protected tuple data"
+    )]
     pub fn sec_filter(&mut self, tuples: Vec<JoinedTuple>) -> Result<Vec<JoinedTuple>> {
         if tuples.is_empty() {
             return Ok(Vec::new());

@@ -53,6 +53,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Workspace invariants 1 + 2 (DESIGN.md §15): clippy.toml's reveals, clocks and ambient randomness.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod best;
 pub mod bounds;

@@ -107,6 +107,11 @@
 //! outstanding, and it waits for a permit on its own thread, so there is no queue that
 //! could grow and nothing for request-level shedding to protect.
 
+// Workspace invariant 3 (DESIGN.md §15): the request/reply path returns typed errors, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::collections::hash_map::{Entry, HashMap, OccupiedEntry};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -19,7 +19,7 @@
 //! # Connection lifecycle
 //!
 //! 1. **Connect** with bounded retry and capped, deterministically jittered exponential
-//!    backoff ([`TcpOptions`]).
+//!    backoff (a fixed schedule: `CONNECT_ATTEMPTS`, `CONNECT_BACKOFF`).
 //! 2. **Handshake**: the client sends a `ClientHello` — magic, protocol version
 //!    ([`TCP_PROTOCOL_VERSION`]), and either a *fresh* session (a proposed id, 0 = server
 //!    assigns, plus the [`EngineProvision`] that boots its S2 engine) or a *resume* of a
@@ -69,6 +69,11 @@
 //! (and its resume token, which is an anti-footgun, not a security boundary) is
 //! factored so that swap stays local to this module.
 
+// Workspace invariant 3 (DESIGN.md §15): the request/reply path returns typed errors, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
@@ -109,6 +114,21 @@ pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 /// server closes it.  Cleared once the session is seated: a seated session
 /// legitimately idles between queries.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The client's connect schedule: attempts before giving up, the delay after the first
+/// failed one (doubling per retry, jittered) and its cap — 0.4 s in all against a dead port.
+const CONNECT_ATTEMPTS: u32 = 5;
+const CONNECT_BACKOFF: Duration = Duration::from_millis(25);
+const CONNECT_BACKOFF_CAP: Duration = Duration::from_secs(1);
+
+/// Client socket timeouts; a server silent for longer than the read timeout yields
+/// [`ProtocolError::Transport`] with [`crate::TransportErrorKind::Timeout`].
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Stream of the backoff jitter seed under the provisioned session seed: retries are
+/// deterministic per session, and a fleet fanned out from one base seed decorrelates.
+const JITTER_STREAM: u64 = 0x6A17_7E12;
 
 /// What a frame's buffer may hold before any of its bytes has arrived; beyond this it
 /// grows with the bytes actually received, never with the length a peer merely claims.
@@ -403,48 +423,17 @@ fn duration_from_nanos_saturating(nanos: u128) -> Duration {
 // Client options
 // ====================================================================================
 
-/// Connection policy of a socket session ([`connect`]): bounded connect retry with
-/// capped, jittered exponential backoff, socket timeouts, an optional explicit session
-/// id, the transparent [`RetryPolicy`], and the chaos harness's [`FaultPlan`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Connection policy of a socket session ([`connect`]): an optional explicit session
+/// id, the transparent [`RetryPolicy`], and the chaos harness's [`FaultPlan`].  The
+/// connect schedule and the socket timeouts are constants of this module.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TcpOptions {
-    /// Connection attempts before giving up (at least 1).
-    pub connect_attempts: u32,
-    /// Delay after the first failed attempt; doubles per retry up to
-    /// [`TcpOptions::connect_backoff_cap`].
-    pub connect_backoff: Duration,
-    /// Upper bound the connect backoff saturates at (zero = uncapped).
-    pub connect_backoff_cap: Duration,
-    /// Seed of the deterministic backoff jitter; 0 derives one from the negotiated
-    /// session id, so a fleet of clients decorrelates without configuration.
-    pub jitter_seed: u64,
-    /// Socket read timeout; a server silent for longer yields
-    /// [`ProtocolError::Transport`] with [`crate::TransportErrorKind::Timeout`].
-    pub read_timeout: Duration,
-    /// Socket write timeout.
-    pub write_timeout: Duration,
     /// Session id to propose; `None` lets the server assign one.
     pub session: Option<SessionId>,
     /// Transparent reconnect-resume-resend budget (default: disabled).
     pub retry: RetryPolicy,
     /// Deterministic fault injection (default: none).
     pub faults: FaultPlan,
-}
-
-impl Default for TcpOptions {
-    fn default() -> Self {
-        TcpOptions {
-            connect_attempts: 5,
-            connect_backoff: Duration::from_millis(25),
-            connect_backoff_cap: Duration::from_secs(1),
-            jitter_seed: 0,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
-            session: None,
-            retry: RetryPolicy::none(),
-            faults: FaultPlan::none(),
-        }
-    }
 }
 
 impl TcpOptions {
@@ -467,13 +456,13 @@ impl TcpOptions {
     }
 }
 
-fn configure_stream(stream: &TcpStream, options: &TcpOptions) -> Result<()> {
+fn configure_stream(stream: &TcpStream) -> Result<()> {
     stream.set_nodelay(true).map_err(|e| ProtocolError::from_io("configuring socket", e))?;
     stream
-        .set_read_timeout(Some(options.read_timeout))
+        .set_read_timeout(Some(READ_TIMEOUT))
         .map_err(|e| ProtocolError::from_io("configuring socket", e))?;
     stream
-        .set_write_timeout(Some(options.write_timeout))
+        .set_write_timeout(Some(WRITE_TIMEOUT))
         .map_err(|e| ProtocolError::from_io("configuring socket", e))
 }
 
@@ -513,6 +502,12 @@ impl TcpClientMetrics {
 /// backoff, run the handshake that provisions this session's S2 engine, and hand back
 /// the session's transport: envelopes travel length-prefix-framed over the socket, with
 /// opt-in transparent reconnect-resume-resend recovery (see the module docs).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "timeout machinery, not protocol state: starts the clock of the first exchange's \
+              retry deadline, which gates *when* I/O happens, never what bytes are produced \
+              (chaos-soak asserts byte-identity under faults)"
+)]
 pub fn connect(
     addr: impl ToSocketAddrs,
     provision: EngineProvision,
@@ -525,14 +520,13 @@ pub fn connect(
     if addrs.is_empty() {
         return Err(ProtocolError::transport("S2 address resolved to nothing"));
     }
-    let stream = connect_with_retry(&addrs, &options)?;
+    let jitter_seed = shard_seed(provision.seed, JITTER_STREAM);
+    let stream = connect_with_retry(&addrs, jitter_seed)?;
     let peer = stream.peer_addr().map_err(|e| ProtocolError::from_io("reading peer address", e))?;
-    configure_stream(&stream, &options)?;
+    configure_stream(&stream)?;
 
     let kind = HelloKind::Fresh { session: options.session.map_or(0, |s| s.0), provision };
     let (session, resume_token) = client_handshake(&stream, peer, kind)?;
-    let jitter_seed =
-        if options.jitter_seed != 0 { options.jitter_seed } else { shard_seed(session, 0xBAC0FF) };
     let pipe = SocketPipe {
         stream,
         addrs,
@@ -550,16 +544,15 @@ pub fn connect(
     Ok(EnvelopeTransport::new(SessionId(session), Box::new(pipe)))
 }
 
-fn connect_with_retry(addrs: &[SocketAddr], options: &TcpOptions) -> Result<TcpStream> {
-    let attempts = options.connect_attempts.max(1);
+fn connect_with_retry(addrs: &[SocketAddr], jitter_seed: u64) -> Result<TcpStream> {
     let mut last_error = String::new();
-    for attempt in 0..attempts {
+    for attempt in 0..CONNECT_ATTEMPTS {
         if attempt > 0 {
             std::thread::sleep(backoff_delay(
-                options.connect_backoff,
-                options.connect_backoff_cap,
+                CONNECT_BACKOFF,
+                CONNECT_BACKOFF_CAP,
                 attempt - 1,
-                options.jitter_seed,
+                jitter_seed,
             ));
         }
         for addr in addrs {
@@ -570,7 +563,7 @@ fn connect_with_retry(addrs: &[SocketAddr], options: &TcpOptions) -> Result<TcpS
         }
     }
     Err(ProtocolError::transport_io(format!(
-        "connecting to S2 failed after {attempts} attempts: {last_error}"
+        "connecting to S2 failed after {CONNECT_ATTEMPTS} attempts: {last_error}"
     )))
 }
 
@@ -605,8 +598,7 @@ struct SocketPipe {
     /// The session id negotiated at connect time.
     session: u64,
     options: TcpOptions,
-    /// Resolved jitter seed ([`TcpOptions::jitter_seed`], or derived from the session
-    /// id when left 0).
+    /// Seed of the deterministic backoff jitter (derived from the provisioned seed).
     jitter_seed: u64,
     /// Token to present when resuming; rotated by the server on every accept.
     resume_token: u64,
@@ -645,7 +637,7 @@ impl SocketPipe {
             }
             return Err(ProtocolError::transport_io(format!("reconnecting to S2: {last_error}")));
         };
-        configure_stream(&stream, &self.options)?;
+        configure_stream(&stream)?;
         let kind = HelloKind::Resume(ResumeHello {
             session: self.session,
             last_acked_seq: acked,
@@ -679,6 +671,12 @@ impl Pipe for SocketPipe {
         TransportKind::Tcp
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "timeout machinery, not protocol state: restarts the retry-deadline clock per \
+                  logical exchange; the deadline gates *when* a re-send happens, never what bytes \
+                  are produced (chaos-soak asserts byte-identity under faults)"
+    )]
     fn exchange(&mut self, envelope: &Envelope, first_attempt: bool) -> Result<Envelope> {
         let encoded = envelope.encode();
         // Faults fire on a fixed schedule of *logical* protocol frames: control
@@ -795,6 +793,12 @@ impl TcpServerConfig {
 /// Mint a resume token.  `RandomState` is randomly seeded per process, so tokens are
 /// unguessable enough to stop accidental cross-client resumes — the real security
 /// boundary is the transport (TLS in production), not this token.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the resume token is an anti-footgun guard against session-id collisions between \
+              unrelated clients, not protocol state; it never touches ciphertexts, ledgers or \
+              replies"
+)]
 fn mint_token(nonce: u64) -> u64 {
     use std::collections::hash_map::RandomState;
     use std::hash::{BuildHasher, Hasher};
@@ -928,6 +932,12 @@ impl TcpCloudServer {
     /// Bind a listener at `addr` in front of an existing (possibly shared) pool — the
     /// path `QueryServer::listen` uses so networked and in-process sessions are served
     /// from the same S2 compute budget.
+    #[expect(
+        clippy::expect_used,
+        reason = "listener startup, before any connection is accepted: failing to spawn the accept \
+                  thread or the park-TTL sweeper is a boot error surfaced to the operator, not a \
+                  serving-path condition"
+    )]
     pub fn serve_pool(
         addr: impl ToSocketAddrs,
         pool: Arc<MultiplexServer>,
@@ -1032,6 +1042,11 @@ impl TcpCloudServer {
     /// parked session immediately, give in-flight connections up to `grace` to finish
     /// their current exchanges and disconnect, then sever the stragglers.  The server
     /// object stays alive (its `Drop` completes shutdown); this just quiesces it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "timeout machinery, not protocol state: the drain grace bounds how long in-flight \
+                  connections may finish, never what bytes they produce"
+    )]
     pub fn drain(&self, grace: Duration) {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.reap_parked(None);
@@ -1105,6 +1120,11 @@ fn accept_loop(
 }
 
 /// Reap parked sessions whose TTL expired, freeing their ids and engines.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "timeout machinery, not protocol state: park TTLs decide when an abandoned session's \
+              engine is freed, never what a live session computes"
+)]
 fn sweeper_loop(shared: &Arc<Shared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(SWEEP_TICK);
@@ -1200,6 +1220,12 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
 /// Admit a resume hello: the session table checks the token and claims the parked
 /// session in one step; all that is left here is to wait (briefly) for the dropped
 /// connection's thread to park it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "timeout machinery, not protocol state: the resume grace waits out the dropped \
+              connection's thread and the claim time is compared with the park deadline; neither \
+              reaches a reply"
+)]
 fn admit_resume(
     shared: &Shared,
     resume: ResumeHello,
@@ -1276,6 +1302,11 @@ struct Seated<'a> {
 }
 
 impl Drop for Seated<'_> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "timeout machinery, not protocol state: stamps the park deadline of a dropped \
+                  session (now + TTL), which decides when it is reaped, never what it computes"
+    )]
     fn drop(&mut self) {
         let Seated { stream, shared, conduit, clean_exit } = self;
         shared.streams.plock().remove(&conduit.session());
@@ -1581,16 +1612,11 @@ mod tests {
             listener.local_addr().unwrap()
         };
         let master = master(46);
-        let options = TcpOptions {
-            connect_attempts: 3,
-            connect_backoff: Duration::from_millis(1),
-            ..TcpOptions::default()
-        };
-        let err = connect(dead, provision_for(&master, 1), options).unwrap_err();
+        let err = connect(dead, provision_for(&master, 1), TcpOptions::default()).unwrap_err();
         match &err {
             ProtocolError::Transport(e) => {
                 assert_eq!(e.kind, TransportErrorKind::Io);
-                assert!(e.message.contains("after 3 attempts"), "unexpected message {e:?}");
+                assert!(e.message.contains("after 5 attempts"), "unexpected message {e:?}");
             }
             other => panic!("unexpected error {other:?}"),
         }

@@ -78,6 +78,11 @@
 //! while handling requests, so the "S2 sees nothing but EP^d" tests check exactly what
 //! crossed the wire.
 
+// Workspace invariant 3 (DESIGN.md §15): the request/reply path returns typed errors, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::cell::{Cell, RefCell};
 use std::fmt;
 
@@ -740,6 +745,12 @@ impl Transport for EnvelopeTransport {
         self.metrics = ChannelMetrics::new();
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "test-harness control plane (ledger fetch), not the request path: a dead S2 must \
+                  fail loudly here, otherwise leakage assertions would pass vacuously against an \
+                  empty ledger; the snapshot is produced by our own engine over a lossless channel"
+    )]
     fn s2_ledger(&self) -> LeakageLedger {
         // A dead S2 must surface loudly: returning an empty ledger here would let
         // "S2 saw nothing but X" assertions pass vacuously.
@@ -749,6 +760,12 @@ impl Transport for EnvelopeTransport {
         wire::from_bytes(&payload).expect("undecodable S2 ledger snapshot")
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "test-harness control plane (ledger reset), not the request path: a dead S2 must \
+                  fail loudly here, otherwise the next leakage assertion would read a ledger that \
+                  was never reset"
+    )]
     fn reset_s2(&mut self) {
         self.control(frame::RESET, frame::RESET_DONE)
             .expect("S2 unavailable while resetting the session");

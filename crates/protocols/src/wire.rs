@@ -21,6 +21,11 @@
 //! | `8` | sequence: varint count + encoded items |
 //! | `9` | map: varint count + (varint key length + key UTF-8 + encoded value)* |
 
+// Workspace invariant 3 (DESIGN.md §15): the request/reply path returns typed errors, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::fmt;
 
 use serde::{Deserialize, Serialize, Value};
@@ -484,7 +489,22 @@ mod tests {
 
     #[test]
     fn wire_error_frames_round_trip_and_display() {
-        for code in WireErrorCode::ALL {
+        for (i, code) in WireErrorCode::ALL.into_iter().enumerate() {
+            // `ALL` is every code, once, in declaration order.  No wildcard: a new variant
+            // needs an arm, and its arm is a constant index out of bounds until `ALL` grows.
+            let listed_at_its_position = match code {
+                WireErrorCode::MalformedRequest => WireErrorCode::ALL[0],
+                WireErrorCode::BadSequence => WireErrorCode::ALL[1],
+                WireErrorCode::Codec => WireErrorCode::ALL[2],
+                WireErrorCode::UnknownFrame => WireErrorCode::ALL[3],
+                WireErrorCode::Crypto => WireErrorCode::ALL[4],
+                WireErrorCode::Overloaded => WireErrorCode::ALL[5],
+                WireErrorCode::Internal => WireErrorCode::ALL[6],
+            };
+            assert_eq!(listed_at_its_position, code, "ALL[{i}] is out of declaration order");
+            let same_name = WireErrorCode::ALL.iter().filter(|c| c.name() == code.name());
+            assert_eq!(same_name.count(), 1, "wire error name `{}` is not unique", code.name());
+
             let e = WireError::new(code, "context");
             let back: WireError = from_bytes(&to_bytes(&e)).unwrap();
             assert_eq!(back, e);

@@ -16,6 +16,13 @@
 //! sectopk-cli query --server 127.0.0.1:7171 --seed 7 --rows 8 --k 2
 //! ```
 
+// Workspace invariants 1 + 2 (DESIGN.md §15): clippy.toml's reveals, clocks and ambient randomness.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+// Workspace invariant 3 (DESIGN.md §15): the request/reply path returns typed errors, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::io::Write;
 use std::process::ExitCode;
 use std::str::FromStr;

@@ -25,6 +25,13 @@
 //! stderr each period — request mix, replays, accepts/rejects/resumes, how long each
 //! compute permit was held.  Metrics are off (zero-cost no-op handles) without the flag.
 
+// Workspace invariants 1 + 2 (DESIGN.md §15): clippy.toml's reveals, clocks and ambient randomness.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+// Workspace invariant 3 (DESIGN.md §15): the request/reply path returns typed errors, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::io::{Read, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -125,6 +132,8 @@ fn main() -> ExitCode {
         }
     };
     println!("sectopk-s2d listening on {}", server.local_addr());
+    // What runs, not what was asked: the pool clamps `--workers 0` / `--max-sessions 0` to 1.
+    let (workers, max_sessions) = (server.pool().workers(), server.pool().limits().max_sessions);
     println!("workers={workers} max-sessions={max_sessions} park-ttl={park_ttl}s");
     let _ = std::io::stdout().flush();
 
