@@ -133,7 +133,7 @@ impl TwoClouds {
         kind: TransportKind,
         batching: bool,
     ) -> Result<Self> {
-        Self::build(master, seed, batching, |provision| {
+        Self::over_transport(master, seed, batching, |provision| {
             Ok(match kind {
                 TransportKind::InProcess => Box::new(InProcessTransport::new(provision.build())),
                 TransportKind::Multiplex => Box::new(loopback_pool().connect(
@@ -162,7 +162,7 @@ impl TwoClouds {
         addr: &str,
         options: TcpOptions,
     ) -> Result<Self> {
-        Self::build(master, seed, batching, |provision| {
+        Self::over_transport(master, seed, batching, |provision| {
             Ok(Box::new(crate::tcp::connect(addr, provision, options)?))
         })
     }
@@ -206,7 +206,7 @@ impl TwoClouds {
         link: LinkProfile,
         intra_workers: usize,
     ) -> Result<Self> {
-        let mut clouds = Self::build(master, seed, batching, |provision| {
+        let mut clouds = Self::over_transport(master, seed, batching, |provision| {
             let mut engine = provision.build();
             engine.set_intra_workers(intra_workers);
             Ok(Box::new(server.connect(session, engine, link)?))
@@ -218,7 +218,11 @@ impl TwoClouds {
     /// The shared S1-side setup: every transport, over either pipe, derives
     /// S1's keys, RNG and nonce pools from `seed` through this one path, which is what
     /// makes protocol output byte-identical across transports for a fixed seed.
-    fn build(
+    ///
+    /// Public as the door for a transport of the caller's making — `make_transport`
+    /// receives S2's provisioning payload — e.g. a test that wraps an
+    /// [`InProcessTransport`] to read what S2 replied.
+    pub fn over_transport(
         master: &MasterKeys,
         seed: u64,
         batching: bool,

@@ -111,7 +111,7 @@ enum Need<'a> {
     Nothing,
     /// Paillier `is_zero` (equality bits of EqTest / EqMatrix / Dedup / Filter).
     IsZero(Vec<&'a Ciphertext>),
-    /// Paillier signed decryption, reduced to its sign (Compare).
+    /// Paillier signed decryption, reduced to its sign, ±1 (Compare; a zero is rejected).
     Sign(Vec<&'a Ciphertext>),
     /// Paillier plain decryption (MulBlinded operands).
     Plain(Vec<&'a Ciphertext>),
@@ -445,6 +445,11 @@ impl S2Engine {
         let (mut bits, mut signs, mut plains, mut inners) = (vec![], vec![], vec![], vec![]);
         for out in outs {
             match out? {
+                // S1 compares odd differences, which are never zero: a zero would be a tie
+                // this engine must not tell S1 about (DESIGN.md §5).
+                Out::Sign(0) => {
+                    return Err(WireError::malformed("a blinded comparison decrypts to zero"))
+                }
                 Out::Bit(b) => bits.push(b),
                 Out::Sign(s) => signs.push(s),
                 Out::Plain(p) => plains.push(p),

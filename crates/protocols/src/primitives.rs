@@ -33,14 +33,16 @@
 //! # SECURITY note on the comparison realisation
 //!
 //! The paper treats EncCompare as a black box from Bost et al. \[11\].  Our realisation has
-//! S1 send `Enc(±α·(a−b))` for a fresh random sign flip and a fresh random positive
-//! scale `α`; S2 decrypts and reports only the sign of the blinded value.  S2 therefore
-//! observes a sign bit that is uniform thanks to the flip (plus, for exact ties, the fact
-//! that the two values are equal), and a magnitude scaled by an unknown α.  S1 learns the
-//! comparison outcome, which is what the functionality is supposed to deliver.  This
-//! keeps the message pattern, round count and asymptotic cost of \[11\] while remaining a
-//! few hundred lines; the residual leakage is recorded in the ledgers and called out in
-//! DESIGN.md.
+//! S1 send the *odd* difference `Enc(±α·(2(a−b) − 1))` for a fresh random sign flip and a
+//! fresh random positive scale `α`; S2 decrypts and reports only the sign of the blinded
+//! value.  For integers `2(a−b) − 1` is never zero and is negative exactly when `a ≤ b`,
+//! so a tie looks like any other outcome: S2 observes a sign bit that is uniform thanks
+//! to the flip (a zero decrypt is a malformed request, and `Signs` carries only ±1), and
+//! a magnitude scaled by an unknown `α < 2¹⁶` — which shows it every compared difference
+//! to within a factor 2¹⁶ (DESIGN.md §5).  S1 learns the comparison outcome, which is
+//! what the functionality is supposed to deliver.  This keeps the message pattern, round
+//! count and asymptotic cost of \[11\] while remaining a few hundred lines; the residual
+//! leakage is recorded in the ledgers and called out in DESIGN.md.
 
 use num_bigint::BigUint;
 use num_traits::Zero;
@@ -58,7 +60,7 @@ use crate::ledger::LeakageEvent;
 use crate::transport::{EqAggregates, EqWants, S1Request, S2Response};
 
 /// Upper bound (exclusive) for the random comparison scale α.  Keeping α small bounds
-/// the blinded magnitude by `α · |a − b| < 2^16 · 2^80 ≪ N/2`, so the signed
+/// the blinded magnitude by `α · |2(a − b) ± 1| < 2^16 · 2^81 ≪ N/2`, so the signed
 /// interpretation never wraps for the score ranges the protocols produce.
 const COMPARE_SCALE_BOUND: u64 = 1 << 16;
 
@@ -445,10 +447,11 @@ impl TwoClouds {
         }
         let pk = self.s1.keys.paillier_public.clone();
 
-        // ---- S1: blind each difference with a random flip and scale. ------------------
+        // ---- S1: blind each odd difference with a random flip and scale. --------------
         // Flips and scales are drawn serially (same RNG order as the per-pair loop); all
-        // subtrahends are negated by one batch inversion, and the `Enc(±α·(a−b))`
-        // arithmetic runs data-parallel.
+        // subtrahends are negated by one batch inversion, and the
+        // `Enc(±α·(2(a−b) − 1))` arithmetic runs data-parallel.  The flip swaps the
+        // operands and the constant: `−(2(a−b) − 1) = 2(b−a) + 1`.
         let mut flips = Vec::with_capacity(pairs.len());
         let mut alphas = Vec::with_capacity(pairs.len());
         for _ in pairs {
@@ -461,10 +464,20 @@ impl TwoClouds {
             .map(|((a, b), &flip)| if flip { (b, a) } else { (a, b) })
             .unzip();
         let negated = pk.negate_many(&subtrahends);
-        let jobs: Vec<((&Ciphertext, &Ciphertext), &BigUint)> =
-            minuends.into_iter().zip(&negated).zip(&alphas).collect();
-        let blinded = par_map(self.s1.intra_workers, &jobs, |((minuend, neg), alpha)| {
-            pk.mul_plain(&pk.add(minuend, neg), alpha)
+        let plus_one = BigUint::from(1u32);
+        let minus_one = pk.n() - &plus_one;
+        let jobs: Vec<(&Ciphertext, &Ciphertext, &BigUint, &BigUint)> = minuends
+            .into_iter()
+            .zip(&negated)
+            .zip(&alphas)
+            .zip(&flips)
+            .map(|(((minuend, neg), alpha), &flip)| {
+                (minuend, neg, alpha, if flip { &plus_one } else { &minus_one })
+            })
+            .collect();
+        let blinded = par_map(self.s1.intra_workers, &jobs, |&(minuend, neg, alpha, one)| {
+            let difference = pk.add(minuend, neg);
+            pk.mul_plain(&pk.add_plain(&pk.add(&difference, &difference), one), alpha)
         });
 
         // ---- transport: S2 decrypts each blinded difference and returns its sign. -----
@@ -478,13 +491,16 @@ impl TwoClouds {
         )?;
 
         // ---- S1: undo the flip. --------------------------------------------------------
+        if signs.iter().any(|s| s.abs() != 1) {
+            return Err(ProtocolError::transport("S2 answered a comparison with a sign not ±1"));
+        }
         let outcomes = signs
             .into_iter()
             .zip(flips.iter())
             .map(|(sign, &flip)| {
-                // Without flip we sent α(a−b): a ≤ b ⇔ sign ≤ 0.
-                // With flip we sent α(b−a):   a ≤ b ⇔ sign ≥ 0.
-                let le = if flip { sign >= 0 } else { sign <= 0 };
+                // Without flip we sent α(2(a−b) − 1): a ≤ b ⇔ sign < 0.
+                // With flip we sent α(2(b−a) + 1):    a ≤ b ⇔ sign > 0.
+                let le = (sign > 0) == flip;
                 self.s1.ledger.record(LeakageEvent::ComparisonBit {
                     context: context.to_string(),
                     less_or_equal: le,

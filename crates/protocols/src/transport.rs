@@ -325,8 +325,8 @@ pub enum S2Response {
     },
     /// Reply to [`S1Request::EqAggregate`].
     EqAggregates(EqAggregates),
-    /// Reply to [`S1Request::Compare`]: one sign per blinded difference
-    /// (−1 / 0 / +1).
+    /// Reply to [`S1Request::Compare`]: one sign per blinded difference, −1 or +1 (S1
+    /// sends odd differences; S2 rejects a zero as a malformed request).
     Signs(Vec<i8>),
     /// Reply to [`S1Request::Recover`]: the (still blinded) inner Paillier ciphertexts.
     Recovered(Vec<Ciphertext>),
@@ -828,7 +828,7 @@ mod tests {
         let mut transport = InProcessTransport::new(eng);
         let mut rng = StdRng::seed_from_u64(2);
         let reqs: Vec<S1Request> =
-            (0..4).map(|i| compare_request(&master, i - 2, &mut rng)).collect();
+            (0..4).map(|i| compare_request(&master, 2 * i - 3, &mut rng)).collect();
         let response = transport.round_trip(S1Request::Batch(reqs)).unwrap();
         match response {
             S2Response::Batch(replies) => assert_eq!(replies.len(), 4),

@@ -148,7 +148,7 @@ fn mul_blinded(pairs: &[(i64, i64)], rng: &mut StdRng) -> S1Request {
 fn mixed_batch(rng: &mut StdRng) -> S1Request {
     S1Request::Batch(vec![
         eq_matrix(&[0, 4, 0, 0, 6, 0], 3, all_wants(), rng),
-        compare(&[-5, 0, 8], rng),
+        compare(&[-5, 1, 8], rng),
         eq_test(0, true, true, rng),
         eq_test(3, true, true, rng),
         S1Request::EqAggregate { rows: 1, cols: 2, want: all_wants() },
@@ -242,6 +242,11 @@ fn a_malformed_instance_of_each_kind_is_a_typed_error() {
             "Compare over a corrupted ciphertext",
             S1Request::Compare { blinded: vec![enc(1, rng), corrupt()], context: "test".into() },
             Crypto,
+        ),
+        (
+            "Compare over a zero difference (a tie S1 never sends)",
+            compare(&[3, 0, -3], rng),
+            MalformedRequest,
         ),
         (
             "Recover of a hollow layered ciphertext",
@@ -389,7 +394,7 @@ fn a_mixed_batch_is_byte_identical_for_one_and_four_workers() {
     // The replies line up with the request kinds, and the ledger saw each reveal.
     let (S2Response::Batch(replies), _, ledger) = serial else { panic!("expected a Batch reply") };
     assert_eq!(replies.len(), 13);
-    assert_eq!(replies[1], S2Response::Signs(vec![-1, 0, 1]));
+    assert_eq!(replies[1], S2Response::Signs(vec![-1, 1, 1]));
     assert!(matches!(&replies[5], S2Response::Recovered(inner) if inner.len() == 2));
     assert!(matches!(&replies[6], S2Response::Dedup { items, .. } if items.len() == 3));
     assert_eq!(replies[7], S2Response::Ack);

@@ -3,10 +3,139 @@
 //! optimisations' extra leakage (uniqueness pattern) appears exactly where §10 says it
 //! does.
 
-use sectopk_core::{check_leakage, profile_for, QueryConfig, QueryVariant, Session};
+use std::sync::{Arc, Mutex};
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use sectopk_core::{
+    check_leakage, profile_for, sec_query, DataOwner, QueryConfig, QueryVariant, Session,
+};
 use sectopk_datasets::fig3_relation;
-use sectopk_storage::TopKQuery;
-use sectopk_tests::{harness, run_query};
+use sectopk_protocols::{
+    ChannelMetrics, InProcessTransport, LeakageEvent, LeakageLedger, S1Request, S2Response,
+    Transport, TransportKind, TwoClouds,
+};
+use sectopk_storage::{Relation, Row, TopKQuery};
+use sectopk_tests::{harness, run_query, TEST_EHL_KEYS, TEST_MODULUS_BITS};
+
+/// The three variants, as the fig3 query runs them.
+fn configs() -> [QueryConfig; 3] {
+    [QueryConfig::full(), QueryConfig::dup_elim(), QueryConfig::batched(2)]
+}
+
+/// An in-process transport that keeps every `Signs` reply S2 sends, as sent.
+#[derive(Debug)]
+struct SignTap {
+    inner: InProcessTransport,
+    replies: Arc<Mutex<Vec<Vec<i8>>>>,
+}
+
+impl Transport for SignTap {
+    fn round_trip(&mut self, request: S1Request) -> sectopk_protocols::Result<S2Response> {
+        let response = self.inner.round_trip(request)?;
+        let mut replies = self.replies.lock().expect("tap lock");
+        let parts = match &response {
+            S2Response::Batch(parts) => parts.as_slice(),
+            single => std::slice::from_ref(single),
+        };
+        for part in parts {
+            if let S2Response::Signs(signs) = part {
+                replies.push(signs.clone());
+            }
+        }
+        Ok(response)
+    }
+    fn metrics(&self) -> ChannelMetrics {
+        self.inner.metrics()
+    }
+    fn reset_metrics(&mut self) {
+        self.inner.reset_metrics();
+    }
+    fn s2_ledger(&self) -> LeakageLedger {
+        self.inner.s2_ledger()
+    }
+    fn reset_s2(&mut self) {
+        self.inner.reset_s2();
+    }
+    fn kind(&self) -> TransportKind {
+        self.inner.kind()
+    }
+}
+
+/// Run the fig3 top-2 query over `relation` (fig3 or a rescaling of it) with fixed seeds
+/// and return the clouds plus every `Compare` reply S2 sent.
+fn fig3_query(relation: &Relation, config: &QueryConfig) -> (TwoClouds, Vec<Vec<i8>>) {
+    let mut rng = StdRng::seed_from_u64(0x7135);
+    let owner = DataOwner::new(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).expect("keygen");
+    let (er, _) = owner.encrypt(relation, &mut rng).expect("encryption");
+    let token = owner.authorize_client().token(3, &TopKQuery::sum(vec![0, 1, 2], 2)).unwrap();
+    let replies = Arc::new(Mutex::new(Vec::new()));
+    let tap = Arc::clone(&replies);
+    let mut clouds = TwoClouds::over_transport(owner.keys(), 0x7136, true, move |provision| {
+        Ok(Box::new(SignTap { inner: InProcessTransport::new(provision.build()), replies: tap }))
+    })
+    .expect("cloud setup");
+    sec_query(&mut clouds, &er, &token, config).expect("query");
+    let replies = replies.lock().expect("tap lock").clone();
+    (clouds, replies)
+}
+
+#[test]
+fn no_compare_reply_shows_a_tie() {
+    // Under Qry_F every neutralised duplicate and every sort pad has worst score Z = −1,
+    // so a comparison that could answer 0 would count them for S1 (and S2): `UP^d`,
+    // which only Qry_E may reveal.  Odd differences are never zero.
+    let relation = fig3_relation();
+    for config in configs() {
+        let name = config.variant.name();
+        let (_, replies) = fig3_query(&relation, &config);
+        assert!(!replies.is_empty(), "{name}: the query compared nothing");
+        let zeros: Vec<usize> =
+            replies.iter().map(|signs| signs.iter().filter(|&&s| s == 0).count()).collect();
+        assert!(zeros.iter().all(|&z| z == 0), "{name}: zero signs per Compare reply {zeros:?}");
+        assert!(replies.iter().flatten().all(|s| s.abs() == 1), "{name}: {replies:?}");
+    }
+}
+
+/// S1's comparison outcomes, in the order it recorded them.
+fn comparison_bits(ledger: &LeakageLedger) -> Vec<(String, bool)> {
+    ledger
+        .iter()
+        .filter_map(|event| match event {
+            LeakageEvent::ComparisonBit { context, less_or_equal } => {
+                Some((context, less_or_equal))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn s1_comparison_bits_are_a_function_of_the_order_alone() {
+    // Tripling every score keeps the order of every pair S1 can compare — sums scale, and
+    // real bounds stay ≥ 0 > Z = −1 — so with the same seeds the sorts and halting checks
+    // must show S1 exactly the same bits: what EncSort reveals is the order of the list it
+    // sorted, never a value.
+    let relation = fig3_relation();
+    let tripled = Relation::new(
+        relation.attribute_names().to_vec(),
+        relation
+            .rows()
+            .iter()
+            .map(|row| Row { id: row.id, values: row.values.iter().map(|v| 3 * v).collect() })
+            .collect(),
+    );
+    for config in configs() {
+        let name = config.variant.name();
+        let (plain, _) = fig3_query(&relation, &config);
+        let (scaled, _) = fig3_query(&tripled, &config);
+        let bits = comparison_bits(plain.s1_ledger());
+        assert!(bits.iter().any(|(context, _)| context == "enc_sort"), "{name}: nothing sorted");
+        assert_eq!(bits, comparison_bits(scaled.s1_ledger()), "{name}");
+        check_leakage(&plain, config.variant).expect("the profile holds");
+    }
+}
 
 #[test]
 fn full_privacy_view_matches_the_profile() {
