@@ -13,7 +13,6 @@ use rand::{CryptoRng, RngCore};
 use serde::{Deserialize, Serialize};
 
 use sectopk_crypto::keys::MasterKeys;
-use sectopk_crypto::paillier::Ciphertext;
 use sectopk_crypto::prf::PrfKey;
 use sectopk_crypto::prp::KeyedPrp;
 use sectopk_ehl::EhlEncoder;
@@ -184,23 +183,11 @@ pub fn top_k_join(
     let filtered = clouds.sec_filter(joined)?;
     let matching_pairs = filtered.len();
 
-    // Encrypted top-k selection on the joined scores: k rounds of "find the maximum of
-    // the remaining tuples" driven by EncCompare.
-    let k = token.k.min(filtered.len());
-    let mut remaining = filtered;
-    let mut top_k = Vec::with_capacity(k);
-    for _ in 0..k {
-        let mut best_idx = 0usize;
-        for idx in 1..remaining.len() {
-            // Is the current best ≤ the candidate?  Then the candidate becomes the best.
-            let current_best: Ciphertext = remaining[best_idx].score.clone();
-            let candidate = remaining[idx].score.clone();
-            if clouds.enc_compare(&current_best, &candidate, "join_top_k")? {
-                best_idx = idx;
-            }
-        }
-        top_k.push(remaining.swap_remove(best_idx));
-    }
+    // Encrypted top-k selection on the joined scores: the first k of one EncSort ranking
+    // of the survivors (the rounds of its `sort_plan`).
+    let scores = filtered.iter().map(|tuple| tuple.score.clone()).collect();
+    let order = clouds.enc_rank_desc(scores, "join_top_k")?;
+    let top_k = order.into_iter().take(token.k).map(|i| filtered[i].clone()).collect();
 
     Ok(JoinOutcome { top_k, matching_pairs, pairs_considered })
 }

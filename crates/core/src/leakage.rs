@@ -10,8 +10,22 @@
 //! [`sectopk_protocols::LeakageLedger`]s that the sub-protocols populate: after a query,
 //! each cloud's recorded view must contain *only* event kinds allowed by its profile.
 //! (The realisations of EncSort / EncCompare additionally reveal comparison outcomes of
-//! anonymous items to S1 and blinded signs to S2 — see DESIGN.md — so those kinds are
-//! part of the allowed sets.)
+//! anonymous items to S1 and blinded signs to S2 — see DESIGN.md §5–§6 — so those kinds
+//! are part of the allowed sets.)
+//!
+//! What the kind check cannot see, and what holds besides it:
+//!
+//! * a `ComparisonBit` is a fact about the *order* of the list being sorted, never about
+//!   a value: every EncSort schedule `sort_plan` can pick asks about one strict total
+//!   order (larger score first, earlier position among equals), and
+//!   `tests/leakage_profiles.rs` checks that tripling every score leaves S1's bit
+//!   sequence unchanged;
+//! * a `BlindedSign` is ±1 and never shows a tie — S1 compares odd differences, so under
+//!   `Qry_F` the neutralised duplicates (`Z = −1`) are not counted by zero signs, which
+//!   would be `UP^d`;
+//! * the residual that stays: S2 sees the magnitude of every compared difference to
+//!   within a factor `2¹⁶` (the blinding scale `α`); bit-decomposition comparison, the
+//!   paper's black box, would hide it and is the recorded deviation (DESIGN.md §5).
 
 use std::fmt;
 

@@ -13,11 +13,11 @@
 //!    10⁵–10⁶-row datasets).
 //! 2. **Estimate each variant's total cost** in abstract ciphertext-operation units by
 //!    walking the per-depth recurrence of Algorithm 3: SecWorst/SecBest (`m²`-ish per
-//!    depth plus the seen-list sweep), SecUpdate against the tracked list, `EncSort` as
-//!    a Batcher network (`t·log²t` gates) and the halting comparison, plus a per-round
+//!    depth plus the seen-list sweep), SecUpdate against the tracked list, `EncSort` at
+//!    the comparisons of its [`sort_plan`] and the halting comparison, plus a per-round
 //!    latency term when the inter-cloud link has a nonzero RTT (§11.2.5).  The round
 //!    count is the protocols' actual per-depth budget — bounds 2 + dedup 1 + update 2 +
-//!    one `Compare` per Batcher stage + halting 1 — recorded as
+//!    the sort plan's rounds + halting 1 — recorded as
 //!    [`PlanDecision::estimated_rounds`].
 //! 3. **Prefer privacy subject to a budget**: `Qry_F` whenever its estimated cost fits
 //!    [`FULL_PRIVACY_BUDGET`], `Qry_E` while it fits [`DUP_ELIM_BUDGET`], and otherwise
@@ -27,9 +27,12 @@
 //! The decision is recorded in [`crate::QueryStats::plan`], so every bench run and
 //! `ServeReport` is self-describing about what the planner did.
 
+use std::time::Duration;
+
 use serde::{Deserialize, Serialize};
 
-use sectopk_protocols::sort::enc_sort_rounds;
+use sectopk_protocols::sort::{sort_plan, RTT_UNITS_PER_MS};
+use sectopk_protocols::LinkProfile;
 
 use crate::query::QueryVariant;
 
@@ -40,11 +43,6 @@ pub const FULL_PRIVACY_BUDGET: f64 = 50_000.0;
 
 /// Cost budget for `Qry_E`: above this, the planner reaches for batching.
 pub const DUP_ELIM_BUDGET: f64 = 500_000.0;
-
-/// How many cost units one millisecond of link RTT is worth.  Converts the per-round
-/// latency of the §11.2.5 WAN into the same units as the ciphertext-operation counts
-/// (one unit ≈ one modular exponentiation ≈ tens of microseconds at 256-bit keys).
-const RTT_UNITS_PER_MS: f64 = 25.0;
 
 /// Fraction of per-depth items that are new *distinct* objects under `Qry_E` (objects
 /// recur across the `m` lists as the scan deepens, so the distinct count grows slower
@@ -131,16 +129,6 @@ pub fn estimated_depths(n: usize, k: usize) -> usize {
     (k + tail).clamp(1, n)
 }
 
-/// Gates of a Batcher odd-even merge sort over `t` items (the `EncSort` realisation):
-/// `t · log²(t)` up to constants.
-fn sort_cost(t: f64) -> f64 {
-    if t <= 1.0 {
-        return 0.0;
-    }
-    let log = (t + 2.0).log2();
-    t * log * log
-}
-
 /// Per-check halting cost: one comparison per tracked item outside the top-k plus the
 /// unseen-bound comparison.
 fn halt_cost(t: f64) -> f64 {
@@ -170,10 +158,15 @@ impl Estimate {
     }
 }
 
+/// The link `inputs` declare, as the sort reads it ([`sort_plan`]).
+fn declared_link(inputs: &PlannerInputs) -> LinkProfile {
+    LinkProfile { rtt: Duration::try_from_secs_f64(inputs.rtt_ms / 1e3).unwrap_or_default() }
+}
+
 /// Walk the per-depth recurrence of Algorithm 3 for `variant` over `depths` depths.
 ///
 /// * `Qry_F`: the tracked list `T` grows by `m` every depth (duplicates are neutralised
-///   in place, never removed), and every depth pays a full sort and halting check.
+///   in place, never removed), and every depth pays a sort and a halting check.
 /// * `Qry_E`: the same, but `T` holds only distinct objects (`≈ DISTINCT_FRACTION·m·d`,
 ///   capped at `n`).
 /// * `Qry_Ba`: between checks only the cheap within-batch accumulator is maintained;
@@ -189,6 +182,7 @@ fn estimate(inputs: &PlannerInputs, variant: QueryVariant, depths: usize) -> Est
         _ => (DISTINCT_FRACTION * m * d as f64).min(n),
     };
 
+    let link = declared_link(inputs);
     let mut e = Estimate::default();
     let mut checked = 0; // the depth of the last check: T covers depths 1..=checked
     for d in 1..=depths {
@@ -204,10 +198,11 @@ fn estimate(inputs: &PlannerInputs, variant: QueryVariant, depths: usize) -> Est
         if d % p == 0 || d == depths {
             // SecUpdate (the batch merge, for Qry_Ba) into T, then sort + halting check.
             let tracked = tracked_at(d);
+            let sort = sort_plan(tracked.ceil() as usize, link);
             e.ops += m * tracked + if batched { m * p as f64 } else { 0.0 };
-            e.ops += sort_cost(tracked) + halt_cost(tracked);
+            e.ops += sort.comparisons as f64 + halt_cost(tracked);
             e.rounds += update_rounds(tracked_at(checked))
-                + enc_sort_rounds(tracked.ceil() as usize) as f64
+                + sort.rounds as f64
                 + if tracked >= k { 1.0 } else { 0.0 };
             checked = d;
         }
@@ -348,16 +343,16 @@ mod tests {
     #[test]
     fn test_scale_decisions_are_pinned() {
         // What `Auto` executes on the relations the suites and the benchmark's mixed
-        // query list use; a flip here changes what those runs measure.
+        // query list use; a flip here changes what those runs measure.  With sorts priced
+        // at their plan's comparisons, Qry_F fits its budget on the whole ideal-link grid
+        // ((128, 4, 5): 28.6 k units; DESIGN.md §10).
         for (n, m, k) in [64usize, 128]
             .into_iter()
             .flat_map(|n| (2..=4usize).flat_map(move |m| (2..=5usize).map(move |k| (n, m, k))))
         {
             let lan = plan(&PlannerInputs::new(n, m, k, 0.0, true)).variant;
             let wan = plan(&PlannerInputs::new(n, m, k, 20.0, true)).variant;
-            let lan_expected =
-                if (n, m, k) == (128, 4, 5) { QueryVariant::DupElim } else { QueryVariant::Full };
-            assert_eq!(lan, lan_expected, "n = {n}, m = {m}, k = {k}, ideal link");
+            assert_eq!(lan, QueryVariant::Full, "n = {n}, m = {m}, k = {k}, ideal link");
             assert_eq!(wan, QueryVariant::DupElim, "n = {n}, m = {m}, k = {k}, 20 ms");
         }
     }

@@ -14,7 +14,7 @@
 //! `SecWorst` / `SecBest` for the per-depth bounds, `SecDedup`/`SecDupElim`, `SecUpdate`
 //! into the global list, `EncSort` by worst score and an encrypted halting check.  Every
 //! step costs one equality round and one `RecoverEnc` round, so a depth's wire pattern
-//! is bounds 2 + dedup 1 + update 2 + one `Compare` per Batcher stage + halting 1 (the
+//! is bounds 2 + dedup 1 + update 2 + the rounds of the sort's plan + halting 1 (the
 //! budget `tests/round_budget.rs` pins and the planner's RTT term models).  The
 //! halting check follows Algorithm 1's semantics (every object outside the current top-k
 //! — seen or unseen — must be dominated), which is slightly stronger than the

@@ -25,7 +25,8 @@
 //!   transport, actually shipped) in.
 //! * [`primitives`] — batched EHL equality tests, `RecoverEnc` (Algorithm 5), encrypted
 //!   selection, and the `EncCompare` realisation.
-//! * [`sort`] — `EncSort` as a Batcher network of encrypted compare-exchange gates.
+//! * [`sort`] — `EncSort` as one comparison network with a dial: blocks ranked by
+//!   counting, Batcher merges above them, the block size picked by [`sort::sort_plan`].
 //! * [`worst`] / [`best`] — `SecWorst` (Algorithm 4) and `SecBest` (Algorithm 6), and
 //!   [`bounds`] — the plan / finish halves both share, so a depth pays for them once.
 //! * [`dedup`] — `SecDedup` (Algorithm 7) and the optimized `SecDupElim` (§10.1).

@@ -60,8 +60,8 @@
 //!
 //! * `SecDedup` ships its whole pairwise equality matrix inside one [`S1Request::Dedup`];
 //!   with batching disabled it degrades to one [`S1Request::EqTest`] per pair.
-//! * `EncSort` ships all comparator gates of one Batcher stage in one
-//!   [`S1Request::Compare`]; unbatched, one request per gate.
+//! * `EncSort` ships all pairs of its counting step, or all gates of one merge stage, in
+//!   one [`S1Request::Compare`]; unbatched, one request per comparison.
 //! * `SecWorst` / `SecBest` ship the equality matrices of all `m` per-depth items in one
 //!   `Batch` and recover all selected scores in one [`S1Request::Recover`].
 //!

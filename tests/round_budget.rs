@@ -7,13 +7,14 @@
 //! ```text
 //! bounds 2 + dedup 1                      (m > 1)
 //! + update 2                              (the list it merges into is non-empty)
-//! + on a check depth: [Qry_Ba merge 2] + one Compare per Batcher stage
+//! + on a check depth: [Qry_Ba merge 2] + sort_plan(|T|, link).rounds
 //!                     + halting 1         (|T| ≥ k)
 //! ```
 //!
 //! On a real link a query is round-bound, so an extra round is a latency regression
 //! even when no timing test can see it; these tests make it fail here instead.  The
-//! second half checks that the planner's RTT term predicts the same numbers.
+//! second half checks that the planner's RTT term predicts the same numbers, over the
+//! 20 ms link it declares.
 //!
 //! Beside it, the **selection budget**: how many ciphertexts S2 strips in a step's
 //! `RecoverEnc` round.  SecBest rows and SecUpdate columns hold at most one match, so
@@ -33,10 +34,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sectopk_core::planner::estimated_rounds;
-use sectopk_core::{DataOwner, PlannerInputs, Query, QueryConfig, QueryVariant, VariantChoice};
+use sectopk_core::{
+    DataOwner, LinkProfile, Query, QueryConfig, QueryVariant, Session, VariantChoice,
+};
 use sectopk_datasets::fig3_relation;
-use sectopk_protocols::sort::enc_sort_rounds;
-use sectopk_protocols::{ScoredItem, TwoClouds, UpdateMode};
+use sectopk_protocols::sort::sort_plan;
+use sectopk_protocols::{ScoredItem, SessionId, TwoClouds, UpdateMode};
+use sectopk_server::QueryServer;
 use sectopk_storage::{EncryptedItem, ObjectId, Relation, Row, TopKQuery};
 use sectopk_tests::{
     assert_valid_top_k, harness, run_built_query, run_query, TEST_EHL_KEYS, TEST_MODULUS_BITS,
@@ -52,8 +56,15 @@ fn distinct(relation: &Relation, attrs: &[usize], from: usize, to: usize) -> usi
     seen.len()
 }
 
-/// The budget of (0-based) depth `d`, from the plaintext shape of the scan.
-fn budget(relation: &Relation, attrs: &[usize], k: usize, variant: QueryVariant, d: usize) -> u64 {
+/// The budget of (0-based) depth `d` over `link`, from the plaintext shape of the scan.
+fn budget(
+    relation: &Relation,
+    attrs: &[usize],
+    k: usize,
+    variant: QueryVariant,
+    link: LinkProfile,
+    d: usize,
+) -> u64 {
     let m = attrs.len();
     // (length of the list the per-depth update merges into, check-depth merge target,
     //  |T| after the depth, is this a check depth)
@@ -76,7 +87,7 @@ fn budget(relation: &Relation, attrs: &[usize], k: usize, variant: QueryVariant,
     rounds += if update_into > 0 { 2 } else { 0 };
     if check {
         rounds += if merge_into > 0 { 2 } else { 0 };
-        rounds += enc_sort_rounds(tracked) + usize::from(tracked >= k);
+        rounds += sort_plan(tracked, link).rounds + usize::from(tracked >= k);
     }
     rounds as u64
 }
@@ -94,7 +105,7 @@ fn every_depth_of_fig3_costs_exactly_the_budget() {
         let stats = &outcome.stats;
         assert!(stats.halted && stats.depths_scanned > 1, "{name}: {stats:?}");
         for (d, channel) in stats.per_depth_channel.iter().enumerate() {
-            let expected = budget(&relation, &attrs, k, config.variant, d);
+            let expected = budget(&relation, &attrs, k, config.variant, h.session.link(), d);
             assert_eq!(channel.rounds, expected, "{name}, depth {d}");
         }
         let total: u64 = stats.per_depth_channel.iter().map(|c| c.rounds).sum();
@@ -107,8 +118,10 @@ fn single_list_queries_skip_bounds_and_dedup() {
     let relation = fig3_relation();
     let mut h = harness(relation.clone(), 0xB0D7);
     let (_, outcome) = run_query(&mut h, &TopKQuery::sum(vec![1], 2), &QueryConfig::full());
+    let link = h.session.link();
     for (d, channel) in outcome.stats.per_depth_channel.iter().enumerate() {
-        assert_eq!(channel.rounds, budget(&relation, &[1], 2, QueryVariant::Full, d), "depth {d}");
+        let expected = budget(&relation, &[1], 2, QueryVariant::Full, link, d);
+        assert_eq!(channel.rounds, expected, "depth {d}");
     }
 }
 
@@ -127,7 +140,7 @@ fn relation_32() -> Relation {
 #[test]
 fn a_capped_scan_spends_no_round_after_its_last_depth() {
     // The cap makes depth 3 a check depth: the batch is merged and T sorted inside it,
-    // so nothing is left to do — or to pay a Batcher network for — once the loop ends.
+    // so nothing is left to do — or to pay a sort for — once the loop ends.
     let relation = relation_32();
     let (attrs, k, cap) = (vec![0, 1, 2], 3, 3);
     // The plaintext bookkeeping after `cap` depths: W(o) = the scores of o seen so far.
@@ -229,19 +242,28 @@ fn every_step_strips_one_ciphertext_per_fused_row_not_per_cell() {
 
 #[test]
 fn planner_round_term_is_within_15_percent_of_the_measured_rounds() {
+    // The query runs over the 20 ms link its plan declares, so this checks the WAN plan:
+    // a session on a pool with that RTT, every sort one counting round.
     let relation = relation_32();
     let (attrs, k) = (vec![0, 1, 2], 3);
-    let inputs = PlannerInputs::new(relation.len(), attrs.len(), k, 20.0, true);
-    let mut h = harness(relation.clone(), 0xB0D8);
-    for config in [QueryConfig::full(), QueryConfig::dup_elim(), QueryConfig::batched(4)] {
-        let (ids, outcome) = run_query(&mut h, &TopKQuery::sum(attrs.clone(), k), &config);
-        let name = config.variant.name();
-        assert_valid_top_k(&relation, &attrs, &[], k, &ids, name);
-        let stats = &outcome.stats;
+    let h = harness(relation.clone(), 0xB0D8);
+    let server = QueryServer::new(h.owner.keys(), h.outsourced.clone(), 1);
+    let mut session = server
+        .open_session(SessionId(1), 0xB0D9, true, LinkProfile::with_rtt_ms(20))
+        .expect("a session over a 20 ms link");
+    for variant in [QueryVariant::Full, QueryVariant::DupElim, QueryVariant::Batched { p: 4 }] {
+        let name = variant.name();
+        let query = Query::from_spec(TopKQuery::sum(attrs.clone(), k))
+            .with_variant(VariantChoice::Fixed(variant));
+        let resolved = session.execute(&query).expect("secure query succeeds");
+        assert_valid_top_k(&relation, &attrs, &[], k, &resolved.object_ids(), name);
+        let stats = resolved.stats();
         assert!(stats.halted && stats.depths_scanned >= 4, "{name}: {stats:?}");
 
+        let plan = stats.plan.as_ref().expect("the session records its plan");
+        assert_eq!(plan.inputs.rtt_ms, 20.0, "{name}: the plan declares the session's link");
         let measured = stats.channel.rounds as f64;
-        let predicted = estimated_rounds(&inputs, config.variant, stats.depths_scanned);
+        let predicted = estimated_rounds(&plan.inputs, variant, stats.depths_scanned);
         let error = (predicted - measured).abs() / measured;
         assert!(
             error <= 0.15,
@@ -249,8 +271,7 @@ fn planner_round_term_is_within_15_percent_of_the_measured_rounds() {
             stats.depths_scanned
         );
         // What the session recorded is the same model at the planner's own depth guess.
-        let plan = stats.plan.as_ref().expect("the session records its plan");
-        let at_guess = estimated_rounds(&plan.inputs, config.variant, plan.estimated_depths);
+        let at_guess = estimated_rounds(&plan.inputs, variant, plan.estimated_depths);
         assert_eq!(plan.estimated_rounds, at_guess, "{name}");
     }
 }

@@ -6,6 +6,7 @@ use rand::{Rng, SeedableRng};
 
 use sectopk_core::{encrypt_for_join, join_token, top_k_join, JoinQuery};
 use sectopk_crypto::MasterKeys;
+use sectopk_protocols::sort::sort_plan;
 use sectopk_protocols::TwoClouds;
 use sectopk_storage::{ObjectId, Relation, Row};
 use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
@@ -108,6 +109,42 @@ fn random_joins_match_the_plaintext_reference() {
             .collect();
         assert_eq!(scores, expected[..k.min(expected.len())].to_vec(), "trial {trial}");
     }
+}
+
+#[test]
+fn the_final_selection_is_one_sort_of_the_matches() {
+    // SecJoin costs an equality round and a RecoverEnc round, SecFilter one more; the
+    // top-k selection is then one `sort_plan` ranking of the L surviving tuples, where
+    // finding the maximum k times took one EncCompare round per candidate: k·(L − 1).
+    let (keys, mut clouds, mut rng) = setup(800);
+    let side = |rows: u64, rng: &mut StdRng| {
+        Relation::from_rows(
+            (0..rows)
+                .map(|i| Row {
+                    id: ObjectId(i),
+                    values: vec![rng.gen_range(0..3), rng.gen_range(0..50)],
+                })
+                .collect(),
+        )
+    };
+    let (left, right) = (side(6, &mut rng), side(5, &mut rng));
+    let q = JoinQuery { join_left: 0, join_right: 0, score_left: 1, score_right: 1, k: 3 };
+    let enc_left = encrypt_for_join(&left, &keys, "join/left", &mut rng).unwrap();
+    let enc_right = encrypt_for_join(&right, &keys, "join/right", &mut rng).unwrap();
+    let token = join_token(&keys, 2, 2, &q, &[], &[]).unwrap();
+    let outcome = top_k_join(&mut clouds, &enc_left, &enc_right, &token).unwrap();
+
+    let expected = plaintext_join_scores(&left, &right, &q);
+    let matches = outcome.matching_pairs;
+    assert_eq!(matches, expected.len());
+    assert!(matches > q.k + 1, "{matches} matches: too few to tell the schedules apart");
+    let plan = sort_plan(matches, clouds.link_profile());
+    assert_eq!(clouds.channel().rounds, 3 + plan.rounds as u64, "{plan:?}");
+    assert!(plan.rounds < q.k * (matches - 1), "{plan:?} against {} rounds", q.k * (matches - 1));
+    assert_eq!(clouds.s1_ledger().count_kind("comparison_bit"), plan.comparisons);
+    let scores: Vec<u64> =
+        outcome.top_k.iter().map(|t| keys.paillier_secret.decrypt_u64(&t.score).unwrap()).collect();
+    assert_eq!(scores, expected[..q.k].to_vec());
 }
 
 #[test]
