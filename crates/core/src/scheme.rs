@@ -66,8 +66,8 @@ impl DataOwner {
         Ok(encrypt_relation(relation, &self.keys, rng)?)
     }
 
-    /// `Enc(λ, R)` with one worker thread per attribute list (the setup measured in
-    /// Fig. 7a / Fig. 8a uses heavy parallelism).
+    /// `Enc(λ, R)` with the attribute lists spread over the machine's cores (the setup
+    /// measured in Fig. 7a / Fig. 8a uses heavy parallelism).
     pub fn encrypt_parallel<R: RngCore + CryptoRng>(
         &self,
         relation: &Relation,

@@ -288,8 +288,8 @@ impl DataOwner {
         Ok((Outsourced::from_parts(er, object_ids), stats))
     }
 
-    /// [`DataOwner::outsource`] with one worker thread per attribute list (the setup
-    /// measured in Fig. 7a / Fig. 8a uses heavy parallelism).
+    /// [`DataOwner::outsource`] with the attribute lists spread over the machine's cores
+    /// (the setup measured in Fig. 7a / Fig. 8a uses heavy parallelism).
     pub fn outsource_parallel<R: RngCore + CryptoRng>(
         &self,
         relation: &Relation,

@@ -10,8 +10,10 @@
 //! A [`RandomnessPool`] owns its own deterministic RNG streams, one per nonce kind
 //! (so a pool seeded identically produces identical ciphertext streams — the
 //! transport-equivalence tests rely on this), and refills in batches of
-//! [`RandomnessPool::batch`] nonces whenever a queue runs dry.  [`RandomnessPool::refill`] can be called explicitly during idle time to
-//! move the precomputation off the critical path entirely.
+//! [`RandomnessPool::batch`] nonces whenever a queue runs dry — on as many threads as
+//! its owner last set with [`RandomnessPool::set_refill_workers`].
+//! [`RandomnessPool::refill`] can be called explicitly during idle time to move the
+//! precomputation off the critical path entirely.
 //!
 //! Ownership: pools are *not* part of the shared `Arc` key material — two parties
 //! sharing a public key must not share a nonce stream — so each protocol party
@@ -69,6 +71,7 @@ pub struct RandomnessPool {
     paillier_nonces: VecDeque<BigUint>,
     dj_nonces: VecDeque<BigUint>,
     batch: usize,
+    refill_workers: usize,
 }
 
 impl RandomnessPool {
@@ -82,6 +85,7 @@ impl RandomnessPool {
             paillier_nonces: VecDeque::new(),
             dj_nonces: VecDeque::new(),
             batch: DEFAULT_BATCH,
+            refill_workers: 1,
         }
     }
 
@@ -138,41 +142,47 @@ impl RandomnessPool {
 
     /// Precompute `paillier` + `dj` nonces using up to `workers` threads: exponents are
     /// drawn serially (preserving the draw-order invariant of [`Self::refill`] exactly),
-    /// the table evaluations run data-parallel, and the results are queued in draw
-    /// order — so the nonce stream is byte-identical to a serial refill of the same
-    /// counts.  With `workers <= 1` this *is* a serial refill.
+    /// the table evaluations of both kinds run as one data-parallel sweep, and the
+    /// results are queued in draw order — so the nonce stream is byte-identical to a
+    /// serial refill of the same counts.  With `workers <= 1` this *is* a serial refill.
     pub fn prefill_parallel(&mut self, paillier: usize, dj: usize, workers: usize) {
         if workers <= 1 || paillier + dj < 2 {
             self.refill(paillier, dj);
             return;
         }
-        let dj_pk = if dj > 0 {
-            Some(self.dj.clone().expect("refilling DJ nonces on a Paillier-only pool"))
-        } else {
-            None
+        let dj_pk = match dj {
+            0 => None,
+            _ => Some(self.dj.clone().expect("refilling DJ nonces on a Paillier-only pool")),
         };
-        let paillier_exps: Vec<BigUint> =
-            (0..paillier).map(|_| random_below(&mut self.paillier_rng, self.pk.n())).collect();
-        let dj_exps: Vec<BigUint> = match &dj_pk {
-            Some(dj_pk) => (0..dj).map(|_| random_below(&mut self.dj_rng, dj_pk.n())).collect(),
-            None => Vec::new(),
-        };
+        // `(is_dj, exponent)`: every Paillier exponent, then every DJ one.
+        let mut exps: Vec<(bool, BigUint)> = Vec::with_capacity(paillier + dj);
+        exps.extend(
+            (0..paillier).map(|_| (false, random_below(&mut self.paillier_rng, self.pk.n()))),
+        );
+        if let Some(dj_pk) = &dj_pk {
+            exps.extend((0..dj).map(|_| (true, random_below(&mut self.dj_rng, dj_pk.n()))));
+        }
 
         let pk = &self.pk;
-        let paillier_nonces =
-            crate::par::par_map(workers, &paillier_exps, |a| pk.nonce_from_exponent(a));
-        let dj_nonces = match &dj_pk {
-            Some(dj_pk) => crate::par::par_map(workers, &dj_exps, |a| dj_pk.nonce_from_exponent(a)),
-            None => Vec::new(),
-        };
-        self.paillier_nonces.extend(paillier_nonces);
-        self.dj_nonces.extend(dj_nonces);
+        let nonces = crate::par::par_map(workers, &exps, |(is_dj, a)| match (is_dj, &dj_pk) {
+            (true, Some(dj_pk)) => dj_pk.nonce_from_exponent(a),
+            _ => pk.nonce_from_exponent(a),
+        });
+        let mut nonces = nonces.into_iter();
+        self.paillier_nonces.extend(nonces.by_ref().take(paillier));
+        self.dj_nonces.extend(nonces);
+    }
+
+    /// Threads a dry queue's batch refill may use (default 1).  The owner keeps it at
+    /// its current worker count; the nonce stream is the same for every value.
+    pub fn set_refill_workers(&mut self, workers: usize) {
+        self.refill_workers = workers.max(1);
     }
 
     /// Pop a Paillier nonce `r^N mod N²`, refilling a batch if the queue is dry.
     pub fn next_paillier_nonce(&mut self) -> BigUint {
         if self.paillier_nonces.is_empty() {
-            self.refill(self.batch, 0);
+            self.prefill_parallel(self.batch, 0, self.refill_workers);
         }
         self.paillier_nonces.pop_front().expect("refill produced at least one nonce")
     }
@@ -182,7 +192,7 @@ impl RandomnessPool {
     /// Panics if the pool was built without a DJ key.
     pub fn next_dj_nonce(&mut self) -> BigUint {
         if self.dj_nonces.is_empty() {
-            self.refill(0, self.batch);
+            self.prefill_parallel(0, self.batch, self.refill_workers);
         }
         self.dj_nonces.pop_front().expect("refill produced at least one nonce")
     }
@@ -388,6 +398,22 @@ mod tests {
         for _ in 0..40 {
             assert_eq!(lazy.next_paillier_nonce(), eager.next_paillier_nonce());
         }
+    }
+
+    #[test]
+    fn lazy_refills_on_several_workers_keep_both_streams() {
+        let (master, _pool) = setup();
+        let dj = crate::damgard_jurik::DjPublicKey::from_paillier(&master.paillier_public);
+        let mut serial = RandomnessPool::with_dj(&master.paillier_public, &dj, 77);
+        let mut parallel = RandomnessPool::with_dj(&master.paillier_public, &dj, 77);
+        serial.set_batch(5);
+        parallel.set_batch(5);
+        parallel.set_refill_workers(3);
+        for _ in 0..12 {
+            assert_eq!(serial.next_paillier_nonce(), parallel.next_paillier_nonce());
+            assert_eq!(serial.next_dj_nonce(), parallel.next_dj_nonce());
+        }
+        assert_eq!(serial.ready(), parallel.ready());
     }
 
     #[test]

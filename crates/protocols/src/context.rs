@@ -14,6 +14,7 @@
 //! real loopback socket.
 
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
@@ -24,10 +25,11 @@ use crate::error::Result;
 use sectopk_crypto::damgard_jurik::DjPublicKey;
 use sectopk_crypto::keys::{MasterKeys, S1Keys};
 use sectopk_crypto::paillier::{generate_keypair, PaillierPublicKey, PaillierSecretKey};
+use sectopk_crypto::par::{cores, share};
 use sectopk_crypto::pool::RandomnessPool;
 
 use crate::channel::ChannelMetrics;
-use crate::engine::EngineProvision;
+use crate::engine::{intra_workers_from_env, EngineProvision};
 use crate::ledger::LeakageLedger;
 use crate::multiplex::{LinkProfile, MultiplexServer, SessionId};
 use crate::tcp::{TcpCloudServer, TcpOptions, TcpServerConfig};
@@ -56,6 +58,25 @@ fn loopback_listener() -> Result<&'static TcpCloudServer> {
         .map_err(|e| crate::ProtocolError::transport(format!("binding loopback S2: {e}")))
 }
 
+/// S1 sessions alive in this process: the divisor of S1's share of the machine.
+static LIVE_S1_SESSIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// A [`TwoClouds`]'s place in [`LIVE_S1_SESSIONS`], held from construction to drop.
+struct LiveSession;
+
+impl LiveSession {
+    fn join() -> Self {
+        LIVE_S1_SESSIONS.fetch_add(1, Ordering::Relaxed);
+        LiveSession
+    }
+}
+
+impl Drop for LiveSession {
+    fn drop(&mut self) {
+        LIVE_S1_SESSIONS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// State held by the primary cloud S1 during protocol execution.
 #[derive(Debug)]
 pub struct S1State {
@@ -77,10 +98,12 @@ pub struct S1State {
     pub own_pool: RandomnessPool,
     /// Everything S1 observed beyond its inputs.
     pub ledger: LeakageLedger,
-    /// Worker threads S1's batched client loops may use for the pure crypto of one
-    /// query (1 = serial; default from `SECTOPK_INTRA_PARALLEL`).  Randomness is always
-    /// drawn serially first, so protocol bytes never depend on this value.
-    pub intra_workers: usize,
+    /// An exact worker count for S1's batched client loops and nonce refills (1 =
+    /// serial; initially `SECTOPK_INTRA_PARALLEL`'s, if set).  `None`: the session's
+    /// share of the machine, the cores divided among the live S1 sessions of the process
+    /// ([`TwoClouds::intra_workers`]).  Randomness is always drawn serially first, so
+    /// protocol bytes never depend on the count.
+    pub intra_workers: Option<usize>,
 }
 
 /// The two non-colluding clouds: S1's state plus the metered transport to the S2 engine.
@@ -102,6 +125,8 @@ pub struct TwoClouds {
     rounds_counter: Counter,
     /// Optional span hook notified at entry/exit of every protocol round.
     trace: Option<Arc<dyn TraceHook>>,
+    /// Counts this session among the live S1 sessions while it exists.
+    _live: LiveSession,
 }
 
 impl fmt::Debug for TwoClouds {
@@ -182,20 +207,14 @@ impl TwoClouds {
         session: SessionId,
         link: LinkProfile,
     ) -> Result<Self> {
-        Self::connect_with_workers(
-            master,
-            seed,
-            batching,
-            server,
-            session,
-            link,
-            crate::engine::intra_workers_from_env(),
-        )
+        Self::over_transport(master, seed, batching, |provision| {
+            Ok(Box::new(server.connect(session, provision.build(), link)?))
+        })
     }
 
-    /// [`TwoClouds::connect`] with an explicit intra-query worker count applied to
-    /// *both* sides — S1's client loops and the session's S2 engine — instead of the
-    /// `SECTOPK_INTRA_PARALLEL` default.  Worker count never affects protocol bytes.
+    /// [`TwoClouds::connect`] with an exact intra-query worker count applied to *both*
+    /// sides — S1's client loops and the session's S2 engine — instead of each side's
+    /// share of the machine.  Worker count never affects protocol bytes.
     #[allow(clippy::too_many_arguments)]
     pub fn connect_with_workers(
         master: &MasterKeys,
@@ -257,7 +276,7 @@ impl TwoClouds {
             seed ^ 0x1001_1001_1001_1001,
         );
         let own_pool = RandomnessPool::new(&own_public, seed ^ 0x4004_4004_4004_4004);
-        Ok(TwoClouds {
+        let mut clouds = TwoClouds {
             s1: S1State {
                 keys: s1_keys,
                 own_public,
@@ -266,14 +285,17 @@ impl TwoClouds {
                 pool,
                 own_pool,
                 ledger: LeakageLedger::new(),
-                intra_workers: crate::engine::intra_workers_from_env(),
+                intra_workers: intra_workers_from_env(),
             },
             transport,
             batching,
             round_nanos: Histogram::noop(),
             rounds_counter: Counter::noop(),
             trace: None,
-        })
+            _live: LiveSession::join(),
+        };
+        clouds.refresh_refill_workers();
+        Ok(clouds)
     }
 
     /// Report this context's protocol rounds into `registry`: a per-round latency
@@ -301,25 +323,39 @@ impl TwoClouds {
         self.transport.faults_absorbed()
     }
 
-    /// Worker threads S1's batched client loops may use for one query's pure crypto.
+    /// Worker threads S1's batched client loops use right now: the exact count if one
+    /// was set, else this session's share of the machine — the cores divided among the
+    /// S1 sessions alive in this process.
     pub fn intra_workers(&self) -> usize {
-        self.s1.intra_workers
+        self.s1
+            .intra_workers
+            .unwrap_or_else(|| share(cores(), LIVE_S1_SESSIONS.load(Ordering::Relaxed)))
     }
 
-    /// Set the S1-side intra-query worker count (minimum 1; 1 = fully serial).  The S2
-    /// engine behind the transport has its own knob
-    /// ([`crate::engine::S2Engine::set_intra_workers`]); both default to the
-    /// `SECTOPK_INTRA_PARALLEL` environment variable.  Protocol bytes, ledgers and
-    /// metrics are identical for every value.
+    /// Set an exact S1-side intra-query worker count (minimum 1; 1 = fully serial),
+    /// whatever else is alive.  The S2 engine behind the transport has its own knob
+    /// ([`crate::engine::S2Engine::set_intra_workers`]); unset, each side uses its share
+    /// of the machine, and `SECTOPK_INTRA_PARALLEL` sets both.  Protocol bytes, ledgers
+    /// and metrics are identical for every value.
     pub fn set_intra_workers(&mut self, workers: usize) {
-        self.s1.intra_workers = workers.max(1);
+        self.s1.intra_workers = Some(workers.max(1));
+        self.refresh_refill_workers();
+    }
+
+    /// Let S1's lazy nonce refills use the current worker count.  Called at setup, on
+    /// every explicit count and after every round, so a refill follows the share within
+    /// one round of a neighbouring session coming or going.
+    fn refresh_refill_workers(&mut self) {
+        let workers = self.intra_workers();
+        self.s1.pool.set_refill_workers(workers);
+        self.s1.own_pool.set_refill_workers(workers);
     }
 
     /// Use transport idle time to top S1's nonce pools up to `paillier` / `dj` / `own`
     /// ready nonces (e.g. between queries, while no request is in flight).  Pool streams
     /// are position-deterministic, so eager refilling never changes protocol bytes.
     pub fn idle_refill(&mut self, paillier: usize, dj: usize, own: usize) {
-        let workers = self.s1.intra_workers;
+        let workers = self.intra_workers();
         let (ready_p, ready_dj) = self.s1.pool.ready();
         let need_p = paillier.saturating_sub(ready_p);
         let need_dj = dj.saturating_sub(ready_dj);
@@ -393,6 +429,7 @@ impl TwoClouds {
         let result = self.transport.round_trip(request);
         self.round_nanos.stop(timer);
         self.rounds_counter.incr();
+        self.refresh_refill_workers();
         if let Some(trace) = &self.trace {
             trace.exit(span);
         }

@@ -26,10 +26,13 @@
 //!    item order over `(request, Done)` pairs.
 //!
 //! Phase 2 is pure and phase 3 serial, so ledgers, metrics and ciphertext streams do not
-//! depend on the worker count ([`S2Engine::set_intra_workers`]; default: the
-//! `SECTOPK_INTRA_PARALLEL` environment variable, else 1).  `plan` and `commit` are the
-//! only matches over the [`S1Request`] variants, both without a wildcard: a new request
-//! kind does not compile until both describe it (DESIGN.md §12).
+//! depend on the worker count.  That count is [`S2Engine::set_intra_workers`]'s, or the
+//! `SECTOPK_INTRA_PARALLEL` environment variable's; by default it is the engine's share of
+//! the machine, evaluated at every request: all cores for an engine alone behind an
+//! [`crate::transport::InProcessTransport`], `cores / min(W, connected sessions)` for one
+//! seated in a [`crate::multiplex::MultiplexServer`] of `W` permits.  `plan` and `commit`
+//! are the only matches over the [`S1Request`] variants, both without a wildcard: a new
+//! request kind does not compile until both describe it (DESIGN.md §12).
 
 // Workspace invariant 3 (DESIGN.md §15): the request/reply path returns typed errors, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -42,7 +45,7 @@ use sectopk_crypto::bigint::{mod_inverse, random_below, random_invertible};
 use sectopk_crypto::damgard_jurik::LayeredCiphertext;
 use sectopk_crypto::keys::S2Keys;
 use sectopk_crypto::paillier::{Ciphertext, PaillierPublicKey};
-use sectopk_crypto::par::par_map;
+use sectopk_crypto::par::{cores, par_map, share};
 use sectopk_crypto::pool::RandomnessPool;
 use sectopk_crypto::prp::RandomPermutation;
 use sectopk_crypto::Result;
@@ -96,13 +99,16 @@ impl EngineProvision {
     }
 }
 
-/// Read the default intra-query worker count from `SECTOPK_INTRA_PARALLEL` (≥ 1).
-pub fn intra_workers_from_env() -> usize {
+/// The exact intra-query worker count `SECTOPK_INTRA_PARALLEL` names (≥ 1), an
+/// override for every party built in this process.  `None` when it is unset or not a
+/// positive number: then each party uses its share of the machine — S1 the cores divided
+/// among the live S1 sessions of the process, an S2 engine those divided among the
+/// engines that may compute beside it.
+pub fn intra_workers_from_env() -> Option<usize> {
     std::env::var("SECTOPK_INTRA_PARALLEL")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&w| w >= 1)
-        .unwrap_or(1)
 }
 
 /// The one secret-key operation a request kind needs, over its ciphertexts in order.
@@ -193,8 +199,12 @@ pub struct S2Engine {
     /// Equality bits accumulated from unbatched [`S1Request::EqTest`] rounds, consumed
     /// by the next [`S1Request::EqAggregate`] or matrix-less [`S1Request::Dedup`].
     pending_eq: Vec<bool>,
-    /// Worker threads the compute phase may use (1 = serial).
-    intra_workers: usize,
+    /// An exact worker count for the compute phase (1 = serial); `None`: the share.
+    intra_workers: Option<usize>,
+    /// Engines that may compute at the same time as this one, itself included — the
+    /// divisor of its share.  1 (alone) unless the pool seating it says otherwise at
+    /// each request.
+    crowd: usize,
     /// Cached metric handles (all no-ops until [`S2Engine::set_metrics_registry`]).
     metrics: EngineMetrics,
 }
@@ -220,6 +230,7 @@ impl S2Engine {
             ledger: LeakageLedger::new(),
             pending_eq: Vec::new(),
             intra_workers: intra_workers_from_env(),
+            crowd: 1,
             metrics: EngineMetrics::default(),
         }
     }
@@ -245,16 +256,22 @@ impl S2Engine {
         };
     }
 
-    /// Number of worker threads the compute phase may use for one request.
+    /// Number of worker threads the compute phase uses for the next request: the
+    /// explicit count, else the engine's share of the machine.
     pub fn intra_workers(&self) -> usize {
-        self.intra_workers
+        self.intra_workers.unwrap_or_else(|| share(cores(), self.crowd))
     }
 
-    /// Set the intra-query worker count (minimum 1; 1 = fully serial).  Results,
-    /// ledgers and metrics are byte-identical for every value — only wall-clock
-    /// changes.
+    /// Set an exact intra-query worker count (minimum 1; 1 = fully serial), whatever
+    /// else runs beside the engine.  Results, ledgers and metrics are byte-identical
+    /// for every value — only wall-clock changes.
     pub fn set_intra_workers(&mut self, workers: usize) {
-        self.intra_workers = workers.max(1);
+        self.intra_workers = Some(workers.max(1));
+    }
+
+    /// How many engines may compute at the same time as this one, itself included.
+    pub(crate) fn set_crowd(&mut self, engines: usize) {
+        self.crowd = engines;
     }
 
     /// Everything S2 has observed beyond its inputs.
@@ -430,7 +447,7 @@ impl S2Engine {
         self.metrics.compute_ops.observe(ops.len() as u64);
 
         let (sk, dj) = (&self.keys.paillier_secret, &self.keys.dj_secret);
-        let outs = par_map(self.intra_workers, &ops, |op| match *op {
+        let outs = par_map(self.intra_workers(), &ops, |op| match *op {
             Op::IsZero(c) => sk.is_zero(c).map(Out::Bit),
             Op::Sign(c) => sk.decrypt_signed(c).map(|v| match v.sign() {
                 Sign::Minus => Out::Sign(-1),
@@ -472,7 +489,8 @@ impl S2Engine {
     /// than one worker (the serial path keeps the lazy batch refills); either way the
     /// consumed nonce stream is identical (see [`RandomnessPool::prefill_parallel`]).
     fn prefill_pools(&mut self, steps: &[Step<'_>]) {
-        if self.intra_workers <= 1 {
+        let workers = self.intra_workers();
+        if workers <= 1 {
             return;
         }
         let sum = |f: fn(&NonceDemand) -> usize| steps.iter().map(|s| f(&s.nonces)).sum::<usize>();
@@ -482,10 +500,10 @@ impl S2Engine {
         let need_dj = sum(|n| n.dj).saturating_sub(ready_dj);
         let need_own = sum(|n| n.own).saturating_sub(ready_own);
         if need_p + need_dj > 0 {
-            self.pool.prefill_parallel(need_p, need_dj, self.intra_workers);
+            self.pool.prefill_parallel(need_p, need_dj, workers);
         }
         if need_own > 0 {
-            self.own_pool.prefill_parallel(need_own, 0, self.intra_workers);
+            self.own_pool.prefill_parallel(need_own, 0, workers);
         }
     }
 

@@ -51,6 +51,12 @@
 //! `pool.worker.{i}.busy_nanos`, and because it is returned by a guard, a request that
 //! unwinds cannot leak it.
 //!
+//! How many threads a request computes on is the other half of the budget.  At most
+//! `min(W, connected sessions)` requests compute at once — a parked session sends
+//! nothing — so an engine without an explicit worker count splits the machine's cores
+//! that many ways, read afresh at every request ([`MultiplexServer::intra_workers`]): a
+//! lone session gets every core, `W` busy sessions one each.
+//!
 //! # Wire envelope
 //!
 //! On a link, every message is an [`Envelope`]: a fixed 16-byte header (session id and
@@ -118,6 +124,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use sectopk_crypto::par::{cores, share};
 use sectopk_metrics::{Counter, Histogram, Registry as MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
@@ -304,6 +311,14 @@ struct Pool {
 }
 
 impl Pool {
+    /// How many requests may compute at the same time right now: one per connected
+    /// session, at most one per permit.
+    fn crowd(&self) -> usize {
+        let table = self.table.plock();
+        let connected = table.seats.values().filter(|seat| seat.parked_until.is_none()).count();
+        connected.min(self.workers)
+    }
+
     /// Block until one of the `workers` permits is free, and take it.
     fn permit(&self) -> Permit<'_> {
         let mut idle = self.idle.plock();
@@ -359,6 +374,7 @@ impl SessionConduit {
         }
         let _permit = pool.permit();
         let SessionState { engine, last_reply } = &mut *state;
+        engine.set_crowd(pool.crowd());
         let reply = match frame.split_first() {
             Some((&frame::REQUEST, payload)) => {
                 // Replay check, under the session lock so the cache and the execution
@@ -553,6 +569,12 @@ impl MultiplexServer {
     /// Number of S2 requests that may execute at once.
     pub fn workers(&self) -> usize {
         self.pool.workers
+    }
+
+    /// Worker threads a request of an engine without an explicit worker count computes
+    /// on if it starts now: the machine's cores shared among `min(W, connected sessions)`.
+    pub fn intra_workers(&self) -> usize {
+        share(cores(), self.pool.crowd())
     }
 
     /// Number of sessions the table currently holds, connected and parked alike.
@@ -1115,6 +1137,23 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         neighbour.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
         assert_eq!(server.pool.idle.plock().len(), 1, "the permit is free between requests");
+    }
+
+    #[test]
+    fn the_share_divides_the_cores_among_connected_sessions_up_to_the_permits() {
+        let master = master(41);
+        let server = MultiplexServer::new(2);
+        let cores = sectopk_crypto::par::cores();
+        assert_eq!(server.intra_workers(), cores, "the first session is alone");
+        let a = server.attach(SessionId(1), engine_for(&master, 1), 0).unwrap();
+        assert_eq!(server.intra_workers(), cores);
+        let b = server.attach(SessionId(2), engine_for(&master, 2), 0).unwrap();
+        assert_eq!(server.intra_workers(), share(cores, 2));
+        let _c = server.attach(SessionId(3), engine_for(&master, 3), 0).unwrap();
+        assert_eq!(server.intra_workers(), share(cores, 2), "two permits: two compute at once");
+        assert!(a.park(Instant::now() + Duration::from_secs(60)));
+        b.close(true);
+        assert_eq!(server.intra_workers(), cores, "a parked session computes nothing");
     }
 
     #[test]

@@ -281,7 +281,7 @@ impl TwoClouds {
             .zip(randomness)
             .map(|((&(a, _), slot), rs)| (a, &negated[slot], rs))
             .collect();
-        par_map(self.s1.intra_workers, &jobs, |(a, neg_b, rs)| a.eq_test_negated(neg_b, &pk, rs))
+        par_map(self.intra_workers(), &jobs, |(a, neg_b, rs)| a.eq_test_negated(neg_b, &pk, rs))
     }
 
     /// Batched EHL equality test: for every pair `(a_i, b_i)` S1 computes the randomized
@@ -340,7 +340,7 @@ impl TwoClouds {
             },
         )?;
         let jobs: Vec<(Ciphertext, BigUint)> = inner.into_iter().zip(masks).collect();
-        Ok(par_map(self.s1.intra_workers, &jobs, |(c, r)| {
+        Ok(par_map(self.intra_workers(), &jobs, |(c, r)| {
             let neg_r = (pk.n() - (r % pk.n())) % pk.n();
             pk.add_plain(c, &neg_r)
         }))
@@ -363,7 +363,7 @@ impl TwoClouds {
         let (masks, enc_masks) = self.draw_masks(layered.len())?;
         let jobs: Vec<(&LayeredCiphertext, Ciphertext)> = layered.iter().zip(enc_masks).collect();
         let blinded: Vec<LayeredCiphertext> =
-            par_map(self.s1.intra_workers, &jobs, |(l, enc_r)| dj_pk.mul_by_ciphertext(l, enc_r));
+            par_map(self.intra_workers(), &jobs, |(l, enc_r)| dj_pk.mul_by_ciphertext(l, enc_r));
         self.recover_blinded(blinded, masks)
     }
 
@@ -390,7 +390,7 @@ impl TwoClouds {
         }
         let (masks, enc_masks) = self.draw_masks(jobs.len())?;
         let drawn: Vec<_> = drawn.into_iter().zip(enc_masks).collect();
-        let blinded = par_map(self.s1.intra_workers, &drawn, |((job, e2_one, y), enc_r)| {
+        let blinded = par_map(self.intra_workers(), &drawn, |((job, e2_one, y), enc_r)| {
             dj_pk.select_blinded(&job.terms, e2_one, y, enc_r)
         });
         self.recover_blinded(blinded, masks)
@@ -475,7 +475,7 @@ impl TwoClouds {
                 (minuend, neg, alpha, if flip { &plus_one } else { &minus_one })
             })
             .collect();
-        let blinded = par_map(self.s1.intra_workers, &jobs, |&(minuend, neg, alpha, one)| {
+        let blinded = par_map(self.intra_workers(), &jobs, |&(minuend, neg, alpha, one)| {
             let difference = pk.add(minuend, neg);
             pk.mul_plain(&pk.add_plain(&pk.add(&difference, &difference), one), alpha)
         });

@@ -1174,10 +1174,10 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     // same critical section that seats (or un-parks) the session.
     let token = mint_token(shared.token_nonce.fetch_add(1, Ordering::Relaxed));
     let conduit = match hello.kind {
-        // The engine's intra-query worker count comes from SECTOPK_INTRA_PARALLEL in
-        // the *server* process's environment (the provision wire format carries no
-        // worker knob: worker count is a local resource decision, never protocol
-        // state).
+        // The engine's intra-query worker count is its share of the *server* machine's
+        // cores among the pool's connected sessions, or SECTOPK_INTRA_PARALLEL in the
+        // server process's environment (the provision wire format carries no worker
+        // knob: worker count is a local resource decision, never protocol state).
         HelloKind::Fresh { session, provision } => {
             match shared.pool.attach(SessionId(session), provision.build(), token) {
                 Ok(conduit) => conduit,

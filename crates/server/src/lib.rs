@@ -96,10 +96,13 @@ pub struct ServeConfig {
     pub variant: VariantChoice,
     /// Base seed; session `i` runs under `shard_seed(base_seed, i)`.
     pub base_seed: u64,
-    /// Intra-query worker threads for each session's S1 loops *and* its S2 engine
-    /// (default: the `SECTOPK_INTRA_PARALLEL` environment variable, else 1).  Worker
-    /// count only changes wall-clock: results, ledgers and metrics are byte-identical.
-    pub intra_workers: usize,
+    /// An exact intra-query worker count for each session's S1 loops *and* its S2
+    /// engine.  `None` (the default): each side's own default — the
+    /// `SECTOPK_INTRA_PARALLEL` environment variable's count if set, else its share of
+    /// the machine: S1 the cores divided among the live sessions, the engine those
+    /// divided among the sessions its pool may compute for at once.  Worker count only
+    /// changes wall-clock: results, ledgers and metrics are byte-identical.
+    pub intra_workers: Option<usize>,
     /// Transparent reconnect-resume-resend policy for [`QueryServer::serve_tcp`]
     /// sessions (ignored by the in-process paths, which cannot lose a connection).
     pub retry: RetryPolicy,
@@ -117,7 +120,7 @@ impl ServeConfig {
             sessions,
             variant: VariantChoice::Fixed(sectopk_core::QueryVariant::Full),
             base_seed,
-            intra_workers: sectopk_protocols::intra_workers_from_env(),
+            intra_workers: None,
             retry: RetryPolicy::none(),
             faults: FaultPlan::none(),
         }
@@ -136,9 +139,9 @@ impl ServeConfig {
         self
     }
 
-    /// Replace the intra-query worker count (minimum 1; 1 = fully serial).
+    /// Set an exact intra-query worker count (minimum 1; 1 = fully serial).
     pub fn with_intra_workers(mut self, workers: usize) -> Self {
-        self.intra_workers = workers.max(1);
+        self.intra_workers = Some(workers.max(1));
         self
     }
 
@@ -443,8 +446,7 @@ impl QueryServer {
         batching: bool,
         link: LinkProfile,
     ) -> Result<QueryClient> {
-        let workers = sectopk_protocols::intra_workers_from_env();
-        self.seat(session, seed, batching, workers, Door::Conduit(link))
+        self.seat(session, seed, batching, None, Door::Conduit(link))
     }
 
     /// Open session `i` of a serving run configured by `config` (seed =
@@ -460,14 +462,15 @@ impl QueryServer {
     }
 
     /// The one place a serving session is built: connect a [`TwoClouds`] through
-    /// `door` (with `intra_workers` on S1's loops and, over the conduit, on the
-    /// session's S2 engine), label its round metrics, and wrap the session around it.
+    /// `door` (with an exact `intra_workers` on S1's loops and, over the conduit, on the
+    /// session's S2 engine; `None` leaves both on their share), label its round
+    /// metrics, and wrap the session around it.
     fn seat(
         &self,
         session: SessionId,
         seed: u64,
         batching: bool,
-        intra_workers: usize,
+        intra_workers: Option<usize>,
         door: Door<'_>,
     ) -> Result<QueryClient> {
         if session == SessionId(0) {
@@ -475,22 +478,22 @@ impl QueryServer {
             return Err(ProtocolError::transport_rejected(why).into());
         }
         let master = &self.master;
-        let mut clouds = match door {
-            Door::Conduit(link) => TwoClouds::connect_with_workers(
-                master,
-                seed,
-                batching,
-                &self.s2,
-                session,
-                link,
-                intra_workers,
-            )?,
-            Door::Socket(addr, options) => {
+        let s2 = &self.s2;
+        let mut clouds = match (door, intra_workers) {
+            (Door::Conduit(link), None) => {
+                TwoClouds::connect(master, seed, batching, s2, session, link)?
+            }
+            (Door::Conduit(link), Some(workers)) => {
+                TwoClouds::connect_with_workers(master, seed, batching, s2, session, link, workers)?
+            }
+            (Door::Socket(addr, options), _) => {
                 let options = options.with_session(session);
                 TwoClouds::connect_tcp(master, seed, batching, addr, options)?
             }
         };
-        clouds.set_intra_workers(intra_workers);
+        if let Some(workers) = intra_workers {
+            clouds.set_intra_workers(workers);
+        }
         clouds.set_metrics(&self.metrics, &session.0.to_string());
         Ok(QueryClient {
             inner: DirectSession::new(clouds, self.outsourced.clone(), master.clone(), seed),

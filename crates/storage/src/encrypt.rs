@@ -6,13 +6,14 @@
 //! nothing about which attribute they rank.
 //!
 //! Encryption of different items is embarrassingly parallel (the paper uses 64 threads
-//! in §11.1); [`encrypt_relation_parallel`] splits the per-list work across a scoped
-//! thread pool.
+//! in §11.1); [`encrypt_relation_parallel`] spreads the per-list work over the machine's
+//! cores.
 
 use rand::rngs::StdRng;
 use rand::{CryptoRng, Rng, RngCore, SeedableRng};
 
 use sectopk_crypto::keys::MasterKeys;
+use sectopk_crypto::par::{cores, par_map};
 use sectopk_crypto::prp::KeyedPrp;
 use sectopk_crypto::Result;
 use sectopk_ehl::EhlEncoder;
@@ -51,8 +52,8 @@ pub fn encrypt_relation<R: RngCore + CryptoRng>(
     Ok(assemble(relation, keys, encrypted_lists))
 }
 
-/// Encrypt a relation using one worker thread per attribute list (bounded by the number
-/// of lists).  Thread-level parallelism mirrors the paper's setup-phase measurement.
+/// Encrypt a relation with its attribute lists spread over the machine's cores
+/// ([`par_map`]).  Thread-level parallelism mirrors the paper's setup-phase measurement.
 pub fn encrypt_relation_parallel<R: RngCore + CryptoRng>(
     relation: &Relation,
     keys: &MasterKeys,
@@ -64,30 +65,14 @@ pub fn encrypt_relation_parallel<R: RngCore + CryptoRng>(
         return encrypt_relation(relation, keys, rng);
     }
 
-    // Derive one independent RNG per worker from the caller's RNG so results stay
-    // reproducible for a seeded caller.
-    let seeds: Vec<u64> = (0..m).map(|_| rng.gen()).collect();
-
-    let results: Vec<Result<EncryptedList>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(m);
-        for (i, seed) in seeds.iter().enumerate() {
-            let list = sorted.list(i);
-            let keys_ref = keys;
-            let seed = *seed;
-            handles.push(scope.spawn(move || {
-                let mut local_rng = StdRng::seed_from_u64(seed);
-                let encoder = EhlEncoder::new(&keys_ref.ehl_keys);
-                encrypt_list(list, &encoder, keys_ref, &mut local_rng)
-            }));
-        }
-        handles.into_iter().map(|h| h.join().expect("encryption worker panicked")).collect()
+    // One seed per list, drawn from the caller's RNG in list order before any list is
+    // encrypted, so the ciphertexts do not depend on which thread encrypts which list.
+    let seeds: Vec<(usize, u64)> = (0..m).map(|i| (i, rng.gen())).collect();
+    let encoder = EhlEncoder::new(&keys.ehl_keys);
+    let lists = par_map(cores(), &seeds, |&(i, seed)| {
+        encrypt_list(sorted.list(i), &encoder, keys, &mut StdRng::seed_from_u64(seed))
     });
-
-    let mut encrypted_lists = Vec::with_capacity(m);
-    for r in results {
-        encrypted_lists.push(r?);
-    }
-    Ok(assemble(relation, keys, encrypted_lists))
+    Ok(assemble(relation, keys, lists.into_iter().collect::<Result<_>>()?))
 }
 
 /// Encrypt one sorted list.
@@ -249,6 +234,33 @@ mod tests {
                 assert_eq!(a, b);
             }
         }
+    }
+
+    /// SHA-256 over every ciphertext of `er` — list by list, item by item, EHL blocks
+    /// then score, each length-prefixed — in hex.
+    fn ciphertext_digest(er: &EncryptedRelation) -> String {
+        let mut hasher = sectopk_crypto::sha256::Sha256::new();
+        for item in er.lists().iter().flat_map(|list| list.items()) {
+            for c in item.ehl.blocks().iter().chain([&item.score]) {
+                let bytes = c.to_bytes_be();
+                hasher.update(&(bytes.len() as u64).to_le_bytes());
+                hasher.update(&bytes);
+            }
+        }
+        hasher.finalize().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn parallel_encryption_ciphertexts_are_pinned() {
+        // The per-list seeds are drawn from the caller's RNG in list order before any
+        // list is encrypted, so how the lists are spread over threads moves no byte.
+        let mut rng = StdRng::seed_from_u64(4242);
+        let keys = master_keys(&mut rng);
+        let (er, _) = encrypt_relation_parallel(&small_relation(), &keys, &mut rng).unwrap();
+        assert_eq!(
+            ciphertext_digest(&er),
+            "fa6e32ef8fd7e16f42b5a83f7936d7eb92665e6a1002e9f583b6e6b4d89877d4"
+        );
     }
 
     #[test]

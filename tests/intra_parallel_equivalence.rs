@@ -1,7 +1,7 @@
 //! Intra-query parallelism must be unobservable: for a fixed seed, a query executed
-//! with `intra_workers = 4` must produce **byte-identical** results, leakage ledgers
-//! (both parties) and channel metrics as the same query executed fully serially — on
-//! every transport.  Worker count is a local resource decision, never protocol state;
+//! with `intra_workers = 4` — or with the default, each party's share of the machine —
+//! must produce **byte-identical** results, leakage ledgers (both parties) and channel
+//! metrics as the same query executed fully serially — on every transport.  Worker count is a local resource decision, never protocol state;
 //! any divergence means randomness was drawn in a scheduling-dependent order or the
 //! parallel compute phase leaked into the serial commit order.
 //!
@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use sectopk_core::{DataOwner, Query, QueryConfig, Session, VariantChoice};
 use sectopk_datasets::QueryWorkload;
 use sectopk_protocols::{ChannelMetrics, LeakageLedger, ScoredItem, TransportKind};
-use sectopk_server::{QueryServer, ServeConfig};
+use sectopk_server::{QueryServer, ServeConfig, ServeReport};
 use sectopk_storage::{ObjectId, Relation, Row, TopKQuery};
 use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
@@ -46,7 +46,12 @@ struct Observation {
     metrics: ChannelMetrics,
 }
 
-fn run_with_workers(kind: TransportKind, config: &QueryConfig, workers: usize) -> Observation {
+/// One query on a fresh session; `workers: None` leaves S1 on its default.
+fn run_with_workers(
+    kind: TransportKind,
+    config: &QueryConfig,
+    workers: Option<usize>,
+) -> Observation {
     let mut rng = StdRng::seed_from_u64(0x1A7A);
     let owner = DataOwner::new(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).expect("keygen");
     let relation = relation_with_duplicates();
@@ -54,7 +59,9 @@ fn run_with_workers(kind: TransportKind, config: &QueryConfig, workers: usize) -
     let query = Query::from_spec(TopKQuery::sum(vec![0, 1, 2], 2))
         .with_variant(VariantChoice::Fixed(config.variant));
     let mut session = owner.connect_with(&outsourced, 0xF00D, kind, true).expect("cloud setup");
-    session.clouds_mut().set_intra_workers(workers);
+    if let Some(workers) = workers {
+        session.clouds_mut().set_intra_workers(workers);
+    }
     let outcome = session.execute(&query).expect("query").outcome;
     Observation {
         top_k: outcome.top_k,
@@ -86,13 +93,13 @@ fn assert_byte_identical(serial: &Observation, parallel: &Observation, label: &s
 fn intra_parallelism_is_byte_invariant_on_every_transport() {
     for config in [QueryConfig::full(), QueryConfig::dup_elim()] {
         for kind in ALL_TRANSPORTS {
-            let serial = run_with_workers(kind, &config, 1);
-            for workers in [2, 4, 7] {
+            let serial = run_with_workers(kind, &config, Some(1));
+            for workers in [None, Some(2), Some(4), Some(7)] {
                 let parallel = run_with_workers(kind, &config, workers);
                 assert_byte_identical(
                     &serial,
                     &parallel,
-                    &format!("{kind:?} / {:?} / {workers} workers", config.variant),
+                    &format!("{kind:?} / {:?} / {workers:?} workers", config.variant),
                 );
             }
         }
@@ -103,7 +110,8 @@ fn intra_parallelism_is_byte_invariant_on_every_transport() {
 fn serving_with_intra_workers_matches_serial_reports() {
     // ServeConfig::with_intra_workers (through TwoClouds::connect_with_workers) sets
     // the worker count on BOTH the S1 loops and each session's S2 engine, so this
-    // covers the engine's parallel compute / serial commit pipeline end to end.
+    // covers the engine's parallel compute / serial commit pipeline end to end; the
+    // default config leaves both sides on their share of the machine.
     let mut rng = StdRng::seed_from_u64(0x5E11);
     let owner = DataOwner::new(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).expect("keygen");
     let relation = relation_with_duplicates();
@@ -121,7 +129,12 @@ fn serving_with_intra_workers_matches_serial_reports() {
 
     let serial = server.serve(&workload, &base.with_intra_workers(1)).expect("serial serve");
     let parallel = server.serve(&workload, &base.with_intra_workers(4)).expect("parallel serve");
+    let shared = server.serve(&workload, &base).expect("serve on the share");
+    assert_same_reports(&serial, &parallel);
+    assert_same_reports(&serial, &shared);
+}
 
+fn assert_same_reports(serial: &ServeReport, parallel: &ServeReport) {
     assert_eq!(serial.sessions.len(), parallel.sessions.len());
     for (s, p) in serial.sessions.iter().zip(parallel.sessions.iter()) {
         assert_eq!(s.session, p.session);
