@@ -27,10 +27,15 @@ use std::sync::Arc;
 
 use crate::bigint::{factorial, l_function, mod_inverse, random_invertible, to_signed};
 use crate::error::{CryptoError, Result};
-use crate::paillier::{Ciphertext, PaillierPublicKey, PaillierSecretKey};
+use crate::paillier::{context_for, Ciphertext, PaillierPublicKey, PaillierSecretKey};
 
 /// The Damgård–Jurik exponent used throughout the paper: one extra layer over Paillier.
 pub const DJ_S: u32 = 2;
+
+/// Why the outer-layer contexts always exist: every Paillier key — generated or
+/// deserialized — has an odd `N` of at most [`crate::paillier::MAX_MODULUS_BITS`] bits,
+/// so `N³`, `p³` and `q³` fit the widest Montgomery kernel.
+const WITHIN_MAX_MODULUS_BITS: &str = "a Paillier key's N is odd and within MAX_MODULUS_BITS";
 
 /// A layered (Damgård–Jurik, `s = 2`) ciphertext: an element of `Z_{N³}^*` encrypting an
 /// element of `Z_{N²}` — typically an inner Paillier ciphertext.
@@ -127,8 +132,7 @@ impl DjPublicKey {
         let n = pk.n();
         let n_s = n * n;
         let n_s_plus_1 = &n_s * n;
-        let ctx_n3 =
-            MontgomeryContext::new(&n_s_plus_1).expect("N³ is odd for any product of odd primes");
+        let ctx_n3 = context_for(&n_s_plus_1, n).expect(WITHIN_MAX_MODULUS_BITS);
         // N is odd, so 2⁻¹ mod N = (N+1)/2.
         let inv2_mod_n = (n + BigUint::one()) >> 1u32;
         let h = BigUint::from(crate::paillier::NONCE_BASE_H);
@@ -410,8 +414,7 @@ struct DjCrt {
     q: BigUint,
     p_squared: BigUint,
     q_squared: BigUint,
-    p_cubed: BigUint,
-    q_cubed: BigUint,
+    /// Montgomery parameters for `p³` and `q³`.
     ctx_p3: MontgomeryContext,
     ctx_q3: MontgomeryContext,
     /// Branch exponents `p − 1` and `q − 1`.
@@ -462,8 +465,8 @@ impl DjSecretKey {
         let q_squared = q * q;
         let p_cubed = &p_squared * p;
         let q_cubed = &q_squared * q;
-        let ctx_p3 = MontgomeryContext::new(&p_cubed).expect("p³ is odd for an odd prime p");
-        let ctx_q3 = MontgomeryContext::new(&q_cubed).expect("q³ is odd for an odd prime q");
+        let ctx_p3 = context_for(&p_cubed, sk.public_key().n()).expect(WITHIN_MAX_MODULUS_BITS);
+        let ctx_q3 = context_for(&q_cubed, sk.public_key().n()).expect(WITHIN_MAX_MODULUS_BITS);
         let invertible = "factors are odd, distinct and coprime to their co-factors";
         let crt = DjCrt {
             p_minus_1: p - BigUint::one(),
@@ -481,8 +484,6 @@ impl DjSecretKey {
             q: q.clone(),
             p_squared,
             q_squared,
-            p_cubed,
-            q_cubed,
             ctx_p3,
             ctx_q3,
         };
@@ -514,7 +515,6 @@ impl DjSecretKey {
             &c.0,
             &crt.p,
             &crt.p_squared,
-            &crt.p_cubed,
             &crt.ctx_p3,
             &crt.p_minus_1,
             &crt.q_inv_mod_p2,
@@ -526,7 +526,6 @@ impl DjSecretKey {
             &c.0,
             &crt.q,
             &crt.q_squared,
-            &crt.q_cubed,
             &crt.ctx_q3,
             &crt.q_minus_1,
             &crt.p_inv_mod_q2,
@@ -545,7 +544,6 @@ impl DjSecretKey {
         c: &BigUint,
         p: &BigUint,
         p_squared: &BigUint,
-        p_cubed: &BigUint,
         ctx_p3: &MontgomeryContext,
         p_minus_1: &BigUint,
         cofactor_inv: &BigUint, // q⁻¹ mod p²
@@ -554,7 +552,7 @@ impl DjSecretKey {
         pm1_inv: &BigUint,      // (p−1)⁻¹ mod p²
     ) -> Result<BigUint> {
         // a = c^{p−1} mod p³ = 1 + y·q·p + (y(y−1)/2 mod p)·q²·p²  with y = m(p−1) mod p².
-        let a = ctx_p3.modpow(&(c % p_cubed), p_minus_1);
+        let a = ctx_p3.modpow(c, p_minus_1);
         if !(&a % p).is_one() {
             return Err(CryptoError::DecryptionFailed);
         }

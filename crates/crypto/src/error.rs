@@ -12,6 +12,13 @@ pub enum CryptoError {
         /// Minimum supported modulus bit-length.
         minimum: usize,
     },
+    /// The requested or received modulus is wider than the arithmetic supports.
+    KeySizeTooLarge {
+        /// Requested (or received) modulus bit-length.
+        requested: usize,
+        /// Maximum supported modulus bit-length.
+        maximum: usize,
+    },
     /// A ciphertext was presented under the wrong modulus / key.
     CiphertextOutOfRange,
     /// A plaintext does not fit in the scheme's message space.
@@ -37,6 +44,10 @@ impl fmt::Display for CryptoError {
             CryptoError::KeySizeTooSmall { requested, minimum } => write!(
                 f,
                 "requested modulus of {requested} bits is below the supported minimum of {minimum} bits"
+            ),
+            CryptoError::KeySizeTooLarge { requested, maximum } => write!(
+                f,
+                "modulus of {requested} bits is above the supported maximum of {maximum} bits"
             ),
             CryptoError::CiphertextOutOfRange => {
                 write!(f, "ciphertext is not an element of the expected group")
@@ -69,6 +80,8 @@ mod tests {
         let e = CryptoError::KeySizeTooSmall { requested: 64, minimum: 128 };
         assert!(e.to_string().contains("64"));
         assert!(e.to_string().contains("128"));
+        let e = CryptoError::KeySizeTooLarge { requested: 4096, maximum: 2048 };
+        assert!(e.to_string().contains("4096") && e.to_string().contains("2048"));
         assert!(CryptoError::DecryptionFailed.to_string().contains("decryption"));
         assert!(CryptoError::Malformed("key".into()).to_string().contains("key"));
     }

@@ -32,6 +32,42 @@ pub const MIN_MODULUS_BITS: usize = 128;
 /// analysis; benches print the size they use).
 pub const DEFAULT_MODULUS_BITS: usize = 256;
 
+/// Maximum supported modulus size.  At 2048 bits the widest modulus the keys reduce by,
+/// the Damgård–Jurik `N³`, is 96 limbs: the top of the vendored bignum's Montgomery
+/// kernel ladder.  Key generation refuses anything wider, and so does every key
+/// deserializer — before it parses the value, because the bytes can come from a peer.
+pub const MAX_MODULUS_BITS: usize = 2048;
+
+/// Decimal digits of the largest value below `2^MAX_MODULUS_BITS`.
+const MAX_DECIMAL_DIGITS: usize = 617;
+
+/// The Montgomery context for `modulus`, a power of `N` or of one of its odd factors.
+/// It exists for every `N` of at most [`MAX_MODULUS_BITS`] bits; the error is the typed
+/// form of "too wide for the kernels".
+pub(crate) fn context_for(modulus: &BigUint, n: &BigUint) -> Result<MontgomeryContext> {
+    MontgomeryContext::new(modulus).ok_or(CryptoError::KeySizeTooLarge {
+        requested: n.bits() as usize,
+        maximum: MAX_MODULUS_BITS,
+    })
+}
+
+/// Read the key quantity `field` of a serialized key: `N` or a value below it, so at
+/// most [`MAX_MODULUS_BITS`] bits.  A longer decimal string is refused before it is
+/// parsed, so no work is proportional to an unvalidated length.
+fn bounded_field(v: &serde::Value, field: &str) -> std::result::Result<BigUint, serde::Error> {
+    let value = v.get(field).ok_or_else(|| serde::Error::missing_field(field))?;
+    let too_large =
+        || serde::Error::custom(format!("`{field}` is wider than {MAX_MODULUS_BITS} bits"));
+    if matches!(value, serde::Value::Str(digits) if digits.len() > MAX_DECIMAL_DIGITS) {
+        return Err(too_large());
+    }
+    let parsed = BigUint::from_value(value)?;
+    if parsed.bits() > MAX_MODULUS_BITS as u64 {
+        return Err(too_large());
+    }
+    Ok(parsed)
+}
+
 /// Public parameters of a Paillier key pair: the modulus `N`, `N²`, and `g = N + 1`.
 ///
 /// Cheap to clone (the big integers live behind an [`Arc`]) because every ciphertext
@@ -55,8 +91,7 @@ pub const NONCE_BASE_H: u64 = 2;
 struct PublicInner {
     n: BigUint,
     n_squared: BigUint,
-    /// Montgomery parameters for the ciphertext-space modulus `N²`.  `N` is a product
-    /// of odd primes, so `N²` is always odd and the context always exists.
+    /// Montgomery parameters for the ciphertext-space modulus `N²`.
     ctx_n2: MontgomeryContext,
     /// `H = h^N mod N²`, the fixed base of the precomputed-nonce subgroup.
     nonce_base: BigUint,
@@ -69,14 +104,13 @@ struct PublicInner {
 }
 
 impl PublicInner {
-    /// Derive every cached quantity from the modulus.
-    fn build(n: BigUint, modulus_bits: usize) -> Self {
+    /// Derive every cached quantity from the (odd) modulus.
+    fn build(n: BigUint, modulus_bits: usize) -> Result<Self> {
         let n_squared = &n * &n;
-        let ctx_n2 =
-            MontgomeryContext::new(&n_squared).expect("N² is odd for any product of odd primes");
+        let ctx_n2 = context_for(&n_squared, &n)?;
         let nonce_base = ctx_n2.modpow(&BigUint::from(NONCE_BASE_H), &n);
         let nonce_table = ctx_n2.precompute_fixed_base(&nonce_base, n.bits());
-        PublicInner { n, n_squared, ctx_n2, nonce_base, nonce_table, modulus_bits }
+        Ok(PublicInner { n, n_squared, ctx_n2, nonce_base, nonce_table, modulus_bits })
     }
 }
 
@@ -102,14 +136,15 @@ impl Serialize for PaillierPublicKey {
 
 impl Deserialize for PaillierPublicKey {
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let n = BigUint::from_value(v.get("n").ok_or_else(|| serde::Error::missing_field("n"))?)?;
+        let n = bounded_field(v, "n")?;
         let modulus_bits = usize::from_value(
             v.get("modulus_bits").ok_or_else(|| serde::Error::missing_field("modulus_bits"))?,
         )?;
         if n <= BigUint::one() || n.is_even() {
             return Err(serde::Error::custom("Paillier modulus must be odd and greater than 1"));
         }
-        Ok(PaillierPublicKey { inner: Arc::new(PublicInner::build(n, modulus_bits)) })
+        let inner = PublicInner::build(n, modulus_bits).map_err(serde::Error::custom)?;
+        Ok(PaillierPublicKey { inner: Arc::new(inner) })
     }
 }
 
@@ -142,9 +177,7 @@ impl std::fmt::Debug for PaillierSecretKey {
 struct PaillierCrt {
     p: BigUint,
     q: BigUint,
-    p_squared: BigUint,
-    q_squared: BigUint,
-    /// Montgomery parameters for the half-width ciphertext-space moduli.
+    /// Montgomery parameters for the half-width ciphertext-space moduli `p²` and `q²`.
     ctx_p2: MontgomeryContext,
     ctx_q2: MontgomeryContext,
     /// CRT exponents `p − 1` and `q − 1`.
@@ -165,10 +198,8 @@ impl PaillierCrt {
         if p <= BigUint::one() || q <= BigUint::one() || &(&p * &q) != n {
             return Err(CryptoError::DecryptionFailed);
         }
-        let p_squared = &p * &p;
-        let q_squared = &q * &q;
-        let ctx_p2 = MontgomeryContext::new(&p_squared).expect("p² is odd for an odd prime p");
-        let ctx_q2 = MontgomeryContext::new(&q_squared).expect("q² is odd for an odd prime q");
+        let ctx_p2 = context_for(&(&p * &p), n)?;
+        let ctx_q2 = context_for(&(&q * &q), n)?;
         let p_minus_1 = &p - BigUint::one();
         let q_minus_1 = &q - BigUint::one();
         // (1+N)^{p−1} mod p² = 1 + (p−1)·N mod p² (binomial; N² ≡ 0 mod p²), so
@@ -176,19 +207,7 @@ impl PaillierCrt {
         let hp = mod_inverse(&((&p_minus_1 * &q) % &p), &p)?;
         let hq = mod_inverse(&((&q_minus_1 * &p) % &q), &q)?;
         let p_inv_mod_q = mod_inverse(&p, &q)?;
-        Ok(PaillierCrt {
-            p,
-            q,
-            p_squared,
-            q_squared,
-            ctx_p2,
-            ctx_q2,
-            p_minus_1,
-            q_minus_1,
-            hp,
-            hq,
-            p_inv_mod_q,
-        })
+        Ok(PaillierCrt { p, q, ctx_p2, ctx_q2, p_minus_1, q_minus_1, hp, hq, p_inv_mod_q })
     }
 }
 
@@ -208,12 +227,13 @@ impl Serialize for PaillierSecretKey {
 
 impl Deserialize for PaillierSecretKey {
     fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let field = |name: &str| v.get(name).ok_or_else(|| serde::Error::missing_field(name));
-        let lambda = BigUint::from_value(field("lambda")?)?;
-        let mu = BigUint::from_value(field("mu")?)?;
-        let p = BigUint::from_value(field("p")?)?;
-        let q = BigUint::from_value(field("q")?)?;
-        let public = PaillierPublicKey::from_value(field("public")?)?;
+        let lambda = bounded_field(v, "lambda")?;
+        let mu = bounded_field(v, "mu")?;
+        let p = bounded_field(v, "p")?;
+        let q = bounded_field(v, "q")?;
+        let public = PaillierPublicKey::from_value(
+            v.get("public").ok_or_else(|| serde::Error::missing_field("public"))?,
+        )?;
         let crt = PaillierCrt::build(p, q, public.n())
             .map_err(|e| serde::Error::custom(format!("invalid Paillier factors: {e:?}")))?;
         Ok(PaillierSecretKey { lambda, mu, crt: Arc::new(crt), public })
@@ -459,13 +479,13 @@ impl PaillierSecretKey {
         // m mod p = L_p(c^{p−1} mod p²) · hp mod p.  A ciphertext sharing a factor
         // with N (never produced honestly) would make L_p's exact division invalid,
         // so reject anything whose Fermat residue isn't 1.
-        let cp = crt.ctx_p2.modpow(&(&c.0 % &crt.p_squared), &crt.p_minus_1);
+        let cp = crt.ctx_p2.modpow(&c.0, &crt.p_minus_1);
         if !(&cp % &crt.p).is_one() {
             return Err(CryptoError::DecryptionFailed);
         }
         let mp = (l_function(&cp, &crt.p) * &crt.hp) % &crt.p;
         // m mod q, likewise
-        let cq = crt.ctx_q2.modpow(&(&c.0 % &crt.q_squared), &crt.q_minus_1);
+        let cq = crt.ctx_q2.modpow(&c.0, &crt.q_minus_1);
         if !(&cq % &crt.q).is_one() {
             return Err(CryptoError::DecryptionFailed);
         }
@@ -531,6 +551,12 @@ pub fn generate_keypair<R: RngCore + CryptoRng>(
             minimum: MIN_MODULUS_BITS,
         });
     }
+    if modulus_bits > MAX_MODULUS_BITS {
+        return Err(CryptoError::KeySizeTooLarge {
+            requested: modulus_bits,
+            maximum: MAX_MODULUS_BITS,
+        });
+    }
     let prime_bits = (modulus_bits / 2) as u64;
     let (p, q) = generate_safe_factor_pair(prime_bits, rng)?;
     let n = &p * &q;
@@ -540,7 +566,7 @@ pub fn generate_keypair<R: RngCore + CryptoRng>(
     let mu = mod_inverse(&lambda, &n)?;
     let crt = PaillierCrt::build(p, q, &n)?;
 
-    let public = PaillierPublicKey { inner: Arc::new(PublicInner::build(n, modulus_bits)) };
+    let public = PaillierPublicKey { inner: Arc::new(PublicInner::build(n, modulus_bits)?) };
     let secret = PaillierSecretKey { lambda, mu, crt: Arc::new(crt), public: public.clone() };
     Ok((public, secret))
 }
@@ -588,6 +614,10 @@ mod tests {
     fn rejects_too_small_keys() {
         let mut rng = StdRng::seed_from_u64(1);
         assert!(matches!(generate_keypair(64, &mut rng), Err(CryptoError::KeySizeTooSmall { .. })));
+        assert_eq!(
+            generate_keypair(MAX_MODULUS_BITS + 1, &mut rng).unwrap_err(),
+            CryptoError::KeySizeTooLarge { requested: 2049, maximum: 2048 }
+        );
     }
 
     #[test]
@@ -740,6 +770,22 @@ mod tests {
             ]);
             assert!(PaillierPublicKey::from_value(&v).is_err(), "n = {bad}");
         }
+        // Too wide for the kernels: a 2049-bit N, and a 1-MB odd N whose parse alone
+        // would take seconds.  Both are refused before any context is built.
+        let wide = (BigUint::one() << 2048u32) + BigUint::one();
+        let megabyte = "9".repeat(1 << 20);
+        for bad in [wide.to_string(), megabyte] {
+            let v = serde::Value::Map(vec![
+                ("n".to_string(), serde::Value::Str(bad.clone())),
+                ("modulus_bits".to_string(), serde::Value::U64(bad.len() as u64)),
+            ]);
+            let err = PaillierPublicKey::from_value(&v).unwrap_err();
+            assert!(err.to_string().contains("wider than 2048 bits"), "{err}");
+        }
+        let mut max_digits = "9".repeat(MAX_DECIMAL_DIGITS);
+        assert!(max_digits.parse::<BigUint>().unwrap().bits() > MAX_MODULUS_BITS as u64);
+        max_digits.pop();
+        assert!(max_digits.parse::<BigUint>().unwrap().bits() <= MAX_MODULUS_BITS as u64);
         // Secret key with p = 1, q = N: passes p·q == N but must still be rejected.
         let (pk, sk, _rng) = setup();
         let mut sk_value = sk.to_value();

@@ -85,14 +85,15 @@ pub fn is_probable_prime<R: RngCore + CryptoRng>(n: &BigUint, rng: &mut R) -> bo
 
 /// Miller–Rabin primality test with `rounds` random bases.  All exponentiations share
 /// one Montgomery context for the candidate (the candidate is odd: trial division by 2
-/// already happened).
+/// already happened); a candidate wider than the Montgomery kernels takes the naive path.
 fn miller_rabin<R: RngCore + CryptoRng>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
     let one = BigUint::one();
     let two = BigUint::from(2u32);
     let n_minus_one = n - &one;
-    let ctx = match MontgomeryContext::new(n) {
-        Some(ctx) => ctx,
-        None => return false, // even (and > 2, already screened): composite
+    let ctx = MontgomeryContext::new(n);
+    let pow = |base: &BigUint, exponent: &BigUint| match &ctx {
+        Some(ctx) => ctx.modpow(base, exponent),
+        None => base.modpow_naive(exponent, n),
     };
 
     // Write n - 1 = 2^s * d with d odd.
@@ -107,12 +108,12 @@ fn miller_rabin<R: RngCore + CryptoRng>(n: &BigUint, rounds: usize, rng: &mut R)
                 break a;
             }
         };
-        let mut x = ctx.modpow(&a, &d);
+        let mut x = pow(&a, &d);
         if x == one || x == n_minus_one {
             continue 'witness;
         }
         for _ in 0..s.saturating_sub(1) {
-            x = ctx.modpow(&x, &two);
+            x = pow(&x, &two);
             if x == n_minus_one {
                 continue 'witness;
             }

@@ -2,12 +2,14 @@
 //! reference implementation, bit for bit:
 //!
 //! * Montgomery fixed-window `modpow` (odd moduli) and the even-modulus fallback vs.
-//!   the bit-at-a-time [`BigUint::modpow_naive`],
+//!   the bit-at-a-time [`BigUint::modpow_naive`], and the same modulus at its exact
+//!   kernel width vs. the next two (zero-padded) widths of the ladder,
 //! * the Straus multi-exponentiation vs. the product of the separate `modpow`s, the
 //!   batch inversion vs. one `mod_inverse` per element, and the binary-GCD coprimality
 //!   check vs. Euclid's `gcd`,
 //! * Karatsuba multiplication (above the limb threshold) vs. [`BigUint::mul_schoolbook`],
-//! * CRT Paillier / Damgård–Jurik decryption vs. the textbook `λ` paths,
+//! * CRT Paillier / Damgård–Jurik decryption vs. the textbook `λ` paths, and round
+//!   trips at 128-, 256- and 512-bit keys (each a different set of kernel widths),
 //! * the limb-direct `from_bytes_be` vs. an explicit shift-and-add fold.
 //!
 //! Edge operands (0, 1, modulus−1, even moduli) are covered both by dedicated cases and
@@ -21,6 +23,15 @@ use rand::SeedableRng;
 
 use sectopk_crypto::damgard_jurik::{DjPublicKey, DjSecretKey};
 use sectopk_crypto::paillier::{generate_keypair, MIN_MODULUS_BITS};
+
+/// `modulus`'s context at its exact kernel width, then at the next two ladder rungs.
+fn contexts_at_three_widths(modulus: &BigUint) -> Vec<MontgomeryContext> {
+    let exact = MontgomeryContext::new(modulus).expect("odd modulus > 1");
+    let next = MontgomeryContext::with_width_at_least(modulus, exact.width() + 1).unwrap();
+    let after = MontgomeryContext::with_width_at_least(modulus, next.width() + 1).unwrap();
+    assert!(exact.width() < next.width() && next.width() < after.width());
+    vec![exact, next, after]
+}
 
 /// Random value with roughly `bits` bits drawn from a seeded RNG.
 fn random_biguint(rng: &mut StdRng, bits: u64) -> BigUint {
@@ -351,6 +362,35 @@ proptest! {
     }
 
     #[test]
+    fn results_are_byte_equal_at_the_exact_width_and_the_next_two(seed in 0u64..300, mod_bits in 2u64..1100, count in 0usize..5) {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(61).wrapping_add(17));
+        let mut modulus = random_biguint(&mut rng, mod_bits);
+        modulus.set_bit(0, true);
+        if modulus.is_one() {
+            modulus = BigUint::from(3u32);
+        }
+        let base = random_biguint(&mut rng, mod_bits + 5);
+        let exponent = random_biguint(&mut rng, 1 + seed % 200);
+        let bases: Vec<BigUint> = (0..count).map(|_| random_biguint(&mut rng, mod_bits)).collect();
+        let exponents: Vec<BigUint> = (0..count).map(|i| random_biguint(&mut rng, 40 * i as u64)).collect();
+        let terms: Vec<(&BigUint, &BigUint)> = bases.iter().zip(&exponents).collect();
+        let results: Vec<[Vec<u8>; 3]> = contexts_at_three_widths(&modulus)
+            .iter()
+            .map(|ctx| {
+                let table = ctx.precompute_fixed_base(&base, 96);
+                [
+                    ctx.modpow(&base, &exponent).to_bytes_be(),
+                    ctx.multi_exp(&terms).to_bytes_be(),
+                    ctx.fixed_base_modpow(&table, &exponent).to_bytes_be(),
+                ]
+            })
+            .collect();
+        assert_eq!(results[0], results[1], "mod={modulus}");
+        assert_eq!(results[0], results[2], "mod={modulus}");
+        assert_eq!(results[0][0], base.modpow_naive(&exponent, &modulus).to_bytes_be());
+    }
+
+    #[test]
     fn paillier_pooled_nonce_matches_naive_exponentiation(seed in 0u64..12) {
         // The amortized nonce H^a (fixed-base table over H = h^N mod N²) against the
         // from-scratch h^{N·a}, including the exponent edges 0, 1 and n−1.
@@ -368,6 +408,31 @@ proptest! {
             let naive = h.modpow_naive(&(pk.n() * a), &n2);
             assert_eq!(pk.nonce_from_exponent(a), naive, "a = {a}");
         }
+    }
+}
+
+#[test]
+fn paillier_and_dj_round_trips_at_three_key_sizes() {
+    // 128-, 256- and 512-bit N put N², N³, p² and p³ on widths {4, 6, 2, 3}, {8, 12, 4, 6}
+    // and {16, 24, 8, 12}: every kernel a 2048-bit-or-smaller key touches below 32 limbs.
+    let mut rng = StdRng::seed_from_u64(512);
+    for bits in [128, 256, 512] {
+        let (pk, sk) = generate_keypair(bits, &mut rng).unwrap();
+        let (dj_pk, dj_sk) = (DjPublicKey::from_paillier(&pk), DjSecretKey::from_paillier(&sk));
+        let plains =
+            [BigUint::zero(), BigUint::one(), pk.sentinel_z(), random_biguint(&mut rng, 60)];
+        for m in &plains {
+            let c = pk.encrypt(m, &mut rng).unwrap();
+            assert_eq!(&sk.decrypt(&c).unwrap(), m, "{bits}-bit N");
+            assert_eq!(sk.decrypt(&c).unwrap(), sk.decrypt_via_lambda(&c).unwrap());
+            let layered = dj_pk.encrypt_ciphertext(&c, &mut rng).unwrap();
+            assert_eq!(dj_sk.decrypt_to_ciphertext(&layered).unwrap(), c, "{bits}-bit N");
+            assert_eq!(&dj_sk.decrypt_both_layers(&layered).unwrap(), m, "{bits}-bit N");
+        }
+        let top = dj_pk.n_s() - BigUint::one();
+        let c = dj_pk.encrypt(&top, &mut rng).unwrap();
+        assert_eq!(dj_sk.decrypt(&c).unwrap(), top);
+        assert_eq!(dj_sk.decrypt(&c).unwrap(), dj_sk.decrypt_via_lambda(&c).unwrap());
     }
 }
 

@@ -79,15 +79,17 @@ impl LeakageEvent {
     }
 }
 
-/// One recorded event in at most 16 bytes and no heap allocation: a context name is an
-/// index into the owning ledger's table of distinct names, depths and counts are `u32`.
-/// An event that does not fit — a depth or count above `u32::MAX`, a 65 537th distinct
-/// context — is kept whole in the ledger's `wide` list instead.
+/// One recorded event in at most 8 bytes and no heap allocation.  Only the three kinds
+/// recorded per comparison or equality bit are packed: a context name is an index into
+/// the owning ledger's table of distinct names, a depth is a `u32` with [`NO_DEPTH`]
+/// standing for `None`.  Everything else — the once-per-depth and once-per-query kinds,
+/// a depth of [`NO_DEPTH`] or more, a 65 537th distinct context — is kept whole in the
+/// ledger's `wide` list instead.
 #[derive(Clone, Copy)]
 enum Packed {
     EqualityBit {
         context: u16,
-        depth: Option<u32>,
+        depth: u32,
         equal: bool,
     },
     ComparisonBit {
@@ -97,26 +99,20 @@ enum Packed {
     BlindedSign {
         context: u16,
     },
-    UniqueCount {
-        depth: u32,
-        count: u32,
-    },
-    HaltingDepth(usize),
-    QueryIssued {
-        token_fingerprint: u64,
-    },
-    JoinMatchCount(usize),
     /// Index into `LeakageLedger::wide`.
-    Wide(usize),
+    Wide(u32),
 }
+
+/// The packed depth of an [`LeakageEvent::EqualityBit`] without one.
+const NO_DEPTH: u32 = u32::MAX;
 
 // A ledger lives as long as its session and S2 records one event per decrypted bit, so
 // the per-event footprint is what a long session's memory grows by.
-const _: () = assert!(std::mem::size_of::<Packed>() <= 16);
+const _: () = assert!(std::mem::size_of::<Packed>() <= 8);
 
 /// The record of everything one party observed beyond its own inputs.
 ///
-/// Events are stored packed (16 bytes each, see DESIGN.md §10) and decoded on demand:
+/// Events are stored packed (8 bytes each, see DESIGN.md §10) and decoded on demand:
 /// [`Self::iter`] and [`Self::events`] yield exactly the [`LeakageEvent`]s that were
 /// recorded, in order, and the serialized form is the plain event list.
 #[derive(Clone, Default)]
@@ -137,8 +133,9 @@ impl LeakageLedger {
     /// Record an observation.
     pub fn record(&mut self, event: LeakageEvent) {
         let packed = self.pack(&event).unwrap_or_else(|| {
+            let index = u32::try_from(self.wide.len()).expect("fewer than 2³² wide events");
             self.wide.push(event);
-            Packed::Wide(self.wide.len() - 1)
+            Packed::Wide(index)
         });
         self.events.push(packed);
     }
@@ -147,7 +144,10 @@ impl LeakageLedger {
     fn pack(&mut self, event: &LeakageEvent) -> Option<Packed> {
         Some(match event {
             LeakageEvent::EqualityBit { context, depth, equal } => Packed::EqualityBit {
-                depth: depth.map(u32::try_from).transpose().ok()?,
+                depth: match depth {
+                    None => NO_DEPTH,
+                    Some(depth) => u32::try_from(*depth).ok().filter(|&d| d != NO_DEPTH)?,
+                },
                 context: self.intern(context)?,
                 equal: *equal,
             },
@@ -158,15 +158,10 @@ impl LeakageLedger {
             LeakageEvent::BlindedSign { context } => {
                 Packed::BlindedSign { context: self.intern(context)? }
             }
-            LeakageEvent::UniqueCount { depth, count } => Packed::UniqueCount {
-                depth: u32::try_from(*depth).ok()?,
-                count: u32::try_from(*count).ok()?,
-            },
-            LeakageEvent::HaltingDepth(depth) => Packed::HaltingDepth(*depth),
-            LeakageEvent::QueryIssued { token_fingerprint } => {
-                Packed::QueryIssued { token_fingerprint: *token_fingerprint }
-            }
-            LeakageEvent::JoinMatchCount(count) => Packed::JoinMatchCount(*count),
+            LeakageEvent::UniqueCount { .. }
+            | LeakageEvent::HaltingDepth(_)
+            | LeakageEvent::QueryIssued { .. }
+            | LeakageEvent::JoinMatchCount(_) => return None,
         })
     }
 
@@ -189,22 +184,14 @@ impl LeakageLedger {
         match packed {
             Packed::EqualityBit { context: c, depth, equal } => LeakageEvent::EqualityBit {
                 context: context(c),
-                depth: depth.map(|d| d as usize),
+                depth: (*depth != NO_DEPTH).then_some(*depth as usize),
                 equal: *equal,
             },
             Packed::ComparisonBit { context: c, less_or_equal } => {
                 LeakageEvent::ComparisonBit { context: context(c), less_or_equal: *less_or_equal }
             }
             Packed::BlindedSign { context: c } => LeakageEvent::BlindedSign { context: context(c) },
-            Packed::UniqueCount { depth, count } => {
-                LeakageEvent::UniqueCount { depth: *depth as usize, count: *count as usize }
-            }
-            Packed::HaltingDepth(depth) => LeakageEvent::HaltingDepth(*depth),
-            Packed::QueryIssued { token_fingerprint } => {
-                LeakageEvent::QueryIssued { token_fingerprint: *token_fingerprint }
-            }
-            Packed::JoinMatchCount(count) => LeakageEvent::JoinMatchCount(*count),
-            Packed::Wide(index) => self.wide[*index].clone(),
+            Packed::Wide(index) => self.wide[*index as usize].clone(),
         }
     }
 
@@ -214,11 +201,7 @@ impl LeakageLedger {
             Packed::EqualityBit { .. } => "equality_bit",
             Packed::ComparisonBit { .. } => "comparison_bit",
             Packed::BlindedSign { .. } => "blinded_sign",
-            Packed::UniqueCount { .. } => "unique_count",
-            Packed::HaltingDepth(_) => "halting_depth",
-            Packed::QueryIssued { .. } => "query_issued",
-            Packed::JoinMatchCount(_) => "join_match_count",
-            Packed::Wide(index) => self.wide[*index].kind(),
+            Packed::Wide(index) => self.wide[*index as usize].kind(),
         }
     }
 
@@ -338,7 +321,7 @@ mod tests {
     fn ten_thousand_events_round_trip_through_the_packed_form() {
         let too_deep = u32::MAX as usize + 1;
         let recorded: Vec<LeakageEvent> = (0..10_000usize)
-            .map(|i| match i % 9 {
+            .map(|i| match i % 10 {
                 0 => LeakageEvent::EqualityBit {
                     context: format!("ctx-{}", i % 7),
                     depth: Some(i),
@@ -358,13 +341,13 @@ mod tests {
                 5 => LeakageEvent::HaltingDepth(usize::MAX - i),
                 6 => LeakageEvent::QueryIssued { token_fingerprint: u64::MAX - i as u64 },
                 7 => LeakageEvent::JoinMatchCount(i),
-                // Too wide for the packed fields: kept whole.
-                _ if i % 2 == 0 => LeakageEvent::UniqueCount { depth: 3, count: too_deep + i },
-                _ => LeakageEvent::EqualityBit {
+                // Too wide for the packed fields, or the `None` sentinel: kept whole.
+                8 => LeakageEvent::EqualityBit {
                     context: "sec_worst".into(),
-                    depth: Some(too_deep),
+                    depth: Some(if i % 20 == 8 { too_deep } else { NO_DEPTH as usize }),
                     equal: true,
                 },
+                _ => LeakageEvent::UniqueCount { depth: 3, count: too_deep + i },
             })
             .collect();
         let mut ledger = LeakageLedger::new();
@@ -377,7 +360,8 @@ mod tests {
         // One context entry per distinct name among the packed events, however many
         // carry it ("sec_worst" only occurs in events kept whole).
         assert_eq!(ledger.contexts.len(), 7 + 2);
-        assert_eq!(ledger.wide.len(), recorded.len().div_ceil(9) - 1);
+        // Kinds 4–9 of every ten: the once-per-depth / per-query kinds and the misfits.
+        assert_eq!(ledger.wide.len(), 6 * recorded.len() / 10);
 
         // Kinds are read off the packed form and agree with the events' own labels.
         let mut expected = BTreeMap::new();
