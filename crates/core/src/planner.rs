@@ -60,14 +60,12 @@ pub struct PlannerInputs {
     pub k: usize,
     /// Round-trip time of the inter-cloud link in milliseconds (0 for an ideal link).
     pub rtt_ms: f64,
-    /// Whether round-trip batching is enabled on the transport.
-    pub batching: bool,
 }
 
 impl PlannerInputs {
     /// Bundle the planner inputs.
-    pub fn new(n: usize, m: usize, k: usize, rtt_ms: f64, batching: bool) -> Self {
-        PlannerInputs { n, m: m.max(1), k: k.max(1), rtt_ms, batching }
+    pub fn new(n: usize, m: usize, k: usize, rtt_ms: f64) -> Self {
+        PlannerInputs { n, m: m.max(1), k: k.max(1), rtt_ms }
     }
 }
 
@@ -207,10 +205,6 @@ fn estimate(inputs: &PlannerInputs, variant: QueryVariant, depths: usize) -> Est
             checked = d;
         }
     }
-    if !inputs.batching {
-        // Unbatched, every pairwise exchange is its own round trip.
-        e.rounds *= m * m;
-    }
     e
 }
 
@@ -281,7 +275,7 @@ mod tests {
     use super::*;
 
     fn ideal(n: usize, m: usize, k: usize) -> PlannerInputs {
-        PlannerInputs::new(n, m, k, 0.0, true)
+        PlannerInputs::new(n, m, k, 0.0)
     }
 
     #[test]
@@ -333,7 +327,7 @@ mod tests {
         // the cost-minimising p can only move up (each extra depth in the batch saves
         // check rounds that now cost real wall-clock).
         let ideal_plan = plan(&ideal(100_000, 3, 5));
-        let wan_plan = plan(&PlannerInputs::new(100_000, 3, 5, 20.0, true));
+        let wan_plan = plan(&PlannerInputs::new(100_000, 3, 5, 20.0));
         assert!(wan_plan.costs.full > ideal_plan.costs.full);
         assert!(wan_plan.costs.dup_elim > ideal_plan.costs.dup_elim);
         assert!(wan_plan.costs.batched > ideal_plan.costs.batched);
@@ -350,8 +344,8 @@ mod tests {
             .into_iter()
             .flat_map(|n| (2..=4usize).flat_map(move |m| (2..=5usize).map(move |k| (n, m, k))))
         {
-            let lan = plan(&PlannerInputs::new(n, m, k, 0.0, true)).variant;
-            let wan = plan(&PlannerInputs::new(n, m, k, 20.0, true)).variant;
+            let lan = plan(&PlannerInputs::new(n, m, k, 0.0)).variant;
+            let wan = plan(&PlannerInputs::new(n, m, k, 20.0)).variant;
             assert_eq!(lan, QueryVariant::Full, "n = {n}, m = {m}, k = {k}, ideal link");
             assert_eq!(wan, QueryVariant::DupElim, "n = {n}, m = {m}, k = {k}, 20 ms");
         }

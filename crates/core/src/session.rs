@@ -147,11 +147,6 @@ pub trait Session {
         self.clouds().link_profile()
     }
 
-    /// Whether round-trip batching is enabled on the transport.
-    fn batching(&self) -> bool {
-        self.clouds().batching()
-    }
-
     /// Cumulative channel traffic of this session.
     fn metrics(&self) -> ChannelMetrics {
         self.clouds().channel()
@@ -174,19 +169,19 @@ pub trait Session {
 
     /// The plan the session would run `query` under, without executing it.
     fn plan(&self, query: &Query) -> PlanDecision {
-        plan_for(query, self.num_objects(), self.link(), self.batching())
+        plan_for(query, self.num_objects(), self.link(), true)
     }
 }
 
 /// Resolve a query's variant choice into a recorded [`PlanDecision`] for a session with
-/// the given shape.
+/// the given shape.  `batching` is ignored: every session ships a step as one request.
 pub fn plan_for(query: &Query, n: usize, link: LinkProfile, batching: bool) -> PlanDecision {
+    let _ = batching;
     let inputs = PlannerInputs::new(
         n,
         query.spec().num_attributes(),
         query.spec().k,
         link.rtt.as_secs_f64() * 1_000.0,
-        batching,
     );
     match query.variant() {
         VariantChoice::Auto => planner::plan(&inputs),
@@ -207,7 +202,7 @@ pub fn execute_with_clouds<R: RngCore + CryptoRng>(
 ) -> Result<ResolvedTopK> {
     query.validate_for(er.num_attributes())?;
     let token = sectopk_storage::generate_token(&keys.prp_key, er.num_attributes(), query.spec())?;
-    let decision = plan_for(query, er.num_objects(), clouds.link_profile(), clouds.batching());
+    let decision = plan_for(query, er.num_objects(), clouds.link_profile(), true);
     let config = query.config_with(decision.variant);
     let mut outcome = sec_query(clouds, er, &token, &config)?;
     outcome.stats.plan = Some(decision);
@@ -301,13 +296,13 @@ impl DataOwner {
     }
 
     /// Open a session on `outsourced` with the transport selected by the
-    /// `SECTOPK_TRANSPORT` environment variable and batching enabled.
+    /// `SECTOPK_TRANSPORT` environment variable.
     pub fn connect(&self, outsourced: &Outsourced, seed: u64) -> Result<DirectSession> {
         self.connect_with(outsourced, seed, TransportKind::from_env()?, true)
     }
 
-    /// Open a session with an explicit transport and batching policy (what the
-    /// transport-equivalence suite sweeps).
+    /// Open a session with an explicit transport (what the transport-equivalence suite
+    /// sweeps); `batching` must be `true`, as [`TwoClouds::with_transport`] requires.
     pub fn connect_with(
         &self,
         outsourced: &Outsourced,
@@ -320,33 +315,32 @@ impl DataOwner {
     }
 
     /// Open a session on `outsourced` whose crypto cloud S2 is the `sectopk-s2d`
-    /// process listening at `addr` (`"host:port"`), with batching enabled and the
-    /// default connection policy.  Mirrors [`DataOwner::connect`]: callers switch from
-    /// in-process to networked execution by changing one constructor, and the
-    /// connection handshake provisions the remote S2 engine from the same seed
-    /// derivation, so determinism carries over the wire.
+    /// process listening at `addr` (`"host:port"`), with the default connection policy.
+    /// Mirrors [`DataOwner::connect`]: callers switch from in-process to networked
+    /// execution by changing one constructor, and the connection handshake provisions the
+    /// remote S2 engine from the same seed derivation, so determinism carries over the
+    /// wire.
     pub fn connect_remote(
         &self,
         outsourced: &Outsourced,
         addr: &str,
         seed: u64,
     ) -> Result<RemoteSession> {
-        self.connect_remote_with(outsourced, addr, seed, true, TcpOptions::default())
+        self.connect_remote_with(outsourced, addr, seed, TcpOptions::default())
     }
 
-    /// [`DataOwner::connect_remote`] with an explicit batching policy and connection
-    /// options (retry budget, timeouts, proposed session id).  Failures that outlive
-    /// the retry budget surface as transient errors — see
+    /// [`DataOwner::connect_remote`] with explicit connection options (retry budget,
+    /// timeouts, proposed session id).  Failures that outlive the retry budget surface as
+    /// transient errors — see
     /// [`SecTopKError::is_transient`](crate::SecTopKError::is_transient).
     pub fn connect_remote_with(
         &self,
         outsourced: &Outsourced,
         addr: &str,
         seed: u64,
-        batching: bool,
         options: TcpOptions,
     ) -> Result<RemoteSession> {
-        let clouds = TwoClouds::connect_tcp(self.keys(), seed, batching, addr, options)?;
+        let clouds = TwoClouds::connect_tcp(self.keys(), seed, addr, options)?;
         Ok(DirectSession::new(clouds, outsourced.clone(), self.keys().clone(), seed))
     }
 }
@@ -386,7 +380,6 @@ mod tests {
         let mut session = owner.connect(&outsourced, 42).unwrap();
         assert_eq!(session.num_objects(), 3);
         assert_eq!(session.num_attributes(), 2);
-        assert!(session.batching());
 
         let query = Query::top_k(1).attributes(["a", "b"]).resolve(&relation).unwrap();
         let plan = session.plan(&query);

@@ -15,7 +15,7 @@
 //! matched) is a single one-of-many selection — terms `(E2(t_l), Enc(x_j^l))`,
 //! `otherwise` the bottom score — evaluated by one multi-exponentiation and recovered as
 //! one `RecoverEnc` item per row: `m(m−1)` per depth instead of `m(m−1)(d+2)`, with no
-//! "no depth matched" selector to ask S2 for.  With batching, all lists and all items
+//! "no depth matched" selector to ask S2 for.  All lists and all items
 //! of one depth share one equality round and one `RecoverEnc` round — the shared
 //! per-step budget — and inside a query those are the *same* two rounds SecWorst uses:
 //! [`TwoClouds::sec_bounds_depth`] runs both plans together (see [`crate::bounds`]).

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sectopk_metrics::{Counter, Histogram, Registry as MetricsRegistry, TraceHook};
 
-use crate::error::Result;
+use crate::error::{ProtocolError, Result};
 use sectopk_crypto::damgard_jurik::DjPublicKey;
 use sectopk_crypto::keys::{MasterKeys, S1Keys};
 use sectopk_crypto::paillier::{generate_keypair, PaillierPublicKey, PaillierSecretKey};
@@ -56,6 +56,20 @@ fn loopback_listener() -> Result<&'static TcpCloudServer> {
         })
         .as_ref()
         .map_err(|e| crate::ProtocolError::transport(format!("binding loopback S2: {e}")))
+}
+
+/// The one check behind every session door that still takes a `batching` flag
+/// ([`TwoClouds::with_transport`], [`TwoClouds::connect`] and the doors built on them):
+/// `false` is refused before any key is generated.  Every sub-protocol step ships as one
+/// self-contained request; there is no one-message-per-pair pattern to fall back to.
+pub fn require_batching(batching: bool) -> Result<()> {
+    if batching {
+        Ok(())
+    } else {
+        Err(ProtocolError::transport_rejected(
+            "unbatched sessions are retired: every protocol step ships as one request",
+        ))
+    }
 }
 
 /// S1 sessions alive in this process: the divisor of S1's share of the machine.
@@ -112,10 +126,6 @@ pub struct TwoClouds {
     pub s1: S1State,
     /// The message channel to the crypto cloud S2 (which owns all S2 state).
     transport: Box<dyn Transport>,
-    /// Whether multi-item exchanges are shipped as single messages (round-trip
-    /// batching).  `false` degrades to one message per pair — the pre-batching wire
-    /// pattern, kept for the bandwidth benchmarks.
-    batching: bool,
     /// Per-round latency histogram (`session.{label}.round_nanos`); a no-op until
     /// [`TwoClouds::set_metrics`] installs a registry.  Observes wall-clock only —
     /// never protocol state — so ledgers and [`ChannelMetrics`] are unaffected.
@@ -134,31 +144,31 @@ impl fmt::Debug for TwoClouds {
         f.debug_struct("TwoClouds")
             .field("s1", &self.s1)
             .field("transport", &self.transport)
-            .field("batching", &self.batching)
             .finish_non_exhaustive()
     }
 }
 
 impl TwoClouds {
     /// Set up the two clouds from the data owner's key bundle with the transport chosen
-    /// by the `SECTOPK_TRANSPORT` environment variable (in-process by default) and
-    /// batching enabled.  `seed` makes every random choice of both parties reproducible.
-    /// A `SECTOPK_TRANSPORT` value that names no transport is an error.
+    /// by the `SECTOPK_TRANSPORT` environment variable (in-process by default).  `seed`
+    /// makes every random choice of both parties reproducible.  A `SECTOPK_TRANSPORT`
+    /// value that names no transport is an error.
     pub fn new(master: &MasterKeys, seed: u64) -> Result<Self> {
         Self::with_transport(master, seed, TransportKind::from_env()?, true)
     }
 
-    /// Set up the two clouds with an explicit transport and batching policy.
-    /// [`TransportKind::Multiplex`] and [`TransportKind::Tcp`] join the process-wide
-    /// loopback pool / listener; to serve sessions from a server of your own use
-    /// [`TwoClouds::connect`] / [`TwoClouds::connect_tcp`].
+    /// Set up the two clouds with an explicit transport; `batching` must be `true`
+    /// ([`require_batching`]).  [`TransportKind::Multiplex`] and [`TransportKind::Tcp`]
+    /// join the process-wide loopback pool / listener; to serve sessions from a server
+    /// of your own use [`TwoClouds::connect`] / [`TwoClouds::connect_tcp`].
     pub fn with_transport(
         master: &MasterKeys,
         seed: u64,
         kind: TransportKind,
         batching: bool,
     ) -> Result<Self> {
-        Self::over_transport(master, seed, batching, |provision| {
+        require_batching(batching)?;
+        Self::over_transport(master, seed, |provision| {
             Ok(match kind {
                 TransportKind::InProcess => Box::new(InProcessTransport::new(provision.build())),
                 TransportKind::Multiplex => Box::new(loopback_pool().connect(
@@ -183,16 +193,16 @@ impl TwoClouds {
     pub fn connect_tcp(
         master: &MasterKeys,
         seed: u64,
-        batching: bool,
         addr: &str,
         options: TcpOptions,
     ) -> Result<Self> {
-        Self::over_transport(master, seed, batching, |provision| {
+        Self::over_transport(master, seed, |provision| {
             Ok(Box::new(crate::tcp::connect(addr, provision, options)?))
         })
     }
 
-    /// Set up the two clouds as session `session` of a shared [`MultiplexServer`].
+    /// Set up the two clouds as session `session` of a shared [`MultiplexServer`];
+    /// `batching` must be `true` ([`require_batching`]).
     ///
     /// The S1-side state and the session's S2 engine are derived from `seed` exactly as
     /// in [`TwoClouds::with_transport`], so a session connected with seed *s* is
@@ -207,7 +217,8 @@ impl TwoClouds {
         session: SessionId,
         link: LinkProfile,
     ) -> Result<Self> {
-        Self::over_transport(master, seed, batching, |provision| {
+        require_batching(batching)?;
+        Self::over_transport(master, seed, |provision| {
             Ok(Box::new(server.connect(session, provision.build(), link)?))
         })
     }
@@ -215,17 +226,15 @@ impl TwoClouds {
     /// [`TwoClouds::connect`] with an exact intra-query worker count applied to *both*
     /// sides — S1's client loops and the session's S2 engine — instead of each side's
     /// share of the machine.  Worker count never affects protocol bytes.
-    #[allow(clippy::too_many_arguments)]
     pub fn connect_with_workers(
         master: &MasterKeys,
         seed: u64,
-        batching: bool,
         server: &MultiplexServer,
         session: SessionId,
         link: LinkProfile,
         intra_workers: usize,
     ) -> Result<Self> {
-        let mut clouds = Self::over_transport(master, seed, batching, |provision| {
+        let mut clouds = Self::over_transport(master, seed, |provision| {
             let mut engine = provision.build();
             engine.set_intra_workers(intra_workers);
             Ok(Box::new(server.connect(session, engine, link)?))
@@ -244,7 +253,6 @@ impl TwoClouds {
     pub fn over_transport(
         master: &MasterKeys,
         seed: u64,
-        batching: bool,
         make_transport: impl FnOnce(EngineProvision) -> Result<Box<dyn Transport>>,
     ) -> Result<Self> {
         let mut s1_rng = StdRng::seed_from_u64(seed ^ 0x5151_5151_5151_5151);
@@ -288,7 +296,6 @@ impl TwoClouds {
                 intra_workers: intra_workers_from_env(),
             },
             transport,
-            batching,
             round_nanos: Histogram::noop(),
             rounds_counter: Counter::noop(),
             trace: None,
@@ -384,9 +391,10 @@ impl TwoClouds {
         self.transport.kind()
     }
 
-    /// Whether round-trip batching is enabled.
+    /// Always `true`: every sub-protocol step ships as one request (round-trip
+    /// batching), the only wire pattern there is.
     pub fn batching(&self) -> bool {
-        self.batching
+        true
     }
 
     /// The simulated inter-cloud link the transport runs over (ideal unless the
@@ -499,9 +507,8 @@ mod tests {
         let master = MasterKeys::generate(MIN_MODULUS_BITS, 2, &mut rng).unwrap();
         let a = TwoClouds::with_transport(&master, 1, TransportKind::InProcess, true).unwrap();
         assert_eq!(a.transport_kind(), TransportKind::InProcess);
-        let b = TwoClouds::with_transport(&master, 1, TransportKind::Multiplex, false).unwrap();
+        let b = TwoClouds::with_transport(&master, 1, TransportKind::Multiplex, true).unwrap();
         assert_eq!(b.transport_kind(), TransportKind::Multiplex);
-        assert!(!b.batching());
         // Multiplex and Tcp sessions are self-contained: they join the process-wide
         // loopback pool / listener, and each session's S2 state is its own.
         let mut c = TwoClouds::with_transport(&master, 1, TransportKind::Tcp, true).unwrap();

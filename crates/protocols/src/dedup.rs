@@ -7,11 +7,8 @@
 //! 1. S1 computes the pairwise `⊖` equality matrix of the items, blinds every item with
 //!    fresh randomness (`Rand`, Algorithm 8), encrypts that randomness under **its own**
 //!    key pair `pk'` and ships matrix + blinded items + encrypted randomness to S2 under
-//!    a random permutation `π` — as a single [`crate::transport::S1Request::Dedup`]
-//!    message when batching is enabled, or as one
-//!    [`crate::transport::S1Request::EqTest`] round per matrix entry followed by the
-//!    item exchange when it is not (the pre-batching wire pattern the bandwidth bench
-//!    compares against).
+//!    a random permutation `π`, as a single [`crate::transport::S1Request::Dedup`]
+//!    message.
 //! 2. S2 decrypts the matrix (learning only the permuted equality pattern `EP^d`), keeps
 //!    the first copy of every duplicate group and *replaces* the others by garbage items
 //!    whose worst/best scores unblind to the sentinel `Z = −1`, re-randomizes and
@@ -135,41 +132,14 @@ impl TwoClouds {
             })
             .collect();
 
-        // ================= transport: one message, or one round per pair ===============
-        let request = if self.batching() {
-            DedupRequest {
-                items: permuted_items,
-                blindings: permuted_blindings,
-                pair_indices,
-                matrix: Some(matrix),
-                eliminate,
-                depth,
-            }
-        } else {
-            // Stream the matrix entry by entry (the pre-batching wire pattern); the
-            // engine accumulates the decrypted bits for the closing Dedup message and
-            // replies with a bare ack — S2 consumes the bits itself, so an encrypted
-            // reply would be wasted bandwidth.
-            for diff in matrix {
-                match self.round(S1Request::EqTest {
-                    diff,
-                    context: "sec_dedup".to_string(),
-                    depth: Some(depth),
-                    accumulate: true,
-                    reply_bit: false,
-                })? {
-                    S2Response::Ack => {}
-                    other => return Err(crate::primitives::unexpected(&other, "Ack")),
-                }
-            }
-            DedupRequest {
-                items: permuted_items,
-                blindings: permuted_blindings,
-                pair_indices,
-                matrix: None,
-                eliminate,
-                depth,
-            }
+        // ================= transport: one message =====================================
+        let request = DedupRequest {
+            items: permuted_items,
+            blindings: permuted_blindings,
+            pair_indices,
+            matrix,
+            eliminate,
+            depth,
         };
         let (returned_items, returned_blindings) = match self.round(S1Request::Dedup(request))? {
             S2Response::Dedup { items, blindings } => (items, blindings),
@@ -205,7 +175,6 @@ impl TwoClouds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::TransportKind;
     use num_bigint::BigInt;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -257,36 +226,13 @@ mod tests {
         ];
         let out = clouds.sec_dedup(items, 2).unwrap();
         assert_eq!(out.len(), 3, "SecDedup keeps the list length");
-        // The whole exchange is a single round trip when batched.
+        // The whole exchange is a single round trip.
         assert_eq!(clouds.channel().rounds, 1);
 
         let mut worsts = decrypt_worsts(&out, &master);
         worsts.sort_unstable();
         // Exactly one copy of X1 (16) and one of X2 (13) survive; the duplicate is −1.
         assert_eq!(worsts, vec![-1, 13, 16]);
-    }
-
-    #[test]
-    fn unbatched_dedup_pays_one_round_per_pair() {
-        let mut rng = StdRng::seed_from_u64(405);
-        let master = MasterKeys::generate(MIN_MODULUS_BITS, 3, &mut rng).unwrap();
-        let mut clouds =
-            TwoClouds::with_transport(&master, 44, TransportKind::InProcess, false).unwrap();
-        let encoder = EhlEncoder::new(&master.ehl_keys);
-        let pk = &master.paillier_public;
-        let items = vec![
-            item("A", 1, 2, &encoder, pk, &mut rng),
-            item("A", 1, 2, &encoder, pk, &mut rng),
-            item("B", 3, 4, &encoder, pk, &mut rng),
-            item("C", 5, 6, &encoder, pk, &mut rng),
-        ];
-        let out = clouds.sec_dedup(items, 0).unwrap();
-        assert_eq!(out.len(), 4);
-        // 4 items ⇒ 6 matrix pairs ⇒ 6 EqTest rounds + the item exchange.
-        assert_eq!(clouds.channel().rounds, 7);
-        let mut worsts = decrypt_worsts(&out, &master);
-        worsts.sort_unstable();
-        assert_eq!(worsts, vec![-1, 1, 3, 5]);
     }
 
     #[test]

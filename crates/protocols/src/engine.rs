@@ -1,11 +1,12 @@
 //! The crypto cloud S2 as a request-processing engine.
 //!
 //! All S2-side protocol logic lives here: the engine owns the decryption keys, S2's
-//! randomness, its [`LeakageLedger`] and the per-session protocol state (the equality
-//! bits accumulated by unbatched [`S1Request::EqTest`] rounds).  Sub-protocol code on
-//! the S1 side can only reach it through a [`crate::transport::Transport`], so
-//! everything S2 observes is an explicit message — the executable counterpart of the
-//! paper's non-collusion assumption (§3.2).
+//! randomness and its [`LeakageLedger`].  Sub-protocol code on the S1 side can only
+//! reach it through a [`crate::transport::Transport`], so everything S2 observes is an
+//! explicit message — the executable counterpart of the paper's non-collusion
+//! assumption (§3.2).  Every request is self-contained: the engine carries no protocol
+//! state from one request to the next, so its reply depends only on that request and
+//! its own randomness.
 //!
 //! # Plan, compute, commit
 //!
@@ -14,16 +15,16 @@
 //!
 //! 1. **Plan** — `plan` validates one item and states, in the same `match` arm, the one
 //!    secret-key operation it needs and over which ciphertexts (a `Need`), its nonce
-//!    demand and its request counter.  Every item is planned (the pending-equality-bit
-//!    bookkeeping simulated across them) before anything executes, so batches are
-//!    all-or-nothing: a bad item anywhere costs no ledger entry, RNG draw or pool draw.
+//!    demand and its request counter.  Every item is planned before anything executes,
+//!    so batches are all-or-nothing: a bad item anywhere costs no ledger entry, RNG draw
+//!    or pool draw.
 //! 2. **Compute** — the expensive, *pure* work: all planned ciphertexts of all items run
 //!    as one data-parallel sweep over the shared `Arc`-backed keys
 //!    ([`sectopk_crypto::par::par_map`]); the first failed operation in request order
 //!    wins, as in a serial sweep.  Each item gets one typed result back (a `Done`).
-//! 3. **Commit** — `commit`, the only place with effects (ledger records, pending-eq
-//!    state, RNG draws, nonce-pool consumption, response assembly), runs serially in
-//!    item order over `(request, Done)` pairs.
+//! 3. **Commit** — `commit`, the only place with effects (ledger records, RNG draws,
+//!    nonce-pool consumption, response assembly), runs serially in item order over
+//!    `(request, Done)` pairs.
 //!
 //! Phase 2 is pure and phase 3 serial, so ledgers, metrics and ciphertext streams do not
 //! depend on the worker count.  That count is [`S2Engine::set_intra_workers`]'s, or the
@@ -113,9 +114,7 @@ pub fn intra_workers_from_env() -> Option<usize> {
 
 /// The one secret-key operation a request kind needs, over its ciphertexts in order.
 enum Need<'a> {
-    /// No decryption (EqAggregate).
-    Nothing,
-    /// Paillier `is_zero` (equality bits of EqTest / EqMatrix / Dedup / Filter).
+    /// Paillier `is_zero` (equality bits of EqMatrix / Dedup / Filter).
     IsZero(Vec<&'a Ciphertext>),
     /// Paillier signed decryption, reduced to its sign, ±1 (Compare; a zero is rejected).
     Sign(Vec<&'a Ciphertext>),
@@ -127,7 +126,6 @@ enum Need<'a> {
 
 /// What the compute phase hands `commit` for one request: its [`Need`]'s results.
 enum Done {
-    Nothing,
     Bits(Vec<bool>),
     Signs(Vec<i8>),
     Plains(Vec<BigUint>),
@@ -168,9 +166,7 @@ struct Step<'a> {
 ///   structurally only, never on values).
 #[derive(Clone, Debug, Default)]
 struct EngineMetrics {
-    eq_test: Counter,
     eq_matrix: Counter,
-    eq_aggregate: Counter,
     compare: Counter,
     recover: Counter,
     dedup: Counter,
@@ -196,9 +192,6 @@ pub struct S2Engine {
     /// Precomputed nonces for S1's own key `pk'` (the encrypted-blinding channel).
     own_pool: RandomnessPool,
     ledger: LeakageLedger,
-    /// Equality bits accumulated from unbatched [`S1Request::EqTest`] rounds, consumed
-    /// by the next [`S1Request::EqAggregate`] or matrix-less [`S1Request::Dedup`].
-    pending_eq: Vec<bool>,
     /// An exact worker count for the compute phase (1 = serial); `None`: the share.
     intra_workers: Option<usize>,
     /// Engines that may compute at the same time as this one, itself included — the
@@ -228,7 +221,6 @@ impl S2Engine {
             pool,
             own_pool,
             ledger: LeakageLedger::new(),
-            pending_eq: Vec::new(),
             intra_workers: intra_workers_from_env(),
             crowd: 1,
             metrics: EngineMetrics::default(),
@@ -241,9 +233,7 @@ impl S2Engine {
     /// (pinned by `tests/metrics_invariance.rs`).
     pub fn set_metrics_registry(&mut self, registry: &Registry) {
         self.metrics = EngineMetrics {
-            eq_test: registry.counter("engine.requests.eq_test"),
             eq_matrix: registry.counter("engine.requests.eq_matrix"),
-            eq_aggregate: registry.counter("engine.requests.eq_aggregate"),
             compare: registry.counter("engine.requests.compare"),
             recover: registry.counter("engine.requests.recover"),
             dedup: registry.counter("engine.requests.dedup"),
@@ -279,19 +269,18 @@ impl S2Engine {
         &self.ledger
     }
 
-    /// Clear the ledger and the per-session protocol state (e.g. between queries).
+    /// Clear the ledger (e.g. between queries).
     pub fn reset(&mut self) {
         self.ledger.clear();
-        self.pending_eq.clear();
     }
 
     /// Process one request and produce the response that travels back to S1.
     ///
     /// Failures are typed [`WireError`]s: the transport encodes them as
-    /// `S2Response::Error` frames, so a malformed or mis-sequenced request is answered,
-    /// not panicked on, and the engine keeps serving subsequent requests.  Runs the
-    /// plan → compute → commit pipeline of the module doc; byte-identical to serial
-    /// execution for any worker count.
+    /// `S2Response::Error` frames, so a malformed request is answered, not panicked on,
+    /// and the engine keeps serving subsequent requests.  Runs the plan → compute →
+    /// commit pipeline of the module doc; byte-identical to serial execution for any
+    /// worker count.
     pub fn handle(&mut self, request: &S1Request) -> EngineResult<S2Response> {
         // Timed only when a registry is installed (`start` reads no clock otherwise);
         // nothing below reads a metric back, so instrumentation changes no byte.
@@ -304,23 +293,20 @@ impl S2Engine {
                 let responses = items.iter().zip(dones).map(|(item, done)| self.commit(item, done));
                 responses.collect::<EngineResult<_>>().map(S2Response::Batch)
             }),
-            single => self
-                .prepare(std::slice::from_ref(single))
-                .and_then(|mut dones| self.commit(single, dones.pop().unwrap_or(Done::Nothing))),
+            single => self.prepare(std::slice::from_ref(single)).and_then(|mut dones| {
+                let done =
+                    dones.pop().ok_or_else(|| WireError::internal("a request went unplanned"))?;
+                self.commit(single, done)
+            }),
         };
         self.metrics.handle_nanos.stop(timer);
         result
     }
 
-    /// Phases 1 and 2 for the items of one request: plan every item (`pending` carries
-    /// the simulated pending-equality-bit count from one to the next), count them, run
+    /// Phases 1 and 2 for the items of one request: plan every item, count them, run
     /// their decryptions and top the nonce pools up.  Returns one [`Done`] per item.
     fn prepare(&mut self, items: &[S1Request]) -> EngineResult<Vec<Done>> {
-        let mut pending = self.pending_eq.len();
-        let steps = items
-            .iter()
-            .map(|item| Self::plan(item, &mut pending))
-            .collect::<EngineResult<Vec<_>>>()?;
+        let steps = items.iter().map(Self::plan).collect::<EngineResult<Vec<_>>>()?;
         for step in &steps {
             (step.count)(&self.metrics).incr();
         }
@@ -332,32 +318,21 @@ impl S2Engine {
     /// Phase 1: validate one non-batch request and describe it.  The nonce demand is
     /// exact for the encrypt-reply shapes and an upper bound for Dedup/Filter, whose
     /// consumption depends on decrypted bits.
-    fn plan<'a>(request: &'a S1Request, pending: &mut usize) -> EngineResult<Step<'a>> {
+    fn plan(request: &S1Request) -> EngineResult<Step<'_>> {
         let mut nonces = NonceDemand::default();
-        let (need, count): (Need<'a>, fn(&EngineMetrics) -> &Counter) = match request {
-            S1Request::EqTest { diff, accumulate, reply_bit, .. } => {
-                *pending += usize::from(*accumulate);
-                nonces.dj = usize::from(*reply_bit);
-                (Need::IsZero(vec![diff]), |m| &m.eq_test)
-            }
+        let (need, count): (Need<'_>, fn(&EngineMetrics) -> &Counter) = match request {
             S1Request::EqMatrix { diffs, cols, want, .. } => {
+                // At least one row and one column, every row full: S2 never sizes a loop
+                // or a reply by a number a request only claims.
                 let rows = diffs.len().checked_div(*cols).unwrap_or(0);
-                if matrix_bits(rows, *cols)? != diffs.len() {
-                    return Err(WireError::malformed("equality matrix with a partial last row"));
+                if rows == 0 || rows * cols != diffs.len() {
+                    return Err(WireError::malformed(format!(
+                        "{} equality bits do not fill rows of {cols} columns",
+                        diffs.len()
+                    )));
                 }
                 nonces.dj = diffs.len() + aggregate_nonces(want, rows, *cols);
                 (Need::IsZero(diffs.iter().collect()), |m| &m.eq_matrix)
-            }
-            S1Request::EqAggregate { rows, cols, want } => {
-                let count = matrix_bits(*rows, *cols)?;
-                if *pending != count {
-                    return Err(WireError::bad_sequence(format!(
-                        "EqAggregate over {count} bits but {pending} were streamed"
-                    )));
-                }
-                *pending = 0;
-                nonces.dj = aggregate_nonces(want, *rows, *cols);
-                (Need::Nothing, |m| &m.eq_aggregate)
             }
             S1Request::Compare { blinded, .. } => {
                 (Need::Sign(blinded.iter().collect()), |m| &m.compare)
@@ -370,29 +345,28 @@ impl S2Engine {
                 if dedup.blindings.len() != l {
                     return Err(WireError::malformed("one blinding per dedup item required"));
                 }
+                // S1 pairs every two items once, so the `l × l` table `commit_dedup`
+                // builds is bounded by twice the ciphertexts the request actually ships.
                 let pairs = dedup.pair_indices.len();
-                match &dedup.matrix {
-                    Some(matrix) if matrix.len() != pairs => {
-                        return Err(WireError::malformed("dedup matrix arity mismatch"));
-                    }
-                    None if *pending != pairs => {
-                        return Err(WireError::bad_sequence(format!(
-                            "dedup expects {pairs} streamed equality bits, found {pending}"
-                        )));
-                    }
-                    Some(_) => {}
-                    None => *pending = 0,
+                if l.checked_mul(l.saturating_sub(1)).map(|twice| twice / 2) != Some(pairs) {
+                    return Err(WireError::malformed(format!("{l} dedup items need every pair")));
                 }
-                if dedup.pair_indices.iter().any(|&(a, b)| a >= l || b >= l) {
-                    return Err(WireError::malformed("dedup pair index out of range"));
+                if dedup.matrix.len() != pairs {
+                    return Err(WireError::malformed("dedup matrix arity mismatch"));
+                }
+                if dedup.pair_indices.iter().any(|&(a, b)| a >= b || b >= l) {
+                    return Err(WireError::malformed("dedup pair index out of order or range"));
                 }
                 for (item, blinding) in dedup.items.iter().zip(dedup.blindings.iter()) {
                     nonces.paillier += item.ehl.len() + 2;
                     nonces.own += item.ehl.len().max(blinding.alphas.len()) + 2;
                 }
-                (Need::IsZero(dedup.matrix.iter().flatten().collect()), |m| &m.dedup)
+                (Need::IsZero(dedup.matrix.iter().collect()), |m| &m.dedup)
             }
             S1Request::Filter { tuples } => {
+                if tuples.iter().any(|t| t.attribute_masks.len() != t.attributes.len()) {
+                    return Err(WireError::malformed("one mask per filter attribute required"));
+                }
                 for t in tuples {
                     nonces.paillier += t.attributes.len();
                     nonces.own += t.attributes.len() + 1;
@@ -437,7 +411,6 @@ impl S2Engine {
         let mut ops = Vec::new();
         for step in steps {
             match &step.need {
-                Need::Nothing => {}
                 Need::IsZero(cts) => ops.extend(cts.iter().copied().map(Op::IsZero)),
                 Need::Sign(cts) => ops.extend(cts.iter().copied().map(Op::Sign)),
                 Need::Plain(cts) => ops.extend(cts.iter().copied().map(Op::Plain)),
@@ -476,7 +449,6 @@ impl S2Engine {
         let (mut bits, mut signs) = (bits.into_iter(), signs.into_iter());
         let (mut plains, mut inners) = (plains.into_iter(), inners.into_iter());
         let deal = steps.iter().map(|step| match &step.need {
-            Need::Nothing => Done::Nothing,
             Need::IsZero(cts) => Done::Bits(bits.by_ref().take(cts.len()).collect()),
             Need::Sign(cts) => Done::Signs(signs.by_ref().take(cts.len()).collect()),
             Need::Plain(cts) => Done::Plains(plains.by_ref().take(cts.len()).collect()),
@@ -508,24 +480,10 @@ impl S2Engine {
     }
 
     /// Phase 3: commit one planned request with its compute results.  Every observable
-    /// effect happens here — ledger records, pending-eq pushes/takes, RNG draws, pool
-    /// consumption — serially, in item order.
+    /// effect happens here — ledger records, RNG draws, pool consumption — serially, in
+    /// item order.
     fn commit(&mut self, request: &S1Request, done: Done) -> EngineResult<S2Response> {
         match (request, done) {
-            (S1Request::EqTest { context, depth, accumulate, reply_bit, .. }, Done::Bits(bits)) => {
-                let mut reply = S2Response::Ack;
-                // `plan` asked for exactly one bit.
-                for bit in bits {
-                    self.record_eq_bit(bit, context, *depth);
-                    if *accumulate {
-                        self.pending_eq.push(bit);
-                    }
-                    if *reply_bit {
-                        reply = S2Response::EqBit(self.pool.encrypt_dj_u64(u64::from(bit))?);
-                    }
-                }
-                Ok(reply)
-            }
             (S1Request::EqMatrix { cols, context, depth, want, .. }, Done::Bits(bits)) => {
                 let mut e2_bits = Vec::with_capacity(bits.len());
                 for &bit in &bits {
@@ -534,11 +492,6 @@ impl S2Engine {
                 }
                 let aggregates = self.aggregate(&bits, *cols, *want)?;
                 Ok(S2Response::EqBits { bits: e2_bits, aggregates })
-            }
-            (S1Request::EqAggregate { cols, want, .. }, Done::Nothing) => {
-                let bits = std::mem::take(&mut self.pending_eq);
-                let aggregates = self.aggregate(&bits, *cols, *want)?;
-                Ok(S2Response::EqAggregates(aggregates))
             }
             (S1Request::Compare { context, .. }, Done::Signs(signs)) => {
                 for _ in &signs {
@@ -561,9 +514,7 @@ impl S2Engine {
             // No pair lands here unless an edit makes `plan` and `commit` disagree (a
             // `Batch` item never passes `plan`); the session survives that too.
             (
-                S1Request::EqTest { .. }
-                | S1Request::EqMatrix { .. }
-                | S1Request::EqAggregate { .. }
+                S1Request::EqMatrix { .. }
                 | S1Request::Compare { .. }
                 | S1Request::Recover { .. }
                 | S1Request::Dedup(_)
@@ -622,16 +573,9 @@ impl S2Engine {
     )]
     fn commit_dedup(&mut self, dedup: &DedupRequest, bits: Vec<bool>) -> EngineResult<S2Response> {
         let l = dedup.items.len();
-
-        // The equality bits: the inline matrix (batched, decrypted in the compute phase)
-        // or the bits streamed ahead through per-pair EqTest rounds (unbatched).
         for &bit in &bits {
             self.record_eq_bit(bit, "sec_dedup", Some(dedup.depth));
         }
-        let bits = match dedup.matrix {
-            Some(_) => bits,
-            None => std::mem::take(&mut self.pending_eq),
-        };
 
         let mut equal = vec![vec![false; l]; l];
         for (&(a, b), &is_eq) in dedup.pair_indices.iter().zip(bits.iter()) {
@@ -751,16 +695,6 @@ impl S2Engine {
             survivors = pi_prime.permute(&survivors);
         }
         Ok(S2Response::Filter { survivors })
-    }
-}
-
-/// The dimension rule: an equality matrix has at least one row and one column, and
-/// `rows × cols` (returned, for the caller to compare with the bits actually covered)
-/// does not overflow — S2 never sizes a loop or a reply by a number a request only claims.
-fn matrix_bits(rows: usize, cols: usize) -> EngineResult<usize> {
-    match rows.checked_mul(cols) {
-        Some(bits) if bits >= 1 => Ok(bits),
-        _ => Err(WireError::malformed(format!("degenerate {rows} × {cols} equality matrix"))),
     }
 }
 

@@ -7,8 +7,8 @@
 //!   (corrupted ciphertext, value out of range, …).
 //! * [`ProtocolError::Remote`] — S2 answered with a typed
 //!   [`WireError`] frame instead of a response.  The frame
-//!   crosses the transport as a first-class message, so a malformed or mis-sequenced
-//!   request never kills the session — the engine keeps serving and the caller gets a
+//!   crosses the transport as a first-class message, so a malformed request never
+//!   kills the session — the engine keeps serving and the caller gets a
 //!   structured failure.
 //! * [`ProtocolError::Transport`] — the channel itself broke down (thread gone, frame
 //!   undecodable, envelope echo mismatch) or was misused (duplicate session id).  The
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn sources_are_preserved() {
         use std::error::Error;
-        let r = ProtocolError::Remote(WireError::new(WireErrorCode::BadSequence, "x"));
+        let r = ProtocolError::Remote(WireError::new(WireErrorCode::Codec, "x"));
         assert!(r.source().is_some());
         assert!(ProtocolError::transport("y").source().is_some());
     }

@@ -24,8 +24,7 @@
 //! # Isolation and determinism
 //!
 //! Each session owns an [`S2Engine`] of its own (behind the session's lock, next to its
-//! replay cache): its leakage ledger, accumulated equality bits, RNG and nonce-pool
-//! shards are **per session**, so
+//! replay cache): its leakage ledger, RNG and nonce-pool shards are **per session**, so
 //!
 //! * ledgers never bleed between sessions — "what did S2 observe while serving client
 //!   *i*" stays a well-defined question under concurrency, and
@@ -260,7 +259,7 @@ impl PoolMetrics {
 
 /// What a request of a session runs against, under the session's one lock.
 struct SessionState {
-    /// The session's own engine: ledger, RNG, pool shards, accumulated equality bits.
+    /// The session's own engine: ledger, RNG, pool shards.
     engine: S2Engine,
     /// `(seq, reply frame)` of the most recent request reply.  A re-sent `seq` is
     /// answered from here without touching the engine (exactly-once effects).
@@ -868,27 +867,28 @@ mod tests {
             server.connect(SessionId(3), engine_for(&master, 2), LinkProfile::ideal()).unwrap();
         use crate::transport::EqWants;
         use crate::wire::WireErrorCode;
-        // An EqAggregate with no accumulated bits is a sequencing violation.
-        let err = t
-            .round_trip(S1Request::EqAggregate { rows: 2, cols: 2, want: EqWants::none() })
-            .unwrap_err();
-        assert!(
-            matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::BadSequence),
-            "unexpected error {err:?}"
-        );
-        // A zero-column matrix is structurally malformed (would divide by zero in the
-        // aggregate derivation).
-        let err = t
-            .round_trip(S1Request::EqAggregate { rows: 0, cols: 0, want: EqWants::none() })
-            .unwrap_err();
-        assert!(
-            matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::MalformedRequest),
-            "unexpected error {err:?}"
-        );
+        let mut rng = StdRng::seed_from_u64(5);
+        let matrix = |entries: usize, cols: usize, rng: &mut StdRng| S1Request::EqMatrix {
+            diffs: (0..entries)
+                .map(|_| master.paillier_public.encrypt_u64(0, rng).unwrap())
+                .collect(),
+            cols,
+            context: "test".into(),
+            depth: None,
+            want: EqWants::none(),
+        };
+        // A matrix whose last row is partial, and one with zero columns (which would
+        // divide by zero in the aggregate derivation), are structurally malformed.
+        for (entries, cols) in [(3, 2), (0, 0)] {
+            let err = t.round_trip(matrix(entries, cols, &mut rng)).unwrap_err();
+            assert!(
+                matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::MalformedRequest),
+                "unexpected error {err:?}"
+            );
+        }
         // Neither rejection touched the ledger, and the single permit survived both:
         // the pool still serves requests.
         assert!(t.s2_ledger().is_empty());
-        let mut rng = StdRng::seed_from_u64(5);
         t.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
     }
 
@@ -896,14 +896,14 @@ mod tests {
         framed(frame::REQUEST, &compare_request(master, value, rng))
     }
 
-    /// An equality test whose `E2(t)` reply consumes the engine's nonce stream.
+    /// A one-entry equality matrix whose `E2(t)` reply consumes the engine's nonce stream.
     fn eq_test(master: &MasterKeys, rng: &mut StdRng) -> S1Request {
-        S1Request::EqTest {
-            diff: master.paillier_public.encrypt_u64(0, rng).unwrap(),
+        S1Request::EqMatrix {
+            diffs: vec![master.paillier_public.encrypt_u64(0, rng).unwrap()],
+            cols: 1,
             context: "test".into(),
             depth: None,
-            accumulate: false,
-            reply_bit: true,
+            want: crate::transport::EqWants::none(),
         }
     }
 

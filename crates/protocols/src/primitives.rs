@@ -134,85 +134,41 @@ pub(crate) fn unexpected(response: &S2Response, expected: &str) -> ProtocolError
 
 impl TwoClouds {
     /// Run any number of independent equality-matrix exchanges — of one sub-protocol or
-    /// of several (SecWorst and SecBest share a depth's exchange) — in plan order.  With
-    /// batching enabled they all travel in a single round trip ([`S1Request::Batch`]):
-    /// the one equality round of a step's budget.  Without it, every matrix entry
-    /// becomes its own [`S1Request::EqTest`] round followed by one aggregate round — the
-    /// pre-batching wire pattern.
+    /// of several (SecWorst and SecBest share a depth's exchange) — in plan order, all
+    /// in a single round trip ([`S1Request::Batch`]): the one equality round of a step's
+    /// budget.
     pub(crate) fn run_eq_plans(&mut self, plans: Vec<EqPlan>) -> Result<Vec<EqOutcome>> {
-        let plans: Vec<EqPlan> = plans.into_iter().filter(|p| !p.diffs.is_empty()).collect();
-        if plans.is_empty() {
-            return Ok(Vec::new());
-        }
-
-        if self.batching() {
-            let mut requests: Vec<S1Request> = plans
-                .into_iter()
-                .map(|p| S1Request::EqMatrix {
-                    diffs: p.diffs,
-                    cols: p.cols,
-                    context: p.context.to_string(),
-                    depth: p.depth,
-                    want: p.want,
-                })
-                .collect();
-            let responses: Vec<S2Response> = if requests.len() == 1 {
-                vec![self.round(requests.pop().expect("one request"))?]
-            } else {
-                match self.round(S1Request::Batch(requests))? {
-                    S2Response::Batch(responses) => responses,
-                    other => return Err(unexpected(&other, "Batch")),
-                }
-            };
-            responses
-                .into_iter()
-                .map(|r| match r {
-                    S2Response::EqBits { bits, aggregates } => Ok(EqOutcome { bits, aggregates }),
-                    other => Err(unexpected(&other, "EqBits")),
-                })
-                .collect()
-        } else {
-            let mut outcomes = Vec::with_capacity(plans.len());
-            for plan in plans {
-                // S2 only needs to remember the streamed bits when an aggregate request
-                // will consume them afterwards.
-                let accumulate = !plan.want.is_empty();
-                let mut bits = Vec::with_capacity(plan.diffs.len());
-                for diff in &plan.diffs {
-                    match self.round(S1Request::EqTest {
-                        diff: diff.clone(),
-                        context: plan.context.to_string(),
-                        depth: plan.depth,
-                        accumulate,
-                        reply_bit: true,
-                    })? {
-                        S2Response::EqBit(bit) => bits.push(bit),
-                        other => return Err(unexpected(&other, "EqBit")),
-                    }
-                }
-                let aggregates = if accumulate {
-                    match self.round(S1Request::EqAggregate {
-                        rows: bits.len() / plan.cols,
-                        cols: plan.cols,
-                        want: plan.want,
-                    })? {
-                        S2Response::EqAggregates(aggregates) => aggregates,
-                        other => return Err(unexpected(&other, "EqAggregates")),
-                    }
-                } else {
-                    EqAggregates::default()
-                };
-                outcomes.push(EqOutcome { bits, aggregates });
-            }
-            Ok(outcomes)
-        }
+        let mut requests: Vec<S1Request> = plans
+            .into_iter()
+            .filter(|p| !p.diffs.is_empty())
+            .map(|p| S1Request::EqMatrix {
+                diffs: p.diffs,
+                cols: p.cols,
+                context: p.context.to_string(),
+                depth: p.depth,
+                want: p.want,
+            })
+            .collect();
+        let responses: Vec<S2Response> = match requests.len() {
+            0 => return Ok(Vec::new()),
+            1 => vec![self.round(requests.pop().expect("one request"))?],
+            _ => match self.round(S1Request::Batch(requests))? {
+                S2Response::Batch(responses) => responses,
+                other => return Err(unexpected(&other, "Batch")),
+            },
+        };
+        responses
+            .into_iter()
+            .map(|r| match r {
+                S2Response::EqBits { bits, aggregates } => Ok(EqOutcome { bits, aggregates }),
+                other => Err(unexpected(&other, "EqBits")),
+            })
+            .collect()
     }
 
-    /// Ship an element-wise exchange through the transport: one request carrying all
-    /// `items` when batching is enabled, or one request per item (the pre-batching wire
-    /// pattern) when it is not.  `build` constructs the request for a chunk and
-    /// `extract` pulls the per-element payload out of the matching response; the reply
-    /// arity is checked against the input in both modes.
+    /// Ship an element-wise exchange as one request carrying all `items`.  `build`
+    /// constructs the request and `extract` pulls the per-element payload out of the
+    /// matching response; the reply arity is checked against the input.
     fn round_elementwise<T, U>(
         &mut self,
         items: Vec<T>,
@@ -223,15 +179,7 @@ impl TwoClouds {
         if expected == 0 {
             return Ok(Vec::new());
         }
-        let out = if self.batching() {
-            extract(self.round(build(items))?)?
-        } else {
-            let mut out = Vec::with_capacity(expected);
-            for item in items {
-                out.extend(extract(self.round(build(vec![item]))?)?);
-            }
-            out
-        };
+        let out = extract(self.round(build(items))?)?;
         if out.len() != expected {
             return Err(ProtocolError::transport(format!(
                 "element-wise exchange arity mismatch: sent {expected}, received {}",
@@ -434,9 +382,8 @@ impl TwoClouds {
         Ok(outcomes[0])
     }
 
-    /// Batched comparison `f_i := (a_i ≤ b_i)` in one round trip (one round trip *per
-    /// pair* when batching is disabled).  One modular inversion per call, whatever the
-    /// number of pairs.
+    /// Batched comparison `f_i := (a_i ≤ b_i)` in one round trip.  One modular inversion
+    /// per call, whatever the number of pairs.
     pub fn compare_many(
         &mut self,
         pairs: &[(Ciphertext, Ciphertext)],
@@ -591,29 +538,6 @@ mod tests {
         assert!(clouds.channel().bytes > 0);
         assert_eq!(clouds.s2_ledger().count_kind("equality_bit"), 2);
         assert_eq!(clouds.channel().rounds, 1);
-    }
-
-    #[test]
-    fn unbatched_eq_exchange_costs_one_round_per_pair() {
-        let mut rng = StdRng::seed_from_u64(34);
-        let master = MasterKeys::generate(MIN_MODULUS_BITS, 3, &mut rng).unwrap();
-        let mut clouds = TwoClouds::with_transport(
-            &master,
-            99,
-            crate::transport::TransportKind::InProcess,
-            false,
-        )
-        .unwrap();
-        let encoder = EhlEncoder::new(&master.ehl_keys);
-        let pk = &master.paillier_public;
-        let a = encoder.encode(b"a", pk, &mut rng).unwrap();
-        let b = encoder.encode(b"b", pk, &mut rng).unwrap();
-        let c = encoder.encode(b"c", pk, &mut rng).unwrap();
-        let _ = clouds.eq_batch(&[(&a, &b), (&a, &c), (&b, &c)], "test", None).unwrap();
-        // One EqTest round per pair, versus 1 round batched (no aggregates were
-        // requested, so no drain round is needed either).
-        assert_eq!(clouds.channel().rounds, 3);
-        assert_eq!(clouds.s2_ledger().count_kind("equality_bit"), 3);
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! paper quotes for EncSort (§10.3).  `2^b ≥ t` is pure rank-by-counting: one round,
 //! `t(t−1)/2` comparisons, no padding.  [`sort_plan`] turns the dial from `t` and the
 //! declared link alone: on a 20 ms link every list the benchmark produces sorts in one
-//! round, on an ideal link the schedule that costs the least compute wins.  With batching
-//! disabled every comparison becomes its own round trip.
+//! round, on an ideal link the schedule that costs the least compute wins.
 //!
 //! Every comparison asks about one strict total order — larger worst score first, earlier
 //! input position first among equals — so every block size returns the same sorted list,
@@ -54,7 +53,7 @@ pub struct SortPlan {
     /// The block size `2^b` ranked by counting: 1 is the plain Batcher network, `≥ t`
     /// pure rank-by-counting.
     pub block: usize,
-    /// `Compare` rounds the sort costs (with batching).
+    /// `Compare` rounds the sort costs.
     pub rounds: usize,
     /// Comparisons it ships.
     pub comparisons: usize,
@@ -475,21 +474,5 @@ mod tests {
             let plan = sort_plan(t, clouds.link_profile());
             assert_eq!((clouds.channel().rounds, plan.rounds as u64), (rounds, rounds), "t = {t}");
         }
-    }
-
-    #[test]
-    fn unbatched_sort_pays_one_round_per_gate() {
-        // Without batching every gate of the plan — a counting pair or a merge gate — is
-        // its own round trip.
-        use crate::transport::TransportKind;
-        let mut rng = StdRng::seed_from_u64(78);
-        let master = MasterKeys::generate(MIN_MODULUS_BITS, 2, &mut rng).unwrap();
-        let mut clouds =
-            TwoClouds::with_transport(&master, 2, TransportKind::InProcess, false).unwrap();
-        let sorted =
-            clouds.enc_sort_by_worst_desc(items(&master, &[7, 6, 5, 4], &mut rng)).unwrap();
-        assert_eq!(sorted.len(), 4);
-        let plan = sort_plan(4, LinkProfile::ideal());
-        assert_eq!(clouds.channel().rounds, plan.comparisons as u64);
     }
 }

@@ -1333,8 +1333,10 @@ impl Drop for Seated<'_> {
 mod tests {
     use super::*;
     use crate::error::TransportErrorKind;
+    use crate::ledger::LeakageLedger;
     use crate::multiplex::{LinkProfile, PoolLimits, ASSIGNED_SESSION_BASE};
     use crate::transport::{framed, InProcessTransport, S1Request, S2Response, Transport};
+    use crate::wire::WireErrorCode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sectopk_crypto::keys::MasterKeys;
@@ -1754,10 +1756,10 @@ mod tests {
                 write_frame(&stream, &Envelope { session: SESSION, seq, frame }.encode()).unwrap();
             };
             let mut seqs = vec![read_seq()];
-            reply(1, &S2Response::Ack);
+            reply(1, &S2Response::Signs(vec![-1]));
             seqs.push(read_seq());
-            reply(1, &S2Response::Ack);
-            reply(1, &S2Response::Ack);
+            reply(1, &S2Response::Signs(vec![-1]));
+            reply(1, &S2Response::Signs(vec![-1]));
             reply(2, &S2Response::Signs(vec![1]));
             seqs
         });
@@ -1766,11 +1768,71 @@ mod tests {
             connect(addr, provision_for(&master, 1), TcpOptions::default()).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let first = transport.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
-        assert_eq!(first, S2Response::Ack);
+        assert_eq!(first, S2Response::Signs(vec![-1]));
         let second = transport.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
         assert_eq!(second, S2Response::Signs(vec![1]));
         assert_eq!(transport.metrics().rounds, 2, "discarded duplicates are not traffic");
         assert_eq!(s2.join().unwrap(), [1, 2]);
+    }
+
+    /// Request frames of the retired one-message-per-pair wire pattern, byte for byte as
+    /// protocol version 2 peers that still spoke it encoded them: an `EqTest` whose bit
+    /// S2 was to keep, the `EqAggregate` over that bit, and a `Dedup` without a matrix.
+    const RETIRED_FRAMES: [&[u8]; 3] = [
+        b"\x00\x09\x01\x06EqTest\x09\x05\x04diff\x07\x01\x01\x07context\x06\x04test\x05depth\x00\
+          \x0aaccumulate\x02\x09reply_bit\x02",
+        b"\x00\x09\x01\x0bEqAggregate\x09\x03\x04rows\x03\x01\x04cols\x03\x01\x04want\x09\x04\
+          \x0brow_matched\x02\x0drow_unmatched\x01\x0dcol_unmatched\x01\x11row_matched_plain\x01",
+        b"\x00\x09\x01\x05Dedup\x08\x01\x09\x06\x05items\x08\x00\x09blindings\x08\x00\
+          \x0cpair_indices\x08\x00\x06matrix\x00\x09eliminate\x01\x05depth\x03\x00",
+    ];
+
+    #[test]
+    fn retired_request_kinds_are_typed_codec_rejects_on_both_pipes() {
+        // Every retired frame, through the pool's conduit and over a socket: a `Codec`
+        // error frame, nothing in the ledger, and the session answers its next request.
+        let master = master(61);
+        let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
+        let conduit = server.pool().attach(SessionId(5), provision_for(&master, 1).build(), 0);
+        let conduit = conduit.unwrap();
+        let (stream, session, _) = raw_fresh(server.local_addr(), 6, provision_for(&master, 2));
+        let over_conduit = |seq: u64, frame: &[u8]| conduit.call(seq, frame).unwrap().frame;
+        let over_socket = |seq: u64, frame: &[u8]| {
+            let envelope = Envelope { session: SessionId(session), seq, frame: frame.to_vec() };
+            write_frame(&stream, &envelope.encode()).unwrap();
+            Envelope::decode(&read_frame(&stream).unwrap()).unwrap().frame
+        };
+        let mut rng = StdRng::seed_from_u64(62);
+        assert_retired_frames_are_rejected(&master, &mut rng, over_conduit);
+        assert_retired_frames_are_rejected(&master, &mut rng, over_socket);
+    }
+
+    /// `exchange(seq, frame)` runs one frame of one session and returns the reply frame.
+    fn assert_retired_frames_are_rejected(
+        master: &MasterKeys,
+        rng: &mut StdRng,
+        exchange: impl Fn(u64, &[u8]) -> Vec<u8>,
+    ) {
+        let payload = |seq: u64, frame: &[u8], tag: u8| {
+            let reply = exchange(seq, frame);
+            assert_eq!(reply.first(), Some(&tag), "unexpected reply frame {reply:?}");
+            reply[1..].to_vec()
+        };
+        for (i, retired) in (0u64..).zip(RETIRED_FRAMES) {
+            let response: S2Response =
+                wire::from_bytes(&payload(2 * i + 1, retired, frame::RESPONSE)).unwrap();
+            assert!(
+                matches!(&response, S2Response::Error(e) if e.code == WireErrorCode::Codec),
+                "retired frame {i} answered with {response:?}"
+            );
+            let ledger: LeakageLedger =
+                wire::from_bytes(&payload(0, &[frame::FETCH_LEDGER], frame::LEDGER)).unwrap();
+            assert_eq!(ledger.len() as u64, i, "only the earlier compares are in the ledger");
+            let compare = framed(frame::REQUEST, &compare_request(master, 1, rng));
+            let response: S2Response =
+                wire::from_bytes(&payload(2 * i + 2, &compare, frame::RESPONSE)).unwrap();
+            assert_eq!(response, S2Response::Signs(vec![1]), "the session keeps serving");
+        }
     }
 
     #[test]

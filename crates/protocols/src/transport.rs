@@ -54,14 +54,15 @@
 //!
 //! # Batching rules
 //!
-//! [`S1Request::Batch`] wraps any number of *independent* requests into a single round
-//! trip; the engine answers with a positionally matching [`S2Response::Batch`].  Callers
-//! use it to ship one message per scan depth instead of one per pair:
+//! Every request is self-contained: S2's reply depends only on that request and S2's
+//! own randomness, never on an earlier request of the session.  Each sub-protocol step
+//! is therefore one message, and [`S1Request::Batch`] wraps any number of *independent*
+//! requests into a single round trip; the engine answers with a positionally matching
+//! [`S2Response::Batch`]:
 //!
-//! * `SecDedup` ships its whole pairwise equality matrix inside one [`S1Request::Dedup`];
-//!   with batching disabled it degrades to one [`S1Request::EqTest`] per pair.
+//! * `SecDedup` ships its whole pairwise equality matrix inside one [`S1Request::Dedup`].
 //! * `EncSort` ships all pairs of its counting step, or all gates of one merge stage, in
-//!   one [`S1Request::Compare`]; unbatched, one request per comparison.
+//!   one [`S1Request::Compare`].
 //! * `SecWorst` / `SecBest` ship the equality matrices of all `m` per-depth items in one
 //!   `Batch` and recover all selected scores in one [`S1Request::Recover`].
 //!
@@ -130,11 +131,6 @@ impl EqWants {
     pub fn none() -> Self {
         Self::default()
     }
-
-    /// True when no aggregate is requested.
-    pub fn is_empty(&self) -> bool {
-        *self == Self::default()
-    }
 }
 
 /// The aggregates S2 derived from an equality matrix; vectors are empty unless the
@@ -160,12 +156,11 @@ pub struct DedupRequest {
     pub items: Vec<ScoredItem>,
     /// `Enc_pk'(blinding)` per item, permuted consistently with `items`.
     pub blindings: Vec<EncryptedBlinding>,
-    /// Permuted index pairs `(a, b)` with `a < b`, one per matrix entry.
+    /// Permuted index pairs `(a, b)` with `a < b`, one per matrix entry: the whole upper
+    /// triangle, `l(l−1)/2` pairs for `l` items.
     pub pair_indices: Vec<(usize, usize)>,
-    /// The `⊖` equality ciphertexts, positionally matching `pair_indices`.  `None` means
-    /// the matrix was streamed ahead via unbatched [`S1Request::EqTest`] rounds and the
-    /// engine must use its accumulated bits instead.
-    pub matrix: Option<Vec<Ciphertext>>,
+    /// The `⊖` equality ciphertexts, positionally matching `pair_indices`.
+    pub matrix: Vec<Ciphertext>,
     /// `true` ⇒ `SecDupElim` (§10.1): drop duplicates, shrinking the list.
     pub eliminate: bool,
     /// Scan depth, for the equality-pattern bookkeeping.
@@ -197,24 +192,6 @@ impl FilterTuple {
 /// its [`S2Response`] form one protocol round trip.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum S1Request {
-    /// One `⊖` equality ciphertext — the *unbatched* form of the equality exchange.
-    /// S2 decrypts it and, depending on the flags, replies `E2(t)` and/or remembers the
-    /// bit for a later aggregate / dedup request of the same protocol session.
-    EqTest {
-        /// The randomized `a ⊖ b` ciphertext.
-        diff: Ciphertext,
-        /// Calling sub-protocol (ledger context).
-        context: String,
-        /// Scan depth, if applicable.
-        depth: Option<usize>,
-        /// Append the decrypted bit to S2's session state (consumed by the next
-        /// [`S1Request::EqAggregate`] or matrix-less [`S1Request::Dedup`]).
-        accumulate: bool,
-        /// Reply with `E2(t)`.  `false` replies a bare [`S2Response::Ack`] — used by the
-        /// dedup streaming path, where S2 itself consumes the bits and an encrypted
-        /// reply would be wasted bandwidth.
-        reply_bit: bool,
-    },
     /// A whole equality matrix in one message: `rows × cols` ciphertexts in row-major
     /// order, plus optionally derived aggregate bits.
     EqMatrix {
@@ -226,16 +203,6 @@ pub enum S1Request {
         context: String,
         /// Scan depth, if applicable.
         depth: Option<usize>,
-        /// Aggregates to derive and return.
-        want: EqWants,
-    },
-    /// Ask S2 to derive aggregates over the last `rows × cols` bits it accumulated from
-    /// unbatched [`S1Request::EqTest`] rounds (consumes them).
-    EqAggregate {
-        /// Number of rows of the streamed matrix.
-        rows: usize,
-        /// Number of columns of the streamed matrix.
-        cols: usize,
         /// Aggregates to derive and return.
         want: EqWants,
     },
@@ -275,13 +242,11 @@ impl S1Request {
     /// channel's ciphertext accounting.
     pub fn ciphertext_count(&self) -> usize {
         match self {
-            S1Request::EqTest { .. } => 1,
             S1Request::EqMatrix { diffs, .. } => diffs.len(),
-            S1Request::EqAggregate { .. } => 0,
             S1Request::Compare { blinded, .. } => blinded.len(),
             S1Request::Recover { blinded } => blinded.len(),
             S1Request::Dedup(req) => {
-                req.matrix.as_ref().map_or(0, Vec::len)
+                req.matrix.len()
                     + req.items.iter().map(|i| i.ehl.len() + 2).sum::<usize>()
                     + req.blindings.iter().map(|b| b.alphas.len() + 2).sum::<usize>()
             }
@@ -295,9 +260,7 @@ impl S1Request {
     /// span label for the protocol round that ships it.
     pub fn kind_name(&self) -> &'static str {
         match self {
-            S1Request::EqTest { .. } => "eq_test",
             S1Request::EqMatrix { .. } => "eq_matrix",
-            S1Request::EqAggregate { .. } => "eq_aggregate",
             S1Request::Compare { .. } => "compare",
             S1Request::Recover { .. } => "recover",
             S1Request::Dedup(_) => "dedup",
@@ -312,10 +275,6 @@ impl S1Request {
 /// kind that solicited it.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum S2Response {
-    /// Reply to [`S1Request::EqTest`]: the outer-layer encrypted bit `E2(t)`.
-    EqBit(LayeredCiphertext),
-    /// Bare acknowledgement — reply to an [`S1Request::EqTest`] with `reply_bit: false`.
-    Ack,
     /// Reply to [`S1Request::EqMatrix`].
     EqBits {
         /// `E2(t_ij)` in row-major order.
@@ -323,8 +282,6 @@ pub enum S2Response {
         /// The requested aggregates (empty vectors for flags not set).
         aggregates: EqAggregates,
     },
-    /// Reply to [`S1Request::EqAggregate`].
-    EqAggregates(EqAggregates),
     /// Reply to [`S1Request::Compare`]: one sign per blinded difference, −1 or +1 (S1
     /// sends odd differences; S2 rejects a zero as a malformed request).
     Signs(Vec<i8>),
@@ -357,10 +314,7 @@ impl S2Response {
     /// Number of ciphertexts (Paillier + layered) carried by this message.
     pub fn ciphertext_count(&self) -> usize {
         match self {
-            S2Response::EqBit(_) => 1,
-            S2Response::Ack => 0,
             S2Response::EqBits { bits, aggregates } => bits.len() + aggregates.ciphertext_count(),
-            S2Response::EqAggregates(aggregates) => aggregates.ciphertext_count(),
             S2Response::Signs(_) => 0,
             S2Response::Recovered(inner) => inner.len(),
             S2Response::Dedup { items, blindings } => {
@@ -452,7 +406,7 @@ pub trait Transport: fmt::Debug + Send {
     /// Snapshot of everything S2 observed beyond its inputs.
     fn s2_ledger(&self) -> LeakageLedger;
 
-    /// Clear S2's ledger and per-session protocol state.
+    /// Clear S2's ledger.
     fn reset_s2(&mut self);
 
     /// Which implementation this is.
@@ -570,7 +524,7 @@ pub(crate) mod frame {
     pub const REQUEST: u8 = 0;
     /// S1 → S2: fetch S2's ledger snapshot (control plane, unmetered).
     pub const FETCH_LEDGER: u8 = 1;
-    /// S1 → S2: clear S2's ledger and session state (control plane, unmetered).
+    /// S1 → S2: clear S2's ledger (control plane, unmetered).
     pub const RESET: u8 = 2;
     /// S1 → S2: close the session, dropping its server-side state.
     pub const DISCONNECT: u8 = 4;
@@ -915,13 +869,18 @@ mod tests {
     }
 
     fn request() -> S1Request {
-        S1Request::EqAggregate { rows: 1, cols: 1, want: EqWants::none() }
+        S1Request::Compare { blinded: Vec::new(), context: "test".into() }
     }
 
-    /// What one undisturbed `request()` / `Ack` exchange meters.
+    /// The scripted answer to `request()`.
+    fn answer() -> S2Response {
+        S2Response::Signs(Vec::new())
+    }
+
+    /// What one undisturbed `request()` / `answer()` exchange meters.
     fn one_clean_round() -> ChannelMetrics {
         let (mut clean, _) =
-            scripted(Script { replies: [reply(1, &S2Response::Ack)].into(), ..Default::default() });
+            scripted(Script { replies: [reply(1, &answer())].into(), ..Default::default() });
         clean.round_trip(request()).unwrap();
         clean.metrics()
     }
@@ -930,7 +889,7 @@ mod tests {
     fn replies_must_echo_the_session_and_sequence_number() {
         // A reply for another session, and a reply from the future, are both
         // permanent errors — never attributed to the request in flight.
-        for wrong in [reply_from(SessionId(8), 1, &S2Response::Ack), reply(2, &S2Response::Ack)] {
+        for wrong in [reply_from(SessionId(8), 1, &answer()), reply(2, &answer())] {
             let (mut transport, _) = scripted(Script {
                 replies: [wrong].into(),
                 recoverable: true,
@@ -952,15 +911,12 @@ mod tests {
     #[test]
     fn a_lost_reply_is_recovered_by_resending_the_same_envelope_unmetered() {
         let (mut transport, script) = scripted(Script {
-            replies: [
-                Err(ProtocolError::transport_io("connection reset")),
-                reply(1, &S2Response::Ack),
-            ]
-            .into(),
+            replies: [Err(ProtocolError::transport_io("connection reset")), reply(1, &answer())]
+                .into(),
             recoverable: true,
             ..Default::default()
         });
-        assert_eq!(transport.round_trip(request()).unwrap(), S2Response::Ack);
+        assert_eq!(transport.round_trip(request()).unwrap(), answer());
         assert_eq!(transport.faults_absorbed(), 1);
         assert_eq!(transport.metrics(), one_clean_round(), "a re-send must not be re-metered");
         {
@@ -991,7 +947,7 @@ mod tests {
             frame: framed(frame::LEDGER, &LeakageLedger::new()),
         };
         let (mut transport, script) = scripted(Script {
-            replies: [reply(1, &S2Response::Ack), Ok(ledger)].into(),
+            replies: [reply(1, &answer()), Ok(ledger)].into(),
             ..Default::default()
         });
         transport.round_trip(request()).unwrap();

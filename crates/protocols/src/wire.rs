@@ -42,10 +42,6 @@ pub enum WireErrorCode {
     /// The request decoded, but its contents are structurally invalid (arity mismatch,
     /// index out of range, nested batch, zero-column matrix, …).
     MalformedRequest,
-    /// The request is well-formed but arrived out of sequence with respect to the
-    /// engine's per-session state (e.g. an aggregate over bits that were never
-    /// streamed).
-    BadSequence,
     /// The request bytes could not be decoded by the wire codec.
     Codec,
     /// The frame carried an unknown tag byte.
@@ -69,9 +65,8 @@ pub enum WireErrorCode {
 
 impl WireErrorCode {
     /// Every code, in declaration order — for exhaustive tests and log tooling.
-    pub const ALL: [WireErrorCode; 7] = [
+    pub const ALL: [WireErrorCode; 6] = [
         WireErrorCode::MalformedRequest,
-        WireErrorCode::BadSequence,
         WireErrorCode::Codec,
         WireErrorCode::UnknownFrame,
         WireErrorCode::Crypto,
@@ -83,7 +78,6 @@ impl WireErrorCode {
     pub fn name(self) -> &'static str {
         match self {
             WireErrorCode::MalformedRequest => "malformed_request",
-            WireErrorCode::BadSequence => "bad_sequence",
             WireErrorCode::Codec => "codec",
             WireErrorCode::UnknownFrame => "unknown_frame",
             WireErrorCode::Crypto => "crypto",
@@ -106,7 +100,7 @@ impl WireErrorCode {
 /// surfaced to the caller as
 /// [`ProtocolError::Remote`](crate::error::ProtocolError::Remote).  The `code` lets
 /// callers (and the serving layer's failure accounting) distinguish "your request was
-/// garbage" from "the session state is out of sync" without parsing strings.
+/// garbage" from "a ciphertext in it did not decrypt" without parsing strings.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireError {
     /// Machine-readable failure class.
@@ -124,11 +118,6 @@ impl WireError {
     /// A structurally invalid request.
     pub fn malformed(message: impl Into<String>) -> Self {
         Self::new(WireErrorCode::MalformedRequest, message)
-    }
-
-    /// A request that is inconsistent with the engine's per-session state.
-    pub fn bad_sequence(message: impl Into<String>) -> Self {
-        Self::new(WireErrorCode::BadSequence, message)
     }
 
     /// A frame whose payload could not be decoded.
@@ -494,12 +483,11 @@ mod tests {
             // needs an arm, and its arm is a constant index out of bounds until `ALL` grows.
             let listed_at_its_position = match code {
                 WireErrorCode::MalformedRequest => WireErrorCode::ALL[0],
-                WireErrorCode::BadSequence => WireErrorCode::ALL[1],
-                WireErrorCode::Codec => WireErrorCode::ALL[2],
-                WireErrorCode::UnknownFrame => WireErrorCode::ALL[3],
-                WireErrorCode::Crypto => WireErrorCode::ALL[4],
-                WireErrorCode::Overloaded => WireErrorCode::ALL[5],
-                WireErrorCode::Internal => WireErrorCode::ALL[6],
+                WireErrorCode::Codec => WireErrorCode::ALL[1],
+                WireErrorCode::UnknownFrame => WireErrorCode::ALL[2],
+                WireErrorCode::Crypto => WireErrorCode::ALL[3],
+                WireErrorCode::Overloaded => WireErrorCode::ALL[4],
+                WireErrorCode::Internal => WireErrorCode::ALL[5],
             };
             assert_eq!(listed_at_its_position, code, "ALL[{i}] is out of declaration order");
             let same_name = WireErrorCode::ALL.iter().filter(|c| c.name() == code.name());

@@ -13,7 +13,7 @@
 //! pattern) and replies with `E2(t_j)`; S1 then evaluates the Damgård–Jurik selection
 //! and recovers `Enc(t_j · x_j)` via `RecoverEnc` — exactly the steps of Algorithm 4.
 //!
-//! With batching enabled, the equality matrices of **all** `m` per-depth items travel in
+//! The equality matrices of **all** `m` per-depth items travel in
 //! one [`crate::transport::S1Request::Batch`] and all selections are recovered in a
 //! single `RecoverEnc` round.  That is the shared per-step budget — one equality round
 //! and one `RecoverEnc` round — and inside a query SecWorst does not even pay it alone:

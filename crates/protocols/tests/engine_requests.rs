@@ -1,7 +1,7 @@
 //! The S2 engine driven directly, one request at a time: every request kind's typed
 //! rejections, batch atomicity (a rejected batch costs no ledger entry, RNG draw or pool
-//! draw), the pending-equality-bit simulation across batch items, worker-count
-//! invariance of a mixed batch, and which failing operation a batch reports.
+//! draw), self-contained requests, worker-count invariance of a mixed batch, and which
+//! failing operation a batch reports.
 
 use std::sync::OnceLock;
 
@@ -69,16 +69,6 @@ fn hollow(rng: &mut StdRng) -> LayeredCiphertext {
     keys().0.s2_view().dj_public.encrypt_u64(0, rng).expect("outer layer")
 }
 
-fn eq_test(value: i64, accumulate: bool, reply_bit: bool, rng: &mut StdRng) -> S1Request {
-    S1Request::EqTest {
-        diff: enc(value, rng),
-        context: "test".into(),
-        depth: Some(1),
-        accumulate,
-        reply_bit,
-    }
-}
-
 fn all_wants() -> EqWants {
     EqWants { row_matched: true, row_unmatched: true, col_unmatched: true, row_matched_plain: true }
 }
@@ -104,9 +94,8 @@ fn recover(values: &[i64], rng: &mut StdRng) -> S1Request {
     S1Request::Recover { blinded: values.iter().map(|&v| layered(v, rng)).collect() }
 }
 
-/// A three-item dedup whose items 0 and 2 are duplicates; `inline` ships the equality
-/// matrix in the request, otherwise the engine must have three streamed bits pending.
-fn dedup(inline: bool, rng: &mut StdRng) -> DedupRequest {
+/// A three-item dedup whose items 0 and 2 are duplicates.
+fn dedup(rng: &mut StdRng) -> DedupRequest {
     let item = |rng: &mut StdRng| ScoredItem {
         ehl: EhlPlus::from_blocks(vec![enc(11, rng), enc(12, rng)]),
         worst: enc(3, rng),
@@ -121,7 +110,7 @@ fn dedup(inline: bool, rng: &mut StdRng) -> DedupRequest {
         items: (0..3).map(|_| item(rng)).collect(),
         blindings: (0..3).map(|_| blinding(rng)).collect(),
         pair_indices: vec![(0, 1), (0, 2), (1, 2)],
-        matrix: inline.then(|| vec![enc(5, rng), enc(0, rng), enc(7, rng)]),
+        matrix: vec![enc(5, rng), enc(0, rng), enc(7, rng)],
         eliminate: false,
         depth: 3,
     }
@@ -143,21 +132,16 @@ fn mul_blinded(pairs: &[(i64, i64)], rng: &mut StdRng) -> S1Request {
     }
 }
 
-/// One valid request of every kind in one batch (the streamed `EqTest` bits feed the
-/// `EqAggregate` and then the matrix-less `Dedup` that follow them).
+/// One valid request of every kind in one batch.
 fn mixed_batch(rng: &mut StdRng) -> S1Request {
     S1Request::Batch(vec![
         eq_matrix(&[0, 4, 0, 0, 6, 0], 3, all_wants(), rng),
         compare(&[-5, 1, 8], rng),
-        eq_test(0, true, true, rng),
-        eq_test(3, true, true, rng),
-        S1Request::EqAggregate { rows: 1, cols: 2, want: all_wants() },
+        eq_matrix(&[0, 3], 2, all_wants(), rng),
         recover(&[13, 14], rng),
-        S1Request::Dedup(dedup(true, rng)),
-        eq_test(1, true, false, rng),
-        eq_test(0, true, false, rng),
-        eq_test(2, true, false, rng),
-        S1Request::Dedup(dedup(false, rng)),
+        S1Request::Dedup(dedup(rng)),
+        eq_matrix(&[0], 1, EqWants::none(), rng),
+        S1Request::Dedup(dedup(rng)),
         filter(&[0, 17, 0, 19], rng),
         mul_blinded(&[(2, 3), (4, 5)], rng),
     ])
@@ -169,7 +153,7 @@ fn mixed_batch(rng: &mut StdRng) -> S1Request {
 fn probe(rng: &mut StdRng) -> S1Request {
     S1Request::Batch(vec![
         eq_matrix(&[0, 1], 2, all_wants(), rng),
-        S1Request::Dedup(dedup(true, rng)),
+        S1Request::Dedup(dedup(rng)),
         filter(&[5], rng),
     ])
 }
@@ -194,18 +178,12 @@ fn assert_rejected_without_trace(what: &str, request: S1Request, code: WireError
 
 #[test]
 fn a_malformed_instance_of_each_kind_is_a_typed_error() {
-    use WireErrorCode::{BadSequence, Crypto, MalformedRequest};
+    use WireErrorCode::{Crypto, MalformedRequest};
     let rng = &mut rng();
-    let corrupt_eq_test = S1Request::EqTest {
-        diff: corrupt(),
-        context: "test".into(),
-        depth: None,
-        accumulate: true,
-        reply_bit: true,
-    };
-    let corrupt_matrix = S1Request::EqMatrix {
-        diffs: vec![enc(0, rng), corrupt()],
-        cols: 2,
+    // One row of these entries.
+    let corrupt_matrix = |diffs: Vec<Ciphertext>| S1Request::EqMatrix {
+        cols: diffs.len(),
+        diffs,
         context: "test".into(),
         depth: None,
         want: all_wants(),
@@ -214,29 +192,41 @@ fn a_malformed_instance_of_each_kind_is_a_typed_error() {
     if let S1Request::Filter { tuples } = &mut corrupt_filter {
         tuples[1].score = corrupt();
     }
+    let mut unmasked_filter = filter(&[1, 2], rng);
+    if let S1Request::Filter { tuples } = &mut unmasked_filter {
+        tuples[0].attribute_masks.clear();
+    }
     let with_dedup = |edit: fn(&mut DedupRequest), rng: &mut StdRng| {
-        let mut request = dedup(true, rng);
+        let mut request = dedup(rng);
         edit(&mut request);
         S1Request::Dedup(request)
     };
     let table: Vec<(&str, S1Request, WireErrorCode)> = vec![
-        ("EqTest over a corrupted ciphertext", corrupt_eq_test, Crypto),
+        (
+            "a one-entry EqMatrix over a corrupted ciphertext",
+            corrupt_matrix(vec![corrupt()]),
+            Crypto,
+        ),
         (
             "EqMatrix with a partial last row",
             eq_matrix(&[0, 1, 2], 2, all_wants(), rng),
             MalformedRequest,
         ),
         ("EqMatrix with zero columns", eq_matrix(&[0, 1], 0, all_wants(), rng), MalformedRequest),
-        ("EqMatrix over a corrupted ciphertext", corrupt_matrix, Crypto),
         (
-            "EqAggregate with zero columns",
-            S1Request::EqAggregate { rows: 0, cols: 0, want: all_wants() },
+            "an empty EqMatrix with zero columns",
+            eq_matrix(&[], 0, all_wants(), rng),
             MalformedRequest,
         ),
         (
-            "EqAggregate over bits never streamed",
-            S1Request::EqAggregate { rows: 2, cols: 2, want: all_wants() },
-            BadSequence,
+            "EqMatrix with fewer bits than columns",
+            eq_matrix(&[0], 2, all_wants(), rng),
+            MalformedRequest,
+        ),
+        (
+            "EqMatrix over a corrupted ciphertext",
+            corrupt_matrix(vec![enc(0, rng), corrupt()]),
+            Crypto,
         ),
         (
             "Compare over a corrupted ciphertext",
@@ -260,21 +250,49 @@ fn a_malformed_instance_of_each_kind_is_a_typed_error() {
         ),
         (
             "Dedup whose matrix is shorter than its pair list",
-            with_dedup(|d| drop(d.matrix.as_mut().and_then(Vec::pop)), rng),
+            with_dedup(|d| drop(d.matrix.pop()), rng),
             MalformedRequest,
         ),
+        ("Dedup with an empty matrix", with_dedup(|d| d.matrix.clear(), rng), MalformedRequest),
         (
             "Dedup with a pair index out of range",
             with_dedup(|d| d.pair_indices[2] = (1, 3), rng),
             MalformedRequest,
         ),
-        ("Dedup expecting bits never streamed", S1Request::Dedup(dedup(false, rng)), BadSequence),
+        (
+            "Dedup of 3 items with no pairs",
+            with_dedup(
+                |d| {
+                    d.pair_indices.clear();
+                    d.matrix.clear();
+                },
+                rng,
+            ),
+            MalformedRequest,
+        ),
+        (
+            "Dedup of 3 items with two pairs",
+            with_dedup(
+                |d| {
+                    d.pair_indices.remove(1);
+                    d.matrix.remove(1);
+                },
+                rng,
+            ),
+            MalformedRequest,
+        ),
+        (
+            "Dedup with a pair (2, 1)",
+            with_dedup(|d| d.pair_indices[2] = (2, 1), rng),
+            MalformedRequest,
+        ),
         (
             "Dedup over a corrupted matrix entry",
-            with_dedup(|d| d.matrix = Some(vec![corrupt(); 3]), rng),
+            with_dedup(|d| d.matrix = vec![corrupt(); 3], rng),
             Crypto,
         ),
         ("Filter over a corrupted score", corrupt_filter, Crypto),
+        ("Filter with fewer masks than attributes", unmasked_filter, MalformedRequest),
         (
             "MulBlinded over a corrupted operand",
             S1Request::MulBlinded { pairs: vec![(enc(2, rng), corrupt())] },
@@ -291,33 +309,21 @@ fn a_malformed_instance_of_each_kind_is_a_typed_error() {
     }
 }
 
-/// The three degenerate-dimension requests: a few dozen bytes each, none may be
-/// answered with (or loop over) `cols` ciphertexts, and the third must not overflow.
+/// The two degenerate-dimension requests: a few dozen bytes each, neither may be
+/// answered with (or loop over) `cols` ciphertexts.
 #[test]
 fn aggregate_dimensions_are_bounded_by_the_bits_they_cover() {
     let col_unmatched = EqWants { col_unmatched: true, ..EqWants::none() };
-    let table = [
-        (
-            "an empty EqMatrix claiming 16 384 columns",
-            S1Request::EqMatrix {
-                diffs: Vec::new(),
-                cols: 16_384,
-                context: "test".into(),
-                depth: None,
-                want: col_unmatched,
-            },
-        ),
-        (
-            "a zero-row EqAggregate claiming 2^40 columns",
-            S1Request::EqAggregate { rows: 0, cols: 1 << 40, want: col_unmatched },
-        ),
-        (
-            "an EqAggregate whose rows × cols overflows",
-            S1Request::EqAggregate { rows: 1 << 32, cols: 1 << 32, want: all_wants() },
-        ),
-    ];
-    for (what, request) in table {
-        assert_rejected_without_trace(what, request, WireErrorCode::MalformedRequest);
+    for cols in [16_384, 1 << 40] {
+        let request = S1Request::EqMatrix {
+            diffs: Vec::new(),
+            cols,
+            context: "test".into(),
+            depth: None,
+            want: col_unmatched,
+        };
+        let what = format!("an empty EqMatrix claiming {cols} columns");
+        assert_rejected_without_trace(&what, request, WireErrorCode::MalformedRequest);
     }
 }
 
@@ -325,7 +331,7 @@ fn aggregate_dimensions_are_bounded_by_the_bits_they_cover() {
 fn a_batch_with_one_bad_item_commits_nothing() {
     let rng = &mut rng();
     let valid_matrix = |rng: &mut StdRng| eq_matrix(&[0, 1, 0, 0], 2, all_wants(), rng);
-    let mut bad_dedup = dedup(true, rng);
+    let mut bad_dedup = dedup(rng);
     bad_dedup.blindings.pop();
     assert_rejected_without_trace(
         "Batch[valid EqMatrix, malformed Dedup]",
@@ -340,41 +346,39 @@ fn a_batch_with_one_bad_item_commits_nothing() {
 }
 
 #[test]
-fn a_missequenced_aggregate_late_in_a_batch_is_caught_before_the_first_item_commits() {
+fn a_malformed_item_late_in_a_batch_is_caught_and_every_item_stands_alone() {
     let rng = &mut rng();
-    let streamed = |cols: usize, rng: &mut StdRng| {
+    let batch = |last_cols: usize, rng: &mut StdRng| {
         S1Request::Batch(vec![
-            eq_test(0, true, true, rng),
-            eq_test(5, true, true, rng),
-            S1Request::EqAggregate { rows: 1, cols, want: all_wants() },
+            eq_matrix(&[0, 5], 2, all_wants(), rng),
+            compare(&[4], rng),
+            eq_matrix(&[0, 5, 0], last_cols, all_wants(), rng),
         ])
     };
-    // Two bits will have been streamed by the time the aggregate runs, not three: the
-    // plan phase knows without running the two EqTests.
+    // The last matrix has a partial row: the plan phase rejects the batch before its
+    // first item commits.
     assert_rejected_without_trace(
-        "aggregate over 3 of 2 bits",
-        streamed(3, rng),
-        WireErrorCode::BadSequence,
+        "a partial row late in a batch",
+        batch(2, rng),
+        WireErrorCode::MalformedRequest,
     );
 
-    // The well-sequenced batch passes, and consumes the bits it streamed: the same
-    // aggregate on its own is then mis-sequenced again.
+    // Well formed, the batch passes; sent again on its own, its first item is answered
+    // alike — no request depends on what came before it.
+    let aggregates = |reply: &S2Response| match reply {
+        S2Response::EqBits { aggregates, .. } => {
+            (aggregates.row_matched_plain.clone(), aggregates.col_unmatched.len())
+        }
+        other => panic!("expected EqBits, got {other:?}"),
+    };
     let mut engine = engine();
-    match engine.handle(&streamed(2, rng)).expect("well-sequenced batch") {
-        S2Response::Batch(replies) => match &replies[2] {
-            S2Response::EqAggregates(aggregates) => {
-                assert_eq!(aggregates.row_matched_plain, vec![true]);
-                assert_eq!(aggregates.col_unmatched.len(), 2);
-            }
-            other => panic!("expected EqAggregates, got {other:?}"),
-        },
-        other => panic!("expected a Batch reply, got {other:?}"),
-    }
-    let again = S1Request::EqAggregate { rows: 1, cols: 2, want: all_wants() };
-    assert_eq!(
-        engine.handle(&again).expect_err("bits were consumed").code,
-        WireErrorCode::BadSequence
-    );
+    let S2Response::Batch(replies) = engine.handle(&batch(3, rng)).expect("well-formed batch")
+    else {
+        panic!("expected a Batch reply")
+    };
+    assert_eq!(aggregates(&replies[0]), (vec![true], 2));
+    let alone = engine.handle(&eq_matrix(&[0, 5], 2, all_wants(), rng)).expect("first item");
+    assert_eq!(aggregates(&alone), (vec![true], 2));
 }
 
 #[test]
@@ -393,17 +397,17 @@ fn a_mixed_batch_is_byte_identical_for_one_and_four_workers() {
 
     // The replies line up with the request kinds, and the ledger saw each reveal.
     let (S2Response::Batch(replies), _, ledger) = serial else { panic!("expected a Batch reply") };
-    assert_eq!(replies.len(), 13);
+    assert_eq!(replies.len(), 9);
     assert_eq!(replies[1], S2Response::Signs(vec![-1, 1, 1]));
-    assert!(matches!(&replies[5], S2Response::Recovered(inner) if inner.len() == 2));
-    assert!(matches!(&replies[6], S2Response::Dedup { items, .. } if items.len() == 3));
-    assert_eq!(replies[7], S2Response::Ack);
-    assert!(matches!(&replies[11], S2Response::Filter { survivors } if survivors.len() == 2));
-    assert!(matches!(&replies[12], S2Response::Products(products) if products.len() == 2));
+    assert!(matches!(&replies[3], S2Response::Recovered(inner) if inner.len() == 2));
+    assert!(matches!(&replies[4], S2Response::Dedup { items, .. } if items.len() == 3));
+    assert!(matches!(&replies[5], S2Response::EqBits { bits, .. } if bits.len() == 1));
+    assert!(matches!(&replies[7], S2Response::Filter { survivors } if survivors.len() == 2));
+    assert!(matches!(&replies[8], S2Response::Products(products) if products.len() == 2));
     // (The ledger was read after the follow-up probe: 2 + 3 of the equality bits and
     // the one-survivor join count are the probe's.)
     let count = |kind: fn(&LeakageEvent) -> bool| ledger.iter().filter(|e| kind(e)).count();
-    assert_eq!(count(|e| matches!(e, LeakageEvent::EqualityBit { .. })), 6 + 2 + 3 + 3 + 2 + 3);
+    assert_eq!(count(|e| matches!(e, LeakageEvent::EqualityBit { .. })), 6 + 2 + 3 + 1 + 3 + 2 + 3);
     assert_eq!(count(|e| matches!(e, LeakageEvent::BlindedSign { .. })), 3);
     assert_eq!(count(|e| matches!(e, LeakageEvent::JoinMatchCount(2))), 1);
     assert_eq!(count(|e| matches!(e, LeakageEvent::JoinMatchCount(1))), 1);

@@ -90,17 +90,10 @@ fn rand_filter_tuple(rng: &mut StdRng) -> FilterTuple {
     }
 }
 
-/// One random non-`Batch` request per variant index (8 leaf variants).
+/// One random non-`Batch` request per variant index (6 leaf variants).
 fn rand_leaf_request(variant: usize, rng: &mut StdRng) -> S1Request {
     match variant {
-        0 => S1Request::EqTest {
-            diff: rand_ciphertext(rng),
-            context: rand_context(rng),
-            depth: if rng.gen() { Some(rng.gen_range(0..1000)) } else { None },
-            accumulate: rng.gen(),
-            reply_bit: rng.gen(),
-        },
-        1 => {
+        0 => {
             let cols = rng.gen_range(1usize..4);
             let rows = rng.gen_range(0usize..4);
             S1Request::EqMatrix {
@@ -111,31 +104,22 @@ fn rand_leaf_request(variant: usize, rng: &mut StdRng) -> S1Request {
                 want: rand_wants(rng),
             }
         }
-        2 => S1Request::EqAggregate {
-            rows: rng.gen_range(0..100),
-            cols: rng.gen_range(0..100),
-            want: rand_wants(rng),
-        },
-        3 => S1Request::Compare { blinded: rand_ciphertexts(rng, 4), context: rand_context(rng) },
-        4 => S1Request::Recover { blinded: rand_layereds(rng, 4) },
-        5 => {
+        1 => S1Request::Compare { blinded: rand_ciphertexts(rng, 4), context: rand_context(rng) },
+        2 => S1Request::Recover { blinded: rand_layereds(rng, 4) },
+        3 => {
             let l = rng.gen_range(0usize..3);
             let pairs: Vec<(usize, usize)> =
                 (0..l).flat_map(|a| ((a + 1)..l).map(move |b| (a, b))).collect();
             S1Request::Dedup(DedupRequest {
                 items: (0..l).map(|_| rand_item(rng)).collect(),
                 blindings: (0..l).map(|_| rand_blinding(rng)).collect(),
-                matrix: if rng.gen() {
-                    Some((0..pairs.len()).map(|_| rand_ciphertext(rng)).collect())
-                } else {
-                    None
-                },
+                matrix: (0..pairs.len()).map(|_| rand_ciphertext(rng)).collect(),
                 pair_indices: pairs,
                 eliminate: rng.gen(),
                 depth: rng.gen_range(0..100),
             })
         }
-        6 => S1Request::Filter {
+        4 => S1Request::Filter {
             tuples: (0..rng.gen_range(0usize..3)).map(|_| rand_filter_tuple(rng)).collect(),
         },
         _ => S1Request::MulBlinded {
@@ -147,40 +131,29 @@ fn rand_leaf_request(variant: usize, rng: &mut StdRng) -> S1Request {
 }
 
 fn rand_wire_error(rng: &mut StdRng) -> WireError {
-    let codes = [
-        WireErrorCode::MalformedRequest,
-        WireErrorCode::BadSequence,
-        WireErrorCode::Codec,
-        WireErrorCode::UnknownFrame,
-        WireErrorCode::Crypto,
-        WireErrorCode::Overloaded,
-        WireErrorCode::Internal,
-    ];
+    let codes = WireErrorCode::ALL;
     WireError::new(codes[rng.gen_range(0..codes.len())], rand_context(rng))
 }
 
-/// One random non-`Batch` response per variant index (10 leaf variants).
+/// One random non-`Batch` response per variant index (7 leaf variants).
 fn rand_leaf_response(variant: usize, rng: &mut StdRng) -> S2Response {
     match variant {
-        0 => S2Response::EqBit(rand_layered(rng)),
-        1 => S2Response::Ack,
-        2 => S2Response::EqBits { bits: rand_layereds(rng, 4), aggregates: rand_aggregates(rng) },
-        3 => S2Response::EqAggregates(rand_aggregates(rng)),
-        4 => S2Response::Signs(
+        0 => S2Response::EqBits { bits: rand_layereds(rng, 4), aggregates: rand_aggregates(rng) },
+        1 => S2Response::Signs(
             (0..rng.gen_range(0usize..6)).map(|_| rng.gen_range(-1i8..=1)).collect(),
         ),
-        5 => S2Response::Recovered(rand_ciphertexts(rng, 4)),
-        6 => {
+        2 => S2Response::Recovered(rand_ciphertexts(rng, 4)),
+        3 => {
             let l = rng.gen_range(0usize..3);
             S2Response::Dedup {
                 items: (0..l).map(|_| rand_item(rng)).collect(),
                 blindings: (0..l).map(|_| rand_blinding(rng)).collect(),
             }
         }
-        7 => S2Response::Filter {
+        4 => S2Response::Filter {
             survivors: (0..rng.gen_range(0usize..3)).map(|_| rand_filter_tuple(rng)).collect(),
         },
-        8 => S2Response::Error(rand_wire_error(rng)),
+        5 => S2Response::Error(rand_wire_error(rng)),
         _ => S2Response::Products(rand_ciphertexts(rng, 4)),
     }
 }
@@ -213,15 +186,15 @@ fn assert_response_round_trips(response: &S2Response) {
 
 proptest! {
     #[test]
-    fn every_request_variant_round_trips(seed in 0u64..500, variant in 0usize..8) {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(8).wrapping_add(variant as u64));
+    fn every_request_variant_round_trips(seed in 0u64..500, variant in 0usize..6) {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(6).wrapping_add(variant as u64));
         let request = rand_leaf_request(variant, &mut rng);
         assert_request_round_trips(&request);
     }
 
     #[test]
-    fn every_response_variant_round_trips(seed in 0u64..500, variant in 0usize..10) {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(10).wrapping_add(variant as u64));
+    fn every_response_variant_round_trips(seed in 0u64..500, variant in 0usize..7) {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(7).wrapping_add(variant as u64));
         let response = rand_leaf_response(variant, &mut rng);
         assert_response_round_trips(&response);
     }
@@ -230,11 +203,11 @@ proptest! {
     fn batches_of_random_requests_round_trip(seed in 0u64..200, len in 0usize..5) {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0xBA7C4));
         let batch = S1Request::Batch(
-            (0..len).map(|_| rand_leaf_request(rng.gen_range(0..8), &mut rng)).collect(),
+            (0..len).map(|_| rand_leaf_request(rng.gen_range(0..6), &mut rng)).collect(),
         );
         assert_request_round_trips(&batch);
         let reply = S2Response::Batch(
-            (0..len).map(|_| rand_leaf_response(rng.gen_range(0..10), &mut rng)).collect(),
+            (0..len).map(|_| rand_leaf_response(rng.gen_range(0..7), &mut rng)).collect(),
         );
         assert_response_round_trips(&reply);
     }
@@ -252,12 +225,11 @@ fn empty_payload_edge_cases_round_trip() {
         items: Vec::new(),
         blindings: Vec::new(),
         pair_indices: Vec::new(),
-        matrix: Some(Vec::new()),
+        matrix: Vec::new(),
         eliminate: false,
         depth: 0,
     }));
     assert_response_round_trips(&S2Response::Batch(Vec::new()));
-    assert_response_round_trips(&S2Response::Ack);
     assert_response_round_trips(&S2Response::Signs(Vec::new()));
     assert_response_round_trips(&S2Response::Error(WireError::malformed(String::new())));
     assert_response_round_trips(&S2Response::EqBits {

@@ -50,7 +50,7 @@ fn each_party_uses_its_share_of_the_machine_unless_told_otherwise() {
     let addr = server.local_addr().to_string();
     let connect = |seed, session| {
         let options = TcpOptions::default().with_session(SessionId(session));
-        TwoClouds::connect_tcp(&master, seed, true, &addr, options).expect("connect")
+        TwoClouds::connect_tcp(&master, seed, &addr, options).expect("connect")
     };
     let staying = connect(3, 31);
     let leaving = connect(4, 32);

@@ -46,10 +46,9 @@
 //! per query; the decision lands in each outcome's
 //! [`QueryStats::plan`](sectopk_core::QueryStats) so serving reports are
 //! self-describing — `intra_workers`, and `retry` / `faults` for the socket run.  A
-//! serving run always batches round trips, scans to the halting condition and runs
-//! over an ideal link; a session over a simulated WAN (§11.2.5) or with batching off
-//! is opened by hand with [`QueryServer::open_session`].  The S2 pool width is set at
-//! [`QueryServer::new`].
+//! serving run scans to the halting condition and runs over an ideal link; a session
+//! over a simulated WAN (§11.2.5) is opened by hand with [`QueryServer::open_session`].
+//! The S2 pool width is set at [`QueryServer::new`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,6 +70,7 @@ use sectopk_crypto::keys::MasterKeys;
 use sectopk_crypto::pool::shard_seed;
 use sectopk_datasets::QueryWorkload;
 use sectopk_metrics::{Counter, Histogram, MetricsSnapshot, Registry};
+use sectopk_protocols::context::require_batching;
 use sectopk_protocols::{
     ChannelMetrics, FaultPlan, LeakageLedger, LinkProfile, MultiplexServer, PoolLimits,
     ProtocolError, RetryPolicy, SessionId, TcpCloudServer, TcpOptions, TcpServerConfig, TwoClouds,
@@ -434,11 +434,12 @@ impl QueryServer {
         AuthorizedClient::from_keys(self.master.clone())
     }
 
-    /// Open session `session` with an explicit seed, batching policy and simulated
-    /// link (used by the determinism tests to replay one session in isolation, and for
-    /// sessions over a WAN).  The id keys the session's report and its
-    /// `session.{id}.*` metrics, so it must be the caller's: `SessionId(0)` ("assign
-    /// one" on the wire) is rejected here, as is an id that is already seated.
+    /// Open session `session` with an explicit seed and simulated link (used by the
+    /// determinism tests to replay one session in isolation, and for sessions over a
+    /// WAN); `batching` must be `true` ([`require_batching`]).  The id keys the session's
+    /// report and its `session.{id}.*` metrics, so it must be the caller's:
+    /// `SessionId(0)` ("assign one" on the wire) is rejected here, as is an id that is
+    /// already seated.
     pub fn open_session(
         &self,
         session: SessionId,
@@ -446,19 +447,20 @@ impl QueryServer {
         batching: bool,
         link: LinkProfile,
     ) -> Result<QueryClient> {
-        self.seat(session, seed, batching, None, Door::Conduit(link))
+        require_batching(batching)?;
+        self.seat(session, seed, None, Door::Conduit(link))
     }
 
     /// Open session `i` of a serving run configured by `config` (seed =
-    /// `shard_seed(base_seed, i)`, batching on, ideal link).
+    /// `shard_seed(base_seed, i)`, ideal link).
     pub fn open_configured(&self, i: u64, config: &ServeConfig) -> Result<QueryClient> {
         self.open_for_run(i, config, Door::Conduit(LinkProfile::ideal()))
     }
 
-    /// Session `i` of a serving run, through `door`: the id, seed, batching (always on)
-    /// and worker count are the run's, whatever moves the bytes.
+    /// Session `i` of a serving run, through `door`: the id, seed and worker count are
+    /// the run's, whatever moves the bytes.
     fn open_for_run(&self, i: u64, config: &ServeConfig, door: Door<'_>) -> Result<QueryClient> {
-        self.seat(SessionId(i), shard_seed(config.base_seed, i), true, config.intra_workers, door)
+        self.seat(SessionId(i), shard_seed(config.base_seed, i), config.intra_workers, door)
     }
 
     /// The one place a serving session is built: connect a [`TwoClouds`] through
@@ -469,7 +471,6 @@ impl QueryServer {
         &self,
         session: SessionId,
         seed: u64,
-        batching: bool,
         intra_workers: Option<usize>,
         door: Door<'_>,
     ) -> Result<QueryClient> {
@@ -481,14 +482,13 @@ impl QueryServer {
         let s2 = &self.s2;
         let mut clouds = match (door, intra_workers) {
             (Door::Conduit(link), None) => {
-                TwoClouds::connect(master, seed, batching, s2, session, link)?
+                TwoClouds::connect(master, seed, true, s2, session, link)?
             }
             (Door::Conduit(link), Some(workers)) => {
-                TwoClouds::connect_with_workers(master, seed, batching, s2, session, link, workers)?
+                TwoClouds::connect_with_workers(master, seed, s2, session, link, workers)?
             }
             (Door::Socket(addr, options), _) => {
-                let options = options.with_session(session);
-                TwoClouds::connect_tcp(master, seed, batching, addr, options)?
+                TwoClouds::connect_tcp(master, seed, addr, options.with_session(session))?
             }
         };
         if let Some(workers) = intra_workers {

@@ -62,7 +62,7 @@ mod tests {
     #[test]
     fn plan_formatting_names_the_variant() {
         use sectopk_core::{plan, PlannerInputs};
-        let decision = plan(&PlannerInputs::new(5, 3, 2, 0.0, true));
+        let decision = plan(&PlannerInputs::new(5, 3, 2, 0.0));
         let text = format_plan(&decision);
         assert!(text.contains("planner chose"));
         assert!(text.contains("Qry_F"));

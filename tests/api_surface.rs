@@ -164,3 +164,63 @@ fn the_facade_exports_the_one_front_door() {
     let _execute_engine = sectopk_core::execute_with_clouds::<rand::rngs::StdRng>;
     let _plan: fn(&sectopk_core::PlannerInputs) -> sectopk_core::PlanDecision = sectopk_core::plan;
 }
+
+#[test]
+fn the_frozen_surface_keeps_the_signatures_the_benchmark_calls() {
+    // `benchmark/` is a workspace of its own (DESIGN.md §13), built only by its own CI
+    // job; these are the six items it calls, each with the exact signature it calls it
+    // with, so a break fails `cargo test` here too.
+    use sectopk_core::{DataOwner, DirectSession, LinkProfile, Outsourced, PlanDecision, Query};
+    use sectopk_crypto::keys::MasterKeys;
+    use sectopk_protocols::{MultiplexServer, SessionId, TransportKind, TwoClouds};
+    use sectopk_server::{QueryClient, QueryServer};
+    type Clouds = sectopk_protocols::Result<TwoClouds>;
+
+    let _with_transport: fn(&MasterKeys, u64, TransportKind, bool) -> Clouds =
+        TwoClouds::with_transport;
+    let _connect: fn(&MasterKeys, u64, bool, &MultiplexServer, SessionId, LinkProfile) -> Clouds =
+        TwoClouds::connect;
+    let _connect_with: fn(
+        &DataOwner,
+        &Outsourced,
+        u64,
+        TransportKind,
+        bool,
+    ) -> sectopk_core::Result<DirectSession> = DataOwner::connect_with;
+    let _open_session: fn(
+        &QueryServer,
+        SessionId,
+        u64,
+        bool,
+        LinkProfile,
+    ) -> sectopk_core::Result<QueryClient> = QueryServer::open_session;
+    let _plan_for: fn(&Query, usize, LinkProfile, bool) -> PlanDecision = sectopk_core::plan_for;
+    let _batching: fn(&TwoClouds) -> bool = TwoClouds::batching;
+}
+
+#[test]
+fn the_four_session_doors_refuse_an_unbatched_session() {
+    use rand::SeedableRng;
+    use sectopk_core::{DataOwner, LinkProfile, SecTopKError, TransportKind};
+    use sectopk_protocols::TwoClouds;
+    use sectopk_protocols::{MultiplexServer, ProtocolError, SessionId, TransportErrorKind};
+    use sectopk_server::QueryServer;
+
+    let rejected = |e: &ProtocolError| matches!(e, ProtocolError::Transport(t) if t.kind == TransportErrorKind::Rejected);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBA7C);
+    let owner = DataOwner::new(128, 2, &mut rng).expect("keygen");
+    let (outsourced, _) = owner.outsource(&sectopk_datasets::fig3_relation(), &mut rng).unwrap();
+    let keys = owner.keys();
+
+    let err = TwoClouds::with_transport(keys, 1, TransportKind::InProcess, false).unwrap_err();
+    assert!(rejected(&err), "with_transport: {err:?}");
+    let pool = MultiplexServer::new(1);
+    let err = TwoClouds::connect(keys, 1, false, &pool, SessionId(1), LinkProfile::ideal());
+    assert!(rejected(&err.unwrap_err()), "connect");
+    let err = owner.connect_with(&outsourced, 1, TransportKind::InProcess, false).unwrap_err();
+    assert!(matches!(&err, SecTopKError::Protocol(e) if rejected(e)), "connect_with: {err:?}");
+    let server = QueryServer::new(keys, outsourced, 1);
+    let err = server.open_session(SessionId(1), 1, false, LinkProfile::ideal()).unwrap_err();
+    assert!(matches!(&err, SecTopKError::Protocol(e) if rejected(e)), "open_session: {err:?}");
+    assert_eq!(pool.active_sessions(), 0, "nobody was seated");
+}

@@ -112,13 +112,13 @@ proptest! {
 #[test]
 fn planner_decisions_pin_the_section_11_operating_points() {
     // Worked-example scale (Fig. 3: n = 5): full privacy is affordable.
-    let fig3 = plan(&PlannerInputs::new(5, 3, 2, 0.0, true));
+    let fig3 = plan(&PlannerInputs::new(5, 3, 2, 0.0));
     assert_eq!(fig3.variant, QueryVariant::Full);
 
     // §11.2.1 scale (insurance/forest ≈ 10⁵ rows, synthetic up to 10⁶; k = 5, m = 3):
     // the planner reaches for Qry_Ba with p ≥ k.
     for n in [100_000usize, 1_000_000] {
-        let decision = plan(&PlannerInputs::new(n, 3, 5, 0.0, true));
+        let decision = plan(&PlannerInputs::new(n, 3, 5, 0.0));
         match decision.variant {
             QueryVariant::Batched { p } => assert!(p >= 5, "n = {n}: p = {p} must be ≥ k"),
             other => panic!("n = {n}: expected Qry_Ba, got {other:?}"),
@@ -126,7 +126,7 @@ fn planner_decisions_pin_the_section_11_operating_points() {
     }
 
     // In between, the uniqueness-pattern trade of Qry_E wins.
-    let mid = plan(&PlannerInputs::new(1_000, 3, 5, 0.0, true));
+    let mid = plan(&PlannerInputs::new(1_000, 3, 5, 0.0));
     assert_eq!(mid.variant, QueryVariant::DupElim);
 }
 

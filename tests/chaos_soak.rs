@@ -129,13 +129,13 @@ fn overload_burst_sheds_sessions_with_typed_transient_errors() {
     let mut admitted: Vec<_> = (1..=2u64)
         .map(|i| {
             owner
-                .connect_remote_with(&outsourced, &addr, 0x5EA7 + i, true, TcpOptions::default())
+                .connect_remote_with(&outsourced, &addr, 0x5EA7 + i, TcpOptions::default())
                 .expect("seat admitted")
         })
         .collect();
 
     let err = owner
-        .connect_remote_with(&outsourced, &addr, 0x5EA7, true, TcpOptions::default())
+        .connect_remote_with(&outsourced, &addr, 0x5EA7, TcpOptions::default())
         .map(|_| ())
         .expect_err("third session must be shed by admission control");
     assert!(err.is_transient(), "admission shedding must be retryable, got {err:?}");

@@ -9,7 +9,7 @@
 //! i" must stay a deterministic, isolation-respecting question under concurrency.
 //!
 //! The suite also covers failure isolation: one session submitting garbage (an invalid
-//! query, or a raw mis-sequenced protocol request answered by S2's typed error frame)
+//! query, or a raw malformed protocol request answered by S2's typed error frame)
 //! must not take down the pool or perturb its neighbours.
 
 use rand::rngs::StdRng;
@@ -94,8 +94,8 @@ fn session_views_match_isolated_replay_so_ledgers_cannot_bleed() {
     let report = server.serve(&workload, &config).expect("concurrent serve");
 
     // ...then replay each session *alone* on a fresh server (same id, same derived
-    // seed, same query slice).  If any state — ledger events, pending equality bits,
-    // nonce streams — leaked between concurrent sessions, the lone replay would differ.
+    // seed, same query slice).  If any state — ledger events, RNG positions, nonce
+    // streams — leaked between concurrent sessions, the lone replay would differ.
     let partitions = workload.partition(4);
     for (session, queries) in report.sessions.iter().zip(partitions.iter()) {
         let lone_server = QueryServer::new(owner.keys(), outsourced.clone(), 1);
@@ -129,7 +129,7 @@ fn session_views_match_isolated_replay_so_ledgers_cannot_bleed() {
 
 #[test]
 fn a_failing_session_does_not_disturb_its_neighbours() {
-    // Session 1 sends an invalid query mid-stream *and* a raw mis-sequenced protocol
+    // Session 1 sends an invalid query mid-stream *and* a raw malformed protocol
     // request (which S2 answers with a typed error frame); session 2 runs a clean
     // stream concurrently.  The server must keep serving, record the failures in
     // session 1's report, and leave session 2 byte-identical to a run without the
@@ -150,19 +150,13 @@ fn a_failing_session_does_not_disturb_its_neighbours() {
             let err = bad.execute(&invalid).expect_err("must fail");
             assert!(matches!(err, SecTopKError::Query(_)), "typed query error, got {err:?}");
 
-            // A mis-sequenced raw protocol request: S2 replies with a typed error frame
+            // A malformed raw protocol request: S2 replies with a typed error frame
             // instead of panicking its worker.
-            use sectopk_protocols::{ProtocolError, S1Request, WireErrorCode};
-            let err = bad
-                .clouds_mut()
-                .raw_round_trip(S1Request::EqAggregate {
-                    rows: 2,
-                    cols: 2,
-                    want: Default::default(),
-                })
-                .expect_err("must fail");
+            use sectopk_protocols::{ProtocolError, WireErrorCode};
+            let malformed = sectopk_tests::malformed_request(bad.clouds_mut());
+            let err = bad.clouds_mut().raw_round_trip(malformed).expect_err("must fail");
             assert!(
-                matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::BadSequence),
+                matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::MalformedRequest),
                 "typed wire error, got {err:?}"
             );
 

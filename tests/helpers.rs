@@ -12,6 +12,8 @@ use rand::SeedableRng;
 use sectopk_core::{
     DataOwner, DirectSession, Outsourced, Query, QueryConfig, QueryOutcome, Session, VariantChoice,
 };
+use sectopk_protocols::transport::EqWants;
+use sectopk_protocols::{S1Request, TwoClouds};
 use sectopk_server::SessionReport;
 use sectopk_storage::{ObjectId, Relation, Score, TopKQuery};
 
@@ -21,6 +23,19 @@ pub const TEST_MODULUS_BITS: usize = 128;
 
 /// Number of EHL PRF keys used by the integration tests.
 pub const TEST_EHL_KEYS: usize = 3;
+
+/// A request S2 answers with a typed `MalformedRequest` frame before it has any effect:
+/// an equality matrix of two columns whose last row is partial.
+pub fn malformed_request(clouds: &mut TwoClouds) -> S1Request {
+    let zero = clouds.fresh_zero().expect("encrypt a zero");
+    S1Request::EqMatrix {
+        diffs: vec![zero; 3],
+        cols: 2,
+        context: "test".into(),
+        depth: None,
+        want: EqWants::none(),
+    }
+}
 
 /// Everything a test needs to run secure queries against one relation.
 pub struct Harness {

@@ -72,7 +72,7 @@ fn fig3_query(relation: &Relation, config: &QueryConfig) -> (TwoClouds, Vec<Vec<
     let token = owner.authorize_client().token(3, &TopKQuery::sum(vec![0, 1, 2], 2)).unwrap();
     let replies = Arc::new(Mutex::new(Vec::new()));
     let tap = Arc::clone(&replies);
-    let mut clouds = TwoClouds::over_transport(owner.keys(), 0x7136, true, move |provision| {
+    let mut clouds = TwoClouds::over_transport(owner.keys(), 0x7136, move |provision| {
         Ok(Box::new(SignTap { inner: InProcessTransport::new(provision.build()), replies: tap }))
     })
     .expect("cloud setup");

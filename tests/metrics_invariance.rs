@@ -236,12 +236,12 @@ fn overload_rejects_and_accepts_are_exact() {
     let admitted: Vec<_> = (1..=2u64)
         .map(|i| {
             owner
-                .connect_remote_with(&outsourced, &addr, 0x5EA7 + i, true, TcpOptions::default())
+                .connect_remote_with(&outsourced, &addr, 0x5EA7 + i, TcpOptions::default())
                 .expect("seat admitted")
         })
         .collect();
     owner
-        .connect_remote_with(&outsourced, &addr, 0x5EA7, true, TcpOptions::default())
+        .connect_remote_with(&outsourced, &addr, 0x5EA7, TcpOptions::default())
         .map(|_| ())
         .expect_err("third session must be shed by admission control");
 

@@ -108,7 +108,6 @@ fn server_side_drop_between_queries_resumes_transparently_and_byte_identically()
             &outsourced,
             &addr,
             seed,
-            true,
             TcpOptions::default().with_session(SessionId(7)).with_retry(test_retry()),
         )
         .expect("retry-enabled session connects");
@@ -161,7 +160,6 @@ fn lost_reply_is_answered_from_the_replay_cache_not_reexecuted() {
             &outsourced,
             &addr,
             seed,
-            true,
             TcpOptions::default().with_retry(test_retry()).with_faults(faults),
         )
         .expect("fault-injected session connects");
@@ -205,7 +203,6 @@ fn lost_request_is_reexecuted_exactly_once_with_batching_all_or_nothing() {
             &outsourced,
             &addr,
             seed,
-            true,
             TcpOptions::default().with_retry(test_retry()).with_faults(faults),
         )
         .expect("fault-injected session connects");
@@ -243,7 +240,6 @@ fn park_ttl_expiry_reaps_the_parked_session_and_frees_its_id() {
             &outsourced,
             &addr,
             0xD1ED,
-            true,
             TcpOptions::default().with_session(SessionId(21)),
         )
         .expect("session connects");
@@ -261,7 +257,6 @@ fn park_ttl_expiry_reaps_the_parked_session_and_frees_its_id() {
             &outsourced,
             &addr,
             0xD1ED,
-            true,
             TcpOptions::default().with_session(SessionId(21)),
         )
         .expect("expired session id is free for reuse");

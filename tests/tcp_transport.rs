@@ -21,10 +21,10 @@ use sectopk_core::{
     DataOwner, Outsourced, Query, QueryVariant, Session, TcpOptions, TransportKind, VariantChoice,
 };
 use sectopk_protocols::{
-    MultiplexServer, ProtocolError, S1Request, SessionId, TcpCloudServer, TcpServerConfig,
+    MultiplexServer, ProtocolError, SessionId, TcpCloudServer, TcpServerConfig, WireErrorCode,
 };
 use sectopk_storage::{ObjectId, Relation, Row};
-use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
+use sectopk_tests::{malformed_request, TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
 /// The worked example every suite shares (transport_equivalence uses the same rows).
 fn fixed_relation() -> Relation {
@@ -90,18 +90,18 @@ fn socket_drop_surfaces_transport_error_and_session_is_reaped() {
             &outsourced,
             &addr,
             0xBEEF,
-            true,
             TcpOptions::default().with_session(victim_id),
         )
         .expect("victim connects with an explicit session id");
 
-    // Round 1 proves the wire is live before the injection: a mis-sequenced aggregate
-    // travels to S2 and comes back as a *remote* typed error frame, not a dead socket.
-    let err = victim
-        .clouds_mut()
-        .raw_round_trip(S1Request::EqAggregate { rows: 2, cols: 2, want: Default::default() })
-        .expect_err("mis-sequenced aggregate must fail");
-    assert!(matches!(err, ProtocolError::Remote(_)), "expected a remote frame, got {err:?}");
+    // Round 1 proves the wire is live before the injection: a malformed matrix travels
+    // to S2 and comes back as a *remote* typed error frame, not a dead socket.
+    let malformed = malformed_request(victim.clouds_mut());
+    let err = victim.clouds_mut().raw_round_trip(malformed.clone()).expect_err("must fail");
+    assert!(
+        matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::MalformedRequest),
+        "expected a remote frame, got {err:?}"
+    );
 
     // Injection: sever the victim's socket server-side, mid-session.
     assert!(server.drop_session(victim_id), "the victim's connection is registered");
@@ -110,7 +110,7 @@ fn socket_drop_surfaces_transport_error_and_session_is_reaped() {
     // client neither panics nor fabricates an S2 response.
     let err = victim
         .clouds_mut()
-        .raw_round_trip(S1Request::EqAggregate { rows: 2, cols: 2, want: Default::default() })
+        .raw_round_trip(malformed)
         .expect_err("round trip over a severed socket must fail");
     assert!(matches!(err, ProtocolError::Transport(_)), "expected Transport, got {err:?}");
 
@@ -131,7 +131,6 @@ fn socket_drop_surfaces_transport_error_and_session_is_reaped() {
             &outsourced,
             &addr,
             0xBEEF,
-            true,
             TcpOptions::default().with_session(victim_id),
         )
         .expect("the reaped session id is free for reuse");
@@ -159,7 +158,6 @@ fn clean_neighbour_is_byte_identical_despite_a_dying_peer() {
             &outsourced,
             &addr,
             0xABAD,
-            true,
             TcpOptions::default().with_session(SessionId(13)),
         )
         .expect("victim connects");
@@ -167,10 +165,8 @@ fn clean_neighbour_is_byte_identical_despite_a_dying_peer() {
         owner.connect_remote(&outsourced, &addr, 0xF00D).expect("neighbour connects");
 
     assert!(server.drop_session(SessionId(13)), "sever the victim");
-    let err = victim
-        .clouds_mut()
-        .raw_round_trip(S1Request::EqAggregate { rows: 1, cols: 1, want: Default::default() })
-        .expect_err("victim is dead");
+    let request = malformed_request(victim.clouds_mut());
+    let err = victim.clouds_mut().raw_round_trip(request).expect_err("victim is dead");
     assert!(matches!(err, ProtocolError::Transport(_)), "expected Transport, got {err:?}");
     eventually("victim reaped, neighbour still connected", || server.active_sessions() == 1);
 

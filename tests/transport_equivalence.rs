@@ -78,8 +78,8 @@ struct Observation {
     metrics: ChannelMetrics,
     depths_scanned: usize,
     halted: bool,
-    /// `(n, M, link, batching)` as the session reports them.
-    shape: (usize, usize, LinkProfile, bool),
+    /// `(n, M, link)` as the session reports them.
+    shape: (usize, usize, LinkProfile),
     plan: Option<PlanDecision>,
 }
 
@@ -94,12 +94,7 @@ fn observe<S: Session>(session: &S, outcome: &QueryOutcome) -> Observation {
         metrics: session.metrics(),
         depths_scanned: outcome.stats.depths_scanned,
         halted: outcome.stats.halted,
-        shape: (
-            session.num_objects(),
-            session.num_attributes(),
-            session.link(),
-            session.batching(),
-        ),
+        shape: (session.num_objects(), session.num_attributes(), session.link()),
         plan: outcome.stats.plan.clone(),
     }
 }
