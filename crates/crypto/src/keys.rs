@@ -13,14 +13,28 @@ use rand::{CryptoRng, RngCore};
 use serde::{Deserialize, Serialize};
 
 use crate::damgard_jurik::{DjPublicKey, DjSecretKey};
-use crate::error::Result;
+use crate::error::{CryptoError, Result};
 use crate::paillier::{
-    generate_keypair, PaillierPublicKey, PaillierSecretKey, DEFAULT_MODULUS_BITS,
+    generate_keypair, PaillierPublicKey, PaillierSecretKey, DEFAULT_MODULUS_BITS, MAX_MODULUS_BITS,
 };
 use crate::prf::PrfKey;
 
 /// Number of HMAC keys (`s`) used by the EHL+ structure in the paper's experiments (§11.1).
 pub const DEFAULT_EHL_KEYS: usize = 5;
+
+/// Bits of S1's own Paillier modulus `N'` for a shared modulus `N` of `shared_bits` bits.
+///
+/// S1 sends randomness through S2 encrypted under its own key `pk'` (SecDedup's masks,
+/// SecFilter's unblinders), and S2 composes it homomorphically under `N'`: sums of two
+/// values below `N` and products of two values below `N`.  `N'` must hold a product
+/// without wrapping, hence `2·|N|` bits plus a 64-bit margin.
+pub const fn own_modulus_bits(shared_bits: usize) -> usize {
+    2 * shared_bits + 64
+}
+
+/// The widest shared modulus [`MasterKeys::generate`] accepts: the largest `|N|` whose
+/// [`own_modulus_bits`] is still within [`MAX_MODULUS_BITS`] (992 bits).
+pub const MAX_SHARED_MODULUS_BITS: usize = (MAX_MODULUS_BITS - own_modulus_bits(0)) / 2;
 
 /// The data owner's complete key material.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -37,11 +51,21 @@ pub struct MasterKeys {
 
 impl MasterKeys {
     /// Generate a full key bundle with the given Paillier modulus size and `s` EHL keys.
+    ///
+    /// A modulus above [`MAX_SHARED_MODULUS_BITS`] is refused before any prime search:
+    /// every session over it would need an own key for S1 wider than the arithmetic
+    /// supports.
     pub fn generate<R: RngCore + CryptoRng>(
         modulus_bits: usize,
         ehl_key_count: usize,
         rng: &mut R,
     ) -> Result<Self> {
+        if modulus_bits > MAX_SHARED_MODULUS_BITS {
+            return Err(CryptoError::KeySizeTooLarge {
+                requested: modulus_bits,
+                maximum: MAX_SHARED_MODULUS_BITS,
+            });
+        }
         let (paillier_public, paillier_secret) = generate_keypair(modulus_bits, rng)?;
         let master = PrfKey::random(rng);
         let ehl_keys = master.derive_family("ehl", ehl_key_count);
@@ -203,6 +227,48 @@ mod tests {
         let compact = rendered.split_whitespace().collect::<String>().to_lowercase();
         for (name, form) in secrets {
             assert!(!compact.contains(&form), "{name} shows in a Debug rendering");
+        }
+    }
+
+    #[test]
+    fn a_shared_modulus_too_wide_for_an_own_key_is_refused_before_keygen() {
+        assert_eq!(MAX_SHARED_MODULUS_BITS, 992);
+        assert!(own_modulus_bits(MAX_SHARED_MODULUS_BITS) <= MAX_MODULUS_BITS);
+        assert!(own_modulus_bits(MAX_SHARED_MODULUS_BITS + 1) > MAX_MODULUS_BITS);
+        let mut rng = StdRng::seed_from_u64(31);
+        for requested in [993, 1000, MAX_MODULUS_BITS] {
+            let err = MasterKeys::generate(requested, 2, &mut rng).unwrap_err();
+            assert_eq!(err, CryptoError::KeySizeTooLarge { requested, maximum: 992 });
+        }
+        // Refused before the prime search: not one draw was spent.
+        assert_eq!(rng.next_u64(), StdRng::seed_from_u64(31).next_u64());
+    }
+
+    /// At the default 256-bit `N`, every modulus a session reduces by — `N²`, `N³`, `p²`,
+    /// `p³`, `q²`, `q³` of the shared key and `N'²`, `p'²`, `q'²` of S1's own key — is a
+    /// rung of the Montgomery ladder, so no product runs on zero-padded limbs.
+    #[test]
+    fn the_default_key_pays_no_padding() {
+        let mut rng = StdRng::seed_from_u64(256);
+        let keys = MasterKeys::generate(DEFAULT_MODULUS_BITS, 2, &mut rng).unwrap();
+        let (_, own) = generate_keypair(own_modulus_bits(DEFAULT_MODULUS_BITS), &mut rng).unwrap();
+        let (n, (p, q)) = (keys.paillier_public.n(), keys.paillier_secret.factors());
+        let (own_n, (own_p, own_q)) = (own.public_key().n(), own.factors());
+        let moduli = [
+            ("N²", n.pow(2)),
+            ("N³", n.pow(3)),
+            ("p²", p.pow(2)),
+            ("p³", p.pow(3)),
+            ("q²", q.pow(2)),
+            ("q³", q.pow(3)),
+            ("N'²", own_n.pow(2)),
+            ("p'²", own_p.pow(2)),
+            ("q'²", own_q.pow(2)),
+        ];
+        for (name, modulus) in moduli {
+            let limbs = modulus.to_u64_digits().len();
+            let width = num_bigint::MontgomeryContext::new(&modulus).unwrap().width();
+            assert_eq!(width, limbs, "{name} ({limbs} limbs) runs at width {width}");
         }
     }
 

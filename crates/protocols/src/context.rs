@@ -23,7 +23,7 @@ use sectopk_metrics::{Counter, Histogram, Registry as MetricsRegistry, TraceHook
 
 use crate::error::{ProtocolError, Result};
 use sectopk_crypto::damgard_jurik::DjPublicKey;
-use sectopk_crypto::keys::{MasterKeys, S1Keys};
+use sectopk_crypto::keys::{own_modulus_bits, MasterKeys, S1Keys};
 use sectopk_crypto::paillier::{generate_keypair, PaillierPublicKey, PaillierSecretKey};
 use sectopk_crypto::par::{cores, share};
 use sectopk_crypto::pool::RandomnessPool;
@@ -258,10 +258,8 @@ impl TwoClouds {
         let mut s1_rng = StdRng::seed_from_u64(seed ^ 0x5151_5151_5151_5151);
 
         // S1's own key pair is used to transport blinding randomness through S2 (SecDedup,
-        // SecFilter).  The composed masks are sums (≤ 2N) or products (≤ N²) of values in
-        // Z_N computed homomorphically under S1's modulus N', so N' must be large enough
-        // that those compositions never wrap: 2·|N| + 64 bits.
-        let own_bits = master.paillier_public.modulus_bits() * 2 + 64;
+        // SecFilter); see `own_modulus_bits` for its size.
+        let own_bits = own_modulus_bits(master.paillier_public.modulus_bits());
         let (own_public, own_secret) = generate_keypair(own_bits, &mut s1_rng)?;
 
         // S2 receives the owner's secret-key view and S1's published own public key; it

@@ -6,9 +6,9 @@
 //!
 //! 1. S1 computes the pairwise `⊖` equality matrix of the items, blinds every item with
 //!    fresh randomness (`Rand`, Algorithm 8), encrypts that randomness under **its own**
-//!    key pair `pk'` and ships matrix + blinded items + encrypted randomness to S2 under
-//!    a random permutation `π`, as a single [`crate::transport::S1Request::Dedup`]
-//!    message.
+//!    key pair `pk'` — two masks per ciphertext, see [`EncryptedBlinding`] — and ships
+//!    matrix + blinded items + encrypted randomness to S2 under a random permutation
+//!    `π`, as a single [`crate::transport::S1Request::Dedup`] message.
 //! 2. S2 decrypts the matrix (learning only the permuted equality pattern `EP^d`), keeps
 //!    the first copy of every duplicate group and *replaces* the others by garbage items
 //!    whose worst/best scores unblind to the sentinel `Z = −1`, re-randomizes and
@@ -23,46 +23,94 @@
 //! the per-depth uniqueness pattern `UP^d` to S1 (§10.1).
 
 use num_bigint::BigUint;
+use num_traits::Zero;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ProtocolError, Result};
-use sectopk_crypto::paillier::Ciphertext;
-#[cfg(test)]
-use sectopk_crypto::paillier::PaillierPublicKey;
+use sectopk_crypto::paillier::{Ciphertext, PaillierPublicKey};
+use sectopk_crypto::par::par_map;
+use sectopk_crypto::pool::RandomnessPool;
 use sectopk_crypto::prp::RandomPermutation;
 use sectopk_ehl::EhlPlus;
 
 use crate::context::TwoClouds;
-use crate::items::{rand_blind, ItemBlinding, ScoredItem};
+use crate::items::{rand_blind, rand_unblind, ItemBlinding, ScoredItem};
 use crate::ledger::LeakageEvent;
 use crate::transport::{DedupRequest, S1Request, S2Response};
 
-/// The blinding randomness of one item, encrypted under S1's own key `pk'` so it can
-/// round-trip through S2 (the `H_i` values of Algorithm 7).
+/// The `s + 2` blinding masks of one item, encrypted under S1's own key `pk'` so they
+/// can round-trip through S2 (the `H_i` values of Algorithm 7), two to a ciphertext.
+///
+/// The masks `α_0 … α_{s−1}, β, γ` are taken in pairs `(lo, hi)` and each pair is one
+/// plaintext `lo + 2^w·hi` with `w = ⌊|N'|/2⌋`; for odd `s` the last ciphertext carries
+/// `γ` alone.  A slot only ever holds the sum of S1's mask and S2's, two values below
+/// `N`, so it stays below `2N ≤ 2^w` (`|N'|` is [`own_modulus_bits`] of `|N|`): the low
+/// slot never carries into the high one and S1 decrypts exactly the two integer sums
+/// it would decrypt from two ciphertexts.
+///
+/// [`own_modulus_bits`]: sectopk_crypto::keys::own_modulus_bits
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EncryptedBlinding {
-    /// Encryptions of the per-EHL-block masks `α`.
-    pub alphas: Vec<Ciphertext>,
-    /// Encryption of the worst-score mask `β`.
-    pub beta: Ciphertext,
-    /// Encryption of the best-score mask `γ`.
-    pub gamma: Ciphertext,
+    /// `⌈(s + 2)/2⌉` encryptions of the mask pairs, in mask order.
+    pub packed: Vec<Ciphertext>,
 }
 
 impl EncryptedBlinding {
-    fn encrypt(
-        blinding: &ItemBlinding,
-        own_pool: &mut sectopk_crypto::RandomnessPool,
-    ) -> Result<Self> {
-        Ok(EncryptedBlinding {
-            alphas: blinding
-                .alphas
-                .iter()
-                .map(|a| own_pool.encrypt(a))
-                .collect::<sectopk_crypto::Result<Vec<_>>>()?,
-            beta: own_pool.encrypt(&blinding.beta)?,
-            gamma: own_pool.encrypt(&blinding.gamma)?,
-        })
+    /// `masks` encrypted two per ciphertext under the key of `own_pool` (S1's `pk'`):
+    /// one nonce per ciphertext.
+    pub(crate) fn encrypt(
+        masks: &ItemBlinding,
+        own_pool: &mut RandomnessPool,
+    ) -> sectopk_crypto::Result<Self> {
+        let plains = masks.packed(own_pool.public_key());
+        let packed = plains.iter().map(|m| own_pool.encrypt(m));
+        Ok(EncryptedBlinding { packed: packed.collect::<sectopk_crypto::Result<_>>()? })
+    }
+}
+
+/// The number of `pk'` ciphertexts that carry the masks of an item with `blocks` EHL
+/// blocks: `⌈(blocks + 2) / 2⌉`.
+pub(crate) fn packed_len(blocks: usize) -> usize {
+    (blocks + 2).div_ceil(2)
+}
+
+/// The slot width `w` of a packed plaintext under `own`, from its modulus's actual
+/// length (never from the key's serialized size field).
+fn slot_bits(own: &PaillierPublicKey) -> u64 {
+    own.n().bits() / 2
+}
+
+impl ItemBlinding {
+    /// The [`EncryptedBlinding`] plaintexts of these masks under `own`: one
+    /// `lo + 2^w·hi` per pair, reduced mod `N'` (which changes nothing unless `own` is
+    /// narrower than [`sectopk_crypto::keys::own_modulus_bits`] asks).
+    pub(crate) fn packed(&self, own: &PaillierPublicKey) -> Vec<BigUint> {
+        let w = slot_bits(own);
+        let masks: Vec<&BigUint> = self.alphas.iter().chain([&self.beta, &self.gamma]).collect();
+        let pack =
+            |pair: &[&BigUint]| pair.iter().rev().fold(BigUint::zero(), |acc, m| (acc << w) + *m);
+        masks.chunks(2).map(|pair| pack(pair) % own.n()).collect()
+    }
+
+    /// The masks of an item with `blocks` EHL blocks from its decrypted packed
+    /// plaintexts, each slot reduced mod `N` (the shared modulus of `pk`); `None` unless
+    /// there are exactly [`packed_len`]`(blocks)` of them.
+    fn unpacked(
+        plains: &[BigUint],
+        blocks: usize,
+        own: &PaillierPublicKey,
+        pk: &PaillierPublicKey,
+    ) -> Option<Self> {
+        if plains.len() != packed_len(blocks) {
+            return None;
+        }
+        let w = slot_bits(own);
+        let mut masks = plains.iter().flat_map(|plain| {
+            let hi = plain >> w;
+            [(plain - (&hi << w)) % pk.n(), hi % pk.n()]
+        });
+        let alphas = masks.by_ref().take(blocks).collect();
+        Some(ItemBlinding { alphas, beta: masks.next()?, gamma: masks.next()? })
     }
 }
 
@@ -100,7 +148,7 @@ impl TwoClouds {
             return Ok(items);
         }
         let pk = self.s1.keys.paillier_public.clone();
-        let own_sk = self.s1.own_secret.clone();
+        let own_pk = self.s1.own_public.clone();
 
         // ================= S1: matrix, blinding, permutation =========================
         // Pairwise equality ciphertexts for the upper triangle (i < j), row-major — the
@@ -155,20 +203,17 @@ impl TwoClouds {
         }
 
         // ================= S1: unblind ================================================
-        let mut output = Vec::with_capacity(returned_items.len());
-        for (item, blinding) in returned_items.iter().zip(returned_blindings.iter()) {
-            let alphas: Vec<BigUint> = blinding
-                .alphas
-                .iter()
-                .map(|c| own_sk.decrypt(c))
-                .collect::<sectopk_crypto::Result<Vec<_>>>()?;
-            let beta = own_sk.decrypt(&blinding.beta)?;
-            let gamma = own_sk.decrypt(&blinding.gamma)?;
-            let restored =
-                crate::items::rand_unblind(item, &ItemBlinding { alphas, beta, gamma }, &pk);
-            output.push(restored);
-        }
-        Ok(output)
+        // Pure ciphertext arithmetic that draws nothing, so it runs on the worker pool.
+        let own_sk = &self.s1.own_secret;
+        let returned: Vec<_> = returned_items.iter().zip(&returned_blindings).collect();
+        let restored = par_map(self.intra_workers(), &returned, |&(item, blinding)| -> Result<_> {
+            let plains = blinding.packed.iter().map(|c| own_sk.decrypt(c));
+            let plains = plains.collect::<sectopk_crypto::Result<Vec<_>>>()?;
+            let masks = ItemBlinding::unpacked(&plains, item.ehl.len(), &own_pk, &pk)
+                .ok_or_else(|| ProtocolError::transport("dedup reply: blinding arity mismatch"))?;
+            Ok(rand_unblind(item, &masks, &pk))
+        });
+        restored.into_iter().collect()
     }
 }
 
@@ -183,11 +228,79 @@ mod tests {
     use sectopk_ehl::EhlEncoder;
 
     fn setup() -> (MasterKeys, TwoClouds, EhlEncoder, StdRng) {
+        setup_with(3)
+    }
+
+    /// Keys with `s` EHL blocks per object, and the clouds over them.
+    fn setup_with(s: usize) -> (MasterKeys, TwoClouds, EhlEncoder, StdRng) {
         let mut rng = StdRng::seed_from_u64(404);
-        let master = MasterKeys::generate(MIN_MODULUS_BITS, 3, &mut rng).unwrap();
+        let master = MasterKeys::generate(MIN_MODULUS_BITS, s, &mut rng).unwrap();
         let clouds = TwoClouds::new(&master, 44).unwrap();
         let encoder = EhlEncoder::new(&master.ehl_keys);
         (master, clouds, encoder, rng)
+    }
+
+    #[test]
+    fn packed_masks_survive_the_largest_slot_sums() {
+        // S1's masks and S2's all N − 1: every slot holds 2N − 2, the most it ever does.
+        for (s, ciphertexts) in [(3, 3), (5, 4)] {
+            let (master, clouds, _, mut rng) = setup_with(s);
+            let (pk, own_pk, own_sk) =
+                (&master.paillier_public, &clouds.s1.own_public, &clouds.s1.own_secret);
+            let max = pk.n() - BigUint::from(1u32);
+            let masks = ItemBlinding {
+                alphas: vec![max.clone(); s],
+                beta: max.clone(),
+                gamma: max.clone(),
+            };
+            let packed = masks.packed(own_pk);
+            assert_eq!((packed.len(), packed_len(s)), (ciphertexts, ciphertexts), "s = {s}");
+            // s + 2 is odd: the last ciphertext carries γ alone, its high slot empty.
+            assert!(packed[ciphertexts - 1].bits() <= slot_bits(own_pk));
+            let sums: Vec<BigUint> = packed
+                .iter()
+                .map(|m| {
+                    let sent = own_pk.encrypt(m, &mut rng).unwrap();
+                    own_sk.decrypt(&own_pk.add_plain(&sent, m)).unwrap()
+                })
+                .collect();
+            let twice = (&max + &max) % pk.n();
+            let expected =
+                ItemBlinding { alphas: vec![twice.clone(); s], beta: twice.clone(), gamma: twice };
+            assert_eq!(ItemBlinding::unpacked(&sums, s, own_pk, pk), Some(expected), "s = {s}");
+            // One plaintext too few or too many is not a blinding of an s-block item.
+            assert_eq!(ItemBlinding::unpacked(&sums[1..], s, own_pk, pk), None);
+            let long = [&sums[..], &sums[..1]].concat();
+            assert_eq!(ItemBlinding::unpacked(&long, s, own_pk, pk), None);
+        }
+    }
+
+    #[test]
+    fn dedup_ships_two_masks_per_own_key_ciphertext_at_three_and_five_blocks() {
+        for s in [3, 5] {
+            let (master, mut clouds, encoder, mut rng) = setup_with(s);
+            let pk = &master.paillier_public;
+            let items = vec![
+                item("A", 4, 6, &encoder, pk, &mut rng),
+                item("B", 2, 3, &encoder, pk, &mut rng),
+                item("A", 4, 6, &encoder, pk, &mut rng),
+            ];
+            let out = clouds.sec_dedup(items, 1).unwrap();
+            let mut scores: Vec<(i64, i64)> = out
+                .iter()
+                .map(|it| {
+                    let score =
+                        |c| i64::try_from(master.paillier_secret.decrypt_signed(c).unwrap());
+                    (score(&it.worst).unwrap(), score(&it.best).unwrap())
+                })
+                .collect();
+            scores.sort_unstable();
+            assert_eq!(scores, vec![(-1, -1), (2, 3), (4, 6)], "s = {s}");
+            // Each way: 3 items of s + 2 shared-key ciphertexts and 3 blindings of
+            // ⌈(s + 2)/2⌉ own-key ones; S1 → S2 adds the 3 matrix entries.
+            let expected = 3 + 2 * 3 * (s + 2) + 2 * 3 * packed_len(s);
+            assert_eq!(clouds.channel().ciphertexts, expected as u64, "s = {s}");
+        }
     }
 
     fn item(

@@ -41,6 +41,7 @@
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use num_bigint::{BigUint, Sign};
+use num_traits::Zero;
 
 use sectopk_crypto::bigint::{mod_inverse, random_below, random_invertible};
 use sectopk_crypto::damgard_jurik::LayeredCiphertext;
@@ -57,7 +58,7 @@ use rand::SeedableRng;
 use sectopk_metrics::{Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 
-use crate::dedup::EncryptedBlinding;
+use crate::dedup::{packed_len, EncryptedBlinding};
 use crate::items::{rand_blind, rerandomize_item_pooled, ItemBlinding, ScoredItem};
 use crate::ledger::{LeakageEvent, LeakageLedger};
 use crate::transport::{DedupRequest, EqAggregates, EqWants, FilterTuple, S1Request, S2Response};
@@ -357,9 +358,16 @@ impl S2Engine {
                 if dedup.pair_indices.iter().any(|&(a, b)| a >= b || b >= l) {
                     return Err(WireError::malformed("dedup pair index out of order or range"));
                 }
+                // `commit_dedup` zips each item's masks with its ciphertexts: a short list
+                // would silently truncate the reply.
                 for (item, blinding) in dedup.items.iter().zip(dedup.blindings.iter()) {
+                    if blinding.packed.len() != packed_len(item.ehl.len()) {
+                        return Err(WireError::malformed(
+                            "a dedup blinding must pack its item's masks two per ciphertext",
+                        ));
+                    }
                     nonces.paillier += item.ehl.len() + 2;
-                    nonces.own += item.ehl.len().max(blinding.alphas.len()) + 2;
+                    nonces.own += blinding.packed.len();
                 }
                 (Need::IsZero(dedup.matrix.iter().collect()), |m| &m.dedup)
             }
@@ -614,14 +622,13 @@ impl S2Engine {
                     worst: self.pool.encrypt(&((&z + &beta2) % pk.n()))?,
                     best: self.pool.encrypt(&((&z + &gamma2) % pk.n()))?,
                 };
-                let new_blinding = EncryptedBlinding {
-                    alphas: (0..received_item.ehl.len())
-                        .map(|_| self.own_pool.encrypt(&BigUint::from(0u32)))
-                        .collect::<Result<Vec<_>>>()?,
-                    beta: self.own_pool.encrypt(&beta2)?,
-                    gamma: self.own_pool.encrypt(&gamma2)?,
+                // Masks (0, …, 0, β₂, γ₂): the garbage blocks stay garbage.
+                let masks = ItemBlinding {
+                    alphas: vec![BigUint::zero(); received_item.ehl.len()],
+                    beta: beta2,
+                    gamma: gamma2,
                 };
-                processed.push((replaced, new_blinding));
+                processed.push((replaced, EncryptedBlinding::encrypt(&masks, &mut self.own_pool)?));
             } else {
                 // Keep: layer fresh blinding on top (so S1 cannot tell kept from replaced)
                 // and update the encrypted randomness accordingly.
@@ -630,20 +637,12 @@ impl S2Engine {
                 // Fresh ciphertexts so S1 cannot correlate with what it sent.
                 reblinded = rerandomize_item_pooled(&reblinded, &mut self.pool);
 
-                let updated_blinding = EncryptedBlinding {
-                    alphas: received_blinding
-                        .alphas
-                        .iter()
-                        .zip(extra.alphas.iter())
-                        .map(|(c, a)| self.own_pool.rerandomize(&own_pk.add_plain(c, a)))
-                        .collect(),
-                    beta: self
-                        .own_pool
-                        .rerandomize(&own_pk.add_plain(&received_blinding.beta, &extra.beta)),
-                    gamma: self
-                        .own_pool
-                        .rerandomize(&own_pk.add_plain(&received_blinding.gamma, &extra.gamma)),
-                };
+                // One `add_plain` and one re-randomization per ciphertext adds both of its
+                // masks at once.
+                let packed = received_blinding.packed.iter().zip(extra.packed(&own_pk));
+                let packed =
+                    packed.map(|(c, m)| self.own_pool.rerandomize(&own_pk.add_plain(c, &m)));
+                let updated_blinding = EncryptedBlinding { packed: packed.collect() };
                 processed.push((reblinded, updated_blinding));
             }
         }

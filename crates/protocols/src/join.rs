@@ -22,6 +22,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::Result;
 use sectopk_crypto::bigint::{mod_inverse, random_below, random_invertible};
 use sectopk_crypto::paillier::Ciphertext;
+use sectopk_crypto::par::par_map;
 use sectopk_crypto::prp::RandomPermutation;
 use sectopk_ehl::EhlPlus;
 use sectopk_storage::EncryptedItem;
@@ -210,9 +211,8 @@ impl TwoClouds {
         };
         self.s1.ledger.record(LeakageEvent::JoinMatchCount(survivors.len()));
 
-        // ---- S1: remove the blinding. ----------------------------------------------------
-        let mut output = Vec::with_capacity(survivors.len());
-        for s in &survivors {
+        // ---- S1: remove the blinding (draws nothing, so on the worker pool). --------------
+        let unblinded = par_map(self.intra_workers(), &survivors, |s| -> Result<_> {
             let r_tilde: BigUint = own_sk.decrypt(&s.score_unblinder)?;
             let score = pk.mul_plain(&s.score, &r_tilde);
             let mut attributes = Vec::with_capacity(s.attributes.len());
@@ -221,9 +221,9 @@ impl TwoClouds {
                 let neg = (pk.n() - (&mask % pk.n())) % pk.n();
                 attributes.push(pk.add_plain(a, &neg));
             }
-            output.push(JoinedTuple { score, attributes });
-        }
-        Ok(output)
+            Ok(JoinedTuple { score, attributes })
+        });
+        unblinded.into_iter().collect()
     }
 }
 

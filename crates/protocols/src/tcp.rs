@@ -1775,16 +1775,22 @@ mod tests {
         assert_eq!(s2.join().unwrap(), [1, 2]);
     }
 
-    /// Request frames of the retired one-message-per-pair wire pattern, byte for byte as
-    /// protocol version 2 peers that still spoke it encoded them: an `EqTest` whose bit
-    /// S2 was to keep, the `EqAggregate` over that bit, and a `Dedup` without a matrix.
-    const RETIRED_FRAMES: [&[u8]; 3] = [
+    /// Request frames of retired wire forms, byte for byte as protocol version 2 peers
+    /// that still spoke them encoded them: an `EqTest` whose bit S2 was to keep, the
+    /// `EqAggregate` over that bit, a `Dedup` without a matrix (the one-message-per-pair
+    /// pattern), and a one-item `Dedup` whose blinding is one ciphertext per mask
+    /// (`alphas`, `beta`, `gamma`) instead of two masks per ciphertext (`packed`).
+    const RETIRED_FRAMES: [&[u8]; 4] = [
         b"\x00\x09\x01\x06EqTest\x09\x05\x04diff\x07\x01\x01\x07context\x06\x04test\x05depth\x00\
           \x0aaccumulate\x02\x09reply_bit\x02",
         b"\x00\x09\x01\x0bEqAggregate\x09\x03\x04rows\x03\x01\x04cols\x03\x01\x04want\x09\x04\
           \x0brow_matched\x02\x0drow_unmatched\x01\x0dcol_unmatched\x01\x11row_matched_plain\x01",
         b"\x00\x09\x01\x05Dedup\x08\x01\x09\x06\x05items\x08\x00\x09blindings\x08\x00\
           \x0cpair_indices\x08\x00\x06matrix\x00\x09eliminate\x01\x05depth\x03\x00",
+        b"\x00\x09\x01\x05Dedup\x08\x01\x09\x06\x05items\x08\x01\x09\x03\x03ehl\x09\x01\x06blocks\
+          \x08\x01\x07\x01\x02\x05worst\x07\x01\x02\x04best\x07\x01\x02\x09blindings\x08\x01\x09\
+          \x03\x06alphas\x08\x01\x07\x01\x02\x04beta\x07\x01\x02\x05gamma\x07\x01\x02\
+          \x0cpair_indices\x08\x00\x06matrix\x08\x00\x09eliminate\x01\x05depth\x03\x00",
     ];
 
     #[test]

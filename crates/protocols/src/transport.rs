@@ -248,7 +248,7 @@ impl S1Request {
             S1Request::Dedup(req) => {
                 req.matrix.len()
                     + req.items.iter().map(|i| i.ehl.len() + 2).sum::<usize>()
-                    + req.blindings.iter().map(|b| b.alphas.len() + 2).sum::<usize>()
+                    + req.blindings.iter().map(|b| b.packed.len()).sum::<usize>()
             }
             S1Request::Filter { tuples } => tuples.iter().map(FilterTuple::ciphertext_count).sum(),
             S1Request::MulBlinded { pairs } => pairs.len() * 2,
@@ -319,7 +319,7 @@ impl S2Response {
             S2Response::Recovered(inner) => inner.len(),
             S2Response::Dedup { items, blindings } => {
                 items.iter().map(|i| i.ehl.len() + 2).sum::<usize>()
-                    + blindings.iter().map(|b| b.alphas.len() + 2).sum::<usize>()
+                    + blindings.iter().map(|b| b.packed.len()).sum::<usize>()
             }
             S2Response::Filter { survivors } => {
                 survivors.iter().map(FilterTuple::ciphertext_count).sum()

@@ -94,18 +94,16 @@ fn recover(values: &[i64], rng: &mut StdRng) -> S1Request {
     S1Request::Recover { blinded: values.iter().map(|&v| layered(v, rng)).collect() }
 }
 
-/// A three-item dedup whose items 0 and 2 are duplicates.
+/// A three-item dedup whose items 0 and 2 are duplicates; each item's four masks ride
+/// in two `pk'` ciphertexts.
 fn dedup(rng: &mut StdRng) -> DedupRequest {
     let item = |rng: &mut StdRng| ScoredItem {
         ehl: EhlPlus::from_blocks(vec![enc(11, rng), enc(12, rng)]),
         worst: enc(3, rng),
         best: enc(9, rng),
     };
-    let blinding = |rng: &mut StdRng| EncryptedBlinding {
-        alphas: vec![own_enc(1, rng), own_enc(2, rng)],
-        beta: own_enc(3, rng),
-        gamma: own_enc(4, rng),
-    };
+    let blinding =
+        |rng: &mut StdRng| EncryptedBlinding { packed: vec![own_enc(1, rng), own_enc(2, rng)] };
     DedupRequest {
         items: (0..3).map(|_| item(rng)).collect(),
         blindings: (0..3).map(|_| blinding(rng)).collect(),
@@ -246,6 +244,22 @@ fn a_malformed_instance_of_each_kind_is_a_typed_error() {
         (
             "Dedup with a missing blinding",
             with_dedup(|d| drop(d.blindings.pop()), rng),
+            MalformedRequest,
+        ),
+        (
+            "Dedup with a blinding one ciphertext short",
+            with_dedup(|d| drop(d.blindings[1].packed.pop()), rng),
+            MalformedRequest,
+        ),
+        (
+            "Dedup with a blinding one ciphertext long",
+            with_dedup(
+                |d| {
+                    let extra = d.blindings[0].packed[0].clone();
+                    d.blindings[2].packed.push(extra);
+                },
+                rng,
+            ),
             MalformedRequest,
         ),
         (

@@ -73,11 +73,7 @@ fn rand_item(rng: &mut StdRng) -> ScoredItem {
 }
 
 fn rand_blinding(rng: &mut StdRng) -> EncryptedBlinding {
-    EncryptedBlinding {
-        alphas: rand_ciphertexts(rng, 3),
-        beta: rand_ciphertext(rng),
-        gamma: rand_ciphertext(rng),
-    }
+    EncryptedBlinding { packed: rand_ciphertexts(rng, 3) }
 }
 
 fn rand_filter_tuple(rng: &mut StdRng) -> FilterTuple {

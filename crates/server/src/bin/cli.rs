@@ -244,6 +244,18 @@ mod tests {
     }
 
     #[test]
+    fn a_modulus_too_wide_for_s1s_own_key_is_refused_at_outsource() {
+        // Every query over a 993-bit N would need a 2050-bit own key for S1: refused at
+        // key generation, before any prime search, instead of at every later query.
+        let flags = parse("outsource", "--modulus-bits 993").unwrap();
+        let Err(err) = build_world(&flags) else { panic!("a 993-bit modulus was accepted") };
+        assert!(
+            err.to_string().contains("993 bits is above the supported maximum of 992 bits"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn bad_command_lines_are_refused_with_the_reason() {
         let err = parse("outsource", "--frobnicate 1").unwrap_err();
         assert!(err.contains("unknown flag --frobnicate"), "{err}");

@@ -13,9 +13,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sectopk_core::{DataOwner, Query, QueryConfig, Session, VariantChoice};
+use sectopk_core::{
+    encrypt_for_join, join_token, top_k_join, DataOwner, JoinQuery, Query, QueryConfig, Session,
+    VariantChoice,
+};
+use sectopk_crypto::MasterKeys;
 use sectopk_datasets::QueryWorkload;
-use sectopk_protocols::{ChannelMetrics, LeakageLedger, ScoredItem, TransportKind};
+use sectopk_protocols::{ChannelMetrics, LeakageLedger, ScoredItem, TransportKind, TwoClouds};
 use sectopk_server::{QueryServer, ServeConfig, ServeReport};
 use sectopk_storage::{ObjectId, Relation, Row, TopKQuery};
 use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
@@ -163,5 +167,37 @@ fn assert_same_reports(serial: &ServeReport, parallel: &ServeReport) {
             assert_eq!(so.stats.depths_scanned, po.stats.depths_scanned);
             assert_eq!(so.stats.halted, po.stats.halted);
         }
+    }
+}
+
+#[test]
+fn a_top_k_join_is_byte_invariant_at_one_and_four_workers() {
+    // SecJoin, SecFilter — whose own-key unblinding runs on S1's workers — and the final
+    // selection: the answer, both ledgers and the channel metrics, on every transport.
+    let join = |kind: TransportKind, workers: usize| {
+        let mut rng = StdRng::seed_from_u64(0x701E);
+        let keys =
+            MasterKeys::generate(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).expect("keygen");
+        let rows = |rows: &[(u64, u64, u64)]| {
+            let rows = rows
+                .iter()
+                .map(|&(id, key, score)| Row { id: ObjectId(id), values: vec![key, score] });
+            Relation::new(vec!["key".into(), "score".into()], rows.collect())
+        };
+        let left = rows(&[(1, 7, 50), (2, 8, 10), (3, 7, 20), (4, 9, 30)]);
+        let right = rows(&[(1, 7, 5), (2, 9, 99), (3, 8, 1)]);
+        let query = JoinQuery { join_left: 0, join_right: 0, score_left: 1, score_right: 1, k: 2 };
+        let enc_left = encrypt_for_join(&left, &keys, "join/left", &mut rng).expect("left");
+        let enc_right = encrypt_for_join(&right, &keys, "join/right", &mut rng).expect("right");
+        let token = join_token(&keys, 2, 2, &query, &[0, 1], &[1]).expect("token");
+        let mut clouds = TwoClouds::with_transport(&keys, 0x7017, kind, true).expect("clouds");
+        clouds.set_intra_workers(workers);
+        let outcome = top_k_join(&mut clouds, &enc_left, &enc_right, &token).expect("join");
+        assert_eq!(outcome.matching_pairs, 4);
+        let ledgers = (clouds.s1_ledger().events(), clouds.s2_ledger().events());
+        (outcome.top_k, ledgers, clouds.channel())
+    };
+    for kind in ALL_TRANSPORTS {
+        assert_eq!(join(kind, 1), join(kind, 4), "{kind:?}: the worker count showed");
     }
 }
