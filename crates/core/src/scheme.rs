@@ -12,8 +12,6 @@
 use rand::{CryptoRng, RngCore};
 
 use sectopk_crypto::keys::MasterKeys;
-use sectopk_crypto::paillier::DEFAULT_MODULUS_BITS;
-use sectopk_crypto::DEFAULT_EHL_KEYS;
 use sectopk_storage::{
     encrypt_relation, encrypt_relation_parallel, generate_token, EncryptedRelation,
     EncryptionStats, QueryToken, Relation, TopKQuery,
@@ -45,11 +43,6 @@ impl DataOwner {
     /// serving deployment's key store).
     pub fn from_keys(keys: MasterKeys) -> Self {
         DataOwner { keys }
-    }
-
-    /// Create a data owner with the library defaults (256-bit modulus, `s = 5`).
-    pub fn with_defaults<R: RngCore + CryptoRng>(rng: &mut R) -> Result<Self> {
-        Self::new(DEFAULT_MODULUS_BITS, DEFAULT_EHL_KEYS, rng)
     }
 
     /// The owner's key material (needed to set up the clouds and to resolve results).

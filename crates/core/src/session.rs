@@ -55,19 +55,9 @@ impl Outsourced {
         &self.er
     }
 
-    /// Shared handle to the encrypted relation.
-    pub fn er_arc(&self) -> Arc<EncryptedRelation> {
-        Arc::clone(&self.er)
-    }
-
     /// The object-id universe used for result resolution.
     pub fn object_ids(&self) -> &[ObjectId] {
         &self.object_ids
-    }
-
-    /// Shared handle to the object-id universe.
-    pub fn object_ids_arc(&self) -> Arc<Vec<ObjectId>> {
-        Arc::clone(&self.object_ids)
     }
 
     /// Number of objects `n`.

@@ -14,9 +14,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::damgard_jurik::{DjPublicKey, DjSecretKey};
 use crate::error::{CryptoError, Result};
-use crate::paillier::{
-    generate_keypair, PaillierPublicKey, PaillierSecretKey, DEFAULT_MODULUS_BITS, MAX_MODULUS_BITS,
-};
+use crate::paillier::{generate_keypair, PaillierPublicKey, PaillierSecretKey, MAX_MODULUS_BITS};
 use crate::prf::PrfKey;
 
 /// Number of HMAC keys (`s`) used by the EHL+ structure in the paper's experiments (§11.1).
@@ -71,11 +69,6 @@ impl MasterKeys {
         let ehl_keys = master.derive_family("ehl", ehl_key_count);
         let prp_key = master.derive(b"prp");
         Ok(MasterKeys { paillier_public, paillier_secret, ehl_keys, prp_key })
-    }
-
-    /// Generate a key bundle with the library defaults (256-bit N, s = 5).
-    pub fn generate_default<R: RngCore + CryptoRng>(rng: &mut R) -> Result<Self> {
-        Self::generate(DEFAULT_MODULUS_BITS, DEFAULT_EHL_KEYS, rng)
     }
 
     /// The view of the primary cloud S1: public key material only.
@@ -152,7 +145,7 @@ pub struct ClientKeys {
 mod tests {
     use super::*;
     use crate::encoding::hex_encode;
-    use crate::paillier::MIN_MODULUS_BITS;
+    use crate::paillier::{DEFAULT_MODULUS_BITS, MIN_MODULUS_BITS};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

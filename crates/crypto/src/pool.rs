@@ -248,11 +248,6 @@ impl RandomnessPool {
     pub fn public_key(&self) -> &PaillierPublicKey {
         &self.pk
     }
-
-    /// The DJ public key this pool serves, if any.
-    pub fn dj_public_key(&self) -> Option<&DjPublicKey> {
-        self.dj.as_ref()
-    }
 }
 
 #[cfg(test)]

@@ -67,11 +67,6 @@ impl KeyedPrp {
     pub fn invert(&self, j: usize) -> usize {
         self.inverse[j]
     }
-
-    /// The full forward mapping (index → image).
-    pub fn forward_map(&self) -> &[usize] {
-        &self.forward
-    }
 }
 
 /// An ephemeral uniformly random permutation of `[0, n)`, freshly sampled by a party

@@ -150,14 +150,6 @@ impl EhlPlus {
         EhlPlus { blocks }
     }
 
-    /// Blockwise multiplication with a vector of ciphertexts (the paper's
-    /// `Enc(x) ⊙ EHL(y)` with both operands encrypted).
-    pub fn mul_blocks(&self, others: &[Ciphertext], pk: &PaillierPublicKey) -> EhlPlus {
-        assert_eq!(others.len(), self.len(), "operand must have one ciphertext per block");
-        let blocks = self.blocks.iter().zip(others.iter()).map(|(c, o)| pk.add(c, o)).collect();
-        EhlPlus { blocks }
-    }
-
     /// Re-randomize every block (fresh ciphertexts, same plaintexts).  Applied whenever a
     /// cloud returns items so that the receiving cloud cannot link them to its own inputs.
     pub fn rerandomize<R: RngCore + CryptoRng>(

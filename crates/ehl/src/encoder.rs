@@ -28,11 +28,6 @@ impl EhlEncoder {
         EhlEncoder { prfs: keys.iter().map(Prf::new).collect() }
     }
 
-    /// Number of PRF keys `s`.
-    pub fn key_count(&self) -> usize {
-        self.prfs.len()
-    }
-
     /// Encode an object into the compact EHL+ structure:
     /// `EHL+[i] = Enc(HMAC(k_i, o) mod N)` for `1 ≤ i ≤ s`.
     pub fn encode<R: RngCore + CryptoRng>(

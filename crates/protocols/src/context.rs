@@ -32,7 +32,7 @@ use crate::channel::ChannelMetrics;
 use crate::engine::{intra_workers_from_env, EngineProvision};
 use crate::ledger::LeakageLedger;
 use crate::multiplex::{LinkProfile, MultiplexServer, SessionId};
-use crate::tcp::{TcpCloudServer, TcpOptions, TcpServerConfig};
+use crate::tcp::{TcpCloudServer, TcpOptions, DEFAULT_PARK_TTL};
 use crate::transport::{InProcessTransport, S1Request, S2Response, Transport, TransportKind};
 
 /// The process-wide S2 pool behind [`TransportKind::Multiplex`] and
@@ -52,7 +52,7 @@ fn loopback_listener() -> Result<&'static TcpCloudServer> {
     LISTENER
         .get_or_init(|| {
             let pool = Arc::clone(loopback_pool());
-            TcpCloudServer::serve_pool("127.0.0.1:0", pool, TcpServerConfig::default())
+            TcpCloudServer::serve_pool("127.0.0.1:0", pool, DEFAULT_PARK_TTL)
         })
         .as_ref()
         .map_err(|e| crate::ProtocolError::transport(format!("binding loopback S2: {e}")))
@@ -354,24 +354,6 @@ impl TwoClouds {
         let workers = self.intra_workers();
         self.s1.pool.set_refill_workers(workers);
         self.s1.own_pool.set_refill_workers(workers);
-    }
-
-    /// Use transport idle time to top S1's nonce pools up to `paillier` / `dj` / `own`
-    /// ready nonces (e.g. between queries, while no request is in flight).  Pool streams
-    /// are position-deterministic, so eager refilling never changes protocol bytes.
-    pub fn idle_refill(&mut self, paillier: usize, dj: usize, own: usize) {
-        let workers = self.intra_workers();
-        let (ready_p, ready_dj) = self.s1.pool.ready();
-        let need_p = paillier.saturating_sub(ready_p);
-        let need_dj = dj.saturating_sub(ready_dj);
-        if need_p + need_dj > 0 {
-            self.s1.pool.prefill_parallel(need_p, need_dj, workers);
-        }
-        let (ready_own, _) = self.s1.own_pool.ready();
-        let need_own = own.saturating_sub(ready_own);
-        if need_own > 0 {
-            self.s1.own_pool.prefill_parallel(need_own, 0, workers);
-        }
     }
 
     /// The shared Paillier public key (every score and EHL block is encrypted under it).

@@ -91,7 +91,7 @@ pub use ledger::{LeakageEvent, LeakageLedger};
 pub use multiplex::{Envelope, LinkProfile, MultiplexServer, PoolLimits, SessionId};
 pub use primitives::EqBatch;
 pub use tcp::{
-    FaultPlan, RetryPolicy, TcpCloudServer, TcpOptions, TcpServerConfig, MAX_FRAME_LEN,
+    FaultPlan, RetryPolicy, TcpCloudServer, TcpOptions, DEFAULT_PARK_TTL, MAX_FRAME_LEN,
     TCP_PROTOCOL_VERSION,
 };
 pub use transport::{

@@ -107,7 +107,9 @@
 //!
 //! [`PoolLimits::max_sessions`] caps the table (connected and parked sessions alike,
 //! checked under the lock that seats the newcomer); a session beyond it is refused with
-//! a typed, retryable overload rejection before any engine state exists.  Admission is
+//! a typed, retryable overload rejection before any engine state exists.  Every refusal
+//! of the table is a `RejectCode` of the TCP handshake plus a reason, which the listener
+//! ships as is; one function maps a code onto the error taxonomy.  Admission is
 //! per *connection*, not per request: a seated session has at most one request
 //! outstanding, and it waits for a permit on its own thread, so there is no queue that
 //! could grow and nothing for request-level shedding to protect.
@@ -118,7 +120,7 @@
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::collections::hash_map::{Entry, HashMap, OccupiedEntry};
-use std::fmt;
+use std::fmt::{self, Display};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -462,7 +464,7 @@ impl Pipe for ConduitPipe {
         self.link
     }
 
-    fn exchange(&mut self, envelope: &Envelope, _first_attempt: bool) -> Result<Envelope> {
+    fn exchange(&mut self, envelope: &Envelope) -> Result<Envelope> {
         let rtt = self.link.rtt;
         // Control traffic (sequence number 0) skips the link.
         if envelope.seq == 0 || rtt.is_zero() {
@@ -498,25 +500,40 @@ impl fmt::Debug for MultiplexServer {
     }
 }
 
-/// Why [`MultiplexServer::attach`] refused a session.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum AttachError {
-    /// The proposed session id is already seated.
-    InUse,
-    /// The session table is at [`PoolLimits::max_sessions`] — a transient overload.
+/// Why the serving stack refused a session: the one refusal vocabulary, shared by the
+/// session table ([`MultiplexServer::attach`], [`MultiplexServer::resume`]) and the TCP
+/// handshake, which ships it to the client as is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) enum RejectCode {
+    /// Undecodable hello or wrong magic.
+    Malformed,
+    /// Client speaks a different [`crate::tcp::TCP_PROTOCOL_VERSION`].
+    VersionMismatch,
+    /// The session table (active + parked) is at capacity.  Transient.
     Full,
+    /// The server is draining: finishing in-flight sessions, accepting no claims.
+    /// Transient from the fleet's point of view (retry against a peer).
+    Draining,
+    /// Fresh hello proposing an id that is connected, or a resume racing a live
+    /// connection that never died.
+    SessionInUse,
+    /// Resume refused outright: unknown session, expired park TTL, token mismatch,
+    /// or another client already claimed it.
+    ResumeDenied,
 }
 
-/// Why [`MultiplexServer::resume`] refused a claim.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ResumeError {
-    /// No such session: never seated, disconnected, or parked past its deadline.
-    Unknown,
-    /// The presented token is not the session's current one.
-    BadToken,
-    /// The session is seated but not parked — its previous connection has not been
-    /// seen to die (yet).
-    StillConnected,
+/// What a claim on the session table comes to: a conduit for the seated session, or a
+/// refusal — its code and a human-readable reason.
+pub(crate) type Seating = std::result::Result<SessionConduit, (RejectCode, String)>;
+
+/// Map a refusal by the S2 at `peer` onto the typed error taxonomy: capacity refusals are
+/// transient (retry), everything else is permanent.
+pub(crate) fn rejection_error(peer: impl Display, code: RejectCode, reason: &str) -> ProtocolError {
+    let message = format!("S2 at {peer} refused the connection: {reason}");
+    match code {
+        RejectCode::Full | RejectCode::Draining => ProtocolError::transport_overloaded(message),
+        _ => ProtocolError::transport_rejected(message),
+    }
 }
 
 impl MultiplexServer {
@@ -615,33 +632,24 @@ impl MultiplexServer {
         engine: S2Engine,
         link: LinkProfile,
     ) -> Result<EnvelopeTransport> {
-        let conduit = self.attach(session, engine, 0).map_err(|e| match e {
-            AttachError::InUse => {
-                ProtocolError::transport_rejected(format!("{session} is already connected"))
-            }
-            AttachError::Full => ProtocolError::transport_overloaded(format!(
-                "session table full ({} sessions)",
-                self.pool.limits.max_sessions
-            )),
-        })?;
+        let conduit = self
+            .attach(session, engine, 0)
+            .map_err(|(code, reason)| rejection_error("the local pool", code, &reason))?;
         Ok(EnvelopeTransport::new(conduit.session(), Box::new(ConduitPipe { conduit, link })))
     }
 
     /// Seat a new session backed by `engine` under the `proposed` id (0: assign one),
     /// resumable with `token` (0: never).  The id check, the admission cap and the
     /// insertion happen under one lock, so concurrent attachments cannot over-admit.
-    pub(crate) fn attach(
-        &self,
-        proposed: SessionId,
-        mut engine: S2Engine,
-        token: u64,
-    ) -> std::result::Result<SessionConduit, AttachError> {
+    pub(crate) fn attach(&self, proposed: SessionId, mut engine: S2Engine, token: u64) -> Seating {
         let mut table = self.pool.table.plock();
         if table.seats.contains_key(&proposed) {
-            return Err(AttachError::InUse);
+            let reason = format!("session id {} is already connected", proposed.0);
+            return Err((RejectCode::SessionInUse, reason));
         }
-        if table.seats.len() >= self.pool.limits.max_sessions {
-            return Err(AttachError::Full);
+        let cap = self.pool.limits.max_sessions;
+        if table.seats.len() >= cap {
+            return Err((RejectCode::Full, format!("server full ({cap} sessions)")));
         }
         let mut session = proposed;
         while session.0 == 0 || table.seats.contains_key(&session) {
@@ -670,21 +678,20 @@ impl MultiplexServer {
         rotated: u64,
         acked: u64,
         now: Instant,
-    ) -> std::result::Result<SessionConduit, ResumeError> {
+    ) -> Seating {
+        let unknown = || Err((RejectCode::ResumeDenied, "unknown or expired session".into()));
         let slot = {
             let mut table = self.pool.table.plock();
-            let Some(seat) = table.seats.get_mut(&session) else {
-                return Err(ResumeError::Unknown);
-            };
+            let Some(seat) = table.seats.get_mut(&session) else { return unknown() };
             if seat.token == 0 || seat.token != presented {
-                return Err(ResumeError::BadToken);
+                return Err((RejectCode::ResumeDenied, "resume token mismatch".into()));
             }
             match seat.parked_until {
-                None => return Err(ResumeError::StillConnected),
+                None => return Err((RejectCode::SessionInUse, "session still connected".into())),
                 Some(deadline) if deadline <= now => {
                     table.seats.remove(&session);
                     self.pool.metrics.evicted.incr();
-                    return Err(ResumeError::Unknown);
+                    return unknown();
                 }
                 Some(_) => {}
             }
@@ -907,6 +914,12 @@ mod tests {
         }
     }
 
+    /// What a refused claim returns: the wire's code, and the reason that tells the
+    /// refusals sharing a code apart.
+    fn refused(code: RejectCode, reason: &str) -> Option<(RejectCode, String)> {
+        Some((code, reason.into()))
+    }
+
     /// Fetch the session's ledger through the raw conduit.
     fn ledger_of(conduit: &SessionConduit) -> LeakageLedger {
         let reply = conduit.call(0, &[frame::FETCH_LEDGER]).unwrap();
@@ -982,18 +995,21 @@ mod tests {
         let now = Instant::now();
         assert_eq!(
             server.resume(SessionId(9), 5, 6, 1, now).err(),
-            Some(ResumeError::StillConnected)
+            refused(RejectCode::SessionInUse, "session still connected")
         );
         // The connection "drops" (conduit kept alive to model a dying connection thread)
         // and the session is parked; only the current token takes it over, exactly once.
         assert!(conduit.park(now + Duration::from_secs(60)));
         assert_eq!(server.parked_sessions(), 1);
-        assert_eq!(server.resume(SessionId(9), 4, 6, 1, now).err(), Some(ResumeError::BadToken));
+        assert_eq!(
+            server.resume(SessionId(9), 4, 6, 1, now).err(),
+            refused(RejectCode::ResumeDenied, "resume token mismatch")
+        );
         let resumed = server.resume(SessionId(9), 5, 6, 1, now).expect("session is parked");
         assert_eq!(server.parked_sessions(), 0);
         assert_eq!(
             server.resume(SessionId(9), 5, 7, 1, now).err(),
-            Some(ResumeError::BadToken),
+            refused(RejectCode::ResumeDenied, "resume token mismatch"),
             "the token rotated with the resume"
         );
         // The reply path is whoever calls: the resumed conduit's caller gets the answer.
@@ -1002,11 +1018,17 @@ mod tests {
         // Both requests landed in the same engine: the ledger saw both signs.
         assert_eq!(ledger_of(&resumed).len(), 2, "the resumed slot kept its ledger");
 
-        assert_eq!(server.resume(SessionId(99), 5, 6, 0, now).err(), Some(ResumeError::Unknown));
+        assert_eq!(
+            server.resume(SessionId(99), 5, 6, 0, now).err(),
+            refused(RejectCode::ResumeDenied, "unknown or expired session")
+        );
         // In-process sessions (token 0) are never resumable, not even with token 0.
         let local = server.attach(SessionId(3), engine_for(&master, 22), 0).unwrap();
         assert!(local.park(now + Duration::from_secs(60)));
-        assert_eq!(server.resume(SessionId(3), 0, 1, 0, now).err(), Some(ResumeError::BadToken));
+        assert_eq!(
+            server.resume(SessionId(3), 0, 1, 0, now).err(),
+            refused(RejectCode::ResumeDenied, "resume token mismatch")
+        );
     }
 
     #[test]
@@ -1022,7 +1044,10 @@ mod tests {
 
         // Past its deadline a parked session is gone for a resume even before the sweep.
         let after = now + Duration::from_secs(2);
-        assert_eq!(server.resume(SessionId(1), 11, 99, 0, after).err(), Some(ResumeError::Unknown));
+        assert_eq!(
+            server.resume(SessionId(1), 11, 99, 0, after).err(),
+            refused(RejectCode::ResumeDenied, "unknown or expired session")
+        );
         assert_eq!(server.active_sessions(), 2);
         assert!(!soon.park(after), "an unseated session cannot be parked again");
         // The sweep reaps by deadline; the drain reaps every parked session; connected

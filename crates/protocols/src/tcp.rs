@@ -24,8 +24,9 @@
 //!    ([`TCP_PROTOCOL_VERSION`]), and either a *fresh* session (a proposed id, 0 = server
 //!    assigns, plus the [`EngineProvision`] that boots its S2 engine) or a *resume* of a
 //!    parked one (session id, last acknowledged sequence number, resume token).  The
-//!    server answers accept (negotiated id + a fresh resume token) or a typed reject.
-//!    A connection that stays silent for 5 s (`HELLO_TIMEOUT`) before it is seated is
+//!    server answers accept (negotiated id + a fresh resume token) or a typed reject, in
+//!    the vocabulary the pool's session table refuses in too (`RejectCode`).  A
+//!    connection that stays silent for 5 s (`HELLO_TIMEOUT`) before it is seated is
 //!    closed: until then it has earned neither a thread nor memory of S2's.
 //! 3. **Serve**: strict request/reply — the connection's own thread reads a frame, runs
 //!    it in the pool (under the session's lock and one compute permit, see
@@ -37,13 +38,15 @@
 //! # Fault tolerance
 //!
 //! A connection that dies *without* the DISCONNECT handshake (socket error, EOF,
-//! cross-session injection) does not destroy its session.  When
-//! [`TcpServerConfig::park_ttl`] is non-zero its thread *parks* it in the pool's session
+//! cross-session injection) does not destroy its session.  When the listener's park TTL
+//! ([`TcpCloudServer::park_ttl`]) is non-zero its thread *parks* it in the pool's session
 //! table — the one place session lifecycle, resume tokens and the admission cap live
 //! (see the diagram in [`crate::multiplex`]) — and a reconnecting client presents its
 //! resume token to take the session over exactly where it left off.  This module keeps
-//! only what is the socket's: which stream carries which session, so the server can
-//! sever one.
+//! only what is the socket's — whether it is draining, and which stream carries which
+//! session — behind one lock, under which a hello is admitted in one critical section
+//! (draining check, claim on the session table, registration of the stream): a drain or
+//! a shutdown either refuses a connection or finds its stream to sever.
 //!
 //! Exactly-once effects across a resume come from the pool's per-session last-reply
 //! cache: the client re-sends the one envelope it never saw answered, and if the
@@ -54,9 +57,10 @@
 //! On the client, [`RetryPolicy`] makes the recovery transparent: a retryable
 //! transport failure mid-exchange triggers reconnect → resume handshake → re-send of
 //! the unacknowledged envelope, under a bounded attempt/deadline budget with capped,
-//! jittered backoff.  [`FaultPlan`] injects exactly these failures (severed sockets,
-//! delayed replies) on a deterministic schedule, which is what the chaos soak harness
-//! drives.
+//! jittered backoff — all inside the socket pipe's exchange, below the sequence numbers,
+//! metering and echo check of [`EnvelopeTransport`].  [`FaultPlan`] injects exactly
+//! these failures (severed sockets, delayed replies) on a deterministic schedule, which
+//! is what the chaos soak harness drives.
 //!
 //! # Metering
 //!
@@ -90,7 +94,7 @@ use serde::{Deserialize, Serialize};
 use crate::engine::EngineProvision;
 use crate::error::{ProtocolError, Result};
 use crate::multiplex::{
-    AttachError, Envelope, MultiplexServer, ResumeError, SessionConduit, SessionId,
+    rejection_error, Envelope, MultiplexServer, RejectCode, Seating, SessionConduit, SessionId,
 };
 use crate::plock::PoisonFree;
 use crate::transport::{frame, EnvelopeTransport, Pipe, TransportKind};
@@ -109,6 +113,10 @@ const TCP_MAGIC: &str = "sectopk";
 /// batched exchanges while turning a corrupted length prefix into a clean transport
 /// error instead of an attempted multi-gigabyte allocation.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
+
+/// How long a session whose connection died dirty stays parked awaiting a resume, unless
+/// the listener was given another TTL ([`TcpCloudServer::serve_pool`]).
+pub const DEFAULT_PARK_TTL: Duration = Duration::from_secs(30);
 
 /// How long a connection that has not been seated yet may stay silent before the
 /// server closes it.  Cleared once the session is seated: a seated session
@@ -225,26 +233,6 @@ struct ResumeHello {
     resume_token: u64,
 }
 
-/// Why the server refused a `ClientHello`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-enum RejectCode {
-    /// Undecodable hello or wrong magic.
-    Malformed,
-    /// Client speaks a different [`TCP_PROTOCOL_VERSION`].
-    VersionMismatch,
-    /// The session table (active + parked) is at capacity.  Transient.
-    Full,
-    /// The server is draining: finishing in-flight sessions, accepting no claims.
-    /// Transient from the fleet's point of view (retry against a peer).
-    Draining,
-    /// Fresh hello proposing an id that is connected, or a resume racing a live
-    /// connection that never died.
-    SessionInUse,
-    /// Resume refused outright: unknown session, expired park TTL, token mismatch,
-    /// or another client already claimed it.
-    ResumeDenied,
-}
-
 /// The server's answer to a `ClientHello`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 enum ServerHello {
@@ -266,16 +254,6 @@ enum ServerHello {
         /// Human-readable refusal reason.
         reason: String,
     },
-}
-
-/// Map a server rejection onto the typed error taxonomy: capacity refusals are
-/// transient (retry), everything else is permanent.
-fn rejection_error(peer: SocketAddr, code: RejectCode, reason: &str) -> ProtocolError {
-    let message = format!("S2 at {peer} refused the connection: {reason}");
-    match code {
-        RejectCode::Full | RejectCode::Draining => ProtocolError::transport_overloaded(message),
-        _ => ProtocolError::transport_rejected(message),
-    }
 }
 
 // ====================================================================================
@@ -329,9 +307,9 @@ impl Default for RetryPolicy {
 /// exchanges and retransmits are not counted), so a seeded run injects exactly the
 /// same faults every time.
 ///
-/// Faults fire only on the **first** attempt of each logical frame — a retry of the
-/// same envelope is never re-faulted — which guarantees forward progress under any
-/// enabled [`RetryPolicy`].
+/// Faults fire only on the **first** attempt of each logical frame — the socket pipe's
+/// re-send of the same envelope is never re-faulted — which guarantees forward progress
+/// under any enabled [`RetryPolicy`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Every Nth logical frame: sever the connection *before* the request is written
@@ -376,11 +354,6 @@ impl FaultPlan {
         self.delay_every = every;
         self.delay = delay;
         self
-    }
-
-    /// Whether any fault is scheduled.
-    pub fn is_active(&self) -> bool {
-        self.drop_before_send_every > 0 || self.drop_after_send_every > 0 || self.delay_every > 0
     }
 }
 
@@ -502,12 +475,6 @@ impl TcpClientMetrics {
 /// backoff, run the handshake that provisions this session's S2 engine, and hand back
 /// the session's transport: envelopes travel length-prefix-framed over the socket, with
 /// opt-in transparent reconnect-resume-resend recovery (see the module docs).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "timeout machinery, not protocol state: starts the clock of the first exchange's \
-              retry deadline, which gates *when* I/O happens, never what bytes are produced \
-              (chaos-soak asserts byte-identity under faults)"
-)]
 pub fn connect(
     addr: impl ToSocketAddrs,
     provision: EngineProvision,
@@ -521,9 +488,9 @@ pub fn connect(
         return Err(ProtocolError::transport("S2 address resolved to nothing"));
     }
     let jitter_seed = shard_seed(provision.seed, JITTER_STREAM);
-    let stream = connect_with_retry(&addrs, jitter_seed)?;
+    // No registry is installed yet, so the first dial counts nowhere.
+    let stream = dial(&addrs, CONNECT_ATTEMPTS, jitter_seed, &Counter::default())?;
     let peer = stream.peer_addr().map_err(|e| ProtocolError::from_io("reading peer address", e))?;
-    configure_stream(&stream)?;
 
     let kind = HelloKind::Fresh { session: options.session.map_or(0, |s| s.0), provision };
     let (session, resume_token) = client_handshake(&stream, peer, kind)?;
@@ -535,35 +502,35 @@ pub fn connect(
         options,
         jitter_seed,
         resume_token,
+        acked: 0,
         frames: 0,
-        recoveries: 0,
-        started: Instant::now(),
+        faults_absorbed: 0,
         dead: false,
         client_metrics: TcpClientMetrics::default(),
     };
     Ok(EnvelopeTransport::new(SessionId(session), Box::new(pipe)))
 }
 
-fn connect_with_retry(addrs: &[SocketAddr], jitter_seed: u64) -> Result<TcpStream> {
+/// Dial S2: up to `attempts` rounds over `addrs`, sleeping out the connect backoff
+/// (jittered by `seed`) between rounds, and hand back the first connection made,
+/// configured.  Every dial counts in `dials`.
+fn dial(addrs: &[SocketAddr], attempts: u32, seed: u64, dials: &Counter) -> Result<TcpStream> {
     let mut last_error = String::new();
-    for attempt in 0..CONNECT_ATTEMPTS {
+    for attempt in 0..attempts {
         if attempt > 0 {
-            std::thread::sleep(backoff_delay(
-                CONNECT_BACKOFF,
-                CONNECT_BACKOFF_CAP,
-                attempt - 1,
-                jitter_seed,
-            ));
+            let delay = backoff_delay(CONNECT_BACKOFF, CONNECT_BACKOFF_CAP, attempt - 1, seed);
+            std::thread::sleep(delay);
         }
         for addr in addrs {
+            dials.incr();
             match TcpStream::connect(addr) {
-                Ok(stream) => return Ok(stream),
+                Ok(stream) => return configure_stream(&stream).map(|()| stream),
                 Err(e) => last_error = format!("{addr}: {e}"),
             }
         }
     }
     Err(ProtocolError::transport_io(format!(
-        "connecting to S2 failed after {CONNECT_ATTEMPTS} attempts: {last_error}"
+        "connecting to S2 failed after {attempts} attempts: {last_error}"
     )))
 }
 
@@ -588,8 +555,8 @@ fn client_handshake(stream: &TcpStream, peer: SocketAddr, kind: HelloKind) -> Re
     }
 }
 
-/// The socket [`Pipe`]: one TCP connection to a [`TcpCloudServer`], re-established by
-/// resuming the session when it drops.
+/// The socket [`Pipe`]: one TCP connection to a [`TcpCloudServer`], and the recovery of its
+/// session when it drops — reconnect, resume, re-send — under the [`RetryPolicy`].
 struct SocketPipe {
     stream: TcpStream,
     /// Resolved server addresses, kept for reconnects.
@@ -602,13 +569,13 @@ struct SocketPipe {
     jitter_seed: u64,
     /// Token to present when resuming; rotated by the server on every accept.
     resume_token: u64,
+    /// Highest protocol sequence number whose reply has been seen; a resume presents
+    /// it, so the server can prune its replay cache.
+    acked: u64,
     /// Logical protocol frames sent, driving the [`FaultPlan`] schedule.
     frames: u64,
-    /// Reconnect attempts spent on, and start of, the current logical exchange: the
-    /// [`RetryPolicy`] budget is per exchange, so repeated failures of one envelope
-    /// cannot retry forever.
-    recoveries: u32,
-    started: Instant,
+    /// See [`crate::Transport::faults_absorbed`].
+    faults_absorbed: u64,
     /// The socket is known dead (an I/O error, or we severed it), so teardown must not
     /// wait on it.
     dead: bool,
@@ -623,24 +590,73 @@ impl SocketPipe {
         ProtocolError::transport_io(format!("fault injection: connection severed {when}"))
     }
 
+    /// One send of `envelope` (`encoded`) and its reply; `nth`: its [`FaultPlan`] slot.
+    fn attempt(&mut self, envelope: &Envelope, encoded: &[u8], nth: u64) -> Result<Envelope> {
+        let faults = self.options.faults;
+        let due = |every: u64| nth != 0 && every > 0 && nth.is_multiple_of(every);
+        if due(faults.drop_before_send_every) {
+            return Err(self.sever("before send"));
+        }
+        write_frame(&self.stream, encoded).inspect_err(|_| self.dead = true)?;
+        if due(faults.drop_after_send_every) {
+            // The request left, the reply is lost: sever and fail without reading (on
+            // loopback the kernel may otherwise hand us the reply out of the severed
+            // socket's buffer, absorbing the fault).
+            return Err(self.sever("after send"));
+        }
+        if due(faults.delay_every) {
+            std::thread::sleep(faults.delay);
+        }
+        loop {
+            let incoming = read_frame(&self.stream).inspect_err(|_| self.dead = true)?;
+            let reply = Envelope::decode(&incoming)?;
+            // A stream can still hold the late reply to an exchange the caller gave up
+            // on (a read that timed out): skip it, ours is behind it.
+            if reply.session.0 != self.session || reply.seq >= envelope.seq {
+                return Ok(reply);
+            }
+        }
+    }
+
+    /// After the retryable failure `trigger` of the exchange begun at `started`, burn through
+    /// its retry budget (`spent` reconnects so far) until one reconnect-resume succeeds.
+    fn recover(&mut self, started: Instant, spent: &mut u32, trigger: ProtocolError) -> Result<()> {
+        let policy = self.options.retry;
+        if !policy.is_enabled() {
+            return Err(trigger);
+        }
+        let mut last = trigger;
+        while *spent < policy.attempts {
+            if !policy.deadline.is_zero() && started.elapsed() >= policy.deadline {
+                return Err(ProtocolError::transport_exhausted(format!(
+                    "retry deadline of {:?} exceeded after {spent} reconnect attempts; last error: {last}",
+                    policy.deadline
+                )));
+            }
+            self.back_off(*spent);
+            *spent += 1;
+            match self.resume_once() {
+                Ok(()) => {
+                    self.client_metrics.reconnects.incr();
+                    return Ok(());
+                }
+                Err(e) if e.is_retryable() => last = e,
+                Err(e) => return Err(e),
+            }
+        }
+        Err(ProtocolError::transport_exhausted(format!(
+            "gave up after {} reconnect attempts; last error: {last}",
+            policy.attempts
+        )))
+    }
+
     /// One reconnect attempt (no inner retry — the [`RetryPolicy`] is the budget): dial,
     /// resume-handshake the session, and on accept swap the live stream.
-    fn resume_once(&mut self, acked: u64) -> Result<()> {
-        let mut last_error = String::new();
-        let stream = 'dial: {
-            for addr in &self.addrs {
-                self.client_metrics.connect_attempts.incr();
-                match TcpStream::connect(addr) {
-                    Ok(stream) => break 'dial stream,
-                    Err(e) => last_error = format!("{addr}: {e}"),
-                }
-            }
-            return Err(ProtocolError::transport_io(format!("reconnecting to S2: {last_error}")));
-        };
-        configure_stream(&stream)?;
+    fn resume_once(&mut self) -> Result<()> {
+        let stream = dial(&self.addrs, 1, self.jitter_seed, &self.client_metrics.connect_attempts)?;
         let kind = HelloKind::Resume(ResumeHello {
             session: self.session,
-            last_acked_seq: acked,
+            last_acked_seq: self.acked,
             resume_token: self.resume_token,
         });
         let (session, resume_token) = client_handshake(&stream, self.peer, kind)?;
@@ -673,79 +689,40 @@ impl Pipe for SocketPipe {
 
     #[expect(
         clippy::disallowed_methods,
-        reason = "timeout machinery, not protocol state: restarts the retry-deadline clock per \
+        reason = "timeout machinery, not protocol state: starts the retry-deadline clock of a \
                   logical exchange; the deadline gates *when* a re-send happens, never what bytes \
                   are produced (chaos-soak asserts byte-identity under faults)"
     )]
-    fn exchange(&mut self, envelope: &Envelope, first_attempt: bool) -> Result<Envelope> {
+    fn exchange(&mut self, envelope: &Envelope) -> Result<Envelope> {
         let encoded = envelope.encode();
+        self.client_metrics.frame_bytes.observe(encoded.len() as u64);
         // Faults fire on a fixed schedule of *logical* protocol frames: control
-        // exchanges and retransmits are not counted, and a re-send is never re-faulted.
+        // exchanges and re-sends are not counted, and a re-send is never re-faulted.
         let mut nth = 0;
-        if first_attempt {
-            self.recoveries = 0;
-            self.started = Instant::now();
-            self.client_metrics.frame_bytes.observe(encoded.len() as u64);
-            if envelope.seq != 0 {
-                self.frames += 1;
-                nth = self.frames;
-            }
+        if envelope.seq != 0 {
+            self.frames += 1;
+            nth = self.frames;
         }
-        let faults = self.options.faults;
-        let due = |every: u64| nth != 0 && every > 0 && nth % every == 0;
-        if due(faults.drop_before_send_every) {
-            return Err(self.sever("before send"));
-        }
-        write_frame(&self.stream, &encoded).inspect_err(|_| self.dead = true)?;
-        if due(faults.drop_after_send_every) {
-            // The request left, the reply is lost: sever and fail without reading (on
-            // loopback the kernel may otherwise hand us the reply out of the severed
-            // socket's buffer, absorbing the fault).
-            return Err(self.sever("after send"));
-        }
-        if due(faults.delay_every) {
-            std::thread::sleep(faults.delay);
-        }
+        let (started, mut spent) = (Instant::now(), 0);
         loop {
-            let incoming = read_frame(&self.stream).inspect_err(|_| self.dead = true)?;
-            let reply = Envelope::decode(&incoming)?;
-            // A stream can still hold the late reply to an exchange the caller gave up
-            // on (a read that timed out): skip it, ours is behind it.
-            if reply.session.0 != self.session || reply.seq >= envelope.seq {
-                return Ok(reply);
+            match self.attempt(envelope, &encoded, nth) {
+                Ok(reply) => {
+                    if (reply.session.0, reply.seq) == (self.session, envelope.seq) {
+                        self.acked = self.acked.max(reply.seq);
+                    }
+                    return Ok(reply);
+                }
+                // Re-send the same envelope: the server's replay cache makes it idempotent.
+                Err(e) if e.is_retryable() => self.recover(started, &mut spent, e)?,
+                Err(e) => return Err(e),
             }
+            self.faults_absorbed += 1;
+            nth = 0;
         }
     }
 
-    /// Burn through the retry budget until one reconnect-resume succeeds.
-    fn recover(&mut self, acked: u64, trigger: ProtocolError) -> Result<()> {
-        let policy = self.options.retry;
-        if !policy.is_enabled() {
-            return Err(trigger);
-        }
-        let mut last = trigger;
-        while self.recoveries < policy.attempts {
-            if !policy.deadline.is_zero() && self.started.elapsed() >= policy.deadline {
-                return Err(ProtocolError::transport_exhausted(format!(
-                    "retry deadline of {:?} exceeded after {} reconnect attempts; last error: {last}",
-                    policy.deadline, self.recoveries
-                )));
-            }
-            self.back_off(self.recoveries);
-            self.recoveries += 1;
-            match self.resume_once(acked) {
-                Ok(()) => {
-                    self.client_metrics.reconnects.incr();
-                    return Ok(());
-                }
-                Err(e) if e.is_retryable() => last = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(ProtocolError::transport_exhausted(format!(
-            "gave up after {} reconnect attempts; last error: {last}",
-            policy.attempts
-        )))
+    fn faults_absorbed(&self) -> u64 {
+        self.faults_absorbed
     }
 
     fn disconnect(&mut self, envelope: &Envelope) {
@@ -764,32 +741,6 @@ impl Pipe for SocketPipe {
 // Server
 // ====================================================================================
 
-/// Fault-tolerance policy of a [`TcpCloudServer`].  (Admission — how many sessions may
-/// be held, connected or parked — is the pool's
-/// [`PoolLimits::max_sessions`](crate::multiplex::PoolLimits).)
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TcpServerConfig {
-    /// How long a session whose connection died dirty stays parked (engine, ledger
-    /// and replay cache intact) awaiting a resume before it is reaped.
-    /// `Duration::ZERO` disables parking entirely: a dirty exit reaps immediately,
-    /// the pre-resumption behaviour.
-    pub park_ttl: Duration,
-}
-
-impl Default for TcpServerConfig {
-    fn default() -> Self {
-        TcpServerConfig { park_ttl: Duration::from_secs(30) }
-    }
-}
-
-impl TcpServerConfig {
-    /// Set the park TTL (see [`TcpServerConfig::park_ttl`]).
-    pub fn with_park_ttl(mut self, ttl: Duration) -> Self {
-        self.park_ttl = ttl;
-        self
-    }
-}
-
 /// Mint a resume token.  `RandomState` is randomly seeded per process, so tokens are
 /// unguessable enough to stop accidental cross-client resumes — the real security
 /// boundary is the transport (TLS in production), not this token.
@@ -807,10 +758,19 @@ fn mint_token(nonce: u64) -> u64 {
     hasher.finish() | 1 // never 0, which the session table reads as "not resumable"
 }
 
+/// Every [`RejectCode`] with the name of its `tcp.server.rejects.{name}` counter.
+const REJECT_NAMES: [(RejectCode, &str); 6] = [
+    (RejectCode::Full, "full"),
+    (RejectCode::Draining, "draining"),
+    (RejectCode::Malformed, "malformed"),
+    (RejectCode::VersionMismatch, "version_mismatch"),
+    (RejectCode::SessionInUse, "session_in_use"),
+    (RejectCode::ResumeDenied, "resume_denied"),
+];
+
 /// Cached server-side metric handles (`tcp.server.*`), resolved from the
 /// pool's registry — see [`MultiplexServer::metrics_registry`].  All no-ops when the
 /// pool was built without one.
-#[derive(Clone, Debug, Default)]
 struct TcpServerMetrics {
     /// Handshakes accepted (fresh and resume) — `tcp.server.accepts`.
     accepts: Counter,
@@ -820,13 +780,8 @@ struct TcpServerMetrics {
     parked: Counter,
     /// Sessions reaped (TTL expiry, drain, dead socket) — `tcp.server.reaped`.
     reaped: Counter,
-    /// Rejected hellos by [`RejectCode`] — `tcp.server.rejects.{code}`.
-    reject_full: Counter,
-    reject_draining: Counter,
-    reject_malformed: Counter,
-    reject_version_mismatch: Counter,
-    reject_session_in_use: Counter,
-    reject_resume_denied: Counter,
+    /// Rejected hellos by code, one counter per entry of [`REJECT_NAMES`].
+    rejects: [(RejectCode, Counter); REJECT_NAMES.len()],
 }
 
 impl TcpServerMetrics {
@@ -836,23 +791,9 @@ impl TcpServerMetrics {
             resumed: registry.counter("tcp.server.resumed"),
             parked: registry.counter("tcp.server.parked"),
             reaped: registry.counter("tcp.server.reaped"),
-            reject_full: registry.counter("tcp.server.rejects.full"),
-            reject_draining: registry.counter("tcp.server.rejects.draining"),
-            reject_malformed: registry.counter("tcp.server.rejects.malformed"),
-            reject_version_mismatch: registry.counter("tcp.server.rejects.version_mismatch"),
-            reject_session_in_use: registry.counter("tcp.server.rejects.session_in_use"),
-            reject_resume_denied: registry.counter("tcp.server.rejects.resume_denied"),
-        }
-    }
-
-    fn reject(&self, code: RejectCode) -> &Counter {
-        match code {
-            RejectCode::Full => &self.reject_full,
-            RejectCode::Draining => &self.reject_draining,
-            RejectCode::Malformed => &self.reject_malformed,
-            RejectCode::VersionMismatch => &self.reject_version_mismatch,
-            RejectCode::SessionInUse => &self.reject_session_in_use,
-            RejectCode::ResumeDenied => &self.reject_resume_denied,
+            rejects: REJECT_NAMES.map(|(code, name)| {
+                (code, registry.counter(&format!("tcp.server.rejects.{name}")))
+            }),
         }
     }
 }
@@ -861,12 +802,11 @@ impl TcpServerMetrics {
 /// is *not* here: it lives in the pool's session table.
 struct Shared {
     pool: Arc<MultiplexServer>,
-    config: TcpServerConfig,
-    /// Session → the live connection's stream (a `try_clone`), so the server can sever
-    /// one session ([`TcpCloudServer::drop_session`]) or all of them on shutdown.
-    streams: Mutex<HashMap<SessionId, TcpStream>>,
-    /// Draining: reject every hello, finish in-flight work, park nothing.
-    draining: AtomicBool,
+    /// See [`TcpCloudServer::park_ttl`].
+    park_ttl: Duration,
+    /// Who is admitted, and on which stream.  Lock order: this lock, then the pool's
+    /// session table.
+    admission: Mutex<Admission>,
     /// Hard shutdown (server drop): stops the accept loop and the sweeper.
     shutdown: AtomicBool,
     /// Sessions successfully taken over by a resume handshake.
@@ -875,6 +815,16 @@ struct Shared {
     token_nonce: AtomicU64,
     /// Cached `tcp.server.*` metric handles (no-ops when the pool has no registry).
     metrics: TcpServerMetrics,
+}
+
+/// The listener's admission state, always accessed under [`Shared::admission`]'s lock.
+#[derive(Default)]
+struct Admission {
+    /// Draining: reject every hello, finish in-flight work, park nothing.
+    draining: bool,
+    /// Session → the live connection's stream, so the server can sever one session
+    /// ([`TcpCloudServer::drop_session`]) or all of them on shutdown.
+    streams: HashMap<SessionId, Arc<TcpStream>>,
 }
 
 impl Shared {
@@ -890,10 +840,34 @@ impl Shared {
         self.metrics.reaped.add(reaped as u64);
     }
 
+    /// Refuse every later hello and reap every parked session.
+    fn stop_admitting(&self) {
+        self.admission.plock().draining = true;
+        self.reap_parked(None);
+    }
+
     fn sever_all(&self) {
-        for stream in self.streams.plock().values() {
+        for stream in self.admission.plock().streams.values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
+    }
+
+    /// Admit the connection on `stream` unless the server is draining: `claim` seats its
+    /// session in the pool's table and the stream is registered against it, all in one
+    /// critical section — so [`TcpCloudServer::drain`] and shutdown either refuse a
+    /// connection or find its stream to sever.
+    fn admit(
+        &self,
+        stream: &Arc<TcpStream>,
+        claim: impl FnOnce(&MultiplexServer) -> Seating,
+    ) -> Seating {
+        let mut admission = self.admission.plock();
+        if admission.draining {
+            return Err((RejectCode::Draining, "server is draining".into()));
+        }
+        let conduit = claim(&self.pool)?;
+        admission.streams.insert(conduit.session(), Arc::clone(stream));
+        Ok(conduit)
     }
 }
 
@@ -923,15 +897,16 @@ impl fmt::Debug for TcpCloudServer {
 
 impl TcpCloudServer {
     /// Bind a listener at `addr` with its own S2 pool of `workers` compute permits and
-    /// default policy.  `"127.0.0.1:0"` binds an ephemeral loopback port (read it back
-    /// with [`Self::local_addr`]).
+    /// the [`DEFAULT_PARK_TTL`].  `"127.0.0.1:0"` binds an ephemeral loopback port (read
+    /// it back with [`Self::local_addr`]).
     pub fn bind(addr: impl ToSocketAddrs, workers: usize) -> std::io::Result<Self> {
-        Self::serve_pool(addr, Arc::new(MultiplexServer::new(workers)), TcpServerConfig::default())
+        Self::serve_pool(addr, Arc::new(MultiplexServer::new(workers)), DEFAULT_PARK_TTL)
     }
 
     /// Bind a listener at `addr` in front of an existing (possibly shared) pool — the
     /// path `QueryServer::listen` uses so networked and in-process sessions are served
-    /// from the same S2 compute budget.
+    /// from the same S2 compute budget.  A session whose connection dies dirty stays
+    /// parked for `park_ttl` awaiting a resume; `Duration::ZERO` reaps it at once.
     #[expect(
         clippy::expect_used,
         reason = "listener startup, before any connection is accepted: failing to spawn the accept \
@@ -941,7 +916,7 @@ impl TcpCloudServer {
     pub fn serve_pool(
         addr: impl ToSocketAddrs,
         pool: Arc<MultiplexServer>,
-        config: TcpServerConfig,
+        park_ttl: Duration,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -951,9 +926,8 @@ impl TcpCloudServer {
         let metrics = TcpServerMetrics::from_registry(pool.metrics_registry());
         let shared = Arc::new(Shared {
             pool,
-            config,
-            streams: Mutex::new(HashMap::new()),
-            draining: AtomicBool::new(false),
+            park_ttl,
+            admission: Mutex::default(),
             shutdown: AtomicBool::new(false),
             resumed: AtomicU64::new(0),
             token_nonce: AtomicU64::new(1),
@@ -969,7 +943,7 @@ impl TcpCloudServer {
                 .spawn(move || accept_loop(&listener, &shared, &connection_threads))
                 .expect("spawn accept thread")
         };
-        let sweeper_thread = if config.park_ttl.is_zero() {
+        let sweeper_thread = if park_ttl.is_zero() {
             None
         } else {
             let shared = Arc::clone(&shared);
@@ -999,14 +973,15 @@ impl TcpCloudServer {
         &self.shared.pool
     }
 
-    /// The policy this listener runs under.
-    pub fn config(&self) -> TcpServerConfig {
-        self.shared.config
+    /// How long a session whose connection died dirty stays parked (engine, ledger and
+    /// replay cache intact) awaiting a resume before it is reaped; zero: reaped at once.
+    pub fn park_ttl(&self) -> Duration {
+        self.shared.park_ttl
     }
 
     /// Number of currently connected TCP sessions.
     pub fn active_sessions(&self) -> usize {
-        self.shared.streams.plock().len()
+        self.shared.admission.plock().streams.len()
     }
 
     /// Number of sessions parked after a dirty disconnect, awaiting resume.
@@ -1021,15 +996,15 @@ impl TcpCloudServer {
 
     /// Whether the server is draining (rejecting every new hello).
     pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
+        self.shared.admission.plock().draining
     }
 
     /// Failure injection: sever the socket of `session` mid-flight, as a crashed
     /// client or cut link would.  The connection's thread observes the dead socket and
-    /// parks (or, with a zero [`TcpServerConfig::park_ttl`], reaps) the session;
-    /// clean neighbours are unaffected.  Returns whether the session was connected.
+    /// parks (or, with a zero [`Self::park_ttl`], reaps) the session; clean neighbours
+    /// are unaffected.  Returns whether the session was connected.
     pub fn drop_session(&self, session: SessionId) -> bool {
-        match self.shared.streams.plock().get(&session) {
+        match self.shared.admission.plock().streams.get(&session) {
             Some(stream) => {
                 let _ = stream.shutdown(Shutdown::Both);
                 true
@@ -1048,11 +1023,10 @@ impl TcpCloudServer {
                   connections may finish, never what bytes they produce"
     )]
     pub fn drain(&self, grace: Duration) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.reap_parked(None);
+        self.shared.stop_admitting();
         let started = Instant::now();
         while started.elapsed() < grace {
-            if self.shared.streams.plock().is_empty() {
+            if self.active_sessions() == 0 {
                 return;
             }
             std::thread::sleep(POLL_TICK);
@@ -1064,11 +1038,10 @@ impl TcpCloudServer {
 impl Drop for TcpCloudServer {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.draining.store(true, Ordering::SeqCst);
-        // Reap every parked session so the pool releases their engines, and sever
-        // every live connection; their threads observe the dead sockets and reap
-        // (draining is set, so nothing re-parks).
-        self.shared.reap_parked(None);
+        // Refuse every later hello, reap every parked session so the pool releases
+        // their engines, and sever every live connection; their threads observe the
+        // dead sockets and reap (draining is set, so nothing re-parks).
+        self.shared.stop_admitting();
         self.shared.sever_all();
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
@@ -1139,14 +1112,15 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(HELLO_TIMEOUT)).is_err() {
         return;
     }
+    let stream = Arc::new(stream);
     let reject = |code: RejectCode, reason: &str| {
-        shared.metrics.reject(code).incr();
+        shared.metrics.rejects.iter().filter(|(c, _)| *c == code).for_each(|(_, n)| n.incr());
         let hello = ServerHello::Reject { code, reason: reason.into() };
-        let _ = write_frame(&stream, &wire::to_bytes(&hello));
+        let _ = write_frame(&*stream, &wire::to_bytes(&hello));
     };
 
     // --- Handshake -----------------------------------------------------------------
-    let Ok(hello_bytes) = read_frame(&stream) else { return };
+    let Ok(hello_bytes) = read_frame(&*stream) else { return };
     let Ok(hello) = wire::from_bytes::<ClientHello>(&hello_bytes) else {
         reject(RejectCode::Malformed, "undecodable hello");
         return;
@@ -1165,61 +1139,49 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         );
         return;
     }
-    if shared.draining.load(Ordering::SeqCst) {
-        reject(RejectCode::Draining, "server is draining");
-        return;
-    }
 
     // Every accept hands out a fresh resume token; the session table stores it in the
     // same critical section that seats (or un-parks) the session.
     let token = mint_token(shared.token_nonce.fetch_add(1, Ordering::Relaxed));
-    let conduit = match hello.kind {
+    let admitted = match hello.kind {
         // The engine's intra-query worker count is its share of the *server* machine's
         // cores among the pool's connected sessions, or SECTOPK_INTRA_PARALLEL in the
         // server process's environment (the provision wire format carries no worker
         // knob: worker count is a local resource decision, never protocol state).
         HelloKind::Fresh { session, provision } => {
-            match shared.pool.attach(SessionId(session), provision.build(), token) {
-                Ok(conduit) => conduit,
-                Err(AttachError::InUse) => {
-                    let reason = format!("session id {session} is already connected");
-                    return reject(RejectCode::SessionInUse, &reason);
-                }
-                Err(AttachError::Full) => return reject(RejectCode::Full, "server full"),
-            }
+            let engine = provision.build();
+            shared.admit(&stream, |pool| pool.attach(SessionId(session), engine, token))
         }
-        HelloKind::Resume(resume) => match admit_resume(shared, resume, token) {
-            Ok(conduit) => conduit,
-            Err((code, reason)) => return reject(code, reason),
-        },
+        HelloKind::Resume(resume) => admit_resume(shared, &stream, resume, token),
     };
-    let session = conduit.session();
-
-    // Register the live stream before accepting, so drop_session / shutdown can
-    // always reach it.
-    let Ok(clone) = stream.try_clone() else { return shared.reap(&conduit) };
-    shared.streams.plock().insert(session, clone);
+    let conduit = match admitted {
+        Ok(conduit) => conduit,
+        Err((code, reason)) => return reject(code, &reason),
+    };
     let accept = ServerHello::Accept {
         version: TCP_PROTOCOL_VERSION,
-        session: session.0,
+        session: conduit.session().0,
         resume_token: token,
     };
+    let mut seated = Seated { stream: &stream, shared, conduit, unseated: false };
     // Seated: from here on the connection may idle between queries for as long as it
     // likes.
     if stream.set_read_timeout(None).is_err()
-        || write_frame(&stream, &wire::to_bytes(&accept)).is_err()
+        || write_frame(&*stream, &wire::to_bytes(&accept)).is_err()
     {
-        shared.streams.plock().remove(&session);
-        return shared.reap(&conduit);
+        // The client never learned its resume token: nothing to park for.
+        shared.reap(&seated.conduit);
+        seated.unseated = true;
+        return;
     }
     shared.metrics.accepts.incr();
 
-    serve_session(Seated { stream: &stream, shared, conduit, clean_exit: false });
+    serve_session(seated);
 }
 
 /// Admit a resume hello: the session table checks the token and claims the parked
 /// session in one step; all that is left here is to wait (briefly) for the dropped
-/// connection's thread to park it.
+/// connection's thread to park it, retaking the admission lock on every attempt.
 #[expect(
     clippy::disallowed_methods,
     reason = "timeout machinery, not protocol state: the resume grace waits out the dropped \
@@ -1228,36 +1190,28 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
 )]
 fn admit_resume(
     shared: &Shared,
+    stream: &Arc<TcpStream>,
     resume: ResumeHello,
     token: u64,
-) -> std::result::Result<SessionConduit, (RejectCode, &'static str)> {
+) -> Seating {
+    let ResumeHello { session, last_acked_seq, resume_token } = resume;
     let started = Instant::now();
-    let claim = loop {
-        let claim = shared.pool.resume(
-            SessionId(resume.session),
-            resume.resume_token,
-            token,
-            resume.last_acked_seq,
-            Instant::now(),
-        );
-        let connected = matches!(claim, Err(ResumeError::StillConnected));
-        if !connected || started.elapsed() >= RESUME_GRACE {
-            break claim;
-        }
-        // The old connection's thread is still on its way out (or genuinely alive):
-        // give it a tick.
-        std::thread::sleep(POLL_TICK);
-    };
-    match claim {
-        Ok(conduit) => {
-            shared.resumed.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.resumed.incr();
-            Ok(conduit)
-        }
-        Err(ResumeError::Unknown) => Err((RejectCode::ResumeDenied, "unknown or expired session")),
-        Err(ResumeError::BadToken) => Err((RejectCode::ResumeDenied, "resume token mismatch")),
-        Err(ResumeError::StillConnected) => {
-            Err((RejectCode::SessionInUse, "session is still connected"))
+    loop {
+        let claim = shared.admit(stream, |pool| {
+            pool.resume(SessionId(session), resume_token, token, last_acked_seq, Instant::now())
+        });
+        match claim {
+            // The old connection's thread is still on its way out (or genuinely alive):
+            // give it a tick.
+            Err((RejectCode::SessionInUse, _)) if started.elapsed() < RESUME_GRACE => {
+                std::thread::sleep(POLL_TICK);
+            }
+            Ok(conduit) => {
+                shared.resumed.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.resumed.incr();
+                return Ok(conduit);
+            }
+            refused => return refused,
         }
     }
 }
@@ -1266,8 +1220,8 @@ fn admit_resume(
 /// the pool, write the reply — strict request/reply, so a stalled socket back-pressures
 /// right here instead of buffering.
 fn serve_session(mut seated: Seated<'_>) {
-    let session = seated.conduit.session();
-    while let Ok(incoming) = read_frame(seated.stream) {
+    let (session, stream): (_, &TcpStream) = (seated.conduit.session(), seated.stream);
+    while let Ok(incoming) = read_frame(stream) {
         let Ok(envelope) = Envelope::decode(&incoming) else { break };
         if envelope.session != session {
             // Cross-session injection: a connection may only speak for the session it
@@ -1278,13 +1232,13 @@ fn serve_session(mut seated: Seated<'_>) {
             // Nothing of this session is running, so unseating it here is ordered
             // after all its work; the ack tells the client its id is free again.
             seated.conduit.close(true);
-            seated.clean_exit = true;
+            seated.unseated = true;
             let ack = Envelope { session, seq: envelope.seq, frame: vec![frame::DISCONNECT_DONE] };
-            let _ = write_frame(seated.stream, &ack.encode());
+            let _ = write_frame(stream, &ack.encode());
             break;
         }
         let Ok(reply) = seated.conduit.call(envelope.seq, &envelope.frame) else { break };
-        if write_frame(seated.stream, &reply.encode()).is_err() {
+        if write_frame(stream, &reply.encode()).is_err() {
             break;
         }
     }
@@ -1292,13 +1246,13 @@ fn serve_session(mut seated: Seated<'_>) {
 
 /// What the end of a seated connection owes the server.  A guard, so the debt is paid
 /// even when a request unwinds the connection's thread: the socket closes (the client
-/// sees it and resumes) instead of staying open behind its registered clone.
+/// sees it and resumes) instead of staying open behind its registered handle.
 struct Seated<'a> {
-    stream: &'a TcpStream,
+    stream: &'a Arc<TcpStream>,
     shared: &'a Shared,
     conduit: SessionConduit,
-    /// The client said DISCONNECT and the session is already unseated.
-    clean_exit: bool,
+    /// Already unseated: the client said DISCONNECT, or never got its accept.
+    unseated: bool,
 }
 
 impl Drop for Seated<'_> {
@@ -1308,23 +1262,27 @@ impl Drop for Seated<'_> {
                   session (now + TTL), which decides when it is reaped, never what it computes"
     )]
     fn drop(&mut self) {
-        let Seated { stream, shared, conduit, clean_exit } = self;
-        shared.streams.plock().remove(&conduit.session());
-        if !*clean_exit {
-            // Dirty exit.  With parking enabled (and no drain under way) the session
+        let Seated { stream, shared, conduit, unseated } = self;
+        let mut admission = shared.admission.plock();
+        // This connection's entry only: after a DISCONNECT its id may already carry a
+        // new connection.
+        admission.streams.retain(|_, live| !Arc::ptr_eq(live, stream));
+        if !*unseated {
+            // Dirty exit.  With parking enabled and no drain under way the session
             // stays seated — engine, ledger, replay cache, resume token — until a
             // resume claims it or the TTL expires; otherwise it is reaped so the id
-            // frees up and the pool drops the engine with it.
-            let ttl = shared.config.park_ttl;
-            let park = !ttl.is_zero() && !shared.draining.load(Ordering::SeqCst);
+            // frees up and the pool drops the engine with it.  Decided under the
+            // admission lock, so a drain never misses a session parked behind its back.
+            let ttl = shared.park_ttl;
             let now = Instant::now();
             let deadline = now.checked_add(ttl).unwrap_or(now + Duration::from_secs(1 << 30));
-            if park && conduit.park(deadline) {
+            if !ttl.is_zero() && !admission.draining && conduit.park(deadline) {
                 shared.metrics.parked.incr();
             } else {
                 shared.reap(conduit);
             }
         }
+        drop(admission);
         let _ = stream.shutdown(Shutdown::Both);
     }
 }
@@ -1332,6 +1290,7 @@ impl Drop for Seated<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::{ChannelMetrics, Direction};
     use crate::error::TransportErrorKind;
     use crate::ledger::LeakageLedger;
     use crate::multiplex::{LinkProfile, PoolLimits, ASSIGNED_SESSION_BASE};
@@ -1362,14 +1321,14 @@ mod tests {
     }
 
     /// A listener whose pool holds at most `max_sessions` sessions.
-    fn capped_server(max_sessions: usize, config: TcpServerConfig) -> TcpCloudServer {
+    fn capped_server(max_sessions: usize, park_ttl: Duration) -> TcpCloudServer {
         let pool = Arc::new(MultiplexServer::with_limits(2, PoolLimits { max_sessions }));
-        TcpCloudServer::serve_pool("127.0.0.1:0", pool, config).unwrap()
+        TcpCloudServer::serve_pool("127.0.0.1:0", pool, park_ttl).unwrap()
     }
 
-    /// A config whose dirty exits reap immediately (the pre-resumption behaviour).
-    fn no_parking() -> TcpServerConfig {
-        TcpServerConfig::default().with_park_ttl(Duration::ZERO)
+    /// A park TTL whose dirty exits reap immediately (the pre-resumption behaviour).
+    fn no_parking() -> Duration {
+        Duration::ZERO
     }
 
     /// A retry policy tuned for loopback tests: fast, bounded, deterministic.
@@ -1545,7 +1504,7 @@ mod tests {
     #[test]
     fn admission_control_rejects_when_full_with_a_retryable_overload() {
         let master = master(45);
-        let server = capped_server(1, TcpServerConfig::default());
+        let server = capped_server(1, DEFAULT_PARK_TTL);
         let _first =
             connect(server.local_addr(), provision_for(&master, 1), TcpOptions::default()).unwrap();
         let err = connect(server.local_addr(), provision_for(&master, 2), TcpOptions::default())
@@ -1680,8 +1639,7 @@ mod tests {
         let registry = MetricsRegistry::enabled();
         let pool = MultiplexServer::with_limits_and_metrics(1, PoolLimits::default(), registry);
         let server =
-            TcpCloudServer::serve_pool("127.0.0.1:0", Arc::new(pool), TcpServerConfig::default())
-                .unwrap();
+            TcpCloudServer::serve_pool("127.0.0.1:0", Arc::new(pool), DEFAULT_PARK_TTL).unwrap();
         // One connection says nothing at all; one claims the largest frame there is and
         // stalls a few bytes into it.
         let silent = TcpStream::connect(server.local_addr()).unwrap();
@@ -2032,7 +1990,7 @@ mod tests {
         let server = TcpCloudServer::serve_pool(
             "127.0.0.1:0",
             Arc::new(MultiplexServer::new(1)),
-            TcpServerConfig::default().with_park_ttl(Duration::from_millis(50)),
+            Duration::from_millis(50),
         )
         .unwrap();
         let (stream, session, token) =
@@ -2077,5 +2035,195 @@ mod tests {
         server.drain(Duration::from_millis(200));
         assert_eq!(server.parked_sessions(), 0);
         wait_for(|| server.pool().active_sessions() == 0);
+    }
+
+    #[test]
+    fn a_lost_reply_is_recovered_by_resending_the_same_envelope_unmetered() {
+        // A scripted S2 behind a real socket: it reads the first send of exchange 1,
+        // whose reply the client's fault plan loses, then takes the resume and answers
+        // the re-send.
+        const SESSION: SessionId = SessionId(7);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let response = S2Response::Signs(vec![1]);
+        let reply =
+            Envelope { session: SESSION, seq: 1, frame: framed(frame::RESPONSE, &response) };
+        let s2 = std::thread::spawn(move || {
+            let handshake = |resume_token: u64| {
+                let (stream, _) = listener.accept().unwrap();
+                let hello: ClientHello = wire::from_bytes(&read_frame(&stream).unwrap()).unwrap();
+                let accept = ServerHello::Accept {
+                    version: TCP_PROTOCOL_VERSION,
+                    session: SESSION.0,
+                    resume_token,
+                };
+                write_frame(&stream, &wire::to_bytes(&accept)).unwrap();
+                (stream, hello.kind)
+            };
+            let (first, _) = handshake(1);
+            let sent = read_frame(&first).unwrap();
+            let (second, resume) = handshake(2);
+            let resent = read_frame(&second).unwrap();
+            write_frame(&second, &reply.encode()).unwrap();
+            (sent, resent, resume)
+        });
+        let master = master(66);
+        let faults = FaultPlan::none().with_drop_after_send_every(1);
+        let options = TcpOptions::default().with_retry(test_retry()).with_faults(faults);
+        let mut transport = connect(addr, provision_for(&master, 1), options).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        let request = compare_request(&master, 1, &mut rng);
+        let mut one_round = ChannelMetrics::new();
+        one_round.record(Direction::S1ToS2, wire::encoded_len(&request), 1);
+        one_round.record(Direction::S2ToS1, wire::encoded_len(&response), 0);
+        assert_eq!(transport.round_trip(request).unwrap(), response);
+        assert_eq!(transport.faults_absorbed(), 1);
+        assert_eq!(transport.metrics(), one_round, "a re-send must not be re-metered");
+        let (sent, resent, resume) = s2.join().unwrap();
+        assert_eq!(sent, resent, "the re-send is the very same envelope");
+        assert!(
+            matches!(
+                resume,
+                HelloKind::Resume(ResumeHello { session: 7, last_acked_seq: 0, resume_token: 1 })
+            ),
+            "unexpected resume claim {resume:?}"
+        );
+
+        // A pipe that may not re-establish its connection surfaces the failure, still
+        // retryable.
+        let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
+        let faults = FaultPlan::none().with_drop_before_send_every(1);
+        let options = TcpOptions::default().with_faults(faults);
+        let mut transport =
+            connect(server.local_addr(), provision_for(&master, 2), options).unwrap();
+        let err = transport.round_trip(compare_request(&master, 1, &mut rng)).unwrap_err();
+        assert!(err.is_retryable(), "unexpected error {err:?}");
+        assert_eq!(transport.faults_absorbed(), 0);
+    }
+
+    /// `message` encodes to `pinned`, and `pinned` decodes to what encodes to it again.
+    fn assert_pinned<T: Serialize + Deserialize>(message: &T, pinned: &[u8]) {
+        assert_eq!(wire::to_bytes(message), pinned);
+        assert_eq!(wire::to_bytes(&wire::from_bytes::<T>(pinned).unwrap()), pinned);
+    }
+
+    #[test]
+    fn hello_bytes_are_pinned() {
+        // The handshake as protocol version 2 peers put it on the wire.  A fresh hello
+        // is pinned around its provision, whose bytes are the engine's to define.
+        let provision = provision_for(&master(65), 65);
+        let kind = HelloKind::Fresh { session: 7, provision: provision.clone() };
+        let fresh = ClientHello { magic: TCP_MAGIC.into(), version: TCP_PROTOCOL_VERSION, kind };
+        let fresh_prefix: &[u8] = b"\x09\x03\x05magic\x06\x07sectopk\x07version\x03\x02\x04kind\
+            \x09\x01\x05Fresh\x09\x02\x07session\x03\x07\x09provision";
+        assert_pinned(&fresh, &[fresh_prefix, &wire::to_bytes(&provision)].concat());
+
+        let claim = ResumeHello { session: 7, last_acked_seq: 3, resume_token: 0x1234 };
+        let resume = ClientHello {
+            magic: TCP_MAGIC.into(),
+            version: TCP_PROTOCOL_VERSION,
+            kind: HelloKind::Resume(claim),
+        };
+        assert_pinned(
+            &resume,
+            b"\x09\x03\x05magic\x06\x07sectopk\x07version\x03\x02\x04kind\x09\x01\x06Resume\
+              \x08\x01\x09\x03\x07session\x03\x07\x0elast_acked_seq\x03\x03\
+              \x0cresume_token\x03\xb4\x24",
+        );
+        let accept =
+            ServerHello::Accept { version: TCP_PROTOCOL_VERSION, session: 7, resume_token: 0x1234 };
+        assert_pinned(
+            &accept,
+            b"\x09\x01\x06Accept\x09\x03\x07version\x03\x02\x07session\x03\x07\
+              \x0cresume_token\x03\xb4\x24",
+        );
+        let rejects: [(RejectCode, &[u8]); 6] = [
+            (RejectCode::Malformed, b"\x06\x09Malformed"),
+            (RejectCode::VersionMismatch, b"\x06\x0fVersionMismatch"),
+            (RejectCode::Full, b"\x06\x04Full"),
+            (RejectCode::Draining, b"\x06\x08Draining"),
+            (RejectCode::SessionInUse, b"\x06\x0cSessionInUse"),
+            (RejectCode::ResumeDenied, b"\x06\x0cResumeDenied"),
+        ];
+        for (code, name) in rejects {
+            let pinned = [b"\x09\x01\x06Reject\x09\x02\x04code", name, b"\x06reason\x06\x01r"];
+            assert_pinned(&ServerHello::Reject { code, reason: "r".into() }, &pinned.concat());
+        }
+    }
+
+    /// Run `f` on a thread of its own and fail unless it returns within 5 s (a thread
+    /// that hangs is left behind; one that panics passes its panic on).
+    fn within_five_seconds(what: &str, f: impl FnOnce() + Send + 'static) {
+        let (done, returned) = std::sync::mpsc::channel();
+        let running = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        let waited = returned.recv_timeout(Duration::from_secs(5));
+        let hung = matches!(waited, Err(std::sync::mpsc::RecvTimeoutError::Timeout));
+        assert!(!hung, "{what} did not return within 5 s");
+        running.join().unwrap();
+    }
+
+    /// A listener and a dozen raw clients, each with a connection thread of its own,
+    /// that send a fresh hello all at once and say nothing more: the listener is stopped
+    /// while their hellos are being admitted.
+    fn silent_clients(base: &EngineProvision) -> (TcpCloudServer, Vec<TcpStream>) {
+        const CLIENTS: u64 = 12;
+        let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
+        let clients: Vec<TcpStream> =
+            (0..CLIENTS).map(|_| TcpStream::connect(server.local_addr()).unwrap()).collect();
+        wait_for(|| server.connection_threads.plock().len() == CLIENTS as usize);
+        for (stream, seed) in clients.iter().zip(0..) {
+            let provision = EngineProvision { seed, ..base.clone() };
+            let kind = HelloKind::Fresh { session: 0, provision };
+            let hello =
+                ClientHello { magic: TCP_MAGIC.into(), version: TCP_PROTOCOL_VERSION, kind };
+            write_frame(stream, &wire::to_bytes(&hello)).unwrap();
+        }
+        (server, clients)
+    }
+
+    /// A silent client must end refused for draining or hung up on (after an accept or
+    /// before one) — never left connected, and never reset.
+    fn assert_refused_for_draining_or_hung_up(mut client: TcpStream) {
+        client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut received = Vec::new();
+        client.read_to_end(&mut received).expect("the server must hang up");
+        let mut frames = &received[..];
+        while !frames.is_empty() {
+            match wire::from_bytes::<ServerHello>(&read_frame(&mut frames).unwrap()).unwrap() {
+                ServerHello::Accept { .. } => {}
+                ServerHello::Reject { code, reason } => {
+                    assert_eq!(code, RejectCode::Draining, "unexpected refusal: {reason}");
+                }
+            }
+        }
+    }
+
+    /// Rounds of each race test: the window a stop can hit is microseconds wide.
+    const RACE_ROUNDS: u64 = 10;
+
+    #[test]
+    fn dropping_a_listener_mid_admission_never_waits_on_a_silent_client() {
+        let base = provision_for(&master(63), 63);
+        for _ in 0..RACE_ROUNDS {
+            let (server, clients) = silent_clients(&base);
+            within_five_seconds("Drop", move || drop(server));
+            clients.into_iter().for_each(assert_refused_for_draining_or_hung_up);
+        }
+    }
+
+    #[test]
+    fn draining_a_listener_mid_admission_refuses_or_severs_every_client() {
+        let base = provision_for(&master(64), 64);
+        for _ in 0..RACE_ROUNDS {
+            let (server, clients) = silent_clients(&base);
+            let server = Arc::new(server);
+            let draining = Arc::clone(&server);
+            within_five_seconds("drain", move || draining.drain(Duration::ZERO));
+            clients.into_iter().for_each(assert_refused_for_draining_or_hung_up);
+            within_five_seconds("Drop", move || drop(server));
+        }
     }
 }

@@ -36,10 +36,11 @@
 //!   [`crate::multiplex::MultiplexServer`].  The client owns everything the link's two
 //!   ends agree on — sequence numbers, metering, echo verification, the unmetered
 //!   control plane and teardown — exactly once; what carries an envelope there and its
-//!   reply back is a `Pipe`, of which there are two: the pool's own conduit (a call on
-//!   the S1 thread beside a simulated-RTT sleeper, [`TransportKind::Multiplex`]) and a
-//!   socket (a `TcpStream` with reconnect-and-resume, [`TransportKind::Tcp`], see
-//!   [`crate::tcp`]).
+//!   reply back is a `Pipe` (exchange + teardown), of which there are two: the pool's
+//!   own conduit (a call on the S1 thread beside a simulated-RTT sleeper,
+//!   [`TransportKind::Multiplex`]) and a socket ([`TransportKind::Tcp`], see
+//!   [`crate::tcp`]).  Recovery is the socket pipe's alone, the only medium that can drop:
+//!   its exchange reconnects, resumes and re-sends the same envelope on its own.
 //!
 //! Both produce byte-identical protocol outputs, identical leakage ledgers and
 //! identical [`ChannelMetrics`] for the same seed, over either pipe (asserted by
@@ -84,7 +85,7 @@
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 
 use sectopk_metrics::Registry as MetricsRegistry;
@@ -558,7 +559,7 @@ fn payload_of(frame: &[u8], tag: u8) -> Result<&[u8]> {
 
 /// What carries an [`EnvelopeTransport`]'s envelopes to the S2 pool and back.  The
 /// client decides *what* crosses the link and checks what comes back; a pipe only
-/// moves envelopes, and knows how (and whether) its own medium can be re-established.
+/// moves envelopes, and a pipe whose medium can drop re-establishes it on its own.
 pub(crate) trait Pipe: Send {
     /// Which deployment this pipe realises.
     fn kind(&self) -> TransportKind;
@@ -568,15 +569,13 @@ pub(crate) trait Pipe: Send {
         LinkProfile::ideal()
     }
 
-    /// Ship one envelope and block for its reply.  `first_attempt` is `false` when the
-    /// client re-sends the envelope of an exchange that already failed once.
-    fn exchange(&mut self, envelope: &Envelope, first_attempt: bool) -> Result<Envelope>;
+    /// Ship one envelope and block for its reply.  A failure the pipe can recover from
+    /// (the socket pipe: reconnect, resume, re-send the same envelope) never surfaces.
+    fn exchange(&mut self, envelope: &Envelope) -> Result<Envelope>;
 
-    /// After `exchange` failed with the retryable `error`: re-establish the medium so
-    /// the client can re-send the same envelope, or hand back the error to surface.
-    /// `acked` is the highest sequence number whose reply the client has seen.
-    fn recover(&mut self, _acked: u64, error: ProtocolError) -> Result<()> {
-        Err(error)
+    /// See [`Transport::faults_absorbed`].
+    fn faults_absorbed(&self) -> u64 {
+        0
     }
 
     /// Orderly teardown: deliver the DISCONNECT `envelope` and wait until the session
@@ -597,12 +596,8 @@ pub struct EnvelopeTransport {
     /// Sequence number of the last protocol request (control traffic uses 0).
     seq: u64,
     /// `RefCell` because the control plane runs from `&self` ([`Transport::s2_ledger`])
-    /// through the same exchange path as requests, and recovery mutates the pipe.
+    /// through the same exchange path as requests, and an exchange mutates the pipe.
     pipe: RefCell<Box<dyn Pipe>>,
-    /// Highest protocol sequence number whose reply has been seen.
-    acked: Cell<u64>,
-    /// See [`Transport::faults_absorbed`].
-    faults_absorbed: Cell<u64>,
     metrics: ChannelMetrics,
 }
 
@@ -611,7 +606,7 @@ impl fmt::Debug for EnvelopeTransport {
         f.debug_struct("EnvelopeTransport")
             .field("kind", &self.kind())
             .field("session", &self.session)
-            .field("faults_absorbed", &self.faults_absorbed.get())
+            .field("faults_absorbed", &self.faults_absorbed())
             .field("metrics", &self.metrics)
             .finish()
     }
@@ -624,8 +619,6 @@ impl EnvelopeTransport {
             session,
             seq: 0,
             pipe: RefCell::new(pipe),
-            acked: Cell::new(0),
-            faults_absorbed: Cell::new(0),
             metrics: ChannelMetrics::new(),
         }
     }
@@ -636,34 +629,16 @@ impl EnvelopeTransport {
     }
 
     /// Ship `envelope` and block for its reply, verifying the envelope echo so a
-    /// response can never be attributed to the wrong session or request.  A retryable
-    /// pipe failure is handed to [`Pipe::recover`], after which the *same* envelope is
-    /// sent again (the server's replay cache makes the re-send idempotent).
+    /// response can never be attributed to the wrong session or request.
     fn exchange(&self, envelope: &Envelope) -> Result<Envelope> {
-        let mut pipe = self.pipe.borrow_mut();
-        let mut first_attempt = true;
-        loop {
-            match pipe.exchange(envelope, first_attempt) {
-                Ok(reply) if reply.session == self.session && reply.seq == envelope.seq => {
-                    if envelope.seq != 0 {
-                        self.acked.set(envelope.seq);
-                    }
-                    return Ok(reply);
-                }
-                Ok(reply) => {
-                    return Err(ProtocolError::transport(format!(
-                        "envelope echo mismatch: sent {}#{}, got {}#{}",
-                        self.session, envelope.seq, reply.session, reply.seq
-                    )));
-                }
-                Err(e) if e.is_retryable() => {
-                    pipe.recover(self.acked.get(), e)?;
-                    self.faults_absorbed.set(self.faults_absorbed.get() + 1);
-                    first_attempt = false;
-                }
-                Err(e) => return Err(e),
-            }
+        let reply = self.pipe.borrow_mut().exchange(envelope)?;
+        if reply.session == self.session && reply.seq == envelope.seq {
+            return Ok(reply);
         }
+        Err(ProtocolError::transport(format!(
+            "envelope echo mismatch: sent {}#{}, got {}#{}",
+            self.session, envelope.seq, reply.session, reply.seq
+        )))
     }
 
     /// One unmetered control-plane exchange (ledger fetch / reset) under the reserved
@@ -679,8 +654,8 @@ impl Transport for EnvelopeTransport {
         let frame = framed(frame::REQUEST, &request);
         // Metered size = wire payload only; the tag byte, the envelope header and any
         // framing the pipe adds are not the message, which keeps metrics identical to
-        // the in-process oracle.  Metered once per *logical* exchange: a re-send after
-        // a recovered fault is a retransmit, not new protocol traffic.
+        // the in-process oracle.  Metered once per *logical* exchange: a pipe's re-send
+        // after a recovered fault is a retransmit, not new protocol traffic.
         self.metrics.record(Direction::S1ToS2, frame.len() - 1, request.ciphertext_count());
         self.seq += 1;
         let reply = self.exchange(&Envelope { session: self.session, seq: self.seq, frame })?;
@@ -734,7 +709,7 @@ impl Transport for EnvelopeTransport {
     }
 
     fn faults_absorbed(&self) -> u64 {
-        self.faults_absorbed.get()
+        self.pipe.borrow().faults_absorbed()
     }
 
     fn set_metrics_registry(&mut self, registry: &MetricsRegistry) {
@@ -818,11 +793,8 @@ mod tests {
     struct Script {
         /// What the next `exchange` yields: a reply envelope, or a failure of the link.
         replies: VecDeque<Result<Envelope>>,
-        /// Every envelope the client sent, with its `first_attempt` flag.
-        sent: Vec<(Envelope, bool)>,
-        /// Whether `recover` re-establishes the link, and how often it was asked to.
-        recoverable: bool,
-        recoveries: u32,
+        /// Every envelope the client sent.
+        sent: Vec<Envelope>,
         /// The teardown envelope, once the client is dropped.
         bye: Option<Envelope>,
     }
@@ -835,20 +807,11 @@ mod tests {
         fn kind(&self) -> TransportKind {
             TransportKind::Multiplex
         }
-        fn exchange(&mut self, envelope: &Envelope, first_attempt: bool) -> Result<Envelope> {
+        fn exchange(&mut self, envelope: &Envelope) -> Result<Envelope> {
             let mut script = self.0.lock().unwrap();
-            script.sent.push((envelope.clone(), first_attempt));
+            script.sent.push(envelope.clone());
             let next = script.replies.pop_front();
             next.unwrap_or_else(|| Err(ProtocolError::transport("script exhausted")))
-        }
-        fn recover(&mut self, _acked: u64, error: ProtocolError) -> Result<()> {
-            let mut script = self.0.lock().unwrap();
-            script.recoveries += 1;
-            if script.recoverable {
-                Ok(())
-            } else {
-                Err(error)
-            }
         }
         fn disconnect(&mut self, envelope: &Envelope) {
             self.0.lock().unwrap().bye = Some(envelope.clone());
@@ -877,24 +840,13 @@ mod tests {
         S2Response::Signs(Vec::new())
     }
 
-    /// What one undisturbed `request()` / `answer()` exchange meters.
-    fn one_clean_round() -> ChannelMetrics {
-        let (mut clean, _) =
-            scripted(Script { replies: [reply(1, &answer())].into(), ..Default::default() });
-        clean.round_trip(request()).unwrap();
-        clean.metrics()
-    }
-
     #[test]
     fn replies_must_echo_the_session_and_sequence_number() {
         // A reply for another session, and a reply from the future, are both
         // permanent errors — never attributed to the request in flight.
         for wrong in [reply_from(SessionId(8), 1, &answer()), reply(2, &answer())] {
-            let (mut transport, _) = scripted(Script {
-                replies: [wrong].into(),
-                recoverable: true,
-                ..Default::default()
-            });
+            let (mut transport, _) =
+                scripted(Script { replies: [wrong].into(), ..Default::default() });
             let err = transport.round_trip(request()).unwrap_err();
             assert!(
                 matches!(&err, ProtocolError::Transport(e) if e.message.contains("echo mismatch")),
@@ -906,37 +858,6 @@ mod tests {
         let stray = Ok(Envelope { session: SESSION, seq: 1, frame: vec![frame::RESET_DONE] });
         let (mut transport, _) = scripted(Script { replies: [stray].into(), ..Default::default() });
         assert!(transport.round_trip(request()).is_err());
-    }
-
-    #[test]
-    fn a_lost_reply_is_recovered_by_resending_the_same_envelope_unmetered() {
-        let (mut transport, script) = scripted(Script {
-            replies: [Err(ProtocolError::transport_io("connection reset")), reply(1, &answer())]
-                .into(),
-            recoverable: true,
-            ..Default::default()
-        });
-        assert_eq!(transport.round_trip(request()).unwrap(), answer());
-        assert_eq!(transport.faults_absorbed(), 1);
-        assert_eq!(transport.metrics(), one_clean_round(), "a re-send must not be re-metered");
-        {
-            let script = script.lock().unwrap();
-            assert_eq!(script.recoveries, 1);
-            let [(first, true), (again, false)] = &script.sent[..] else {
-                panic!("expected one send and one re-send, got {:?}", script.sent);
-            };
-            assert_eq!(first, again, "the re-send is the very same envelope");
-        }
-
-        // A pipe that cannot be re-established surfaces the failure, still retryable.
-        let (mut transport, script) = scripted(Script {
-            replies: [Err(ProtocolError::transport_io("connection reset"))].into(),
-            ..Default::default()
-        });
-        let err = transport.round_trip(request()).unwrap_err();
-        assert!(err.is_retryable(), "unexpected error {err:?}");
-        assert_eq!(script.lock().unwrap().recoveries, 1);
-        assert_eq!(transport.faults_absorbed(), 0);
     }
 
     #[test]
@@ -957,7 +878,7 @@ mod tests {
         drop(transport);
         let script = script.lock().unwrap();
         assert_eq!(
-            script.sent[1].0,
+            script.sent[1],
             Envelope { session: SESSION, seq: 0, frame: vec![frame::FETCH_LEDGER] }
         );
         assert_eq!(

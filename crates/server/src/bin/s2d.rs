@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sectopk_metrics::Registry;
-use sectopk_protocols::{MultiplexServer, PoolLimits, TcpCloudServer, TcpServerConfig};
+use sectopk_protocols::{MultiplexServer, PoolLimits, TcpCloudServer, DEFAULT_PARK_TTL};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -61,7 +61,7 @@ fn main() -> ExitCode {
     let mut listen = String::from("127.0.0.1:7171");
     let mut workers = 4usize;
     let mut max_sessions = 1024usize;
-    let mut park_ttl = 30u64;
+    let mut park_ttl = DEFAULT_PARK_TTL.as_secs();
     let mut drain_on_stdin = false;
     let mut drain_grace = 5u64;
     let mut metrics_period = 0u64;
@@ -102,7 +102,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let config = TcpServerConfig::default().with_park_ttl(Duration::from_secs(park_ttl));
     let registry = if metrics_period > 0 { Registry::enabled() } else { Registry::disabled() };
     let pool = Arc::new(MultiplexServer::with_limits_and_metrics(
         workers,
@@ -124,7 +123,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let server = match TcpCloudServer::serve_pool(&listen, pool, config) {
+    let server = match TcpCloudServer::serve_pool(&listen, pool, Duration::from_secs(park_ttl)) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("sectopk-s2d: binding {listen}: {e}");

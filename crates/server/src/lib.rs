@@ -69,21 +69,13 @@ use sectopk_core::{
 use sectopk_crypto::keys::MasterKeys;
 use sectopk_crypto::pool::shard_seed;
 use sectopk_datasets::QueryWorkload;
-use sectopk_metrics::{Counter, Histogram, MetricsSnapshot, Registry};
+use sectopk_metrics::{MetricsSnapshot, Registry};
 use sectopk_protocols::context::require_batching;
 use sectopk_protocols::{
     ChannelMetrics, FaultPlan, LeakageLedger, LinkProfile, MultiplexServer, PoolLimits,
-    ProtocolError, RetryPolicy, SessionId, TcpCloudServer, TcpOptions, TcpServerConfig, TwoClouds,
+    ProtocolError, RetryPolicy, SessionId, TcpCloudServer, TcpOptions, TwoClouds, DEFAULT_PARK_TTL,
 };
 use sectopk_storage::{EncryptedRelation, TopKQuery};
-
-/// How many ready nonces of each kind the between-queries idle refill tops a session's
-/// S1 pools up to.  Sized for the opening rounds of a typical query (fresh zeros,
-/// selection constants, `E2(t)` re-encryptions) without making the idle gap itself a
-/// bottleneck.
-const IDLE_REFILL_PAILLIER_NONCES: usize = 16;
-const IDLE_REFILL_DJ_NONCES: usize = 8;
-const IDLE_REFILL_OWN_NONCES: usize = 8;
 
 /// Shape of one serving run: how many concurrent sessions and how each query executes.
 /// (The S2 compute budget is a property of the [`QueryServer`] itself, set at
@@ -264,28 +256,12 @@ pub struct QueryClient {
     failures: Vec<QueryFailure>,
     submitted: usize,
     registry: Registry,
-    idle_refills: Counter,
-    idle_refill_nanos: Histogram,
 }
 
 impl QueryClient {
     /// The session this client speaks for.
     pub fn session(&self) -> SessionId {
         self.session
-    }
-
-    /// Top this session's S1 nonce pools back up while no query is in flight.  Called
-    /// by the serving loop between queries; harmless to call at any time (pool streams
-    /// are position-deterministic, so eager refilling never changes protocol bytes).
-    pub fn idle_refill(&mut self) {
-        let timer = self.idle_refill_nanos.start();
-        self.inner.clouds_mut().idle_refill(
-            IDLE_REFILL_PAILLIER_NONCES,
-            IDLE_REFILL_DJ_NONCES,
-            IDLE_REFILL_OWN_NONCES,
-        );
-        self.idle_refill_nanos.stop(timer);
-        self.idle_refills.incr();
     }
 
     /// Close the session and build its report: metrics, both ledgers and the failure
@@ -408,9 +384,9 @@ impl QueryServer {
     /// ([`Self::open_session`]) are served by the *same* pool, so mixing them
     /// is safe and their ledgers stay per session.
     pub fn listen(&self, addr: &str) -> Result<TcpCloudServer> {
-        TcpCloudServer::serve_pool(addr, Arc::clone(&self.s2), TcpServerConfig::default()).map_err(
-            |e| ProtocolError::transport(format!("binding S2 listener at {addr}: {e}")).into(),
-        )
+        TcpCloudServer::serve_pool(addr, Arc::clone(&self.s2), DEFAULT_PARK_TTL).map_err(|e| {
+            ProtocolError::transport(format!("binding S2 listener at {addr}: {e}")).into()
+        })
     }
 
     /// The encrypted relation being served.
@@ -502,8 +478,6 @@ impl QueryServer {
             failures: Vec::new(),
             submitted: 0,
             registry: self.metrics.clone(),
-            idle_refills: self.metrics.counter("serve.idle_refills"),
-            idle_refill_nanos: self.metrics.histogram("serve.idle_refill_nanos"),
         })
     }
 
@@ -511,9 +485,8 @@ impl QueryServer {
     /// ([`QueryWorkload::partition`]); session `i` is opened over the pool's conduit —
     /// or, given a `listener` in front of the pool, over a real socket to it under
     /// `config`'s [`RetryPolicy`] and [`FaultPlan`] — and runs its stream: a failed
-    /// query is recorded in the client's failure list and the session keeps going;
-    /// between queries the idle gap tops up S1's nonce pools, which never changes
-    /// protocol bytes.  `concurrent` puts every session on its own thread against the
+    /// query is recorded in the client's failure list and the session keeps going.
+    /// `concurrent` puts every session on its own thread against the
     /// shared S2 pool; otherwise they run one after another.  Reports come back in
     /// session order either way, which is what makes each public serving shape a
     /// faithful determinism oracle for the others.
@@ -540,10 +513,7 @@ impl QueryServer {
             };
             let mut client = self.open_for_run(i as u64 + 1, config, door)?;
             let mut outcomes = Vec::with_capacity(queries.len());
-            for (position, spec) in queries.iter().enumerate() {
-                if position > 0 {
-                    client.idle_refill();
-                }
+            for spec in queries {
                 let query = Query::from_spec(spec.clone()).with_variant(config.variant);
                 if let Ok(answer) = client.execute(&query) {
                     outcomes.push(answer.outcome);

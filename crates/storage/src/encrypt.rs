@@ -19,7 +19,7 @@ use sectopk_crypto::Result;
 use sectopk_ehl::EhlEncoder;
 
 use crate::encrypted::{EncryptedItem, EncryptedList, EncryptedRelation};
-use crate::relation::{DataItem, Relation, SortedLists};
+use crate::relation::{DataItem, Relation};
 
 /// Statistics about one database-encryption run (drives Fig. 7 / Fig. 8).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,12 +116,6 @@ fn assemble(
         encrypted_bytes: er.byte_len(),
     };
     (er, stats)
-}
-
-/// Re-derive the sorted-lists view used during encryption (exposed so that protocol-level
-/// tests can cross-check the plaintext content of `ER` without re-sorting by hand).
-pub fn sorted_view(relation: &Relation) -> SortedLists {
-    relation.sorted_lists()
 }
 
 #[cfg(test)]

@@ -115,13 +115,13 @@ fn overload_burst_sheds_sessions_with_typed_transient_errors() {
     // the shed client gets a *typed, transient* error it could back off and retry —
     // never a hang, never a stringly failure.
     use sectopk_core::{Query, Session, TcpOptions};
-    use sectopk_protocols::{MultiplexServer, PoolLimits, TcpCloudServer, TcpServerConfig};
+    use sectopk_protocols::{MultiplexServer, PoolLimits, TcpCloudServer, DEFAULT_PARK_TTL};
 
     let (owner, outsourced, _) = fixture(0x50AC_0004, 1);
     let listener = TcpCloudServer::serve_pool(
         "127.0.0.1:0",
         std::sync::Arc::new(MultiplexServer::with_limits(2, PoolLimits { max_sessions: 2 })),
-        TcpServerConfig::default(),
+        DEFAULT_PARK_TTL,
     )
     .expect("capped listener binds");
     let addr = listener.local_addr().to_string();

@@ -27,7 +27,7 @@ use sectopk_core::{
 use sectopk_datasets::{fig3_relation, QueryWorkload, WorkloadSpec};
 use sectopk_metrics::{MetricsSnapshot, Registry};
 use sectopk_protocols::{
-    MultiplexServer, PoolLimits, TcpCloudServer, TcpServerConfig, TransportKind, TwoClouds,
+    MultiplexServer, PoolLimits, TcpCloudServer, TransportKind, TwoClouds, DEFAULT_PARK_TTL,
 };
 use sectopk_server::{QueryServer, ServeConfig};
 use sectopk_tests::{assert_sessions_identical, TEST_EHL_KEYS, TEST_MODULUS_BITS};
@@ -200,14 +200,6 @@ fn deterministic_counters_are_exact() {
         .sum();
     assert_eq!(planned, report.queries as u64, "one planner decision per query");
 
-    // Each session refills between consecutive queries: (len - 1) per partition, so
-    // queries - sessions in total.
-    assert_eq!(
-        snapshot.counters.get("serve.idle_refills").copied(),
-        Some((report.queries - report.sessions.len()) as u64),
-        "idle refills != queries - sessions"
-    );
-
     assert_histograms_structural(&snapshot);
 
     // The live polling API sees at least everything the report snapshotted.
@@ -228,7 +220,7 @@ fn overload_rejects_and_accepts_are_exact() {
             PoolLimits { max_sessions: 2 },
             registry.clone(),
         )),
-        TcpServerConfig::default(),
+        DEFAULT_PARK_TTL,
     )
     .expect("capped listener binds");
     let addr = listener.local_addr().to_string();

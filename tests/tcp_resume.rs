@@ -24,7 +24,7 @@ use sectopk_core::{
     DataOwner, FaultPlan, Outsourced, Query, QueryVariant, RetryPolicy, Session, TcpOptions,
     TransportKind, VariantChoice,
 };
-use sectopk_protocols::{MultiplexServer, SessionId, TcpCloudServer, TcpServerConfig};
+use sectopk_protocols::{MultiplexServer, SessionId, TcpCloudServer, DEFAULT_PARK_TTL};
 use sectopk_storage::{ObjectId, Relation, Row};
 use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
@@ -49,8 +49,8 @@ fn fixture(seed: u64) -> (DataOwner, Outsourced) {
     (owner, outsourced)
 }
 
-fn bind_server(workers: usize, config: TcpServerConfig) -> TcpCloudServer {
-    TcpCloudServer::serve_pool("127.0.0.1:0", Arc::new(MultiplexServer::new(workers)), config)
+fn bind_server(workers: usize, park_ttl: Duration) -> TcpCloudServer {
+    TcpCloudServer::serve_pool("127.0.0.1:0", Arc::new(MultiplexServer::new(workers)), park_ttl)
         .expect("bind ephemeral loopback listener")
 }
 
@@ -96,7 +96,7 @@ fn reference_run(
 
 #[test]
 fn server_side_drop_between_queries_resumes_transparently_and_byte_identically() {
-    let server = bind_server(2, TcpServerConfig::default());
+    let server = bind_server(2, DEFAULT_PARK_TTL);
     let addr = server.local_addr().to_string();
     let (owner, outsourced) = fixture(0x7E5A_0001);
     let seed = 0x51ED;
@@ -143,7 +143,7 @@ fn server_side_drop_between_queries_resumes_transparently_and_byte_identically()
 
 #[test]
 fn lost_reply_is_answered_from_the_replay_cache_not_reexecuted() {
-    let server = bind_server(2, TcpServerConfig::default());
+    let server = bind_server(2, DEFAULT_PARK_TTL);
     let addr = server.local_addr().to_string();
     let (owner, outsourced) = fixture(0x7E5A_0002);
     let seed = 0xCAFE;
@@ -186,7 +186,7 @@ fn lost_reply_is_answered_from_the_replay_cache_not_reexecuted() {
 
 #[test]
 fn lost_request_is_reexecuted_exactly_once_with_batching_all_or_nothing() {
-    let server = bind_server(2, TcpServerConfig::default());
+    let server = bind_server(2, DEFAULT_PARK_TTL);
     let addr = server.local_addr().to_string();
     let (owner, outsourced) = fixture(0x7E5A_0003);
     let seed = 0xB00C;
@@ -230,8 +230,7 @@ fn lost_request_is_reexecuted_exactly_once_with_batching_all_or_nothing() {
 
 #[test]
 fn park_ttl_expiry_reaps_the_parked_session_and_frees_its_id() {
-    let config = TcpServerConfig::default().with_park_ttl(Duration::from_millis(50));
-    let server = bind_server(1, config);
+    let server = bind_server(1, Duration::from_millis(50));
     let addr = server.local_addr().to_string();
     let (owner, outsourced) = fixture(0x7E5A_0004);
 

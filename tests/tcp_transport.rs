@@ -20,9 +20,7 @@ use rand::SeedableRng;
 use sectopk_core::{
     DataOwner, Outsourced, Query, QueryVariant, Session, TcpOptions, TransportKind, VariantChoice,
 };
-use sectopk_protocols::{
-    MultiplexServer, ProtocolError, SessionId, TcpCloudServer, TcpServerConfig, WireErrorCode,
-};
+use sectopk_protocols::{MultiplexServer, ProtocolError, SessionId, TcpCloudServer, WireErrorCode};
 use sectopk_storage::{ObjectId, Relation, Row};
 use sectopk_tests::{malformed_request, TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
@@ -54,7 +52,7 @@ fn bind_server(workers: usize) -> TcpCloudServer {
     TcpCloudServer::serve_pool(
         "127.0.0.1:0",
         Arc::new(MultiplexServer::new(workers)),
-        TcpServerConfig::default().with_park_ttl(Duration::ZERO),
+        Duration::ZERO,
     )
     .expect("bind ephemeral loopback listener")
 }
