@@ -384,7 +384,7 @@ mod tests {
         assert!(!session.s2_ledger().is_empty());
 
         session.reset_accounting();
-        assert_eq!(session.metrics().total_messages(), 0);
+        assert_eq!(session.metrics(), ChannelMetrics::default());
         assert!(session.s1_ledger().is_empty());
     }
 
@@ -397,7 +397,7 @@ mod tests {
         let first = session.execute(&query).unwrap();
         let second = session.execute(&query).unwrap();
         for answer in [&first, &second] {
-            let mut by_depth = ChannelMetrics::new();
+            let mut by_depth = ChannelMetrics::default();
             answer.stats().per_depth_channel.iter().for_each(|depth| by_depth.merge(depth));
             assert_eq!(answer.stats().channel, by_depth);
         }
@@ -412,7 +412,11 @@ mod tests {
         let query = Query::top_k(1).attribute_indices([9]).build().unwrap();
         let err = session.execute(&query).unwrap_err();
         assert!(err.is_invalid_query(), "got {err:?}");
-        assert_eq!(session.metrics().total_messages(), 0, "no protocol traffic on a bad query");
+        assert_eq!(
+            session.metrics(),
+            ChannelMetrics::default(),
+            "no protocol traffic on a bad query"
+        );
     }
 
     #[test]

@@ -2,73 +2,26 @@
 //!
 //! The paper's §11.2.5 evaluates the communication *bandwidth* (bytes exchanged between
 //! S1 and S2 per depth and in total) and the resulting *latency* under an assumed link
-//! speed (50 Mbps between the two clouds).  Both clouds run in-process in this
-//! reproduction, so every protocol message is routed through a [`ChannelMetrics`] value
-//! that records message counts, ciphertext counts and byte volumes; the figures/table
-//! harness reads these counters to regenerate Table 3 and Fig. 13.
+//! speed (50 Mbps between the two clouds).  S2 sits behind a transport — in process, or
+//! in a pool or a daemon behind a socket — and every protocol round is metered once,
+//! when its reply reaches S1, into the session's [`ChannelMetrics`]: rounds, payload
+//! bytes and ciphertexts as the wire codec measured them.  The figures/table harness
+//! reads these counters to regenerate Table 3 and Fig. 13.
 
 use serde::{Deserialize, Serialize};
-
-/// Direction of a protocol message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Direction {
-    /// Primary cloud S1 → crypto cloud S2.
-    S1ToS2,
-    /// Crypto cloud S2 → primary cloud S1.
-    S2ToS1,
-}
 
 /// Accumulated communication statistics for one protocol execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChannelMetrics {
-    /// Number of messages sent from S1 to S2.
-    pub messages_s1_to_s2: u64,
-    /// Number of messages sent from S2 to S1.
-    pub messages_s2_to_s1: u64,
-    /// Total ciphertexts shipped (both directions).
-    pub ciphertexts: u64,
+    /// Protocol round trips: a request and its reply.
+    pub rounds: u64,
     /// Total payload bytes shipped (both directions).
     pub bytes: u64,
-    /// Number of protocol round trips (an S1→S2 message followed by the S2→S1 reply).
-    pub rounds: u64,
-    /// Requests sent by S1 that have not yet been answered.  A reply counts as a round
-    /// only when it closes one of these — multi-part replies and unsolicited S2 pushes
-    /// no longer inflate the round count.
-    pub outstanding_requests: u64,
+    /// Total ciphertexts shipped (both directions).
+    pub ciphertexts: u64,
 }
 
 impl ChannelMetrics {
-    /// A fresh, zeroed metric set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one message of `bytes` bytes carrying `ciphertexts` ciphertexts.
-    pub fn record(&mut self, direction: Direction, bytes: usize, ciphertexts: usize) {
-        match direction {
-            Direction::S1ToS2 => {
-                self.messages_s1_to_s2 += 1;
-                self.outstanding_requests += 1;
-            }
-            Direction::S2ToS1 => {
-                self.messages_s2_to_s1 += 1;
-                // A reply closes a round trip only if a request is actually outstanding;
-                // additional reply parts ride on the already-counted round.
-                if self.outstanding_requests > 0 {
-                    self.outstanding_requests -= 1;
-                    self.rounds += 1;
-                }
-            }
-        }
-        self.bytes += bytes as u64;
-        self.ciphertexts += ciphertexts as u64;
-    }
-
-    /// Total number of messages in both directions.
-    pub fn total_messages(&self) -> u64 {
-        self.messages_s1_to_s2 + self.messages_s2_to_s1
-    }
-
     /// Bandwidth in mebibytes.
     pub fn megabytes(&self) -> f64 {
         self.bytes as f64 / (1024.0 * 1024.0)
@@ -88,22 +41,17 @@ impl ChannelMetrics {
     /// sub-protocol ("bandwidth per depth" in Fig. 13a).
     pub fn since(&self, earlier: &ChannelMetrics) -> ChannelMetrics {
         ChannelMetrics {
-            messages_s1_to_s2: self.messages_s1_to_s2 - earlier.messages_s1_to_s2,
-            messages_s2_to_s1: self.messages_s2_to_s1 - earlier.messages_s2_to_s1,
-            ciphertexts: self.ciphertexts - earlier.ciphertexts,
-            bytes: self.bytes - earlier.bytes,
             rounds: self.rounds - earlier.rounds,
-            outstanding_requests: 0,
+            bytes: self.bytes - earlier.bytes,
+            ciphertexts: self.ciphertexts - earlier.ciphertexts,
         }
     }
 
     /// Merge another metric set into this one.
     pub fn merge(&mut self, other: &ChannelMetrics) {
-        self.messages_s1_to_s2 += other.messages_s1_to_s2;
-        self.messages_s2_to_s1 += other.messages_s2_to_s1;
-        self.ciphertexts += other.ciphertexts;
-        self.bytes += other.bytes;
         self.rounds += other.rounds;
+        self.bytes += other.bytes;
+        self.ciphertexts += other.ciphertexts;
     }
 }
 
@@ -112,43 +60,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_accumulates_and_counts_rounds() {
-        let mut m = ChannelMetrics::new();
-        m.record(Direction::S1ToS2, 100, 2);
-        m.record(Direction::S2ToS1, 50, 1);
-        m.record(Direction::S1ToS2, 10, 0);
-        assert_eq!(m.messages_s1_to_s2, 2);
-        assert_eq!(m.messages_s2_to_s1, 1);
-        assert_eq!(m.total_messages(), 3);
-        assert_eq!(m.bytes, 160);
-        assert_eq!(m.ciphertexts, 3);
-        assert_eq!(m.rounds, 1);
-    }
-
-    #[test]
-    fn multi_part_replies_and_pushes_do_not_inflate_rounds() {
-        let mut m = ChannelMetrics::new();
-        // One request answered by a three-part reply: still one round trip.
-        m.record(Direction::S1ToS2, 10, 1);
-        m.record(Direction::S2ToS1, 5, 0);
-        m.record(Direction::S2ToS1, 5, 0);
-        m.record(Direction::S2ToS1, 5, 0);
-        assert_eq!(m.rounds, 1);
-        // An unsolicited S2 push is not a round either.
-        m.record(Direction::S2ToS1, 5, 0);
-        assert_eq!(m.rounds, 1);
-        assert_eq!(m.messages_s2_to_s1, 4);
-        // The next proper exchange counts normally.
-        m.record(Direction::S1ToS2, 10, 1);
-        m.record(Direction::S2ToS1, 5, 0);
-        assert_eq!(m.rounds, 2);
-    }
-
-    #[test]
     fn latency_scales_with_link_speed() {
-        let mut m = ChannelMetrics::new();
-        m.record(Direction::S1ToS2, 1_000_000, 10);
-        m.record(Direction::S2ToS1, 1_000_000, 10);
+        let m = ChannelMetrics { rounds: 1, bytes: 2_000_000, ciphertexts: 20 };
         let fast = m.latency_seconds(100.0, 0.0);
         let slow = m.latency_seconds(50.0, 0.0);
         assert!((slow - 2.0 * fast).abs() < 1e-9);
@@ -159,32 +72,22 @@ mod tests {
 
     #[test]
     fn since_isolates_a_window() {
-        let mut m = ChannelMetrics::new();
-        m.record(Direction::S1ToS2, 10, 1);
-        let snapshot = m;
-        m.record(Direction::S2ToS1, 20, 2);
+        let snapshot = ChannelMetrics { rounds: 1, bytes: 10, ciphertexts: 1 };
+        let m = ChannelMetrics { rounds: 2, bytes: 30, ciphertexts: 3 };
         let delta = m.since(&snapshot);
-        assert_eq!(delta.bytes, 20);
-        assert_eq!(delta.ciphertexts, 2);
-        assert_eq!(delta.messages_s1_to_s2, 0);
-        assert_eq!(delta.rounds, 1);
+        assert_eq!(delta, ChannelMetrics { rounds: 1, bytes: 20, ciphertexts: 2 });
     }
 
     #[test]
     fn merge_adds_counters() {
-        let mut a = ChannelMetrics::new();
-        a.record(Direction::S1ToS2, 5, 1);
-        let mut b = ChannelMetrics::new();
-        b.record(Direction::S2ToS1, 7, 2);
-        a.merge(&b);
-        assert_eq!(a.bytes, 12);
-        assert_eq!(a.total_messages(), 2);
+        let mut a = ChannelMetrics { rounds: 1, bytes: 5, ciphertexts: 1 };
+        a.merge(&ChannelMetrics { rounds: 2, bytes: 7, ciphertexts: 2 });
+        assert_eq!(a, ChannelMetrics { rounds: 3, bytes: 12, ciphertexts: 3 });
     }
 
     #[test]
     fn megabytes_conversion() {
-        let mut m = ChannelMetrics::new();
-        m.record(Direction::S1ToS2, 2 * 1024 * 1024, 1);
+        let m = ChannelMetrics { bytes: 2 * 1024 * 1024, ..ChannelMetrics::default() };
         assert!((m.megabytes() - 2.0).abs() < 1e-9);
     }
 }

@@ -5,9 +5,9 @@
 //! secret keys, stores no data).  Both parties are semi-honest and non-colluding.
 //!
 //! A [`TwoClouds`] value holds S1's state directly and reaches S2 **only** through a
-//! [`Transport`]: every S1 ↔ S2 exchange is a typed,
-//! serializable [`S1Request`] / [`S2Response`] round trip,
-//! metered in the transport's [`ChannelMetrics`] and reflected in the per-party
+//! [`Transport`]: every S1 ↔ S2 exchange is a typed, serializable [`S1Request`] /
+//! [`S2Response`] round trip, timed, traced and metered into the session's
+//! [`ChannelMetrics`] in one place (`TwoClouds::round`), and reflected in the per-party
 //! [`LeakageLedger`]s.  The transport is selected by [`TransportKind`] (or the
 //! `SECTOPK_TRANSPORT` environment variable): the in-process direct call, or
 //! serialized envelopes to an S2 session pool — over its in-memory conduit or over a
@@ -126,6 +126,8 @@ pub struct TwoClouds {
     pub s1: S1State,
     /// The message channel to the crypto cloud S2 (which owns all S2 state).
     transport: Box<dyn Transport>,
+    /// Every round's traffic since setup or the last [`TwoClouds::reset_accounting`].
+    channel: ChannelMetrics,
     /// Per-round latency histogram (`session.{label}.round_nanos`); a no-op until
     /// [`TwoClouds::set_metrics`] installs a registry.  Observes wall-clock only —
     /// never protocol state — so ledgers and [`ChannelMetrics`] are unaffected.
@@ -294,6 +296,7 @@ impl TwoClouds {
                 intra_workers: intra_workers_from_env(),
             },
             transport,
+            channel: ChannelMetrics::default(),
             round_nanos: Histogram::noop(),
             rounds_counter: Counter::noop(),
             trace: None,
@@ -384,9 +387,10 @@ impl TwoClouds {
         self.transport.link()
     }
 
-    /// Communication statistics accumulated so far (metered at the transport boundary).
+    /// Communication statistics accumulated so far: every round, metered as its reply
+    /// arrived.
     pub fn channel(&self) -> ChannelMetrics {
-        self.transport.metrics()
+        self.channel
     }
 
     /// S1's leakage ledger.
@@ -401,13 +405,16 @@ impl TwoClouds {
 
     /// Reset the channel metrics and both ledgers (e.g. between queries).
     pub fn reset_accounting(&mut self) {
-        self.transport.reset_metrics();
+        self.channel = ChannelMetrics::default();
         self.transport.reset_s2();
         self.s1.ledger.clear();
     }
 
-    /// Ship one request to S2 and return its response (one metered round trip),
-    /// timed into the round-latency histogram and bracketed by the trace hook.
+    /// Ship one request to S2 and return its response: one round trip, timed into the
+    /// round-latency histogram, bracketed by the trace hook and metered into
+    /// [`TwoClouds::channel`] once its reply has arrived — an error frame included, which
+    /// surfaces as [`ProtocolError::Remote`].  An exchange that fails inside the
+    /// transport meters nothing.
     pub(crate) fn round(&mut self, request: S1Request) -> Result<S2Response> {
         let span = request.kind_name();
         if let Some(trace) = &self.trace {
@@ -417,11 +424,19 @@ impl TwoClouds {
         let result = self.transport.round_trip(request);
         self.round_nanos.stop(timer);
         self.rounds_counter.incr();
+        if let Ok((_, traffic)) = &result {
+            self.channel.rounds += 1;
+            self.channel.bytes += traffic.bytes;
+            self.channel.ciphertexts += traffic.ciphertexts;
+        }
         self.refresh_refill_workers();
         if let Some(trace) = &self.trace {
             trace.exit(span);
         }
-        result
+        match result? {
+            (S2Response::Error(e), _) => Err(ProtocolError::Remote(e)),
+            (response, _) => Ok(response),
+        }
     }
 
     /// Ship one *raw* request to S2 — the escape hatch the conformance and
@@ -435,6 +450,7 @@ impl TwoClouds {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire;
     use sectopk_crypto::paillier::MIN_MODULUS_BITS;
 
     #[test]
@@ -446,7 +462,7 @@ mod tests {
         assert_eq!(clouds.dj_pk().n(), master.paillier_public.n());
         // S1's own key pair must be a *different* modulus.
         assert_ne!(clouds.s1.own_public.n(), master.paillier_public.n());
-        assert_eq!(clouds.channel().total_messages(), 0);
+        assert_eq!(clouds.channel(), ChannelMetrics::default());
         assert!(clouds.s1_ledger().is_empty());
         assert!(clouds.s2_ledger().is_empty());
         assert!(clouds.batching());
@@ -464,9 +480,36 @@ mod tests {
         assert_eq!(clouds.channel().rounds, 1);
         assert!(!clouds.s2_ledger().is_empty());
         clouds.reset_accounting();
-        assert_eq!(clouds.channel().total_messages(), 0);
+        assert_eq!(clouds.channel(), ChannelMetrics::default());
         assert!(clouds.s1_ledger().is_empty());
         assert!(clouds.s2_ledger().is_empty());
+    }
+
+    #[test]
+    fn a_round_is_metered_once_when_its_reply_arrives() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let master = MasterKeys::generate(MIN_MODULUS_BITS, 2, &mut rng).unwrap();
+        let server = MultiplexServer::new(1);
+        let mut clouds =
+            TwoClouds::connect(&master, 5, true, &server, SessionId(1), LinkProfile::ideal())
+                .unwrap();
+        // An error frame is a reply: metered like any other, then surfaced as `Remote`.
+        let malformed = S1Request::Batch(vec![S1Request::Batch(Vec::new())]);
+        let err = clouds.raw_round_trip(malformed.clone()).unwrap_err();
+        let ProtocolError::Remote(wire_error) = err else { panic!("expected Remote, got {err:?}") };
+        let traffic = wire::measure(&malformed) + wire::measure(&S2Response::Error(wire_error));
+        let after_error = clouds.channel();
+        assert_eq!(
+            after_error,
+            ChannelMetrics { rounds: 1, bytes: traffic.bytes, ciphertexts: traffic.ciphertexts }
+        );
+        // An exchange that fails inside the transport meters nothing.
+        drop(server);
+        let x = clouds.pk().clone().encrypt_u64(1, &mut clouds.s1.rng).unwrap();
+        let y = clouds.pk().clone().encrypt_u64(2, &mut clouds.s1.rng).unwrap();
+        let err = clouds.enc_compare(&x, &y, "test").unwrap_err();
+        assert!(matches!(err, ProtocolError::Transport(_)), "unexpected error {err:?}");
+        assert_eq!(clouds.channel(), after_error, "a failed exchange must leave the meter alone");
     }
 
     #[test]

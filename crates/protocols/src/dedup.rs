@@ -431,7 +431,7 @@ mod tests {
         let single = vec![item("only", 9, 9, &encoder, pk, &mut rng)];
         let out = clouds.sec_dedup(single, 0).unwrap();
         assert_eq!(decrypt_worsts(&out, &master), vec![9]);
-        assert_eq!(clouds.channel().total_messages(), 0);
+        assert_eq!(clouds.channel(), crate::ChannelMetrics::default());
     }
 
     #[test]

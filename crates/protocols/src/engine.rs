@@ -465,14 +465,11 @@ impl S2Engine {
         Ok(deal.collect())
     }
 
-    /// Top the nonce pools up to the planned demand, data-parallel.  Only runs with more
-    /// than one worker (the serial path keeps the lazy batch refills); either way the
-    /// consumed nonce stream is identical (see [`RandomnessPool::prefill_parallel`]).
+    /// Top the nonce pools up to the planned demand, data-parallel (serially at one
+    /// worker).  The consumed nonce stream is the same for every worker count (see
+    /// [`RandomnessPool::prefill_parallel`]).
     fn prefill_pools(&mut self, steps: &[Step<'_>]) {
         let workers = self.intra_workers();
-        if workers <= 1 {
-            return;
-        }
         let sum = |f: fn(&NonceDemand) -> usize| steps.iter().map(|s| f(&s.nonces)).sum::<usize>();
         let (ready_p, ready_dj) = self.pool.ready();
         let (ready_own, _) = self.own_pool.ready();

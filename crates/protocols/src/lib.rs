@@ -78,7 +78,7 @@ pub mod update;
 pub mod wire;
 pub mod worst;
 
-pub use channel::{ChannelMetrics, Direction};
+pub use channel::ChannelMetrics;
 pub use context::{S1State, TwoClouds};
 pub use dedup::EncryptedBlinding;
 pub use engine::{intra_workers_from_env, EngineProvision, EngineResult, S2Engine};
@@ -99,4 +99,4 @@ pub use transport::{
     TRANSPORT_ENV,
 };
 pub use update::UpdateMode;
-pub use wire::{WireError, WireErrorCode};
+pub use wire::{Traffic, WireError, WireErrorCode};

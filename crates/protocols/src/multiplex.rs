@@ -742,6 +742,7 @@ mod tests {
 
     use crate::ledger::LeakageLedger;
     use crate::transport::{InProcessTransport, Transport};
+    use crate::wire::Traffic;
 
     fn master(seed: u64) -> MasterKeys {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -776,8 +777,8 @@ mod tests {
 
     #[test]
     fn multiplexed_session_matches_dedicated_channel_transport() {
-        // The oracle is the in-process direct call: same answer, same metering, same
-        // ledger, and the control plane (ledger fetch) is unmetered on both.
+        // The oracle is the in-process direct call: same answer, same traffic, same
+        // ledger.
         let master = master(21);
         let server = MultiplexServer::new(2);
         let mut mux =
@@ -788,10 +789,8 @@ mod tests {
         let mut rng_b = StdRng::seed_from_u64(3);
         let a = mux.round_trip(compare_request(&master, -4, &mut rng_a)).unwrap();
         let b = oracle.round_trip(compare_request(&master, -4, &mut rng_b)).unwrap();
-        assert_eq!(a, b, "same engine seed must answer identically");
+        assert_eq!(a, b, "same engine seed must answer identically, with the same traffic");
         assert_eq!(mux.s2_ledger().events(), oracle.s2_ledger().events());
-        assert_eq!(mux.metrics(), oracle.metrics(), "metering must be transport-invariant");
-        assert_eq!(mux.metrics().rounds, 1, "the ledger fetch must not count as traffic");
         assert_eq!(mux.kind(), TransportKind::Multiplex);
     }
 
@@ -814,8 +813,6 @@ mod tests {
 
         assert_eq!(s1.s2_ledger().len(), 2, "session 1 observed its own two signs");
         assert_eq!(s2.s2_ledger().len(), 1, "session 2 observed exactly its own sign");
-        assert_eq!(s1.metrics().rounds, 2);
-        assert_eq!(s2.metrics().rounds, 1);
 
         // Resetting one session leaves the other's ledger intact.
         s1.reset_s2();
@@ -887,10 +884,10 @@ mod tests {
         // A matrix whose last row is partial, and one with zero columns (which would
         // divide by zero in the aggregate derivation), are structurally malformed.
         for (entries, cols) in [(3, 2), (0, 0)] {
-            let err = t.round_trip(matrix(entries, cols, &mut rng)).unwrap_err();
+            let (reply, _) = t.round_trip(matrix(entries, cols, &mut rng)).unwrap();
             assert!(
-                matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::MalformedRequest),
-                "unexpected error {err:?}"
+                matches!(&reply, S2Response::Error(e) if e.code == WireErrorCode::MalformedRequest),
+                "unexpected reply {reply:?}"
             );
         }
         // Neither rejection touched the ledger, and the single permit survived both:
@@ -1123,15 +1120,16 @@ mod tests {
             let master = &master;
             move || {
                 let mut rng = StdRng::seed_from_u64(s);
-                let replies: Vec<S2Response> =
+                let replies: Vec<(S2Response, Traffic)> =
                     (0..ROUNDS).map(|_| t.round_trip(eq_test(master, &mut rng)).unwrap()).collect();
                 (replies, t.s2_ledger())
             }
         };
-        let served: Vec<(Vec<S2Response>, LeakageLedger)> = std::thread::scope(|scope| {
-            let sessions: Vec<_> = (1..=4).map(|s| scope.spawn(hammer(s))).collect();
-            sessions.into_iter().map(|session| session.join().unwrap()).collect()
-        });
+        let served: Vec<(Vec<(S2Response, Traffic)>, LeakageLedger)> =
+            std::thread::scope(|scope| {
+                let sessions: Vec<_> = (1..=4).map(|s| scope.spawn(hammer(s))).collect();
+                sessions.into_iter().map(|session| session.join().unwrap()).collect()
+            });
 
         // Each session's replies and ledger equal its isolated replay.
         for (s, (replies, ledger)) in (1..=4).zip(&served) {
@@ -1192,10 +1190,10 @@ mod tests {
             .unwrap();
         let mut rng_a = StdRng::seed_from_u64(6);
         let mut rng_b = StdRng::seed_from_u64(6);
-        fast.round_trip(compare_request(&master, 1, &mut rng_a)).unwrap();
+        let (_, fast_traffic) = fast.round_trip(compare_request(&master, 1, &mut rng_a)).unwrap();
         let start = std::time::Instant::now();
-        slow.round_trip(compare_request(&master, 1, &mut rng_b)).unwrap();
+        let (_, slow_traffic) = slow.round_trip(compare_request(&master, 1, &mut rng_b)).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(30), "RTT must cost wall-clock");
-        assert_eq!(fast.metrics(), slow.metrics(), "the simulated link must not alter metrics");
+        assert_eq!(fast_traffic, slow_traffic, "the simulated link must not alter traffic");
     }
 }

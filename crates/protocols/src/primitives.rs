@@ -749,6 +749,6 @@ mod tests {
         assert!(clouds.recover_enc_batch(&[]).unwrap().is_empty());
         assert!(clouds.compare_many(&[], "t").unwrap().is_empty());
         assert!(clouds.mul_blinded(Vec::new()).unwrap().is_empty());
-        assert_eq!(clouds.channel().total_messages(), 0);
+        assert_eq!(clouds.channel(), crate::ChannelMetrics::default());
     }
 }

@@ -457,7 +457,7 @@ mod tests {
 
         let single = items(&master, &[3], &mut rng);
         assert_eq!(clouds.enc_sort_by_worst_desc(single.clone()).unwrap(), single);
-        assert_eq!(clouds.channel().total_messages(), 0);
+        assert_eq!(clouds.channel(), crate::ChannelMetrics::default());
     }
 
     #[test]

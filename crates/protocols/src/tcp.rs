@@ -57,16 +57,19 @@
 //! On the client, [`RetryPolicy`] makes the recovery transparent: a retryable
 //! transport failure mid-exchange triggers reconnect → resume handshake → re-send of
 //! the unacknowledged envelope, under a bounded attempt/deadline budget with capped,
-//! jittered backoff — all inside the socket pipe's exchange, below the sequence numbers,
-//! metering and echo check of [`EnvelopeTransport`].  [`FaultPlan`] injects exactly
+//! jittered backoff — all inside the socket pipe's exchange, below the sequence numbers
+//! and echo check of [`EnvelopeTransport`]; the session meters the round once, when
+//! its reply arrives.  [`FaultPlan`] injects exactly
 //! these failures (severed sockets, delayed replies) on a deterministic schedule, which
 //! is what the chaos soak harness drives.
 //!
 //! # Metering
 //!
-//! Byte accounting excludes all framing — the 4-byte length prefix, the 16-byte
+//! A round's traffic excludes all framing — the 4-byte length prefix, the 16-byte
 //! envelope header and the tag byte — so [`crate::ChannelMetrics`] stays byte-identical
-//! with the in-process oracle (asserted by `tests/transport_equivalence.rs`).  Errors
+//! with the in-process oracle (asserted by `tests/transport_equivalence.rs`).  A frame
+//! over [`MAX_FRAME_LEN`] is refused with a permanent error before a byte of it is
+//! written, so its session stays usable.  Errors
 //! of the socket itself (timeout, reset, EOF) surface as [`ProtocolError::Transport`]
 //! with a typed [`crate::TransportErrorKind`]; a provisioning payload this size is key
 //! material, so production deployments would wrap the socket in TLS — the handshake
@@ -159,9 +162,16 @@ const SWEEP_TICK: Duration = Duration::from_millis(20);
 // ====================================================================================
 
 /// Write one `u32 LE length ‖ bytes` frame in a single buffer (one syscall in the
-/// common case, and no interleaving hazard if a writer is ever shared).
+/// common case, and no interleaving hazard if a writer is ever shared).  A frame over
+/// [`MAX_FRAME_LEN`], which the peer would refuse, is refused here with a permanent
+/// error before any byte is written, so the stream stays usable.
 fn write_frame(mut w: impl Write, bytes: &[u8]) -> Result<()> {
-    debug_assert!(bytes.len() <= MAX_FRAME_LEN);
+    if bytes.len() > MAX_FRAME_LEN {
+        return Err(ProtocolError::transport(format!(
+            "oversized frame: {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
+            bytes.len()
+        )));
+    }
     let mut out = Vec::with_capacity(4 + bytes.len());
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(bytes);
@@ -597,7 +607,8 @@ impl SocketPipe {
         if due(faults.drop_before_send_every) {
             return Err(self.sever("before send"));
         }
-        write_frame(&self.stream, encoded).inspect_err(|_| self.dead = true)?;
+        // Only an I/O failure kills the socket; a refused frame never touched it.
+        write_frame(&self.stream, encoded).inspect_err(|e| self.dead |= e.is_retryable())?;
         if due(faults.drop_after_send_every) {
             // The request left, the reply is lost: sever and fail without reading (on
             // loopback the kernel may otherwise hand us the reply out of the severed
@@ -1290,7 +1301,6 @@ impl Drop for Seated<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{ChannelMetrics, Direction};
     use crate::error::TransportErrorKind;
     use crate::ledger::LeakageLedger;
     use crate::multiplex::{LinkProfile, PoolLimits, ASSIGNED_SESSION_BASE};
@@ -1402,8 +1412,10 @@ mod tests {
         let mut rng_b = StdRng::seed_from_u64(3);
         let a = tcp.round_trip(compare_request(&master, -4, &mut rng_a)).unwrap();
         let b = oracle.round_trip(compare_request(&master, -4, &mut rng_b)).unwrap();
-        assert_eq!(a, b, "same engine seed must answer identically over TCP");
-        assert_eq!(tcp.metrics(), oracle.metrics(), "metering must be transport-invariant");
+        assert_eq!(
+            a, b,
+            "same engine seed must answer identically over TCP, with the same traffic"
+        );
         assert_eq!(tcp.s2_ledger().events(), oracle.s2_ledger().events());
         assert_eq!(tcp.kind(), TransportKind::Tcp);
         assert_eq!(tcp.link(), LinkProfile::ideal());
@@ -1621,6 +1633,41 @@ mod tests {
     }
 
     #[test]
+    fn an_oversized_request_is_refused_unsent_and_the_session_survives() {
+        let master = master(67);
+        let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
+        let options = TcpOptions::default().with_retry(test_retry());
+        let mut tcp = connect(server.local_addr(), provision_for(&master, 5), options).unwrap();
+        let mut oracle = InProcessTransport::new(provision_for(&master, 5).build());
+
+        // A request whose frame is one byte over the cap.  From 2^21 to 2^28 bytes the
+        // context's length prefix takes 4 bytes, 3 more than at length 0.
+        let request = |context: String| S1Request::Compare { blinded: Vec::new(), context };
+        let frame = framed(frame::REQUEST, &request(String::new()));
+        let empty = Envelope { session: tcp.session(), seq: 1, frame }.encode().len();
+        let oversized = request("x".repeat(MAX_FRAME_LEN + 1 - (empty + 3)));
+        let err = tcp.round_trip(oversized).unwrap_err();
+        assert!(
+            matches!(&err, ProtocolError::Transport(e)
+                if e.kind == TransportErrorKind::Fault
+                    && e.message.contains(&format!("{} bytes", MAX_FRAME_LEN + 1))),
+            "unexpected error {err:?}"
+        );
+        assert!(!err.is_retryable(), "re-sending the same frame cannot succeed");
+        assert_eq!(tcp.faults_absorbed(), 0, "nothing was re-sent");
+
+        // No byte reached the server: the same connection goes on serving the session.
+        let mut rng_a = StdRng::seed_from_u64(8);
+        let mut rng_b = StdRng::seed_from_u64(8);
+        let a = tcp.round_trip(compare_request(&master, 2, &mut rng_a)).unwrap();
+        let b = oracle.round_trip(compare_request(&master, 2, &mut rng_b)).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(tcp.s2_ledger().events(), oracle.s2_ledger().events());
+        assert_eq!(tcp.faults_absorbed(), 0);
+        assert_eq!(server.resumed_sessions(), 0, "the connection never dropped");
+    }
+
+    #[test]
     fn a_frame_that_claims_more_than_it_sends_is_a_typed_short_read() {
         // The buffer grows with what arrives, so the claim costs the reader nothing.
         let mut encoded = (MAX_FRAME_LEN as u32).to_le_bytes().to_vec();
@@ -1725,11 +1772,13 @@ mod tests {
         let mut transport =
             connect(addr, provision_for(&master, 1), TcpOptions::default()).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let first = transport.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
+        let (first, _) = transport.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
         assert_eq!(first, S2Response::Signs(vec![-1]));
-        let second = transport.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
+        let request = compare_request(&master, 1, &mut rng);
+        let one_round = wire::measure(&request) + wire::measure(&S2Response::Signs(vec![1]));
+        let (second, traffic) = transport.round_trip(request).unwrap();
         assert_eq!(second, S2Response::Signs(vec![1]));
-        assert_eq!(transport.metrics().rounds, 2, "discarded duplicates are not traffic");
+        assert_eq!(traffic, one_round, "discarded duplicates are not traffic");
         assert_eq!(s2.join().unwrap(), [1, 2]);
     }
 
@@ -1865,10 +1914,13 @@ mod tests {
         assert!(server.drop_session(tcp.session()));
         let a2 = tcp.round_trip(compare_request(&master, -6, &mut rng_a)).unwrap();
         let b2 = oracle.round_trip(compare_request(&master, -6, &mut rng_b)).unwrap();
-        assert_eq!(a2, b2, "the resumed exchange must answer byte-identically");
+        assert_eq!(
+            a2, b2,
+            "the resumed exchange must answer byte-identically, and a recovery retransmit \
+             must not count as traffic"
+        );
         assert_eq!(tcp.faults_absorbed(), 1);
         assert_eq!(server.resumed_sessions(), 1);
-        assert_eq!(tcp.metrics(), oracle.metrics(), "a recovery retransmit must not be re-metered");
         assert_eq!(
             tcp.s2_ledger().events(),
             oracle.s2_ledger().events(),
@@ -1896,7 +1948,7 @@ mod tests {
         for value in [3, -9] {
             let a = tcp.round_trip(compare_request(&master, value, &mut rng_a)).unwrap();
             let b = oracle.round_trip(compare_request(&master, value, &mut rng_b)).unwrap();
-            assert_eq!(a, b);
+            assert_eq!(a, b, "same reply, same traffic");
         }
         assert_eq!(tcp.faults_absorbed(), 1);
         assert_eq!(
@@ -1905,7 +1957,6 @@ mod tests {
             "the faulted frame must be served from the cache, not re-executed"
         );
         assert_eq!(tcp.s2_ledger().events(), oracle.s2_ledger().events());
-        assert_eq!(tcp.metrics(), oracle.metrics());
     }
 
     #[test]
@@ -1926,7 +1977,7 @@ mod tests {
         for value in [1, 2, 3, 4] {
             let a = tcp.round_trip(compare_request(&master, value, &mut rng_a)).unwrap();
             let b = oracle.round_trip(compare_request(&master, value, &mut rng_b)).unwrap();
-            assert_eq!(a, b);
+            assert_eq!(a, b, "same reply, same traffic");
         }
         assert_eq!(tcp.faults_absorbed(), 2, "frames 2 and 4 are dropped before send");
         assert_eq!(
@@ -1935,7 +1986,6 @@ mod tests {
             "a never-delivered request has nothing cached to replay"
         );
         assert_eq!(tcp.s2_ledger().events(), oracle.s2_ledger().events());
-        assert_eq!(tcp.metrics(), oracle.metrics());
     }
 
     #[test]
@@ -2073,12 +2123,13 @@ mod tests {
         let mut transport = connect(addr, provision_for(&master, 1), options).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let request = compare_request(&master, 1, &mut rng);
-        let mut one_round = ChannelMetrics::new();
-        one_round.record(Direction::S1ToS2, wire::encoded_len(&request), 1);
-        one_round.record(Direction::S2ToS1, wire::encoded_len(&response), 0);
-        assert_eq!(transport.round_trip(request).unwrap(), response);
+        let one_round = wire::measure(&request) + wire::measure(&response);
+        assert_eq!(
+            transport.round_trip(request).unwrap(),
+            (response, one_round),
+            "a re-send must not be re-metered"
+        );
         assert_eq!(transport.faults_absorbed(), 1);
-        assert_eq!(transport.metrics(), one_round, "a re-send must not be re-metered");
         let (sent, resent, resume) = s2.join().unwrap();
         assert_eq!(sent, resent, "the re-send is the very same envelope");
         assert!(

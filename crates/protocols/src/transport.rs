@@ -16,34 +16,37 @@
 //!   │  public keys, rng, ledger  │         │  secret keys, rng, ledger     │
 //!   │  encrypted relation        │         │  (no data)                    │
 //!   └─────────────┬──────────────┘         └───────────────▲───────────────┘
-//!                 │      S1Request (serialized, metered)   │
+//!                 │      S1Request (serialized)            │
 //!                 │  ────────────────────────────────────▶ │
 //!                 │            Transport::round_trip       │
 //!                 │  ◀──────────────────────────────────── │
-//!                 │      S2Response (serialized, metered)  │
+//!                 │      S2Response (serialized)           │
 //!                 ▼                                        │
-//!          ChannelMetrics: bytes measured from the wire encoding,
-//!          1 round per request/response pair (Batch counts as one)
+//!          TwoClouds::round meters the reply's arrival: 1 round per
+//!          request/reply pair (Batch counts as one), plus the Traffic
+//!          the codec measured for both messages
 //! ```
 //!
-//! Two implementations:
+//! A transport moves messages and reports what they weighed ([`Traffic`]); it keeps no
+//! meter.  Two implementations:
 //!
 //! * [`InProcessTransport`] — the direct call and the byte-metering oracle: the request
-//!   value is handed to the engine without copying the payload; messages are still
-//!   *metered* at their exact wire size via [`crate::wire::encoded_len`].
+//!   value is handed to the engine without copying the payload; both messages are still
+//!   *measured* at their exact wire size via [`crate::wire::measure`].
 //! * [`EnvelopeTransport`] — every message is actually serialized with [`crate::wire`]
 //!   and travels as a session-tagged [`Envelope`] to a
-//!   [`crate::multiplex::MultiplexServer`].  The client owns everything the link's two
-//!   ends agree on — sequence numbers, metering, echo verification, the unmetered
-//!   control plane and teardown — exactly once; what carries an envelope there and its
-//!   reply back is a `Pipe` (exchange + teardown), of which there are two: the pool's
-//!   own conduit (a call on the S1 thread beside a simulated-RTT sleeper,
-//!   [`TransportKind::Multiplex`]) and a socket ([`TransportKind::Tcp`], see
-//!   [`crate::tcp`]).  Recovery is the socket pipe's alone, the only medium that can drop:
-//!   its exchange reconnects, resumes and re-sends the same envelope on its own.
+//!   [`crate::multiplex::MultiplexServer`]; its traffic is the payload bytes the codec
+//!   encoded and decoded.  The client owns everything the link's two ends agree on —
+//!   sequence numbers, echo verification, the control plane and teardown — exactly
+//!   once; what carries an envelope there and its reply back is a `Pipe` (exchange +
+//!   teardown), of which there are two: the pool's own conduit (a call on the S1 thread
+//!   beside a simulated-RTT sleeper, [`TransportKind::Multiplex`]) and a socket
+//!   ([`TransportKind::Tcp`], see [`crate::tcp`]).  Recovery is the socket pipe's alone,
+//!   the only medium that can drop: its exchange reconnects, resumes and re-sends the
+//!   same envelope on its own.
 //!
 //! Both produce byte-identical protocol outputs, identical leakage ledgers and
-//! identical [`ChannelMetrics`] for the same seed, over either pipe (asserted by
+//! identical [`Traffic`] for the same seed, over either pipe (asserted by
 //! `tests/transport_equivalence.rs`).
 //!
 //! Intra-query parallelism never leaks into this layer: S2 executes a request as
@@ -69,16 +72,6 @@
 //!
 //! Requests inside a `Batch` must not depend on each other's responses; sequencing
 //! across rounds is the caller's job.
-//!
-//! # Measured vs. estimated bandwidth
-//!
-//! Earlier revisions *estimated* traffic as the sum of ciphertext `byte_len()`s.  The
-//! transport now records the exact size of each encoded message, which adds the real
-//! framing overhead (message tags, field names, length prefixes) to the Table 3 /
-//! Fig. 13 numbers — a few percent on ciphertext-heavy messages.  Leakage events are
-//! likewise recorded at this boundary: S2's ledger is filled exclusively by the engine
-//! while handling requests, so the "S2 sees nothing but EP^d" tests check exactly what
-//! crossed the wire.
 
 // Workspace invariant 3 (DESIGN.md §15): the request/reply path returns typed errors, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -94,7 +87,6 @@ use serde::{Deserialize, Serialize};
 use sectopk_crypto::damgard_jurik::LayeredCiphertext;
 use sectopk_crypto::paillier::Ciphertext;
 
-use crate::channel::{ChannelMetrics, Direction};
 use crate::dedup::EncryptedBlinding;
 use crate::engine::S2Engine;
 use crate::error::{ProtocolError, Result};
@@ -102,7 +94,7 @@ use crate::items::ScoredItem;
 use crate::ledger::LeakageLedger;
 use crate::multiplex::{Envelope, LinkProfile, SessionId};
 use crate::wire;
-use crate::wire::WireError;
+use crate::wire::{Traffic, WireError};
 
 // ====================================================================================
 // Message types
@@ -183,12 +175,6 @@ pub struct FilterTuple {
     pub attribute_masks: Vec<Ciphertext>,
 }
 
-impl FilterTuple {
-    fn ciphertext_count(&self) -> usize {
-        2 + self.attributes.len() + self.attribute_masks.len()
-    }
-}
-
 /// A typed request from the primary cloud S1 to the crypto cloud S2.  One request and
 /// its [`S2Response`] form one protocol round trip.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -239,24 +225,6 @@ pub enum S1Request {
 }
 
 impl S1Request {
-    /// Number of ciphertexts (Paillier + layered) carried by this message, for the
-    /// channel's ciphertext accounting.
-    pub fn ciphertext_count(&self) -> usize {
-        match self {
-            S1Request::EqMatrix { diffs, .. } => diffs.len(),
-            S1Request::Compare { blinded, .. } => blinded.len(),
-            S1Request::Recover { blinded } => blinded.len(),
-            S1Request::Dedup(req) => {
-                req.matrix.len()
-                    + req.items.iter().map(|i| i.ehl.len() + 2).sum::<usize>()
-                    + req.blindings.iter().map(|b| b.packed.len()).sum::<usize>()
-            }
-            S1Request::Filter { tuples } => tuples.iter().map(FilterTuple::ciphertext_count).sum(),
-            S1Request::MulBlinded { pairs } => pairs.len() * 2,
-            S1Request::Batch(requests) => requests.iter().map(Self::ciphertext_count).sum(),
-        }
-    }
-
     /// Stable lower-snake-case name of this request kind, used as the metric and trace
     /// span label for the protocol round that ships it.
     pub fn kind_name(&self) -> &'static str {
@@ -306,36 +274,10 @@ pub enum S2Response {
     Products(Vec<Ciphertext>),
     /// Replies to a [`S1Request::Batch`], in request order.
     Batch(Vec<S2Response>),
-    /// S2 failed to process the request: a typed [`WireError`] frame.  The transport
-    /// surfaces it as [`ProtocolError::Remote`]; the session keeps being served.
+    /// S2 failed to process the request: a typed [`WireError`] frame, metered like any
+    /// reply and surfaced by the session as [`ProtocolError::Remote`]; the session keeps
+    /// being served.
     Error(WireError),
-}
-
-impl S2Response {
-    /// Number of ciphertexts (Paillier + layered) carried by this message.
-    pub fn ciphertext_count(&self) -> usize {
-        match self {
-            S2Response::EqBits { bits, aggregates } => bits.len() + aggregates.ciphertext_count(),
-            S2Response::Signs(_) => 0,
-            S2Response::Recovered(inner) => inner.len(),
-            S2Response::Dedup { items, blindings } => {
-                items.iter().map(|i| i.ehl.len() + 2).sum::<usize>()
-                    + blindings.iter().map(|b| b.packed.len()).sum::<usize>()
-            }
-            S2Response::Filter { survivors } => {
-                survivors.iter().map(FilterTuple::ciphertext_count).sum()
-            }
-            S2Response::Products(products) => products.len(),
-            S2Response::Batch(responses) => responses.iter().map(Self::ciphertext_count).sum(),
-            S2Response::Error(_) => 0,
-        }
-    }
-}
-
-impl EqAggregates {
-    fn ciphertext_count(&self) -> usize {
-        self.row_matched.len() + self.row_unmatched.len() + self.col_unmatched.len()
-    }
 }
 
 // ====================================================================================
@@ -388,21 +330,17 @@ impl TransportKind {
     }
 }
 
-/// A bidirectional, metered message channel to the crypto cloud S2.
+/// A bidirectional message channel to the crypto cloud S2.
 ///
 /// Implementations own the S2 party outright — its keys, randomness and leakage ledger —
 /// so protocol code on the S1 side can only interact with S2 by sending a typed
 /// [`S1Request`] and reading the [`S2Response`].
 pub trait Transport: fmt::Debug + Send {
-    /// Ship `request` to S2 and block until its response arrives.  Exactly one round
-    /// trip is recorded in the metrics, with byte sizes measured from the wire encoding.
-    fn round_trip(&mut self, request: S1Request) -> Result<S2Response>;
-
-    /// Communication statistics accumulated so far.
-    fn metrics(&self) -> ChannelMetrics;
-
-    /// Reset the communication statistics.
-    fn reset_metrics(&mut self);
+    /// Ship `request` to S2 and block until its reply arrives.  Returns the reply as S2
+    /// sent it — an [`S2Response::Error`] frame included — and the round's [`Traffic`]:
+    /// both messages' payload bytes and ciphertexts, as the wire codec measured them.
+    /// An exchange that fails inside the transport returns the error alone.
+    fn round_trip(&mut self, request: S1Request) -> Result<(S2Response, Traffic)>;
 
     /// Snapshot of everything S2 observed beyond its inputs.
     fn s2_ledger(&self) -> LeakageLedger;
@@ -432,17 +370,8 @@ pub trait Transport: fmt::Debug + Send {
     /// Install client-side metric handles from `registry` (see
     /// [`sectopk_metrics::Registry`]).  Default: no instrumentation — only the socket
     /// pipe currently reports client-side metrics (`tcp.client.*`).  Never affects
-    /// protocol bytes, ledgers or [`ChannelMetrics`].
+    /// protocol bytes, ledgers or [`crate::ChannelMetrics`].
     fn set_metrics_registry(&mut self, _registry: &MetricsRegistry) {}
-}
-
-/// Surface an `S2Response::Error` frame as the [`ProtocolError::Remote`] both
-/// transport implementations map it to.
-fn response_or_error(response: S2Response) -> Result<S2Response> {
-    match response {
-        S2Response::Error(e) => Err(ProtocolError::Remote(e)),
-        other => Ok(other),
-    }
 }
 
 // ====================================================================================
@@ -450,55 +379,35 @@ fn response_or_error(response: S2Response) -> Result<S2Response> {
 // ====================================================================================
 
 /// The fast path: the request value is handed to S2's engine directly — nothing is
-/// serialized for transfer or deserialized on arrival.  Messages are still metered at
-/// their exact wire-encoded size via [`wire::encoded_len`] so the bandwidth figures
-/// match the envelope transport byte for byte; that metering does lower each message
-/// into a transient value tree, a cost that is negligible next to the Paillier /
+/// serialized for transfer or deserialized on arrival.  Both messages are still
+/// measured at their exact wire-encoded size via [`wire::measure`] so the bandwidth
+/// figures match the envelope transport byte for byte; that measure does lower each
+/// message into a transient value tree, a cost that is negligible next to the Paillier /
 /// Damgård–Jurik arithmetic dominating every exchange.
 pub struct InProcessTransport {
     engine: S2Engine,
-    metrics: ChannelMetrics,
 }
 
 impl InProcessTransport {
     /// Wrap an S2 engine.
     pub fn new(engine: S2Engine) -> Self {
-        InProcessTransport { engine, metrics: ChannelMetrics::new() }
+        InProcessTransport { engine }
     }
 }
 
 impl fmt::Debug for InProcessTransport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("InProcessTransport").field("metrics", &self.metrics).finish()
+        f.debug_struct("InProcessTransport").finish_non_exhaustive()
     }
 }
 
 impl Transport for InProcessTransport {
-    fn round_trip(&mut self, request: S1Request) -> Result<S2Response> {
-        self.metrics.record(
-            Direction::S1ToS2,
-            wire::encoded_len(&request),
-            request.ciphertext_count(),
-        );
+    fn round_trip(&mut self, request: S1Request) -> Result<(S2Response, Traffic)> {
         // Engine failures become an `S2Response::Error` frame exactly as on the
-        // envelope transport, so the reply is metered identically on both
-        // implementations and the caller sees the same `ProtocolError::Remote` either
-        // way.
+        // envelope transport, so the reply weighs the same on both implementations.
         let response = self.engine.handle(&request).unwrap_or_else(S2Response::Error);
-        self.metrics.record(
-            Direction::S2ToS1,
-            wire::encoded_len(&response),
-            response.ciphertext_count(),
-        );
-        response_or_error(response)
-    }
-
-    fn metrics(&self) -> ChannelMetrics {
-        self.metrics
-    }
-
-    fn reset_metrics(&mut self) {
-        self.metrics = ChannelMetrics::new();
+        let traffic = wire::measure(&request) + wire::measure(&response);
+        Ok((response, traffic))
     }
 
     fn s2_ledger(&self) -> LeakageLedger {
@@ -542,11 +451,7 @@ pub(crate) mod frame {
 
 /// Prefix the wire encoding of `payload` with a frame tag byte.
 pub(crate) fn framed<T: Serialize>(tag: u8, payload: &T) -> Vec<u8> {
-    let body = wire::to_bytes(payload);
-    let mut out = Vec::with_capacity(1 + body.len());
-    out.push(tag);
-    out.extend_from_slice(&body);
-    out
+    [&[tag][..], &wire::to_bytes(payload)].concat()
 }
 
 /// The payload of `frame` if it opens with `tag`.
@@ -598,7 +503,6 @@ pub struct EnvelopeTransport {
     /// `RefCell` because the control plane runs from `&self` ([`Transport::s2_ledger`])
     /// through the same exchange path as requests, and an exchange mutates the pipe.
     pipe: RefCell<Box<dyn Pipe>>,
-    metrics: ChannelMetrics,
 }
 
 impl fmt::Debug for EnvelopeTransport {
@@ -607,7 +511,6 @@ impl fmt::Debug for EnvelopeTransport {
             .field("kind", &self.kind())
             .field("session", &self.session)
             .field("faults_absorbed", &self.faults_absorbed())
-            .field("metrics", &self.metrics)
             .finish()
     }
 }
@@ -615,12 +518,7 @@ impl fmt::Debug for EnvelopeTransport {
 impl EnvelopeTransport {
     /// Speak for `session` over `pipe`.
     pub(crate) fn new(session: SessionId, pipe: Box<dyn Pipe>) -> Self {
-        EnvelopeTransport {
-            session,
-            seq: 0,
-            pipe: RefCell::new(pipe),
-            metrics: ChannelMetrics::new(),
-        }
+        EnvelopeTransport { session, seq: 0, pipe: RefCell::new(pipe) }
     }
 
     /// The session this transport speaks for.
@@ -641,7 +539,7 @@ impl EnvelopeTransport {
         )))
     }
 
-    /// One unmetered control-plane exchange (ledger fetch / reset) under the reserved
+    /// One control-plane exchange (ledger fetch / reset) under the reserved
     /// sequence number 0.
     fn control(&self, tag: u8, expected_reply: u8) -> Result<Vec<u8>> {
         let reply = self.exchange(&Envelope { session: self.session, seq: 0, frame: vec![tag] })?;
@@ -650,28 +548,18 @@ impl EnvelopeTransport {
 }
 
 impl Transport for EnvelopeTransport {
-    fn round_trip(&mut self, request: S1Request) -> Result<S2Response> {
-        let frame = framed(frame::REQUEST, &request);
-        // Metered size = wire payload only; the tag byte, the envelope header and any
-        // framing the pipe adds are not the message, which keeps metrics identical to
-        // the in-process oracle.  Metered once per *logical* exchange: a pipe's re-send
-        // after a recovered fault is a retransmit, not new protocol traffic.
-        self.metrics.record(Direction::S1ToS2, frame.len() - 1, request.ciphertext_count());
+    fn round_trip(&mut self, request: S1Request) -> Result<(S2Response, Traffic)> {
+        // Traffic = wire payloads only; the tag byte, the envelope header and any framing
+        // the pipe adds are not the message, which keeps it identical to the in-process
+        // oracle.  A pipe's re-send after a recovered fault is a retransmit, not traffic.
+        let (payload, sent) = wire::encode(&request);
+        let frame = [&[frame::REQUEST][..], &payload].concat();
         self.seq += 1;
         let reply = self.exchange(&Envelope { session: self.session, seq: self.seq, frame })?;
         let payload = payload_of(&reply.frame, frame::RESPONSE)?;
-        let response: S2Response = wire::from_bytes(payload)
+        let (response, received) = wire::decode(payload)
             .map_err(|e| ProtocolError::transport(format!("undecodable response: {e}")))?;
-        self.metrics.record(Direction::S2ToS1, payload.len(), response.ciphertext_count());
-        response_or_error(response)
-    }
-
-    fn metrics(&self) -> ChannelMetrics {
-        self.metrics
-    }
-
-    fn reset_metrics(&mut self) {
-        self.metrics = ChannelMetrics::new();
+        Ok((response, sent + received))
     }
 
     #[expect(
@@ -758,12 +646,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let reqs: Vec<S1Request> =
             (0..4).map(|i| compare_request(&master, 2 * i - 3, &mut rng)).collect();
-        let response = transport.round_trip(S1Request::Batch(reqs)).unwrap();
+        let batch = S1Request::Batch(reqs);
+        let (response, traffic) = transport.round_trip(batch.clone()).unwrap();
+        assert_eq!(traffic, wire::measure(&batch) + wire::measure(&response));
+        assert_eq!(traffic.ciphertexts, 4, "four blinded differences out, four signs back");
         match response {
             S2Response::Batch(replies) => assert_eq!(replies.len(), 4),
             other => panic!("expected Batch, got {other:?}"),
         }
-        assert_eq!(transport.metrics().rounds, 1);
     }
 
     #[test]
@@ -861,6 +751,16 @@ mod tests {
     }
 
     #[test]
+    fn error_frames_come_back_raw_with_their_traffic() {
+        let error = S2Response::Error(WireError::malformed("scripted"));
+        let (mut transport, _) =
+            scripted(Script { replies: [reply(1, &error)].into(), ..Default::default() });
+        let (response, traffic) = transport.round_trip(request()).unwrap();
+        assert_eq!(response, error);
+        assert_eq!(traffic, wire::measure(&request()) + wire::measure(&error));
+    }
+
+    #[test]
     fn control_plane_is_unmetered_and_teardown_follows_the_last_request() {
         let ledger = Envelope {
             session: SESSION,
@@ -871,10 +771,9 @@ mod tests {
             replies: [reply(1, &answer()), Ok(ledger)].into(),
             ..Default::default()
         });
-        transport.round_trip(request()).unwrap();
-        let metered = transport.metrics();
+        let (_, traffic) = transport.round_trip(request()).unwrap();
+        assert_eq!(traffic, wire::measure(&request()) + wire::measure(&answer()));
         assert!(transport.s2_ledger().is_empty());
-        assert_eq!(transport.metrics(), metered, "ledger fetch must not count as traffic");
         drop(transport);
         let script = script.lock().unwrap();
         assert_eq!(

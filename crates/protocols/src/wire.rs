@@ -5,7 +5,8 @@
 //! The [`crate::channel::ChannelMetrics`] byte counts are *measured* from these encoded
 //! buffers — not estimated from `byte_len()` sums — so the bandwidth figures (Table 3 /
 //! Fig. 13) reflect what an actual deployment would put on the wire, including framing
-//! overhead (field names, tags, lengths).
+//! overhead (field names, tags, lengths).  The ciphertext counts come from the same
+//! walk that measures, encodes or decodes a message ([`Traffic`]).
 //!
 //! Format, one tag byte per node:
 //!
@@ -27,6 +28,7 @@
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::fmt;
+use std::ops::Add;
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -160,18 +162,48 @@ impl From<CryptoError> for WireError {
     }
 }
 
-/// Encode any serializable message into its binary wire form.
-pub fn to_bytes<T: Serialize + ?Sized>(message: &T) -> Vec<u8> {
-    let value = message.to_value();
-    let mut out = Vec::with_capacity(encoded_len_value(&value));
-    encode_value(&value, &mut out);
-    out
+/// What messages put on the wire: their encoded bytes and the ciphertexts among them.
+///
+/// The ciphertext count is the number of byte strings (tag `7`) — exact for protocol
+/// messages, since every ciphertext type serializes as one byte string and nothing else
+/// in an [`S1Request`](crate::S1Request) / [`S2Response`](crate::S2Response) does.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Traffic {
+    /// Encoded bytes.
+    pub bytes: u64,
+    /// Ciphertexts (byte strings) among them.
+    pub ciphertexts: u64,
 }
 
-/// The exact number of bytes [`to_bytes`] would produce, without building the buffer.
-/// The in-process transport uses this to meter messages it never actually serializes.
-pub fn encoded_len<T: Serialize + ?Sized>(message: &T) -> usize {
-    encoded_len_value(&message.to_value())
+impl Add for Traffic {
+    type Output = Traffic;
+
+    fn add(self, other: Traffic) -> Traffic {
+        Traffic {
+            bytes: self.bytes + other.bytes,
+            ciphertexts: self.ciphertexts + other.ciphertexts,
+        }
+    }
+}
+
+/// Encode any serializable message into its binary wire form.
+pub fn to_bytes<T: Serialize + ?Sized>(message: &T) -> Vec<u8> {
+    encode(message).0
+}
+
+/// [`to_bytes`], with the [`Traffic`] of the encoding.
+pub fn encode<T: Serialize + ?Sized>(message: &T) -> (Vec<u8>, Traffic) {
+    let value = message.to_value();
+    let traffic = measure_value(&value);
+    let mut out = Vec::with_capacity(traffic.bytes as usize);
+    encode_value(&value, &mut out);
+    (out, traffic)
+}
+
+/// The [`Traffic`] of [`encode`], without building the buffer.  The in-process
+/// transport meters with this the messages it never actually serializes.
+pub fn measure<T: Serialize + ?Sized>(message: &T) -> Traffic {
+    measure_value(&message.to_value())
 }
 
 /// Maximum nesting depth a decoded value may have.  Protocol messages nest a handful of
@@ -181,15 +213,21 @@ const MAX_DECODE_DEPTH: u32 = 64;
 
 /// Decode a message from its binary wire form.
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, serde::Error> {
-    let mut cursor = Cursor { bytes, pos: 0 };
+    decode(bytes).map(|(message, _)| message)
+}
+
+/// [`from_bytes`], with the [`Traffic`] of the decoded bytes.
+pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<(T, Traffic), serde::Error> {
+    let mut cursor = Cursor { bytes, pos: 0, byte_strings: 0 };
     let value = decode_value(&mut cursor, 0)?;
     if cursor.pos != bytes.len() {
         return Err(serde::Error::custom("trailing bytes after wire message"));
     }
-    T::from_value(&value)
+    let traffic = Traffic { bytes: bytes.len() as u64, ciphertexts: cursor.byte_strings };
+    Ok((T::from_value(&value)?, traffic))
 }
 
-fn varint_len(mut v: u64) -> usize {
+fn varint_len(mut v: u64) -> u64 {
     let mut len = 1;
     while v >= 0x80 {
         v >>= 7;
@@ -214,23 +252,24 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn encoded_len_value(v: &Value) -> usize {
-    1 + match v {
-        Value::Null | Value::Bool(_) => 0,
-        Value::U64(n) => varint_len(*n),
-        Value::I64(n) => varint_len(zigzag(*n)),
-        Value::F64(_) => 8,
-        Value::Str(s) => varint_len(s.len() as u64) + s.len(),
-        Value::Bytes(b) => varint_len(b.len() as u64) + b.len(),
+/// `v`'s encoded size, and the byte strings in it.
+fn measure_value(v: &Value) -> Traffic {
+    let node = |bytes: u64| Traffic { bytes: 1 + bytes, ciphertexts: 0 };
+    let len = |n: usize| varint_len(n as u64) + n as u64;
+    match v {
+        Value::Null | Value::Bool(_) => node(0),
+        Value::U64(n) => node(varint_len(*n)),
+        Value::I64(n) => node(varint_len(zigzag(*n))),
+        Value::F64(_) => node(8),
+        Value::Str(s) => node(len(s.len())),
+        Value::Bytes(b) => Traffic { ciphertexts: 1, ..node(len(b.len())) },
         Value::Seq(items) => {
-            varint_len(items.len() as u64) + items.iter().map(encoded_len_value).sum::<usize>()
+            items.iter().map(measure_value).fold(node(varint_len(items.len() as u64)), Add::add)
         }
         Value::Map(entries) => {
-            varint_len(entries.len() as u64)
-                + entries
-                    .iter()
-                    .map(|(k, v)| varint_len(k.len() as u64) + k.len() + encoded_len_value(v))
-                    .sum::<usize>()
+            entries.iter().fold(node(varint_len(entries.len() as u64)), |sum, (k, v)| {
+                sum + Traffic { bytes: len(k.len()), ciphertexts: 0 } + measure_value(v)
+            })
         }
     }
 }
@@ -284,6 +323,8 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) {
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Byte strings decoded so far: the ciphertexts of a protocol message.
+    byte_strings: u64,
 }
 
 impl Cursor<'_> {
@@ -352,6 +393,7 @@ fn decode_value(cursor: &mut Cursor<'_>, depth: u32) -> Result<Value, serde::Err
         6 => Ok(Value::Str(cursor.string()?)),
         7 => {
             let len = cursor.varint()? as usize;
+            cursor.byte_strings += 1;
             Ok(Value::Bytes(cursor.take(len)?.to_vec()))
         }
         8 => {
@@ -380,12 +422,11 @@ mod tests {
     use super::*;
 
     fn round_trip(v: Value) {
-        let mut buf = Vec::new();
-        encode_value(&v, &mut buf);
-        assert_eq!(buf.len(), encoded_len_value(&v), "encoded_len must match: {v:?}");
-        let mut cursor = Cursor { bytes: &buf, pos: 0 };
-        let back = decode_value(&mut cursor, 0).unwrap();
-        assert_eq!(cursor.pos, buf.len());
+        let (buf, traffic) = encode(&v);
+        assert_eq!(traffic.bytes, buf.len() as u64, "the measure must match: {v:?}");
+        assert_eq!(measure(&v), traffic);
+        let (back, decoded) = decode::<Value>(&buf).unwrap();
+        assert_eq!(decoded, traffic);
         assert_eq!(back, v);
     }
 
@@ -419,9 +460,24 @@ mod tests {
     fn typed_messages_round_trip() {
         let v: Vec<(usize, usize)> = vec![(0, 1), (7, 3)];
         let bytes = to_bytes(&v);
-        assert_eq!(bytes.len(), encoded_len(&v));
+        assert_eq!(measure(&v), Traffic { bytes: bytes.len() as u64, ciphertexts: 0 });
         let back: Vec<(usize, usize)> = from_bytes(&bytes).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn every_byte_string_counts_once_at_any_depth() {
+        let bytes = |n: usize| Value::Bytes(vec![7; n]);
+        let v = Value::Map(vec![
+            ("a".into(), bytes(0)),
+            ("b".into(), Value::Seq(vec![bytes(3), Value::Str("not one".into()), bytes(200)])),
+            ("c".into(), Value::Seq(vec![Value::Map(vec![("d".into(), bytes(1))])])),
+        ]);
+        let (buf, traffic) = encode(&v);
+        assert_eq!(traffic, Traffic { bytes: buf.len() as u64, ciphertexts: 4 });
+        assert_eq!(decode::<Value>(&buf).unwrap().1, traffic);
+        let sum = traffic + Traffic { bytes: 1, ciphertexts: 2 };
+        assert_eq!(sum, Traffic { bytes: traffic.bytes + 1, ciphertexts: 6 });
     }
 
     #[test]

@@ -143,7 +143,7 @@ mod tests {
         let item = make_item(ObjectId(1), 42, &encoder, pk, &mut rng);
         let worst = clouds.sec_worst(&item, &[], 0).unwrap();
         assert_eq!(master.paillier_secret.decrypt_u64(&worst).unwrap(), 42);
-        assert_eq!(clouds.channel().total_messages(), 0);
+        assert_eq!(clouds.channel(), crate::ChannelMetrics::default());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Wire-codec conformance fuzzing: `decode(encode(m)) == m` for *every*
 //! [`S1Request`] / [`S2Response`] variant, including `Batch` nesting and empty-payload
-//! edge cases, with `encoded_len` always agreeing with the actual encoding.
+//! edge cases, with `measure` always agreeing with the actual encoding — and the
+//! codec's ciphertext count agreeing with a per-kind count of the message's fields.
 //!
 //! The protocol messages are the entire S1 ↔ S2 attack/fault surface: a lossy or
 //! ambiguous codec would silently desynchronize the clouds (or leak through framing
@@ -17,7 +18,7 @@ use sectopk_crypto::damgard_jurik::LayeredCiphertext;
 use sectopk_crypto::paillier::Ciphertext;
 use sectopk_ehl::EhlPlus;
 use sectopk_protocols::transport::{DedupRequest, EqAggregates, EqWants, FilterTuple};
-use sectopk_protocols::wire::{encoded_len, from_bytes, to_bytes};
+use sectopk_protocols::wire::{decode, encode, from_bytes, measure, to_bytes};
 use sectopk_protocols::{
     EncryptedBlinding, S1Request, S2Response, ScoredItem, WireError, WireErrorCode,
 };
@@ -163,10 +164,73 @@ fn rand_aggregates(rng: &mut StdRng) -> EqAggregates {
     }
 }
 
+/// The reference ciphertext count of a request: its ciphertext fields, kind by kind.
+fn request_ciphertexts(request: &S1Request) -> usize {
+    match request {
+        S1Request::EqMatrix { diffs, .. } => diffs.len(),
+        S1Request::Compare { blinded, .. } => blinded.len(),
+        S1Request::Recover { blinded } => blinded.len(),
+        S1Request::Dedup(req) => {
+            req.matrix.len() + items_ciphertexts(&req.items) + blindings_ciphertexts(&req.blindings)
+        }
+        S1Request::Filter { tuples } => tuples.iter().map(tuple_ciphertexts).sum(),
+        S1Request::MulBlinded { pairs } => pairs.len() * 2,
+        S1Request::Batch(requests) => requests.iter().map(request_ciphertexts).sum(),
+    }
+}
+
+/// The reference ciphertext count of a response: its ciphertext fields, kind by kind.
+fn response_ciphertexts(response: &S2Response) -> usize {
+    match response {
+        S2Response::EqBits { bits, aggregates } => {
+            bits.len()
+                + aggregates.row_matched.len()
+                + aggregates.row_unmatched.len()
+                + aggregates.col_unmatched.len()
+        }
+        S2Response::Signs(_) | S2Response::Error(_) => 0,
+        S2Response::Recovered(inner) => inner.len(),
+        S2Response::Dedup { items, blindings } => {
+            items_ciphertexts(items) + blindings_ciphertexts(blindings)
+        }
+        S2Response::Filter { survivors } => survivors.iter().map(tuple_ciphertexts).sum(),
+        S2Response::Products(products) => products.len(),
+        S2Response::Batch(responses) => responses.iter().map(response_ciphertexts).sum(),
+    }
+}
+
+fn items_ciphertexts(items: &[ScoredItem]) -> usize {
+    items.iter().map(|item| item.ehl.len() + 2).sum()
+}
+
+fn blindings_ciphertexts(blindings: &[EncryptedBlinding]) -> usize {
+    blindings.iter().map(|blinding| blinding.packed.len()).sum()
+}
+
+fn tuple_ciphertexts(tuple: &FilterTuple) -> usize {
+    2 + tuple.attributes.len() + tuple.attribute_masks.len()
+}
+
+/// The codec counts `reference` ciphertexts in `message` in each of its three walks —
+/// measure, encode and decode — and measures the bytes it encodes.
+fn assert_codec_counts<T>(message: &T, reference: usize)
+where
+    T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+{
+    let measured = measure(message);
+    assert_eq!(measured.ciphertexts, reference as u64, "ciphertexts of {message:?}");
+    let (bytes, encoded) = encode(message);
+    assert_eq!(encoded, measured, "encode and measure disagree on {message:?}");
+    assert_eq!(encoded.bytes, bytes.len() as u64);
+    let (back, decoded) = decode::<T>(&bytes).expect("decode");
+    assert_eq!(decoded, measured, "decode and measure disagree on {message:?}");
+    assert_eq!(&back, message);
+}
+
 /// Encode, check the length oracle, decode, compare, re-encode, compare bytes.
 fn assert_request_round_trips(request: &S1Request) {
     let bytes = to_bytes(request);
-    assert_eq!(bytes.len(), encoded_len(request), "encoded_len must match: {request:?}");
+    assert_eq!(bytes.len() as u64, measure(request).bytes, "measure must match: {request:?}");
     let back: S1Request = from_bytes(&bytes).expect("decode S1Request");
     assert_eq!(&back, request, "request round trip must be lossless");
     assert_eq!(to_bytes(&back), bytes, "re-encoding must be canonical");
@@ -174,7 +238,7 @@ fn assert_request_round_trips(request: &S1Request) {
 
 fn assert_response_round_trips(response: &S2Response) {
     let bytes = to_bytes(response);
-    assert_eq!(bytes.len(), encoded_len(response), "encoded_len must match: {response:?}");
+    assert_eq!(bytes.len() as u64, measure(response).bytes, "measure must match: {response:?}");
     let back: S2Response = from_bytes(&bytes).expect("decode S2Response");
     assert_eq!(&back, response, "response round trip must be lossless");
     assert_eq!(to_bytes(&back), bytes, "re-encoding must be canonical");
@@ -206,6 +270,27 @@ proptest! {
             (0..len).map(|_| rand_leaf_response(rng.gen_range(0..7), &mut rng)).collect(),
         );
         assert_response_round_trips(&reply);
+    }
+
+    #[test]
+    fn the_codec_counts_exactly_the_ciphertexts_of_every_variant(
+        seed in 0u64..300,
+        variant in 0usize..8,
+    ) {
+        // Variant 7 is a `Batch` of random leaves (of requests: 0..6; of responses: 0..7,
+        // `Error` included).
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(8).wrapping_add(variant as u64));
+        let (request, response) = if variant == 7 {
+            let len = rng.gen_range(0usize..5);
+            let requests = (0..len).map(|_| rand_leaf_request(rng.gen_range(0..6), &mut rng));
+            let request = S1Request::Batch(requests.collect());
+            let responses = (0..len).map(|_| rand_leaf_response(rng.gen_range(0..7), &mut rng));
+            (request, S2Response::Batch(responses.collect()))
+        } else {
+            (rand_leaf_request(variant % 6, &mut rng), rand_leaf_response(variant, &mut rng))
+        };
+        assert_codec_counts(&request, request_ciphertexts(&request));
+        assert_codec_counts(&response, response_ciphertexts(&response));
     }
 }
 

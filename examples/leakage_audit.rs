@@ -50,9 +50,8 @@ fn main() {
         let (equal, total) = sectopk_core::leakage::s2_equality_pattern_summary(session.clouds());
         println!("  S2 equality pattern: {equal}/{total} pairwise tests were 'equal'");
         println!(
-            "  channel: {:.3} MB, {} messages, {} rounds\n",
+            "  channel: {:.3} MB, {} rounds\n",
             session.metrics().megabytes(),
-            session.metrics().total_messages(),
             session.metrics().rounds
         );
     }

@@ -24,13 +24,12 @@ pub fn format_stats(outcome: &QueryOutcome) -> String {
     let s = &outcome.stats;
     format!(
         "depths scanned: {} (halted: {}), time: {:.3}s ({:.3}s/depth), \
-bandwidth: {:.3} MB over {} messages ({} rounds), tracked list size: {}",
+bandwidth: {:.3} MB over {} rounds, tracked list size: {}",
         s.depths_scanned,
         s.halted,
         s.total_seconds,
         s.seconds_per_depth(),
         s.channel.megabytes(),
-        s.channel.total_messages(),
         s.channel.rounds,
         s.final_tracked_len,
     )

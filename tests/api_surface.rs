@@ -31,6 +31,8 @@ const FACADE_FILES: &[&str] = &[
     "crates/core/src/leakage.rs",
     "crates/core/src/join.rs",
     "crates/protocols/src/tcp.rs",
+    "crates/protocols/src/channel.rs",
+    "crates/protocols/src/wire.rs",
 ];
 
 /// True when `line` (already trimmed) declares a public item we track.

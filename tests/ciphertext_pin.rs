@@ -9,6 +9,9 @@
 //! the test key size and at the default 256-bit `N`, so that two kernel widths are
 //! pinned.  A digest that moves means the bytes a party sees moved; that is never a
 //! refactor.
+//!
+//! Each run also pins its channel — rounds, metered payload bytes and ciphertexts — so
+//! a change to how a round is metered cannot move the bandwidth figures unseen.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,7 +24,7 @@ use sectopk_crypto::encoding::hex_encode;
 use sectopk_crypto::sha256::Sha256;
 use sectopk_crypto::{Ciphertext, MasterKeys};
 use sectopk_datasets::fig3_relation;
-use sectopk_protocols::{TransportKind, TwoClouds};
+use sectopk_protocols::{ChannelMetrics, TransportKind, TwoClouds};
 use sectopk_storage::TopKQuery;
 use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
@@ -41,6 +44,19 @@ const PINS: [(usize, &str, &str); 8] = [
     (256, "join", "8b9246a0e5df15b4de9971417bb00a492a8a49517bd335175c029c92caf80bb8"),
 ];
 
+/// `(key bits, query, rounds, bytes, ciphertexts)` of each pinned run's channel, in
+/// [`PINS`] order, recorded before a round's metering moved out of the transports.
+const CHANNEL_PINS: [(usize, &str, u64, u64, u64); 8] = [
+    (128, "Qry_F", 26, 49784, 902),
+    (128, "Qry_E", 26, 35959, 569),
+    (128, "Qry_Ba", 22, 35242, 555),
+    (128, "join", 4, 26764, 500),
+    (256, "Qry_F", 26, 85587, 902),
+    (256, "Qry_E", 26, 59066, 569),
+    (256, "Qry_Ba", 22, 57895, 555),
+    (256, "join", 4, 48737, 500),
+];
+
 /// Hash the ciphertexts in order, each length-prefixed so that no two sequences share
 /// an encoding.
 fn digest<'a>(ciphertexts: impl IntoIterator<Item = &'a Ciphertext>) -> String {
@@ -53,9 +69,9 @@ fn digest<'a>(ciphertexts: impl IntoIterator<Item = &'a Ciphertext>) -> String {
     hex_encode(&hasher.finalize())
 }
 
-/// The digest of the top-2 fig3 query's answer under `config`: every EHL block, then
-/// `worst` and `best`, item by item.
-fn query_digest(bits: usize, config: &QueryConfig) -> String {
+/// The digest of the top-2 fig3 query's answer under `config` — every EHL block, then
+/// `worst` and `best`, item by item — and the query's channel.
+fn query_digest(bits: usize, config: &QueryConfig) -> (String, ChannelMetrics) {
     let mut rng = StdRng::seed_from_u64(0xF163);
     let owner = DataOwner::new(bits, TEST_EHL_KEYS, &mut rng).expect("keygen");
     let (outsourced, _) = owner.outsource(&fig3_relation(), &mut rng).expect("encryption");
@@ -65,17 +81,18 @@ fn query_digest(bits: usize, config: &QueryConfig) -> String {
         .with_variant(VariantChoice::Fixed(config.variant));
     let outcome = session.execute(&query).expect("query").outcome;
     assert_eq!(outcome.top_k.len(), 2);
-    digest(
+    let hex = digest(
         outcome
             .top_k
             .iter()
             .flat_map(|item| item.ehl.blocks().iter().chain([&item.worst, &item.best])),
-    )
+    );
+    (hex, session.metrics())
 }
 
-/// The digest of a fig3 self-join on `r3`, ranked by `r1 + r2`: every returned tuple's
-/// score and carried attributes.
-fn join_digest(bits: usize) -> String {
+/// The digest of a fig3 self-join on `r3`, ranked by `r1 + r2` — every returned tuple's
+/// score and carried attributes — and the join's channel.
+fn join_digest(bits: usize) -> (String, ChannelMetrics) {
     let mut rng = StdRng::seed_from_u64(0x701F);
     let keys = MasterKeys::generate(bits, TEST_EHL_KEYS, &mut rng).expect("keygen");
     let fig3 = fig3_relation();
@@ -87,9 +104,10 @@ fn join_digest(bits: usize) -> String {
         TwoClouds::with_transport(&keys, 0x7018, TransportKind::InProcess, true).expect("clouds");
     let outcome = top_k_join(&mut clouds, &left, &right, &token).expect("join");
     assert_eq!(outcome.matching_pairs, 5);
-    digest(
+    let hex = digest(
         outcome.top_k.iter().flat_map(|tuple| [&tuple.score].into_iter().chain(&tuple.attributes)),
-    )
+    );
+    (hex, clouds.channel())
 }
 
 #[test]
@@ -101,21 +119,38 @@ fn query_and_join_ciphertexts_match_their_recorded_digests() {
             ("Qry_E", QueryConfig::dup_elim()),
             ("Qry_Ba", QueryConfig::batched(2)),
         ] {
-            observed.push((bits, name, query_digest(bits, &config)));
+            let (hex, channel) = query_digest(bits, &config);
+            observed.push((bits, name, hex, channel));
         }
-        observed.push((bits, "join", join_digest(bits)));
+        let (hex, channel) = join_digest(bits);
+        observed.push((bits, "join", hex, channel));
     }
     let printed: Vec<String> = observed
         .iter()
-        .map(|(bits, name, hex)| format!("({bits}, \"{name}\", \"{hex}\"),"))
+        .map(|(bits, name, hex, _)| format!("({bits}, \"{name}\", \"{hex}\"),"))
         .collect();
-    for ((bits, name, hex), (pin_bits, pin_name, pin_hex)) in observed.iter().zip(PINS) {
+    let printed_channels: Vec<String> = observed
+        .iter()
+        .map(|(bits, name, _, c)| {
+            format!("({bits}, \"{name}\", {}, {}, {}),", c.rounds, c.bytes, c.ciphertexts)
+        })
+        .collect();
+    for ((bits, name, hex, channel), ((pin_bits, pin_name, pin_hex), channel_pin)) in
+        observed.iter().zip(PINS.into_iter().zip(CHANNEL_PINS))
+    {
         assert_eq!((*bits, *name), (pin_bits, pin_name), "pin table order");
+        assert_eq!((*bits, *name), (channel_pin.0, channel_pin.1), "channel pin table order");
         assert_eq!(
             hex,
             pin_hex,
             "{bits}-bit {name}: the returned ciphertext bytes changed; observed pins:\n{}",
             printed.join("\n")
+        );
+        assert_eq!(
+            (channel.rounds, channel.bytes, channel.ciphertexts),
+            (channel_pin.2, channel_pin.3, channel_pin.4),
+            "{bits}-bit {name}: the metered channel changed; observed channel pins:\n{}",
+            printed_channels.join("\n")
         );
     }
 }

@@ -13,8 +13,8 @@ use sectopk_core::{
 };
 use sectopk_datasets::fig3_relation;
 use sectopk_protocols::{
-    ChannelMetrics, InProcessTransport, LeakageEvent, LeakageLedger, S1Request, S2Response,
-    Transport, TransportKind, TwoClouds,
+    InProcessTransport, LeakageEvent, LeakageLedger, S1Request, S2Response, Traffic, Transport,
+    TransportKind, TwoClouds,
 };
 use sectopk_storage::{Relation, Row, TopKQuery};
 use sectopk_tests::{harness, run_query, TEST_EHL_KEYS, TEST_MODULUS_BITS};
@@ -32,8 +32,11 @@ struct SignTap {
 }
 
 impl Transport for SignTap {
-    fn round_trip(&mut self, request: S1Request) -> sectopk_protocols::Result<S2Response> {
-        let response = self.inner.round_trip(request)?;
+    fn round_trip(
+        &mut self,
+        request: S1Request,
+    ) -> sectopk_protocols::Result<(S2Response, Traffic)> {
+        let (response, traffic) = self.inner.round_trip(request)?;
         let mut replies = self.replies.lock().expect("tap lock");
         let parts = match &response {
             S2Response::Batch(parts) => parts.as_slice(),
@@ -44,13 +47,7 @@ impl Transport for SignTap {
                 replies.push(signs.clone());
             }
         }
-        Ok(response)
-    }
-    fn metrics(&self) -> ChannelMetrics {
-        self.inner.metrics()
-    }
-    fn reset_metrics(&mut self) {
-        self.inner.reset_metrics();
+        Ok((response, traffic))
     }
     fn s2_ledger(&self) -> LeakageLedger {
         self.inner.s2_ledger()
