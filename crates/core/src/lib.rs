@@ -97,4 +97,4 @@ pub use session::{
 
 // Re-exported so facade users can describe link profiles, transports and remote
 // connection policy without depending on the protocols crate directly.
-pub use sectopk_protocols::{FaultPlan, LinkProfile, RetryPolicy, TcpOptions, TransportKind};
+pub use sectopk_protocols::{FaultPlan, LinkProfile, TcpOptions, TransportKind};

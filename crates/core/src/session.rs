@@ -319,10 +319,11 @@ impl DataOwner {
         self.connect_remote_with(outsourced, addr, seed, TcpOptions::default())
     }
 
-    /// [`DataOwner::connect_remote`] with explicit connection options (retry budget,
-    /// timeouts, proposed session id).  Failures that outlive the retry budget surface as
-    /// transient errors — see
-    /// [`SecTopKError::is_transient`](crate::SecTopKError::is_transient).
+    /// [`DataOwner::connect_remote`] with explicit connection options (a proposed
+    /// session id, injected faults).  Either way a dropped connection is recovered
+    /// transparently — reconnect, resume, re-send — and a failure recovery cannot get
+    /// past surfaces typed: [`SecTopKError::is_transient`](crate::SecTopKError::is_transient)
+    /// tells a server that is unreachable or full from a session that is gone.
     pub fn connect_remote_with(
         &self,
         outsourced: &Outsourced,

@@ -28,22 +28,6 @@ use crate::bounds::BoundPlan;
 use crate::context::TwoClouds;
 
 impl TwoClouds {
-    /// Compute the encrypted best (upper-bound) score of `item`, which appears in the
-    /// queried list `own_list` at depth `depth`, given the prefixes `seen[j]` (depths
-    /// `0..=depth`) of every queried list — Protocol 8.2 / Algorithm 6.
-    pub fn sec_best(
-        &mut self,
-        item: &EncryptedItem,
-        own_list: usize,
-        seen: &[Vec<EncryptedItem>],
-        depth: usize,
-    ) -> Result<Ciphertext> {
-        let mut plan = BoundPlan::new("sec_best", depth, vec![item.score.clone()]);
-        self.plan_best_scans(&mut plan, 0, item, own_list, seen);
-        let [mut bests] = self.run_bound_plans([plan])?;
-        Ok(bests.pop().expect("one job in, one score out"))
-    }
-
     /// Compute the best scores of all `m` items at depth `d` (Algorithm 3 line 6).
     ///
     /// `seen[j]` must contain the items of queried list `j` at depths `0..=depth`.
@@ -195,9 +179,12 @@ mod tests {
             vec![make_item(ObjectId(3), 7, &encoder, pk, &mut rng)],
         ];
         let item = seen[0][0].clone();
-        let best = clouds.sec_best(&item, 0, &seen, 1).unwrap();
+        // The best score of one item of list 0 at depth 1 — Protocol 8.2 / Algorithm 6.
+        let mut plan = BoundPlan::new("sec_best", 1, vec![item.score.clone()]);
+        clouds.plan_best_scans(&mut plan, 0, &item, 0, &seen);
+        let [bests] = clouds.run_bound_plans([plan]).unwrap();
         // 50 + bottom(list1)=30 + bottom(list2)=7 = 87.
-        assert_eq!(master.paillier_secret.decrypt_u64(&best).unwrap(), 87);
+        assert_eq!(master.paillier_secret.decrypt_u64(&bests[0]).unwrap(), 87);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   payload is a structured [`TransportError`] whose [`TransportErrorKind`] separates
 //!   *transient* breakdowns (a dead socket, a timeout, a full server — retry) from
 //!   *permanent* ones (a protocol violation, a handshake rejection — fix the caller),
-//!   so retry policies never have to match on message strings.
+//!   so the socket pipe's recovery never has to match on message strings.
 //!
 //! `From<CryptoError>` lets every sub-protocol keep using `?` on the crypto substrate,
 //! and `sectopk-core` folds the whole enum into its `SecTopKError` the same way
@@ -46,10 +46,6 @@ pub enum TransportErrorKind {
     /// The channel misbehaved in a way that indicates a bug or corruption (envelope
     /// echo mismatch, undecodable frame, oversized frame).  Permanent.
     Fault,
-    /// A retry policy gave up: every attempt failed and the budget (attempts or
-    /// deadline) is exhausted.  Permanent — the last underlying failure is in the
-    /// message.
-    Exhausted,
 }
 
 impl TransportErrorKind {
@@ -61,7 +57,6 @@ impl TransportErrorKind {
             TransportErrorKind::Overloaded => "overloaded",
             TransportErrorKind::Rejected => "rejected",
             TransportErrorKind::Fault => "fault",
-            TransportErrorKind::Exhausted => "exhausted",
         }
     }
 
@@ -76,7 +71,7 @@ impl TransportErrorKind {
 }
 
 /// A structured transport breakdown: a [`TransportErrorKind`] plus human-readable
-/// context.  Retry policies branch on the kind; logs and test assertions read the
+/// context.  Recovery branches on the kind; logs and test assertions read the
 /// message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransportError {
@@ -116,7 +111,7 @@ pub enum ProtocolError {
 impl ProtocolError {
     /// Build a permanent ([`TransportErrorKind::Fault`]) transport-layer error from
     /// anything displayable.  Misuse and corruption sites use this; transient
-    /// breakdowns use the kind-specific constructors so retry policies can see them.
+    /// breakdowns use the kind-specific constructors so recovery can see them.
     pub fn transport(what: impl Into<String>) -> Self {
         ProtocolError::Transport(TransportError::new(TransportErrorKind::Fault, what))
     }
@@ -124,11 +119,6 @@ impl ProtocolError {
     /// A transient connection breakdown ([`TransportErrorKind::Io`]).
     pub fn transport_io(what: impl Into<String>) -> Self {
         ProtocolError::Transport(TransportError::new(TransportErrorKind::Io, what))
-    }
-
-    /// A read/write timeout ([`TransportErrorKind::Timeout`]).
-    pub fn transport_timeout(what: impl Into<String>) -> Self {
-        ProtocolError::Transport(TransportError::new(TransportErrorKind::Timeout, what))
     }
 
     /// The serving side refused the connection under load
@@ -141,11 +131,6 @@ impl ProtocolError {
     /// ([`TransportErrorKind::Rejected`]).
     pub fn transport_rejected(what: impl Into<String>) -> Self {
         ProtocolError::Transport(TransportError::new(TransportErrorKind::Rejected, what))
-    }
-
-    /// A retry policy ran out of budget ([`TransportErrorKind::Exhausted`]).
-    pub fn transport_exhausted(what: impl Into<String>) -> Self {
-        ProtocolError::Transport(TransportError::new(TransportErrorKind::Exhausted, what))
     }
 
     /// Classify a raw I/O failure: timeouts become [`TransportErrorKind::Timeout`],
@@ -169,8 +154,8 @@ impl ProtocolError {
 
     /// True when the failure is transient: retrying the same request — after a
     /// reconnect-and-resume for transport breakdowns, or a backoff for shed
-    /// requests — can succeed.  Crypto failures, protocol violations, handshake
-    /// rejections and exhausted retry budgets are permanent.
+    /// requests — can succeed.  Crypto failures, protocol violations and handshake
+    /// rejections are permanent.
     pub fn is_retryable(&self) -> bool {
         match self {
             ProtocolError::Crypto(_) => false,
@@ -246,12 +231,12 @@ mod tests {
     fn retryability_follows_the_kind_not_the_message() {
         // Transient transport breakdowns.
         assert!(ProtocolError::transport_io("socket reset").is_retryable());
-        assert!(ProtocolError::transport_timeout("read timed out").is_retryable());
+        let timeout = std::io::Error::new(std::io::ErrorKind::TimedOut, "read timed out");
+        assert!(ProtocolError::from_io("read", timeout).is_retryable());
         assert!(ProtocolError::transport_overloaded("server full").is_retryable());
         // Permanent transport failures.
         assert!(!ProtocolError::transport("echo mismatch").is_retryable());
         assert!(!ProtocolError::transport_rejected("bad resume token").is_retryable());
-        assert!(!ProtocolError::transport_exhausted("gave up after 5").is_retryable());
         // Remote errors: only a shed request is retryable.
         assert!(ProtocolError::Remote(WireError::overloaded("inbox full")).is_retryable());
         assert!(!ProtocolError::Remote(WireError::malformed("bad arity")).is_retryable());

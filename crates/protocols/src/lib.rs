@@ -89,10 +89,8 @@ pub use items::{
 pub use join::{EncryptedTuple, JoinSpec, JoinedTuple};
 pub use ledger::{LeakageEvent, LeakageLedger};
 pub use multiplex::{Envelope, LinkProfile, MultiplexServer, PoolLimits, SessionId};
-pub use primitives::EqBatch;
 pub use tcp::{
-    FaultPlan, RetryPolicy, TcpCloudServer, TcpOptions, DEFAULT_PARK_TTL, MAX_FRAME_LEN,
-    TCP_PROTOCOL_VERSION,
+    FaultPlan, TcpCloudServer, TcpOptions, DEFAULT_PARK_TTL, MAX_FRAME_LEN, TCP_PROTOCOL_VERSION,
 };
 pub use transport::{
     EnvelopeTransport, InProcessTransport, S1Request, S2Response, Transport, TransportKind,

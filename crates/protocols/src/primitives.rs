@@ -64,15 +64,6 @@ use crate::transport::{EqAggregates, EqWants, S1Request, S2Response};
 /// interpretation never wraps for the score ranges the protocols produce.
 const COMPARE_SCALE_BOUND: u64 = 1 << 16;
 
-/// Result of a batched EHL equality exchange: the outer-layer encryptions `E2(t_i)`
-/// returned to S1.  The plaintext bits are known only to S2 (its `EP^d` leakage) and
-/// never cross back to S1-side protocol code.
-#[derive(Debug, Clone)]
-pub struct EqBatch {
-    /// Outer-layer encryptions `E2(t_i)` returned to S1.
-    pub e2_bits: Vec<LayeredCiphertext>,
-}
-
 /// One equality-matrix exchange prepared on the S1 side: the randomized `⊖` ciphertexts
 /// in row-major order plus the aggregates S2 should derive.
 #[derive(Debug, Clone)]
@@ -232,31 +223,6 @@ impl TwoClouds {
         par_map(self.intra_workers(), &jobs, |(a, neg_b, rs)| a.eq_test_negated(neg_b, &pk, rs))
     }
 
-    /// Batched EHL equality test: for every pair `(a_i, b_i)` S1 computes the randomized
-    /// `a_i ⊖ b_i`, ships the batch to S2, S2 decrypts each (learning the equality bit,
-    /// its designed leakage) and replies with `E2(t_i)` where `t_i = 1` iff the pair
-    /// hides the same object.
-    ///
-    /// `context` labels the calling sub-protocol and `depth` the scan depth for the
-    /// equality-pattern bookkeeping.
-    pub fn eq_batch(
-        &mut self,
-        pairs: &[(&EhlPlus, &EhlPlus)],
-        context: &'static str,
-        depth: Option<usize>,
-    ) -> Result<EqBatch> {
-        if pairs.is_empty() {
-            return Ok(EqBatch { e2_bits: Vec::new() });
-        }
-        let diffs = self.eq_diffs(pairs);
-        let cols = diffs.len();
-        let outcome = self
-            .run_eq_plans(vec![EqPlan { diffs, cols, context, depth, want: EqWants::none() }])?
-            .pop()
-            .expect("one plan in, one outcome out");
-        Ok(EqBatch { e2_bits: outcome.bits })
-    }
-
     /// Draw `count` `RecoverEnc` blindings `(r, Enc(r))`: `r` from S1's RNG, the
     /// encryption nonce from S1's pool, serially and in item order.
     fn draw_masks(&mut self, count: usize) -> Result<(Vec<BigUint>, Vec<Ciphertext>)> {
@@ -354,24 +320,6 @@ impl TwoClouds {
         assert_eq!(e2_bits.len(), scores.len(), "one bit per score required");
         let jobs: Vec<SelectJob<'_>> =
             e2_bits.iter().zip(scores).map(|(t, x)| SelectJob::gate(t, x, None)).collect();
-        self.select_many(&jobs)
-    }
-
-    /// Two-branch encrypted selection `Enc(t · x + (1 − t) · y)`.
-    pub fn select_between(
-        &mut self,
-        e2_bits: &[LayeredCiphertext],
-        if_true: &[Ciphertext],
-        if_false: &[Ciphertext],
-    ) -> Result<Vec<Ciphertext>> {
-        assert_eq!(e2_bits.len(), if_true.len());
-        assert_eq!(e2_bits.len(), if_false.len());
-        let jobs: Vec<SelectJob<'_>> = e2_bits
-            .iter()
-            .zip(if_true)
-            .zip(if_false)
-            .map(|((t, x), y)| SelectJob::gate(t, x, Some(y)))
-            .collect();
         self.select_many(&jobs)
     }
 
@@ -521,6 +469,36 @@ mod tests {
         (master, clouds, encoder, rng)
     }
 
+    /// One equality round over `pairs` (a single-row matrix, no aggregates): the
+    /// `E2(t_i)` bits, `t_i = 1` iff the pair hides the same object.
+    fn eq_batch(
+        clouds: &mut TwoClouds,
+        pairs: &[(&EhlPlus, &EhlPlus)],
+        context: &'static str,
+        depth: Option<usize>,
+    ) -> Vec<LayeredCiphertext> {
+        let diffs = clouds.eq_diffs(pairs);
+        let cols = diffs.len();
+        let plan = EqPlan { diffs, cols, context, depth, want: EqWants::none() };
+        clouds.run_eq_plans(vec![plan]).unwrap().pop().map_or_else(Vec::new, |o| o.bits)
+    }
+
+    /// Two-branch selection `Enc(t_i · x_i + (1 − t_i) · y_i)`, one gate per bit.
+    fn select_between(
+        clouds: &mut TwoClouds,
+        bits: &[LayeredCiphertext],
+        if_true: &[Ciphertext],
+        if_false: &[Ciphertext],
+    ) -> Vec<Ciphertext> {
+        let jobs: Vec<SelectJob<'_>> = bits
+            .iter()
+            .zip(if_true)
+            .zip(if_false)
+            .map(|((t, x), y)| SelectJob::gate(t, x, Some(y)))
+            .collect();
+        clouds.select_many(&jobs).unwrap()
+    }
+
     #[test]
     fn eq_batch_detects_equality_and_inequality() {
         let (master, mut clouds, encoder, mut rng) = setup();
@@ -529,11 +507,11 @@ mod tests {
         let a2 = encoder.encode(b"a", pk, &mut rng).unwrap();
         let b = encoder.encode(b"b", pk, &mut rng).unwrap();
 
-        let batch = clouds.eq_batch(&[(&a1, &a2), (&a1, &b)], "test", Some(0)).unwrap();
+        let bits = eq_batch(&mut clouds, &[(&a1, &a2), (&a1, &b)], "test", Some(0));
         // The E2 bits decrypt to 1 / 0 (only the key holder can check this; S1 cannot).
         let dj_sk = &master.s2_view().dj_secret;
-        assert_eq!(dj_sk.decrypt(&batch.e2_bits[0]).unwrap(), BigUint::from(1u32));
-        assert_eq!(dj_sk.decrypt(&batch.e2_bits[1]).unwrap(), BigUint::from(0u32));
+        assert_eq!(dj_sk.decrypt(&bits[0]).unwrap(), BigUint::from(1u32));
+        assert_eq!(dj_sk.decrypt(&bits[1]).unwrap(), BigUint::from(0u32));
         // Channel and ledger were updated.
         assert!(clouds.channel().bytes > 0);
         assert_eq!(clouds.s2_ledger().count_kind("equality_bit"), 2);
@@ -558,11 +536,10 @@ mod tests {
         let same_a = encoder.encode(b"x", pk, &mut rng).unwrap();
         let same_b = encoder.encode(b"x", pk, &mut rng).unwrap();
         let other = encoder.encode(b"y", pk, &mut rng).unwrap();
-        let batch =
-            clouds.eq_batch(&[(&same_a, &same_b), (&same_a, &other)], "test", None).unwrap();
+        let bits = eq_batch(&mut clouds, &[(&same_a, &same_b), (&same_a, &other)], "test", None);
         let scores =
             vec![pk.encrypt_u64(111, &mut rng).unwrap(), pk.encrypt_u64(222, &mut rng).unwrap()];
-        let selected = clouds.select_scores(&batch.e2_bits, &scores).unwrap();
+        let selected = clouds.select_scores(&bits, &scores).unwrap();
         assert_eq!(master.paillier_secret.decrypt_u64(&selected[0]).unwrap(), 111);
         assert_eq!(master.paillier_secret.decrypt_u64(&selected[1]).unwrap(), 0);
     }
@@ -574,12 +551,12 @@ mod tests {
         let a = encoder.encode(b"p", pk, &mut rng).unwrap();
         let a2 = encoder.encode(b"p", pk, &mut rng).unwrap();
         let b = encoder.encode(b"q", pk, &mut rng).unwrap();
-        let batch = clouds.eq_batch(&[(&a, &a2), (&a, &b)], "test", None).unwrap();
+        let bits = eq_batch(&mut clouds, &[(&a, &a2), (&a, &b)], "test", None);
         let if_true =
             vec![pk.encrypt_u64(10, &mut rng).unwrap(), pk.encrypt_u64(10, &mut rng).unwrap()];
         let if_false =
             vec![pk.encrypt_u64(77, &mut rng).unwrap(), pk.encrypt_u64(77, &mut rng).unwrap()];
-        let chosen = clouds.select_between(&batch.e2_bits, &if_true, &if_false).unwrap();
+        let chosen = select_between(&mut clouds, &bits, &if_true, &if_false);
         assert_eq!(master.paillier_secret.decrypt_u64(&chosen[0]).unwrap(), 10);
         assert_eq!(master.paillier_secret.decrypt_u64(&chosen[1]).unwrap(), 77);
     }
@@ -591,7 +568,7 @@ mod tests {
         let a = encoder.encode(b"p", pk, &mut rng).unwrap();
         let a2 = encoder.encode(b"p", pk, &mut rng).unwrap();
         let b = encoder.encode(b"q", pk, &mut rng).unwrap();
-        let bits = clouds.eq_batch(&[(&a, &a2), (&a, &b)], "test", None).unwrap().e2_bits;
+        let bits = eq_batch(&mut clouds, &[(&a, &a2), (&a, &b)], "test", None);
         let x = vec![pk.encrypt_u64(10, &mut rng).unwrap(), pk.encrypt_u64(20, &mut rng).unwrap()];
         let y = vec![pk.encrypt_u64(77, &mut rng).unwrap(), pk.encrypt_u64(88, &mut rng).unwrap()];
         let decrypt = |cs: &[Ciphertext]| -> Vec<u64> {
@@ -609,7 +586,7 @@ mod tests {
         assert_eq!(clouds.channel().rounds, before + 1, "one RecoverEnc round for all jobs");
 
         let zeroing = decrypt(&clouds.select_scores(&bits, &x).unwrap());
-        let two_branch = decrypt(&clouds.select_between(&bits, &x, &y).unwrap());
+        let two_branch = decrypt(&select_between(&mut clouds, &bits, &x, &y));
         assert_eq!(zeroing, vec![10, 0]);
         assert_eq!(two_branch, vec![10, 88]);
         assert_eq!(mixed, vec![zeroing[0], two_branch[1], zeroing[1], two_branch[0]]);
@@ -677,7 +654,7 @@ mod tests {
         let a2 = encoder.encode(b"p", pk, &mut rng).unwrap();
         let b = encoder.encode(b"q", pk, &mut rng).unwrap();
         // bits[0] = E2(1), bits[1] = E2(0).
-        let bits = clouds.eq_batch(&[(&a, &a2), (&a, &b)], "test", None).unwrap().e2_bits;
+        let bits = eq_batch(&mut clouds, &[(&a, &a2), (&a, &b)], "test", None);
         let x = pk.encrypt_u64(10, &mut rng).unwrap();
         let y = pk.encrypt_u64(77, &mut rng).unwrap();
         let sentinel = pk.encrypt(&pk.sentinel_z(), &mut rng).unwrap();
@@ -692,7 +669,7 @@ mod tests {
         // Same seeds, same draws in the same order: S2 decrypts the same inner
         // ciphertexts, so the two S1s end up holding identical ones.
         let mut reference = TwoClouds::new(&master, 99).unwrap();
-        let _ = reference.eq_batch(&[(&a, &a2), (&a, &b)], "test", None).unwrap();
+        let _ = eq_batch(&mut reference, &[(&a, &a2), (&a, &b)], "test", None);
         let fused = clouds.select_many(&jobs).unwrap();
         assert_eq!(fused, select_many_two_step(&mut reference, &jobs).unwrap());
         let plain: Vec<BigUint> =
@@ -745,7 +722,7 @@ mod tests {
     #[test]
     fn empty_batches_are_noops() {
         let (_master, mut clouds, _encoder, _rng) = setup();
-        assert!(clouds.eq_batch(&[], "t", None).unwrap().e2_bits.is_empty());
+        assert!(eq_batch(&mut clouds, &[], "t", None).is_empty());
         assert!(clouds.recover_enc_batch(&[]).unwrap().is_empty());
         assert!(clouds.compare_many(&[], "t").unwrap().is_empty());
         assert!(clouds.mul_blinded(Vec::new()).unwrap().is_empty());

@@ -19,7 +19,8 @@
 //! # Connection lifecycle
 //!
 //! 1. **Connect** with bounded retry and capped, deterministically jittered exponential
-//!    backoff (a fixed schedule: `CONNECT_ATTEMPTS`, `CONNECT_BACKOFF`).
+//!    backoff (a fixed schedule: `CONNECT_ATTEMPTS`, `CONNECT_BACKOFF`), the schedule
+//!    every reconnect runs on too.
 //! 2. **Handshake**: the client sends a `ClientHello` — magic, protocol version
 //!    ([`TCP_PROTOCOL_VERSION`]), and either a *fresh* session (a proposed id, 0 = server
 //!    assigns, plus the [`EngineProvision`] that boots its S2 engine) or a *resume* of a
@@ -54,27 +55,31 @@
 //! engine — the ledgers and nonce streams advance exactly once, and the resumed run is
 //! byte-identical to an uninterrupted one.
 //!
-//! On the client, [`RetryPolicy`] makes the recovery transparent: a retryable
-//! transport failure mid-exchange triggers reconnect → resume handshake → re-send of
-//! the unacknowledged envelope, under a bounded attempt/deadline budget with capped,
-//! jittered backoff — all inside the socket pipe's exchange, below the sequence numbers
-//! and echo check of [`EnvelopeTransport`]; the session meters the round once, when
-//! its reply arrives.  [`FaultPlan`] injects exactly
-//! these failures (severed sockets, delayed replies) on a deterministic schedule, which
-//! is what the chaos soak harness drives.
+//! On the client the recovery is transparent, and always on: a retryable transport
+//! failure mid-exchange triggers reconnect (the dial [`connect`] makes, on the same
+//! schedule) → resume handshake → re-send of the unacknowledged envelope, at most
+//! `CONNECT_ATTEMPTS` times per exchange — all inside the socket pipe's exchange, below
+//! the sequence numbers and echo check of [`EnvelopeTransport`].  A failure it cannot
+//! get past surfaces as what it is: [`crate::TransportErrorKind::Io`] once the dial
+//! schedule runs out, `Rejected` for a refused resume (the session was reaped, or its
+//! listener parks nothing), `Overloaded` for a full or draining server.  [`FaultPlan`]
+//! injects exactly these failures (severed sockets, delayed replies) on a deterministic
+//! schedule, which is what the chaos soak harness drives.
 //!
 //! # Metering
 //!
 //! A round's traffic excludes all framing — the 4-byte length prefix, the 16-byte
-//! envelope header and the tag byte — so [`crate::ChannelMetrics`] stays byte-identical
-//! with the in-process oracle (asserted by `tests/transport_equivalence.rs`).  A frame
-//! over [`MAX_FRAME_LEN`] is refused with a permanent error before a byte of it is
-//! written, so its session stays usable.  Errors
-//! of the socket itself (timeout, reset, EOF) surface as [`ProtocolError::Transport`]
-//! with a typed [`crate::TransportErrorKind`]; a provisioning payload this size is key
-//! material, so production deployments would wrap the socket in TLS — the handshake
-//! (and its resume token, which is an anti-footgun, not a security boundary) is
-//! factored so that swap stays local to this module.
+//! envelope header and the tag byte — and a recovery's re-send is never counted: the
+//! session meters the round once, when its reply arrives, so [`crate::ChannelMetrics`]
+//! stays byte-identical with the in-process oracle (asserted by
+//! `tests/transport_equivalence.rs`).  A request frame over [`MAX_FRAME_LEN`] is refused
+//! with a permanent error before a byte of it is written, and a reply that large is
+//! answered with a typed error frame in its place, so either way the session stays
+//! usable.  Errors of the socket itself (timeout, reset, EOF) surface as
+//! [`ProtocolError::Transport`] with a typed [`crate::TransportErrorKind`]; a
+//! provisioning payload this size is key material, so production deployments would wrap
+//! the socket in TLS — the handshake (and its resume token, which is an anti-footgun,
+//! not a security boundary) is factored so that swap stays local to this module.
 
 // Workspace invariant 3 (DESIGN.md §15): the request/reply path returns typed errors, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -100,8 +105,8 @@ use crate::multiplex::{
     rejection_error, Envelope, MultiplexServer, RejectCode, Seating, SessionConduit, SessionId,
 };
 use crate::plock::PoisonFree;
-use crate::transport::{frame, EnvelopeTransport, Pipe, TransportKind};
-use crate::wire;
+use crate::transport::{frame, framed, EnvelopeTransport, Pipe, S2Response, TransportKind};
+use crate::wire::{self, WireError};
 
 /// Version of the TCP handshake and framing.  Bumped on any incompatible change; the
 /// server rejects hellos carrying a different version.  v2 added session resumption
@@ -267,50 +272,8 @@ enum ServerHello {
 }
 
 // ====================================================================================
-// Client policy: retry, backoff, fault injection
+// Client policy: backoff, fault injection
 // ====================================================================================
-
-/// Transparent-retry budget of a socket session ([`connect`]): how hard the client works
-/// to reconnect, resume its session and re-send the unacknowledged envelope before a
-/// retryable failure is surfaced to the caller.
-///
-/// The default is [`RetryPolicy::none`] — fail fast, exactly the pre-resumption
-/// behaviour — so recovery is strictly opt-in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Reconnect attempts per logical exchange before giving up (0 disables retry).
-    pub attempts: u32,
-    /// Backoff before the first reconnect attempt; doubles per attempt.
-    pub backoff: Duration,
-    /// Upper bound the exponential backoff saturates at (zero = uncapped).
-    pub backoff_cap: Duration,
-    /// Wall-clock budget per logical exchange across all its attempts (zero = no
-    /// deadline).  Exceeding it surfaces [`crate::TransportErrorKind::Exhausted`].
-    pub deadline: Duration,
-}
-
-impl RetryPolicy {
-    /// No retry: the first transport failure surfaces to the caller.
-    pub fn none() -> Self {
-        RetryPolicy {
-            attempts: 0,
-            backoff: Duration::ZERO,
-            backoff_cap: Duration::ZERO,
-            deadline: Duration::ZERO,
-        }
-    }
-
-    /// Whether this policy retries at all.
-    pub fn is_enabled(&self) -> bool {
-        self.attempts > 0
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
-    }
-}
 
 /// Deterministic fault injection for the chaos harness: the client severs or delays
 /// its own connection on a fixed schedule of *logical* protocol frames (control
@@ -318,15 +281,15 @@ impl Default for RetryPolicy {
 /// same faults every time.
 ///
 /// Faults fire only on the **first** attempt of each logical frame — the socket pipe's
-/// re-send of the same envelope is never re-faulted — which guarantees forward progress
-/// under any enabled [`RetryPolicy`].
+/// re-send of the same envelope is never re-faulted — so every injected drop costs
+/// exactly one recovery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Every Nth logical frame: sever the connection *before* the request is written
-    /// (the server never sees it; the retry re-executes it once).  0 disables.
+    /// (the server never sees it; the re-send executes it once).  0 disables.
     pub drop_before_send_every: u64,
     /// Every Nth logical frame: write the request, then sever before reading the
-    /// reply (the server executes it; the retry is answered from the replay cache).
+    /// reply (the server executes it; the re-send is answered from the replay cache).
     /// 0 disables.
     pub drop_after_send_every: u64,
     /// Every Nth logical frame: sleep [`FaultPlan::delay`] after writing the request,
@@ -373,33 +336,14 @@ impl Default for FaultPlan {
     }
 }
 
-/// Exponential backoff for `attempt` (0-based): `base * 2^attempt`, saturated at
-/// `cap`, with deterministic jitter in [50%, 100%] drawn from `seed` — seeded runs
-/// back off identically, and a fleet sharing a base schedule decorrelates by seed.
-///
-/// The doubling is computed in saturating 128-bit nanoseconds *before* the cap is
-/// applied, so a large `attempt` (or an uncapped policy, `cap == 0`) pins at the
-/// representable maximum instead of wrapping around to a tiny delay.
-fn backoff_delay(base: Duration, cap: Duration, attempt: u32, seed: u64) -> Duration {
-    if base.is_zero() {
-        return Duration::ZERO;
-    }
-    let exponential = base.as_nanos().saturating_mul(1u128 << attempt.min(127));
-    let capped = if cap.is_zero() { exponential } else { exponential.min(cap.as_nanos()) };
-    // Integer jitter: floor(capped / 100) * percent never overflows (the division
-    // comes first) and agrees exactly with the real-valued percentage whenever
-    // `capped` is a multiple of 100ns.
+/// The connect schedule's sleep after failed dial round `attempt` (0-based):
+/// `CONNECT_BACKOFF * 2^attempt`, capped at `CONNECT_BACKOFF_CAP`, with deterministic
+/// jitter in [50%, 100%] drawn from `seed` — seeded runs back off identically, and a
+/// fleet sharing the schedule decorrelates by seed.
+fn backoff_delay(attempt: u32, seed: u64) -> Duration {
+    let capped = CONNECT_BACKOFF.saturating_mul(1 << attempt.min(31)).min(CONNECT_BACKOFF_CAP);
     let percent = 50 + shard_seed(seed, u64::from(attempt) + 1) % 51;
-    duration_from_nanos_saturating((capped / 100).saturating_mul(u128::from(percent)))
-}
-
-/// A `Duration` from 128-bit nanoseconds, pinned at `Duration::MAX` on overflow.
-fn duration_from_nanos_saturating(nanos: u128) -> Duration {
-    const NANOS_PER_SEC: u128 = 1_000_000_000;
-    match u64::try_from(nanos / NANOS_PER_SEC) {
-        Ok(secs) => Duration::new(secs, (nanos % NANOS_PER_SEC) as u32),
-        Err(_) => Duration::MAX,
-    }
+    capped / 100 * percent as u32
 }
 
 // ====================================================================================
@@ -407,14 +351,12 @@ fn duration_from_nanos_saturating(nanos: u128) -> Duration {
 // ====================================================================================
 
 /// Connection policy of a socket session ([`connect`]): an optional explicit session
-/// id, the transparent [`RetryPolicy`], and the chaos harness's [`FaultPlan`].  The
-/// connect schedule and the socket timeouts are constants of this module.
+/// id and the chaos harness's [`FaultPlan`].  The connect schedule, which every
+/// reconnect runs on too, and the socket timeouts are constants of this module.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TcpOptions {
     /// Session id to propose; `None` lets the server assign one.
     pub session: Option<SessionId>,
-    /// Transparent reconnect-resume-resend budget (default: disabled).
-    pub retry: RetryPolicy,
     /// Deterministic fault injection (default: none).
     pub faults: FaultPlan,
 }
@@ -423,12 +365,6 @@ impl TcpOptions {
     /// Propose an explicit session id instead of letting the server assign one.
     pub fn with_session(mut self, session: SessionId) -> Self {
         self.session = Some(session);
-        self
-    }
-
-    /// Enable transparent retry under `policy`.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
         self
     }
 
@@ -484,7 +420,7 @@ impl TcpClientMetrics {
 /// Connect to a [`TcpCloudServer`] at `addr`, retrying with capped jittered exponential
 /// backoff, run the handshake that provisions this session's S2 engine, and hand back
 /// the session's transport: envelopes travel length-prefix-framed over the socket, with
-/// opt-in transparent reconnect-resume-resend recovery (see the module docs).
+/// transparent reconnect-resume-resend recovery (see the module docs).
 pub fn connect(
     addr: impl ToSocketAddrs,
     provision: EngineProvision,
@@ -499,7 +435,7 @@ pub fn connect(
     }
     let jitter_seed = shard_seed(provision.seed, JITTER_STREAM);
     // No registry is installed yet, so the first dial counts nowhere.
-    let stream = dial(&addrs, CONNECT_ATTEMPTS, jitter_seed, &Counter::default())?;
+    let stream = dial(&addrs, jitter_seed, &TcpClientMetrics::default())?;
     let peer = stream.peer_addr().map_err(|e| ProtocolError::from_io("reading peer address", e))?;
 
     let kind = HelloKind::Fresh { session: options.session.map_or(0, |s| s.0), provision };
@@ -509,7 +445,7 @@ pub fn connect(
         addrs,
         peer,
         session,
-        options,
+        faults: options.faults,
         jitter_seed,
         resume_token,
         acked: 0,
@@ -521,18 +457,19 @@ pub fn connect(
     Ok(EnvelopeTransport::new(SessionId(session), Box::new(pipe)))
 }
 
-/// Dial S2: up to `attempts` rounds over `addrs`, sleeping out the connect backoff
-/// (jittered by `seed`) between rounds, and hand back the first connection made,
-/// configured.  Every dial counts in `dials`.
-fn dial(addrs: &[SocketAddr], attempts: u32, seed: u64, dials: &Counter) -> Result<TcpStream> {
+/// Dial S2 on the connect schedule: up to `CONNECT_ATTEMPTS` rounds over `addrs`,
+/// sleeping out the backoff (jittered by `seed`) between rounds, and hand back the first
+/// connection made, configured.  Every dial and every sleep counts in `metrics`.
+fn dial(addrs: &[SocketAddr], seed: u64, metrics: &TcpClientMetrics) -> Result<TcpStream> {
     let mut last_error = String::new();
-    for attempt in 0..attempts {
+    for attempt in 0..CONNECT_ATTEMPTS {
         if attempt > 0 {
-            let delay = backoff_delay(CONNECT_BACKOFF, CONNECT_BACKOFF_CAP, attempt - 1, seed);
+            let delay = backoff_delay(attempt - 1, seed);
+            metrics.backoff_nanos.add(u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX));
             std::thread::sleep(delay);
         }
         for addr in addrs {
-            dials.incr();
+            metrics.connect_attempts.incr();
             match TcpStream::connect(addr) {
                 Ok(stream) => return configure_stream(&stream).map(|()| stream),
                 Err(e) => last_error = format!("{addr}: {e}"),
@@ -540,7 +477,7 @@ fn dial(addrs: &[SocketAddr], attempts: u32, seed: u64, dials: &Counter) -> Resu
         }
     }
     Err(ProtocolError::transport_io(format!(
-        "connecting to S2 failed after {attempts} attempts: {last_error}"
+        "connecting to S2 failed after {CONNECT_ATTEMPTS} attempts: {last_error}"
     )))
 }
 
@@ -566,7 +503,7 @@ fn client_handshake(stream: &TcpStream, peer: SocketAddr, kind: HelloKind) -> Re
 }
 
 /// The socket [`Pipe`]: one TCP connection to a [`TcpCloudServer`], and the recovery of its
-/// session when it drops — reconnect, resume, re-send — under the [`RetryPolicy`].
+/// session when it drops — reconnect, resume, re-send.
 struct SocketPipe {
     stream: TcpStream,
     /// Resolved server addresses, kept for reconnects.
@@ -574,7 +511,7 @@ struct SocketPipe {
     peer: SocketAddr,
     /// The session id negotiated at connect time.
     session: u64,
-    options: TcpOptions,
+    faults: FaultPlan,
     /// Seed of the deterministic backoff jitter (derived from the provisioned seed).
     jitter_seed: u64,
     /// Token to present when resuming; rotated by the server on every accept.
@@ -602,7 +539,7 @@ impl SocketPipe {
 
     /// One send of `envelope` (`encoded`) and its reply; `nth`: its [`FaultPlan`] slot.
     fn attempt(&mut self, envelope: &Envelope, encoded: &[u8], nth: u64) -> Result<Envelope> {
-        let faults = self.options.faults;
+        let faults = self.faults;
         let due = |every: u64| nth != 0 && every > 0 && nth.is_multiple_of(every);
         if due(faults.drop_before_send_every) {
             return Err(self.sever("before send"));
@@ -629,42 +566,12 @@ impl SocketPipe {
         }
     }
 
-    /// After the retryable failure `trigger` of the exchange begun at `started`, burn through
-    /// its retry budget (`spent` reconnects so far) until one reconnect-resume succeeds.
-    fn recover(&mut self, started: Instant, spent: &mut u32, trigger: ProtocolError) -> Result<()> {
-        let policy = self.options.retry;
-        if !policy.is_enabled() {
-            return Err(trigger);
-        }
-        let mut last = trigger;
-        while *spent < policy.attempts {
-            if !policy.deadline.is_zero() && started.elapsed() >= policy.deadline {
-                return Err(ProtocolError::transport_exhausted(format!(
-                    "retry deadline of {:?} exceeded after {spent} reconnect attempts; last error: {last}",
-                    policy.deadline
-                )));
-            }
-            self.back_off(*spent);
-            *spent += 1;
-            match self.resume_once() {
-                Ok(()) => {
-                    self.client_metrics.reconnects.incr();
-                    return Ok(());
-                }
-                Err(e) if e.is_retryable() => last = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(ProtocolError::transport_exhausted(format!(
-            "gave up after {} reconnect attempts; last error: {last}",
-            policy.attempts
-        )))
-    }
-
-    /// One reconnect attempt (no inner retry — the [`RetryPolicy`] is the budget): dial,
-    /// resume-handshake the session, and on accept swap the live stream.
-    fn resume_once(&mut self) -> Result<()> {
-        let stream = dial(&self.addrs, 1, self.jitter_seed, &self.client_metrics.connect_attempts)?;
+    /// Take the session over on a new connection: abandon the old one (so its server
+    /// thread parks the session), dial on the connect schedule, resume-handshake, and
+    /// on accept swap the live stream.
+    fn resume(&mut self) -> Result<()> {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        let stream = dial(&self.addrs, self.jitter_seed, &self.client_metrics)?;
         let kind = HelloKind::Resume(ResumeHello {
             session: self.session,
             last_acked_seq: self.acked,
@@ -680,16 +587,8 @@ impl SocketPipe {
         self.resume_token = resume_token;
         self.stream = stream;
         self.dead = false;
+        self.client_metrics.reconnects.incr();
         Ok(())
-    }
-
-    /// Sleep out the `attempt`-th backoff of the retry policy.
-    fn back_off(&self, attempt: u32) {
-        let retry = self.options.retry;
-        let delay = backoff_delay(retry.backoff, retry.backoff_cap, attempt, self.jitter_seed);
-        let nanos = u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX);
-        self.client_metrics.backoff_nanos.add(nanos);
-        std::thread::sleep(delay);
     }
 }
 
@@ -698,12 +597,6 @@ impl Pipe for SocketPipe {
         TransportKind::Tcp
     }
 
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "timeout machinery, not protocol state: starts the retry-deadline clock of a \
-                  logical exchange; the deadline gates *when* a re-send happens, never what bytes \
-                  are produced (chaos-soak asserts byte-identity under faults)"
-    )]
     fn exchange(&mut self, envelope: &Envelope) -> Result<Envelope> {
         let encoded = envelope.encode();
         self.client_metrics.frame_bytes.observe(encoded.len() as u64);
@@ -714,7 +607,7 @@ impl Pipe for SocketPipe {
             self.frames += 1;
             nth = self.frames;
         }
-        let (started, mut spent) = (Instant::now(), 0);
+        let mut recoveries = 0;
         loop {
             match self.attempt(envelope, &encoded, nth) {
                 Ok(reply) => {
@@ -724,9 +617,10 @@ impl Pipe for SocketPipe {
                     return Ok(reply);
                 }
                 // Re-send the same envelope: the server's replay cache makes it idempotent.
-                Err(e) if e.is_retryable() => self.recover(started, &mut spent, e)?,
+                Err(e) if e.is_retryable() && recoveries < CONNECT_ATTEMPTS => self.resume()?,
                 Err(e) => return Err(e),
             }
+            recoveries += 1;
             self.faults_absorbed += 1;
             nth = 0;
         }
@@ -1005,11 +899,6 @@ impl TcpCloudServer {
         self.shared.resumed.load(Ordering::Relaxed)
     }
 
-    /// Whether the server is draining (rejecting every new hello).
-    pub fn is_draining(&self) -> bool {
-        self.shared.admission.plock().draining
-    }
-
     /// Failure injection: sever the socket of `session` mid-flight, as a crashed
     /// client or cut link would.  The connection's thread observes the dead socket and
     /// parks (or, with a zero [`Self::park_ttl`], reaps) the session; clean neighbours
@@ -1095,8 +984,8 @@ fn accept_loop(
         // its live connections and not every connection it ever served.
         let mut tracked = connection_threads.plock();
         tracked.retain(|handle| !handle.is_finished());
-        // Thread exhaustion: dropping the stream resets the connection, and a
-        // well-behaved client retries under its policy.  The listener survives.
+        // Thread exhaustion: dropping the stream resets the connection, and the client
+        // dials again on its connect schedule.  The listener survives.
         if let Ok(handle) = spawned {
             tracked.push(handle);
         }
@@ -1249,10 +1138,27 @@ fn serve_session(mut seated: Seated<'_>) {
             break;
         }
         let Ok(reply) = seated.conduit.call(envelope.seq, &envelope.frame) else { break };
-        if write_frame(stream, &reply.encode()).is_err() {
+        if write_reply(stream, &reply).is_err() {
             break;
         }
     }
+}
+
+/// Write S2's `reply` to a request.  A reply over [`MAX_FRAME_LEN`] cannot cross, but
+/// its effects are committed: it is answered with a typed `MalformedRequest` error frame
+/// instead, so the session serves its next request — and a re-send of the same request,
+/// which the replay cache answers with the same reply, gets the same error.
+fn write_reply(w: impl Write, reply: &Envelope) -> Result<()> {
+    let encoded = reply.encode();
+    if encoded.len() <= MAX_FRAME_LEN {
+        return write_frame(w, &encoded);
+    }
+    let error = WireError::malformed(format!(
+        "reply of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame cap",
+        encoded.len()
+    ));
+    let frame = framed(frame::RESPONSE, &S2Response::Error(error));
+    write_frame(w, &Envelope { session: reply.session, seq: reply.seq, frame }.encode())
 }
 
 /// What the end of a seated connection owes the server.  A guard, so the debt is paid
@@ -1339,16 +1245,6 @@ mod tests {
     /// A park TTL whose dirty exits reap immediately (the pre-resumption behaviour).
     fn no_parking() -> Duration {
         Duration::ZERO
-    }
-
-    /// A retry policy tuned for loopback tests: fast, bounded, deterministic.
-    fn test_retry() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 8,
-            backoff: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(20),
-            deadline: Duration::from_secs(20),
-        }
     }
 
     /// Raw handshake over a connected `stream`, bypassing the transport (so tests can
@@ -1614,10 +1510,17 @@ mod tests {
         t.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
 
         assert!(server.drop_session(SessionId(9)));
+        // Parking is off, so the connection's thread reaps the pool session: the
+        // client's resume finds nothing to take over, and that refusal is permanent.
         let err = t.round_trip(compare_request(&master, 1, &mut rng)).unwrap_err();
-        assert!(err.is_retryable(), "a severed socket is transient: {err:?}");
-        // Parking is off, so the connection's thread reaps the pool session; the id
-        // becomes reusable.
+        assert!(
+            matches!(&err, ProtocolError::Transport(e)
+                if e.kind == TransportErrorKind::Rejected && e.message.contains("expired session")),
+            "unexpected error {err:?}"
+        );
+        assert!(!err.is_retryable(), "a reaped session cannot be resumed: {err:?}");
+        assert_eq!(t.faults_absorbed(), 0);
+        // The id becomes reusable.
         wait_for(|| server.pool().active_sessions() == 0);
         assert_eq!(server.parked_sessions(), 0);
         assert!(!server.drop_session(SessionId(9)), "already severed");
@@ -1636,8 +1539,8 @@ mod tests {
     fn an_oversized_request_is_refused_unsent_and_the_session_survives() {
         let master = master(67);
         let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
-        let options = TcpOptions::default().with_retry(test_retry());
-        let mut tcp = connect(server.local_addr(), provision_for(&master, 5), options).unwrap();
+        let mut tcp =
+            connect(server.local_addr(), provision_for(&master, 5), TcpOptions::default()).unwrap();
         let mut oracle = InProcessTransport::new(provision_for(&master, 5).build());
 
         // A request whose frame is one byte over the cap.  From 2^21 to 2^28 bytes the
@@ -1850,57 +1753,56 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_and_deterministically_jittered() {
-        let base = Duration::from_millis(10);
-        let cap = Duration::from_millis(100);
         for attempt in 0..64 {
-            let d = backoff_delay(base, cap, attempt, 7);
-            assert!(d <= cap, "attempt {attempt} exceeded the cap: {d:?}");
-            let uncapped_floor = base.saturating_mul(1 << attempt.min(20)).min(cap).mul_f64(0.5);
-            assert!(d >= uncapped_floor, "attempt {attempt} under 50% jitter floor: {d:?}");
-            assert_eq!(
-                d,
-                backoff_delay(base, cap, attempt, 7),
-                "same seed must give the same jitter"
-            );
+            let d = backoff_delay(attempt, 7);
+            assert!(d <= CONNECT_BACKOFF_CAP, "attempt {attempt} exceeded the cap: {d:?}");
+            let doubled = CONNECT_BACKOFF.saturating_mul(1 << attempt.min(20));
+            let floor = doubled.min(CONNECT_BACKOFF_CAP) / 2;
+            assert!(d >= floor, "attempt {attempt} under 50% jitter floor: {d:?}");
+            assert_eq!(d, backoff_delay(attempt, 7), "same seed must give the same jitter");
         }
         // Huge attempt counts must not overflow.
-        let _ = backoff_delay(Duration::from_secs(1), Duration::ZERO, u32::MAX, 1);
-        assert_eq!(backoff_delay(Duration::ZERO, cap, 3, 7), Duration::ZERO);
+        assert!(backoff_delay(u32::MAX, 1) <= CONNECT_BACKOFF_CAP);
     }
 
     #[test]
-    fn uncapped_backoff_is_monotone_and_saturates_instead_of_wrapping() {
-        // Regression: the doubling used to run in u32 `Duration::saturating_mul`
-        // after a 20-bit shift clamp, so an uncapped policy stopped growing early,
-        // and a nanosecond-domain overflow could wrap to a tiny delay.  Uncapped
-        // delays must now be monotone nondecreasing across the whole attempt range.
-        let base = Duration::from_millis(10);
-        let mut prev = Duration::ZERO;
-        for attempt in 0..=63 {
-            let d = backoff_delay(base, Duration::ZERO, attempt, 7);
-            assert!(
-                d >= prev,
-                "uncapped backoff regressed at attempt {attempt}: {d:?} after {prev:?}"
-            );
-            prev = d;
-        }
-        // Far past any representable doubling the delay pins at the saturated
-        // maximum; it must never fall back below an earlier attempt's delay.
-        let huge = backoff_delay(Duration::from_secs(1), Duration::ZERO, u32::MAX, 1);
-        let earlier = backoff_delay(Duration::from_secs(1), Duration::ZERO, 40, 1);
-        assert!(huge >= earlier, "saturated backoff wrapped: {huge:?} < {earlier:?}");
+    fn write_reply_answers_an_over_cap_reply_with_a_typed_error_frame() {
+        // A reply one byte over the cap, then the session's next reply, onto one stream.
+        let session = SessionId(7);
+        let header = Envelope { session, seq: 3, frame: Vec::new() }.encode().len();
+        let over_cap = Envelope { session, seq: 3, frame: vec![0; MAX_FRAME_LEN + 1 - header] };
+        let next_frame = framed(frame::RESPONSE, &S2Response::Signs(vec![1]));
+        let next = Envelope { session, seq: 4, frame: next_frame };
+        let mut written = Vec::new();
+        write_reply(&mut written, &over_cap).unwrap();
+        let first_len = written.len();
+        // A re-send is answered from the replay cache with the same over-cap reply.
+        write_reply(&mut written, &over_cap).unwrap();
+        write_reply(&mut written, &next).unwrap();
+
+        let mut stream = &written[..];
+        let error = Envelope::decode(&read_frame(&mut stream).unwrap()).unwrap();
+        assert_eq!((error.session, error.seq), (session, 3), "the error answers the request");
+        assert_eq!(error.frame.first(), Some(&frame::RESPONSE));
+        let response: S2Response = wire::from_bytes(&error.frame[1..]).unwrap();
+        assert!(
+            matches!(&response, S2Response::Error(e) if e.code == WireErrorCode::MalformedRequest
+                && e.message.contains(&format!("{} bytes", MAX_FRAME_LEN + 1))),
+            "unexpected response {response:?}"
+        );
+        let replayed = read_frame(&mut stream).unwrap();
+        assert_eq!(replayed, written[4..first_len], "a re-send gets the same answer");
+        assert_eq!(Envelope::decode(&read_frame(&mut stream).unwrap()).unwrap(), next);
+        assert!(stream.is_empty());
     }
 
     #[test]
     fn transparent_resume_recovers_a_mid_flight_drop_byte_identically() {
         let master = master(49);
         let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
-        let mut tcp = connect(
-            server.local_addr(),
-            provision_for(&master, 77),
-            TcpOptions::default().with_retry(test_retry()),
-        )
-        .unwrap();
+        let mut tcp =
+            connect(server.local_addr(), provision_for(&master, 77), TcpOptions::default())
+                .unwrap();
         let mut oracle = InProcessTransport::new(provision_for(&master, 77).build());
 
         let mut rng_a = StdRng::seed_from_u64(11);
@@ -1938,7 +1840,7 @@ mod tests {
         let mut tcp = connect(
             server.local_addr(),
             provision_for(&master, 88),
-            TcpOptions::default().with_retry(test_retry()).with_faults(faults),
+            TcpOptions::default().with_faults(faults),
         )
         .unwrap();
         let mut oracle = InProcessTransport::new(provision_for(&master, 88).build());
@@ -1967,7 +1869,7 @@ mod tests {
         let mut tcp = connect(
             server.local_addr(),
             provision_for(&master, 89),
-            TcpOptions::default().with_retry(test_retry()).with_faults(faults),
+            TcpOptions::default().with_faults(faults),
         )
         .unwrap();
         let mut oracle = InProcessTransport::new(provision_for(&master, 89).build());
@@ -2062,7 +1964,6 @@ mod tests {
         let master = master(55);
         let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
         server.drain(Duration::ZERO);
-        assert!(server.is_draining());
         let err = connect(server.local_addr(), provision_for(&master, 1), TcpOptions::default())
             .unwrap_err();
         match &err {
@@ -2119,7 +2020,7 @@ mod tests {
         });
         let master = master(66);
         let faults = FaultPlan::none().with_drop_after_send_every(1);
-        let options = TcpOptions::default().with_retry(test_retry()).with_faults(faults);
+        let options = TcpOptions::default().with_faults(faults);
         let mut transport = connect(addr, provision_for(&master, 1), options).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let request = compare_request(&master, 1, &mut rng);
@@ -2139,17 +2040,6 @@ mod tests {
             ),
             "unexpected resume claim {resume:?}"
         );
-
-        // A pipe that may not re-establish its connection surfaces the failure, still
-        // retryable.
-        let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
-        let faults = FaultPlan::none().with_drop_before_send_every(1);
-        let options = TcpOptions::default().with_faults(faults);
-        let mut transport =
-            connect(server.local_addr(), provision_for(&master, 2), options).unwrap();
-        let err = transport.round_trip(compare_request(&master, 1, &mut rng)).unwrap_err();
-        assert!(err.is_retryable(), "unexpected error {err:?}");
-        assert_eq!(transport.faults_absorbed(), 0);
     }
 
     /// `message` encodes to `pinned`, and `pinned` decodes to what encodes to it again.

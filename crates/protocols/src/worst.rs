@@ -28,20 +28,6 @@ use crate::bounds::BoundPlan;
 use crate::context::TwoClouds;
 
 impl TwoClouds {
-    /// Compute the encrypted *local* worst score of one item against the other items `h`
-    /// seen at the same depth — Protocol 8.1 / Algorithm 4.
-    pub fn sec_worst(
-        &mut self,
-        item: &EncryptedItem,
-        others: &[&EncryptedItem],
-        depth: usize,
-    ) -> Result<Ciphertext> {
-        let mut plan = BoundPlan::new("sec_worst", depth, vec![item.score.clone()]);
-        plan.scan(self, 0, item, others, None);
-        let [mut worsts] = self.run_bound_plans([plan])?;
-        Ok(worsts.pop().expect("one job in, one score out"))
-    }
-
     /// Compute the local worst scores of **all** `m` items appearing at depth `d`
     /// (one per queried list) — the way Algorithm 3 line 5 invokes SecWorst.
     pub fn sec_worst_depth(
@@ -141,8 +127,11 @@ mod tests {
         let (master, mut clouds, encoder, mut rng) = setup();
         let pk = &master.paillier_public;
         let item = make_item(ObjectId(1), 42, &encoder, pk, &mut rng);
-        let worst = clouds.sec_worst(&item, &[], 0).unwrap();
-        assert_eq!(master.paillier_secret.decrypt_u64(&worst).unwrap(), 42);
+        // One item against no others: Protocol 8.1 for a single item.
+        let mut plan = BoundPlan::new("sec_worst", 0, vec![item.score.clone()]);
+        plan.scan(&mut clouds, 0, &item, &[], None);
+        let [worsts] = clouds.run_bound_plans([plan]).unwrap();
+        assert_eq!(master.paillier_secret.decrypt_u64(&worsts[0]).unwrap(), 42);
         assert_eq!(clouds.channel(), crate::ChannelMetrics::default());
     }
 

@@ -41,11 +41,11 @@
 //!
 //! # Knobs
 //!
-//! [`ServeConfig`] has six: `sessions` (concurrent S1 clients), `base_seed`,
+//! [`ServeConfig`] has five: `sessions` (concurrent S1 clients), `base_seed`,
 //! `variant` — [`VariantChoice::Auto`] lets the planner pick `Qry_F`/`Qry_E`/`Qry_Ba`
 //! per query; the decision lands in each outcome's
 //! [`QueryStats::plan`](sectopk_core::QueryStats) so serving reports are
-//! self-describing — `intra_workers`, and `retry` / `faults` for the socket run.  A
+//! self-describing — `intra_workers`, and `faults` for the socket run.  A
 //! serving run scans to the halting condition and runs over an ideal link; a session
 //! over a simulated WAN (§11.2.5) is opened by hand with [`QueryServer::open_session`].
 //! The S2 pool width is set at [`QueryServer::new`].
@@ -73,7 +73,7 @@ use sectopk_metrics::{MetricsSnapshot, Registry};
 use sectopk_protocols::context::require_batching;
 use sectopk_protocols::{
     ChannelMetrics, FaultPlan, LeakageLedger, LinkProfile, MultiplexServer, PoolLimits,
-    ProtocolError, RetryPolicy, SessionId, TcpCloudServer, TcpOptions, TwoClouds, DEFAULT_PARK_TTL,
+    ProtocolError, SessionId, TcpCloudServer, TcpOptions, TwoClouds, DEFAULT_PARK_TTL,
 };
 use sectopk_storage::{EncryptedRelation, TopKQuery};
 
@@ -95,12 +95,9 @@ pub struct ServeConfig {
     /// divided among the sessions its pool may compute for at once.  Worker count only
     /// changes wall-clock: results, ledgers and metrics are byte-identical.
     pub intra_workers: Option<usize>,
-    /// Transparent reconnect-resume-resend policy for [`QueryServer::serve_tcp`]
-    /// sessions (ignored by the in-process paths, which cannot lose a connection).
-    pub retry: RetryPolicy,
     /// Deterministic fault injection for [`QueryServer::serve_tcp`] sessions — the
-    /// chaos-soak knob.  With a matching [`RetryPolicy`] enabled, an injected drop is
-    /// recovered transparently and the run's reports stay byte-identical.
+    /// chaos-soak knob.  A socket session recovers an injected drop transparently, so
+    /// the run's reports stay byte-identical.
     pub faults: FaultPlan,
 }
 
@@ -113,15 +110,8 @@ impl ServeConfig {
             variant: VariantChoice::Fixed(sectopk_core::QueryVariant::Full),
             base_seed,
             intra_workers: None,
-            retry: RetryPolicy::none(),
             faults: FaultPlan::none(),
         }
-    }
-
-    /// Enable transparent retry for networked ([`QueryServer::serve_tcp`]) sessions.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Inject connection faults on `faults`' schedule into networked
@@ -484,7 +474,7 @@ impl QueryServer {
     /// The serving loop, written once.  Queries are dealt round-robin
     /// ([`QueryWorkload::partition`]); session `i` is opened over the pool's conduit —
     /// or, given a `listener` in front of the pool, over a real socket to it under
-    /// `config`'s [`RetryPolicy`] and [`FaultPlan`] — and runs its stream: a failed
+    /// `config`'s [`FaultPlan`] — and runs its stream: a failed
     /// query is recorded in the client's failure list and the session keeps going.
     /// `concurrent` puts every session on its own thread against the
     /// shared S2 pool; otherwise they run one after another.  Reports come back in
@@ -503,7 +493,7 @@ impl QueryServer {
         listener: Option<TcpCloudServer>,
     ) -> Result<ServeReport> {
         let addr = listener.as_ref().map(|l| l.local_addr().to_string());
-        let options = TcpOptions::default().with_retry(config.retry).with_faults(config.faults);
+        let options = TcpOptions::default().with_faults(config.faults);
         let partitions = workload.partition(config.sessions.max(1));
         let start = Instant::now();
         let run_session = |(i, queries): (usize, &Vec<TopKQuery>)| -> Result<SessionReport> {
@@ -568,10 +558,10 @@ impl QueryServer {
     /// [`QueryServer::serve`], but with every session crossing a real TCP socket: the
     /// server's S2 pool is exposed on an ephemeral loopback listener, each session
     /// connects to it under the id and seed [`Self::open_configured`] would use, and
-    /// `config`'s [`RetryPolicy`] and [`FaultPlan`] govern the connections.  The
-    /// per-session reports are byte-identical to [`QueryServer::serve`] — and, with
-    /// faults injected but retry enabled, byte-identical to the fault-free run (the
-    /// chaos-soak invariant).
+    /// `config`'s [`FaultPlan`] injects faults into the connections.  The per-session
+    /// reports are byte-identical to [`QueryServer::serve`] — and, with faults injected,
+    /// byte-identical to the fault-free run, since every socket session recovers them
+    /// transparently (the chaos-soak invariant).
     pub fn serve_tcp(&self, workload: &QueryWorkload, config: &ServeConfig) -> Result<ServeReport> {
         self.run(workload, config, true, Some(self.listen("127.0.0.1:0")?))
     }

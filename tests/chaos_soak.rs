@@ -2,7 +2,7 @@
 //!
 //! [`QueryServer::serve_tcp`] runs a whole workload over real loopback sockets with a
 //! deterministic [`FaultPlan`] severing connections before sends, after sends and
-//! around replies, while [`RetryPolicy`] turns every injected failure into a
+//! around replies, while every socket session turns each injected failure into a
 //! reconnect-resume-resend.  The invariant under soak is total: the faulted run's
 //! per-session reports — resolved results, encrypted ciphertexts, planner decisions,
 //! channel metrics, **both leakage ledgers** — must be byte-identical to the fault-free
@@ -19,7 +19,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sectopk_core::{DataOwner, FaultPlan, Outsourced, QueryVariant, RetryPolicy, VariantChoice};
+use sectopk_core::{DataOwner, FaultPlan, Outsourced, QueryVariant, VariantChoice};
 use sectopk_datasets::{fig3_relation, QueryWorkload, WorkloadSpec};
 use sectopk_server::{QueryServer, ServeConfig};
 use sectopk_tests::{assert_sessions_identical, TEST_MODULUS_BITS};
@@ -37,16 +37,6 @@ fn fixture(seed: u64, queries: usize) -> (DataOwner, Outsourced, QueryWorkload) 
     (owner, outsourced, workload)
 }
 
-/// A patient loopback retry budget: enough attempts to ride out every injected drop.
-fn soak_retry() -> RetryPolicy {
-    RetryPolicy {
-        attempts: 12,
-        backoff: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(20),
-        deadline: Duration::from_secs(120),
-    }
-}
-
 /// The soak proper: for each variant shape, serve the workload fault-free in-process,
 /// then over TCP under the given fault plan, and require bit-for-bit identical reports.
 fn soak(faults: FaultPlan, seed: u64) {
@@ -60,9 +50,8 @@ fn soak(faults: FaultPlan, seed: u64) {
     ] {
         let config = ServeConfig::new(4, seed ^ 0xBA5E).with_variant(variant);
         let baseline = server.serve(&workload, &config).expect("fault-free in-process serve");
-        let faulted = server
-            .serve_tcp(&workload, &config.with_retry(soak_retry()).with_faults(faults))
-            .expect("faulted TCP serve");
+        let faulted =
+            server.serve_tcp(&workload, &config.with_faults(faults)).expect("faulted TCP serve");
 
         assert_eq!(baseline.query_failures(), 0, "{name}: fault-free run must be clean");
         assert_eq!(

@@ -18,11 +18,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
 
 use sectopk_core::{
-    execute_with_clouds, resolution_rng, DataOwner, FaultPlan, Outsourced, Query, RetryPolicy,
-    TcpOptions, VariantChoice,
+    execute_with_clouds, resolution_rng, DataOwner, FaultPlan, Outsourced, Query, TcpOptions,
+    VariantChoice,
 };
 use sectopk_datasets::{fig3_relation, QueryWorkload, WorkloadSpec};
 use sectopk_metrics::{MetricsSnapshot, Registry};
@@ -252,15 +251,8 @@ fn injected_faults_are_counted_and_absorbed_without_query_failures() {
     let (owner, outsourced, workload) = fixture(0x0B5E_0005, 8);
     let registry = Registry::enabled();
     let server = QueryServer::with_metrics(owner.keys(), outsourced, 2, registry.clone());
-    let retry = RetryPolicy {
-        attempts: 12,
-        backoff: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(20),
-        deadline: Duration::from_secs(120),
-    };
     let config = ServeConfig::new(2, 0x0B5E_0005)
         .with_variant(VariantChoice::Auto)
-        .with_retry(retry)
         .with_faults(FaultPlan::none().with_drop_after_send_every(17));
     let report = server.serve_tcp(&workload, &config).expect("faulted TCP serve");
 

@@ -10,10 +10,12 @@
 //! * a request that never *reached* the server is re-executed exactly once (the replay
 //!   counter stays flat).
 //!
-//! `tests/tcp_transport.rs` covers the complementary fail-fast contract (no
-//! [`RetryPolicy`], `park_ttl` zero): severed sessions surface typed errors and are
-//! reaped immediately.
+//! Recovery is how every socket session works, so the default door
+//! (`DataOwner::connect_remote`, default options) resumes too.  `tests/tcp_transport.rs`
+//! covers the complementary contract (`park_ttl` zero): a session that cannot be
+//! resumed fails typed, and its neighbours are unharmed.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,9 +23,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sectopk_core::{
-    DataOwner, FaultPlan, Outsourced, Query, QueryVariant, RetryPolicy, Session, TcpOptions,
-    TransportKind, VariantChoice,
+    DataOwner, FaultPlan, Outsourced, Query, QueryVariant, Session, TcpOptions, TransportKind,
+    VariantChoice,
 };
+use sectopk_metrics::TraceHook;
 use sectopk_protocols::{MultiplexServer, SessionId, TcpCloudServer, DEFAULT_PARK_TTL};
 use sectopk_storage::{ObjectId, Relation, Row};
 use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
@@ -62,16 +65,6 @@ fn fixed_query() -> Query {
         .expect("query builds")
 }
 
-/// A tight-but-patient retry policy for loopback tests.
-fn test_retry() -> RetryPolicy {
-    RetryPolicy {
-        attempts: 10,
-        backoff: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(20),
-        deadline: Duration::from_secs(30),
-    }
-}
-
 fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(5);
     while !cond() {
@@ -108,9 +101,9 @@ fn server_side_drop_between_queries_resumes_transparently_and_byte_identically()
             &outsourced,
             &addr,
             seed,
-            TcpOptions::default().with_session(SessionId(7)).with_retry(test_retry()),
+            TcpOptions::default().with_session(SessionId(7)),
         )
-        .expect("retry-enabled session connects");
+        .expect("session connects");
 
     let first = session.execute(&fixed_query()).expect("query before the drop");
 
@@ -141,6 +134,59 @@ fn server_side_drop_between_queries_resumes_transparently_and_byte_identically()
     assert_eq!(session.s2_ledger().events(), unbroken.s2_ledger().events(), "S2 ledger diverges");
 }
 
+/// Severs `session`'s connection on `server` as round `at` (1-based) begins.
+struct SeverAtRound {
+    server: Arc<TcpCloudServer>,
+    session: SessionId,
+    at: u64,
+    rounds: AtomicU64,
+    severed: AtomicBool,
+}
+
+impl TraceHook for SeverAtRound {
+    fn enter(&self, _span: &str) {
+        if self.rounds.fetch_add(1, Ordering::Relaxed) + 1 == self.at {
+            self.severed.store(self.server.drop_session(self.session), Ordering::Relaxed);
+        }
+    }
+}
+
+#[test]
+fn default_door_resumes_a_session_severed_mid_query() {
+    // No option on either side: the default listener parks a dirty session for
+    // `DEFAULT_PARK_TTL`, and the default session resumes it.
+    let server = Arc::new(TcpCloudServer::bind("127.0.0.1:0", 2).expect("bind loopback"));
+    assert_eq!(server.park_ttl(), DEFAULT_PARK_TTL);
+    let addr = server.local_addr().to_string();
+    let (owner, outsourced) = fixture(0x7E5A_0005);
+    let seed = 0xD00D;
+
+    let mut session = owner.connect_remote(&outsourced, &addr, seed).expect("session connects");
+    let sever = Arc::new(SeverAtRound {
+        server: Arc::clone(&server),
+        // The first id a fresh listener assigns.
+        session: SessionId((1 << 32) + 1),
+        at: 3,
+        rounds: AtomicU64::new(0),
+        severed: AtomicBool::new(false),
+    });
+    session.clouds_mut().set_trace_hook(sever.clone());
+    let resolved = session.execute(&fixed_query()).expect("query across the drop");
+    assert!(sever.severed.load(Ordering::Relaxed), "round 3 began on a severed connection");
+    assert_eq!(session.clouds().faults_absorbed(), 1, "one drop, one recovery");
+    assert_eq!(server.resumed_sessions(), 1, "exactly one resumption");
+
+    let mut oracle = owner
+        .connect_with(&outsourced, seed, TransportKind::InProcess, true)
+        .expect("in-process oracle");
+    let expected = oracle.execute(&fixed_query()).expect("oracle query");
+    assert_eq!(resolved.results, expected.results, "results diverge");
+    assert_eq!(resolved.outcome.top_k, expected.outcome.top_k, "result ciphertexts diverge");
+    assert_eq!(session.metrics(), oracle.metrics(), "channel metrics diverge");
+    assert_eq!(session.s1_ledger().events(), oracle.s1_ledger().events(), "S1 ledger diverges");
+    assert_eq!(session.s2_ledger().events(), oracle.s2_ledger().events(), "S2 ledger diverges");
+}
+
 #[test]
 fn lost_reply_is_answered_from_the_replay_cache_not_reexecuted() {
     let server = bind_server(2, DEFAULT_PARK_TTL);
@@ -156,12 +202,7 @@ fn lost_reply_is_answered_from_the_replay_cache_not_reexecuted() {
     // cache; re-executing would double every ledger event of that exchange.
     let faults = FaultPlan::none().with_drop_after_send_every(5);
     let mut session = owner
-        .connect_remote_with(
-            &outsourced,
-            &addr,
-            seed,
-            TcpOptions::default().with_retry(test_retry()).with_faults(faults),
-        )
+        .connect_remote_with(&outsourced, &addr, seed, TcpOptions::default().with_faults(faults))
         .expect("fault-injected session connects");
 
     let resolved = session.execute(&fixed_query()).expect("query under lost-reply faults");
@@ -199,12 +240,7 @@ fn lost_request_is_reexecuted_exactly_once_with_batching_all_or_nothing() {
     // all-or-nothing: no half-applied batch survives on the server.
     let faults = FaultPlan::none().with_drop_before_send_every(4);
     let mut session = owner
-        .connect_remote_with(
-            &outsourced,
-            &addr,
-            seed,
-            TcpOptions::default().with_retry(test_retry()).with_faults(faults),
-        )
+        .connect_remote_with(&outsourced, &addr, seed, TcpOptions::default().with_faults(faults))
         .expect("fault-injected session connects");
 
     let resolved = session.execute(&fixed_query()).expect("query under lost-request faults");

@@ -1,12 +1,14 @@
 //! Failure injection over the real TCP transport.
 //!
 //! The in-process transports can only fail by construction (a worker panicking); a
-//! socket can die under a live query.  These tests sever connections server-side with
-//! [`TcpCloudServer::drop_session`] and assert the contract from both ends:
+//! socket can die under a live query.  A socket session always tries to resume, so
+//! these tests sever connections server-side with [`TcpCloudServer::drop_session`] on a
+//! listener that parks nothing, and assert the contract of a session that cannot be
+//! resumed from both ends:
 //!
-//! * the client surfaces a typed [`ProtocolError::Transport`] — no panic, and no
-//!   partial result escapes (`Session::execute` returns `Err`, never a truncated
-//!   `ResolvedTopK`);
+//! * the client surfaces a typed [`ProtocolError::Transport`] — the refused resume — no
+//!   panic, and no partial result escapes (`Session::execute` returns `Err`, never a
+//!   truncated `ResolvedTopK`);
 //! * the server reaps the dead session from the shared `MultiplexServer` pool (its id
 //!   becomes connectable again) and keeps serving clean neighbours **byte-identically**
 //!   to a run where the victim never existed.
@@ -46,9 +48,8 @@ fn fixture(seed: u64) -> (DataOwner, Outsourced) {
 }
 
 fn bind_server(workers: usize) -> TcpCloudServer {
-    // `park_ttl` zero: these tests assert the *fail-fast* contract (no retry policy on
-    // the clients), so a severed session must be reaped immediately rather than parked
-    // for resumption — `tests/tcp_resume.rs` covers the parking path.
+    // `park_ttl` zero: a severed session is reaped immediately rather than parked, so
+    // the client's resume is refused — `tests/tcp_resume.rs` covers the parking path.
     TcpCloudServer::serve_pool(
         "127.0.0.1:0",
         Arc::new(MultiplexServer::new(workers)),
