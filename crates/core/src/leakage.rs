@@ -20,6 +20,10 @@
 //!   order (larger score first, earlier position among equals), and
 //!   `tests/leakage_profiles.rs` checks that tripling every score leaves S1's bit
 //!   sequence unchanged;
+//! * `MaskedValues` counts the selection candidates `x + r` of one equality round, each
+//!   `r` uniform modulo `N`, fresh and known only to S1: uniform to S2, never shared
+//!   between two rows S1 permuted apart, and as many as the round's shape says, so they
+//!   add nothing to the equality pattern they ride with;
 //! * a `BlindedSign` is ±1 and never shows a tie — S1 compares odd differences, so under
 //!   `Qry_F` the neutralised duplicates (`Z = −1`) are not counted by zero signs, which
 //!   would be `UP^d`;
@@ -77,8 +81,9 @@ pub const S1_FULL: &[&str] = &["query_issued", "halting_depth", "comparison_bit"
 pub const S1_OPTIMIZED: &[&str] =
     &["query_issued", "halting_depth", "comparison_bit", "unique_count"];
 
-/// S2's view: the per-depth equality patterns plus the blinded comparison signs.
-pub const S2_ALL: &[&str] = &["equality_bit", "blinded_sign"];
+/// S2's view: the per-depth equality patterns plus the blinded comparison signs and the
+/// masked selection candidates it decrypts beside the equality bits.
+pub const S2_ALL: &[&str] = &["equality_bit", "blinded_sign", "masked_values"];
 
 /// The leakage profile of a query variant.
 pub fn profile_for(variant: QueryVariant) -> LeakageProfile {

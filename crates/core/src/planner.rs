@@ -16,7 +16,7 @@
 //!    depth plus the seen-list sweep), SecUpdate against the tracked list, `EncSort` at
 //!    the comparisons of its [`sort_plan`] and the halting comparison, plus a per-round
 //!    latency term when the inter-cloud link has a nonzero RTT (§11.2.5).  The round
-//!    count is the protocols' actual per-depth budget — bounds 2 + dedup 1 + update 2 +
+//!    count is the protocols' actual per-depth budget — bounds 1 + dedup 1 + update 1 +
 //!    the sort plan's rounds + halting 1 — recorded as
 //!    [`PlanDecision::estimated_rounds`].
 //! 3. **Prefer privacy subject to a budget**: `Qry_F` whenever its estimated cost fits
@@ -38,8 +38,9 @@ use crate::query::QueryVariant;
 
 /// Cost (in abstract units) below which full privacy (`Qry_F`) is considered
 /// affordable.  Calibrated so the paper's worked examples and the test relations
-/// (tens to a few hundred rows) stay on the maximally private path.
-pub const FULL_PRIVACY_BUDGET: f64 = 50_000.0;
+/// (tens to a few hundred rows) stay on the maximally private path on an ideal link,
+/// while the pinned 20 ms shapes (`n` = 64, 128) take `Qry_E` (DESIGN.md §8).
+pub const FULL_PRIVACY_BUDGET: f64 = 36_000.0;
 
 /// Cost budget for `Qry_E`: above this, the planner reaches for batching.
 pub const DUP_ELIM_BUDGET: f64 = 500_000.0;
@@ -133,11 +134,11 @@ fn halt_cost(t: f64) -> f64 {
     t + 1.0
 }
 
-/// Rounds one SecUpdate into a list of `len` items costs: an equality round and a
-/// `RecoverEnc` round, unless there is nothing to merge into yet.
+/// Rounds one SecUpdate into a list of `len` items costs: its equality round, which
+/// also makes every selection, unless there is nothing to merge into yet.
 fn update_rounds(len: f64) -> f64 {
     if len > 0.0 {
-        2.0
+        1.0
     } else {
         0.0
     }
@@ -184,10 +185,10 @@ fn estimate(inputs: &PlannerInputs, variant: QueryVariant, depths: usize) -> Est
     let mut e = Estimate::default();
     let mut checked = 0; // the depth of the last check: T covers depths 1..=checked
     for d in 1..=depths {
-        // SecWorst (m² eq tests) + SecBest (per list, the seen prefix sweep) share two
-        // rounds; the per-depth SecDedup is a third.  A single list needs neither.
+        // SecWorst (m² eq tests) + SecBest (per list, the seen prefix sweep) share one
+        // round; the per-depth SecDedup is a second.  A single list needs neither.
         e.ops += m * m + m * m * (d as f64).min(n) + m * m;
-        e.rounds += if inputs.m > 1 { 3.0 } else { 0.0 };
+        e.rounds += if inputs.m > 1 { 2.0 } else { 0.0 };
         if batched {
             let in_batch = (d - checked) as f64;
             e.ops += m * (m * in_batch);

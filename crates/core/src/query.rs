@@ -13,9 +13,9 @@
 //! The loop follows the paper: sorted access to the `m` token lists depth by depth,
 //! `SecWorst` / `SecBest` for the per-depth bounds, `SecDedup`/`SecDupElim`, `SecUpdate`
 //! into the global list, `EncSort` by worst score and an encrypted halting check.  Every
-//! step costs one equality round and one `RecoverEnc` round, so a depth's wire pattern
-//! is bounds 2 + dedup 1 + update 2 + the rounds of the sort's plan + halting 1 (the
-//! budget `tests/round_budget.rs` pins and the planner's RTT term models).  The
+//! step costs one round — S2 makes a step's selections inside its equality round — so a
+//! depth's wire pattern is bounds 1, dedup 1, update 1, the rounds of the sort's plan and
+//! halting 1 (the budget `tests/round_budget.rs` pins and the planner's RTT term models).  The
 //! halting check follows Algorithm 1's semantics (every object outside the current top-k
 //! — seen or unseen — must be dominated), which is slightly stronger than the
 //! `W_k ≥ B_{k+1}` shortcut written in Algorithm 3; see DESIGN.md.
@@ -228,8 +228,7 @@ pub fn sec_query(
         }
 
         // ---- SecWorst / SecBest for the current depth (Algorithm 3 lines 5-6): neither
-        //      needs the other's output, so they share one equality round and one
-        //      RecoverEnc round. ----------------------------------------------------------
+        //      needs the other's output, so they share one equality round. ---------------
         let (worsts, bests) = clouds.sec_bounds_depth(&depth_items, &seen, depth)?;
         let gamma: Vec<ScoredItem> = depth_items
             .iter()

@@ -25,7 +25,7 @@ use rand::{CryptoRng, RngCore};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::bigint::{factorial, l_function, mod_inverse, random_invertible, to_signed};
+use crate::bigint::{factorial, l_function, mod_inverse, random_invertible};
 use crate::error::{CryptoError, Result};
 use crate::paillier::{context_for, Ciphertext, PaillierPublicKey, PaillierSecretKey};
 
@@ -458,11 +458,6 @@ impl Deserialize for DjSecretKey {
     }
 }
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the audited home of decryption: the layered reveals are defined here on top of \
-              `decrypt` and the wrapped Paillier key; every call outside this block is checked"
-)]
 impl DjSecretKey {
     /// Derive the outer-layer secret key from the Paillier secret key.
     pub fn from_paillier(sk: &PaillierSecretKey) -> Self {
@@ -593,29 +588,6 @@ impl DjSecretKey {
         Ok((i * lambda_inv) % n_s)
     }
 
-    /// Decrypt a layered ciphertext whose message is an inner Paillier ciphertext,
-    /// returning that inner ciphertext (the operation at the heart of RecoverEnc).
-    pub fn decrypt_to_ciphertext(&self, c: &LayeredCiphertext) -> Result<Ciphertext> {
-        let raw = self.decrypt(c)?;
-        if raw.is_zero() {
-            // An inner plaintext of zero is not a valid Paillier ciphertext; the
-            // protocols never produce it for honest executions.
-            return Err(CryptoError::DecryptionFailed);
-        }
-        Ok(Ciphertext::from_biguint(raw))
-    }
-
-    /// Fully decrypt a doubly encrypted value: outer DJ layer, then inner Paillier layer.
-    pub fn decrypt_both_layers(&self, c: &LayeredCiphertext) -> Result<BigUint> {
-        let inner = self.decrypt_to_ciphertext(c)?;
-        self.paillier.decrypt(&inner)
-    }
-
-    /// Fully decrypt into the signed representation.
-    pub fn decrypt_both_layers_signed(&self, c: &LayeredCiphertext) -> Result<num_bigint::BigInt> {
-        Ok(to_signed(&self.decrypt_both_layers(c)?, self.public.n()))
-    }
-
     fn lambda(&self) -> &BigUint {
         // λ is private to the Paillier key; re-expose it through a crate-internal
         // accessor to avoid duplicating key material.
@@ -662,6 +634,16 @@ mod tests {
     use num_bigint::BigInt;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The inner ciphertext under the outer layer, as `RecoverEnc` strips it.
+    fn strip(dj_sk: &DjSecretKey, c: &LayeredCiphertext) -> Ciphertext {
+        Ciphertext::from_biguint(dj_sk.decrypt(c).unwrap())
+    }
+
+    /// Both layers decrypted: the inner ciphertext's plaintext.
+    fn both_layers(dj_sk: &DjSecretKey, c: &LayeredCiphertext) -> BigUint {
+        dj_sk.paillier().decrypt(&strip(dj_sk, c)).unwrap()
+    }
 
     fn setup() -> (DjPublicKey, DjSecretKey, PaillierPublicKey, PaillierSecretKey, StdRng) {
         let mut rng = StdRng::seed_from_u64(99);
@@ -722,9 +704,9 @@ mod tests {
         let (dj_pk, dj_sk, pk, sk, mut rng) = setup();
         let inner = pk.encrypt_u64(777, &mut rng).unwrap();
         let layered = dj_pk.encrypt_ciphertext(&inner, &mut rng).unwrap();
-        let recovered = dj_sk.decrypt_to_ciphertext(&layered).unwrap();
+        let recovered = strip(&dj_sk, &layered);
         assert_eq!(sk.decrypt_u64(&recovered).unwrap(), 777);
-        assert_eq!(dj_sk.decrypt_both_layers(&layered).unwrap(), BigUint::from(777u64));
+        assert_eq!(both_layers(&dj_sk, &layered), BigUint::from(777u64));
     }
 
     #[test]
@@ -740,7 +722,7 @@ mod tests {
         let layered = dj_pk.encrypt_ciphertext(&enc_m1, &mut rng).unwrap();
         let combined = dj_pk.mul_by_ciphertext(&layered, &enc_m2);
 
-        assert_eq!(dj_sk.decrypt_both_layers(&combined).unwrap(), BigUint::from(m1 + m2));
+        assert_eq!(both_layers(&dj_sk, &combined), BigUint::from(m1 + m2));
     }
 
     #[test]
@@ -761,7 +743,7 @@ mod tests {
             let right = dj_pk.mul_by_ciphertext(&one_minus_t, &enc_zero);
             let selected = dj_pk.add(&left, &right);
 
-            let value = dj_sk.decrypt_both_layers(&selected).unwrap();
+            let value = both_layers(&dj_sk, &selected);
             let expected = if t == 1 { 555u64 } else { 0 };
             assert_eq!(value, BigUint::from(expected), "t = {t}");
         }
@@ -826,8 +808,8 @@ mod tests {
                 let reference = dj_pk.mul_by_ciphertext(&selected, &enc_r);
                 let fused = dj_pk.select_blinded(&[(&e2_t, &enc_x)], &e2_one, &enc_y, &enc_r);
                 // Same inner ciphertext, byte for byte — S2's view of the round.
-                let inner = dj_sk.decrypt_to_ciphertext(&fused).unwrap();
-                assert_eq!(inner, dj_sk.decrypt_to_ciphertext(&reference).unwrap(), "t = {t}");
+                let inner = strip(&dj_sk, &fused);
+                assert_eq!(inner, strip(&dj_sk, &reference), "t = {t}");
                 let expected = if t == 1 { 555 } else { y } + 1_000;
                 assert_eq!(sk.decrypt_u64(&inner).unwrap(), expected, "t = {t}, y = {y}");
             }
@@ -857,10 +839,7 @@ mod tests {
 
                     // S2's view: exactly the hot ciphertext (or `otherwise`) times Enc(r).
                     let chosen = hot.map_or(&enc_y, |i| &enc_xs[i]);
-                    assert_eq!(
-                        dj_sk.decrypt_to_ciphertext(&fused).unwrap(),
-                        pk.add(chosen, &enc_r)
-                    );
+                    assert_eq!(strip(&dj_sk, &fused), pk.add(chosen, &enc_r));
 
                     // n single selections, each decrypted and unblinded, summed in the
                     // clear; an unset row adds `otherwise` once.
@@ -869,12 +848,12 @@ mod tests {
                         .map(|&term| {
                             let zero = pk.encrypt_u64(0, &mut rng).unwrap();
                             let single = dj_pk.select_blinded(&[term], &e2_one, &zero, &enc_r);
-                            let inner = dj_sk.decrypt_to_ciphertext(&single).unwrap();
+                            let inner = strip(&dj_sk, &single);
                             sk.decrypt_u64(&inner).unwrap() - r
                         })
                         .sum();
                     let expected = singles + if hot.is_none() { y } else { 0 };
-                    let plain = dj_sk.decrypt_both_layers(&fused).unwrap();
+                    let plain = both_layers(&dj_sk, &fused);
                     assert_eq!(plain, BigUint::from(expected + r), "n = {n}, hot = {hot:?}");
                 }
             }
@@ -917,7 +896,10 @@ mod tests {
         let (dj_pk, dj_sk, pk, _sk, mut rng) = setup();
         let inner = pk.encrypt_i64(-42, &mut rng).unwrap();
         let layered = dj_pk.encrypt_ciphertext(&inner, &mut rng).unwrap();
-        assert_eq!(dj_sk.decrypt_both_layers_signed(&layered).unwrap(), BigInt::from(-42));
+        assert_eq!(
+            dj_sk.paillier().decrypt_signed(&strip(&dj_sk, &layered)).unwrap(),
+            BigInt::from(-42)
+        );
     }
 
     #[test]

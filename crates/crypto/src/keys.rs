@@ -12,7 +12,6 @@
 use rand::{CryptoRng, RngCore};
 use serde::{Deserialize, Serialize};
 
-use crate::damgard_jurik::{DjPublicKey, DjSecretKey};
 use crate::error::{CryptoError, Result};
 use crate::paillier::{generate_keypair, PaillierPublicKey, PaillierSecretKey, MAX_MODULUS_BITS};
 use crate::prf::PrfKey;
@@ -73,10 +72,7 @@ impl MasterKeys {
 
     /// The view of the primary cloud S1: public key material only.
     pub fn s1_view(&self) -> S1Keys {
-        S1Keys {
-            paillier_public: self.paillier_public.clone(),
-            dj_public: DjPublicKey::from_paillier(&self.paillier_public),
-        }
+        S1Keys { paillier_public: self.paillier_public.clone() }
     }
 
     /// The view of the crypto cloud S2: public *and* secret decryption keys, but none of
@@ -85,8 +81,6 @@ impl MasterKeys {
         S2Keys {
             paillier_public: self.paillier_public.clone(),
             paillier_secret: self.paillier_secret.clone(),
-            dj_public: DjPublicKey::from_paillier(&self.paillier_public),
-            dj_secret: DjSecretKey::from_paillier(&self.paillier_secret),
         }
     }
 
@@ -113,8 +107,6 @@ impl MasterKeys {
 pub struct S1Keys {
     /// Paillier public key.
     pub paillier_public: PaillierPublicKey,
-    /// Damgård–Jurik public key (derived from the Paillier public key).
-    pub dj_public: DjPublicKey,
 }
 
 /// Key material visible to the crypto cloud S2.
@@ -124,10 +116,6 @@ pub struct S2Keys {
     pub paillier_public: PaillierPublicKey,
     /// Paillier secret key.
     pub paillier_secret: PaillierSecretKey,
-    /// Damgård–Jurik public key.
-    pub dj_public: DjPublicKey,
-    /// Damgård–Jurik secret key.
-    pub dj_secret: DjSecretKey,
 }
 
 /// Key material held by an authorized client.
@@ -161,7 +149,6 @@ mod tests {
 
         assert_eq!(s1.paillier_public.n(), s2.paillier_public.n());
         assert_eq!(client.paillier_public.n(), s1.paillier_public.n());
-        assert_eq!(s1.dj_public.n(), s2.dj_public.n());
     }
 
     #[test]
@@ -172,9 +159,6 @@ mod tests {
         let s2 = keys.s2_view();
         let c = s1.paillier_public.encrypt_u64(314, &mut rng).unwrap();
         assert_eq!(s2.paillier_secret.decrypt_u64(&c).unwrap(), 314);
-
-        let layered = s1.dj_public.encrypt_u64(159, &mut rng).unwrap();
-        assert_eq!(s2.dj_secret.decrypt(&layered).unwrap(), num_bigint::BigUint::from(159u64));
     }
 
     #[test]
@@ -212,7 +196,8 @@ mod tests {
             secrets.extend([("a PRF key", hex_encode(key)), ("a PRF key", list(key))]);
         }
 
-        let (sk, dj, prf) = (&keys.paillier_secret, &s2.dj_secret, &keys.prp_key);
+        let dj = &crate::damgard_jurik::DjSecretKey::from_paillier(&keys.paillier_secret);
+        let (sk, prf) = (&keys.paillier_secret, &keys.prp_key);
         let rendered = format!(
             "{keys:?} {keys:#?} {s2:?} {s2:#?} {sk:?} {sk:#?} {dj:?} {dj:#?} {prf:?} {prf:#?}"
         );

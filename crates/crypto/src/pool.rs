@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::bigint::random_below;
-use crate::damgard_jurik::{DjPublicKey, LayeredCiphertext};
+use crate::damgard_jurik::DjPublicKey;
 use crate::error::Result;
 use crate::paillier::{Ciphertext, PaillierPublicKey};
 
@@ -217,33 +217,6 @@ impl RandomnessPool {
         self.pk.rerandomize_with_nonce(a, &nonce)
     }
 
-    /// Encrypt `m ∈ Z_{N²}` under the outer DJ layer using a precomputed nonce.
-    pub fn encrypt_dj(&mut self, m: &BigUint) -> Result<LayeredCiphertext> {
-        let dj = self.dj.clone().expect("DJ encryption on a Paillier-only pool");
-        if m >= dj.n_s() {
-            return Err(crate::error::CryptoError::PlaintextOutOfRange);
-        }
-        let nonce = self.next_dj_nonce();
-        Ok(dj.encrypt_with_nonce(m, &nonce))
-    }
-
-    /// Encrypt a small constant under the outer DJ layer.
-    pub fn encrypt_dj_u64(&mut self, m: u64) -> Result<LayeredCiphertext> {
-        self.encrypt_dj(&BigUint::from(m))
-    }
-
-    /// Encrypt an inner Paillier ciphertext under the outer DJ layer.
-    pub fn encrypt_dj_ciphertext(&mut self, inner: &Ciphertext) -> Result<LayeredCiphertext> {
-        self.encrypt_dj(inner.as_biguint())
-    }
-
-    /// Re-randomize a layered ciphertext using a precomputed nonce.
-    pub fn rerandomize_dj(&mut self, a: &LayeredCiphertext) -> LayeredCiphertext {
-        let dj = self.dj.clone().expect("DJ re-randomization on a Paillier-only pool");
-        let nonce = self.next_dj_nonce();
-        dj.rerandomize_with_nonce(a, &nonce)
-    }
-
     /// The Paillier public key this pool serves.
     pub fn public_key(&self) -> &PaillierPublicKey {
         &self.pk
@@ -321,13 +294,18 @@ mod tests {
     #[test]
     fn pooled_dj_round_trips() {
         let (master, mut pool) = setup();
+        let dj_pk = DjPublicKey::from_paillier(&master.paillier_public);
         let dj_sk = crate::damgard_jurik::DjSecretKey::from_paillier(&master.paillier_secret);
+        let both_layers = |c: &crate::damgard_jurik::LayeredCiphertext| {
+            let inner = Ciphertext::from_biguint(dj_sk.decrypt(c).unwrap());
+            dj_sk.paillier().decrypt(&inner).unwrap()
+        };
         let inner = pool.encrypt_u64(5).unwrap();
-        let layered = pool.encrypt_dj_ciphertext(&inner).unwrap();
-        assert_eq!(dj_sk.decrypt_both_layers(&layered).unwrap(), BigUint::from(5u64));
-        let re = pool.rerandomize_dj(&layered);
+        let layered = dj_pk.encrypt_with_nonce(inner.as_biguint(), &pool.next_dj_nonce());
+        assert_eq!(both_layers(&layered), BigUint::from(5u64));
+        let re = dj_pk.rerandomize_with_nonce(&layered, &pool.next_dj_nonce());
         assert_ne!(layered, re);
-        assert_eq!(dj_sk.decrypt_both_layers(&re).unwrap(), BigUint::from(5u64));
+        assert_eq!(both_layers(&re), BigUint::from(5u64));
     }
 
     #[test]

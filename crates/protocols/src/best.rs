@@ -12,13 +12,12 @@
 //! (the designed equality-pattern leakage).  An object occurs once per list, so of the
 //! `d + 1` bits of one item-vs-prefix row **at most one** is set, and Algorithm 6's
 //! per-list decision (lines 8-12: the matching score, or the bottom score when no depth
-//! matched) is a single one-of-many selection — terms `(E2(t_l), Enc(x_j^l))`,
-//! `otherwise` the bottom score — evaluated by one multi-exponentiation and recovered as
-//! one `RecoverEnc` item per row: `m(m−1)` per depth instead of `m(m−1)(d+2)`, with no
-//! "no depth matched" selector to ask S2 for.  All lists and all items
-//! of one depth share one equality round and one `RecoverEnc` round — the shared
-//! per-step budget — and inside a query those are the *same* two rounds SecWorst uses:
-//! [`TwoClouds::sec_bounds_depth`] runs both plans together (see [`crate::bounds`]).
+//! matched) is a single one-of-many job over the row — candidates the prefix's masked
+//! scores, default the masked bottom score — which S2 evaluates inside the equality round
+//! itself: `m(m−1)` jobs per depth, with no "no depth matched" selector to ask for.  All
+//! lists and all items of one depth share that one round — the per-step budget — and
+//! inside a query it is the *same* round SecWorst uses: [`TwoClouds::sec_bounds_depth`]
+//! runs both plans together (see [`crate::bounds`]).
 
 use crate::error::Result;
 use sectopk_crypto::paillier::Ciphertext;
@@ -188,18 +187,18 @@ mod tests {
     }
 
     #[test]
-    fn whole_depth_costs_two_rounds_when_batched() {
+    fn whole_depth_costs_one_round_when_batched() {
         let (_master, mut clouds, encoder, mut rng) = setup();
         let pk = clouds.pk().clone();
         let seen = fig3_prefixes(2, &encoder, &pk, &mut rng);
         let depth_items: Vec<EncryptedItem> = seen.iter().map(|l| l[1].clone()).collect();
         let _ = clouds.sec_best_depth(&depth_items, &seen, 2).unwrap();
-        // One batched equality round + one combined RecoverEnc round for the whole depth.
-        assert_eq!(clouds.channel().rounds, 2);
+        // One batched equality round, selections included, for the whole depth.
+        assert_eq!(clouds.channel().rounds, 1);
     }
 
     #[test]
-    fn bounds_depth_matches_fig3_in_two_rounds() {
+    fn bounds_depth_matches_fig3_in_one_round() {
         // The expectations of `fig3_depth{1,2}_best_scores` and of SecWorst (no repeat at
         // depth 1; X3 in R2 and R3 at depth 2), from one call costing the shared budget.
         let expected: [(Vec<u64>, Vec<u64>); 2] =
@@ -215,8 +214,8 @@ mod tests {
                 cs.iter().map(|c| master.paillier_secret.decrypt_u64(c).unwrap()).collect()
             };
             assert_eq!((decrypt(&worsts), decrypt(&bests)), (worst, best), "depth {depth}");
-            assert_eq!(clouds.channel().rounds, 2, "one equality + one RecoverEnc round");
-            assert!(clouds.s2_ledger().only_contains(&["equality_bit"]));
+            assert_eq!(clouds.channel().rounds, 1, "one equality round, selections included");
+            assert!(clouds.s2_ledger().only_contains(&["equality_bit", "masked_values"]));
         }
     }
 
@@ -274,7 +273,7 @@ mod tests {
         let seen = fig3_prefixes(2, &encoder, &pk, &mut rng);
         let depth_items: Vec<EncryptedItem> = seen.iter().map(|l| l[1].clone()).collect();
         let _ = clouds.sec_best_depth(&depth_items, &seen, 2).unwrap();
-        assert!(clouds.s2_ledger().only_contains(&["equality_bit"]));
+        assert!(clouds.s2_ledger().only_contains(&["equality_bit", "masked_values"]));
         assert!(clouds.s1_ledger().is_empty());
     }
 }

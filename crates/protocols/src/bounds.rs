@@ -1,39 +1,31 @@
 //! The per-depth bound computation shared by `SecWorst` and `SecBest`.
 //!
 //! Both protocols have the same shape: compare one item against a randomly permuted row
-//! of other items (one equality matrix per row), then add up the scores the returned
-//! `E2(t)` bits select.  A `BoundPlan` is the local *plan* half of that — the
-//! permuted `⊖` rows plus the bookkeeping to slice the selections back per item — and
+//! of other items (one equality matrix per row), then add up the scores the row's
+//! equality bits select.  A `BoundPlan` is the local *plan* half of that — the permuted
+//! `⊖` rows, each with its masked scores and its one selection job — and
 //! `TwoClouds::run_bound_plans` drives any number of plans through **one** equality
-//! round and **one** `RecoverEnc` round.  [`TwoClouds::sec_bounds_depth`] hands it the
-//! SecWorst and the SecBest plan of a depth together: neither depends on the other's
-//! output, so a depth's bounds cost two round trips, not four.
+//! round, in which S2 also makes every selection.  [`TwoClouds::sec_bounds_depth`] hands
+//! it the SecWorst and the SecBest plan of a depth together: neither depends on the
+//! other's output, so a depth's bounds cost one round trip.
 //!
 //! What differs is how many of a row's bits can be set.  A SecBest row holds the seen
 //! prefix of *one* list, where an object occurs once, so the row is a single
-//! one-of-many selection whose "no bit set" value is the list's bottom score: one
-//! multi-exponentiation and one `RecoverEnc` item per row.  A SecWorst row holds the
-//! other items of the depth, which may all be the same object, so each of its cells is
-//! selected on its own.  Per depth S2 strips `m(m−1)` ciphertexts for either bound,
-//! whatever the depth.
+//! one-of-many job whose default is the list's bottom score.  A SecWorst row holds the
+//! other items of the depth, which may all be the same object, so it is a *sum* job over
+//! its cells.  Either way a row is one job: S2 returns one selection and one `Enc(t)` per
+//! cell, and S1 unmasks it with one multi-exponentiation.  Rows never share candidates:
+//! S1 permutes each row's cells so S2 cannot link them, and a shared candidate would.
 
-use crate::error::{ProtocolError, Result};
+use crate::error::Result;
 use sectopk_crypto::paillier::Ciphertext;
 use sectopk_crypto::prp::RandomPermutation;
 use sectopk_ehl::EhlPlus;
 use sectopk_storage::EncryptedItem;
 
 use crate::context::TwoClouds;
-use crate::primitives::{EqPlan, SelectJob};
-use crate::transport::EqWants;
-
-/// One planned equality row: the (permuted) scores its bits gate and, for SecBest, the
-/// bottom score the row contributes when none of them is set.
-struct Scan {
-    job: usize,
-    scores: Vec<Ciphertext>,
-    bottom: Option<Ciphertext>,
-}
+use crate::primitives::EqPlan;
+use crate::transport::Per;
 
 /// The plan half of one sub-protocol's bound computation over some items ("jobs").
 pub(crate) struct BoundPlan {
@@ -43,25 +35,25 @@ pub(crate) struct BoundPlan {
     /// Each job's own score — the term every bound starts from.
     base: Vec<Ciphertext>,
     plans: Vec<EqPlan>,
-    scans: Vec<Scan>,
+    /// The job each planned row contributes to.
+    rows: Vec<usize>,
 }
 
 impl BoundPlan {
     pub(crate) fn new(context: &'static str, depth: usize, base: Vec<Ciphertext>) -> Self {
-        BoundPlan { context, depth, base, plans: Vec::new(), scans: Vec::new() }
+        BoundPlan { context, depth, base, plans: Vec::new(), rows: Vec::new() }
     }
 
     /// Plan the equality row of `item` (job `job`) against `targets`, permuted so S2
     /// cannot attribute equality bits to particular lists or depths (Algorithm 4,
-    /// line 2).
+    /// line 2), with the targets' scores as the row's masked candidates.
     ///
     /// Passing a `bottom` score (Algorithm 6, lines 8-12: the score added when no
     /// target matches) asserts that **at most one target can match**: the row is then
-    /// recovered as one [`SelectJob`] over all its cells.  SecBest may say so because
+    /// one one-of-many job with `bottom` as its default.  SecBest may say so because
     /// its targets are the prefix of a single list and an object occurs once per list
     /// (`Relation::new` rejects duplicate ids, token generation duplicate attributes).
-    /// Without a `bottom`, any number of targets may match and the bound is the sum of
-    /// per-cell selections.
+    /// Without a `bottom`, any number of targets may match and the row is a sum job.
     pub(crate) fn scan(
         &mut self,
         clouds: &mut TwoClouds,
@@ -78,35 +70,25 @@ impl BoundPlan {
         let pairs: Vec<(&EhlPlus, &EhlPlus)> =
             permuted.iter().map(|other| (&item.ehl, &other.ehl)).collect();
         let diffs = clouds.eq_diffs(&pairs);
-        self.plans.push(EqPlan {
-            cols: diffs.len(),
-            diffs,
-            context: self.context,
-            depth: Some(self.depth),
-            want: EqWants::none(),
-        });
-        self.scans.push(Scan {
-            job,
-            scores: permuted.iter().map(|o| o.score.clone()).collect(),
-            bottom,
-        });
+        let mut plan = EqPlan::new(diffs, pairs.len(), self.context, Some(self.depth));
+        let scores = plan.candidates(Per::Cell, permuted.iter().map(|o| o.score.clone()).collect());
+        let bottom = bottom.map(|b| plan.candidates(Per::Row, vec![b]));
+        plan.select(Per::Row, scores, bottom);
+        self.plans.push(plan);
+        self.rows.push(job);
     }
 
-    /// The finish half: consume this plan's slice of the selected ciphertexts and sum
-    /// it into the per-job bounds.
-    fn finish<'a>(
+    /// The finish half: add each row's selection, from this plan's slice of them, to
+    /// its job's bound.
+    fn finish(
         self,
         clouds: &mut TwoClouds,
-        selected: &mut impl Iterator<Item = &'a Ciphertext>,
+        selected: &mut impl Iterator<Item = Ciphertext>,
     ) -> Vec<Ciphertext> {
         let pk = clouds.s1.keys.paillier_public.clone();
         let mut bounds = self.base;
-        for scan in &self.scans {
-            // One selection for a fused row, else one per cell.
-            let selections = if scan.bottom.is_some() { 1 } else { scan.scores.len() };
-            for s in selected.by_ref().take(selections) {
-                bounds[scan.job] = pk.add(&bounds[scan.job], s);
-            }
+        for (job, s) in self.rows.into_iter().zip(selected) {
+            bounds[job] = pk.add(&bounds[job], &s);
         }
         bounds.iter().map(|b| clouds.s1.pool.rerandomize(b)).collect()
     }
@@ -114,40 +96,20 @@ impl BoundPlan {
 
 impl TwoClouds {
     /// Run `plans` through one equality exchange (every row of every plan, in plan
-    /// order) and one combined selection, returning each plan's per-job bounds.
+    /// order, with its selection), returning each plan's per-job bounds.
     pub(crate) fn run_bound_plans<const N: usize>(
         &mut self,
         mut plans: [BoundPlan; N],
     ) -> Result<[Vec<Ciphertext>; N]> {
         let eq_plans = plans.iter_mut().flat_map(|p| std::mem::take(&mut p.plans)).collect();
+        // One outcome per row, each checked to hold its row's one selection.
         let outcomes = self.run_eq_plans(eq_plans)?;
-
-        // Per row: one selection over all its cells if it asserted at most one match
-        // (`otherwise` = its bottom score, Algorithm 6 line 10), else one per cell.
-        let scans: Vec<&Scan> = plans.iter().flat_map(|p| &p.scans).collect();
-        if outcomes.len() != scans.len() {
-            return Err(ProtocolError::transport("equality reply arity mismatch"));
-        }
-        let mut jobs: Vec<SelectJob<'_>> = Vec::new();
-        for (scan, outcome) in scans.into_iter().zip(&outcomes) {
-            if outcome.bits.len() != scan.scores.len() {
-                return Err(ProtocolError::transport("equality row arity mismatch"));
-            }
-            let cells = outcome.bits.iter().zip(&scan.scores);
-            match &scan.bottom {
-                Some(bottom) => {
-                    jobs.push(SelectJob { terms: cells.collect(), otherwise: Some(bottom) })
-                }
-                None => jobs.extend(cells.map(|(t, x)| SelectJob::gate(t, x, None))),
-            }
-        }
-        let selected = self.select_many(&jobs)?;
-        let mut selected = selected.iter();
+        let mut selected = outcomes.into_iter().flat_map(|o| o.selected.concat());
         Ok(plans.map(|plan| plan.finish(self, &mut selected)))
     }
 
     /// Compute the local worst scores **and** the best scores of all `m` items at depth
-    /// `d` (Algorithm 3 lines 5-6) in two round trips.  `seen[j]` must contain the items
+    /// `d` (Algorithm 3 lines 5-6) in one round trip.  `seen[j]` must contain the items
     /// of queried list `j` at depths `0..=depth`.
     pub fn sec_bounds_depth(
         &mut self,

@@ -1,8 +1,8 @@
 //! The two-cloud execution context.
 //!
 //! The paper's architecture (§3.2) has a primary cloud S1 (stores the encrypted relation,
-//! holds only public keys) and a crypto cloud S2 (holds the Paillier / Damgård–Jurik
-//! secret keys, stores no data).  Both parties are semi-honest and non-colluding.
+//! holds only public keys) and a crypto cloud S2 (holds the Paillier secret key, stores
+//! no data).  Both parties are semi-honest and non-colluding.
 //!
 //! A [`TwoClouds`] value holds S1's state directly and reaches S2 **only** through a
 //! [`Transport`]: every S1 ↔ S2 exchange is a typed, serializable [`S1Request`] /
@@ -22,7 +22,6 @@ use rand::SeedableRng;
 use sectopk_metrics::{Counter, Histogram, Registry as MetricsRegistry, TraceHook};
 
 use crate::error::{ProtocolError, Result};
-use sectopk_crypto::damgard_jurik::DjPublicKey;
 use sectopk_crypto::keys::{own_modulus_bits, MasterKeys, S1Keys};
 use sectopk_crypto::paillier::{generate_keypair, PaillierPublicKey, PaillierSecretKey};
 use sectopk_crypto::par::{cores, share};
@@ -103,9 +102,9 @@ pub struct S1State {
     pub own_secret: PaillierSecretKey,
     /// S1's local randomness.
     pub rng: StdRng,
-    /// S1's pool of precomputed encryption nonces for the *shared* Paillier / DJ keys
-    /// (every fresh-zero, selection constant and re-randomization S1 produces draws
-    /// from here instead of paying a full exponentiation inline).
+    /// S1's pool of precomputed encryption nonces for the *shared* Paillier key (every
+    /// fresh-zero, candidate mask and re-randomization S1 produces draws from here
+    /// instead of paying a full exponentiation inline).
     pub pool: RandomnessPool,
     /// Nonce pool for S1's *own* key pair `pk'` (the encrypted-blinding channel of
     /// SecDedup / SecFilter / SecJoin).
@@ -278,11 +277,7 @@ impl TwoClouds {
         let s1_keys = master.s1_view();
         // S1's nonce pool serves the shared key pair; it owns its own deterministic
         // stream so the two clouds (and any replay with the same seed) stay reproducible.
-        let pool = RandomnessPool::with_dj(
-            &s1_keys.paillier_public,
-            &s1_keys.dj_public,
-            seed ^ 0x1001_1001_1001_1001,
-        );
+        let pool = RandomnessPool::new(&s1_keys.paillier_public, seed ^ 0x1001_1001_1001_1001);
         let own_pool = RandomnessPool::new(&own_public, seed ^ 0x4004_4004_4004_4004);
         let mut clouds = TwoClouds {
             s1: S1State {
@@ -362,11 +357,6 @@ impl TwoClouds {
     /// The shared Paillier public key (every score and EHL block is encrypted under it).
     pub fn pk(&self) -> &PaillierPublicKey {
         &self.s1.keys.paillier_public
-    }
-
-    /// The shared Damgård–Jurik public key.
-    pub fn dj_pk(&self) -> &DjPublicKey {
-        &self.s1.keys.dj_public
     }
 
     /// Which transport implementation carries the S1 ↔ S2 messages.
@@ -459,7 +449,6 @@ mod tests {
         let master = MasterKeys::generate(MIN_MODULUS_BITS, 3, &mut rng).unwrap();
         let clouds = TwoClouds::new(&master, 7).unwrap();
         assert_eq!(clouds.pk().n(), master.paillier_public.n());
-        assert_eq!(clouds.dj_pk().n(), master.paillier_public.n());
         // S1's own key pair must be a *different* modulus.
         assert_ne!(clouds.s1.own_public.n(), master.paillier_public.n());
         assert_eq!(clouds.channel(), ChannelMetrics::default());

@@ -13,11 +13,12 @@
 //! Every request is a batch of n ≥ 1 items and goes through three phases; what phase 1
 //! produces is what phases 2 and 3 consume, so each request kind is described once:
 //!
-//! 1. **Plan** — `plan` validates one item and states, in the same `match` arm, the one
-//!    secret-key operation it needs and over which ciphertexts (a `Need`), its nonce
-//!    demand and its request counter.  Every item is planned before anything executes,
-//!    so batches are all-or-nothing: a bad item anywhere costs no ledger entry, RNG draw
-//!    or pool draw.
+//! 1. **Plan** — `plan` validates one item — its shape, its indices and the range of every
+//!    ciphertext in it — and states, in the same `match` arm, the secret-key operations it
+//!    needs and over which ciphertexts (a `Need`), its nonce demand and its request
+//!    counter.  Every item is planned before anything executes, so batches are
+//!    all-or-nothing: a bad item anywhere costs no decryption, ledger entry, RNG draw or
+//!    pool draw.
 //! 2. **Compute** — the expensive, *pure* work: all planned ciphertexts of all items run
 //!    as one data-parallel sweep over the shared `Arc`-backed keys
 //!    ([`sectopk_crypto::par::par_map`]); the first failed operation in request order
@@ -44,7 +45,6 @@ use num_bigint::{BigUint, Sign};
 use num_traits::Zero;
 
 use sectopk_crypto::bigint::{mod_inverse, random_below, random_invertible};
-use sectopk_crypto::damgard_jurik::LayeredCiphertext;
 use sectopk_crypto::keys::S2Keys;
 use sectopk_crypto::paillier::{Ciphertext, PaillierPublicKey};
 use sectopk_crypto::par::{cores, par_map, share};
@@ -61,7 +61,7 @@ use serde::{Deserialize, Serialize};
 use crate::dedup::{packed_len, EncryptedBlinding};
 use crate::items::{rand_blind, rerandomize_item_pooled, ItemBlinding, ScoredItem};
 use crate::ledger::{LeakageEvent, LeakageLedger};
-use crate::transport::{DedupRequest, EqAggregates, EqWants, FilterTuple, S1Request, S2Response};
+use crate::transport::{DedupRequest, FilterTuple, MaskedSet, S1Request, S2Response, Select};
 use crate::wire::WireError;
 
 /// Result alias for the request handler: engine failures are [`WireError`] frames,
@@ -113,34 +113,32 @@ pub fn intra_workers_from_env() -> Option<usize> {
         .filter(|&w| w >= 1)
 }
 
-/// The one secret-key operation a request kind needs, over its ciphertexts in order.
-enum Need<'a> {
+/// The secret-key operations a request kind needs, each over its ciphertexts in order.
+#[derive(Default)]
+struct Need<'a> {
     /// Paillier `is_zero` (equality bits of EqMatrix / Dedup / Filter).
-    IsZero(Vec<&'a Ciphertext>),
+    is_zero: Vec<&'a Ciphertext>,
     /// Paillier signed decryption, reduced to its sign, ±1 (Compare; a zero is rejected).
-    Sign(Vec<&'a Ciphertext>),
-    /// Paillier plain decryption (MulBlinded operands).
-    Plain(Vec<&'a Ciphertext>),
-    /// Damgård–Jurik outer-layer decryption back to an inner ciphertext (Recover).
-    Inner(Vec<&'a LayeredCiphertext>),
+    sign: Vec<&'a Ciphertext>,
+    /// Paillier plain decryption (EqMatrix's masked candidates, MulBlinded operands).
+    plain: Vec<&'a Ciphertext>,
 }
 
 /// What the compute phase hands `commit` for one request: its [`Need`]'s results.
-enum Done {
-    Bits(Vec<bool>),
-    Signs(Vec<i8>),
-    Plains(Vec<BigUint>),
-    Inners(Vec<Ciphertext>),
+#[derive(Default)]
+struct Done {
+    bits: Vec<bool>,
+    signs: Vec<i8>,
+    plains: Vec<BigUint>,
 }
 
-/// Precomputable nonce consumption of one request: (shared Paillier, shared DJ,
-/// S1-own-key Paillier) counts.  Dedup/Filter are upper bounds (every item kept /
-/// every tuple surviving); overfilling is harmless because the pool's nonce stream is
-/// position-deterministic — nonce *k* never depends on when it was precomputed.
+/// Precomputable nonce consumption of one request: shared-key and S1-own-key Paillier
+/// counts.  Dedup/Filter are upper bounds (every item kept / every tuple surviving);
+/// overfilling is harmless because the pool's nonce stream is position-deterministic —
+/// nonce *k* never depends on when it was precomputed.
 #[derive(Default)]
 struct NonceDemand {
     paillier: usize,
-    dj: usize,
     own: usize,
 }
 
@@ -169,7 +167,6 @@ struct Step<'a> {
 struct EngineMetrics {
     eq_matrix: Counter,
     compare: Counter,
-    recover: Counter,
     dedup: Counter,
     filter: Counter,
     mul_blinded: Counter,
@@ -187,7 +184,7 @@ pub struct S2Engine {
     /// blinding randomness back to S1 in SecDedup / SecFilter (Algorithms 7 and 12).
     s1_own_public: PaillierPublicKey,
     rng: StdRng,
-    /// Precomputed nonces for the *shared* Paillier / DJ keys — every `E2(t)` bit,
+    /// Precomputed nonces for the *shared* Paillier key — every `Enc(t)` bit, selection,
     /// re-encryption and item re-randomization the engine returns draws from here.
     pool: RandomnessPool,
     /// Precomputed nonces for S1's own key `pk'` (the encrypted-blinding channel).
@@ -209,11 +206,7 @@ impl S2Engine {
     /// same seed, so two engines built alike answer identically — the
     /// transport-equivalence tests depend on that).
     pub fn new(keys: S2Keys, s1_own_public: PaillierPublicKey, rng_seed: u64) -> Self {
-        let pool = RandomnessPool::with_dj(
-            &keys.paillier_public,
-            &keys.dj_public,
-            rng_seed ^ 0x2002_2002_2002_2002,
-        );
+        let pool = RandomnessPool::new(&keys.paillier_public, rng_seed ^ 0x2002_2002_2002_2002);
         let own_pool = RandomnessPool::new(&s1_own_public, rng_seed ^ 0x3003_3003_3003_3003);
         S2Engine {
             keys,
@@ -236,7 +229,6 @@ impl S2Engine {
         self.metrics = EngineMetrics {
             eq_matrix: registry.counter("engine.requests.eq_matrix"),
             compare: registry.counter("engine.requests.compare"),
-            recover: registry.counter("engine.requests.recover"),
             dedup: registry.counter("engine.requests.dedup"),
             filter: registry.counter("engine.requests.filter"),
             mul_blinded: registry.counter("engine.requests.mul_blinded"),
@@ -307,7 +299,7 @@ impl S2Engine {
     /// Phases 1 and 2 for the items of one request: plan every item, count them, run
     /// their decryptions and top the nonce pools up.  Returns one [`Done`] per item.
     fn prepare(&mut self, items: &[S1Request]) -> EngineResult<Vec<Done>> {
-        let steps = items.iter().map(Self::plan).collect::<EngineResult<Vec<_>>>()?;
+        let steps = items.iter().map(|item| self.plan(item)).collect::<EngineResult<Vec<_>>>()?;
         for step in &steps {
             (step.count)(&self.metrics).incr();
         }
@@ -319,10 +311,14 @@ impl S2Engine {
     /// Phase 1: validate one non-batch request and describe it.  The nonce demand is
     /// exact for the encrypt-reply shapes and an upper bound for Dedup/Filter, whose
     /// consumption depends on decrypted bits.
-    fn plan(request: &S1Request) -> EngineResult<Step<'_>> {
+    fn plan<'a>(&self, request: &'a S1Request) -> EngineResult<Step<'a>> {
+        let mut need = Need::default();
         let mut nonces = NonceDemand::default();
-        let (need, count): (Need<'_>, fn(&EngineMetrics) -> &Counter) = match request {
-            S1Request::EqMatrix { diffs, cols, want, .. } => {
+        // Every ciphertext must be a group element of its key, `[1, N²)` (S1's own key:
+        // `[1, N'²)`) — also those S2 only operates on homomorphically.
+        let (pk, own_pk) = (&self.keys.paillier_public, &self.s1_own_public);
+        let count: fn(&EngineMetrics) -> &Counter = match request {
+            S1Request::EqMatrix { diffs, cols, sets, select, .. } => {
                 // At least one row and one column, every row full: S2 never sizes a loop
                 // or a reply by a number a request only claims.
                 let rows = diffs.len().checked_div(*cols).unwrap_or(0);
@@ -332,14 +328,26 @@ impl S2Engine {
                         diffs.len()
                     )));
                 }
-                nonces.dj = diffs.len() + aggregate_nonces(want, rows, *cols);
-                (Need::IsZero(diffs.iter().collect()), |m| &m.eq_matrix)
+                if sets.iter().any(|MaskedSet(per, masked)| masked.len() != per.len(rows, *cols)) {
+                    return Err(WireError::malformed("a masked set does not fit the matrix"));
+                }
+                let per_of = |set: usize| sets.get(set).map(|MaskedSet(per, _)| *per);
+                for &Select(per, from, otherwise) in select {
+                    if per_of(from).is_none() || otherwise.is_some_and(|y| per_of(y) != Some(per)) {
+                        return Err(WireError::malformed("a selection names a set it cannot read"));
+                    }
+                    nonces.paillier += per.len(rows, *cols);
+                }
+                if !select.is_empty() {
+                    nonces.paillier += diffs.len();
+                }
+                need.is_zero = diffs.iter().collect();
+                need.plain = sets.iter().flat_map(|MaskedSet(_, masked)| masked).collect();
+                |m| &m.eq_matrix
             }
             S1Request::Compare { blinded, .. } => {
-                (Need::Sign(blinded.iter().collect()), |m| &m.compare)
-            }
-            S1Request::Recover { blinded } => {
-                (Need::Inner(blinded.iter().collect()), |m| &m.recover)
+                need.sign = blinded.iter().collect();
+                |m| &m.compare
             }
             S1Request::Dedup(dedup) => {
                 let l = dedup.items.len();
@@ -366,28 +374,37 @@ impl S2Engine {
                             "a dedup blinding must pack its item's masks two per ciphertext",
                         ));
                     }
+                    in_range(pk, item.ehl.blocks().iter().chain([&item.worst, &item.best]))?;
+                    in_range(own_pk, &blinding.packed)?;
                     nonces.paillier += item.ehl.len() + 2;
                     nonces.own += blinding.packed.len();
                 }
-                (Need::IsZero(dedup.matrix.iter().collect()), |m| &m.dedup)
+                need.is_zero = dedup.matrix.iter().collect();
+                |m| &m.dedup
             }
             S1Request::Filter { tuples } => {
                 if tuples.iter().any(|t| t.attribute_masks.len() != t.attributes.len()) {
                     return Err(WireError::malformed("one mask per filter attribute required"));
                 }
                 for t in tuples {
+                    in_range(pk, &t.attributes)?;
+                    in_range(own_pk, t.attribute_masks.iter().chain([&t.score_unblinder]))?;
                     nonces.paillier += t.attributes.len();
                     nonces.own += t.attributes.len() + 1;
                 }
-                (Need::IsZero(tuples.iter().map(|t| &t.score).collect()), |m| &m.filter)
+                need.is_zero = tuples.iter().map(|t| &t.score).collect();
+                |m| &m.filter
             }
             S1Request::MulBlinded { pairs } => {
                 nonces.paillier = pairs.len();
-                (Need::Plain(pairs.iter().flat_map(|(a, b)| [a, b]).collect()), |m| &m.mul_blinded)
+                need.plain = pairs.iter().flat_map(|(a, b)| [a, b]).collect();
+                |m| &m.mul_blinded
             }
             // One level of batching is all the protocols need.
             S1Request::Batch(_) => return Err(WireError::malformed("nested Batch requests")),
         };
+        // Whatever S2 decrypts is a shared-key ciphertext.
+        in_range(pk, need.is_zero.iter().chain(&need.sign).chain(&need.plain).copied())?;
         Ok(Step { need, nonces, count })
     }
 
@@ -407,27 +424,22 @@ impl S2Engine {
             IsZero(&'a Ciphertext),
             Sign(&'a Ciphertext),
             Plain(&'a Ciphertext),
-            Inner(&'a LayeredCiphertext),
         }
         enum Out {
             Bit(bool),
             Sign(i8),
             Plain(BigUint),
-            Inner(Ciphertext),
         }
 
         let mut ops = Vec::new();
-        for step in steps {
-            match &step.need {
-                Need::IsZero(cts) => ops.extend(cts.iter().copied().map(Op::IsZero)),
-                Need::Sign(cts) => ops.extend(cts.iter().copied().map(Op::Sign)),
-                Need::Plain(cts) => ops.extend(cts.iter().copied().map(Op::Plain)),
-                Need::Inner(cts) => ops.extend(cts.iter().copied().map(Op::Inner)),
-            }
+        for Step { need, .. } in steps {
+            ops.extend(need.is_zero.iter().copied().map(Op::IsZero));
+            ops.extend(need.sign.iter().copied().map(Op::Sign));
+            ops.extend(need.plain.iter().copied().map(Op::Plain));
         }
         self.metrics.compute_ops.observe(ops.len() as u64);
 
-        let (sk, dj) = (&self.keys.paillier_secret, &self.keys.dj_secret);
+        let sk = &self.keys.paillier_secret;
         let outs = par_map(self.intra_workers(), &ops, |op| match *op {
             Op::IsZero(c) => sk.is_zero(c).map(Out::Bit),
             Op::Sign(c) => sk.decrypt_signed(c).map(|v| match v.sign() {
@@ -436,11 +448,10 @@ impl S2Engine {
                 Sign::Plus => Out::Sign(1),
             }),
             Op::Plain(c) => sk.decrypt(c).map(Out::Plain),
-            Op::Inner(c) => dj.decrypt_to_ciphertext(c).map(Out::Inner),
         });
 
         // Sort the flat results by type, then deal each step as many as it asked for.
-        let (mut bits, mut signs, mut plains, mut inners) = (vec![], vec![], vec![], vec![]);
+        let (mut bits, mut signs, mut plains) = (vec![], vec![], vec![]);
         for out in outs {
             match out? {
                 // S1 compares odd differences, which are never zero: a zero would be a tie
@@ -451,16 +462,14 @@ impl S2Engine {
                 Out::Bit(b) => bits.push(b),
                 Out::Sign(s) => signs.push(s),
                 Out::Plain(p) => plains.push(p),
-                Out::Inner(c) => inners.push(c),
             }
         }
-        let (mut bits, mut signs) = (bits.into_iter(), signs.into_iter());
-        let (mut plains, mut inners) = (plains.into_iter(), inners.into_iter());
-        let deal = steps.iter().map(|step| match &step.need {
-            Need::IsZero(cts) => Done::Bits(bits.by_ref().take(cts.len()).collect()),
-            Need::Sign(cts) => Done::Signs(signs.by_ref().take(cts.len()).collect()),
-            Need::Plain(cts) => Done::Plains(plains.by_ref().take(cts.len()).collect()),
-            Need::Inner(cts) => Done::Inners(inners.by_ref().take(cts.len()).collect()),
+        let (mut bits, mut signs, mut plains) =
+            (bits.into_iter(), signs.into_iter(), plains.into_iter());
+        let deal = steps.iter().map(|Step { need, .. }| Done {
+            bits: bits.by_ref().take(need.is_zero.len()).collect(),
+            signs: signs.by_ref().take(need.sign.len()).collect(),
+            plains: plains.by_ref().take(need.plain.len()).collect(),
         });
         Ok(deal.collect())
     }
@@ -471,13 +480,12 @@ impl S2Engine {
     fn prefill_pools(&mut self, steps: &[Step<'_>]) {
         let workers = self.intra_workers();
         let sum = |f: fn(&NonceDemand) -> usize| steps.iter().map(|s| f(&s.nonces)).sum::<usize>();
-        let (ready_p, ready_dj) = self.pool.ready();
+        let (ready_p, _) = self.pool.ready();
         let (ready_own, _) = self.own_pool.ready();
         let need_p = sum(|n| n.paillier).saturating_sub(ready_p);
-        let need_dj = sum(|n| n.dj).saturating_sub(ready_dj);
         let need_own = sum(|n| n.own).saturating_sub(ready_own);
-        if need_p + need_dj > 0 {
-            self.pool.prefill_parallel(need_p, need_dj, workers);
+        if need_p > 0 {
+            self.pool.prefill_parallel(need_p, 0, workers);
         }
         if need_own > 0 {
             self.own_pool.prefill_parallel(need_own, 0, workers);
@@ -488,46 +496,37 @@ impl S2Engine {
     /// effect happens here — ledger records, RNG draws, pool consumption — serially, in
     /// item order.
     fn commit(&mut self, request: &S1Request, done: Done) -> EngineResult<S2Response> {
-        match (request, done) {
-            (S1Request::EqMatrix { cols, context, depth, want, .. }, Done::Bits(bits)) => {
-                let mut e2_bits = Vec::with_capacity(bits.len());
-                for &bit in &bits {
+        match request {
+            S1Request::EqMatrix { cols, context, depth, sets, select, disclose_rows, .. } => {
+                for &bit in &done.bits {
                     self.record_eq_bit(bit, context, *depth);
-                    e2_bits.push(self.pool.encrypt_dj_u64(u64::from(bit))?);
                 }
-                let aggregates = self.aggregate(&bits, *cols, *want)?;
-                Ok(S2Response::EqBits { bits: e2_bits, aggregates })
+                if !done.plains.is_empty() {
+                    let count = done.plains.len();
+                    self.ledger
+                        .record(LeakageEvent::MaskedValues { context: context.clone(), count });
+                }
+                self.select_in_plaintext(*cols, sets, select, *disclose_rows, done)
             }
-            (S1Request::Compare { context, .. }, Done::Signs(signs)) => {
-                for _ in &signs {
+            S1Request::Compare { context, .. } => {
+                for _ in &done.signs {
                     self.ledger.record(LeakageEvent::BlindedSign { context: context.clone() });
                 }
-                Ok(S2Response::Signs(signs))
+                Ok(S2Response::Signs(done.signs))
             }
-            (S1Request::Recover { .. }, Done::Inners(inner)) => Ok(S2Response::Recovered(inner)),
-            (S1Request::Dedup(dedup), Done::Bits(bits)) => self.commit_dedup(dedup, bits),
-            (S1Request::Filter { tuples }, Done::Bits(zero)) => self.commit_filter(tuples, zero),
-            (S1Request::MulBlinded { .. }, Done::Plains(plains)) => {
+            S1Request::Dedup(dedup) => self.commit_dedup(dedup, done.bits),
+            S1Request::Filter { tuples } => self.commit_filter(tuples, done.bits),
+            S1Request::MulBlinded { .. } => {
                 let pk = self.keys.paillier_public.clone();
-                let mut products = Vec::with_capacity(plains.len() / 2);
-                let mut plains = plains.iter();
+                let mut products = Vec::with_capacity(done.plains.len() / 2);
+                let mut plains = done.plains.iter();
                 while let (Some(x), Some(y)) = (plains.next(), plains.next()) {
                     products.push(self.pool.encrypt(&((x * y) % pk.n()))?);
                 }
                 Ok(S2Response::Products(products))
             }
-            // No pair lands here unless an edit makes `plan` and `commit` disagree (a
-            // `Batch` item never passes `plan`); the session survives that too.
-            (
-                S1Request::EqMatrix { .. }
-                | S1Request::Compare { .. }
-                | S1Request::Recover { .. }
-                | S1Request::Dedup(_)
-                | S1Request::Filter { .. }
-                | S1Request::MulBlinded { .. }
-                | S1Request::Batch(_),
-                _,
-            ) => Err(WireError::internal("plan and commit disagree about this request kind")),
+            // A `Batch` item never passes `plan`; the session survives an edit that lets one.
+            S1Request::Batch(_) => Err(WireError::internal("a nested Batch reached commit")),
         }
     }
 
@@ -541,30 +540,64 @@ impl S2Engine {
         });
     }
 
-    /// Derive the requested row/column aggregates of a row-major bit matrix.
-    fn aggregate(&mut self, bits: &[bool], cols: usize, want: EqWants) -> Result<EqAggregates> {
-        let mut aggregates = EqAggregates::default();
-        let row_any: Vec<bool> = bits.chunks(cols).map(|row| row.contains(&true)).collect();
-        if want.row_matched {
-            for &m in &row_any {
-                aggregates.row_matched.push(self.pool.encrypt_dj_u64(u64::from(m))?);
+    /// The S2 phase of an equality matrix whose bits and masked candidates were observed:
+    /// select in plaintext and answer with fresh encryptions — `Enc(t)` per cell and one
+    /// ciphertext per job — plus the disclosed row bits if asked for.
+    fn select_in_plaintext(
+        &mut self,
+        cols: usize,
+        sets: &[MaskedSet],
+        select: &[Select],
+        disclose_rows: bool,
+        done: Done,
+    ) -> EngineResult<S2Response> {
+        let (bits, plains) = (done.bits, done.plains);
+        let n = self.keys.paillier_public.n().clone();
+        let rows = bits.len() / cols.max(1);
+        // Each set's plaintexts, in the order `plan` named them.
+        let mut plains = plains.into_iter();
+        let values: Vec<Vec<BigUint>> = sets
+            .iter()
+            .map(|MaskedSet(_, masked)| plains.by_ref().take(masked.len()).collect())
+            .collect();
+        let value = |set: usize, at: usize| {
+            values
+                .get(set)
+                .and_then(|v| v.get(at))
+                .ok_or_else(|| WireError::internal("unplanned index"))
+        };
+
+        let mut sums = Vec::new();
+        for &Select(per, from, otherwise) in select {
+            let MaskedSet(from_per, _) =
+                sets.get(from).ok_or_else(|| WireError::internal("unplanned set"))?;
+            for line in 0..per.len(rows, cols) {
+                let (mut sum, mut set) = (BigUint::zero(), 0usize);
+                for cell in per.cells(rows, cols, line) {
+                    if bits.get(cell).copied().unwrap_or(false) {
+                        sum += value(from, from_per.index(cols, cell / cols, cell % cols))?;
+                        set += 1;
+                    }
+                }
+                // `(1 − Σ t)·y`, with `1 − Σ t` taken modulo `N`.
+                if let Some(y) = otherwise {
+                    sum += value(y, line)? * ((&n + BigUint::from(1u32) - BigUint::from(set)) % &n);
+                }
+                sums.push(sum % &n);
             }
         }
-        if want.row_unmatched {
-            for &m in &row_any {
-                aggregates.row_unmatched.push(self.pool.encrypt_dj_u64(u64::from(!m))?);
+        let encrypted_bits = match select.is_empty() {
+            true => Vec::new(),
+            false => {
+                bits.iter().map(|&b| self.pool.encrypt_u64(u64::from(b))).collect::<Result<_>>()?
             }
-        }
-        if want.col_unmatched {
-            for j in 0..cols {
-                let any = bits.iter().skip(j).step_by(cols).any(|&b| b);
-                aggregates.col_unmatched.push(self.pool.encrypt_dj_u64(u64::from(!any))?);
-            }
-        }
-        if want.row_matched_plain {
-            aggregates.row_matched_plain = row_any;
-        }
-        Ok(aggregates)
+        };
+        let selected = sums.iter().map(|v| self.pool.encrypt(v)).collect::<Result<_>>()?;
+        let row_matched = match disclose_rows {
+            true => bits.chunks(cols.max(1)).map(|row| row.contains(&true)).collect(),
+            false => Vec::new(),
+        };
+        Ok(S2Response::EqBits { bits: encrypted_bits, selected, row_matched })
     }
 
     /// The S2 phase of `SecDedup` / `SecDupElim` (Algorithm 7 / §10.1): observe the
@@ -694,8 +727,12 @@ impl S2Engine {
     }
 }
 
-/// `E2` ciphertexts (DJ nonces) the requested aggregates of a `rows × cols` matrix cost.
-fn aggregate_nonces(want: &EqWants, rows: usize, cols: usize) -> usize {
-    rows * (usize::from(want.row_matched) + usize::from(want.row_unmatched))
-        + cols * usize::from(want.col_unmatched)
+/// Refuse any ciphertext outside `key`'s group `[1, N²)` before it is decrypted or used.
+fn in_range<'c>(
+    key: &PaillierPublicKey,
+    cts: impl IntoIterator<Item = &'c Ciphertext>,
+) -> EngineResult<()> {
+    cts.into_iter()
+        .try_for_each(|c| key.validate(c))
+        .map_err(|_| WireError::malformed("a ciphertext lies outside its key's group"))
 }

@@ -5,10 +5,10 @@
 //! as a pair `⟨EHL(x), Enc(x)⟩`, so the clouds can homomorphically test the equi-join
 //! condition `R1.t1 = R2.t2` the same way the top-k protocols test object equality.
 //!
-//! * `SecJoin` combines every pair of tuples (in random order), obtains the encrypted
-//!   join indicator from S2 through one equality-matrix exchange, and homomorphically
-//!   produces the joined tuple whose score and carried attributes are multiplied by that
-//!   indicator — non-matching combinations become all-zero tuples.
+//! * `SecJoin` combines every pair of tuples (in random order) and ships the join-key
+//!   equality tests with the pairs' masked scores and carried attributes in one
+//!   equality-matrix exchange: S2 gates each value by the pair's join indicator and
+//!   returns it freshly encrypted — non-matching combinations become all-zero tuples.
 //! * `SecFilter` removes those all-zero tuples without revealing to S1 which combinations
 //!   matched: S1 blinds the tuples (multiplicatively for the score, additively for the
 //!   attributes) and ships them as one [`crate::transport::S1Request::Filter`] message;
@@ -30,7 +30,7 @@ use sectopk_storage::EncryptedItem;
 use crate::context::TwoClouds;
 use crate::ledger::LeakageEvent;
 use crate::primitives::EqPlan;
-use crate::transport::{EqWants, FilterTuple, S1Request, S2Response};
+use crate::transport::{FilterTuple, Per, S1Request, S2Response};
 
 /// One tuple of a relation encrypted for joining: every attribute is a
 /// `⟨EHL(value), Enc(value)⟩` pair (Algorithm 10).
@@ -114,55 +114,42 @@ impl TwoClouds {
         let perm = RandomPermutation::sample(pair_indices.len(), &mut self.s1.rng);
         let pair_indices = perm.permute(&pair_indices);
 
-        // ---- Equality of the join keys for every pair (one matrix exchange). ----------
+        // ---- Equality of the join keys for every pair (one matrix exchange). -----------
         let pairs: Vec<(&EhlPlus, &EhlPlus)> = pair_indices
             .iter()
             .map(|&(i, j)| (&left[i].cells[spec.left_key].ehl, &right[j].cells[spec.right_key].ehl))
             .collect();
         let diffs = self.eq_diffs(&pairs);
-        let outcome = self
-            .run_eq_plans(vec![EqPlan {
-                cols: diffs.len(),
-                diffs,
-                context: "sec_join",
-                depth: None,
-                want: EqWants::none(),
-            }])?
-            .pop()
-            .expect("one plan in, one outcome out");
+        let mut plan = EqPlan::new(diffs, pairs.len(), "sec_join", None);
 
-        // ---- Score and carried attributes, gated by the join indicator — one combined
-        //      selection so the whole join costs a single RecoverEnc round. -------------
+        // ---- Score and carried attributes, gated by the join indicator inside the same
+        //      round: one sum job per pair and value, several values per bit. ------------
         // score_ij = b_ij · (x_{t3}(i) + x_{t4}(j))
-        let carried_per_tuple = carry_left.len() + carry_right.len();
-        let mut gate_bits = Vec::with_capacity(pair_indices.len() * (1 + carried_per_tuple));
-        let mut gate_values = Vec::with_capacity(gate_bits.capacity());
-        for (pair_pos, &(i, j)) in pair_indices.iter().enumerate() {
-            gate_bits.push(outcome.bits[pair_pos].clone());
-            gate_values.push(pk.add(
-                &left[i].cells[spec.left_score].score,
-                &right[j].cells[spec.right_score].score,
-            ));
-            for &a in carry_left {
-                gate_bits.push(outcome.bits[pair_pos].clone());
-                gate_values.push(left[i].cells[a].score.clone());
-            }
-            for &a in carry_right {
-                gate_bits.push(outcome.bits[pair_pos].clone());
-                gate_values.push(right[j].cells[a].score.clone());
-            }
+        let per_pair = |value: &dyn Fn(usize, usize) -> Ciphertext| -> Vec<Ciphertext> {
+            pair_indices.iter().map(|&(i, j)| value(i, j)).collect()
+        };
+        let mut sets = vec![per_pair(&|i, j| {
+            pk.add(&left[i].cells[spec.left_score].score, &right[j].cells[spec.right_score].score)
+        })];
+        sets.extend(carry_left.iter().map(|&a| per_pair(&|i, _| left[i].cells[a].score.clone())));
+        sets.extend(carry_right.iter().map(|&a| per_pair(&|_, j| right[j].cells[a].score.clone())));
+        for values in sets {
+            let set = plan.candidates(Per::Cell, values);
+            plan.select(Per::Cell, set, None);
         }
-        let gated = self.select_scores(&gate_bits, &gate_values)?;
+        let outcome = self.run_eq_plans(vec![plan])?.pop();
+        let mut gated = outcome.map(|o| o.selected).unwrap_or_default().into_iter();
+        let scores = gated.next().unwrap_or_default();
+        let attributes: Vec<Vec<Ciphertext>> = gated.collect();
 
-        let stride = 1 + carried_per_tuple;
-        let mut joined = Vec::with_capacity(pair_indices.len());
-        for pair_pos in 0..pair_indices.len() {
-            let base = pair_pos * stride;
-            joined.push(JoinedTuple {
-                score: gated[base].clone(),
-                attributes: gated[base + 1..base + stride].to_vec(),
-            });
-        }
+        let joined = scores
+            .into_iter()
+            .enumerate()
+            .map(|(pair, score)| JoinedTuple {
+                score,
+                attributes: attributes.iter().map(|values| values[pair].clone()).collect(),
+            })
+            .collect();
         Ok(joined)
     }
 
@@ -326,12 +313,13 @@ mod tests {
         let spec = JoinSpec { left_key: 0, right_key: 0, left_score: 1, right_score: 1 };
         let joined = clouds.sec_join(&left, &right, &spec, &[0], &[0]).unwrap();
         let _ = clouds.sec_filter(joined).unwrap();
-        assert!(clouds.s2_ledger().only_contains(&["equality_bit", "join_match_count"]));
+        let s2_kinds = ["equality_bit", "masked_values", "join_match_count"];
+        assert!(clouds.s2_ledger().only_contains(&s2_kinds));
         assert!(clouds.s1_ledger().only_contains(&["join_match_count"]));
     }
 
     #[test]
-    fn join_and_filter_cost_three_rounds_when_batched() {
+    fn join_and_filter_cost_two_rounds_when_batched() {
         let (_master, mut clouds, encoder, mut rng) = setup();
         let pk = clouds.pk().clone();
         let left =
@@ -340,8 +328,8 @@ mod tests {
         let spec = JoinSpec { left_key: 0, right_key: 0, left_score: 1, right_score: 1 };
         let joined = clouds.sec_join(&left, &right, &spec, &[0], &[0]).unwrap();
         let _ = clouds.sec_filter(joined).unwrap();
-        // Equality matrix + combined RecoverEnc + the filter exchange.
-        assert_eq!(clouds.channel().rounds, 3);
+        // The equality round, which also gates every value, + the filter exchange.
+        assert_eq!(clouds.channel().rounds, 2);
     }
 
     #[test]

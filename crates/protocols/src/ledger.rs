@@ -43,6 +43,15 @@ pub enum LeakageEvent {
         /// Which sub-protocol produced it.
         context: String,
     },
+    /// The party decrypted `count` masked selection candidates `x + r`, each `r` uniform
+    /// modulo `N`, fresh, and known only to S1: uniform values.  Revealed to S2 by one
+    /// equality round, beside the equality bits that select from them.
+    MaskedValues {
+        /// Which sub-protocol produced them.
+        context: String,
+        /// How many candidates the round carried.
+        count: usize,
+    },
     /// The party learned how many distinct objects appear in a permuted item list
     /// (the uniqueness pattern `UP^d` of the `SecDupElim` optimisation, §10.1).
     UniqueCount {
@@ -71,6 +80,7 @@ impl LeakageEvent {
             LeakageEvent::EqualityBit { .. } => "equality_bit",
             LeakageEvent::ComparisonBit { .. } => "comparison_bit",
             LeakageEvent::BlindedSign { .. } => "blinded_sign",
+            LeakageEvent::MaskedValues { .. } => "masked_values",
             LeakageEvent::UniqueCount { .. } => "unique_count",
             LeakageEvent::HaltingDepth(_) => "halting_depth",
             LeakageEvent::QueryIssued { .. } => "query_issued",
@@ -79,8 +89,8 @@ impl LeakageEvent {
     }
 }
 
-/// One recorded event in at most 8 bytes and no heap allocation.  Only the three kinds
-/// recorded per comparison or equality bit are packed: a context name is an index into
+/// One recorded event in at most 8 bytes and no heap allocation.  Only the four kinds
+/// recorded per comparison, equality bit or equality round are packed: a context name is an index into
 /// the owning ledger's table of distinct names, a depth is a `u32` with [`NO_DEPTH`]
 /// standing for `None`.  Everything else — the once-per-depth and once-per-query kinds,
 /// a depth of [`NO_DEPTH`] or more, a 65 537th distinct context — is kept whole in the
@@ -96,8 +106,14 @@ enum Packed {
         context: u16,
         less_or_equal: bool,
     },
+    /// `run` signs of one context in a row: a `Compare` round's are one entry.
     BlindedSign {
         context: u16,
+        run: u32,
+    },
+    MaskedValues {
+        context: u16,
+        count: u32,
     },
     /// Index into `LeakageLedger::wide`.
     Wide(u32),
@@ -112,7 +128,8 @@ const _: () = assert!(std::mem::size_of::<Packed>() <= 8);
 
 /// The record of everything one party observed beyond its own inputs.
 ///
-/// Events are stored packed (8 bytes each, see DESIGN.md §10) and decoded on demand:
+/// Events are stored packed (8 bytes each, see DESIGN.md §10; a run of blinded signs of
+/// one context, as one `Compare` round records them, in one entry) and decoded on demand:
 /// [`Self::iter`] and [`Self::events`] yield exactly the [`LeakageEvent`]s that were
 /// recorded, in order, and the serialized form is the plain event list.
 #[derive(Clone, Default)]
@@ -132,6 +149,16 @@ impl LeakageLedger {
 
     /// Record an observation.
     pub fn record(&mut self, event: LeakageEvent) {
+        if let (
+            LeakageEvent::BlindedSign { context },
+            Some(Packed::BlindedSign { context: c, run }),
+        ) = (&event, self.events.last_mut())
+        {
+            if self.contexts[usize::from(*c)] == *context && *run < u32::MAX {
+                *run += 1;
+                return;
+            }
+        }
         let packed = self.pack(&event).unwrap_or_else(|| {
             let index = u32::try_from(self.wide.len()).expect("fewer than 2³² wide events");
             self.wide.push(event);
@@ -156,8 +183,12 @@ impl LeakageLedger {
                 less_or_equal: *less_or_equal,
             },
             LeakageEvent::BlindedSign { context } => {
-                Packed::BlindedSign { context: self.intern(context)? }
+                Packed::BlindedSign { context: self.intern(context)?, run: 1 }
             }
+            LeakageEvent::MaskedValues { context, count } => Packed::MaskedValues {
+                count: u32::try_from(*count).ok()?,
+                context: self.intern(context)?,
+            },
             LeakageEvent::UniqueCount { .. }
             | LeakageEvent::HaltingDepth(_)
             | LeakageEvent::QueryIssued { .. }
@@ -190,7 +221,12 @@ impl LeakageLedger {
             Packed::ComparisonBit { context: c, less_or_equal } => {
                 LeakageEvent::ComparisonBit { context: context(c), less_or_equal: *less_or_equal }
             }
-            Packed::BlindedSign { context: c } => LeakageEvent::BlindedSign { context: context(c) },
+            Packed::BlindedSign { context: c, .. } => {
+                LeakageEvent::BlindedSign { context: context(c) }
+            }
+            Packed::MaskedValues { context: c, count } => {
+                LeakageEvent::MaskedValues { context: context(c), count: *count as usize }
+            }
             Packed::Wide(index) => self.wide[*index as usize].clone(),
         }
     }
@@ -201,17 +237,26 @@ impl LeakageLedger {
             Packed::EqualityBit { .. } => "equality_bit",
             Packed::ComparisonBit { .. } => "comparison_bit",
             Packed::BlindedSign { .. } => "blinded_sign",
+            Packed::MaskedValues { .. } => "masked_values",
             Packed::Wide(index) => self.wide[*index as usize].kind(),
         }
     }
 
+    /// Each entry with the number of events it stands for.
+    fn runs(&self) -> impl Iterator<Item = (&Packed, usize)> + '_ {
+        self.events.iter().map(|p| match p {
+            Packed::BlindedSign { run, .. } => (p, *run as usize),
+            _ => (p, 1),
+        })
+    }
+
     fn kinds(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.events.iter().map(|p| self.kind_of(p))
+        self.runs().flat_map(|(p, n)| std::iter::repeat_n(self.kind_of(p), n))
     }
 
     /// The recorded events, in order, decoded one at a time.
     pub fn iter(&self) -> impl Iterator<Item = LeakageEvent> + '_ {
-        self.events.iter().map(|p| self.unpack(p))
+        self.runs().flat_map(|(p, n)| std::iter::repeat_n(self.unpack(p), n))
     }
 
     /// All recorded events, in order.
@@ -221,7 +266,7 @@ impl LeakageLedger {
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.runs().map(|(_, n)| n).sum()
     }
 
     /// True when nothing has been observed.
@@ -318,6 +363,23 @@ mod tests {
     }
 
     #[test]
+    fn a_run_of_blinded_signs_is_one_entry_and_reads_back_whole() {
+        let sign = |context: &str| LeakageEvent::BlindedSign { context: context.into() };
+        let recorded: Vec<LeakageEvent> = [vec![sign("a"); 5], vec![sign("b")], vec![sign("a"); 2]]
+            .concat()
+            .into_iter()
+            .chain([LeakageEvent::HaltingDepth(1), sign("a")])
+            .collect();
+        let mut ledger = LeakageLedger::new();
+        for event in &recorded {
+            ledger.record(event.clone());
+        }
+        assert_eq!(ledger.events.len(), 5, "runs a×5, b, a×2, the depth, a");
+        assert_eq!((ledger.len(), ledger.events()), (recorded.len(), recorded));
+        assert_eq!(ledger.count_kind("blinded_sign"), 9);
+    }
+
+    #[test]
     fn ten_thousand_events_round_trip_through_the_packed_form() {
         let too_deep = u32::MAX as usize + 1;
         let recorded: Vec<LeakageEvent> = (0..10_000usize)
@@ -336,6 +398,9 @@ mod tests {
                     context: "enc_sort".into(),
                     less_or_equal: i % 4 < 2,
                 },
+                3 if i % 20 == 3 => {
+                    LeakageEvent::MaskedValues { context: format!("ctx-{}", i % 5), count: i }
+                }
                 3 => LeakageEvent::BlindedSign { context: format!("ctx-{}", i % 5) },
                 4 => LeakageEvent::UniqueCount { depth: i, count: i / 2 },
                 5 => LeakageEvent::HaltingDepth(usize::MAX - i),

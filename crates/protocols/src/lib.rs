@@ -23,8 +23,8 @@
 //!   protocol logic, keys and randomness).
 //! * [`wire`] — the binary codec every message is measured (and, on the envelope
 //!   transport, actually shipped) in.
-//! * [`primitives`] — batched EHL equality tests, `RecoverEnc` (Algorithm 5), encrypted
-//!   selection, and the `EncCompare` realisation.
+//! * [`primitives`] — the equality round with the masked selections S2 makes inside it,
+//!   and the `EncCompare` realisation.
 //! * [`sort`] — `EncSort` as one comparison network with a dial: blocks ranked by
 //!   counting, Batcher merges above them, the block size picked by [`sort::sort_plan`].
 //! * [`worst`] / [`best`] — `SecWorst` (Algorithm 4) and `SecBest` (Algorithm 6), and

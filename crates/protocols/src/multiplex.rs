@@ -869,7 +869,6 @@ mod tests {
         let server = MultiplexServer::new(1);
         let mut t =
             server.connect(SessionId(3), engine_for(&master, 2), LinkProfile::ideal()).unwrap();
-        use crate::transport::EqWants;
         use crate::wire::WireErrorCode;
         let mut rng = StdRng::seed_from_u64(5);
         let matrix = |entries: usize, cols: usize, rng: &mut StdRng| S1Request::EqMatrix {
@@ -879,7 +878,9 @@ mod tests {
             cols,
             context: "test".into(),
             depth: None,
-            want: EqWants::none(),
+            sets: Vec::new(),
+            select: Vec::new(),
+            disclose_rows: false,
         };
         // A matrix whose last row is partial, and one with zero columns (which would
         // divide by zero in the aggregate derivation), are structurally malformed.
@@ -900,14 +901,19 @@ mod tests {
         framed(frame::REQUEST, &compare_request(master, value, rng))
     }
 
-    /// A one-entry equality matrix whose `E2(t)` reply consumes the engine's nonce stream.
+    /// A one-entry equality matrix with one selection, whose `Enc(t)` and selection reply
+    /// consume the engine's nonce stream.
     fn eq_test(master: &MasterKeys, rng: &mut StdRng) -> S1Request {
+        use crate::transport::{MaskedSet, Per, Select};
+        let pk = &master.paillier_public;
         S1Request::EqMatrix {
-            diffs: vec![master.paillier_public.encrypt_u64(0, rng).unwrap()],
+            diffs: vec![pk.encrypt_u64(0, rng).unwrap()],
             cols: 1,
             context: "test".into(),
             depth: None,
-            want: crate::transport::EqWants::none(),
+            sets: vec![MaskedSet(Per::Cell, vec![pk.encrypt_u64(7, rng).unwrap()])],
+            select: vec![Select(Per::Cell, 0, None)],
+            disclose_rows: false,
         }
     }
 

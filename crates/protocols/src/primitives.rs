@@ -2,17 +2,38 @@
 //! exchange here is a typed [`S1Request`] round trip through the transport; the matching
 //! S2 logic lives in [`crate::engine::S2Engine`].
 //!
-//! * batched EHL equality tests (the `⊖` → decrypt → `E2(t)` exchange at the heart of
-//!   SecWorst / SecBest / SecDedup / SecUpdate / SecJoin), with optional row/column
-//!   aggregates derived by S2 from the bits it legitimately decrypted,
-//! * `RecoverEnc` (Algorithm 5) — stripping the outer Damgård–Jurik layer without letting
-//!   S2 see the inner plaintext,
-//! * encrypted one-of-many selection `Enc(Σ t_i·x_i + (1 − Σ t_i)·y)` from `E2(t_i)`,
-//!   `Enc(x_i)` and `Enc(y)` (`SelectJob`; `Enc(t·x)` is its one-term case),
+//! * the equality round (the `⊖` → decrypt exchange at the heart of SecWorst / SecBest /
+//!   SecUpdate / SecJoin) **with the selections it drives**: S2 decrypts every equality
+//!   bit and every masked candidate, selects in plaintext and answers with fresh
+//!   encryptions, so a selection costs no round of its own,
 //! * `EncCompare` — the encrypted comparison of \[11\], realised here as a
 //!   blind-flip-and-scale protocol (see the SECURITY note below),
 //! * a batched comparison against a common threshold (used by the halting check),
 //! * the blinded-product exchange the SkNN baseline builds its SM protocol from.
+//!
+//! # Selection inside the equality round
+//!
+//! The paper selects in two rounds: S2 answers the equality matrix with `E2(t)` bits, S1
+//! evaluates `E2(t)^{Enc(x)}` under the Damgård–Jurik layer, and `RecoverEnc`
+//! (Algorithm 5) has S2 strip that layer again.  Here S1 ships each step's candidates in
+//! the equality request itself, each masked by a fresh uniform `r mod N`
+//! (`Enc(x_i + r_i)`, likewise a default `Enc(y + r_y)`), and describes the jobs by
+//! structure: one per cell, row or column of the matrix ([`Select`]).  S2 already knows
+//! every `t_i` — it decrypts the `⊖` cells — so it decrypts the masked candidates, which
+//! are uniform to it, selects in plaintext and returns a fresh
+//! `C = Enc(Σ t_i(x_i + r_i) + (1 − Σ t_i)(y + r_y))` per job and `Enc(t)` per cell.  S1
+//! unmasks each job with one multi-exponentiation modulo `N²`, with `|N|`-bit exponents
+//! and no inversion:
+//!
+//! ```text
+//! one-of-many   C · (1+N)^{−r_y} · Π Enc(t_i)^{(r_y − r_i) mod N}
+//! sum           C · Π Enc(t_i)^{N − r_i}
+//! ```
+//!
+//! This is the masked exchange of SkNN's SM / SMIN protocols (Elmehdwi et al.): the
+//! cloud holding the key sees only uniformly masked plaintexts beside the bits it is
+//! allowed to see, and answers with fresh encryptions.  Neither party holds a
+//! Damgård–Jurik key, and nothing on the query path computes modulo `N³`.
 //!
 //! # Arithmetic budget of the S1 loops
 //!
@@ -20,15 +41,11 @@
 //! inversion costs more than an exponentiation of a short scalar.  So no loop here
 //! inverts per element or exponentiates the same ciphertext twice (DESIGN.md §10):
 //! `TwoClouds::eq_diffs` and [`TwoClouds::compare_many`] negate all their right-hand
-//! sides with one batch inversion per call, every `⊖` is one multi-exponentiation, and
-//! `TwoClouds::select_many` evaluates selection and `RecoverEnc` blinding as one
-//! inversion-free multi-exponentiation per job.  A job is one *decision*, not one
-//! equality bit: where at most one bit of a row or column can be set (a SecBest row, a
-//! SecUpdate column) all its cells are terms of a single job, so S1 pays one squaring
-//! chain and S2 one outer-layer decryption per row instead of per cell — `m(m−1)`
-//! instead of `m(m−1)(d+2)` per depth in SecBest, `2·|T|` instead of `(2f+1)·|T|` per
-//! merge in SecUpdate.  A single-term job sends S2 exactly what the paper's two-step
-//! sequence would.
+//! sides with one batch inversion per call, every `⊖` is one multi-exponentiation, a
+//! mask is one pooled encryption and one product, and every job's unmasking one
+//! multi-exponentiation.  A job is one *decision*, not one equality bit: where at most
+//! one bit of a row or column can be set (a SecBest row, a SecUpdate column) the line is
+//! one one-of-many job, and where any number can (a SecWorst row) it is one sum job.
 //!
 //! # SECURITY note on the comparison realisation
 //!
@@ -50,14 +67,13 @@ use rand::Rng;
 use std::collections::BTreeMap;
 
 use crate::error::{ProtocolError, Result};
-use sectopk_crypto::damgard_jurik::LayeredCiphertext;
 use sectopk_crypto::paillier::Ciphertext;
 use sectopk_crypto::par::par_map;
 use sectopk_ehl::EhlPlus;
 
 use crate::context::TwoClouds;
 use crate::ledger::LeakageEvent;
-use crate::transport::{EqAggregates, EqWants, S1Request, S2Response};
+use crate::transport::{MaskedSet, Per, S1Request, S2Response, Select};
 
 /// Upper bound (exclusive) for the random comparison scale α.  Keeping α small bounds
 /// the blinded magnitude by `α · |2(a − b) ± 1| < 2^16 · 2^81 ≪ N/2`, so the signed
@@ -65,8 +81,8 @@ use crate::transport::{EqAggregates, EqWants, S1Request, S2Response};
 const COMPARE_SCALE_BOUND: u64 = 1 << 16;
 
 /// One equality-matrix exchange prepared on the S1 side: the randomized `⊖` ciphertexts
-/// in row-major order plus the aggregates S2 should derive.
-#[derive(Debug, Clone)]
+/// in row-major order and the selections S2 is to make from their bits.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct EqPlan {
     /// Row-major `⊖` ciphertexts (`diffs.len() % cols == 0`).
     pub diffs: Vec<Ciphertext>,
@@ -76,45 +92,66 @@ pub(crate) struct EqPlan {
     pub context: &'static str,
     /// Scan depth, if applicable.
     pub depth: Option<usize>,
-    /// Aggregates to request.
-    pub want: EqWants,
+    /// The candidate sets the selections read, *unmasked*: [`TwoClouds::run_eq_plans`]
+    /// masks every candidate with a fresh `r` before it leaves S1.
+    pub sets: Vec<(Per, Vec<Ciphertext>)>,
+    /// The selection jobs, family by family ([`Select`] names sets by their index here).
+    pub select: Vec<Select>,
+    /// Ask S2 for the plaintext per-row match bits (`Qry_E`'s `UP^d`).
+    pub disclose_rows: bool,
 }
 
-/// The outcome of one [`EqPlan`]: the `E2(t_ij)` bits plus any requested aggregates.
+impl EqPlan {
+    /// A plan over `diffs` that selects nothing yet.
+    pub(crate) fn new(
+        diffs: Vec<Ciphertext>,
+        cols: usize,
+        context: &'static str,
+        depth: Option<usize>,
+    ) -> Self {
+        EqPlan { diffs, cols, context, depth, ..Self::default() }
+    }
+
+    /// Add a candidate set laid out `per` cell, row or column; returns its index.
+    pub(crate) fn candidates(&mut self, per: Per, values: Vec<Ciphertext>) -> usize {
+        self.sets.push((per, values));
+        self.sets.len() - 1
+    }
+
+    /// Add a family of jobs, one per `per` line: a sum over set `from`, or a one-of-many
+    /// selection with set `otherwise` as the default of each line.
+    pub(crate) fn select(&mut self, per: Per, from: usize, otherwise: Option<usize>) {
+        self.select.push(Select(per, from, otherwise));
+    }
+}
+
+/// The outcome of one [`EqPlan`].
 #[derive(Debug, Clone)]
 pub(crate) struct EqOutcome {
-    /// `E2(t_ij)` in row-major order.
-    pub bits: Vec<LayeredCiphertext>,
-    /// The requested aggregates.
-    pub aggregates: EqAggregates,
+    /// Per family of the plan, one unmasked ciphertext per line.
+    pub selected: Vec<Vec<Ciphertext>>,
+    /// Fresh `Enc(t_ij)` per cell, row-major (empty when the plan selects nothing).
+    pub bits: Vec<Ciphertext>,
+    /// Plaintext `∨_j t_ij` per row if the plan asked for it, else empty.
+    pub row_matched: Vec<bool>,
 }
 
-/// One encrypted one-of-many selection `([(E2(t_i), Enc(x_i))], Enc(y))` ↦
-/// `Enc(Σ t_i·x_i + (1 − Σ t_i)·y)`: the `x_i` whose bit is set, `y` when none is.
-///
-/// **At most one `t_i` may be 1.**  S1 cannot see the bits, so the job's author must
-/// know it from how the bits were produced — one equality row or column in which an
-/// object can occur only once (DESIGN.md §10 says where that holds).  Bits without that
-/// guarantee get one single-term job each and are summed afterwards, as SecWorst does;
-/// a fused job with two set bits recovers a sum of ciphertexts, which decrypts to
-/// garbage, not to an error.
-#[derive(Debug)]
-pub(crate) struct SelectJob<'a> {
-    /// The candidates `(E2(t_i), Enc(x_i))`.
-    pub terms: Vec<(&'a LayeredCiphertext, &'a Ciphertext)>,
-    /// `Enc(y)`, the value when no bit is set; `None` stands for a fresh `Enc(0)`.
-    pub otherwise: Option<&'a Ciphertext>,
+/// One job's unmasking, `masked · Π t^e · (1+N)^shift`: the `(Enc(t_c), e_c)` terms take
+/// the candidates' masks out, the shift a default's.
+struct Unmask<'a> {
+    masked: &'a Ciphertext,
+    terms: Vec<(&'a Ciphertext, BigUint)>,
+    shift: Option<BigUint>,
 }
 
-impl<'a> SelectJob<'a> {
-    /// The single-term job of Algorithm 4 line 6: `Enc(t·x + (1−t)·y)`.
-    pub(crate) fn gate(
-        bit: &'a LayeredCiphertext,
-        if_true: &'a Ciphertext,
-        otherwise: Option<&'a Ciphertext>,
-    ) -> Self {
-        SelectJob { terms: vec![(bit, if_true)], otherwise }
-    }
+/// What S1 keeps of a shipped plan to unmask its reply.
+struct Shipped {
+    rows: usize,
+    cols: usize,
+    select: Vec<Select>,
+    disclose_rows: bool,
+    /// Each set's masks `r`, in candidate order.
+    masks: Vec<(Per, Vec<BigUint>)>,
 }
 
 /// The error raised when S2 answers with the wrong response kind (shared by every
@@ -125,36 +162,108 @@ pub(crate) fn unexpected(response: &S2Response, expected: &str) -> ProtocolError
 
 impl TwoClouds {
     /// Run any number of independent equality-matrix exchanges — of one sub-protocol or
-    /// of several (SecWorst and SecBest share a depth's exchange) — in plan order, all
-    /// in a single round trip ([`S1Request::Batch`]): the one equality round of a step's
-    /// budget.
+    /// of several (SecWorst and SecBest share a depth's exchange) — with the selections
+    /// they drive, in plan order, all in a single round trip ([`S1Request::Batch`]): the
+    /// one round of a step's budget.
+    ///
+    /// Every candidate is masked as `x ⊞ Enc(r)`: `r` from S1's RNG and `Enc(r)` from its
+    /// pool, drawn serially in plan, set and candidate order, so the fresh nonce also
+    /// unlinks the candidate from every other use of `x`.  The unmasking runs
+    /// data-parallel, one multi-exponentiation per job.
     pub(crate) fn run_eq_plans(&mut self, plans: Vec<EqPlan>) -> Result<Vec<EqOutcome>> {
-        let mut requests: Vec<S1Request> = plans
-            .into_iter()
-            .filter(|p| !p.diffs.is_empty())
-            .map(|p| S1Request::EqMatrix {
-                diffs: p.diffs,
-                cols: p.cols,
-                context: p.context.to_string(),
-                depth: p.depth,
-                want: p.want,
-            })
-            .collect();
+        let pk = self.s1.keys.paillier_public.clone();
+        let mut requests = Vec::with_capacity(plans.len());
+        let mut shipped = Vec::with_capacity(plans.len());
+        for plan in plans.into_iter().filter(|p| !p.diffs.is_empty()) {
+            let mut sets = Vec::with_capacity(plan.sets.len());
+            let mut masks = Vec::with_capacity(plan.sets.len());
+            for (per, values) in plan.sets {
+                let (rs, enc_rs) = self.draw_masks(values.len())?;
+                sets.push(MaskedSet(
+                    per,
+                    values.iter().zip(&enc_rs).map(|(x, r)| pk.add(x, r)).collect(),
+                ));
+                masks.push((per, rs));
+            }
+            shipped.push(Shipped {
+                rows: plan.diffs.len() / plan.cols,
+                cols: plan.cols,
+                select: plan.select.clone(),
+                disclose_rows: plan.disclose_rows,
+                masks,
+            });
+            requests.push(S1Request::EqMatrix {
+                diffs: plan.diffs,
+                cols: plan.cols,
+                context: plan.context.to_string(),
+                depth: plan.depth,
+                sets,
+                select: plan.select,
+                disclose_rows: plan.disclose_rows,
+            });
+        }
         let responses: Vec<S2Response> = match requests.len() {
             0 => return Ok(Vec::new()),
             1 => vec![self.round(requests.pop().expect("one request"))?],
             _ => match self.round(S1Request::Batch(requests))? {
-                S2Response::Batch(responses) => responses,
+                S2Response::Batch(responses) if responses.len() == shipped.len() => responses,
                 other => return Err(unexpected(&other, "Batch")),
             },
         };
-        responses
-            .into_iter()
-            .map(|r| match r {
-                S2Response::EqBits { bits, aggregates } => Ok(EqOutcome { bits, aggregates }),
-                other => Err(unexpected(&other, "EqBits")),
-            })
-            .collect()
+        responses.into_iter().zip(&shipped).map(|(r, plan)| self.unmask(r, plan)).collect()
+    }
+
+    /// Check one `EqBits` reply against what was shipped and unmask its selections.
+    fn unmask(&self, response: S2Response, plan: &Shipped) -> Result<EqOutcome> {
+        let S2Response::EqBits { bits, selected, row_matched } = response else {
+            return Err(unexpected(&response, "EqBits"));
+        };
+        let (rows, cols) = (plan.rows, plan.cols);
+        let lines: Vec<usize> =
+            plan.select.iter().map(|&Select(per, ..)| per.len(rows, cols)).collect();
+        let want_bits = if plan.select.is_empty() { 0 } else { rows * cols };
+        let want_rows = if plan.disclose_rows { rows } else { 0 };
+        if (bits.len(), selected.len(), row_matched.len())
+            != (want_bits, lines.iter().sum(), want_rows)
+        {
+            return Err(ProtocolError::transport("equality reply arity mismatch"));
+        }
+
+        // One job per line: `C · Π Enc(t_c)^{e_c}`, then `· (1+N)^{−r_y}` for a default.
+        let n = self.s1.keys.paillier_public.n();
+        let minus = |r: &BigUint| (n - r) % n;
+        let mut jobs: Vec<Unmask<'_>> = Vec::with_capacity(selected.len());
+        let mut selected = selected.iter();
+        for &Select(per, from, otherwise) in &plan.select {
+            let (from_per, r) = &plan.masks[from];
+            for line in 0..per.len(rows, cols) {
+                let r_y = otherwise.map(|y| &plan.masks[y].1[line]);
+                let terms = per
+                    .cells(rows, cols, line)
+                    .into_iter()
+                    .map(|c| {
+                        let r_c = &r[from_per.index(cols, c / cols, c % cols)];
+                        let e = r_y.map_or_else(|| minus(r_c), |r_y| (r_y + minus(r_c)) % n);
+                        (&bits[c], e)
+                    })
+                    .collect();
+                let masked = selected.next().expect("arity checked above");
+                jobs.push(Unmask { masked, terms, shift: r_y.map(minus) });
+            }
+        }
+        let pk = &self.s1.keys.paillier_public;
+        let mut unmasked = par_map(self.intra_workers(), &jobs, |job| {
+            let terms: Vec<(&Ciphertext, &BigUint)> =
+                job.terms.iter().map(|(t, e)| (*t, e)).collect();
+            let c = pk.add(job.masked, &pk.weighted_sum(&terms));
+            match &job.shift {
+                Some(shift) => pk.add_plain(&c, shift),
+                None => c,
+            }
+        })
+        .into_iter();
+        let selected = lines.iter().map(|&l| unmasked.by_ref().take(l).collect()).collect();
+        Ok(EqOutcome { selected, bits, row_matched })
     }
 
     /// Ship an element-wise exchange as one request carrying all `items`.  `build`
@@ -223,8 +332,8 @@ impl TwoClouds {
         par_map(self.intra_workers(), &jobs, |(a, neg_b, rs)| a.eq_test_negated(neg_b, &pk, rs))
     }
 
-    /// Draw `count` `RecoverEnc` blindings `(r, Enc(r))`: `r` from S1's RNG, the
-    /// encryption nonce from S1's pool, serially and in item order.
+    /// Draw `count` candidate masks `(r, Enc(r))`: `r` from S1's RNG, the encryption
+    /// nonce from S1's pool, serially and in item order.
     fn draw_masks(&mut self, count: usize) -> Result<(Vec<BigUint>, Vec<Ciphertext>)> {
         let pk = self.s1.keys.paillier_public.clone();
         let mut masks = Vec::with_capacity(count);
@@ -235,92 +344,6 @@ impl TwoClouds {
             masks.push(r);
         }
         Ok((masks, enc_masks))
-    }
-
-    /// The round and the unblinding of `RecoverEnc`: S2 strips the outer layer from
-    /// each `E2(Enc(c_i + r_i))`, S1 subtracts `r_i = masks[i]` again.
-    fn recover_blinded(
-        &mut self,
-        blinded: Vec<LayeredCiphertext>,
-        masks: Vec<BigUint>,
-    ) -> Result<Vec<Ciphertext>> {
-        let pk = self.s1.keys.paillier_public.clone();
-        let inner: Vec<Ciphertext> = self.round_elementwise(
-            blinded,
-            |blinded| S1Request::Recover { blinded },
-            |response| match response {
-                S2Response::Recovered(inner) => Ok(inner),
-                other => Err(unexpected(&other, "Recovered")),
-            },
-        )?;
-        let jobs: Vec<(Ciphertext, BigUint)> = inner.into_iter().zip(masks).collect();
-        Ok(par_map(self.intra_workers(), &jobs, |(c, r)| {
-            let neg_r = (pk.n() - (r % pk.n())) % pk.n();
-            pk.add_plain(c, &neg_r)
-        }))
-    }
-
-    /// `RecoverEnc` (Algorithm 5), batched: strip the outer Damgård–Jurik layer from each
-    /// `E2(Enc(c_i))`, returning the inner Paillier ciphertexts to S1 while hiding the
-    /// inner plaintexts from S2 behind additive blinding
-    /// (`E2(Enc(c))^{Enc(r)} = E2(Enc(c + r))`, one exponentiation per item).
-    ///
-    /// The protocols never call it on a selection's output:
-    /// `Self::select_many` folds this blinding into the selection's own exponents.
-    pub fn recover_enc_batch(&mut self, layered: &[LayeredCiphertext]) -> Result<Vec<Ciphertext>> {
-        if layered.is_empty() {
-            return Ok(Vec::new());
-        }
-        let dj_pk = self.s1.keys.dj_public.clone();
-        // Draws happen serially up front, the exponentiations run data-parallel: the
-        // wire bytes do not depend on the worker count.
-        let (masks, enc_masks) = self.draw_masks(layered.len())?;
-        let jobs: Vec<(&LayeredCiphertext, Ciphertext)> = layered.iter().zip(enc_masks).collect();
-        let blinded: Vec<LayeredCiphertext> =
-            par_map(self.intra_workers(), &jobs, |(l, enc_r)| dj_pk.mul_by_ciphertext(l, enc_r));
-        self.recover_blinded(blinded, masks)
-    }
-
-    /// Encrypted selection, any number of jobs in **one** `RecoverEnc` round: every job
-    /// evaluates the one-of-many form of Algorithm 4 line 6 to
-    /// `Enc(Σ t_i·x_i + (1 − Σ t_i)·y)` (see [`SelectJob`] for the at-most-one-bit
-    /// condition).  Jobs of different sub-protocol steps may share the call; every job
-    /// gets its own fresh `E2(1)`, `Enc(0)` and blinding, however many terms it has.
-    ///
-    /// Selection and `RecoverEnc` blinding are one multi-exponentiation per job
-    /// ([`DjPublicKey::select_blinded`](sectopk_crypto::damgard_jurik::DjPublicKey::select_blinded)):
-    /// no inversion, no second exponentiation of the selected ciphertext, and S2 strips
-    /// one ciphertext per job, not per term.  S1's RNG and pool are consumed in the
-    /// order of the two-step sequence — every job's `E2(1)` / `Enc(0)`, then every
-    /// job's `r` / `Enc(r)` — and for a single-term job S2 decrypts the very inner
-    /// ciphertext that sequence would have sent it.
-    pub(crate) fn select_many(&mut self, jobs: &[SelectJob<'_>]) -> Result<Vec<Ciphertext>> {
-        let dj_pk = self.s1.keys.dj_public.clone();
-        let mut drawn = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let e2_one = self.s1.pool.encrypt_dj_u64(1)?;
-            let y = job.otherwise.cloned().map_or_else(|| self.s1.pool.encrypt_u64(0), Ok)?;
-            drawn.push((job, e2_one, y));
-        }
-        let (masks, enc_masks) = self.draw_masks(jobs.len())?;
-        let drawn: Vec<_> = drawn.into_iter().zip(enc_masks).collect();
-        let blinded = par_map(self.intra_workers(), &drawn, |((job, e2_one, y), enc_r)| {
-            dj_pk.select_blinded(&job.terms, e2_one, y, enc_r)
-        });
-        self.recover_blinded(blinded, masks)
-    }
-
-    /// Encrypted selection: from `E2(t_i)` (bit known to S2, encrypted towards S1) and
-    /// `Enc(x_i)`, produce `Enc(t_i · x_i)`.
-    pub fn select_scores(
-        &mut self,
-        e2_bits: &[LayeredCiphertext],
-        scores: &[Ciphertext],
-    ) -> Result<Vec<Ciphertext>> {
-        assert_eq!(e2_bits.len(), scores.len(), "one bit per score required");
-        let jobs: Vec<SelectJob<'_>> =
-            e2_bits.iter().zip(scores).map(|(t, x)| SelectJob::gate(t, x, None)).collect();
-        self.select_many(&jobs)
     }
 
     /// `EncCompare(Enc(a), Enc(b))`: S1 learns the bit `f := (a ≤ b)` in the symmetric
@@ -456,7 +479,7 @@ impl TwoClouds {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use sectopk_crypto::keys::MasterKeys;
     use sectopk_crypto::paillier::MIN_MODULUS_BITS;
     use sectopk_ehl::EhlEncoder;
@@ -469,34 +492,24 @@ mod tests {
         (master, clouds, encoder, rng)
     }
 
-    /// One equality round over `pairs` (a single-row matrix, no aggregates): the
-    /// `E2(t_i)` bits, `t_i = 1` iff the pair hides the same object.
-    fn eq_batch(
-        clouds: &mut TwoClouds,
-        pairs: &[(&EhlPlus, &EhlPlus)],
-        context: &'static str,
-        depth: Option<usize>,
-    ) -> Vec<LayeredCiphertext> {
-        let diffs = clouds.eq_diffs(pairs);
-        let cols = diffs.len();
-        let plan = EqPlan { diffs, cols, context, depth, want: EqWants::none() };
-        clouds.run_eq_plans(vec![plan]).unwrap().pop().map_or_else(Vec::new, |o| o.bits)
+    fn decrypt(master: &MasterKeys, cs: &[Ciphertext]) -> Vec<u64> {
+        cs.iter().map(|c| master.paillier_secret.decrypt_u64(c).unwrap()).collect()
     }
 
-    /// Two-branch selection `Enc(t_i · x_i + (1 − t_i) · y_i)`, one gate per bit.
-    fn select_between(
+    /// One equality round over `pairs` (a single-row matrix) with one job per cell:
+    /// `Enc(t_i·x_i)`, or `Enc(t_i·x_i + (1 − t_i)·y_i)` with defaults.
+    fn select_per_cell(
         clouds: &mut TwoClouds,
-        bits: &[LayeredCiphertext],
-        if_true: &[Ciphertext],
-        if_false: &[Ciphertext],
-    ) -> Vec<Ciphertext> {
-        let jobs: Vec<SelectJob<'_>> = bits
-            .iter()
-            .zip(if_true)
-            .zip(if_false)
-            .map(|((t, x), y)| SelectJob::gate(t, x, Some(y)))
-            .collect();
-        clouds.select_many(&jobs).unwrap()
+        pairs: &[(&EhlPlus, &EhlPlus)],
+        values: &[Ciphertext],
+        defaults: Option<&[Ciphertext]>,
+    ) -> EqOutcome {
+        let diffs = clouds.eq_diffs(pairs);
+        let mut plan = EqPlan::new(diffs, pairs.len(), "test", Some(0));
+        let from = plan.candidates(Per::Cell, values.to_vec());
+        let otherwise = defaults.map(|y| plan.candidates(Per::Cell, y.to_vec()));
+        plan.select(Per::Cell, from, otherwise);
+        clouds.run_eq_plans(vec![plan]).unwrap().pop().unwrap()
     }
 
     #[test]
@@ -507,26 +520,18 @@ mod tests {
         let a2 = encoder.encode(b"a", pk, &mut rng).unwrap();
         let b = encoder.encode(b"b", pk, &mut rng).unwrap();
 
-        let bits = eq_batch(&mut clouds, &[(&a1, &a2), (&a1, &b)], "test", Some(0));
-        // The E2 bits decrypt to 1 / 0 (only the key holder can check this; S1 cannot).
-        let dj_sk = &master.s2_view().dj_secret;
-        assert_eq!(dj_sk.decrypt(&bits[0]).unwrap(), BigUint::from(1u32));
-        assert_eq!(dj_sk.decrypt(&bits[1]).unwrap(), BigUint::from(0u32));
+        let ones = vec![pk.encrypt_u64(1, &mut rng).unwrap(); 2];
+        let outcome = select_per_cell(&mut clouds, &[(&a1, &a2), (&a1, &b)], &ones, None);
+        // The `Enc(t)` bits and `t · 1` decrypt to 1 / 0 (only the key holder can check
+        // this; S1 cannot).
+        assert_eq!(decrypt(&master, &outcome.bits), [1, 0]);
+        assert_eq!(decrypt(&master, &outcome.selected[0]), [1, 0]);
         // Channel and ledger were updated.
         assert!(clouds.channel().bytes > 0);
         assert_eq!(clouds.s2_ledger().count_kind("equality_bit"), 2);
+        let masked = LeakageEvent::MaskedValues { context: "test".into(), count: 2 };
+        assert_eq!(clouds.s2_ledger().events().last(), Some(&masked));
         assert_eq!(clouds.channel().rounds, 1);
-    }
-
-    #[test]
-    fn recover_enc_strips_one_layer() {
-        let (master, mut clouds, _encoder, mut rng) = setup();
-        let pk = &master.paillier_public;
-        let dj_pk = clouds.dj_pk().clone();
-        let inner = pk.encrypt_u64(4321, &mut rng).unwrap();
-        let layered = dj_pk.encrypt_ciphertext(&inner, &mut rng).unwrap();
-        let recovered = clouds.recover_enc_batch(&[layered]).unwrap();
-        assert_eq!(master.paillier_secret.decrypt_u64(&recovered[0]).unwrap(), 4321);
     }
 
     #[test]
@@ -536,12 +541,11 @@ mod tests {
         let same_a = encoder.encode(b"x", pk, &mut rng).unwrap();
         let same_b = encoder.encode(b"x", pk, &mut rng).unwrap();
         let other = encoder.encode(b"y", pk, &mut rng).unwrap();
-        let bits = eq_batch(&mut clouds, &[(&same_a, &same_b), (&same_a, &other)], "test", None);
         let scores =
             vec![pk.encrypt_u64(111, &mut rng).unwrap(), pk.encrypt_u64(222, &mut rng).unwrap()];
-        let selected = clouds.select_scores(&bits, &scores).unwrap();
-        assert_eq!(master.paillier_secret.decrypt_u64(&selected[0]).unwrap(), 111);
-        assert_eq!(master.paillier_secret.decrypt_u64(&selected[1]).unwrap(), 0);
+        let pairs = [(&same_a, &same_b), (&same_a, &other)];
+        let selected = select_per_cell(&mut clouds, &pairs, &scores, None).selected;
+        assert_eq!(decrypt(&master, &selected[0]), [111, 0]);
     }
 
     #[test]
@@ -551,46 +555,45 @@ mod tests {
         let a = encoder.encode(b"p", pk, &mut rng).unwrap();
         let a2 = encoder.encode(b"p", pk, &mut rng).unwrap();
         let b = encoder.encode(b"q", pk, &mut rng).unwrap();
-        let bits = eq_batch(&mut clouds, &[(&a, &a2), (&a, &b)], "test", None);
         let if_true =
             vec![pk.encrypt_u64(10, &mut rng).unwrap(), pk.encrypt_u64(10, &mut rng).unwrap()];
         let if_false =
             vec![pk.encrypt_u64(77, &mut rng).unwrap(), pk.encrypt_u64(77, &mut rng).unwrap()];
-        let chosen = select_between(&mut clouds, &bits, &if_true, &if_false);
-        assert_eq!(master.paillier_secret.decrypt_u64(&chosen[0]).unwrap(), 10);
-        assert_eq!(master.paillier_secret.decrypt_u64(&chosen[1]).unwrap(), 77);
+        let pairs = [(&a, &a2), (&a, &b)];
+        let chosen = select_per_cell(&mut clouds, &pairs, &if_true, Some(&if_false)).selected;
+        assert_eq!(decrypt(&master, &chosen[0]), [10, 77]);
     }
 
     #[test]
     fn select_many_mixes_both_job_kinds_in_one_round() {
+        // One row `(p, p), (p, q)`: per-cell sums, per-cell defaults and the row as one
+        // one-of-many job, all answered by the equality round itself.
         let (master, mut clouds, encoder, mut rng) = setup();
         let pk = &master.paillier_public;
         let a = encoder.encode(b"p", pk, &mut rng).unwrap();
         let a2 = encoder.encode(b"p", pk, &mut rng).unwrap();
         let b = encoder.encode(b"q", pk, &mut rng).unwrap();
-        let bits = eq_batch(&mut clouds, &[(&a, &a2), (&a, &b)], "test", None);
         let x = vec![pk.encrypt_u64(10, &mut rng).unwrap(), pk.encrypt_u64(20, &mut rng).unwrap()];
         let y = vec![pk.encrypt_u64(77, &mut rng).unwrap(), pk.encrypt_u64(88, &mut rng).unwrap()];
-        let decrypt = |cs: &[Ciphertext]| -> Vec<u64> {
-            cs.iter().map(|c| master.paillier_secret.decrypt_u64(c).unwrap()).collect()
-        };
+        let bottom = vec![pk.encrypt_u64(5, &mut rng).unwrap()];
 
-        let before = clouds.channel().rounds;
-        let jobs = vec![
-            SelectJob::gate(&bits[0], &x[0], None),
-            SelectJob::gate(&bits[1], &x[1], Some(&y[1])),
-            SelectJob::gate(&bits[1], &x[1], None),
-            SelectJob::gate(&bits[0], &x[0], Some(&y[0])),
-        ];
-        let mixed = decrypt(&clouds.select_many(&jobs).unwrap());
-        assert_eq!(clouds.channel().rounds, before + 1, "one RecoverEnc round for all jobs");
-
-        let zeroing = decrypt(&clouds.select_scores(&bits, &x).unwrap());
-        let two_branch = decrypt(&select_between(&mut clouds, &bits, &x, &y));
-        assert_eq!(zeroing, vec![10, 0]);
-        assert_eq!(two_branch, vec![10, 88]);
-        assert_eq!(mixed, vec![zeroing[0], two_branch[1], zeroing[1], two_branch[0]]);
-        assert!(clouds.select_many(&[]).unwrap().is_empty());
+        let diffs = clouds.eq_diffs(&[(&a, &a2), (&a, &b)]);
+        let mut plan = EqPlan::new(diffs, 2, "test", None);
+        let (xs, ys, row) = (
+            plan.candidates(Per::Cell, x),
+            plan.candidates(Per::Cell, y),
+            plan.candidates(Per::Row, bottom),
+        );
+        plan.select(Per::Cell, xs, None);
+        plan.select(Per::Cell, xs, Some(ys));
+        plan.select(Per::Row, xs, Some(row));
+        plan.select(Per::Row, ys, None);
+        let outcome = clouds.run_eq_plans(vec![plan]).unwrap().pop().unwrap();
+        assert_eq!(clouds.channel().rounds, 1, "one equality round for all jobs");
+        let selected: Vec<Vec<u64>> =
+            outcome.selected.iter().map(|s| decrypt(&master, s)).collect();
+        assert_eq!(selected, [vec![10, 0], vec![10, 88], vec![10], vec![77]]);
+        assert!(clouds.run_eq_plans(Vec::new()).unwrap().is_empty());
     }
 
     #[test]
@@ -629,55 +632,100 @@ mod tests {
         assert!(clouds.eq_diffs(&[]).is_empty());
     }
 
-    /// The selection this module used to run: invert `E2(t)`, double exponentiation,
-    /// then `RecoverEnc` with its own exponentiation of the selected ciphertext.
-    fn select_many_two_step(
-        clouds: &mut TwoClouds,
-        jobs: &[SelectJob<'_>],
-    ) -> Result<Vec<Ciphertext>> {
-        let dj_pk = clouds.dj_pk().clone();
-        let mut layered = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let [(bit, if_true)] = job.terms[..] else { panic!("the two-step form has one term") };
-            let e2_one = clouds.s1.pool.encrypt_dj_u64(1)?;
-            let y = job.otherwise.cloned().map_or_else(|| clouds.s1.pool.encrypt_u64(0), Ok)?;
-            layered.push(dj_pk.mul_add_ciphertexts(bit, if_true, &dj_pk.sub(&e2_one, bit), &y));
-        }
-        clouds.recover_enc_batch(&layered)
-    }
-
+    /// Every job shape over random matrices — sum rows with several bits set, one-of-many
+    /// lines with no bit set, keep-length gates (row lines over per-row candidates with
+    /// per-row defaults), several values per bit (the join), and candidates 0 and
+    /// `N − 1` — against the same selections in plaintext, and byte for byte the same
+    /// at one and four workers.
     #[test]
-    fn fused_selection_recovers_the_ciphertexts_of_the_two_step_sequence() {
-        let (master, mut clouds, encoder, mut rng) = setup();
-        let pk = &master.paillier_public;
-        let a = encoder.encode(b"p", pk, &mut rng).unwrap();
-        let a2 = encoder.encode(b"p", pk, &mut rng).unwrap();
-        let b = encoder.encode(b"q", pk, &mut rng).unwrap();
-        // bits[0] = E2(1), bits[1] = E2(0).
-        let bits = eq_batch(&mut clouds, &[(&a, &a2), (&a, &b)], "test", None);
-        let x = pk.encrypt_u64(10, &mut rng).unwrap();
-        let y = pk.encrypt_u64(77, &mut rng).unwrap();
-        let sentinel = pk.encrypt(&pk.sentinel_z(), &mut rng).unwrap();
-        let jobs = vec![
-            SelectJob::gate(&bits[0], &x, None),
-            SelectJob::gate(&bits[1], &x, None),
-            SelectJob::gate(&bits[0], &x, Some(&y)),
-            SelectJob::gate(&bits[1], &x, Some(&y)),
-            SelectJob::gate(&bits[1], &y, Some(&sentinel)),
-        ];
+    fn fused_selection_matches_a_plaintext_reference_at_one_and_four_workers() {
+        let (master, _, encoder, mut rng) = setup();
+        let pk = master.paillier_public.clone();
+        let n = pk.n().clone();
+        let mut runs: Vec<Vec<Vec<Ciphertext>>> = Vec::new();
+        for workers in [1, 4] {
+            let mut clouds = TwoClouds::new(&master, 99).unwrap();
+            clouds.set_intra_workers(workers);
+            let mut shapes = StdRng::seed_from_u64(0x5e1ec7);
+            let mut outputs = Vec::new();
+            for _ in 0..6 {
+                let (rows, cols) = (shapes.gen_range(1..4usize), shapes.gen_range(1..5usize));
+                // Objects from a small alphabet, so rows and columns match 0, 1 or more times.
+                let left: Vec<u8> = (0..rows).map(|_| shapes.gen_range(0..3)).collect();
+                let right: Vec<u8> = (0..cols).map(|_| shapes.gen_range(0..3)).collect();
+                let ehl = |o: &u8, rng: &mut StdRng| encoder.encode(&[*o], &pk, rng).unwrap();
+                let (l, r): (Vec<EhlPlus>, Vec<EhlPlus>) = (
+                    left.iter().map(|o| ehl(o, &mut rng)).collect(),
+                    right.iter().map(|o| ehl(o, &mut rng)).collect(),
+                );
+                let t: Vec<bool> =
+                    left.iter().flat_map(|a| right.iter().map(move |b| a == b)).collect();
+                let pairs: Vec<(&EhlPlus, &EhlPlus)> =
+                    l.iter().flat_map(|a| r.iter().map(move |b| (a, b))).collect();
+                let mut plan = EqPlan::new(clouds.eq_diffs(&pairs), cols, "test", None);
 
-        // Same seeds, same draws in the same order: S2 decrypts the same inner
-        // ciphertexts, so the two S1s end up holding identical ones.
-        let mut reference = TwoClouds::new(&master, 99).unwrap();
-        let _ = eq_batch(&mut reference, &[(&a, &a2), (&a, &b)], "test", None);
-        let fused = clouds.select_many(&jobs).unwrap();
-        assert_eq!(fused, select_many_two_step(&mut reference, &jobs).unwrap());
-        let plain: Vec<BigUint> =
-            fused.iter().map(|c| master.paillier_secret.decrypt(c).unwrap()).collect();
-        let expected: Vec<BigUint> =
-            [10u64, 0, 10, 77].iter().map(|&v| BigUint::from(v)).chain([pk.sentinel_z()]).collect();
-        assert_eq!(plain, expected);
-        assert_eq!(clouds.channel().rounds, reference.channel().rounds);
+                // Candidate plaintexts, with 0 and N − 1 among them.
+                let mut value = |i: usize| match (i + rows) % 5 {
+                    0 => BigUint::zero(),
+                    1 => &n - BigUint::from(1u32),
+                    _ => BigUint::from(shapes.gen_range(0..1000u32)),
+                };
+                let layouts = [Per::Cell, Per::Row, Per::Column];
+                let plain: Vec<Vec<BigUint>> = layouts
+                    .iter()
+                    .flat_map(|&per| [per; 2])
+                    .map(|per| (0..per.len(rows, cols)).map(&mut value).collect())
+                    .collect();
+                for (set, values) in (0..).zip(&plain) {
+                    let per = layouts[set / 2];
+                    let cts = values.iter().map(|v| pk.encrypt(v, &mut rng).unwrap()).collect();
+                    assert_eq!(plan.candidates(per, cts), set);
+                }
+                // Every line layout, as a sum and with a default laid out like it, reading
+                // each candidate layout; the two cell-wise sets are the join's two values.
+                let mut families = Vec::new();
+                for (line, &per) in layouts.iter().enumerate() {
+                    for from in [0, 2, 4] {
+                        families.push((per, from, None));
+                        families.push((per, from + 1, Some(2 * line)));
+                    }
+                }
+                for &(per, from, otherwise) in &families {
+                    plan.select(per, from, otherwise);
+                }
+                let outcome = clouds.run_eq_plans(vec![plan]).unwrap().pop().unwrap();
+
+                let (t, plain, n) = (&t, &plain, &n);
+                let reference = families.iter().map(|&(per, from, otherwise)| {
+                    let from_per = layouts[from / 2];
+                    (0..per.len(rows, cols))
+                        .map(move |line| {
+                            let cells = per.cells(rows, cols, line);
+                            let set: Vec<usize> = cells.into_iter().filter(|&c| t[c]).collect();
+                            let x: BigUint = set
+                                .iter()
+                                .map(|&c| &plain[from][from_per.index(cols, c / cols, c % cols)])
+                                .sum();
+                            let y = otherwise.map_or(BigUint::zero(), |y| {
+                                let one_minus =
+                                    (n + BigUint::from(1u32) - BigUint::from(set.len())) % n;
+                                &plain[y][line] * one_minus
+                            });
+                            (x + y) % n
+                        })
+                        .collect::<Vec<_>>()
+                });
+                for (got, want) in outcome.selected.iter().zip(reference) {
+                    let got: Vec<BigUint> =
+                        got.iter().map(|c| master.paillier_secret.decrypt(c).unwrap()).collect();
+                    assert_eq!(got, want, "{rows} × {cols}: {t:?}");
+                }
+                assert_eq!(outcome.selected.len(), families.len());
+                outputs.push(outcome.selected.concat());
+            }
+            runs.push(outputs);
+        }
+        assert_eq!(runs[0], runs[1], "one and four workers ship and return the same bytes");
     }
 
     #[test]
@@ -722,8 +770,10 @@ mod tests {
     #[test]
     fn empty_batches_are_noops() {
         let (_master, mut clouds, _encoder, _rng) = setup();
-        assert!(eq_batch(&mut clouds, &[], "t", None).is_empty());
-        assert!(clouds.recover_enc_batch(&[]).unwrap().is_empty());
+        assert!(clouds
+            .run_eq_plans(vec![EqPlan::new(Vec::new(), 1, "t", None)])
+            .unwrap()
+            .is_empty());
         assert!(clouds.compare_many(&[], "t").unwrap().is_empty());
         assert!(clouds.mul_blinded(Vec::new()).unwrap().is_empty());
         assert_eq!(clouds.channel(), crate::ChannelMetrics::default());

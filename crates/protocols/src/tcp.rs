@@ -1217,6 +1217,7 @@ mod tests {
     use sectopk_crypto::keys::MasterKeys;
     use sectopk_crypto::paillier::{generate_keypair, MIN_MODULUS_BITS};
     use sectopk_metrics::Registry as MetricsRegistry;
+    use std::collections::VecDeque;
 
     fn master(seed: u64) -> MasterKeys {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1688,9 +1689,11 @@ mod tests {
     /// Request frames of retired wire forms, byte for byte as protocol version 2 peers
     /// that still spoke them encoded them: an `EqTest` whose bit S2 was to keep, the
     /// `EqAggregate` over that bit, a `Dedup` without a matrix (the one-message-per-pair
-    /// pattern), and a one-item `Dedup` whose blinding is one ciphertext per mask
-    /// (`alphas`, `beta`, `gamma`) instead of two masks per ciphertext (`packed`).
-    const RETIRED_FRAMES: [&[u8]; 4] = [
+    /// pattern), a one-item `Dedup` whose blinding is one ciphertext per mask (`alphas`,
+    /// `beta`, `gamma`) instead of two masks per ciphertext (`packed`), an `EqMatrix`
+    /// asking for `E2` aggregates (`want`) instead of shipping masked candidates, and a
+    /// `Recover` of one Damgård–Jurik ciphertext.
+    const RETIRED_FRAMES: [&[u8]; 6] = [
         b"\x00\x09\x01\x06EqTest\x09\x05\x04diff\x07\x01\x01\x07context\x06\x04test\x05depth\x00\
           \x0aaccumulate\x02\x09reply_bit\x02",
         b"\x00\x09\x01\x0bEqAggregate\x09\x03\x04rows\x03\x01\x04cols\x03\x01\x04want\x09\x04\
@@ -1701,13 +1704,53 @@ mod tests {
           \x08\x01\x07\x01\x02\x05worst\x07\x01\x02\x04best\x07\x01\x02\x09blindings\x08\x01\x09\
           \x03\x06alphas\x08\x01\x07\x01\x02\x04beta\x07\x01\x02\x05gamma\x07\x01\x02\
           \x0cpair_indices\x08\x00\x06matrix\x08\x00\x09eliminate\x01\x05depth\x03\x00",
+        b"\x00\x09\x01\x08EqMatrix\x09\x05\x05diffs\x08\x01\x07\x01\x02\x04cols\x03\x01\x07context\
+          \x06\x04test\x05depth\x00\x04want\x09\x04\x0brow_matched\x02\x0drow_unmatched\x01\
+          \x0dcol_unmatched\x01\x11row_matched_plain\x01",
+        b"\x00\x09\x01\x07Recover\x09\x01\x07blinded\x08\x01\x07\x01\x02",
+    ];
+
+    /// Response payloads of the retired selection forms, as protocol version 2 engines
+    /// encoded them: `EqBits` carrying `E2(t)` bits and an `E2` row aggregate, and the
+    /// `Recovered` inner ciphertexts of a `Recover`.
+    const RETIRED_REPLIES: [&[u8]; 2] = [
+        b"\x09\x01\x06EqBits\x09\x02\x04bits\x08\x01\x07\x01\x02\x0aaggregates\x09\x04\
+          \x0brow_matched\x08\x01\x07\x01\x02\x0drow_unmatched\x08\x00\x0dcol_unmatched\x08\x00\
+          \x11row_matched_plain\x08\x00",
+        b"\x09\x01\x09Recovered\x08\x01\x08\x01\x07\x01\x02",
     ];
 
     #[test]
     fn retired_request_kinds_are_typed_codec_rejects_on_both_pipes() {
         // Every retired frame, through the pool's conduit and over a socket: a `Codec`
         // error frame, nothing in the ledger, and the session answers its next request.
+        // The other direction, every retired reply, behind a scripted in-memory pipe and
+        // a scripted socket: a typed, permanent error, and the next reply is read.
         let master = master(61);
+        assert_retired_replies_are_refused(&master, |replies| {
+            let pipe = Replay { replies: replies.into() };
+            EnvelopeTransport::new(SessionId(9), Box::new(pipe))
+        });
+        assert_retired_replies_are_refused(&master, |replies| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            std::thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                read_frame(&stream).unwrap();
+                let accept = ServerHello::Accept {
+                    version: TCP_PROTOCOL_VERSION,
+                    session: 9,
+                    resume_token: 1,
+                };
+                write_frame(&stream, &wire::to_bytes(&accept)).unwrap();
+                for frame in replies {
+                    let request = Envelope::decode(&read_frame(&stream).unwrap()).unwrap();
+                    let reply = Envelope { frame, ..request };
+                    write_frame(&stream, &reply.encode()).unwrap();
+                }
+            });
+            connect(addr, provision_for(&master, 1), TcpOptions::default()).unwrap()
+        });
         let server = TcpCloudServer::bind("127.0.0.1:0", 1).unwrap();
         let conduit = server.pool().attach(SessionId(5), provision_for(&master, 1).build(), 0);
         let conduit = conduit.unwrap();
@@ -1721,6 +1764,44 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(62);
         assert_retired_frames_are_rejected(&master, &mut rng, over_conduit);
         assert_retired_frames_are_rejected(&master, &mut rng, over_socket);
+    }
+
+    /// A pipe that answers each envelope with the next scripted frame, echoing it.
+    struct Replay {
+        replies: VecDeque<Vec<u8>>,
+    }
+
+    impl Pipe for Replay {
+        fn kind(&self) -> TransportKind {
+            TransportKind::Multiplex
+        }
+        fn exchange(&mut self, envelope: &Envelope) -> Result<Envelope> {
+            let frame = self.replies.pop_front().expect("a scripted reply");
+            Ok(Envelope { frame, ..envelope.clone() })
+        }
+        fn disconnect(&mut self, _: &Envelope) {}
+    }
+
+    /// `session(replies)` is a session whose S2 answers its requests with `replies`, in
+    /// order: every retired reply, then one current one.
+    fn assert_retired_replies_are_refused(
+        master: &MasterKeys,
+        session: impl FnOnce(Vec<Vec<u8>>) -> EnvelopeTransport,
+    ) {
+        let signs = framed(frame::RESPONSE, &S2Response::Signs(vec![1]));
+        let replies = RETIRED_REPLIES.iter().map(|r| [&[frame::RESPONSE][..], r].concat());
+        let mut transport = session(replies.chain([signs]).collect());
+        let mut rng = StdRng::seed_from_u64(63);
+        for i in 0..RETIRED_REPLIES.len() {
+            let err = transport.round_trip(compare_request(master, 1, &mut rng)).unwrap_err();
+            assert!(
+                matches!(&err, ProtocolError::Transport(e) if e.message.contains("undecodable")),
+                "retired reply {i} surfaced as {err:?}"
+            );
+            assert!(!err.is_retryable(), "retired reply {i} is not worth a retry");
+        }
+        let (reply, _) = transport.round_trip(compare_request(master, 1, &mut rng)).unwrap();
+        assert_eq!(reply, S2Response::Signs(vec![1]), "the session keeps being served");
     }
 
     /// `exchange(seq, frame)` runs one frame of one session and returns the reply frame.

@@ -67,8 +67,8 @@
 //! * `SecDedup` ships its whole pairwise equality matrix inside one [`S1Request::Dedup`].
 //! * `EncSort` ships all pairs of its counting step, or all gates of one merge stage, in
 //!   one [`S1Request::Compare`].
-//! * `SecWorst` / `SecBest` ship the equality matrices of all `m` per-depth items in one
-//!   `Batch` and recover all selected scores in one [`S1Request::Recover`].
+//! * `SecWorst` / `SecBest` ship the equality rows of all `m` per-depth items, with the
+//!   masked scores S2 selects from, in one `Batch`.
 //!
 //! Requests inside a `Batch` must not depend on each other's responses; sequencing
 //! across rounds is the caller's job.
@@ -84,7 +84,6 @@ use std::fmt;
 use sectopk_metrics::Registry as MetricsRegistry;
 use serde::{Deserialize, Serialize};
 
-use sectopk_crypto::damgard_jurik::LayeredCiphertext;
 use sectopk_crypto::paillier::Ciphertext;
 
 use crate::dedup::EncryptedBlinding;
@@ -100,45 +99,63 @@ use crate::wire::{Traffic, WireError};
 // Message types
 // ====================================================================================
 
-/// Which aggregate bits S1 asks S2 to derive from an equality matrix.  S2 may compute
-/// these because it legitimately decrypted every matrix entry (the `EP^d` leakage); the
-/// encrypted aggregates travel back as `E2(·)` bits S1 cannot read.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EqWants {
-    /// Per row `i`: `E2(∨_j t_ij)` — "did row *i* match any column?".
-    pub row_matched: bool,
-    /// Per row `i`: `E2(¬∨_j t_ij)` — "did row *i* match no column?".
-    pub row_unmatched: bool,
-    /// Per column `j`: `E2(¬∨_i t_ij)` — "did no row match column *j*?".  Part of the
-    /// wire format; no sub-protocol requests it (SecUpdate selects one-of-many per
-    /// column instead).
-    pub col_unmatched: bool,
-    /// Per row `i`: the *plaintext* bit `∨_j t_ij`.  This is a deliberate disclosure to
-    /// S1 used only by the `Qry_E` / `SecDupElim` optimisations, whose profile grants S1
-    /// the per-depth uniqueness pattern `UP^d` (§10.1).
-    pub row_matched_plain: bool,
+/// How a masked candidate set, or a family of selection jobs, lies over a `rows × cols`
+/// equality matrix: one entry per cell (row-major), per row, or per column.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Per {
+    /// One entry per cell, row-major.
+    Cell,
+    /// One entry per row.
+    Row,
+    /// One entry per column.
+    Column,
 }
 
-impl EqWants {
-    /// No aggregates requested.
-    pub fn none() -> Self {
-        Self::default()
+impl Per {
+    /// How many entries a `rows × cols` matrix has laid out this way.
+    pub fn len(self, rows: usize, cols: usize) -> usize {
+        match self {
+            Per::Cell => rows * cols,
+            Per::Row => rows,
+            Per::Column => cols,
+        }
+    }
+
+    /// The entry that cell `(i, j)` of a matrix with `cols` columns reads.
+    pub fn index(self, cols: usize, i: usize, j: usize) -> usize {
+        match self {
+            Per::Cell => i * cols + j,
+            Per::Row => i,
+            Per::Column => j,
+        }
+    }
+
+    /// The row-major cells of line `line` — cell, row or column `line` — of a
+    /// `rows × cols` matrix.
+    pub fn cells(self, rows: usize, cols: usize, line: usize) -> Vec<usize> {
+        match self {
+            Per::Cell => vec![line],
+            Per::Row => (line * cols..(line + 1) * cols).collect(),
+            Per::Column => (0..rows).map(|i| i * cols + line).collect(),
+        }
     }
 }
 
-/// The aggregates S2 derived from an equality matrix; vectors are empty unless the
-/// corresponding [`EqWants`] flag was set.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct EqAggregates {
-    /// `E2(∨_j t_ij)` per row.
-    pub row_matched: Vec<LayeredCiphertext>,
-    /// `E2(¬∨_j t_ij)` per row.
-    pub row_unmatched: Vec<LayeredCiphertext>,
-    /// `E2(¬∨_i t_ij)` per column.
-    pub col_unmatched: Vec<LayeredCiphertext>,
-    /// Plaintext `∨_j t_ij` per row (uniqueness-pattern disclosure, see [`EqWants`]).
-    pub row_matched_plain: Vec<bool>,
-}
+/// Masked candidates `Enc(x + r)`, laid out over the equality matrix as `.0` says: each
+/// `r` is uniform modulo `N` and known only to S1, so the plaintexts S2 decrypts are
+/// uniform to it.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct MaskedSet(pub Per, pub Vec<Ciphertext>);
+
+/// One family of selection jobs in an [`S1Request::EqMatrix`]: a job per line — per cell,
+/// row or column, as `.0` says.  Job `ℓ` is answered with a fresh
+/// `Enc(Σ_{c ∈ ℓ} t_c·x_c + (1 − Σ_{c ∈ ℓ} t_c)·y_ℓ)`, where `t_c` is the equality bit of
+/// cell `c`, `x_c` the candidate of masked set `.1` at `c` and `y_ℓ` the entry of set
+/// `.2` at line `ℓ` (a set laid out like the family).  Without a default set the job is a
+/// *sum*, `Enc(Σ_{c ∈ ℓ} t_c·x_c)`; with one it is a *one-of-many* selection, meaningful
+/// when at most one bit of the line is set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Select(pub Per, pub usize, pub Option<usize>);
 
 /// The `SecDedup` / `SecDupElim` exchange payload (Algorithm 7 / §10.1): the blinded,
 /// permuted items, their blinding randomness encrypted under S1's own key `pk'`, and the
@@ -179,8 +196,8 @@ pub struct FilterTuple {
 /// its [`S2Response`] form one protocol round trip.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum S1Request {
-    /// A whole equality matrix in one message: `rows × cols` ciphertexts in row-major
-    /// order, plus optionally derived aggregate bits.
+    /// A whole equality matrix in one message, `rows × cols` ciphertexts in row-major
+    /// order, and the selections S2 is to make from its bits over masked candidates.
     EqMatrix {
         /// Row-major `⊖` ciphertexts (`diffs.len()` must be a multiple of `cols`).
         diffs: Vec<Ciphertext>,
@@ -190,8 +207,14 @@ pub enum S1Request {
         context: String,
         /// Scan depth, if applicable.
         depth: Option<usize>,
-        /// Aggregates to derive and return.
-        want: EqWants,
+        /// The masked candidate sets the selections read.
+        sets: Vec<MaskedSet>,
+        /// The selection jobs, family by family.
+        select: Vec<Select>,
+        /// Return the *plaintext* per-row bits `∨_j t_ij` — a deliberate disclosure to S1,
+        /// used only by `Qry_E`'s SecUpdate, whose profile grants S1 the per-depth
+        /// uniqueness pattern `UP^d` (§10.1).
+        disclose_rows: bool,
     },
     /// Blinded, sign-flipped differences; S2 decrypts each and reports only its sign
     /// (the EncCompare / EncSort comparator exchange).
@@ -200,12 +223,6 @@ pub enum S1Request {
         blinded: Vec<Ciphertext>,
         /// Calling sub-protocol (ledger context).
         context: String,
-    },
-    /// `RecoverEnc` (Algorithm 5): strip the outer Damgård–Jurik layer from each blinded
-    /// `E2(Enc(c + r))`, returning the inner Paillier ciphertexts.
-    Recover {
-        /// The blinded layered ciphertexts.
-        blinded: Vec<LayeredCiphertext>,
     },
     /// The `SecDedup` / `SecDupElim` exchange (Algorithm 7 / §10.1).
     Dedup(DedupRequest),
@@ -231,7 +248,6 @@ impl S1Request {
         match self {
             S1Request::EqMatrix { .. } => "eq_matrix",
             S1Request::Compare { .. } => "compare",
-            S1Request::Recover { .. } => "recover",
             S1Request::Dedup(_) => "dedup",
             S1Request::Filter { .. } => "filter",
             S1Request::MulBlinded { .. } => "mul_blinded",
@@ -246,16 +262,16 @@ impl S1Request {
 pub enum S2Response {
     /// Reply to [`S1Request::EqMatrix`].
     EqBits {
-        /// `E2(t_ij)` in row-major order.
-        bits: Vec<LayeredCiphertext>,
-        /// The requested aggregates (empty vectors for flags not set).
-        aggregates: EqAggregates,
+        /// Fresh `Enc(t_ij)` per cell, row-major; empty when the request selects nothing.
+        bits: Vec<Ciphertext>,
+        /// One fresh ciphertext per job, family by family in request order.
+        selected: Vec<Ciphertext>,
+        /// Plaintext `∨_j t_ij` per row when `disclose_rows` was set, else empty.
+        row_matched: Vec<bool>,
     },
     /// Reply to [`S1Request::Compare`]: one sign per blinded difference, −1 or +1 (S1
     /// sends odd differences; S2 rejects a zero as a malformed request).
     Signs(Vec<i8>),
-    /// Reply to [`S1Request::Recover`]: the (still blinded) inner Paillier ciphertexts.
-    Recovered(Vec<Ciphertext>),
     /// Reply to [`S1Request::Dedup`]: re-blinded, re-permuted items and their updated
     /// encrypted blindings.
     Dedup {
@@ -382,8 +398,8 @@ pub trait Transport: fmt::Debug + Send {
 /// serialized for transfer or deserialized on arrival.  Both messages are still
 /// measured at their exact wire-encoded size via [`wire::measure`] so the bandwidth
 /// figures match the envelope transport byte for byte; that measure does lower each
-/// message into a transient value tree, a cost that is negligible next to the Paillier /
-/// Damgård–Jurik arithmetic dominating every exchange.
+/// message into a transient value tree, a cost that is negligible next to the Paillier
+/// arithmetic dominating every exchange.
 pub struct InProcessTransport {
     engine: S2Engine,
 }

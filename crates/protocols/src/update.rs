@@ -9,24 +9,24 @@
 //! * if the object is new, the fresh item is appended as-is.
 //!
 //! Only S2 can tell which case applies (it decrypts the `⊖` equality tests — the designed
-//! equality-pattern leakage); all of S1's updates are homomorphic selections driven by
-//! the `E2(t)` bits S2 returns.  `Γ^d` is de-duplicated (or its duplicates neutralised)
-//! within the depth and `T` holds an object at most once by induction, so of the bits
-//! `t_1j … t_fj` that compare one tracked entry with the fresh items **at most one** is
-//! set, and each new bound of the entry is a single one-of-many selection:
+//! equality-pattern leakage), so S2 also makes every selection the update needs, inside
+//! the same equality round, over candidates S1 masked (see [`crate::primitives`]).
+//! `Γ^d` is de-duplicated (or its duplicates neutralised) within the depth and `T` holds
+//! an object at most once by induction, so of the bits `t_1j … t_fj` that compare one
+//! tracked entry with the fresh items **at most one** is set, and likewise of the bits
+//! that compare one fresh item with `T`.  Each column `j` of the `fresh × tracked`
+//! matrix is therefore two jobs:
 //!
 //! ```text
-//! worst_j := select( (t_ij, worst_j + fresh_i.worst)_i , otherwise worst_j )
-//! best_j  := select( (t_ij, fresh_i.best)_i           , otherwise best_j  )
+//! worst_j := worst_j + Σ_i t_ij·fresh_i.worst       (a sum job; S1 adds worst_j)
+//! best_j  := one-of-many( (t_ij, fresh_i.best)_i , otherwise best_j )
 //! ```
 //!
-//! — two multi-exponentiations and two `RecoverEnc` items per tracked entry
-//! (`2·|T|` per merge instead of `(2f+1)·|T|`), whose recovered ciphertexts *are* the
-//! new bounds.  Keep-length mode adds the per-fresh-item gates that neutralise an
-//! appended duplicate (`2f + f·s` single-term selections on the row aggregates of the
-//! same [`crate::transport::S1Request::EqMatrix`] exchange).  Every selection consumes
-//! only that one reply, so they share a single `RecoverEnc` round: an update costs the
-//! per-step budget of one equality round and one `RecoverEnc` round in both modes.
+//! The matrix is not permuted, so each fresh item's masked worst and best are shipped
+//! once per row and shared by every column.  Keep-length mode adds two one-of-many
+//! jobs per row — the row's bits are the fresh item's "matched" aggregate — that
+//! neutralise an appended duplicate, and S1 turns the row's `Enc(t)` bits into the
+//! EHL noise itself.  An update costs one round in both modes.
 //!
 //! Two variants mirror the paper's query modes:
 //! * **keep-length** (`Qry_F`): every fresh item is appended; duplicates are appended as
@@ -41,13 +41,14 @@ use num_bigint::BigUint;
 use crate::error::{ProtocolError, Result};
 use sectopk_crypto::bigint::random_below;
 use sectopk_crypto::paillier::Ciphertext;
+use sectopk_crypto::par::par_map;
 use sectopk_ehl::EhlPlus;
 
 use crate::context::TwoClouds;
 use crate::items::ScoredItem;
 use crate::ledger::LeakageEvent;
-use crate::primitives::{EqPlan, SelectJob};
-use crate::transport::EqWants;
+use crate::primitives::EqPlan;
+use crate::transport::Per;
 
 /// Which update variant to run (mirrors `SecDedup` vs `SecDupElim`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,8 +81,8 @@ impl TwoClouds {
         let t_len = tracked.len();
         let f_len = fresh.len();
 
-        // ---- S1 → S2: the fresh × tracked equality matrix, plus the aggregate
-        //      selectors the update needs, in one exchange. -----------------------------
+        // ---- S1 → S2: the fresh × tracked equality matrix and every selection of the
+        //      update, in one exchange. ---------------------------------------------------
         let mut pairs: Vec<(&EhlPlus, &EhlPlus)> = Vec::with_capacity(t_len * f_len);
         for fresh_item in fresh {
             for tracked_item in &tracked {
@@ -89,111 +90,82 @@ impl TwoClouds {
             }
         }
         let diffs = self.eq_diffs(&pairs);
-        // Keep-length gates the appended items on S2's encrypted row aggregates;
-        // eliminate is told in the clear which fresh items to drop.
-        let want = match mode {
+        let mut plan = EqPlan::new(diffs, t_len, "sec_update", Some(depth));
+        // Column j compares tracked entry j with every fresh item.  The fresh items are
+        // distinct objects (SecDedup / SecDupElim ran on them, and a Qry_Ba batch is
+        // itself a tracked list), so at most one `t_ij` of the column is set.
+        let fresh_worsts =
+            plan.candidates(Per::Row, fresh.iter().map(|f| f.worst.clone()).collect());
+        let fresh_bests = plan.candidates(Per::Row, fresh.iter().map(|f| f.best.clone()).collect());
+        let bests = plan.candidates(Per::Column, tracked.iter().map(|t| t.best.clone()).collect());
+        plan.select(Per::Column, fresh_worsts, None);
+        plan.select(Per::Column, fresh_bests, Some(bests));
+        // Keep-length appends every fresh item, but a duplicate obliviously neutralised:
+        //   worst/best := Z (= −1) if its row matched, else its own value
+        //   EHL block  += matched · ρ            (random ρ ⇒ garbage id)
+        // Eliminate is told in the clear which fresh items to drop.
+        match mode {
             UpdateMode::KeepLength => {
-                EqWants { row_matched: true, row_unmatched: true, ..EqWants::none() }
+                let sentinel = self.s1.pool.encrypt(&pk.sentinel_z())?;
+                let sentinels = plan.candidates(Per::Row, vec![sentinel; f_len]);
+                plan.select(Per::Row, sentinels, Some(fresh_worsts));
+                plan.select(Per::Row, sentinels, Some(fresh_bests));
             }
-            UpdateMode::Eliminate => EqWants { row_matched_plain: true, ..EqWants::none() },
-        };
-        let outcome = self
-            .run_eq_plans(vec![EqPlan {
-                diffs,
-                cols: t_len,
-                context: "sec_update",
-                depth: Some(depth),
-                want,
-            }])?
-            .pop()
-            .expect("one plan in, one outcome out");
-        let aggregates = &outcome.aggregates;
-        let row_lens = match mode {
-            UpdateMode::KeepLength => {
-                [aggregates.row_matched.len(), aggregates.row_unmatched.len()]
-            }
-            UpdateMode::Eliminate => [aggregates.row_matched_plain.len(); 2],
-        };
-        if (row_lens, outcome.bits.len()) != ([f_len; 2], t_len * f_len) {
-            return Err(ProtocolError::transport("SecUpdate equality reply arity mismatch"));
+            UpdateMode::Eliminate => plan.disclose_rows = true,
         }
-
-        // ---- S1: every selection of the update as one job list, recovered once. --------
-        // Column j of the matrix compares tracked entry j with every fresh item.  The
-        // fresh items are distinct objects (SecDedup / SecDupElim ran on them, and a
-        // Qry_Ba batch is itself a tracked list), so at most one `t_ij` of the column is
-        // set and each new bound is one one-of-many selection:
-        //   worst_j := worst_j + fresh_i.worst  if t_ij, else worst_j
-        //   best_j  := fresh_i.best             if t_ij, else best_j
-        let grown_worsts: Vec<Ciphertext> =
-            tracked.iter().flat_map(|t| fresh.iter().map(|f| pk.add(&t.worst, &f.worst))).collect();
-        let column = |j: usize| outcome.bits.iter().skip(j).step_by(t_len);
-        let mut jobs: Vec<SelectJob<'_>> = Vec::with_capacity(2 * t_len);
-        jobs.extend(tracked.iter().enumerate().map(|(j, t)| SelectJob {
-            terms: column(j).zip(&grown_worsts[j * f_len..][..f_len]).collect(),
-            otherwise: Some(&t.worst),
-        }));
-        jobs.extend(tracked.iter().enumerate().map(|(j, t)| SelectJob {
-            terms: column(j).zip(fresh.iter().map(|f| &f.best)).collect(),
-            otherwise: Some(&t.best),
-        }));
-
-        // Keep-length appends every fresh item, but duplicates are neutralised obliviously:
-        //   worst/best := not_matched ? value : Z  (= −1)
-        //   EHL block  += matched · ρ              (random ρ ⇒ garbage id)
-        let ehl_blocks = fresh[0].ehl.len();
-        let sentinel = match mode {
-            UpdateMode::KeepLength => Some(self.s1.pool.encrypt(&pk.sentinel_z())?),
-            UpdateMode::Eliminate => None,
+        let outcome = self.run_eq_plans(vec![plan])?.pop();
+        let outcome =
+            outcome.ok_or_else(|| ProtocolError::transport("SecUpdate went unanswered"))?;
+        let [added_worsts, new_bests, gated @ ..] = &outcome.selected[..] else {
+            return Err(ProtocolError::transport("SecUpdate selection arity mismatch"));
         };
-        let mut noise_values = Vec::new();
-        if let Some(sentinel) = &sentinel {
-            for _ in 0..f_len * ehl_blocks {
-                let rho = random_below(&mut self.s1.rng, pk.n());
-                noise_values.push(self.s1.pool.encrypt(&rho)?);
-            }
-            let unmatched = || aggregates.row_unmatched.iter().zip(fresh);
-            jobs.extend(unmatched().map(|(u, f)| SelectJob::gate(u, &f.worst, Some(sentinel))));
-            jobs.extend(unmatched().map(|(u, f)| SelectJob::gate(u, &f.best, Some(sentinel))));
-            let matched =
-                aggregates.row_matched.iter().flat_map(|m| std::iter::repeat_n(m, ehl_blocks));
-            jobs.extend(matched.zip(&noise_values).map(|(m, rho)| SelectJob::gate(m, rho, None)));
-        }
-        let selected = self.select_many(&jobs)?;
-        let (new_worsts, rest) = selected.split_at(t_len);
-        let (new_bests, appended) = rest.split_at(t_len);
 
         let mut new_tracked = Vec::with_capacity(t_len + f_len);
-        for ((tracked_item, worst), best) in tracked.iter().zip(new_worsts).zip(new_bests) {
+        for ((tracked_item, added), best) in tracked.iter().zip(added_worsts).zip(new_bests) {
             new_tracked.push(ScoredItem {
                 ehl: tracked_item.ehl.rerandomize_pooled(&mut self.s1.pool),
-                worst: self.s1.pool.rerandomize(worst),
+                worst: self.s1.pool.rerandomize(&pk.add(&tracked_item.worst, added)),
                 best: self.s1.pool.rerandomize(best),
             });
         }
 
         // ---- Appending the fresh items. --------------------------------------------------
-        match mode {
-            UpdateMode::Eliminate => {
+        match (mode, gated) {
+            (UpdateMode::Eliminate, []) => {
                 // S2 disclosed which (already permuted within the depth, re-randomized)
                 // fresh items duplicate a tracked entry — the `UP^d` leakage of §10.1.
-                let fresh_matched = &aggregates.row_matched_plain;
+                let fresh_matched = &outcome.row_matched;
                 let new_count = fresh_matched.iter().filter(|&&m| !m).count();
                 self.s1.ledger.record(LeakageEvent::UniqueCount { depth, count: new_count });
                 for (fresh_item, _) in fresh.iter().zip(fresh_matched).filter(|(_, &m)| !m) {
                     new_tracked.push(fresh_item.clone());
                 }
             }
-            UpdateMode::KeepLength => {
-                let (appended_worst, rest) = appended.split_at(f_len);
-                let (appended_best, noise) = rest.split_at(f_len);
+            (UpdateMode::KeepLength, [appended_worst, appended_best]) => {
+                // `Enc(matched_i)` is the sum of row i's bits; the noise `matched_i · ρ` is
+                // S1's own arithmetic, since S1 knows ρ.
+                let matched: Vec<Ciphertext> = outcome
+                    .bits
+                    .chunks(t_len)
+                    .map(|row| row.iter().fold(pk.one_ciphertext(), |acc, t| pk.add(&acc, t)))
+                    .collect();
+                let ehl_blocks = fresh[0].ehl.len();
+                let rhos: Vec<BigUint> = (0..f_len * ehl_blocks)
+                    .map(|_| random_below(&mut self.s1.rng, pk.n()))
+                    .collect();
+                let noise: Vec<(&Ciphertext, &BigUint)> = rhos
+                    .iter()
+                    .enumerate()
+                    .map(|(k, rho)| (&matched[k / ehl_blocks], rho))
+                    .collect();
+                let noise = par_map(self.intra_workers(), &noise, |(m, rho)| pk.mul_plain(m, rho));
                 for (i, fresh_item) in fresh.iter().enumerate() {
                     let blocks: Vec<Ciphertext> = fresh_item
                         .ehl
                         .blocks()
                         .iter()
-                        .enumerate()
-                        .map(|(b, block)| pk.add(block, &noise[i * ehl_blocks + b]))
+                        .zip(&noise[i * ehl_blocks..])
+                        .map(|(block, noise)| pk.add(block, noise))
                         .collect();
                     new_tracked.push(ScoredItem {
                         ehl: EhlPlus::from_blocks(blocks).rerandomize_pooled(&mut self.s1.pool),
@@ -202,6 +174,7 @@ impl TwoClouds {
                     });
                 }
             }
+            _ => return Err(ProtocolError::transport("SecUpdate selection arity mismatch")),
         }
 
         Ok(new_tracked)
@@ -327,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn an_update_costs_two_rounds_in_both_modes() {
+    fn an_update_costs_one_round_in_both_modes() {
         for mode in [UpdateMode::KeepLength, UpdateMode::Eliminate] {
             let (master, mut clouds, encoder, mut rng) = setup();
             let pk = &master.paillier_public;
@@ -340,8 +313,8 @@ mod tests {
                 item("B", 7, 19, &encoder, pk, &mut rng),
             ];
             let out = clouds.sec_update(tracked, &fresh, 2, mode).unwrap();
-            // One equality matrix + one RecoverEnc round for every selection.
-            assert_eq!(clouds.channel().rounds, 2, "{mode:?}");
+            // One equality matrix, which carries every selection.
+            assert_eq!(clouds.channel().rounds, 1, "{mode:?}");
             let snap = snapshot(&out, &["A", "B", "C"], &master, &encoder, &mut rng);
             for key in ["A:13:23", "B:7:19", "C:8:26"] {
                 assert!(snap.contains_key(key), "{mode:?}: {snap:?}");
@@ -390,8 +363,9 @@ mod tests {
             assert!(snap.contains_key(key), "{snap:?}");
         }
         assert_eq!(matches_per_column(&clouds, &[(4, 4)]), [0, 1, 0, 1]);
-        // 16 ⊖ out and 16 E2(t) back, then 2·|T| = 8 selections out and back.
-        assert_eq!((channel.rounds, channel.ciphertexts), (2, 2 * 16 + 2 * 8));
+        // 16 ⊖ and 2·f + |T| = 12 masked candidates out; 16 Enc(t) and 2·|T| = 8
+        // selections back.
+        assert_eq!((channel.rounds, channel.ciphertexts), (1, 16 + 12 + 16 + 8));
     }
 
     #[test]
@@ -436,13 +410,14 @@ mod tests {
             assert!(snap.contains_key(key), "depth 2: {snap:?}");
         }
         assert_eq!(matches_per_column(&clouds, &[(2, 2), (3, 4)]), [1, 0, 0, 1, 0, 1]);
-        // 12 ⊖ out, 12 E2(t) and 2·f row aggregates back; then 2·|T| fused selections
-        // plus the 2·f + f·s keep-length gates, out and back.
-        let (f_len, t_len, s) = (3, 4, fresh[0].ehl.len());
-        assert_eq!(channel.rounds, 2);
+        // 12 ⊖ out with 2·f fresh scores, |T| tracked bests and f sentinels, masked;
+        // 12 Enc(t), 2·|T| column selections and 2·f keep-length gates back.  The EHL
+        // noise is S1's own arithmetic on the bits.
+        let (f_len, t_len) = (3, 4);
+        assert_eq!(channel.rounds, 1);
         assert_eq!(
             channel.ciphertexts as usize,
-            2 * f_len * t_len + 2 * f_len + 2 * (2 * t_len + 2 * f_len + f_len * s)
+            2 * f_len * t_len + (3 * f_len + t_len) + (2 * t_len + 2 * f_len)
         );
     }
 
@@ -477,7 +452,7 @@ mod tests {
             vec![item("A", 1, 9, &encoder, pk, &mut rng), item("B", 2, 9, &encoder, pk, &mut rng)];
         let fresh = vec![item("B", 4, 8, &encoder, pk, &mut rng)];
         let _ = clouds.sec_update(tracked, &fresh, 1, UpdateMode::KeepLength).unwrap();
-        assert!(clouds.s2_ledger().only_contains(&["equality_bit"]));
+        assert!(clouds.s2_ledger().only_contains(&["equality_bit", "masked_values"]));
         assert!(clouds.s1_ledger().is_empty());
     }
 }

@@ -9,16 +9,17 @@
 //!
 //! i.e. the sum of the object's scores over every list where it appears at this depth.
 //! S1 cannot evaluate the condition `o_j = o_i` itself; it sends the randomly permuted
-//! `⊖` results through the transport, S2 decrypts them (learning only the equality
-//! pattern) and replies with `E2(t_j)`; S1 then evaluates the Damgård–Jurik selection
-//! and recovers `Enc(t_j · x_j)` via `RecoverEnc` — exactly the steps of Algorithm 4.
+//! `⊖` results through the transport with the masked scores `Enc(x_j + r_j)`, S2
+//! decrypts them (learning only the equality pattern and uniform values), sums the
+//! selected ones in plaintext and replies with a fresh encryption, which S1 unmasks —
+//! Algorithm 4's selection, made inside its equality round instead of by a
+//! Damgård–Jurik selection and a `RecoverEnc` round.
 //!
-//! The equality matrices of **all** `m` per-depth items travel in
-//! one [`crate::transport::S1Request::Batch`] and all selections are recovered in a
-//! single `RecoverEnc` round.  That is the shared per-step budget — one equality round
-//! and one `RecoverEnc` round — and inside a query SecWorst does not even pay it alone:
-//! [`TwoClouds::sec_bounds_depth`] sends this module's plan and SecBest's through the
-//! same two rounds (see [`crate::bounds`]).
+//! The rows of **all** `m` per-depth items travel in one
+//! [`crate::transport::S1Request::Batch`]: one round, the shared per-step budget, and
+//! inside a query SecWorst does not even pay it alone: [`TwoClouds::sec_bounds_depth`]
+//! sends this module's plan and SecBest's through the same round (see
+//! [`crate::bounds`]).
 
 use crate::error::Result;
 use sectopk_crypto::paillier::Ciphertext;
@@ -136,7 +137,7 @@ mod tests {
     }
 
     #[test]
-    fn whole_depth_costs_two_rounds_when_batched() {
+    fn whole_depth_costs_one_round_when_batched() {
         let (master, mut clouds, encoder, mut rng) = setup();
         let pk = &master.paillier_public;
         let items = vec![
@@ -145,8 +146,8 @@ mod tests {
             make_item(ObjectId(3), 3, &encoder, pk, &mut rng),
         ];
         let _ = clouds.sec_worst_depth(&items, 0).unwrap();
-        // One batched equality round + one combined RecoverEnc round.
-        assert_eq!(clouds.channel().rounds, 2);
+        // One batched equality round, which also makes every selection.
+        assert_eq!(clouds.channel().rounds, 1);
     }
 
     #[test]
@@ -159,7 +160,7 @@ mod tests {
             make_item(ObjectId(1), 3, &encoder, pk, &mut rng),
         ];
         let _ = clouds.sec_worst_depth(&items, 4).unwrap();
-        assert!(clouds.s2_ledger().only_contains(&["equality_bit"]));
+        assert!(clouds.s2_ledger().only_contains(&["equality_bit", "masked_values"]));
         assert!(clouds.s1_ledger().is_empty());
         // m items, each compared against m−1 others.
         assert_eq!(clouds.s2_ledger().count_kind("equality_bit"), 6);

@@ -8,12 +8,11 @@ use std::sync::OnceLock;
 use num_bigint::BigUint;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sectopk_crypto::damgard_jurik::LayeredCiphertext;
 use sectopk_crypto::keys::MasterKeys;
 use sectopk_crypto::paillier::{generate_keypair, Ciphertext, PaillierPublicKey, MIN_MODULUS_BITS};
 use sectopk_crypto::CryptoError;
 use sectopk_ehl::EhlPlus;
-use sectopk_protocols::transport::{DedupRequest, EqWants, FilterTuple};
+use sectopk_protocols::transport::{DedupRequest, FilterTuple, MaskedSet, Per, Select};
 use sectopk_protocols::{
     EncryptedBlinding, LeakageEvent, S1Request, S2Engine, S2Response, ScoredItem, WireError,
     WireErrorCode,
@@ -52,35 +51,52 @@ fn own_enc(value: u64, rng: &mut StdRng) -> Ciphertext {
     keys().1.encrypt_u64(value, rng).expect("encrypt under pk'")
 }
 
-/// `E2(Enc(value))`, what `Recover` strips back to `Enc(value)`.
-fn layered(value: i64, rng: &mut StdRng) -> LayeredCiphertext {
-    let dj = keys().0.s2_view().dj_public;
-    dj.encrypt_ciphertext(&enc(value, rng), rng).expect("outer layer")
-}
-
-/// Not a group element: every decryption of it fails with `CiphertextOutOfRange`.
+/// Not a group element: `plan` refuses it before anything is decrypted.
 fn corrupt() -> Ciphertext {
     Ciphertext::from_biguint(BigUint::from(0u32))
 }
 
-/// `E2(0)`: decrypts fine, but 0 is not a Paillier ciphertext, so `Recover` fails on it
-/// with `DecryptionFailed` — a different error than [`corrupt`]'s.
-fn hollow(rng: &mut StdRng) -> LayeredCiphertext {
-    keys().0.s2_view().dj_public.encrypt_u64(0, rng).expect("outer layer")
+/// `N²`: one past the shared key's group, refused like [`corrupt`].
+fn just_out_of_range() -> Ciphertext {
+    Ciphertext::from_biguint(keys().0.paillier_public.n_squared().clone())
 }
 
-fn all_wants() -> EqWants {
-    EqWants { row_matched: true, row_unmatched: true, col_unmatched: true, row_matched_plain: true }
+/// `N`: inside `[1, N²)`, but sharing a factor with `N`, so its decryption fails with
+/// `DecryptionFailed` in the compute phase.
+fn non_unit() -> Ciphertext {
+    Ciphertext::from_biguint(keys().0.paillier_public.n().clone())
 }
 
-fn eq_matrix(values: &[i64], cols: usize, want: EqWants, rng: &mut StdRng) -> S1Request {
+/// An equality matrix over `values` (zero ⇔ equal) that selects from masked candidates:
+/// a sum per row over per-cell candidates and a one-of-many per column over per-row
+/// candidates with per-column defaults, and that asks for the plaintext row bits.
+fn eq_matrix(values: &[i64], cols: usize, rng: &mut StdRng) -> S1Request {
+    let rows = values.len().checked_div(cols).unwrap_or(0);
+    let candidates = |per: Per, rng: &mut StdRng| {
+        MaskedSet(per, (0..per.len(rows, cols)).map(|v| enc(v as i64 + 40, rng)).collect())
+    };
     S1Request::EqMatrix {
         diffs: values.iter().map(|&v| enc(v, rng)).collect(),
         cols,
         context: "test".into(),
         depth: Some(2),
-        want,
+        sets: vec![
+            candidates(Per::Cell, rng),
+            candidates(Per::Row, rng),
+            candidates(Per::Column, rng),
+        ],
+        select: vec![Select(Per::Row, 0, None), Select(Per::Column, 1, Some(2))],
+        disclose_rows: true,
     }
+}
+
+/// [`eq_matrix`] with `edit` applied to its selection part.
+fn edited_matrix(edit: fn(&mut Vec<MaskedSet>, &mut Vec<Select>), rng: &mut StdRng) -> S1Request {
+    let mut request = eq_matrix(&[0, 4, 0, 0, 6, 0], 3, rng);
+    if let S1Request::EqMatrix { sets, select, .. } = &mut request {
+        edit(sets, select);
+    }
+    request
 }
 
 fn compare(values: &[i64], rng: &mut StdRng) -> S1Request {
@@ -88,10 +104,6 @@ fn compare(values: &[i64], rng: &mut StdRng) -> S1Request {
         blinded: values.iter().map(|&v| enc(v, rng)).collect(),
         context: "test".into(),
     }
-}
-
-fn recover(values: &[i64], rng: &mut StdRng) -> S1Request {
-    S1Request::Recover { blinded: values.iter().map(|&v| layered(v, rng)).collect() }
 }
 
 /// A three-item dedup whose items 0 and 2 are duplicates; each item's four masks ride
@@ -133,12 +145,12 @@ fn mul_blinded(pairs: &[(i64, i64)], rng: &mut StdRng) -> S1Request {
 /// One valid request of every kind in one batch.
 fn mixed_batch(rng: &mut StdRng) -> S1Request {
     S1Request::Batch(vec![
-        eq_matrix(&[0, 4, 0, 0, 6, 0], 3, all_wants(), rng),
+        eq_matrix(&[0, 4, 0, 0, 6, 0], 3, rng),
         compare(&[-5, 1, 8], rng),
-        eq_matrix(&[0, 3], 2, all_wants(), rng),
-        recover(&[13, 14], rng),
+        eq_matrix(&[0, 3], 2, rng),
+        eq_matrix(&[13, 0], 1, rng),
         S1Request::Dedup(dedup(rng)),
-        eq_matrix(&[0], 1, EqWants::none(), rng),
+        eq_matrix(&[0], 1, rng),
         S1Request::Dedup(dedup(rng)),
         filter(&[0, 17, 0, 19], rng),
         mul_blinded(&[(2, 3), (4, 5)], rng),
@@ -150,7 +162,7 @@ fn mixed_batch(rng: &mut StdRng) -> S1Request {
 /// request spent nothing.
 fn probe(rng: &mut StdRng) -> S1Request {
     S1Request::Batch(vec![
-        eq_matrix(&[0, 1], 2, all_wants(), rng),
+        eq_matrix(&[0, 1], 2, rng),
         S1Request::Dedup(dedup(rng)),
         filter(&[5], rng),
     ])
@@ -184,12 +196,18 @@ fn a_malformed_instance_of_each_kind_is_a_typed_error() {
         diffs,
         context: "test".into(),
         depth: None,
-        want: all_wants(),
+        sets: Vec::new(),
+        select: Vec::new(),
+        disclose_rows: false,
     };
-    let mut corrupt_filter = filter(&[1, 2], rng);
-    if let S1Request::Filter { tuples } = &mut corrupt_filter {
-        tuples[1].score = corrupt();
-    }
+    let with_filter = |edit: fn(&mut FilterTuple), rng: &mut StdRng| {
+        let mut request = filter(&[1, 2], rng);
+        if let S1Request::Filter { tuples } = &mut request {
+            edit(&mut tuples[1]);
+        }
+        request
+    };
+    let corrupt_filter = with_filter(|t| t.score = corrupt(), rng);
     let mut unmasked_filter = filter(&[1, 2], rng);
     if let S1Request::Filter { tuples } = &mut unmasked_filter {
         tuples[0].attribute_masks.clear();
@@ -203,43 +221,72 @@ fn a_malformed_instance_of_each_kind_is_a_typed_error() {
         (
             "a one-entry EqMatrix over a corrupted ciphertext",
             corrupt_matrix(vec![corrupt()]),
-            Crypto,
-        ),
-        (
-            "EqMatrix with a partial last row",
-            eq_matrix(&[0, 1, 2], 2, all_wants(), rng),
             MalformedRequest,
         ),
-        ("EqMatrix with zero columns", eq_matrix(&[0, 1], 0, all_wants(), rng), MalformedRequest),
-        (
-            "an empty EqMatrix with zero columns",
-            eq_matrix(&[], 0, all_wants(), rng),
-            MalformedRequest,
-        ),
-        (
-            "EqMatrix with fewer bits than columns",
-            eq_matrix(&[0], 2, all_wants(), rng),
-            MalformedRequest,
-        ),
+        ("a one-entry EqMatrix over a non-unit", corrupt_matrix(vec![non_unit()]), Crypto),
+        ("EqMatrix with a partial last row", eq_matrix(&[0, 1, 2], 2, rng), MalformedRequest),
+        ("EqMatrix with zero columns", eq_matrix(&[0, 1], 0, rng), MalformedRequest),
+        ("an empty EqMatrix with zero columns", eq_matrix(&[], 0, rng), MalformedRequest),
+        ("EqMatrix with fewer bits than columns", eq_matrix(&[0], 2, rng), MalformedRequest),
         (
             "EqMatrix over a corrupted ciphertext",
             corrupt_matrix(vec![enc(0, rng), corrupt()]),
-            Crypto,
+            MalformedRequest,
+        ),
+        (
+            "EqMatrix over a ciphertext of N²",
+            corrupt_matrix(vec![enc(0, rng), just_out_of_range()]),
+            MalformedRequest,
+        ),
+        (
+            "EqMatrix with a corrupted masked candidate",
+            edited_matrix(|sets, _| sets[1].1[1] = corrupt(), rng),
+            MalformedRequest,
+        ),
+        (
+            "EqMatrix with a masked default of N²",
+            edited_matrix(|sets, _| sets[2].1[0] = just_out_of_range(), rng),
+            MalformedRequest,
+        ),
+        (
+            "EqMatrix with a per-cell set one candidate short",
+            edited_matrix(|sets, _| drop(sets[0].1.pop()), rng),
+            MalformedRequest,
+        ),
+        (
+            "EqMatrix with a per-column set laid out per row",
+            edited_matrix(|sets, _| sets[2].0 = Per::Row, rng),
+            MalformedRequest,
+        ),
+        (
+            "EqMatrix selecting from a set it does not ship",
+            edited_matrix(|_, select| select[0].1 = 3, rng),
+            MalformedRequest,
+        ),
+        (
+            "EqMatrix with a default set it does not ship",
+            edited_matrix(|_, select| select[1].2 = Some(7), rng),
+            MalformedRequest,
+        ),
+        (
+            "EqMatrix with per-row defaults for per-column jobs",
+            edited_matrix(|_, select| select[1].2 = Some(1), rng),
+            MalformedRequest,
         ),
         (
             "Compare over a corrupted ciphertext",
             S1Request::Compare { blinded: vec![enc(1, rng), corrupt()], context: "test".into() },
+            MalformedRequest,
+        ),
+        (
+            "Compare over a non-unit",
+            S1Request::Compare { blinded: vec![enc(1, rng), non_unit()], context: "test".into() },
             Crypto,
         ),
         (
             "Compare over a zero difference (a tie S1 never sends)",
             compare(&[3, 0, -3], rng),
             MalformedRequest,
-        ),
-        (
-            "Recover of a hollow layered ciphertext",
-            S1Request::Recover { blinded: vec![layered(1, rng), hollow(rng)] },
-            Crypto,
         ),
         (
             "Dedup with a missing blinding",
@@ -303,14 +350,48 @@ fn a_malformed_instance_of_each_kind_is_a_typed_error() {
         (
             "Dedup over a corrupted matrix entry",
             with_dedup(|d| d.matrix = vec![corrupt(); 3], rng),
-            Crypto,
+            MalformedRequest,
         ),
-        ("Filter over a corrupted score", corrupt_filter, Crypto),
+        (
+            "Dedup with an EHL block of N²",
+            with_dedup(|d| d.items[1].ehl = EhlPlus::from_blocks(vec![just_out_of_range()]), rng),
+            MalformedRequest,
+        ),
+        (
+            "Dedup with a corrupted best score",
+            with_dedup(|d| d.items[2].best = corrupt(), rng),
+            MalformedRequest,
+        ),
+        (
+            "Dedup with a pk' blinding outside N'²",
+            with_dedup(
+                |d| {
+                    d.blindings[0].packed[1] =
+                        Ciphertext::from_biguint(keys().1.n_squared().clone())
+                },
+                rng,
+            ),
+            MalformedRequest,
+        ),
+        ("Filter over a corrupted score", corrupt_filter, MalformedRequest),
+        (
+            "Filter with a corrupted attribute",
+            with_filter(|t| t.attributes[0] = corrupt(), rng),
+            MalformedRequest,
+        ),
+        (
+            "Filter with a pk' unblinder outside N'²",
+            with_filter(
+                |t| t.score_unblinder = Ciphertext::from_biguint(keys().1.n_squared().clone()),
+                rng,
+            ),
+            MalformedRequest,
+        ),
         ("Filter with fewer masks than attributes", unmasked_filter, MalformedRequest),
         (
             "MulBlinded over a corrupted operand",
             S1Request::MulBlinded { pairs: vec![(enc(2, rng), corrupt())] },
-            Crypto,
+            MalformedRequest,
         ),
         (
             "a nested Batch",
@@ -323,28 +404,46 @@ fn a_malformed_instance_of_each_kind_is_a_typed_error() {
     }
 }
 
-/// The two degenerate-dimension requests: a few dozen bytes each, neither may be
-/// answered with (or loop over) `cols` ciphertexts.
+/// The degenerate-dimension requests: a few dozen bytes each, none may be answered with
+/// (or loop over) `cols` ciphertexts — per-column jobs are sized by the matrix S2
+/// actually received, never by the number of columns a request claims.
 #[test]
 fn aggregate_dimensions_are_bounded_by_the_bits_they_cover() {
-    let col_unmatched = EqWants { col_unmatched: true, ..EqWants::none() };
     for cols in [16_384, 1 << 40] {
         let request = S1Request::EqMatrix {
             diffs: Vec::new(),
             cols,
             context: "test".into(),
             depth: None,
-            want: col_unmatched,
+            sets: vec![MaskedSet(Per::Column, Vec::new())],
+            select: vec![Select(Per::Column, 0, None)],
+            disclose_rows: true,
         };
         let what = format!("an empty EqMatrix claiming {cols} columns");
         assert_rejected_without_trace(&what, request, WireErrorCode::MalformedRequest);
     }
+    // A one-cell matrix whose per-column set claims more columns than it has.
+    let rng = &mut rng();
+    let request = S1Request::EqMatrix {
+        diffs: vec![enc(0, rng)],
+        cols: 1,
+        context: "test".into(),
+        depth: None,
+        sets: vec![MaskedSet(Per::Column, vec![enc(1, rng), enc(2, rng)])],
+        select: vec![Select(Per::Column, 0, None)],
+        disclose_rows: false,
+    };
+    assert_rejected_without_trace(
+        "a set wider than its matrix",
+        request,
+        WireErrorCode::MalformedRequest,
+    );
 }
 
 #[test]
 fn a_batch_with_one_bad_item_commits_nothing() {
     let rng = &mut rng();
-    let valid_matrix = |rng: &mut StdRng| eq_matrix(&[0, 1, 0, 0], 2, all_wants(), rng);
+    let valid_matrix = |rng: &mut StdRng| eq_matrix(&[0, 1, 0, 0], 2, rng);
     let mut bad_dedup = dedup(rng);
     bad_dedup.blindings.pop();
     assert_rejected_without_trace(
@@ -364,9 +463,9 @@ fn a_malformed_item_late_in_a_batch_is_caught_and_every_item_stands_alone() {
     let rng = &mut rng();
     let batch = |last_cols: usize, rng: &mut StdRng| {
         S1Request::Batch(vec![
-            eq_matrix(&[0, 5], 2, all_wants(), rng),
+            eq_matrix(&[0, 5], 2, rng),
             compare(&[4], rng),
-            eq_matrix(&[0, 5, 0], last_cols, all_wants(), rng),
+            eq_matrix(&[0, 5, 0], last_cols, rng),
         ])
     };
     // The last matrix has a partial row: the plan phase rejects the batch before its
@@ -380,9 +479,7 @@ fn a_malformed_item_late_in_a_batch_is_caught_and_every_item_stands_alone() {
     // Well formed, the batch passes; sent again on its own, its first item is answered
     // alike — no request depends on what came before it.
     let aggregates = |reply: &S2Response| match reply {
-        S2Response::EqBits { aggregates, .. } => {
-            (aggregates.row_matched_plain.clone(), aggregates.col_unmatched.len())
-        }
+        S2Response::EqBits { row_matched, selected, .. } => (row_matched.clone(), selected.len()),
         other => panic!("expected EqBits, got {other:?}"),
     };
     let mut engine = engine();
@@ -390,9 +487,9 @@ fn a_malformed_item_late_in_a_batch_is_caught_and_every_item_stands_alone() {
     else {
         panic!("expected a Batch reply")
     };
-    assert_eq!(aggregates(&replies[0]), (vec![true], 2));
-    let alone = engine.handle(&eq_matrix(&[0, 5], 2, all_wants(), rng)).expect("first item");
-    assert_eq!(aggregates(&alone), (vec![true], 2));
+    assert_eq!(aggregates(&replies[0]), (vec![true], 1 + 2));
+    let alone = engine.handle(&eq_matrix(&[0, 5], 2, rng)).expect("first item");
+    assert_eq!(aggregates(&alone), (vec![true], 1 + 2));
 }
 
 #[test]
@@ -413,15 +510,37 @@ fn a_mixed_batch_is_byte_identical_for_one_and_four_workers() {
     let (S2Response::Batch(replies), _, ledger) = serial else { panic!("expected a Batch reply") };
     assert_eq!(replies.len(), 9);
     assert_eq!(replies[1], S2Response::Signs(vec![-1, 1, 1]));
-    assert!(matches!(&replies[3], S2Response::Recovered(inner) if inner.len() == 2));
+    assert!(matches!(&replies[3], S2Response::EqBits { selected, .. } if selected.len() == 2 + 1));
     assert!(matches!(&replies[4], S2Response::Dedup { items, .. } if items.len() == 3));
     assert!(matches!(&replies[5], S2Response::EqBits { bits, .. } if bits.len() == 1));
+    // Row sums and column selections agree with the bits `[1, 0, 1]` of both rows: the
+    // row sums 40 + 42 and 43 + 45; per column `Σ t·x + (1 − Σ t)·y` over the rows' 40
+    // and 41 and the column defaults 40, 41, 42 — two set bits as computed, not refused.
+    let sk = &keys().0.paillier_secret;
+    let S2Response::EqBits { selected, row_matched, .. } = &replies[0] else { panic!("EqBits") };
+    let selected: Vec<u64> = selected.iter().map(|c| sk.decrypt_u64(c).unwrap()).collect();
+    assert_eq!(
+        (selected, row_matched.clone()),
+        (vec![40 + 42, 43 + 45, 40 + 41 - 40, 41, 40 + 41 - 42], vec![true; 2])
+    );
     assert!(matches!(&replies[7], S2Response::Filter { survivors } if survivors.len() == 2));
     assert!(matches!(&replies[8], S2Response::Products(products) if products.len() == 2));
-    // (The ledger was read after the follow-up probe: 2 + 3 of the equality bits and
-    // the one-survivor join count are the probe's.)
+    // (The ledger was read after the follow-up probe: 2 + 3 of the equality bits, the
+    // last masked-value record and the one-survivor join count are the probe's.)
     let count = |kind: fn(&LeakageEvent) -> bool| ledger.iter().filter(|e| kind(e)).count();
-    assert_eq!(count(|e| matches!(e, LeakageEvent::EqualityBit { .. })), 6 + 2 + 3 + 1 + 3 + 2 + 3);
+    assert_eq!(
+        count(|e| matches!(e, LeakageEvent::EqualityBit { .. })),
+        6 + 2 + 2 + 3 + 1 + 3 + 2 + 3
+    );
+    // One record per matrix, of its cells + rows + columns of candidates.
+    let masked: Vec<usize> = ledger
+        .iter()
+        .filter_map(|e| match e {
+            LeakageEvent::MaskedValues { count, .. } => Some(*count),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(masked, [6 + 2 + 3, 2 + 1 + 2, 2 + 2 + 1, 1 + 1 + 1, 2 + 1 + 2]);
     assert_eq!(count(|e| matches!(e, LeakageEvent::BlindedSign { .. })), 3);
     assert_eq!(count(|e| matches!(e, LeakageEvent::JoinMatchCount(2))), 1);
     assert_eq!(count(|e| matches!(e, LeakageEvent::JoinMatchCount(1))), 1);
@@ -430,13 +549,17 @@ fn a_mixed_batch_is_byte_identical_for_one_and_four_workers() {
 #[test]
 fn a_batch_reports_its_first_failing_operation_in_request_order() {
     let rng = &mut rng();
-    let bad_recover = S1Request::Recover { blinded: vec![layered(1, rng), hollow(rng)] };
+    // Both fail only in the compute phase: a tie decrypts to a zero sign, a non-unit
+    // does not decrypt at all.
+    let tie = compare(&[3, 0], rng);
     let bad_matrix = S1Request::EqMatrix {
-        diffs: vec![enc(0, rng), corrupt(), enc(2, rng)],
+        diffs: vec![enc(0, rng), non_unit(), enc(2, rng)],
         cols: 3,
         context: "test".into(),
         depth: None,
-        want: EqWants::none(),
+        sets: Vec::new(),
+        select: Vec::new(),
+        disclose_rows: false,
     };
     let batch = |second: &S1Request, fourth: &S1Request, rng: &mut StdRng| {
         S1Request::Batch(vec![
@@ -448,8 +571,11 @@ fn a_batch_reports_its_first_failing_operation_in_request_order() {
         ])
     };
     let cases = [
-        (batch(&bad_recover, &bad_matrix, rng), WireError::from(CryptoError::DecryptionFailed)),
-        (batch(&bad_matrix, &bad_recover, rng), WireError::from(CryptoError::CiphertextOutOfRange)),
+        (
+            batch(&tie, &bad_matrix, rng),
+            WireError::malformed("a blinded comparison decrypts to zero"),
+        ),
+        (batch(&bad_matrix, &tie, rng), WireError::from(CryptoError::DecryptionFailed)),
     ];
     for (request, expected) in &cases {
         for workers in [1, 4] {

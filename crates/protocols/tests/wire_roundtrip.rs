@@ -14,10 +14,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use num_bigint::BigUint;
-use sectopk_crypto::damgard_jurik::LayeredCiphertext;
 use sectopk_crypto::paillier::Ciphertext;
 use sectopk_ehl::EhlPlus;
-use sectopk_protocols::transport::{DedupRequest, EqAggregates, EqWants, FilterTuple};
+use sectopk_protocols::transport::{DedupRequest, FilterTuple, MaskedSet, Per, Select};
 use sectopk_protocols::wire::{decode, encode, from_bytes, measure, to_bytes};
 use sectopk_protocols::{
     EncryptedBlinding, S1Request, S2Response, ScoredItem, WireError, WireErrorCode,
@@ -34,18 +33,9 @@ fn rand_ciphertext(rng: &mut StdRng) -> Ciphertext {
     Ciphertext::from_bytes_be(&rand_biguint(rng).to_bytes_be())
 }
 
-fn rand_layered(rng: &mut StdRng) -> LayeredCiphertext {
-    LayeredCiphertext::from_bytes_be(&rand_biguint(rng).to_bytes_be())
-}
-
 fn rand_ciphertexts(rng: &mut StdRng, max: usize) -> Vec<Ciphertext> {
     let n = rng.gen_range(0..=max);
     (0..n).map(|_| rand_ciphertext(rng)).collect()
-}
-
-fn rand_layereds(rng: &mut StdRng, max: usize) -> Vec<LayeredCiphertext> {
-    let n = rng.gen_range(0..=max);
-    (0..n).map(|_| rand_layered(rng)).collect()
 }
 
 fn rand_context(rng: &mut StdRng) -> String {
@@ -54,13 +44,21 @@ fn rand_context(rng: &mut StdRng) -> String {
     choices[rng.gen_range(0..choices.len())].to_string()
 }
 
-fn rand_wants(rng: &mut StdRng) -> EqWants {
-    EqWants {
-        row_matched: rng.gen(),
-        row_unmatched: rng.gen(),
-        col_unmatched: rng.gen(),
-        row_matched_plain: rng.gen(),
-    }
+fn rand_per(rng: &mut StdRng) -> Per {
+    [Per::Cell, Per::Row, Per::Column][rng.gen_range(0..3)]
+}
+
+fn rand_masked_sets(rng: &mut StdRng) -> Vec<MaskedSet> {
+    (0..rng.gen_range(0usize..3))
+        .map(|_| MaskedSet(rand_per(rng), rand_ciphertexts(rng, 3)))
+        .collect()
+}
+
+fn rand_select(rng: &mut StdRng) -> Vec<Select> {
+    let family = |rng: &mut StdRng| {
+        Select(rand_per(rng), rng.gen_range(0..4), rng.gen::<bool>().then(|| rng.gen_range(0..4)))
+    };
+    (0..rng.gen_range(0usize..3)).map(|_| family(rng)).collect()
 }
 
 fn rand_item(rng: &mut StdRng) -> ScoredItem {
@@ -87,7 +85,7 @@ fn rand_filter_tuple(rng: &mut StdRng) -> FilterTuple {
     }
 }
 
-/// One random non-`Batch` request per variant index (6 leaf variants).
+/// One random non-`Batch` request per variant index (5 leaf variants).
 fn rand_leaf_request(variant: usize, rng: &mut StdRng) -> S1Request {
     match variant {
         0 => {
@@ -98,12 +96,13 @@ fn rand_leaf_request(variant: usize, rng: &mut StdRng) -> S1Request {
                 cols,
                 context: rand_context(rng),
                 depth: if rng.gen() { Some(rng.gen_range(0..1000)) } else { None },
-                want: rand_wants(rng),
+                sets: rand_masked_sets(rng),
+                select: rand_select(rng),
+                disclose_rows: rng.gen(),
             }
         }
         1 => S1Request::Compare { blinded: rand_ciphertexts(rng, 4), context: rand_context(rng) },
-        2 => S1Request::Recover { blinded: rand_layereds(rng, 4) },
-        3 => {
+        2 => {
             let l = rng.gen_range(0usize..3);
             let pairs: Vec<(usize, usize)> =
                 (0..l).flat_map(|a| ((a + 1)..l).map(move |b| (a, b))).collect();
@@ -116,7 +115,7 @@ fn rand_leaf_request(variant: usize, rng: &mut StdRng) -> S1Request {
                 depth: rng.gen_range(0..100),
             })
         }
-        4 => S1Request::Filter {
+        3 => S1Request::Filter {
             tuples: (0..rng.gen_range(0usize..3)).map(|_| rand_filter_tuple(rng)).collect(),
         },
         _ => S1Request::MulBlinded {
@@ -132,44 +131,39 @@ fn rand_wire_error(rng: &mut StdRng) -> WireError {
     WireError::new(codes[rng.gen_range(0..codes.len())], rand_context(rng))
 }
 
-/// One random non-`Batch` response per variant index (7 leaf variants).
+/// One random non-`Batch` response per variant index (6 leaf variants).
 fn rand_leaf_response(variant: usize, rng: &mut StdRng) -> S2Response {
     match variant {
-        0 => S2Response::EqBits { bits: rand_layereds(rng, 4), aggregates: rand_aggregates(rng) },
+        0 => S2Response::EqBits {
+            bits: rand_ciphertexts(rng, 4),
+            selected: rand_ciphertexts(rng, 3),
+            row_matched: (0..rng.gen_range(0usize..4)).map(|_| rng.gen()).collect(),
+        },
         1 => S2Response::Signs(
             (0..rng.gen_range(0usize..6)).map(|_| rng.gen_range(-1i8..=1)).collect(),
         ),
-        2 => S2Response::Recovered(rand_ciphertexts(rng, 4)),
-        3 => {
+        2 => {
             let l = rng.gen_range(0usize..3);
             S2Response::Dedup {
                 items: (0..l).map(|_| rand_item(rng)).collect(),
                 blindings: (0..l).map(|_| rand_blinding(rng)).collect(),
             }
         }
-        4 => S2Response::Filter {
+        3 => S2Response::Filter {
             survivors: (0..rng.gen_range(0usize..3)).map(|_| rand_filter_tuple(rng)).collect(),
         },
-        5 => S2Response::Error(rand_wire_error(rng)),
+        4 => S2Response::Error(rand_wire_error(rng)),
         _ => S2Response::Products(rand_ciphertexts(rng, 4)),
-    }
-}
-
-fn rand_aggregates(rng: &mut StdRng) -> EqAggregates {
-    EqAggregates {
-        row_matched: rand_layereds(rng, 3),
-        row_unmatched: rand_layereds(rng, 3),
-        col_unmatched: rand_layereds(rng, 3),
-        row_matched_plain: (0..rng.gen_range(0usize..4)).map(|_| rng.gen()).collect(),
     }
 }
 
 /// The reference ciphertext count of a request: its ciphertext fields, kind by kind.
 fn request_ciphertexts(request: &S1Request) -> usize {
     match request {
-        S1Request::EqMatrix { diffs, .. } => diffs.len(),
+        S1Request::EqMatrix { diffs, sets, .. } => {
+            diffs.len() + sets.iter().map(|MaskedSet(_, masked)| masked.len()).sum::<usize>()
+        }
         S1Request::Compare { blinded, .. } => blinded.len(),
-        S1Request::Recover { blinded } => blinded.len(),
         S1Request::Dedup(req) => {
             req.matrix.len() + items_ciphertexts(&req.items) + blindings_ciphertexts(&req.blindings)
         }
@@ -182,14 +176,8 @@ fn request_ciphertexts(request: &S1Request) -> usize {
 /// The reference ciphertext count of a response: its ciphertext fields, kind by kind.
 fn response_ciphertexts(response: &S2Response) -> usize {
     match response {
-        S2Response::EqBits { bits, aggregates } => {
-            bits.len()
-                + aggregates.row_matched.len()
-                + aggregates.row_unmatched.len()
-                + aggregates.col_unmatched.len()
-        }
+        S2Response::EqBits { bits, selected, .. } => bits.len() + selected.len(),
         S2Response::Signs(_) | S2Response::Error(_) => 0,
-        S2Response::Recovered(inner) => inner.len(),
         S2Response::Dedup { items, blindings } => {
             items_ciphertexts(items) + blindings_ciphertexts(blindings)
         }
@@ -246,15 +234,15 @@ fn assert_response_round_trips(response: &S2Response) {
 
 proptest! {
     #[test]
-    fn every_request_variant_round_trips(seed in 0u64..500, variant in 0usize..6) {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(6).wrapping_add(variant as u64));
+    fn every_request_variant_round_trips(seed in 0u64..500, variant in 0usize..5) {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(5).wrapping_add(variant as u64));
         let request = rand_leaf_request(variant, &mut rng);
         assert_request_round_trips(&request);
     }
 
     #[test]
-    fn every_response_variant_round_trips(seed in 0u64..500, variant in 0usize..7) {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(7).wrapping_add(variant as u64));
+    fn every_response_variant_round_trips(seed in 0u64..500, variant in 0usize..6) {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(6).wrapping_add(variant as u64));
         let response = rand_leaf_response(variant, &mut rng);
         assert_response_round_trips(&response);
     }
@@ -263,11 +251,11 @@ proptest! {
     fn batches_of_random_requests_round_trip(seed in 0u64..200, len in 0usize..5) {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0xBA7C4));
         let batch = S1Request::Batch(
-            (0..len).map(|_| rand_leaf_request(rng.gen_range(0..6), &mut rng)).collect(),
+            (0..len).map(|_| rand_leaf_request(rng.gen_range(0..5), &mut rng)).collect(),
         );
         assert_request_round_trips(&batch);
         let reply = S2Response::Batch(
-            (0..len).map(|_| rand_leaf_response(rng.gen_range(0..7), &mut rng)).collect(),
+            (0..len).map(|_| rand_leaf_response(rng.gen_range(0..6), &mut rng)).collect(),
         );
         assert_response_round_trips(&reply);
     }
@@ -275,19 +263,19 @@ proptest! {
     #[test]
     fn the_codec_counts_exactly_the_ciphertexts_of_every_variant(
         seed in 0u64..300,
-        variant in 0usize..8,
+        variant in 0usize..7,
     ) {
-        // Variant 7 is a `Batch` of random leaves (of requests: 0..6; of responses: 0..7,
+        // Variant 6 is a `Batch` of random leaves (of requests: 0..5; of responses: 0..6,
         // `Error` included).
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(8).wrapping_add(variant as u64));
-        let (request, response) = if variant == 7 {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(7).wrapping_add(variant as u64));
+        let (request, response) = if variant == 6 {
             let len = rng.gen_range(0usize..5);
-            let requests = (0..len).map(|_| rand_leaf_request(rng.gen_range(0..6), &mut rng));
+            let requests = (0..len).map(|_| rand_leaf_request(rng.gen_range(0..5), &mut rng));
             let request = S1Request::Batch(requests.collect());
-            let responses = (0..len).map(|_| rand_leaf_response(rng.gen_range(0..7), &mut rng));
+            let responses = (0..len).map(|_| rand_leaf_response(rng.gen_range(0..6), &mut rng));
             (request, S2Response::Batch(responses.collect()))
         } else {
-            (rand_leaf_request(variant % 6, &mut rng), rand_leaf_response(variant, &mut rng))
+            (rand_leaf_request(variant % 5, &mut rng), rand_leaf_response(variant, &mut rng))
         };
         assert_codec_counts(&request, request_ciphertexts(&request));
         assert_codec_counts(&response, response_ciphertexts(&response));
@@ -299,7 +287,6 @@ fn empty_payload_edge_cases_round_trip() {
     // The degenerate shapes protocol code can legitimately produce at boundary depths.
     assert_request_round_trips(&S1Request::Batch(Vec::new()));
     assert_request_round_trips(&S1Request::Compare { blinded: Vec::new(), context: String::new() });
-    assert_request_round_trips(&S1Request::Recover { blinded: Vec::new() });
     assert_request_round_trips(&S1Request::Filter { tuples: Vec::new() });
     assert_request_round_trips(&S1Request::MulBlinded { pairs: Vec::new() });
     assert_request_round_trips(&S1Request::Dedup(DedupRequest {
@@ -315,11 +302,20 @@ fn empty_payload_edge_cases_round_trip() {
     assert_response_round_trips(&S2Response::Error(WireError::malformed(String::new())));
     assert_response_round_trips(&S2Response::EqBits {
         bits: Vec::new(),
-        aggregates: EqAggregates::default(),
+        selected: Vec::new(),
+        row_matched: Vec::new(),
+    });
+    assert_request_round_trips(&S1Request::EqMatrix {
+        diffs: Vec::new(),
+        cols: 0,
+        context: String::new(),
+        depth: None,
+        sets: vec![MaskedSet(Per::Row, Vec::new())],
+        select: Vec::new(),
+        disclose_rows: false,
     });
     // A zero-byte group element (BigUint zero) must survive the byte-string encoding.
     let zero = Ciphertext::from_bytes_be(&[]);
-    assert_request_round_trips(&S1Request::Recover { blinded: Vec::new() });
     assert_request_round_trips(&S1Request::Compare { blinded: vec![zero], context: "zero".into() });
 }
 

@@ -31,30 +31,32 @@ use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
 /// The two key sizes pinned: the suites' size and the library default.
 const SIZES: [usize; 2] = [TEST_MODULUS_BITS, 256];
 
-/// `(key bits, query, sha256 of every returned ciphertext)`, recorded at the commit
-/// before the ciphertext products and inversions moved into the Montgomery kernels.
+/// `(key bits, query, sha256 of every returned ciphertext)`, re-recorded when the
+/// selections moved into the equality round: S2 returns fresh Paillier selections where
+/// `RecoverEnc` used to return stripped Damgård–Jurik layers, so every bound is a
+/// different (equally valid) ciphertext.
 const PINS: [(usize, &str, &str); 8] = [
-    (128, "Qry_F", "96786bf7501565281924788da8233d497d6e0bbe878321a714e55d442103f4d5"),
-    (128, "Qry_E", "9b01c535f6882a5874267c933001033b29fda1e5822aac3249817769f8698c1f"),
-    (128, "Qry_Ba", "8df2141cf6617709b556d0cd65f390916343c68e083b99891e591eb69fd73f37"),
-    (128, "join", "9afe911eddae9cb85b41728569abbc1a617a62d0eb017ed6741e39cdcb279d25"),
-    (256, "Qry_F", "01e7a1ccf9b262f331824266a164e2a2591bb1c4e9bc4ae7a5bd5a3664954e8a"),
-    (256, "Qry_E", "cc42cbc0cbc7716e5ac8a62422d0924c18abf23ebd2af13794edabb4e1dbedac"),
-    (256, "Qry_Ba", "db5771103aa6725276007d4218eca16e4733b451d407ed4b07a97c9a8cdde1dc"),
-    (256, "join", "8b9246a0e5df15b4de9971417bb00a492a8a49517bd335175c029c92caf80bb8"),
+    (128, "Qry_F", "8ae219cf11a09eb2e1b3d786828c754c266fd381d6c0833a9abf75e1e99ba822"),
+    (128, "Qry_E", "0174fa36c29807b7adc5d2010047d205c988e492f147e785fe2f12fffe96bd21"),
+    (128, "Qry_Ba", "25d97d5e7c73756e21542bd29ab43885cecabef810140f30ce901cebbf68d5cc"),
+    (128, "join", "ae178146ef16cbf0eccbc8d54d214996b69714992fb6b2611ac69003f5e3d28e"),
+    (256, "Qry_F", "d4cdd9ce2e333db6c15f9bcf1405e2893da45957a6f3317bef27964735e29ab9"),
+    (256, "Qry_E", "1f065dd0c96566f372f88ce3910d54da02fd9fb15dd8821c4acc735482ebb084"),
+    (256, "Qry_Ba", "0dd287719b1ab62b12d5f4af92a682d5609c141f341665fc0fa8f76d92bea3aa"),
+    (256, "join", "6584f5c7c5269317771e70e938d086e799aecf7108532dd4141eb1060ce8944a"),
 ];
 
 /// `(key bits, query, rounds, bytes, ciphertexts)` of each pinned run's channel, in
-/// [`PINS`] order, recorded before a round's metering moved out of the transports.
+/// [`PINS`] order, re-recorded with [`PINS`]: a step's `RecoverEnc` round is gone.
 const CHANNEL_PINS: [(usize, &str, u64, u64, u64); 8] = [
-    (128, "Qry_F", 26, 49784, 902),
-    (128, "Qry_E", 26, 35959, 569),
-    (128, "Qry_Ba", 22, 35242, 555),
-    (128, "join", 4, 26764, 500),
-    (256, "Qry_F", 26, 85587, 902),
-    (256, "Qry_E", 26, 59066, 569),
-    (256, "Qry_Ba", 22, 57895, 555),
-    (256, "join", 4, 48737, 500),
+    (128, "Qry_F", 19, 41470, 869),
+    (128, "Qry_E", 19, 32088, 618),
+    (128, "Qry_Ba", 15, 31577, 610),
+    (128, "join", 3, 24729, 500),
+    (256, "Qry_F", 19, 71664, 869),
+    (256, "Qry_E", 19, 53950, 618),
+    (256, "Qry_Ba", 15, 53176, 610),
+    (256, "join", 3, 44689, 500),
 ];
 
 /// Hash the ciphertexts in order, each length-prefixed so that no two sequences share

@@ -11,7 +11,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sectopk_crypto::damgard_jurik::{DjPublicKey, DjSecretKey};
-use sectopk_crypto::paillier::{generate_keypair, PaillierPublicKey, PaillierSecretKey};
+use sectopk_crypto::paillier::{
+    generate_keypair, Ciphertext, PaillierPublicKey, PaillierSecretKey,
+};
 use sectopk_crypto::prf::PrfKey;
 use sectopk_ehl::EhlEncoder;
 
@@ -92,7 +94,7 @@ proptest! {
         let layered = k.dj_pk.encrypt_ciphertext(&inner1, &mut rng).unwrap();
         let combined = k.dj_pk.mul_by_ciphertext(&layered, &inner2);
         prop_assert_eq!(
-            k.dj_sk.decrypt_both_layers(&combined).unwrap(),
+            k.sk.decrypt(&Ciphertext::from_biguint(k.dj_sk.decrypt(&combined).unwrap())).unwrap(),
             BigUint::from(m1 as u64 + m2 as u64)
         );
     }

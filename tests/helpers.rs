@@ -12,7 +12,6 @@ use rand::SeedableRng;
 use sectopk_core::{
     DataOwner, DirectSession, Outsourced, Query, QueryConfig, QueryOutcome, Session, VariantChoice,
 };
-use sectopk_protocols::transport::EqWants;
 use sectopk_protocols::{S1Request, TwoClouds};
 use sectopk_server::SessionReport;
 use sectopk_storage::{ObjectId, Relation, Score, TopKQuery};
@@ -33,7 +32,9 @@ pub fn malformed_request(clouds: &mut TwoClouds) -> S1Request {
         cols: 2,
         context: "test".into(),
         depth: None,
-        want: EqWants::none(),
+        sets: Vec::new(),
+        select: Vec::new(),
+        disclose_rows: false,
     }
 }
 

@@ -78,6 +78,11 @@ fn digest(ledger: &LeakageLedger) -> LedgerDigest {
             LeakageEvent::ComparisonBit { context, .. } | LeakageEvent::BlindedSign { context } => {
                 format!("{}/{context}", event.kind())
             }
+            // The candidates, not the rounds that carried them.
+            LeakageEvent::MaskedValues { context, count } => {
+                *counts.entry(format!("{}/{context}", event.kind())).or_insert(0) += count;
+                continue;
+            }
             LeakageEvent::UniqueCount { .. }
             | LeakageEvent::HaltingDepth(_)
             | LeakageEvent::QueryIssued { .. }

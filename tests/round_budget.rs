@@ -1,13 +1,13 @@
 //! The per-depth round budget, as a test.
 //!
-//! With round-trip batching every step of a depth costs one equality round and one
-//! `RecoverEnc` round, so a depth's S1↔S2 round trips are a function of the list
-//! lengths alone:
+//! With round-trip batching every step of a depth costs one round — its equality round,
+//! in which S2 also makes the step's selections — so a depth's S1↔S2 round trips are a
+//! function of the list lengths alone:
 //!
 //! ```text
-//! bounds 2 + dedup 1                      (m > 1)
-//! + update 2                              (the list it merges into is non-empty)
-//! + on a check depth: [Qry_Ba merge 2] + sort_plan(|T|, link).rounds
+//! bounds 1 + dedup 1                      (m > 1)
+//! + update 1                              (the list it merges into is non-empty)
+//! + on a check depth: [Qry_Ba merge 1] + sort_plan(|T|, link).rounds
 //!                     + halting 1         (|T| ≥ k)
 //! ```
 //!
@@ -16,19 +16,20 @@
 //! second half checks that the planner's RTT term predicts the same numbers, over the
 //! 20 ms link it declares.
 //!
-//! Beside it, the **selection budget**: how many ciphertexts S2 strips in a step's
-//! `RecoverEnc` round.  SecBest rows and SecUpdate columns hold at most one match, so
-//! each is one fused selection whatever its length —
+//! Beside it, the **selection budget**: how many selections S2 returns in a step's
+//! equality round.  A SecWorst row is one sum, and SecBest rows and SecUpdate columns
+//! hold at most one match, so each is one one-of-many selection whatever its length —
 //!
 //! ```text
-//! bounds  m(m−1) SecWorst cells + m(m−1) SecBest rows
-//! update  2·|T|                            (+ 2f + f·s keep-length gates)
+//! bounds  m SecWorst rows + m(m−1) SecBest rows
+//! update  2·|T|                            (+ 2f keep-length gates)
 //! ```
 //!
 //! — and a step that falls back to one selection per cell costs compute, not rounds:
 //! it fails here, not in a timing run.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +40,11 @@ use sectopk_core::{
 };
 use sectopk_datasets::fig3_relation;
 use sectopk_protocols::sort::sort_plan;
-use sectopk_protocols::{ScoredItem, SessionId, TwoClouds, UpdateMode};
+use sectopk_protocols::transport::MaskedSet;
+use sectopk_protocols::{
+    ChannelMetrics, InProcessTransport, LeakageLedger, S1Request, S2Response, ScoredItem,
+    SessionId, Traffic, Transport, TransportKind, TwoClouds, UpdateMode,
+};
 use sectopk_server::QueryServer;
 use sectopk_storage::{EncryptedItem, ObjectId, Relation, Row, TopKQuery};
 use sectopk_tests::{
@@ -83,10 +88,10 @@ fn budget(
             )
         }
     };
-    let mut rounds = if m > 1 { 2 + 1 } else { 0 };
-    rounds += if update_into > 0 { 2 } else { 0 };
+    let mut rounds = if m > 1 { 1 + 1 } else { 0 };
+    rounds += if update_into > 0 { 1 } else { 0 };
     if check {
-        rounds += if merge_into > 0 { 2 } else { 0 };
+        rounds += if merge_into > 0 { 1 } else { 0 };
         rounds += sort_plan(tracked, link).rounds + usize::from(tracked >= k);
     }
     rounds as u64
@@ -177,11 +182,73 @@ fn a_capped_scan_spends_no_round_after_its_last_depth() {
     }
 }
 
+/// What one equality round put on the wire, summed over its matrices.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct EqTraffic {
+    /// `⊖` cells out.
+    cells: usize,
+    /// Masked candidates out.
+    candidates: usize,
+    /// `Enc(t)` bits back.
+    bits: usize,
+    /// Selections back.
+    selected: usize,
+}
+
+/// A transport that records, per round, what its equality matrices carried.
+#[derive(Debug)]
+struct EqTap {
+    inner: InProcessTransport,
+    rounds: Arc<Mutex<Vec<EqTraffic>>>,
+}
+
+impl Transport for EqTap {
+    fn round_trip(
+        &mut self,
+        request: S1Request,
+    ) -> sectopk_protocols::Result<(S2Response, Traffic)> {
+        let mut seen = EqTraffic::default();
+        let requests = match &request {
+            S1Request::Batch(items) => items.as_slice(),
+            single => std::slice::from_ref(single),
+        };
+        for item in requests {
+            if let S1Request::EqMatrix { diffs, sets, .. } = item {
+                seen.cells += diffs.len();
+                seen.candidates +=
+                    sets.iter().map(|MaskedSet(_, masked)| masked.len()).sum::<usize>();
+            }
+        }
+        let (response, traffic) = self.inner.round_trip(request)?;
+        let replies = match &response {
+            S2Response::Batch(parts) => parts.as_slice(),
+            single => std::slice::from_ref(single),
+        };
+        for reply in replies {
+            if let S2Response::EqBits { bits, selected, .. } = reply {
+                (seen.bits, seen.selected) =
+                    (seen.bits + bits.len(), seen.selected + selected.len());
+            }
+        }
+        self.rounds.lock().expect("tap lock").push(seen);
+        Ok((response, traffic))
+    }
+    fn s2_ledger(&self) -> LeakageLedger {
+        self.inner.s2_ledger()
+    }
+    fn reset_s2(&mut self) {
+        self.inner.reset_s2();
+    }
+    fn kind(&self) -> TransportKind {
+        self.inner.kind()
+    }
+}
+
 #[test]
 fn every_step_strips_one_ciphertext_per_fused_row_not_per_cell() {
-    // The steps of `sec_query`'s depth loop, driven by hand so each one's traffic can be
-    // read off the channel: a RecoverEnc item is one ciphertext out and one back, an
-    // equality cell one `⊖` out and one `E2(t)` back.
+    // The steps of `sec_query`'s depth loop, driven by hand so each one's equality round
+    // can be read off the channel: a cell is one `⊖` out and one `Enc(t)` back, a
+    // candidate one masked ciphertext out, a job one selection back.
     let relation = fig3_relation();
     let (m, s) = (relation.num_attributes(), TEST_EHL_KEYS);
     let mut rng = StdRng::seed_from_u64(0xB0DB);
@@ -189,7 +256,22 @@ fn every_step_strips_one_ciphertext_per_fused_row_not_per_cell() {
     let (er, _) = owner.encrypt(&relation, &mut rng).expect("encryption");
     for mode in [UpdateMode::KeepLength, UpdateMode::Eliminate] {
         let keep = usize::from(mode == UpdateMode::KeepLength);
-        let mut clouds = TwoClouds::new(owner.keys(), 0xB0DC).expect("cloud setup");
+        let rounds = Arc::new(Mutex::new(Vec::new()));
+        let tap = Arc::clone(&rounds);
+        let mut clouds = TwoClouds::over_transport(owner.keys(), 0xB0DC, move |provision| {
+            Ok(Box::new(EqTap { inner: InProcessTransport::new(provision.build()), rounds: tap }))
+        })
+        .expect("cloud setup");
+        // The one round a step took, checked against the channel's own count.
+        let step = |clouds: &TwoClouds, before: ChannelMetrics, what: String| {
+            let channel = clouds.channel().since(&before);
+            let mut rounds = rounds.lock().expect("tap lock");
+            assert_eq!((channel.rounds, rounds.len()), (1, 1), "{what}: one round");
+            let seen = rounds.pop().expect("one round");
+            let on_wire = seen.cells + seen.candidates + seen.bits + seen.selected;
+            assert_eq!(channel.ciphertexts as usize, on_wire, "{what}: nothing else");
+            seen
+        };
         let mut seen: Vec<Vec<EncryptedItem>> = vec![Vec::new(); m];
         let mut tracked: Vec<ScoredItem> = Vec::new();
         for d in 0..relation.len() {
@@ -201,15 +283,17 @@ fn every_step_strips_one_ciphertext_per_fused_row_not_per_cell() {
 
             let before = clouds.channel();
             let (worsts, bests) = clouds.sec_bounds_depth(&depth_items, &seen, d).expect("bounds");
-            let step = clouds.channel().since(&before);
-            let cells = m * (m - 1) + m * (m - 1) * (d + 1);
-            let selections = m * (m - 1) + m * (m - 1);
-            assert_eq!(step.rounds, 2, "{mode:?}, depth {d}");
-            assert_eq!(
-                step.ciphertexts as usize,
-                2 * cells + 2 * selections,
-                "{mode:?}, depth {d}"
-            );
+            // m SecWorst rows of m − 1 cells; m(m − 1) SecBest rows of d + 1 cells, each
+            // with its bottom score as one more candidate.
+            let (worst_rows, best_rows) = (m, m * (m - 1));
+            let cells = worst_rows * (m - 1) + best_rows * (d + 1);
+            let expected = EqTraffic {
+                cells,
+                candidates: cells + best_rows,
+                bits: cells,
+                selected: worst_rows + best_rows,
+            };
+            assert_eq!(step(&clouds, before, format!("{mode:?}, bounds {d}")), expected);
 
             let gamma: Vec<ScoredItem> = depth_items
                 .iter()
@@ -221,20 +305,23 @@ fn every_step_strips_one_ciphertext_per_fused_row_not_per_cell() {
                 UpdateMode::Eliminate => clouds.sec_dup_elim(gamma, d),
             }
             .expect("dedup");
+            rounds.lock().expect("tap lock").clear();
 
             let (f, t) = (gamma.len(), tracked.len());
             let before = clouds.channel();
             tracked = clouds.sec_update(tracked, &gamma, d, mode).expect("update");
-            let step = clouds.channel().since(&before);
             if t > 0 {
-                // Keep-length also gets two encrypted aggregates per fresh item back.
-                let selections = 2 * t + keep * (2 * f + f * s);
-                assert_eq!(step.rounds, 2, "{mode:?}, depth {d}");
-                assert_eq!(
-                    step.ciphertexts as usize,
-                    2 * f * t + keep * 2 * f + 2 * selections,
-                    "{mode:?}, depth {d}: |T| = {t}, f = {f}"
-                );
+                // The fresh items' worst and best once per row, shared by every column, the
+                // tracked bests per column, and keep-length's sentinel per row; per column
+                // two jobs, and keep-length's two gates per row.
+                let expected = EqTraffic {
+                    cells: f * t,
+                    candidates: 2 * f + t + keep * f,
+                    bits: f * t,
+                    selected: 2 * t + keep * 2 * f,
+                };
+                let what = format!("{mode:?}, update {d}: |T| = {t}, f = {f}");
+                assert_eq!(step(&clouds, before, what), expected);
             }
         }
     }

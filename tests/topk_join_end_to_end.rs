@@ -139,7 +139,8 @@ fn the_final_selection_is_one_sort_of_the_matches() {
     assert_eq!(matches, expected.len());
     assert!(matches > q.k + 1, "{matches} matches: too few to tell the schedules apart");
     let plan = sort_plan(matches, clouds.link_profile());
-    assert_eq!(clouds.channel().rounds, 3 + plan.rounds as u64, "{plan:?}");
+    // The join's equality round (which gates every value), the filter, then the sort.
+    assert_eq!(clouds.channel().rounds, 2 + plan.rounds as u64, "{plan:?}");
     assert!(plan.rounds < q.k * (matches - 1), "{plan:?} against {} rounds", q.k * (matches - 1));
     assert_eq!(clouds.s1_ledger().count_kind("comparison_bit"), plan.comparisons);
     let scores: Vec<u64> =
@@ -163,6 +164,7 @@ fn join_leaks_only_equality_bits_and_match_count() {
 
     assert!(clouds.s2_ledger().only_contains(&[
         "equality_bit",
+        "masked_values",
         "join_match_count",
         "blinded_sign"
     ]));
