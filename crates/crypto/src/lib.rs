@@ -11,7 +11,7 @@
 //! * [`prime`] — Miller–Rabin prime generation for key generation.
 //! * [`paillier`] — the additively homomorphic Paillier cryptosystem (§3.3).
 //! * [`damgard_jurik`] — the generalized Paillier (Damgård–Jurik) scheme with one extra
-//!   layer, providing the `E2(Enc(m1))^{Enc(m2)} = E2(Enc(m1+m2))` identity.
+//!   layer (§3.3): encryption, its nonce and CRT decryption, which no protocol calls.
 //! * [`prf`] / [`prp`] — keyed PRFs and (keyed + ephemeral) pseudo-random permutations.
 //! * [`keys`] — the data-owner / S1 / S2 / client key bundles of Algorithm 2.
 //! * [`pool`] — amortizing pools of precomputed encryption nonces (`r^N mod N²`,

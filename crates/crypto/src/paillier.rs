@@ -303,12 +303,6 @@ impl PaillierPublicKey {
         &self.inner.n_squared
     }
 
-    /// The cached Montgomery context for `N²`, which the Damgård–Jurik layer's
-    /// exponents (elements of `Z_{N²}`) are multiplied under.
-    pub(crate) fn ctx_n2(&self) -> &MontgomeryContext {
-        &self.inner.ctx_n2
-    }
-
     /// Bit length of `N` requested at key generation.
     pub fn modulus_bits(&self) -> usize {
         self.inner.modulus_bits

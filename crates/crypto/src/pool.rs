@@ -296,16 +296,12 @@ mod tests {
         let (master, mut pool) = setup();
         let dj_pk = DjPublicKey::from_paillier(&master.paillier_public);
         let dj_sk = crate::damgard_jurik::DjSecretKey::from_paillier(&master.paillier_secret);
-        let both_layers = |c: &crate::damgard_jurik::LayeredCiphertext| {
-            let inner = Ciphertext::from_biguint(dj_sk.decrypt(c).unwrap());
-            dj_sk.paillier().decrypt(&inner).unwrap()
-        };
         let inner = pool.encrypt_u64(5).unwrap();
         let layered = dj_pk.encrypt_with_nonce(inner.as_biguint(), &pool.next_dj_nonce());
-        assert_eq!(both_layers(&layered), BigUint::from(5u64));
-        let re = dj_pk.rerandomize_with_nonce(&layered, &pool.next_dj_nonce());
-        assert_ne!(layered, re);
-        assert_eq!(both_layers(&re), BigUint::from(5u64));
+        assert_eq!(&dj_sk.decrypt(&layered).unwrap(), inner.as_biguint());
+        let again = dj_pk.encrypt_with_nonce(inner.as_biguint(), &pool.next_dj_nonce());
+        assert_ne!(layered, again);
+        assert_eq!(&dj_sk.decrypt(&again).unwrap(), inner.as_biguint());
     }
 
     #[test]

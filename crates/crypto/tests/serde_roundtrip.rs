@@ -1,7 +1,6 @@
-//! Property tests for the ciphertext wire formats: `Ciphertext` and `LayeredCiphertext`
-//! serialize as big-endian byte strings and must round-trip losslessly both through the
-//! value tree (the transport layer's binary codec path) and through JSON (where bytes
-//! render as hex strings).
+//! Property tests for the ciphertext wire format: a `Ciphertext` serializes as a big-endian
+//! byte string and must round-trip losslessly both through the value tree (the transport
+//! layer's binary codec path) and through JSON (where bytes render as hex strings).
 
 use num_bigint::BigUint;
 use proptest::proptest;
@@ -9,7 +8,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use sectopk_crypto::damgard_jurik::{DjPublicKey, LayeredCiphertext};
 use sectopk_crypto::paillier::{generate_keypair, Ciphertext, MIN_MODULUS_BITS};
 
 proptest! {
@@ -35,25 +33,6 @@ proptest! {
     }
 
     #[test]
-    fn layered_ciphertext_value_round_trip(seed in 0u64..1_000, m in 0u64..u64::MAX) {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(77));
-        let (pk, _sk) = generate_keypair(MIN_MODULUS_BITS, &mut rng).unwrap();
-        let dj = DjPublicKey::from_paillier(&pk);
-        let c = dj.encrypt_u64(m % 1_000_000, &mut rng).unwrap();
-
-        let back = LayeredCiphertext::from_value(&c.to_value()).unwrap();
-        assert_eq!(back, c);
-
-        let bytes = c.to_bytes_be();
-        assert_eq!(bytes.len(), c.byte_len());
-        assert_eq!(LayeredCiphertext::from_bytes_be(&bytes), c);
-
-        let json = serde_json::to_string(&c).unwrap();
-        let parsed: LayeredCiphertext = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed, c);
-    }
-
-    #[test]
     fn arbitrary_group_elements_round_trip(limbs in proptest::collection::vec(0u64..u64::MAX, 1..8)) {
         // Exercise values of every byte length, not just well-formed encryptions.
         let mut raw = BigUint::from(0u64);
@@ -63,16 +42,12 @@ proptest! {
         let c = Ciphertext::from_biguint(raw.clone());
         assert_eq!(Ciphertext::from_bytes_be(&c.to_bytes_be()), c);
         assert_eq!(Ciphertext::from_value(&c.to_value()).unwrap(), c);
-
-        let l = LayeredCiphertext::from_bytes_be(&raw.to_bytes_be());
-        assert_eq!(l.as_biguint(), &raw);
-        assert_eq!(LayeredCiphertext::from_value(&l.to_value()).unwrap(), l);
     }
 }
 
 #[test]
 fn deserialize_rejects_wrong_value_kinds() {
     assert!(Ciphertext::from_value(&serde::Value::U64(5)).is_err());
-    assert!(LayeredCiphertext::from_value(&serde::Value::Seq(Vec::new())).is_err());
+    assert!(Ciphertext::from_value(&serde::Value::Seq(Vec::new())).is_err());
     assert!(Ciphertext::from_value(&serde::Value::Str("not hex".into())).is_err());
 }

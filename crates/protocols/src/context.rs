@@ -402,9 +402,9 @@ impl TwoClouds {
 
     /// Ship one request to S2 and return its response: one round trip, timed into the
     /// round-latency histogram, bracketed by the trace hook and metered into
-    /// [`TwoClouds::channel`] once its reply has arrived — an error frame included, which
-    /// surfaces as [`ProtocolError::Remote`].  An exchange that fails inside the
-    /// transport meters nothing.
+    /// [`TwoClouds::channel`] and the round counter once its reply has arrived — an error
+    /// frame included, which surfaces as [`ProtocolError::Remote`].  An exchange that
+    /// fails inside the transport meters nothing.
     pub(crate) fn round(&mut self, request: S1Request) -> Result<S2Response> {
         let span = request.kind_name();
         if let Some(trace) = &self.trace {
@@ -413,8 +413,8 @@ impl TwoClouds {
         let timer = self.round_nanos.start();
         let result = self.transport.round_trip(request);
         self.round_nanos.stop(timer);
-        self.rounds_counter.incr();
         if let Ok((_, traffic)) = &result {
+            self.rounds_counter.incr();
             self.channel.rounds += 1;
             self.channel.bytes += traffic.bytes;
             self.channel.ciphertexts += traffic.ciphertexts;
@@ -482,6 +482,9 @@ mod tests {
         let mut clouds =
             TwoClouds::connect(&master, 5, true, &server, SessionId(1), LinkProfile::ideal())
                 .unwrap();
+        let registry = MetricsRegistry::enabled();
+        clouds.set_metrics(&registry, "1");
+        let counted = || registry.snapshot().counter("session.1.rounds");
         // An error frame is a reply: metered like any other, then surfaced as `Remote`.
         let malformed = S1Request::Batch(vec![S1Request::Batch(Vec::new())]);
         let err = clouds.raw_round_trip(malformed.clone()).unwrap_err();
@@ -492,6 +495,7 @@ mod tests {
             after_error,
             ChannelMetrics { rounds: 1, bytes: traffic.bytes, ciphertexts: traffic.ciphertexts }
         );
+        assert_eq!(counted(), after_error.rounds);
         // An exchange that fails inside the transport meters nothing.
         drop(server);
         let x = clouds.pk().clone().encrypt_u64(1, &mut clouds.s1.rng).unwrap();
@@ -499,6 +503,7 @@ mod tests {
         let err = clouds.enc_compare(&x, &y, "test").unwrap_err();
         assert!(matches!(err, ProtocolError::Transport(_)), "unexpected error {err:?}");
         assert_eq!(clouds.channel(), after_error, "a failed exchange must leave the meter alone");
+        assert_eq!(counted(), after_error.rounds, "nor the registry's round counter");
     }
 
     #[test]

@@ -453,13 +453,15 @@ impl QueryServer {
             (Door::Conduit(link), Some(workers)) => {
                 TwoClouds::connect_with_workers(master, seed, s2, session, link, workers)?
             }
-            (Door::Socket(addr, options), _) => {
-                TwoClouds::connect_tcp(master, seed, addr, options.with_session(session))?
+            (Door::Socket(addr, options), workers) => {
+                let mut clouds =
+                    TwoClouds::connect_tcp(master, seed, addr, options.with_session(session))?;
+                if let Some(workers) = workers {
+                    clouds.set_intra_workers(workers);
+                }
+                clouds
             }
         };
-        if let Some(workers) = intra_workers {
-            clouds.set_intra_workers(workers);
-        }
         clouds.set_metrics(&self.metrics, &session.0.to_string());
         Ok(QueryClient {
             inner: DirectSession::new(clouds, self.outsourced.clone(), master.clone(), seed),

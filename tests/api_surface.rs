@@ -170,10 +170,15 @@ fn the_facade_exports_the_one_front_door() {
 #[test]
 fn the_frozen_surface_keeps_the_signatures_the_benchmark_calls() {
     // `benchmark/` is a workspace of its own (DESIGN.md §13), built only by its own CI
-    // job; these are the six items it calls, each with the exact signature it calls it
-    // with, so a break fails `cargo test` here too.
+    // job; these are the six flagged items it calls and the Damgård–Jurik calls of its
+    // micro metrics, each with the exact signature it calls it with, so a break fails
+    // `cargo test` here too.
+    use num_bigint::BigUint;
+    use rand::rngs::StdRng;
     use sectopk_core::{DataOwner, DirectSession, LinkProfile, Outsourced, PlanDecision, Query};
+    use sectopk_crypto::damgard_jurik::{DjPublicKey, DjSecretKey, LayeredCiphertext};
     use sectopk_crypto::keys::MasterKeys;
+    use sectopk_crypto::{PaillierPublicKey, PaillierSecretKey, RandomnessPool};
     use sectopk_protocols::{MultiplexServer, SessionId, TransportKind, TwoClouds};
     use sectopk_server::{QueryClient, QueryServer};
     type Clouds = sectopk_protocols::Result<TwoClouds>;
@@ -198,6 +203,17 @@ fn the_frozen_surface_keeps_the_signatures_the_benchmark_calls() {
     ) -> sectopk_core::Result<QueryClient> = QueryServer::open_session;
     let _plan_for: fn(&Query, usize, LinkProfile, bool) -> PlanDecision = sectopk_core::plan_for;
     let _batching: fn(&TwoClouds) -> bool = TwoClouds::batching;
+
+    type Layered = sectopk_crypto::Result<LayeredCiphertext>;
+    let _dj_public: fn(&PaillierPublicKey) -> DjPublicKey = DjPublicKey::from_paillier;
+    let _dj_encrypt: fn(&DjPublicKey, u64, &mut StdRng) -> Layered =
+        DjPublicKey::encrypt_u64::<StdRng>;
+    let _dj_secret: fn(&PaillierSecretKey) -> DjSecretKey = DjSecretKey::from_paillier;
+    let _dj_decrypt: fn(&DjSecretKey, &LayeredCiphertext) -> sectopk_crypto::Result<BigUint> =
+        DjSecretKey::decrypt;
+    let _with_dj: fn(&PaillierPublicKey, &DjPublicKey, u64) -> RandomnessPool =
+        RandomnessPool::with_dj;
+    let _refill: fn(&mut RandomnessPool, usize, usize) = RandomnessPool::refill;
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests on the cryptographic substrate as used *across* crates: Paillier
-//! and Damgård–Jurik homomorphic identities, the EHL equality semantics, and the
-//! interplay of blinding (Algorithm 8) with the homomorphic operations.  A single small
-//! key pair is shared across all cases so the suite stays fast.
+//! homomorphic identities, the EHL equality semantics, and the interplay of blinding
+//! (Algorithm 8) with the homomorphic operations.  A single small key pair is shared
+//! across all cases so the suite stays fast.
 
 use std::sync::OnceLock;
 
@@ -10,18 +10,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sectopk_crypto::damgard_jurik::{DjPublicKey, DjSecretKey};
-use sectopk_crypto::paillier::{
-    generate_keypair, Ciphertext, PaillierPublicKey, PaillierSecretKey,
-};
+use sectopk_crypto::paillier::{generate_keypair, PaillierPublicKey, PaillierSecretKey};
 use sectopk_crypto::prf::PrfKey;
 use sectopk_ehl::EhlEncoder;
 
 struct SharedKeys {
     pk: PaillierPublicKey,
     sk: PaillierSecretKey,
-    dj_pk: DjPublicKey,
-    dj_sk: DjSecretKey,
     encoder: EhlEncoder,
 }
 
@@ -30,10 +25,8 @@ fn keys() -> &'static SharedKeys {
     KEYS.get_or_init(|| {
         let mut rng = StdRng::seed_from_u64(0xBEEF);
         let (pk, sk) = generate_keypair(128, &mut rng).unwrap();
-        let dj_pk = DjPublicKey::from_paillier(&pk);
-        let dj_sk = DjSecretKey::from_paillier(&sk);
         let prf_keys: Vec<PrfKey> = (0..4u8).map(|i| PrfKey([i + 1; 32])).collect();
-        SharedKeys { pk, sk, dj_pk, dj_sk, encoder: EhlEncoder::new(&prf_keys) }
+        SharedKeys { pk, sk, encoder: EhlEncoder::new(&prf_keys) }
     })
 }
 
@@ -81,22 +74,6 @@ proptest! {
         let r = k.pk.rerandomize(&c, &mut rng);
         prop_assert_ne!(&r, &c);
         prop_assert_eq!(k.sk.decrypt_u64(&r).unwrap(), v);
-    }
-
-    #[test]
-    fn layered_identity_holds_for_arbitrary_pairs(m1 in any::<u32>(), m2 in any::<u32>(), seed in any::<u64>()) {
-        // E2(Enc(m1))^{Enc(m2)} decrypts (both layers) to m1 + m2 — the identity every
-        // selection step of the sub-protocols relies on.
-        let k = keys();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let inner1 = k.pk.encrypt_u64(m1 as u64, &mut rng).unwrap();
-        let inner2 = k.pk.encrypt_u64(m2 as u64, &mut rng).unwrap();
-        let layered = k.dj_pk.encrypt_ciphertext(&inner1, &mut rng).unwrap();
-        let combined = k.dj_pk.mul_by_ciphertext(&layered, &inner2);
-        prop_assert_eq!(
-            k.sk.decrypt(&Ciphertext::from_biguint(k.dj_sk.decrypt(&combined).unwrap())).unwrap(),
-            BigUint::from(m1 as u64 + m2 as u64)
-        );
     }
 
     #[test]
