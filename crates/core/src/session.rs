@@ -104,8 +104,9 @@ impl ResolvedTopK {
 ///
 /// An implementation says only what differs: where its [`TwoClouds`] and [`Outsourced`]
 /// live and how a query executes.  Everything readable off those two — shape, link,
-/// traffic, ledgers, the plan — is provided here once, so it cannot drift between
-/// [`DirectSession`] and `sectopk-server::QueryClient` (which wraps one).
+/// traffic, ledgers, the plan — is provided here once.  [`DirectSession`] is the one
+/// implementation, whichever door opened it; the trait stays so that callers can hold a
+/// session as `dyn Session + Send`.
 pub trait Session {
     /// The underlying two-cloud context — the protocol-level escape hatch for tests and
     /// tools that drive individual sub-protocols (`sec_worst_depth`, `sec_dedup`, …).

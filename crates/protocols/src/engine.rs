@@ -64,6 +64,30 @@ use crate::ledger::{LeakageEvent, LeakageLedger};
 use crate::transport::{DedupRequest, FilterTuple, MaskedSet, S1Request, S2Response, Select};
 use crate::wire::WireError;
 
+/// The most matrix cells an `EqMatrix`'s selections may read per ciphertext it ships
+/// (`diffs` plus masked candidates).  Every `Select` family reads each cell once, and a
+/// family's lines — jobs, one fresh encryption each — are at most its cells, so this
+/// bounds both S2's selection loop and its reply by what the request actually carries.
+/// S1's own requests read fewer than 4 (SecUpdate: four families over `tf` cells, with
+/// `tf + 3f + t` ciphertexts); without a bound, a few hundred kilobytes of repeated
+/// families would make S2 work and answer for megabytes.
+const MAX_SELECTION_READS_PER_SHIPPED: usize = 8;
+
+/// The longest ledger context label S2 accepts, in bytes.  S2 keeps a copy of it per
+/// sign or equality bit it records (the longest label S1 sends is 13 bytes).
+const MAX_CONTEXT_BYTES: usize = 64;
+
+/// Refuse a context label longer than [`MAX_CONTEXT_BYTES`].
+fn bounded_context(context: &str) -> EngineResult<()> {
+    match context.len() <= MAX_CONTEXT_BYTES {
+        true => Ok(()),
+        false => Err(WireError::malformed(format!(
+            "a {}-byte context label; at most {MAX_CONTEXT_BYTES} are accepted",
+            context.len()
+        ))),
+    }
+}
+
 /// Result alias for the request handler: engine failures are [`WireError`] frames,
 /// shipped back to S1 as typed `S2Response::Error` messages instead of panicking the
 /// serving thread.
@@ -156,9 +180,10 @@ struct Step<'a> {
 /// the clock (see the `sectopk-metrics` crate docs for the determinism contract).
 ///
 /// What lands where:
-/// * `engine.requests.<kind>` counters — one per [`S1Request`] variant, deterministic
-///   (a batch counts its wrapper *and* each inner request; a rejected one, nothing).
-/// * `engine.batch_size` — histogram of inner-request counts per [`S1Request::Batch`].
+/// * `engine.requests.<kind>` counters — one per non-batch [`S1Request`] variant,
+///   deterministic (a batch counts each inner request; a rejected one, nothing).
+/// * `engine.batch_size` — histogram of inner-request counts per [`S1Request::Batch`];
+///   its count is the number of batches.
 /// * `engine.compute_ops` — histogram of decryption ops per request: the occupancy
 ///   the parallel compute phase fans out over the intra-query workers.
 /// * `engine.handle_nanos` — wall-clock of [`S2Engine::handle`] (timing: asserted
@@ -170,7 +195,6 @@ struct EngineMetrics {
     dedup: Counter,
     filter: Counter,
     mul_blinded: Counter,
-    batch: Counter,
     batch_size: Histogram,
     compute_ops: Histogram,
     handle_nanos: Histogram,
@@ -232,7 +256,6 @@ impl S2Engine {
             dedup: registry.counter("engine.requests.dedup"),
             filter: registry.counter("engine.requests.filter"),
             mul_blinded: registry.counter("engine.requests.mul_blinded"),
-            batch: registry.counter("engine.requests.batch"),
             batch_size: registry.histogram("engine.batch_size"),
             compute_ops: registry.histogram("engine.compute_ops"),
             handle_nanos: registry.histogram("engine.handle_nanos"),
@@ -281,7 +304,6 @@ impl S2Engine {
         // The one place `Batch` is unwrapped: every request is a batch of n ≥ 1 items.
         let result = match request {
             S1Request::Batch(items) => self.prepare(items).and_then(|dones| {
-                self.metrics.batch.incr();
                 self.metrics.batch_size.observe(items.len() as u64);
                 let responses = items.iter().zip(dones).map(|(item, done)| self.commit(item, done));
                 responses.collect::<EngineResult<_>>().map(S2Response::Batch)
@@ -318,7 +340,8 @@ impl S2Engine {
         // `[1, N'²)`) — also those S2 only operates on homomorphically.
         let (pk, own_pk) = (&self.keys.paillier_public, &self.s1_own_public);
         let count: fn(&EngineMetrics) -> &Counter = match request {
-            S1Request::EqMatrix { diffs, cols, sets, select, .. } => {
+            S1Request::EqMatrix { diffs, cols, context, sets, select, .. } => {
+                bounded_context(context)?;
                 // At least one row and one column, every row full: S2 never sizes a loop
                 // or a reply by a number a request only claims.
                 let rows = diffs.len().checked_div(*cols).unwrap_or(0);
@@ -332,6 +355,15 @@ impl S2Engine {
                     return Err(WireError::malformed("a masked set does not fit the matrix"));
                 }
                 let per_of = |set: usize| sets.get(set).map(|MaskedSet(per, _)| *per);
+                let shipped = diffs.len() + sets.iter().map(|set| set.1.len()).sum::<usize>();
+                let reads = select.len().saturating_mul(diffs.len());
+                if reads > MAX_SELECTION_READS_PER_SHIPPED.saturating_mul(shipped) {
+                    return Err(WireError::malformed(format!(
+                        "{} selection families over {} cells from {shipped} ciphertexts",
+                        select.len(),
+                        diffs.len()
+                    )));
+                }
                 for &Select(per, from, otherwise) in select {
                     if per_of(from).is_none() || otherwise.is_some_and(|y| per_of(y) != Some(per)) {
                         return Err(WireError::malformed("a selection names a set it cannot read"));
@@ -345,7 +377,8 @@ impl S2Engine {
                 need.plain = sets.iter().flat_map(|MaskedSet(_, masked)| masked).collect();
                 |m| &m.eq_matrix
             }
-            S1Request::Compare { blinded, .. } => {
+            S1Request::Compare { blinded, context } => {
+                bounded_context(context)?;
                 need.sign = blinded.iter().collect();
                 |m| &m.compare
             }

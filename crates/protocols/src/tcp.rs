@@ -679,12 +679,8 @@ const REJECT_NAMES: [(RejectCode, &str); 6] = [
 struct TcpServerMetrics {
     /// Handshakes accepted (fresh and resume) — `tcp.server.accepts`.
     accepts: Counter,
-    /// Sessions taken over by a resume handshake — `tcp.server.resumed`.
-    resumed: Counter,
     /// Sessions parked after a dirty disconnect — `tcp.server.parked`.
     parked: Counter,
-    /// Sessions reaped (TTL expiry, drain, dead socket) — `tcp.server.reaped`.
-    reaped: Counter,
     /// Rejected hellos by code, one counter per entry of [`REJECT_NAMES`].
     rejects: [(RejectCode, Counter); REJECT_NAMES.len()],
 }
@@ -693,9 +689,7 @@ impl TcpServerMetrics {
     fn from_registry(registry: &MetricsRegistry) -> Self {
         TcpServerMetrics {
             accepts: registry.counter("tcp.server.accepts"),
-            resumed: registry.counter("tcp.server.resumed"),
             parked: registry.counter("tcp.server.parked"),
-            reaped: registry.counter("tcp.server.reaped"),
             rejects: REJECT_NAMES.map(|(code, name)| {
                 (code, registry.counter(&format!("tcp.server.rejects.{name}")))
             }),
@@ -733,22 +727,10 @@ struct Admission {
 }
 
 impl Shared {
-    /// Unseat a session on behalf of a client that is gone.
-    fn reap(&self, conduit: &SessionConduit) {
-        conduit.close(false);
-        self.metrics.reaped.incr();
-    }
-
-    /// Reap parked sessions: those expired by `expired_by`, or all of them (`None`).
-    fn reap_parked(&self, expired_by: Option<Instant>) {
-        let reaped = self.pool.reap_parked(expired_by);
-        self.metrics.reaped.add(reaped as u64);
-    }
-
     /// Refuse every later hello and reap every parked session.
     fn stop_admitting(&self) {
         self.admission.plock().draining = true;
-        self.reap_parked(None);
+        self.pool.reap_parked(None);
     }
 
     fn sever_all(&self) {
@@ -1001,7 +983,7 @@ fn accept_loop(
 fn sweeper_loop(shared: &Arc<Shared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(SWEEP_TICK);
-        shared.reap_parked(Some(Instant::now()));
+        shared.pool.reap_parked(Some(Instant::now()));
     }
 }
 
@@ -1070,7 +1052,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         || write_frame(&*stream, &wire::to_bytes(&accept)).is_err()
     {
         // The client never learned its resume token: nothing to park for.
-        shared.reap(&seated.conduit);
+        seated.conduit.close(false);
         seated.unseated = true;
         return;
     }
@@ -1108,7 +1090,6 @@ fn admit_resume(
             }
             Ok(conduit) => {
                 shared.resumed.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.resumed.incr();
                 return Ok(conduit);
             }
             refused => return refused,
@@ -1196,7 +1177,7 @@ impl Drop for Seated<'_> {
             if !ttl.is_zero() && !admission.draining && conduit.park(deadline) {
                 shared.metrics.parked.incr();
             } else {
-                shared.reap(conduit);
+                conduit.close(false);
             }
         }
         drop(admission);

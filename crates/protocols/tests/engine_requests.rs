@@ -440,6 +440,68 @@ fn aggregate_dimensions_are_bounded_by_the_bits_they_cover() {
     );
 }
 
+/// Selections are sized by the ciphertexts a request ships, not by how many `Select`
+/// families it lists: each family reads every cell and answers a fresh encryption per
+/// line, so a small request repeating one family would buy megabytes of S2 work and reply.
+#[test]
+fn selections_are_bounded_by_the_ciphertexts_a_request_ships() {
+    let rng = &mut rng();
+    // A 4 × 4 matrix with one per-cell set (32 ciphertexts) asking for 320,000 selections.
+    let cells = |n: usize, rng: &mut StdRng| (0..n).map(|_| enc(0, rng)).collect::<Vec<_>>();
+    let request = S1Request::EqMatrix {
+        diffs: cells(16, rng),
+        cols: 4,
+        context: "test".into(),
+        depth: None,
+        sets: vec![MaskedSet(Per::Cell, cells(16, rng))],
+        select: vec![Select(Per::Cell, 0, None); 20_000],
+        disclose_rows: false,
+    };
+    assert_rejected_without_trace(
+        "20,000 per-cell families over 32 ciphertexts",
+        request,
+        WireErrorCode::MalformedRequest,
+    );
+    // One row of 64 cells: each per-row family is a single line, so only its reads —
+    // 64 cells apiece — tell 512 of them from what 128 ciphertexts can pay for.
+    let request = S1Request::EqMatrix {
+        diffs: cells(64, rng),
+        cols: 64,
+        context: "test".into(),
+        depth: None,
+        sets: vec![MaskedSet(Per::Cell, cells(64, rng))],
+        select: vec![Select(Per::Row, 0, None); 512],
+        disclose_rows: false,
+    };
+    assert_rejected_without_trace(
+        "512 per-row families over one 64-cell row",
+        request,
+        WireErrorCode::MalformedRequest,
+    );
+}
+
+/// S2 copies a request's ledger context label into every sign or equality bit it
+/// records, so a label is bounded like any other size a request claims.
+#[test]
+fn a_context_label_is_bounded() {
+    let rng = &mut rng();
+    let label = "x".repeat(1 << 20);
+    let mut signs = compare(&[3, -5, 7], rng);
+    if let S1Request::Compare { context, .. } = &mut signs {
+        *context = label.clone();
+    }
+    assert_rejected_without_trace("a 1 MiB Compare label", signs, WireErrorCode::MalformedRequest);
+    let mut matrix = eq_matrix(&[0, 4, 0, 0, 6, 0], 3, rng);
+    if let S1Request::EqMatrix { context, .. } = &mut matrix {
+        *context = label;
+    }
+    assert_rejected_without_trace(
+        "a 1 MiB EqMatrix label",
+        matrix,
+        WireErrorCode::MalformedRequest,
+    );
+}
+
 #[test]
 fn a_batch_with_one_bad_item_commits_nothing() {
     let rng = &mut rng();

@@ -32,7 +32,7 @@
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -140,8 +140,7 @@ fn main() -> ExitCode {
         // Swallow stdin until the orchestrator closes it, then drain: new hellos are
         // answered with a typed retryable `Draining` reject, parked sessions are
         // reaped, and live sessions get `drain_grace` to finish before being severed.
-        let mut sink = Vec::new();
-        let _ = std::io::stdin().read_to_end(&mut sink);
+        let _ = std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink());
         println!("sectopk-s2d draining (grace {drain_grace}s)");
         let _ = std::io::stdout().flush();
         server.drain(Duration::from_secs(drain_grace));

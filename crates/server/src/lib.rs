@@ -6,18 +6,17 @@
 //! A [`QueryServer`] owns the outsourced encrypted relation and a shared
 //! [`MultiplexServer`] — the crypto cloud S2 as a session table plus a budget of compute
 //! permits: a request runs on the thread of the session that sent it.  Every client
-//! session is one [`QueryClient`]: the one session type of `sectopk-core`
-//! ([`DirectSession`]) seated in the shared S2 pool, plus the serving bookkeeping a
-//! [`SessionReport`] needs (session id, seed, failure list, serving metrics).  It
-//! implements [`Session`] by handing out the wrapped session's clouds, so the serving
-//! path and the direct two-cloud path are the same `execute(Query) → ResolvedTopK`
-//! front door, including the adaptive variant planner.
+//! session is the one session type of `sectopk-core`, a [`DirectSession`] seated in the
+//! shared S2 pool, so the serving path and the direct two-cloud path are the same
+//! `execute(Query) → ResolvedTopK` front door, including the adaptive variant planner.
+//! The serving loop keeps the run's books — each session's id and seed, its answers and
+//! its index-stamped failures — and builds each [`SessionReport`] from them.
 //!
 //! ```text
-//!   client 1 ── Query stream ──▶ QueryClient 1 (S1 state, session 1) ──┐
-//!   client 2 ── Query stream ──▶ QueryClient 2 (S1 state, session 2) ──┤ envelopes
-//!      …                               …                               ├──────────▶ S2
-//!   client N ── Query stream ──▶ QueryClient N (S1 state, session N) ──┘ (W permits)
+//!   client 1 ── Query stream ──▶ DirectSession 1 (S1 state, session 1) ──┐
+//!   client 2 ── Query stream ──▶ DirectSession 2 (S1 state, session 2) ──┤ envelopes
+//!      …                               …                                 ├────────▶ S2
+//!   client N ── Query stream ──▶ DirectSession N (S1 state, session N) ──┘ (W permits)
 //! ```
 //!
 //! # Determinism guarantees
@@ -63,8 +62,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sectopk_core::{
-    AuthorizedClient, DirectSession, Outsourced, PlanDecision, Query, QueryOutcome, ResolvedTopK,
-    Result, SecTopKError, Session, VariantChoice,
+    DirectSession, Outsourced, PlanDecision, Query, QueryOutcome, Result, SecTopKError, Session,
+    VariantChoice,
 };
 use sectopk_crypto::keys::MasterKeys;
 use sectopk_crypto::pool::shard_seed;
@@ -169,6 +168,30 @@ pub struct SessionReport {
 }
 
 impl SessionReport {
+    /// The report of session `session`, run under `seed`: metrics, both ledgers and the
+    /// absorbed transport faults read off the session itself, `outcomes` and `failures`
+    /// from whoever ran it — the answers [`Session::execute`] returned and the queries it
+    /// refused, in submission order (a hand-driven session that does not want a full
+    /// report passes none).
+    pub fn new(
+        session: SessionId,
+        seed: u64,
+        ran: &DirectSession,
+        outcomes: Vec<QueryOutcome>,
+        failures: Vec<QueryFailure>,
+    ) -> Self {
+        SessionReport {
+            session,
+            seed,
+            outcomes,
+            failures,
+            metrics: ran.metrics(),
+            s1_ledger: ran.s1_ledger(),
+            s2_ledger: ran.s2_ledger(),
+            transport_failures: ran.clouds().faults_absorbed(),
+        }
+    }
+
     /// The planner decisions of the session's executed queries, in submission order.
     pub fn plans(&self) -> Vec<&PlanDecision> {
         self.outcomes.iter().filter_map(|o| o.stats.plan.as_ref()).collect()
@@ -233,77 +256,6 @@ impl ServeReport {
     }
 }
 
-/// One S1 serving session: the session type every door opens ([`DirectSession`]),
-/// seated in the server's S2 pool, plus what a [`SessionReport`] needs beyond it — the
-/// session's id and seed, its failure list, and the serving-layer metric handles (all
-/// no-ops when the server's registry is disabled).  State per executed query is O(1):
-/// answers are handed to the caller, not kept.
-#[derive(Debug)]
-pub struct QueryClient {
-    inner: DirectSession,
-    session: SessionId,
-    seed: u64,
-    failures: Vec<QueryFailure>,
-    submitted: usize,
-    registry: Registry,
-}
-
-impl QueryClient {
-    /// The session this client speaks for.
-    pub fn session(&self) -> SessionId {
-        self.session
-    }
-
-    /// Close the session and build its report: metrics, both ledgers and the failure
-    /// list from the session itself, `outcomes` from whoever ran it — the answers
-    /// [`Session::execute`] returned, in submission order (the serving loop collects
-    /// them; a hand-driven session that does not want a full report passes none).
-    pub fn finish(self, outcomes: Vec<QueryOutcome>) -> SessionReport {
-        SessionReport {
-            session: self.session,
-            seed: self.seed,
-            outcomes,
-            failures: self.failures,
-            metrics: self.inner.metrics(),
-            s1_ledger: self.inner.s1_ledger(),
-            s2_ledger: self.inner.s2_ledger(),
-            transport_failures: self.inner.clouds().faults_absorbed(),
-        }
-    }
-}
-
-impl Session for QueryClient {
-    fn clouds(&self) -> &TwoClouds {
-        self.inner.clouds()
-    }
-
-    fn clouds_mut(&mut self) -> &mut TwoClouds {
-        self.inner.clouds_mut()
-    }
-
-    fn outsourced(&self) -> &Outsourced {
-        self.inner.outsourced()
-    }
-
-    /// [`DirectSession`]'s `execute`, with the serving bookkeeping around it: the
-    /// planner's choice is counted (`serve.planner.<variant>`), a failure is recorded
-    /// under the query's index in the session's stream.
-    fn execute(&mut self, query: &Query) -> Result<ResolvedTopK> {
-        let index = self.submitted;
-        self.submitted += 1;
-        let resolved = self.inner.execute(query);
-        match &resolved {
-            Ok(answer) => {
-                if let (Some(plan), true) = (answer.plan(), self.registry.is_enabled()) {
-                    self.registry.counter(&format!("serve.planner.{}", plan.variant_name())).incr();
-                }
-            }
-            Err(error) => self.failures.push(QueryFailure { index, error: error.clone() }),
-        }
-        resolved
-    }
-}
-
 /// How a serving session's S1 reaches the server's S2 pool — the only thing that
 /// differs between the doors of a [`QueryServer`].
 enum Door<'a> {
@@ -334,8 +286,8 @@ impl QueryServer {
     }
 
     /// [`Self::new`] with an explicit metrics [`Registry`].  The registry is shared by
-    /// the S2 pool, every session's transport and the serving loop itself, so a
-    /// single [`Self::metrics_snapshot`] covers the whole stack.  Instrumentation is
+    /// the S2 pool and every session's transport, so a single
+    /// [`Self::metrics_snapshot`] covers the whole stack.  Instrumentation is
     /// strictly observational: enabled or not, protocol bytes, ledgers and
     /// [`ChannelMetrics`] are byte-identical (see `tests/metrics_invariance.rs`).
     pub fn with_metrics(
@@ -354,12 +306,6 @@ impl QueryServer {
             )),
             metrics,
         }
-    }
-
-    /// The live metrics registry — poll it mid-run, or hand it to other components
-    /// that should report into the same snapshot.
-    pub fn metrics_registry(&self) -> &Registry {
-        &self.metrics
     }
 
     /// A point-in-time snapshot of every counter and histogram — safe to call
@@ -394,12 +340,6 @@ impl QueryServer {
         self.s2.workers()
     }
 
-    /// An authorized client bound to this server's key material (token generation on
-    /// behalf of connected clients).
-    pub fn authorize_client(&self) -> AuthorizedClient {
-        AuthorizedClient::from_keys(self.master.clone())
-    }
-
     /// Open session `session` with an explicit seed and simulated link (used by the
     /// determinism tests to replay one session in isolation, and for sessions over a
     /// WAN); `batching` must be `true` ([`require_batching`]).  The id keys the session's
@@ -412,21 +352,9 @@ impl QueryServer {
         seed: u64,
         batching: bool,
         link: LinkProfile,
-    ) -> Result<QueryClient> {
+    ) -> Result<DirectSession> {
         require_batching(batching)?;
         self.seat(session, seed, None, Door::Conduit(link))
-    }
-
-    /// Open session `i` of a serving run configured by `config` (seed =
-    /// `shard_seed(base_seed, i)`, ideal link).
-    pub fn open_configured(&self, i: u64, config: &ServeConfig) -> Result<QueryClient> {
-        self.open_for_run(i, config, Door::Conduit(LinkProfile::ideal()))
-    }
-
-    /// Session `i` of a serving run, through `door`: the id, seed and worker count are
-    /// the run's, whatever moves the bytes.
-    fn open_for_run(&self, i: u64, config: &ServeConfig, door: Door<'_>) -> Result<QueryClient> {
-        self.seat(SessionId(i), shard_seed(config.base_seed, i), config.intra_workers, door)
     }
 
     /// The one place a serving session is built: connect a [`TwoClouds`] through
@@ -439,7 +367,7 @@ impl QueryServer {
         seed: u64,
         intra_workers: Option<usize>,
         door: Door<'_>,
-    ) -> Result<QueryClient> {
+    ) -> Result<DirectSession> {
         if session == SessionId(0) {
             let why = "a serving session needs an id of its own; SessionId(0) names none";
             return Err(ProtocolError::transport_rejected(why).into());
@@ -463,21 +391,15 @@ impl QueryServer {
             }
         };
         clouds.set_metrics(&self.metrics, &session.0.to_string());
-        Ok(QueryClient {
-            inner: DirectSession::new(clouds, self.outsourced.clone(), master.clone(), seed),
-            session,
-            seed,
-            failures: Vec::new(),
-            submitted: 0,
-            registry: self.metrics.clone(),
-        })
+        Ok(DirectSession::new(clouds, self.outsourced.clone(), master.clone(), seed))
     }
 
     /// The serving loop, written once.  Queries are dealt round-robin
-    /// ([`QueryWorkload::partition`]); session `i` is opened over the pool's conduit —
-    /// or, given a `listener` in front of the pool, over a real socket to it under
-    /// `config`'s [`FaultPlan`] — and runs its stream: a failed
-    /// query is recorded in the client's failure list and the session keeps going.
+    /// ([`QueryWorkload::partition`]); session `i` is opened under the id `i` and the
+    /// seed `shard_seed(base_seed, i)` over the pool's conduit — or, given a `listener`
+    /// in front of the pool, over a real socket to it under `config`'s [`FaultPlan`] —
+    /// and runs its stream: a failed query is recorded under its index in the stream and
+    /// the session keeps going.
     /// `concurrent` puts every session on its own thread against the
     /// shared S2 pool; otherwise they run one after another.  Reports come back in
     /// session order either way, which is what makes each public serving shape a
@@ -503,15 +425,18 @@ impl QueryServer {
                 Some(addr) => Door::Socket(addr, options.clone()),
                 None => Door::Conduit(LinkProfile::ideal()),
             };
-            let mut client = self.open_for_run(i as u64 + 1, config, door)?;
-            let mut outcomes = Vec::with_capacity(queries.len());
-            for spec in queries {
+            let id = SessionId(i as u64 + 1);
+            let seed = shard_seed(config.base_seed, id.0);
+            let mut session = self.seat(id, seed, config.intra_workers, door)?;
+            let (mut outcomes, mut failures) = (Vec::with_capacity(queries.len()), Vec::new());
+            for (index, spec) in queries.iter().enumerate() {
                 let query = Query::from_spec(spec.clone()).with_variant(config.variant);
-                if let Ok(answer) = client.execute(&query) {
-                    outcomes.push(answer.outcome);
+                match session.execute(&query) {
+                    Ok(answer) => outcomes.push(answer.outcome),
+                    Err(error) => failures.push(QueryFailure { index, error }),
                 }
             }
-            Ok(client.finish(outcomes))
+            Ok(SessionReport::new(id, seed, &session, outcomes, failures))
         };
         let jobs = partitions.iter().enumerate();
         let sessions = if concurrent {
@@ -559,7 +484,7 @@ impl QueryServer {
 
     /// [`QueryServer::serve`], but with every session crossing a real TCP socket: the
     /// server's S2 pool is exposed on an ephemeral loopback listener, each session
-    /// connects to it under the id and seed [`Self::open_configured`] would use, and
+    /// connects to it under the id and seed [`QueryServer::serve`] gives it, and
     /// `config`'s [`FaultPlan`] injects faults into the connections.  The per-session
     /// reports are byte-identical to [`QueryServer::serve`] — and, with faults injected,
     /// byte-identical to the fault-free run, since every socket session recovers them

@@ -180,7 +180,7 @@ fn the_frozen_surface_keeps_the_signatures_the_benchmark_calls() {
     use sectopk_crypto::keys::MasterKeys;
     use sectopk_crypto::{PaillierPublicKey, PaillierSecretKey, RandomnessPool};
     use sectopk_protocols::{MultiplexServer, SessionId, TransportKind, TwoClouds};
-    use sectopk_server::{QueryClient, QueryServer};
+    use sectopk_server::QueryServer;
     type Clouds = sectopk_protocols::Result<TwoClouds>;
 
     let _with_transport: fn(&MasterKeys, u64, TransportKind, bool) -> Clouds =
@@ -200,7 +200,7 @@ fn the_frozen_surface_keeps_the_signatures_the_benchmark_calls() {
         u64,
         bool,
         LinkProfile,
-    ) -> sectopk_core::Result<QueryClient> = QueryServer::open_session;
+    ) -> sectopk_core::Result<DirectSession> = QueryServer::open_session;
     let _plan_for: fn(&Query, usize, LinkProfile, bool) -> PlanDecision = sectopk_core::plan_for;
     let _batching: fn(&TwoClouds) -> bool = TwoClouds::batching;
 

@@ -9,8 +9,8 @@
 //! i" must stay a deterministic, isolation-respecting question under concurrency.
 //!
 //! The suite also covers failure isolation: one session submitting garbage (an invalid
-//! query, or a raw malformed protocol request answered by S2's typed error frame)
-//! must not take down the pool or perturb its neighbours.
+//! query in its stream, or a raw malformed protocol request answered by S2's typed error
+//! frame) must not take down the pool or perturb its neighbours.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,7 +20,8 @@ use sectopk_core::{
 };
 use sectopk_datasets::{fig3_relation, QueryWorkload, WorkloadSpec};
 use sectopk_protocols::{LinkProfile, SessionId};
-use sectopk_server::{QueryServer, ServeConfig, ServeReport};
+use sectopk_server::{QueryServer, ServeConfig, ServeReport, SessionReport};
+use sectopk_storage::TopKQuery;
 use sectopk_tests::{assert_sessions_identical, TEST_MODULUS_BITS};
 
 fn fixture(seed: u64) -> (DataOwner, Outsourced, QueryWorkload) {
@@ -100,17 +101,17 @@ fn session_views_match_isolated_replay_so_ledgers_cannot_bleed() {
     for (session, queries) in report.sessions.iter().zip(partitions.iter()) {
         let lone_server = QueryServer::new(owner.keys(), outsourced.clone(), 1);
         // A serving run batches round trips over an ideal link; the replay says so itself.
-        let mut client = lone_server
+        let mut lone = lone_server
             .open_session(session.session, session.seed, true, LinkProfile::ideal())
             .expect("isolated session");
-        // The client keeps no answers (that is the serving loop's job), so the replay
-        // collects what `execute` hands back, as the loop does.
+        // The session keeps no answers (that is the serving loop's job), so the replay
+        // collects what `execute` hands back and builds the report, as the loop does.
         let mut outcomes = Vec::new();
         for query in queries {
             let built = Query::from_spec(query.clone()).with_variant(config.variant);
-            outcomes.push(client.execute(&built).expect("isolated query").outcome);
+            outcomes.push(lone.execute(&built).expect("isolated query").outcome);
         }
-        let lone = client.finish(outcomes);
+        let lone = SessionReport::new(session.session, session.seed, &lone, outcomes, Vec::new());
         assert_sessions_identical(session, &lone, &format!("isolated {}", session.session));
     }
 
@@ -129,69 +130,59 @@ fn session_views_match_isolated_replay_so_ledgers_cannot_bleed() {
 
 #[test]
 fn a_failing_session_does_not_disturb_its_neighbours() {
-    // Session 1 sends an invalid query mid-stream *and* a raw malformed protocol
-    // request (which S2 answers with a typed error frame); session 2 runs a clean
-    // stream concurrently.  The server must keep serving, record the failures in
-    // session 1's report, and leave session 2 byte-identical to a run without the
-    // misbehaving neighbour.
+    // The serving loop deals query `j` to session `j mod 2 + 1`.  In the noisy run the
+    // first query of session 1's stream names an attribute the 3-column relation lacks,
+    // and a third session, seated in the same pool beside the run, sends S2 a raw
+    // malformed request (which S2 answers with a typed error frame).  The server must
+    // keep serving, the loop must record the invalid query under its index in session
+    // 1's report, and session 2 must come out byte-identical to a run without the noise.
     let (owner, outsourced, workload) = fixture(0xF1F1);
-    let queries = workload.partition(2);
     let config = ServeConfig::new(2, 0xABAD);
 
-    let run_clean_neighbour = |with_bad_session: bool| {
+    let serve = |noisy: bool| {
         let server = QueryServer::new(owner.keys(), outsourced.clone(), 2);
-        let mut bad = server.open_configured(1, &config).expect("open session 1");
-        let mut good = server.open_configured(2, &config).expect("open session 2");
+        let mut stream = workload.clone();
+        if noisy {
+            stream.queries[0] = TopKQuery::sum(vec![9], 1);
 
-        let (mut bad_outcomes, mut good_outcomes) = (Vec::new(), Vec::new());
-        if with_bad_session {
-            // An invalid query: attribute index out of range for the 3-column relation.
-            let invalid = Query::top_k(1).attribute_indices([9]).build().expect("builds");
-            let err = bad.execute(&invalid).expect_err("must fail");
-            assert!(matches!(err, SecTopKError::Query(_)), "typed query error, got {err:?}");
-
-            // A malformed raw protocol request: S2 replies with a typed error frame
-            // instead of panicking its worker.
             use sectopk_protocols::{ProtocolError, WireErrorCode};
-            let malformed = sectopk_tests::malformed_request(bad.clouds_mut());
-            let err = bad.clouds_mut().raw_round_trip(malformed).expect_err("must fail");
+            let mut rogue = server
+                .open_session(SessionId(3), 0x0BAD, true, LinkProfile::ideal())
+                .expect("open the rogue session");
+            let malformed = sectopk_tests::malformed_request(rogue.clouds_mut());
+            let err = rogue.clouds_mut().raw_round_trip(malformed).expect_err("must fail");
             assert!(
                 matches!(&err, ProtocolError::Remote(e) if e.code == WireErrorCode::MalformedRequest),
                 "typed wire error, got {err:?}"
             );
-
-            // The session itself is still usable after both failures.
-            let valid = Query::from_spec(queries[0][0].clone()).with_variant(config.variant);
-            let answer = bad.execute(&valid).expect("session survives its own failures");
-            bad_outcomes.push(answer.outcome);
+            // The rogue session itself is still usable after its failure.
+            let valid = Query::from_spec(workload.queries[0].clone()).with_variant(config.variant);
+            rogue.execute(&valid).expect("a session survives its own malformed request");
         }
-
-        for query in &queries[1] {
-            let built = Query::from_spec(query.clone()).with_variant(config.variant);
-            good_outcomes.push(good.execute(&built).expect("clean session query").outcome);
-        }
-        (bad.finish(bad_outcomes), good.finish(good_outcomes))
+        server.serve(&stream, &config).expect("serving survives a bad query")
     };
 
-    let (bad_report, good_with_noise) = run_clean_neighbour(true);
-    let (_, good_alone) = run_clean_neighbour(false);
+    let noisy = serve(true);
+    let clean = serve(false);
 
-    assert_eq!(bad_report.failures.len(), 1, "the invalid query is recorded");
-    assert_eq!(bad_report.failures[0].index, 0);
-    assert!(bad_report.failures[0].error.is_invalid_query());
-    assert_eq!(bad_report.outcomes.len(), 1, "the recovery query succeeded");
+    let bad = &noisy.sessions[0];
+    assert_eq!(bad.failures.len(), 1, "the invalid query is recorded: {:?}", bad.failures);
+    assert_eq!(bad.failures[0].index, 0);
+    assert!(bad.failures[0].error.is_invalid_query(), "{:?}", bad.failures[0].error);
+    assert_eq!(bad.outcomes.len(), clean.sessions[0].outcomes.len() - 1, "the rest ran");
+    assert_eq!(noisy.query_failures(), 1);
 
-    assert_sessions_identical(&good_with_noise, &good_alone, "clean neighbour");
+    assert_sessions_identical(&noisy.sessions[1], &clean.sessions[1], "clean neighbour");
 }
 
 #[test]
 fn a_session_is_reported_and_metered_under_the_id_it_is_seated_under() {
     // `SessionId(0)` means "assign one" to the pool, which then seats the session under
-    // another id.  A `QueryClient` that called itself 0 would be reported, and metered as
+    // another id.  A session opened as 0 would be reported, and metered as
     // `session.0.rounds` / `session.0.round_nanos`, under an id it does not hold — and
     // two of them would merge there.  So this door refuses the non-id with a typed,
-    // permanent error: whatever a `QueryClient` says its id is, is the id it is seated,
-    // reported and metered under.
+    // permanent error: the id a session is opened under is the id it is seated, reported
+    // and metered under.
     let (owner, outsourced, workload) = fixture(0xA1A1);
     let server = QueryServer::new(owner.keys(), outsourced, 2);
     let open =
@@ -215,9 +206,8 @@ fn a_session_is_reported_and_metered_under_the_id_it_is_seated_under() {
     assert!(matches!(err, SecTopKError::Protocol(_)), "typed error, got {err:?}");
 
     let counters = server.metrics_snapshot().counters;
-    let (first, second) = (first.finish(Vec::new()), second.finish(Vec::new()));
-    assert_eq!((first.session, second.session), (SessionId(1), SessionId(2)));
-    assert_eq!(counters.get("session.1.rounds").copied(), Some(first.metrics.rounds));
-    assert_eq!(counters.get("session.2.rounds").copied(), Some(second.metrics.rounds));
-    assert!(second.metrics.rounds > first.metrics.rounds);
+    let (first, second) = (first.metrics(), second.metrics());
+    assert_eq!(counters.get("session.1.rounds").copied(), Some(first.rounds));
+    assert_eq!(counters.get("session.2.rounds").copied(), Some(second.rounds));
+    assert!(second.rounds > first.rounds);
 }
