@@ -163,8 +163,8 @@ impl RandomnessPool {
             exps.extend((0..dj).map(|_| (true, random_below(&mut self.dj_rng, dj_pk.n()))));
         }
 
-        let pk = &self.pk;
-        let nonces = crate::par::par_map(workers, &exps, |(is_dj, a)| match (is_dj, &dj_pk) {
+        let pk = self.pk.clone();
+        let nonces = crate::par::par_map(workers, exps, move |(is_dj, a)| match (is_dj, &dj_pk) {
             (true, Some(dj_pk)) => dj_pk.nonce_from_exponent(a),
             _ => pk.nonce_from_exponent(a),
         });

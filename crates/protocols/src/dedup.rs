@@ -204,15 +204,18 @@ impl TwoClouds {
 
         // ================= S1: unblind ================================================
         // Pure ciphertext arithmetic that draws nothing, so it runs on the worker pool.
-        let own_sk = &self.s1.own_secret;
-        let returned: Vec<_> = returned_items.iter().zip(&returned_blindings).collect();
-        let restored = par_map(self.intra_workers(), &returned, |&(item, blinding)| -> Result<_> {
-            let plains = blinding.packed.iter().map(|c| own_sk.decrypt(c));
-            let plains = plains.collect::<sectopk_crypto::Result<Vec<_>>>()?;
-            let masks = ItemBlinding::unpacked(&plains, item.ehl.len(), &own_pk, &pk)
-                .ok_or_else(|| ProtocolError::transport("dedup reply: blinding arity mismatch"))?;
-            Ok(rand_unblind(item, &masks, &pk))
-        });
+        let own_sk = self.s1.own_secret.clone();
+        let returned: Vec<_> = returned_items.into_iter().zip(returned_blindings).collect();
+        let restored =
+            par_map(self.intra_workers(), returned, move |(item, blinding)| -> Result<_> {
+                let plains = blinding.packed.iter().map(|c| own_sk.decrypt(c));
+                let plains = plains.collect::<sectopk_crypto::Result<Vec<_>>>()?;
+                let masks = ItemBlinding::unpacked(&plains, item.ehl.len(), &own_pk, &pk)
+                    .ok_or_else(|| {
+                        ProtocolError::transport("dedup reply: blinding arity mismatch")
+                    })?;
+                Ok(rand_unblind(item, &masks, &pk))
+            });
         restored.into_iter().collect()
     }
 }

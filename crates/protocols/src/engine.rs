@@ -453,10 +453,10 @@ impl S2Engine {
                   (asserted by the ledger golden suites)"
     )]
     fn compute(&self, steps: &[Step<'_>]) -> EngineResult<Vec<Done>> {
-        enum Op<'a> {
-            IsZero(&'a Ciphertext),
-            Sign(&'a Ciphertext),
-            Plain(&'a Ciphertext),
+        enum Op {
+            IsZero(Ciphertext),
+            Sign(Ciphertext),
+            Plain(Ciphertext),
         }
         enum Out {
             Bit(bool),
@@ -466,14 +466,14 @@ impl S2Engine {
 
         let mut ops = Vec::new();
         for Step { need, .. } in steps {
-            ops.extend(need.is_zero.iter().copied().map(Op::IsZero));
-            ops.extend(need.sign.iter().copied().map(Op::Sign));
-            ops.extend(need.plain.iter().copied().map(Op::Plain));
+            ops.extend(need.is_zero.iter().map(|&c| Op::IsZero(c.clone())));
+            ops.extend(need.sign.iter().map(|&c| Op::Sign(c.clone())));
+            ops.extend(need.plain.iter().map(|&c| Op::Plain(c.clone())));
         }
         self.metrics.compute_ops.observe(ops.len() as u64);
 
-        let sk = &self.keys.paillier_secret;
-        let outs = par_map(self.intra_workers(), &ops, |op| match *op {
+        let sk = self.keys.paillier_secret.clone();
+        let outs = par_map(self.intra_workers(), ops, move |op| match op {
             Op::IsZero(c) => sk.is_zero(c).map(Out::Bit),
             Op::Sign(c) => sk.decrypt_signed(c).map(|v| match v.sign() {
                 Sign::Minus => Out::Sign(-1),

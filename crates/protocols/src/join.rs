@@ -199,7 +199,7 @@ impl TwoClouds {
         self.s1.ledger.record(LeakageEvent::JoinMatchCount(survivors.len()));
 
         // ---- S1: remove the blinding (draws nothing, so on the worker pool). --------------
-        let unblinded = par_map(self.intra_workers(), &survivors, |s| -> Result<_> {
+        let unblinded = par_map(self.intra_workers(), survivors, move |s| -> Result<_> {
             let r_tilde: BigUint = own_sk.decrypt(&s.score_unblinder)?;
             let score = pk.mul_plain(&s.score, &r_tilde);
             let mut attributes = Vec::with_capacity(s.attributes.len());

@@ -65,6 +65,7 @@ use num_bigint::BigUint;
 use num_traits::Zero;
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::error::{ProtocolError, Result};
 use sectopk_crypto::paillier::Ciphertext;
@@ -136,11 +137,11 @@ pub(crate) struct EqOutcome {
     pub row_matched: Vec<bool>,
 }
 
-/// One job's unmasking, `masked · Π t^e · (1+N)^shift`: the `(Enc(t_c), e_c)` terms take
-/// the candidates' masks out, the shift a default's.
-struct Unmask<'a> {
-    masked: &'a Ciphertext,
-    terms: Vec<(&'a Ciphertext, BigUint)>,
+/// One job's unmasking, `masked · Π t^e · (1+N)^shift`: the `(c, e_c)` terms, `c`
+/// indexing the bits `Enc(t_c)`, take the candidates' masks out, the shift a default's.
+struct Unmask {
+    masked: Ciphertext,
+    terms: Vec<(usize, BigUint)>,
     shift: Option<BigUint>,
 }
 
@@ -232,8 +233,8 @@ impl TwoClouds {
         // One job per line: `C · Π Enc(t_c)^{e_c}`, then `· (1+N)^{−r_y}` for a default.
         let n = self.s1.keys.paillier_public.n();
         let minus = |r: &BigUint| (n - r) % n;
-        let mut jobs: Vec<Unmask<'_>> = Vec::with_capacity(selected.len());
-        let mut selected = selected.iter();
+        let mut jobs: Vec<Unmask> = Vec::with_capacity(selected.len());
+        let mut selected = selected.into_iter();
         for &Select(per, from, otherwise) in &plan.select {
             let (from_per, r) = &plan.masks[from];
             for line in 0..per.len(rows, cols) {
@@ -244,18 +245,20 @@ impl TwoClouds {
                     .map(|c| {
                         let r_c = &r[from_per.index(cols, c / cols, c % cols)];
                         let e = r_y.map_or_else(|| minus(r_c), |r_y| (r_y + minus(r_c)) % n);
-                        (&bits[c], e)
+                        (c, e)
                     })
                     .collect();
                 let masked = selected.next().expect("arity checked above");
                 jobs.push(Unmask { masked, terms, shift: r_y.map(minus) });
             }
         }
-        let pk = &self.s1.keys.paillier_public;
-        let mut unmasked = par_map(self.intra_workers(), &jobs, |job| {
+        let pk = self.s1.keys.paillier_public.clone();
+        let bits = Arc::new(bits);
+        let shared = Arc::clone(&bits);
+        let mut unmasked = par_map(self.intra_workers(), jobs, move |job| {
             let terms: Vec<(&Ciphertext, &BigUint)> =
-                job.terms.iter().map(|(t, e)| (*t, e)).collect();
-            let c = pk.add(job.masked, &pk.weighted_sum(&terms));
+                job.terms.iter().map(|(c, e)| (&shared[*c], e)).collect();
+            let c = pk.add(&job.masked, &pk.weighted_sum(&terms));
             match &job.shift {
                 Some(shift) => pk.add_plain(&c, shift),
                 None => c,
@@ -263,7 +266,7 @@ impl TwoClouds {
         })
         .into_iter();
         let selected = lines.iter().map(|&l| unmasked.by_ref().take(l).collect()).collect();
-        Ok(EqOutcome { selected, bits, row_matched })
+        Ok(EqOutcome { selected, bits: Arc::unwrap_or_clone(bits), row_matched })
     }
 
     /// Ship an element-wise exchange as one request carrying all `items`.  `build`
@@ -321,15 +324,17 @@ impl TwoClouds {
                 })
             })
             .collect();
-        let negated = EhlPlus::negate_many(&distinct, &pk);
+        let negated = Arc::new(EhlPlus::negate_many(&distinct, &pk));
 
-        let jobs: Vec<(&EhlPlus, &EhlPlus, Vec<BigUint>)> = pairs
+        let jobs: Vec<(EhlPlus, usize, Vec<BigUint>)> = pairs
             .iter()
             .zip(slots)
             .zip(randomness)
-            .map(|((&(a, _), slot), rs)| (a, &negated[slot], rs))
+            .map(|((&(a, _), slot), rs)| (a.clone(), slot, rs))
             .collect();
-        par_map(self.intra_workers(), &jobs, |(a, neg_b, rs)| a.eq_test_negated(neg_b, &pk, rs))
+        par_map(self.intra_workers(), jobs, move |(a, slot, rs)| {
+            a.eq_test_negated(&negated[*slot], &pk, rs)
+        })
     }
 
     /// Draw `count` candidate masks `(r, Enc(r))`: `r` from S1's RNG, the encryption
@@ -384,16 +389,15 @@ impl TwoClouds {
         let negated = pk.negate_many(&subtrahends);
         let plus_one = BigUint::from(1u32);
         let minus_one = pk.n() - &plus_one;
-        let jobs: Vec<(&Ciphertext, &Ciphertext, &BigUint, &BigUint)> = minuends
+        let jobs: Vec<(Ciphertext, Ciphertext, BigUint, bool)> = minuends
             .into_iter()
-            .zip(&negated)
-            .zip(&alphas)
+            .zip(negated)
+            .zip(alphas)
             .zip(&flips)
-            .map(|(((minuend, neg), alpha), &flip)| {
-                (minuend, neg, alpha, if flip { &plus_one } else { &minus_one })
-            })
+            .map(|(((minuend, neg), alpha), &flip)| (minuend.clone(), neg, alpha, flip))
             .collect();
-        let blinded = par_map(self.intra_workers(), &jobs, |&(minuend, neg, alpha, one)| {
+        let blinded = par_map(self.intra_workers(), jobs, move |(minuend, neg, alpha, flip)| {
+            let one = if *flip { &plus_one } else { &minus_one };
             let difference = pk.add(minuend, neg);
             pk.mul_plain(&pk.add_plain(&pk.add(&difference, &difference), one), alpha)
         });

@@ -153,12 +153,14 @@ impl TwoClouds {
                 let rhos: Vec<BigUint> = (0..f_len * ehl_blocks)
                     .map(|_| random_below(&mut self.s1.rng, pk.n()))
                     .collect();
-                let noise: Vec<(&Ciphertext, &BigUint)> = rhos
-                    .iter()
+                let noise: Vec<(Ciphertext, BigUint)> = rhos
+                    .into_iter()
                     .enumerate()
-                    .map(|(k, rho)| (&matched[k / ehl_blocks], rho))
+                    .map(|(k, rho)| (matched[k / ehl_blocks].clone(), rho))
                     .collect();
-                let noise = par_map(self.intra_workers(), &noise, |(m, rho)| pk.mul_plain(m, rho));
+                let key = pk.clone();
+                let noise =
+                    par_map(self.intra_workers(), noise, move |(m, rho)| key.mul_plain(m, rho));
                 for (i, fresh_item) in fresh.iter().enumerate() {
                     let blocks: Vec<Ciphertext> = fresh_item
                         .ehl

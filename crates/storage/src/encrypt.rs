@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::{CryptoRng, Rng, RngCore, SeedableRng};
 
 use sectopk_crypto::keys::MasterKeys;
+use sectopk_crypto::paillier::PaillierPublicKey;
 use sectopk_crypto::par::{cores, par_map};
 use sectopk_crypto::prp::KeyedPrp;
 use sectopk_crypto::Result;
@@ -46,7 +47,7 @@ pub fn encrypt_relation<R: RngCore + CryptoRng>(
 
     let mut encrypted_lists = Vec::with_capacity(m);
     for i in 0..m {
-        encrypted_lists.push(encrypt_list(sorted.list(i), &encoder, keys, rng)?);
+        encrypted_lists.push(encrypt_list(sorted.list(i), &encoder, &keys.paillier_public, rng)?);
     }
 
     Ok(assemble(relation, keys, encrypted_lists))
@@ -67,10 +68,12 @@ pub fn encrypt_relation_parallel<R: RngCore + CryptoRng>(
 
     // One seed per list, drawn from the caller's RNG in list order before any list is
     // encrypted, so the ciphertexts do not depend on which thread encrypts which list.
-    let seeds: Vec<(usize, u64)> = (0..m).map(|i| (i, rng.gen())).collect();
+    let jobs: Vec<(Vec<DataItem>, u64)> =
+        (0..m).map(|i| (sorted.list(i).to_vec(), rng.gen())).collect();
     let encoder = EhlEncoder::new(&keys.ehl_keys);
-    let lists = par_map(cores(), &seeds, |&(i, seed)| {
-        encrypt_list(sorted.list(i), &encoder, keys, &mut StdRng::seed_from_u64(seed))
+    let pk = keys.paillier_public.clone();
+    let lists = par_map(cores(), jobs, move |(list, seed)| {
+        encrypt_list(list, &encoder, &pk, &mut StdRng::seed_from_u64(*seed))
     });
     Ok(assemble(relation, keys, lists.into_iter().collect::<Result<_>>()?))
 }
@@ -79,10 +82,9 @@ pub fn encrypt_relation_parallel<R: RngCore + CryptoRng>(
 fn encrypt_list<R: RngCore + CryptoRng>(
     list: &[DataItem],
     encoder: &EhlEncoder,
-    keys: &MasterKeys,
+    pk: &PaillierPublicKey,
     rng: &mut R,
 ) -> Result<EncryptedList> {
-    let pk = &keys.paillier_public;
     let mut items = Vec::with_capacity(list.len());
     for item in list {
         let ehl = encoder.encode(&item.object.to_bytes(), pk, rng)?;

@@ -3,7 +3,8 @@
 //! must produce **byte-identical** results, leakage ledgers (both parties) and channel
 //! metrics as the same query executed fully serially — on every transport.  Worker count is a local resource decision, never protocol state;
 //! any divergence means randomness was drawn in a scheduling-dependent order or the
-//! parallel compute phase leaked into the serial commit order.
+//! parallel compute phase leaked into the serial commit order.  Sessions computing at once
+//! share `par_map`'s process-wide helper threads, and that must not show either.
 //!
 //! The serving layer gets the same treatment: a `ServeConfig` with intra-query workers
 //! must reproduce the serial run's per-session reports exactly (the engine-side knob is
@@ -107,6 +108,27 @@ fn intra_parallelism_is_byte_invariant_on_every_transport() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn sessions_contending_for_the_helpers_match_their_serial_runs() {
+    // `par_map`'s helper threads are process-wide: two sessions at 2 S1 workers each, on
+    // two threads, post jobs to the same helpers and claim items beside them at once.
+    // The threads run the variants in opposite orders, so different sub-protocols meet.
+    let configs = [QueryConfig::full(), QueryConfig::dup_elim()];
+    let serial = configs.map(|config| run_with_workers(TransportKind::InProcess, &config, Some(1)));
+    let run = |config: QueryConfig| run_with_workers(TransportKind::InProcess, &config, Some(2));
+    let (forward, backward) = std::thread::scope(|scope| {
+        let forward = scope.spawn(|| configs.map(run));
+        let backward = scope.spawn(|| [configs[1], configs[0]].map(run));
+        let join = |thread: std::thread::ScopedJoinHandle<'_, _>| thread.join().expect("a run");
+        (join(forward), join(backward))
+    });
+    for (i, config) in configs.iter().enumerate() {
+        let label = |thread: &str| format!("{thread} thread / {:?}", config.variant);
+        assert_byte_identical(&serial[i], &forward[i], &label("forward"));
+        assert_byte_identical(&serial[i], &backward[1 - i], &label("backward"));
     }
 }
 
