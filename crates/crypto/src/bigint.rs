@@ -35,12 +35,12 @@ pub fn random_below<R: RngCore + CryptoRng>(rng: &mut R, m: &BigUint) -> BigUint
 
 /// Whether `gcd(a, m) = 1`.
 ///
-/// Every masking scalar of a `⊖` and every directly drawn encryption nonce passes
-/// through this check ([`random_invertible`]), against the odd `N`, so an odd modulus
-/// is decided by a binary GCD on two limb arrays — subtract and shift in place, no
-/// division and no allocation per step.  An even modulus takes [`Integer::gcd`]'s
-/// Euclid loop, which also is the reference this function is differentially tested
-/// against.
+/// Every batch of masking scalars of a `⊖` and every directly drawn encryption nonce
+/// passes through this check once ([`random_invertible_many`], [`random_invertible`]),
+/// against the odd `N`, so an odd modulus is decided by a binary GCD on two limb arrays
+/// — subtract and shift in place, no division and no allocation per step.  An even
+/// modulus takes [`Integer::gcd`]'s Euclid loop, which also is the reference this
+/// function is differentially tested against.
 pub fn is_coprime(a: &BigUint, m: &BigUint) -> bool {
     if m.is_even() {
         return a.gcd(m).is_one();
@@ -99,18 +99,45 @@ fn shift_to_odd(a: &mut Vec<u64>) {
     }
 }
 
-/// Sample a uniformly random element of `Z_m^*` (invertible residues).
+/// Sample a uniformly random element of `Z_m^*` (invertible residues): the batch of one
+/// of [`random_invertible_many`].
 ///
-/// For an RSA-style modulus the failure probability per draw is negligible, but the loop
-/// makes the function correct for any modulus > 1.
+/// For an RSA-style modulus the failure probability per draw is negligible, but the
+/// redraw makes the function correct for any modulus > 1.
 pub fn random_invertible<R: RngCore + CryptoRng>(rng: &mut R, m: &BigUint) -> BigUint {
+    random_invertible_many(rng, m, 1).pop().expect("a batch of one holds one draw")
+}
+
+/// Sample `count` uniformly random elements of `Z_m^*` for **one** coprimality check.
+///
+/// Each value is drawn as [`random_invertible`] draws one, a zero redrawn in place.  The
+/// draws' product modulo `m` is coprime to `m` exactly when every draw is, so one
+/// [`is_coprime`] decides the whole batch.  Only if it fails is each draw checked on its
+/// own, and every one that shares a factor with `m` is redrawn until it does not.  So
+/// unless a draw is rejected — for an RSA-style modulus, with negligible probability —
+/// the output is the stream of `count` successive [`random_invertible`] calls.
+pub fn random_invertible_many<R: RngCore + CryptoRng>(
+    rng: &mut R,
+    m: &BigUint,
+    count: usize,
+) -> Vec<BigUint> {
     assert!(m > &BigUint::one(), "modulus must exceed 1");
-    loop {
+    let mut draw_nonzero = || loop {
         let candidate = rng.gen_biguint_below(m);
-        if !candidate.is_zero() && is_coprime(&candidate, m) {
+        if !candidate.is_zero() {
             return candidate;
         }
+    };
+    let mut draws: Vec<BigUint> = (0..count).map(|_| draw_nonzero()).collect();
+    let product = draws.iter().fold(BigUint::one(), |acc, draw| acc * draw % m);
+    if !is_coprime(&product, m) {
+        for draw in &mut draws {
+            while !is_coprime(draw, m) {
+                *draw = draw_nonzero();
+            }
+        }
     }
+    draws
 }
 
 /// Sample a random integer with exactly `bits` bits (most significant bit forced to 1).
@@ -222,6 +249,42 @@ mod tests {
             let x = random_invertible(&mut r, &m);
             assert!(x.gcd(&m).is_one());
             assert!(!x.is_zero());
+        }
+    }
+
+    #[test]
+    fn a_batch_is_the_stream_of_single_draws() {
+        // An RSA-shaped 256-bit modulus: no draw is rejected, so a batch of c is the
+        // next c single draws, and leaves the RNG where they leave it.
+        let mut r = rng();
+        let p = crate::prime::generate_prime(128, &mut r).unwrap();
+        let q = crate::prime::generate_prime(128, &mut r).unwrap();
+        let m = p * q;
+        assert_eq!(m.bits(), 256);
+        for count in 0..=40 {
+            let mut single = r.clone();
+            let expected: Vec<BigUint> =
+                (0..count).map(|_| random_invertible(&mut single, &m)).collect();
+            assert_eq!(random_invertible_many(&mut r, &m, count), expected, "count {count}");
+            assert_eq!(r.gen_biguint(64), single.gen_biguint(64), "count {count}");
+        }
+    }
+
+    #[test]
+    fn a_batch_under_many_small_factors_redraws_every_shared_factor() {
+        // Fewer than one draw in six is coprime to this modulus, so nearly every batch
+        // fails its one product check and takes the per-draw redraw.
+        let m = [3u32, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+            .into_iter()
+            .fold(BigUint::one(), |acc, p| acc * BigUint::from(p));
+        let mut r = rng();
+        for count in 0..=40 {
+            let draws = random_invertible_many(&mut r, &m, count);
+            assert_eq!(draws.len(), count);
+            for x in &draws {
+                assert!(!x.is_zero() && x < &m, "{x}");
+                assert!(x.gcd(&m).is_one(), "{x} shares a factor with {m}");
+            }
         }
     }
 

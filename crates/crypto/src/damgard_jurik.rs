@@ -64,7 +64,7 @@ struct DjInner {
     /// `H₃ = h^{N²} mod N³`, the fixed base of the precomputed-nonce subgroup
     /// (same `h =` [`crate::paillier::NONCE_BASE_H`] as the inner layer).
     nonce_base: BigUint,
-    /// Fixed-base power table of `H₃` covering exponents up to `|N|` bits.
+    /// Fixed-base comb of `H₃` covering exponents up to `|N|` bits.
     nonce_table: num_bigint::FixedBaseTable,
 }
 
@@ -151,8 +151,8 @@ impl DjPublicKey {
     }
 
     /// The encryption nonce `H₃^a mod N³` for a pool-drawn random exponent `a < N`,
-    /// evaluated over the key's cached fixed-base table (one Montgomery multiplication
-    /// per nonzero 4-bit window, no squarings) — the outer-layer twin of
+    /// evaluated over the key's cached fixed-base comb (`|N|/32 − 1` squarings and at
+    /// most `|N|/8` Montgomery products) — the outer-layer twin of
     /// [`crate::paillier::PaillierPublicKey::nonce_from_exponent`].
     pub fn nonce_from_exponent(&self, a: &BigUint) -> BigUint {
         self.inner.ctx_n3.fixed_base_modpow(&self.inner.nonce_table, a)

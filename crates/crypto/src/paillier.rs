@@ -95,9 +95,9 @@ struct PublicInner {
     ctx_n2: MontgomeryContext,
     /// `H = h^N mod N²`, the fixed base of the precomputed-nonce subgroup.
     nonce_base: BigUint,
-    /// Fixed-base power table of `H` covering exponents up to `|N|` bits: evaluating
-    /// `H^a` costs one Montgomery multiplication per nonzero 4-bit window of `a`, no
-    /// squarings (~5× fewer operations than a fresh windowed `modpow`).
+    /// Fixed-base comb of `H` covering exponents up to `|N|` bits: at a 256-bit `N`,
+    /// `H^a` costs 7 squarings and at most 32 Montgomery products, against about 310
+    /// for a fresh sliding-window `modpow`.
     nonce_table: FixedBaseTable,
     /// Bit length requested at key generation time.
     modulus_bits: usize,
@@ -356,8 +356,9 @@ impl PaillierPublicKey {
     }
 
     /// The encryption nonce `H^a mod N²` for a pool-drawn random exponent `a < N`,
-    /// evaluated over the key's cached fixed-base table: one Montgomery multiplication
-    /// per nonzero 4-bit window of `a`, no squarings.  This is the amortized
+    /// evaluated over the key's cached fixed-base comb
+    /// ([`MontgomeryContext::fixed_base_modpow`]): `|N|/32 − 1` squarings and at most
+    /// `|N|/8` Montgomery products.  This is the amortized
     /// Damgård–Jurik '01 §4.2 nonce path [`crate::pool::RandomnessPool`] draws from;
     /// [`Self::nonce_from_r`] remains the textbook `r^N` path.
     pub fn nonce_from_exponent(&self, a: &BigUint) -> BigUint {
@@ -428,7 +429,7 @@ impl PaillierPublicKey {
         Ciphertext(self.inner.ctx_n2.multi_exp(&raw))
     }
 
-    /// Scalar multiplication: `Enc(a)^k = Enc(k · a)` (windowed Montgomery
+    /// Scalar multiplication: `Enc(a)^k = Enc(k · a)` (sliding-window Montgomery
     /// exponentiation under the cached `N²` context).
     pub fn mul_plain(&self, a: &Ciphertext, k: &BigUint) -> Ciphertext {
         Ciphertext(self.inner.ctx_n2.modpow(&a.0, k))

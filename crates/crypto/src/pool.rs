@@ -116,8 +116,9 @@ impl RandomnessPool {
     /// Nonces come from the keys' amortized fixed-base path
     /// ([`PaillierPublicKey::nonce_from_exponent`] /
     /// [`DjPublicKey::nonce_from_exponent`]): draw a random exponent `a < N`, evaluate
-    /// `H^a` over the precomputed power table — no squarings, ~5× fewer Montgomery
-    /// operations than the textbook `r^N` exponentiation.
+    /// `H^a` over the key's fixed-base comb — at a 256-bit `N`, 7 squarings and at most
+    /// 32 Montgomery products, against about 310 for the textbook `r^N`
+    /// exponentiation.
     ///
     /// Each nonce kind has its **own** RNG stream, consumed only by that kind's
     /// exponent draws (one draw per nonce), so nonce *k* of a kind is a function of

@@ -12,18 +12,21 @@
 //! `Π_i (a_i · b_i⁻¹)^{r_i}` is `s` exponentiations and `s` inversions modulo `N²` as
 //! written, and at the paper's key sizes an extended-Euclid inversion costs more than the
 //! exponentiation next to it.  Here it is evaluated as **one** Straus multi-exponentiation
-//! (one squaring chain shared by the `s` bases,
-//! [`PaillierPublicKey::weighted_sum`]) over differences whose right-hand sides were all
-//! negated by **one** inversion ([`EhlPlus::negate_many`] — per `⊖` for a lone
-//! [`EhlPlus::eq_test`], per batch for S1's equality matrices).  The ciphertext is the
-//! same group element the blockwise `sub` / `mul_plain` / `add` loop produces for the
-//! same `r_i`; that loop survives as the differential reference in this module's tests.
+//! (one squaring chain shared by the `s` bases, sliding windows over each `r_i`,
+//! [`PaillierPublicKey::weighted_sum`]: about 550 Montgomery products at `s` = 5 and a
+//! 256-bit `N`) over differences whose right-hand sides were all negated by **one**
+//! inversion ([`EhlPlus::negate_many`] — per `⊖` for a lone [`EhlPlus::eq_test`], per
+//! batch for S1's equality matrices).  The `s` masking scalars pay **one** coprimality
+//! check between them ([`random_invertible_many`] — per `⊖` for a lone `eq_test`, per
+//! call for S1's `eq_diffs`).  The ciphertext is the same group element the blockwise
+//! `sub` / `mul_plain` / `add` loop produces for the same `r_i`; that loop survives as
+//! the differential reference in this module's tests.
 
 use num_bigint::BigUint;
 use rand::{CryptoRng, RngCore};
 use serde::{Deserialize, Serialize};
 
-use sectopk_crypto::bigint::random_invertible;
+use sectopk_crypto::bigint::random_invertible_many;
 use sectopk_crypto::paillier::{Ciphertext, PaillierPublicKey};
 
 /// An EHL+ encoding of one object: `s` Paillier ciphertexts of the object's PRF images.
@@ -79,7 +82,7 @@ impl EhlPlus {
             other.len(),
             "EHL+ structures under comparison must use the same number of PRF keys"
         );
-        let rs: Vec<BigUint> = (0..self.len()).map(|_| random_invertible(rng, pk.n())).collect();
+        let rs = random_invertible_many(rng, pk.n(), self.len());
         self.eq_test_with_randomness(other, pk, &rs)
     }
 
@@ -176,6 +179,7 @@ mod tests {
     use crate::encoder::EhlEncoder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sectopk_crypto::bigint::random_invertible;
     use sectopk_crypto::paillier::generate_keypair;
     use sectopk_crypto::prf::PrfKey;
 

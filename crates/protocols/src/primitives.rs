@@ -39,9 +39,10 @@
 //!
 //! A query is compute-bound on a LAN, and at the paper's key sizes an extended-Euclid
 //! inversion costs more than an exponentiation of a short scalar.  So no loop here
-//! inverts per element or exponentiates the same ciphertext twice (DESIGN.md §10):
-//! `TwoClouds::eq_diffs` and [`TwoClouds::compare_many`] negate all their right-hand
-//! sides with one batch inversion per call, every `⊖` is one multi-exponentiation, a
+//! inverts per element, pays a GCD per element or exponentiates the same ciphertext
+//! twice (DESIGN.md §10): `TwoClouds::eq_diffs` and [`TwoClouds::compare_many`] negate
+//! all their right-hand sides with one batch inversion per call, `eq_diffs` draws all its
+//! masking scalars with one coprimality check, every `⊖` is one multi-exponentiation, a
 //! mask is one pooled encryption and one product, and every job's unmasking one
 //! multi-exponentiation.  A job is one *decision*, not one equality bit: where at most
 //! one bit of a row or column can be set (a SecBest row, a SecUpdate column) the line is
@@ -295,22 +296,21 @@ impl TwoClouds {
     /// Compute the randomized `⊖` differences of `pairs` with S1's randomness.
     ///
     /// The masking scalars are drawn serially in pair-major, block-minor order (exactly
-    /// the order the one-pair-at-a-time path consumes S1's RNG in).  The distinct
-    /// right-hand operands of the call are then negated together — one modular
-    /// inversion per call, however many pairs — and the pure `⊖` arithmetic, one
-    /// multi-exponentiation per pair, runs data-parallel over
+    /// the order the one-pair-at-a-time path consumes S1's RNG in), by one
+    /// [`sectopk_crypto::bigint::random_invertible_many`]: one coprimality check per
+    /// call.  The distinct right-hand operands of the call are then negated together —
+    /// one modular inversion per call, however many pairs — and the pure `⊖`
+    /// arithmetic, one multi-exponentiation per pair, runs data-parallel over
     /// [`TwoClouds::intra_workers`] threads.  The ciphertexts are byte-identical to
     /// [`EhlPlus::eq_test_with_randomness`] per pair, for every worker count.
     pub(crate) fn eq_diffs(&mut self, pairs: &[(&EhlPlus, &EhlPlus)]) -> Vec<Ciphertext> {
         let pk = self.s1.keys.paillier_public.clone();
-        let randomness: Vec<Vec<BigUint>> = pairs
-            .iter()
-            .map(|(a, _)| {
-                (0..a.len())
-                    .map(|_| sectopk_crypto::bigint::random_invertible(&mut self.s1.rng, pk.n()))
-                    .collect()
-            })
-            .collect();
+        let total = pairs.iter().map(|(a, _)| a.len()).sum();
+        let mut scalars =
+            sectopk_crypto::bigint::random_invertible_many(&mut self.s1.rng, pk.n(), total)
+                .into_iter();
+        let randomness: Vec<Vec<BigUint>> =
+            pairs.iter().map(|(a, _)| scalars.by_ref().take(a.len()).collect()).collect();
 
         // An equality matrix names each right-hand operand once per row.
         let mut distinct: Vec<&EhlPlus> = Vec::new();
