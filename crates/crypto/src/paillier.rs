@@ -522,10 +522,33 @@ impl PaillierSecretKey {
         }
     }
 
-    /// Returns `true` iff the ciphertext decrypts to zero — the primitive S2 applies to
-    /// the blinded EHL differences it receives from S1 in SecWorst / SecBest / SecDedup.
+    /// Returns `true` iff the ciphertext's plaintext is 0 mod `p` — the zero test S2
+    /// applies to the blinded EHL differences it receives from S1 in SecWorst / SecBest /
+    /// SecDedup.
+    ///
+    /// Half a decryption: with `c = (1+N)^m · r^N`, `c^{p−1} mod p² = 1 + m(p−1)N mod p²`
+    /// (the nonce factor has order dividing `p(p−1)` there, and `p(p−1) | N(p−1)`), which
+    /// is 1 exactly when `p | m`.  One half-width exponentiation, no `L`, no Garner.  A
+    /// blinded `⊖` is 0 or a uniform nonzero multiple mod `N`, which passes with
+    /// probability ≈ `1/p`: the `n²/p` term of `sectopk_ehl::fpr`.  The `q` half is never
+    /// computed, on a hit neither — a confirmation only on hits would make S2's reply time
+    /// count the equal cells.  A ciphertext sharing a factor with `N` is a
+    /// `DecryptionFailed`, as in [`Self::decrypt`]: `c mod q` is checked up front, for
+    /// every input alike.
     pub fn is_zero(&self, c: &Ciphertext) -> Result<bool> {
-        Ok(self.decrypt(c)?.is_zero())
+        self.public.validate(c)?;
+        let crt = &*self.crt;
+        if (&c.0 % &crt.q).is_zero() {
+            return Err(CryptoError::DecryptionFailed);
+        }
+        let cp = crt.ctx_p2.modpow(&c.0, &crt.p_minus_1);
+        if cp.is_one() {
+            Ok(true)
+        } else if (&cp % &crt.p).is_one() {
+            Ok(false)
+        } else {
+            Err(CryptoError::DecryptionFailed)
+        }
     }
 
     /// Crate-internal: expose λ so the Damgård–Jurik layer (same trust domain — both keys
@@ -734,6 +757,30 @@ mod tests {
         assert!(sk.is_zero(&diff).unwrap());
         let c = pk.encrypt_u64(78, &mut rng).unwrap();
         assert!(!sk.is_zero(&pk.sub(&a, &c)).unwrap());
+    }
+
+    #[test]
+    fn is_zero_is_the_plaintext_vanishing_mod_p() {
+        let (pk, sk, mut rng) = setup();
+        let (p, q) = sk.factors();
+        let mut plaintexts =
+            vec![BigUint::zero(), BigUint::one(), p.clone(), p * BigUint::from(3u32), q.clone()];
+        plaintexts.extend((0..16).map(|_| crate::bigint::random_below(&mut rng, pk.n())));
+        for m in plaintexts {
+            let c = pk.encrypt(&m, &mut rng).unwrap();
+            assert_eq!(sk.is_zero(&c).unwrap(), (&m % p).is_zero(), "m = {m}");
+        }
+    }
+
+    #[test]
+    fn is_zero_refuses_a_ciphertext_sharing_a_factor_with_n() {
+        let (pk, sk, _rng) = setup();
+        let (p, q) = sk.factors();
+        for c in [pk.n().clone(), p.clone(), q.clone(), p * p] {
+            let c = Ciphertext(c);
+            assert!(matches!(sk.decrypt(&c), Err(CryptoError::DecryptionFailed)));
+            assert!(matches!(sk.is_zero(&c), Err(CryptoError::DecryptionFailed)));
+        }
     }
 
     #[test]

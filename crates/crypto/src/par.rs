@@ -18,6 +18,14 @@
 //! revokes the jobs no helper has started instead of waiting for them, so a nested call,
 //! or more callers than helpers, never waits behind a busy helper.
 //!
+//! A helper with no job runs *idle work*: a source registered with [`register_idle`]
+//! (held weakly, so the registry keeps no source alive) is asked for one short
+//! [`IdleWork::step`] at a time, and the helper looks at its job queue again after each,
+//! so a call's jobs always come first and the revoke rule is unchanged.  A helper sleeps
+//! only when no source has a step to give; [`wake_idle`] rouses it when one has again.
+//! The nonce pools ([`crate::pool`]) fill ahead of need this way, on cores a party left
+//! idle while it waits for its peer.
+//!
 //! A party that was given no explicit worker count uses [`share`] of the machine's
 //! [`cores`]: the cores divided among the parties that may compute at the same time.
 
@@ -25,7 +33,10 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+
+/// The process-wide helpers every [`par_map`] call and idle-work source shares.
+static HELPERS: Helpers = Helpers::new();
 
 /// Apply `f` to every item of `items` using up to `workers` threads (the caller's among
 /// them), returning the results in input order.  `workers <= 1` (or a short input) runs
@@ -41,8 +52,38 @@ where
     U: Send + 'static,
     F: Fn(&T) -> U + Send + Sync + 'static,
 {
-    static HELPERS: Helpers = Helpers::new();
     HELPERS.map(workers, items, f)
+}
+
+/// Work a helper may do while it has no job, one short step at a time.
+pub trait IdleWork: Send + Sync {
+    /// Do one step if there is one to do; `false` when there is none.  A step that
+    /// panics loses no helper: the panic is caught and dropped, so the source must leave
+    /// whatever the step abandoned to its owner.
+    fn step(&self) -> bool;
+}
+
+/// Let the helpers run `work`'s steps while they have no job, until it is withdrawn
+/// with [`withdraw_idle`] or dropped.
+pub fn register_idle(work: Weak<dyn IdleWork>) {
+    lock(&HELPERS.idle).push(work);
+}
+
+/// Take `work` out of the idle registry.  A helper in the middle of one of its steps
+/// finishes that step.
+pub fn withdraw_idle(work: &Weak<dyn IdleWork>) {
+    lock(&HELPERS.idle).retain(|other| !other.ptr_eq(work));
+}
+
+/// Wake every sleeping helper to look for idle work: a registered source has a step to
+/// give again.
+pub fn wake_idle() {
+    HELPERS.wake();
+}
+
+/// The number of registered idle-work sources.
+pub fn idle_sources() -> usize {
+    lock(&HELPERS.idle).len()
 }
 
 /// The number of threads this process can run at once, read once.
@@ -63,11 +104,14 @@ type Payload = Box<dyn Any + Send>;
 /// One helper's part in one call.
 type Job = Box<dyn FnOnce() + Send>;
 
-/// A set of helper threads and the jobs waiting for one.
+/// A set of helper threads, the jobs waiting for one and the idle work beside them.
 struct Helpers {
     queue: Mutex<Queue>,
-    /// Signalled once per queued job.
+    /// Signalled once per queued job, and to every helper on a wake-up.
     ready: Condvar,
+    /// Idle-work sources in registration order; a dropped one is skipped until it is
+    /// withdrawn.
+    idle: Mutex<Vec<Weak<dyn IdleWork>>>,
 }
 
 struct Queue {
@@ -78,12 +122,15 @@ struct Queue {
     spawned: usize,
     /// The number the next call is queued under.
     calls: u64,
+    /// Wake-ups so far: a helper that saw this number before it looked for idle work
+    /// sleeps only if it has not moved since.
+    wakes: u64,
 }
 
 impl Helpers {
     const fn new() -> Self {
-        let queue = Queue { jobs: VecDeque::new(), spawned: 0, calls: 0 };
-        Helpers { queue: Mutex::new(queue), ready: Condvar::new() }
+        let queue = Queue { jobs: VecDeque::new(), spawned: 0, calls: 0, wakes: 0 };
+        Helpers { queue: Mutex::new(queue), ready: Condvar::new(), idle: Mutex::new(Vec::new()) }
     }
 
     /// [`par_map`] on these helpers.
@@ -148,19 +195,45 @@ impl Helpers {
         lock(&self.queue).jobs.retain(|&(of, _)| of != id);
     }
 
-    /// A helper's life: run jobs as they are queued.
+    /// A helper's life: run jobs as they are queued, and idle work while none is.
     fn serve(&self) {
         loop {
             let mut queue = lock(&self.queue);
-            let job = loop {
-                match queue.jobs.pop_front() {
-                    Some((_, job)) => break job,
-                    None => queue = self.ready.wait(queue).unwrap_or_else(PoisonError::into_inner),
-                }
-            };
+            if let Some((_, job)) = queue.jobs.pop_front() {
+                drop(queue);
+                job();
+                continue;
+            }
+            let wakes = queue.wakes;
             drop(queue);
-            job();
+            if !self.idle_step() {
+                let queue = lock(&self.queue);
+                let asleep =
+                    self.ready.wait_while(queue, |q| q.jobs.is_empty() && q.wakes == wakes);
+                drop(asleep.unwrap_or_else(PoisonError::into_inner));
+            }
         }
+    }
+
+    /// Run one step of the first registered source that has one, starting one source
+    /// further on each time so that every source gets its turn; `false` if none had one.
+    fn idle_step(&self) -> bool {
+        let sources: Vec<Arc<dyn IdleWork>> = {
+            let mut idle = lock(&self.idle);
+            if !idle.is_empty() {
+                idle.rotate_left(1);
+            }
+            idle.iter().filter_map(Weak::upgrade).collect()
+        };
+        sources
+            .iter()
+            .any(|work| panic::catch_unwind(AssertUnwindSafe(|| work.step())).unwrap_or(true))
+    }
+
+    /// Wake every sleeping helper to look for idle work.
+    fn wake(&self) {
+        lock(&self.queue).wakes += 1;
+        self.ready.notify_all();
     }
 }
 

@@ -5,6 +5,11 @@
 //! * EHL+ with `s` PRF images modulo `N`: a pair collides with probability at most
 //!   `1/Nˢ`, so a union bound over all pairs gives `FPR ≤ n²/Nˢ` — negligible for the
 //!   moduli the scheme uses (the paper quotes `N ≈ 2^256`, `s = 4..5`).
+//! * S2 decides a blinded `⊖` cell mod `p` only (half a decryption,
+//!   [`PaillierSecretKey::is_zero`](sectopk_crypto::PaillierSecretKey::is_zero)).  A
+//!   nonzero cell is a uniform multiple mod `N`, which vanishes mod `p` with probability
+//!   ≈ `1/p`, so equality as S2 reports it errs with probability at most
+//!   `n²/Nˢ + n²/p` — at a 256-bit `N`, ≤ 2⁻⁷¹ for `n ≤ 2²⁸`, whatever `s` is.
 
 /// Estimated Bloom-filter false positive rate for `h` buckets, `s` hash functions and `n`
 /// inserted elements (here every object occupies its own filter, so the per-pair collision
@@ -37,10 +42,27 @@ pub fn ehl_plus_fpr_log2(n: usize, s: usize, modulus_bits: usize) -> f64 {
     2.0 * (n as f64).log2() - (modulus_bits as f64) * (s as f64)
 }
 
-/// True when the EHL+ parameters give a false positive rate below `2^{-target_bits}`
-/// (e.g. `target_bits = 40` for the "negligible even for millions of records" claim).
+/// Upper bound on the rate at which S2's mod-`p` zero test reports a nonzero `⊖` cell
+/// of `n` objects as zero: `n²/p ≤ n² / 2^{modulus_bits/2 − 1}`, since `p` is half of a
+/// `modulus_bits`-bit `N`.  A base-2 logarithm, like [`ehl_plus_fpr_log2`].
+pub fn zero_test_fpr_log2(n: usize, modulus_bits: usize) -> f64 {
+    assert!(n > 0 && modulus_bits > 1);
+    2.0 * (n as f64).log2() - (modulus_bits / 2) as f64 + 1.0
+}
+
+/// Upper bound on the false positive rate of EHL+ equality as S2 decides it, both terms:
+/// `n²/Nˢ + n²/p`, as a base-2 logarithm.
+pub fn equality_fpr_log2(n: usize, s: usize, modulus_bits: usize) -> f64 {
+    let (a, b) = (ehl_plus_fpr_log2(n, s, modulus_bits), zero_test_fpr_log2(n, modulus_bits));
+    let (high, low) = if a >= b { (a, b) } else { (b, a) };
+    high + (low - high).exp2().ln_1p() / std::f64::consts::LN_2
+}
+
+/// True when equality as S2 decides it ([`equality_fpr_log2`]) errs with probability
+/// below `2^{-target_bits}` (e.g. `target_bits = 40` for the "negligible even for
+/// millions of records" claim).
 pub fn ehl_plus_is_negligible(n: usize, s: usize, modulus_bits: usize, target_bits: u32) -> bool {
-    ehl_plus_fpr_log2(n, s, modulus_bits) <= -(target_bits as f64)
+    equality_fpr_log2(n, s, modulus_bits) <= -(target_bits as f64)
 }
 
 #[cfg(test)]
@@ -76,6 +98,20 @@ mod tests {
         // n = 2^20, s = 5, 256-bit N: log2(FPR) = 40 - 1280 = -1240.
         let v = ehl_plus_fpr_log2(1 << 20, 5, 256);
         assert!((v - (40.0 - 1280.0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn the_zero_test_term_bounds_equality_whatever_s_is() {
+        // n = 2^28 at a 256-bit N: n²/p ≤ 2^{56 − 128 + 1} = 2^−71.
+        assert!((zero_test_fpr_log2(1 << 28, 256) - (-71.0)).abs() < 1e-9);
+        for s in [1, 3, 5] {
+            let both = equality_fpr_log2(1 << 28, s, 256);
+            assert!((-71.0..-70.99).contains(&both), "s = {s}: {both}");
+        }
+        // The terms add: 2^−4 + 2^−1 at n = 1, s = 1, a 4-bit N.
+        assert!((equality_fpr_log2(1, 1, 4) - 0.5625f64.log2()).abs() < 1e-9);
+        assert!(!ehl_plus_is_negligible(1 << 28, 5, 256, 80));
+        assert!(ehl_plus_is_negligible(1 << 28, 5, 2048, 80));
     }
 
     #[test]

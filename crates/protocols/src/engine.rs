@@ -508,10 +508,13 @@ impl S2Engine {
     }
 
     /// Top the nonce pools up to the planned demand, data-parallel (serially at one
-    /// worker).  The consumed nonce stream is the same for every worker count (see
-    /// [`RandomnessPool::prefill_parallel`]).
+    /// worker), and hand them the engine's worker count, which also decides whether idle
+    /// helpers fill them ahead of need.  The consumed nonce stream is the same for every
+    /// worker count (see [`RandomnessPool::prefill_parallel`]).
     fn prefill_pools(&mut self, steps: &[Step<'_>]) {
         let workers = self.intra_workers();
+        self.pool.set_refill_workers(workers);
+        self.own_pool.set_refill_workers(workers);
         let sum = |f: fn(&NonceDemand) -> usize| steps.iter().map(|s| f(&s.nonces)).sum::<usize>();
         let (ready_p, _) = self.pool.ready();
         let (ready_own, _) = self.own_pool.ready();
