@@ -39,12 +39,6 @@ impl DataOwner {
         Ok(DataOwner { keys: MasterKeys::generate(modulus_bits, ehl_keys, rng)? })
     }
 
-    /// Build a data owner around existing key material (e.g. keys restored from a
-    /// serving deployment's key store).
-    pub fn from_keys(keys: MasterKeys) -> Self {
-        DataOwner { keys }
-    }
-
     /// The owner's key material (needed to set up the clouds and to resolve results).
     pub fn keys(&self) -> &MasterKeys {
         &self.keys
@@ -83,14 +77,6 @@ pub struct AuthorizedClient {
 }
 
 impl AuthorizedClient {
-    /// Build a client directly from the owner's key bundle — what
-    /// [`DataOwner::authorize_client`] hands out, exposed for serving layers that hold
-    /// the keys themselves (e.g. the multi-session query server generating tokens on
-    /// behalf of its connected clients).
-    pub fn from_keys(keys: MasterKeys) -> Self {
-        AuthorizedClient { keys }
-    }
-
     /// `Token(K, q)`: build the query token for a relation with `num_attributes` columns.
     pub fn token(&self, num_attributes: usize, query: &TopKQuery) -> Result<QueryToken> {
         Ok(generate_token(&self.keys.prp_key, num_attributes, query)?)

@@ -84,18 +84,6 @@ impl MasterKeys {
         }
     }
 
-    /// The view handed to an authorized client: the PRP key for token generation plus the
-    /// Paillier public key for decrypting nothing / verifying sizes (clients receive
-    /// encrypted results and ask the owner or a dedicated service for final decryption in
-    /// the paper's deployment; tests use the owner's secret key directly).
-    pub fn client_view(&self) -> ClientKeys {
-        ClientKeys {
-            prp_key: self.prp_key.clone(),
-            ehl_keys: self.ehl_keys.clone(),
-            paillier_public: self.paillier_public.clone(),
-        }
-    }
-
     /// Number of EHL PRF keys (`s`).
     pub fn ehl_key_count(&self) -> usize {
         self.ehl_keys.len()
@@ -118,17 +106,6 @@ pub struct S2Keys {
     pub paillier_secret: PaillierSecretKey,
 }
 
-/// Key material held by an authorized client.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ClientKeys {
-    /// PRP key `K` for mapping attribute indices to permuted list indices.
-    pub prp_key: PrfKey,
-    /// EHL PRF keys (needed when the client must encode objects, e.g. for joins).
-    pub ehl_keys: Vec<PrfKey>,
-    /// Paillier public key.
-    pub paillier_public: PaillierPublicKey,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,10 +122,8 @@ mod tests {
 
         let s1 = keys.s1_view();
         let s2 = keys.s2_view();
-        let client = keys.client_view();
 
         assert_eq!(s1.paillier_public.n(), s2.paillier_public.n());
-        assert_eq!(client.paillier_public.n(), s1.paillier_public.n());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`damgard_jurik`] — the generalized Paillier (Damgård–Jurik) scheme with one extra
 //!   layer (§3.3): encryption, its nonce and CRT decryption, which no protocol calls.
 //! * [`prf`] / [`prp`] — keyed PRFs and (keyed + ephemeral) pseudo-random permutations.
-//! * [`keys`] — the data-owner / S1 / S2 / client key bundles of Algorithm 2.
+//! * [`keys`] — the data-owner / S1 / S2 key bundles of Algorithm 2.
 //! * [`pool`] — amortizing pools of precomputed encryption nonces (`r^N mod N²`,
 //!   `r^{N²} mod N³`) that take the exponentiation off the encrypt/re-randomize path.
 //!
@@ -53,7 +53,7 @@ pub mod sha256;
 
 pub use damgard_jurik::{DjPublicKey, DjSecretKey, LayeredCiphertext};
 pub use error::{CryptoError, Result};
-pub use keys::{ClientKeys, MasterKeys, S1Keys, S2Keys, DEFAULT_EHL_KEYS};
+pub use keys::{MasterKeys, S1Keys, S2Keys, DEFAULT_EHL_KEYS};
 pub use paillier::{
     generate_keypair, Ciphertext, PaillierPublicKey, PaillierSecretKey, DEFAULT_MODULUS_BITS,
     MIN_MODULUS_BITS,

@@ -10,7 +10,8 @@
 //! A [`RandomnessPool`] owns its own deterministic RNG streams, one per nonce kind
 //! (so a pool seeded identically produces identical ciphertext streams — the
 //! transport-equivalence tests rely on this).  A dry queue refills a batch on as many
-//! threads as its owner last set with [`RandomnessPool::set_refill_workers`].
+//! threads as its owner last set with [`RandomnessPool::set_refill_workers`];
+//! [`RandomnessPool::refill`] is the one explicit fill, and it is serial.
 //!
 //! Paillier nonces are also made *ahead of need*, on cores the owner leaves idle.  The
 //! queue is a reservoir of slots in draw order, each either in flight (its exponent is
@@ -71,8 +72,8 @@ pub fn shard_seed(base_seed: u64, session: u64) -> u64 {
 /// Each nonce kind draws its exponents from its **own** RNG stream: with a single
 /// shared RNG, the value of Paillier nonce *k* would depend on how many DJ draws
 /// happened before it — i.e. on the `(paillier, dj)` split of every refill call — and
-/// an upper-bound prefill (which splits differently than lazy consumption) would
-/// silently shift both streams.
+/// an explicit refill of both kinds (which splits differently than lazy consumption)
+/// would silently shift both streams.
 const DJ_STREAM_TAG: u64 = 0xD1;
 
 /// A pool of precomputed Paillier (and optionally Damgård–Jurik) encryption nonces
@@ -281,12 +282,6 @@ impl RandomnessPool {
         pool
     }
 
-    /// How many nonces of each kind are drawn and not yet taken: for the Paillier kind
-    /// that counts the slots still being computed, which a pop waits for.
-    pub fn ready(&self) -> (usize, usize) {
-        (lock(&self.reservoir.slots).queue.len(), self.dj_nonces.len())
-    }
-
     /// Precompute `paillier` + `dj` nonces now, serially.
     ///
     /// Nonces come from the keys' amortized fixed-base path
@@ -300,29 +295,26 @@ impl RandomnessPool {
     /// exponent draws (one draw per nonce, in slot order), so nonce *k* of a kind is a
     /// function of the pool seed, the kind and *k* alone — never of refill timing, batch
     /// boundaries, the `(paillier, dj)` split of earlier refill calls, or which thread
-    /// computed it.  That invariant is what lets [`Self::prefill_parallel`], refills of
-    /// any size (including upper-bound prefills that overshoot one kind) and the idle
-    /// helpers' production leave the ciphertext stream byte-identical.
+    /// computed it.  That invariant is what lets explicit refills of any size, a dry
+    /// queue's parallel batch and the idle helpers' production leave the ciphertext
+    /// stream byte-identical.
     pub fn refill(&mut self, paillier: usize, dj: usize) {
-        self.prefill_parallel(paillier, dj, 1);
+        self.register();
+        self.reservoir.produce(paillier, 1);
+        self.refill_dj(dj, 1);
     }
 
-    /// Precompute `paillier` + `dj` nonces using up to `workers` threads: each kind's
-    /// exponents are drawn serially (preserving the draw-order invariant of
-    /// [`Self::refill`] exactly), its table evaluations run as one data-parallel sweep,
-    /// and the results are queued in draw order — so the nonce stream is byte-identical
-    /// to a serial refill of the same counts.  With `workers <= 1` this *is* a serial
-    /// refill.
-    pub fn prefill_parallel(&mut self, paillier: usize, dj: usize, workers: usize) {
-        self.register();
-        self.reservoir.produce(paillier, workers);
-        if dj > 0 {
-            let dj_pk = self.dj.clone().expect("refilling DJ nonces on a Paillier-only pool");
-            let exps: Vec<BigUint> =
-                (0..dj).map(|_| random_below(&mut self.dj_rng, dj_pk.n())).collect();
-            let nonces = par::par_map(workers, exps, move |a| dj_pk.nonce_from_exponent(a));
-            self.dj_nonces.extend(nonces);
+    /// Draw `count` DJ exponents serially and compute their nonces on up to `workers`
+    /// threads, queued in draw order.
+    fn refill_dj(&mut self, count: usize, workers: usize) {
+        if count == 0 {
+            return;
         }
+        let dj_pk = self.dj.clone().expect("refilling DJ nonces on a Paillier-only pool");
+        let exps: Vec<BigUint> =
+            (0..count).map(|_| random_below(&mut self.dj_rng, dj_pk.n())).collect();
+        let nonces = par::par_map(workers, exps, move |a| dj_pk.nonce_from_exponent(a));
+        self.dj_nonces.extend(nonces);
     }
 
     /// Register the reservoir as idle work, once: a pool makes nothing ahead before it
@@ -367,7 +359,7 @@ impl RandomnessPool {
     pub fn next_dj_nonce(&mut self) -> BigUint {
         if self.dj_nonces.is_empty() {
             let workers = lock(&self.reservoir.slots).workers;
-            self.prefill_parallel(0, DEFAULT_BATCH, workers);
+            self.refill_dj(DEFAULT_BATCH, workers);
         }
         self.dj_nonces.pop_front().expect("refill produced at least one nonce")
     }
@@ -405,6 +397,14 @@ mod tests {
     use crate::paillier::MIN_MODULUS_BITS;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl RandomnessPool {
+        /// How many nonces of each kind are drawn and not yet taken: for the Paillier
+        /// kind that counts the slots still being computed, which a pop waits for.
+        fn ready(&self) -> (usize, usize) {
+            (lock(&self.reservoir.slots).queue.len(), self.dj_nonces.len())
+        }
+    }
 
     /// Concurrency audit: the shared key material must be freely shareable across the
     /// S2 worker threads (`Send + Sync`; they are `Arc`-backed), while the stateful
@@ -507,7 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn prefill_parallel_matches_serial_refill_byte_for_byte() {
+    fn a_parallel_batch_matches_a_serial_refill_byte_for_byte() {
         let (master, _pool) = setup();
         let dj = crate::damgard_jurik::DjPublicKey::from_paillier(&master.paillier_public);
         for workers in [1usize, 2, 4, 7] {
@@ -516,8 +516,9 @@ mod tests {
             // The parallel pool's helpers may also fill it ahead of need meanwhile.
             parallel.set_refill_workers(workers);
             serial.refill(9, 5);
-            parallel.prefill_parallel(9, 5, workers);
-            // The prefilled nonces and the ones drawn after them, alike.
+            parallel.reservoir.produce(9, workers);
+            parallel.refill_dj(5, workers);
+            // The batch's nonces and the ones drawn after them, alike.
             for _ in 0..9 + DEFAULT_BATCH {
                 assert_eq!(
                     serial.next_paillier_nonce(),
@@ -569,7 +570,7 @@ mod tests {
         let dj = crate::damgard_jurik::DjPublicKey::from_paillier(&master.paillier_public);
         let mut lazy = RandomnessPool::with_dj(&master.paillier_public, &dj, 21);
         let mut eager = RandomnessPool::with_dj(&master.paillier_public, &dj, 21);
-        eager.prefill_parallel(10, 10, 4);
+        eager.refill(10, 10);
         for _ in 0..10 {
             // Lazy draws interleave the kinds (refilling a batch on dry queues); eager
             // precomputed everything up front.  Streams must still match.

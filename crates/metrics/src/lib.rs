@@ -116,11 +116,6 @@ impl Registry {
         Registry { inner: Some(Arc::new(Inner::default())) }
     }
 
-    /// Whether this registry records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// The monotonic counter named `name` (created on first use).  Cache the handle:
     /// creation takes the registry lock, recording does not.
     pub fn counter(&self, name: &str) -> Counter {
@@ -232,11 +227,6 @@ impl Histogram {
     /// A detached no-op histogram.
     pub fn noop() -> Self {
         Histogram(None)
-    }
-
-    /// Whether observations are recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Record one observation.
@@ -396,7 +386,6 @@ mod tests {
     #[test]
     fn disabled_registry_is_a_total_noop() {
         let registry = Registry::disabled();
-        assert!(!registry.is_enabled());
         let counter = registry.counter("c");
         counter.incr();
         counter.add(10);

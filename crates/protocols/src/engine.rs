@@ -15,17 +15,18 @@
 //!
 //! 1. **Plan** — `plan` validates one item — its shape, its indices and the range of every
 //!    ciphertext in it — and states, in the same `match` arm, the secret-key operations it
-//!    needs and over which ciphertexts (a `Need`), its nonce demand and its request
-//!    counter.  Every item is planned before anything executes, so batches are
-//!    all-or-nothing: a bad item anywhere costs no decryption, ledger entry, RNG draw or
-//!    pool draw.
+//!    needs and over which ciphertexts (a `Need`) and its request counter.  Every item is
+//!    planned before anything executes, so batches are all-or-nothing: a bad item
+//!    anywhere costs no decryption, ledger entry, RNG draw or pool draw.
 //! 2. **Compute** — the expensive, *pure* work: all planned ciphertexts of all items run
 //!    as one data-parallel sweep over the shared `Arc`-backed keys
 //!    ([`sectopk_crypto::par::par_map`]); the first failed operation in request order
 //!    wins, as in a serial sweep.  Each item gets one typed result back (a `Done`).
 //! 3. **Commit** — `commit`, the only place with effects (ledger records, RNG draws,
 //!    nonce-pool consumption, response assembly), runs serially in item order over
-//!    `(request, Done)` pairs.
+//!    `(request, Done)` pairs.  Its nonces come from the engine's two pools the way S1's
+//!    do: idle helpers fill a pool ahead of need, and a dry one computes a batch on the
+//!    engine's worker count ([`sectopk_crypto::pool`]).
 //!
 //! Phase 2 is pure and phase 3 serial, so ledgers, metrics and ciphertext streams do not
 //! depend on the worker count.  That count is [`S2Engine::set_intra_workers`]'s, or the
@@ -156,20 +157,9 @@ struct Done {
     plains: Vec<BigUint>,
 }
 
-/// Precomputable nonce consumption of one request: shared-key and S1-own-key Paillier
-/// counts.  Dedup/Filter are upper bounds (every item kept / every tuple surviving);
-/// overfilling is harmless because the pool's nonce stream is position-deterministic —
-/// nonce *k* never depends on when it was precomputed.
-#[derive(Default)]
-struct NonceDemand {
-    paillier: usize,
-    own: usize,
-}
-
 /// What `plan` states about one valid non-batch request.
 struct Step<'a> {
     need: Need<'a>,
-    nonces: NonceDemand,
     /// Its `engine.requests.<kind>` counter.
     count: fn(&EngineMetrics) -> &Counter,
 }
@@ -318,24 +308,29 @@ impl S2Engine {
         result
     }
 
-    /// Phases 1 and 2 for the items of one request: plan every item, count them, run
-    /// their decryptions and top the nonce pools up.  Returns one [`Done`] per item.
+    /// Phases 1 and 2 for the items of one request: plan every item, count them and run
+    /// their decryptions.  Returns one [`Done`] per item.
     fn prepare(&mut self, items: &[S1Request]) -> EngineResult<Vec<Done>> {
         let steps = items.iter().map(|item| self.plan(item)).collect::<EngineResult<Vec<_>>>()?;
         for step in &steps {
             (step.count)(&self.metrics).incr();
         }
-        let dones = self.compute(&steps)?;
-        self.prefill_pools(&steps);
-        Ok(dones)
+        self.refresh_refill_workers();
+        self.compute(&steps)
     }
 
-    /// Phase 1: validate one non-batch request and describe it.  The nonce demand is
-    /// exact for the encrypt-reply shapes and an upper bound for Dedup/Filter, whose
-    /// consumption depends on decrypted bits.
+    /// Hand both nonce pools the engine's current worker count: a dry pool's batch runs
+    /// on it, and idle helpers fill a pool ahead of need only while it is above 1.
+    /// Called at every request, so the pools follow the share as sessions come and go.
+    fn refresh_refill_workers(&mut self) {
+        let workers = self.intra_workers();
+        self.pool.set_refill_workers(workers);
+        self.own_pool.set_refill_workers(workers);
+    }
+
+    /// Phase 1: validate one non-batch request and describe it.
     fn plan<'a>(&self, request: &'a S1Request) -> EngineResult<Step<'a>> {
         let mut need = Need::default();
-        let mut nonces = NonceDemand::default();
         // Every ciphertext must be a group element of its key, `[1, N²)` (S1's own key:
         // `[1, N'²)`) — also those S2 only operates on homomorphically.
         let (pk, own_pk) = (&self.keys.paillier_public, &self.s1_own_public);
@@ -368,10 +363,6 @@ impl S2Engine {
                     if per_of(from).is_none() || otherwise.is_some_and(|y| per_of(y) != Some(per)) {
                         return Err(WireError::malformed("a selection names a set it cannot read"));
                     }
-                    nonces.paillier += per.len(rows, *cols);
-                }
-                if !select.is_empty() {
-                    nonces.paillier += diffs.len();
                 }
                 need.is_zero = diffs.iter().collect();
                 need.plain = sets.iter().flat_map(|MaskedSet(_, masked)| masked).collect();
@@ -409,8 +400,6 @@ impl S2Engine {
                     }
                     in_range(pk, item.ehl.blocks().iter().chain([&item.worst, &item.best]))?;
                     in_range(own_pk, &blinding.packed)?;
-                    nonces.paillier += item.ehl.len() + 2;
-                    nonces.own += blinding.packed.len();
                 }
                 need.is_zero = dedup.matrix.iter().collect();
                 |m| &m.dedup
@@ -422,14 +411,11 @@ impl S2Engine {
                 for t in tuples {
                     in_range(pk, &t.attributes)?;
                     in_range(own_pk, t.attribute_masks.iter().chain([&t.score_unblinder]))?;
-                    nonces.paillier += t.attributes.len();
-                    nonces.own += t.attributes.len() + 1;
                 }
                 need.is_zero = tuples.iter().map(|t| &t.score).collect();
                 |m| &m.filter
             }
             S1Request::MulBlinded { pairs } => {
-                nonces.paillier = pairs.len();
                 need.plain = pairs.iter().flat_map(|(a, b)| [a, b]).collect();
                 |m| &m.mul_blinded
             }
@@ -438,7 +424,7 @@ impl S2Engine {
         };
         // Whatever S2 decrypts is a shared-key ciphertext.
         in_range(pk, need.is_zero.iter().chain(&need.sign).chain(&need.plain).copied())?;
-        Ok(Step { need, nonces, count })
+        Ok(Step { need, count })
     }
 
     /// Phase 2: run every planned decryption as one flat sweep over up to
@@ -505,27 +491,6 @@ impl S2Engine {
             plains: plains.by_ref().take(need.plain.len()).collect(),
         });
         Ok(deal.collect())
-    }
-
-    /// Top the nonce pools up to the planned demand, data-parallel (serially at one
-    /// worker), and hand them the engine's worker count, which also decides whether idle
-    /// helpers fill them ahead of need.  The consumed nonce stream is the same for every
-    /// worker count (see [`RandomnessPool::prefill_parallel`]).
-    fn prefill_pools(&mut self, steps: &[Step<'_>]) {
-        let workers = self.intra_workers();
-        self.pool.set_refill_workers(workers);
-        self.own_pool.set_refill_workers(workers);
-        let sum = |f: fn(&NonceDemand) -> usize| steps.iter().map(|s| f(&s.nonces)).sum::<usize>();
-        let (ready_p, _) = self.pool.ready();
-        let (ready_own, _) = self.own_pool.ready();
-        let need_p = sum(|n| n.paillier).saturating_sub(ready_p);
-        let need_own = sum(|n| n.own).saturating_sub(ready_own);
-        if need_p > 0 {
-            self.pool.prefill_parallel(need_p, 0, workers);
-        }
-        if need_own > 0 {
-            self.own_pool.prefill_parallel(need_own, 0, workers);
-        }
     }
 
     /// Phase 3: commit one planned request with its compute results.  Every observable

@@ -53,23 +53,6 @@ impl ItemBlinding {
             gamma: random_below(rng, pk.n()),
         }
     }
-
-    /// Combine two blindings applied in sequence (`self` first, then `later`): the masks
-    /// add modulo `N`.  Used by SecDedup where S2 layers its own randomness on top of
-    /// S1's before returning items.
-    pub fn compose(&self, later: &ItemBlinding, pk: &PaillierPublicKey) -> ItemBlinding {
-        assert_eq!(self.alphas.len(), later.alphas.len(), "blinding arity mismatch");
-        ItemBlinding {
-            alphas: self
-                .alphas
-                .iter()
-                .zip(later.alphas.iter())
-                .map(|(a, b)| (a + b) % pk.n())
-                .collect(),
-            beta: (&self.beta + &later.beta) % pk.n(),
-            gamma: (&self.gamma + &later.gamma) % pk.n(),
-        }
-    }
 }
 
 /// `Rand(E(I), α, β, γ)` — Algorithm 8: homomorphically add the blinding masks to every
@@ -101,20 +84,8 @@ pub fn rand_unblind(
     }
 }
 
-/// Re-randomize every ciphertext of the item (fresh randomness, same plaintexts).
-pub fn rerandomize_item<R: RngCore + CryptoRng>(
-    item: &ScoredItem,
-    pk: &PaillierPublicKey,
-    rng: &mut R,
-) -> ScoredItem {
-    ScoredItem {
-        ehl: item.ehl.rerandomize(pk, rng),
-        worst: pk.rerandomize(&item.worst, rng),
-        best: pk.rerandomize(&item.best, rng),
-    }
-}
-
-/// [`rerandomize_item`] drawing precomputed `r^N mod N²` nonces from a
+/// Re-randomize every ciphertext of the item (fresh randomness, same plaintexts),
+/// drawing precomputed `r^N mod N²` nonces from a
 /// [`RandomnessPool`](sectopk_crypto::RandomnessPool): `s + 2` multiplications instead
 /// of `s + 2` exponentiations, which is what both clouds use on the item-return hot
 /// paths (EncSort, SecDedup, SecUpdate).
@@ -181,24 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn composed_blinding_equals_sequential_blinding() {
-        let (pk, sk, encoder, mut rng) = setup();
-        let item = make_item(b"o2", 5, 9, &pk, &encoder, &mut rng);
-        let b1 = ItemBlinding::sample(item.ehl.len(), &pk, &mut rng);
-        let b2 = ItemBlinding::sample(item.ehl.len(), &pk, &mut rng);
-
-        let sequential = rand_blind(&rand_blind(&item, &b1, &pk), &b2, &pk);
-        let composed = b1.compose(&b2, &pk);
-        let restored = rand_unblind(&sequential, &composed, &pk);
-        assert_eq!(sk.decrypt_u64(&restored.worst).unwrap(), 5);
-        assert_eq!(sk.decrypt_u64(&restored.best).unwrap(), 9);
-    }
-
-    #[test]
     fn rerandomize_preserves_values() {
         let (pk, sk, encoder, mut rng) = setup();
         let item = make_item(b"o3", 7, 8, &pk, &encoder, &mut rng);
-        let fresh = rerandomize_item(&item, &pk, &mut rng);
+        let mut pool = sectopk_crypto::RandomnessPool::new(&pk, 3);
+        let fresh = rerandomize_item_pooled(&item, &mut pool);
         assert_ne!(item, fresh);
         assert_eq!(sk.decrypt_u64(&fresh.worst).unwrap(), 7);
         assert_eq!(sk.decrypt_u64(&fresh.best).unwrap(), 8);

@@ -83,9 +83,7 @@ pub use context::{S1State, TwoClouds};
 pub use dedup::EncryptedBlinding;
 pub use engine::{intra_workers_from_env, EngineProvision, EngineResult, S2Engine};
 pub use error::{ProtocolError, Result, TransportError, TransportErrorKind};
-pub use items::{
-    rand_blind, rand_unblind, rerandomize_item, rerandomize_item_pooled, ItemBlinding, ScoredItem,
-};
+pub use items::{rand_blind, rand_unblind, rerandomize_item_pooled, ItemBlinding, ScoredItem};
 pub use join::{EncryptedTuple, JoinSpec, JoinedTuple};
 pub use ledger::{LeakageEvent, LeakageLedger};
 pub use multiplex::{Envelope, LinkProfile, MultiplexServer, PoolLimits, SessionId};

@@ -157,6 +157,21 @@ fn mixed_batch(rng: &mut StdRng) -> S1Request {
     ])
 }
 
+/// A per-cell selection over a 12 × 12 matrix whose cells `5c` are equal: its reply takes
+/// 288 shared-key nonces (144 `Enc(t)` bits and 144 selections), more than three dry
+/// batches of an empty pool.
+fn wide_selection(rng: &mut StdRng) -> S1Request {
+    S1Request::EqMatrix {
+        diffs: (0..144).map(|cell| enc(if cell % 5 == 0 { 0 } else { cell }, rng)).collect(),
+        cols: 12,
+        context: "wide".into(),
+        depth: None,
+        sets: vec![MaskedSet(Per::Cell, (0..144).map(|v| enc(v + 40, rng)).collect())],
+        select: vec![Select(Per::Cell, 0, None)],
+        disclose_rows: false,
+    }
+}
+
 /// The probe that follows every rejection: its replies draw from the engine's RNG and
 /// both nonce pools, so they are byte-identical to a fresh engine's only if the rejected
 /// request spent nothing.
@@ -556,20 +571,38 @@ fn a_malformed_item_late_in_a_batch_is_caught_and_every_item_stands_alone() {
 
 #[test]
 fn a_mixed_batch_is_byte_identical_for_one_and_four_workers() {
-    let batch = mixed_batch(&mut rng());
+    let (wide, batch) = (wide_selection(&mut rng()), mixed_batch(&mut rng()));
     let run = |workers: usize| {
         let mut engine = engine();
         engine.set_intra_workers(workers);
+        // From empty pools, so its nonces come from batches refilled inside `commit`.
+        let wide_reply = engine.handle(&wide).expect("wide selection");
         let response = engine.handle(&batch).expect("mixed batch");
         // A follow-up proves the RNG and pool positions agree too, not only the replies.
         let follow_up = engine.handle(&probe(&mut rng())).expect("follow-up");
-        (response, follow_up, engine.ledger().events())
+        (wide_reply, response, follow_up, engine.ledger().events())
     };
     let (serial, parallel) = (run(1), run(4));
     assert_eq!(serial, parallel);
 
+    // Every fifth cell matched and selected its own candidate, every other none.
+    let sk = &keys().0.paillier_secret;
+    let S2Response::EqBits { bits, selected, .. } = &serial.0 else { panic!("EqBits") };
+    let decrypt = |c: &Ciphertext| sk.decrypt_u64(c).unwrap();
+    let expected = |cell: u64, matched: u64| if cell.is_multiple_of(5) { matched } else { 0 };
+    assert_eq!(
+        bits.iter().map(decrypt).collect::<Vec<_>>(),
+        (0..144).map(|c| expected(c, 1)).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        selected.iter().map(decrypt).collect::<Vec<_>>(),
+        (0..144).map(|c| expected(c, c + 40)).collect::<Vec<_>>()
+    );
+
     // The replies line up with the request kinds, and the ledger saw each reveal.
-    let (S2Response::Batch(replies), _, ledger) = serial else { panic!("expected a Batch reply") };
+    let (_, S2Response::Batch(replies), _, ledger) = serial else {
+        panic!("expected a Batch reply")
+    };
     assert_eq!(replies.len(), 9);
     assert_eq!(replies[1], S2Response::Signs(vec![-1, 1, 1]));
     assert!(matches!(&replies[3], S2Response::EqBits { selected, .. } if selected.len() == 2 + 1));
@@ -578,7 +611,6 @@ fn a_mixed_batch_is_byte_identical_for_one_and_four_workers() {
     // Row sums and column selections agree with the bits `[1, 0, 1]` of both rows: the
     // row sums 40 + 42 and 43 + 45; per column `Σ t·x + (1 − Σ t)·y` over the rows' 40
     // and 41 and the column defaults 40, 41, 42 — two set bits as computed, not refused.
-    let sk = &keys().0.paillier_secret;
     let S2Response::EqBits { selected, row_matched, .. } = &replies[0] else { panic!("EqBits") };
     let selected: Vec<u64> = selected.iter().map(|c| sk.decrypt_u64(c).unwrap()).collect();
     assert_eq!(
@@ -587,12 +619,13 @@ fn a_mixed_batch_is_byte_identical_for_one_and_four_workers() {
     );
     assert!(matches!(&replies[7], S2Response::Filter { survivors } if survivors.len() == 2));
     assert!(matches!(&replies[8], S2Response::Products(products) if products.len() == 2));
-    // (The ledger was read after the follow-up probe: 2 + 3 of the equality bits, the
-    // last masked-value record and the one-survivor join count are the probe's.)
+    // (The ledger was read after the follow-up probe: the first 144 equality bits and
+    // masked values are the wide selection's; 2 + 3 of the equality bits, the last
+    // masked-value record and the one-survivor join count are the probe's.)
     let count = |kind: fn(&LeakageEvent) -> bool| ledger.iter().filter(|e| kind(e)).count();
     assert_eq!(
         count(|e| matches!(e, LeakageEvent::EqualityBit { .. })),
-        6 + 2 + 2 + 3 + 1 + 3 + 2 + 3
+        144 + 6 + 2 + 2 + 3 + 1 + 3 + 2 + 3
     );
     // One record per matrix, of its cells + rows + columns of candidates.
     let masked: Vec<usize> = ledger
@@ -602,7 +635,7 @@ fn a_mixed_batch_is_byte_identical_for_one_and_four_workers() {
             _ => None,
         })
         .collect();
-    assert_eq!(masked, [6 + 2 + 3, 2 + 1 + 2, 2 + 2 + 1, 1 + 1 + 1, 2 + 1 + 2]);
+    assert_eq!(masked, [144, 6 + 2 + 3, 2 + 1 + 2, 2 + 2 + 1, 1 + 1 + 1, 2 + 1 + 2]);
     assert_eq!(count(|e| matches!(e, LeakageEvent::BlindedSign { .. })), 3);
     assert_eq!(count(|e| matches!(e, LeakageEvent::JoinMatchCount(2))), 1);
     assert_eq!(count(|e| matches!(e, LeakageEvent::JoinMatchCount(1))), 1);

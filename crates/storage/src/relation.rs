@@ -85,16 +85,6 @@ impl Relation {
         Relation::new(names, rows)
     }
 
-    /// Build a relation from a dense matrix; row `i` gets object id `i`.
-    pub fn from_matrix(attribute_names: Vec<String>, matrix: Vec<Vec<Score>>) -> Self {
-        let rows = matrix
-            .into_iter()
-            .enumerate()
-            .map(|(i, values)| Row { id: ObjectId(i as u64), values })
-            .collect();
-        Relation::new(attribute_names, rows)
-    }
-
     /// Number of objects `n = |R|`.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -334,13 +324,6 @@ mod tests {
         assert_eq!(s.item(1, 0), Some(DataItem { object: ObjectId(2), score: 8 }));
         assert_eq!(s.item(2, 0), Some(DataItem { object: ObjectId(4), score: 8 }));
         assert_eq!(s.item(0, 9), None);
-    }
-
-    #[test]
-    fn from_matrix_assigns_sequential_ids() {
-        let r = Relation::from_matrix(vec!["a".into()], vec![vec![5], vec![9]]);
-        assert_eq!(r.rows()[0].id, ObjectId(0));
-        assert_eq!(r.rows()[1].id, ObjectId(1));
     }
 
     #[test]
