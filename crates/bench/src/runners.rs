@@ -160,7 +160,7 @@ pub fn fig8_dataset_encryption(scale: &BenchScale) -> Table {
         let owner =
             DataOwner::new(scale.modulus_bits, scale.ehl_keys, &mut rng).expect("key generation");
         let started = Instant::now();
-        let (_, stats) = owner.encrypt_parallel(&relation, &mut rng).expect("encryption");
+        let (_, stats) = owner.outsource_parallel(&relation, &mut rng).expect("encryption");
         let elapsed = started.elapsed().as_secs_f64();
         table.push_row(vec![
             kind.name().to_string(),

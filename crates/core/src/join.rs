@@ -15,9 +15,8 @@ use serde::{Deserialize, Serialize};
 use sectopk_crypto::keys::MasterKeys;
 use sectopk_crypto::prf::PrfKey;
 use sectopk_crypto::prp::KeyedPrp;
-use sectopk_ehl::EhlEncoder;
 use sectopk_protocols::{EncryptedTuple, JoinSpec, JoinedTuple, TwoClouds};
-use sectopk_storage::{EncryptedItem, QueryError, Relation};
+use sectopk_storage::{encrypt_items, EncryptedItem, QueryError, Relation};
 
 use crate::error::Result;
 
@@ -62,25 +61,24 @@ pub fn encrypt_for_join<R: RngCore + CryptoRng>(
     label: &str,
     rng: &mut R,
 ) -> Result<JoinEncryptedRelation> {
-    let encoder = EhlEncoder::new(&keys.ehl_keys);
-    let pk = &keys.paillier_public;
     let m = relation.num_attributes();
     let prp = KeyedPrp::new(&relation_prp_key(keys, label), m);
-
-    let mut tuples = Vec::with_capacity(relation.len());
-    for row in relation.rows() {
-        let mut cells: Vec<Option<EncryptedItem>> = vec![None; m];
-        for (attr, &value) in row.values.iter().enumerate() {
-            let cell = EncryptedItem {
-                ehl: encoder.encode(&value.to_be_bytes(), pk, rng)?,
-                score: pk.encrypt_u64(value, rng)?,
-            };
-            cells[prp.apply(attr)] = Some(cell);
-        }
-        tuples.push(EncryptedTuple {
-            cells: cells.into_iter().map(|c| c.expect("PRP is a bijection")).collect(),
-        });
-    }
+    // Row-major: every value is an object of its own, EHL-encoded by its bytes.
+    let values = relation.rows().iter().flat_map(|row| &row.values);
+    let mut items = encrypt_items(values.map(|&v| (v.to_be_bytes(), v)), keys, rng)?.into_iter();
+    let tuples = relation
+        .rows()
+        .iter()
+        .map(|_| {
+            let mut cells: Vec<Option<EncryptedItem>> = vec![None; m];
+            for (attr, cell) in items.by_ref().take(m).enumerate() {
+                cells[prp.apply(attr)] = Some(cell);
+            }
+            EncryptedTuple {
+                cells: cells.into_iter().map(|c| c.expect("PRP is a bijection")).collect(),
+            }
+        })
+        .collect();
     Ok(JoinEncryptedRelation { tuples, num_attributes: m })
 }
 
@@ -244,6 +242,24 @@ mod tests {
         let pos = prp.apply(1);
         let v = keys.paillier_secret.decrypt_u64(&left.tuples[0].cells[pos].score).unwrap();
         assert_eq!(v, 10);
+    }
+
+    #[test]
+    fn join_encryption_ciphertexts_are_pinned() {
+        // Every tuple, cell by cell in stored order, EHL blocks then score, each
+        // length-prefixed: the bytes `Enc(R1)` hands the clouds for one fixed seed.
+        let mut rng = StdRng::seed_from_u64(1010);
+        let keys = MasterKeys::generate(MIN_MODULUS_BITS, 3, &mut rng).unwrap();
+        let left = encrypt_for_join(&left_relation(), &keys, "join/left", &mut rng).unwrap();
+        let mut hasher = sectopk_crypto::sha256::Sha256::new();
+        let cells = left.tuples.iter().flat_map(|tuple| &tuple.cells);
+        for c in cells.flat_map(|cell| cell.ehl.blocks().iter().chain([&cell.score])) {
+            let bytes = c.to_bytes_be();
+            hasher.update(&(bytes.len() as u64).to_le_bytes());
+            hasher.update(&bytes);
+        }
+        let hex: String = hasher.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "9364ef096c50f8b8b559b448fb6d143353747562b39b71533e2956afe78f2ced");
     }
 
     #[test]

@@ -13,8 +13,8 @@ use rand::{CryptoRng, RngCore};
 
 use sectopk_crypto::keys::MasterKeys;
 use sectopk_storage::{
-    encrypt_relation, encrypt_relation_parallel, generate_token, EncryptedRelation,
-    EncryptionStats, QueryToken, Relation, TopKQuery,
+    encrypt_relation, generate_token, EncryptedRelation, EncryptionStats, QueryToken, Relation,
+    TopKQuery,
 };
 
 use crate::error::Result;
@@ -44,23 +44,15 @@ impl DataOwner {
         &self.keys
     }
 
-    /// `Enc(λ, R)`: encrypt a relation for outsourcing (Algorithm 2), single-threaded.
+    /// `Enc(λ, R)`: encrypt a relation for outsourcing (Algorithm 2).  The randomness is
+    /// drawn serially from `rng` and the exponentiations run on the machine's cores, so
+    /// the ciphertexts depend on `rng` alone.
     pub fn encrypt<R: RngCore + CryptoRng>(
         &self,
         relation: &Relation,
         rng: &mut R,
     ) -> Result<(EncryptedRelation, EncryptionStats)> {
         Ok(encrypt_relation(relation, &self.keys, rng)?)
-    }
-
-    /// `Enc(λ, R)` with the attribute lists spread over the machine's cores (the setup
-    /// measured in Fig. 7a / Fig. 8a uses heavy parallelism).
-    pub fn encrypt_parallel<R: RngCore + CryptoRng>(
-        &self,
-        relation: &Relation,
-        rng: &mut R,
-    ) -> Result<(EncryptedRelation, EncryptionStats)> {
-        Ok(encrypt_relation_parallel(relation, &self.keys, rng)?)
     }
 
     /// Hand an authorized client the key material it needs for token generation.

@@ -274,16 +274,14 @@ impl DataOwner {
         Ok((Outsourced::from_parts(er, object_ids), stats))
     }
 
-    /// [`DataOwner::outsource`] with the attribute lists spread over the machine's cores
-    /// (the setup measured in Fig. 7a / Fig. 8a uses heavy parallelism).
+    /// [`DataOwner::outsource`] under the name the benchmarks call: it already computes
+    /// on the machine's cores.
     pub fn outsource_parallel<R: RngCore + CryptoRng>(
         &self,
         relation: &Relation,
         rng: &mut R,
     ) -> Result<(Outsourced, EncryptionStats)> {
-        let (er, stats) = sectopk_storage::encrypt_relation_parallel(relation, self.keys(), rng)?;
-        let object_ids = relation.rows().iter().map(|r| r.id).collect();
-        Ok((Outsourced::from_parts(er, object_ids), stats))
+        self.outsource(relation, rng)
     }
 
     /// Open a session on `outsourced` with the transport selected by the
@@ -364,6 +362,27 @@ mod tests {
         let (outsourced, stats) = owner.outsource(&relation, &mut rng).unwrap();
         assert_eq!(stats.num_objects, 3);
         (owner, relation, outsourced)
+    }
+
+    #[test]
+    fn outsource_and_outsource_parallel_are_encrypt() {
+        let (owner, relation, _) = fixture();
+        let one_attribute = Relation::new(
+            vec!["only".into()],
+            vec![
+                Row { id: ObjectId(1), values: vec![4] },
+                Row { id: ObjectId(2), values: vec![9] },
+            ],
+        );
+        for relation in [relation, one_attribute] {
+            let (er, stats) = owner.encrypt(&relation, &mut StdRng::seed_from_u64(31)).unwrap();
+            for outsource in [DataOwner::outsource, DataOwner::outsource_parallel::<StdRng>] {
+                let mut rng = StdRng::seed_from_u64(31);
+                let (outsourced, outsourced_stats) =
+                    outsource(&owner, &relation, &mut rng).unwrap();
+                assert_eq!((outsourced.er(), outsourced_stats), (&er, stats));
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,11 @@ use rand::{CryptoRng, RngCore};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::bigint::{l_function, mod_inverse, random_invertible, to_signed};
+use crate::bigint::{
+    l_function, mod_inverse, random_invertible, random_invertible_many, to_signed,
+};
 use crate::error::{CryptoError, Result};
+use crate::par::{cores, par_map};
 use crate::prime::generate_safe_factor_pair;
 
 /// Minimum supported modulus size.  Far below any secure size — it exists so that unit
@@ -322,6 +325,25 @@ impl PaillierPublicKey {
         }
         let r = random_invertible(rng, self.n());
         Ok(self.encrypt_with_randomness(m, &r))
+    }
+
+    /// [`Self::encrypt`] of every plaintext, in order: byte for byte the ciphertexts of
+    /// a loop of `encrypt` calls, leaving `rng` where that loop leaves it.  Every
+    /// plaintext is checked before anything is drawn; the `r`s are drawn serially for
+    /// one coprimality check ([`random_invertible_many`]), and the exponentiations run
+    /// on the machine's [`cores`], so no byte depends on the worker count.
+    pub fn encrypt_many<R: RngCore + CryptoRng>(
+        &self,
+        plaintexts: Vec<BigUint>,
+        rng: &mut R,
+    ) -> Result<Vec<Ciphertext>> {
+        if plaintexts.iter().any(|m| m >= self.n()) {
+            return Err(CryptoError::PlaintextOutOfRange);
+        }
+        let rs = random_invertible_many(rng, self.n(), plaintexts.len());
+        let pk = self.clone();
+        let jobs: Vec<(BigUint, BigUint)> = plaintexts.into_iter().zip(rs).collect();
+        Ok(par_map(cores(), jobs, move |(m, r)| pk.encrypt_with_randomness(m, r)))
     }
 
     /// Encrypt a small unsigned integer (convenience for scores).
@@ -632,6 +654,26 @@ mod tests {
         let (pk, _sk, mut rng) = setup();
         let too_big = pk.n().clone();
         assert_eq!(pk.encrypt(&too_big, &mut rng), Err(CryptoError::PlaintextOutOfRange));
+    }
+
+    #[test]
+    fn encrypt_many_is_a_loop_of_encrypt() {
+        let (pk, _sk, mut rng) = setup();
+        for count in [0usize, 1, 2, 37] {
+            let plaintexts: Vec<BigUint> =
+                (0..count).map(|_| crate::bigint::random_below(&mut rng, pk.n())).collect();
+            let mut looped = StdRng::seed_from_u64(count as u64);
+            let mut batched = looped.clone();
+            let expected: Vec<Ciphertext> =
+                plaintexts.iter().map(|m| pk.encrypt(m, &mut looped).unwrap()).collect();
+            assert_eq!(pk.encrypt_many(plaintexts, &mut batched).unwrap(), expected, "{count}");
+            assert_eq!(batched.next_u64(), looped.next_u64(), "{count}: the RNG moved apart");
+        }
+        // An out-of-range plaintext anywhere refuses the batch before anything is drawn.
+        let mut untouched = rng.clone();
+        let refused = pk.encrypt_many(vec![BigUint::one(), pk.n().clone()], &mut rng);
+        assert_eq!(refused, Err(CryptoError::PlaintextOutOfRange));
+        assert_eq!(rng.next_u64(), untouched.next_u64());
     }
 
     #[test]

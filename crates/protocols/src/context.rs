@@ -19,7 +19,7 @@ use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sectopk_metrics::{Counter, Histogram, Registry as MetricsRegistry, TraceHook};
+use sectopk_metrics::{Histogram, Registry as MetricsRegistry, TraceHook};
 
 use crate::error::{ProtocolError, Result};
 use sectopk_crypto::keys::{own_modulus_bits, MasterKeys, S1Keys};
@@ -131,9 +131,6 @@ pub struct TwoClouds {
     /// [`TwoClouds::set_metrics`] installs a registry.  Observes wall-clock only —
     /// never protocol state — so ledgers and [`ChannelMetrics`] are unaffected.
     round_nanos: Histogram,
-    /// Rounds completed (`session.{label}.rounds`), mirroring
-    /// [`ChannelMetrics::rounds`] into the registry for cross-checking.
-    rounds_counter: Counter,
     /// Optional span hook notified at entry/exit of every protocol round.
     trace: Option<Arc<dyn TraceHook>>,
     /// Counts this session among the live S1 sessions while it exists.
@@ -293,7 +290,6 @@ impl TwoClouds {
             transport,
             channel: ChannelMetrics::default(),
             round_nanos: Histogram::noop(),
-            rounds_counter: Counter::noop(),
             trace: None,
             _live: LiveSession::join(),
         };
@@ -302,14 +298,12 @@ impl TwoClouds {
     }
 
     /// Report this context's protocol rounds into `registry`: a per-round latency
-    /// histogram (`session.{label}.round_nanos`), a round counter
-    /// (`session.{label}.rounds`), and the transport's own client-side handles
-    /// (`tcp.client.*` on the TCP transport).  A disabled registry leaves every
+    /// histogram (`session.{label}.round_nanos`) and the transport's own client-side
+    /// handles (`tcp.client.*` on the TCP transport).  A disabled registry leaves every
     /// instrument a no-op; protocol bytes, ledgers and [`ChannelMetrics`] are
     /// unaffected either way.
     pub fn set_metrics(&mut self, registry: &MetricsRegistry, label: &str) {
         self.round_nanos = registry.histogram(&format!("session.{label}.round_nanos"));
-        self.rounds_counter = registry.counter(&format!("session.{label}.rounds"));
         self.transport.set_metrics_registry(registry);
     }
 
@@ -402,9 +396,9 @@ impl TwoClouds {
 
     /// Ship one request to S2 and return its response: one round trip, timed into the
     /// round-latency histogram, bracketed by the trace hook and metered into
-    /// [`TwoClouds::channel`] and the round counter once its reply has arrived — an error
-    /// frame included, which surfaces as [`ProtocolError::Remote`].  An exchange that
-    /// fails inside the transport meters nothing.
+    /// [`TwoClouds::channel`] once its reply has arrived — an error frame included, which
+    /// surfaces as [`ProtocolError::Remote`].  An exchange that fails inside the transport
+    /// meters nothing.
     pub(crate) fn round(&mut self, request: S1Request) -> Result<S2Response> {
         let span = request.kind_name();
         if let Some(trace) = &self.trace {
@@ -414,7 +408,6 @@ impl TwoClouds {
         let result = self.transport.round_trip(request);
         self.round_nanos.stop(timer);
         if let Ok((_, traffic)) = &result {
-            self.rounds_counter.incr();
             self.channel.rounds += 1;
             self.channel.bytes += traffic.bytes;
             self.channel.ciphertexts += traffic.ciphertexts;
@@ -482,9 +475,6 @@ mod tests {
         let mut clouds =
             TwoClouds::connect(&master, 5, true, &server, SessionId(1), LinkProfile::ideal())
                 .unwrap();
-        let registry = MetricsRegistry::enabled();
-        clouds.set_metrics(&registry, "1");
-        let counted = || registry.snapshot().counter("session.1.rounds");
         // An error frame is a reply: metered like any other, then surfaced as `Remote`.
         let malformed = S1Request::Batch(vec![S1Request::Batch(Vec::new())]);
         let err = clouds.raw_round_trip(malformed.clone()).unwrap_err();
@@ -495,7 +485,6 @@ mod tests {
             after_error,
             ChannelMetrics { rounds: 1, bytes: traffic.bytes, ciphertexts: traffic.ciphertexts }
         );
-        assert_eq!(counted(), after_error.rounds);
         // An exchange that fails inside the transport meters nothing.
         drop(server);
         let x = clouds.pk().clone().encrypt_u64(1, &mut clouds.s1.rng).unwrap();
@@ -503,7 +492,6 @@ mod tests {
         let err = clouds.enc_compare(&x, &y, "test").unwrap_err();
         assert!(matches!(err, ProtocolError::Transport(_)), "unexpected error {err:?}");
         assert_eq!(clouds.channel(), after_error, "a failed exchange must leave the meter alone");
-        assert_eq!(counted(), after_error.rounds, "nor the registry's round counter");
     }
 
     #[test]

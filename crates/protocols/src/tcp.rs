@@ -398,8 +398,6 @@ struct TcpClientMetrics {
     /// Dial attempts made while recovering a dropped connection
     /// (`tcp.client.connect_attempts`).
     connect_attempts: Counter,
-    /// Successful reconnect-resume recoveries (`tcp.client.reconnects`).
-    reconnects: Counter,
     /// Total nanoseconds slept in recovery backoff (`tcp.client.backoff_nanos`).
     backoff_nanos: Counter,
     /// Encoded envelope bytes per logical exchange (`tcp.client.frame_bytes`).
@@ -410,7 +408,6 @@ impl TcpClientMetrics {
     fn from_registry(registry: &MetricsRegistry) -> Self {
         TcpClientMetrics {
             connect_attempts: registry.counter("tcp.client.connect_attempts"),
-            reconnects: registry.counter("tcp.client.reconnects"),
             backoff_nanos: registry.counter("tcp.client.backoff_nanos"),
             frame_bytes: registry.histogram("tcp.client.frame_bytes"),
         }
@@ -587,7 +584,6 @@ impl SocketPipe {
         self.resume_token = resume_token;
         self.stream = stream;
         self.dead = false;
-        self.client_metrics.reconnects.incr();
         Ok(())
     }
 }

@@ -6,21 +6,20 @@
 //! nothing about which attribute they rank.
 //!
 //! Encryption of different items is embarrassingly parallel (the paper uses 64 threads
-//! in §11.1); [`encrypt_relation_parallel`] spreads the per-list work over the machine's
-//! cores.
+//! in §11.1).  Each list is one batch ([`encrypt_items`]): its randomness is drawn
+//! serially from the caller's RNG, in the order a loop of [`EhlEncoder::encode`] and
+//! `encrypt_u64` calls draws it, and its exponentiations run on the machine's cores — so
+//! the ciphertexts depend on the RNG alone, not on the worker count.
 
-use rand::rngs::StdRng;
-use rand::{CryptoRng, Rng, RngCore, SeedableRng};
+use rand::{CryptoRng, RngCore};
 
 use sectopk_crypto::keys::MasterKeys;
-use sectopk_crypto::paillier::PaillierPublicKey;
-use sectopk_crypto::par::{cores, par_map};
 use sectopk_crypto::prp::KeyedPrp;
 use sectopk_crypto::Result;
-use sectopk_ehl::EhlEncoder;
+use sectopk_ehl::{EhlEncoder, EhlPlus};
 
 use crate::encrypted::{EncryptedItem, EncryptedList, EncryptedRelation};
-use crate::relation::{DataItem, Relation};
+use crate::relation::Relation;
 
 /// Statistics about one database-encryption run (drives Fig. 7 / Fig. 8).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,63 +34,50 @@ pub struct EncryptionStats {
     pub encrypted_bytes: usize,
 }
 
-/// Encrypt a relation with the data owner's keys (single-threaded).
+/// Encrypt a relation with the data owner's keys: each sorted list is one
+/// [`encrypt_items`] batch, so memory is bounded by one list.
 pub fn encrypt_relation<R: RngCore + CryptoRng>(
     relation: &Relation,
     keys: &MasterKeys,
     rng: &mut R,
 ) -> Result<(EncryptedRelation, EncryptionStats)> {
     let sorted = relation.sorted_lists();
-    let encoder = EhlEncoder::new(&keys.ehl_keys);
-    let m = sorted.num_lists();
-
-    let mut encrypted_lists = Vec::with_capacity(m);
-    for i in 0..m {
-        encrypted_lists.push(encrypt_list(sorted.list(i), &encoder, &keys.paillier_public, rng)?);
+    let mut encrypted_lists = Vec::with_capacity(sorted.num_lists());
+    for i in 0..sorted.num_lists() {
+        let items = sorted.list(i).iter().map(|item| (item.object.to_bytes(), item.score));
+        encrypted_lists.push(EncryptedList::new(encrypt_items(items, keys, rng)?));
     }
-
     Ok(assemble(relation, keys, encrypted_lists))
 }
 
-/// Encrypt a relation with its attribute lists spread over the machine's cores
-/// ([`par_map`]).  Thread-level parallelism mirrors the paper's setup-phase measurement.
-pub fn encrypt_relation_parallel<R: RngCore + CryptoRng>(
-    relation: &Relation,
+/// `E(I) = ⟨EHL(o), Enc(x)⟩` of every `(o, x)`, in order: one
+/// [`encrypt_many`](sectopk_crypto::paillier::PaillierPublicKey::encrypt_many) over each
+/// item's EHL images then its score, so byte for byte the items a loop of
+/// [`EhlEncoder::encode`] and `encrypt_u64` calls makes on the same RNG.
+pub fn encrypt_items<R: RngCore + CryptoRng>(
+    items: impl IntoIterator<Item = ([u8; 8], u64)>,
     keys: &MasterKeys,
     rng: &mut R,
-) -> Result<(EncryptedRelation, EncryptionStats)> {
-    let sorted = relation.sorted_lists();
-    let m = sorted.num_lists();
-    if m <= 1 {
-        return encrypt_relation(relation, keys, rng);
-    }
-
-    // One seed per list, drawn from the caller's RNG in list order before any list is
-    // encrypted, so the ciphertexts do not depend on which thread encrypts which list.
-    let jobs: Vec<(Vec<DataItem>, u64)> =
-        (0..m).map(|i| (sorted.list(i).to_vec(), rng.gen())).collect();
+) -> Result<Vec<EncryptedItem>> {
     let encoder = EhlEncoder::new(&keys.ehl_keys);
-    let pk = keys.paillier_public.clone();
-    let lists = par_map(cores(), jobs, move |(list, seed)| {
-        encrypt_list(list, &encoder, &pk, &mut StdRng::seed_from_u64(*seed))
-    });
-    Ok(assemble(relation, keys, lists.into_iter().collect::<Result<_>>()?))
-}
-
-/// Encrypt one sorted list.
-fn encrypt_list<R: RngCore + CryptoRng>(
-    list: &[DataItem],
-    encoder: &EhlEncoder,
-    pk: &PaillierPublicKey,
-    rng: &mut R,
-) -> Result<EncryptedList> {
-    let mut items = Vec::with_capacity(list.len());
-    for item in list {
-        let ehl = encoder.encode(&item.object.to_bytes(), pk, rng)?;
-        let score = pk.encrypt_u64(item.score, rng)?;
-        items.push(EncryptedItem { ehl, score });
-    }
-    Ok(EncryptedList::new(items))
+    let pk = &keys.paillier_public;
+    let plaintexts = items
+        .into_iter()
+        .flat_map(|(object, score)| {
+            let mut plaintexts = encoder.plaintext_images(&object, pk.n());
+            plaintexts.push(score.into());
+            plaintexts
+        })
+        .collect();
+    let s = keys.ehl_key_count();
+    let ciphertexts = pk.encrypt_many(plaintexts, rng)?;
+    Ok(ciphertexts
+        .chunks_exact(s + 1)
+        .map(|item| EncryptedItem {
+            ehl: EhlPlus::from_blocks(item[..s].to_vec()),
+            score: item[s].clone(),
+        })
+        .collect())
 }
 
 /// Permute the encrypted lists with the owner's PRP and collect statistics.
@@ -209,26 +195,49 @@ mod tests {
         assert!(!sk.is_zero(&stored_ehl.eq_test(&fresh_other, pk, &mut rng)).unwrap());
     }
 
+    fn one_attribute_relation() -> Relation {
+        Relation::new(
+            vec!["only".into()],
+            vec![
+                Row { id: ObjectId(1), values: vec![4] },
+                Row { id: ObjectId(2), values: vec![9] },
+            ],
+        )
+    }
+
+    /// `Enc(R)` one object at a time: [`EhlEncoder::encode`] then `encrypt_u64`, item by
+    /// item, list by list.
+    fn per_object_encryption(
+        relation: &Relation,
+        keys: &MasterKeys,
+        rng: &mut StdRng,
+    ) -> Vec<EncryptedList> {
+        let encoder = EhlEncoder::new(&keys.ehl_keys);
+        let pk = &keys.paillier_public;
+        let sorted = relation.sorted_lists();
+        (0..sorted.num_lists())
+            .map(|i| {
+                let items = sorted.list(i).iter().map(|item| EncryptedItem {
+                    ehl: encoder.encode(&item.object.to_bytes(), pk, rng).unwrap(),
+                    score: pk.encrypt_u64(item.score, rng).unwrap(),
+                });
+                EncryptedList::new(items.collect())
+            })
+            .collect()
+    }
+
     #[test]
     fn parallel_and_serial_encryption_agree_on_structure() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let keys = master_keys(&mut rng);
-        let relation = small_relation();
-        let (serial, s_stats) = encrypt_relation(&relation, &keys, &mut rng).unwrap();
-        let (parallel, p_stats) = encrypt_relation_parallel(&relation, &keys, &mut rng).unwrap();
-        assert_eq!(serial.num_attributes(), parallel.num_attributes());
-        assert_eq!(serial.num_objects(), parallel.num_objects());
-        assert_eq!(s_stats.paillier_encryptions, p_stats.paillier_encryptions);
-
-        // Ciphertexts differ (fresh randomness) but decrypt to the same scores.
-        let sk = &keys.paillier_secret;
-        for list_idx in 0..3 {
-            for depth in 0..5 {
-                let a = sk.decrypt_u64(&serial.list(list_idx).item(depth).unwrap().score).unwrap();
-                let b =
-                    sk.decrypt_u64(&parallel.list(list_idx).item(depth).unwrap().score).unwrap();
-                assert_eq!(a, b);
-            }
+        // The batches draw what the per-object loop draws, in its order, and compute in
+        // parallel: equal RNGs give equal bytes and leave the RNGs level.
+        for relation in [small_relation(), one_attribute_relation()] {
+            let mut rng = StdRng::seed_from_u64(31);
+            let keys = master_keys(&mut rng);
+            let mut reference_rng = rng.clone();
+            let (er, stats) = encrypt_relation(&relation, &keys, &mut rng).unwrap();
+            let reference = per_object_encryption(&relation, &keys, &mut reference_rng);
+            assert_eq!((er, stats), assemble(&relation, &keys, reference));
+            assert_eq!(rng.next_u64(), reference_rng.next_u64());
         }
     }
 
@@ -248,31 +257,15 @@ mod tests {
 
     #[test]
     fn parallel_encryption_ciphertexts_are_pinned() {
-        // The per-list seeds are drawn from the caller's RNG in list order before any
-        // list is encrypted, so how the lists are spread over threads moves no byte.
+        // The digest of the one-object-at-a-time loop on this seed: however many cores
+        // compute the batches, no byte moves.
         let mut rng = StdRng::seed_from_u64(4242);
         let keys = master_keys(&mut rng);
-        let (er, _) = encrypt_relation_parallel(&small_relation(), &keys, &mut rng).unwrap();
+        let (er, _) = encrypt_relation(&small_relation(), &keys, &mut rng).unwrap();
         assert_eq!(
             ciphertext_digest(&er),
-            "fa6e32ef8fd7e16f42b5a83f7936d7eb92665e6a1002e9f583b6e6b4d89877d4"
+            "1f2dd20c4e019c84d5cb3f8be93838725f0fb4c29309b639d902327427c8a578"
         );
-    }
-
-    #[test]
-    fn single_attribute_relation_uses_serial_path() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let keys = master_keys(&mut rng);
-        let relation = Relation::new(
-            vec!["only".into()],
-            vec![
-                Row { id: ObjectId(1), values: vec![4] },
-                Row { id: ObjectId(2), values: vec![9] },
-            ],
-        );
-        let (er, _) = encrypt_relation_parallel(&relation, &keys, &mut rng).unwrap();
-        assert_eq!(er.num_attributes(), 1);
-        assert_eq!(er.num_objects(), 2);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod encrypted;
 pub mod relation;
 pub mod token;
 
-pub use encrypt::{encrypt_relation, encrypt_relation_parallel, EncryptionStats};
+pub use encrypt::{encrypt_items, encrypt_relation, EncryptionStats};
 pub use encrypted::{EncryptedItem, EncryptedList, EncryptedRelation};
 pub use relation::{DataItem, ObjectId, Relation, Row, Score, SortedLists};
 pub use token::{generate_token, QueryError, QueryToken, TopKQuery};

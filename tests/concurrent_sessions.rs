@@ -179,10 +179,9 @@ fn a_failing_session_does_not_disturb_its_neighbours() {
 fn a_session_is_reported_and_metered_under_the_id_it_is_seated_under() {
     // `SessionId(0)` means "assign one" to the pool, which then seats the session under
     // another id.  A session opened as 0 would be reported, and metered as
-    // `session.0.rounds` / `session.0.round_nanos`, under an id it does not hold — and
-    // two of them would merge there.  So this door refuses the non-id with a typed,
-    // permanent error: the id a session is opened under is the id it is seated, reported
-    // and metered under.
+    // `session.0.round_nanos`, under an id it does not hold — and two of them would merge
+    // there.  So this door refuses the non-id with a typed, permanent error: the id a
+    // session is opened under is the id it is seated, reported and metered under.
     let (owner, outsourced, workload) = fixture(0xA1A1);
     let server = QueryServer::new(owner.keys(), outsourced, 2);
     let open =
@@ -192,8 +191,8 @@ fn a_session_is_reported_and_metered_under_the_id_it_is_seated_under() {
         assert!(matches!(err, SecTopKError::Protocol(_)), "typed error, got {err:?}");
         assert!(!err.is_transient(), "retrying the same non-id cannot succeed: {err:?}");
     }
-    let counters = server.metrics_snapshot().counters;
-    assert!(!counters.keys().any(|name| name.starts_with("session.0.")), "{counters:?}");
+    let histograms = server.metrics_snapshot().histograms;
+    assert!(!histograms.keys().any(|name| name.starts_with("session.0.")), "{histograms:?}");
 
     // Two sessions with ids of their own stay apart in the report and in the registry.
     let query = Query::from_spec(workload.queries[0].clone())
@@ -205,9 +204,10 @@ fn a_session_is_reported_and_metered_under_the_id_it_is_seated_under() {
     let err = open(2, 3).expect_err("id 2 is seated");
     assert!(matches!(err, SecTopKError::Protocol(_)), "typed error, got {err:?}");
 
-    let counters = server.metrics_snapshot().counters;
+    let histograms = server.metrics_snapshot().histograms;
     let (first, second) = (first.metrics(), second.metrics());
-    assert_eq!(counters.get("session.1.rounds").copied(), Some(first.rounds));
-    assert_eq!(counters.get("session.2.rounds").copied(), Some(second.rounds));
+    let timed = |name: &str| histograms.get(name).map(|h| h.count);
+    assert_eq!(timed("session.1.round_nanos"), Some(first.rounds));
+    assert_eq!(timed("session.2.round_nanos"), Some(second.rounds));
     assert!(second.rounds > first.rounds);
 }

@@ -30,7 +30,7 @@ const ALL_TRANSPORTS: [TransportKind; 3] =
 
 fn relation_with_duplicates() -> Relation {
     // Duplicate score rows so the dup-elim variant exercises SecDedup's replace/keep
-    // paths (the upper-bound nonce prefill and the parallel dedup decrypts).
+    // paths (the parallel dedup decrypts and the nonce pools' dry batches).
     Relation::new(
         vec!["r1".into(), "r2".into(), "r3".into()],
         vec![

@@ -129,13 +129,8 @@ fn direct_transports_are_identical_with_metrics_on_and_off() {
         assert_eq!(channel_on, channel_off, "{kind:?}: channel metrics diverge");
         assert_eq!(s1_on.events(), s1_off.events(), "{kind:?}: S1 ledgers diverge");
         assert_eq!(s2_on.events(), s2_off.events(), "{kind:?}: S2 ledgers diverge");
-        // The mirrored round counter agrees exactly with the always-on accounting.
+        // One round timing per round the always-on accounting counts.
         let snapshot = enabled.snapshot();
-        assert_eq!(
-            snapshot.counters.get("session.direct.rounds").copied(),
-            Some(channel_on.rounds),
-            "{kind:?}: mirrored round counter diverges from ChannelMetrics"
-        );
         let rounds_hist =
             snapshot.histograms.get("session.direct.round_nanos").expect("round histogram");
         assert_eq!(rounds_hist.count, channel_on.rounds, "{kind:?}: round timings != rounds");
@@ -160,12 +155,12 @@ fn deterministic_counters_are_exact() {
     assert_eq!(snapshot.counters.get("pool.evicted").copied().unwrap_or(0), 0);
     assert_eq!(snapshot.counters.get("pool.replayed").copied().unwrap_or(0), 0);
 
-    // Each session's mirrored round counter matches its ChannelMetrics exactly.
+    // Each session's round timings are one per round of its ChannelMetrics.
     let mut total_rounds = 0u64;
     for session in &report.sessions {
-        let name = format!("session.{}.rounds", session.session.0);
+        let name = format!("session.{}.round_nanos", session.session.0);
         assert_eq!(
-            snapshot.counters.get(&name).copied(),
+            snapshot.histograms.get(&name).map(|h| h.count),
             Some(session.metrics.rounds),
             "{name} diverges from the session's ChannelMetrics"
         );
@@ -242,8 +237,8 @@ fn overload_rejects_and_accepts_are_exact() {
 }
 
 /// Fault-injected TCP serving: zero query failures (retry absorbs everything), a
-/// nonzero absorbed-fault count, and the client-side fault counters reconcile exactly
-/// with the per-session `transport_failures` totals.
+/// nonzero absorbed-fault count, and S2's reattachments reconcile exactly with the
+/// per-session `transport_failures` totals.
 #[test]
 fn injected_faults_are_counted_and_absorbed_without_query_failures() {
     let (owner, outsourced, workload) = fixture(0x0B5E_0005, 8);
@@ -259,15 +254,7 @@ fn injected_faults_are_counted_and_absorbed_without_query_failures() {
     assert_eq!(report.query_failures(), 0, "retry must absorb every injected fault");
     assert!(report.transport_failures() > 0, "injected faults must be counted as absorbed");
 
-    // Exact reconciliation: every absorbed fault is a reconnect-resume recovery, and
-    // each increments the client's counter exactly once.
     let snapshot = &report.metrics;
-    let reconnects = snapshot.counters.get("tcp.client.reconnects").copied().unwrap_or(0);
-    assert_eq!(
-        reconnects,
-        report.transport_failures(),
-        "client fault counters do not reconcile with the absorbed-fault total"
-    );
     // Two parties' views of one event: every fault S1 absorbed is a session S2's pool
     // took back by a resume.  Dropped-after-send faults also exercise the replay cache.
     assert_eq!(
