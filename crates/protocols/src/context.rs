@@ -115,8 +115,9 @@ pub struct S1State {
     /// serial; initially `SECTOPK_INTRA_PARALLEL`'s, if set).  `None`: the session's
     /// share of the machine, the cores divided among the live S1 sessions of the process
     /// ([`TwoClouds::intra_workers`]).  Randomness is always drawn serially first, so
-    /// protocol bytes never depend on the count.
-    pub intra_workers: Option<usize>,
+    /// protocol bytes never depend on the count.  [`TwoClouds::set_intra_workers`] is its
+    /// one writer, so the nonce pools always refill on the count the loops use.
+    pub(crate) intra_workers: Option<usize>,
 }
 
 /// The two non-colluding clouds: S1's state plus the metered transport to the S2 engine.
@@ -221,26 +222,6 @@ impl TwoClouds {
         })
     }
 
-    /// [`TwoClouds::connect`] with an exact intra-query worker count applied to *both*
-    /// sides — S1's client loops and the session's S2 engine — instead of each side's
-    /// share of the machine.  Worker count never affects protocol bytes.
-    pub fn connect_with_workers(
-        master: &MasterKeys,
-        seed: u64,
-        server: &MultiplexServer,
-        session: SessionId,
-        link: LinkProfile,
-        intra_workers: usize,
-    ) -> Result<Self> {
-        let mut clouds = Self::over_transport(master, seed, |provision| {
-            let mut engine = provision.build();
-            engine.set_intra_workers(intra_workers);
-            Ok(Box::new(server.connect(session, engine, link)?))
-        })?;
-        clouds.set_intra_workers(intra_workers);
-        Ok(clouds)
-    }
-
     /// The shared S1-side setup: every transport, over either pipe, derives
     /// S1's keys, RNG and nonce pools from `seed` through this one path, which is what
     /// makes protocol output byte-identical across transports for a fixed seed.
@@ -330,10 +311,12 @@ impl TwoClouds {
     }
 
     /// Set an exact S1-side intra-query worker count (minimum 1; 1 = fully serial),
-    /// whatever else is alive.  The S2 engine behind the transport has its own knob
-    /// ([`crate::engine::S2Engine::set_intra_workers`]); unset, each side uses its share
-    /// of the machine, and `SECTOPK_INTRA_PARALLEL` sets both.  Protocol bytes, ledgers
-    /// and metrics are identical for every value.
+    /// whatever else is alive — a test seam: every door leaves a party on its share of
+    /// the machine, or on `SECTOPK_INTRA_PARALLEL`'s count when that is set.  The S2
+    /// engine behind the transport has the other seam
+    /// ([`crate::engine::S2Engine::set_intra_workers`]), set in the closure of
+    /// [`TwoClouds::over_transport`].  Protocol bytes, ledgers and metrics are identical
+    /// for every value.
     pub fn set_intra_workers(&mut self, workers: usize) {
         self.s1.intra_workers = Some(workers.max(1));
         self.refresh_refill_workers();

@@ -40,14 +40,16 @@
 //!
 //! # Knobs
 //!
-//! [`ServeConfig`] has five: `sessions` (concurrent S1 clients), `base_seed`,
-//! `variant` — [`VariantChoice::Auto`] lets the planner pick `Qry_F`/`Qry_E`/`Qry_Ba`
-//! per query; the decision lands in each outcome's
+//! [`ServeConfig`] has three, each read by every serving door: `sessions` (concurrent
+//! S1 clients), `base_seed` and `variant` — [`VariantChoice::Auto`] lets the planner
+//! pick `Qry_F`/`Qry_E`/`Qry_Ba` per query; the decision lands in each outcome's
 //! [`QueryStats::plan`](sectopk_core::QueryStats) so serving reports are
-//! self-describing — `intra_workers`, and `faults` for the socket run.  A
-//! serving run scans to the halting condition and runs over an ideal link; a session
-//! over a simulated WAN (§11.2.5) is opened by hand with [`QueryServer::open_session`].
-//! The S2 pool width is set at [`QueryServer::new`].
+//! self-describing.  The socket run's [`FaultPlan`] is an argument of
+//! [`QueryServer::serve_tcp`], the one door that reads it.  A serving run scans to the
+//! halting condition and runs over an ideal link; a session over a simulated WAN
+//! (§11.2.5) is opened by hand with [`QueryServer::open_session`].  The S2 pool width is
+//! set at [`QueryServer::new`]; each party's intra-query worker count is its share of
+//! the machine, or `SECTOPK_INTRA_PARALLEL`'s count when that is set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,9 +78,10 @@ use sectopk_protocols::{
 };
 use sectopk_storage::{EncryptedRelation, TopKQuery};
 
-/// Shape of one serving run: how many concurrent sessions and how each query executes.
-/// (The S2 compute budget is a property of the [`QueryServer`] itself, set at
-/// construction.)
+/// Shape of one serving run: how many concurrent sessions and how each query executes —
+/// what every serving door reads.  (The S2 compute budget is a property of the
+/// [`QueryServer`] itself, set at construction; worker counts are each party's share of
+/// the machine.)
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Number of concurrent S1 sessions (client connections).
@@ -87,17 +90,6 @@ pub struct ServeConfig {
     pub variant: VariantChoice,
     /// Base seed; session `i` runs under `shard_seed(base_seed, i)`.
     pub base_seed: u64,
-    /// An exact intra-query worker count for each session's S1 loops *and* its S2
-    /// engine.  `None` (the default): each side's own default — the
-    /// `SECTOPK_INTRA_PARALLEL` environment variable's count if set, else its share of
-    /// the machine: S1 the cores divided among the live sessions, the engine those
-    /// divided among the sessions its pool may compute for at once.  Worker count only
-    /// changes wall-clock: results, ledgers and metrics are byte-identical.
-    pub intra_workers: Option<usize>,
-    /// Deterministic fault injection for [`QueryServer::serve_tcp`] sessions — the
-    /// chaos-soak knob.  A socket session recovers an injected drop transparently, so
-    /// the run's reports stay byte-identical.
-    pub faults: FaultPlan,
 }
 
 impl ServeConfig {
@@ -108,22 +100,7 @@ impl ServeConfig {
             sessions,
             variant: VariantChoice::Fixed(sectopk_core::QueryVariant::Full),
             base_seed,
-            intra_workers: None,
-            faults: FaultPlan::none(),
         }
-    }
-
-    /// Inject connection faults on `faults`' schedule into networked
-    /// ([`QueryServer::serve_tcp`]) sessions.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Set an exact intra-query worker count (minimum 1; 1 = fully serial).
-    pub fn with_intra_workers(mut self, workers: usize) -> Self {
-        self.intra_workers = Some(workers.max(1));
-        self
     }
 
     /// Replace the variant choice ([`VariantChoice::Auto`] hands every query to the
@@ -354,40 +331,22 @@ impl QueryServer {
         link: LinkProfile,
     ) -> Result<DirectSession> {
         require_batching(batching)?;
-        self.seat(session, seed, None, Door::Conduit(link))
+        self.seat(session, seed, Door::Conduit(link))
     }
 
     /// The one place a serving session is built: connect a [`TwoClouds`] through
-    /// `door` (with an exact `intra_workers` on S1's loops and, over the conduit, on the
-    /// session's S2 engine; `None` leaves both on their share), label its round
-    /// metrics, and wrap the session around it.
-    fn seat(
-        &self,
-        session: SessionId,
-        seed: u64,
-        intra_workers: Option<usize>,
-        door: Door<'_>,
-    ) -> Result<DirectSession> {
+    /// `door`, label its round metrics, and wrap the session around it.
+    fn seat(&self, session: SessionId, seed: u64, door: Door<'_>) -> Result<DirectSession> {
         if session == SessionId(0) {
             let why = "a serving session needs an id of its own; SessionId(0) names none";
             return Err(ProtocolError::transport_rejected(why).into());
         }
         let master = &self.master;
         let s2 = &self.s2;
-        let mut clouds = match (door, intra_workers) {
-            (Door::Conduit(link), None) => {
-                TwoClouds::connect(master, seed, true, s2, session, link)?
-            }
-            (Door::Conduit(link), Some(workers)) => {
-                TwoClouds::connect_with_workers(master, seed, s2, session, link, workers)?
-            }
-            (Door::Socket(addr, options), workers) => {
-                let mut clouds =
-                    TwoClouds::connect_tcp(master, seed, addr, options.with_session(session))?;
-                if let Some(workers) = workers {
-                    clouds.set_intra_workers(workers);
-                }
-                clouds
+        let mut clouds = match door {
+            Door::Conduit(link) => TwoClouds::connect(master, seed, true, s2, session, link)?,
+            Door::Socket(addr, options) => {
+                TwoClouds::connect_tcp(master, seed, addr, options.with_session(session))?
             }
         };
         clouds.set_metrics(&self.metrics, &session.0.to_string());
@@ -396,10 +355,10 @@ impl QueryServer {
 
     /// The serving loop, written once.  Queries are dealt round-robin
     /// ([`QueryWorkload::partition`]); session `i` is opened under the id `i` and the
-    /// seed `shard_seed(base_seed, i)` over the pool's conduit — or, given a `listener`
-    /// in front of the pool, over a real socket to it under `config`'s [`FaultPlan`] —
-    /// and runs its stream: a failed query is recorded under its index in the stream and
-    /// the session keeps going.
+    /// seed `shard_seed(base_seed, i)` over the pool's conduit — or, given a `socket`
+    /// (a listener in front of the pool and the options to reach it under), over a real
+    /// socket to it — and runs its stream: a failed query is recorded under its index in
+    /// the stream and the session keeps going.
     /// `concurrent` puts every session on its own thread against the
     /// shared S2 pool; otherwise they run one after another.  Reports come back in
     /// session order either way, which is what makes each public serving shape a
@@ -414,20 +373,21 @@ impl QueryServer {
         workload: &QueryWorkload,
         config: &ServeConfig,
         concurrent: bool,
-        listener: Option<TcpCloudServer>,
+        socket: Option<(TcpCloudServer, TcpOptions)>,
     ) -> Result<ServeReport> {
-        let addr = listener.as_ref().map(|l| l.local_addr().to_string());
-        let options = TcpOptions::default().with_faults(config.faults);
+        let remote = socket
+            .as_ref()
+            .map(|(listener, options)| (listener.local_addr().to_string(), options.clone()));
         let partitions = workload.partition(config.sessions.max(1));
         let start = Instant::now();
         let run_session = |(i, queries): (usize, &Vec<TopKQuery>)| -> Result<SessionReport> {
-            let door = match &addr {
-                Some(addr) => Door::Socket(addr, options.clone()),
+            let door = match &remote {
+                Some((addr, options)) => Door::Socket(addr, options.clone()),
                 None => Door::Conduit(LinkProfile::ideal()),
             };
             let id = SessionId(i as u64 + 1);
             let seed = shard_seed(config.base_seed, id.0);
-            let mut session = self.seat(id, seed, config.intra_workers, door)?;
+            let mut session = self.seat(id, seed, door)?;
             let (mut outcomes, mut failures) = (Vec::with_capacity(queries.len()), Vec::new());
             for (index, spec) in queries.iter().enumerate() {
                 let query = Query::from_spec(spec.clone()).with_variant(config.variant);
@@ -454,7 +414,7 @@ impl QueryServer {
             jobs.map(run_session).collect::<Result<Vec<_>>>()?
         };
         // Joins the listener's connection threads, so the snapshot below is quiescent.
-        drop(listener);
+        drop(socket);
         Ok(ServeReport {
             sessions,
             queries: workload.queries.len(),
@@ -485,11 +445,17 @@ impl QueryServer {
     /// [`QueryServer::serve`], but with every session crossing a real TCP socket: the
     /// server's S2 pool is exposed on an ephemeral loopback listener, each session
     /// connects to it under the id and seed [`QueryServer::serve`] gives it, and
-    /// `config`'s [`FaultPlan`] injects faults into the connections.  The per-session
-    /// reports are byte-identical to [`QueryServer::serve`] — and, with faults injected,
-    /// byte-identical to the fault-free run, since every socket session recovers them
-    /// transparently (the chaos-soak invariant).
-    pub fn serve_tcp(&self, workload: &QueryWorkload, config: &ServeConfig) -> Result<ServeReport> {
-        self.run(workload, config, true, Some(self.listen("127.0.0.1:0")?))
+    /// `faults` injects faults into the connections ([`FaultPlan::none`]: none).  The
+    /// per-session reports are byte-identical to [`QueryServer::serve`] — and, with
+    /// faults injected, byte-identical to the fault-free run, since every socket session
+    /// recovers them transparently (the chaos-soak invariant).
+    pub fn serve_tcp(
+        &self,
+        workload: &QueryWorkload,
+        config: &ServeConfig,
+        faults: FaultPlan,
+    ) -> Result<ServeReport> {
+        let options = TcpOptions::default().with_faults(faults);
+        self.run(workload, config, true, Some((self.listen("127.0.0.1:0")?, options)))
     }
 }

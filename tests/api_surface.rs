@@ -1,10 +1,11 @@
 //! Public-API surface snapshot for the `sectopk-core` facade.
 //!
 //! The `Session` / `QueryBuilder` / `SecTopKError` surface is the contract every test,
-//! bench, example and downstream consumer builds against.  This test extracts the
-//! public item declarations of the facade's source files and compares them against a
-//! committed snapshot, so any change to the surface — a removed method, a renamed
-//! variant, a signature change — fails loudly in review instead of slipping in
+//! bench, example and downstream consumer builds against, together with the session
+//! doors of `TwoClouds` and the serving doors of `QueryServer` beneath it.  This test
+//! extracts the public item and field declarations of those source files and compares
+//! them against a committed snapshot, so any change to the surface — a removed method
+//! or field, a signature change — fails loudly in review instead of slipping in
 //! silently.
 //!
 //! To re-bless after an *intentional* surface change:
@@ -30,13 +31,25 @@ const FACADE_FILES: &[&str] = &[
     "crates/core/src/results.rs",
     "crates/core/src/leakage.rs",
     "crates/core/src/join.rs",
+    "crates/protocols/src/context.rs",
     "crates/protocols/src/tcp.rs",
     "crates/protocols/src/channel.rs",
     "crates/protocols/src/wire.rs",
+    "crates/server/src/lib.rs",
 ];
 
-/// True when `line` (already trimmed) declares a public item we track.
+/// True when `line` (already trimmed) is a public struct field: `pub name: Type,`.
+fn is_public_field(line: &str) -> bool {
+    line.strip_prefix("pub ")
+        .and_then(|rest| rest.split_once(':'))
+        .is_some_and(|(name, _)| name.chars().all(|c| c == '_' || c.is_ascii_alphanumeric()))
+}
+
+/// True when `line` (already trimmed) declares a public item or field we track.
 fn is_public_declaration(line: &str) -> bool {
+    if is_public_field(line) {
+        return true;
+    }
     for prefix in [
         "pub fn ",
         "pub struct ",
@@ -79,13 +92,16 @@ fn extract_surface(source: &str) -> Vec<String> {
             continue;
         }
         // Join continuation lines until the declaration closes.  `pub use` braces are
-        // item lists (part of the surface), so those run to their semicolon; other
-        // declarations stop at the body opener.
+        // item lists (part of the surface), so those run to their semicolon; a field runs
+        // to its comma; other declarations stop at the body opener.
         let is_use = line.starts_with("pub use ");
+        let is_field = is_public_field(line);
         let mut declaration = line.to_string();
         let closed = |d: &str| {
             if is_use {
                 d.contains(';')
+            } else if is_field {
+                d.ends_with(',')
             } else {
                 d.contains('{') || d.contains(';') || d.ends_with(')')
             }

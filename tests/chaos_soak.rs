@@ -50,8 +50,7 @@ fn soak(faults: FaultPlan, seed: u64) {
     ] {
         let config = ServeConfig::new(4, seed ^ 0xBA5E).with_variant(variant);
         let baseline = server.serve(&workload, &config).expect("fault-free in-process serve");
-        let faulted =
-            server.serve_tcp(&workload, &config.with_faults(faults)).expect("faulted TCP serve");
+        let faulted = server.serve_tcp(&workload, &config, faults).expect("faulted TCP serve");
 
         assert_eq!(baseline.query_failures(), 0, "{name}: fault-free run must be clean");
         assert_eq!(

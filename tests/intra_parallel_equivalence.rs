@@ -1,27 +1,32 @@
 //! Intra-query parallelism must be unobservable: for a fixed seed, a query executed
 //! with `intra_workers = 4` — or with the default, each party's share of the machine —
 //! must produce **byte-identical** results, leakage ledgers (both parties) and channel
-//! metrics as the same query executed fully serially — on every transport.  Worker count is a local resource decision, never protocol state;
-//! any divergence means randomness was drawn in a scheduling-dependent order or the
-//! parallel compute phase leaked into the serial commit order.  Sessions computing at once
-//! share `par_map`'s process-wide helper threads, and that must not show either.
+//! metrics as the same query executed fully serially — on every transport.  Worker
+//! count is a local resource decision, never protocol state; any divergence means
+//! randomness was drawn in a scheduling-dependent order or the parallel compute phase
+//! leaked into the serial commit order.  Sessions computing at once share `par_map`'s
+//! process-wide helper threads, and that must not show either.
 //!
-//! The serving layer gets the same treatment: a `ServeConfig` with intra-query workers
-//! must reproduce the serial run's per-session reports exactly (the engine-side knob is
-//! exercised through `TwoClouds::connect_with_workers`, which parallelizes S2's compute
-//! phase as well as S1's client loops).
+//! The serving shape gets the same treatment: two sessions seated in one S2 pool and
+//! computing at once reproduce their answers, ledgers and channel metrics exactly with
+//! both parties at one worker, at four — S1 through `TwoClouds::set_intra_workers`, the
+//! session's engine through `S2Engine::set_intra_workers`, which parallelizes S2's
+//! compute phase — or on their share.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sectopk_core::{
-    encrypt_for_join, join_token, top_k_join, DataOwner, JoinQuery, Query, QueryConfig, Session,
-    VariantChoice,
+    encrypt_for_join, join_token, top_k_join, DataOwner, DirectSession, JoinQuery, LinkProfile,
+    Query, QueryConfig, Session, VariantChoice,
 };
+use sectopk_crypto::pool::shard_seed;
 use sectopk_crypto::MasterKeys;
 use sectopk_datasets::QueryWorkload;
-use sectopk_protocols::{ChannelMetrics, LeakageLedger, ScoredItem, TransportKind, TwoClouds};
-use sectopk_server::{QueryServer, ServeConfig, ServeReport};
+use sectopk_protocols::{
+    ChannelMetrics, LeakageLedger, MultiplexServer, ScoredItem, SessionId, TransportKind, TwoClouds,
+};
+use sectopk_server::SessionReport;
 use sectopk_storage::{ObjectId, Relation, Row, TopKQuery};
 use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
@@ -133,16 +138,14 @@ fn sessions_contending_for_the_helpers_match_their_serial_runs() {
 }
 
 #[test]
-fn serving_with_intra_workers_matches_serial_reports() {
-    // ServeConfig::with_intra_workers (through TwoClouds::connect_with_workers) sets
-    // the worker count on BOTH the S1 loops and each session's S2 engine, so this
-    // covers the engine's parallel compute / serial commit pipeline end to end; the
-    // default config leaves both sides on their share of the machine.
+fn two_sessions_in_one_pool_match_at_one_four_and_shared_workers() {
+    // Both parties of each session at one count: S1's loops and the session's S2 engine,
+    // so this covers the engine's parallel compute / serial commit pipeline end to end;
+    // `None` leaves both on their share of the machine.
     let mut rng = StdRng::seed_from_u64(0x5E11);
     let owner = DataOwner::new(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).expect("keygen");
     let relation = relation_with_duplicates();
     let (outsourced, _) = owner.outsource(&relation, &mut rng).expect("encryption");
-    let server = QueryServer::new(owner.keys(), outsourced, 2);
     let workload = QueryWorkload {
         queries: vec![
             TopKQuery::sum(vec![0, 1, 2], 2),
@@ -151,18 +154,52 @@ fn serving_with_intra_workers_matches_serial_reports() {
             TopKQuery::sum(vec![0, 2], 2),
         ],
     };
-    let base = ServeConfig::new(2, 0xD00D).with_variant(VariantChoice::Auto);
+    let streams = workload.partition(2);
+    let serve = |workers: Option<usize>| -> Vec<SessionReport> {
+        let pool = MultiplexServer::new(2);
+        let run_session = |(i, queries): (usize, &Vec<TopKQuery>)| {
+            let id = SessionId(i as u64 + 1);
+            let seed = shard_seed(0xD00D, id.0);
+            let mut clouds = TwoClouds::over_transport(owner.keys(), seed, |provision| {
+                let mut engine = provision.build();
+                if let Some(workers) = workers {
+                    engine.set_intra_workers(workers);
+                }
+                Ok(Box::new(pool.connect(id, engine, LinkProfile::ideal())?))
+            })
+            .expect("seat a session");
+            if let Some(workers) = workers {
+                clouds.set_intra_workers(workers);
+            }
+            let mut session =
+                DirectSession::new(clouds, outsourced.clone(), owner.keys().clone(), seed);
+            let outcomes = queries
+                .iter()
+                .map(|spec| {
+                    let query = Query::from_spec(spec.clone()).with_variant(VariantChoice::Auto);
+                    session.execute(&query).expect("query").outcome
+                })
+                .collect();
+            SessionReport::new(id, seed, &session, outcomes, Vec::new())
+        };
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = streams
+                .iter()
+                .enumerate()
+                .map(|job| scope.spawn(move || run_session(job)))
+                .collect();
+            threads.into_iter().map(|thread| thread.join().expect("a session")).collect()
+        })
+    };
 
-    let serial = server.serve(&workload, &base.with_intra_workers(1)).expect("serial serve");
-    let parallel = server.serve(&workload, &base.with_intra_workers(4)).expect("parallel serve");
-    let shared = server.serve(&workload, &base).expect("serve on the share");
-    assert_same_reports(&serial, &parallel);
-    assert_same_reports(&serial, &shared);
+    let serial = serve(Some(1));
+    assert_same_reports(&serial, &serve(Some(4)));
+    assert_same_reports(&serial, &serve(None));
 }
 
-fn assert_same_reports(serial: &ServeReport, parallel: &ServeReport) {
-    assert_eq!(serial.sessions.len(), parallel.sessions.len());
-    for (s, p) in serial.sessions.iter().zip(parallel.sessions.iter()) {
+fn assert_same_reports(serial: &[SessionReport], parallel: &[SessionReport]) {
+    assert_eq!(serial.len(), parallel.len());
+    for (s, p) in serial.iter().zip(parallel) {
         assert_eq!(s.session, p.session);
         assert_eq!(s.seed, p.seed);
         assert_eq!(s.failures.len(), p.failures.len(), "failure counts diverge");

@@ -49,49 +49,38 @@ fn assert_histograms_structural(snapshot: &MetricsSnapshot) {
     }
 }
 
-/// Metrics on vs off, multiplex and TCP serving, 1 and 4 intra-query workers: the
-/// per-session reports must be byte-identical in every comparable field.
+/// Metrics on vs off, multiplex and TCP serving: the per-session reports must be
+/// byte-identical in every comparable field.  Both parties run on their share of the
+/// machine, or on `SECTOPK_INTRA_PARALLEL`'s count: CI runs this suite at 1 and at 4.
 #[test]
 fn serving_reports_are_identical_with_metrics_on_and_off() {
     let (owner, outsourced, workload) = fixture(0x0B5E_0001, 8);
-    for intra in [1usize, 4] {
-        for tcp in [false, true] {
-            let config = ServeConfig::new(2, 0x0B5E_C0DE)
-                .with_variant(VariantChoice::Auto)
-                .with_intra_workers(intra);
-            let run = |registry: Registry| {
-                let server =
-                    QueryServer::with_metrics(owner.keys(), outsourced.clone(), 2, registry);
-                if tcp {
-                    server.serve_tcp(&workload, &config)
-                } else {
-                    server.serve(&workload, &config)
-                }
-                .expect("serve")
-            };
-            let on = run(Registry::enabled());
-            let off = run(Registry::disabled());
-            let context = format!("intra={intra} tcp={tcp}");
-            assert_eq!(on.sessions.len(), off.sessions.len(), "{context}");
-            for (a, b) in on.sessions.iter().zip(off.sessions.iter()) {
-                assert_sessions_identical(a, b, &format!("{context} session {}", a.session));
-                // Both sides ran the same (fault-free) plan, so here even the
-                // absorbed-fault counts must agree.
-                assert_eq!(a.transport_failures, b.transport_failures, "{context}");
+    for tcp in [false, true] {
+        let config = ServeConfig::new(2, 0x0B5E_C0DE).with_variant(VariantChoice::Auto);
+        let run = |registry: Registry| {
+            let server = QueryServer::with_metrics(owner.keys(), outsourced.clone(), 2, registry);
+            if tcp {
+                server.serve_tcp(&workload, &config, FaultPlan::none())
+            } else {
+                server.serve(&workload, &config)
             }
-            // The disabled run records literally nothing; the enabled one recorded the
-            // same protocol — and its histograms are structurally sound.
-            assert_eq!(
-                off.metrics,
-                MetricsSnapshot::default(),
-                "{context}: disabled registry leaked"
-            );
-            assert!(
-                !on.metrics.counters.is_empty(),
-                "{context}: enabled registry recorded nothing"
-            );
-            assert_histograms_structural(&on.metrics);
+            .expect("serve")
+        };
+        let on = run(Registry::enabled());
+        let off = run(Registry::disabled());
+        let context = format!("tcp={tcp}");
+        assert_eq!(on.sessions.len(), off.sessions.len(), "{context}");
+        for (a, b) in on.sessions.iter().zip(off.sessions.iter()) {
+            assert_sessions_identical(a, b, &format!("{context} session {}", a.session));
+            // Both sides ran the same (fault-free) plan, so here even the
+            // absorbed-fault counts must agree.
+            assert_eq!(a.transport_failures, b.transport_failures, "{context}");
         }
+        // The disabled run records literally nothing; the enabled one recorded the
+        // same protocol — and its histograms are structurally sound.
+        assert_eq!(off.metrics, MetricsSnapshot::default(), "{context}: disabled registry leaked");
+        assert!(!on.metrics.counters.is_empty(), "{context}: enabled registry recorded nothing");
+        assert_histograms_structural(&on.metrics);
     }
 }
 
@@ -244,10 +233,9 @@ fn injected_faults_are_counted_and_absorbed_without_query_failures() {
     let (owner, outsourced, workload) = fixture(0x0B5E_0005, 8);
     let registry = Registry::enabled();
     let server = QueryServer::with_metrics(owner.keys(), outsourced, 2, registry.clone());
-    let config = ServeConfig::new(2, 0x0B5E_0005)
-        .with_variant(VariantChoice::Auto)
-        .with_faults(FaultPlan::none().with_drop_after_send_every(17));
-    let report = server.serve_tcp(&workload, &config).expect("faulted TCP serve");
+    let config = ServeConfig::new(2, 0x0B5E_0005).with_variant(VariantChoice::Auto);
+    let faults = FaultPlan::none().with_drop_after_send_every(17);
+    let report = server.serve_tcp(&workload, &config, faults).expect("faulted TCP serve");
 
     // The failure-count split: query failures stay zero — absorbed transport faults are
     // accounted separately and must be nonzero here (faults *were* injected).
