@@ -95,6 +95,6 @@ pub use session::{
     ResolvedTopK, Session,
 };
 
-// Re-exported so facade users can describe link profiles, transports and remote
-// connection policy without depending on the protocols crate directly.
-pub use sectopk_protocols::{FaultPlan, LinkProfile, TcpOptions, TransportKind};
+// Re-exported so facade users can describe link profiles and transports without
+// depending on the protocols crate directly.
+pub use sectopk_protocols::{LinkProfile, TransportKind};

@@ -23,7 +23,7 @@ use rand::{CryptoRng, RngCore, SeedableRng};
 
 use sectopk_crypto::keys::MasterKeys;
 use sectopk_protocols::{
-    ChannelMetrics, LeakageLedger, LinkProfile, TcpOptions, TransportKind, TwoClouds,
+    ChannelMetrics, LeakageLedger, LinkProfile, SessionId, TransportKind, TwoClouds,
 };
 use sectopk_storage::{encrypt_relation, EncryptedRelation, EncryptionStats, ObjectId, Relation};
 
@@ -304,33 +304,21 @@ impl DataOwner {
     }
 
     /// Open a session on `outsourced` whose crypto cloud S2 is the `sectopk-s2d`
-    /// process listening at `addr` (`"host:port"`), with the default connection policy.
+    /// process listening at `addr` (`"host:port"`), under an id the server assigns.
     /// Mirrors [`DataOwner::connect`]: callers switch from in-process to networked
     /// execution by changing one constructor, and the connection handshake provisions the
     /// remote S2 engine from the same seed derivation, so determinism carries over the
-    /// wire.
+    /// wire.  A dropped connection is recovered transparently — reconnect, resume,
+    /// re-send — and a failure recovery cannot get past surfaces typed:
+    /// [`SecTopKError::is_transient`](crate::SecTopKError::is_transient) tells a server
+    /// that is unreachable or full from a session that is gone.
     pub fn connect_remote(
         &self,
         outsourced: &Outsourced,
         addr: &str,
         seed: u64,
     ) -> Result<RemoteSession> {
-        self.connect_remote_with(outsourced, addr, seed, TcpOptions::default())
-    }
-
-    /// [`DataOwner::connect_remote`] with explicit connection options (a proposed
-    /// session id, injected faults).  Either way a dropped connection is recovered
-    /// transparently — reconnect, resume, re-send — and a failure recovery cannot get
-    /// past surfaces typed: [`SecTopKError::is_transient`](crate::SecTopKError::is_transient)
-    /// tells a server that is unreachable or full from a session that is gone.
-    pub fn connect_remote_with(
-        &self,
-        outsourced: &Outsourced,
-        addr: &str,
-        seed: u64,
-        options: TcpOptions,
-    ) -> Result<RemoteSession> {
-        let clouds = TwoClouds::connect_tcp(self.keys(), seed, addr, options)?;
+        let clouds = TwoClouds::connect_tcp(self.keys(), seed, addr, SessionId(0))?;
         Ok(DirectSession::new(clouds, outsourced.clone(), self.keys().clone(), seed))
     }
 }

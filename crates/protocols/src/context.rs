@@ -31,7 +31,7 @@ use crate::channel::ChannelMetrics;
 use crate::engine::{intra_workers_from_env, EngineProvision};
 use crate::ledger::LeakageLedger;
 use crate::multiplex::{LinkProfile, MultiplexServer, SessionId};
-use crate::tcp::{TcpCloudServer, TcpOptions, DEFAULT_PARK_TTL};
+use crate::tcp::{TcpCloudServer, DEFAULT_PARK_TTL};
 use crate::transport::{InProcessTransport, S1Request, S2Response, Transport, TransportKind};
 
 /// The process-wide S2 pool behind [`TransportKind::Multiplex`] and
@@ -178,25 +178,26 @@ impl TwoClouds {
                 TransportKind::Tcp => Box::new(crate::tcp::connect(
                     loopback_listener()?.local_addr(),
                     provision,
-                    TcpOptions::default(),
+                    SessionId(0),
                 )?),
             })
         })
     }
 
-    /// Set up the two clouds against a remote [`crate::tcp::TcpCloudServer`] at `addr`
-    /// (e.g. a `sectopk-s2d` process): the S2 engine is provisioned over the connection
-    /// handshake, and every protocol round trip crosses the real socket.  S1-side state
-    /// derives from `seed` exactly as in [`TwoClouds::with_transport`], so a TCP run
-    /// with seed *s* is byte-identical to an in-process run with seed *s*.
+    /// Set up the two clouds as session `session` (`SessionId(0)`: the server assigns
+    /// one) of a remote [`crate::tcp::TcpCloudServer`] at `addr` (e.g. a `sectopk-s2d`
+    /// process): the S2 engine is provisioned over the connection handshake, and every
+    /// protocol round trip crosses the real socket.  S1-side state derives from `seed`
+    /// exactly as in [`TwoClouds::with_transport`], so a TCP run with seed *s* is
+    /// byte-identical to an in-process run with seed *s*.
     pub fn connect_tcp(
         master: &MasterKeys,
         seed: u64,
         addr: &str,
-        options: TcpOptions,
+        session: SessionId,
     ) -> Result<Self> {
         Self::over_transport(master, seed, |provision| {
-            Ok(Box::new(crate::tcp::connect(addr, provision, options)?))
+            Ok(Box::new(crate::tcp::connect(addr, provision, session)?))
         })
     }
 

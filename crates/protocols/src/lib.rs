@@ -87,9 +87,7 @@ pub use items::{rand_blind, rand_unblind, rerandomize_item_pooled, ItemBlinding,
 pub use join::{EncryptedTuple, JoinSpec, JoinedTuple};
 pub use ledger::{LeakageEvent, LeakageLedger};
 pub use multiplex::{Envelope, LinkProfile, MultiplexServer, PoolLimits, SessionId};
-pub use tcp::{
-    FaultPlan, TcpCloudServer, TcpOptions, DEFAULT_PARK_TTL, MAX_FRAME_LEN, TCP_PROTOCOL_VERSION,
-};
+pub use tcp::{TcpCloudServer, DEFAULT_PARK_TTL, MAX_FRAME_LEN, TCP_PROTOCOL_VERSION};
 pub use transport::{
     EnvelopeTransport, InProcessTransport, S1Request, S2Response, Transport, TransportKind,
     TRANSPORT_ENV,

@@ -12,7 +12,7 @@ use sectopk_crypto::keys::MasterKeys;
 use sectopk_crypto::paillier::MIN_MODULUS_BITS;
 use sectopk_crypto::par::{cores, share};
 use sectopk_protocols::{
-    intra_workers_from_env, SessionId, TcpCloudServer, TcpOptions, TransportKind, TwoClouds,
+    intra_workers_from_env, SessionId, TcpCloudServer, TransportKind, TwoClouds,
 };
 
 fn wait_for(mut condition: impl FnMut() -> bool) {
@@ -49,8 +49,7 @@ fn each_party_uses_its_share_of_the_machine_unless_told_otherwise() {
     let server = TcpCloudServer::bind("127.0.0.1:0", 4).expect("bind");
     let addr = server.local_addr().to_string();
     let connect = |seed, session| {
-        let options = TcpOptions::default().with_session(SessionId(session));
-        TwoClouds::connect_tcp(&master, seed, &addr, options).expect("connect")
+        TwoClouds::connect_tcp(&master, seed, &addr, SessionId(session)).expect("connect")
     };
     let staying = connect(3, 31);
     let leaving = connect(4, 32);

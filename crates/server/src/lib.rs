@@ -44,9 +44,9 @@
 //! S1 clients), `base_seed` and `variant` — [`VariantChoice::Auto`] lets the planner
 //! pick `Qry_F`/`Qry_E`/`Qry_Ba` per query; the decision lands in each outcome's
 //! [`QueryStats::plan`](sectopk_core::QueryStats) so serving reports are
-//! self-describing.  The socket run's [`FaultPlan`] is an argument of
-//! [`QueryServer::serve_tcp`], the one door that reads it.  A serving run scans to the
-//! halting condition and runs over an ideal link; a session over a simulated WAN
+//! self-describing.  Where the socket run dials is an argument of
+//! [`QueryServer::serve_tcp`]: a deployment setting, not a knob.  A serving run scans to
+//! the halting condition and runs over an ideal link; a session over a simulated WAN
 //! (§11.2.5) is opened by hand with [`QueryServer::open_session`].  The S2 pool width is
 //! set at [`QueryServer::new`]; each party's intra-query worker count is its share of
 //! the machine, or `SECTOPK_INTRA_PARALLEL`'s count when that is set.
@@ -73,8 +73,8 @@ use sectopk_datasets::QueryWorkload;
 use sectopk_metrics::{MetricsSnapshot, Registry};
 use sectopk_protocols::context::require_batching;
 use sectopk_protocols::{
-    ChannelMetrics, FaultPlan, LeakageLedger, LinkProfile, MultiplexServer, PoolLimits,
-    ProtocolError, SessionId, TcpCloudServer, TcpOptions, TwoClouds, DEFAULT_PARK_TTL,
+    ChannelMetrics, LeakageLedger, LinkProfile, MultiplexServer, PoolLimits, ProtocolError,
+    SessionId, TcpCloudServer, TwoClouds, DEFAULT_PARK_TTL,
 };
 use sectopk_storage::{EncryptedRelation, TopKQuery};
 
@@ -139,7 +139,7 @@ pub struct SessionReport {
     pub s2_ledger: LeakageLedger,
     /// Transport-level faults this session's connection absorbed without surfacing an
     /// error (reconnect-resume recoveries).  Always zero for in-process sessions;
-    /// deterministic under an injected [`FaultPlan`].
+    /// deterministic when the faults come on a fixed schedule of the session's frames.
     /// Distinct from [`SessionReport::failures`], which are *query* failures.
     pub transport_failures: u64,
 }
@@ -238,8 +238,8 @@ impl ServeReport {
 enum Door<'a> {
     /// The pool's in-memory conduit, over a simulated link.
     Conduit(LinkProfile),
-    /// A real socket to a [`TcpCloudServer`] in front of the pool.
-    Socket(&'a str, TcpOptions),
+    /// A real socket to a [`TcpCloudServer`] in front of the pool, at this address.
+    Socket(&'a str),
 }
 
 /// The serving front door: the outsourced relation plus the shared S2 pool, from
@@ -345,9 +345,7 @@ impl QueryServer {
         let s2 = &self.s2;
         let mut clouds = match door {
             Door::Conduit(link) => TwoClouds::connect(master, seed, true, s2, session, link)?,
-            Door::Socket(addr, options) => {
-                TwoClouds::connect_tcp(master, seed, addr, options.with_session(session))?
-            }
+            Door::Socket(addr) => TwoClouds::connect_tcp(master, seed, addr, session)?,
         };
         clouds.set_metrics(&self.metrics, &session.0.to_string());
         Ok(DirectSession::new(clouds, self.outsourced.clone(), master.clone(), seed))
@@ -356,9 +354,9 @@ impl QueryServer {
     /// The serving loop, written once.  Queries are dealt round-robin
     /// ([`QueryWorkload::partition`]); session `i` is opened under the id `i` and the
     /// seed `shard_seed(base_seed, i)` over the pool's conduit — or, given a `socket`
-    /// (a listener in front of the pool and the options to reach it under), over a real
-    /// socket to it — and runs its stream: a failed query is recorded under its index in
-    /// the stream and the session keeps going.
+    /// (the address of a listener in front of the pool), over a real socket to it — and
+    /// runs its stream: a failed query is recorded under its index in the stream and
+    /// the session keeps going.
     /// `concurrent` puts every session on its own thread against the
     /// shared S2 pool; otherwise they run one after another.  Reports come back in
     /// session order either way, which is what makes each public serving shape a
@@ -373,18 +371,12 @@ impl QueryServer {
         workload: &QueryWorkload,
         config: &ServeConfig,
         concurrent: bool,
-        socket: Option<(TcpCloudServer, TcpOptions)>,
+        socket: Option<&str>,
     ) -> Result<ServeReport> {
-        let remote = socket
-            .as_ref()
-            .map(|(listener, options)| (listener.local_addr().to_string(), options.clone()));
         let partitions = workload.partition(config.sessions.max(1));
         let start = Instant::now();
         let run_session = |(i, queries): (usize, &Vec<TopKQuery>)| -> Result<SessionReport> {
-            let door = match &remote {
-                Some((addr, options)) => Door::Socket(addr, options.clone()),
-                None => Door::Conduit(LinkProfile::ideal()),
-            };
+            let door = socket.map_or(Door::Conduit(LinkProfile::ideal()), Door::Socket);
             let id = SessionId(i as u64 + 1);
             let seed = shard_seed(config.base_seed, id.0);
             let mut session = self.seat(id, seed, door)?;
@@ -413,8 +405,6 @@ impl QueryServer {
         } else {
             jobs.map(run_session).collect::<Result<Vec<_>>>()?
         };
-        // Joins the listener's connection threads, so the snapshot below is quiescent.
-        drop(socket);
         Ok(ServeReport {
             sessions,
             queries: workload.queries.len(),
@@ -442,20 +432,19 @@ impl QueryServer {
         self.run(workload, config, false, None)
     }
 
-    /// [`QueryServer::serve`], but with every session crossing a real TCP socket: the
-    /// server's S2 pool is exposed on an ephemeral loopback listener, each session
-    /// connects to it under the id and seed [`QueryServer::serve`] gives it, and
-    /// `faults` injects faults into the connections ([`FaultPlan::none`]: none).  The
-    /// per-session reports are byte-identical to [`QueryServer::serve`] — and, with
-    /// faults injected, byte-identical to the fault-free run, since every socket session
-    /// recovers them transparently (the chaos-soak invariant).
+    /// [`QueryServer::serve`], but with every session crossing a real TCP socket: each
+    /// session dials `addr` — a listener from [`QueryServer::listen`], or anything that
+    /// forwards to one — under the id and seed [`QueryServer::serve`] gives it.  The
+    /// caller owns the listener.  The per-session reports are byte-identical to
+    /// [`QueryServer::serve`] — and, with connections dropped on the way, byte-identical
+    /// to the undisturbed run, since every socket session recovers them transparently
+    /// (the chaos-soak invariant).
     pub fn serve_tcp(
         &self,
         workload: &QueryWorkload,
         config: &ServeConfig,
-        faults: FaultPlan,
+        addr: &str,
     ) -> Result<ServeReport> {
-        let options = TcpOptions::default().with_faults(faults);
-        self.run(workload, config, true, Some((self.listen("127.0.0.1:0")?, options)))
+        self.run(workload, config, true, Some(addr))
     }
 }

@@ -3,10 +3,10 @@
 //! The `Session` / `QueryBuilder` / `SecTopKError` surface is the contract every test,
 //! bench, example and downstream consumer builds against, together with the session
 //! doors of `TwoClouds` and the serving doors of `QueryServer` beneath it.  This test
-//! extracts the public item and field declarations of those source files and compares
-//! them against a committed snapshot, so any change to the surface — a removed method
-//! or field, a signature change — fails loudly in review instead of slipping in
-//! silently.
+//! extracts the public item and field declarations of those source files, and the
+//! variants of their public enums, and compares them against a committed snapshot, so
+//! any change to the surface — a removed method or field, a renamed variant, a
+//! signature change — fails loudly in review instead of slipping in silently.
 //!
 //! To re-bless after an *intentional* surface change:
 //!
@@ -67,15 +67,33 @@ fn is_public_declaration(line: &str) -> bool {
     false
 }
 
+/// True when `line` (already trimmed) of a `pub enum` body is a variant or a field of
+/// one — not a comment, an attribute or a closing brace.
+fn is_variant_line(line: &str) -> bool {
+    !(line.is_empty() || line.starts_with("//") || line.starts_with('#') || line.starts_with('}'))
+}
+
 /// Extract the tracked declarations of one file: one line per item, signatures joined
 /// until their opening brace / semicolon so multi-line `fn` signatures stay one entry.
+/// The variant lines of a `pub enum` body follow its declaration, one entry each.
 fn extract_surface(source: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut lines = source.lines().peekable();
     let mut in_test_module = false;
     let mut brace_depth: i64 = 0;
+    // Brace depth inside the body of the `pub enum` being read; 0 outside one.
+    let mut enum_depth: i64 = 0;
     while let Some(raw) = lines.next() {
         let line = raw.trim();
+        if enum_depth > 0 {
+            if is_variant_line(line) {
+                let variant = line.split('{').next().unwrap_or(line).trim();
+                out.push(variant.split_whitespace().collect::<Vec<_>>().join(" "));
+            }
+            enum_depth += line.matches('{').count() as i64;
+            enum_depth -= line.matches('}').count() as i64;
+            continue;
+        }
         if line.starts_with("#[cfg(test)]") {
             in_test_module = true;
             brace_depth = 0;
@@ -114,6 +132,10 @@ fn extract_surface(source: &str) -> Vec<String> {
                 }
                 None => break,
             }
+        }
+        if line.starts_with("pub enum ") {
+            enum_depth = declaration.matches('{').count() as i64;
+            enum_depth -= declaration.matches('}').count() as i64;
         }
         // Normalise: cut the body opener (except for `pub use` item lists) and collapse
         // whitespace.

@@ -1,8 +1,9 @@
 //! Chaos soak: the serving layer under sustained connection faults.
 //!
-//! [`QueryServer::serve_tcp`] runs a whole workload over real loopback sockets with a
-//! deterministic [`FaultPlan`] severing connections before sends, after sends and
-//! around replies, while every socket session turns each injected failure into a
+//! [`QueryServer::serve_tcp`] runs a whole workload over real loopback sockets through
+//! a [`Relay`] in front of the listener, which severs connections before requests reach
+//! S2, after S2 has answered them, and delays replies, on a deterministic schedule of
+//! each session's frames, while every socket session turns each injected failure into a
 //! reconnect-resume-resend.  The invariant under soak is total: the faulted run's
 //! per-session reports — resolved results, encrypted ciphertexts, planner decisions,
 //! channel metrics, **both leakage ledgers** — must be byte-identical to the fault-free
@@ -19,10 +20,10 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sectopk_core::{DataOwner, FaultPlan, Outsourced, QueryVariant, VariantChoice};
+use sectopk_core::{DataOwner, Outsourced, QueryVariant, VariantChoice};
 use sectopk_datasets::{fig3_relation, QueryWorkload, WorkloadSpec};
 use sectopk_server::{QueryServer, ServeConfig};
-use sectopk_tests::{assert_sessions_identical, TEST_MODULUS_BITS};
+use sectopk_tests::{assert_sessions_identical, Faults, Relay, TEST_MODULUS_BITS};
 
 fn soak_queries() -> usize {
     std::env::var("SECTOPK_SOAK_QUERIES").ok().and_then(|v| v.parse().ok()).unwrap_or(24)
@@ -38,8 +39,9 @@ fn fixture(seed: u64, queries: usize) -> (DataOwner, Outsourced, QueryWorkload) 
 }
 
 /// The soak proper: for each variant shape, serve the workload fault-free in-process,
-/// then over TCP under the given fault plan, and require bit-for-bit identical reports.
-fn soak(faults: FaultPlan, seed: u64) {
+/// then over TCP through a relay injecting `faults`, and require bit-for-bit identical
+/// reports.
+fn soak(faults: Faults, seed: u64) {
     let (owner, outsourced, workload) = fixture(seed, soak_queries());
     let server = QueryServer::new(owner.keys(), outsourced, 4);
 
@@ -50,7 +52,11 @@ fn soak(faults: FaultPlan, seed: u64) {
     ] {
         let config = ServeConfig::new(4, seed ^ 0xBA5E).with_variant(variant);
         let baseline = server.serve(&workload, &config).expect("fault-free in-process serve");
-        let faulted = server.serve_tcp(&workload, &config, faults).expect("faulted TCP serve");
+        let listener = server.listen("127.0.0.1:0").expect("bind the listener");
+        let relay = Relay::start(listener.local_addr(), faults);
+        let faulted = server
+            .serve_tcp(&workload, &config, &relay.addr().to_string())
+            .expect("faulted TCP serve");
 
         assert_eq!(baseline.query_failures(), 0, "{name}: fault-free run must be clean");
         assert_eq!(
@@ -65,7 +71,7 @@ fn soak(faults: FaultPlan, seed: u64) {
             // so a fault period smaller than its round count guarantees injections.
             assert!(
                 f.metrics.rounds > 16,
-                "{name} session {}: too few rounds ({}) to have exercised the fault plan",
+                "{name} session {}: too few rounds ({}) to have exercised the fault schedule",
                 f.session,
                 f.metrics.rounds
             );
@@ -77,23 +83,25 @@ fn soak(faults: FaultPlan, seed: u64) {
 fn soak_under_lost_replies_is_byte_identical_to_fault_free_serving() {
     // Drops *after* send: replies are lost in flight, so recovery leans on the
     // server-side replay cache (exactly-once via replay, never re-execution).
-    soak(FaultPlan::none().with_drop_after_send_every(17), 0x50AC_0001);
+    soak(Faults { drop_after_every: 17, ..Faults::default() }, 0x50AC_0001);
 }
 
 #[test]
 fn soak_under_lost_requests_is_byte_identical_to_fault_free_serving() {
     // Drops *before* send: requests are lost, so recovery re-executes exactly once.
-    soak(FaultPlan::none().with_drop_before_send_every(13), 0x50AC_0002);
+    soak(Faults { drop_before_every: 13, ..Faults::default() }, 0x50AC_0002);
 }
 
 #[test]
 fn soak_under_mixed_faults_and_delays_is_byte_identical_to_fault_free_serving() {
     // Both drop modes plus injected latency on a third, coprime schedule, so sessions
     // hit every combination at different points of their query streams.
-    let faults = FaultPlan::none()
-        .with_drop_after_send_every(19)
-        .with_drop_before_send_every(23)
-        .with_delay_every(7, Duration::from_millis(1));
+    let faults = Faults {
+        drop_before_every: 23,
+        drop_after_every: 19,
+        delay_every: 7,
+        delay: Duration::from_millis(1),
+    };
     soak(faults, 0x50AC_0003);
 }
 
@@ -102,7 +110,7 @@ fn overload_burst_sheds_sessions_with_typed_transient_errors() {
     // A two-seat server under a three-client burst: the admitted pair serves cleanly,
     // the shed client gets a *typed, transient* error it could back off and retry —
     // never a hang, never a stringly failure.
-    use sectopk_core::{Query, Session, TcpOptions};
+    use sectopk_core::{Query, Session};
     use sectopk_protocols::{MultiplexServer, PoolLimits, TcpCloudServer, DEFAULT_PARK_TTL};
 
     let (owner, outsourced, _) = fixture(0x50AC_0004, 1);
@@ -115,15 +123,11 @@ fn overload_burst_sheds_sessions_with_typed_transient_errors() {
     let addr = listener.local_addr().to_string();
 
     let mut admitted: Vec<_> = (1..=2u64)
-        .map(|i| {
-            owner
-                .connect_remote_with(&outsourced, &addr, 0x5EA7 + i, TcpOptions::default())
-                .expect("seat admitted")
-        })
+        .map(|i| owner.connect_remote(&outsourced, &addr, 0x5EA7 + i).expect("seat admitted"))
         .collect();
 
     let err = owner
-        .connect_remote_with(&outsourced, &addr, 0x5EA7, TcpOptions::default())
+        .connect_remote(&outsourced, &addr, 0x5EA7)
         .map(|_| ())
         .expect_err("third session must be shed by admission control");
     assert!(err.is_transient(), "admission shedding must be retryable, got {err:?}");

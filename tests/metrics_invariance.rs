@@ -20,8 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sectopk_core::{
-    execute_with_clouds, resolution_rng, DataOwner, FaultPlan, Outsourced, Query, TcpOptions,
-    VariantChoice,
+    execute_with_clouds, resolution_rng, DataOwner, Outsourced, Query, VariantChoice,
 };
 use sectopk_datasets::{fig3_relation, QueryWorkload, WorkloadSpec};
 use sectopk_metrics::{MetricsSnapshot, Registry};
@@ -29,7 +28,7 @@ use sectopk_protocols::{
     MultiplexServer, PoolLimits, TcpCloudServer, TransportKind, TwoClouds, DEFAULT_PARK_TTL,
 };
 use sectopk_server::{QueryServer, ServeConfig};
-use sectopk_tests::{assert_sessions_identical, TEST_EHL_KEYS, TEST_MODULUS_BITS};
+use sectopk_tests::{assert_sessions_identical, Faults, Relay, TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
 fn fixture(seed: u64, queries: usize) -> (DataOwner, Outsourced, QueryWorkload) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -60,7 +59,8 @@ fn serving_reports_are_identical_with_metrics_on_and_off() {
         let run = |registry: Registry| {
             let server = QueryServer::with_metrics(owner.keys(), outsourced.clone(), 2, registry);
             if tcp {
-                server.serve_tcp(&workload, &config, FaultPlan::none())
+                let listener = server.listen("127.0.0.1:0").expect("bind the listener");
+                server.serve_tcp(&workload, &config, &listener.local_addr().to_string())
             } else {
                 server.serve(&workload, &config)
             }
@@ -72,8 +72,8 @@ fn serving_reports_are_identical_with_metrics_on_and_off() {
         assert_eq!(on.sessions.len(), off.sessions.len(), "{context}");
         for (a, b) in on.sessions.iter().zip(off.sessions.iter()) {
             assert_sessions_identical(a, b, &format!("{context} session {}", a.session));
-            // Both sides ran the same (fault-free) plan, so here even the
-            // absorbed-fault counts must agree.
+            // Neither side had a connection dropped, so here even the absorbed-fault
+            // counts must agree.
             assert_eq!(a.transport_failures, b.transport_failures, "{context}");
         }
         // The disabled run records literally nothing; the enabled one recorded the
@@ -207,14 +207,10 @@ fn overload_rejects_and_accepts_are_exact() {
     let addr = listener.local_addr().to_string();
 
     let admitted: Vec<_> = (1..=2u64)
-        .map(|i| {
-            owner
-                .connect_remote_with(&outsourced, &addr, 0x5EA7 + i, TcpOptions::default())
-                .expect("seat admitted")
-        })
+        .map(|i| owner.connect_remote(&outsourced, &addr, 0x5EA7 + i).expect("seat admitted"))
         .collect();
     owner
-        .connect_remote_with(&outsourced, &addr, 0x5EA7, TcpOptions::default())
+        .connect_remote(&outsourced, &addr, 0x5EA7)
         .map(|_| ())
         .expect_err("third session must be shed by admission control");
 
@@ -225,22 +221,36 @@ fn overload_rejects_and_accepts_are_exact() {
     drop(admitted);
 }
 
-/// Fault-injected TCP serving: zero query failures (retry absorbs everything), a
-/// nonzero absorbed-fault count, and S2's reattachments reconcile exactly with the
-/// per-session `transport_failures` totals.
+/// Fault-injected TCP serving: zero query failures (retry absorbs everything), one
+/// absorbed fault per 17 rounds of each session, and S2's reattachments reconcile
+/// exactly with the per-session `transport_failures` totals.
 #[test]
 fn injected_faults_are_counted_and_absorbed_without_query_failures() {
+    const EVERY: u64 = 17;
     let (owner, outsourced, workload) = fixture(0x0B5E_0005, 8);
     let registry = Registry::enabled();
     let server = QueryServer::with_metrics(owner.keys(), outsourced, 2, registry.clone());
     let config = ServeConfig::new(2, 0x0B5E_0005).with_variant(VariantChoice::Auto);
-    let faults = FaultPlan::none().with_drop_after_send_every(17);
-    let report = server.serve_tcp(&workload, &config, faults).expect("faulted TCP serve");
+    let listener = server.listen("127.0.0.1:0").expect("bind the listener");
+    let relay = Relay::start(
+        listener.local_addr(),
+        Faults { drop_after_every: EVERY, ..Faults::default() },
+    );
+    let report =
+        server.serve_tcp(&workload, &config, &relay.addr().to_string()).expect("faulted TCP serve");
 
     // The failure-count split: query failures stay zero — absorbed transport faults are
-    // accounted separately and must be nonzero here (faults *were* injected).
+    // accounted separately, one per faulted round (every round is a logical frame).
     assert_eq!(report.query_failures(), 0, "retry must absorb every injected fault");
     assert!(report.transport_failures() > 0, "injected faults must be counted as absorbed");
+    for session in &report.sessions {
+        assert_eq!(
+            session.transport_failures,
+            session.metrics.rounds / EVERY,
+            "session {}: one absorbed fault per {EVERY} rounds",
+            session.session
+        );
+    }
 
     let snapshot = &report.metrics;
     // Two parties' views of one event: every fault S1 absorbed is a session S2's pool

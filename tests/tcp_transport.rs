@@ -20,11 +20,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sectopk_core::{
-    DataOwner, Outsourced, Query, QueryVariant, Session, TcpOptions, TransportKind, VariantChoice,
+    DataOwner, Outsourced, Query, QueryVariant, Session, TransportKind, VariantChoice,
 };
 use sectopk_protocols::{MultiplexServer, ProtocolError, SessionId, TcpCloudServer, WireErrorCode};
 use sectopk_storage::{ObjectId, Relation, Row};
-use sectopk_tests::{malformed_request, TEST_EHL_KEYS, TEST_MODULUS_BITS};
+use sectopk_tests::{connect_remote_as, malformed_request, TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
 /// The worked example every suite shares (transport_equivalence uses the same rows).
 fn fixed_relation() -> Relation {
@@ -84,13 +84,7 @@ fn socket_drop_surfaces_transport_error_and_session_is_reaped() {
     let (owner, outsourced) = fixture(0xDEAD_0001);
     let victim_id = SessionId(77);
 
-    let mut victim = owner
-        .connect_remote_with(
-            &outsourced,
-            &addr,
-            0xBEEF,
-            TcpOptions::default().with_session(victim_id),
-        )
+    let mut victim = connect_remote_as(&owner, &outsourced, &addr, 0xBEEF, victim_id)
         .expect("victim connects with an explicit session id");
 
     // Round 1 proves the wire is live before the injection: a malformed matrix travels
@@ -125,13 +119,7 @@ fn socket_drop_surfaces_transport_error_and_session_is_reaped() {
     // frees the pool slot, so the *same explicit id* becomes connectable again.  (A
     // live id is rejected at the handshake, so a successful reconnect is proof.)
     eventually("victim connection deregistered", || server.active_sessions() == 0);
-    let mut revenant = owner
-        .connect_remote_with(
-            &outsourced,
-            &addr,
-            0xBEEF,
-            TcpOptions::default().with_session(victim_id),
-        )
+    let mut revenant = connect_remote_as(&owner, &outsourced, &addr, 0xBEEF, victim_id)
         .expect("the reaped session id is free for reuse");
     let resolved = revenant.execute(&fixed_query()).expect("reused id serves a full query");
     assert_eq!(resolved.results.len(), 2);
@@ -152,13 +140,7 @@ fn clean_neighbour_is_byte_identical_despite_a_dying_peer() {
 
     // A victim and a clean neighbour share the listener.  The victim dies mid-session;
     // the neighbour then runs the full query and must match the reference bit for bit.
-    let mut victim = owner
-        .connect_remote_with(
-            &outsourced,
-            &addr,
-            0xABAD,
-            TcpOptions::default().with_session(SessionId(13)),
-        )
+    let mut victim = connect_remote_as(&owner, &outsourced, &addr, 0xABAD, SessionId(13))
         .expect("victim connects");
     let mut neighbour =
         owner.connect_remote(&outsourced, &addr, 0xF00D).expect("neighbour connects");
