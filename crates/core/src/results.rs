@@ -16,10 +16,12 @@
 //! `n·s` encryptions plus up to `n` `⊖`s per item.  Both decide "all `s` images equal";
 //! `⊖` only errs, with probability `≈ 1/N`, towards a false match.
 
-use num_bigint::{BigInt, BigUint};
+use num_bigint::BigUint;
 use rand::{CryptoRng, RngCore};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
+use sectopk_crypto::bigint::{symmetric_i64, symmetric_sign};
 use sectopk_crypto::keys::MasterKeys;
 use sectopk_ehl::EhlEncoder;
 use sectopk_protocols::ScoredItem;
@@ -79,8 +81,8 @@ pub fn resolve_results<R: RngCore + CryptoRng>(
             .map(|block| sk.decrypt(block))
             .collect::<sectopk_crypto::Result<Vec<_>>>()?;
         let object = by_images.get(&images).copied();
-        let worst = signed_to_i64(&sk.decrypt_signed(&item.worst)?);
-        let best = signed_to_i64(&sk.decrypt_signed(&item.best)?);
+        let worst = saturating_i64(&sk.decrypt(&item.worst)?, n);
+        let best = saturating_i64(&sk.decrypt(&item.best)?, n);
         out.push(ResolvedResult { object, worst, best });
     }
     Ok(out)
@@ -91,8 +93,13 @@ pub fn resolved_object_ids(results: &[ResolvedResult]) -> Vec<ObjectId> {
     results.iter().filter_map(|r| r.object).collect()
 }
 
-fn signed_to_i64(v: &BigInt) -> i64 {
-    i64::try_from(v.clone()).unwrap_or(if v < &BigInt::from(0) { i64::MIN } else { i64::MAX })
+/// The `i64` a decrypted bound `x ∈ Z_n` stands for, saturated by its sign outside the
+/// `i64` range.
+fn saturating_i64(x: &BigUint, n: &BigUint) -> i64 {
+    symmetric_i64(x, n).unwrap_or(match symmetric_sign(x, n) {
+        Ordering::Less => i64::MIN,
+        _ => i64::MAX,
+    })
 }
 
 #[cfg(test)]
@@ -123,8 +130,8 @@ mod tests {
                     .iter()
                     .find(|(_, cand)| sk.is_zero(&item.ehl.eq_test(cand, pk, rng)).unwrap())
                     .map(|(id, _)| *id),
-                worst: signed_to_i64(&sk.decrypt_signed(&item.worst).unwrap()),
-                best: signed_to_i64(&sk.decrypt_signed(&item.best).unwrap()),
+                worst: saturating_i64(&sk.decrypt(&item.worst).unwrap(), pk.n()),
+                best: saturating_i64(&sk.decrypt(&item.best).unwrap(), pk.n()),
             })
             .collect()
     }
@@ -173,10 +180,12 @@ mod tests {
 
     #[test]
     fn out_of_range_bounds_saturate() {
-        assert_eq!(signed_to_i64(&BigInt::from(5)), 5);
-        assert_eq!(signed_to_i64(&BigInt::from(-5)), -5);
-        let huge = BigInt::from(u128::MAX);
-        assert_eq!(signed_to_i64(&huge), i64::MAX);
-        assert_eq!(signed_to_i64(&-huge), i64::MIN);
+        let n = (BigUint::from(1u32) << 200u32) + BigUint::from(1u32);
+        let five = BigUint::from(5u32);
+        assert_eq!(saturating_i64(&five, &n), 5);
+        assert_eq!(saturating_i64(&(&n - &five), &n), -5);
+        let huge = BigUint::from(u128::MAX);
+        assert_eq!(saturating_i64(&huge, &n), i64::MAX);
+        assert_eq!(saturating_i64(&(&n - &huge), &n), i64::MIN);
     }
 }

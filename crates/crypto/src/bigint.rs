@@ -3,12 +3,14 @@
 //! `num-bigint` provides the raw arbitrary-precision arithmetic (see DESIGN.md §3 for the
 //! dependency justification); this module adds the number-theoretic operations the
 //! cryptosystems need: modular inverse, random sampling in `Z_N` and `Z_N^*`, the
-//! symmetric ("signed") plaintext representation used for score comparisons, and L-function
-//! style exact divisions.
+//! symmetric ("signed") reading of a plaintext residue used for score comparisons, and
+//! L-function style exact divisions.
 
-use num_bigint::{BigInt, BigUint, RandBigInt, Sign};
+use std::cmp::Ordering;
+
+use num_bigint::{BigUint, RandBigInt};
 use num_integer::Integer;
-use num_traits::{One, Signed, Zero};
+use num_traits::{One, ToPrimitive, Zero};
 use rand::{CryptoRng, RngCore};
 
 use crate::error::{CryptoError, Result};
@@ -17,7 +19,7 @@ use crate::error::{CryptoError, Result};
 ///
 /// An odd modulus — `N`, `N²`, `N³` and their prime-power factors, everything a query
 /// inverts under — takes the binary extended Euclid of the vendored Montgomery kernels
-/// ([`BigUint::modinv`]); an even one takes extended Euclid on signed integers
+/// ([`BigUint::modinv`]); an even one takes plain extended Euclid
 /// ([`BigUint::modinv_euclid`]), which also is the reference the binary path is
 /// differentially tested against.  The split is [`is_coprime`]'s.
 pub fn mod_inverse(a: &BigUint, m: &BigUint) -> Result<BigUint> {
@@ -54,9 +56,9 @@ pub fn is_coprime(a: &BigUint, m: &BigUint) -> bool {
     shift_to_odd(&mut a);
     loop {
         match cmp_limbs(&a, &b) {
-            std::cmp::Ordering::Equal => return a == [1],
-            std::cmp::Ordering::Less => std::mem::swap(&mut a, &mut b),
-            std::cmp::Ordering::Greater => {}
+            Ordering::Equal => return a == [1],
+            Ordering::Less => std::mem::swap(&mut a, &mut b),
+            Ordering::Greater => {}
         }
         sub_limbs(&mut a, &b);
         shift_to_odd(&mut a);
@@ -64,7 +66,7 @@ pub fn is_coprime(a: &BigUint, m: &BigUint) -> bool {
 }
 
 /// Order of two normalized little-endian limb arrays.
-fn cmp_limbs(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
+fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
     a.len().cmp(&b.len()).then_with(|| a.iter().rev().cmp(b.iter().rev()))
 }
 
@@ -148,29 +150,45 @@ pub fn random_exact_bits<R: RngCore + CryptoRng>(rng: &mut R, bits: u64) -> BigU
     x
 }
 
-/// Interpret `x ∈ Z_n` in the symmetric (signed) representation: values greater than
-/// `n/2` are mapped to the negative number `x - n`.
+/// The sign of `x ∈ Z_n` in the symmetric (signed) representation, where a residue
+/// above `⌊n/2⌋` stands for the negative number `x − n`: `Equal` for 0, `Less` above
+/// `⌊n/2⌋`, `Greater` otherwise.
 ///
 /// The paper's SecDedup sub-protocol replaces a duplicate's worst score with
 /// `Z = N − 1 ≡ −1 (mod N)` so that it sorts below every genuine score (§8.2.3, Fig. 3);
-/// all plaintext comparisons therefore happen in this representation.
-pub fn to_signed(x: &BigUint, n: &BigUint) -> BigInt {
-    let half = n >> 1u32;
-    if x > &half {
-        BigInt::from_biguint(Sign::Plus, x.clone()) - BigInt::from_biguint(Sign::Plus, n.clone())
+/// all plaintext comparisons therefore read residues this way.
+pub fn symmetric_sign(x: &BigUint, n: &BigUint) -> Ordering {
+    if x.is_zero() {
+        Ordering::Equal
+    } else if x > &(n >> 1u32) {
+        Ordering::Less
     } else {
-        BigInt::from_biguint(Sign::Plus, x.clone())
+        Ordering::Greater
     }
 }
 
-/// Map a signed integer back into `Z_n`.
-pub fn from_signed(x: &BigInt, n: &BigUint) -> BigUint {
-    let n_int = BigInt::from_biguint(Sign::Plus, n.clone());
-    let mut r = x % &n_int;
-    if r.is_negative() {
-        r += &n_int;
+/// The `i64` that `x ∈ Z_n` stands for in the symmetric representation
+/// ([`symmetric_sign`]), or `None` if it lies outside the `i64` range.
+pub fn symmetric_i64(x: &BigUint, n: &BigUint) -> Option<i64> {
+    match symmetric_sign(x, n) {
+        Ordering::Less => {
+            (n - x).to_u64().and_then(|magnitude| 0i64.checked_sub_unsigned(magnitude))
+        }
+        _ => x.to_i64(),
     }
-    r.to_biguint().expect("normalised to non-negative")
+}
+
+/// The residue in `Z_n` that stands for `v` in the symmetric representation: `v` itself,
+/// or `n − |v|` for a negative `v`.  Needs `n > 2|v|`, which every key meets
+/// (`n ≥ 2¹²⁷`), so that [`symmetric_i64`] reads `v` back.
+pub fn from_i64(v: i64, n: &BigUint) -> BigUint {
+    let magnitude = BigUint::from(v.unsigned_abs());
+    debug_assert!(n > &(&magnitude << 1u32), "from_i64: modulus too small for {v}");
+    if v < 0 {
+        n - magnitude
+    } else {
+        magnitude
+    }
 }
 
 /// Exact division `(u - 1) / n`, the `L` function of the Paillier / Damgård–Jurik
@@ -302,17 +320,50 @@ mod tests {
     #[test]
     fn signed_round_trip() {
         let n = BigUint::from(1000u32);
-        for v in [0i64, 1, 2, 499, 500] {
-            let unsigned = BigUint::from(v as u64);
-            assert_eq!(to_signed(&unsigned, &n), BigInt::from(v));
+        for v in [0u32, 1, 2, 499, 500] {
+            assert_eq!(symmetric_i64(&BigUint::from(v), &n), Some(i64::from(v)));
         }
         // 501..999 map to negatives.
-        assert_eq!(to_signed(&BigUint::from(999u32), &n), BigInt::from(-1));
-        assert_eq!(to_signed(&BigUint::from(501u32), &n), BigInt::from(-499));
+        assert_eq!(symmetric_i64(&BigUint::from(999u32), &n), Some(-1));
+        assert_eq!(symmetric_i64(&BigUint::from(501u32), &n), Some(-499));
         // Round trip.
-        for v in [-499i64, -1, 0, 1, 500] {
-            let b = BigInt::from(v);
-            assert_eq!(to_signed(&from_signed(&b, &n), &n), b);
+        for v in [-499i64, -1, 0, 1, 499] {
+            assert_eq!(symmetric_i64(&from_i64(v, &n), &n), Some(v));
+        }
+    }
+
+    #[test]
+    fn the_sign_boundary_is_half_the_modulus() {
+        // An odd and an even modulus, both wider than 2·2⁶³.
+        for n in [(BigUint::one() << 100u32) + BigUint::from(277u32), BigUint::one() << 100u32] {
+            let half = &n >> 1u32;
+            let one = BigUint::one();
+            assert_eq!(symmetric_sign(&BigUint::zero(), &n), Ordering::Equal);
+            assert_eq!(symmetric_sign(&one, &n), Ordering::Greater);
+            assert_eq!(symmetric_sign(&half, &n), Ordering::Greater);
+            assert_eq!(symmetric_sign(&(&half + &one), &n), Ordering::Less);
+            assert_eq!(symmetric_sign(&(&n - &one), &n), Ordering::Less);
+
+            assert_eq!(symmetric_i64(&BigUint::zero(), &n), Some(0));
+            assert_eq!(symmetric_i64(&(&n - &one), &n), Some(-1));
+            // ⌊n/2⌋ and ⌊n/2⌋ + 1 are the extreme positive and negative values, far past
+            // the i64 range at this width.
+            assert_eq!(symmetric_i64(&half, &n), None);
+            assert_eq!(symmetric_i64(&(&half + &one), &n), None);
+
+            for v in [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX] {
+                let residue = from_i64(v, &n);
+                assert!(residue < n);
+                assert_eq!(symmetric_i64(&residue, &n), Some(v), "{v}");
+                assert_eq!(symmetric_sign(&residue, &n), v.cmp(&0), "{v}");
+            }
+            assert_eq!(from_i64(-1, &n), &n - &one);
+            assert_eq!(from_i64(i64::MIN, &n), &n - (BigUint::one() << 63u32));
+
+            // One past each end of the i64 range.
+            let past_max = BigUint::one() << 63u32;
+            assert_eq!(symmetric_i64(&past_max, &n), None);
+            assert_eq!(symmetric_i64(&(&n - &past_max - &one), &n), None);
         }
     }
 

@@ -18,9 +18,7 @@ use rand::{CryptoRng, RngCore};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::bigint::{
-    l_function, mod_inverse, random_invertible, random_invertible_many, to_signed,
-};
+use crate::bigint::{from_i64, l_function, mod_inverse, random_invertible, random_invertible_many};
 use crate::error::{CryptoError, Result};
 use crate::par::{cores, par_map};
 use crate::prime::generate_safe_factor_pair;
@@ -351,10 +349,9 @@ impl PaillierPublicKey {
         self.encrypt(&BigUint::from(m), rng)
     }
 
-    /// Encrypt a signed integer using the symmetric representation.
+    /// Encrypt a signed integer using the symmetric representation ([`from_i64`]).
     pub fn encrypt_i64<R: RngCore + CryptoRng>(&self, m: i64, rng: &mut R) -> Result<Ciphertext> {
-        let unsigned = crate::bigint::from_signed(&num_bigint::BigInt::from(m), self.n());
-        self.encrypt(&unsigned, rng)
+        self.encrypt(&from_i64(m, self.n()), rng)
     }
 
     /// Deterministic encryption with caller-provided randomness `r ∈ Z_N^*`
@@ -483,7 +480,7 @@ impl PaillierPublicKey {
 
 #[expect(
     clippy::disallowed_methods,
-    reason = "the audited home of decryption: the derived reveals (signed, u64, is_zero) are \
+    reason = "the audited home of decryption: the derived reveals (u64, is_zero) are \
               defined here on top of `decrypt`; every call outside this block is checked"
 )]
 impl PaillierSecretKey {
@@ -526,11 +523,6 @@ impl PaillierSecretKey {
         let u = self.public.inner.ctx_n2.modpow(&c.0, &self.lambda);
         let l = l_function(&u, n);
         Ok((l * &self.mu) % n)
-    }
-
-    /// Decrypt into the symmetric (signed) representation used for score comparisons.
-    pub fn decrypt_signed(&self, c: &Ciphertext) -> Result<num_bigint::BigInt> {
-        Ok(to_signed(&self.decrypt(c)?, self.public.n()))
     }
 
     /// Decrypt a ciphertext known to hold a small value, as a `u64`.
@@ -620,7 +612,7 @@ pub fn generate_keypair<R: RngCore + CryptoRng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use num_bigint::BigInt;
+    use crate::bigint::symmetric_i64;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -719,9 +711,9 @@ mod tests {
         let a = pk.encrypt_u64(50, &mut rng).unwrap();
         let b = pk.encrypt_u64(80, &mut rng).unwrap();
         let diff = pk.sub(&a, &b);
-        assert_eq!(sk.decrypt_signed(&diff).unwrap(), BigInt::from(-30));
+        assert_eq!(symmetric_i64(&sk.decrypt(&diff).unwrap(), pk.n()), Some(-30));
         let neg = pk.negate(&a);
-        assert_eq!(sk.decrypt_signed(&neg).unwrap(), BigInt::from(-50));
+        assert_eq!(symmetric_i64(&sk.decrypt(&neg).unwrap(), pk.n()), Some(-50));
     }
 
     #[test]
@@ -776,9 +768,9 @@ mod tests {
     #[test]
     fn signed_encryption_round_trip() {
         let (pk, sk, mut rng) = setup();
-        for v in [-1_000_000i64, -1, 0, 1, 123_456_789] {
+        for v in [i64::MIN, -1_000_000, -1, 0, 1, 123_456_789, i64::MAX] {
             let c = pk.encrypt_i64(v, &mut rng).unwrap();
-            assert_eq!(sk.decrypt_signed(&c).unwrap(), BigInt::from(v));
+            assert_eq!(symmetric_i64(&sk.decrypt(&c).unwrap(), pk.n()), Some(v));
         }
     }
 
@@ -787,7 +779,7 @@ mod tests {
         let (pk, sk, mut rng) = setup();
         let z = pk.sentinel_z();
         let c = pk.encrypt(&z, &mut rng).unwrap();
-        assert_eq!(sk.decrypt_signed(&c).unwrap(), BigInt::from(-1));
+        assert_eq!(symmetric_i64(&sk.decrypt(&c).unwrap(), pk.n()), Some(-1));
     }
 
     #[test]

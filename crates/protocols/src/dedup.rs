@@ -223,9 +223,9 @@ impl TwoClouds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use num_bigint::BigInt;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sectopk_crypto::bigint::symmetric_i64;
     use sectopk_crypto::keys::MasterKeys;
     use sectopk_crypto::paillier::MIN_MODULUS_BITS;
     use sectopk_ehl::EhlEncoder;
@@ -293,7 +293,7 @@ mod tests {
                 .iter()
                 .map(|it| {
                     let score =
-                        |c| i64::try_from(master.paillier_secret.decrypt_signed(c).unwrap());
+                        |c| symmetric_i64(&master.paillier_secret.decrypt(c).unwrap(), pk.n());
                     (score(&it.worst).unwrap(), score(&it.best).unwrap())
                 })
                 .collect();
@@ -325,7 +325,8 @@ mod tests {
         items
             .iter()
             .map(|it| {
-                i64::try_from(master.paillier_secret.decrypt_signed(&it.worst).unwrap()).unwrap()
+                let worst = master.paillier_secret.decrypt(&it.worst).unwrap();
+                symmetric_i64(&worst, master.paillier_public.n()).unwrap()
             })
             .collect()
     }
@@ -446,11 +447,11 @@ mod tests {
             item("D", 100, 120, &encoder, pk, &mut rng),
         ];
         let out = clouds.sec_dedup(items, 5).unwrap();
-        let worsts: Vec<BigInt> = out
+        let worsts: Vec<Option<i64>> = out
             .iter()
-            .map(|it| master.paillier_secret.decrypt_signed(&it.worst).unwrap())
+            .map(|it| symmetric_i64(&master.paillier_secret.decrypt(&it.worst).unwrap(), pk.n()))
             .collect();
-        assert!(worsts.contains(&BigInt::from(-1)));
-        assert!(worsts.contains(&BigInt::from(100)));
+        assert!(worsts.contains(&Some(-1)));
+        assert!(worsts.contains(&Some(100)));
     }
 }

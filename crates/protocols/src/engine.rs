@@ -42,10 +42,12 @@
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
-use num_bigint::{BigUint, Sign};
+use std::cmp::Ordering;
+
+use num_bigint::BigUint;
 use num_traits::Zero;
 
-use sectopk_crypto::bigint::{mod_inverse, random_below, random_invertible};
+use sectopk_crypto::bigint::{mod_inverse, random_below, random_invertible, symmetric_sign};
 use sectopk_crypto::keys::S2Keys;
 use sectopk_crypto::paillier::{Ciphertext, PaillierPublicKey};
 use sectopk_crypto::par::{cores, par_map, share};
@@ -461,10 +463,10 @@ impl S2Engine {
         let sk = self.keys.paillier_secret.clone();
         let outs = par_map(self.intra_workers(), ops, move |op| match op {
             Op::IsZero(c) => sk.is_zero(c).map(Out::Bit),
-            Op::Sign(c) => sk.decrypt_signed(c).map(|v| match v.sign() {
-                Sign::Minus => Out::Sign(-1),
-                Sign::NoSign => Out::Sign(0),
-                Sign::Plus => Out::Sign(1),
+            Op::Sign(c) => sk.decrypt(c).map(|v| match symmetric_sign(&v, sk.public_key().n()) {
+                Ordering::Less => Out::Sign(-1),
+                Ordering::Equal => Out::Sign(0),
+                Ordering::Greater => Out::Sign(1),
             }),
             Op::Plain(c) => sk.decrypt(c).map(Out::Plain),
         });

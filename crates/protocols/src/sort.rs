@@ -242,6 +242,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sectopk_crypto::bigint::symmetric_i64;
     use sectopk_crypto::keys::MasterKeys;
     use sectopk_crypto::paillier::MIN_MODULUS_BITS;
     use sectopk_ehl::EhlEncoder;
@@ -389,17 +390,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(123);
         let master = MasterKeys::generate(MIN_MODULUS_BITS, 3, &mut rng).unwrap();
         let mut clouds = TwoClouds::new(&master, 5).unwrap();
-        let sk = &master.paillier_secret;
+        let (sk, n) = (&master.paillier_secret, master.paillier_public.n());
 
         let worsts: Vec<i64> = vec![5, -1, 42, 17, 17, 3, 0];
         let sorted = clouds.enc_sort_by_worst_desc(items(&master, &worsts, &mut rng)).unwrap();
         assert_eq!(sorted.len(), worsts.len());
         let decrypted: Vec<i64> = sorted
             .iter()
-            .map(|it| {
-                let v = sk.decrypt_signed(&it.worst).unwrap();
-                i64::try_from(v).unwrap()
-            })
+            .map(|it| symmetric_i64(&sk.decrypt(&it.worst).unwrap(), n).unwrap())
             .collect();
         let mut expected = worsts.clone();
         expected.sort_by(|a, b| b.cmp(a));
@@ -407,8 +405,8 @@ mod tests {
 
         // The (worst, best) pairing must be preserved: best = worst + 10 for every item.
         for it in &sorted {
-            let w = i64::try_from(sk.decrypt_signed(&it.worst).unwrap()).unwrap();
-            let b = i64::try_from(sk.decrypt_signed(&it.best).unwrap()).unwrap();
+            let w = symmetric_i64(&sk.decrypt(&it.worst).unwrap(), n).unwrap();
+            let b = symmetric_i64(&sk.decrypt(&it.best).unwrap(), n).unwrap();
             assert_eq!(b, w + 10);
         }
     }

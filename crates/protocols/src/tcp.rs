@@ -666,13 +666,9 @@ impl TcpCloudServer {
     /// Bind a listener at `addr` in front of an existing (possibly shared) pool — the
     /// path `QueryServer::listen` uses so networked and in-process sessions are served
     /// from the same S2 compute budget.  A session whose connection dies dirty stays
-    /// parked for `park_ttl` awaiting a resume; `Duration::ZERO` reaps it at once.
-    #[expect(
-        clippy::expect_used,
-        reason = "listener startup, before any connection is accepted: failing to spawn the accept \
-                  thread or the park-TTL sweeper is a boot error surfaced to the operator, not a \
-                  serving-path condition"
-    )]
+    /// parked for `park_ttl` awaiting a resume; `Duration::ZERO` reaps it at once.  A
+    /// failure to spawn the accept thread or the park-TTL sweeper is returned as its
+    /// `io::Error`, after the server value's `Drop` has stopped and joined what started.
     pub fn serve_pool(
         addr: impl ToSocketAddrs,
         pool: Arc<MultiplexServer>,
@@ -693,34 +689,30 @@ impl TcpCloudServer {
             token_nonce: AtomicU64::new(1),
             metrics,
         });
-        let connection_threads = Arc::new(Mutex::new(Vec::new()));
-
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            let connection_threads = Arc::clone(&connection_threads);
-            std::thread::Builder::new()
-                .name("sectopk-s2d-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &connection_threads))
-                .expect("spawn accept thread")
-        };
-        let sweeper_thread = if park_ttl.is_zero() {
-            None
-        } else {
-            let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("sectopk-s2d-sweeper".into())
-                    .spawn(move || sweeper_loop(&shared))
-                    .expect("spawn sweeper thread"),
-            )
-        };
-        Ok(TcpCloudServer {
+        let mut server = TcpCloudServer {
             local_addr,
             shared,
-            accept_thread: Some(accept_thread),
-            sweeper_thread,
-            connection_threads,
-        })
+            accept_thread: None,
+            sweeper_thread: None,
+            connection_threads: Arc::new(Mutex::new(Vec::new())),
+        };
+
+        let shared = Arc::clone(&server.shared);
+        let connection_threads = Arc::clone(&server.connection_threads);
+        server.accept_thread = Some(
+            std::thread::Builder::new()
+                .name("sectopk-s2d-accept".into())
+                .spawn(move || accept_loop(&listener, &shared, &connection_threads))?,
+        );
+        if !park_ttl.is_zero() {
+            let shared = Arc::clone(&server.shared);
+            server.sweeper_thread = Some(
+                std::thread::Builder::new()
+                    .name("sectopk-s2d-sweeper".into())
+                    .spawn(move || sweeper_loop(&shared))?,
+            );
+        }
+        Ok(server)
     }
 
     /// The bound listening address (with the ephemeral port resolved).

@@ -195,6 +195,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sectopk_crypto::bigint::symmetric_i64;
     use sectopk_crypto::keys::MasterKeys;
     use sectopk_crypto::paillier::MIN_MODULUS_BITS;
     use sectopk_ehl::EhlEncoder;
@@ -236,8 +237,8 @@ mod tests {
         let sk = &master.paillier_secret;
         let mut out = BTreeMap::new();
         for it in items {
-            let w = i64::try_from(sk.decrypt_signed(&it.worst).unwrap()).unwrap();
-            let b = i64::try_from(sk.decrypt_signed(&it.best).unwrap()).unwrap();
+            let w = symmetric_i64(&sk.decrypt(&it.worst).unwrap(), pk.n()).unwrap();
+            let b = symmetric_i64(&sk.decrypt(&it.best).unwrap(), pk.n()).unwrap();
             let mut name = "?".to_string();
             for cand in candidates {
                 let fresh = encoder.encode(cand.as_bytes(), pk, rng).unwrap();

@@ -495,6 +495,20 @@ fn selections_are_bounded_by_the_ciphertexts_a_request_ships() {
     );
 }
 
+/// S2 reads a blinded difference's sign against `⌊N/2⌋`: that residue is the largest
+/// positive value, and `⌊N/2⌋ + 1` the most negative one.
+#[test]
+fn a_sign_flips_between_half_the_modulus_and_one_past_it() {
+    let rng = &mut rng();
+    let pk = &keys().0.paillier_public;
+    let one = BigUint::from(1u32);
+    let half = pk.n() >> 1u32;
+    let residues = [&half + &one, half, one.clone(), pk.n() - &one];
+    let blinded = residues.iter().map(|m| pk.encrypt(m, rng).expect("encrypt")).collect();
+    let reply = engine().handle(&S1Request::Compare { blinded, context: "test".into() });
+    assert_eq!(reply.expect("nonzero differences"), S2Response::Signs(vec![-1, 1, 1, -1]));
+}
+
 /// S2 copies a request's ledger context label into every sign or equality bit it
 /// records, so a label is bounded like any other size a request claims.
 #[test]

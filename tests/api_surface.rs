@@ -2,9 +2,10 @@
 //!
 //! The `Session` / `QueryBuilder` / `SecTopKError` surface is the contract every test,
 //! bench, example and downstream consumer builds against, together with the session
-//! doors of `TwoClouds` and the serving doors of `QueryServer` beneath it.  This test
-//! extracts the public item and field declarations of those source files, and the
-//! variants of their public enums, and compares them against a committed snapshot, so
+//! doors of `TwoClouds`, the transports and request kinds beneath them, the serving
+//! doors of `QueryServer`, and the Paillier keys and residue helpers of `sectopk-crypto`.
+//! This test extracts the public item and field declarations of those source files, and
+//! the variants of their public enums, and compares them against a committed snapshot, so
 //! any change to the surface — a removed method or field, a renamed variant, a
 //! signature change — fails loudly in review instead of slipping in silently.
 //!
@@ -32,10 +33,13 @@ const FACADE_FILES: &[&str] = &[
     "crates/core/src/leakage.rs",
     "crates/core/src/join.rs",
     "crates/protocols/src/context.rs",
+    "crates/protocols/src/transport.rs",
     "crates/protocols/src/tcp.rs",
     "crates/protocols/src/channel.rs",
     "crates/protocols/src/wire.rs",
     "crates/server/src/lib.rs",
+    "crates/crypto/src/paillier.rs",
+    "crates/crypto/src/bigint.rs",
 ];
 
 /// True when `line` (already trimmed) is a public struct field: `pub name: Type,`.
