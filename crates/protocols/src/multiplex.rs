@@ -79,22 +79,29 @@
 //! # The session table
 //!
 //! Everything about a session's lifecycle lives in one table under one lock: whether
-//! it is connected or parked (and until when), the resume token a reconnecting client
+//! it is connected or parked (and for how long), the resume token a reconnecting client
 //! must present, the slot holding its engine and replay cache, and the admission cap.
 //! A session's engine state must survive the *connection* that carries its envelopes —
 //! the TCP listener parks a dropped connection's session and a resuming client takes
 //! it over:
 //!
 //! ```text
-//!              attach()                   conduit.park(deadline)
+//!              attach()                     conduit.park(ttl)
 //!   (free) ──────────────▶ ACTIVE ─────────────────────────────▶ PARKED
 //!      ▲                    │  ▲                                 │    │
-//!      │    conduit.close() │  │    resume(token): same slot,    │    │ deadline
+//!      │    conduit.close() │  │    resume(token): same slot,    │    │ ttl
 //!      └────────────────────┘  │    a conduit for the new        │    │ passes /
 //!      ▲                       └─────────────────────────────────┘    │ drain
 //!      │                            caller, token rotated             ▼
-//!      └──────────────────────── reap_parked() ◀──────────────────  EXPIRED
+//!      └─────── next read of the table / reap_parked() ◀──────────  EXPIRED
 //! ```
+//!
+//! The table keeps a clock and no timer.  Parking stamps the time, and every read of the
+//! table — an attach, a resume, the connected and parked counts, the crowd a request
+//! computes in — first unseats the parked seats whose TTL has passed, counting each in
+//! `pool.evicted` once.  So an expired session frees its id and engine at the next read
+//! of the table, which on an idle server may come long after its TTL;
+//! [`PoolLimits::max_sessions`] bounds that memory as it bounds every seat.
 //!
 //! Exactly-once across the drop is guaranteed by a per-slot **last-reply cache**: every
 //! request reply is remembered under its sequence number, and a retried `seq` (the
@@ -122,7 +129,7 @@
 use std::collections::hash_map::{Entry, HashMap, OccupiedEntry};
 use std::fmt::{self, Display};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use sectopk_crypto::par::{cores, share};
@@ -280,8 +287,19 @@ struct Seat {
     /// What a resuming connection must present; rotated on every resume.  0 marks a
     /// session that cannot be resumed (it never crossed a connection that can drop).
     token: u64,
-    /// `Some(deadline)` while the session's connection is gone and it awaits a resume.
-    parked_until: Option<Instant>,
+    /// `Some((since, ttl))` while the session's connection is gone and it awaits a
+    /// resume: parked at `since`, expired once `ttl` has passed.
+    parked: Option<(Instant, Duration)>,
+}
+
+/// The session table's clock, read when a session parks and whenever the table is read.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "timeout machinery, not protocol state: a park TTL decides when an abandoned \
+              session's engine is freed, never what a live session computes"
+)]
+fn clock() -> Instant {
+    Instant::now()
 }
 
 /// The one place session lifecycle lives; always accessed under [`Pool::table`]'s lock.
@@ -289,6 +307,15 @@ struct SessionTable {
     seats: HashMap<SessionId, Seat>,
     /// Last server-assigned session id.
     last_assigned: u64,
+}
+
+impl SessionTable {
+    /// Unseat every parked seat for which `expired(since, ttl)` holds; returns how many.
+    fn unseat_parked(&mut self, expired: impl Fn(Instant, Duration) -> bool) -> usize {
+        let before = self.seats.len();
+        self.seats.retain(|_, seat| seat.parked.is_none_or(|(since, ttl)| !expired(since, ttl)));
+        before - self.seats.len()
+    }
 }
 
 /// Everything the server handle and the conduits share.
@@ -312,11 +339,21 @@ struct Pool {
 }
 
 impl Pool {
+    /// Lock the session table for a read, first unseating every parked seat whose TTL
+    /// has passed and counting each in `pool.evicted`.
+    fn read_table(&self) -> MutexGuard<'_, SessionTable> {
+        let mut table = self.table.plock();
+        let now = clock();
+        let expired = table.unseat_parked(|since, ttl| now.saturating_duration_since(since) >= ttl);
+        self.metrics.evicted.add(expired as u64);
+        table
+    }
+
     /// How many requests may compute at the same time right now: one per connected
     /// session, at most one per permit.
     fn crowd(&self) -> usize {
-        let table = self.table.plock();
-        let connected = table.seats.values().filter(|seat| seat.parked_until.is_none()).count();
+        let table = self.read_table();
+        let connected = table.seats.values().filter(|seat| seat.parked.is_none()).count();
         connected.min(self.workers)
     }
 
@@ -442,10 +479,10 @@ impl SessionConduit {
         }
     }
 
-    /// Park the session until `deadline`: its connection is gone, its engine, ledger,
-    /// replay cache and resume token stay.  `false` if the session is no longer seated.
-    pub(crate) fn park(&self, deadline: Instant) -> bool {
-        self.with_seat(|mut seat| seat.get_mut().parked_until = Some(deadline)).is_some()
+    /// Park the session for `ttl`: its connection is gone, its engine, ledger, replay
+    /// cache and resume token stay.  `false` if the session is no longer seated.
+    pub(crate) fn park(&self, ttl: Duration) -> bool {
+        self.with_seat(|mut seat| seat.get_mut().parked = Some((clock(), ttl))).is_some()
     }
 }
 
@@ -595,12 +632,12 @@ impl MultiplexServer {
 
     /// Number of sessions the table currently holds, connected and parked alike.
     pub fn active_sessions(&self) -> usize {
-        self.pool.table.plock().seats.len()
+        self.pool.read_table().seats.len()
     }
 
     /// Number of sessions parked after their connection died, awaiting a resume.
     pub(crate) fn parked_sessions(&self) -> usize {
-        self.pool.table.plock().seats.values().filter(|s| s.parked_until.is_some()).count()
+        self.pool.read_table().seats.values().filter(|s| s.parked.is_some()).count()
     }
 
     /// The admission-control bound this pool runs under.
@@ -642,7 +679,7 @@ impl MultiplexServer {
     /// resumable with `token` (0: never).  The id check, the admission cap and the
     /// insertion happen under one lock, so concurrent attachments cannot over-admit.
     pub(crate) fn attach(&self, proposed: SessionId, mut engine: S2Engine, token: u64) -> Seating {
-        let mut table = self.pool.table.plock();
+        let mut table = self.pool.read_table();
         if table.seats.contains_key(&proposed) {
             let reason = format!("session id {} is already connected", proposed.0);
             return Err((RejectCode::SessionInUse, reason));
@@ -662,7 +699,7 @@ impl MultiplexServer {
         self.pool.metrics.attached.incr();
         let state = Mutex::new(SessionState { engine, last_reply: None });
         let slot = Arc::new(SessionSlot { session, state });
-        table.seats.insert(session, Seat { slot: Arc::clone(&slot), token, parked_until: None });
+        table.seats.insert(session, Seat { slot: Arc::clone(&slot), token, parked: None });
         Ok(SessionConduit { pool: Arc::clone(&self.pool), slot })
     }
 
@@ -677,25 +714,19 @@ impl MultiplexServer {
         presented: u64,
         rotated: u64,
         acked: u64,
-        now: Instant,
     ) -> Seating {
-        let unknown = || Err((RejectCode::ResumeDenied, "unknown or expired session".into()));
         let slot = {
-            let mut table = self.pool.table.plock();
-            let Some(seat) = table.seats.get_mut(&session) else { return unknown() };
+            let mut table = self.pool.read_table();
+            let Some(seat) = table.seats.get_mut(&session) else {
+                return Err((RejectCode::ResumeDenied, "unknown or expired session".into()));
+            };
             if seat.token == 0 || seat.token != presented {
                 return Err((RejectCode::ResumeDenied, "resume token mismatch".into()));
             }
-            match seat.parked_until {
-                None => return Err((RejectCode::SessionInUse, "session still connected".into())),
-                Some(deadline) if deadline <= now => {
-                    table.seats.remove(&session);
-                    self.pool.metrics.evicted.incr();
-                    return unknown();
-                }
-                Some(_) => {}
+            if seat.parked.is_none() {
+                return Err((RejectCode::SessionInUse, "session still connected".into()));
             }
-            seat.parked_until = None;
+            seat.parked = None;
             seat.token = rotated;
             Arc::clone(&seat.slot)
         };
@@ -706,17 +737,10 @@ impl MultiplexServer {
         Ok(SessionConduit { pool: Arc::clone(&self.pool), slot })
     }
 
-    /// Unseat every parked session whose deadline is at or before `expired_by` (`None`:
-    /// every parked session, whatever its deadline — the drain path).  Returns how many
+    /// Unseat every parked session, whatever its TTL (the drain path).  Returns how many
     /// were reaped.
-    pub(crate) fn reap_parked(&self, expired_by: Option<Instant>) -> usize {
-        let mut table = self.pool.table.plock();
-        let before = table.seats.len();
-        // Keep the connected, and the parked whose deadline is still ahead.
-        table.seats.retain(|_, seat| {
-            seat.parked_until.is_none_or(|deadline| expired_by.is_some_and(|now| deadline > now))
-        });
-        let reaped = before - table.seats.len();
+    pub(crate) fn reap_parked(&self) -> usize {
+        let reaped = self.pool.table.plock().unseat_parked(|_, _| true);
         self.pool.metrics.evicted.add(reaped as u64);
         reaped
     }
@@ -958,9 +982,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let frame = compare_frame(&master, -7, &mut rng);
         conduit.call(1, &frame).unwrap();
-        let now = Instant::now();
-        assert!(conduit.park(now + Duration::from_secs(60)));
-        let resumed = server.resume(SessionId(2), 77, 78, 1, now).unwrap();
+        assert!(conduit.park(Duration::from_secs(60)));
+        let resumed = server.resume(SessionId(2), 77, 78, 1).unwrap();
         resumed.call(1, &frame).unwrap();
         assert_eq!(server.replayed_replies(), 0, "pruned entry cannot replay");
         assert_eq!(ledger_of(&resumed).len(), 2);
@@ -995,23 +1018,22 @@ mod tests {
         conduit.call(1, &compare_frame(&master, 2, &mut rng)).unwrap();
 
         // While the session is connected, even the right token cannot claim it.
-        let now = Instant::now();
         assert_eq!(
-            server.resume(SessionId(9), 5, 6, 1, now).err(),
+            server.resume(SessionId(9), 5, 6, 1).err(),
             refused(RejectCode::SessionInUse, "session still connected")
         );
         // The connection "drops" (conduit kept alive to model a dying connection thread)
         // and the session is parked; only the current token takes it over, exactly once.
-        assert!(conduit.park(now + Duration::from_secs(60)));
+        assert!(conduit.park(Duration::from_secs(60)));
         assert_eq!(server.parked_sessions(), 1);
         assert_eq!(
-            server.resume(SessionId(9), 4, 6, 1, now).err(),
+            server.resume(SessionId(9), 4, 6, 1).err(),
             refused(RejectCode::ResumeDenied, "resume token mismatch")
         );
-        let resumed = server.resume(SessionId(9), 5, 6, 1, now).expect("session is parked");
+        let resumed = server.resume(SessionId(9), 5, 6, 1).expect("session is parked");
         assert_eq!(server.parked_sessions(), 0);
         assert_eq!(
-            server.resume(SessionId(9), 5, 7, 1, now).err(),
+            server.resume(SessionId(9), 5, 7, 1).err(),
             refused(RejectCode::ResumeDenied, "resume token mismatch"),
             "the token rotated with the resume"
         );
@@ -1022,14 +1044,14 @@ mod tests {
         assert_eq!(ledger_of(&resumed).len(), 2, "the resumed slot kept its ledger");
 
         assert_eq!(
-            server.resume(SessionId(99), 5, 6, 0, now).err(),
+            server.resume(SessionId(99), 5, 6, 0).err(),
             refused(RejectCode::ResumeDenied, "unknown or expired session")
         );
         // In-process sessions (token 0) are never resumable, not even with token 0.
         let local = server.attach(SessionId(3), engine_for(&master, 22), 0).unwrap();
-        assert!(local.park(now + Duration::from_secs(60)));
+        assert!(local.park(Duration::from_secs(60)));
         assert_eq!(
-            server.resume(SessionId(3), 0, 1, 0, now).err(),
+            server.resume(SessionId(3), 0, 1, 0).err(),
             refused(RejectCode::ResumeDenied, "resume token mismatch")
         );
     }
@@ -1038,30 +1060,51 @@ mod tests {
     fn parked_sessions_expire_at_their_deadline() {
         let master = master(36);
         let server = MultiplexServer::new(1);
-        let now = Instant::now();
         let soon = server.attach(SessionId(1), engine_for(&master, 1), 11).unwrap();
         let later = server.attach(SessionId(2), engine_for(&master, 2), 12).unwrap();
         let _live = server.attach(SessionId(3), engine_for(&master, 3), 13).unwrap();
-        assert!(soon.park(now + Duration::from_secs(1)));
-        assert!(later.park(now + Duration::from_secs(60)));
+        assert!(soon.park(Duration::from_millis(50)));
+        assert!(later.park(Duration::from_secs(60)));
 
-        // Past its deadline a parked session is gone for a resume even before the sweep.
-        let after = now + Duration::from_secs(2);
+        // Past its deadline a parked session is gone for a resume: the claim's read of
+        // the table reaps it.
+        std::thread::sleep(Duration::from_millis(60));
         assert_eq!(
-            server.resume(SessionId(1), 11, 99, 0, after).err(),
+            server.resume(SessionId(1), 11, 99, 0).err(),
             refused(RejectCode::ResumeDenied, "unknown or expired session")
         );
         assert_eq!(server.active_sessions(), 2);
-        assert!(!soon.park(after), "an unseated session cannot be parked again");
-        // The sweep reaps by deadline; the drain reaps every parked session; connected
+        assert!(!soon.park(Duration::from_secs(60)), "an unseated session cannot be parked again");
+        // A read reaps by deadline; the drain reaps every parked session; connected
         // sessions are never touched.
-        assert_eq!(server.reap_parked(Some(after)), 0);
-        assert_eq!(server.reap_parked(None), 1);
+        assert_eq!(server.parked_sessions(), 1, "a read reaps no seat before its deadline");
+        assert_eq!(server.reap_parked(), 1);
         assert_eq!(server.active_sessions(), 1);
         // A freed id seats a new session, which a stale conduit cannot unseat.
         let _reused = server.attach(SessionId(2), engine_for(&master, 4), 14).unwrap();
         later.close(false);
         assert_eq!(server.active_sessions(), 2);
+    }
+
+    #[test]
+    fn an_expired_session_is_reaped_by_the_next_read_of_the_table() {
+        // No thread reaps: the reads a one-seat pool makes after the TTL find it free.
+        let master = master(42);
+        let registry = MetricsRegistry::enabled();
+        let limits = PoolLimits { max_sessions: 1 };
+        let server = MultiplexServer::with_limits_and_metrics(1, limits, registry.clone());
+        let parked = server.attach(SessionId(1), engine_for(&master, 1), 11).unwrap();
+        let fresh = engine_for(&master, 2);
+        assert!(parked.park(Duration::from_millis(50)));
+        std::thread::sleep(Duration::from_millis(60));
+
+        let _fresh = server.attach(SessionId(2), fresh, 12).expect("the expired seat is free");
+        assert_eq!(server.active_sessions(), 1, "only the fresh session is counted");
+        assert_eq!(
+            server.resume(SessionId(1), 11, 13, 0).err(),
+            refused(RejectCode::ResumeDenied, "unknown or expired session")
+        );
+        assert_eq!(registry.snapshot().counter("pool.evicted"), 1, "one expiry, counted once");
     }
 
     #[test]
@@ -1180,7 +1223,7 @@ mod tests {
         assert_eq!(server.intra_workers(), share(cores, 2));
         let _c = server.attach(SessionId(3), engine_for(&master, 3), 0).unwrap();
         assert_eq!(server.intra_workers(), share(cores, 2), "two permits: two compute at once");
-        assert!(a.park(Instant::now() + Duration::from_secs(60)));
+        assert!(a.park(Duration::from_secs(60)));
         b.close(true);
         assert_eq!(server.intra_workers(), cores, "a parked session computes nothing");
     }

@@ -41,13 +41,17 @@
 //! A connection that dies *without* the DISCONNECT handshake (socket error, EOF,
 //! cross-session injection) does not destroy its session.  When the listener's park TTL
 //! ([`TcpCloudServer::park_ttl`]) is non-zero its thread *parks* it in the pool's session
-//! table — the one place session lifecycle, resume tokens and the admission cap live
-//! (see the diagram in [`crate::multiplex`]) — and a reconnecting client presents its
-//! resume token to take the session over exactly where it left off.  This module keeps
-//! only what is the socket's — whether it is draining, and which stream carries which
-//! session — behind one lock, under which a hello is admitted in one critical section
-//! (draining check, claim on the session table, registration of the stream): a drain or
-//! a shutdown either refuses a connection or finds its stream to sever.
+//! table — the one place session lifecycle, resume tokens, park expiry and the
+//! admission cap live (see the diagram in [`crate::multiplex`]) — and a reconnecting
+//! client presents its resume token to take the session over exactly where it left off.
+//! This module keeps only what is the socket's — whether it is draining, and which
+//! stream carries which session — behind one lock, under which a hello is admitted in
+//! one critical section (draining check, claim on the session table, registration of the
+//! stream): a drain or a shutdown either refuses a connection or finds its stream to
+//! sever.  The listener reads no clock and polls nothing: the end of a seated
+//! connection signals a condition variable paired with that lock, which is what a drain
+//! waits on for the last connection and a resume for the old connection's thread to
+//! park its session.
 //!
 //! Exactly-once effects across a resume come from the pool's per-session last-reply
 //! cache: the client re-sends the one envelope it never saw answered, and if the
@@ -92,9 +96,9 @@ use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sectopk_crypto::pool::shard_seed;
 use sectopk_metrics::{Counter, Histogram as MetricsHistogram, Registry as MetricsRegistry};
@@ -153,15 +157,9 @@ const FRAME_PREALLOC: usize = 64 * 1024;
 
 /// How long a resume handshake waits for the dropped connection's thread to park the
 /// session before concluding someone else holds it.  The old thread parks as soon as
-/// it observes the dead socket, so this is a race-absorbing grace, not a timeout the
-/// happy path ever sleeps through.
+/// it observes the dead socket, and its end wakes the handshake, so this is a
+/// race-absorbing grace, not a timeout the happy path ever waits out.
 const RESUME_GRACE: Duration = Duration::from_secs(5);
-
-/// Poll tick of the resume grace loop and of [`TcpCloudServer::drain`].
-const POLL_TICK: Duration = Duration::from_millis(5);
-
-/// Tick of the background sweeper that reaps parked sessions past their TTL.
-const SWEEP_TICK: Duration = Duration::from_millis(20);
 
 // ====================================================================================
 // Length-prefixed framing
@@ -570,8 +568,8 @@ impl TcpServerMetrics {
     }
 }
 
-/// Everything the accept loop, connection threads and sweeper share.  Session lifecycle
-/// is *not* here: it lives in the pool's session table.
+/// Everything the accept loop and the connection threads share.  Session lifecycle is
+/// *not* here: it lives in the pool's session table.
 struct Shared {
     pool: Arc<MultiplexServer>,
     /// See [`TcpCloudServer::park_ttl`].
@@ -579,7 +577,10 @@ struct Shared {
     /// Who is admitted, and on which stream.  Lock order: this lock, then the pool's
     /// session table.
     admission: Mutex<Admission>,
-    /// Hard shutdown (server drop): stops the accept loop and the sweeper.
+    /// Signalled, with `admission`, whenever a seated connection ends and when admission
+    /// stops: what a drain and a waiting resume wait for.
+    ended: Condvar,
+    /// Hard shutdown (server drop): stops the accept loop.
     shutdown: AtomicBool,
     /// Sessions successfully taken over by a resume handshake.
     resumed: AtomicU64,
@@ -600,46 +601,44 @@ struct Admission {
 }
 
 impl Shared {
-    /// Refuse every later hello and reap every parked session.
+    /// Refuse every later hello, also one waiting to resume, and reap every parked
+    /// session.
     fn stop_admitting(&self) {
         self.admission.plock().draining = true;
-        self.pool.reap_parked(None);
+        self.ended.notify_all();
+        self.pool.reap_parked();
+    }
+}
+
+impl Admission {
+    /// Admit the connection on `stream` unless the server is draining: `claim` seats its
+    /// session in the pool's table and the stream is registered against it, all under
+    /// the admission lock — so [`TcpCloudServer::drain`] and shutdown either refuse a
+    /// connection or find its stream to sever.
+    fn admit(&mut self, stream: &Arc<TcpStream>, claim: impl FnOnce() -> Seating) -> Seating {
+        if self.draining {
+            return Err((RejectCode::Draining, "server is draining".into()));
+        }
+        let conduit = claim()?;
+        self.streams.insert(conduit.session(), Arc::clone(stream));
+        Ok(conduit)
     }
 
     fn sever_all(&self) {
-        for stream in self.admission.plock().streams.values() {
+        for stream in self.streams.values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
-    }
-
-    /// Admit the connection on `stream` unless the server is draining: `claim` seats its
-    /// session in the pool's table and the stream is registered against it, all in one
-    /// critical section — so [`TcpCloudServer::drain`] and shutdown either refuse a
-    /// connection or find its stream to sever.
-    fn admit(
-        &self,
-        stream: &Arc<TcpStream>,
-        claim: impl FnOnce(&MultiplexServer) -> Seating,
-    ) -> Seating {
-        let mut admission = self.admission.plock();
-        if admission.draining {
-            return Err((RejectCode::Draining, "server is draining".into()));
-        }
-        let conduit = claim(&self.pool)?;
-        admission.streams.insert(conduit.session(), Arc::clone(stream));
-        Ok(conduit)
     }
 }
 
 /// The crypto cloud S2 as a network listener: an accept loop spawning one thread per
 /// connection, each running its session's requests in a shared [`MultiplexServer`],
-/// plus a background sweeper reaping parked sessions past their TTL.  This is the
-/// engine of the `sectopk-s2d` binary; tests bind it on a loopback ephemeral port.
+/// and no other thread (parked sessions expire in the pool's session table).  This is
+/// the engine of the `sectopk-s2d` binary; tests bind it on a loopback ephemeral port.
 pub struct TcpCloudServer {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    sweeper_thread: Option<JoinHandle<()>>,
     /// The threads of connections not yet seen to have finished.
     connection_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -666,9 +665,9 @@ impl TcpCloudServer {
     /// Bind a listener at `addr` in front of an existing (possibly shared) pool — the
     /// path `QueryServer::listen` uses so networked and in-process sessions are served
     /// from the same S2 compute budget.  A session whose connection dies dirty stays
-    /// parked for `park_ttl` awaiting a resume; `Duration::ZERO` reaps it at once.  A
-    /// failure to spawn the accept thread or the park-TTL sweeper is returned as its
-    /// `io::Error`, after the server value's `Drop` has stopped and joined what started.
+    /// parked for `park_ttl` awaiting a resume, and is reaped at the first read of the
+    /// pool's session table after that; `Duration::ZERO` reaps it at once.  A failure to
+    /// spawn the accept thread is returned as its `io::Error`.
     pub fn serve_pool(
         addr: impl ToSocketAddrs,
         pool: Arc<MultiplexServer>,
@@ -684,35 +683,26 @@ impl TcpCloudServer {
             pool,
             park_ttl,
             admission: Mutex::default(),
+            ended: Condvar::new(),
             shutdown: AtomicBool::new(false),
             resumed: AtomicU64::new(0),
             token_nonce: AtomicU64::new(1),
             metrics,
         });
-        let mut server = TcpCloudServer {
-            local_addr,
-            shared,
-            accept_thread: None,
-            sweeper_thread: None,
-            connection_threads: Arc::new(Mutex::new(Vec::new())),
-        };
-
-        let shared = Arc::clone(&server.shared);
-        let connection_threads = Arc::clone(&server.connection_threads);
-        server.accept_thread = Some(
+        let connection_threads = Arc::new(Mutex::new(Vec::new()));
+        let accept_thread = {
+            let (shared, connection_threads) =
+                (Arc::clone(&shared), Arc::clone(&connection_threads));
             std::thread::Builder::new()
                 .name("sectopk-s2d-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &connection_threads))?,
-        );
-        if !park_ttl.is_zero() {
-            let shared = Arc::clone(&server.shared);
-            server.sweeper_thread = Some(
-                std::thread::Builder::new()
-                    .name("sectopk-s2d-sweeper".into())
-                    .spawn(move || sweeper_loop(&shared))?,
-            );
-        }
-        Ok(server)
+                .spawn(move || accept_loop(&listener, &shared, &connection_threads))?
+        };
+        Ok(TcpCloudServer {
+            local_addr,
+            shared,
+            accept_thread: Some(accept_thread),
+            connection_threads,
+        })
     }
 
     /// The bound listening address (with the ephemeral port resolved).
@@ -762,23 +752,18 @@ impl TcpCloudServer {
 
     /// Drain-then-exit support: stop admitting hellos (fresh *and* resume), reap every
     /// parked session immediately, give in-flight connections up to `grace` to finish
-    /// their current exchanges and disconnect, then sever the stragglers.  The server
-    /// object stays alive (its `Drop` completes shutdown); this just quiesces it.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "timeout machinery, not protocol state: the drain grace bounds how long in-flight \
-                  connections may finish, never what bytes they produce"
-    )]
+    /// their current exchanges and disconnect, then sever the stragglers.  Returns as
+    /// soon as the last connection ends.  The server object stays alive (its `Drop`
+    /// completes shutdown); this just quiesces it.
     pub fn drain(&self, grace: Duration) {
         self.shared.stop_admitting();
-        let started = Instant::now();
-        while started.elapsed() < grace {
-            if self.active_sessions() == 0 {
-                return;
-            }
-            std::thread::sleep(POLL_TICK);
-        }
-        self.shared.sever_all();
+        let admission = self.shared.admission.plock();
+        let waited = self
+            .shared
+            .ended
+            .wait_timeout_while(admission, grace, |admission| !admission.streams.is_empty());
+        let (admission, _) = waited.unwrap_or_else(PoisonError::into_inner);
+        admission.sever_all();
     }
 }
 
@@ -789,13 +774,10 @@ impl Drop for TcpCloudServer {
         // their engines, and sever every live connection; their threads observe the
         // dead sockets and reap (draining is set, so nothing re-parks).
         self.shared.stop_admitting();
-        self.shared.sever_all();
+        self.shared.admission.plock().sever_all();
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.sweeper_thread.take() {
             let _ = handle.join();
         }
         let connections = std::mem::take(&mut *self.connection_threads.plock());
@@ -836,19 +818,6 @@ fn accept_loop(
         if let Ok(handle) = spawned {
             tracked.push(handle);
         }
-    }
-}
-
-/// Reap parked sessions whose TTL expired, freeing their ids and engines.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "timeout machinery, not protocol state: park TTLs decide when an abandoned session's \
-              engine is freed, never what a live session computes"
-)]
-fn sweeper_loop(shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(SWEEP_TICK);
-        shared.pool.reap_parked(Some(Instant::now()));
     }
 }
 
@@ -897,7 +866,8 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         // knob: worker count is a local resource decision, never protocol state).
         HelloKind::Fresh { session, provision } => {
             let engine = provision.build();
-            shared.admit(&stream, |pool| pool.attach(SessionId(session), engine, token))
+            let claim = || shared.pool.attach(SessionId(session), engine, token);
+            shared.admission.plock().admit(&stream, claim)
         }
         HelloKind::Resume(resume) => admit_resume(shared, &stream, resume, token),
     };
@@ -927,14 +897,10 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
 }
 
 /// Admit a resume hello: the session table checks the token and claims the parked
-/// session in one step; all that is left here is to wait (briefly) for the dropped
-/// connection's thread to park it, retaking the admission lock on every attempt.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "timeout machinery, not protocol state: the resume grace waits out the dropped \
-              connection's thread and the claim time is compared with the park deadline; neither \
-              reaches a reply"
-)]
+/// session in one step.  While the claim is refused because the session is still
+/// connected — the dropped connection's thread is on its way out, or the connection is
+/// genuinely alive — it is retried whenever a connection ends, for at most
+/// [`RESUME_GRACE`].
 fn admit_resume(
     shared: &Shared,
     stream: &Arc<TcpStream>,
@@ -942,24 +908,19 @@ fn admit_resume(
     token: u64,
 ) -> Seating {
     let ResumeHello { session, last_acked_seq, resume_token } = resume;
-    let started = Instant::now();
-    loop {
-        let claim = shared.admit(stream, |pool| {
-            pool.resume(SessionId(session), resume_token, token, last_acked_seq, Instant::now())
-        });
-        match claim {
-            // The old connection's thread is still on its way out (or genuinely alive):
-            // give it a tick.
-            Err((RejectCode::SessionInUse, _)) if started.elapsed() < RESUME_GRACE => {
-                std::thread::sleep(POLL_TICK);
-            }
-            Ok(conduit) => {
-                shared.resumed.fetch_add(1, Ordering::Relaxed);
-                return Ok(conduit);
-            }
-            refused => return refused,
-        }
+    let resume = || shared.pool.resume(SessionId(session), resume_token, token, last_acked_seq);
+    // The outcome of the latest try; the wait below makes at least one.
+    let mut claim = Err((RejectCode::SessionInUse, String::new()));
+    let admission = shared.admission.plock();
+    let waited = shared.ended.wait_timeout_while(admission, RESUME_GRACE, |admission| {
+        claim = admission.admit(stream, resume);
+        matches!(claim, Err((RejectCode::SessionInUse, _)))
+    });
+    drop(waited);
+    if claim.is_ok() {
+        shared.resumed.fetch_add(1, Ordering::Relaxed);
     }
+    claim
 }
 
 /// Serve one seated session on its connection's own thread: read a frame, run it in
@@ -1019,11 +980,6 @@ struct Seated<'a> {
 }
 
 impl Drop for Seated<'_> {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "timeout machinery, not protocol state: stamps the park deadline of a dropped \
-                  session (now + TTL), which decides when it is reaped, never what it computes"
-    )]
     fn drop(&mut self) {
         let Seated { stream, shared, conduit, unseated } = self;
         let mut admission = shared.admission.plock();
@@ -1037,15 +993,15 @@ impl Drop for Seated<'_> {
             // frees up and the pool drops the engine with it.  Decided under the
             // admission lock, so a drain never misses a session parked behind its back.
             let ttl = shared.park_ttl;
-            let now = Instant::now();
-            let deadline = now.checked_add(ttl).unwrap_or(now + Duration::from_secs(1 << 30));
-            if !ttl.is_zero() && !admission.draining && conduit.park(deadline) {
+            if !ttl.is_zero() && !admission.draining && conduit.park(ttl) {
                 shared.metrics.parked.incr();
             } else {
                 conduit.close(false);
             }
         }
         drop(admission);
+        // A drain waiting for the last connection, or a resume of this session, goes on.
+        shared.ended.notify_all();
         let _ = stream.shutdown(Shutdown::Both);
     }
 }
@@ -1796,6 +1752,55 @@ mod tests {
         assert!(matches!(answer, ServerHello::Reject { code: RejectCode::ResumeDenied, .. }));
         let (_s2, reused, _t) = raw_fresh(server.local_addr(), 21, provision_for(&master, 2));
         assert_eq!(reused, 21);
+    }
+
+    #[test]
+    fn an_expired_session_frees_its_seat_for_a_fresh_hello_with_no_sweeper() {
+        // A one-seat pool behind a 50 ms park TTL: once the TTL has passed, the reads of
+        // the handshakes find the parked session gone.
+        let master = master(68);
+        let registry = MetricsRegistry::enabled();
+        let limits = PoolLimits { max_sessions: 1 };
+        let pool = MultiplexServer::with_limits_and_metrics(1, limits, registry.clone());
+        let server =
+            TcpCloudServer::serve_pool("127.0.0.1:0", Arc::new(pool), Duration::from_millis(50))
+                .unwrap();
+        let (stream, session, token) =
+            raw_fresh(server.local_addr(), 21, provision_for(&master, 1));
+        drop(stream);
+        // The connection's thread unregisters its stream and parks in one step.
+        wait_for(|| server.active_sessions() == 0);
+        std::thread::sleep(Duration::from_millis(60));
+
+        let (_s, answer) = raw_resume(server.local_addr(), session, 0, token);
+        assert!(matches!(answer, ServerHello::Reject { code: RejectCode::ResumeDenied, .. }));
+        let (_s2, reused, _t) = raw_fresh(server.local_addr(), 21, provision_for(&master, 2));
+        assert_eq!(reused, 21, "the expired session's id and seat are free");
+        assert_eq!(server.pool().active_sessions(), 1, "only the fresh session is counted");
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("tcp.server.parked"), 1);
+        assert_eq!(snapshot.counter("pool.evicted"), 1, "one expiry, counted once");
+    }
+
+    #[test]
+    fn drain_returns_when_the_last_client_disconnects() {
+        let master = master(69);
+        let server = Arc::new(TcpCloudServer::bind("127.0.0.1:0", 1).unwrap());
+        let mut client =
+            connect(server.local_addr(), provision_for(&master, 1), SessionId(0)).unwrap();
+        let mut rng = StdRng::seed_from_u64(10);
+        client.round_trip(compare_request(&master, 1, &mut rng)).unwrap();
+        let leaving = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                wait_for(|| server.shared.admission.plock().draining);
+                drop(client);
+            })
+        };
+        let draining = Arc::clone(&server);
+        within_five_seconds("drain", move || draining.drain(Duration::from_secs(30)));
+        leaving.join().unwrap();
+        assert_eq!(server.active_sessions(), 0, "no stream is left registered");
     }
 
     #[test]

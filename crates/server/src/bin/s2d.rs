@@ -15,10 +15,15 @@
 //!
 //! A session whose connection drops is *parked* for `--park-ttl` seconds so the client
 //! can resume it transparently (see `sectopk_protocols::tcp`); `--park-ttl 0` reaps
-//! dropped sessions immediately.  With `--drain-on-stdin`, the daemon stops accepting
-//! connections when its stdin reaches end-of-file, lets in-flight sessions finish
-//! (bounded by `--drain-grace`), and exits — the shape an orchestrator uses for
-//! graceful rollouts.
+//! dropped sessions immediately.  No timer reaps an expired one: the next read of the
+//! session table does (a hello, a resume or any session's request), so on an idle
+//! daemon its engine is freed by the next connection, and `--max-sessions` bounds what
+//! expired sessions can hold until then.
+//!
+//! With `--drain-on-stdin`, the daemon stops accepting connections when its stdin
+//! reaches end-of-file, lets in-flight sessions finish (bounded by `--drain-grace`,
+//! returning as soon as the last one has), and exits — the shape an orchestrator uses
+//! for graceful rollouts.
 //!
 //! With `--metrics-period SECS`, the daemon enables the `sectopk-metrics` registry on
 //! its pool and dumps a human-readable rendering of every counter and histogram to

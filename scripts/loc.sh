@@ -6,7 +6,8 @@
 # For every .rs file: its total lines and its production lines, the lines before its
 # first `#[cfg(test)]` (a file under a `tests/` directory is all test code: 0).  Then
 # the same two sums per crate (the nearest directory above a file that holds a
-# Cargo.toml) and over everything counted.
+# Cargo.toml) and over everything counted, and how many `#[expect(` attributes (the lint
+# exemptions of DESIGN.md §15) those files hold.
 set -euo pipefail
 shopt -s globstar nullglob
 
@@ -46,6 +47,7 @@ done | awk -F '\t' '
         while ((getline line < file) > 0) {
             total++
             if (prod < 0 && line ~ /^[[:space:]]*#\[cfg\(test\)\]/) prod = total - 1
+            if (line ~ /^[[:space:]]*#\[expect\(/) expects++
         }
         close(file)
         if (prod < 0) prod = total
@@ -61,5 +63,6 @@ done | awk -F '\t' '
             printf "%7d %7d  %s\n", crate_total[order[i]], crate_prod[order[i]], order[i]
         }
         printf "%7d %7d  %s\n", all_total, all_prod, "(all)"
+        printf "\n%7d  #[expect(..)] attributes\n", expects
     }
 '

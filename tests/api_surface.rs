@@ -2,9 +2,9 @@
 //!
 //! The `Session` / `QueryBuilder` / `SecTopKError` surface is the contract every test,
 //! bench, example and downstream consumer builds against, together with the session
-//! doors of `TwoClouds`, the transports and request kinds beneath them, the serving
-//! doors of `QueryServer`, and the Paillier keys and residue helpers of `sectopk-crypto`.
-//! This test extracts the public item and field declarations of those source files, and
+//! doors of `TwoClouds`, the transports and request kinds beneath them, the session pool
+//! and its listener, the serving doors of `QueryServer`, and the Paillier keys and
+//! residue helpers of `sectopk-crypto`.  This test extracts the public item and field declarations of those source files, and
 //! the variants of their public enums, and compares them against a committed snapshot, so
 //! any change to the surface — a removed method or field, a renamed variant, a
 //! signature change — fails loudly in review instead of slipping in silently.
@@ -34,6 +34,7 @@ const FACADE_FILES: &[&str] = &[
     "crates/core/src/join.rs",
     "crates/protocols/src/context.rs",
     "crates/protocols/src/transport.rs",
+    "crates/protocols/src/multiplex.rs",
     "crates/protocols/src/tcp.rs",
     "crates/protocols/src/channel.rs",
     "crates/protocols/src/wire.rs",
