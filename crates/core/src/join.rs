@@ -248,6 +248,7 @@ mod tests {
     fn join_encryption_ciphertexts_are_pinned() {
         // Every tuple, cell by cell in stored order, EHL blocks then score, each
         // length-prefixed: the bytes `Enc(R1)` hands the clouds for one fixed seed.
+        // Re-recorded when the owner's nonces became `H^a` off the key's comb, not `r^N`.
         let mut rng = StdRng::seed_from_u64(1010);
         let keys = MasterKeys::generate(MIN_MODULUS_BITS, 3, &mut rng).unwrap();
         let left = encrypt_for_join(&left_relation(), &keys, "join/left", &mut rng).unwrap();
@@ -259,7 +260,7 @@ mod tests {
             hasher.update(&bytes);
         }
         let hex: String = hasher.finalize().iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, "9364ef096c50f8b8b559b448fb6d143353747562b39b71533e2956afe78f2ced");
+        assert_eq!(hex, "97c9c18bad6d7c549f948115c65c0be0fce833f994b4847541b42d24cc2cd40c");
     }
 
     #[test]

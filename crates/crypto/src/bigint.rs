@@ -37,9 +37,10 @@ pub fn random_below<R: RngCore + CryptoRng>(rng: &mut R, m: &BigUint) -> BigUint
 
 /// Whether `gcd(a, m) = 1`.
 ///
-/// Every batch of masking scalars of a `⊖` and every directly drawn encryption nonce
-/// passes through this check once ([`random_invertible_many`], [`random_invertible`]),
-/// against the odd `N`, so an odd modulus is decided by a binary GCD on two limb arrays
+/// Every batch of masking scalars of a `⊖` passes through this check once
+/// ([`random_invertible_many`], [`random_invertible`]), against the odd `N`.  No Paillier
+/// encryption nonce does: each is `H^a` for a fixed unit `H`, a unit for any exponent.
+/// So an odd modulus is decided by a binary GCD on two limb arrays
 /// — subtract and shift in place, no division and no allocation per step.  An even
 /// modulus takes [`Integer::gcd`]'s Euclid loop, which also is the reference this
 /// function is differentially tested against.

@@ -14,8 +14,8 @@
 //!   layer (§3.3): encryption, its nonce and CRT decryption, which no protocol calls.
 //! * [`prf`] / [`prp`] — keyed PRFs and (keyed + ephemeral) pseudo-random permutations.
 //! * [`keys`] — the data-owner / S1 / S2 key bundles of Algorithm 2.
-//! * [`pool`] — amortizing pools of precomputed encryption nonces (`r^N mod N²`,
-//!   `r^{N²} mod N³`) that take the exponentiation off the encrypt/re-randomize path.
+//! * [`pool`] — amortizing pools of precomputed encryption nonces (`H^a mod N²`,
+//!   `H₃^a mod N³`) that take the exponentiation off the encrypt/re-randomize path.
 //!
 //! ## Quick example
 //!

@@ -9,7 +9,9 @@
 //!
 //! The implementation uses the standard simplification `g = N + 1`, so encryption is
 //! `Enc(m) = (1 + mN) · r^N mod N²` and decryption is `L(c^λ mod N²) · μ mod N` with
-//! `λ = lcm(p−1, q−1)` and `μ = λ⁻¹ mod N`.
+//! `λ = lcm(p−1, q−1)` and `μ = λ⁻¹ mod N`.  Every nonce `r^N` is taken as `H^a` for the
+//! key's fixed `H = h^N` and a fresh exponent `a < N` (so `r = h^a`; see
+//! [`NONCE_BASE_H`]).
 
 use num_bigint::{BigUint, FixedBaseTable, MontgomeryContext};
 use num_integer::Integer;
@@ -18,7 +20,7 @@ use rand::{CryptoRng, RngCore};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::bigint::{from_i64, l_function, mod_inverse, random_invertible, random_invertible_many};
+use crate::bigint::{from_i64, l_function, mod_inverse, random_below};
 use crate::error::{CryptoError, Result};
 use crate::par::{cores, par_map};
 use crate::prime::generate_safe_factor_pair;
@@ -316,20 +318,22 @@ impl PaillierPublicKey {
         self.n() - BigUint::one()
     }
 
-    /// Encrypt `m ∈ Z_N` with fresh randomness.
+    /// Encrypt `m ∈ Z_N` with fresh randomness: the nonce is `H^a` for an exponent
+    /// `a < N` drawn from `rng` ([`Self::nonce_from_exponent`]), the nonce every pool
+    /// hands out.
     pub fn encrypt<R: RngCore + CryptoRng>(&self, m: &BigUint, rng: &mut R) -> Result<Ciphertext> {
         if m >= self.n() {
             return Err(CryptoError::PlaintextOutOfRange);
         }
-        let r = random_invertible(rng, self.n());
-        Ok(self.encrypt_with_randomness(m, &r))
+        let a = random_below(rng, self.n());
+        Ok(self.encrypt_with_nonce(m, &self.nonce_from_exponent(&a)))
     }
 
     /// [`Self::encrypt`] of every plaintext, in order: byte for byte the ciphertexts of
     /// a loop of `encrypt` calls, leaving `rng` where that loop leaves it.  Every
-    /// plaintext is checked before anything is drawn; the `r`s are drawn serially for
-    /// one coprimality check ([`random_invertible_many`]), and the exponentiations run
-    /// on the machine's [`cores`], so no byte depends on the worker count.
+    /// plaintext is checked before anything is drawn; the exponents are drawn serially,
+    /// and the nonces `H^a` are computed on the machine's [`cores`], so no byte depends
+    /// on the worker count.
     pub fn encrypt_many<R: RngCore + CryptoRng>(
         &self,
         plaintexts: Vec<BigUint>,
@@ -338,10 +342,12 @@ impl PaillierPublicKey {
         if plaintexts.iter().any(|m| m >= self.n()) {
             return Err(CryptoError::PlaintextOutOfRange);
         }
-        let rs = random_invertible_many(rng, self.n(), plaintexts.len());
+        let jobs: Vec<(BigUint, BigUint)> =
+            plaintexts.into_iter().map(|m| (m, random_below(rng, self.n()))).collect();
         let pk = self.clone();
-        let jobs: Vec<(BigUint, BigUint)> = plaintexts.into_iter().zip(rs).collect();
-        Ok(par_map(cores(), jobs, move |(m, r)| pk.encrypt_with_randomness(m, r)))
+        Ok(par_map(cores(), jobs, move |(m, a)| {
+            pk.encrypt_with_nonce(m, &pk.nonce_from_exponent(a))
+        }))
     }
 
     /// Encrypt a small unsigned integer (convenience for scores).
@@ -354,19 +360,6 @@ impl PaillierPublicKey {
         self.encrypt(&from_i64(m, self.n()), rng)
     }
 
-    /// Deterministic encryption with caller-provided randomness `r ∈ Z_N^*`
-    /// (used by the tests that check the homomorphic identities exactly).
-    pub fn encrypt_with_randomness(&self, m: &BigUint, r: &BigUint) -> Ciphertext {
-        self.encrypt_with_nonce(m, &self.nonce_from_r(r))
-    }
-
-    /// The encryption nonce `r^N mod N²` for a given `r ∈ Z_N^*` — the expensive half
-    /// of an encryption, precomputable ahead of time (see
-    /// [`crate::pool::RandomnessPool`]).
-    pub fn nonce_from_r(&self, r: &BigUint) -> BigUint {
-        self.inner.ctx_n2.modpow(r, self.n())
-    }
-
     /// `H = h^N mod N²` for the fixed constant `h =` [`NONCE_BASE_H`] — the base of
     /// the amortized nonce subgroup, and the differential reference for
     /// [`Self::nonce_from_exponent`] (`nonce_from_exponent(a) == H.modpow(a, N²)`).
@@ -374,18 +367,17 @@ impl PaillierPublicKey {
         &self.inner.nonce_base
     }
 
-    /// The encryption nonce `H^a mod N²` for a pool-drawn random exponent `a < N`,
-    /// evaluated over the key's cached fixed-base comb
-    /// ([`MontgomeryContext::fixed_base_modpow`]): `|N|/32 − 1` squarings and at most
-    /// `|N|/8` Montgomery products.  This is the amortized
-    /// Damgård–Jurik '01 §4.2 nonce path [`crate::pool::RandomnessPool`] draws from;
-    /// [`Self::nonce_from_r`] remains the textbook `r^N` path.
+    /// The encryption nonce `H^a mod N²` for a random exponent `a < N`, evaluated over
+    /// the key's cached fixed-base comb ([`MontgomeryContext::fixed_base_modpow`]):
+    /// `|N|/32 − 1` squarings and at most `|N|/8` Montgomery products.  This is the
+    /// Damgård–Jurik '01 §4.2 nonce path, and the only one: [`Self::encrypt`],
+    /// [`Self::rerandomize`] and [`crate::pool::RandomnessPool`] all take it.
     pub fn nonce_from_exponent(&self, a: &BigUint) -> BigUint {
         self.inner.ctx_n2.fixed_base_modpow(&self.inner.nonce_table, a)
     }
 
-    /// Encryption given a precomputed nonce `r^N mod N²`: one multiplication, no
-    /// exponentiation.
+    /// Encryption given a precomputed nonce ([`Self::nonce_from_exponent`]): one
+    /// multiplication, no exponentiation.
     pub fn encrypt_with_nonce(&self, m: &BigUint, r_n: &BigUint) -> Ciphertext {
         // g^m = (1 + N)^m = 1 + mN (mod N²); below N² for m < N, reduced otherwise.
         let g_m = BigUint::one() + m * self.n();
@@ -458,11 +450,12 @@ impl PaillierPublicKey {
     /// decrypts to the same plaintext but is computationally unlinkable to the input,
     /// which is what the sub-protocols rely on when S2 returns items to S1.
     pub fn rerandomize<R: RngCore + CryptoRng>(&self, a: &Ciphertext, rng: &mut R) -> Ciphertext {
-        let r = random_invertible(rng, self.n());
-        self.rerandomize_with_nonce(a, &self.nonce_from_r(&r))
+        let exponent = random_below(rng, self.n());
+        self.rerandomize_with_nonce(a, &self.nonce_from_exponent(&exponent))
     }
 
-    /// Re-randomization given a precomputed nonce `r^N mod N²`: one multiplication.
+    /// Re-randomization given a precomputed nonce ([`Self::nonce_from_exponent`]): one
+    /// multiplication.
     pub fn rerandomize_with_nonce(&self, a: &Ciphertext, r_n: &BigUint) -> Ciphertext {
         Ciphertext(self.inner.ctx_n2.mul_mod(&a.0, r_n))
     }
@@ -612,7 +605,7 @@ pub fn generate_keypair<R: RngCore + CryptoRng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bigint::symmetric_i64;
+    use crate::bigint::{random_invertible, symmetric_i64};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -839,6 +832,32 @@ mod tests {
         let a = crate::bigint::random_below(&mut rng, pk.n());
         let c = pk.encrypt_with_nonce(&BigUint::from(4321u64), &pk.nonce_from_exponent(&a));
         assert_eq!(sk.decrypt_u64(&c).unwrap(), 4321);
+    }
+
+    #[test]
+    fn fresh_nonces_are_comb_powers_of_an_exponent_drawn_from_the_callers_rng() {
+        // The 512-bit key is wider than the benchmark's, so its ciphertexts decrypting
+        // checks that the comb covers every exponent bit of a larger `N`.
+        let mut keygen = StdRng::seed_from_u64(45);
+        for bits in [MIN_MODULUS_BITS, 256, 512] {
+            let (pk, sk) = generate_keypair(bits, &mut keygen).unwrap();
+            let mut rng = StdRng::seed_from_u64(bits as u64);
+            let mut reference = rng.clone();
+            let m = random_below(&mut keygen, pk.n());
+            let nonce = |rng: &mut StdRng| pk.nonce_from_exponent(&random_below(rng, pk.n()));
+
+            let c = pk.encrypt(&m, &mut rng).unwrap();
+            assert_eq!(c, pk.encrypt_with_nonce(&m, &nonce(&mut reference)), "{bits}-bit encrypt");
+            assert_eq!(rng.clone().next_u64(), reference.clone().next_u64(), "{bits}-bit RNGs");
+
+            let fresh = pk.rerandomize(&c, &mut rng);
+            let expected = pk.rerandomize_with_nonce(&c, &nonce(&mut reference));
+            assert_eq!(fresh, expected, "{bits}-bit rerandomize");
+            assert_eq!(rng.next_u64(), reference.next_u64(), "{bits}-bit RNGs");
+
+            assert_eq!(sk.decrypt(&c).unwrap(), m, "{bits}-bit");
+            assert_eq!(sk.decrypt(&fresh).unwrap(), m, "{bits}-bit");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! An amortizing pool of precomputed encryption nonces.
 //!
 //! The expensive half of a Paillier encryption (or re-randomization) is the nonce
-//! `r^N mod N²`; for the Damgård–Jurik outer layer it is `r^{N²} mod N³`.  Neither
+//! `H^a mod N²`; for the Damgård–Jurik outer layer it is `H₃^a mod N³`.  Neither
 //! depends on the message, so they can be computed ahead of time and consumed with a
 //! single multiplication on the latency path — the classic precomputation trick for
 //! Paillier-style schemes, and what lets the S2 engine answer a burst of protocol
@@ -346,7 +346,7 @@ impl RandomnessPool {
         }
     }
 
-    /// Pop a Paillier nonce `r^N mod N²`: the front slot, waited for if it is still in
+    /// Pop a Paillier nonce `H^a mod N²`: the front slot, waited for if it is still in
     /// flight; a batch is refilled if none is drawn.
     pub fn next_paillier_nonce(&mut self) -> BigUint {
         self.register();

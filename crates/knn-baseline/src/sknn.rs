@@ -189,7 +189,8 @@ mod tests {
     #[test]
     fn knn_encryption_ciphertexts_are_pinned() {
         // Every record's ciphertexts in order, each length-prefixed: the bytes the
-        // baseline's set-up hands the clouds for one fixed seed.
+        // baseline's set-up hands the clouds for one fixed seed.  Re-recorded when the
+        // owner's nonces became `H^a` off the key's comb instead of `r^N`.
         let mut rng = StdRng::seed_from_u64(1011);
         let keys = MasterKeys::generate(MIN_MODULUS_BITS, 2, &mut rng).unwrap();
         let db = encrypt_for_knn(&relation(), &keys, &mut rng).unwrap();
@@ -200,7 +201,7 @@ mod tests {
             hasher.update(&bytes);
         }
         let hex: String = hasher.finalize().iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, "f9bb433af2569443d68ac141d8960b1fdfad73e0d96f51f73b31a5a1e786ac88");
+        assert_eq!(hex, "752ca3165d2ffcc6876aa3777e66fe06c808a254232f0c0913d9fbfa3f4f449b");
     }
 
     #[test]

@@ -258,13 +258,14 @@ mod tests {
     #[test]
     fn parallel_encryption_ciphertexts_are_pinned() {
         // The digest of the one-object-at-a-time loop on this seed: however many cores
-        // compute the batches, no byte moves.
+        // compute the batches, no byte moves.  Re-recorded when the owner's nonces became
+        // `H^a` off the key's comb instead of `r^N`.
         let mut rng = StdRng::seed_from_u64(4242);
         let keys = master_keys(&mut rng);
         let (er, _) = encrypt_relation(&small_relation(), &keys, &mut rng).unwrap();
         assert_eq!(
             ciphertext_digest(&er),
-            "1f2dd20c4e019c84d5cb3f8be93838725f0fb4c29309b639d902327427c8a578"
+            "4622d66e4c7db61cc7f3c673e27b74e717d02e4f8364b28199086852473fa584"
         );
     }
 
