@@ -8,6 +8,8 @@
 //! arithmetic — see `DESIGN.md` for the dependency policy):
 //!
 //! * [`sha256`] / [`hmac`] — SHA-256 and HMAC-SHA-256, the PRF instantiation of the EHL.
+//! * [`chacha`] — the ChaCha block function and the keyed, addressable generator the
+//!   protocol parties and their nonce pools draw from.
 //! * [`prime`] — Miller–Rabin prime generation for key generation.
 //! * [`paillier`] — the additively homomorphic Paillier cryptosystem (§3.3).
 //! * [`damgard_jurik`] — the generalized Paillier (Damgård–Jurik) scheme with one extra
@@ -38,6 +40,7 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod bigint;
+pub mod chacha;
 pub mod damgard_jurik;
 pub mod encoding;
 pub mod error;

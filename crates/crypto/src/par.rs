@@ -4,8 +4,9 @@
 //! [`par_map`] is the one parallel primitive the intra-query fan-out is built on: it
 //! applies a pure function to every item of a list across up to `workers` threads and
 //! returns the results **in input order**.  Because the function is pure (no RNG, no
-//! ledger, no pool access — callers pre-draw any randomness serially first), the output
-//! is byte-identical to a serial map regardless of worker count or scheduling.  That is
+//! ledger, no pool access — callers draw their local streams serially first, and a
+//! nonce's exponent is read by its address, [`crate::pool`]), the output is
+//! byte-identical to a serial map regardless of worker count or scheduling.  That is
 //! the "parallel compute, serial commit" contract the protocol layers rely on to keep
 //! transports and leakage ledgers deterministic while a single query scales with cores.
 //!

@@ -7,35 +7,40 @@
 //! Paillier-style schemes, and what lets the S2 engine answer a burst of protocol
 //! requests without paying one full exponentiation per returned ciphertext.
 //!
-//! A [`RandomnessPool`] owns its own deterministic RNG streams, one per nonce kind
-//! (so a pool seeded identically produces identical ciphertext streams — the
-//! transport-equivalence tests rely on this).  A dry queue refills a batch on as many
-//! threads as its owner last set with [`RandomnessPool::set_refill_workers`];
+//! A [`RandomnessPool`] reads its exponents *by address*: nonce *k* of a kind is
+//! `H^{a(k)}`, where `a(k)` is drawn below `N` from sub-stream `(kind, k)` of the pool's
+//! [`ChaCha12Rng`] key.  So nonce *k* is a function of the pool seed, the kind and *k*
+//! alone, whichever thread computes it, in whatever order, and however far ahead — a
+//! pool seeded identically produces identical ciphertext streams, which the
+//! transport-equivalence tests rely on.  A dry queue refills a batch on as many threads
+//! as its owner last set with [`RandomnessPool::set_refill_workers`];
 //! [`RandomnessPool::refill`] is the one explicit fill, and it is serial.
 //!
-//! Paillier nonces are also made *ahead of need*, on cores the owner leaves idle.  The
-//! queue is a reservoir of slots in draw order, each either in flight (its exponent is
-//! drawn, its nonce being computed) or ready.  After its first draw a pool registers
-//! with [`crate::par`]'s helpers as idle work: a helper with no job draws one exponent
-//! under the pool's lock, computes that nonce and fills its slot, then looks at its
-//! job queue again, until the pool holds [`RESERVOIR_TARGET`] slots.  A pop takes the
-//! front slot, waiting for it if it is still in flight, so the owner waits at most one
-//! nonce; the pool wakes idle helpers when its stock falls below half the target.  A
-//! pool makes nothing ahead while its owner's worker share is 1: then no core is idle,
-//! and a helper's nonce would be taken from a neighbour (DESIGN.md §14).
+//! Each kind's queue is a reservoir: one slot per index from the owner's next one on,
+//! each holding its nonce once computed.  Paillier nonces are also made *ahead of need*,
+//! on cores the owner leaves idle: after its first draw a pool registers its Paillier
+//! reservoir with [`crate::par`]'s helpers as idle work, and a helper with no job claims
+//! the next index under the pool's lock, computes that nonce outside it and fills its
+//! slot, then looks at its job queue again, until the pool holds [`RESERVOIR_TARGET`]
+//! slots.  A pop takes the front slot if it is ready and otherwise computes the nonce
+//! from its index (a batch of them if no slot is ready), so the owner never waits on a
+//! helper, and a helper's fill of an index already taken is dropped.  The pool wakes idle
+//! helpers when its stock falls below half the target.  A pool makes nothing ahead while
+//! its owner's worker share is 1: then no core is idle, and a helper's nonce would be
+//! taken from a neighbour (DESIGN.md §14).
 //!
 //! Ownership: pools are *not* part of the shared `Arc` key material — two parties
 //! sharing a public key must not share a nonce stream — so each protocol party
 //! (`S1State`, the S2 engine) owns its pools, seeded from its own seed.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 use num_bigint::BigUint;
-use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::bigint::random_below;
+use crate::chacha::ChaCha12Rng;
 use crate::damgard_jurik::DjPublicKey;
 use crate::error::Result;
 use crate::paillier::{Ciphertext, PaillierPublicKey};
@@ -48,6 +53,11 @@ const DEFAULT_BATCH: usize = 32;
 /// 2,900 nonces from four pools, most of them from the two shared-key pools, in runs of
 /// up to a few hundred between the waits on the other party that refill them.
 pub const RESERVOIR_TARGET: usize = 256;
+
+/// The sub-stream id of the Paillier exponents under a pool's key.
+const PAILLIER: u32 = 0;
+/// The sub-stream id of the Damgård–Jurik exponents under a pool's key.
+const DJ: u32 = 1;
 
 /// Derive the deterministic seed of per-session pool shard `session` from a party's
 /// `base_seed`.
@@ -67,174 +77,150 @@ pub fn shard_seed(base_seed: u64, session: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Stream tag mixed into a pool's seed to derive the Damgård–Jurik exponent stream.
-///
-/// Each nonce kind draws its exponents from its **own** RNG stream: with a single
-/// shared RNG, the value of Paillier nonce *k* would depend on how many DJ draws
-/// happened before it — i.e. on the `(paillier, dj)` split of every refill call — and
-/// an explicit refill of both kinds (which splits differently than lazy consumption)
-/// would silently shift both streams.
-const DJ_STREAM_TAG: u64 = 0xD1;
-
 /// A pool of precomputed Paillier (and optionally Damgård–Jurik) encryption nonces
 /// for one public key.
 #[derive(Debug)]
 pub struct RandomnessPool {
-    /// The Paillier stream, shared with the helpers that fill it ahead of need.
+    pk: PaillierPublicKey,
+    /// The Paillier nonces, shared with the helpers that fill them ahead of need.
     reservoir: Arc<Reservoir>,
     /// The reservoir as registered idle work, from the pool's first draw on.
     registered: Option<Weak<dyn IdleWork>>,
-    dj: Option<DjPublicKey>,
-    dj_rng: StdRng,
-    dj_nonces: VecDeque<BigUint>,
+    /// The Damgård–Jurik nonces, made only when popped or refilled.
+    dj: Option<Arc<Reservoir>>,
 }
 
-/// The Paillier nonces of one pool: the key, the exponent stream and the slots.
+/// The nonces of one kind: the key they are nonces of, the exponent key and the slots.
 #[derive(Debug)]
 struct Reservoir {
-    pk: PaillierPublicKey,
+    kind: Kind,
+    key: ChaCha12Rng,
     slots: Mutex<Slots>,
-    /// Signalled when an in-flight slot settles while the owner waits for it.
-    settled: Condvar,
+}
+
+#[derive(Debug)]
+enum Kind {
+    Paillier(PaillierPublicKey),
+    Dj(DjPublicKey),
 }
 
 #[derive(Debug)]
 struct Slots {
-    /// Paillier exponents, drawn only under this lock, so slot order is draw order.
-    rng: StdRng,
-    /// Every drawn nonce not yet taken, in draw order.
-    queue: VecDeque<Slot>,
-    /// The draw number of the front slot.
+    /// The index of the front slot: the owner's next nonce.
     front: u64,
+    /// One slot per claimed index from `front` on: its nonce, once computed.
+    queue: VecDeque<Option<BigUint>>,
     /// The owner's worker count; helpers fill ahead only while it is above 1.
     workers: usize,
-    /// Whether the owner is waiting for the front slot.
-    owner_waits: bool,
 }
 
-#[derive(Debug)]
-enum Slot {
-    /// Its exponent is drawn and its nonce is being computed.
-    InFlight,
-    /// Its computation was given up (the thread computing it unwound): the owner
-    /// computes the nonce from this exponent when it reaches the front.
-    Abandoned(BigUint),
-    Ready(BigUint),
-}
+impl Slots {
+    /// The slot of `index`, if it is queued.
+    fn slot(&mut self, index: u64) -> Option<&mut Option<BigUint>> {
+        let at = usize::try_from(index.checked_sub(self.front)?).ok()?;
+        self.queue.get_mut(at)
+    }
 
-/// A run of slots drawn together and being computed.  Filled in one go; dropped unfilled
-/// (an unwind), its slots are abandoned to the owner rather than left in flight.
-struct Run<'a> {
-    reservoir: &'a Reservoir,
-    /// The draw number of the first slot.
-    first: u64,
-    exponents: Vec<BigUint>,
+    /// The index one past the back slot.
+    fn end(&self) -> u64 {
+        self.front + self.queue.len() as u64
+    }
 }
 
 impl Reservoir {
-    /// Draw `count` exponents into new in-flight slots at the back.
-    fn draw_locked<'a>(&'a self, slots: &mut Slots, count: usize) -> Run<'a> {
-        let first = slots.front + slots.queue.len() as u64;
-        let exponents: Vec<BigUint> =
-            (0..count).map(|_| random_below(&mut slots.rng, self.pk.n())).collect();
-        slots.queue.extend((0..count).map(|_| Slot::InFlight));
-        Run { reservoir: self, first, exponents }
+    fn new(kind: Kind, seed: u64) -> Arc<Self> {
+        let slots = Slots { front: 0, queue: VecDeque::new(), workers: 1 };
+        Arc::new(Reservoir {
+            kind,
+            key: ChaCha12Rng::seed_from_u64(seed),
+            slots: Mutex::new(slots),
+        })
     }
 
-    /// Draw `count` slots and compute them on up to `workers` threads.
-    fn produce(&self, count: usize, workers: usize) {
-        if count == 0 {
-            return;
+    /// Nonce `index`: its exponent is drawn below `N` from sub-stream (kind, `index`) of
+    /// the pool's key.
+    fn nonce(&self, index: u64) -> BigUint {
+        let exponent = |stream, n| random_below(&mut self.key.substream(stream, index), n);
+        match &self.kind {
+            Kind::Paillier(pk) => pk.nonce_from_exponent(&exponent(PAILLIER, pk.n())),
+            Kind::Dj(dj) => dj.nonce_from_exponent(&exponent(DJ, dj.n())),
         }
-        let run = self.draw_locked(&mut lock(&self.slots), count);
-        let pk = self.pk.clone();
-        let nonces =
-            par::par_map(workers, run.exponents.clone(), move |a| pk.nonce_from_exponent(a));
-        run.settle(nonces.into_iter().map(Slot::Ready));
     }
 
-    /// Take the front nonce, waiting for it if it is in flight.  A reservoir with no
-    /// settled slot is dry: the owner draws a batch behind what is in flight and
-    /// computes it on the spot, on the owner's worker count, instead of waiting for
-    /// helpers that fill one slot at a time.
-    fn pop(&self) -> BigUint {
-        let mut slots = lock(&self.slots);
-        let slot = loop {
-            match slots.queue.front() {
-                Some(Slot::InFlight)
-                    if slots.queue.iter().any(|s| !matches!(s, Slot::InFlight)) =>
-                {
-                    slots.owner_waits = true;
-                    slots = self.settled.wait(slots).unwrap_or_else(PoisonError::into_inner);
-                    slots.owner_waits = false;
-                }
-                None | Some(Slot::InFlight) => {
-                    let workers = slots.workers;
-                    drop(slots);
-                    self.produce(DEFAULT_BATCH, workers);
-                    slots = lock(&self.slots);
-                }
-                Some(_) => {
-                    slots.front += 1;
-                    break slots.queue.pop_front().expect("the front slot was just seen");
-                }
-            }
+    /// Claim the slots of indices `from..to` and compute those not ready on up to
+    /// `workers` threads.
+    fn compute(self: &Arc<Self>, from: u64, to: u64, workers: usize) {
+        let missing: Vec<u64> = {
+            let mut slots = lock(&self.slots);
+            let end = slots.end();
+            slots.queue.extend((end..to).map(|_| None));
+            (from..to).filter(|&k| slots.slot(k).is_some_and(|slot| slot.is_none())).collect()
         };
+        let reservoir = Arc::clone(self);
+        let nonces = par::par_map(workers, missing.clone(), move |&k| reservoir.nonce(k));
+        let mut slots = lock(&self.slots);
+        for (k, nonce) in missing.into_iter().zip(nonces) {
+            if let Some(slot) = slots.slot(k) {
+                *slot = Some(nonce);
+            }
+        }
+    }
+
+    /// Compute the next `count` nonces now, serially.
+    fn produce(self: &Arc<Self>, count: usize) {
+        let end = lock(&self.slots).end();
+        self.compute(end, end + count as u64, 1);
+    }
+
+    /// Take the front nonce.  One that is not ready yet (a helper is computing it, or
+    /// gave it up) the owner computes from its index, without waiting; a reservoir with
+    /// no ready slot is dry, and the owner computes the next batch on its worker count.
+    fn pop(self: &Arc<Self>) -> BigUint {
+        let mut slots = lock(&self.slots);
+        let index = slots.front;
+        if slots.queue.iter().all(Option::is_none) {
+            let workers = slots.workers;
+            drop(slots);
+            self.compute(index, index + DEFAULT_BATCH as u64, workers);
+            slots = lock(&self.slots);
+        }
+        slots.front += 1;
+        let slot = slots.queue.pop_front().flatten();
         let wake = slots.workers > 1 && slots.queue.len() + 1 == RESERVOIR_TARGET / 2;
         drop(slots);
         if wake {
             par::wake_idle();
         }
-        match slot {
-            Slot::Ready(nonce) => nonce,
-            Slot::Abandoned(a) => self.pk.nonce_from_exponent(&a),
-            Slot::InFlight => unreachable!("an in-flight slot is never taken"),
+        slot.unwrap_or_else(|| self.nonce(index))
+    }
+
+    /// Fill the slot of `index` with its nonce, unless the owner has taken it.
+    fn fill(&self, index: u64, nonce: BigUint) {
+        if let Some(slot) = lock(&self.slots).slot(index) {
+            *slot = Some(nonce);
         }
+    }
+
+    /// Claim the next index for a helper, if the owner's share leaves a core idle and
+    /// the reservoir is below its target.
+    fn claim(&self) -> Option<u64> {
+        let mut slots = lock(&self.slots);
+        if slots.workers <= 1 || slots.queue.len() >= RESERVOIR_TARGET {
+            return None;
+        }
+        slots.queue.push_back(None);
+        Some(slots.end() - 1)
     }
 }
 
 impl IdleWork for Reservoir {
-    /// Fill one slot ahead of need, if the owner's share leaves a core idle and the
-    /// reservoir is below its target.
+    /// Fill one slot ahead of need.  A helper that unwinds leaves its slot empty, and
+    /// the owner computes it when it gets there; a slot the owner took first is not
+    /// queued any more, and its nonce is dropped.
     fn step(&self) -> bool {
-        let run = {
-            let mut slots = lock(&self.slots);
-            if slots.workers <= 1 || slots.queue.len() >= RESERVOIR_TARGET {
-                return false;
-            }
-            self.draw_locked(&mut slots, 1)
-        };
-        let nonce = self.pk.nonce_from_exponent(&run.exponents[0]);
-        run.settle([Slot::Ready(nonce)]);
+        let Some(index) = self.claim() else { return false };
+        self.fill(index, self.nonce(index));
         true
-    }
-}
-
-impl Run<'_> {
-    /// Settle the run's slots, in order, with `settled`.
-    fn settle(mut self, settled: impl IntoIterator<Item = Slot>) {
-        self.exponents.clear();
-        self.write(settled);
-    }
-
-    fn write(&self, settled: impl IntoIterator<Item = Slot>) {
-        let mut slots = lock(&self.reservoir.slots);
-        let at = usize::try_from(self.first - slots.front).expect("an in-flight slot is queued");
-        for (slot, settled) in slots.queue.iter_mut().skip(at).zip(settled) {
-            *slot = settled;
-        }
-        if slots.owner_waits {
-            self.reservoir.settled.notify_all();
-        }
-    }
-}
-
-impl Drop for Run<'_> {
-    fn drop(&mut self) {
-        let abandoned = std::mem::take(&mut self.exponents);
-        if !abandoned.is_empty() {
-            self.write(abandoned.into_iter().map(Slot::Abandoned));
-        }
     }
 }
 
@@ -246,8 +232,8 @@ impl Drop for RandomnessPool {
     }
 }
 
-/// Lock `mutex`.  Every update under a pool's lock leaves the slots valid (an unwinding
-/// computation abandons its slots through [`Run`]), so a poisoned lock is still sound.
+/// Lock `mutex`.  Every update under a pool's lock leaves the slots valid (a slot left
+/// empty is computed by the owner), so a poisoned lock is still sound.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -255,30 +241,18 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 impl RandomnessPool {
     /// A pool for Paillier nonces only.
     pub fn new(pk: &PaillierPublicKey, seed: u64) -> Self {
-        let slots = Slots {
-            rng: StdRng::seed_from_u64(seed),
-            queue: VecDeque::new(),
-            front: 0,
-            workers: 1,
-            owner_waits: false,
-        };
         RandomnessPool {
-            reservoir: Arc::new(Reservoir {
-                pk: pk.clone(),
-                slots: Mutex::new(slots),
-                settled: Condvar::new(),
-            }),
+            pk: pk.clone(),
+            reservoir: Reservoir::new(Kind::Paillier(pk.clone()), seed),
             registered: None,
             dj: None,
-            dj_rng: StdRng::seed_from_u64(shard_seed(seed, DJ_STREAM_TAG)),
-            dj_nonces: VecDeque::new(),
         }
     }
 
     /// A pool serving both the Paillier and the Damgård–Jurik layer of one modulus.
     pub fn with_dj(pk: &PaillierPublicKey, dj: &DjPublicKey, seed: u64) -> Self {
         let mut pool = Self::new(pk, seed);
-        pool.dj = Some(dj.clone());
+        pool.dj = Some(Reservoir::new(Kind::Dj(dj.clone()), seed));
         pool
     }
 
@@ -286,35 +260,22 @@ impl RandomnessPool {
     ///
     /// Nonces come from the keys' amortized fixed-base path
     /// ([`PaillierPublicKey::nonce_from_exponent`] /
-    /// [`DjPublicKey::nonce_from_exponent`]): draw a random exponent `a < N`, evaluate
-    /// `H^a` over the key's fixed-base comb — at a 256-bit `N`, 7 squarings and at most
-    /// 32 Montgomery products, against about 310 for the textbook `r^N`
-    /// exponentiation.
-    ///
-    /// Each nonce kind has its **own** RNG stream, consumed only by that kind's
-    /// exponent draws (one draw per nonce, in slot order), so nonce *k* of a kind is a
-    /// function of the pool seed, the kind and *k* alone — never of refill timing, batch
-    /// boundaries, the `(paillier, dj)` split of earlier refill calls, or which thread
-    /// computed it.  That invariant is what lets explicit refills of any size, a dry
-    /// queue's parallel batch and the idle helpers' production leave the ciphertext
-    /// stream byte-identical.
+    /// [`DjPublicKey::nonce_from_exponent`]): an exponent `a < N` read from its address,
+    /// then `H^a` over the key's fixed-base comb — at a 256-bit `N`, 7 squarings and at
+    /// most 32 Montgomery products, against about 310 for the textbook `r^N`
+    /// exponentiation.  Nonce *k* of a kind is the same whether an explicit refill of
+    /// any size, a dry queue's parallel batch or an idle helper made it.
     pub fn refill(&mut self, paillier: usize, dj: usize) {
         self.register();
-        self.reservoir.produce(paillier, 1);
-        self.refill_dj(dj, 1);
+        self.reservoir.produce(paillier);
+        if dj > 0 {
+            self.dj().produce(dj);
+        }
     }
 
-    /// Draw `count` DJ exponents serially and compute their nonces on up to `workers`
-    /// threads, queued in draw order.
-    fn refill_dj(&mut self, count: usize, workers: usize) {
-        if count == 0 {
-            return;
-        }
-        let dj_pk = self.dj.clone().expect("refilling DJ nonces on a Paillier-only pool");
-        let exps: Vec<BigUint> =
-            (0..count).map(|_| random_below(&mut self.dj_rng, dj_pk.n())).collect();
-        let nonces = par::par_map(workers, exps, move |a| dj_pk.nonce_from_exponent(a));
-        self.dj_nonces.extend(nonces);
+    /// The Damgård–Jurik nonces.  Panics if the pool was built without a DJ key.
+    fn dj(&self) -> &Arc<Reservoir> {
+        self.dj.as_ref().expect("DJ nonces of a Paillier-only pool")
     }
 
     /// Register the reservoir as idle work, once: a pool makes nothing ahead before it
@@ -336,6 +297,9 @@ impl RandomnessPool {
     pub fn set_refill_workers(&mut self, workers: usize) {
         let workers = workers.max(1);
         let opened = {
+            if let Some(dj) = &self.dj {
+                lock(&dj.slots).workers = workers;
+            }
             let mut slots = lock(&self.reservoir.slots);
             let opened = slots.workers <= 1 && workers > 1;
             slots.workers = workers;
@@ -346,31 +310,27 @@ impl RandomnessPool {
         }
     }
 
-    /// Pop a Paillier nonce `H^a mod N²`: the front slot, waited for if it is still in
-    /// flight; a batch is refilled if none is drawn.
+    /// Pop a Paillier nonce `H^a mod N²`: the front slot, computed from its index if it
+    /// is not ready; a batch if no slot is.
     pub fn next_paillier_nonce(&mut self) -> BigUint {
         self.register();
         self.reservoir.pop()
     }
 
-    /// Pop a DJ nonce `r^{N²} mod N³`, refilling a batch if the queue is dry.
+    /// Pop a DJ nonce `H₃^a mod N³`, refilling a batch if the queue is dry.
     ///
     /// Panics if the pool was built without a DJ key.
     pub fn next_dj_nonce(&mut self) -> BigUint {
-        if self.dj_nonces.is_empty() {
-            let workers = lock(&self.reservoir.slots).workers;
-            self.refill_dj(DEFAULT_BATCH, workers);
-        }
-        self.dj_nonces.pop_front().expect("refill produced at least one nonce")
+        self.dj().pop()
     }
 
     /// Encrypt `m` under the pool's Paillier key using a precomputed nonce.
     pub fn encrypt(&mut self, m: &BigUint) -> Result<Ciphertext> {
-        if m >= self.reservoir.pk.n() {
+        if m >= self.pk.n() {
             return Err(crate::error::CryptoError::PlaintextOutOfRange);
         }
         let nonce = self.next_paillier_nonce();
-        Ok(self.reservoir.pk.encrypt_with_nonce(m, &nonce))
+        Ok(self.pk.encrypt_with_nonce(m, &nonce))
     }
 
     /// Encrypt a small unsigned integer (convenience for scores and flags).
@@ -381,12 +341,12 @@ impl RandomnessPool {
     /// Re-randomize a Paillier ciphertext using a precomputed nonce.
     pub fn rerandomize(&mut self, a: &Ciphertext) -> Ciphertext {
         let nonce = self.next_paillier_nonce();
-        self.reservoir.pk.rerandomize_with_nonce(a, &nonce)
+        self.pk.rerandomize_with_nonce(a, &nonce)
     }
 
     /// The Paillier public key this pool serves.
     pub fn public_key(&self) -> &PaillierPublicKey {
-        &self.reservoir.pk
+        &self.pk
     }
 }
 
@@ -396,19 +356,19 @@ mod tests {
     use crate::keys::MasterKeys;
     use crate::paillier::MIN_MODULUS_BITS;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     impl RandomnessPool {
         /// How many nonces of each kind are drawn and not yet taken: for the Paillier
         /// kind that counts the slots still being computed, which a pop waits for.
         fn ready(&self) -> (usize, usize) {
-            (lock(&self.reservoir.slots).queue.len(), self.dj_nonces.len())
+            let dj = self.dj.as_ref().map_or(0, |dj| lock(&dj.slots).queue.len());
+            (lock(&self.reservoir.slots).queue.len(), dj)
         }
     }
 
     /// Concurrency audit: the shared key material must be freely shareable across the
     /// S2 worker threads (`Send + Sync`; they are `Arc`-backed), while the stateful
-    /// per-session values (pools own a deterministic RNG and nonce queues) only need to
+    /// per-session values (pools own an exponent key and nonce queues) only need to
     /// *move* into a session's engine (`Send`).  Compile-time assertions — a regression
     /// here breaks the multi-session server's thread model.
     #[test]
@@ -516,8 +476,8 @@ mod tests {
             // The parallel pool's helpers may also fill it ahead of need meanwhile.
             parallel.set_refill_workers(workers);
             serial.refill(9, 5);
-            parallel.reservoir.produce(9, workers);
-            parallel.refill_dj(5, workers);
+            parallel.reservoir.compute(0, 9, workers);
+            parallel.dj().compute(0, 5, workers);
             // The batch's nonces and the ones drawn after them, alike.
             for _ in 0..9 + DEFAULT_BATCH {
                 assert_eq!(
@@ -534,8 +494,8 @@ mod tests {
 
     #[test]
     fn overfilling_never_changes_the_nonce_stream() {
-        // The RNG is consumed only by exponent draws (one per nonce), so prefetching
-        // any amount ahead of time must leave the stream position-deterministic.
+        // Nonce k is read from its address, so prefetching any amount ahead of time
+        // must leave the stream position-deterministic.
         let (master, _pool) = setup();
         let mut lazy = RandomnessPool::new(&master.paillier_public, 5);
         let mut eager = RandomnessPool::new(&master.paillier_public, 5);
@@ -562,10 +522,11 @@ mod tests {
 
     #[test]
     fn cross_kind_prefill_never_changes_either_stream() {
-        // Regression: with one shared RNG, an upper-bound prefill (all Paillier draws,
-        // then all DJ draws) assigned RNG outputs to nonce kinds differently than lazy
-        // interleaved consumption, shifting both streams.  Per-kind RNG streams make
-        // nonce k of each kind a function of (seed, kind, k) alone.
+        // Regression: when the kinds drew from one shared RNG, an upper-bound prefill
+        // (all Paillier draws, then all DJ draws) assigned its outputs to the kinds
+        // differently than lazy interleaved consumption, shifting both streams.  Each
+        // kind now reads its exponents from sub-stream (kind, k) of the pool's key, so
+        // nonce k of each kind is a function of (seed, kind, k) alone.
         let (master, _pool) = setup();
         let dj = crate::damgard_jurik::DjPublicKey::from_paillier(&master.paillier_public);
         let mut lazy = RandomnessPool::with_dj(&master.paillier_public, &dj, 21);
@@ -604,32 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn the_stream_is_the_same_whether_helpers_ran_ahead_raced_the_owner_or_never_ran() {
-        let (master, _pool) = setup();
-        let pk = &master.paillier_public;
-        spawn_helpers();
-        let count = 2 * RESERVOIR_TARGET + 3;
-        let expected = reference_stream(pk, 31, count);
-
-        // Far ahead: the reservoir is full before the owner takes its second.  (Its first
-        // may come after the helpers filled the reservoir to the target.)
-        let mut ahead = RandomnessPool::new(pk, 31);
-        ahead.set_refill_workers(2);
-        let mut taken = vec![ahead.next_paillier_nonce()];
-        assert!(within_ten_seconds(|| ahead.ready().0 >= RESERVOIR_TARGET - 1));
-        taken.extend((1..count).map(|_| ahead.next_paillier_nonce()));
-        assert!(taken == expected, "a pool filled ahead of need changed its stream");
-
-        // Racing: the owner pops as fast as it can while helpers produce beside it.
-        for workers in [2, 4] {
-            let mut racing = RandomnessPool::new(pk, 31);
-            racing.set_refill_workers(workers);
-            let taken: Vec<BigUint> = (0..count).map(|_| racing.next_paillier_nonce()).collect();
-            assert!(taken == expected, "a raced pool changed its stream (workers = {workers})");
-        }
-    }
-
-    #[test]
     fn a_fresh_pool_holds_no_nonce_until_its_first_draw() {
         let (master, _pool) = setup();
         spawn_helpers();
@@ -659,19 +594,59 @@ mod tests {
     }
 
     #[test]
-    fn an_abandoned_slot_is_computed_by_the_owner() {
-        // A run dropped unfilled — its computation unwound — leaves its slots to the
-        // owner instead of in flight, where a pop would wait for them forever.
+    fn the_stream_is_the_same_whether_helpers_ran_ahead_raced_the_owner_or_never_ran() {
+        // Pop k is H^{a(k)}, a(k) drawn below N from sub-stream (PAILLIER, k) of the
+        // pool's key: computed here on its own, apart from any pool.
         let (master, _pool) = setup();
         let pk = &master.paillier_public;
-        let expected = reference_stream(pk, 5, 4);
+        spawn_helpers();
+        let key = ChaCha12Rng::seed_from_u64(31);
+        let count = 2 * RESERVOIR_TARGET + 3;
+        let expected: Vec<BigUint> = (0..count as u64)
+            .map(|k| pk.nonce_from_exponent(&random_below(&mut key.substream(PAILLIER, k), pk.n())))
+            .collect();
+        for workers in [1, 2, 4] {
+            // Racing: the owner pops as fast as it can while helpers produce beside it;
+            // at one worker, they never run.
+            let mut racing = RandomnessPool::new(pk, 31);
+            racing.set_refill_workers(workers);
+            let taken: Vec<BigUint> = (0..count).map(|_| racing.next_paillier_nonce()).collect();
+            assert!(taken == expected, "a raced pool left its addresses (workers = {workers})");
+            if workers == 1 {
+                continue;
+            }
+            // Far ahead: the reservoir is full before the owner takes its second.  (Its
+            // first may come after the helpers filled the reservoir to the target.)
+            let mut ahead = RandomnessPool::new(pk, 31);
+            ahead.set_refill_workers(workers);
+            let mut taken = vec![ahead.next_paillier_nonce()];
+            assert!(within_ten_seconds(|| ahead.ready().0 >= RESERVOIR_TARGET - 1));
+            taken.extend((1..count).map(|_| ahead.next_paillier_nonce()));
+            assert!(taken == expected, "a pool filled ahead left its addresses ({workers})");
+        }
+    }
+
+    #[test]
+    fn an_abandoned_slot_is_computed_by_the_owner() {
+        // A helper that unwinds between claiming an index and filling its slot leaves the
+        // slot empty.  The owner computes it from its index when it gets there, instead
+        // of waiting, and the helper's fill, were it to come late, is dropped.
+        let (master, _pool) = setup();
+        let pk = &master.paillier_public;
+        let expected = reference_stream(pk, 5, 6);
+        // Never registered while its share is above 1, so no helper fills it.
         let mut pool = RandomnessPool::new(pk, 5);
-        pool.refill(1, 0);
-        let reservoir = &*pool.reservoir;
-        let run = reservoir.draw_locked(&mut lock(&reservoir.slots), 2);
-        drop(run);
-        assert_eq!(pool.ready(), (3, 0));
-        let taken: Vec<BigUint> = (0..4).map(|_| pool.next_paillier_nonce()).collect();
+        let reservoir = Arc::clone(&pool.reservoir);
+        reservoir.compute(0, 1, 1);
+        lock(&reservoir.slots).workers = 2;
+        let claimed = [reservoir.claim(), reservoir.claim()];
+        lock(&reservoir.slots).workers = 1;
+        reservoir.compute(3, 4, 1);
+        assert_eq!(claimed, [Some(1), Some(2)]);
+        assert_eq!(pool.ready(), (4, 0));
+        let mut taken: Vec<BigUint> = (0..5).map(|_| pool.next_paillier_nonce()).collect();
+        reservoir.fill(2, BigUint::from(7u8));
+        taken.push(pool.next_paillier_nonce());
         assert!(taken == expected);
     }
 

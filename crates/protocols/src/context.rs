@@ -19,6 +19,7 @@ use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sectopk_crypto::chacha::ChaCha12Rng;
 use sectopk_metrics::{Histogram, Registry as MetricsRegistry, TraceHook};
 
 use crate::error::{ProtocolError, Result};
@@ -71,6 +72,31 @@ pub fn require_batching(batching: bool) -> Result<()> {
     }
 }
 
+/// The named streams of a session seed, the one derivation of every party stream: stream
+/// `id` of `seed` is seeded with `seed ^ id`.  S1's streams are of the session seed, S2's
+/// of the engine seed S1 provisions (`S2Engine`).  S1's key pair is drawn from a `StdRng`,
+/// like the owner's keys, so that its prime search (and the set-up time) did not move when
+/// the parties' other streams, local and pool, became [`ChaCha12Rng`] keys.
+#[derive(Clone, Copy, Debug)]
+#[repr(u64)]
+pub(crate) enum Stream {
+    S1Keys = 0x5151_5151_5151_5151,
+    S1Local = 0x5353_5353_5353_5353,
+    S1Pool = 0x1001_1001_1001_1001,
+    S1OwnPool = 0x4004_4004_4004_4004,
+    S2Engine = 0x5252_5252_5252_5252,
+    S2Local = 0,
+    S2Pool = 0x2002_2002_2002_2002,
+    S2OwnPool = 0x3003_3003_3003_3003,
+}
+
+impl Stream {
+    /// The seed of this stream of `seed`.
+    pub(crate) fn seed(self, seed: u64) -> u64 {
+        seed ^ self as u64
+    }
+}
+
 /// S1 sessions alive in this process: the divisor of S1's share of the machine.
 static LIVE_S1_SESSIONS: AtomicUsize = AtomicUsize::new(0);
 
@@ -101,7 +127,7 @@ pub struct S1State {
     /// Secret half of S1's own key pair.
     pub own_secret: PaillierSecretKey,
     /// S1's local randomness.
-    pub rng: StdRng,
+    pub rng: ChaCha12Rng,
     /// S1's pool of precomputed encryption nonces for the *shared* Paillier key (every
     /// fresh-zero, candidate mask and re-randomization S1 produces draws from here
     /// instead of paying a full exponentiation inline).
@@ -114,9 +140,10 @@ pub struct S1State {
     /// An exact worker count for S1's batched client loops and nonce refills (1 =
     /// serial; initially `SECTOPK_INTRA_PARALLEL`'s, if set).  `None`: the session's
     /// share of the machine, the cores divided among the live S1 sessions of the process
-    /// ([`TwoClouds::intra_workers`]).  Randomness is always drawn serially first, so
-    /// protocol bytes never depend on the count.  [`TwoClouds::set_intra_workers`] is its
-    /// one writer, so the nonce pools always refill on the count the loops use.
+    /// ([`TwoClouds::intra_workers`]).  The local stream is drawn serially first and
+    /// each pool nonce is read by its address, so protocol bytes never depend on the
+    /// count.  [`TwoClouds::set_intra_workers`] is its one writer, so the nonce pools
+    /// always refill on the count the loops use.
     pub(crate) intra_workers: Option<usize>,
 }
 
@@ -235,35 +262,31 @@ impl TwoClouds {
         seed: u64,
         make_transport: impl FnOnce(EngineProvision) -> Result<Box<dyn Transport>>,
     ) -> Result<Self> {
-        let mut s1_rng = StdRng::seed_from_u64(seed ^ 0x5151_5151_5151_5151);
-
         // S1's own key pair is used to transport blinding randomness through S2 (SecDedup,
         // SecFilter); see `own_modulus_bits` for its size.
         let own_bits = own_modulus_bits(master.paillier_public.modulus_bits());
-        let (own_public, own_secret) = generate_keypair(own_bits, &mut s1_rng)?;
+        let mut key_rng = StdRng::seed_from_u64(Stream::S1Keys.seed(seed));
+        let (own_public, own_secret) = generate_keypair(own_bits, &mut key_rng)?;
 
         // S2 receives the owner's secret-key view and S1's published own public key; it
         // lives behind the transport from here on.  The provision is the serializable
         // form of that hand-over — local transports build the engine in place, the
         // socket pipe ships it over the connection handshake.
-        let provision = EngineProvision::new(
-            master.s2_view(),
-            own_public.clone(),
-            seed ^ 0x5252_5252_5252_5252,
-        );
+        let provision =
+            EngineProvision::new(master.s2_view(), own_public.clone(), Stream::S2Engine.seed(seed));
         let transport = make_transport(provision)?;
 
         let s1_keys = master.s1_view();
         // S1's nonce pool serves the shared key pair; it owns its own deterministic
         // stream so the two clouds (and any replay with the same seed) stay reproducible.
-        let pool = RandomnessPool::new(&s1_keys.paillier_public, seed ^ 0x1001_1001_1001_1001);
-        let own_pool = RandomnessPool::new(&own_public, seed ^ 0x4004_4004_4004_4004);
+        let pool = RandomnessPool::new(&s1_keys.paillier_public, Stream::S1Pool.seed(seed));
+        let own_pool = RandomnessPool::new(&own_public, Stream::S1OwnPool.seed(seed));
         let mut clouds = TwoClouds {
             s1: S1State {
                 keys: s1_keys,
                 own_public,
                 own_secret,
-                rng: s1_rng,
+                rng: ChaCha12Rng::seed_from_u64(Stream::S1Local.seed(seed)),
                 pool,
                 own_pool,
                 ledger: LeakageLedger::new(),

@@ -56,11 +56,12 @@ use sectopk_crypto::prp::RandomPermutation;
 use sectopk_crypto::Result;
 use sectopk_ehl::EhlPlus;
 
-use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sectopk_crypto::chacha::ChaCha12Rng;
 use sectopk_metrics::{Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 
+use crate::context::Stream;
 use crate::dedup::{packed_len, EncryptedBlinding};
 use crate::items::{rand_blind, rerandomize_item_pooled, ItemBlinding, ScoredItem};
 use crate::ledger::{LeakageEvent, LeakageLedger};
@@ -199,7 +200,7 @@ pub struct S2Engine {
     /// S1's *own* public key `pk'`, published at setup time; S2 uses it to transport
     /// blinding randomness back to S1 in SecDedup / SecFilter (Algorithms 7 and 12).
     s1_own_public: PaillierPublicKey,
-    rng: StdRng,
+    rng: ChaCha12Rng,
     /// Precomputed nonces for the *shared* Paillier key — every `Enc(t)` bit, selection,
     /// re-encryption and item re-randomization the engine returns draws from here.
     pool: RandomnessPool,
@@ -222,12 +223,12 @@ impl S2Engine {
     /// same seed, so two engines built alike answer identically — the
     /// transport-equivalence tests depend on that).
     pub fn new(keys: S2Keys, s1_own_public: PaillierPublicKey, rng_seed: u64) -> Self {
-        let pool = RandomnessPool::new(&keys.paillier_public, rng_seed ^ 0x2002_2002_2002_2002);
-        let own_pool = RandomnessPool::new(&s1_own_public, rng_seed ^ 0x3003_3003_3003_3003);
+        let pool = RandomnessPool::new(&keys.paillier_public, Stream::S2Pool.seed(rng_seed));
+        let own_pool = RandomnessPool::new(&s1_own_public, Stream::S2OwnPool.seed(rng_seed));
         S2Engine {
             keys,
             s1_own_public,
-            rng: StdRng::seed_from_u64(rng_seed),
+            rng: ChaCha12Rng::seed_from_u64(Stream::S2Local.seed(rng_seed)),
             pool,
             own_pool,
             ledger: LeakageLedger::new(),

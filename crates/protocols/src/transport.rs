@@ -632,6 +632,7 @@ impl Drop for EnvelopeTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::Stream;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sectopk_crypto::keys::MasterKeys;
@@ -643,7 +644,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let master = MasterKeys::generate(MIN_MODULUS_BITS, 2, &mut rng).unwrap();
         let (own_pk, _own_sk) = generate_keypair(MIN_MODULUS_BITS, &mut rng).unwrap();
-        let engine = S2Engine::new(master.s2_view(), own_pk, seed ^ 0x5252_5252_5252_5252);
+        let engine = S2Engine::new(master.s2_view(), own_pk, Stream::S2Engine.seed(seed));
         (master, engine)
     }
 

@@ -32,34 +32,33 @@ use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
 const SIZES: [usize; 2] = [TEST_MODULUS_BITS, 256];
 
 /// `(key bits, query, sha256 of every returned ciphertext)`, last re-recorded when the
-/// owner's `Enc(R)` took its nonces as `H^a` off the key's comb instead of `r^N`: every
-/// stored ciphertext is a different (equally valid) encryption, and a query's answer is
-/// computed from them.  The join pins did not move: its answer holds only S2's fresh
-/// selections, unmasked by plaintext constants.
+/// protocol parties' randomness moved to ChaCha12: S1's and S2's local streams, and every
+/// pool nonce read by address.  Every ciphertext a party returns or re-randomizes takes a
+/// different (equally valid) nonce, the join's answer of S2's fresh selections included.
 const PINS: [(usize, &str, &str); 8] = [
-    (128, "Qry_F", "180477167ce94ddbd83a44059e612114feacb233f9aec560695f624b8f16ea52"),
-    (128, "Qry_E", "02e9a4dd8a8d14478cf1e21db8819aedf68b07de16be0972677bcf62821bf307"),
-    (128, "Qry_Ba", "15dc63fa9cd7cc70657c85a4cfd5b0844d84ea1c9d753f5fd170f1fe37a942b4"),
-    (128, "join", "ae178146ef16cbf0eccbc8d54d214996b69714992fb6b2611ac69003f5e3d28e"),
-    (256, "Qry_F", "261cd7851be9d46fd0adec302be318a15322107c142e5d3d9ae9db64aa1dfe9c"),
-    (256, "Qry_E", "ef819231f118e9d3ca7ba10aaf6aaafd36c14289aca9d9da5f3491c1d94dea65"),
-    (256, "Qry_Ba", "d9c8d3a18940f7b34d0db21c7daea9c784372f568ccdae4af4d3d023a0d3baf4"),
-    (256, "join", "6584f5c7c5269317771e70e938d086e799aecf7108532dd4141eb1060ce8944a"),
+    (128, "Qry_F", "fbf6fd7d218cd43fd913390f58be7b888f4c192455fa01b4d7cf870e776e794b"),
+    (128, "Qry_E", "1200719a817775f9cc3f0546fd5d645600cec6c1e03fe43ca80fbf766e86b78c"),
+    (128, "Qry_Ba", "8fd64b4f69973e54aeba196be3dc55257ef89b71ed763a95ffff6835900bcf9c"),
+    (128, "join", "7aeda7931d70f3796f9a2781612c54d5ff5a53b0d3cf51042d135918d4f81163"),
+    (256, "Qry_F", "e82f56dc91c4ba5fac4a1e0653bab918946d21e3f50125d4c5b9c929c4f14680"),
+    (256, "Qry_E", "2a8b9582fdf2ec2a54712c1bc8ad1295e13f24f6d9a9e84880179c542ab2e391"),
+    (256, "Qry_Ba", "7f718ff76d6b586888a133f3534e11a6a5c52a033de3706f4e4662d36b2e65cf"),
+    (256, "join", "b1fac00f655d9427062f0aad7bb7f6abad968e5a36ac48b38116920c78d5ae34"),
 ];
 
 /// `(key bits, query, rounds, bytes, ciphertexts)` of each pinned run's channel, in
 /// [`PINS`] order, re-recorded with [`PINS`]: rounds and ciphertext counts did not move,
-/// and bytes moved by at most 8: the encoded lengths of the ciphertexts computed from
-/// the new stored ones (a residue with a leading zero byte is one byte shorter).
+/// and bytes moved by at most 5: the encoded lengths of ciphertexts under new nonces (a
+/// residue with a leading zero byte is one byte shorter).
 const CHANNEL_PINS: [(usize, &str, u64, u64, u64); 8] = [
-    (128, "Qry_F", 19, 41478, 869),
-    (128, "Qry_E", 19, 32092, 618),
-    (128, "Qry_Ba", 15, 31579, 610),
-    (128, "join", 3, 24729, 500),
-    (256, "Qry_F", 19, 71663, 869),
-    (256, "Qry_E", 19, 53949, 618),
-    (256, "Qry_Ba", 15, 53180, 610),
-    (256, "join", 3, 44690, 500),
+    (128, "Qry_F", 19, 41480, 869),
+    (128, "Qry_E", 19, 32091, 618),
+    (128, "Qry_Ba", 15, 31581, 610),
+    (128, "join", 3, 24732, 500),
+    (256, "Qry_F", 19, 71661, 869),
+    (256, "Qry_E", 19, 53947, 618),
+    (256, "Qry_Ba", 15, 53175, 610),
+    (256, "join", 3, 44694, 500),
 ];
 
 /// Hash the ciphertexts in order, each length-prefixed so that no two sequences share
