@@ -158,7 +158,8 @@ mod tests {
         // An item that went through the clouds: re-randomized, blinded and unblinded.
         let alphas: Vec<BigUint> =
             (0..3).map(|_| sectopk_crypto::bigint::random_below(&mut rng, pk.n())).collect();
-        let travelled = items[1].ehl.rerandomize(pk, &mut rng).blind(&alphas, pk);
+        let mut pool = sectopk_crypto::RandomnessPool::new(pk, 2);
+        let travelled = items[1].ehl.rerandomize_pooled(&mut pool).blind(&alphas, pk);
         items[1].ehl = travelled.unblind(&alphas, pk);
 
         // Id 7 is listed twice among the candidates.

@@ -5,25 +5,25 @@
 //! The paper selects with this layer, `E2(Enc(m1))^{Enc(m2)} = E2(Enc(m1+m2))`
 //! (Algorithms 4–6 and 9).  SecTopK selects with a masked exchange under plain Paillier
 //! instead (DESIGN.md §10), so no protocol holds a Damgård–Jurik key.  What is left is
-//! what the benchmark's per-layer metrics time: encryption with the binomial
-//! `(1+N)^m`, the fixed-base nonce [`crate::pool::RandomnessPool`] precomputes, and the
-//! CRT decryption with its textbook reference.
+//! what the benchmark's per-layer metrics time, one path per operation: encryption with
+//! the binomial `(1+N)^m` and the fixed-base nonce `H₃^a` (the one
+//! [`crate::pool::RandomnessPool`] precomputes), and the textbook `λ` decryption.
 
 use num_bigint::{BigUint, MontgomeryContext};
 use num_traits::{One, Zero};
 use rand::{CryptoRng, RngCore};
 use std::sync::Arc;
 
-use crate::bigint::{factorial, l_function, mod_inverse, random_invertible};
+use crate::bigint::{factorial, l_function, mod_inverse, random_below};
 use crate::error::{CryptoError, Result};
 use crate::paillier::{context_for, PaillierPublicKey, PaillierSecretKey};
 
 /// The Damgård–Jurik exponent used throughout the paper: one extra layer over Paillier.
 pub const DJ_S: u32 = 2;
 
-/// Why the outer-layer contexts always exist: every Paillier key — generated or
+/// Why the outer-layer context always exists: every Paillier key — generated or
 /// deserialized — has an odd `N` of at most [`crate::paillier::MAX_MODULUS_BITS`] bits,
-/// so `N³`, `p³` and `q³` fit the widest Montgomery kernel.
+/// so `N³` fits the widest Montgomery kernel.
 const WITHIN_MAX_MODULUS_BITS: &str = "a Paillier key's N is odd and within MAX_MODULUS_BITS";
 
 /// A layered (Damgård–Jurik, `s = 2`) ciphertext: an element of `Z_{N³}^*` encrypting an
@@ -109,7 +109,8 @@ impl DjPublicKey {
     }
 
     /// Encrypt an arbitrary message `m ∈ Z_{N²}` under the outer layer:
-    /// `E2(m) = (1+N)^m · r^{N²} mod N³`.
+    /// `E2(m) = (1+N)^m · H₃^a mod N³` for an exponent `a < N` drawn from `rng`
+    /// ([`Self::nonce_from_exponent`]), the nonce every pool hands out.
     pub fn encrypt<R: RngCore + CryptoRng>(
         &self,
         m: &BigUint,
@@ -118,8 +119,8 @@ impl DjPublicKey {
         if m >= self.n_s() {
             return Err(CryptoError::PlaintextOutOfRange);
         }
-        let r = random_invertible(rng, self.n());
-        Ok(self.encrypt_with_randomness(m, &r))
+        let a = random_below(rng, self.n());
+        Ok(self.encrypt_with_nonce(m, &self.nonce_from_exponent(&a)))
     }
 
     /// Encrypt a small constant.
@@ -131,18 +132,6 @@ impl DjPublicKey {
         self.encrypt(&BigUint::from(m), rng)
     }
 
-    /// Deterministic encryption with caller-supplied randomness.
-    pub fn encrypt_with_randomness(&self, m: &BigUint, r: &BigUint) -> LayeredCiphertext {
-        self.encrypt_with_nonce(m, &self.nonce_from_r(r))
-    }
-
-    /// The encryption nonce `r^{N²} mod N³` for a given `r ∈ Z_N^*` — the expensive
-    /// half of a layered encryption, precomputable ahead of time (see
-    /// [`crate::pool::RandomnessPool`]).
-    pub fn nonce_from_r(&self, r: &BigUint) -> BigUint {
-        self.inner.ctx_n3.modpow(r, self.n_s())
-    }
-
     /// `H₃ = h^{N²} mod N³` for `h =` [`crate::paillier::NONCE_BASE_H`] — the fixed
     /// base of the amortized nonce subgroup, and the differential reference for
     /// [`Self::nonce_from_exponent`].
@@ -150,15 +139,16 @@ impl DjPublicKey {
         &self.inner.nonce_base
     }
 
-    /// The encryption nonce `H₃^a mod N³` for a pool-drawn random exponent `a < N`,
-    /// evaluated over the key's cached fixed-base comb (`|N|/32 − 1` squarings and at
-    /// most `|N|/8` Montgomery products) — the outer-layer twin of
-    /// [`crate::paillier::PaillierPublicKey::nonce_from_exponent`].
+    /// The encryption nonce `H₃^a mod N³` for a random exponent `a < N`, evaluated over
+    /// the key's cached fixed-base comb (`|N|/32 − 1` squarings and at most `|N|/8`
+    /// Montgomery products) — the outer-layer twin of
+    /// [`crate::paillier::PaillierPublicKey::nonce_from_exponent`], and the only nonce
+    /// path: [`Self::encrypt`] and [`crate::pool::RandomnessPool`] both take it.
     pub fn nonce_from_exponent(&self, a: &BigUint) -> BigUint {
         self.inner.ctx_n3.fixed_base_modpow(&self.inner.nonce_table, a)
     }
 
-    /// Encryption given a precomputed nonce `r^{N²} mod N³`.
+    /// Encryption given a precomputed nonce ([`Self::nonce_from_exponent`]).
     ///
     /// `(1+N)^m mod N³` is evaluated by the binomial identity
     /// `1 + mN + (m(m−1)/2 mod N)·N²` — all terms of degree ≥ 3 vanish mod `N³` — so
@@ -193,18 +183,13 @@ impl DjPublicKey {
     }
 }
 
-/// Secret (decryption) half of the Damgård–Jurik scheme.  Wraps the Paillier secret key.
-///
-/// Like the Paillier secret key, decryption runs in CRT form: the dominating
-/// exponentiation `c^λ mod N³` becomes two half-width exponentiations modulo `p³` and
-/// `q³`, recombined with Garner's formula before the exponent-extraction recursion.
-/// The CRT parameters are derived from the Paillier key's factors and live behind an
-/// [`Arc`] (cheap clones).
+/// Secret (decryption) half of the Damgård–Jurik scheme: the Paillier key's `λ` and
+/// `λ⁻¹ mod N²`, both fixed at [`Self::from_paillier`].
 #[derive(Clone)]
 pub struct DjSecretKey {
-    paillier: PaillierSecretKey,
     public: DjPublicKey,
-    crt: Arc<DjCrt>,
+    lambda: BigUint,
+    lambda_inv: BigUint,
 }
 
 impl std::fmt::Debug for DjSecretKey {
@@ -214,165 +199,25 @@ impl std::fmt::Debug for DjSecretKey {
     }
 }
 
-/// CRT parameters for the outer-layer modulus `N³ = p³·q³`.
-///
-/// Each branch decrypts with the *half-size* exponent `p−1` (resp. `q−1`) instead of
-/// `λ`: `c^{p−1} mod p³ = (1+N)^{y} mod p³` with `y = m(p−1) mod p²` (the nonce's
-/// contribution vanishes because `N²(p−1) ≡ 0 mod p²(p−1)`, the group order), and `y`
-/// is extracted from the binomial closed form
-/// `1 + y·q·p + (y(y−1)/2 mod p)·q²·p² (mod p³)` with two inversions precomputed here.
-/// No `Debug`: the fields are the factors themselves and must never be formatted.
-struct DjCrt {
-    p: BigUint,
-    q: BigUint,
-    p_squared: BigUint,
-    q_squared: BigUint,
-    /// Montgomery parameters for `p³` and `q³`.
-    ctx_p3: MontgomeryContext,
-    ctx_q3: MontgomeryContext,
-    /// Branch exponents `p − 1` and `q − 1`.
-    p_minus_1: BigUint,
-    q_minus_1: BigUint,
-    /// `q⁻¹ mod p²` and `p⁻¹ mod q²` (strip the co-factor from the linear term).
-    q_inv_mod_p2: BigUint,
-    p_inv_mod_q2: BigUint,
-    /// `q mod p` and `p mod q` (the co-factor re-enters the quadratic correction).
-    q_mod_p: BigUint,
-    p_mod_q: BigUint,
-    /// `2⁻¹ mod p` / `2⁻¹ mod q` for the binomial correction term.
-    inv2_mod_p: BigUint,
-    inv2_mod_q: BigUint,
-    /// `(p−1)⁻¹ mod p²` and `(q−1)⁻¹ mod q²` (divide the branch exponent back out).
-    pm1_inv_mod_p2: BigUint,
-    qm1_inv_mod_q2: BigUint,
-    /// Garner coefficient `(p²)⁻¹ mod q²` recombining the branch messages in `Z_{N²}`.
-    p2_inv_mod_q2: BigUint,
-}
-
 impl DjSecretKey {
     /// Derive the outer-layer secret key from the Paillier secret key.
     pub fn from_paillier(sk: &PaillierSecretKey) -> Self {
         let public = DjPublicKey::from_paillier(sk.public_key());
-        let (p, q) = sk.factors();
-        let p_squared = p * p;
-        let q_squared = q * q;
-        let p_cubed = &p_squared * p;
-        let q_cubed = &q_squared * q;
-        let ctx_p3 = context_for(&p_cubed, sk.public_key().n()).expect(WITHIN_MAX_MODULUS_BITS);
-        let ctx_q3 = context_for(&q_cubed, sk.public_key().n()).expect(WITHIN_MAX_MODULUS_BITS);
-        let invertible = "factors are odd, distinct and coprime to their co-factors";
-        let crt = DjCrt {
-            p_minus_1: p - BigUint::one(),
-            q_minus_1: q - BigUint::one(),
-            q_inv_mod_p2: mod_inverse(q, &p_squared).expect(invertible),
-            p_inv_mod_q2: mod_inverse(p, &q_squared).expect(invertible),
-            q_mod_p: q % p,
-            p_mod_q: p % q,
-            inv2_mod_p: (p + BigUint::one()) >> 1u32,
-            inv2_mod_q: (q + BigUint::one()) >> 1u32,
-            pm1_inv_mod_p2: mod_inverse(&(p - BigUint::one()), &p_squared).expect(invertible),
-            qm1_inv_mod_q2: mod_inverse(&(q - BigUint::one()), &q_squared).expect(invertible),
-            p2_inv_mod_q2: mod_inverse(&p_squared, &q_squared).expect(invertible),
-            p: p.clone(),
-            q: q.clone(),
-            p_squared,
-            q_squared,
-            ctx_p3,
-            ctx_q3,
-        };
-        DjSecretKey { paillier: sk.clone(), public, crt: Arc::new(crt) }
+        // λ = lcm(p−1, q−1) shares no factor with N = pq, so none with N² either.
+        let lambda = sk.lambda_for_dj().clone();
+        let lambda_inv = mod_inverse(&lambda, public.n_s()).expect("λ is coprime to N²");
+        DjSecretKey { public, lambda, lambda_inv }
     }
 
-    /// Decrypt a layered ciphertext to its message in `Z_{N²}`, in CRT form.
-    ///
-    /// Each prime-power branch raises to the *half-size* exponent `p−1` (not `λ`):
-    /// `c^{p−1} mod p³ = (1+N)^{m(p−1) mod p²} mod p³` because the nonce's order
-    /// divides `N²(p−1)`.  The exponent `y = m(p−1) mod p²` falls out of the binomial
-    /// closed form in two steps (no recursion), `m mod p²` follows by multiplying with
-    /// `(p−1)⁻¹ mod p²`, and Garner recombines the halves in `Z_{N²}`.  Bit-for-bit
-    /// equal to [`Self::decrypt_via_lambda`].
+    /// Decrypt a layered ciphertext to its message in `Z_{N²}`, by the textbook path:
+    /// `c^λ mod N³ = (1+N)^{mλ mod N²}` (the nonce's order divides `N²λ`) under the
+    /// key's cached `N³` context, the exponent `mλ` extracted by the Damgård–Jurik
+    /// recursion, and `m` recovered with `λ⁻¹ mod N²`.
     pub fn decrypt(&self, c: &LayeredCiphertext) -> Result<BigUint> {
         self.public.validate(c)?;
-        let crt = &*self.crt;
-        let m_p = Self::decrypt_branch(
-            &c.0,
-            &crt.p,
-            &crt.p_squared,
-            &crt.ctx_p3,
-            &crt.p_minus_1,
-            &crt.q_inv_mod_p2,
-            &crt.q_mod_p,
-            &crt.inv2_mod_p,
-            &crt.pm1_inv_mod_p2,
-        )?;
-        let m_q = Self::decrypt_branch(
-            &c.0,
-            &crt.q,
-            &crt.q_squared,
-            &crt.ctx_q3,
-            &crt.q_minus_1,
-            &crt.p_inv_mod_q2,
-            &crt.p_mod_q,
-            &crt.inv2_mod_q,
-            &crt.qm1_inv_mod_q2,
-        )?;
-        // Garner: m = m_p + p² · ((m_q − m_p) · (p²)⁻¹ mod q²)  ∈ Z_{N²}
-        let diff = ((&crt.q_squared + &m_q) - (&m_p % &crt.q_squared)) % &crt.q_squared;
-        Ok(m_p + &crt.p_squared * ((diff * &crt.p2_inv_mod_q2) % &crt.q_squared))
-    }
-
-    /// One CRT branch of [`Self::decrypt`]: recover `m mod p²` from `c mod p³`.
-    #[allow(clippy::too_many_arguments)]
-    fn decrypt_branch(
-        c: &BigUint,
-        p: &BigUint,
-        p_squared: &BigUint,
-        ctx_p3: &MontgomeryContext,
-        p_minus_1: &BigUint,
-        cofactor_inv: &BigUint, // q⁻¹ mod p²
-        cofactor: &BigUint,     // q mod p
-        inv2: &BigUint,         // 2⁻¹ mod p
-        pm1_inv: &BigUint,      // (p−1)⁻¹ mod p²
-    ) -> Result<BigUint> {
-        // a = c^{p−1} mod p³ = 1 + y·q·p + (y(y−1)/2 mod p)·q²·p²  with y = m(p−1) mod p².
-        let a = ctx_p3.modpow(c, p_minus_1);
-        if !(&a % p).is_one() {
-            return Err(CryptoError::DecryptionFailed);
-        }
-        // x = L_p(a) mod p² = y·q + (y(y−1)/2 mod p)·q²·p ;  w = x·q⁻¹ = y + (…)·q·p.
-        let x = l_function(&a, p) % p_squared;
-        let w = (&x * cofactor_inv) % p_squared;
-        // y mod p survives the correction term (it is divisible by p).
-        let y1 = &w % p;
-        let y1_minus_1 = (&y1 + p - BigUint::one()) % p;
-        let half_binom = ((&y1 * y1_minus_1) % p) * inv2 % p;
-        // Undo the correction: w − y = (y(y−1)/2)·q·p, and as a multiple of p only its
-        // factor modulo p matters: correction = ((y(y−1)/2)·q mod p) · p < p².
-        let correction = ((half_binom * cofactor) % p) * p;
-        let y = ((&w + p_squared) - correction) % p_squared;
-        // m mod p² = y · (p−1)⁻¹ mod p².
-        Ok((y * pm1_inv) % p_squared)
-    }
-
-    /// The textbook decryption with a single full-width `c^λ mod N³` — kept as the
-    /// reference implementation the CRT fast path is differentially tested against.
-    pub fn decrypt_via_lambda(&self, c: &LayeredCiphertext) -> Result<BigUint> {
-        self.public.validate(c)?;
-        let n = self.public.n();
-        let n_s = self.public.n_s();
-        let n_s_plus_1 = self.public.n_s_plus_1();
-        let lambda = self.lambda();
-
-        let a = c.0.modpow(lambda, n_s_plus_1);
-        let i = extract_exponent(&a, n, DJ_S)?;
-        let lambda_inv = mod_inverse(lambda, n_s)?;
-        Ok((i * lambda_inv) % n_s)
-    }
-
-    fn lambda(&self) -> &BigUint {
-        // λ is private to the Paillier key; re-expose it through a crate-internal
-        // accessor to avoid duplicating key material.
-        self.paillier.lambda_for_dj()
+        let a = self.public.inner.ctx_n3.modpow(&c.0, &self.lambda);
+        let i = extract_exponent(&a, self.public.n(), DJ_S)?;
+        Ok((i * &self.lambda_inv) % self.public.n_s())
     }
 }
 
@@ -478,6 +323,26 @@ mod tests {
         let a = crate::bigint::random_below(&mut rng, pk.n());
         let c = dj_pk.encrypt_with_nonce(&BigUint::from(31337u64), &dj_pk.nonce_from_exponent(&a));
         assert_eq!(dj_sk.decrypt(&c).unwrap(), BigUint::from(31337u64));
+    }
+
+    #[test]
+    fn fresh_nonces_are_comb_powers_of_an_exponent_drawn_from_the_callers_rng() {
+        // The twin of the Paillier test: the 512-bit key checks that the comb covers
+        // every exponent bit of a wider `N`.
+        let mut keygen = StdRng::seed_from_u64(47);
+        for bits in [MIN_MODULUS_BITS, 256, 512] {
+            let (pk, sk) = generate_keypair(bits, &mut keygen).unwrap();
+            let (dj_pk, dj_sk) = (DjPublicKey::from_paillier(&pk), DjSecretKey::from_paillier(&sk));
+            let mut rng = StdRng::seed_from_u64(bits as u64);
+            let mut reference = rng.clone();
+            let m = random_below(&mut keygen, dj_pk.n_s());
+
+            let c = dj_pk.encrypt(&m, &mut rng).unwrap();
+            let nonce = dj_pk.nonce_from_exponent(&random_below(&mut reference, pk.n()));
+            assert_eq!(c, dj_pk.encrypt_with_nonce(&m, &nonce), "{bits}-bit encrypt");
+            assert_eq!(rng.next_u64(), reference.next_u64(), "{bits}-bit RNGs");
+            assert_eq!(dj_sk.decrypt(&c).unwrap(), m, "{bits}-bit");
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * [`prime`] — Miller–Rabin prime generation for key generation.
 //! * [`paillier`] — the additively homomorphic Paillier cryptosystem (§3.3).
 //! * [`damgard_jurik`] — the generalized Paillier (Damgård–Jurik) scheme with one extra
-//!   layer (§3.3): encryption, its nonce and CRT decryption, which no protocol calls.
+//!   layer (§3.3): encryption with a comb nonce and the textbook `λ` decryption, which no
+//!   protocol calls.
 //! * [`prf`] / [`prp`] — keyed PRFs and (keyed + ephemeral) pseudo-random permutations.
 //! * [`keys`] — the data-owner / S1 / S2 key bundles of Algorithm 2.
 //! * [`pool`] — amortizing pools of precomputed encryption nonces (`H^a mod N²`,

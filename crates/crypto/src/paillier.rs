@@ -370,8 +370,8 @@ impl PaillierPublicKey {
     /// The encryption nonce `H^a mod N²` for a random exponent `a < N`, evaluated over
     /// the key's cached fixed-base comb ([`MontgomeryContext::fixed_base_modpow`]):
     /// `|N|/32 − 1` squarings and at most `|N|/8` Montgomery products.  This is the
-    /// Damgård–Jurik '01 §4.2 nonce path, and the only one: [`Self::encrypt`],
-    /// [`Self::rerandomize`] and [`crate::pool::RandomnessPool`] all take it.
+    /// Damgård–Jurik '01 §4.2 nonce path, and the only one: [`Self::encrypt`] and
+    /// [`crate::pool::RandomnessPool`] both take it.
     pub fn nonce_from_exponent(&self, a: &BigUint) -> BigUint {
         self.inner.ctx_n2.fixed_base_modpow(&self.inner.nonce_table, a)
     }
@@ -446,16 +446,11 @@ impl PaillierPublicKey {
         Ciphertext(self.inner.ctx_n2.modpow(&a.0, k))
     }
 
-    /// Re-randomize a ciphertext: multiply by a fresh encryption of zero.  The output
-    /// decrypts to the same plaintext but is computationally unlinkable to the input,
-    /// which is what the sub-protocols rely on when S2 returns items to S1.
-    pub fn rerandomize<R: RngCore + CryptoRng>(&self, a: &Ciphertext, rng: &mut R) -> Ciphertext {
-        let exponent = random_below(rng, self.n());
-        self.rerandomize_with_nonce(a, &self.nonce_from_exponent(&exponent))
-    }
-
-    /// Re-randomization given a precomputed nonce ([`Self::nonce_from_exponent`]): one
-    /// multiplication.
+    /// Re-randomize a ciphertext given a precomputed nonce ([`Self::nonce_from_exponent`]):
+    /// one multiplication by an encryption of zero.  The output decrypts to the same
+    /// plaintext but is computationally unlinkable to the input, which is what the
+    /// sub-protocols rely on when S2 returns items to S1; a caller takes its nonces from
+    /// a [`crate::pool::RandomnessPool`].
     pub fn rerandomize_with_nonce(&self, a: &Ciphertext, r_n: &BigUint) -> Ciphertext {
         Ciphertext(self.inner.ctx_n2.mul_mod(&a.0, r_n))
     }
@@ -558,16 +553,10 @@ impl PaillierSecretKey {
         }
     }
 
-    /// Crate-internal: expose λ so the Damgård–Jurik layer (same trust domain — both keys
-    /// are held by the crypto cloud S2) can decrypt without regenerating key material.
+    /// Crate-internal: expose λ so the Damgård–Jurik layer can decrypt without
+    /// regenerating key material.
     pub(crate) fn lambda_for_dj(&self) -> &BigUint {
         &self.lambda
-    }
-
-    /// Crate-internal: expose the prime factors so the Damgård–Jurik layer can build its
-    /// own CRT parameters over `p³` / `q³`.
-    pub(crate) fn factors(&self) -> (&BigUint, &BigUint) {
-        (&self.crt.p, &self.crt.q)
     }
 }
 
@@ -600,6 +589,14 @@ pub fn generate_keypair<R: RngCore + CryptoRng>(
     let public = PaillierPublicKey { inner: Arc::new(PublicInner::build(n, modulus_bits)?) };
     let secret = PaillierSecretKey { lambda, mu, crt: Arc::new(crt), public: public.clone() };
     Ok((public, secret))
+}
+
+#[cfg(test)]
+impl PaillierSecretKey {
+    /// The prime factors, for tests that build moduli or ciphertexts from them.
+    pub(crate) fn factors(&self) -> (&BigUint, &BigUint) {
+        (&self.crt.p, &self.crt.q)
+    }
 }
 
 #[cfg(test)]
@@ -745,7 +742,8 @@ mod tests {
     fn rerandomization_preserves_plaintext_and_changes_ciphertext() {
         let (pk, sk, mut rng) = setup();
         let a = pk.encrypt_u64(99, &mut rng).unwrap();
-        let b = pk.rerandomize(&a, &mut rng);
+        let nonce = pk.nonce_from_exponent(&random_below(&mut rng, pk.n()));
+        let b = pk.rerandomize_with_nonce(&a, &nonce);
         assert_ne!(a, b, "re-randomized ciphertext must differ");
         assert_eq!(sk.decrypt_u64(&b).unwrap(), 99);
     }
@@ -848,15 +846,8 @@ mod tests {
 
             let c = pk.encrypt(&m, &mut rng).unwrap();
             assert_eq!(c, pk.encrypt_with_nonce(&m, &nonce(&mut reference)), "{bits}-bit encrypt");
-            assert_eq!(rng.clone().next_u64(), reference.clone().next_u64(), "{bits}-bit RNGs");
-
-            let fresh = pk.rerandomize(&c, &mut rng);
-            let expected = pk.rerandomize_with_nonce(&c, &nonce(&mut reference));
-            assert_eq!(fresh, expected, "{bits}-bit rerandomize");
             assert_eq!(rng.next_u64(), reference.next_u64(), "{bits}-bit RNGs");
-
             assert_eq!(sk.decrypt(&c).unwrap(), m, "{bits}-bit");
-            assert_eq!(sk.decrypt(&fresh).unwrap(), m, "{bits}-bit");
         }
     }
 

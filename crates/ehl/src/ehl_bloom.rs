@@ -68,15 +68,6 @@ impl EhlBloom {
         }
         acc
     }
-
-    /// Re-randomize every bucket.
-    pub fn rerandomize<R: RngCore + CryptoRng>(
-        &self,
-        pk: &PaillierPublicKey,
-        rng: &mut R,
-    ) -> EhlBloom {
-        EhlBloom { bits: self.bits.iter().map(|c| pk.rerandomize(c, rng)).collect() }
-    }
 }
 
 #[cfg(test)]

@@ -153,20 +153,10 @@ impl EhlPlus {
         EhlPlus { blocks }
     }
 
-    /// Re-randomize every block (fresh ciphertexts, same plaintexts).  Applied whenever a
-    /// cloud returns items so that the receiving cloud cannot link them to its own inputs.
-    pub fn rerandomize<R: RngCore + CryptoRng>(
-        &self,
-        pk: &PaillierPublicKey,
-        rng: &mut R,
-    ) -> EhlPlus {
-        let blocks = self.blocks.iter().map(|c| pk.rerandomize(c, rng)).collect();
-        EhlPlus { blocks }
-    }
-
-    /// [`Self::rerandomize`] drawing precomputed nonces from a
-    /// [`RandomnessPool`](sectopk_crypto::RandomnessPool) — one multiplication per
-    /// block instead of one exponentiation.
+    /// Re-randomize every block (fresh ciphertexts, same plaintexts) with precomputed
+    /// nonces from a [`RandomnessPool`](sectopk_crypto::RandomnessPool): one
+    /// multiplication per block.  Applied whenever a cloud returns items so that the
+    /// receiving cloud cannot link them to its own inputs.
     pub fn rerandomize_pooled(&self, pool: &mut sectopk_crypto::RandomnessPool) -> EhlPlus {
         let blocks = self.blocks.iter().map(|c| pool.rerandomize(c)).collect();
         EhlPlus { blocks }
@@ -279,7 +269,7 @@ mod tests {
     fn rerandomize_preserves_equality_semantics() {
         let (pk, sk, encoder, mut rng) = setup();
         let a = encoder.encode(b"object-1", &pk, &mut rng).unwrap();
-        let a2 = a.rerandomize(&pk, &mut rng);
+        let a2 = a.rerandomize_pooled(&mut sectopk_crypto::RandomnessPool::new(&pk, 1));
         assert_ne!(a, a2);
         let b = encoder.encode(b"object-1", &pk, &mut rng).unwrap();
         assert!(sk.is_zero(&a2.eq_test(&b, &pk, &mut rng)).unwrap());

@@ -394,8 +394,12 @@ impl S2Engine {
                     return Err(WireError::malformed("dedup pair index out of order or range"));
                 }
                 // `commit_dedup` zips each item's masks with its ciphertexts: a short list
-                // would silently truncate the reply.
+                // would silently truncate the reply.  An item it replaces gets as many
+                // garbage blocks as it has, and an EHL+ has at least one.
                 for (item, blinding) in dedup.items.iter().zip(dedup.blindings.iter()) {
+                    if item.ehl.is_empty() {
+                        return Err(WireError::malformed("a dedup item's EHL+ has no block"));
+                    }
                     if blinding.packed.len() != packed_len(item.ehl.len()) {
                         return Err(WireError::malformed(
                             "a dedup blinding must pack its item's masks two per ciphertext",

@@ -67,6 +67,13 @@ fn non_unit() -> Ciphertext {
     Ciphertext::from_biguint(keys().0.paillier_public.n().clone())
 }
 
+/// An EHL+ with no block: [`EhlPlus::from_blocks`] refuses one, the wire decodes one.
+fn blockless() -> EhlPlus {
+    use serde::Deserialize;
+    let value = serde::Value::Map(vec![("blocks".to_string(), serde::Value::Seq(Vec::new()))]);
+    EhlPlus::from_value(&value).expect("an EHL+ decodes from any block list")
+}
+
 /// An equality matrix over `values` (zero ⇔ equal) that selects from masked candidates:
 /// a sum per row over per-cell candidates and a one-of-many per column over per-row
 /// candidates with per-column defaults, and that asks for the plaintext row bits.
@@ -370,6 +377,27 @@ fn a_malformed_instance_of_each_kind_is_a_typed_error() {
         (
             "Dedup with an EHL block of N²",
             with_dedup(|d| d.items[1].ehl = EhlPlus::from_blocks(vec![just_out_of_range()]), rng),
+            MalformedRequest,
+        ),
+        (
+            // Ciphertext 1 is `Enc(0)` under nonce 1: the two items read as equal, so
+            // the second one would be replaced by as many garbage blocks as it has.
+            "Dedup of two items whose EHL+ has no block",
+            with_dedup(
+                |d| {
+                    for item in &mut d.items {
+                        item.ehl = blockless();
+                    }
+                    d.items.truncate(2);
+                    d.blindings.truncate(2);
+                    for blinding in &mut d.blindings {
+                        blinding.packed.truncate(1);
+                    }
+                    d.pair_indices = vec![(0, 1)];
+                    d.matrix = vec![Ciphertext::from_biguint(BigUint::from(1u32))];
+                },
+                rng,
+            ),
             MalformedRequest,
         ),
         (

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sectopk_crypto::bigint::{from_i64, symmetric_i64};
+use sectopk_crypto::bigint::{from_i64, random_below, symmetric_i64};
 use sectopk_crypto::paillier::{generate_keypair, PaillierPublicKey, PaillierSecretKey};
 use sectopk_crypto::prf::PrfKey;
 use sectopk_ehl::EhlEncoder;
@@ -72,7 +72,8 @@ proptest! {
         let k = keys();
         let mut rng = StdRng::seed_from_u64(seed);
         let c = k.pk.encrypt_u64(v, &mut rng).unwrap();
-        let r = k.pk.rerandomize(&c, &mut rng);
+        let nonce = k.pk.nonce_from_exponent(&random_below(&mut rng, k.pk.n()));
+        let r = k.pk.rerandomize_with_nonce(&c, &nonce);
         prop_assert_ne!(&r, &c);
         prop_assert_eq!(k.sk.decrypt_u64(&r).unwrap(), v);
     }
