@@ -205,24 +205,22 @@ pub fn sec_query(
         let channel_before = clouds.channel();
 
         // ---- Sorted access: the item of every token list at this depth (weights applied
-        //      homomorphically as §7 prescribes). -----------------------------------------
+        //      homomorphically as §7 prescribes), its EHL+ folded into one block, so every
+        //      later `⊖` is one exponentiation and every shipped item carries one block
+        //      (DESIGN.md §10). --------------------------------------------------------------
         let mut depth_items: Vec<EncryptedItem> = Vec::with_capacity(m);
         for (j, &list_idx) in token.permuted_lists.iter().enumerate() {
-            let raw = er
-                .list(list_idx)
-                .item(depth)
-                .ok_or_else(|| {
-                    SecTopKError::malformed(format!(
-                        "encrypted list {list_idx} is shorter than the relation size {n}"
-                    ))
-                })?
-                .clone();
+            let raw = er.list(list_idx).item(depth).ok_or_else(|| {
+                SecTopKError::malformed(format!(
+                    "encrypted list {list_idx} is shorter than the relation size {n}"
+                ))
+            })?;
             let weighted_score = if token.weight(j) == 1 {
                 raw.score.clone()
             } else {
                 clouds.apply_weight(&raw.score, token.weight(j))
             };
-            let item = EncryptedItem { ehl: raw.ehl, score: weighted_score };
+            let item = EncryptedItem { ehl: raw.ehl.folded(clouds.pk()), score: weighted_score };
             seen[j].push(item.clone());
             depth_items.push(item);
         }

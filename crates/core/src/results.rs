@@ -9,12 +9,16 @@
 //!
 //! Identification is **decrypt-and-lookup**: an `EHL+(o)` is `s` encryptions of the PRF
 //! images `HMAC(κ_i, o) mod N`, and the key holder owns both the decryption key and the
-//! PRF keys.  So it decrypts an answer's `s` blocks and looks the image vector up in a
-//! map from every candidate id's images ([`EhlEncoder::plaintext_images`], `n·s` HMACs)
-//! to the id — `k·s` decryptions per query, where re-encrypting every candidate and
-//! running `⊖` against each (what the clouds, who hold neither key, must do) would cost
-//! `n·s` encryptions plus up to `n` `⊖`s per item.  Both decide "all `s` images equal";
-//! `⊖` only errs, with probability `≈ 1/N`, towards a false match.
+//! PRF keys.  So it folds an answer's blocks into one ([`EhlPlus::folded`], a no-op on
+//! the one-block answers `sec_query` returns), decrypts it and looks the folded image
+//! `Σ_i HMAC(κ_i, o) mod N` up in a map from every candidate id's folded image
+//! ([`EhlEncoder::folded_image`], `n·s` HMACs) to the id — `k` decryptions per query,
+//! where re-encrypting every candidate and running `⊖` against each (what the clouds,
+//! who hold neither key, must do) would cost `n·s` encryptions plus up to `n` `⊖`s per
+//! item.  Both decide "the folded images agree", which the clouds' `⊖` on folded items
+//! decides too; two distinct candidates share a folded image with probability `≈ 1/N`.
+//!
+//! [`EhlPlus::folded`]: sectopk_ehl::EhlPlus::folded
 
 use num_bigint::BigUint;
 use rand::{CryptoRng, RngCore};
@@ -45,16 +49,17 @@ pub struct ResolvedResult {
 /// Identify and decrypt every item of a query result using the data owner's keys.
 ///
 /// `candidates` is the universe of object ids the owner knows about (all row ids of the
-/// outsourced relation); an id listed twice resolves like one listed once.  An item whose
-/// images match no candidate — a neutralised placeholder — resolves to `None`.  The
+/// outsourced relation); an id listed twice resolves like one listed once.  An item's EHL+
+/// may have one block or `s`: both fold to the same image.  An item whose folded image
+/// matches no candidate — a neutralised placeholder — resolves to `None`.  The
 /// computation is owner-side, non-interactive and deterministic: `rng` is unused and
 /// kept for the callers' sake.
 #[expect(
     clippy::disallowed_methods,
     reason = "owner-side final-result decryption: the key holder opens the bounds of its own top-k \
-              answer and decrypts the EHL+ blocks of those items to look the PRF images up among \
-              its own object ids, outside the two-cloud boundary the rule protects; S1 and S2 \
-              never run this code"
+              answer and decrypts the folded EHL+ block of those items to look the PRF image sum \
+              up among its own object ids, outside the two-cloud boundary the rule protects; S1 \
+              and S2 never run this code"
 )]
 pub fn resolve_results<R: RngCore + CryptoRng>(
     items: &[ScoredItem],
@@ -64,23 +69,18 @@ pub fn resolve_results<R: RngCore + CryptoRng>(
 ) -> Result<Vec<ResolvedResult>> {
     let _ = rng;
     let encoder = EhlEncoder::new(&keys.ehl_keys);
-    let n = keys.paillier_public.n();
-    let sk = &keys.paillier_secret;
+    let (pk, sk) = (&keys.paillier_public, &keys.paillier_secret);
+    let n = pk.n();
 
-    let mut by_images: HashMap<Vec<BigUint>, ObjectId> = HashMap::with_capacity(candidates.len());
+    let mut by_image: HashMap<BigUint, ObjectId> = HashMap::with_capacity(candidates.len());
     for &id in candidates {
-        by_images.entry(encoder.plaintext_images(&id.to_bytes(), n)).or_insert(id);
+        by_image.entry(encoder.folded_image(&id.to_bytes(), n)).or_insert(id);
     }
 
     let mut out = Vec::with_capacity(items.len());
     for item in items {
-        let images = item
-            .ehl
-            .blocks()
-            .iter()
-            .map(|block| sk.decrypt(block))
-            .collect::<sectopk_crypto::Result<Vec<_>>>()?;
-        let object = by_images.get(&images).copied();
+        let image = sk.decrypt(&item.ehl.folded(pk).blocks()[0])?;
+        let object = by_image.get(&image).copied();
         let worst = saturating_i64(&sk.decrypt(&item.worst)?, n);
         let best = saturating_i64(&sk.decrypt(&item.best)?, n);
         out.push(ResolvedResult { object, worst, best });
@@ -110,7 +110,8 @@ mod tests {
     use sectopk_crypto::paillier::MIN_MODULUS_BITS;
 
     /// The resolver this module replaces, as the clouds would have to do it: encode
-    /// every candidate, `⊖` each answer against each encoding, first match wins.
+    /// every candidate, `⊖` each folded answer against each folded encoding, first match
+    /// wins.
     fn resolve_by_encode_and_eq_test(
         items: &[ScoredItem],
         candidates: &[ObjectId],
@@ -121,14 +122,16 @@ mod tests {
         let (pk, sk) = (&keys.paillier_public, &keys.paillier_secret);
         let encoded: Vec<(ObjectId, sectopk_ehl::EhlPlus)> = candidates
             .iter()
-            .map(|&id| (id, encoder.encode(&id.to_bytes(), pk, rng).unwrap()))
+            .map(|&id| (id, encoder.encode(&id.to_bytes(), pk, rng).unwrap().folded(pk)))
             .collect();
         items
             .iter()
             .map(|item| ResolvedResult {
                 object: encoded
                     .iter()
-                    .find(|(_, cand)| sk.is_zero(&item.ehl.eq_test(cand, pk, rng)).unwrap())
+                    .find(|(_, cand)| {
+                        sk.is_zero(&item.ehl.folded(pk).eq_test(cand, pk, rng)).unwrap()
+                    })
                     .map(|(id, _)| *id),
                 worst: saturating_i64(&sk.decrypt(&item.worst).unwrap(), pk.n()),
                 best: saturating_i64(&sk.decrypt(&item.best).unwrap(), pk.n()),
@@ -162,21 +165,33 @@ mod tests {
         let travelled = items[1].ehl.rerandomize_pooled(&mut pool).blind(&alphas, pk);
         items[1].ehl = travelled.unblind(&alphas, pk);
 
+        // The same answers as `sec_query` returns them, folded to one block each.
+        let folded: Vec<ScoredItem> = items
+            .iter()
+            .map(|item| ScoredItem { ehl: item.ehl.folded(pk), ..item.clone() })
+            .collect();
+
         // Id 7 is listed twice among the candidates.
         let candidates: Vec<ObjectId> = (0..10).chain([7]).map(ObjectId).collect();
-        let resolved = resolve_results(&items, &candidates, &keys, &mut rng).unwrap();
-        assert_eq!(resolved[0], ResolvedResult { object: Some(ObjectId(7)), worst: 18, best: 19 });
-        assert_eq!(resolved[1].object, Some(ObjectId(0)));
-        assert_eq!(resolved[2].object, Some(ObjectId(7)));
-        assert_eq!(resolved[3], ResolvedResult { object: None, worst: -1, best: -1 });
-        assert_eq!(resolved_object_ids(&resolved), vec![ObjectId(7), ObjectId(0), ObjectId(7)]);
-        assert_eq!(resolved, resolve_by_encode_and_eq_test(&items, &candidates, &keys, &mut rng));
+        for items in [&items, &folded] {
+            let resolved = resolve_results(items, &candidates, &keys, &mut rng).unwrap();
+            let expected = ResolvedResult { object: Some(ObjectId(7)), worst: 18, best: 19 };
+            assert_eq!(resolved[0], expected);
+            assert_eq!(resolved[1].object, Some(ObjectId(0)));
+            assert_eq!(resolved[2].object, Some(ObjectId(7)));
+            assert_eq!(resolved[3], ResolvedResult { object: None, worst: -1, best: -1 });
+            let ids = resolved_object_ids(&resolved);
+            assert_eq!(ids, vec![ObjectId(7), ObjectId(0), ObjectId(7)]);
+            let reference = resolve_by_encode_and_eq_test(items, &candidates, &keys, &mut rng);
+            assert_eq!(resolved, reference);
 
-        // An id outside the candidate universe is not identified by either resolver.
-        let few = [ObjectId(1), ObjectId(2)];
-        let unresolved = resolve_results(&items[..1], &few, &keys, &mut rng).unwrap();
-        assert_eq!(unresolved[0].object, None);
-        assert_eq!(unresolved, resolve_by_encode_and_eq_test(&items[..1], &few, &keys, &mut rng));
+            // An id outside the candidate universe is not identified by either resolver.
+            let few = [ObjectId(1), ObjectId(2)];
+            let unresolved = resolve_results(&items[..1], &few, &keys, &mut rng).unwrap();
+            assert_eq!(unresolved[0].object, None);
+            let reference = resolve_by_encode_and_eq_test(&items[..1], &few, &keys, &mut rng);
+            assert_eq!(unresolved, reference);
+        }
     }
 
     #[test]

@@ -21,6 +21,19 @@
 //! call for S1's `eq_diffs`).  The ciphertext is the same group element the blockwise
 //! `sub` / `mul_plain` / `add` loop produces for the same `r_i`; that loop survives as
 //! the differential reference in this module's tests.
+//!
+//! # The fold
+//!
+//! S2 decides a `⊖` cell mod `p` ([`PaillierSecretKey::is_zero`]), so equality as the
+//! clouds see it errs at `n²/p` whatever `s` is ([`crate::fpr`]); the `s` images buy
+//! nothing at query time.  [`EhlPlus::folded`] multiplies the `s` blocks into one,
+//! `Enc(Σ_i HMAC(κ_i, o) mod N)`, for `s − 1` ciphertext products and no randomness.
+//! The query path folds every item it reads, so each of its `⊖`s is one `|N|`-bit
+//! exponentiation, and each item it ships or re-randomizes carries one block.  Two
+//! distinct objects whose folded images agree mod `p` test equal, which the union bound
+//! over the relation's pairs keeps at `n²/p` (DESIGN.md §10).
+//!
+//! [`PaillierSecretKey::is_zero`]: sectopk_crypto::paillier::PaillierSecretKey::is_zero
 
 use num_bigint::BigUint;
 use rand::{CryptoRng, RngCore};
@@ -55,6 +68,15 @@ impl EhlPlus {
     /// The underlying ciphertext blocks.
     pub fn blocks(&self) -> &[Ciphertext] {
         &self.blocks
+    }
+
+    /// The one-block EHL+ whose block is the product of this structure's blocks:
+    /// `Enc(Σ_i HMAC(κ_i, o) mod N)`, for `s − 1` ciphertext products and no randomness.
+    /// Two encodings of one object fold to encryptions of one image; a one-block EHL+
+    /// folds to itself.
+    pub fn folded(&self, pk: &PaillierPublicKey) -> EhlPlus {
+        let (first, rest) = self.blocks.split_first().expect("an EHL+ has at least one block");
+        EhlPlus { blocks: vec![rest.iter().fold(first.clone(), |acc, c| pk.add(&acc, c))] }
     }
 
     /// Serialized size in bytes — what travels over the inter-cloud channel.
@@ -235,6 +257,29 @@ mod tests {
         for (n, b) in negated.iter().zip([&same, &other]) {
             let expected: Vec<Ciphertext> = b.blocks.iter().map(|c| pk.negate(c)).collect();
             assert_eq!(n.blocks, expected);
+        }
+    }
+
+    #[test]
+    fn the_folded_minus_decides_like_the_s_block_minus() {
+        // A fig3-size relation as stored: 5 objects in 3 lists, one encoding per list, at
+        // the suites' width (128-bit N, s = 3).
+        let mut rng = StdRng::seed_from_u64(4243);
+        let (pk, sk) = generate_keypair(128, &mut rng).unwrap();
+        let keys: Vec<PrfKey> = (0..3u8).map(|i| PrfKey([i + 1; 32])).collect();
+        let encoder = EhlEncoder::new(&keys);
+        let encodings: Vec<(u64, EhlPlus)> = (0..3)
+            .flat_map(|_| 1..=5u64)
+            .map(|id| (id, encoder.encode(&id.to_be_bytes(), &pk, &mut rng).unwrap()))
+            .collect();
+        let folded: Vec<EhlPlus> = encodings.iter().map(|(_, e)| e.folded(&pk)).collect();
+        for (i, (a_id, a)) in encodings.iter().enumerate() {
+            for (j, (b_id, b)) in encodings.iter().enumerate().skip(i + 1) {
+                let blockwise = sk.is_zero(&a.eq_test(b, &pk, &mut rng)).unwrap();
+                let one_block = sk.is_zero(&folded[i].eq_test(&folded[j], &pk, &mut rng)).unwrap();
+                assert_eq!(one_block, blockwise, "encodings {i} and {j}");
+                assert_eq!(one_block, a_id == b_id, "encodings {i} and {j}");
+            }
         }
     }
 

@@ -53,6 +53,11 @@ impl EhlEncoder {
         self.prfs.iter().map(|prf| prf.eval_mod(object, n)).collect()
     }
 
+    /// The plaintext of an encoding's [`EhlPlus::folded`] block: `Σ_i HMAC(κ_i, o) mod N`.
+    pub fn folded_image(&self, object: &[u8], n: &BigUint) -> BigUint {
+        self.plaintext_images(object, n).iter().fold(BigUint::from(0u32), |acc, x| (acc + x) % n)
+    }
+
     /// The bucket positions an object occupies in the Bloom-style EHL with `h` buckets.
     pub fn bloom_positions(&self, object: &[u8], h: usize) -> Vec<usize> {
         self.prfs.iter().map(|prf| prf.eval_mod_usize(object, h)).collect()
@@ -127,6 +132,17 @@ mod tests {
         for (block, image) in e.blocks().iter().zip(images.iter()) {
             assert_eq!(&sk.decrypt(block).unwrap(), image);
         }
+    }
+
+    #[test]
+    fn the_folded_block_decrypts_to_the_folded_image() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let (pk, sk) = generate_keypair(128, &mut rng).unwrap();
+        let enc = encoder(3);
+        let folded = enc.encode(b"object", &pk, &mut rng).unwrap().folded(&pk);
+        assert_eq!(folded.len(), 1);
+        assert_eq!(sk.decrypt(&folded.blocks()[0]).unwrap(), enc.folded_image(b"object", pk.n()));
+        assert_eq!(folded.folded(&pk), folded, "a one-block EHL+ folds to itself");
     }
 
     #[test]

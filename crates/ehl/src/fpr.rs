@@ -10,6 +10,13 @@
 //!   nonzero cell is a uniform multiple mod `N`, which vanishes mod `p` with probability
 //!   ≈ `1/p`, so equality as S2 reports it errs with probability at most
 //!   `n²/Nˢ + n²/p` — at a 256-bit `N`, ≤ 2⁻⁷¹ for `n ≤ 2²⁸`, whatever `s` is.
+//! * The query path decides equality on **folded** images: S1 multiplies an EHL+'s `s`
+//!   blocks into one, `Enc(Σ_i HMAC(κ_i, o) mod N)`
+//!   ([`EhlPlus::folded`](crate::EhlPlus::folded)), before any `⊖`.  Two distinct objects
+//!   then test equal when their folded images agree mod `p`, a fixed property of the pair
+//!   rather than a fresh draw per test, so the union bound is over the relation's
+//!   lifetime, and the rate is [`equality_fpr_log2`]`(n, 1, |N|)` = `n²/N + n²/p`: the
+//!   `n²/p` term still dominates, so it reads within a hair of the `s`-block rate.
 
 /// Estimated Bloom-filter false positive rate for `h` buckets, `s` hash functions and `n`
 /// inserted elements (here every object occupies its own filter, so the per-pair collision
@@ -51,7 +58,9 @@ pub fn zero_test_fpr_log2(n: usize, modulus_bits: usize) -> f64 {
 }
 
 /// Upper bound on the false positive rate of EHL+ equality as S2 decides it, both terms:
-/// `n²/Nˢ + n²/p`, as a base-2 logarithm.
+/// `n²/Nˢ + n²/p`, as a base-2 logarithm.  The query path compares folded one-block
+/// EHL+ ([`EhlPlus::folded`](crate::EhlPlus::folded)), so its rate is
+/// `equality_fpr_log2(n, 1, |N|)` whatever `s` the relation was encoded with.
 pub fn equality_fpr_log2(n: usize, s: usize, modulus_bits: usize) -> f64 {
     let (a, b) = (ehl_plus_fpr_log2(n, s, modulus_bits), zero_test_fpr_log2(n, modulus_bits));
     let (high, low) = if a >= b { (a, b) } else { (b, a) };
@@ -112,6 +121,14 @@ mod tests {
         assert!((equality_fpr_log2(1, 1, 4) - 0.5625f64.log2()).abs() < 1e-9);
         assert!(!ehl_plus_is_negligible(1 << 28, 5, 256, 80));
         assert!(ehl_plus_is_negligible(1 << 28, 5, 2048, 80));
+    }
+
+    #[test]
+    fn the_folded_query_path_keeps_the_zero_test_rate() {
+        // n = 2^28 at a 256-bit N: one folded image errs at n²/N + n²/p, still ≤ 2^−71.
+        let folded = equality_fpr_log2(1 << 28, 1, 256);
+        assert!(folded <= -71.0, "{folded}");
+        assert!((folded - equality_fpr_log2(1 << 28, 5, 256)).abs() < 0.01, "{folded}");
     }
 
     #[test]

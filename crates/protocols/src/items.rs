@@ -85,10 +85,12 @@ pub fn rand_unblind(
 }
 
 /// Re-randomize every ciphertext of the item (fresh randomness, same plaintexts),
-/// drawing precomputed `r^N mod N²` nonces from a
-/// [`RandomnessPool`](sectopk_crypto::RandomnessPool): `s + 2` multiplications instead
-/// of `s + 2` exponentiations, which is what both clouds use on the item-return hot
-/// paths (EncSort, SecDedup, SecUpdate).
+/// drawing precomputed `H^a mod N²` nonces from a
+/// [`RandomnessPool`](sectopk_crypto::RandomnessPool): one nonce and one multiplication
+/// per ciphertext, which is what both clouds use on the item-return hot paths (EncSort,
+/// SecDedup, SecUpdate).  The query path's items carry a folded one-block EHL+
+/// ([`EhlPlus::folded`]), so that is three nonces per item whatever `s` the relation
+/// was encoded with.
 pub fn rerandomize_item_pooled(
     item: &ScoredItem,
     pool: &mut sectopk_crypto::RandomnessPool,

@@ -31,34 +31,36 @@ use sectopk_tests::{TEST_EHL_KEYS, TEST_MODULUS_BITS};
 /// The two key sizes pinned: the suites' size and the library default.
 const SIZES: [usize; 2] = [TEST_MODULUS_BITS, 256];
 
-/// `(key bits, query, sha256 of every returned ciphertext)`, last re-recorded when the
-/// protocol parties' randomness moved to ChaCha12: S1's and S2's local streams, and every
-/// pool nonce read by address.  Every ciphertext a party returns or re-randomizes takes a
-/// different (equally valid) nonce, the join's answer of S2's fresh selections included.
+/// `(key bits, query, sha256 of every returned ciphertext)`, last re-recorded when S1
+/// began to fold every EHL+ it reads into one block: a query's answers carry one EHL
+/// block each instead of `s`, every `⊖` draws one masking scalar instead of `s`, and so
+/// every later draw of S1's stream moves, the join's included.
 const PINS: [(usize, &str, &str); 8] = [
-    (128, "Qry_F", "fbf6fd7d218cd43fd913390f58be7b888f4c192455fa01b4d7cf870e776e794b"),
-    (128, "Qry_E", "1200719a817775f9cc3f0546fd5d645600cec6c1e03fe43ca80fbf766e86b78c"),
-    (128, "Qry_Ba", "8fd64b4f69973e54aeba196be3dc55257ef89b71ed763a95ffff6835900bcf9c"),
-    (128, "join", "7aeda7931d70f3796f9a2781612c54d5ff5a53b0d3cf51042d135918d4f81163"),
-    (256, "Qry_F", "e82f56dc91c4ba5fac4a1e0653bab918946d21e3f50125d4c5b9c929c4f14680"),
-    (256, "Qry_E", "2a8b9582fdf2ec2a54712c1bc8ad1295e13f24f6d9a9e84880179c542ab2e391"),
-    (256, "Qry_Ba", "7f718ff76d6b586888a133f3534e11a6a5c52a033de3706f4e4662d36b2e65cf"),
-    (256, "join", "b1fac00f655d9427062f0aad7bb7f6abad968e5a36ac48b38116920c78d5ae34"),
+    (128, "Qry_F", "be642c71fbb507b6aea8e94cc4d1845d17017d0321ffa3fce1120f604b7ef39c"),
+    (128, "Qry_E", "07533101b1ab835d83f36d28b35b0948b6224dcb790c1e52f45c1c2885fca7e9"),
+    (128, "Qry_Ba", "e06f76177de30c20ccffd1befb751618bcf23c0517cab063233e032c4ccef44b"),
+    (128, "join", "0ccba3860eb7a355394883372a766aa892dadd0b32b0986c06a56d9f0ca0724d"),
+    (256, "Qry_F", "e86c5c77d72d339d75454a2b2fa8ba03b211e9f97a6312e5de028bbfda18f71a"),
+    (256, "Qry_E", "4e57945459ef3f727cffa5730aba38e113320e46793d12552f47e44716ef264f"),
+    (256, "Qry_Ba", "43ba4a353fff8a1d08a4643e4bcbc4f0d4a6b2c49aa7cc22469dd46da642d4ed"),
+    (256, "join", "4e3430fab33824ab26244f2c279261c3e9763534ae050336a61f7eb7cb891ce6"),
 ];
 
 /// `(key bits, query, rounds, bytes, ciphertexts)` of each pinned run's channel, in
-/// [`PINS`] order, re-recorded with [`PINS`]: rounds and ciphertext counts did not move,
-/// and bytes moved by at most 5: the encoded lengths of ciphertexts under new nonces (a
-/// residue with a leading zero byte is one byte shorter).
+/// [`PINS`] order, re-recorded with [`PINS`]: no round moved.  A query's ciphertexts fell
+/// by 3 per SecDedup / SecDupElim item each way (`s − 1` = 2 EHL blocks and one `pk'`
+/// mask ciphertext at the suites' `s` = 3), and its bytes with them; the join's count
+/// held and its bytes moved by at most 4: the encoded lengths of ciphertexts under new
+/// nonces (a residue with a leading zero byte is one byte shorter).
 const CHANNEL_PINS: [(usize, &str, u64, u64, u64); 8] = [
-    (128, "Qry_F", 19, 41480, 869),
-    (128, "Qry_E", 19, 32091, 618),
-    (128, "Qry_Ba", 15, 31581, 610),
-    (128, "join", 3, 24732, 500),
-    (256, "Qry_F", 19, 71661, 869),
-    (256, "Qry_E", 19, 53947, 618),
-    (256, "Qry_Ba", 15, 53175, 610),
-    (256, "join", 3, 44694, 500),
+    (128, "Qry_F", 19, 37881, 797),
+    (128, "Qry_E", 19, 28945, 555),
+    (128, "Qry_Ba", 15, 28427, 547),
+    (128, "join", 3, 24728, 500),
+    (256, "Qry_F", 19, 64966, 797),
+    (256, "Qry_E", 19, 48089, 555),
+    (256, "Qry_Ba", 15, 47314, 547),
+    (256, "join", 3, 44696, 500),
 ];
 
 /// Hash the ciphertexts in order, each length-prefixed so that no two sequences share

@@ -36,7 +36,7 @@ use rand::{Rng, SeedableRng};
 
 use sectopk_core::planner::estimated_rounds;
 use sectopk_core::{
-    DataOwner, LinkProfile, Query, QueryConfig, QueryVariant, Session, VariantChoice,
+    DataOwner, DirectSession, LinkProfile, Query, QueryConfig, QueryVariant, Session, VariantChoice,
 };
 use sectopk_datasets::fig3_relation;
 use sectopk_protocols::sort::sort_plan;
@@ -324,6 +324,87 @@ fn every_step_strips_one_ciphertext_per_fused_row_not_per_cell() {
                 assert_eq!(step(&clouds, before, what), expected);
             }
         }
+    }
+}
+
+/// A transport that records `(EHL blocks, packed blindings)` of every item a `Dedup`
+/// request sends and its reply returns.
+#[derive(Debug)]
+struct DedupTap {
+    inner: InProcessTransport,
+    items: Arc<Mutex<Vec<(usize, usize)>>>,
+}
+
+impl Transport for DedupTap {
+    fn round_trip(
+        &mut self,
+        request: S1Request,
+    ) -> sectopk_protocols::Result<(S2Response, Traffic)> {
+        let mut seen = Vec::new();
+        let requests = match &request {
+            S1Request::Batch(items) => items.as_slice(),
+            single => std::slice::from_ref(single),
+        };
+        for item in requests {
+            if let S1Request::Dedup(dedup) = item {
+                let shapes = dedup.items.iter().zip(&dedup.blindings);
+                seen.extend(shapes.map(|(item, blinding)| (item.ehl.len(), blinding.packed.len())));
+            }
+        }
+        let (response, traffic) = self.inner.round_trip(request)?;
+        let replies = match &response {
+            S2Response::Batch(parts) => parts.as_slice(),
+            single => std::slice::from_ref(single),
+        };
+        for reply in replies {
+            if let S2Response::Dedup { items, blindings } = reply {
+                let shapes = items.iter().zip(blindings);
+                seen.extend(shapes.map(|(item, blinding)| (item.ehl.len(), blinding.packed.len())));
+            }
+        }
+        self.items.lock().expect("tap lock").extend(seen);
+        Ok((response, traffic))
+    }
+    fn s2_ledger(&self) -> LeakageLedger {
+        self.inner.s2_ledger()
+    }
+    fn reset_s2(&mut self) {
+        self.inner.reset_s2();
+    }
+    fn kind(&self) -> TransportKind {
+        self.inner.kind()
+    }
+}
+
+#[test]
+fn s2_is_sent_one_ehl_block_per_dedup_item() {
+    // The relation is stored with `s` blocks per EHL+, but S1 folds each one it reads, so
+    // every item SecDedup / SecDupElim ships — and every item S2 returns, garbage
+    // included — carries one block, and its three masks in two `pk'` ciphertexts.
+    let relation = fig3_relation();
+    let (attrs, k) = (vec![0, 1, 2], 2);
+    let mut rng = StdRng::seed_from_u64(0xB0DD);
+    let owner = DataOwner::new(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).expect("keygen");
+    let (outsourced, _) = owner.outsource(&relation, &mut rng).expect("encryption");
+    let stored = outsourced.er().list(0).item(0).expect("a stored item");
+    assert_eq!(stored.ehl.len(), TEST_EHL_KEYS);
+    for variant in [QueryVariant::Full, QueryVariant::DupElim, QueryVariant::Batched { p: 2 }] {
+        let name = variant.name();
+        let items = Arc::new(Mutex::new(Vec::new()));
+        let tap = Arc::clone(&items);
+        let clouds = TwoClouds::over_transport(owner.keys(), 0xB0DE, move |provision| {
+            Ok(Box::new(DedupTap { inner: InProcessTransport::new(provision.build()), items: tap }))
+        })
+        .expect("cloud setup");
+        let keys = owner.keys().clone();
+        let mut session = DirectSession::new(clouds, outsourced.clone(), keys, 0xB0DE);
+        let query = Query::from_spec(TopKQuery::sum(attrs.clone(), k))
+            .with_variant(VariantChoice::Fixed(variant));
+        let resolved = session.execute(&query).expect("secure query succeeds");
+        assert_valid_top_k(&relation, &attrs, &[], k, &resolved.object_ids(), name);
+        let items = items.lock().expect("tap lock");
+        assert!(!items.is_empty(), "{name}: the fig3 query deduplicates");
+        assert!(items.iter().all(|&shape| shape == (1, 2)), "{name}: {items:?}");
     }
 }
 
