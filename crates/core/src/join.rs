@@ -248,7 +248,8 @@ mod tests {
     fn join_encryption_ciphertexts_are_pinned() {
         // Every tuple, cell by cell in stored order, EHL blocks then score, each
         // length-prefixed: the bytes `Enc(R1)` hands the clouds for one fixed seed.
-        // Re-recorded when the owner's nonces became `H^a` off the key's comb, not `r^N`.
+        // Re-recorded when the owner's nonces became `H^a` off the key's comb, not `r^N`,
+        // and when each EHL+ came to be stored as its one folded block.
         let mut rng = StdRng::seed_from_u64(1010);
         let keys = MasterKeys::generate(MIN_MODULUS_BITS, 3, &mut rng).unwrap();
         let left = encrypt_for_join(&left_relation(), &keys, "join/left", &mut rng).unwrap();
@@ -260,7 +261,7 @@ mod tests {
             hasher.update(&bytes);
         }
         let hex: String = hasher.finalize().iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, "97c9c18bad6d7c549f948115c65c0be0fce833f994b4847541b42d24cc2cd40c");
+        assert_eq!(hex, "fa2d3feb83dc74c5121d11c8f3cf1ca99382908a46cc02db801860aed9f6f160");
     }
 
     #[test]

@@ -7,15 +7,16 @@
 //! takes the encrypted answers back to the key holder (or fetches the matching records
 //! via ORAM, §4).
 //!
-//! Identification is **decrypt-and-lookup**: an `EHL+(o)` is `s` encryptions of the PRF
-//! images `HMAC(κ_i, o) mod N`, and the key holder owns both the decryption key and the
-//! PRF keys.  So it folds an answer's blocks into one ([`EhlPlus::folded`], a no-op on
+//! Identification is **decrypt-and-lookup**: an `EHL+(o)` encrypts the PRF images
+//! `HMAC(κ_i, o) mod N` — stored as one block of their sum, or as `s` blocks when
+//! [`EhlEncoder::encode`] made it — and the key holder owns both the decryption key and
+//! the PRF keys.  So it folds an answer's blocks into one ([`EhlPlus::folded`], a no-op on
 //! the one-block answers `sec_query` returns), decrypts it and looks the folded image
 //! `Σ_i HMAC(κ_i, o) mod N` up in a map from every candidate id's folded image
 //! ([`EhlEncoder::folded_image`], `n·s` HMACs) to the id — `k` decryptions per query,
 //! where re-encrypting every candidate and running `⊖` against each (what the clouds,
 //! who hold neither key, must do) would cost `n·s` encryptions plus up to `n` `⊖`s per
-//! item.  Both decide "the folded images agree", which the clouds' `⊖` on folded items
+//! item.  Both decide "the folded images agree", which the clouds' `⊖` on stored items
 //! decides too; two distinct candidates share a folded image with probability `≈ 1/N`.
 //!
 //! [`EhlPlus::folded`]: sectopk_ehl::EhlPlus::folded

@@ -30,7 +30,8 @@ impl DataOwner {
     ///
     /// `modulus_bits` controls the Paillier modulus size (the paper's experiments use a
     /// 128-bit security level; tests use smaller moduli for speed) and `ehl_keys` the
-    /// number `s` of EHL PRF keys (the paper uses `s = 5`).
+    /// number `s` of EHL PRF keys (the paper uses `s = 5`), whose images each stored
+    /// EHL+ block sums: the stored relation is two ciphertexts per item at every `s`.
     pub fn new<R: RngCore + CryptoRng>(
         modulus_bits: usize,
         ehl_keys: usize,

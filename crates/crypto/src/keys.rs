@@ -83,11 +83,6 @@ impl MasterKeys {
             paillier_secret: self.paillier_secret.clone(),
         }
     }
-
-    /// Number of EHL PRF keys (`s`).
-    pub fn ehl_key_count(&self) -> usize {
-        self.ehl_keys.len()
-    }
 }
 
 /// Key material visible to the primary cloud S1.
@@ -118,7 +113,7 @@ mod tests {
     fn generate_produces_consistent_views() {
         let mut rng = StdRng::seed_from_u64(123);
         let keys = MasterKeys::generate(MIN_MODULUS_BITS, 4, &mut rng).unwrap();
-        assert_eq!(keys.ehl_key_count(), 4);
+        assert_eq!(keys.ehl_keys.len(), 4);
 
         let s1 = keys.s1_view();
         let s2 = keys.s2_view();

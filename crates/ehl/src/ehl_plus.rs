@@ -25,13 +25,16 @@
 //! # The fold
 //!
 //! S2 decides a `⊖` cell mod `p` ([`PaillierSecretKey::is_zero`]), so equality as the
-//! clouds see it errs at `n²/p` whatever `s` is ([`crate::fpr`]); the `s` images buy
-//! nothing at query time.  [`EhlPlus::folded`] multiplies the `s` blocks into one,
+//! clouds see it errs at `n²/p` whatever `s` is ([`crate::fpr`]); the `s` separate
+//! images buy nothing.  [`EhlPlus::folded`] multiplies the `s` blocks into one,
 //! `Enc(Σ_i HMAC(κ_i, o) mod N)`, for `s − 1` ciphertext products and no randomness.
-//! The query path folds every item it reads, so each of its `⊖`s is one `|N|`-bit
-//! exponentiation, and each item it ships or re-randomizes carries one block.  Two
+//! The owner stores that block — it encrypts the image sum
+//! ([`EhlEncoder::folded_image`](crate::EhlEncoder::folded_image)) directly, one
+//! encryption per object instead of `s` — so each query-path `⊖` is one `|N|`-bit
+//! exponentiation, and each item the clouds ship or re-randomize carries one block.  Two
 //! distinct objects whose folded images agree mod `p` test equal, which the union bound
-//! over the relation's pairs keeps at `n²/p` (DESIGN.md §10).
+//! over the relation's pairs keeps at `n²/p` (DESIGN.md §10).  `s`-block encodings
+//! ([`EhlEncoder::encode`](crate::EhlEncoder::encode)) remain for Fig. 7 and the tests.
 //!
 //! [`PaillierSecretKey::is_zero`]: sectopk_crypto::paillier::PaillierSecretKey::is_zero
 
@@ -42,7 +45,8 @@ use serde::{Deserialize, Serialize};
 use sectopk_crypto::bigint::random_invertible_many;
 use sectopk_crypto::paillier::{Ciphertext, PaillierPublicKey};
 
-/// An EHL+ encoding of one object: `s` Paillier ciphertexts of the object's PRF images.
+/// An EHL+ encoding of one object: `s` Paillier ciphertexts of the object's PRF images,
+/// or — as the relation stores it — one ciphertext of their sum ([`EhlPlus::folded`]).
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Eq)]
 pub struct EhlPlus {
     blocks: Vec<Ciphertext>,

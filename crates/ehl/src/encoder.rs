@@ -13,9 +13,10 @@ use crate::ehl_plus::EhlPlus;
 
 /// Encodes objects into EHL / EHL+ structures under a fixed set of `s` PRF keys.
 ///
-/// The encoder is reusable: the PRF instances are keyed once, so encoding a full relation
-/// of `n` objects costs `s` HMAC evaluations plus `s` Paillier encryptions per object
-/// (the dominant cost measured in Fig. 7a / Fig. 8a).
+/// The encoder is reusable: the PRF instances are keyed once, so [`Self::encode`]-ing `n`
+/// objects costs `s` HMAC evaluations plus `s` Paillier encryptions per object (Fig. 7a),
+/// and storing a relation's folded encodings ([`Self::folded_image`]) `s` HMAC
+/// evaluations plus one Paillier encryption per item (Fig. 8a).
 #[derive(Clone, Debug)]
 pub struct EhlEncoder {
     prfs: Vec<Prf>,
@@ -47,8 +48,8 @@ impl EhlEncoder {
         Ok(EhlPlus::from_blocks(blocks))
     }
 
-    /// The plaintext PRF images of an object (used by the storage layer when it only
-    /// needs deterministic per-object values, and by tests).
+    /// The plaintext PRF images of an object (summed by [`Self::folded_image`], and used
+    /// by tests).
     pub fn plaintext_images(&self, object: &[u8], n: &BigUint) -> Vec<BigUint> {
         self.prfs.iter().map(|prf| prf.eval_mod(object, n)).collect()
     }

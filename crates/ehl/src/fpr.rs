@@ -10,13 +10,14 @@
 //!   nonzero cell is a uniform multiple mod `N`, which vanishes mod `p` with probability
 //!   ≈ `1/p`, so equality as S2 reports it errs with probability at most
 //!   `n²/Nˢ + n²/p` — at a 256-bit `N`, ≤ 2⁻⁷¹ for `n ≤ 2²⁸`, whatever `s` is.
-//! * The query path decides equality on **folded** images: S1 multiplies an EHL+'s `s`
-//!   blocks into one, `Enc(Σ_i HMAC(κ_i, o) mod N)`
-//!   ([`EhlPlus::folded`](crate::EhlPlus::folded)), before any `⊖`.  Two distinct objects
-//!   then test equal when their folded images agree mod `p`, a fixed property of the pair
-//!   rather than a fresh draw per test, so the union bound is over the relation's
-//!   lifetime, and the rate is [`equality_fpr_log2`]`(n, 1, |N|)` = `n²/N + n²/p`: the
-//!   `n²/p` term still dominates, so it reads within a hair of the `s`-block rate.
+//! * The query path decides equality on **folded** images: the owner stores each EHL+
+//!   as one block that sums the `s` images, `Enc(Σ_i HMAC(κ_i, o) mod N)` (what
+//!   [`EhlPlus::folded`](crate::EhlPlus::folded) makes of `s` blocks), and every `⊖`
+//!   runs on it.  Two distinct objects then test equal when their folded images agree
+//!   mod `p`, a fixed property of the pair rather than a fresh draw per test, so the
+//!   union bound is over the relation's lifetime, and the rate is
+//!   [`equality_fpr_log2`]`(n, 1, |N|)` = `n²/N + n²/p`: the `n²/p` term still
+//!   dominates, so it reads within a hair of the `s`-block rate.
 
 /// Estimated Bloom-filter false positive rate for `h` buckets, `s` hash functions and `n`
 /// inserted elements (here every object occupies its own filter, so the per-pair collision
@@ -58,9 +59,9 @@ pub fn zero_test_fpr_log2(n: usize, modulus_bits: usize) -> f64 {
 }
 
 /// Upper bound on the false positive rate of EHL+ equality as S2 decides it, both terms:
-/// `n²/Nˢ + n²/p`, as a base-2 logarithm.  The query path compares folded one-block
-/// EHL+ ([`EhlPlus::folded`](crate::EhlPlus::folded)), so its rate is
-/// `equality_fpr_log2(n, 1, |N|)` whatever `s` the relation was encoded with.
+/// `n²/Nˢ + n²/p`, as a base-2 logarithm.  The relation stores, and the query path
+/// compares, one folded block per EHL+ ([`EhlPlus::folded`](crate::EhlPlus::folded)), so
+/// its rate is `equality_fpr_log2(n, 1, |N|)` whatever `s` the relation was encoded with.
 pub fn equality_fpr_log2(n: usize, s: usize, modulus_bits: usize) -> f64 {
     let (a, b) = (ehl_plus_fpr_log2(n, s, modulus_bits), zero_test_fpr_log2(n, modulus_bits));
     let (high, low) = if a >= b { (a, b) } else { (b, a) };

@@ -88,7 +88,7 @@ pub fn rand_unblind(
 /// drawing precomputed `H^a mod N²` nonces from a
 /// [`RandomnessPool`](sectopk_crypto::RandomnessPool): one nonce and one multiplication
 /// per ciphertext, which is what both clouds use on the item-return hot paths (EncSort,
-/// SecDedup, SecUpdate).  The query path's items carry a folded one-block EHL+
+/// SecDedup, SecUpdate).  The relation stores each EHL+ as one folded block
 /// ([`EhlPlus::folded`]), so that is three nonces per item whatever `s` the relation
 /// was encoded with.
 pub fn rerandomize_item_pooled(

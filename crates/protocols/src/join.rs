@@ -114,14 +114,11 @@ impl TwoClouds {
         let perm = RandomPermutation::sample(pair_indices.len(), &mut self.s1.rng);
         let pair_indices = perm.permute(&pair_indices);
 
-        // ---- Equality of the join keys for every pair (one matrix exchange), each key
-        //      folded once into one block, so that every `⊖` is one exponentiation. ------
-        let fold = |tuples: &[EncryptedTuple], key: usize| -> Vec<EhlPlus> {
-            tuples.iter().map(|t| t.cells[key].ehl.folded(&pk)).collect()
-        };
-        let (left_keys, right_keys) = (fold(left, spec.left_key), fold(right, spec.right_key));
-        let pairs: Vec<(&EhlPlus, &EhlPlus)> =
-            pair_indices.iter().map(|&(i, j)| (&left_keys[i], &right_keys[j])).collect();
+        // ---- Equality of the join keys for every pair (one matrix exchange). ------------
+        let pairs: Vec<(&EhlPlus, &EhlPlus)> = pair_indices
+            .iter()
+            .map(|&(i, j)| (&left[i].cells[spec.left_key].ehl, &right[j].cells[spec.right_key].ehl))
+            .collect();
         let diffs = self.eq_diffs(&pairs);
         let mut plan = EqPlan::new(diffs, pairs.len(), "sec_join", None);
 

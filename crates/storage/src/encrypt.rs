@@ -5,15 +5,22 @@
 //! permuted with the data owner's PRP `P_K` so that their storage position reveals
 //! nothing about which attribute they rank.
 //!
+//! `EHL(o)` is stored as its fold: one block `Enc(Σ_i HMAC(κ_i, o) mod N)`, the
+//! [`EhlPlus::folded`](sectopk_ehl::EhlPlus::folded) of the `s`-block EHL+ and the only
+//! form any query reads (DESIGN.md §10).  So an item is two Paillier ciphertexts,
+//! whatever `s` is; `s` sets how many PRF images the block sums.
+//!
 //! Encryption of different items is embarrassingly parallel (the paper uses 64 threads
-//! in §11.1).  Each list is one batch ([`encrypt_items`]): its randomness is drawn
-//! serially from the caller's RNG, in the order a loop of [`EhlEncoder::encode`] and
-//! `encrypt_u64` calls draws it, and its exponentiations run on the machine's cores — so
-//! the ciphertexts depend on the RNG alone, not on the worker count.
+//! in §11.1).  Each list is one batch ([`encrypt_items`]): its PRF images are computed
+//! on the machine's cores, its randomness is drawn serially from the caller's RNG, in
+//! the order a loop of `encrypt` calls over each item's folded image then its score
+//! draws it, and its exponentiations run on the machine's cores — so the ciphertexts
+//! depend on the RNG alone, not on the worker count.
 
 use rand::{CryptoRng, RngCore};
 
 use sectopk_crypto::keys::MasterKeys;
+use sectopk_crypto::par::{cores, par_map};
 use sectopk_crypto::prp::KeyedPrp;
 use sectopk_crypto::Result;
 use sectopk_ehl::{EhlEncoder, EhlPlus};
@@ -50,10 +57,13 @@ pub fn encrypt_relation<R: RngCore + CryptoRng>(
     Ok(assemble(relation, keys, encrypted_lists))
 }
 
-/// `E(I) = ⟨EHL(o), Enc(x)⟩` of every `(o, x)`, in order: one
-/// [`encrypt_many`](sectopk_crypto::paillier::PaillierPublicKey::encrypt_many) over each
-/// item's EHL images then its score, so byte for byte the items a loop of
-/// [`EhlEncoder::encode`] and `encrypt_u64` calls makes on the same RNG.
+/// `E(I) = ⟨EHL(o), Enc(x)⟩` of every `(o, x)`, in order, `EHL(o)` stored as its one
+/// folded block: one [`encrypt_many`] over each item's [`EhlEncoder::folded_image`] then
+/// its score, so byte for byte the items a loop of `encrypt` calls makes on the same RNG.
+/// The images are HMAC sums and draw nothing, so they are computed in parallel before
+/// any randomness is drawn.
+///
+/// [`encrypt_many`]: sectopk_crypto::paillier::PaillierPublicKey::encrypt_many
 pub fn encrypt_items<R: RngCore + CryptoRng>(
     items: impl IntoIterator<Item = ([u8; 8], u64)>,
     keys: &MasterKeys,
@@ -61,23 +71,17 @@ pub fn encrypt_items<R: RngCore + CryptoRng>(
 ) -> Result<Vec<EncryptedItem>> {
     let encoder = EhlEncoder::new(&keys.ehl_keys);
     let pk = &keys.paillier_public;
-    let plaintexts = items
-        .into_iter()
-        .flat_map(|(object, score)| {
-            let mut plaintexts = encoder.plaintext_images(&object, pk.n());
-            plaintexts.push(score.into());
-            plaintexts
-        })
-        .collect();
-    let s = keys.ehl_key_count();
-    let ciphertexts = pk.encrypt_many(plaintexts, rng)?;
-    Ok(ciphertexts
-        .chunks_exact(s + 1)
-        .map(|item| EncryptedItem {
-            ehl: EhlPlus::from_blocks(item[..s].to_vec()),
-            score: item[s].clone(),
-        })
-        .collect())
+    let (objects, scores): (Vec<[u8; 8]>, Vec<u64>) = items.into_iter().unzip();
+    let n = pk.n().clone();
+    let images = par_map(cores(), objects, move |object| encoder.folded_image(object, &n));
+    let plaintexts =
+        images.into_iter().zip(scores).flat_map(|(image, score)| [image, score.into()]).collect();
+    let mut ciphertexts = pk.encrypt_many(plaintexts, rng)?.into_iter();
+    Ok(std::iter::from_fn(|| {
+        let ehl = EhlPlus::from_blocks(vec![ciphertexts.next()?]);
+        Some(EncryptedItem { ehl, score: ciphertexts.next()? })
+    })
+    .collect())
 }
 
 /// Permute the encrypted lists with the owner's PRP and collect statistics.
@@ -95,12 +99,15 @@ fn assemble(
     let lists: Vec<EncryptedList> =
         permuted.into_iter().map(|l| l.expect("PRP is a bijection")).collect();
 
+    // Every stored ciphertext is one Paillier encryption: an item's EHL+ blocks and its
+    // score.
+    let paillier_encryptions =
+        lists.iter().flat_map(EncryptedList::items).map(|item| item.ehl.len() + 1).sum();
     let er = EncryptedRelation::new(lists, relation.len());
     let stats = EncryptionStats {
         num_objects: relation.len(),
         num_attributes: m,
-        // One Paillier encryption per EHL block plus one per score, per item, per list.
-        paillier_encryptions: relation.len() * m * (keys.ehl_key_count() + 1),
+        paillier_encryptions,
         encrypted_bytes: er.byte_len(),
     };
     (er, stats)
@@ -141,8 +148,12 @@ mod tests {
         assert_eq!(er.num_objects(), 5);
         assert_eq!(er.setup_leakage(), (5, 3));
         assert_eq!(stats.num_objects, 5);
-        assert_eq!(stats.paillier_encryptions, 5 * 3 * 4);
-        assert!(stats.encrypted_bytes > 0);
+        // Two ciphertexts per item — the folded EHL+ block and the score — at `s` = 3, and
+        // the count is what `er` holds.
+        assert_eq!(stats.paillier_encryptions, 5 * 3 * 2);
+        let held = er.lists().iter().flat_map(|list| list.items());
+        assert_eq!(held.map(|item| item.ehl.blocks().len() + 1).sum::<usize>(), 5 * 3 * 2);
+        assert_eq!(stats.encrypted_bytes, er.byte_len());
         for list in er.lists() {
             assert_eq!(list.len(), 5);
         }
@@ -183,13 +194,14 @@ mod tests {
         let sorted = relation.sorted_lists();
         let prp = KeyedPrp::new(&keys.prp_key, 3);
 
-        // The EHL at (list 0, depth 0) must match a freshly encoded copy of the same
-        // object and must not match a different object.
+        // The stored EHL at (list 0, depth 0) must match a freshly encoded, folded copy of
+        // the same object and must not match a different object.
         let logical = 0usize;
         let stored = prp.apply(logical);
         let expected_object = sorted.item(logical, 0).unwrap().object;
-        let fresh_same = encoder.encode(&expected_object.to_bytes(), pk, &mut rng).unwrap();
-        let fresh_other = encoder.encode(&ObjectId(999).to_bytes(), pk, &mut rng).unwrap();
+        let mut fresh = |id: ObjectId| encoder.encode(&id.to_bytes(), pk, &mut rng).unwrap();
+        let (fresh_same, fresh_other) = (fresh(expected_object), fresh(ObjectId(999)));
+        let (fresh_same, fresh_other) = (fresh_same.folded(pk), fresh_other.folded(pk));
         let stored_ehl = &er.list(stored).item(0).unwrap().ehl;
         assert!(sk.is_zero(&stored_ehl.eq_test(&fresh_same, pk, &mut rng)).unwrap());
         assert!(!sk.is_zero(&stored_ehl.eq_test(&fresh_other, pk, &mut rng)).unwrap());
@@ -205,8 +217,9 @@ mod tests {
         )
     }
 
-    /// `Enc(R)` one object at a time: [`EhlEncoder::encode`] then `encrypt_u64`, item by
-    /// item, list by list.
+    /// `Enc(R)` one object at a time: `encrypt` of the folded image
+    /// ([`EhlEncoder::folded_image`]) then `encrypt_u64` of the score, item by item, list
+    /// by list.
     fn per_object_encryption(
         relation: &Relation,
         keys: &MasterKeys,
@@ -217,9 +230,12 @@ mod tests {
         let sorted = relation.sorted_lists();
         (0..sorted.num_lists())
             .map(|i| {
-                let items = sorted.list(i).iter().map(|item| EncryptedItem {
-                    ehl: encoder.encode(&item.object.to_bytes(), pk, rng).unwrap(),
-                    score: pk.encrypt_u64(item.score, rng).unwrap(),
+                let items = sorted.list(i).iter().map(|item| {
+                    let image = encoder.folded_image(&item.object.to_bytes(), pk.n());
+                    EncryptedItem {
+                        ehl: EhlPlus::from_blocks(vec![pk.encrypt(&image, rng).unwrap()]),
+                        score: pk.encrypt_u64(item.score, rng).unwrap(),
+                    }
                 });
                 EncryptedList::new(items.collect())
             })
@@ -259,13 +275,14 @@ mod tests {
     fn parallel_encryption_ciphertexts_are_pinned() {
         // The digest of the one-object-at-a-time loop on this seed: however many cores
         // compute the batches, no byte moves.  Re-recorded when the owner's nonces became
-        // `H^a` off the key's comb instead of `r^N`.
+        // `H^a` off the key's comb instead of `r^N`, and when each EHL+ came to be stored
+        // as its one folded block.
         let mut rng = StdRng::seed_from_u64(4242);
         let keys = master_keys(&mut rng);
         let (er, _) = encrypt_relation(&small_relation(), &keys, &mut rng).unwrap();
         assert_eq!(
             ciphertext_digest(&er),
-            "4622d66e4c7db61cc7f3c673e27b74e717d02e4f8364b28199086852473fa584"
+            "af61e604b6bdc46a2c083e4a870c00d1f457ea46af34a24660784126ffa60482"
         );
     }
 

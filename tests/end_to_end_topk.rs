@@ -5,10 +5,14 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sectopk_core::{nra_top_k, QueryConfig};
+use sectopk_core::{
+    nra_top_k, DataOwner, Query, QueryConfig, QueryVariant, Session, VariantChoice,
+};
+use sectopk_crypto::prp::KeyedPrp;
 use sectopk_datasets::{fig3_relation, patient_name, patients_relation};
+use sectopk_ehl::EhlEncoder;
 use sectopk_storage::{ObjectId, Relation, Row, TopKQuery};
-use sectopk_tests::{assert_valid_top_k, harness, run_query};
+use sectopk_tests::{assert_valid_top_k, harness, run_query, TEST_EHL_KEYS, TEST_MODULUS_BITS};
 
 #[test]
 fn fig3_full_privacy_returns_x3_and_x2() {
@@ -126,4 +130,72 @@ fn communication_statistics_are_populated() {
     let slow = stats.channel.latency_seconds(50.0, 0.0);
     let fast = stats.channel.latency_seconds(500.0, 0.0);
     assert!(slow > fast);
+}
+
+#[test]
+fn every_stored_item_is_one_block_of_its_folded_image() {
+    // The owner stores each EHL+ as its fold: one ciphertext of `Σ_i HMAC(κ_i, o) mod N`.
+    let relation = fig3_relation();
+    let mut rng = StdRng::seed_from_u64(0xF01D);
+    let owner = DataOwner::new(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).unwrap();
+    let (outsourced, _) = owner.outsource(&relation, &mut rng).unwrap();
+    let keys = owner.keys();
+    let encoder = EhlEncoder::new(&keys.ehl_keys);
+    let (n, sk) = (keys.paillier_public.n(), &keys.paillier_secret);
+    let sorted = relation.sorted_lists();
+    let prp = KeyedPrp::new(&keys.prp_key, sorted.num_lists());
+    for list in 0..sorted.num_lists() {
+        let stored = outsourced.er().list(prp.apply(list));
+        for (depth, item) in sorted.list(list).iter().enumerate() {
+            let ehl = &stored.item(depth).unwrap().ehl;
+            assert_eq!(ehl.len(), 1, "list {list}, depth {depth}");
+            let image = encoder.folded_image(&item.object.to_bytes(), n);
+            assert_eq!(sk.decrypt(&ehl.blocks()[0]).unwrap(), image, "list {list}, depth {depth}");
+        }
+    }
+}
+
+#[test]
+fn the_stored_relation_does_not_grow_with_s() {
+    // `s` sets how many PRF images the stored block sums, not how many blocks there are:
+    // two ciphertexts per item at every `s`.  A ciphertext is written in its minimal
+    // big-endian bytes, so one that happens to start with a zero byte is a byte shorter;
+    // the size is pinned to that window rather than to one byte count.
+    let relation = fig3_relation();
+    let items = relation.len() * relation.num_attributes();
+    for s in [1, 3, 5] {
+        let mut rng = StdRng::seed_from_u64(0x5175);
+        let owner = DataOwner::new(TEST_MODULUS_BITS, s, &mut rng).unwrap();
+        let (outsourced, stats) = owner.outsource(&relation, &mut rng).unwrap();
+        let width = (owner.keys().paillier_public.n_squared().bits() as usize).div_ceil(8);
+        assert_eq!(stats.paillier_encryptions, 2 * items, "s = {s}");
+        assert_eq!(stats.encrypted_bytes, outsourced.er().byte_len(), "s = {s}");
+        let window = 2 * items * (width - 1)..=2 * items * width;
+        assert!(window.contains(&stats.encrypted_bytes), "s = {s}: {}", stats.encrypted_bytes);
+    }
+}
+
+#[test]
+fn fig3_answers_and_halting_depth_do_not_depend_on_s() {
+    let relation = fig3_relation();
+    let attrs = vec![0, 1, 2];
+    let variants = [QueryVariant::Full, QueryVariant::DupElim, QueryVariant::Batched { p: 2 }];
+    for variant in variants {
+        let runs: Vec<(Vec<ObjectId>, usize)> = [1, 3, 5]
+            .into_iter()
+            .map(|s| {
+                let mut rng = StdRng::seed_from_u64(0xF163);
+                let owner = DataOwner::new(TEST_MODULUS_BITS, s, &mut rng).unwrap();
+                let (outsourced, _) = owner.outsource(&relation, &mut rng).unwrap();
+                let mut session = owner.connect(&outsourced, 0xF164).unwrap();
+                let query = Query::from_spec(TopKQuery::sum(attrs.clone(), 2))
+                    .with_variant(VariantChoice::Fixed(variant));
+                let resolved = session.execute(&query).unwrap();
+                let context = format!("{} at s = {s}", variant.name());
+                assert_valid_top_k(&relation, &attrs, &[], 2, &resolved.object_ids(), &context);
+                (resolved.object_ids(), resolved.stats().depths_scanned)
+            })
+            .collect();
+        assert!(runs.iter().all(|run| run == &runs[0]), "{}: {runs:?}", variant.name());
+    }
 }

@@ -378,16 +378,16 @@ impl Transport for DedupTap {
 
 #[test]
 fn s2_is_sent_one_ehl_block_per_dedup_item() {
-    // The relation is stored with `s` blocks per EHL+, but S1 folds each one it reads, so
-    // every item SecDedup / SecDupElim ships — and every item S2 returns, garbage
-    // included — carries one block, and its three masks in two `pk'` ciphertexts.
+    // The relation stores each EHL+ as one folded block, whatever `s` is, so every item
+    // SecDedup / SecDupElim ships — and every item S2 returns, garbage included — carries
+    // one block, and its three masks in two `pk'` ciphertexts.
     let relation = fig3_relation();
     let (attrs, k) = (vec![0, 1, 2], 2);
     let mut rng = StdRng::seed_from_u64(0xB0DD);
     let owner = DataOwner::new(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).expect("keygen");
     let (outsourced, _) = owner.outsource(&relation, &mut rng).expect("encryption");
     let stored = outsourced.er().list(0).item(0).expect("a stored item");
-    assert_eq!(stored.ehl.len(), TEST_EHL_KEYS);
+    assert_eq!(stored.ehl.len(), 1);
     for variant in [QueryVariant::Full, QueryVariant::DupElim, QueryVariant::Batched { p: 2 }] {
         let name = variant.name();
         let items = Arc::new(Mutex::new(Vec::new()));
