@@ -99,7 +99,8 @@ pub fn measure_query(
 // ====================================================================================
 
 /// Fig. 7a/7b: encode `items` objects with the Bloom-style EHL (H = 23 buckets) and with
-/// EHL+ (`s` encryptions), reporting construction time and ciphertext size.
+/// EHL+ as the relation stores it (one block: `s` HMACs and one encryption per object),
+/// reporting construction time and ciphertext size.
 pub fn fig7_ehl_construction(scale: &BenchScale) -> Table {
     let mut rng = StdRng::seed_from_u64(7);
     let keys =

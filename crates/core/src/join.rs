@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn join_encryption_ciphertexts_are_pinned() {
-        // Every tuple, cell by cell in stored order, EHL blocks then score, each
+        // Every tuple, cell by cell in stored order, EHL block then score, each
         // length-prefixed: the bytes `Enc(R1)` hands the clouds for one fixed seed.
         // Re-recorded when the owner's nonces became `H^a` off the key's comb, not `r^N`,
         // and when each EHL+ came to be stored as its one folded block.
@@ -255,7 +255,7 @@ mod tests {
         let left = encrypt_for_join(&left_relation(), &keys, "join/left", &mut rng).unwrap();
         let mut hasher = sectopk_crypto::sha256::Sha256::new();
         let cells = left.tuples.iter().flat_map(|tuple| &tuple.cells);
-        for c in cells.flat_map(|cell| cell.ehl.blocks().iter().chain([&cell.score])) {
+        for c in cells.flat_map(|cell| [cell.ehl.block(), &cell.score]) {
             let bytes = c.to_bytes_be();
             hasher.update(&(bytes.len() as u64).to_le_bytes());
             hasher.update(&bytes);

@@ -205,9 +205,9 @@ pub fn sec_query(
         let channel_before = clouds.channel();
 
         // ---- Sorted access: the item of every token list at this depth (weights applied
-        //      homomorphically as §7 prescribes).  Its EHL+ is stored as one folded block,
-        //      so every later `⊖` is one exponentiation and every shipped item carries one
-        //      block (DESIGN.md §10). -------------------------------------------------------
+        //      homomorphically as §7 prescribes).  Its EHL+ is one block, so every later
+        //      `⊖` is one exponentiation and every shipped item carries one block (DESIGN.md
+        //      §10). -----------------------------------------------------------------------
         let mut depth_items: Vec<EncryptedItem> = Vec::with_capacity(m);
         for (j, &list_idx) in token.permuted_lists.iter().enumerate() {
             let raw = er.list(list_idx).item(depth).ok_or_else(|| {

@@ -7,19 +7,15 @@
 //! takes the encrypted answers back to the key holder (or fetches the matching records
 //! via ORAM, §4).
 //!
-//! Identification is **decrypt-and-lookup**: an `EHL+(o)` encrypts the PRF images
-//! `HMAC(κ_i, o) mod N` — stored as one block of their sum, or as `s` blocks when
-//! [`EhlEncoder::encode`] made it — and the key holder owns both the decryption key and
-//! the PRF keys.  So it folds an answer's blocks into one ([`EhlPlus::folded`], a no-op on
-//! the one-block answers `sec_query` returns), decrypts it and looks the folded image
-//! `Σ_i HMAC(κ_i, o) mod N` up in a map from every candidate id's folded image
-//! ([`EhlEncoder::folded_image`], `n·s` HMACs) to the id — `k` decryptions per query,
-//! where re-encrypting every candidate and running `⊖` against each (what the clouds,
-//! who hold neither key, must do) would cost `n·s` encryptions plus up to `n` `⊖`s per
-//! item.  Both decide "the folded images agree", which the clouds' `⊖` on stored items
-//! decides too; two distinct candidates share a folded image with probability `≈ 1/N`.
-//!
-//! [`EhlPlus::folded`]: sectopk_ehl::EhlPlus::folded
+//! Identification is **decrypt-and-lookup**: an `EHL+(o)` encrypts the sum of the PRF
+//! images, `Σ_i HMAC(κ_i, o) mod N`, and the key holder owns both the decryption key and
+//! the PRF keys.  So it decrypts an answer's block and looks the image up in a map from
+//! every candidate id's image ([`EhlEncoder::image_sum`], `n·s` HMACs) to the id — `k`
+//! decryptions per query, where re-encrypting every candidate and running `⊖` against
+//! each (what the clouds, who hold neither key, must do) would cost `n` encryptions plus
+//! up to `n` `⊖`s per item.  Both decide "the images agree", which the clouds' `⊖` on
+//! stored items decides too; two distinct candidates share an image with probability
+//! `≈ 1/N`.
 
 use num_bigint::BigUint;
 use rand::{CryptoRng, RngCore};
@@ -50,15 +46,14 @@ pub struct ResolvedResult {
 /// Identify and decrypt every item of a query result using the data owner's keys.
 ///
 /// `candidates` is the universe of object ids the owner knows about (all row ids of the
-/// outsourced relation); an id listed twice resolves like one listed once.  An item's EHL+
-/// may have one block or `s`: both fold to the same image.  An item whose folded image
-/// matches no candidate — a neutralised placeholder — resolves to `None`.  The
+/// outsourced relation); an id listed twice resolves like one listed once.  An item whose
+/// image matches no candidate — a neutralised placeholder — resolves to `None`.  The
 /// computation is owner-side, non-interactive and deterministic: `rng` is unused and
 /// kept for the callers' sake.
 #[expect(
     clippy::disallowed_methods,
     reason = "owner-side final-result decryption: the key holder opens the bounds of its own top-k \
-              answer and decrypts the folded EHL+ block of those items to look the PRF image sum \
+              answer and decrypts the EHL+ block of those items to look the PRF image sum \
               up among its own object ids, outside the two-cloud boundary the rule protects; S1 \
               and S2 never run this code"
 )]
@@ -75,12 +70,12 @@ pub fn resolve_results<R: RngCore + CryptoRng>(
 
     let mut by_image: HashMap<BigUint, ObjectId> = HashMap::with_capacity(candidates.len());
     for &id in candidates {
-        by_image.entry(encoder.folded_image(&id.to_bytes(), n)).or_insert(id);
+        by_image.entry(encoder.image_sum(&id.to_bytes(), n)).or_insert(id);
     }
 
     let mut out = Vec::with_capacity(items.len());
     for item in items {
-        let image = sk.decrypt(&item.ehl.folded(pk).blocks()[0])?;
+        let image = sk.decrypt(item.ehl.block())?;
         let object = by_image.get(&image).copied();
         let worst = saturating_i64(&sk.decrypt(&item.worst)?, n);
         let best = saturating_i64(&sk.decrypt(&item.best)?, n);
@@ -111,8 +106,7 @@ mod tests {
     use sectopk_crypto::paillier::MIN_MODULUS_BITS;
 
     /// The resolver this module replaces, as the clouds would have to do it: encode
-    /// every candidate, `⊖` each folded answer against each folded encoding, first match
-    /// wins.
+    /// every candidate, `⊖` each answer against each encoding, first match wins.
     fn resolve_by_encode_and_eq_test(
         items: &[ScoredItem],
         candidates: &[ObjectId],
@@ -123,16 +117,14 @@ mod tests {
         let (pk, sk) = (&keys.paillier_public, &keys.paillier_secret);
         let encoded: Vec<(ObjectId, sectopk_ehl::EhlPlus)> = candidates
             .iter()
-            .map(|&id| (id, encoder.encode(&id.to_bytes(), pk, rng).unwrap().folded(pk)))
+            .map(|&id| (id, encoder.encode(&id.to_bytes(), pk, rng).unwrap()))
             .collect();
         items
             .iter()
             .map(|item| ResolvedResult {
                 object: encoded
                     .iter()
-                    .find(|(_, cand)| {
-                        sk.is_zero(&item.ehl.folded(pk).eq_test(cand, pk, rng)).unwrap()
-                    })
+                    .find(|(_, cand)| sk.is_zero(&item.ehl.eq_test(cand, pk, rng)).unwrap())
                     .map(|(id, _)| *id),
                 worst: saturating_i64(&sk.decrypt(&item.worst).unwrap(), pk.n()),
                 best: saturating_i64(&sk.decrypt(&item.best).unwrap(), pk.n()),
@@ -160,39 +152,30 @@ mod tests {
             best: pk.encrypt(&pk.sentinel_z(), &mut rng).unwrap(),
         });
         // An item that went through the clouds: re-randomized, blinded and unblinded.
-        let alphas: Vec<BigUint> =
-            (0..3).map(|_| sectopk_crypto::bigint::random_below(&mut rng, pk.n())).collect();
+        let alpha = sectopk_crypto::bigint::random_below(&mut rng, pk.n());
         let mut pool = sectopk_crypto::RandomnessPool::new(pk, 2);
-        let travelled = items[1].ehl.rerandomize_pooled(&mut pool).blind(&alphas, pk);
-        items[1].ehl = travelled.unblind(&alphas, pk);
-
-        // The same answers as `sec_query` returns them, folded to one block each.
-        let folded: Vec<ScoredItem> = items
-            .iter()
-            .map(|item| ScoredItem { ehl: item.ehl.folded(pk), ..item.clone() })
-            .collect();
+        let travelled = items[1].ehl.rerandomize_pooled(&mut pool).blind(&alpha, pk);
+        items[1].ehl = travelled.unblind(&alpha, pk);
 
         // Id 7 is listed twice among the candidates.
         let candidates: Vec<ObjectId> = (0..10).chain([7]).map(ObjectId).collect();
-        for items in [&items, &folded] {
-            let resolved = resolve_results(items, &candidates, &keys, &mut rng).unwrap();
-            let expected = ResolvedResult { object: Some(ObjectId(7)), worst: 18, best: 19 };
-            assert_eq!(resolved[0], expected);
-            assert_eq!(resolved[1].object, Some(ObjectId(0)));
-            assert_eq!(resolved[2].object, Some(ObjectId(7)));
-            assert_eq!(resolved[3], ResolvedResult { object: None, worst: -1, best: -1 });
-            let ids = resolved_object_ids(&resolved);
-            assert_eq!(ids, vec![ObjectId(7), ObjectId(0), ObjectId(7)]);
-            let reference = resolve_by_encode_and_eq_test(items, &candidates, &keys, &mut rng);
-            assert_eq!(resolved, reference);
+        let resolved = resolve_results(&items, &candidates, &keys, &mut rng).unwrap();
+        let expected = ResolvedResult { object: Some(ObjectId(7)), worst: 18, best: 19 };
+        assert_eq!(resolved[0], expected);
+        assert_eq!(resolved[1].object, Some(ObjectId(0)));
+        assert_eq!(resolved[2].object, Some(ObjectId(7)));
+        assert_eq!(resolved[3], ResolvedResult { object: None, worst: -1, best: -1 });
+        let ids = resolved_object_ids(&resolved);
+        assert_eq!(ids, vec![ObjectId(7), ObjectId(0), ObjectId(7)]);
+        let reference = resolve_by_encode_and_eq_test(&items, &candidates, &keys, &mut rng);
+        assert_eq!(resolved, reference);
 
-            // An id outside the candidate universe is not identified by either resolver.
-            let few = [ObjectId(1), ObjectId(2)];
-            let unresolved = resolve_results(&items[..1], &few, &keys, &mut rng).unwrap();
-            assert_eq!(unresolved[0].object, None);
-            let reference = resolve_by_encode_and_eq_test(&items[..1], &few, &keys, &mut rng);
-            assert_eq!(unresolved, reference);
-        }
+        // An id outside the candidate universe is not identified by either resolver.
+        let few = [ObjectId(1), ObjectId(2)];
+        let unresolved = resolve_results(&items[..1], &few, &keys, &mut rng).unwrap();
+        assert_eq!(unresolved[0].object, None);
+        let reference = resolve_by_encode_and_eq_test(&items[..1], &few, &keys, &mut rng);
+        assert_eq!(unresolved, reference);
     }
 
     #[test]

@@ -32,6 +32,7 @@ impl DataOwner {
     /// 128-bit security level; tests use smaller moduli for speed) and `ehl_keys` the
     /// number `s` of EHL PRF keys (the paper uses `s = 5`), whose images each stored
     /// EHL+ block sums: the stored relation is two ciphertexts per item at every `s`.
+    /// `ehl_keys` = 0 is refused ([`CryptoError::NoEhlKeys`](sectopk_crypto::CryptoError::NoEhlKeys)).
     pub fn new<R: RngCore + CryptoRng>(
         modulus_bits: usize,
         ehl_keys: usize,
@@ -79,9 +80,11 @@ impl AuthorizedClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SecTopKError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sectopk_crypto::paillier::MIN_MODULUS_BITS;
+    use sectopk_crypto::CryptoError;
     use sectopk_protocols::TwoClouds;
     use sectopk_storage::{ObjectId, Row};
 
@@ -105,5 +108,11 @@ mod tests {
 
         let clouds = TwoClouds::new(owner.keys(), 3).unwrap();
         assert_eq!(clouds.pk().n(), owner.keys().paillier_public.n());
+    }
+
+    #[test]
+    fn an_owner_without_ehl_keys_is_a_typed_error() {
+        let err = DataOwner::new(MIN_MODULUS_BITS, 0, &mut StdRng::seed_from_u64(12)).unwrap_err();
+        assert!(matches!(err, SecTopKError::Crypto(CryptoError::NoEhlKeys)), "{err}");
     }
 }

@@ -19,6 +19,8 @@ pub enum CryptoError {
         /// Maximum supported modulus bit-length.
         maximum: usize,
     },
+    /// A key bundle was asked for no EHL key: an EHL+ sums at least one PRF image.
+    NoEhlKeys,
     /// A ciphertext was presented under the wrong modulus / key.
     CiphertextOutOfRange,
     /// A plaintext does not fit in the scheme's message space.
@@ -49,6 +51,7 @@ impl fmt::Display for CryptoError {
                 f,
                 "modulus of {requested} bits is above the supported maximum of {maximum} bits"
             ),
+            CryptoError::NoEhlKeys => write!(f, "at least one EHL key is required, 0 were requested"),
             CryptoError::CiphertextOutOfRange => {
                 write!(f, "ciphertext is not an element of the expected group")
             }

@@ -51,12 +51,15 @@ impl MasterKeys {
     ///
     /// A modulus above [`MAX_SHARED_MODULUS_BITS`] is refused before any prime search:
     /// every session over it would need an own key for S1 wider than the arithmetic
-    /// supports.
+    /// supports.  So is `s` = 0 ([`CryptoError::NoEhlKeys`]): an EHL+ sums `s` images.
     pub fn generate<R: RngCore + CryptoRng>(
         modulus_bits: usize,
         ehl_key_count: usize,
         rng: &mut R,
     ) -> Result<Self> {
+        if ehl_key_count == 0 {
+            return Err(CryptoError::NoEhlKeys);
+        }
         if modulus_bits > MAX_SHARED_MODULUS_BITS {
             return Err(CryptoError::KeySizeTooLarge {
                 requested: modulus_bits,
@@ -190,6 +193,14 @@ mod tests {
         }
         // Refused before the prime search: not one draw was spent.
         assert_eq!(rng.next_u64(), StdRng::seed_from_u64(31).next_u64());
+    }
+
+    #[test]
+    fn no_ehl_key_is_refused_before_keygen() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let err = MasterKeys::generate(MIN_MODULUS_BITS, 0, &mut rng).unwrap_err();
+        assert_eq!(err, CryptoError::NoEhlKeys);
+        assert_eq!(rng.next_u64(), StdRng::seed_from_u64(32).next_u64());
     }
 
     /// At the default 256-bit `N`, every modulus a session reduces by — `N²`, `N³`, `p²`,

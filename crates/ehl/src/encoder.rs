@@ -14,9 +14,8 @@ use crate::ehl_plus::EhlPlus;
 /// Encodes objects into EHL / EHL+ structures under a fixed set of `s` PRF keys.
 ///
 /// The encoder is reusable: the PRF instances are keyed once, so [`Self::encode`]-ing `n`
-/// objects costs `s` HMAC evaluations plus `s` Paillier encryptions per object (Fig. 7a),
-/// and storing a relation's folded encodings ([`Self::folded_image`]) `s` HMAC
-/// evaluations plus one Paillier encryption per item (Fig. 8a).
+/// objects costs `s` HMAC evaluations plus one Paillier encryption per object — what
+/// Fig. 7a times and what the owner pays per stored item (Fig. 8a).
 #[derive(Clone, Debug)]
 pub struct EhlEncoder {
     prfs: Vec<Prf>,
@@ -29,33 +28,24 @@ impl EhlEncoder {
         EhlEncoder { prfs: keys.iter().map(Prf::new).collect() }
     }
 
-    /// Encode an object into the compact EHL+ structure:
-    /// `EHL+[i] = Enc(HMAC(k_i, o) mod N)` for `1 ≤ i ≤ s`.
+    /// Encode an object into the compact EHL+ structure: one encryption of its
+    /// [`Self::image_sum`], `Enc(Σ_i HMAC(κ_i, o) mod N)`.
     pub fn encode<R: RngCore + CryptoRng>(
         &self,
         object: &[u8],
         pk: &PaillierPublicKey,
         rng: &mut R,
     ) -> Result<EhlPlus> {
-        let blocks = self
-            .prfs
-            .iter()
-            .map(|prf| {
-                let image = prf.eval_mod(object, pk.n());
-                pk.encrypt(&image, rng)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(EhlPlus::from_blocks(blocks))
+        Ok(EhlPlus::new(pk.encrypt(&self.image_sum(object, pk.n()), rng)?))
     }
 
-    /// The plaintext PRF images of an object (summed by [`Self::folded_image`], and used
-    /// by tests).
-    pub fn plaintext_images(&self, object: &[u8], n: &BigUint) -> Vec<BigUint> {
+    /// The plaintext PRF images of an object, one per key.
+    fn plaintext_images(&self, object: &[u8], n: &BigUint) -> Vec<BigUint> {
         self.prfs.iter().map(|prf| prf.eval_mod(object, n)).collect()
     }
 
-    /// The plaintext of an encoding's [`EhlPlus::folded`] block: `Σ_i HMAC(κ_i, o) mod N`.
-    pub fn folded_image(&self, object: &[u8], n: &BigUint) -> BigUint {
+    /// The plaintext of an object's EHL+: `Σ_i HMAC(κ_i, o) mod N`.
+    pub fn image_sum(&self, object: &[u8], n: &BigUint) -> BigUint {
         self.plaintext_images(object, n).iter().fold(BigUint::from(0u32), |acc, x| (acc + x) % n)
     }
 
@@ -122,28 +112,16 @@ mod tests {
     }
 
     #[test]
-    fn encode_produces_s_blocks() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let (pk, sk) = generate_keypair(128, &mut rng).unwrap();
-        let enc = encoder(3);
-        let e = enc.encode(b"object", &pk, &mut rng).unwrap();
-        assert_eq!(e.len(), 3);
-        // Blocks decrypt to the PRF images.
-        let images = enc.plaintext_images(b"object", pk.n());
-        for (block, image) in e.blocks().iter().zip(images.iter()) {
-            assert_eq!(&sk.decrypt(block).unwrap(), image);
-        }
-    }
-
-    #[test]
     fn the_folded_block_decrypts_to_the_folded_image() {
         let mut rng = StdRng::seed_from_u64(10);
         let (pk, sk) = generate_keypair(128, &mut rng).unwrap();
         let enc = encoder(3);
-        let folded = enc.encode(b"object", &pk, &mut rng).unwrap().folded(&pk);
-        assert_eq!(folded.len(), 1);
-        assert_eq!(sk.decrypt(&folded.blocks()[0]).unwrap(), enc.folded_image(b"object", pk.n()));
-        assert_eq!(folded.folded(&pk), folded, "a one-block EHL+ folds to itself");
+        let e = enc.encode(b"object", &pk, &mut rng).unwrap();
+        let image = enc.image_sum(b"object", pk.n());
+        assert_eq!(sk.decrypt(e.block()).unwrap(), image);
+        // The image sums the three keys' images mod N.
+        let one_key = |i: u8| EhlEncoder::new(&[PrfKey([i + 1; 32])]).image_sum(b"object", pk.n());
+        assert_eq!(image, (0..3).map(one_key).sum::<BigUint>() % pk.n());
     }
 
     #[test]

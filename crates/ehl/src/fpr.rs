@@ -2,22 +2,18 @@
 //!
 //! * Bloom-style EHL with `H` buckets and `s` hash functions over `n` objects:
 //!   `FPR ≈ (1 − e^{−s·n/H})^s`, minimised at `s = (H/n)·ln 2`, where it is ≈ `0.62^{H/n}`.
-//! * EHL+ with `s` PRF images modulo `N`: a pair collides with probability at most
-//!   `1/Nˢ`, so a union bound over all pairs gives `FPR ≤ n²/Nˢ` — negligible for the
-//!   moduli the scheme uses (the paper quotes `N ≈ 2^256`, `s = 4..5`).
+//! * EHL+: the paper's `s` PRF images modulo `N` collide with probability at most `1/Nˢ`
+//!   per pair, so a union bound over all pairs gives `FPR ≤ n²/Nˢ`.  Here an EHL+ is one
+//!   block of the images' sum ([`EhlPlus`](crate::EhlPlus)), so two distinct objects
+//!   collide mod `N` with probability `1/N`: `n²/N` over the relation's pairs.
 //! * S2 decides a blinded `⊖` cell mod `p` only (half a decryption,
 //!   [`PaillierSecretKey::is_zero`](sectopk_crypto::PaillierSecretKey::is_zero)).  A
 //!   nonzero cell is a uniform multiple mod `N`, which vanishes mod `p` with probability
-//!   ≈ `1/p`, so equality as S2 reports it errs with probability at most
-//!   `n²/Nˢ + n²/p` — at a 256-bit `N`, ≤ 2⁻⁷¹ for `n ≤ 2²⁸`, whatever `s` is.
-//! * The query path decides equality on **folded** images: the owner stores each EHL+
-//!   as one block that sums the `s` images, `Enc(Σ_i HMAC(κ_i, o) mod N)` (what
-//!   [`EhlPlus::folded`](crate::EhlPlus::folded) makes of `s` blocks), and every `⊖`
-//!   runs on it.  Two distinct objects then test equal when their folded images agree
-//!   mod `p`, a fixed property of the pair rather than a fresh draw per test, so the
-//!   union bound is over the relation's lifetime, and the rate is
-//!   [`equality_fpr_log2`]`(n, 1, |N|)` = `n²/N + n²/p`: the `n²/p` term still
-//!   dominates, so it reads within a hair of the `s`-block rate.
+//!   ≈ `1/p`.  Whether two distinct objects' images agree mod `p` is a fixed property of
+//!   the pair rather than a fresh draw per test, so the union bound is over the
+//!   relation's lifetime, and equality as S2 reports it errs with probability at most
+//!   [`equality_fpr_log2`] = `n²/N + n²/p` — at a 256-bit `N`, ≤ 2⁻⁷¹ for `n ≤ 2²⁸`,
+//!   whatever `s` is.
 
 /// Estimated Bloom-filter false positive rate for `h` buckets, `s` hash functions and `n`
 /// inserted elements (here every object occupies its own filter, so the per-pair collision
@@ -40,30 +36,21 @@ pub fn optimal_hash_count(h: usize, n: usize) -> usize {
     (((h as f64) / (n as f64)) * std::f64::consts::LN_2).round().max(1.0) as usize
 }
 
-/// Upper bound on the EHL+ false positive rate for `n` objects, `s` PRF images and a
-/// modulus of `modulus_bits` bits: `n² / N^s ≤ n² / 2^{modulus_bits·s}` (§5).
-///
-/// Returned as a base-2 logarithm to avoid underflow (the true value is astronomically
-/// small); i.e. `FPR ≤ 2^{returned value}`.
-pub fn ehl_plus_fpr_log2(n: usize, s: usize, modulus_bits: usize) -> f64 {
-    assert!(n > 0 && s > 0 && modulus_bits > 0);
-    2.0 * (n as f64).log2() - (modulus_bits as f64) * (s as f64)
-}
-
 /// Upper bound on the rate at which S2's mod-`p` zero test reports a nonzero `⊖` cell
 /// of `n` objects as zero: `n²/p ≤ n² / 2^{modulus_bits/2 − 1}`, since `p` is half of a
-/// `modulus_bits`-bit `N`.  A base-2 logarithm, like [`ehl_plus_fpr_log2`].
+/// `modulus_bits`-bit `N`.  A base-2 logarithm, like [`equality_fpr_log2`].
 pub fn zero_test_fpr_log2(n: usize, modulus_bits: usize) -> f64 {
     assert!(n > 0 && modulus_bits > 1);
     2.0 * (n as f64).log2() - (modulus_bits / 2) as f64 + 1.0
 }
 
 /// Upper bound on the false positive rate of EHL+ equality as S2 decides it, both terms:
-/// `n²/Nˢ + n²/p`, as a base-2 logarithm.  The relation stores, and the query path
-/// compares, one folded block per EHL+ ([`EhlPlus::folded`](crate::EhlPlus::folded)), so
-/// its rate is `equality_fpr_log2(n, 1, |N|)` whatever `s` the relation was encoded with.
-pub fn equality_fpr_log2(n: usize, s: usize, modulus_bits: usize) -> f64 {
-    let (a, b) = (ehl_plus_fpr_log2(n, s, modulus_bits), zero_test_fpr_log2(n, modulus_bits));
+/// `n²/N + n²/p` for `n` objects and a `modulus_bits`-bit `N`.  Returned as a base-2
+/// logarithm to avoid underflow; i.e. `FPR ≤ 2^{returned value}`.
+pub fn equality_fpr_log2(n: usize, modulus_bits: usize) -> f64 {
+    assert!(n > 0 && modulus_bits > 0);
+    let collision = 2.0 * (n as f64).log2() - modulus_bits as f64;
+    let (a, b) = (collision, zero_test_fpr_log2(n, modulus_bits));
     let (high, low) = if a >= b { (a, b) } else { (b, a) };
     high + (low - high).exp2().ln_1p() / std::f64::consts::LN_2
 }
@@ -71,8 +58,8 @@ pub fn equality_fpr_log2(n: usize, s: usize, modulus_bits: usize) -> f64 {
 /// True when equality as S2 decides it ([`equality_fpr_log2`]) errs with probability
 /// below `2^{-target_bits}` (e.g. `target_bits = 40` for the "negligible even for
 /// millions of records" claim).
-pub fn ehl_plus_is_negligible(n: usize, s: usize, modulus_bits: usize, target_bits: u32) -> bool {
-    equality_fpr_log2(n, s, modulus_bits) <= -(target_bits as f64)
+pub fn ehl_plus_is_negligible(n: usize, modulus_bits: usize, target_bits: u32) -> bool {
+    equality_fpr_log2(n, modulus_bits) <= -(target_bits as f64)
 }
 
 #[cfg(test)]
@@ -96,44 +83,38 @@ mod tests {
 
     #[test]
     fn paper_parameters_are_negligible() {
-        // The paper: N a 256-bit number, s = 4 or 5, millions of records.
-        assert!(ehl_plus_is_negligible(1_000_000, 4, 256, 40));
-        assert!(ehl_plus_is_negligible(1_000_000, 5, 256, 80));
+        // The paper: N a 256-bit number, millions of records.
+        assert!(ehl_plus_is_negligible(1_000_000, 256, 40));
+        assert!(ehl_plus_is_negligible(1_000_000, 256, 80));
         // Degenerate parameters are not negligible.
-        assert!(!ehl_plus_is_negligible(1_000_000, 1, 32, 40));
+        assert!(!ehl_plus_is_negligible(1_000_000, 32, 40));
     }
 
     #[test]
     fn fpr_log2_formula() {
-        // n = 2^20, s = 5, 256-bit N: log2(FPR) = 40 - 1280 = -1240.
-        let v = ehl_plus_fpr_log2(1 << 20, 5, 256);
-        assert!((v - (40.0 - 1280.0)).abs() < 1e-9);
+        // n = 2^20, 256-bit N: n²/N = 2^{40 − 256} beside n²/p = 2^{40 − 128 + 1}.
+        let v = equality_fpr_log2(1 << 20, 256);
+        assert!((v - (40.0 - 128.0 + 1.0)).abs() < 1e-9, "{v}");
+        // The terms add: 2^−4 + 2^−1 at n = 1, a 4-bit N.
+        assert!((equality_fpr_log2(1, 4) - 0.5625f64.log2()).abs() < 1e-9);
     }
 
     #[test]
     fn the_zero_test_term_bounds_equality_whatever_s_is() {
         // n = 2^28 at a 256-bit N: n²/p ≤ 2^{56 − 128 + 1} = 2^−71.
         assert!((zero_test_fpr_log2(1 << 28, 256) - (-71.0)).abs() < 1e-9);
-        for s in [1, 3, 5] {
-            let both = equality_fpr_log2(1 << 28, s, 256);
-            assert!((-71.0..-70.99).contains(&both), "s = {s}: {both}");
-        }
-        // The terms add: 2^−4 + 2^−1 at n = 1, s = 1, a 4-bit N.
-        assert!((equality_fpr_log2(1, 1, 4) - 0.5625f64.log2()).abs() < 1e-9);
-        assert!(!ehl_plus_is_negligible(1 << 28, 5, 256, 80));
-        assert!(ehl_plus_is_negligible(1 << 28, 5, 2048, 80));
+        let both = equality_fpr_log2(1 << 28, 256);
+        assert!((-71.0..-70.99).contains(&both), "{both}");
+        assert!(!ehl_plus_is_negligible(1 << 28, 256, 80));
+        assert!(ehl_plus_is_negligible(1 << 28, 2048, 80));
     }
 
     #[test]
     fn the_folded_query_path_keeps_the_zero_test_rate() {
-        // n = 2^28 at a 256-bit N: one folded image errs at n²/N + n²/p, still ≤ 2^−71.
-        let folded = equality_fpr_log2(1 << 28, 1, 256);
+        // n = 2^28 at a 256-bit N: one block errs at n²/N + n²/p, still ≤ 2^−71, and the
+        // n²/N term moves the n²/p rate by less than 0.01 bit.
+        let folded = equality_fpr_log2(1 << 28, 256);
         assert!(folded <= -71.0, "{folded}");
-        assert!((folded - equality_fpr_log2(1 << 28, 5, 256)).abs() < 0.01, "{folded}");
-    }
-
-    #[test]
-    fn larger_s_reduces_ehl_plus_fpr() {
-        assert!(ehl_plus_fpr_log2(1000, 5, 128) < ehl_plus_fpr_log2(1000, 2, 128));
+        assert!((folded - zero_test_fpr_log2(1 << 28, 256)).abs() < 0.01, "{folded}");
     }
 }

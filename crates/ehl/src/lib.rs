@@ -25,6 +25,8 @@
 //! let alice_b = encoder.encode(b"alice", &pk, &mut rng).unwrap();
 //! let bob = encoder.encode(b"bob", &pk, &mut rng).unwrap();
 //!
+//! // An EHL+ is one ciphertext: the sum of the object's four PRF images.
+//! assert_eq!(sk.decrypt(alice_a.block()).unwrap(), encoder.image_sum(b"alice", pk.n()));
 //! // Same object → the ⊖ test decrypts to zero; different objects → non-zero.
 //! assert!(sk.is_zero(&alice_a.eq_test(&alice_b, &pk, &mut rng)).unwrap());
 //! assert!(!sk.is_zero(&alice_a.eq_test(&bob, &pk, &mut rng)).unwrap());

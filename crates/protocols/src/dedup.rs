@@ -23,7 +23,6 @@
 //! the per-depth uniqueness pattern `UP^d` to S1 (§10.1).
 
 use num_bigint::BigUint;
-use num_traits::Zero;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ProtocolError, Result};
@@ -38,20 +37,20 @@ use crate::items::{rand_blind, rand_unblind, ItemBlinding, ScoredItem};
 use crate::ledger::LeakageEvent;
 use crate::transport::{DedupRequest, S1Request, S2Response};
 
-/// The `s + 2` blinding masks of one item, encrypted under S1's own key `pk'` so they
-/// can round-trip through S2 (the `H_i` values of Algorithm 7), two to a ciphertext.
+/// The three blinding masks `α, β, γ` of one item, encrypted under S1's own key `pk'`
+/// so they can round-trip through S2 (the `H_i` values of Algorithm 7), in two
+/// ciphertexts.
 ///
-/// The masks `α_0 … α_{s−1}, β, γ` are taken in pairs `(lo, hi)` and each pair is one
-/// plaintext `lo + 2^w·hi` with `w = ⌊|N'|/2⌋`; for odd `s` the last ciphertext carries
-/// `γ` alone.  A slot only ever holds the sum of S1's mask and S2's, two values below
-/// `N`, so it stays below `2N ≤ 2^w` (`|N'|` is [`own_modulus_bits`] of `|N|`): the low
-/// slot never carries into the high one and S1 decrypts exactly the two integer sums
-/// it would decrypt from two ciphertexts.
+/// The first plaintext packs the pair `(α, β)` as `α + 2^w·β` with `w = ⌊|N'|/2⌋`; the
+/// second carries `γ` alone.  A slot only ever holds the sum of S1's mask and S2's, two
+/// values below `N`, so it stays below `2N ≤ 2^w` (`|N'|` is [`own_modulus_bits`] of
+/// `|N|`): the low slot never carries into the high one and S1 decrypts exactly the two
+/// integer sums it would decrypt from two ciphertexts.
 ///
 /// [`own_modulus_bits`]: sectopk_crypto::keys::own_modulus_bits
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EncryptedBlinding {
-    /// `⌈(s + 2)/2⌉` encryptions of the mask pairs, in mask order.
+    /// `Enc'(α + 2^w·β)` and `Enc'(γ)`, in that order.
     pub packed: Vec<Ciphertext>,
 }
 
@@ -68,11 +67,8 @@ impl EncryptedBlinding {
     }
 }
 
-/// The number of `pk'` ciphertexts that carry the masks of an item with `blocks` EHL
-/// blocks: `⌈(blocks + 2) / 2⌉`.
-pub(crate) fn packed_len(blocks: usize) -> usize {
-    (blocks + 2).div_ceil(2)
-}
+/// The number of `pk'` ciphertexts that carry an item's masks.
+pub(crate) const BLINDING_CIPHERTEXTS: usize = 2;
 
 /// The slot width `w` of a packed plaintext under `own`, from its modulus's actual
 /// length (never from the key's serialized size field).
@@ -81,36 +77,32 @@ fn slot_bits(own: &PaillierPublicKey) -> u64 {
 }
 
 impl ItemBlinding {
-    /// The [`EncryptedBlinding`] plaintexts of these masks under `own`: one
-    /// `lo + 2^w·hi` per pair, reduced mod `N'` (which changes nothing unless `own` is
-    /// narrower than [`sectopk_crypto::keys::own_modulus_bits`] asks).
+    /// The [`EncryptedBlinding`] plaintexts of these masks under `own`, `α + 2^w·β` and
+    /// `γ`, reduced mod `N'` (which changes nothing unless `own` is narrower than
+    /// [`sectopk_crypto::keys::own_modulus_bits`] asks).
     pub(crate) fn packed(&self, own: &PaillierPublicKey) -> Vec<BigUint> {
-        let w = slot_bits(own);
-        let masks: Vec<&BigUint> = self.alphas.iter().chain([&self.beta, &self.gamma]).collect();
-        let pack =
-            |pair: &[&BigUint]| pair.iter().rev().fold(BigUint::zero(), |acc, m| (acc << w) + *m);
-        masks.chunks(2).map(|pair| pack(pair) % own.n()).collect()
+        let pair = (&self.beta << slot_bits(own)) + &self.alpha;
+        vec![pair % own.n(), &self.gamma % own.n()]
     }
 
-    /// The masks of an item with `blocks` EHL blocks from its decrypted packed
-    /// plaintexts, each slot reduced mod `N` (the shared modulus of `pk`); `None` unless
-    /// there are exactly [`packed_len`]`(blocks)` of them.
+    /// The masks of an item from its decrypted packed plaintexts, each slot reduced mod
+    /// `N` (the shared modulus of `pk`); `None` unless there are exactly
+    /// [`BLINDING_CIPHERTEXTS`] of them.
     fn unpacked(
         plains: &[BigUint],
-        blocks: usize,
         own: &PaillierPublicKey,
         pk: &PaillierPublicKey,
     ) -> Option<Self> {
-        if plains.len() != packed_len(blocks) {
+        let [pair, last] = plains else {
             return None;
-        }
+        };
         let w = slot_bits(own);
-        let mut masks = plains.iter().flat_map(|plain| {
+        let split = |plain: &BigUint| {
             let hi = plain >> w;
-            [(plain - (&hi << w)) % pk.n(), hi % pk.n()]
-        });
-        let alphas = masks.by_ref().take(blocks).collect();
-        Some(ItemBlinding { alphas, beta: masks.next()?, gamma: masks.next()? })
+            ((plain - (&hi << w)) % pk.n(), hi % pk.n())
+        };
+        let ((alpha, beta), (gamma, _)) = (split(pair), split(last));
+        Some(ItemBlinding { alpha, beta, gamma })
     }
 }
 
@@ -163,7 +155,7 @@ impl TwoClouds {
         let mut blinded_items = Vec::with_capacity(l);
         let mut encrypted_blindings = Vec::with_capacity(l);
         for item in &items {
-            let blinding = ItemBlinding::sample(item.ehl.len(), &pk, &mut self.s1.rng);
+            let blinding = ItemBlinding::sample(&pk, &mut self.s1.rng);
             blinded_items.push(rand_blind(item, &blinding, &pk));
             encrypted_blindings.push(EncryptedBlinding::encrypt(&blinding, &mut self.s1.own_pool)?);
         }
@@ -210,10 +202,9 @@ impl TwoClouds {
             par_map(self.intra_workers(), returned, move |(item, blinding)| -> Result<_> {
                 let plains = blinding.packed.iter().map(|c| own_sk.decrypt(c));
                 let plains = plains.collect::<sectopk_crypto::Result<Vec<_>>>()?;
-                let masks = ItemBlinding::unpacked(&plains, item.ehl.len(), &own_pk, &pk)
-                    .ok_or_else(|| {
-                        ProtocolError::transport("dedup reply: blinding arity mismatch")
-                    })?;
+                let masks = ItemBlinding::unpacked(&plains, &own_pk, &pk).ok_or_else(|| {
+                    ProtocolError::transport("dedup reply: blinding arity mismatch")
+                })?;
                 Ok(rand_unblind(item, &masks, &pk))
             });
         restored.into_iter().collect()
@@ -234,7 +225,7 @@ mod tests {
         setup_with(3)
     }
 
-    /// Keys with `s` EHL blocks per object, and the clouds over them.
+    /// Keys with `s` PRF images per EHL+, and the clouds over them.
     fn setup_with(s: usize) -> (MasterKeys, TwoClouds, EhlEncoder, StdRng) {
         let mut rng = StdRng::seed_from_u64(404);
         let master = MasterKeys::generate(MIN_MODULUS_BITS, s, &mut rng).unwrap();
@@ -246,40 +237,33 @@ mod tests {
     #[test]
     fn packed_masks_survive_the_largest_slot_sums() {
         // S1's masks and S2's all N − 1: every slot holds 2N − 2, the most it ever does.
-        for (s, ciphertexts) in [(3, 3), (5, 4)] {
-            let (master, clouds, _, mut rng) = setup_with(s);
-            let (pk, own_pk, own_sk) =
-                (&master.paillier_public, &clouds.s1.own_public, &clouds.s1.own_secret);
-            let max = pk.n() - BigUint::from(1u32);
-            let masks = ItemBlinding {
-                alphas: vec![max.clone(); s],
-                beta: max.clone(),
-                gamma: max.clone(),
-            };
-            let packed = masks.packed(own_pk);
-            assert_eq!((packed.len(), packed_len(s)), (ciphertexts, ciphertexts), "s = {s}");
-            // s + 2 is odd: the last ciphertext carries γ alone, its high slot empty.
-            assert!(packed[ciphertexts - 1].bits() <= slot_bits(own_pk));
-            let sums: Vec<BigUint> = packed
-                .iter()
-                .map(|m| {
-                    let sent = own_pk.encrypt(m, &mut rng).unwrap();
-                    own_sk.decrypt(&own_pk.add_plain(&sent, m)).unwrap()
-                })
-                .collect();
-            let twice = (&max + &max) % pk.n();
-            let expected =
-                ItemBlinding { alphas: vec![twice.clone(); s], beta: twice.clone(), gamma: twice };
-            assert_eq!(ItemBlinding::unpacked(&sums, s, own_pk, pk), Some(expected), "s = {s}");
-            // One plaintext too few or too many is not a blinding of an s-block item.
-            assert_eq!(ItemBlinding::unpacked(&sums[1..], s, own_pk, pk), None);
-            let long = [&sums[..], &sums[..1]].concat();
-            assert_eq!(ItemBlinding::unpacked(&long, s, own_pk, pk), None);
-        }
+        let (master, clouds, _, mut rng) = setup();
+        let (pk, own_pk, own_sk) =
+            (&master.paillier_public, &clouds.s1.own_public, &clouds.s1.own_secret);
+        let max = pk.n() - BigUint::from(1u32);
+        let masks = ItemBlinding { alpha: max.clone(), beta: max.clone(), gamma: max.clone() };
+        let packed = masks.packed(own_pk);
+        assert_eq!(packed.len(), BLINDING_CIPHERTEXTS);
+        // The last ciphertext carries γ alone, its high slot empty.
+        assert!(packed[1].bits() <= slot_bits(own_pk));
+        let sums: Vec<BigUint> = packed
+            .iter()
+            .map(|m| {
+                let sent = own_pk.encrypt(m, &mut rng).unwrap();
+                own_sk.decrypt(&own_pk.add_plain(&sent, m)).unwrap()
+            })
+            .collect();
+        let twice = (&max + &max) % pk.n();
+        let expected = ItemBlinding { alpha: twice.clone(), beta: twice.clone(), gamma: twice };
+        assert_eq!(ItemBlinding::unpacked(&sums, own_pk, pk), Some(expected));
+        // One plaintext too few or too many is not an item's blinding.
+        assert_eq!(ItemBlinding::unpacked(&sums[1..], own_pk, pk), None);
+        let long = [&sums[..], &sums[..1]].concat();
+        assert_eq!(ItemBlinding::unpacked(&long, own_pk, pk), None);
     }
 
     #[test]
-    fn dedup_ships_two_masks_per_own_key_ciphertext_at_three_and_five_blocks() {
+    fn dedup_ships_three_masks_in_two_own_key_ciphertexts_whatever_s_is() {
         for s in [3, 5] {
             let (master, mut clouds, encoder, mut rng) = setup_with(s);
             let pk = &master.paillier_public;
@@ -299,9 +283,9 @@ mod tests {
                 .collect();
             scores.sort_unstable();
             assert_eq!(scores, vec![(-1, -1), (2, 3), (4, 6)], "s = {s}");
-            // Each way: 3 items of s + 2 shared-key ciphertexts and 3 blindings of
-            // ⌈(s + 2)/2⌉ own-key ones; S1 → S2 adds the 3 matrix entries.
-            let expected = 3 + 2 * 3 * (s + 2) + 2 * 3 * packed_len(s);
+            // Each way: 3 items of 3 shared-key ciphertexts and 3 blindings of 2 own-key
+            // ones; S1 → S2 adds the 3 matrix entries.
+            let expected = 3 + 2 * 3 * 3 + 2 * 3 * BLINDING_CIPHERTEXTS;
             assert_eq!(clouds.channel().ciphertexts, expected as u64, "s = {s}");
         }
     }

@@ -62,7 +62,7 @@ use sectopk_metrics::{Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 
 use crate::context::Stream;
-use crate::dedup::{packed_len, EncryptedBlinding};
+use crate::dedup::{EncryptedBlinding, BLINDING_CIPHERTEXTS};
 use crate::items::{rand_blind, rerandomize_item_pooled, ItemBlinding, ScoredItem};
 use crate::ledger::{LeakageEvent, LeakageLedger};
 use crate::transport::{DedupRequest, FilterTuple, MaskedSet, S1Request, S2Response, Select};
@@ -394,18 +394,14 @@ impl S2Engine {
                     return Err(WireError::malformed("dedup pair index out of order or range"));
                 }
                 // `commit_dedup` zips each item's masks with its ciphertexts: a short list
-                // would silently truncate the reply.  An item it replaces gets as many
-                // garbage blocks as it has, and an EHL+ has at least one.
+                // would silently truncate the reply.
                 for (item, blinding) in dedup.items.iter().zip(dedup.blindings.iter()) {
-                    if item.ehl.is_empty() {
-                        return Err(WireError::malformed("a dedup item's EHL+ has no block"));
-                    }
-                    if blinding.packed.len() != packed_len(item.ehl.len()) {
+                    if blinding.packed.len() != BLINDING_CIPHERTEXTS {
                         return Err(WireError::malformed(
                             "a dedup blinding must pack its item's masks two per ciphertext",
                         ));
                     }
-                    in_range(pk, item.ehl.blocks().iter().chain([&item.worst, &item.best]))?;
+                    in_range(pk, [item.ehl.block(), &item.worst, &item.best])?;
                     in_range(own_pk, &blinding.packed)?;
                 }
                 need.is_zero = dedup.matrix.iter().collect();
@@ -649,28 +645,19 @@ impl S2Engine {
                 // Replace: fresh garbage id, scores that will unblind to Z = −1.
                 let beta2 = random_below(&mut self.rng, pk.n());
                 let gamma2 = random_below(&mut self.rng, pk.n());
-                let garbage_blocks: Vec<Ciphertext> = (0..received_item.ehl.len())
-                    .map(|_| {
-                        let garbage = random_below(&mut self.rng, pk.n());
-                        self.pool.encrypt(&garbage)
-                    })
-                    .collect::<Result<Vec<_>>>()?;
+                let garbage = random_below(&mut self.rng, pk.n());
                 let replaced = ScoredItem {
-                    ehl: EhlPlus::from_blocks(garbage_blocks),
+                    ehl: EhlPlus::new(self.pool.encrypt(&garbage)?),
                     worst: self.pool.encrypt(&((&z + &beta2) % pk.n()))?,
                     best: self.pool.encrypt(&((&z + &gamma2) % pk.n()))?,
                 };
-                // Masks (0, …, 0, β₂, γ₂): the garbage blocks stay garbage.
-                let masks = ItemBlinding {
-                    alphas: vec![BigUint::zero(); received_item.ehl.len()],
-                    beta: beta2,
-                    gamma: gamma2,
-                };
+                // Masks (0, β₂, γ₂): the garbage block stays garbage.
+                let masks = ItemBlinding { alpha: BigUint::zero(), beta: beta2, gamma: gamma2 };
                 processed.push((replaced, EncryptedBlinding::encrypt(&masks, &mut self.own_pool)?));
             } else {
                 // Keep: layer fresh blinding on top (so S1 cannot tell kept from replaced)
                 // and update the encrypted randomness accordingly.
-                let extra = ItemBlinding::sample(received_item.ehl.len(), &pk, &mut self.rng);
+                let extra = ItemBlinding::sample(&pk, &mut self.rng);
                 let mut reblinded = rand_blind(received_item, &extra, &pk);
                 // Fresh ciphertexts so S1 cannot correlate with what it sent.
                 reblinded = rerandomize_item_pooled(&reblinded, &mut self.pool);

@@ -22,18 +22,18 @@ pub struct ScoredItem {
 }
 
 impl ScoredItem {
-    /// Serialized size in bytes (EHL blocks + two score ciphertexts).
+    /// Serialized size in bytes (the EHL block + two score ciphertexts).
     pub fn byte_len(&self) -> usize {
         self.ehl.byte_len() + self.worst.byte_len() + self.best.byte_len()
     }
 }
 
 /// The blinding randomness applied to one [`ScoredItem`] by the `Rand` procedure:
-/// `α ∈ Z_N^s` for the EHL blocks, `β` for the worst score and `γ` for the best score.
+/// `α` for the EHL block, `β` for the worst score and `γ` for the best score.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ItemBlinding {
-    /// Per-block additive masks for the EHL.
-    pub alphas: Vec<BigUint>,
+    /// Additive mask for the EHL block.
+    pub alpha: BigUint,
     /// Additive mask for the worst score.
     pub beta: BigUint,
     /// Additive mask for the best score.
@@ -41,14 +41,10 @@ pub struct ItemBlinding {
 }
 
 impl ItemBlinding {
-    /// Sample fresh blinding randomness for an item with `ehl_blocks` EHL blocks.
-    pub fn sample<R: RngCore + CryptoRng>(
-        ehl_blocks: usize,
-        pk: &PaillierPublicKey,
-        rng: &mut R,
-    ) -> Self {
+    /// Sample fresh blinding randomness for one item: `α`, then `β`, then `γ`.
+    pub fn sample<R: RngCore + CryptoRng>(pk: &PaillierPublicKey, rng: &mut R) -> Self {
         ItemBlinding {
-            alphas: (0..ehl_blocks).map(|_| random_below(rng, pk.n())).collect(),
+            alpha: random_below(rng, pk.n()),
             beta: random_below(rng, pk.n()),
             gamma: random_below(rng, pk.n()),
         }
@@ -64,7 +60,7 @@ pub fn rand_blind(
     pk: &PaillierPublicKey,
 ) -> ScoredItem {
     ScoredItem {
-        ehl: item.ehl.blind(&blinding.alphas, pk),
+        ehl: item.ehl.blind(&blinding.alpha, pk),
         worst: pk.add_plain(&item.worst, &blinding.beta),
         best: pk.add_plain(&item.best, &blinding.gamma),
     }
@@ -78,7 +74,7 @@ pub fn rand_unblind(
 ) -> ScoredItem {
     let neg = |x: &BigUint| (pk.n() - (x % pk.n())) % pk.n();
     ScoredItem {
-        ehl: item.ehl.unblind(&blinding.alphas, pk),
+        ehl: item.ehl.unblind(&blinding.alpha, pk),
         worst: pk.add_plain(&item.worst, &neg(&blinding.beta)),
         best: pk.add_plain(&item.best, &neg(&blinding.gamma)),
     }
@@ -88,9 +84,7 @@ pub fn rand_unblind(
 /// drawing precomputed `H^a mod N²` nonces from a
 /// [`RandomnessPool`](sectopk_crypto::RandomnessPool): one nonce and one multiplication
 /// per ciphertext, which is what both clouds use on the item-return hot paths (EncSort,
-/// SecDedup, SecUpdate).  The relation stores each EHL+ as one folded block
-/// ([`EhlPlus::folded`]), so that is three nonces per item whatever `s` the relation
-/// was encoded with.
+/// SecDedup, SecUpdate): three nonces per item, since an EHL+ is one block.
 pub fn rerandomize_item_pooled(
     item: &ScoredItem,
     pool: &mut sectopk_crypto::RandomnessPool,
@@ -138,7 +132,7 @@ mod tests {
     fn blind_then_unblind_round_trips() {
         let (pk, sk, encoder, mut rng) = setup();
         let item = make_item(b"o1", 10, 26, &pk, &encoder, &mut rng);
-        let blinding = ItemBlinding::sample(item.ehl.len(), &pk, &mut rng);
+        let blinding = ItemBlinding::sample(&pk, &mut rng);
         let blinded = rand_blind(&item, &blinding, &pk);
 
         // Blinded scores decrypt to something else.

@@ -295,22 +295,18 @@ impl TwoClouds {
 
     /// Compute the randomized `⊖` differences of `pairs` with S1's randomness.
     ///
-    /// The masking scalars are drawn serially in pair-major, block-minor order (exactly
-    /// the order the one-pair-at-a-time path consumes S1's RNG in), by one
+    /// The masking scalars, one per pair, are drawn serially in pair order (exactly the
+    /// order the one-pair-at-a-time path consumes S1's RNG in), by one
     /// [`sectopk_crypto::bigint::random_invertible_many`]: one coprimality check per
     /// call.  The distinct right-hand operands of the call are then negated together —
     /// one modular inversion per call, however many pairs — and the pure `⊖`
-    /// arithmetic, one multi-exponentiation per pair, runs data-parallel over
+    /// arithmetic, one exponentiation per pair, runs data-parallel over
     /// [`TwoClouds::intra_workers`] threads.  The ciphertexts are byte-identical to
-    /// [`EhlPlus::eq_test_with_randomness`] per pair, for every worker count.
+    /// [`EhlPlus::eq_test`] per pair with the same scalars, for every worker count.
     pub(crate) fn eq_diffs(&mut self, pairs: &[(&EhlPlus, &EhlPlus)]) -> Vec<Ciphertext> {
         let pk = self.s1.keys.paillier_public.clone();
-        let total = pairs.iter().map(|(a, _)| a.len()).sum();
-        let mut scalars =
-            sectopk_crypto::bigint::random_invertible_many(&mut self.s1.rng, pk.n(), total)
-                .into_iter();
-        let randomness: Vec<Vec<BigUint>> =
-            pairs.iter().map(|(a, _)| scalars.by_ref().take(a.len()).collect()).collect();
+        let scalars =
+            sectopk_crypto::bigint::random_invertible_many(&mut self.s1.rng, pk.n(), pairs.len());
 
         // An equality matrix names each right-hand operand once per row.
         let mut distinct: Vec<&EhlPlus> = Vec::new();
@@ -326,14 +322,14 @@ impl TwoClouds {
             .collect();
         let negated = Arc::new(EhlPlus::negate_many(&distinct, &pk));
 
-        let jobs: Vec<(EhlPlus, usize, Vec<BigUint>)> = pairs
+        let jobs: Vec<(EhlPlus, usize, BigUint)> = pairs
             .iter()
             .zip(slots)
-            .zip(randomness)
-            .map(|((&(a, _), slot), rs)| (a.clone(), slot, rs))
+            .zip(scalars)
+            .map(|((&(a, _), slot), r)| (a.clone(), slot, r))
             .collect();
-        par_map(self.intra_workers(), jobs, move |(a, slot, rs)| {
-            a.eq_test_negated(&negated[*slot], &pk, rs)
+        par_map(self.intra_workers(), jobs, move |(a, slot, r)| {
+            a.eq_test_negated(&negated[*slot], &pk, r)
         })
     }
 
@@ -616,17 +612,8 @@ mod tests {
 
         // A second S1 with the same seed replays the RNG stream one pair at a time.
         let mut reference = TwoClouds::new(&master, 99).unwrap();
-        let expected: Vec<Ciphertext> = pairs
-            .iter()
-            .map(|(a, b)| {
-                let rs: Vec<BigUint> = (0..a.len())
-                    .map(|_| {
-                        sectopk_crypto::bigint::random_invertible(&mut reference.s1.rng, pk.n())
-                    })
-                    .collect();
-                a.eq_test_with_randomness(b, pk, &rs)
-            })
-            .collect();
+        let expected: Vec<Ciphertext> =
+            pairs.iter().map(|(a, b)| a.eq_test(b, pk, &mut reference.s1.rng)).collect();
         let diffs = clouds.eq_diffs(&pairs);
         assert_eq!(diffs, expected);
         let zero: Vec<bool> =

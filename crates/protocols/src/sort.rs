@@ -248,7 +248,7 @@ mod tests {
     use sectopk_ehl::EhlEncoder;
 
     /// Every block size a list of `t` can be given: 1, 2, 4, … up to the first ≥ `t`.
-    fn blocks(t: usize) -> impl Iterator<Item = usize> {
+    fn block_sizes(t: usize) -> impl Iterator<Item = usize> {
         let widest = t.max(1).next_power_of_two();
         successors(Some(1usize), move |&block| (block < widest).then_some(2 * block))
     }
@@ -279,7 +279,7 @@ mod tests {
             values in proptest::collection::vec(-3i64..6, 0..=40)
         ) {
             // A range of a few values makes ties, −1 sentinels and negatives common.
-            for block in blocks(values.len()) {
+            for block in block_sizes(values.len()) {
                 prop_assert_eq!(plain_order(&values, block).0, expected_order(&values));
             }
         }
@@ -294,13 +294,13 @@ mod tests {
         let mut count = 0;
         permute(&mut values, 0, &mut |perm| {
             count += 1;
-            for block in blocks(8) {
+            for block in block_sizes(8) {
                 assert_eq!(plain_order(perm, block).0, expected_order(perm), "{perm:?} / {block}");
             }
         });
         assert_eq!(count, 40_320);
         for tied in [vec![-1, -1, 5, -1, 5], vec![0, -1, 0, -1, 0, -1], vec![2, 2, 2, 2, 2, 2, 2]] {
-            for block in blocks(tied.len()) {
+            for block in block_sizes(tied.len()) {
                 assert_eq!(plain_order(&tied, block).0, expected_order(&tied), "{tied:?}");
             }
         }
@@ -324,7 +324,7 @@ mod tests {
         // comparisons the network actually ships — so `sort_plan` prices what the sort
         // pays.
         for t in 0..=70usize {
-            for block in blocks(t) {
+            for block in block_sizes(t) {
                 let (_, rounds) = plain_order(&vec![0; t], block);
                 let comparisons = rounds.iter().map(Vec::len).sum();
                 assert_eq!(
@@ -423,7 +423,7 @@ mod tests {
         for values in [vec![3, -1, 3, 0, -2, 7, -1, 3, 0, 5, -1], vec![4, -1, 4, -1, 4]] {
             let keys: Vec<Ciphertext> =
                 values.iter().map(|&v| pk.encrypt_i64(v, &mut rng).unwrap()).collect();
-            for block in blocks(values.len()) {
+            for block in block_sizes(values.len()) {
                 let mut clouds = TwoClouds::new(&master, 6).unwrap();
                 let order = clouds.enc_rank_with_block(keys.clone(), block, "enc_sort").unwrap();
                 let (expected, plain_rounds) = plain_order(&values, block);

@@ -115,8 +115,10 @@ use crate::wire::{self, WireError};
 
 /// Version of the TCP handshake and framing.  Bumped on any incompatible change; the
 /// server rejects hellos carrying a different version.  v2 added session resumption
-/// (the `Fresh`/`Resume` hello split, resume tokens, typed reject codes).
-pub const TCP_PROTOCOL_VERSION: u64 = 2;
+/// (the `Fresh`/`Resume` hello split, resume tokens, typed reject codes); v3 sends an
+/// EHL+ as its one ciphertext, a one-element sequence, where v2 sent a `{blocks: [..]}`
+/// map.
+pub const TCP_PROTOCOL_VERSION: u64 = 3;
 
 /// Magic string opening every `ClientHello`; lets the server reject a stray client
 /// of some other protocol before trying to decode key material.
@@ -1466,9 +1468,10 @@ mod tests {
     /// `EqAggregate` over that bit, a `Dedup` without a matrix (the one-message-per-pair
     /// pattern), a one-item `Dedup` whose blinding is one ciphertext per mask (`alphas`,
     /// `beta`, `gamma`) instead of two masks per ciphertext (`packed`), an `EqMatrix`
-    /// asking for `E2` aggregates (`want`) instead of shipping masked candidates, and a
-    /// `Recover` of one Damgård–Jurik ciphertext.
-    const RETIRED_FRAMES: [&[u8]; 6] = [
+    /// asking for `E2` aggregates (`want`) instead of shipping masked candidates, a
+    /// `Recover` of one Damgård–Jurik ciphertext, and a one-item `Dedup` as version 2
+    /// itself sent it, its EHL+ a `{blocks: [c]}` map.
+    const RETIRED_FRAMES: [&[u8]; 7] = [
         b"\x00\x09\x01\x06EqTest\x09\x05\x04diff\x07\x01\x01\x07context\x06\x04test\x05depth\x00\
           \x0aaccumulate\x02\x09reply_bit\x02",
         b"\x00\x09\x01\x0bEqAggregate\x09\x03\x04rows\x03\x01\x04cols\x03\x01\x04want\x09\x04\
@@ -1483,6 +1486,10 @@ mod tests {
           \x06\x04test\x05depth\x00\x04want\x09\x04\x0brow_matched\x02\x0drow_unmatched\x01\
           \x0dcol_unmatched\x01\x11row_matched_plain\x01",
         b"\x00\x09\x01\x07Recover\x09\x01\x07blinded\x08\x01\x07\x01\x02",
+        b"\x00\x09\x01\x05Dedup\x08\x01\x09\x06\x05items\x08\x01\x09\x03\x03ehl\x09\x01\x06blocks\
+          \x08\x01\x07\x01\x02\x05worst\x07\x01\x02\x04best\x07\x01\x02\x09blindings\x08\x01\x09\
+          \x01\x06packed\x08\x02\x07\x01\x02\x07\x01\x02\x0cpair_indices\x08\x00\x06matrix\x08\x00\
+          \x09eliminate\x01\x05depth\x03\x00",
     ];
 
     /// Response payloads of the retired selection forms, as protocol version 2 engines
@@ -1893,12 +1900,12 @@ mod tests {
 
     #[test]
     fn hello_bytes_are_pinned() {
-        // The handshake as protocol version 2 peers put it on the wire.  A fresh hello
+        // The handshake as protocol version 3 peers put it on the wire.  A fresh hello
         // is pinned around its provision, whose bytes are the engine's to define.
         let provision = provision_for(&master(65), 65);
         let kind = HelloKind::Fresh { session: 7, provision: provision.clone() };
         let fresh = ClientHello { magic: TCP_MAGIC.into(), version: TCP_PROTOCOL_VERSION, kind };
-        let fresh_prefix: &[u8] = b"\x09\x03\x05magic\x06\x07sectopk\x07version\x03\x02\x04kind\
+        let fresh_prefix: &[u8] = b"\x09\x03\x05magic\x06\x07sectopk\x07version\x03\x03\x04kind\
             \x09\x01\x05Fresh\x09\x02\x07session\x03\x07\x09provision";
         assert_pinned(&fresh, &[fresh_prefix, &wire::to_bytes(&provision)].concat());
 
@@ -1910,7 +1917,7 @@ mod tests {
         };
         assert_pinned(
             &resume,
-            b"\x09\x03\x05magic\x06\x07sectopk\x07version\x03\x02\x04kind\x09\x01\x06Resume\
+            b"\x09\x03\x05magic\x06\x07sectopk\x07version\x03\x03\x04kind\x09\x01\x06Resume\
               \x08\x01\x09\x03\x07session\x03\x07\x0elast_acked_seq\x03\x03\
               \x0cresume_token\x03\xb4\x24",
         );
@@ -1918,7 +1925,7 @@ mod tests {
             ServerHello::Accept { version: TCP_PROTOCOL_VERSION, session: 7, resume_token: 0x1234 };
         assert_pinned(
             &accept,
-            b"\x09\x01\x06Accept\x09\x03\x07version\x03\x02\x07session\x03\x07\
+            b"\x09\x01\x06Accept\x09\x03\x07version\x03\x03\x07session\x03\x07\
               \x0cresume_token\x03\xb4\x24",
         );
         let rejects: [(RejectCode, &[u8]); 6] = [

@@ -149,28 +149,17 @@ impl TwoClouds {
                     .chunks(t_len)
                     .map(|row| row.iter().fold(pk.one_ciphertext(), |acc, t| pk.add(&acc, t)))
                     .collect();
-                let ehl_blocks = fresh[0].ehl.len();
-                let rhos: Vec<BigUint> = (0..f_len * ehl_blocks)
-                    .map(|_| random_below(&mut self.s1.rng, pk.n()))
-                    .collect();
-                let noise: Vec<(Ciphertext, BigUint)> = rhos
+                let noise: Vec<(Ciphertext, BigUint)> = matched
                     .into_iter()
-                    .enumerate()
-                    .map(|(k, rho)| (matched[k / ehl_blocks].clone(), rho))
+                    .map(|m| (m, random_below(&mut self.s1.rng, pk.n())))
                     .collect();
                 let key = pk.clone();
                 let noise =
                     par_map(self.intra_workers(), noise, move |(m, rho)| key.mul_plain(m, rho));
-                for (i, fresh_item) in fresh.iter().enumerate() {
-                    let blocks: Vec<Ciphertext> = fresh_item
-                        .ehl
-                        .blocks()
-                        .iter()
-                        .zip(&noise[i * ehl_blocks..])
-                        .map(|(block, noise)| pk.add(block, noise))
-                        .collect();
+                for (i, (fresh_item, noise)) in fresh.iter().zip(&noise).enumerate() {
+                    let ehl = EhlPlus::new(pk.add(fresh_item.ehl.block(), noise));
                     new_tracked.push(ScoredItem {
-                        ehl: EhlPlus::from_blocks(blocks).rerandomize_pooled(&mut self.s1.pool),
+                        ehl: ehl.rerandomize_pooled(&mut self.s1.pool),
                         worst: self.s1.pool.rerandomize(&appended_worst[i]),
                         best: self.s1.pool.rerandomize(&appended_best[i]),
                     });

@@ -13,6 +13,7 @@ use sectopk_crypto::paillier::{generate_keypair, Ciphertext, PaillierPublicKey, 
 use sectopk_crypto::CryptoError;
 use sectopk_ehl::EhlPlus;
 use sectopk_protocols::transport::{DedupRequest, FilterTuple, MaskedSet, Per, Select};
+use sectopk_protocols::wire;
 use sectopk_protocols::{
     EncryptedBlinding, LeakageEvent, S1Request, S2Engine, S2Response, ScoredItem, WireError,
     WireErrorCode,
@@ -67,13 +68,6 @@ fn non_unit() -> Ciphertext {
     Ciphertext::from_biguint(keys().0.paillier_public.n().clone())
 }
 
-/// An EHL+ with no block: [`EhlPlus::from_blocks`] refuses one, the wire decodes one.
-fn blockless() -> EhlPlus {
-    use serde::Deserialize;
-    let value = serde::Value::Map(vec![("blocks".to_string(), serde::Value::Seq(Vec::new()))]);
-    EhlPlus::from_value(&value).expect("an EHL+ decodes from any block list")
-}
-
 /// An equality matrix over `values` (zero ⇔ equal) that selects from masked candidates:
 /// a sum per row over per-cell candidates and a one-of-many per column over per-row
 /// candidates with per-column defaults, and that asks for the plaintext row bits.
@@ -113,11 +107,11 @@ fn compare(values: &[i64], rng: &mut StdRng) -> S1Request {
     }
 }
 
-/// A three-item dedup whose items 0 and 2 are duplicates; each item's four masks ride
+/// A three-item dedup whose items 0 and 2 are duplicates; each item's three masks ride
 /// in two `pk'` ciphertexts.
 fn dedup(rng: &mut StdRng) -> DedupRequest {
     let item = |rng: &mut StdRng| ScoredItem {
-        ehl: EhlPlus::from_blocks(vec![enc(11, rng), enc(12, rng)]),
+        ehl: EhlPlus::new(enc(11, rng)),
         worst: enc(3, rng),
         best: enc(9, rng),
     };
@@ -376,28 +370,7 @@ fn a_malformed_instance_of_each_kind_is_a_typed_error() {
         ),
         (
             "Dedup with an EHL block of N²",
-            with_dedup(|d| d.items[1].ehl = EhlPlus::from_blocks(vec![just_out_of_range()]), rng),
-            MalformedRequest,
-        ),
-        (
-            // Ciphertext 1 is `Enc(0)` under nonce 1: the two items read as equal, so
-            // the second one would be replaced by as many garbage blocks as it has.
-            "Dedup of two items whose EHL+ has no block",
-            with_dedup(
-                |d| {
-                    for item in &mut d.items {
-                        item.ehl = blockless();
-                    }
-                    d.items.truncate(2);
-                    d.blindings.truncate(2);
-                    for blinding in &mut d.blindings {
-                        blinding.packed.truncate(1);
-                    }
-                    d.pair_indices = vec![(0, 1)];
-                    d.matrix = vec![Ciphertext::from_biguint(BigUint::from(1u32))];
-                },
-                rng,
-            ),
+            with_dedup(|d| d.items[1].ehl = EhlPlus::new(just_out_of_range()), rng),
             MalformedRequest,
         ),
         (
@@ -445,6 +418,32 @@ fn a_malformed_instance_of_each_kind_is_a_typed_error() {
     for (what, request, code) in table {
         assert_rejected_without_trace(what, request, code);
     }
+}
+
+/// An EHL+ is one ciphertext, so a `Dedup` frame whose items carry an empty sequence
+/// where the block goes does not decode: the serving layer answers every undecodable
+/// frame with a typed `Codec` error (`tcp`'s retired-frame tests drive that over both
+/// pipes), and the engine never sees an item without a block.
+#[test]
+fn a_dedup_item_whose_ehl_is_an_empty_sequence_never_decodes() {
+    use serde::{Serialize, Value};
+    let request = S1Request::Dedup(dedup(&mut rng()));
+    let valid = request.to_value();
+    let mut value = valid.clone();
+    let Value::Map(variant) = &mut value else { panic!("an enum is a one-entry map") };
+    let Value::Seq(payload) = &mut variant[0].1 else { panic!("a tuple variant is a sequence") };
+    let Value::Map(fields) = &mut payload[0] else { panic!("a struct is a map") };
+    let items = fields.iter_mut().find(|(name, _)| name == "items").expect("items");
+    let Value::Seq(items) = &mut items.1 else { panic!("items is a sequence") };
+    for item in items {
+        let Value::Map(item) = item else { panic!("an item is a map") };
+        let ehl = item.iter_mut().find(|(name, _)| name == "ehl").expect("ehl");
+        ehl.1 = Value::Seq(Vec::new());
+    }
+    assert_eq!(wire::from_bytes::<S1Request>(&wire::to_bytes(&valid)).unwrap(), request);
+    let frame = wire::to_bytes(&value);
+    let error = wire::from_bytes::<S1Request>(&frame).expect_err("an EHL+ with no block");
+    assert!(error.to_string().contains("arity"), "{error}");
 }
 
 /// The degenerate-dimension requests: a few dozen bytes each, none may be answered with

@@ -62,10 +62,8 @@ fn rand_select(rng: &mut StdRng) -> Vec<Select> {
 }
 
 fn rand_item(rng: &mut StdRng) -> ScoredItem {
-    // EHL+ requires at least one block.
-    let blocks = (0..rng.gen_range(1usize..4)).map(|_| rand_ciphertext(rng)).collect();
     ScoredItem {
-        ehl: EhlPlus::from_blocks(blocks),
+        ehl: EhlPlus::new(rand_ciphertext(rng)),
         worst: rand_ciphertext(rng),
         best: rand_ciphertext(rng),
     }
@@ -188,7 +186,7 @@ fn response_ciphertexts(response: &S2Response) -> usize {
 }
 
 fn items_ciphertexts(items: &[ScoredItem]) -> usize {
-    items.iter().map(|item| item.ehl.len() + 2).sum()
+    3 * items.len()
 }
 
 fn blindings_ciphertexts(blindings: &[EncryptedBlinding]) -> usize {

@@ -5,15 +5,14 @@
 //! permuted with the data owner's PRP `P_K` so that their storage position reveals
 //! nothing about which attribute they rank.
 //!
-//! `EHL(o)` is stored as its fold: one block `Enc(Σ_i HMAC(κ_i, o) mod N)`, the
-//! [`EhlPlus::folded`](sectopk_ehl::EhlPlus::folded) of the `s`-block EHL+ and the only
-//! form any query reads (DESIGN.md §10).  So an item is two Paillier ciphertexts,
-//! whatever `s` is; `s` sets how many PRF images the block sums.
+//! `EHL(o)` is one block `Enc(Σ_i HMAC(κ_i, o) mod N)` ([`EhlPlus`], DESIGN.md §10).  So
+//! an item is two Paillier ciphertexts, whatever `s` is; `s` sets how many PRF images
+//! the block sums.
 //!
 //! Encryption of different items is embarrassingly parallel (the paper uses 64 threads
 //! in §11.1).  Each list is one batch ([`encrypt_items`]): its PRF images are computed
 //! on the machine's cores, its randomness is drawn serially from the caller's RNG, in
-//! the order a loop of `encrypt` calls over each item's folded image then its score
+//! the order a loop of `encrypt` calls over each item's image sum then its score
 //! draws it, and its exponentiations run on the machine's cores — so the ciphertexts
 //! depend on the RNG alone, not on the worker count.
 
@@ -57,9 +56,9 @@ pub fn encrypt_relation<R: RngCore + CryptoRng>(
     Ok(assemble(relation, keys, encrypted_lists))
 }
 
-/// `E(I) = ⟨EHL(o), Enc(x)⟩` of every `(o, x)`, in order, `EHL(o)` stored as its one
-/// folded block: one [`encrypt_many`] over each item's [`EhlEncoder::folded_image`] then
-/// its score, so byte for byte the items a loop of `encrypt` calls makes on the same RNG.
+/// `E(I) = ⟨EHL(o), Enc(x)⟩` of every `(o, x)`, in order: one [`encrypt_many`] over each
+/// item's [`EhlEncoder::image_sum`] then its score, so byte for byte the items a loop
+/// of [`EhlEncoder::encode`] and `encrypt` calls makes on the same RNG.
 /// The images are HMAC sums and draw nothing, so they are computed in parallel before
 /// any randomness is drawn.
 ///
@@ -73,12 +72,12 @@ pub fn encrypt_items<R: RngCore + CryptoRng>(
     let pk = &keys.paillier_public;
     let (objects, scores): (Vec<[u8; 8]>, Vec<u64>) = items.into_iter().unzip();
     let n = pk.n().clone();
-    let images = par_map(cores(), objects, move |object| encoder.folded_image(object, &n));
+    let images = par_map(cores(), objects, move |object| encoder.image_sum(object, &n));
     let plaintexts =
         images.into_iter().zip(scores).flat_map(|(image, score)| [image, score.into()]).collect();
     let mut ciphertexts = pk.encrypt_many(plaintexts, rng)?.into_iter();
     Ok(std::iter::from_fn(|| {
-        let ehl = EhlPlus::from_blocks(vec![ciphertexts.next()?]);
+        let ehl = EhlPlus::new(ciphertexts.next()?);
         Some(EncryptedItem { ehl, score: ciphertexts.next()? })
     })
     .collect())
@@ -99,10 +98,9 @@ fn assemble(
     let lists: Vec<EncryptedList> =
         permuted.into_iter().map(|l| l.expect("PRP is a bijection")).collect();
 
-    // Every stored ciphertext is one Paillier encryption: an item's EHL+ blocks and its
+    // Every stored ciphertext is one Paillier encryption: an item's EHL+ block and its
     // score.
-    let paillier_encryptions =
-        lists.iter().flat_map(EncryptedList::items).map(|item| item.ehl.len() + 1).sum();
+    let paillier_encryptions = 2 * lists.iter().map(EncryptedList::len).sum::<usize>();
     let er = EncryptedRelation::new(lists, relation.len());
     let stats = EncryptionStats {
         num_objects: relation.len(),
@@ -148,11 +146,8 @@ mod tests {
         assert_eq!(er.num_objects(), 5);
         assert_eq!(er.setup_leakage(), (5, 3));
         assert_eq!(stats.num_objects, 5);
-        // Two ciphertexts per item — the folded EHL+ block and the score — at `s` = 3, and
-        // the count is what `er` holds.
+        // Two ciphertexts per item — the EHL+ block and the score — at `s` = 3.
         assert_eq!(stats.paillier_encryptions, 5 * 3 * 2);
-        let held = er.lists().iter().flat_map(|list| list.items());
-        assert_eq!(held.map(|item| item.ehl.blocks().len() + 1).sum::<usize>(), 5 * 3 * 2);
         assert_eq!(stats.encrypted_bytes, er.byte_len());
         for list in er.lists() {
             assert_eq!(list.len(), 5);
@@ -194,14 +189,13 @@ mod tests {
         let sorted = relation.sorted_lists();
         let prp = KeyedPrp::new(&keys.prp_key, 3);
 
-        // The stored EHL at (list 0, depth 0) must match a freshly encoded, folded copy of
-        // the same object and must not match a different object.
+        // The stored EHL at (list 0, depth 0) must match a freshly encoded copy of the
+        // same object and must not match a different object.
         let logical = 0usize;
         let stored = prp.apply(logical);
         let expected_object = sorted.item(logical, 0).unwrap().object;
         let mut fresh = |id: ObjectId| encoder.encode(&id.to_bytes(), pk, &mut rng).unwrap();
         let (fresh_same, fresh_other) = (fresh(expected_object), fresh(ObjectId(999)));
-        let (fresh_same, fresh_other) = (fresh_same.folded(pk), fresh_other.folded(pk));
         let stored_ehl = &er.list(stored).item(0).unwrap().ehl;
         assert!(sk.is_zero(&stored_ehl.eq_test(&fresh_same, pk, &mut rng)).unwrap());
         assert!(!sk.is_zero(&stored_ehl.eq_test(&fresh_other, pk, &mut rng)).unwrap());
@@ -217,9 +211,8 @@ mod tests {
         )
     }
 
-    /// `Enc(R)` one object at a time: `encrypt` of the folded image
-    /// ([`EhlEncoder::folded_image`]) then `encrypt_u64` of the score, item by item, list
-    /// by list.
+    /// `Enc(R)` one object at a time: [`EhlEncoder::encode`] of the object then
+    /// `encrypt_u64` of the score, item by item, list by list.
     fn per_object_encryption(
         relation: &Relation,
         keys: &MasterKeys,
@@ -230,12 +223,9 @@ mod tests {
         let sorted = relation.sorted_lists();
         (0..sorted.num_lists())
             .map(|i| {
-                let items = sorted.list(i).iter().map(|item| {
-                    let image = encoder.folded_image(&item.object.to_bytes(), pk.n());
-                    EncryptedItem {
-                        ehl: EhlPlus::from_blocks(vec![pk.encrypt(&image, rng).unwrap()]),
-                        score: pk.encrypt_u64(item.score, rng).unwrap(),
-                    }
+                let items = sorted.list(i).iter().map(|item| EncryptedItem {
+                    ehl: encoder.encode(&item.object.to_bytes(), pk, rng).unwrap(),
+                    score: pk.encrypt_u64(item.score, rng).unwrap(),
                 });
                 EncryptedList::new(items.collect())
             })
@@ -257,12 +247,12 @@ mod tests {
         }
     }
 
-    /// SHA-256 over every ciphertext of `er` — list by list, item by item, EHL blocks
+    /// SHA-256 over every ciphertext of `er` — list by list, item by item, EHL block
     /// then score, each length-prefixed — in hex.
     fn ciphertext_digest(er: &EncryptedRelation) -> String {
         let mut hasher = sectopk_crypto::sha256::Sha256::new();
         for item in er.lists().iter().flat_map(|list| list.items()) {
-            for c in item.ehl.blocks().iter().chain([&item.score]) {
+            for c in [item.ehl.block(), &item.score] {
                 let bytes = c.to_bytes_be();
                 hasher.update(&(bytes.len() as u64).to_le_bytes());
                 hasher.update(&bytes);

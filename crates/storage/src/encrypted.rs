@@ -9,7 +9,6 @@ use sectopk_ehl::EhlPlus;
 
 /// One encrypted data item: the EHL+ encoding of the object id plus the Paillier
 /// encryption of its local score — the paper's `E(I_i^d) = ⟨EHL(o_i^d), Enc(x_i^d)⟩`.
-/// A stored EHL+ is one folded block, whatever the number `s` of PRF keys.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Eq)]
 pub struct EncryptedItem {
     /// Encrypted hash list of the object id.
@@ -19,8 +18,8 @@ pub struct EncryptedItem {
 }
 
 impl EncryptedItem {
-    /// Serialized size in bytes (EHL+ block + score ciphertext: two ciphertexts when
-    /// stored) — the unit the bandwidth accounting of §11.2.5 is expressed in.
+    /// Serialized size in bytes (EHL+ block + score ciphertext) — the unit the bandwidth
+    /// accounting of §11.2.5 is expressed in.
     pub fn byte_len(&self) -> usize {
         self.ehl.byte_len() + self.score.byte_len()
     }

@@ -93,10 +93,8 @@ proptest! {
         let k = keys();
         let mut rng = StdRng::seed_from_u64(seed);
         let e = k.encoder.encode(&object.to_be_bytes(), &k.pk, &mut rng).unwrap();
-        let alphas: Vec<BigUint> = (0..e.len())
-            .map(|_| sectopk_crypto::bigint::random_below(&mut rng, k.pk.n()))
-            .collect();
-        let restored = e.blind(&alphas, &k.pk).unblind(&alphas, &k.pk);
+        let alpha = sectopk_crypto::bigint::random_below(&mut rng, k.pk.n());
+        let restored = e.blind(&alpha, &k.pk).unblind(&alpha, &k.pk);
         let fresh = k.encoder.encode(&object.to_be_bytes(), &k.pk, &mut rng).unwrap();
         prop_assert!(k.sk.is_zero(&restored.eq_test(&fresh, &k.pk, &mut rng)).unwrap());
     }

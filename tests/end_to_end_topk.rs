@@ -134,7 +134,7 @@ fn communication_statistics_are_populated() {
 
 #[test]
 fn every_stored_item_is_one_block_of_its_folded_image() {
-    // The owner stores each EHL+ as its fold: one ciphertext of `Σ_i HMAC(κ_i, o) mod N`.
+    // The owner stores each EHL+ as one ciphertext of `Σ_i HMAC(κ_i, o) mod N`.
     let relation = fig3_relation();
     let mut rng = StdRng::seed_from_u64(0xF01D);
     let owner = DataOwner::new(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).unwrap();
@@ -148,9 +148,8 @@ fn every_stored_item_is_one_block_of_its_folded_image() {
         let stored = outsourced.er().list(prp.apply(list));
         for (depth, item) in sorted.list(list).iter().enumerate() {
             let ehl = &stored.item(depth).unwrap().ehl;
-            assert_eq!(ehl.len(), 1, "list {list}, depth {depth}");
-            let image = encoder.folded_image(&item.object.to_bytes(), n);
-            assert_eq!(sk.decrypt(&ehl.blocks()[0]).unwrap(), image, "list {list}, depth {depth}");
+            let image = encoder.image_sum(&item.object.to_bytes(), n);
+            assert_eq!(sk.decrypt(ehl.block()).unwrap(), image, "list {list}, depth {depth}");
         }
     }
 }

@@ -327,12 +327,12 @@ fn every_step_strips_one_ciphertext_per_fused_row_not_per_cell() {
     }
 }
 
-/// A transport that records `(EHL blocks, packed blindings)` of every item a `Dedup`
-/// request sends and its reply returns.
+/// A transport that records the packed blindings of every item a `Dedup` request sends
+/// and its reply returns.
 #[derive(Debug)]
 struct DedupTap {
     inner: InProcessTransport,
-    items: Arc<Mutex<Vec<(usize, usize)>>>,
+    items: Arc<Mutex<Vec<usize>>>,
 }
 
 impl Transport for DedupTap {
@@ -347,8 +347,7 @@ impl Transport for DedupTap {
         };
         for item in requests {
             if let S1Request::Dedup(dedup) = item {
-                let shapes = dedup.items.iter().zip(&dedup.blindings);
-                seen.extend(shapes.map(|(item, blinding)| (item.ehl.len(), blinding.packed.len())));
+                seen.extend(dedup.blindings.iter().map(|blinding| blinding.packed.len()));
             }
         }
         let (response, traffic) = self.inner.round_trip(request)?;
@@ -357,9 +356,8 @@ impl Transport for DedupTap {
             single => std::slice::from_ref(single),
         };
         for reply in replies {
-            if let S2Response::Dedup { items, blindings } = reply {
-                let shapes = items.iter().zip(blindings);
-                seen.extend(shapes.map(|(item, blinding)| (item.ehl.len(), blinding.packed.len())));
+            if let S2Response::Dedup { blindings, .. } = reply {
+                seen.extend(blindings.iter().map(|blinding| blinding.packed.len()));
             }
         }
         self.items.lock().expect("tap lock").extend(seen);
@@ -378,16 +376,14 @@ impl Transport for DedupTap {
 
 #[test]
 fn s2_is_sent_one_ehl_block_per_dedup_item() {
-    // The relation stores each EHL+ as one folded block, whatever `s` is, so every item
-    // SecDedup / SecDupElim ships — and every item S2 returns, garbage included — carries
-    // one block, and its three masks in two `pk'` ciphertexts.
+    // An EHL+ is one block, whatever `s` is, so every item SecDedup / SecDupElim ships —
+    // and every item S2 returns, garbage included — carries its three masks in two `pk'`
+    // ciphertexts.
     let relation = fig3_relation();
     let (attrs, k) = (vec![0, 1, 2], 2);
     let mut rng = StdRng::seed_from_u64(0xB0DD);
     let owner = DataOwner::new(TEST_MODULUS_BITS, TEST_EHL_KEYS, &mut rng).expect("keygen");
     let (outsourced, _) = owner.outsource(&relation, &mut rng).expect("encryption");
-    let stored = outsourced.er().list(0).item(0).expect("a stored item");
-    assert_eq!(stored.ehl.len(), 1);
     for variant in [QueryVariant::Full, QueryVariant::DupElim, QueryVariant::Batched { p: 2 }] {
         let name = variant.name();
         let items = Arc::new(Mutex::new(Vec::new()));
@@ -404,7 +400,7 @@ fn s2_is_sent_one_ehl_block_per_dedup_item() {
         assert_valid_top_k(&relation, &attrs, &[], k, &resolved.object_ids(), name);
         let items = items.lock().expect("tap lock");
         assert!(!items.is_empty(), "{name}: the fig3 query deduplicates");
-        assert!(items.iter().all(|&shape| shape == (1, 2)), "{name}: {items:?}");
+        assert!(items.iter().all(|&packed| packed == 2), "{name}: {items:?}");
     }
 }
 
